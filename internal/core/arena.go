@@ -1,15 +1,12 @@
 package core
 
-import (
-	"sync"
-
-	"setm/internal/xsort"
-)
+import "sync"
 
 // mineArena holds the scratch buffers one mining run threads through
-// its iterations: the radix ping-pong buffers, the key-column clone the
-// count step sorts, the extension output, the filtered R_k, the packed
-// C_k, and (for workers > 1) the per-worker chunk buffers. Buffers grow
+// its iterations: the radix ping-pong buffers, the count step's tables
+// (or, on the sort kernel, its key-column clone), the extension output,
+// the filtered R_k, the packed C_k, and (for workers > 1) the per-worker
+// chunk buffers. Buffers grow
 // to the high-water mark of the run and are reused verbatim afterwards,
 // so steady-state iterations allocate (almost) nothing.
 type mineArena struct {
@@ -18,11 +15,12 @@ type mineArena struct {
 	rowsTmp  []prow   // radix scratch for (tid, key) sorts
 	salesBuf []prow   // packed R_1
 	joinBuf  []prow   // prefiltered join side (PrefilterSales only)
-	keys     []uint64 // key-column clone sorted by the count step
+	keys     []uint64 // key-column clone sorted by the count step's sort kernel
 	keysTmp  []uint64 // radix scratch for key sorts
 	txItems  []uint64 // per-transaction code scratch
 	bitmap   []uint64 // C_k membership bitmap for the filter step
 	dictBuf  []int64  // the dictionary's code -> item table
+	dictLUT  []uint32 // the dictionary's item -> code table (and presence pass)
 	ck       pkCounts // packed C_k
 
 	// Per-worker buffers for the parallel chunk kernels (resident path)
@@ -31,6 +29,7 @@ type mineArena struct {
 	wCounts []pkCounts // per-chunk count runs
 	wTmp    [][]uint64 // per-chunk radix scratch
 	wKeys   [][]uint64 // per-worker bounded key buffers (spilled regime)
+	wTab    [][]uint32 // per-worker count tables (slot 0 serves serial passes)
 	wSkips  []int64    // per-chunk sort-skip tallies
 }
 
@@ -61,6 +60,9 @@ func (a *mineArena) workerSlots(n int) {
 	for len(a.wKeys) < n {
 		a.wKeys = append(a.wKeys, nil)
 	}
+	for len(a.wTab) < n {
+		a.wTab = append(a.wTab, nil)
+	}
 	for len(a.wSkips) < n {
 		a.wSkips = append(a.wSkips, 0)
 	}
@@ -83,6 +85,32 @@ func growU64(buf []uint64, n int) []uint64 {
 	}
 	return buf[:n]
 }
+
+// growU32 returns buf resized to n cells, reallocating only when the
+// capacity is exceeded. The contents are unspecified.
+func growU32(buf []uint32, n int) []uint32 {
+	if cap(buf) < n {
+		return make([]uint32, n)
+	}
+	return buf[:n]
+}
+
+// maxCountTableBits bounds the key space the count step addresses
+// directly: 2^24 uint32 cells is a 64 MiB table, which the kernel rule
+// (table bytes <= 16 B per key counted) admits only from 4M keys up.
+// The rule alone keeps the table's memory below the sort's; the cap is
+// where its speed stops being safe. Past the last-level cache every
+// increment of a scattered key column is a cache and TLB miss, while the
+// radix sort streams. BenchmarkCountKernel, uniform random keys (the
+// table's worst case), 2.1 GHz Xeon, ms per count step, table vs sort:
+// 2^10 cells x 5M keys 8.8 vs 102; 2^20 x 5M 24 vs 128; 2^24 x 5M 122 vs
+// 132, and at the fewest keys the rule admits there, 4M, 102 vs 101 — a
+// tie, where one more bit would need an 8M-key column to tie and a
+// 128 MiB table. (Between 2^21 and 2^23 cells a uniform random column of
+// exactly a quarter as many keys as cells loses up to 1.4x; from one key
+// per cell the table wins 2.2-2.8x. Real R'_k columns are skewed toward
+// the frequent items, which only helps the table.)
+const maxCountTableBits = 24
 
 // maxFilterBitmapBits bounds the key space a filter bitmap will cover:
 // 2^22 bits is a 512 KiB bitmap, cleared and refilled per iteration from
@@ -182,47 +210,6 @@ func extendParallelPacked(rk, sales []prow, itemBits uint, workers int, ar *mine
 		out = append(out, ar.wRows[i]...)
 	}
 	return out
-}
-
-// countKeysParallel sorts key-column chunks concurrently, counts runs
-// per chunk, and merges the per-chunk counts with the support threshold
-// applied at the end — identical to a single global sort-and-count.
-func countKeysParallel(keys []uint64, minSup int64, workers int, ar *mineArena, dst pkCounts, skips *int64) pkCounts {
-	bounds := evenChunks(len(keys), workers)
-	if len(bounds) <= 1 {
-		if keysSorted(keys) {
-			*skips++
-		} else {
-			ar.keysTmp = growU64(ar.keysTmp, len(keys))
-			xsort.RadixSortU64(keys, ar.keysTmp)
-		}
-		return packedCountRuns(keys, minSup, dst)
-	}
-	ar.workerSlots(len(bounds))
-	var wg sync.WaitGroup
-	for i, b := range bounds {
-		wg.Add(1)
-		go func(i int, b [2]int) {
-			defer wg.Done()
-			chunk := keys[b[0]:b[1]]
-			ar.wSkips[i] = 0
-			if keysSorted(chunk) {
-				ar.wSkips[i] = 1
-			} else {
-				ar.wTmp[i] = growU64(ar.wTmp[i], len(chunk))
-				xsort.RadixSortU64(chunk, ar.wTmp[i])
-			}
-			ar.wCounts[i] = packedCountRuns(chunk, 1, pkCounts{
-				keys:   ar.wCounts[i].keys[:0],
-				counts: ar.wCounts[i].counts[:0],
-			})
-		}(i, b)
-	}
-	wg.Wait()
-	for i := range bounds {
-		*skips += ar.wSkips[i]
-	}
-	return mergePackedCounts(ar.wCounts[:len(bounds)], minSup, dst)
 }
 
 // filterParallelPacked applies the support filter over row chunks

@@ -25,6 +25,9 @@ type conformanceCase struct {
 	maxLen  int // max items per transaction (before dedup)
 	nItems  int // catalogue size
 	minSups []int64
+	// kernels, when set, is the count kernel the reference driver must
+	// report for passes 1..len(kernels).
+	kernels []string
 }
 
 var conformanceCases = []conformanceCase{
@@ -35,6 +38,11 @@ var conformanceCases = []conformanceCase{
 	{name: "single-item-baskets", seed: 505, txns: 60, maxLen: 1, nItems: 10, minSups: []int64{2}},
 	{name: "duplicate-heavy", seed: 606, txns: 70, maxLen: 10, nItems: 5, minSups: []int64{5, 20}},
 	{name: "unsupported-everything", seed: 707, txns: 30, maxLen: 5, nItems: 40, minSups: []int64{25}},
+	// >= 2^13 distinct items: 14-bit codes, so C_1 counts on a 64 KiB
+	// table while k=2's 28-bit key space is past the table cap and every
+	// packed driver must take the sort kernel there.
+	{name: "wide-catalogue", seed: 909, txns: 2500, maxLen: 8, nItems: 20000, minSups: []int64{3},
+		kernels: []string{core.CountTable, core.CountSort}},
 }
 
 // conformanceDataset builds the deterministic random dataset of a case.
@@ -168,6 +176,11 @@ func TestDriverConformance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("memory: %v", err)
 				}
+				for i, kernel := range c.kernels {
+					if i >= len(want.Stats) || want.Stats[i].Plan.Count != kernel {
+						t.Fatalf("memory: pass %d count kernel is not %q (stats %+v)", i+1, kernel, want.Stats)
+					}
+				}
 				for _, m := range conformanceMiners() {
 					got, err := m.mine(d, opts)
 					if err != nil {
@@ -294,8 +307,11 @@ func TestPartitionedShardSweep(t *testing.T) {
 
 // TestPagedSpillConformanceRetail pins the out-of-core packed pipeline
 // to Mine on the retail fixture with a budget small enough that every
-// iteration genuinely spills (≥ 2 sorted runs written), the regime the
-// paper's disk-resident analysis describes.
+// sort-counted iteration genuinely spills (≥ 2 sorted runs written), the
+// regime the paper's disk-resident analysis describes. k=1's key space
+// fits a counting table inside the 32 KiB budget's share, so that pass
+// writes no key runs; from k=2 the key space outgrows the share and the
+// bounded radix runs and their k-way merge are exercised.
 func TestPagedSpillConformanceRetail(t *testing.T) {
 	cfg := gen.DefaultRetail(7)
 	cfg.NumTransactions = 4000
@@ -317,16 +333,30 @@ func TestPagedSpillConformanceRetail(t *testing.T) {
 	if got.IO.Accesses() == 0 {
 		t.Error("no page I/O: the budget did not force the out-of-core regime")
 	}
-	// Every iteration that carried candidate rows must have spilled at
-	// least two runs — otherwise the budget is not exercising the k-way
-	// merge and the test is vacuous.
+	// Every sort-counted iteration that carried candidate rows must have
+	// spilled at least two runs — otherwise the budget is not exercising
+	// the k-way merge and the test is vacuous.
+	sortPasses := 0
 	for _, st := range got.Stats {
-		if st.RRows > 0 && st.RunsSpilled < 2 {
-			t.Errorf("k=%d: only %d runs spilled (want >= 2); budget too generous", st.K, st.RunsSpilled)
+		switch st.Plan.Count {
+		case core.CountSort:
+			sortPasses++
+			if st.K < 2 {
+				t.Errorf("k=%d counted by sort; its key space should fit the table", st.K)
+			}
+			if st.RRows > 0 && st.RunsSpilled < 2 {
+				t.Errorf("k=%d: only %d runs spilled (want >= 2); budget too generous", st.K, st.RunsSpilled)
+			}
+		case core.CountTable:
+		default:
+			t.Errorf("k=%d: plan %q names no count kernel", st.K, st.Plan)
 		}
 		if st.RunsSpilled > 0 && st.SpillBytes == 0 {
 			t.Errorf("k=%d: %d runs spilled but zero spill bytes accounted", st.K, st.RunsSpilled)
 		}
+	}
+	if sortPasses == 0 {
+		t.Error("no iteration took the sort kernel: the k-way merge is not covered")
 	}
 }
 

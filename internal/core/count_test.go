@@ -1,0 +1,316 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"setm/internal/costmodel"
+	"setm/internal/storage"
+)
+
+// randKeyRows draws n rows with uniform random keys below 2^keyBits —
+// the table kernel's worst case (every increment a fresh cache line) and
+// an unsorted input for the sort kernel.
+func randKeyRows(seed int64, n int, keyBits uint) []prow {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([]prow, n)
+	for i := range rows {
+		rows[i] = prow{Tid: uint64(i) ^ tidFlip, Key: rng.Uint64() >> (64 - keyBits)}
+	}
+	return rows
+}
+
+// BenchmarkCountKernel measures the two count kernels on the same keys:
+// the direct-address table (clear, one increment pass, index-order
+// read-out) against the key-column clone + radix sort + run count. It is
+// the evidence for maxCountTableBits: wherever the kernel rule admits the
+// table (its bytes <= 16 B per key — every point below except 2^24 cells
+// x 1M keys, which shows what the rule is for) it must not lose to the
+// sort.
+func BenchmarkCountKernel(b *testing.B) {
+	for _, keyBits := range []uint{10, 20, 24} {
+		for _, n := range []int{1 << 20, 5 << 20} {
+			rows := randKeyRows(int64(keyBits), n, keyBits)
+			cells := 1 << keyBits
+			var ar mineArena
+			ar.workerSlots(1)
+			var dst pkCounts
+			kernels := map[string]func(){
+				"table": func() {
+					ar.wTab[0] = tableCountRows(rows, ar.wTab[0], cells)
+					dst = emitCountTable(ar.wTab[0], 1, pkCounts{keys: dst.keys[:0], counts: dst.counts[:0]})
+				},
+				"sort": func() {
+					keys := growU64(ar.keys, len(rows))
+					ar.keys = keys
+					for j, r := range rows {
+						keys[j] = r.Key
+					}
+					var skips int64
+					dst = sortCountKeys(keys, &ar.keysTmp, 1, pkCounts{keys: dst.keys[:0], counts: dst.counts[:0]}, &skips)
+				},
+			}
+			for _, kernel := range []string{"table", "sort"} {
+				count := kernels[kernel]
+				b.Run(fmt.Sprintf("bits=%d/keys=%dM/%s", keyBits, n>>20, kernel), func(b *testing.B) {
+					count() // grow the arena first: steady state is what a mine sees
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						count()
+					}
+				})
+			}
+		}
+	}
+}
+
+// sortDict is dict with the table kernel switched off — how the tests
+// obtain the sort kernel's answer for the same pass.
+func sortDict(dict *packDict) *packDict {
+	d := *dict
+	d.counts32 = false
+	return &d
+}
+
+func samePkCounts(a, b pkCounts) bool {
+	return slices.Equal(a.keys, b.keys) && slices.Equal(a.counts, b.counts)
+}
+
+// countBoth runs countRows on the dictionary's own kernel choice and on
+// the forced sort kernel, requires identical output, and returns the
+// kernel the rule chose.
+func countBoth(t *testing.T, label string, rows []prow, dict *packDict, k int, minSup int64, workers int) string {
+	t.Helper()
+	var ar, arSort mineArena
+	var skips, sortSkips int64
+	got, kernel := countRows(rows, dict, k, minSup, workers, &ar, pkCounts{}, &skips)
+	want, sk := countRows(rows, sortDict(dict), k, minSup, workers, &arSort, pkCounts{}, &sortSkips)
+	if sk != CountSort {
+		t.Fatalf("%s: forced sort kernel reported %q", label, sk)
+	}
+	if !samePkCounts(got, want) {
+		t.Fatalf("%s (%s kernel): counts differ from the sort kernel\ngot  %v %v\nwant %v %v",
+			label, kernel, got.keys, got.counts, want.keys, want.counts)
+	}
+	if kernel == CountTable && skips != 1 {
+		t.Errorf("%s: table pass tallied %d skipped sorts, want 1", label, skips)
+	}
+	return kernel
+}
+
+// TestCountKernelRuleEdges pins the kernel rule at its boundaries — the
+// table is used exactly when its bytes do not exceed 16 B per key — and
+// the table kernel's output to the sort kernel's on the degenerate
+// inputs: empty, all-equal keys, a count exactly at the threshold.
+func TestCountKernelRuleEdges(t *testing.T) {
+	items := make([]int64, 64) // 6 bits per code
+	for i := range items {
+		items[i] = int64(i)
+	}
+	dict := newPackDict(items, 1000, nil)
+	const k = 2 // 12-bit keys: 4096 cells, a 16 KiB table
+	cells := dict.countTableCells(k)
+	if cells != 4096 {
+		t.Fatalf("countTableCells(2) = %d, want 4096", cells)
+	}
+	atEdge := cells * 4 / 16 // keys whose sort buffers equal the table
+
+	// Resident: table bytes == 16*|R'_k|, then one row (16 B) short.
+	if got := countBoth(t, "resident at edge", randKeyRows(1, atEdge, 12), dict, k, 1, 1); got != CountTable {
+		t.Errorf("table bytes == sort bytes: kernel %q, want table", got)
+	}
+	if got := countBoth(t, "resident under edge", randKeyRows(2, atEdge-1, 12), dict, k, 1, 1); got != CountSort {
+		t.Errorf("table one row over the sort bytes: kernel %q, want sort", got)
+	}
+	if costmodel.CountTableFits(int64(cells)*4+1, int64(atEdge)) {
+		t.Error("CountTableFits accepted a table one byte over the sort buffers")
+	}
+
+	// Budget-bounded counter: the share is 2*8*capKeys.
+	pool := storage.NewPool(storage.NewMemStore(), 16)
+	for _, tc := range []struct {
+		capKeys int
+		want    string
+	}{{atEdge, CountTable}, {atEdge - 1, CountSort}} {
+		var st spillStats
+		kc := newKeyCounter(nil, pool, tc.capKeys, 4, cells, &st)
+		rows := randKeyRows(3, 3*atEdge, 12)
+		if err := kc.addRows(rows); err != nil {
+			t.Fatal(err)
+		}
+		got, kernel, err := finishCounters(pool, []*keyCounter{kc}, 4, 1, 2, pkCounts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kernel != tc.want {
+			t.Errorf("capKeys=%d: kernel %q, want %q", tc.capKeys, kernel, tc.want)
+		}
+		if (st.runs == 0) != (tc.want == CountTable) {
+			t.Errorf("capKeys=%d (%s): %d key runs written", tc.capKeys, kernel, st.runs)
+		}
+		var ar mineArena
+		var skips int64
+		want, _ := countRows(rows, sortDict(dict), k, 2, 1, &ar, pkCounts{}, &skips)
+		if !samePkCounts(got, want) {
+			t.Errorf("capKeys=%d (%s): counts differ from the resident sort kernel", tc.capKeys, kernel)
+		}
+	}
+	if n := pool.PinnedFrames(); n != 0 {
+		t.Errorf("%d pinned frames left", n)
+	}
+
+	// The cap: a key space of exactly maxCountTableBits has a table, one
+	// bit more has none, whatever the input size.
+	wide := &packDict{bits: maxCountTableBits, counts32: true}
+	if got := wide.countTableCells(1); got != 1<<maxCountTableBits {
+		t.Errorf("cells at the cap = %d, want 2^%d", got, maxCountTableBits)
+	}
+	wide.bits++
+	if got := wide.countTableCells(1); got != 0 {
+		t.Errorf("cells one bit past the cap = %d, want 0", got)
+	}
+
+	// Degenerate inputs.
+	if got := countBoth(t, "empty", nil, dict, k, 1, 1); got != CountSort {
+		t.Errorf("empty input: kernel %q, want sort (nothing to replace)", got)
+	}
+	equal := make([]prow, 2*atEdge)
+	for i := range equal {
+		equal[i] = prow{Tid: uint64(i), Key: 4095}
+	}
+	countBoth(t, "all-equal", equal, dict, k, 1, 1)
+	countBoth(t, "all-equal over threshold", equal, dict, k, int64(len(equal))+1, 1)
+	exact := append(randKeyRows(4, 2*atEdge, 11), prow{Key: 4000}, prow{Key: 4000}, prow{Key: 4000}) // key 4000 occurs exactly 3 times
+	for _, ms := range []int64{3, 4} {
+		var ar mineArena
+		var skips int64
+		got, kernel := countRows(exact, dict, k, ms, 1, &ar, pkCounts{}, &skips)
+		_, found := slices.BinarySearch(got.keys, 4000)
+		if kernel != CountTable || found != (ms == 3) {
+			t.Errorf("minSup=%d (%s): key with count 3 present=%v", ms, kernel, found)
+		}
+		countBoth(t, fmt.Sprintf("exact minSup=%d", ms), exact, dict, k, ms, 1)
+	}
+}
+
+// TestCountTableUint32Guard: the table's uint32 cells are safe only
+// while no support can reach 2^32, i.e. the dataset has fewer than 2^32
+// transactions; at or past that the dictionary must rule the table out
+// and every pass sorts.
+func TestCountTableUint32Guard(t *testing.T) {
+	items := []int64{1, 2, 3, 4}
+	limit := int64(1) << 32
+	if d := newPackDict(items, int(limit-1), nil); d.countTableCells(1) == 0 {
+		t.Error("2^32-1 transactions: table ruled out, want allowed")
+	}
+	d := newPackDict(items, int(limit), nil)
+	if int64(int(limit)) != limit {
+		t.Skip("int is 32 bits wide")
+	}
+	if got := d.countTableCells(1); got != 0 {
+		t.Errorf("2^32 transactions: countTableCells = %d, want 0", got)
+	}
+	rows := randKeyRows(5, 4096, 2)
+	var ar mineArena
+	var skips int64
+	if _, kernel := countRows(rows, d, 1, 1, 1, &ar, pkCounts{}, &skips); kernel != CountSort {
+		t.Errorf("2^32 transactions: kernel %q, want sort", kernel)
+	}
+}
+
+// TestCountRowsParallelTables runs the chunk-parallel table kernel —
+// one table per worker, summed element-wise — at W = 2 and 4 against the
+// serial table and the sort kernel. CI runs it under -race -count=10.
+func TestCountRowsParallelTables(t *testing.T) {
+	items := make([]int64, 32) // 5 bits: k=2 is a 10-bit key space
+	for i := range items {
+		items[i] = int64(i) * 3
+	}
+	dict := newPackDict(items, 1<<20, nil)
+	rows := randKeyRows(6, 8*parallelMinRows, 10)
+	for _, ms := range []int64{1, 40} {
+		var ar mineArena
+		var skips int64
+		serial, kernel := countRows(rows, dict, 2, ms, 1, &ar, pkCounts{}, &skips)
+		if kernel != CountTable {
+			t.Fatalf("serial kernel %q, want table", kernel)
+		}
+		for _, w := range []int{2, 4} {
+			label := fmt.Sprintf("W=%d minSup=%d", w, ms)
+			if got := countBoth(t, label, rows, dict, 2, ms, w); got != CountTable {
+				t.Errorf("%s: kernel %q, want table", label, got)
+			}
+			var arW mineArena
+			par, _ := countRows(rows, dict, 2, ms, w, &arW, pkCounts{}, &skips)
+			if !samePkCounts(par, serial) {
+				t.Errorf("%s: parallel tables differ from the serial table", label)
+			}
+		}
+	}
+}
+
+// TestKeyCountersStreamingTables drives worker-private key counters the
+// way the spilled regime's morsel workers do — concurrently, each on its
+// own rows — and checks the fold: bounded counters count on tables from
+// the first key, unbounded ones switch once the table pays (so a short
+// morsel is still buffering when the pass ends), and either mix sums to
+// the resident answer with no key run written.
+func TestKeyCountersStreamingTables(t *testing.T) {
+	items := make([]int64, 32)
+	for i := range items {
+		items[i] = int64(i)
+	}
+	dict := newPackDict(items, 1<<20, nil)
+	cells := dict.countTableCells(2) // 1024 cells: switches at 256 keys when unbounded
+	rows := randKeyRows(7, 6000, 10)
+	var ar mineArena
+	var skips int64
+	want, _ := countRows(rows, sortDict(dict), 2, 3, 1, &ar, pkCounts{}, &skips)
+	pool := storage.NewPool(storage.NewMemStore(), 16)
+	for _, capKeys := range []int{0, 512} {
+		for _, W := range []int{2, 4} {
+			stats := make([]spillStats, W)
+			kcs := make([]*keyCounter, W)
+			// The last worker's morsel is 100 rows: under the unbounded
+			// switch point, so it finishes still buffering.
+			cuts := evenChunks(len(rows)-100, W-1)
+			cuts = append(cuts, [2]int{len(rows) - 100, len(rows)})
+			var wg sync.WaitGroup
+			for w := range kcs {
+				kcs[w] = newKeyCounter(nil, pool, capKeys, 4, cells, &stats[w])
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					part := rows[cuts[w][0]:cuts[w][1]]
+					for len(part) > 0 {
+						n := min(len(part), 37)
+						if err := kcs[w].addRows(part[:n]); err != nil {
+							t.Error(err)
+						}
+						part = part[n:]
+					}
+				}(w)
+			}
+			wg.Wait()
+			if last := kcs[W-1]; (last.tab == nil) != (capKeys == 0) {
+				t.Errorf("cap=%d W=%d: short morsel on table = %v", capKeys, W, last.tab != nil)
+			}
+			got, kernel, err := finishCounters(pool, kcs, 4, W, 3, pkCounts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kernel != CountTable || !samePkCounts(got, want) {
+				t.Errorf("cap=%d W=%d: kernel %q, counts equal = %v", capKeys, W, kernel, samePkCounts(got, want))
+			}
+			for w := range stats {
+				if stats[w].runs != 0 {
+					t.Errorf("cap=%d W=%d: worker %d wrote %d key runs", capKeys, W, w, stats[w].runs)
+				}
+			}
+		}
+	}
+}

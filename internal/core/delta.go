@@ -103,7 +103,7 @@ func MineDeltaMonitored(ctx context.Context, base, delta *Dataset, snap *BorderS
 	m := &deltaMiner{
 		ctx: ctx, base: base, delta: delta, snap: snap, opts: opts,
 		pool: pool, onIter: onIter, start: start,
-		dict: dict, codeMap: codeMap, oldBits: newPackDict(snap.Items).bits,
+		dict: dict, codeMap: codeMap, oldBits: dictBits(len(snap.Items)),
 		maxTid: maxTid,
 	}
 	return m.run()
@@ -149,7 +149,7 @@ func (m *deltaMiner) run() (*Result, error) {
 	deltaR := m.deltaSales
 
 	var ext, rkBuf []prow
-	var keys, keysTmp []uint64
+	var ar mineArena // private count-step scratch, reused across levels
 	k := 0
 	for {
 		if err := m.cancelled(); err != nil {
@@ -157,26 +157,14 @@ func (m *deltaMiner) run() (*Result, error) {
 		}
 		k++
 		iterStart := time.Now()
-		var rPrimeRows int64
-		if k == 1 {
-			rPrimeRows = int64(len(m.deltaSales))
-			keys = growU64(keys, len(m.deltaSales))
-			for i, r := range m.deltaSales {
-				keys[i] = r.Key
-			}
-		} else {
+		rPrime := m.deltaSales
+		if k > 1 {
 			ext = packedExtend(deltaR, m.deltaSales, m.dict.bits, ext[:0])
-			rPrimeRows = int64(len(ext))
-			keys = growU64(keys, len(ext))
-			for i, r := range ext {
-				keys[i] = r.Key
-			}
+			rPrime = ext
 		}
-		if !keysSorted(keys) {
-			keysTmp = growU64(keysTmp, len(keys))
-			xsort.RadixSortU64(keys, keysTmp)
-		}
-		dCounts := packedCountRuns(keys, 1, pkCounts{})
+		rPrimeRows := int64(len(rPrime))
+		skips := int64(1) // the R_{k-1} sort: order is preserved throughout
+		dCounts, kernel := countRows(rPrime, m.dict, k, 1, 1, &ar, pkCounts{}, &skips)
 
 		baseAll, baseFreq := m.baseLevel(k)
 		all := addPackedCounts(baseAll, dCounts)
@@ -197,8 +185,8 @@ func (m *deltaMiner) run() (*Result, error) {
 		res.Stats = append(res.Stats, IterationStat{
 			K: k, RPrimeRows: rPrimeRows, RRows: int64(len(deltaR)),
 			RPaperBytes: int64(len(deltaR)) * paperTupleBytes(k),
-			CCount:      len(freq.keys), SortsSkipped: 1,
-			Plan:     IterPlan{Kernel: KernelDelta, Regime: RegimeResident, Workers: 1, Exchange: ExchangeNone},
+			CCount:      len(freq.keys), SortsSkipped: skips,
+			Plan:     IterPlan{Kernel: KernelDelta, Regime: RegimeResident, Workers: 1, Exchange: ExchangeNone, Count: kernel},
 			Duration: time.Since(iterStart),
 		})
 
@@ -292,7 +280,7 @@ func (m *deltaMiner) fallback(res *Result, k int, minSup int64, nCombined int) (
 	salesEst := m.snap.SalesRows + int64(len(m.deltaSales))
 	if b := m.opts.MemoryBudget; b > 0 {
 		avg := float64(salesEst) / float64(nCombined)
-		if salesEst*costmodel.PackedRowBytes+costmodel.PackedIterFootprint(costmodel.EstRPrimeRows(salesEst, avg)) > b {
+		if salesEst*costmodel.PackedRowBytes+costmodel.PackedIterFootprint(costmodel.EstRPrimeRows(salesEst, avg), m.dict.countTableBytes(2)) > b {
 			return m.remine(combined)
 		}
 	}
@@ -453,15 +441,14 @@ func extendDict(snap *BorderSnapshot, delta *Dataset) (*packDict, []uint64, erro
 		}
 	}
 	if len(extra) == 0 {
-		return newPackDict(snap.Items), nil, nil
+		return newPackDict(snap.Items, len(delta.Transactions), nil), nil, nil
 	}
 	merged := make([]int64, 0, len(snap.Items)+len(extra))
 	merged = append(merged, snap.Items...)
 	merged = append(merged, extra...)
 	sortItems(merged)
-	dict := newPackDict(merged)
-	oldDict := newPackDict(snap.Items)
-	if dict.bits != oldDict.bits {
+	dict := newPackDict(merged, len(delta.Transactions), nil)
+	if dict.bits != dictBits(len(snap.Items)) {
 		for k := range snap.Levels {
 			if uint(k+1)*dict.bits > 64 {
 				return nil, nil, fmt.Errorf("%w: level %d patterns exceed 64-bit keys under the extended dictionary", ErrBorder, k+1)

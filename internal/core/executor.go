@@ -58,6 +58,11 @@ type IterPlan struct {
 	// Exchange is "none" (single executor) or "sharded" (the partitioned
 	// driver's per-shard pipelines with a global count merge).
 	Exchange string
+	// Count is the packed count step's kernel, known once the pass has
+	// sized R'_k: "table" (direct-address counting table — the key space
+	// was narrow enough to replace the sort buffers) or "sort" (radix sort
+	// + run count). Empty for the generic, SQL, and wide-fallback passes.
+	Count string
 }
 
 // IterPlan vocabulary.
@@ -70,14 +75,19 @@ const (
 	RegimeSpilled   = "spilled"
 	ExchangeNone    = "none"
 	ExchangeSharded = "sharded"
+	CountTable      = "table" // direct-address counting table, no sort
+	CountSort       = "sort"  // radix sort (skipped when pre-sorted) + run count
 )
 
-// String renders the plan compactly: "packed/spilled/4w".
+// String renders the plan compactly: "packed/spilled/4w/table".
 func (p IterPlan) String() string {
 	if p.Kernel == "" {
 		return ""
 	}
 	s := p.Kernel + "/" + p.Regime + "/" + strconv.Itoa(p.Workers) + "w"
+	if p.Count != "" {
+		s += "/" + p.Count
+	}
 	if p.Exchange == ExchangeSharded {
 		s += "/sharded"
 	}
@@ -305,15 +315,11 @@ func (s *execStepper) ensurePool() {
 // nextPlan asks the strategy for the upcoming iteration's plan, feeding
 // it the previous iteration's observed cardinalities.
 func (s *execStepper) nextPlan(k int, prevRPrime, prevRRows int64) IterPlan {
-	packedOK := true
-	if s.dict != nil {
-		packedOK = k <= s.dict.maxPackedK()
-	}
 	p := s.strat(costmodel.PlanInput{
 		K: k, PrevRPrime: prevRPrime, PrevRRows: prevRRows,
-		AvgBasket: s.avgBasket, PackedOK: packedOK,
+		AvgBasket: s.avgBasket, PackedOK: k <= s.dict.maxPackedK(),
 		Budget: s.budget, Workers: s.maxWorkers, PoolFrames: s.cfg.PoolFrames,
-		Checkpoint: s.opts.Checkpoint != nil,
+		CountTableBytes: s.dict.countTableBytes(k), Checkpoint: s.opts.Checkpoint != nil,
 	})
 	if p.Workers < 1 {
 		p.Workers = 1
@@ -422,37 +428,34 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	if n := len(s.d.Transactions); n > 0 {
 		s.avgBasket = float64(total) / float64(n)
 	}
+	// The dictionary comes first: the plan's count-kernel term needs its
+	// code width.
+	s.ar = newMineArena()
+	s.dict = buildDict(s.d, s.ar)
 	plan := s.nextPlan(1, int64(total), int64(total))
 	if plan.Regime == RegimeSpilled {
 		s.ensurePool()
 	}
 	ioStart, stStart := s.startIteration()
 
-	s.ar = newMineArena()
-	s.dict = buildDict(s.d, s.ar)
 	mem := packSales(s.d, s.dict, s.ar)
 	salesRows := int64(len(mem))
 	s.salesTotal = salesRows
 
-	// C_1: counts per item require the key column sorted on item code.
-	// The rows are resident at this point either way (building R_1 needs
-	// them); the spilled regime only bounds the *additional* working set,
-	// streaming the keys through budget-bounded counters.
+	// C_1: counts per item code. The rows are resident at this point
+	// either way (building R_1 needs them); the spilled regime only bounds
+	// the *additional* working set, streaming the keys through
+	// budget-bounded counters.
 	var skips int64
 	var ck pkCounts
 	var err error
 	if plan.Regime == RegimeSpilled {
-		ck, skips, err = s.countMemStreaming(mem, s.countSup(minSup), plan)
+		ck, skips, plan.Count, err = s.countMemStreaming(mem, s.countSup(minSup), plan)
 		if err != nil {
 			return nil, iterSizes{}, err
 		}
 	} else {
-		keys := growU64(s.ar.keys, len(mem))
-		s.ar.keys = keys
-		for i, r := range mem {
-			keys[i] = r.Key
-		}
-		ck = s.countKeysResident(keys, s.countSup(minSup), plan.Workers, &skips)
+		ck, plan.Count = s.countResident(mem, 1, s.countSup(minSup), plan.Workers, &skips)
 	}
 	ck = s.splitBorder(ck, minSup)
 	c1 := decodePatterns(ck, 1, s.dict)
@@ -555,14 +558,11 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	}
 	s.ar.ext = rPrime
 
-	// C_k: sort a copy of the key column, count runs, apply the support
-	// threshold.
-	keys := growU64(s.ar.keys, len(rPrime))
-	s.ar.keys = keys
-	for i, r := range rPrime {
-		keys[i] = r.Key
-	}
-	ck := s.splitBorder(s.countKeysResident(keys, s.countSup(minSup), plan.Workers, &skips), minSup)
+	// C_k: count the key column of R'_k (on a table when the key space
+	// is narrow, else by sorting a clone), apply the support threshold.
+	ck, kernel := s.countResident(rPrime, k, s.countSup(minSup), plan.Workers, &skips)
+	plan.Count = kernel
+	ck = s.splitBorder(ck, minSup)
 	cOut := decodePatterns(ck, k, s.dict)
 
 	// R_k := filter R'_k by C_k. Filtering preserves (trans_id, items)
@@ -588,24 +588,13 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	return cOut, sz, nil
 }
 
-// countKeysResident sorts the resident key column (unless already
-// ordered) and produces the packed C_k at minSup, reusing the arena's
-// buffers — the in-RAM count kernel shared with the old memory stepper.
-func (s *execStepper) countKeysResident(keys []uint64, minSup int64, workers int, skips *int64) pkCounts {
+// countResident runs the in-RAM count kernel over rows into the
+// stepper's reused C_k buffers.
+func (s *execStepper) countResident(rows []prow, k int, minSup int64, workers int, skips *int64) (pkCounts, string) {
 	dst := pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]}
-	if workers > 1 && len(keys) >= parallelMinRows {
-		dst = countKeysParallel(keys, minSup, workers, s.ar, dst, skips)
-	} else {
-		if keysSorted(keys) {
-			*skips++
-		} else {
-			s.ar.keysTmp = growU64(s.ar.keysTmp, len(keys))
-			xsort.RadixSortU64(keys, s.ar.keysTmp)
-		}
-		dst = packedCountRuns(keys, minSup, dst)
-	}
-	s.ck = dst
-	return dst
+	ck, kernel := countRows(rows, s.dict, k, minSup, workers, s.ar, dst, skips)
+	s.ck = ck
+	return ck, kernel
 }
 
 // stepStreaming is the spillable path: budget-bounded appenders and key
@@ -643,15 +632,11 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	// sequential runs with no sort. The key column is counted on the fly
 	// (fused with the extension), saving a full re-read of R'_k.
 	apps := make([]*spillAppender, W)
-	kcs := make([]*keyCounter, W)
 	stats := make([]spillStats, W)
 	errs := make([]error, W)
-	s.ar.workerSlots(W)
+	kcs := s.newKeyCounters(k, capK, fanIn, stats)
 	for w := 0; w < W; w++ {
 		apps[w] = &spillAppender{pool: s.pool, capRows: capR, st: &stats[w]}
-		kcs[w] = &keyCounter{ctx: s.ctx, pool: s.pool, capKeys: capK, fanIn: fanIn, st: &stats[w]}
-		kcs[w].keys = s.ar.wKeys[w][:0]
-		kcs[w].tmp = s.ar.wTmp[w]
 	}
 	if W == 1 {
 		// The serial appender can reuse the arena's extension buffer for
@@ -702,14 +687,11 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	}
 	s.rk = nil
 
-	// C_k: the fused counters' bounded radix runs, merged and counted.
+	// C_k: the fused counters' tables summed, or their bounded radix
+	// runs merged and counted.
 	dst := pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]}
-	var ck pkCounts
-	if W == 1 {
-		ck, err = kcs[0].finish(s.countSup(minSup), dst)
-	} else {
-		ck, err = finishCounters(s.pool, kcs, fanIn, s.mergeWorkers(W, fanIn), s.countSup(minSup), dst)
-	}
+	ck, kernel, err := finishCounters(s.pool, kcs, fanIn, s.mergeWorkers(W, fanIn), s.countSup(minSup), dst)
+	plan.Count = kernel
 	skips += s.mergeWorkerState(kcs, stats, W)
 	if err != nil {
 		rPrime.free(s.pool)
@@ -739,6 +721,23 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	return cOut, sz, nil
 }
 
+// newKeyCounters builds one key counter per worker stats slot for pass
+// k, each bounded to capKeys (0: unbounded) and seeded with the arena's
+// per-worker buffers.
+func (s *execStepper) newKeyCounters(k, capKeys, fanIn int, stats []spillStats) []*keyCounter {
+	W := len(stats)
+	s.ar.workerSlots(W)
+	cells := s.dict.countTableCells(k)
+	kcs := make([]*keyCounter, W)
+	for w := range kcs {
+		kcs[w] = newKeyCounter(s.ctx, s.pool, capKeys, fanIn, cells, &stats[w])
+		kcs[w].keys = s.ar.wKeys[w][:0]
+		kcs[w].tmp = s.ar.wTmp[w]
+		kcs[w].tabBuf = s.ar.wTab[w]
+	}
+	return kcs
+}
+
 // mergeWorkerState folds the workers' spill stats into the run total,
 // returns the workers' sort-skip tally, and re-stashes the counters'
 // grown buffers in the arena for the next iteration.
@@ -749,6 +748,7 @@ func (s *execStepper) mergeWorkerState(kcs []*keyCounter, stats []spillStats, w 
 		skips += kcs[i].skips
 		s.ar.wKeys[i] = kcs[i].keys
 		s.ar.wTmp[i] = kcs[i].tmp
+		s.ar.wTab[i] = kcs[i].tabBuf
 	}
 	return skips
 }
@@ -954,9 +954,10 @@ func filterPart(ctx context.Context, part *groupSrcRows, app *spillAppender, bm 
 }
 
 // countMemStreaming streams the keys of resident rows through
-// budget-bounded counters (fanned across workers), producing C_k at
-// minSup — the init path's count when the plan is spilled.
-func (s *execStepper) countMemStreaming(mem []prow, minSup int64, plan IterPlan) (pkCounts, int64, error) {
+// budget-bounded counters (fanned across workers), producing C_1 at
+// minSup — the init path's count when the plan is spilled. Also returns
+// the sort-skip tally and the count kernel that ran.
+func (s *execStepper) countMemStreaming(mem []prow, minSup int64, plan IterPlan) (pkCounts, int64, string, error) {
 	W := plan.Workers
 	if len(mem) < parallelMinRows {
 		W = 1
@@ -966,39 +967,33 @@ func (s *execStepper) countMemStreaming(mem []prow, minSup int64, plan IterPlan)
 		bounds = [][2]int{{0, 0}}
 	}
 	W = len(bounds)
-	capK := s.capKeys(W)
 	fanIn := mergeFanIn(s.pool, s.chunk())
-	kcs := make([]*keyCounter, W)
 	stats := make([]spillStats, W)
 	errs := make([]error, W)
-	s.ar.workerSlots(W)
-	for w := 0; w < W; w++ {
-		kcs[w] = &keyCounter{ctx: s.ctx, pool: s.pool, capKeys: capK, fanIn: fanIn, st: &stats[w]}
-		kcs[w].keys = s.ar.wKeys[w][:0]
-		kcs[w].tmp = s.ar.wTmp[w]
-	}
-	feed := func(w int, rows []prow) error {
-		for i, r := range rows {
-			if i%cancelCheckRows == 0 {
-				if err := s.cancelled(); err != nil {
-					return err
-				}
-			}
-			if err := kcs[w].add(r.Key); err != nil {
+	kcs := s.newKeyCounters(1, s.capKeys(W), fanIn, stats)
+	feed := func(w int) error {
+		rows := mem[bounds[w][0]:bounds[w][1]]
+		for len(rows) > 0 {
+			if err := s.cancelled(); err != nil {
 				return err
 			}
+			n := min(len(rows), cancelCheckRows)
+			if err := kcs[w].addRows(rows[:n]); err != nil {
+				return err
+			}
+			rows = rows[n:]
 		}
 		return nil
 	}
 	if W == 1 {
-		errs[0] = feed(0, mem[bounds[0][0]:bounds[0][1]])
+		errs[0] = feed(0)
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < W; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				errs[w] = feed(w, mem[bounds[w][0]:bounds[w][1]])
+				errs[w] = feed(w)
 			}(w)
 		}
 		wg.Wait()
@@ -1009,23 +1004,17 @@ func (s *execStepper) countMemStreaming(mem []prow, minSup int64, plan IterPlan)
 				kc.abort()
 			}
 			s.mergeWorkerState(kcs, stats, W)
-			return pkCounts{}, 0, errs[w]
+			return pkCounts{}, 0, "", errs[w]
 		}
 	}
 	dst := pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]}
-	var ck pkCounts
-	var err error
-	if W == 1 {
-		ck, err = kcs[0].finish(minSup, dst)
-	} else {
-		ck, err = finishCounters(s.pool, kcs, fanIn, s.mergeWorkers(W, fanIn), minSup, dst)
-	}
+	ck, kernel, err := finishCounters(s.pool, kcs, fanIn, s.mergeWorkers(W, fanIn), minSup, dst)
 	skips := s.mergeWorkerState(kcs, stats, W)
 	if err != nil {
-		return pkCounts{}, 0, err
+		return pkCounts{}, 0, "", err
 	}
 	s.ck = ck
-	return ck, skips, nil
+	return ck, skips, kernel, nil
 }
 
 // filterMemStreaming filters resident rows by C_k through budget-bounded
@@ -1216,13 +1205,12 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 	if n := len(s.d.Transactions); n > 0 {
 		s.avgBasket = float64(total) / float64(n)
 	}
+	s.ar = newMineArena()
+	s.dict = buildDict(s.d, s.ar)
 	plan := s.nextPlan(1, int64(total), int64(total))
 	if plan.Regime == RegimeSpilled {
 		s.ensurePool()
 	}
-
-	s.ar = newMineArena()
-	s.dict = buildDict(s.d, s.ar)
 	if cp.K > s.dict.maxPackedK() {
 		// Checkpoints are only written while the pattern fits a packed
 		// key; a manifest past that width cannot have come from this

@@ -185,7 +185,7 @@ func TestAutoRecordsPlans(t *testing.T) {
 	}
 	avgBasket := float64(total) / float64(len(d.Transactions))
 	lastIn := res.Stats[len(res.Stats)-2].RRows // |R_{k-1}| feeding the final pass
-	budget := costmodel.PackedIterFootprint(costmodel.EstRPrimeRows(lastIn, avgBasket)) + 1
+	budget := costmodel.PackedIterFootprint(costmodel.EstRPrimeRows(lastIn, avgBasket), 0) + 1
 	mid, err := MineAuto(d, Options{MinSupportFrac: 0.01, MemoryBudget: budget})
 	if err != nil {
 		t.Fatal(err)

@@ -132,11 +132,15 @@ func FuzzMine(f *testing.F) {
 // FuzzPackedKernels cross-checks the packed kernels against the generic
 // int64 kernels at the relation level: arbitrary rows are packed, then
 // sort / count / filter must round-trip to exactly what relation.go
-// computes.
+// computes, and the count step's two kernels — direct-address table and
+// radix sort + run count — must return identical packed counts for the
+// drawn (keys, key width) at the drawn threshold and at the extremes 1
+// and n.
 func FuzzPackedKernels(f *testing.F) {
 	f.Add([]byte{1, 5, 3, 2, 4, 1, 1, 5, 3}, uint8(2), uint8(2))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint8(1), uint8(1))
 	f.Add([]byte{3, 200, 100, 3, 200, 100, 7, 1, 2}, uint8(3), uint8(2))
+	f.Add([]byte{1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 2, 7, 2, 8}, uint8(0), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, minSupRaw uint8) {
 		k := int(kRaw%3) + 1
 		st := k + 1
@@ -166,7 +170,7 @@ func FuzzPackedKernels(f *testing.F) {
 			all = append(all, rel.items(i)...)
 		}
 		slices.Sort(all)
-		dict := newPackDict(slices.Compact(all))
+		dict := newPackDict(slices.Compact(all), n, nil)
 		if k > dict.maxPackedK() {
 			return
 		}
@@ -206,6 +210,28 @@ func FuzzPackedKernels(f *testing.F) {
 		for i := range want {
 			if got[i].Count != want[i].Count || compareItems(got[i].Items, want[i].Items) != 0 {
 				t.Fatalf("count[%d] = %v:%d, want %v:%d", i, got[i].Items, got[i].Count, want[i].Items, want[i].Count)
+			}
+		}
+
+		// Table ≡ sort: the table kernel off the unsorted rows against the
+		// run count of the sorted keys, then the dispatching kernel (which
+		// picks by the size rule) against itself with the table ruled out.
+		cells := dict.countTableCells(k)
+		if cells != 1<<(uint(k)*dict.bits) {
+			t.Fatalf("countTableCells(%d) = %d at %d bits per item", k, cells, dict.bits)
+		}
+		for _, ms := range []int64{1, minSup, int64(n)} {
+			bySort := packedCountRuns(keys, ms, pkCounts{})
+			byTable := emitCountTable(tableCountRows(rows, nil, cells), ms, pkCounts{})
+			if !samePkCounts(byTable, bySort) {
+				t.Fatalf("minSup=%d: table kernel %v:%v, sort kernel %v:%v", ms, byTable.keys, byTable.counts, bySort.keys, bySort.counts)
+			}
+			var a1, a2 mineArena
+			var s1, s2 int64
+			got, _ := countRows(rows, dict, k, ms, 1, &a1, pkCounts{}, &s1)
+			want, kernel := countRows(rows, sortDict(dict), k, ms, 1, &a2, pkCounts{}, &s2)
+			if kernel != CountSort || !samePkCounts(got, want) {
+				t.Fatalf("minSup=%d: countRows disagrees with its sort kernel (%s)", ms, kernel)
 			}
 		}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -11,7 +12,7 @@ import (
 
 func TestPackDictOrderPreserving(t *testing.T) {
 	items := []int64{-500, -3, 0, 1, 2, 7, 1 << 40}
-	dict := newPackDict(items)
+	dict := newPackDict(items, 1, nil)
 	for i, it := range items {
 		if got := dict.code(it); got != uint64(i) {
 			t.Errorf("code(%d) = %d, want %d", it, got, i)
@@ -29,6 +30,49 @@ func TestPackDictOrderPreserving(t *testing.T) {
 	}
 	if got := dict.maxPackedK(); got != 21 {
 		t.Errorf("maxPackedK = %d, want 21", got)
+	}
+}
+
+// TestBuildDictPaths pins both dictionary builders — the presence pass
+// with its O(1) look-up table for dense item ids, the radix sort with
+// binary search for sparse ones — to one oracle: the sorted distinct
+// items, with code(item) the item's rank.
+func TestBuildDictPaths(t *testing.T) {
+	cases := map[string]struct {
+		items   []Item
+		wantLUT bool
+	}{
+		"dense":          {[]Item{5, 3, 9, 3, 4, 5, 8, 7, 6, 3}, true},
+		"dense-negative": {[]Item{-3, -1, 0, 2, -2, 1, -3, 2}, true},
+		"single":         {[]Item{42, 42, 42}, true},
+		"sparse":         {[]Item{1, 1 << 40, -1 << 40, 7, 1 << 40}, false},
+		"extremes":       {[]Item{math.MinInt64, math.MaxInt64, 0, math.MinInt64}, false},
+		// Span 9 over 10 occurrences passes the presence pre-check, but with
+		// only 2 distinct items the table is dropped for binary search.
+		"two-far-apart": {[]Item{0, 8, 0, 8, 0, 8, 0, 8, 0, 8}, false},
+	}
+	for name, c := range cases {
+		d := &Dataset{}
+		for i := 0; i < len(c.items); i += 2 {
+			d.Transactions = append(d.Transactions, Transaction{ID: int64(i), Items: c.items[i:min(i+2, len(c.items))]})
+		}
+		want := slices.Clone(c.items)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		var ar mineArena
+		dict := buildDict(d, &ar)
+		if !slices.Equal(dict.items, want) {
+			t.Errorf("%s: items = %v, want %v", name, dict.items, want)
+			continue
+		}
+		if (dict.lut != nil) != c.wantLUT {
+			t.Errorf("%s: look-up table present = %v, want %v", name, dict.lut != nil, c.wantLUT)
+		}
+		for i, it := range want {
+			if got := dict.code(it); got != uint64(i) {
+				t.Errorf("%s: code(%d) = %d, want %d", name, it, got, i)
+			}
+		}
 	}
 }
 

@@ -74,7 +74,8 @@ type partitionShard struct {
 	pext   []prow     // local packed R'_k of the current iteration
 	ar     *mineArena // scratch buffers; ar.ck holds the local unfiltered
 	//                  candidate counts exchanged with the global merge
-	skips int64 // local sort-skip tally of the current iteration
+	skips int64  // local sort-skip tally of the current iteration
+	count string // count kernel of the current iteration's local pass
 }
 
 // shardOf maps a transaction ID to its shard with a splitmix64-style
@@ -132,11 +133,7 @@ func (s *partitionStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error)
 				defer wg.Done()
 				sh.ar = newMineArena()
 				sh.psales = packSales(&Dataset{Transactions: groups[i]}, s.dict, sh.ar)
-				sh.countLocal(len(sh.psales), func(keys []uint64) {
-					for r, row := range sh.psales {
-						keys[r] = row.Key
-					}
-				})
+				sh.countLocal(sh.psales, s.dict, 1)
 			}(i, sh)
 		}
 		wg.Wait()
@@ -217,6 +214,15 @@ func (s *partitionStepper) plan() IterPlan {
 	p := IterPlan{Kernel: KernelPacked, Regime: RegimeResident, Workers: s.nshards, Exchange: ExchangeSharded}
 	if !s.packed {
 		p.Kernel = KernelGeneric
+		return p
+	}
+	// Shards pick their count kernel from their own row counts; the pass
+	// reports the table only when every shard counted on one.
+	p.Count = CountTable
+	for _, sh := range s.shards {
+		if sh.count != CountTable {
+			p.Count = CountSort
+		}
 	}
 	return p
 }
@@ -271,11 +277,7 @@ func (s *partitionStepper) stepPacked(k int, minSup int64) ([]ItemsetCount, iter
 		}
 		sh.pext = packedExtend(sh.prk, sh.pjoin, s.dict.bits, sh.ar.ext[:0])
 		sh.ar.ext = sh.pext
-		sh.countLocal(len(sh.pext), func(keys []uint64) {
-			for r, row := range sh.pext {
-				keys[r] = row.Key
-			}
-		})
+		sh.countLocal(sh.pext, s.dict, k)
 	})
 
 	// Global pass: merge the packed shard counts into C_k.
@@ -310,20 +312,12 @@ func (s *partitionStepper) stepPacked(k int, minSup int64) ([]ItemsetCount, iter
 	return cOut, sz, nil
 }
 
-// countLocal sorts a shard's key column (reusing its arena) and counts
-// runs without a threshold into the shard's exchange buffer (ar.ck).
-// fill copies the key column into the arena-backed slice.
-func (sh *partitionShard) countLocal(n int, fill func(keys []uint64)) {
-	keys := growU64(sh.ar.keys, n)
-	sh.ar.keys = keys
-	fill(keys)
-	if keysSorted(keys) {
-		sh.skips++
-	} else {
-		sh.ar.keysTmp = growU64(sh.ar.keysTmp, n)
-		xsort.RadixSortU64(keys, sh.ar.keysTmp)
-	}
-	sh.ar.ck = packedCountRuns(keys, 1, pkCounts{keys: sh.ar.ck.keys[:0], counts: sh.ar.ck.counts[:0]})
+// countLocal counts a shard's pass-k candidate rows without a threshold
+// into the shard's exchange buffer (ar.ck), on the kernel the shard's
+// own row count selects.
+func (sh *partitionShard) countLocal(rows []prow, dict *packDict, k int) {
+	dst := pkCounts{keys: sh.ar.ck.keys[:0], counts: sh.ar.ck.counts[:0]}
+	sh.ar.ck, sh.count = countRows(rows, dict, k, 1, 1, sh.ar, dst, &sh.skips)
 }
 
 // mergeShardCounts merges every shard's packed count list into the

@@ -24,7 +24,9 @@ package core
 // step's key column needs sorting, which becomes bounded in-memory radix
 // runs plus a cascaded k-way merge (xsort's packed path) — exactly the
 // "two sorts and a merge-scan join" loop of Section 4.4, with the
-// sortedness fast path deleting the first sort.
+// sortedness fast path deleting the first sort and, when the packed key
+// space is narrow enough for a counting table to fit the key counter's
+// budget share, the second one too (no key runs, no merge).
 
 import (
 	"context"
@@ -799,12 +801,18 @@ func assembleSrel(segs []sseg) *srel {
 // ---------------------------------------------------------------------------
 // Counting (the paper's "sort R'_k on items; count" step, out of core)
 
-// keyCounter implements the count step for one worker: keys accumulate
-// in a bounded buffer that is radix-sorted and spilled as a sorted key
-// run when full; finish merges the runs k-way (cascaded to the pool's
-// fan-in) while run-length counting the sorted stream into a packed C_k.
-// Below the budget no run is ever written and the counter degenerates to
-// the in-memory sort-and-count kernel.
+// keyCounter implements the count step for one worker over a streamed
+// key column. On the sort kernel, keys accumulate in a bounded buffer
+// that is radix-sorted and spilled as a sorted key run when full; finish
+// merges the runs k-way (cascaded to the pool's fan-in) while run-length
+// counting the sorted stream into a packed C_k, and below the budget no
+// run is ever written. On the table kernel (pack.go) keys increment a
+// direct-address table instead: nothing is buffered, sorted, or spilled.
+// The switch is the kernel rule applied to what the counter observes —
+// the table must not exceed the sort buffers it replaces: the bounded
+// key and scratch buffers (2*8*capKeys) under a budget, so it is taken
+// from the first key on; 16 bytes per key seen so far when unbounded, so
+// the counter buffers until the table pays and then drains into it.
 type keyCounter struct {
 	ctx     context.Context // nil = never cancelled; polled during the merge
 	pool    *storage.Pool
@@ -815,34 +823,68 @@ type keyCounter struct {
 	runs    []storage.Run
 	st      *spillStats
 	skips   int64
+
+	tabCells int      // count table size for this pass; 0 = sort kernel only
+	tabAt    int      // buffered keys at which the table replaces the buffers
+	tab      []uint32 // the live table once counting direct-address
+	tabBuf   []uint32 // arena-owned backing store for tab
 }
 
-func (kc *keyCounter) add(k uint64) error {
-	kc.keys = append(kc.keys, k)
-	if kc.capKeys > 0 && len(kc.keys) >= kc.capKeys {
-		return kc.flushRun()
+// newKeyCounter builds a counter bounded to capKeys (0: unbounded) for a
+// pass whose key space admits a count table of tabCells cells (0: none).
+func newKeyCounter(ctx context.Context, pool *storage.Pool, capKeys, fanIn, tabCells int, st *spillStats) *keyCounter {
+	kc := &keyCounter{ctx: ctx, pool: pool, capKeys: capKeys, fanIn: fanIn, st: st}
+	switch {
+	case capKeys <= 0:
+		kc.tabCells, kc.tabAt = tabCells, (tabCells+3)/4 // 4 B/cell <= 16 B/key
+	case countTableFits(tabCells, capKeys):
+		kc.tabCells = tabCells
 	}
-	return nil
+	return kc
 }
 
 // addRows feeds a batch of rows' keys — the fused count step of the
 // extension loop.
 func (kc *keyCounter) addRows(rows []prow) error {
-	if kc.capKeys <= 0 {
-		for _, r := range rows {
+	for len(rows) > 0 && kc.tab == nil {
+		// Buffer up to the next event: the table switch, or a full run
+		// (an unbounded sort-kernel counter has neither).
+		limit := len(kc.keys) + len(rows) + 1
+		if kc.tabCells > 0 {
+			limit = kc.tabAt
+		} else if kc.capKeys > 0 {
+			limit = kc.capKeys
+		}
+		n := min(len(rows), limit-len(kc.keys))
+		for _, r := range rows[:n] {
 			kc.keys = append(kc.keys, r.Key)
 		}
-		return nil
-	}
-	for _, r := range rows {
-		kc.keys = append(kc.keys, r.Key)
-		if len(kc.keys) >= kc.capKeys {
-			if err := kc.flushRun(); err != nil {
-				return err
-			}
+		rows = rows[n:]
+		if len(kc.keys) < limit {
+			return nil
+		}
+		if kc.tabCells > 0 {
+			kc.startTable()
+		} else if err := kc.flushRun(); err != nil {
+			return err
 		}
 	}
+	for _, r := range rows {
+		kc.tab[r.Key]++
+	}
 	return nil
+}
+
+// startTable switches the counter to the table kernel, draining the
+// keys buffered so far.
+func (kc *keyCounter) startTable() {
+	kc.tab = growU32(kc.tabBuf, kc.tabCells)
+	kc.tabBuf = kc.tab
+	clear(kc.tab)
+	for _, k := range kc.keys {
+		kc.tab[k]++
+	}
+	kc.keys = kc.keys[:0]
 }
 
 func (kc *keyCounter) flushRun() error {
@@ -869,11 +911,11 @@ func (kc *keyCounter) sortBuf() {
 	xsort.RadixSortU64(kc.keys, kc.tmp)
 }
 
-// finish produces the packed C_k at minSup, appending to dst's buffers.
+// finish produces the sort kernel's packed C_k at minSup, appending to
+// dst's buffers.
 func (kc *keyCounter) finish(minSup int64, dst pkCounts) (pkCounts, error) {
 	if len(kc.runs) == 0 {
-		kc.sortBuf()
-		return packedCountRuns(kc.keys, minSup, dst), nil
+		return sortCountKeys(kc.keys, &kc.tmp, minSup, dst, &kc.skips), nil
 	}
 	if err := kc.flushRun(); err != nil {
 		return dst, err
@@ -936,12 +978,39 @@ func countMergedRuns(ctx context.Context, pool *storage.Pool, runs []storage.Run
 	return dst, nil
 }
 
-// finishCounters merges the key runs and sorted remainders of several
-// worker-private counters into one packed C_k at minSup. When no worker
-// spilled, the remainders merge in RAM; otherwise every remainder is
-// flushed as a (small) run and one cascaded merge counts the whole key
-// column. Aborts the counters' runs on error.
-func finishCounters(pool *storage.Pool, kcs []*keyCounter, fanIn, workers int, minSup int64, dst pkCounts) (pkCounts, error) {
+// finishCounters folds the worker-private counters of one pass into the
+// packed C_k at minSup and reports the kernel that produced it. Counters
+// of one pass share a key space and a bound, so either the table kernel
+// was open to all of them — then no runs exist anywhere, and the tables
+// (plus any keys a worker was still buffering) sum element-wise into one
+// read-out — or to none: a single counter then finishes by itself; with
+// several and no spilled runs the sorted remainders merge in RAM;
+// otherwise every remainder is flushed as a (small) run and one cascaded
+// merge counts the whole key column. Aborts the counters' runs on error.
+func finishCounters(pool *storage.Pool, kcs []*keyCounter, fanIn, workers int, minSup int64, dst pkCounts) (pkCounts, string, error) {
+	for _, acc := range kcs {
+		if acc.tab == nil {
+			continue
+		}
+		for _, kc := range kcs {
+			if kc == acc {
+				continue
+			}
+			for key, c := range kc.tab {
+				acc.tab[key] += c
+			}
+			for _, key := range kc.keys {
+				acc.tab[key]++
+			}
+			kc.keys = kc.keys[:0]
+		}
+		acc.skips++
+		return emitCountTable(acc.tab, minSup, dst), CountTable, nil
+	}
+	if len(kcs) == 1 {
+		ck, err := kcs[0].finish(minSup, dst)
+		return ck, CountSort, err
+	}
 	spilledAny := false
 	for _, kc := range kcs {
 		if len(kc.runs) > 0 {
@@ -955,20 +1024,9 @@ func finishCounters(pool *storage.Pool, kcs []*keyCounter, fanIn, workers int, m
 			if len(kc.keys) == 0 {
 				continue
 			}
-			kc.sortBuf()
-			parts = append(parts, packedCountRuns(kc.keys, 1, pkCounts{}))
+			parts = append(parts, sortCountKeys(kc.keys, &kc.tmp, 1, pkCounts{}, &kc.skips))
 		}
-		if len(parts) == 1 {
-			// Re-threshold the single part without a merge.
-			for i, k := range parts[0].keys {
-				if parts[0].counts[i] >= minSup {
-					dst.keys = append(dst.keys, k)
-					dst.counts = append(dst.counts, parts[0].counts[i])
-				}
-			}
-			return dst, nil
-		}
-		return mergePackedCounts(parts, minSup, dst), nil
+		return mergePackedCounts(parts, minSup, dst), CountSort, nil
 	}
 	var runs []storage.Run
 	abortAll := func() {
@@ -982,15 +1040,12 @@ func finishCounters(pool *storage.Pool, kcs []*keyCounter, fanIn, workers int, m
 	for _, kc := range kcs {
 		if err := kc.flushRun(); err != nil {
 			abortAll()
-			return dst, err
+			return dst, CountSort, err
 		}
 		runs = append(runs, kc.takeRuns()...)
 	}
-	var ctx context.Context
-	if len(kcs) > 0 {
-		ctx = kcs[0].ctx
-	}
-	return countMergedRuns(ctx, pool, runs, fanIn, workers, minSup, dst)
+	ck, err := countMergedRuns(kcs[0].ctx, pool, runs, fanIn, workers, minSup, dst)
+	return ck, CountSort, err
 }
 
 // mergeFanIn caps a merge's open-run count by both the pool's frame

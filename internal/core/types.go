@@ -201,9 +201,11 @@ type IterationStat struct {
 	// CCount is |C_k|, the Figure 6 quantity.
 	CCount int
 	// SortsSkipped counts the paper-mandated sorts of this iteration that
-	// the engine proved unnecessary — the input was already ordered (or
-	// provably order-preserving), so the sortedness fast path skipped the
-	// sort while keeping the paper-faithful call sites.
+	// did not run: the input was already ordered (or provably
+	// order-preserving), so the sortedness fast path skipped the sort
+	// while keeping the paper-faithful call sites — or the count step's
+	// sort of R'_k on items was replaced outright by a counting table
+	// (Plan.Count == "table"), which tallies as one skipped sort per pass.
 	SortsSkipped int64
 	// RunsSpilled counts the sorted packed-page runs this iteration wrote
 	// through the buffer pool because a relation, key column, or count
@@ -223,7 +225,8 @@ type IterationStat struct {
 	PageIO int64
 	// Plan is the strategy IR the executor committed to for this
 	// iteration — which kernel ran, whether the relations were
-	// budget-bounded, and at what fan-out — so benchmarks and
+	// budget-bounded, at what fan-out, and which count kernel (table or
+	// sort) the pass's key space and size selected — so benchmarks and
 	// EXPLAIN-style output show why the pass ran the way it did. Fixed
 	// drivers (including the SQL driver, which reports Kernel "sql")
 	// record their constant plan every iteration.

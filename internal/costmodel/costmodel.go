@@ -459,16 +459,35 @@ func EstRPrimeRows(prevRRows int64, avgBasket float64) int64 {
 // arithmetic downstream (tens of bytes per row) cannot overflow int64.
 const maxModelRows = int64(1) << 56
 
+// CountTableFits is the count step's kernel rule, shared by the planner
+// and the executor: counting keys keys on a direct-address table of
+// tableBytes (one uint32 cell per point of the packed key space) instead
+// of sorting them is allowed exactly when the table is no larger than
+// the sort buffers it replaces — the key-column clone plus the radix
+// scratch, 2·PackedKeyBytes per key. tableBytes <= 0 means the key space
+// admits no table (too wide for the executor's cap).
+func CountTableFits(tableBytes, keys int64) bool {
+	if keys > maxModelRows {
+		keys = maxModelRows
+	}
+	return tableBytes > 0 && tableBytes <= 2*PackedKeyBytes*keys
+}
+
 // PackedIterFootprint models the resident bytes one packed SETM
 // iteration needs for estRPrime candidate rows: the materialized R'_k
-// rows, the key column the count step sorts, and the filtered R_k
-// (worst case: every candidate survives).
-func PackedIterFootprint(estRPrime int64) int64 {
+// rows, the filtered R_k (worst case: every candidate survives), and the
+// count step's working set — the key column it sorts, or countTableBytes
+// of counting table when CountTableFits says the pass counts without a
+// sort (pass 0 when the key width is unknown: the sort kernel's charge).
+func PackedIterFootprint(estRPrime, countTableBytes int64) int64 {
 	if estRPrime <= 0 {
 		return 0
 	}
 	if estRPrime > maxModelRows {
 		estRPrime = maxModelRows
+	}
+	if CountTableFits(countTableBytes, estRPrime) {
+		return estRPrime*(PackedRowBytes+PackedRowBytes) + countTableBytes
 	}
 	return estRPrime * (PackedRowBytes + PackedKeyBytes + PackedRowBytes)
 }
@@ -483,7 +502,10 @@ func PackedIterFootprint(estRPrime int64) int64 {
 // projected footprint. This is the admission-control estimate a mining
 // service sums across running jobs against its global memory budget —
 // a planning quantity with the same contract as the rest of this file:
-// good enough to rank and bound, not a guarantee.
+// good enough to rank and bound, not a guarantee. The item dictionary
+// does not exist at admission time, so the count step is charged as the
+// sort kernel; the counting table the executor may pick instead is never
+// larger than the sort buffers, so this stays an upper estimate.
 func MineFootprint(salesRows int64, avgBasket float64, memBudget int64) int64 {
 	if salesRows <= 0 {
 		return packedPageBytes
@@ -492,7 +514,7 @@ func MineFootprint(salesRows int64, avgBasket float64, memBudget int64) int64 {
 		salesRows = maxModelRows
 	}
 	r1 := salesRows * PackedRowBytes
-	iter := PackedIterFootprint(EstRPrimeRows(salesRows, avgBasket))
+	iter := PackedIterFootprint(EstRPrimeRows(salesRows, avgBasket), 0)
 	if memBudget > 0 && iter > memBudget {
 		iter = memBudget
 	}
@@ -528,7 +550,7 @@ func DeltaFootprint(deltaRows int64, avgBasket float64, borderCandidates, memBud
 		borderCandidates = maxModelRows
 	}
 	rows := deltaRows * PackedRowBytes
-	iter := PackedIterFootprint(EstRPrimeRows(deltaRows, avgBasket))
+	iter := PackedIterFootprint(EstRPrimeRows(deltaRows, avgBasket), 0)
 	if memBudget > 0 && iter > memBudget {
 		iter = memBudget
 	}
@@ -546,6 +568,10 @@ func DeltaFootprint(deltaRows int64, avgBasket float64, borderCandidates, memBud
 // packed key in a counted run.
 const PackedCountBytes = 8
 
+// CountCellBytes is the width of one cell of the count step's
+// direct-address table.
+const CountCellBytes = 4
+
 // PlanInput is what the executor observed going into an iteration.
 type PlanInput struct {
 	K         int   // pattern length of the upcoming iteration
@@ -558,6 +584,10 @@ type PlanInput struct {
 	Budget     int64   // remaining MemoryBudget in bytes (<= 0: unbounded)
 	Workers    int     // available CPUs (caller caps by Options.MaxWorkers)
 	PoolFrames int     // buffer-pool frames available to a spilled regime
+	// CountTableBytes is the size of a direct-address count table over
+	// the upcoming pass's packed key space, 4·2^(K·bitsPerItem); zero when
+	// the key space is wider than the executor's table cap (or unknown).
+	CountTableBytes int64
 	// Checkpoint is whether the iteration persists a durable checkpoint
 	// (Options.Checkpoint): one sequential write of R_k — plus, in the
 	// spilled regime, a sequential read-back of the spilled relation —
@@ -615,18 +645,8 @@ func ChoosePlan(in PlanInput) PlanChoice {
 		// basket-based projection.
 		c.EstRPrime = in.PrevRPrime
 	}
-	c.FootprintBytes = PackedIterFootprint(c.EstRPrime)
+	c.FootprintBytes = PackedIterFootprint(c.EstRPrime, in.CountTableBytes)
 	c.Spill = in.Budget > 0 && c.FootprintBytes > in.Budget
-
-	// The dominant modeled costs of one iteration: radix-sorting the key
-	// column, the merge-scan extension and filter passes, and — when
-	// spilled — the extra sequential write+read of the run pages.
-	serial := RadixSortMs(c.EstRPrime, 2) + CPUTupleMs*float64(3*c.EstRPrime)
-	if c.Spill {
-		p := PaperDBParams()
-		pages := PackedPages(c.EstRPrime, PackedRowBytes) + PackedPages(c.EstRPrime, PackedKeyBytes)
-		serial += 2 * SeqScanMs(p, pages)
-	}
 
 	// A durable checkpoint is one writer streaming R_k to one file: it
 	// never fans out, so it is charged outside the parallelizable term —
@@ -637,7 +657,38 @@ func ChoosePlan(in PlanInput) PlanChoice {
 	if in.Checkpoint {
 		ckptMs = CheckpointMs(c.EstRPrime, c.Spill)
 	}
-	c.EstMs = serial + ckptMs
+
+	// costAt models the iteration at w workers. The dominant costs: the
+	// merge-scan extension, count and filter passes; the count step's
+	// radix sort of the key column — or, when the pass counts on a table,
+	// clearing and scanning its cells; and — when spilled — the extra
+	// sequential write+read of the run pages (rows only when no key runs
+	// are sorted). The count kernel follows the fan-out: every worker
+	// keeps its own table, so the rule applies to a worker's share of the
+	// keys, and budget-bounded to its share of the key counter's sort
+	// buffers (half the budget, split across the workers).
+	costAt := func(w int) float64 {
+		table := CountTableFits(in.CountTableBytes, c.EstRPrime/int64(w))
+		if c.Spill {
+			table = table && in.CountTableBytes <= in.Budget/int64(2*w)
+		}
+		serial := CPUTupleMs * float64(3*c.EstRPrime)
+		if table {
+			serial += CPUTupleMs * float64(in.CountTableBytes/CountCellBytes)
+		} else {
+			serial += RadixSortMs(c.EstRPrime, 2)
+		}
+		if c.Spill {
+			p := PaperDBParams()
+			pages := PackedPages(c.EstRPrime, PackedRowBytes)
+			if !table {
+				pages += PackedPages(c.EstRPrime, PackedKeyBytes)
+			}
+			serial += 2 * SeqScanMs(p, pages)
+		}
+		return ParallelMs(serial, w) + ckptMs
+	}
+	c.EstMs = costAt(1)
 
 	maxW := in.Workers
 	if maxW < 1 {
@@ -656,7 +707,7 @@ func ChoosePlan(in PlanInput) PlanChoice {
 			if w > maxW {
 				w = maxW
 			}
-			if par := ParallelMs(serial, w) + ckptMs; par < c.EstMs {
+			if par := costAt(w); par < c.EstMs {
 				c.Workers = w
 				c.EstMs = par
 			}

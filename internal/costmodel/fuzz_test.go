@@ -8,14 +8,16 @@ import "testing"
 // one worker, spilling only under a positive budget, non-negative model
 // quantities, and a finite cost estimate.
 func FuzzChoosePlan(f *testing.F) {
-	f.Add(2, int64(1000), int64(4000), 5.0, true, int64(1<<20), 4, 256)
-	f.Add(1, int64(0), int64(0), 0.0, false, int64(-1), 0, 0)
-	f.Add(64, int64(1)<<62, int64(1)<<62, 1e18, true, int64(1), 1<<30, -5)
+	f.Add(2, int64(1000), int64(4000), 5.0, true, int64(1<<20), 4, 256, int64(0))
+	f.Add(1, int64(0), int64(0), 0.0, false, int64(-1), 0, 0, int64(4096))
+	f.Add(64, int64(1)<<62, int64(1)<<62, 1e18, true, int64(1), 1<<30, -5, int64(1)<<62)
+	f.Add(2, int64(500000), int64(0), 10.0, true, int64(8<<20), 2, 64, int64(4<<20))
 	f.Fuzz(func(t *testing.T, k int, prevR, prevRPrime int64, avgBasket float64,
-		packedOK bool, budget int64, workers, poolFrames int) {
+		packedOK bool, budget int64, workers, poolFrames int, countTableBytes int64) {
 		c := ChoosePlan(PlanInput{
 			K: k, PrevRRows: prevR, PrevRPrime: prevRPrime, AvgBasket: avgBasket,
 			PackedOK: packedOK, Budget: budget, Workers: workers, PoolFrames: poolFrames,
+			CountTableBytes: countTableBytes,
 		})
 		if c.Workers < 1 {
 			t.Fatalf("Workers = %d, want >= 1", c.Workers)

@@ -8,7 +8,7 @@ import (
 // exact point where the modeled packed footprint crosses the budget.
 func TestChoosePlanSpillFlip(t *testing.T) {
 	in := PlanInput{K: 2, PrevRRows: 10_000, AvgBasket: 6, PackedOK: true, Workers: 1}
-	foot := PackedIterFootprint(EstRPrimeRows(in.PrevRRows, in.AvgBasket))
+	foot := PackedIterFootprint(EstRPrimeRows(in.PrevRRows, in.AvgBasket), 0)
 	if foot <= 0 {
 		t.Fatalf("footprint = %d, want > 0", foot)
 	}
@@ -34,11 +34,19 @@ func TestChoosePlanSpillFlip(t *testing.T) {
 // TestChoosePlanFootprintModel pins the footprint arithmetic the flip
 // test relies on: R'_k rows + key column + filtered R_k, all packed.
 func TestChoosePlanFootprintModel(t *testing.T) {
-	if got, want := PackedIterFootprint(1000), int64(1000*(16+8+16)); got != want {
-		t.Errorf("PackedIterFootprint(1000) = %d, want %d", got, want)
+	if got, want := PackedIterFootprint(1000, 0), int64(1000*(16+8+16)); got != want {
+		t.Errorf("PackedIterFootprint(1000, 0) = %d, want %d", got, want)
 	}
-	if got := PackedIterFootprint(0); got != 0 {
-		t.Errorf("PackedIterFootprint(0) = %d, want 0", got)
+	if got := PackedIterFootprint(0, 0); got != 0 {
+		t.Errorf("PackedIterFootprint(0, 0) = %d, want 0", got)
+	}
+	// A count table that fits the rule replaces the 8 B/row key column; one
+	// byte past the sort buffers it would replace, the sort charge returns.
+	if got, want := PackedIterFootprint(1000, 16000), int64(1000*(16+16)+16000); got != want {
+		t.Errorf("PackedIterFootprint(1000, 16000) = %d, want %d", got, want)
+	}
+	if got, want := PackedIterFootprint(1000, 16001), int64(1000*(16+8+16)); got != want {
+		t.Errorf("PackedIterFootprint(1000, 16001) = %d, want %d", got, want)
 	}
 	// The projection: each surviving pattern extends by half the mean
 	// basket, never shrinking below one extension per row.
@@ -47,6 +55,44 @@ func TestChoosePlanFootprintModel(t *testing.T) {
 	}
 	if got, want := EstRPrimeRows(100, 1), int64(100); got != want {
 		t.Errorf("EstRPrimeRows(100, 1) = %d, want %d", got, want)
+	}
+}
+
+// TestChoosePlanCountTable: a pass whose key space admits a counting
+// table is charged the table instead of the key column and its radix
+// sort — cheaper and smaller exactly when CountTableFits holds, so the
+// spill decision follows the program that runs.
+func TestChoosePlanCountTable(t *testing.T) {
+	in := PlanInput{K: 2, PrevRRows: 100_000, AvgBasket: 10, PackedOK: true, Workers: 1}
+	sorted := ChoosePlan(in)
+	in.CountTableBytes = 1 << 20
+	tabled := ChoosePlan(in)
+	if !CountTableFits(in.CountTableBytes, tabled.EstRPrime) {
+		t.Fatalf("setup: a 1 MiB table should fit %d keys", tabled.EstRPrime)
+	}
+	if want := sorted.FootprintBytes - PackedKeyBytes*tabled.EstRPrime + in.CountTableBytes; tabled.FootprintBytes != want {
+		t.Errorf("table footprint = %d, want %d", tabled.FootprintBytes, want)
+	}
+	if tabled.EstMs >= sorted.EstMs {
+		t.Errorf("table pass modeled at %.3f ms, sort pass at %.3f ms: the sort term was not dropped", tabled.EstMs, sorted.EstMs)
+	}
+	// Between the two footprints the budget flips the regime by kernel.
+	in.Budget = tabled.FootprintBytes
+	if c := ChoosePlan(in); c.Spill {
+		t.Error("budget == table footprint: spilled, want resident")
+	}
+	in.CountTableBytes = 0
+	if c := ChoosePlan(in); !c.Spill {
+		t.Error("same budget on the sort kernel: resident, want spilled")
+	}
+	// A table larger than the sort buffers is ignored entirely.
+	in.Budget = 0
+	in.CountTableBytes = 16*sorted.EstRPrime + 1
+	if c := ChoosePlan(in); c != sorted {
+		t.Errorf("oversized table changed the plan: %+v vs %+v", c, sorted)
+	}
+	if CountTableFits(0, 1<<40) || CountTableFits(-4, 1<<40) || CountTableFits(16, 0) {
+		t.Error("CountTableFits accepted an absent table or an empty input")
 	}
 }
 

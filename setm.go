@@ -69,7 +69,7 @@ type ItemsetCount = core.ItemsetCount
 type IterationStat = core.IterationStat
 
 // IterPlan is the per-iteration strategy IR the executor committed to:
-// kernel, memory regime, worker fan-out, and exchange.
+// kernel, memory regime, worker fan-out, exchange, and count kernel.
 type IterPlan = core.IterPlan
 
 // Strategy selects between a driver's fixed execution plan
