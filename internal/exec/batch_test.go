@@ -257,7 +257,8 @@ func TestRowAdapterMatchesBatchPath(t *testing.T) {
 
 // FuzzExecBatch mirrors FuzzPackedKernels for the executor: arbitrary
 // bytes become rows and operator parameters; the batched sort → merge-join
-// → group pipeline must match the row-oriented reference oracles exactly.
+// → group pipeline, and the join kernels on every key path, must match the
+// row-oriented reference oracles exactly.
 func FuzzExecBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1), uint8(0))
 	f.Add([]byte{0, 0, 0, 0}, uint8(0), uint8(1))
@@ -305,5 +306,19 @@ func FuzzExecBatch(f *testing.F) {
 		gotG := drainBatchesAsRows(t, NewSortGroup(NewMemScan(schema, sorted), []int{0, 1},
 			[]AggSpec{{Kind: AggCount, Name: "cnt"}}))
 		requireSameRows(t, "fuzz group", gotG, refGroupCount(sorted, []int{0, 1}))
+
+		// The join kernels, integer and string keyed, dense and selection-
+		// vectored, on (k1, k2, v) rows whose keys reach the int64 extremes.
+		var wide []tuple.Tuple
+		for i := 0; i+2 < len(data); i += 3 {
+			wide = append(wide, tuple.Ints(joinKeyVals[int(data[i])%len(joinKeyVals)],
+				joinKeyVals[data[i+1]%2], int64(data[i+2]%9)))
+		}
+		split = int(splitByte) % (len(wide) + 1)
+		wideKeys := []SortKey{{Col: 0}, {Col: 1}}
+		if keyByte%2 == 0 {
+			wideKeys = append(wideKeys, SortKey{Col: 2}) // residual column ascending within a group
+		}
+		joinKernelCases(t, "fuzz", refSort(wide[:split], wideKeys), refSort(wide[split:], wideKeys))
 	})
 }

@@ -373,7 +373,8 @@ func TestSortSkipsAlreadySortedInput(t *testing.T) {
 
 // FuzzExecParallel feeds random tables through the parallel operators and
 // checks each against its serial equivalent: Gather vs serial scan,
-// ParallelGroup vs sort+SortGroup, split merge join vs serial merge join.
+// ParallelGroup vs sort+SortGroup, split merge join vs serial merge join,
+// partitioned hash-join builds vs the serial build.
 func FuzzExecParallel(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(50))
 	f.Add(int64(2), uint8(2), uint8(3))
@@ -438,5 +439,13 @@ func FuzzExecParallel(f *testing.F) {
 			}
 			wantRows(t, gotJ, wantJ, "fuzz split merge join")
 		}
+
+		// The join kernels with key runs longer than a batch on one side:
+		// HashJoin's partitioned build (1, 2, 4 workers) and MergeJoin must
+		// reproduce the reference whichever side carries the runs.
+		runs := joinRows(rng, 1100+rng.Intn(1200), 1+int(keyDomain)%3, seed%2 == 0)
+		few := joinRows(rng, rng.Intn(10), len(joinKeyVals), seed%2 == 0)
+		joinKernelCases(t, "fuzz long right runs", few, runs)
+		joinKernelCases(t, "fuzz long left runs", runs, few)
 	})
 }

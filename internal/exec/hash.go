@@ -26,21 +26,37 @@ type HashJoin struct {
 	buildWorkers int // >1: partitioned parallel build
 	buildHint    int // expected build rows, pre-sizes store and table
 
-	leftB  BatchOperator
-	store  *tuple.Batch         // materialized right input
-	tables []map[string][]int32 // partition -> key bytes -> right row indexes
+	leftB BatchOperator
+	store *tuple.Batch // materialized right input
+
+	// The build rows of one key are chained in store order: index[p] maps
+	// the keys of partition p to the first row of their chain, next[i] is
+	// the following row with row i's key (-1 ends the chain).
+	intKeys bool // every key column is an integer on both sides
+	index   []keyIndex
+	next    []int32
 
 	lcur    batchCursor
-	bucket  []int32
-	bi      int
-	probing bool // bucket/bi are valid for the current left row
+	ri      int32 // current match of the current left row, -1 when exhausted
+	probing bool  // ri is valid for the current left row
 
+	key                []int64
 	keyBuf             []byte
 	out                *tuple.Batch
 	lscratch, rscratch tuple.Tuple
 	rows               rowCursor
 
 	stats OpStats
+}
+
+// keyIndex maps the keys of one build partition to the first build row of
+// each. All-integer keys use an open-addressing table (key -> slot, heads
+// by slot); a key with a string column is serialized by appendKey into a
+// map.
+type keyIndex struct {
+	ints  *groupTable
+	heads []int32
+	strs  map[string]int32
 }
 
 // NewHashJoin joins left and right on equality of the key columns.
@@ -64,10 +80,10 @@ func (h *HashJoin) SetBuildSizeHint(n int) { h.buildHint = n }
 
 // SetBuildWorkers partitions the hash-table build over w goroutines: the
 // build input is materialized once (serially, keeping row order), then
-// each worker builds the table partition owning hash(key) mod w. Bucket
-// lists are identical to a serial build — every key lives in exactly one
-// partition and each partition inserts in store order — so probe output
-// is unchanged for any w.
+// each worker builds the table partition owning hash(key) mod w. Match
+// chains are identical to a serial build — every key lives in exactly one
+// partition and its chain is in store order — so probe output is unchanged
+// for any w.
 func (h *HashJoin) SetBuildWorkers(w int) { h.buildWorkers = w }
 
 // BuildWorkers returns the partitioned-build worker count (for EXPLAIN).
@@ -127,23 +143,15 @@ func (h *HashJoin) Open() error {
 		}
 		h.store.Append(b)
 	}
-	parts := h.buildWorkers
-	if parts < 1 {
-		parts = 1
-	}
-	h.tables = make([]map[string][]int32, parts)
-	rows := h.store.Len()
+	h.intKeys = intKeyColumns(h.left.Schema(), h.right.Schema(), h.leftKeys, h.rightKeys)
+	parts := max(h.buildWorkers, 1)
+	h.next = make([]int32, h.store.Len())
+	h.index = make([]keyIndex, parts)
+	h.key = make([]int64, len(h.leftKeys))
 	if parts == 1 {
-		t := make(map[string][]int32, h.buildHint)
-		var err error
-		for i := 0; i < rows; i++ {
-			h.keyBuf, err = appendKey(h.keyBuf[:0], h.store, i, h.rightKeys)
-			if err != nil {
-				return err
-			}
-			t[string(h.keyBuf)] = append(t[string(h.keyBuf)], int32(i))
+		if err := h.buildPartition(0, 1); err != nil {
+			return err
 		}
-		h.tables[0] = t
 	} else {
 		errs := make([]error, parts)
 		var wg sync.WaitGroup
@@ -151,20 +159,7 @@ func (h *HashJoin) Open() error {
 		for w := 0; w < parts; w++ {
 			go func(w int) {
 				defer wg.Done()
-				t := make(map[string][]int32, h.buildHint/parts)
-				var buf []byte
-				for i := 0; i < rows; i++ {
-					var err error
-					buf, err = appendKey(buf[:0], h.store, i, h.rightKeys)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					if keyPartition(buf, parts) == w {
-						t[string(buf)] = append(t[string(buf)], int32(i))
-					}
-				}
-				h.tables[w] = t
+				errs[w] = h.buildPartition(w, parts)
 			}(w)
 		}
 		wg.Wait()
@@ -180,10 +175,94 @@ func (h *HashJoin) Open() error {
 	return nil
 }
 
+// buildPartition indexes the build rows whose key hashes to partition w of
+// parts. Rows are visited last to first and pushed onto the front of their
+// key's chain, so every chain lists its rows in store order whatever the
+// partitioning — probe output does not depend on the worker count. Workers
+// write disjoint elements of h.next.
+func (h *HashJoin) buildPartition(w, parts int) error {
+	rows := h.store.Len()
+	if h.intKeys {
+		t := newGroupTable(len(h.rightKeys), 0)
+		var heads []int32
+		key := make([]int64, len(h.rightKeys))
+		for i := rows - 1; i >= 0; i-- {
+			for k, c := range h.rightKeys {
+				key[k] = h.store.Cols[c].I[i]
+			}
+			hv := hashKey(key)
+			if parts > 1 && intKeyPartition(hv, parts) != w {
+				continue
+			}
+			s := t.lookup(key, hv)
+			if s == len(heads) {
+				heads = append(heads, -1)
+			}
+			h.next[i] = heads[s]
+			heads[s] = int32(i)
+		}
+		h.index[w] = keyIndex{ints: t, heads: heads}
+		return nil
+	}
+	t := make(map[string]int32, h.buildHint/parts)
+	var buf []byte
+	for i := rows - 1; i >= 0; i-- {
+		var err error
+		if buf, err = appendKey(buf[:0], h.store, i, h.rightKeys); err != nil {
+			return err
+		}
+		if parts > 1 && keyPartition(buf, parts) != w {
+			continue
+		}
+		h.next[i] = -1
+		if head, ok := t[string(buf)]; ok {
+			h.next[i] = head
+		}
+		t[string(buf)] = int32(i)
+	}
+	h.index[w] = keyIndex{strs: t}
+	return nil
+}
+
+// intKeyPartition maps an integer key's hash to a table partition. It uses
+// the hash's high half; the tables index by the low bits.
+func intKeyPartition(hv uint64, parts int) int { return int(hv>>32) % parts }
+
+// firstMatch returns the first build row matching the current left row's
+// key, or -1.
+func (h *HashJoin) firstMatch() (int32, error) {
+	if h.intKeys {
+		phys := h.lcur.b.RowIdx(h.lcur.i)
+		for k, c := range h.leftKeys {
+			h.key[k] = h.lcur.b.Cols[c].I[phys]
+		}
+		hv, p := hashKey(h.key), 0
+		if len(h.index) > 1 {
+			p = intKeyPartition(hv, len(h.index))
+		}
+		if s, _ := h.index[p].ints.find(h.key, hv); s >= 0 {
+			return h.index[p].heads[s], nil
+		}
+		return -1, nil
+	}
+	var err error
+	if h.keyBuf, err = appendKey(h.keyBuf[:0], h.lcur.b, h.lcur.i, h.leftKeys); err != nil {
+		return -1, err
+	}
+	p := 0
+	if len(h.index) > 1 {
+		p = keyPartition(h.keyBuf, len(h.index))
+	}
+	if head, ok := h.index[p].strs[string(h.keyBuf)]; ok {
+		return head, nil
+	}
+	return -1, nil
+}
+
 func (h *HashJoin) Close() error {
 	err1 := h.left.Close()
 	err2 := h.right.Close()
-	h.tables = nil
+	h.index, h.next = nil, nil
 	h.store = nil
 	if err1 != nil {
 		return err1
@@ -205,20 +284,13 @@ func (h *HashJoin) nextBatch() (*tuple.Batch, error) {
 			break
 		}
 		if !h.probing {
-			h.keyBuf, err = appendKey(h.keyBuf[:0], h.lcur.b, h.lcur.i, h.leftKeys)
-			if err != nil {
+			if h.ri, err = h.firstMatch(); err != nil {
 				return nil, err
 			}
-			t := h.tables[0]
-			if len(h.tables) > 1 {
-				t = h.tables[keyPartition(h.keyBuf, len(h.tables))]
-			}
-			h.bucket = t[string(h.keyBuf)]
-			h.bi = 0
 			h.probing = true
 		}
-		for h.bi < len(h.bucket) && h.out.Len() < tuple.BatchSize {
-			ri := int(h.bucket[h.bi])
+		for h.ri >= 0 && h.out.Len() < tuple.BatchSize {
+			ri := int(h.ri)
 			pass := true
 			if h.residual != nil {
 				if h.lscratch == nil {
@@ -233,9 +305,9 @@ func (h *HashJoin) nextBatch() (*tuple.Batch, error) {
 			if pass {
 				appendJoinRow(h.out, h.lcur.b, h.lcur.i, h.store, ri)
 			}
-			h.bi++
+			h.ri = h.next[ri]
 		}
-		if h.bi >= len(h.bucket) {
+		if h.ri < 0 {
 			h.lcur.i++
 			h.probing = false
 		} else {

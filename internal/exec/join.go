@@ -15,11 +15,12 @@ type JoinPredicate func(left, right tuple.Tuple) (bool, error)
 // their respective key columns. The output tuple is the concatenation of
 // the left and right tuples; callers project afterwards.
 //
-// The batch implementation streams column vectors from both sides,
-// buffering each matching right-side group (dense copy, so group rows
-// survive right-batch turnover) and replaying it for runs of equal left
-// keys. SETM's right side is the set of items of a single transaction,
-// which is small by construction.
+// The batch implementation streams column vectors from both sides and
+// replays each matching right-side group for the run of equal left keys.
+// A group that ends inside the current right batch is used where it lies;
+// one that reaches the batch's end is copied (dense) so its rows survive
+// right-batch turnover. SETM's right side is the set of items of a single
+// transaction, which is small by construction.
 type MergeJoin struct {
 	left, right Operator
 	leftKeys    []int
@@ -36,11 +37,15 @@ type MergeJoin struct {
 	leftB, rightB BatchOperator
 	lcur, rcur    batchCursor
 
-	group    *tuple.Batch  // buffered right group for curKey
-	curKey   []tuple.Value // key of the buffered group
+	// The right group for curKey is the physical rows [gLo, gHi) of grp:
+	// the current right batch, or buf when the group had to be copied.
+	grp      *tuple.Batch
+	gLo, gHi int
+	buf      *tuple.Batch
+	curKey   []tuple.Value // key of the group
 	haveKey  bool
 	matched  bool // current left row is paired with the group
-	gi       int
+	gi       int  // next group row (physical, in [gLo, gHi]) for the current left row
 	gtSorted bool // group is ascending on gtRight: residual selects a suffix
 
 	intKeys    bool // every join key column is an integer on both sides
@@ -86,26 +91,30 @@ func (m *MergeJoin) Open() error {
 	if err := m.right.Open(); err != nil {
 		return err
 	}
-	m.intKeys = true
-	ls, rs := m.left.Schema(), m.right.Schema()
-	for i := range m.leftKeys {
-		if ls.Cols[m.leftKeys[i]].Kind != tuple.KindInt || rs.Cols[m.rightKeys[i]].Kind != tuple.KindInt {
-			m.intKeys = false
-			break
-		}
-	}
+	m.intKeys = intKeyColumns(m.left.Schema(), m.right.Schema(), m.leftKeys, m.rightKeys)
 	if m.intKeys && m.curKeyInts == nil {
 		m.curKeyInts = make([]int64, len(m.leftKeys))
 	}
 	m.lcur.reset(m.leftB)
 	m.rcur.reset(m.rightB)
-	if m.group == nil {
-		m.group = tuple.NewBatch(m.right.Schema())
+	if m.buf == nil {
+		m.buf = tuple.NewBatch(m.right.Schema())
 	}
-	m.group.Reset()
+	m.grp, m.gLo, m.gHi = m.buf, 0, 0
 	m.haveKey, m.matched = false, false
 	m.rows.reset()
 	return nil
+}
+
+// intKeyColumns reports whether every paired join key column is an integer
+// on both sides — the condition for the joins' unboxed key paths.
+func intKeyColumns(ls, rs *tuple.Schema, leftKeys, rightKeys []int) bool {
+	for i := range leftKeys {
+		if ls.Cols[leftKeys[i]].Kind != tuple.KindInt || rs.Cols[rightKeys[i]].Kind != tuple.KindInt {
+			return false
+		}
+	}
+	return true
 }
 
 func (m *MergeJoin) Close() error {
@@ -117,40 +126,53 @@ func (m *MergeJoin) Close() error {
 	return err2
 }
 
-// rightCmpLeft orders the current right row's key against the current
-// left row's key, with an unboxed fast path for all-integer keys.
-func (m *MergeJoin) rightCmpLeft() int {
-	if m.intKeys {
-		rphys, lphys := m.rcur.b.RowIdx(m.rcur.i), m.lcur.b.RowIdx(m.lcur.i)
-		for i := range m.rightKeys {
-			rv, lv := m.rcur.b.Cols[m.rightKeys[i]].I[rphys], m.lcur.b.Cols[m.leftKeys[i]].I[lphys]
-			switch {
-			case rv < lv:
+// intKeyCmp orders the integer key columns cols of b's logical row i
+// against key.
+func intKeyCmp(b *tuple.Batch, i int, cols []int, key []int64) int {
+	phys := b.RowIdx(i)
+	for k, c := range cols {
+		if v := b.Cols[c].I[phys]; v != key[k] {
+			if v < key[k] {
 				return -1
-			case rv > lv:
-				return 1
 			}
+			return 1
 		}
-		return 0
 	}
-	return m.rcur.b.CompareRows(m.rcur.i, m.lcur.b, m.lcur.i, m.rightKeys, m.leftKeys, nil)
+	return 0
 }
 
-// leftKeyCmpCur orders the current left row's key against curKey.
-func (m *MergeJoin) leftKeyCmpCur() int {
-	phys := m.lcur.b.RowIdx(m.lcur.i)
-	if m.intKeys {
-		for i, lk := range m.leftKeys {
-			lv := m.lcur.b.Cols[lk].I[phys]
-			switch {
-			case lv < m.curKeyInts[i]:
-				return -1
-			case lv > m.curKeyInts[i]:
-				return 1
+// intKeyRun returns the end of the run of b's logical rows, starting at i,
+// whose integer key columns compare to key as want (-1 below it, 0 equal).
+// A single key column of a dense batch — every SETM join — is one scan of
+// the column vector.
+func intKeyRun(b *tuple.Batch, i int, cols []int, key []int64, want int) int {
+	n := b.Len()
+	if len(cols) == 1 && b.Sel() == nil {
+		col, k := b.Cols[cols[0]].I[:n], key[0]
+		if want < 0 {
+			for i < n && col[i] < k {
+				i++
+			}
+		} else {
+			for i < n && col[i] == k {
+				i++
 			}
 		}
-		return 0
+		return i
 	}
+	for i < n && intKeyCmp(b, i, cols, key) == want {
+		i++
+	}
+	return i
+}
+
+// leftKeyCmpCur orders the current left row's key against the buffered
+// group's key.
+func (m *MergeJoin) leftKeyCmpCur() int {
+	if m.intKeys {
+		return intKeyCmp(m.lcur.b, m.lcur.i, m.leftKeys, m.curKeyInts)
+	}
+	phys := m.lcur.b.RowIdx(m.lcur.i)
 	for i, lk := range m.leftKeys {
 		col := &m.lcur.b.Cols[lk]
 		var v tuple.Value
@@ -167,18 +189,18 @@ func (m *MergeJoin) leftKeyCmpCur() int {
 }
 
 // loadGroup aligns the right side with the current left row's key and
-// buffers the matching right rows (possibly none) into m.group.
+// makes the matching right rows (possibly none) the current group.
 func (m *MergeJoin) loadGroup() error {
 	// Record the key first: it stays valid even as left batches turn over.
-	if m.curKey == nil {
-		m.curKey = make([]tuple.Value, len(m.leftKeys))
-	}
 	lphys := m.lcur.b.RowIdx(m.lcur.i)
 	if m.intKeys {
 		for i, lk := range m.leftKeys {
 			m.curKeyInts[i] = m.lcur.b.Cols[lk].I[lphys]
 		}
 	} else {
+		if m.curKey == nil {
+			m.curKey = make([]tuple.Value, len(m.leftKeys))
+		}
 		for i, lk := range m.leftKeys {
 			col := &m.lcur.b.Cols[lk]
 			if col.Kind == tuple.KindInt {
@@ -189,36 +211,55 @@ func (m *MergeJoin) loadGroup() error {
 		}
 	}
 	m.haveKey = true
-	m.group.Reset()
+	m.buf.Reset()
+	m.grp = nil
 
-	// Skip right rows below the key.
-	for {
+	// Skip right rows below the key, then take the equal run. Integer keys
+	// find both run ends by scanning the key columns of each right batch;
+	// other keys compare and copy row by row.
+	for below := true; ; {
 		ok, err := m.rcur.ensure()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return nil // right exhausted: empty group
+			break // right exhausted
 		}
-		if m.rightCmpLeft() >= 0 {
+		b, i, n := m.rcur.b, m.rcur.i, m.rcur.b.Len()
+		if !m.intKeys {
+			c := b.CompareRows(i, m.lcur.b, m.lcur.i, m.rightKeys, m.leftKeys, nil)
+			if c > 0 || (c < 0 && !below) {
+				break // past the run
+			}
+			if c == 0 {
+				m.buf.AppendRow(b, b.RowIdx(i))
+				below = false
+			}
+			m.rcur.i++
+			continue
+		}
+		if below {
+			if i = intKeyRun(b, i, m.rightKeys, m.curKeyInts, -1); i == n {
+				m.rcur.i = n
+				continue
+			}
+			below = false
+		}
+		end := intKeyRun(b, i, m.rightKeys, m.curKeyInts, 0)
+		m.rcur.i = end
+		if end < n && b.Sel() == nil && m.buf.Len() == 0 {
+			// The whole run lies in b, which stays current until the next
+			// loadGroup: use it in place.
+			m.grp, m.gLo, m.gHi = b, i, end
 			break
 		}
-		m.rcur.i++
+		m.buf.AppendRange(b, i, end)
+		if end < n {
+			break
+		} // else the run may continue in the next batch
 	}
-	// Buffer the equal run.
-	for {
-		ok, err := m.rcur.ensure()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if m.rightCmpLeft() != 0 {
-			break
-		}
-		m.group.AppendRow(m.rcur.b, m.rcur.b.RowIdx(m.rcur.i))
-		m.rcur.i++
+	if m.grp == nil {
+		m.grp, m.gLo, m.gHi = m.buf, 0, m.buf.Len()
 	}
 	// A group ascending on the residual column lets nextBatch binary-search
 	// the first passing row and bulk-append the suffix instead of testing
@@ -227,7 +268,7 @@ func (m *MergeJoin) loadGroup() error {
 	// path is the common case; the scan keeps correctness when it is not.
 	if m.hasVecGT {
 		m.gtSorted = true
-		v := m.group.Cols[m.gtRight].I
+		v := m.grp.Cols[m.gtRight].I[m.gLo:m.gHi]
 		for i := 1; i < len(v); i++ {
 			if v[i] < v[i-1] {
 				m.gtSorted = false
@@ -242,7 +283,7 @@ func (m *MergeJoin) loadGroup() error {
 func (m *MergeJoin) residualPass() (bool, error) {
 	if m.hasVecGT {
 		lphys := m.lcur.b.RowIdx(m.lcur.i)
-		return m.group.Cols[m.gtRight].I[m.gi] > m.lcur.b.Cols[m.gtLeft].I[lphys], nil
+		return m.grp.Cols[m.gtRight].I[m.gi] > m.lcur.b.Cols[m.gtLeft].I[lphys], nil
 	}
 	if m.residual == nil {
 		return true, nil
@@ -251,7 +292,7 @@ func (m *MergeJoin) residualPass() (bool, error) {
 		m.lscratch = make(tuple.Tuple, m.left.Schema().Len())
 		m.rscratch = make(tuple.Tuple, m.right.Schema().Len())
 	}
-	return m.residual(m.lcur.b.RowInto(m.lscratch, m.lcur.i), m.group.RowInto(m.rscratch, m.gi))
+	return m.residual(m.lcur.b.RowInto(m.lscratch, m.lcur.i), m.grp.RowInto(m.rscratch, m.gi))
 }
 
 func (m *MergeJoin) nextBatch() (*tuple.Batch, error) {
@@ -273,17 +314,17 @@ func (m *MergeJoin) nextBatch() (*tuple.Batch, error) {
 					return nil, err
 				}
 			}
-			if m.group.Len() == 0 {
+			if m.gLo == m.gHi {
 				m.lcur.i++ // no right rows for this key
 				continue
 			}
-			m.gi = 0
+			m.gi = m.gLo
 			if m.hasVecGT && m.gtSorted {
 				// Skip straight to the first group row that passes the
 				// residual: the passing rows are the suffix whose gtRight
 				// value exceeds the left row's gtLeft value.
 				x := m.lcur.b.Cols[m.gtLeft].I[m.lcur.b.RowIdx(m.lcur.i)]
-				v := m.group.Cols[m.gtRight].I
+				v := m.grp.Cols[m.gtRight].I[m.gLo:m.gHi]
 				lo, hi := 0, len(v)
 				for lo < hi {
 					mid := int(uint(lo+hi) >> 1)
@@ -293,33 +334,33 @@ func (m *MergeJoin) nextBatch() (*tuple.Batch, error) {
 						hi = mid
 					}
 				}
-				m.gi = lo
+				m.gi = m.gLo + lo
 			}
 			m.matched = true
 		}
 		if m.hasVecGT && m.gtSorted {
 			// Every remaining group row passes; emit them in bulk.
-			take := m.group.Len() - m.gi
+			take := m.gHi - m.gi
 			if room := tuple.BatchSize - m.out.Len(); take > room {
 				take = room
 			}
 			if take > 0 {
-				appendJoinRows(m.out, m.lcur.b, m.lcur.i, m.group, m.gi, take)
+				appendJoinRows(m.out, m.lcur.b, m.lcur.i, m.grp, m.gi, take)
 				m.gi += take
 			}
 		} else {
-			for m.gi < m.group.Len() && m.out.Len() < tuple.BatchSize {
+			for m.gi < m.gHi && m.out.Len() < tuple.BatchSize {
 				pass, err := m.residualPass()
 				if err != nil {
 					return nil, err
 				}
 				if pass {
-					appendJoinRow(m.out, m.lcur.b, m.lcur.i, m.group, m.gi)
+					appendJoinRow(m.out, m.lcur.b, m.lcur.i, m.grp, m.gi)
 				}
 				m.gi++
 			}
 		}
-		if m.gi >= m.group.Len() {
+		if m.gi >= m.gHi {
 			m.lcur.i++
 			m.matched = false
 		} else {

@@ -91,13 +91,14 @@ func hashKey(key []int64) uint64 {
 	return h
 }
 
-// lookup finds or creates the slot for key (scratch holds the key words).
-func (t *groupTable) lookup(key []int64) int {
-	h := hashKey(key) & t.mask
+// find returns the slot holding key, whose hashKey is hv, or -1 and the
+// empty bucket where the key would go.
+func (t *groupTable) find(key []int64, hv uint64) (slot int, bucket uint64) {
+	h := hv & t.mask
 	for {
 		s := t.buckets[h]
 		if s == -1 {
-			break
+			return -1, h
 		}
 		match := true
 		for k := 0; k < t.nkeys; k++ {
@@ -107,12 +108,19 @@ func (t *groupTable) lookup(key []int64) int {
 			}
 		}
 		if match {
-			return int(s)
+			return int(s), h
 		}
 		h = (h + 1) & t.mask
 	}
-	// Insert a fresh slot.
-	s := t.slots()
+}
+
+// lookup finds or creates the slot for key, whose hashKey is hv.
+func (t *groupTable) lookup(key []int64, hv uint64) int {
+	s, h := t.find(key, hv)
+	if s >= 0 {
+		return s
+	}
+	s = t.slots()
 	for k := 0; k < t.nkeys; k++ {
 		t.keys[k] = append(t.keys[k], key[k])
 	}
@@ -226,7 +234,7 @@ func (g *ParallelGroup) buildFragment(f int, t *groupTable, key []int64) (int64,
 			for k, gc := range g.groupCols {
 				key[k] = b.Cols[gc].I[phys]
 			}
-			s := t.lookup(key)
+			s := t.lookup(key, hashKey(key))
 			first := t.counts[s] == 0
 			t.counts[s]++
 			for ai, a := range g.aggs {
@@ -337,7 +345,7 @@ func (g *ParallelGroup) mergeTables(tables []*groupTable) *groupTable {
 			for k := 0; k < t.nkeys; k++ {
 				key[k] = t.keys[k][s]
 			}
-			d := base.lookup(key)
+			d := base.lookup(key, hashKey(key))
 			first := base.counts[d] == 0
 			base.counts[d] += t.counts[s]
 			for a := 0; a < t.naggs; a++ {

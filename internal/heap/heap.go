@@ -3,12 +3,25 @@
 // into a chain of pages; it supports appending and full sequential scans,
 // which are the only access paths SETM needs for its R_k relations.
 //
-// Page layout:
+// Every page starts with the same 8-byte header:
 //
 //	offset 0:  u32 next page ID (InvalidPage at the tail)
-//	offset 4:  u16 record count
-//	offset 6:  u16 free offset (where the next record starts)
-//	offset 8+: records, each prefixed by a u16 length
+//	offset 4:  u16 row count
+//	offset 6:  u16 free offset (record layout only)
+//
+// What follows depends on the schema and on nothing else; Create picks the
+// layout and no caller can ask for the other:
+//
+//   - All columns INT (every relation SETM mines: SALES, R_k, R'_k, C_k):
+//     column-major. A page holds rowsCap = (PageSize-8)/(8·cols) rows; row r's
+//     value of column c is the little-endian int64 at hdrSize+8·(c·rowsCap+r).
+//     With no per-row length and no per-value kind switch, AppendBatch and
+//     NextBatch move one column of one page per loop, and rows per page is
+//     the paper's Section 3.2 entries-per-page arithmetic (costmodel.RPages:
+//     page bytes over row bytes), which the record layout's 2-byte prefix
+//     used to miss.
+//   - Any string column: records in the tuple codec (tuple.Encode), each
+//     prefixed by a u16 length, packed from offset 8 up to the free offset.
 package heap
 
 import (
@@ -30,6 +43,9 @@ const (
 type File struct {
 	pool   *storage.Pool
 	schema *tuple.Schema
+	// rowsCap > 0 selects the column-major layout and is its rows per page;
+	// 0 selects the record layout.
+	rowsCap int
 
 	first   storage.PageID
 	last    storage.PageID
@@ -47,8 +63,24 @@ func Create(pool *storage.Pool, schema *tuple.Schema) (*File, error) {
 	initPage(pg)
 	id := pg.ID
 	pool.Unpin(pg)
-	return &File{pool: pool, schema: schema, first: id, last: id, pages: 1,
-		pageIDs: []storage.PageID{id}}, nil
+	return &File{pool: pool, schema: schema, rowsCap: intRowsPerPage(schema),
+		first: id, last: id, pages: 1, pageIDs: []storage.PageID{id}}, nil
+}
+
+// intRowsPerPage returns the column-major rows per page of an all-INT
+// schema and 0 for any other. An all-INT schema too wide for one row a page
+// also gets 0: in the record layout its rows fail the capacity check, so
+// appends are refused with the error they always were.
+func intRowsPerPage(s *tuple.Schema) int {
+	if s.Len() == 0 {
+		return 0
+	}
+	for _, c := range s.Cols {
+		if c.Kind != tuple.KindInt {
+			return 0
+		}
+	}
+	return (storage.PageSize - hdrSize) / (8 * s.Len())
 }
 
 func initPage(pg *storage.Page) {
@@ -71,48 +103,98 @@ func (f *File) Pages() int { return f.pages }
 // SizeBytes returns the storage footprint in bytes (pages × page size).
 func (f *File) SizeBytes() int64 { return int64(f.pages) * storage.PageSize }
 
+// slot returns the byte offset of column col's value for row r of a
+// column-major page.
+func (f *File) slot(col, r int) int { return hdrSize + 8*(col*f.rowsCap+r) }
+
+// tail is the pinned last page of the file during an append. count and free
+// shadow the page header; release writes them back, which must happen before
+// the page is unpinned on every path — the next append would overwrite rows
+// a stale header does not cover, and an eviction drop a page never marked
+// dirty.
+type tail struct {
+	f           *File
+	pg          *storage.Page
+	count, free int
+}
+
+func (f *File) pinTail() (tail, error) {
+	pg, err := f.pool.Fetch(f.last)
+	if err != nil {
+		return tail{}, err
+	}
+	return tail{f: f, pg: pg, count: int(pg.U16(hdrCount)), free: int(pg.U16(hdrFree))}, nil
+}
+
+// release writes the header back, counts the rows added and unpins the page.
+func (t *tail) release() {
+	t.f.rows += int64(t.count - int(t.pg.U16(hdrCount)))
+	t.pg.PutU16(hdrCount, uint16(t.count))
+	t.pg.PutU16(hdrFree, uint16(t.free))
+	t.pg.MarkDirty()
+	t.f.pool.Unpin(t.pg)
+}
+
+// chain makes a fresh page the tail. When the allocation fails the current
+// page stays the tail, so the file remains consistent and appendable.
+func (t *tail) chain() error {
+	npg, err := t.f.pool.Allocate()
+	if err != nil {
+		return err
+	}
+	initPage(npg)
+	t.pg.PutU32(hdrNext, uint32(npg.ID))
+	t.release()
+	t.f.last = npg.ID
+	t.f.pages++
+	t.f.pageIDs = append(t.f.pageIDs, npg.ID)
+	t.pg, t.count, t.free = npg, 0, hdrSize
+	return nil
+}
+
 // Append adds one tuple at the end of the file.
 func (f *File) Append(t tuple.Tuple) error {
+	if len(t) != f.schema.Len() {
+		return fmt.Errorf("heap: append arity %d does not match schema %d", len(t), f.schema.Len())
+	}
+	for i, c := range f.schema.Cols {
+		if t[i].Kind != c.Kind {
+			return fmt.Errorf("heap: column %q kind %s got %s", c.Name, c.Kind, t[i].Kind)
+		}
+	}
+	tl, err := f.pinTail()
+	if err != nil {
+		return err
+	}
+	defer tl.release()
+	if f.rowsCap > 0 {
+		if tl.count == f.rowsCap {
+			if err := tl.chain(); err != nil {
+				return err
+			}
+		}
+		for c, v := range t {
+			tl.pg.PutU64(f.slot(c, tl.count), uint64(v.Int))
+		}
+		tl.count++
+		return nil
+	}
 	need := tuple.EncodedSize(f.schema, t) + 2
 	if need > storage.PageSize-hdrSize {
 		return fmt.Errorf("heap: tuple of %d bytes exceeds page capacity", need)
 	}
-	pg, err := f.pool.Fetch(f.last)
-	if err != nil {
-		return err
-	}
-	free := int(pg.U16(hdrFree))
-	if free+need > storage.PageSize {
-		// Chain a new page.
-		npg, err := f.pool.Allocate()
-		if err != nil {
-			f.pool.Unpin(pg)
+	if tl.free+need > storage.PageSize {
+		if err := tl.chain(); err != nil {
 			return err
 		}
-		initPage(npg)
-		pg.PutU32(hdrNext, uint32(npg.ID))
-		pg.MarkDirty()
-		f.pool.Unpin(pg)
-		pg = npg
-		f.last = npg.ID
-		f.pages++
-		f.pageIDs = append(f.pageIDs, npg.ID)
-		free = hdrSize
 	}
-	enc, err := tuple.Encode(pg.Data[free+2:free+2], f.schema, t)
-	if err != nil {
-		f.pool.Unpin(pg)
+	// need fits the page, so Encode writes in place.
+	if _, err := tuple.Encode(tl.pg.Data[tl.free+2:tl.free+2], f.schema, t); err != nil {
 		return err
 	}
-	pg.PutU16(free, uint16(len(enc)))
-	// Encode wrote into the page buffer via the sub-slice only if capacity
-	// allowed; copy explicitly to be safe against reallocation.
-	copy(pg.Data[free+2:], enc)
-	pg.PutU16(hdrFree, uint16(free+2+len(enc)))
-	pg.PutU16(hdrCount, pg.U16(hdrCount)+1)
-	pg.MarkDirty()
-	f.pool.Unpin(pg)
-	f.rows++
+	tl.pg.PutU16(tl.free, uint16(need-2))
+	tl.free += need
+	tl.count++
 	return nil
 }
 
@@ -128,50 +210,52 @@ func (f *File) AppendAll(ts []tuple.Tuple) error {
 
 // AppendBatch appends every logical row of b, encoding column vectors
 // straight into page buffers — the bulk path of the vectorized executor,
-// which skips the per-row tuple materialization of Append.
+// which skips the per-row tuple materialization of Append. When it fails
+// part-way the rows already placed stay appended.
 func (f *File) AppendBatch(b *tuple.Batch) error {
 	n := b.Len()
 	if n == 0 {
 		return nil
 	}
-	pg, err := f.pool.Fetch(f.last)
+	if len(b.Cols) != f.schema.Len() {
+		return fmt.Errorf("heap: batch arity %d does not match schema %d", len(b.Cols), f.schema.Len())
+	}
+	tl, err := f.pinTail()
 	if err != nil {
 		return err
 	}
-	free := int(pg.U16(hdrFree))
+	defer tl.release()
+	if f.rowsCap > 0 {
+		for i := 0; i < n; {
+			if tl.count == f.rowsCap {
+				if err := tl.chain(); err != nil {
+					return err
+				}
+			}
+			k := min(n-i, f.rowsCap-tl.count)
+			if err := b.PutIntColumns(tl.pg.Data[f.slot(0, tl.count):], f.rowsCap, i, k); err != nil {
+				return err
+			}
+			tl.count += k
+			i += k
+		}
+		return nil
+	}
 	for i := 0; i < n; i++ {
 		need := b.EncodedRowSize(i) + 2
 		if need > storage.PageSize-hdrSize {
-			f.pool.Unpin(pg)
 			return fmt.Errorf("heap: tuple of %d bytes exceeds page capacity", need)
 		}
-		if free+need > storage.PageSize {
-			npg, err := f.pool.Allocate()
-			if err != nil {
-				f.pool.Unpin(pg)
+		if tl.free+need > storage.PageSize {
+			if err := tl.chain(); err != nil {
 				return err
 			}
-			initPage(npg)
-			pg.PutU16(hdrFree, uint16(free))
-			pg.PutU32(hdrNext, uint32(npg.ID))
-			pg.MarkDirty()
-			f.pool.Unpin(pg)
-			pg = npg
-			f.last = npg.ID
-			f.pages++
-			f.pageIDs = append(f.pageIDs, npg.ID)
-			free = hdrSize
 		}
-		enc := b.EncodeRowTo(pg.Data[free+2:free+2], i)
-		pg.PutU16(free, uint16(len(enc)))
-		copy(pg.Data[free+2:], enc)
-		free += 2 + len(enc)
-		pg.PutU16(hdrCount, pg.U16(hdrCount)+1)
-		f.rows++
+		b.EncodeRowTo(tl.pg.Data[tl.free+2:tl.free+2], i)
+		tl.pg.PutU16(tl.free, uint16(need-2))
+		tl.free += need
+		tl.count++
 	}
-	pg.PutU16(hdrFree, uint16(free))
-	pg.MarkDirty()
-	f.pool.Unpin(pg)
 	return nil
 }
 
@@ -224,14 +308,17 @@ func (f *File) ScanRange(start, end int) *Scanner {
 	return s
 }
 
-// FirstKey decodes the first record of page pageIdx (by position) and
-// returns its integer column col. ok is false when the page holds no
-// records (only the tail page of a file can be empty) or the column is not
-// an integer. The parallel planner uses it to pick key-aligned morsel
-// boundaries without scanning.
+// FirstKey returns the integer column col of the first row of page pageIdx
+// (by position). ok is false when the page holds no rows (only the tail
+// page of a file can be empty) or the column is not an integer. The
+// parallel planner uses it to pick key-aligned morsel boundaries without
+// scanning.
 func (f *File) FirstKey(pageIdx, col int) (v int64, ok bool, err error) {
 	if pageIdx < 0 || pageIdx >= len(f.pageIDs) {
 		return 0, false, fmt.Errorf("heap: page index %d out of range (%d pages)", pageIdx, len(f.pageIDs))
+	}
+	if col < 0 || col >= f.schema.Len() || f.schema.Cols[col].Kind != tuple.KindInt {
+		return 0, false, nil
 	}
 	pg, err := f.pool.Fetch(f.pageIDs[pageIdx])
 	if err != nil {
@@ -241,14 +328,13 @@ func (f *File) FirstKey(pageIdx, col int) (v int64, ok bool, err error) {
 	if pg.U16(hdrCount) == 0 {
 		return 0, false, nil
 	}
+	if f.rowsCap > 0 {
+		return int64(pg.U64(f.slot(col, 0))), true, nil
+	}
 	n := int(pg.U16(hdrSize))
-	rec := pg.Data[hdrSize+2 : hdrSize+2+n]
-	t, _, err := tuple.Decode(rec, f.schema)
+	t, _, err := tuple.Decode(pg.Data[hdrSize+2:hdrSize+2+n], f.schema)
 	if err != nil {
 		return 0, false, err
-	}
-	if col < 0 || col >= len(t) || t[col].Kind != tuple.KindInt {
-		return 0, false, nil
 	}
 	return t[col].Int, true, nil
 }
@@ -292,6 +378,14 @@ func (s *Scanner) Next() (tuple.Tuple, error) {
 			}
 		}
 		if s.idx < int(s.pg.U16(hdrCount)) {
+			if f := s.file; f.rowsCap > 0 {
+				t := make(tuple.Tuple, f.schema.Len())
+				for c := range t {
+					t[c] = tuple.I(int64(s.pg.U64(f.slot(c, s.idx))))
+				}
+				s.idx++
+				return t, nil
+			}
 			n := int(s.pg.U16(s.off))
 			rec := s.pg.Data[s.off+2 : s.off+2+n]
 			t, _, err := tuple.Decode(rec, s.file.schema)
@@ -318,6 +412,9 @@ func (s *Scanner) NextBatch(b *tuple.Batch, max int) (int, error) {
 	if s.done {
 		return 0, io.EOF
 	}
+	if len(b.Cols) != s.file.schema.Len() {
+		return 0, fmt.Errorf("heap: batch arity %d does not match schema %d", len(b.Cols), s.file.schema.Len())
+	}
 	added := 0
 	for added < max {
 		if s.pg == nil {
@@ -333,15 +430,24 @@ func (s *Scanner) NextBatch(b *tuple.Batch, max int) (int, error) {
 			}
 		}
 		count := int(s.pg.U16(hdrCount))
-		for s.idx < count && added < max {
-			n := int(s.pg.U16(s.off))
-			rec := s.pg.Data[s.off+2 : s.off+2+n]
-			if _, err := b.AppendEncoded(rec); err != nil {
+		if f := s.file; f.rowsCap > 0 {
+			k := min(count-s.idx, max-added)
+			if err := b.AppendIntColumns(s.pg.Data[f.slot(0, s.idx):], f.rowsCap, k); err != nil {
 				return added, err
 			}
-			s.off += 2 + n
-			s.idx++
-			added++
+			s.idx += k
+			added += k
+		} else {
+			for s.idx < count && added < max {
+				n := int(s.pg.U16(s.off))
+				rec := s.pg.Data[s.off+2 : s.off+2+n]
+				if _, err := b.AppendEncoded(rec); err != nil {
+					return added, err
+				}
+				s.off += 2 + n
+				s.idx++
+				added++
+			}
 		}
 		if s.idx < count {
 			return added, nil // batch full mid-page

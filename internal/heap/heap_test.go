@@ -49,7 +49,7 @@ func TestMultiPageSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 5000 // 3 ints = 24 bytes + 2 len; ~150/page, so ~34 pages
+	const n = 5000 // 3 ints = 24 bytes, 170 rows a page, so 30 pages
 	for i := 0; i < n; i++ {
 		if err := f.Append(tuple.Ints(int64(i), int64(i*2), int64(i*3))); err != nil {
 			t.Fatal(err)
@@ -207,8 +207,11 @@ func TestPagesMatchesFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// 2 ints = 16 bytes + 2 prefix = 18 bytes; (4096-8)/18 = 227 per page.
-	wantPages := (3000 + 226) / 227
+	// All-INT pages are column-major with no per-row prefix: 2 ints = 16
+	// bytes a row, (4096-8)/16 = 255 rows a page — the entries-per-page
+	// arithmetic of the paper's Section 3.2.
+	perPage := (storage.PageSize - hdrSize) / (8 * f.Schema().Len())
+	wantPages := (3000 + perPage - 1) / perPage
 	if f.Pages() != wantPages {
 		t.Errorf("Pages = %d, want %d", f.Pages(), wantPages)
 	}

@@ -135,33 +135,25 @@ func (c *Compiler) setClasses(op exec.Operator, cls opClasses) {
 	c.classes[op] = cls
 }
 
-// schemaRowBytes estimates the encoded bytes of one row of s: 8 per
-// integer column, a nominal 16 per string column, plus the heap record
-// length prefix.
-func schemaRowBytes(s *tuple.Schema) int64 {
-	n := int64(2)
-	for _, col := range s.Cols {
-		if col.Kind == tuple.KindInt {
-			n += 8
-		} else {
-			n += 16
+// schemaRowBytes estimates the stored bytes of one row over the
+// concatenation of the given schemas, following the heap file's two
+// layouts: 8 per integer column and nothing else when every column is an
+// integer (column-major pages, which is also the width of a row in the
+// sort's unboxed working set); otherwise a nominal 16 per string column
+// plus the 2-byte record length prefix.
+func schemaRowBytes(schemas ...*tuple.Schema) int64 {
+	var n, prefix int64
+	for _, s := range schemas {
+		for _, col := range s.Cols {
+			if col.Kind == tuple.KindInt {
+				n += 8
+			} else {
+				n += 16
+				prefix = 2
+			}
 		}
 	}
-	return n
-}
-
-// sortedRowBytes is the width of one row inside the sort's working set.
-// All-integer rows (every mining relation: trans_id plus item columns)
-// sort as unboxed packed words — costmodel.PackedKeyBytes per column, no
-// record prefix — so the external-vs-in-memory decision uses the real
-// packed size rather than the heap-encoded one.
-func sortedRowBytes(s *tuple.Schema, est int64) int64 {
-	for _, col := range s.Cols {
-		if col.Kind != tuple.KindInt {
-			return est
-		}
-	}
-	return int64(len(s.Cols)) * costmodel.PackedKeyBytes
+	return n + prefix
 }
 
 // orderingHasPrefix reports whether keys form a prefix of ordering — the
@@ -233,7 +225,7 @@ func (c *Compiler) sortNode(n node, keys []exec.SortKey, why string) node {
 		return n
 	}
 	p := costmodel.PaperDBParams()
-	rowBytes := sortedRowBytes(n.op.Schema(), n.est.RowBytes)
+	rowBytes := n.est.RowBytes
 	sortBytes := n.est.Rows * rowBytes
 	external := c.pool != nil && sortBytes > c.memBudget()
 	var pool = c.pool
@@ -312,11 +304,11 @@ func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *g
 
 	mergeMs := costmodel.MergePassMs(left.est.Rows, right.est.Rows)
 	if !leftSorted {
-		lb := sortedRowBytes(left.op.Schema(), left.est.RowBytes)
+		lb := left.est.RowBytes
 		mergeMs += costmodel.SortMs(p, left.est.Rows, lb, c.pool != nil && left.est.Rows*lb > c.memBudget())
 	}
 	if !rightSorted {
-		rb := sortedRowBytes(right.op.Schema(), right.est.RowBytes)
+		rb := right.est.RowBytes
 		mergeMs += costmodel.SortMs(p, right.est.Rows, rb, c.pool != nil && right.est.Rows*rb > c.memBudget())
 	}
 	hashMs := costmodel.HashJoinMs(right.est.Rows, left.est.Rows)
@@ -332,7 +324,7 @@ func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *g
 	}
 	est := Estimate{
 		Rows:     outRows,
-		RowBytes: left.est.RowBytes + right.est.RowBytes - 2,
+		RowBytes: schemaRowBytes(left.op.Schema(), right.op.Schema()),
 		CostMs:   left.est.CostMs + right.est.CostMs,
 	}
 

@@ -383,7 +383,7 @@ func (c *Compiler) compileFromWhere(sel *sqlparse.Select) (node, error) {
 			op := exec.NewNestedLoopJoin(current.op, right.op, nil)
 			est := Estimate{
 				Rows:     current.est.Rows * max64(right.est.Rows, 1),
-				RowBytes: current.est.RowBytes + right.est.RowBytes - 2,
+				RowBytes: schemaRowBytes(current.op.Schema(), right.op.Schema()),
 				CostMs: current.est.CostMs + right.est.CostMs +
 					costmodel.NestedLoopMs(current.est.Rows, right.est.Rows),
 			}
@@ -574,7 +574,7 @@ func (c *Compiler) hashGroupChoice(in node, groupIdxs []int, specs []exec.AggSpe
 		}
 	}
 	rows := in.est.Rows
-	rowBytes := sortedRowBytes(s, in.est.RowBytes)
+	rowBytes := in.est.RowBytes
 	if estGroups*rowBytes > c.memBudget() {
 		return nil, 0 // group table would not fit; external sort handles it
 	}

@@ -3,6 +3,7 @@ package tuple
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // BatchSize is the default number of rows a vectorized operator processes
@@ -174,21 +175,25 @@ func (b *Batch) BumpRow() { b.n++ }
 func (b *Batch) BumpRows(n int) { b.n += n }
 
 // Append copies every logical row of src onto the end of b (same column
-// layout). Dense sources append whole column slices — a few memmoves per
-// batch instead of a per-row, per-column gather.
-func (b *Batch) Append(src *Batch) {
+// layout).
+func (b *Batch) Append(src *Batch) { b.AppendRange(src, 0, src.Len()) }
+
+// AppendRange copies the logical rows [from, to) of src onto the end of b
+// (same column layout). Dense sources append column slices — a few
+// memmoves instead of a per-row, per-column gather.
+func (b *Batch) AppendRange(src *Batch, from, to int) {
 	if src.sel == nil {
 		for c := range b.Cols {
 			if b.Cols[c].Kind == KindInt {
-				b.Cols[c].I = append(b.Cols[c].I, src.Cols[c].I...)
+				b.Cols[c].I = append(b.Cols[c].I, src.Cols[c].I[from:to]...)
 			} else {
-				b.Cols[c].S = append(b.Cols[c].S, src.Cols[c].S...)
+				b.Cols[c].S = append(b.Cols[c].S, src.Cols[c].S[from:to]...)
 			}
 		}
-		b.n += src.n
+		b.n += to - from
 		return
 	}
-	for _, phys := range src.sel {
+	for _, phys := range src.sel[from:to] {
 		b.AppendRow(src, int(phys))
 	}
 }
@@ -358,6 +363,63 @@ func (b *Batch) AppendEncoded(src []byte) (int, error) {
 	}
 	b.n++
 	return off, nil
+}
+
+// AppendIntColumns appends n rows decoded from a column-major block of
+// little-endian int64 slots — the heap file's page layout for an all-INT
+// schema. src starts at the first row's slot of column 0; column c's slots
+// follow at src[c*stride*8:].
+func (b *Batch) AppendIntColumns(src []byte, stride, n int) error {
+	if err := b.checkIntColumns(len(src), stride, n); err != nil {
+		return err
+	}
+	for c := range b.Cols {
+		col, in := &b.Cols[c], src[c*stride*8:]
+		old := len(col.I)
+		col.I = slices.Grow(col.I, n)[:old+n]
+		out := col.I[old:]
+		for i := range out {
+			out[i] = int64(binary.LittleEndian.Uint64(in[i*8:]))
+		}
+	}
+	b.n += n
+	return nil
+}
+
+// PutIntColumns is the inverse of AppendIntColumns: it writes the logical
+// rows [from, from+n) into the column-major block dst, reading through the
+// selection vector when one is installed.
+func (b *Batch) PutIntColumns(dst []byte, stride, from, n int) error {
+	if err := b.checkIntColumns(len(dst), stride, n); err != nil {
+		return err
+	}
+	for c := range b.Cols {
+		col, out := b.Cols[c].I, dst[c*stride*8:]
+		if b.sel == nil {
+			for i, v := range col[from : from+n] {
+				binary.LittleEndian.PutUint64(out[i*8:], uint64(v))
+			}
+			continue
+		}
+		for i, phys := range b.sel[from : from+n] {
+			binary.LittleEndian.PutUint64(out[i*8:], uint64(col[phys]))
+		}
+	}
+	return nil
+}
+
+// checkIntColumns guards the column-major codec: every column an integer,
+// and n slots of the last column inside a block of size bytes.
+func (b *Batch) checkIntColumns(size, stride, n int) error {
+	for c := range b.Cols {
+		if b.Cols[c].Kind != KindInt {
+			return fmt.Errorf("tuple: column %d is %s in an all-INT page", c, b.Cols[c].Kind)
+		}
+	}
+	if ((len(b.Cols)-1)*stride+n)*8 > size {
+		return fmt.Errorf("tuple: %d rows of %d columns overrun a %d-byte column block", n, len(b.Cols), size)
+	}
+	return nil
 }
 
 // EncodedRowSize returns the codec size of logical row i.
