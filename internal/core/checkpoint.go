@@ -176,18 +176,20 @@ func writeCheckpointRun(w io.Writer, pool *storage.Pool, rk *srel) error {
 	it := rowsOf(pool, rk)
 	defer it.close()
 	for {
-		row, ok, err := it.next()
+		blk, err := it.next()
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if blk == nil {
 			break
 		}
-		binary.LittleEndian.PutUint64(buf[0:8], row.Tid)
-		binary.LittleEndian.PutUint64(buf[8:16], row.Key)
-		sum.Write(buf[:])
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
+		for _, row := range blk {
+			binary.LittleEndian.PutUint64(buf[0:8], row.Tid)
+			binary.LittleEndian.PutUint64(buf[8:16], row.Key)
+			sum.Write(buf[:])
+			if _, err := bw.Write(buf[:]); err != nil {
+				return err
+			}
 		}
 	}
 	binary.LittleEndian.PutUint32(buf[:4], sum.Sum32())

@@ -12,8 +12,8 @@ package core
 //   - kernel packed|generic: the bit-packed 64-bit key kernels while the
 //     pattern fits one word, the generic int64 kernels past it;
 //   - regime resident|spilled: arena-backed in-RAM slices versus
-//     budget-bounded spillable relations streaming through the buffer
-//     pool as raw packed-page runs (spill.go);
+//     budget-bounded spillable relations streaming to and from the page
+//     store as raw packed-page runs, an extent at a time (spill.go);
 //   - parallelism 1..N: the resident kernels fan out across chunk
 //     workers (parallel.go); the spilled regime morsel-splits the
 //     relations into tid-aligned windows, each worker spilling into
@@ -32,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -153,7 +152,9 @@ func MineAutoContext(ctx context.Context, d *Dataset, opts Options) (*Result, er
 
 // MineAutoMonitored is MineAutoContext with the hooks a long-running
 // service needs: a caller-owned buffer pool (so the caller can watch
-// PinnedFrames and page I/O while the job runs; nil for a private pool)
+// PinnedFrames and page I/O while the job runs; nil for a private pool;
+// the job cuts the pool's run extent to its budget, so the pool serves
+// one job at a time)
 // and a per-iteration observer receiving each IterationStat as the pass
 // completes (nil for none).
 func MineAutoMonitored(ctx context.Context, d *Dataset, opts Options, pool *storage.Pool, onIter func(IterationStat)) (*Result, error) {
@@ -254,7 +255,13 @@ type execStepper struct {
 
 // attachPool hands the executor a caller-owned buffer pool (MinePaged's,
 // so its PagedResult.IO covers the whole run).
-func (s *execStepper) attachPool(pool *storage.Pool) { s.pool = pool }
+func (s *execStepper) attachPool(pool *storage.Pool) {
+	s.pool = pool
+	// Under a budget no open run buffers more than one chunk: an
+	// appender's writer then holds no more than the resident rows it
+	// replaced, and a small budget keeps about a page per open run.
+	pool.LimitRunExtent(s.chunk())
+}
 
 // cancelled is the executor's cancellation checkpoint: nil while the run
 // may continue, the context's error once it must stop. Kernels poll it
@@ -308,7 +315,7 @@ func (s *execStepper) ensurePool() {
 		if store == nil {
 			store = storage.NewMemStore()
 		}
-		s.pool = storage.NewPool(store, s.cfg.PoolFrames)
+		s.attachPool(storage.NewPool(store, s.cfg.PoolFrames))
 	}
 }
 
@@ -754,18 +761,13 @@ func (s *execStepper) mergeWorkerState(kcs []*keyCounter, stats []spillStats, w 
 }
 
 // mergeWorkers bounds the concurrent cascade groups of the final count
-// merge: each group holds fanIn read-ahead buffers, so the budget share
-// caps how many run at once.
+// merge: each group holds fanIn read buffers and its writer's, so the
+// budget share caps how many run at once.
 func (s *execStepper) mergeWorkers(w int, fanIn int) int {
 	if c := s.chunk(); c > 0 {
-		if byMem := int(c / (int64(fanIn) * storage.RunReadAheadBytes)); byMem < w {
-			w = byMem
-		}
+		w = min(w, int(c/(int64(fanIn+1)*runBufferBytes(s.pool))))
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(w, 1)
 }
 
 // extendMorsel runs the merge-scan extension over one tid-aligned morsel
@@ -921,34 +923,29 @@ func (s *execStepper) filterStreaming(r *srel, k int, ck pkCounts, W, capR int, 
 	return assembleSrel(segs), nil
 }
 
-// filterPart streams one row range of R'_k through the support filter,
-// polling ctx (when non-nil) every cancelCheckRows rows.
+// filterPart streams one row range of R'_k through the support filter a
+// block at a time, polling ctx (when non-nil) once a block.
 func filterPart(ctx context.Context, part *groupSrcRows, app *spillAppender, bm []uint64, ckKeys []uint64) error {
 	it := part.open()
 	defer it.close()
-	for n := 0; ; n++ {
-		if ctx != nil && n%cancelCheckRows == 0 {
+	var keep []prow
+	for {
+		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		row, ok, err := it.next()
-		if err != nil {
+		blk, err := it.next()
+		if err != nil || blk == nil {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		keep := false
 		if bm != nil {
-			keep = bm[row.Key>>6]&(1<<(row.Key&63)) != 0
-		} else if len(ckKeys) > 0 {
-			_, keep = slices.BinarySearch(ckKeys, row.Key)
+			keep = packedFilterBitmap(blk, bm, keep[:0])
+		} else {
+			keep = packedFilter(blk, ckKeys, keep[:0])
 		}
-		if keep {
-			if err := app.add1(row); err != nil {
-				return err
-			}
+		if err := app.add(keep); err != nil {
+			return err
 		}
 	}
 }
@@ -1143,19 +1140,21 @@ func (s *execStepper) relToHeap(r *srel, k int) (*hp.File, error) {
 	defer it.close()
 	vals := make([]int64, k+1)
 	for {
-		row, ok, err := it.next()
+		blk, err := it.next()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if blk == nil {
 			return f, nil
 		}
-		vals[0] = int64(row.Tid ^ tidFlip)
-		for c := 0; c < k; c++ {
-			vals[c+1] = int64(s.dict.items[(row.Key>>(uint(k-1-c)*s.dict.bits))&mask])
-		}
-		if err := f.Append(tuple.Ints(vals...)); err != nil {
-			return nil, err
+		for _, row := range blk {
+			vals[0] = int64(row.Tid ^ tidFlip)
+			for c := 0; c < k; c++ {
+				vals[c+1] = int64(s.dict.items[(row.Key>>(uint(k-1-c)*s.dict.bits))&mask])
+			}
+			if err := f.Append(tuple.Ints(vals...)); err != nil {
+				return nil, err
+			}
 		}
 	}
 }

@@ -362,7 +362,10 @@ func TestSeekGroupsSpilledRun(t *testing.T) {
 // fixed number of successful page writes — the deterministic analogue of
 // FaultStore.FailWriteAfter for driving mid-spill cancellation without
 // timing dependence. Writes themselves always succeed: cancellation must
-// be noticed by the executor's own checkpoints, not by I/O errors.
+// be noticed by the executor's own checkpoints, not by I/O errors. Runs
+// reach the store an extent at a time, so an extent write counts page by
+// page and the cancellation fires at the extent that crosses the count
+// (or at the writer's Close), not at the append that filled the page.
 type cancelStore struct {
 	storage.Store
 	mu         sync.Mutex
@@ -371,15 +374,24 @@ type cancelStore struct {
 	fired      bool
 }
 
-func (c *cancelStore) WritePage(id storage.PageID, src *[storage.PageSize]byte) error {
+func (c *cancelStore) wrote(pages int) {
 	c.mu.Lock()
-	c.writesLeft--
+	c.writesLeft -= pages
 	if c.writesLeft <= 0 && !c.fired {
 		c.fired = true
 		c.cancel()
 	}
 	c.mu.Unlock()
+}
+
+func (c *cancelStore) WritePage(id storage.PageID, src *[storage.PageSize]byte) error {
+	c.wrote(1)
 	return c.Store.WritePage(id, src)
+}
+
+func (c *cancelStore) WritePages(id storage.PageID, src []byte) error {
+	c.wrote(len(src) / storage.PageSize)
+	return c.Store.WritePages(id, src)
 }
 
 // TestCancelledSpillReleasesEverything cancels the context mid-spill at

@@ -61,7 +61,7 @@ type PagedResult struct {
 // memory working set: the adaptive executor with a positive budget
 // engaging the spillable-relation machinery (spill.go). An iteration
 // whose packed footprint fits Options.MemoryBudget runs entirely in RAM;
-// past the budget its relations stream through the buffer pool as raw
+// past the budget its relations stream to the pool's page store as raw
 // packed-page runs — bounded radix runs plus a cascaded k-way merge for
 // the count sort, sequential runs for everything else. A zero budget
 // defaults to PoolFrames × the page size (the pool's own capacity); a

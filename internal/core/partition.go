@@ -346,13 +346,14 @@ func (s *partitionStepper) mergeShardCounts(minSup int64) (pkCounts, error) {
 // mergeShardCountsSpilled writes each shard's (key, count) list as one
 // packed run — key in the row's Tid word so run order is key order — and
 // streams the k-way merge, summing counts per key and applying the
-// threshold on the fly. Only one count list's worth of pages is resident
-// at a time (the pool), regardless of shard count.
+// threshold on the fly. Each open run holds one extent buffer, cut to
+// the budget's share per shard, regardless of the lists' lengths.
 func (s *partitionStepper) mergeShardCountsSpilled(minSup int64) (pkCounts, error) {
 	if s.exPool == nil {
-		// Frames cover the merge fan-in plus writer/scratch headroom.
+		// Sized so the default fan-in merges every shard's run in one pass.
 		frames := 2*s.nshards + 8
 		s.exPool = storage.NewPool(storage.NewMemStore(), frames)
+		s.exPool.LimitRunExtent(s.opts.MemoryBudget / int64(s.nshards+1))
 	}
 	ioStart := s.exPool.Stats.Accesses()
 	runs := make([]storage.Run, 0, len(s.shards))

@@ -31,6 +31,7 @@ package core
 import (
 	"context"
 	"io"
+	"slices"
 
 	"setm/internal/costmodel"
 	"setm/internal/storage"
@@ -152,67 +153,54 @@ func (r *srel) free(pool *storage.Pool) {
 	r.nrows = 0
 }
 
-// readRow adapts RunReader.Row's io.EOF to an ok flag.
-func readRow(rd *storage.RunReader) (prow, bool, error) {
-	r, err := rd.Row()
-	if err == io.EOF {
-		return prow{}, false, nil
-	}
-	if err != nil {
-		return prow{}, false, err
-	}
-	return r, true, nil
-}
-
 // ---------------------------------------------------------------------------
 // Row iteration
 
-// rowIter streams packed rows front to back.
+// rowIter streams packed rows front to back, a block at a time: next
+// returns nil at the end, and a block is valid until the following call.
+// Blocks hold at most cancelCheckRows rows, so a consumer that polls its
+// context once a block stays prompt and its per-block scratch stays small.
 type rowIter interface {
-	next() (prow, bool, error)
+	next() ([]prow, error)
 	close()
 }
 
-type memRowIter struct {
-	rows []prow
-	pos  int
-}
+type memRowIter struct{ rows []prow }
 
-func (it *memRowIter) next() (prow, bool, error) {
-	if it.pos >= len(it.rows) {
-		return prow{}, false, nil
+func (it *memRowIter) next() ([]prow, error) {
+	if len(it.rows) == 0 {
+		return nil, nil
 	}
-	r := it.rows[it.pos]
-	it.pos++
-	return r, true, nil
+	n := min(len(it.rows), cancelCheckRows)
+	blk := it.rows[:n]
+	it.rows = it.rows[n:]
+	return blk, nil
 }
 
 func (it *memRowIter) close() {}
 
-// runRowIter streams a run's rows block-wise (no per-word calls).
+// runRowIter decodes a run's rows one reader block (an extent) at a time.
 type runRowIter struct {
 	rd  *storage.RunReader
-	blk []uint64
-	bi  int
+	buf []prow
 }
 
-func (it *runRowIter) next() (prow, bool, error) {
-	if it.bi+2 > len(it.blk) {
-		blk, err := it.rd.Block()
-		if err == io.EOF {
-			return prow{}, false, nil
-		}
-		if err != nil {
-			return prow{}, false, err
-		}
-		it.blk, it.bi = blk, 0
-		if len(blk) < 2 {
-			return prow{}, false, io.ErrUnexpectedEOF
-		}
+func (it *runRowIter) next() ([]prow, error) {
+	blk, err := it.rd.Block()
+	if err == io.EOF {
+		return nil, nil
 	}
-	r := prow{Tid: it.blk[it.bi], Key: it.blk[it.bi+1]}
-	it.bi += 2
-	return r, true, nil
+	if err != nil {
+		return nil, err
+	}
+	if len(blk)%2 != 0 {
+		return nil, io.ErrUnexpectedEOF
+	}
+	it.buf = slices.Grow(it.buf[:0], len(blk)/2)[:len(blk)/2]
+	for i := range it.buf {
+		it.buf[i] = prow{Tid: blk[2*i], Key: blk[2*i+1]}
+	}
+	return it.buf, nil
 }
 
 func (it *runRowIter) close() { it.rd.Close() }
@@ -224,11 +212,11 @@ type segRowIter struct {
 	cur  rowIter
 }
 
-func (it *segRowIter) next() (prow, bool, error) {
+func (it *segRowIter) next() ([]prow, error) {
 	for {
 		if it.cur == nil {
 			if len(it.segs) == 0 {
-				return prow{}, false, nil
+				return nil, nil
 			}
 			s := it.segs[0]
 			it.segs = it.segs[1:]
@@ -238,12 +226,9 @@ func (it *segRowIter) next() (prow, bool, error) {
 				it.cur = &memRowIter{rows: s.mem}
 			}
 		}
-		r, ok, err := it.cur.next()
-		if err != nil {
-			return prow{}, false, err
-		}
-		if ok {
-			return r, true, nil
+		blk, err := it.cur.next()
+		if err != nil || blk != nil {
+			return blk, err
 		}
 		it.cur.close()
 		it.cur = nil
@@ -438,8 +423,8 @@ func groupsOf(pool *storage.Pool, r *srel) groupIter {
 
 // seekGroups opens a group iterator positioned at the first group whose
 // tid is >= fromTid — how a morsel worker fast-starts its join side. Run
-// segments are probed with RowAt binary searches (a handful of mostly
-// pool-hit page fetches).
+// segments are probed with RowAt binary searches (a handful of single-page
+// fetches through the pool's frames, the upper levels mostly hits).
 func seekGroups(pool *storage.Pool, r *srel, fromTid uint64) (groupIter, error) {
 	for si := range r.segs {
 		s := &r.segs[si]
@@ -694,8 +679,7 @@ type spillAppender struct {
 	pool    *storage.Pool
 	capRows int // 0 = unbounded (never spill)
 	mem     []prow
-	w       *storage.RunWriter
-	stage   []prow // write batching for the row-at-a-time path, once spilled
+	w       *storage.RunWriter // stages an extent itself once spilled
 	nrows   int64
 	st      *spillStats
 	closed  bool
@@ -714,35 +698,7 @@ func (a *spillAppender) add(rows []prow) error {
 		}
 		a.mem = nil
 	}
-	if len(a.stage) > 0 {
-		if err := a.flushStage(); err != nil {
-			return err
-		}
-	}
 	return a.w.Rows(rows)
-}
-
-func (a *spillAppender) add1(r prow) error {
-	if a.w == nil && (a.capRows <= 0 || len(a.mem) < a.capRows) {
-		a.mem = append(a.mem, r)
-		a.nrows++
-		return nil
-	}
-	if a.w != nil {
-		a.nrows++
-		a.stage = append(a.stage, r)
-		if len(a.stage) >= rowsPerPage {
-			return a.flushStage()
-		}
-		return nil
-	}
-	return a.add([]prow{r}) // first overflow: flush mem through add
-}
-
-func (a *spillAppender) flushStage() error {
-	err := a.w.Rows(a.stage)
-	a.stage = a.stage[:0]
-	return err
 }
 
 // finishSeg seals the appender into one relation segment.
@@ -750,9 +706,6 @@ func (a *spillAppender) finishSeg() (sseg, error) {
 	a.closed = true
 	if a.w == nil {
 		return sseg{mem: a.mem}, nil
-	}
-	if err := a.flushStage(); err != nil {
-		return sseg{}, err
 	}
 	run, err := a.w.Close()
 	if err != nil {
@@ -804,7 +757,7 @@ func assembleSrel(segs []sseg) *srel {
 // keyCounter implements the count step for one worker over a streamed
 // key column. On the sort kernel, keys accumulate in a bounded buffer
 // that is radix-sorted and spilled as a sorted key run when full; finish
-// merges the runs k-way (cascaded to the pool's fan-in) while run-length
+// merges the runs k-way (cascaded to the budget's fan-in) while run-length
 // counting the sorted stream into a packed C_k, and below the budget no
 // run is ever written. On the table kernel (pack.go) keys increment a
 // direct-address table instead: nothing is buffered, sorted, or spilled.
@@ -817,7 +770,7 @@ type keyCounter struct {
 	ctx     context.Context // nil = never cancelled; polled during the merge
 	pool    *storage.Pool
 	capKeys int // 0 = unbounded
-	fanIn   int // merge fan-in (bounded by pool frames and budget)
+	fanIn   int // merge fan-in (bounded by the budget's run buffers)
 	keys    []uint64
 	tmp     []uint64
 	runs    []storage.Run
@@ -1048,19 +1001,20 @@ func finishCounters(pool *storage.Pool, kcs []*keyCounter, fanIn, workers int, m
 	return ck, CountSort, err
 }
 
-// mergeFanIn caps a merge's open-run count by both the pool's frame
-// capacity and the memory budget: each open reader holds a read-ahead
-// buffer of storage.RunReadAheadBytes outside the pool, so the budget
-// share bounds how many may be open at once.
+// mergeFanIn caps a merge's open-run count by the memory budget: each
+// open reader holds one extent of the pool's runs (Pool.RunExtent pages)
+// in its own buffer, so the budget share bounds how many may be open at
+// once. Frames no longer enter into it; xsort.FanIn only keeps an
+// unbudgeted merge's buffers finite.
 func mergeFanIn(pool *storage.Pool, chunk int64) int {
 	fanIn := xsort.FanIn(pool.Capacity())
 	if chunk > 0 {
-		if byBudget := int(chunk / storage.RunReadAheadBytes); byBudget < fanIn {
-			fanIn = byBudget
-		}
+		fanIn = min(fanIn, int(chunk/runBufferBytes(pool)))
 	}
-	if fanIn < 2 {
-		fanIn = 2
-	}
-	return fanIn
+	return max(fanIn, 2)
+}
+
+// runBufferBytes is the heap one open run reader or writer of pool holds.
+func runBufferBytes(pool *storage.Pool) int64 {
+	return int64(pool.RunExtent()) * storage.PageSize
 }

@@ -492,13 +492,31 @@ func PackedIterFootprint(estRPrime, countTableBytes int64) int64 {
 	return estRPrime * (PackedRowBytes + PackedKeyBytes + PackedRowBytes)
 }
 
+// spilledIterFloor is the least a budget-bounded iteration holds however
+// small its budget: a page for each of its four budget chunks (R'_k rows,
+// the key sort, R_k rows, cursor scratch) and for each of the three run
+// buffers a worker keeps open (two cursors, one writer). Above it the run
+// buffers are cut to fit inside the chunks, so the budget itself is the
+// charge.
+const spilledIterFloor = 7 * packedPageBytes
+
+// capSpilledIter caps an iteration's modeled working set at what the
+// spilled regime holds under memBudget (<= 0: unbounded, no cap).
+func capSpilledIter(iter, memBudget int64) int64 {
+	if memBudget <= 0 {
+		return iter
+	}
+	return min(iter, max(memBudget, spilledIterFloor))
+}
+
 // MineFootprint estimates the peak resident bytes one whole mining job
 // needs: the packed R_1 relation (salesRows (tid, key) rows, resident
 // for every iteration's merge-scan) plus the dominant iteration's
 // working set, projected from the first extension — the largest R'_k a
 // run produces. A positive memBudget caps the iteration term, because
 // the spilled regime streams past the budget instead of growing the
-// working set; an unbounded job (memBudget <= 0) is charged its full
+// working set (down to the one-page floor of the buffers it cannot do
+// without, spilledIterFloor); an unbounded job (memBudget <= 0) is charged its full
 // projected footprint. This is the admission-control estimate a mining
 // service sums across running jobs against its global memory budget —
 // a planning quantity with the same contract as the rest of this file:
@@ -514,10 +532,7 @@ func MineFootprint(salesRows int64, avgBasket float64, memBudget int64) int64 {
 		salesRows = maxModelRows
 	}
 	r1 := salesRows * PackedRowBytes
-	iter := PackedIterFootprint(EstRPrimeRows(salesRows, avgBasket), 0)
-	if memBudget > 0 && iter > memBudget {
-		iter = memBudget
-	}
+	iter := capSpilledIter(PackedIterFootprint(EstRPrimeRows(salesRows, avgBasket), 0), memBudget)
 	total := r1 + iter
 	if total < packedPageBytes {
 		total = packedPageBytes
@@ -550,10 +565,7 @@ func DeltaFootprint(deltaRows int64, avgBasket float64, borderCandidates, memBud
 		borderCandidates = maxModelRows
 	}
 	rows := deltaRows * PackedRowBytes
-	iter := PackedIterFootprint(EstRPrimeRows(deltaRows, avgBasket), 0)
-	if memBudget > 0 && iter > memBudget {
-		iter = memBudget
-	}
+	iter := capSpilledIter(PackedIterFootprint(EstRPrimeRows(deltaRows, avgBasket), 0), memBudget)
 	// Snapshot candidates live once as input and once in the merged
 	// output: (key, count) pairs both sides.
 	merge := borderCandidates * 2 * (PackedKeyBytes + PackedCountBytes)
@@ -616,11 +628,12 @@ type PlanChoice struct {
 const ParallelMinRows = 2048
 
 // SpillWorkerCap bounds a spilled regime's concurrent workers by the
-// buffer pool: every worker holds a run-writer pin and read-ahead
-// buffers, so the fan-out must stay well inside the frame capacity.
-// Shared by ChoosePlan (so EstMs models the enforceable fan-out) and
-// the executor's safety clamp (so arbitrary fixed strategies cannot
-// exhaust the pool); returns at least 1.
+// buffer pool. Runs themselves hold extent buffers, not frames, but every
+// worker's morsel seeks probe run pages through the frames (Run.RowAt)
+// and the pool serializes all of them, so the fan-out stays a fraction of
+// the frame capacity. Shared by ChoosePlan (so EstMs models the
+// enforceable fan-out) and the executor's safety clamp (so arbitrary
+// fixed strategies cannot crowd the pool); returns at least 1.
 func SpillWorkerCap(poolFrames int) int {
 	w := poolFrames / 4
 	if w < 1 {

@@ -239,6 +239,11 @@ func TestMineFootprint(t *testing.T) {
 	if bounded >= big {
 		t.Fatalf("budget did not reduce footprint: bounded=%d unbounded=%d", bounded, big)
 	}
+	// Below a page per buffer the spilled regime cannot shrink further:
+	// the charge stops at the floor, not at the budget.
+	if got, want := MineFootprint(100000, 5, 1), int64(100000*PackedRowBytes)+spilledIterFloor; got != want {
+		t.Fatalf("one-byte budget footprint %d, want R_1 + buffer floor %d", got, want)
+	}
 
 	// Degenerate and adversarial inputs: positive floor, no overflow.
 	if got := MineFootprint(0, 0, 0); got <= 0 {

@@ -11,11 +11,12 @@ import (
 type FaultStore struct {
 	Inner Store
 
-	// FailReadAfter fails every ReadPage once this many reads have
-	// succeeded (negative = never).
+	// FailReadAfter fails every read once this many pages have been
+	// read (negative = never). Multi-page calls count page by page: the
+	// pages before the fault transfer, the call returns the fault.
 	FailReadAfter int
-	// FailWriteAfter fails every WritePage once this many writes have
-	// succeeded (negative = never).
+	// FailWriteAfter fails every write once this many pages have been
+	// written (negative = never), counting as FailReadAfter does.
 	FailWriteAfter int
 	// FailAllocAfter fails every Allocate once this many allocations have
 	// succeeded (negative = never).
@@ -34,20 +35,42 @@ var ErrInjected = fmt.Errorf("storage: injected fault")
 
 // ReadPage implements Store.
 func (s *FaultStore) ReadPage(id PageID, dst *[PageSize]byte) error {
-	if s.FailReadAfter >= 0 && s.reads >= s.FailReadAfter {
-		return fmt.Errorf("read page %d: %w", id, ErrInjected)
-	}
-	s.reads++
-	return s.Inner.ReadPage(id, dst)
+	return s.ReadPages(id, dst[:])
 }
 
 // WritePage implements Store.
 func (s *FaultStore) WritePage(id PageID, src *[PageSize]byte) error {
-	if s.FailWriteAfter >= 0 && s.writes >= s.FailWriteAfter {
-		return fmt.Errorf("write page %d: %w", id, ErrInjected)
+	return s.WritePages(id, src[:])
+}
+
+// allowed is how many of n more pages a schedule lets through after done.
+func allowed(failAfter, done, n int) int {
+	if failAfter < 0 || done+n <= failAfter {
+		return n
 	}
-	s.writes++
-	return s.Inner.WritePage(id, src)
+	return max(failAfter-done, 0)
+}
+
+// ReadPages implements Store.
+func (s *FaultStore) ReadPages(id PageID, dst []byte) error {
+	n := len(dst) / PageSize
+	ok := allowed(s.FailReadAfter, s.reads, n)
+	s.reads += ok
+	if err := s.Inner.ReadPages(id, dst[:ok*PageSize]); err != nil || ok == n {
+		return err
+	}
+	return fmt.Errorf("read page %d: %w", int(id)+ok, ErrInjected)
+}
+
+// WritePages implements Store.
+func (s *FaultStore) WritePages(id PageID, src []byte) error {
+	n := len(src) / PageSize
+	ok := allowed(s.FailWriteAfter, s.writes, n)
+	s.writes += ok
+	if err := s.Inner.WritePages(id, src[:ok*PageSize]); err != nil || ok == n {
+		return err
+	}
+	return fmt.Errorf("write page %d: %w", int(id)+ok, ErrInjected)
 }
 
 // Allocate implements Store.

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -37,42 +38,68 @@ func OpenFileStore(path string) (*FileStore, error) {
 	return &FileStore{f: f, pages: int(st.Size() / PageSize)}, nil
 }
 
-// Close releases the underlying file.
-func (s *FileStore) Close() error { return s.f.Close() }
+// Close releases the underlying file, its length covering every
+// allocated page.
+func (s *FileStore) Close() error {
+	err := s.extend()
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// extend grows the file over allocated pages never written (they read
+// as zeros either way), so the page count survives a reopen.
+func (s *FileStore) extend() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.f.Truncate(int64(s.pages) * PageSize)
+}
 
 // ReadPage implements Store.
 func (s *FileStore) ReadPage(id PageID, dst *[PageSize]byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(id) >= s.pages {
-		return fmt.Errorf("storage: read of unallocated page %d (have %d)", id, s.pages)
-	}
-	_, err := s.f.ReadAt(dst[:], int64(id)*PageSize)
-	return err
+	return s.ReadPages(id, dst[:])
 }
 
 // WritePage implements Store.
 func (s *FileStore) WritePage(id PageID, src *[PageSize]byte) error {
+	return s.WritePages(id, src[:])
+}
+
+// ReadPages implements Store with one read call. Allocated pages past the
+// end of the file were never written and read as zeros.
+func (s *FileStore) ReadPages(id PageID, dst []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if int(id) >= s.pages {
-		return fmt.Errorf("storage: write of unallocated page %d (have %d)", id, s.pages)
+	if _, err := checkExtent("read", id, len(dst), s.pages); err != nil {
+		return err
 	}
-	_, err := s.f.WriteAt(src[:], int64(id)*PageSize)
+	n, err := s.f.ReadAt(dst, int64(id)*PageSize)
+	if err == io.EOF {
+		clear(dst[n:])
+		err = nil
+	}
 	return err
 }
 
-// Allocate implements Store.
+// WritePages implements Store with one write call.
+func (s *FileStore) WritePages(id PageID, src []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := checkExtent("write", id, len(src), s.pages); err != nil {
+		return err
+	}
+	_, err := s.f.WriteAt(src, int64(id)*PageSize)
+	return err
+}
+
+// Allocate implements Store. The file grows when the page is first
+// written (or, for a page never written, at Sync or Close).
 func (s *FileStore) Allocate() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := PageID(s.pages)
-	var zero [PageSize]byte
-	if _, err := s.f.WriteAt(zero[:], int64(id)*PageSize); err != nil {
-		return 0, err
-	}
 	s.pages++
-	return id, nil
+	return PageID(s.pages - 1), nil
 }
 
 // NumPages implements Store.
@@ -82,5 +109,11 @@ func (s *FileStore) NumPages() int {
 	return s.pages
 }
 
-// Sync flushes the file to stable storage.
-func (s *FileStore) Sync() error { return s.f.Sync() }
+// Sync flushes the file, every allocated page included, to stable
+// storage.
+func (s *FileStore) Sync() error {
+	if err := s.extend(); err != nil {
+		return err
+	}
+	return s.f.Sync()
+}

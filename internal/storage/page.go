@@ -7,6 +7,14 @@
 // strategy, sequential accesses at 10 ms for SETM. Running both strategies
 // on this substrate lets the experiments report the same quantities the
 // paper reasons about.
+//
+// Two paths lead from the pool to the store, sharing page ids, the free
+// list and the Stats. Heap files and the B+-tree update pages in place, so
+// they go through the pool's LRU frames, a page per store call. Packed
+// runs (run.go) are written once and read front to back, which is the
+// access pattern the paper prices as sequential: they keep out of the
+// frames and move in extents of up to RunExtentPages pages, one store call
+// per contiguous stretch of page ids.
 package storage
 
 import (
@@ -65,7 +73,14 @@ type Store interface {
 	ReadPage(id PageID, dst *[PageSize]byte) error
 	// WritePage persists src as page id.
 	WritePage(id PageID, src *[PageSize]byte) error
-	// Allocate reserves a new zeroed page and returns its ID.
+	// ReadPages copies the consecutive pages starting at id into dst, a
+	// whole number of pages long: one call moves a whole extent.
+	ReadPages(id PageID, dst []byte) error
+	// WritePages persists src, a whole number of pages long, as the
+	// consecutive pages starting at id.
+	WritePages(id PageID, src []byte) error
+	// Allocate reserves a new page and returns its ID. It performs no I/O:
+	// a page never written reads as zeros.
 	Allocate() (PageID, error)
 	// NumPages returns the number of allocated pages.
 	NumPages() int
@@ -104,6 +119,38 @@ func (m *MemStore) WritePage(id PageID, src *[PageSize]byte) error {
 	}
 	m.chunks[id/memChunkPages][id%memChunkPages] = *src
 	return nil
+}
+
+// checkExtent validates a multi-page transfer of n bytes at id against a
+// store of have pages and returns the page count.
+func checkExtent(op string, id PageID, n, have int) (int, error) {
+	if n%PageSize != 0 {
+		return 0, fmt.Errorf("storage: %s of %d bytes is not a whole number of pages", op, n)
+	}
+	if int(id)+n/PageSize > have {
+		return 0, fmt.Errorf("storage: %s of unallocated pages %d..%d (have %d)", op, id, int(id)+n/PageSize-1, have)
+	}
+	return n / PageSize, nil
+}
+
+// ReadPages implements Store.
+func (m *MemStore) ReadPages(id PageID, dst []byte) error {
+	n, err := checkExtent("read", id, len(dst), m.n)
+	for i := 0; i < n; i++ {
+		pid := int(id) + i
+		copy(dst[i*PageSize:], m.chunks[pid/memChunkPages][pid%memChunkPages][:])
+	}
+	return err
+}
+
+// WritePages implements Store.
+func (m *MemStore) WritePages(id PageID, src []byte) error {
+	n, err := checkExtent("write", id, len(src), m.n)
+	for i := 0; i < n; i++ {
+		pid := int(id) + i
+		copy(m.chunks[pid/memChunkPages][pid%memChunkPages][:], src[i*PageSize:])
+	}
+	return err
 }
 
 // Allocate implements Store.

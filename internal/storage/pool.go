@@ -2,6 +2,7 @@ package storage
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -69,6 +70,12 @@ func (s *Stats) noteWrite(id PageID) {
 // holds its pin, which is the run/heap writers' existing single-owner
 // discipline. The engine still executes queries single-threaded, as the
 // paper's system did; it simply pays one uncontended lock per page op.
+//
+// Frames serve the structures that update pages in place (heap files, the
+// B+-tree). Packed runs are written once and read front to back, where an
+// LRU cannot help, so they bypass the frames: appendExtent and readExtent
+// move whole extents between a run's own buffer and the store, sharing
+// the page ids, the free list and the Stats with the frame path.
 type Pool struct {
 	mu       sync.Mutex
 	store    Store
@@ -92,6 +99,12 @@ type Pool struct {
 	// page IDs), so a pool cycling pages through a large store does not
 	// allocate — and zero — a fresh frame per miss. Capped at capacity.
 	pageFree []*Page
+
+	// runExtent is the pages a run writer stages, or a reader reads
+	// ahead, per extent; scratch is the one extent of bytes the extent
+	// reads decode from, used under mu.
+	runExtent int
+	scratch   []byte
 }
 
 type lruEntry struct {
@@ -104,10 +117,11 @@ func NewPool(store Store, capacity int) *Pool {
 		capacity = 1
 	}
 	return &Pool{
-		store:    store,
-		capacity: capacity,
-		frames:   make(map[PageID]*list.Element, capacity),
-		lru:      list.New(),
+		store:     store,
+		capacity:  capacity,
+		frames:    make(map[PageID]*list.Element, capacity),
+		lru:       list.New(),
+		runExtent: RunExtentPages,
 	}
 }
 
@@ -152,6 +166,7 @@ func (p *Pool) Fetch(id PageID) (*Page, error) {
 	}
 	p.Stats.noteRead(id)
 	if err := p.insert(pg); err != nil {
+		p.recycleFrame(pg)
 		return nil, err
 	}
 	pg.pin++
@@ -164,6 +179,26 @@ func (p *Pool) Fetch(id PageID) (*Page, error) {
 func (p *Pool) Allocate() (*Page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	id, err := p.takeID()
+	if err != nil {
+		return nil, err
+	}
+	pg := p.takeFrame(id, true) // a fresh page is zeroed by contract
+	pg.MarkDirty()              // a new page must reach the store even if untouched
+	if err := p.insert(pg); err != nil {
+		// No frame could be had: the id goes back for the next caller, so
+		// a retry does not grow the store.
+		p.freeID(id)
+		p.recycleFrame(pg)
+		return nil, err
+	}
+	pg.pin++
+	return pg, nil
+}
+
+// takeID hands out a page id: the free list's oldest first, else a new
+// page of the store.
+func (p *Pool) takeID() (PageID, error) {
 	var id PageID
 	if p.freeHead < len(p.freeList) {
 		id = p.freeList[p.freeHead]
@@ -184,17 +219,20 @@ func (p *Pool) Allocate() (*Page, error) {
 		var err error
 		id, err = p.store.Allocate()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 	p.Stats.Allocs++
-	pg := p.takeFrame(id, true) // a fresh page is zeroed by contract
-	pg.MarkDirty()              // a new page must reach the store even if untouched
-	if err := p.insert(pg); err != nil {
-		return nil, err
+	return id, nil
+}
+
+// freeID puts an id no frame caches on the free list.
+func (p *Pool) freeID(id PageID) {
+	if p.freed == nil {
+		p.freed = make(map[PageID]bool)
 	}
-	pg.pin++
-	return pg, nil
+	p.freed[id] = true
+	p.freeList = append(p.freeList, id)
 }
 
 // FreePages returns pages to the pool for reuse by later Allocate calls,
@@ -203,9 +241,6 @@ func (p *Pool) Allocate() (*Page, error) {
 func (p *Pool) FreePages(ids []PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.freed == nil {
-		p.freed = make(map[PageID]bool)
-	}
 	for _, id := range ids {
 		if p.freed[id] {
 			continue
@@ -218,9 +253,103 @@ func (p *Pool) FreePages(ids []PageID) {
 			p.lru.Remove(el)
 			delete(p.frames, id)
 		}
-		p.freed[id] = true
-		p.freeList = append(p.freeList, id)
+		p.freeID(id)
 	}
+}
+
+// RunExtentPages is the longest extent a packed run moves per store call:
+// 16 pages, 64 KiB. On the spilled quest mine (T10I4D100K, 8 MiB budget,
+// page file, one CPU; best of three) 1/4/16/64-page extents cost
+// 481/425/331/364 ms a mine, against 644 ms a page at a time through the
+// frames, so it is a measured constant, not a knob; LimitRunExtent only
+// cuts it for budgets that cannot pay for it.
+const RunExtentPages = 16
+
+// RunExtent returns the extent length, in pages, of the run writers and
+// readers opened on this pool — the buffer each of them holds.
+func (p *Pool) RunExtent() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.runExtent
+}
+
+// LimitRunExtent shortens the pool's run extent to the whole pages that
+// fit in share bytes (never below one page, never above RunExtentPages),
+// for an owner whose memory budget gives each open run less than a full
+// extent. Call it before opening runs; a non-positive share changes
+// nothing.
+func (p *Pool) LimitRunExtent(share int64) {
+	if share <= 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.runExtent = int(min(max(share/PageSize, 1), RunExtentPages))
+}
+
+// appendExtent persists buf, a whole number of pages, as that many new
+// pages of a run and returns ids extended by theirs: free-list ids first,
+// one store call per contiguous stretch of ids, every page counted in
+// Stats. On error ids still gains every page taken, so the writer can
+// free its partial run.
+func (p *Pool) appendExtent(ids []PageID, buf []byte) ([]PageID, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	first := len(ids)
+	for range len(buf) / PageSize {
+		id, err := p.takeID()
+		if err != nil {
+			return ids, err
+		}
+		ids = append(ids, id)
+	}
+	for lo := first; lo < len(ids); {
+		hi := stretchEnd(ids, lo)
+		if err := p.store.WritePages(ids[lo], buf[(lo-first)*PageSize:(hi-first)*PageSize]); err != nil {
+			return ids, err
+		}
+		for _, id := range ids[lo:hi] {
+			p.Stats.noteWrite(id)
+		}
+		lo = hi
+	}
+	return ids, nil
+}
+
+// readExtent decodes the pages ids of a run into dst (WordsPerPage words
+// a page), one store call per contiguous stretch, every page counted as a
+// physical read: run pages are never cached in frames.
+func (p *Pool) readExtent(ids []PageID, dst []uint64) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.scratch) < len(ids)*PageSize {
+		p.scratch = make([]byte, len(ids)*PageSize)
+	}
+	buf := p.scratch[:len(ids)*PageSize]
+	for lo := 0; lo < len(ids); {
+		hi := stretchEnd(ids, lo)
+		if err := p.store.ReadPages(ids[lo], buf[lo*PageSize:hi*PageSize]); err != nil {
+			return err
+		}
+		for _, id := range ids[lo:hi] {
+			p.Stats.noteRead(id)
+		}
+		lo = hi
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(buf[i*8:])
+	}
+	return nil
+}
+
+// stretchEnd returns the end of the maximal stretch of consecutive page
+// ids that starts at ids[lo]: the pages one store call can move.
+func stretchEnd(ids []PageID, lo int) int {
+	hi := lo + 1
+	for hi < len(ids) && ids[hi] == ids[hi-1]+1 {
+		hi++
+	}
+	return hi
 }
 
 // takeFrame returns a recycled Page frame (or a fresh one), reset for

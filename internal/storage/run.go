@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -10,8 +11,11 @@ import (
 // per-page header. A run is an ordered page sequence plus a word count;
 // whether the words are (tid, key) row pairs or a bare key column is the
 // caller's contract. Runs are how the out-of-core SETM pipeline spills
-// sorted row and key sequences through the buffer pool, so every page a
-// spill touches shows up in the pool's Section 4.3 accounting.
+// sorted row and key sequences: written once and read front to back, in
+// extents that go straight between the writer's or reader's buffer and
+// the store (Pool.appendExtent, Pool.readExtent) — the paper's sequential
+// access — while every page still shows up in the pool's Section 4.3
+// accounting and comes from, and returns to, the pool's free list.
 
 // WordsPerPage is the number of uint64 words a run page holds.
 const WordsPerPage = PageSize / 8
@@ -100,42 +104,60 @@ func (r Run) RowAt(pool *Pool, i int64) (PackedRow, error) {
 	return row, nil
 }
 
-// RunWriter appends words to a fresh run through the buffer pool. It
-// keeps at most one page pinned. After any error the writer is inert:
-// further appends return the same error and Close frees the partial run.
+// RunWriter appends words to a fresh run. It stages them in its own
+// buffer of one extent (Pool.RunExtent pages) and hands each full extent,
+// and the tail at Close, to the pool in one piece; it holds no frame and
+// no pin. A store error therefore surfaces at an extent boundary or at
+// Close, not at the append that filled the failing page. After any error
+// the writer is inert: further appends return the same error and Close
+// frees the partial run.
 type RunWriter struct {
 	pool *Pool
 	run  Run
-	pg   *Page
-	off  int // word offset within pg
+	buf  []byte // staged words, little-endian; cap is the extent
 	err  error
 }
 
 // NewRunWriter starts an empty run in pool.
 func NewRunWriter(pool *Pool) *RunWriter { return &RunWriter{pool: pool} }
 
+// room returns the bytes the staging buffer can still take (a positive
+// multiple of 8), flushing a full extent first.
+func (w *RunWriter) room() (int, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
+	if w.buf == nil {
+		w.buf = make([]byte, 0, w.pool.RunExtent()*PageSize)
+	}
+	if len(w.buf) == cap(w.buf) {
+		if err := w.flush(); err != nil {
+			return 0, err
+		}
+	}
+	return cap(w.buf) - len(w.buf), nil
+}
+
+// flush hands the staged words to the pool, zero-padded to whole pages.
+func (w *RunWriter) flush() error {
+	n := (len(w.buf) + PageSize - 1) / PageSize * PageSize
+	clear(w.buf[len(w.buf):n])
+	w.run.words += int64(len(w.buf) / 8)
+	var err error
+	w.run.pages, err = w.pool.appendExtent(w.run.pages, w.buf[:n])
+	w.buf = w.buf[:0]
+	if err != nil {
+		w.err = fmt.Errorf("storage: run writer: %w", err)
+	}
+	return w.err
+}
+
 // Word appends one word.
 func (w *RunWriter) Word(v uint64) error {
-	if w.err != nil {
-		return w.err
+	if _, err := w.room(); err != nil {
+		return err
 	}
-	if w.pg == nil {
-		pg, err := w.pool.Allocate()
-		if err != nil {
-			w.err = fmt.Errorf("storage: run writer: %w", err)
-			return w.err
-		}
-		w.pg = pg
-		w.off = 0
-		w.run.pages = append(w.run.pages, pg.ID)
-	}
-	w.pg.PutU64(w.off*8, v)
-	w.off++
-	w.run.words++
-	if w.off == WordsPerPage {
-		w.pool.Unpin(w.pg)
-		w.pg = nil
-	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 	return nil
 }
 
@@ -147,94 +169,61 @@ func (w *RunWriter) Row(r PackedRow) error {
 	return w.Word(r.Key)
 }
 
-// ensurePage makes sure a page is open for appending.
-func (w *RunWriter) ensurePage() error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.pg == nil {
-		pg, err := w.pool.Allocate()
-		if err != nil {
-			w.err = fmt.Errorf("storage: run writer: %w", err)
-			return w.err
-		}
-		w.pg = pg
-		w.off = 0
-		w.run.pages = append(w.run.pages, pg.ID)
-	}
-	return nil
-}
-
-// closePageIfFull unpins a filled page.
-func (w *RunWriter) closePageIfFull() {
-	if w.off == WordsPerPage {
-		w.pool.Unpin(w.pg)
-		w.pg = nil
-	}
-}
-
-// Rows appends every row of rs, bulk-encoding whole page stretches — the
+// Rows appends every row of rs, encoding whole extent stretches — the
 // hot path of the mining executor's spill appenders.
 func (w *RunWriter) Rows(rs []PackedRow) error {
 	for len(rs) > 0 {
-		if err := w.ensurePage(); err != nil {
+		room, err := w.room()
+		if err != nil {
 			return err
 		}
-		if w.off%2 != 0 {
-			// A stray odd offset (mixed Word use): fall back per row.
+		n := min(len(rs), room/16)
+		if n == 0 {
+			// One word short of the extent (odd Word use): this row
+			// straddles the boundary.
 			if err := w.Row(rs[0]); err != nil {
 				return err
 			}
 			rs = rs[1:]
 			continue
 		}
-		n := (WordsPerPage - w.off) / 2
-		if n > len(rs) {
-			n = len(rs)
+		at := len(w.buf)
+		w.buf = w.buf[:at+16*n]
+		for i, r := range rs[:n] {
+			binary.LittleEndian.PutUint64(w.buf[at+16*i:], r.Tid)
+			binary.LittleEndian.PutUint64(w.buf[at+16*i+8:], r.Key)
 		}
-		base := w.off * 8
-		for i := 0; i < n; i++ {
-			w.pg.PutU64(base+i*16, rs[i].Tid)
-			w.pg.PutU64(base+i*16+8, rs[i].Key)
-		}
-		w.off += 2 * n
-		w.run.words += int64(2 * n)
 		rs = rs[n:]
-		w.closePageIfFull()
 	}
 	return nil
 }
 
-// Keys appends every word of ks, bulk-encoding whole page stretches.
+// Keys appends every word of ks, encoding whole extent stretches.
 func (w *RunWriter) Keys(ks []uint64) error {
 	for len(ks) > 0 {
-		if err := w.ensurePage(); err != nil {
+		room, err := w.room()
+		if err != nil {
 			return err
 		}
-		n := WordsPerPage - w.off
-		if n > len(ks) {
-			n = len(ks)
+		n := min(len(ks), room/8)
+		at := len(w.buf)
+		w.buf = w.buf[:at+8*n]
+		for i, k := range ks[:n] {
+			binary.LittleEndian.PutUint64(w.buf[at+8*i:], k)
 		}
-		base := w.off * 8
-		for i := 0; i < n; i++ {
-			w.pg.PutU64(base+i*8, ks[i])
-		}
-		w.off += n
-		w.run.words += int64(n)
 		ks = ks[n:]
-		w.closePageIfFull()
 	}
 	return nil
 }
 
-// Close unpins the tail page and returns the finished run. If any append
-// failed, Close frees the partial run's pages and returns that error;
-// either way the writer holds no pins afterwards.
+// Close writes the staged tail and returns the finished run. If any
+// append or the tail write failed, Close frees the partial run's pages
+// and returns that error.
 func (w *RunWriter) Close() (Run, error) {
-	if w.pg != nil {
-		w.pool.Unpin(w.pg)
-		w.pg = nil
+	if w.err == nil && len(w.buf) > 0 {
+		w.flush()
 	}
+	w.buf = nil
 	if w.err != nil {
 		w.run.Free(w.pool)
 		return Run{}, w.err
@@ -242,24 +231,11 @@ func (w *RunWriter) Close() (Run, error) {
 	return w.run, nil
 }
 
-// runReadAhead is the number of consecutive pages a reader decodes per
-// fill. Batching keeps physical reads sequential even when several runs
-// are merged concurrently (each reader advances runReadAhead adjacent
-// pages at a time instead of interleaving single pages), at the cost of
-// a small fixed word buffer per open reader.
-const runReadAhead = 4
-
-// RunReadAheadBytes is the heap footprint of one open reader's word
-// buffer — the quantity a memory budget must charge per run held open
-// in a k-way merge.
-const RunReadAheadBytes = runReadAhead * PageSize
-
-// RunReader streams a run's words front to back through the buffer pool.
-// Pages are fetched runReadAhead at a time, decoded into a word buffer,
-// and unpinned immediately, so a reader never holds a pin between calls.
-// Word returns io.EOF after the last word; any I/O error is sticky.
-// Close is idempotent (and, since no pin outlives a call, optional on
-// the success path — but error paths should still call it).
+// RunReader streams a run's words front to back, reading one extent
+// (Pool.RunExtent pages, fewer for a shorter run) ahead per store call
+// into its own word buffer; like the writer it holds no frame and no
+// pin. Word returns io.EOF after the last word; any I/O error is sticky.
+// Close is idempotent and only drops the buffer.
 type RunReader struct {
 	pool     *Pool
 	run      Run
@@ -280,16 +256,8 @@ func NewRunReader(pool *Pool, run Run) *RunReader {
 // consumed, so ConsumedRows reports absolute positions within the run —
 // what a morsel worker needs to honour a global row boundary.
 func NewRunReaderAt(pool *Pool, run Run, startPage int) *RunReader {
-	if startPage < 0 {
-		startPage = 0
-	}
-	if startPage > len(run.pages) {
-		startPage = len(run.pages)
-	}
-	consumed := int64(startPage) * WordsPerPage
-	if consumed > run.words {
-		consumed = run.words
-	}
+	startPage = min(max(startPage, 0), len(run.pages))
+	consumed := min(int64(startPage)*WordsPerPage, run.words)
 	return &RunReader{pool: pool, run: run, idx: startPage, consumed: consumed}
 }
 
@@ -298,31 +266,21 @@ func NewRunReaderAt(pool *Pool, run Run, startPage int) *RunReader {
 // position skipped.
 func (r *RunReader) ConsumedRows() int64 { return r.consumed / 2 }
 
-// fill decodes the next read-ahead window into the word buffer.
+// fill reads the next extent into the word buffer.
 func (r *RunReader) fill() error {
+	left := len(r.run.pages) - r.idx
 	if r.buf == nil {
-		r.buf = make([]uint64, 0, runReadAhead*WordsPerPage)
+		r.buf = make([]uint64, min(r.pool.RunExtent(), left)*WordsPerPage)
 	}
-	r.buf = r.buf[:0]
-	r.pos = 0
-	for p := 0; p < runReadAhead && r.idx < len(r.run.pages); p++ {
-		pg, err := r.pool.Fetch(r.run.pages[r.idx])
-		if err != nil {
-			r.err = fmt.Errorf("storage: run reader: %w", err)
-			return r.err
-		}
-		n := int(r.run.words - int64(r.idx)*WordsPerPage)
-		if n > WordsPerPage {
-			n = WordsPerPage
-		}
-		base := len(r.buf)
-		r.buf = r.buf[:base+n]
-		for w := 0; w < n; w++ {
-			r.buf[base+w] = pg.U64(w * 8)
-		}
-		r.pool.Unpin(pg)
-		r.idx++
+	n := min(cap(r.buf)/WordsPerPage, left)
+	words := min(int64(n)*WordsPerPage, r.run.words-int64(r.idx)*WordsPerPage)
+	r.buf, r.pos = r.buf[:words], 0
+	if err := r.pool.readExtent(r.run.pages[r.idx:r.idx+n], r.buf); err != nil {
+		r.buf = r.buf[:0]
+		r.err = fmt.Errorf("storage: run reader: %w", err)
+		return r.err
 	}
+	r.idx += n
 	return nil
 }
 
@@ -388,8 +346,7 @@ func (r *RunReader) Row() (PackedRow, error) {
 	return PackedRow{Tid: tid, Key: key}, nil
 }
 
-// Close releases the reader's resources. Idempotent; the reader holds
-// no pins between calls, so this only drops the word buffer.
+// Close drops the reader's word buffer.
 func (r *RunReader) Close() {
 	r.buf = nil
 }

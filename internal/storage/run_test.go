@@ -107,14 +107,13 @@ func TestRunWriterFaultFreesPartialRun(t *testing.T) {
 	fs.FailAllocAfter = 2
 	pool := NewPool(fs, 4)
 	w := NewRunWriter(pool)
-	var werr error
+	// The writer hands pages to the store an extent at a time, so the
+	// refused third allocation may surface at an extent boundary or only
+	// at Close, not at the append that filled the page.
 	for i := 0; i < 4*WordsPerPage; i++ {
-		if werr = w.Word(uint64(i)); werr != nil {
+		if err := w.Word(uint64(i)); err != nil {
 			break
 		}
-	}
-	if werr == nil {
-		t.Fatal("writer survived allocation faults")
 	}
 	if _, err := w.Close(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Close error %v does not wrap the injected fault", err)
@@ -125,6 +124,9 @@ func TestRunWriterFaultFreesPartialRun(t *testing.T) {
 	// The two successfully allocated pages must be back on the free list:
 	// the next writer reuses them without growing the store.
 	before := fs.NumPages()
+	if before != 2 {
+		t.Fatalf("store holds %d pages, want the 2 allocated before the fault", before)
+	}
 	fs.FailAllocAfter = -1
 	w2 := NewRunWriter(pool)
 	for i := 0; i < 2*WordsPerPage; i++ {

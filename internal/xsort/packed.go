@@ -140,13 +140,13 @@ func SpillKeys(pool *storage.Pool, keys []uint64) (storage.Run, error) {
 	return w.Close()
 }
 
-// FanIn returns the merge fan-in a pool of the given frame capacity
-// caches usefully: readers hold no pins between calls (they batch-fetch
-// and unpin), but each open run cycles its pages through the pool, and
-// the cascade's output writer pins one more — capacity-2 keeps every
-// open run's current page resident, never below 2. Budget-bounded
-// callers should additionally cap the fan-in by their memory share over
-// storage.RunReadAheadBytes (the per-reader heap buffer).
+// FanIn returns the default merge fan-in for a pool of the given frame
+// capacity. Runs no longer pass through the pool's frames: what an open
+// run costs is its reader's own buffer (Pool.RunExtent pages), so the
+// fan-in is bounded by buffers, not frames, and poolFrames-2 (never below
+// 2) only keeps an unbudgeted merge's buffers in proportion to the pool
+// its owner sized. Budget-bounded callers additionally cap the fan-in by
+// their memory share over that buffer.
 func FanIn(poolFrames int) int {
 	f := poolFrames - 2
 	if f < 2 {
@@ -157,8 +157,8 @@ func FanIn(poolFrames int) int {
 
 // MergeRows streams the k-way merge of sorted row runs (ordered by
 // (Tid, Key)) to emit, cascading through intermediate runs when
-// len(runs) exceeds fanIn so no more than fanIn+1 pages are pinned at
-// once. The input runs are consumed: their pages are freed as merging
+// len(runs) exceeds fanIn so no more than fanIn read buffers and one
+// write buffer are held at once. The input runs are consumed: their pages are freed as merging
 // completes (also on error). Ties are broken by run index, so the merge
 // is stable with respect to the run order.
 func MergeRows(pool *storage.Pool, runs []storage.Run, fanIn int, emit func(storage.PackedRow) error) error {
@@ -191,10 +191,10 @@ func MergeKeysN(pool *storage.Pool, runs []storage.Run, fanIn, workers int, emit
 // mergePacked is the shared merge engine: width is the words per element
 // (1 = bare key, 2 = (tid, key) row), compared as (word0, word1). Each
 // cascade round partitions the runs into consecutive groups of fanIn and
-// merges up to workers groups concurrently — every group holds one
-// writer pin and cycles its readers' pages through the shared
-// (goroutine-safe) pool, so the caller bounds memory by capping fanIn
-// and workers together.
+// merges up to workers groups concurrently — every group holds its
+// readers' and its writer's extent buffers and moves them through the
+// shared (goroutine-safe) pool, so the caller bounds memory by capping
+// fanIn and workers together.
 func mergePacked(pool *storage.Pool, runs []storage.Run, fanIn, workers, width int, emit func([2]uint64) error) error {
 	if fanIn < 2 {
 		fanIn = 2

@@ -1,7 +1,9 @@
 package xsort
 
 import (
+	"bytes"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"sort"
 	"testing"
@@ -227,11 +229,17 @@ func TestMergeKeysCountsRuns(t *testing.T) {
 // FuzzPackedSpill round-trips packed pages through the run-store codec:
 // arbitrary rows, chunked and radix-sorted into spilled runs, must merge
 // back to exactly the multiset of the input in global sorted order —
-// across chunk sizes and fan-ins that exercise the cascade.
+// across chunk sizes and fan-ins that exercise the cascade, over an
+// in-memory store or (fanIn8's top bit) a page file.
 func FuzzPackedSpill(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(3), uint8(2))
 	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x77, 0x66}, uint8(1), uint8(5))
 	f.Add(make([]byte, 4096), uint8(16), uint8(3))
+	// 4096 rows through one-page extents and fan-in 2: merged runs span
+	// many extents. Once in memory, once over a page file.
+	f.Add(bytes.Repeat([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, 3352), uint8(127), uint8(0))
+	f.Add(bytes.Repeat([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, 3352), uint8(127), uint8(0x80))
+	f.Add(make([]byte, 4096), uint8(16), uint8(0x83))
 	f.Fuzz(func(t *testing.T, data []byte, chunk8, fanIn8 uint8) {
 		chunk := int(chunk8)%64 + 1
 		fanIn := int(fanIn8)%6 + 2
@@ -247,41 +255,58 @@ func FuzzPackedSpill(f *testing.F) {
 		want := append([]storage.PackedRow(nil), rows...)
 		sortRowsRef(want)
 
-		pool := storage.NewPool(storage.NewMemStore(), 6)
-		var runs []storage.Run
-		for i := 0; i < len(rows); i += chunk {
-			end := i + chunk
-			if end > len(rows) {
-				end = len(rows)
-			}
-			c := append([]storage.PackedRow(nil), rows[i:end]...)
-			RadixSortRows(c, make([]storage.PackedRow, len(c)))
-			run, err := SpillRows(pool, c)
+		var store storage.Store = storage.NewMemStore()
+		if fanIn8&0x80 != 0 {
+			fs, err := storage.OpenFileStore(filepath.Join(t.TempDir(), "runs.pages"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if run.Rows() != int64(len(c)) {
-				t.Fatalf("run holds %d rows, spilled %d", run.Rows(), len(c))
-			}
-			runs = append(runs, run)
+			defer fs.Close()
+			store = fs
 		}
-		var got []storage.PackedRow
-		if err := MergeRows(pool, runs, fanIn, func(r storage.PackedRow) error {
-			got = append(got, r)
-			return nil
-		}); err != nil {
+		pool := storage.NewPool(store, 6)
+		// 0 keeps the full extent; 1-3 pages make short runs span several.
+		pool.LimitRunExtent(int64(chunk8/64) * storage.PageSize)
+		spillMergeRoundTrip(t, pool, rows, want, chunk, fanIn)
+	})
+}
+
+// spillMergeRoundTrip spills rows in sorted chunks of chunk rows and
+// checks that the fan-in merge returns want.
+func spillMergeRoundTrip(t *testing.T, pool *storage.Pool, rows, want []storage.PackedRow, chunk, fanIn int) {
+	var runs []storage.Run
+	for i := 0; i < len(rows); i += chunk {
+		end := i + chunk
+		if end > len(rows) {
+			end = len(rows)
+		}
+		c := append([]storage.PackedRow(nil), rows[i:end]...)
+		RadixSortRows(c, make([]storage.PackedRow, len(c)))
+		run, err := SpillRows(pool, c)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("merged %d rows, want %d", len(got), len(want))
+		if run.Rows() != int64(len(c)) {
+			t.Fatalf("run holds %d rows, spilled %d", run.Rows(), len(c))
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("row %d = %+v, want %+v", i, got[i], want[i])
-			}
+		runs = append(runs, run)
+	}
+	var got []storage.PackedRow
+	if err := MergeRows(pool, runs, fanIn, func(r storage.PackedRow) error {
+		got = append(got, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("merged %d rows, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("row %d = %+v, want %+v", i, got[i], want[i])
 		}
-		if p := pool.PinnedFrames(); p != 0 {
-			t.Fatalf("%d pinned frames after round trip", p)
-		}
-	})
+	}
+	if p := pool.PinnedFrames(); p != 0 {
+		t.Fatalf("%d pinned frames after round trip", p)
+	}
 }
