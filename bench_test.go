@@ -176,31 +176,6 @@ func BenchmarkAblationPrefilter(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationJoinMethod compares the paper's sort + merge-scan
-// extension step against hash join / hash aggregation on the paged
-// substrate (identical results, different primitive mix).
-func BenchmarkAblationJoinMethod(b *testing.B) {
-	_, _, quest := datasets()
-	opts := core.Options{MinSupportFrac: 0.01}
-	for _, cfg := range []struct {
-		name string
-		c    core.PagedConfig
-	}{
-		{"merge-scan", core.PagedConfig{}},
-		{"hash-join", core.PagedConfig{UseHashJoin: true}},
-		{"hash-group", core.PagedConfig{UseHashGroup: true}},
-		{"hash-both", core.PagedConfig{UseHashJoin: true, UseHashGroup: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MinePaged(quest, opts, cfg.c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationPoolSize measures buffer-pool sensitivity of the paged
 // driver: SETM's sequential access pattern should make small pools nearly
 // as good as large ones.
@@ -318,7 +293,11 @@ func BenchmarkAblationPackedKernels(b *testing.B) {
 
 // BenchmarkPartitionedShards measures the partitioned driver's shard
 // scaling on the full retail data set at 0.1% support, alongside
-// BenchmarkParallelWorkers for the intra-iteration fan-out.
+// BenchmarkParallelWorkers for the intra-iteration fan-out. Why both
+// drivers stay (2 vCPUs, 3×8 runs): quest T10I4D100K @0.25% sharded 2
+// shards 107–115 ms vs parallel 2 workers 137–152 ms vs serial 152–185 ms;
+// retail @0.1% the other way round, 10.6–15.9 vs 8.7–10.2 ms. Each wins
+// somewhere, so choosing between them is the planner's job (ROADMAP item 2).
 func BenchmarkPartitionedShards(b *testing.B) {
 	full, _, _ := datasets()
 	opts := core.Options{MinSupportFrac: 0.001}

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -55,83 +52,6 @@ func TestRunPartitionScaling(t *testing.T) {
 	}
 }
 
-func TestRunJSONWritesRecords(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-exp", "none", "-txns", "600", "-repeats", "1", "-json", path}, &stdout, &stderr); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read json: %v", err)
-	}
-	var recs []struct {
-		Name    string `json:"name"`
-		Params  string `json:"params"`
-		NsPerOp int64  `json:"ns_per_op"`
-		Rows    int64  `json:"rows"`
-		Allocs  int64  `json:"allocs"`
-	}
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if len(recs) < 4 {
-		t.Fatalf("got %d records, want >= 4", len(recs))
-	}
-	names := make(map[string]bool)
-	for _, r := range recs {
-		names[r.Name] = true
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s: ns_per_op = %d, want > 0", r.Name, r.NsPerOp)
-		}
-		if strings.HasPrefix(r.Name, "parse/") {
-			// Front-end records measure the parser, not a mining run.
-			if !strings.Contains(r.Params, "stmts=") {
-				t.Errorf("%s: params = %q, want stmts=", r.Name, r.Params)
-			}
-			continue
-		}
-		if !strings.Contains(r.Params, "txns=600") {
-			t.Errorf("%s: params = %q, want txns=600", r.Name, r.Params)
-		}
-	}
-	for _, want := range []string{"mine/packed", "mine/generic", "parallel/packed", "partitioned/packed",
-		"auto/unlimited", "auto/16MB", "auto/1MB",
-		"delta/incr-0.1pct", "delta/cold-0.1pct", "delta/incr-1pct", "delta/cold-1pct",
-		"delta/incr-10pct", "delta/cold-10pct", "setmd/delta-refresh", "setmd/delta-cold",
-		"parse/figure4", "sql/prepared"} {
-		if !names[want] {
-			t.Errorf("missing record %q", want)
-		}
-	}
-	// The per-iteration chosen plans ride along in every record.
-	var full []struct {
-		Name       string `json:"name"`
-		Iterations []struct {
-			K    int    `json:"k"`
-			Plan string `json:"plan"`
-		} `json:"iterations"`
-	}
-	if err := json.Unmarshal(data, &full); err != nil {
-		t.Fatalf("unmarshal iterations: %v", err)
-	}
-	for _, r := range full {
-		if strings.HasPrefix(r.Name, "parse/") || r.Name == "sql/prepared" {
-			continue // front-end records: single statements, no mining iterations
-		}
-		if len(r.Iterations) == 0 {
-			t.Errorf("%s: no per-iteration records", r.Name)
-			continue
-		}
-		if r.Name == "sql/vectorized" {
-			continue // the SQL driver reports its fixed engine plan
-		}
-		if r.Iterations[0].Plan == "" {
-			t.Errorf("%s: iteration 1 has no chosen plan", r.Name)
-		}
-	}
-}
-
 func TestRunStrategyPrintsPlans(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-exp", "none", "-txns", "800", "-strategy", "auto", "-membudget", "32768"}, &stdout, &stderr); err != nil {
@@ -149,57 +69,15 @@ func TestRunStrategyPrintsPlans(t *testing.T) {
 	}
 }
 
-// TestCheckTrajectory: the regression gate compares the two newest
-// committed bench files and fails only on a >2x critical-record
-// regression.
-func TestCheckTrajectory(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	glob := filepath.Join(dir, "BENCH_pr*.json")
-	write("BENCH_pr6.json", `[{"name":"mine/packed","ns_per_op":1000000},{"name":"setmd/cold","ns_per_op":20000000}]`)
-
-	// One file: nothing to compare, not an error.
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-check-trajectory", glob}, &stdout, &stderr); err != nil {
-		t.Fatalf("single file: %v", err)
-	}
-	if !strings.Contains(stdout.String(), "nothing to compare") {
-		t.Errorf("single file output: %q", stdout.String())
-	}
-
-	// Within 2x: OK.
-	write("BENCH_pr8.json", `[{"name":"mine/packed","ns_per_op":1800000},{"name":"setmd/cold","ns_per_op":30000000}]`)
-	stdout.Reset()
-	if err := run([]string{"-check-trajectory", glob}, &stdout, &stderr); err != nil {
-		t.Fatalf("within limit: %v\n%s", err, stdout.String())
-	}
-	if !strings.Contains(stdout.String(), "bench trajectory OK") {
-		t.Errorf("output: %q", stdout.String())
-	}
-
-	// The gate compares pr6 -> pr8 by PR number even though pr10 sorts
-	// before pr6 lexically; a >2x regression fails.
-	write("BENCH_pr10.json", `[{"name":"mine/packed","ns_per_op":9000000},{"name":"setmd/cold","ns_per_op":30000000}]`)
-	stdout.Reset()
-	err := run([]string{"-check-trajectory", glob}, &stdout, &stderr)
-	if err == nil {
-		t.Fatalf("4.5x regression passed:\n%s", stdout.String())
-	}
-	if !strings.Contains(err.Error(), "mine/packed") {
-		t.Errorf("error = %v, want mine/packed named", err)
-	}
-	if !strings.Contains(stdout.String(), "BENCH_pr8.json -> ") {
-		t.Errorf("baseline should be pr8, got:\n%s", stdout.String())
-	}
-}
-
 func TestRunRejectsBadFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-exp"}, &stdout, &stderr); err == nil {
 		t.Error("dangling flag accepted")
+	}
+	// The retired harness flags are gone, not silently ignored.
+	for _, flag := range []string{"-json", "-check-trajectory"} {
+		if err := run([]string{"-exp", "none", flag, "x"}, &stdout, &stderr); err == nil {
+			t.Errorf("retired flag %s accepted", flag)
+		}
 	}
 }

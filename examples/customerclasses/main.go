@@ -1,8 +1,8 @@
 // Customer classes: the extension the paper's conclusion proposes —
-// "relating association rules to customer classes" — implemented
-// set-orientedly. Two synthetic customer segments share a store but buy
-// differently; one classified mining pass recovers different rules for
-// each segment.
+// "relating association rules to customer classes". Two synthetic
+// customer segments share a store but buy differently; MineClasses groups
+// the transactions by segment, mines each on the shared executor at its
+// own support threshold, and recovers different rules for each.
 //
 // Run with:
 //
@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("mined %d transactions across %d classes in one pass (%v)\n\n",
+	fmt.Printf("mined %d transactions across %d classes, one mine per class (%v)\n\n",
 		d.NumTransactions(), len(d.Classes()), res.Elapsed)
 
 	per := res.ByClass()

@@ -343,26 +343,23 @@ func atomicWriteFile(path string, nosync bool, write func(io.Writer) error) (err
 	return nil
 }
 
-// MineAutoResume is MineAutoResumeMonitored without service hooks.
-func MineAutoResume(ctx context.Context, d *Dataset, opts Options, cp *Checkpoint) (*Result, error) {
-	return MineAutoResumeMonitored(ctx, d, opts, nil, nil, cp)
-}
-
 // MineAutoResumeMonitored continues a mining run from a checkpoint
 // loaded by LoadCheckpoint: the executor rebuilds its deterministic
 // state (dictionary, packed SALES, join side), streams R_K back in
 // under the current memory budget, and re-enters the loop at iteration
 // K+1. Results are bit-identical to an uninterrupted MineAuto run with
-// the same options. cp == nil degrades to MineAutoMonitored. A
-// checkpoint that fails verification against the dataset and options
-// returns an error wrapping ErrCheckpoint — the caller falls back to a
-// full re-mine; no partial state leaks (pinned frames stay zero).
+// the same options. cp == nil is a plain MineAutoMonitored run — this is
+// the one place the adaptive executor is built. A checkpoint that fails
+// verification against the dataset and options returns an error wrapping
+// ErrCheckpoint — the caller falls back to a full re-mine; no partial
+// state leaks (pinned frames stay zero).
 func MineAutoResumeMonitored(ctx context.Context, d *Dataset, opts Options, pool *storage.Pool, onIter func(IterationStat), cp *Checkpoint) (*Result, error) {
-	if cp == nil {
-		return MineAutoMonitored(ctx, d, opts, pool, onIter)
-	}
 	if opts.DisablePackedKernels {
-		return nil, fmt.Errorf("%w: checkpoints require the packed executor (DisablePackedKernels is set)", ErrCheckpoint)
+		if cp != nil {
+			return nil, fmt.Errorf("%w: checkpoints require the packed executor (DisablePackedKernels is set)", ErrCheckpoint)
+		}
+		// The ablation is the serial flat reference; there is nothing to plan.
+		return runPipelineCtx(ctx, d, opts, newMemoryStepper(d, opts, 1), onIter)
 	}
 	cfg := PagedConfig{}.withDefaults()
 	if pool != nil {

@@ -80,7 +80,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				if cp == nil {
 					t.Fatalf("k=%d: no checkpoint written", k)
 				}
-				res, err := core.MineAutoResume(context.Background(), d, sh.opts, cp)
+				res, err := core.MineAutoResumeMonitored(context.Background(), d, sh.opts, nil, nil, cp)
 				if err != nil {
 					t.Fatalf("resume from k=%d: %v", cp.K, err)
 				}
@@ -149,7 +149,7 @@ func TestCheckpointResumeWideFallback(t *testing.T) {
 	if cp == nil {
 		t.Fatal("no checkpoint survived the fallback run")
 	}
-	resumed, err := core.MineAutoResume(context.Background(), d, opts, cp)
+	resumed, err := core.MineAutoResumeMonitored(context.Background(), d, opts, nil, nil, cp)
 	if err != nil {
 		t.Fatalf("resume from packed k=%d across the fallback: %v", cp.K, err)
 	}
@@ -231,12 +231,12 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	cp := writeCheckpointAt(t, d, core.Options{MinSupportCount: 2}, 2, t.TempDir())
 
 	// Different support threshold than the manifest's.
-	if _, err := core.MineAutoResume(context.Background(), d, core.Options{MinSupportCount: 5}, cp); !errors.Is(err, core.ErrCheckpoint) {
+	if _, err := core.MineAutoResumeMonitored(context.Background(), d, core.Options{MinSupportCount: 5}, nil, nil, cp); !errors.Is(err, core.ErrCheckpoint) {
 		t.Fatalf("mismatched minsup: %v", err)
 	}
 	// Different dataset (one transaction dropped).
 	d2 := &core.Dataset{Transactions: d.Transactions[:len(d.Transactions)-1]}
-	if _, err := core.MineAutoResume(context.Background(), d2, core.Options{MinSupportCount: 2}, cp); !errors.Is(err, core.ErrCheckpoint) {
+	if _, err := core.MineAutoResumeMonitored(context.Background(), d2, core.Options{MinSupportCount: 2}, nil, nil, cp); !errors.Is(err, core.ErrCheckpoint) {
 		t.Fatalf("mismatched dataset: %v", err)
 	}
 	// Same transaction count, different contents: caught by the packed
@@ -245,15 +245,15 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	for _, tx := range d.Transactions {
 		d3.Transactions = append(d3.Transactions, core.Transaction{ID: tx.ID, Items: tx.Items[:1]})
 	}
-	if _, err := core.MineAutoResume(context.Background(), d3, core.Options{MinSupportCount: 2}, cp); !errors.Is(err, core.ErrCheckpoint) {
+	if _, err := core.MineAutoResumeMonitored(context.Background(), d3, core.Options{MinSupportCount: 2}, nil, nil, cp); !errors.Is(err, core.ErrCheckpoint) {
 		t.Fatalf("mismatched contents: %v", err)
 	}
 	// The generic-kernel ablation cannot host a packed resume.
-	if _, err := core.MineAutoResume(context.Background(), d, core.Options{MinSupportCount: 2, DisablePackedKernels: true}, cp); !errors.Is(err, core.ErrCheckpoint) {
+	if _, err := core.MineAutoResumeMonitored(context.Background(), d, core.Options{MinSupportCount: 2, DisablePackedKernels: true}, nil, nil, cp); !errors.Is(err, core.ErrCheckpoint) {
 		t.Fatalf("resume under DisablePackedKernels: %v", err)
 	}
 	// nil checkpoint degrades to a plain mine.
-	res, err := core.MineAutoResume(context.Background(), d, core.Options{MinSupportCount: 2}, nil)
+	res, err := core.MineAutoResumeMonitored(context.Background(), d, core.Options{MinSupportCount: 2}, nil, nil, nil)
 	if err != nil || res == nil {
 		t.Fatalf("nil checkpoint: %v", err)
 	}
@@ -396,7 +396,7 @@ func TestCheckpointWithInjectedPoolFaults(t *testing.T) {
 			if cp == nil {
 				continue
 			}
-			resumed, rerr := core.MineAutoResume(context.Background(), d, opts, cp)
+			resumed, rerr := core.MineAutoResumeMonitored(context.Background(), d, opts, nil, nil, cp)
 			if rerr != nil {
 				if !errors.Is(rerr, core.ErrCheckpoint) {
 					t.Fatalf("%s/%d: resume: %v", mode, failAfter, rerr)

@@ -2,37 +2,19 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
 // The paper's conclusion names the extension it is designed for: "We are
 // investigating extending the algorithm in order to handle additional
 // kinds of mining, e.g., relating association rules to customer classes."
-// This file implements that extension set-orientedly: the R_k relations
-// carry a class column, sorting and merge-scan join group by (class,
-// trans_id), and the count relations become C_k(class, item_1..item_k,
-// count) — exactly the "small number of well-defined, simple concepts"
-// composition the paper advertises.
-
-// row is one classified R_k tuple: [class, trans_id, item_1, ..., item_k].
-// The classified loop keeps the slice-of-slices representation — its
-// relations carry the extra class column and stay small; the plain
-// drivers use the flat relations of relation.go instead.
-type row []int64
-
-// sortRows orders rows lexicographically on all columns.
-func sortRows(rows []row) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
-}
+// The class is a partitioning column: no pattern row of one class ever
+// joins or counts with another's, and support is relative to the class's
+// own transaction count. So classified mining is one grouping pass over
+// the transactions followed by one ordinary mine per class on the shared
+// executor, the count relations tagged into C_k(class, item_1..item_k,
+// count) — no second SETM loop to keep in step with the first.
 
 // ClassifiedTransaction is a customer transaction tagged with a customer
 // class (e.g. a demographic segment).
@@ -60,7 +42,7 @@ func (d *ClassifiedDataset) Classes() []int64 {
 			out = append(out, tx.Class)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -137,11 +119,13 @@ func minSupFor(frac float64, n int) int64 {
 	return ms
 }
 
-// MineClasses runs the classified SETM loop: identical to MineMemory
-// except every relation carries the class as its leading column and
-// support is evaluated per class. A single pass over the data mines every
-// class simultaneously — the set-oriented formulation the paper's
-// conclusion sketches, as opposed to mining each class separately.
+// MineClasses mines every class at the same relative threshold: the
+// transactions are grouped by class in one pass (the same trans_id in two
+// classes is two transactions), each class is mined by MineMemory at that
+// class's absolute threshold, and the per-class C_k are tagged with the
+// class and concatenated in ascending class order — so Counts[k-1] is
+// ordered by (class, items) and a class simply stops contributing once
+// its own R_k runs empty.
 func MineClasses(d *ClassifiedDataset, minSupportFrac float64) (*ClassResult, error) {
 	if d == nil || len(d.Transactions) == 0 {
 		return nil, fmt.Errorf("setm: empty classified dataset")
@@ -150,178 +134,37 @@ func MineClasses(d *ClassifiedDataset, minSupportFrac float64) (*ClassResult, er
 		return nil, fmt.Errorf("setm: MinSupportFrac %v outside (0,1]", minSupportFrac)
 	}
 	start := time.Now()
-	totals := d.ClassCounts()
-	minSup := make(map[int64]int64, len(totals))
-	for class, n := range totals {
-		minSup[class] = minSupFor(minSupportFrac, n)
-	}
-	res := &ClassResult{ClassTotals: totals, MinSupportFrac: minSupportFrac}
-
-	// R_1 rows: [class, trans_id, item], sorted by (class, tid, item).
-	var r1 []row
+	subsets := make(map[int64]*Dataset)
+	var classes []int64
 	for _, tx := range d.Transactions {
-		seen := map[Item]bool{}
-		for _, it := range tx.Items {
-			if !seen[it] {
-				seen[it] = true
-				r1 = append(r1, row{tx.Class, tx.ID, it})
+		sub := subsets[tx.Class]
+		if sub == nil {
+			sub = &Dataset{}
+			subsets[tx.Class] = sub
+			classes = append(classes, tx.Class)
+		}
+		sub.Transactions = append(sub.Transactions, Transaction{ID: tx.ID, Items: tx.Items})
+	}
+	slices.Sort(classes)
+
+	res := &ClassResult{ClassTotals: make(map[int64]int, len(classes)), MinSupportFrac: minSupportFrac}
+	for _, class := range classes {
+		sub := subsets[class]
+		n := sub.NumTransactions()
+		res.ClassTotals[class] = n
+		mined, err := MineMemory(sub, Options{MinSupportCount: minSupFor(minSupportFrac, n)})
+		if err != nil {
+			return nil, fmt.Errorf("setm: class %d: %w", class, err)
+		}
+		for i, ck := range mined.Counts {
+			if i == len(res.Counts) {
+				res.Counts = append(res.Counts, nil)
+			}
+			for _, c := range ck {
+				res.Counts[i] = append(res.Counts[i], ClassItemsetCount{Class: class, Items: c.Items, Count: c.Count})
 			}
 		}
-	}
-	sortRows(r1)
-
-	// C_1 per class: sort by (class, item), sequential count scan.
-	byItem := make([]row, len(r1))
-	copy(byItem, r1)
-	sort.Slice(byItem, func(i, j int) bool {
-		if byItem[i][0] != byItem[j][0] {
-			return byItem[i][0] < byItem[j][0]
-		}
-		return byItem[i][2] < byItem[j][2]
-	})
-	c1 := classCountRuns(byItem, 1, minSup)
-	res.Counts = append(res.Counts, c1)
-
-	rk := r1
-	k := 1
-	for len(rk) > 0 {
-		k++
-		// sort R_{k-1} on (class, trans_id, items) — sortRows orders by all
-		// columns, which is exactly that layout.
-		sortRows(rk)
-		rPrime := classMergeScanExtend(rk, r1)
-		if len(rPrime) == 0 {
-			break
-		}
-
-		byItems := make([]row, len(rPrime))
-		copy(byItems, rPrime)
-		sort.Slice(byItems, func(i, j int) bool {
-			if byItems[i][0] != byItems[j][0] {
-				return byItems[i][0] < byItems[j][0]
-			}
-			return compareItems(byItems[i][2:], byItems[j][2:]) < 0
-		})
-		ck := classCountRuns(byItems, k, minSup)
-		rk = classFilterSupported(rPrime, k, ck)
-		res.Counts = append(res.Counts, ck)
-		if len(ck) == 0 {
-			break
-		}
-	}
-
-	for len(res.Counts) > 1 && len(res.Counts[len(res.Counts)-1]) == 0 {
-		res.Counts = res.Counts[:len(res.Counts)-1]
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// classMergeScanExtend joins R_{k-1} with R_1 on (class, trans_id),
-// extending patterns with same-transaction items greater than their last
-// item. Row layout: [class, tid, item_1..item_k].
-func classMergeScanExtend(rk, r1 []row) []row {
-	var out []row
-	i, j := 0, 0
-	groupLess := func(a, b row) int {
-		if a[0] != b[0] {
-			if a[0] < b[0] {
-				return -1
-			}
-			return 1
-		}
-		if a[1] != b[1] {
-			if a[1] < b[1] {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	}
-	for i < len(rk) && j < len(r1) {
-		switch groupLess(rk[i], r1[j]) {
-		case -1:
-			i++
-		case 1:
-			j++
-		default:
-			iEnd := i
-			for iEnd < len(rk) && groupLess(rk[iEnd], rk[i]) == 0 {
-				iEnd++
-			}
-			jEnd := j
-			for jEnd < len(r1) && groupLess(r1[jEnd], r1[j]) == 0 {
-				jEnd++
-			}
-			for _, p := range rk[i:iEnd] {
-				last := p[len(p)-1]
-				for _, s := range r1[j:jEnd] {
-					if s[2] > last {
-						ext := make(row, len(p)+1)
-						copy(ext, p)
-						ext[len(p)] = s[2]
-						out = append(out, ext)
-					}
-				}
-			}
-			i, j = iEnd, jEnd
-		}
-	}
-	return out
-}
-
-// classCountRuns scans rows sorted by (class, items) and emits the
-// per-class patterns meeting that class's minimum support.
-func classCountRuns(sorted []row, k int, minSup map[int64]int64) []ClassItemsetCount {
-	var out []ClassItemsetCount
-	i := 0
-	for i < len(sorted) {
-		j := i + 1
-		for j < len(sorted) &&
-			sorted[j][0] == sorted[i][0] &&
-			compareItems(sorted[i][2:], sorted[j][2:]) == 0 {
-			j++
-		}
-		class := sorted[i][0]
-		if int64(j-i) >= minSup[class] {
-			items := make([]Item, k)
-			copy(items, sorted[i][2:])
-			out = append(out, ClassItemsetCount{Class: class, Items: items, Count: int64(j - i)})
-		}
-		i = j
-	}
-	return out
-}
-
-// classFilterSupported keeps R'_k rows whose (class, pattern) is
-// supported, sorted by (class, trans_id, items).
-func classFilterSupported(rPrime []row, k int, ck []ClassItemsetCount) []row {
-	if len(ck) == 0 {
-		return nil
-	}
-	supported := make(map[string]bool, len(ck))
-	var buf []byte
-	encode := func(class int64, items []int64) string {
-		buf = buf[:0]
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(class>>s))
-		}
-		for _, it := range items {
-			for s := 0; s < 64; s += 8 {
-				buf = append(buf, byte(it>>s))
-			}
-		}
-		return string(buf)
-	}
-	for _, c := range ck {
-		supported[encode(c.Class, c.Items)] = true
-	}
-	var out []row
-	for _, r := range rPrime {
-		if supported[encode(r[0], r[2:])] {
-			out = append(out, r)
-		}
-	}
-	sortRows(out)
-	return out
 }

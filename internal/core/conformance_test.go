@@ -73,8 +73,9 @@ type minerFn struct {
 
 // conformanceMiners lists every driver and baseline that must agree.
 // The memory driver's packed-key default is the reference; the -generic
-// entries run the same drivers on the int64 relation kernels
-// (DisablePackedKernels), pinning both substrates to one answer.
+// entries run the two generic substrates (DisablePackedKernels: the
+// serial flat reference, and the heap-file paged stepper), pinning them
+// and the packed kernels to one answer.
 func conformanceMiners() []minerFn {
 	return []minerFn{
 		{"memory-generic", func(d *core.Dataset, o core.Options) (*core.Result, error) {
@@ -83,14 +84,6 @@ func conformanceMiners() []minerFn {
 		}},
 		{"parallel-3", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MineParallel(d, o, 3)
-		}},
-		{"parallel-generic-3", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			o.DisablePackedKernels = true
-			return core.MineParallel(d, o, 3)
-		}},
-		{"partitioned-generic-4", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			o.DisablePackedKernels = true
-			return core.MinePartitioned(d, o, 4)
 		}},
 		{"partitioned-1", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MinePartitioned(d, o, 1)
@@ -143,15 +136,6 @@ func conformanceMiners() []minerFn {
 		{"auto-1worker", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			o.MaxWorkers = 1
 			return core.MineAuto(d, o)
-		}},
-		{"paged-auto", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			o.Strategy = core.StrategyAuto
-			o.MemoryBudget = 1 << 15
-			r, err := core.MinePaged(d, o, core.PagedConfig{PoolFrames: 32})
-			if err != nil {
-				return nil, err
-			}
-			return r.Result, nil
 		}},
 		{"sql", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MineSQL(d, o, core.SQLConfig{})
@@ -225,9 +209,9 @@ func TestDriverConformancePrefilter(t *testing.T) {
 }
 
 // TestDriverConformanceOptionMatrix sweeps the PrefilterSales ×
-// MaxPatternLen option matrix across all five drivers (and the packed/
-// generic substrates of the in-memory ones), pinned to the generic
-// memory driver as oracle. Neither option may change any count
+// MaxPatternLen option matrix across all five drivers (and both
+// substrates of the memory driver), pinned to the generic memory driver
+// as oracle. Neither option may change any count
 // relation: PrefilterSales only drops rows that could never meet the
 // threshold, and MaxPatternLen only truncates the iteration count.
 func TestDriverConformanceOptionMatrix(t *testing.T) {
@@ -239,9 +223,9 @@ func TestDriverConformanceOptionMatrix(t *testing.T) {
 		{"partitioned-3", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MinePartitioned(d, o, 3)
 		}},
-		{"partitioned-generic-3", func(d *core.Dataset, o core.Options) (*core.Result, error) {
+		{"memory-generic", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			o.DisablePackedKernels = true
-			return core.MinePartitioned(d, o, 3)
+			return core.MineMemory(d, o)
 		}},
 		{"paged", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			r, err := core.MinePaged(d, o, core.PagedConfig{PoolFrames: 48})
@@ -302,6 +286,52 @@ func TestPartitionedShardSweep(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		assertIdenticalCounts(t, fmt.Sprintf("shards=%d", shards), want, got)
+	}
+}
+
+// TestPartitionedWideHandOff: on the wide-catalogue case with every
+// pattern frequent (baskets of up to 8 items, 14-bit codes), the sharded
+// driver leaves its packed plan exactly where the serial executor does —
+// k = maxPackedK+1 = 5 — for the one serial flat reference, and every
+// pass's cardinalities match.
+func TestPartitionedWideHandOff(t *testing.T) {
+	c := conformanceCases[len(conformanceCases)-1]
+	if c.name != "wide-catalogue" {
+		t.Fatalf("setup: last conformance case is %q", c.name)
+	}
+	d := conformanceDataset(c)
+	opts := core.Options{MinSupportCount: 1}
+	want, err := core.MineMemory(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.MinePartitioned(d, opts, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalCounts(t, "partitioned-wide", want, got)
+	if len(got.Stats) != len(want.Stats) {
+		t.Fatalf("%d passes, want %d", len(got.Stats), len(want.Stats))
+	}
+	handedOff := false
+	for i, st := range got.Stats {
+		ref := want.Stats[i]
+		if st.RPrimeRows != ref.RPrimeRows || st.RRows != ref.RRows {
+			t.Errorf("k=%d: |R'|=%d |R|=%d, want %d/%d", st.K, st.RPrimeRows, st.RRows, ref.RPrimeRows, ref.RRows)
+		}
+		if ref.Plan.Kernel == core.KernelPacked {
+			if handedOff || st.Plan.Kernel != core.KernelPacked || st.Plan.Exchange != core.ExchangeSharded {
+				t.Errorf("k=%d: plan %q, want the sharded packed plan", st.K, st.Plan)
+			}
+			continue
+		}
+		handedOff = true
+		if st.Plan.String() != "generic/resident/1w" {
+			t.Errorf("k=%d: plan %q, want generic/resident/1w", st.K, st.Plan)
+		}
+	}
+	if !handedOff {
+		t.Fatal("setup: the run never outgrew the packed key")
 	}
 }
 

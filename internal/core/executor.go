@@ -10,23 +10,25 @@ package core
 // the iteration under it.
 //
 //   - kernel packed|generic: the bit-packed 64-bit key kernels while the
-//     pattern fits one word, the generic int64 kernels past it;
+//     pattern fits one word, the serial flat reference (resident) or the
+//     heap-file paged stepper (under a pool) past it;
 //   - regime resident|spilled: arena-backed in-RAM slices versus
 //     budget-bounded spillable relations streaming to and from the page
 //     store as raw packed-page runs, an extent at a time (spill.go);
-//   - parallelism 1..N: the resident kernels fan out across chunk
-//     workers (parallel.go); the spilled regime morsel-splits the
+//   - parallelism 1..N: the resident packed kernels fan out across chunk
+//     workers (arena.go); the spilled regime morsel-splits the
 //     relations into tid-aligned windows, each worker spilling into
-//     private run sets merged by a concurrent cascade (xsort);
-//   - exchange none|sharded: sharded is the partitioned driver's
-//     count-distribution exchange (partition.go), a fixed plan.
+//     private run sets merged by a concurrent cascade (xsort).
+//
+// This stepper always runs exchange "none"; "sharded" is the partitioned
+// driver's count-distribution exchange over the same packed kernels
+// (partition.go), a fixed plan of its own stepper.
 //
 // Every public driver is a thin wrapper over this stepper with either a
 // fixed plan (Mine, MineParallel, MinePaged) or the cost-model-driven
-// adaptive strategy (MineAuto, and MinePaged under Options.Strategy =
-// StrategyAuto). The chosen plan is recorded per iteration in
-// IterationStat.Plan, so benchmarks and EXPLAIN-style output show why
-// each pass ran the way it did.
+// adaptive strategy (MineAuto). The chosen plan is recorded per
+// iteration in IterationStat.Plan, so benchmarks and EXPLAIN-style output
+// show why each pass ran the way it did.
 
 import (
 	"context"
@@ -138,41 +140,22 @@ func autoStrategy() strategyFunc {
 // bit-identical to Mine; the chosen plans are recorded in
 // Result.Stats[i].Plan.
 func MineAuto(d *Dataset, opts Options) (*Result, error) {
-	return MineAutoContext(context.Background(), d, opts)
+	return MineAutoMonitored(context.Background(), d, opts, nil, nil)
 }
 
-// MineAutoContext is MineAuto under a context: the executor polls ctx at
-// every iteration boundary and — in the spilled regime — at morsel and
-// merge granularity, so a cancelled job returns promptly with its
-// arenas released, its partial spill runs recycled into the pool's free
-// list, and zero pinned frames. The returned error wraps ctx.Err().
-func MineAutoContext(ctx context.Context, d *Dataset, opts Options) (*Result, error) {
-	return MineAutoMonitored(ctx, d, opts, nil, nil)
-}
-
-// MineAutoMonitored is MineAutoContext with the hooks a long-running
-// service needs: a caller-owned buffer pool (so the caller can watch
-// PinnedFrames and page I/O while the job runs; nil for a private pool;
-// the job cuts the pool's run extent to its budget, so the pool serves
-// one job at a time)
-// and a per-iteration observer receiving each IterationStat as the pass
-// completes (nil for none).
+// MineAutoMonitored is MineAuto under a context and with the hooks a
+// long-running service needs. The executor polls ctx at every iteration
+// boundary and — in the spilled regime — at morsel and merge
+// granularity, so a cancelled job returns promptly with its arenas
+// released, its partial spill runs recycled into the pool's free list,
+// and zero pinned frames; the returned error wraps ctx.Err(). pool is a
+// caller-owned buffer pool (so the caller can watch PinnedFrames and page
+// I/O while the job runs; nil for a private pool; the job cuts the
+// pool's run extent to its budget, so the pool serves one job at a
+// time); onIter receives each IterationStat as the pass completes (nil
+// for none). The executor itself is built in MineAutoResumeMonitored.
 func MineAutoMonitored(ctx context.Context, d *Dataset, opts Options, pool *storage.Pool, onIter func(IterationStat)) (*Result, error) {
-	if opts.DisablePackedKernels {
-		// The generic-kernel ablation runs the flat-relation substrate
-		// directly; adaptivity there is limited to the worker fan-out.
-		return runPipelineCtx(ctx, d, opts, newMemoryStepper(d, opts, resolveWorkers(opts.MaxWorkers)), onIter)
-	}
-	cfg := PagedConfig{}.withDefaults()
-	if pool != nil {
-		cfg.PoolFrames = pool.Capacity()
-	}
-	st := newExecStepper(d, opts, cfg, nil, autoStrategy())
-	st.ctx = ctx
-	if pool != nil {
-		st.attachPool(pool)
-	}
-	return runPipelineCtx(ctx, d, opts, st, onIter)
+	return MineAutoResumeMonitored(ctx, d, opts, pool, onIter, nil)
 }
 
 // resolveWorkers applies the MaxWorkers default (GOMAXPROCS).
@@ -507,9 +490,7 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 
 func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
 	if s.fbFlat != nil {
-		ck, sz, err := s.fbFlat.step(k, minSup)
-		sz.plan = IterPlan{Kernel: KernelGeneric, Regime: RegimeResident, Workers: s.fbFlat.workers, Exchange: ExchangeNone}
-		return ck, sz, err
+		return s.fbFlat.step(k, minSup)
 	}
 	if s.fbPaged != nil {
 		ck, sz, err := s.fbPaged.step(k, minSup)
@@ -522,10 +503,10 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 		return ck, sz, nil
 	}
 
-	plan := s.nextPlan(k, s.prevRPrime, s.prevRRows)
 	if k > s.dict.maxPackedK() {
-		return s.stepWideFallback(k, minSup, plan)
+		return s.stepWideFallback(k, minSup)
 	}
+	plan := s.nextPlan(k, s.prevRPrime, s.prevRRows)
 	if plan.Regime == RegimeResident && s.rk.resident() && s.join.resident() {
 		return s.stepResident(k, minSup, plan)
 	}
@@ -540,7 +521,7 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 
 // stepResident is the in-RAM fast path: the packed kernels of pack.go on
 // arena-backed slices, fanned across workers by the chunk kernels of
-// parallel.go when the plan says so. No budget machinery, no cursors.
+// arena.go when the plan says so. No budget machinery, no cursors.
 func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
 	ioStart, stStart := s.startIteration()
 	rk := s.rk.flatten()
@@ -561,6 +542,13 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	if plan.Workers > 1 && len(rk) >= parallelMinRows {
 		rPrime = extendParallelPacked(rk, join, s.dict.bits, plan.Workers, s.ar)
 	} else {
+		if cap(s.ar.ext) == 0 {
+			// A cold arena would grow R'_k by append: four times its final
+			// size in abandoned copies, freed whenever the collector gets
+			// to them, which makes the process's peak RSS differ by 100+ MB
+			// from one run to the next. Count once, allocate once.
+			s.ar.ext = make([]prow, 0, packedExtendRows(rk, join, s.dict.bits))
+		}
 		rPrime = packedExtend(rk, join, s.dict.bits, s.ar.ext[:0])
 	}
 	s.ar.ext = rPrime
@@ -1068,14 +1056,14 @@ func (s *execStepper) spillMemParallel(mem []prow, workers int) (*srel, error) {
 
 // stepWideFallback hands the pipeline to the generic kernels when
 // patterns outgrow the 64-bit packed key: fully resident state unpacks
-// into flat relations (the in-memory drivers' fallback); anything
+// into the serial flat reference (the in-memory drivers' fallback); anything
 // touching the pool decodes into heap files and continues on the generic
 // paged stepper, its decode I/O charged to the handoff iteration.
-func (s *execStepper) stepWideFallback(k int, minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
+func (s *execStepper) stepWideFallback(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
 	s.borderLost = true
 	if s.pool == nil && s.rk.resident() && s.join.resident() {
 		s.fbFlat = &flatStepper{
-			d: s.d, opts: s.opts, workers: plan.Workers,
+			d: s.d, opts: s.opts,
 			rk:       unpackRel(s.rk.flatten(), k-1, s.dict),
 			joinSide: unpackRel(s.join.flatten(), 1, s.dict),
 		}
@@ -1109,7 +1097,7 @@ func (s *execStepper) buildPagedFallback(k int) error {
 		sortMem = int(s.budget)
 	}
 	s.fbPaged = &pagedStepper{
-		d: s.d, opts: s.opts, cfg: s.cfg, pool: s.pool, pres: s.pres,
+		d: s.d, opts: s.opts, pool: s.pool, pres: s.pres,
 		sortMem: sortMem, rk: rkFile, joinSide: joinFile,
 	}
 	if s.rk != s.join {

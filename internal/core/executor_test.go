@@ -448,14 +448,14 @@ func TestMineAutoContextPreCancelled(t *testing.T) {
 	opts := Options{MinSupportFrac: 0.05}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MineAutoContext(ctx, d, opts); !errors.Is(err, context.Canceled) {
+	if _, err := MineAutoMonitored(ctx, d, opts, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled context: err = %v, want context.Canceled", err)
 	}
 	want, err := MineAuto(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MineAutoContext(context.Background(), d, opts)
+	got, err := MineAutoMonitored(context.Background(), d, opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestMineAutoContextPreCancelled(t *testing.T) {
 // determining fields do not.
 func TestCanonicalOptions(t *testing.T) {
 	const n = 1000
-	a := CanonicalOptions(Options{MinSupportFrac: 0.01, MaxWorkers: 4, MemoryBudget: 1 << 20, Strategy: StrategyAuto}, n)
+	a := CanonicalOptions(Options{MinSupportFrac: 0.01, MaxWorkers: 4, MemoryBudget: 1 << 20, PrefilterSales: true}, n)
 	b := CanonicalOptions(Options{MinSupportCount: 10, DisablePackedKernels: true}, n)
 	if a != b {
 		t.Fatalf("execution knobs leaked into canonical form: %+v vs %+v", a, b)

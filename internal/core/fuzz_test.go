@@ -203,7 +203,7 @@ func FuzzPackedKernels(f *testing.F) {
 		}
 		pk := packedCountRuns(keys, minSup, pkCounts{})
 		got := decodePatterns(pk, k, dict)
-		want, _ := countPatterns(rel, minSup, 1)
+		want, _ := countPatterns(rel, minSup)
 		if len(got) != len(want) {
 			t.Fatalf("count: %d patterns, want %d", len(got), len(want))
 		}

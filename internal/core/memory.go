@@ -11,12 +11,13 @@ func MineMemory(d *Dataset, opts Options) (*Result, error) {
 	return runPipeline(d, opts, newMemoryStepper(d, opts, 1))
 }
 
-// newMemoryStepper picks the substrate for the memory/parallel drivers:
-// the executor on the packed-key engine by default, the generic
-// flat-relation kernels under the DisablePackedKernels ablation.
+// newMemoryStepper picks the substrate for the resident fixed-plan
+// drivers: the executor on the packed-key engine at the given fan-out by
+// default, the one serial flat-relation reference under the
+// DisablePackedKernels ablation.
 func newMemoryStepper(d *Dataset, opts Options, workers int) stepper {
 	if opts.DisablePackedKernels {
-		return &flatStepper{d: d, opts: opts, workers: workers}
+		return &flatStepper{d: d, opts: opts}
 	}
 	opts.MemoryBudget = 0 // the in-memory drivers are unbounded by contract
 	return newExecStepper(d, opts, PagedConfig{}.withDefaults(), nil, fixedStrategy(workers, false))
@@ -25,15 +26,13 @@ func newMemoryStepper(d *Dataset, opts Options, workers int) stepper {
 // flatStepper is the generic in-memory substrate of the SETM pipeline:
 // R_k lives in flat stride-(k+1) relations and the kernels of
 // relation.go (sort, merge-scan extension, count scan, binary-search
-// filter) implement the steps. It is the oracle the packed engine is
-// conformance-tested against, and the mid-run fallback when patterns
-// outgrow the 64-bit packed key. workers > 1 fans each kernel out
-// across transaction-aligned or row-aligned chunks (see parallel.go);
-// results are bit-identical either way.
+// filter) implement the steps, serially. It is the one reference the
+// packed engine is conformance-tested against — what every resident
+// driver runs under DisablePackedKernels — and the mid-run fallback when
+// patterns outgrow the 64-bit packed key.
 type flatStepper struct {
-	d       *Dataset
-	opts    Options
-	workers int
+	d    *Dataset
+	opts Options
 
 	rk       relation // R_{k-1}, sorted by (trans_id, items)
 	joinSide relation // R_1 side of the merge-scan join
@@ -44,7 +43,7 @@ func (s *flatStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	sales := salesRelation(s.d)
 
 	// C_1: counts per item require R_1 sorted on item.
-	c1, skips := countPatterns(sales, minSup, s.workers)
+	c1, skips := countPatterns(sales, minSup)
 
 	// The paper does not filter R_1 by C_1: "the starting relations are the
 	// same and hence |R_1| = 115,568 in all cases" (Section 6.1). The
@@ -53,7 +52,7 @@ func (s *flatStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	s.joinSide = sales
 	if s.opts.PrefilterSales {
 		var fs int64
-		s.rk, fs = filterPatterns(sales, c1, s.workers)
+		s.rk, fs = filterRelation(sales, c1)
 		skips += fs
 		s.joinSide = s.rk
 	}
@@ -64,7 +63,7 @@ func (s *flatStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 // plan is the fixed strategy IR the generic in-memory substrate runs
 // under, recorded per iteration like the executor's.
 func (s *flatStepper) plan() IterPlan {
-	return IterPlan{Kernel: KernelGeneric, Regime: RegimeResident, Workers: s.workers, Exchange: ExchangeNone}
+	return IterPlan{Kernel: KernelGeneric, Regime: RegimeResident, Workers: 1, Exchange: ExchangeNone}
 }
 
 func (s *flatStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
@@ -77,28 +76,24 @@ func (s *flatStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 	}
 
 	// R'_k := merge-scan(R_{k-1}, R_1), then sort on items and count.
-	rPrime := extendPatterns(s.rk, s.joinSide, s.workers)
-	ck, cs := countPatterns(rPrime, minSup, s.workers)
+	rPrime := extendRelation(s.rk, s.joinSide)
+	ck, cs := countPatterns(rPrime, minSup)
 	skips += cs
 
 	// R_k := filter R'_k to supported patterns.
 	var fs int64
-	s.rk, fs = filterPatterns(rPrime, ck, s.workers)
+	s.rk, fs = filterRelation(rPrime, ck)
 	skips += fs
 	sz := iterSizes{rPrime: int64(rPrime.rows()), rRows: int64(s.rk.rows()), sortSkips: skips, plan: s.plan()}
 	return ck, sz, nil
 }
 
 // countPatterns produces C_k from an unsorted candidate relation: sort a
-// copy on the item columns, then count runs. workers > 1 sorts and counts
-// chunks concurrently and merges the per-chunk counts. The second return
-// is the number of sorts the pre-scan skipped.
-func countPatterns(rPrime relation, minSup int64, workers int) ([]ItemsetCount, int64) {
+// copy on the item columns, then count runs. The second return is the
+// number of sorts the pre-scan skipped.
+func countPatterns(rPrime relation, minSup int64) ([]ItemsetCount, int64) {
 	if rPrime.rows() == 0 {
 		return nil, 0
-	}
-	if workers > 1 && rPrime.rows() >= parallelMinRows {
-		return countParallel(rPrime, minSup, workers)
 	}
 	byItems := rPrime.clone()
 	var skips int64
@@ -106,22 +101,4 @@ func countPatterns(rPrime relation, minSup int64, workers int) ([]ItemsetCount, 
 		skips++
 	}
 	return countRelationRuns(byItems, minSup), skips
-}
-
-// extendPatterns is the merge-scan extension step, fanned out across
-// transaction-aligned chunks when workers > 1.
-func extendPatterns(rk, sales relation, workers int) relation {
-	if workers > 1 && rk.rows() >= parallelMinRows {
-		return extendParallel(rk, sales, workers)
-	}
-	return extendRelation(rk, sales)
-}
-
-// filterPatterns is the support filter, fanned out across row chunks when
-// workers > 1. The second return is the number of sorts skipped.
-func filterPatterns(rPrime relation, ck []ItemsetCount, workers int) (relation, int64) {
-	if workers > 1 && rPrime.rows() >= parallelMinRows {
-		return filterParallel(rPrime, ck, workers)
-	}
-	return filterRelation(rPrime, ck)
 }

@@ -298,6 +298,42 @@ func packedExtend(rk, sales []prow, itemBits uint, out []prow) []prow {
 	return out
 }
 
+// packedExtendRows is |R'_k| without materializing it: packedExtend's
+// merge-scan with the appends counted instead of made.
+func packedExtendRows(rk, sales []prow, itemBits uint) int {
+	mask := uint64(1)<<itemBits - 1
+	nr, ns := len(rk), len(sales)
+	i, j, n := 0, 0, 0
+	for i < nr && j < ns {
+		tid := rk[i].Tid
+		switch {
+		case sales[j].Tid < tid:
+			j++
+		case sales[j].Tid > tid:
+			i++
+		default:
+			iEnd := i
+			for iEnd < nr && rk[iEnd].Tid == tid {
+				iEnd++
+			}
+			jEnd := j
+			for jEnd < ns && sales[jEnd].Tid == tid {
+				jEnd++
+			}
+			for p := i; p < iEnd; p++ {
+				last := rk[p].Key & mask
+				for q := j; q < jEnd; q++ {
+					if sales[q].Key > last {
+						n++
+					}
+				}
+			}
+			i, j = iEnd, jEnd
+		}
+	}
+	return n
+}
+
 // ---------------------------------------------------------------------------
 // The count step
 

@@ -181,13 +181,45 @@ func TestPackedMatchesGenericDrivers(t *testing.T) {
 	}
 }
 
-// TestPackedWideDomainFallback forces the mid-run fallback: ~4800
-// distinct items need 13 bits per code, so patterns of length 5+ no
-// longer fit the 64-bit key and the engine must hand off to the generic
-// kernels without changing any result.
-func TestPackedWideDomainFallback(t *testing.T) {
+// TestGenericIsOneReference: DisablePackedKernels means one thing on
+// every resident driver — the serial flat reference, whatever fan-out was
+// asked for — and that reference agrees with the packed kernels.
+func TestGenericIsOneReference(t *testing.T) {
+	d := signedDataset(5, 400, 9, 20)
+	packed, err := MineMemory(d, Options{MinSupportCount: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	generic := Options{MinSupportCount: 4, DisablePackedKernels: true}
+	for name, mine := range map[string]func() (*Result, error){
+		"memory":        func() (*Result, error) { return MineMemory(d, generic) },
+		"parallel-3":    func() (*Result, error) { return MineParallel(d, generic, 3) },
+		"partitioned-4": func() (*Result, error) { return MinePartitioned(d, generic, 4) },
+		"auto-4w": func() (*Result, error) {
+			o := generic
+			o.MaxWorkers = 4
+			return MineAuto(d, o)
+		},
+	} {
+		got, err := mine()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fuzzSameCounts(t, name, packed, got)
+		for _, st := range got.Stats {
+			if st.Plan.String() != "generic/resident/1w" {
+				t.Errorf("%s k=%d: plan %q, want generic/resident/1w", name, st.K, st.Plan)
+			}
+		}
+	}
+}
+
+// wideDomainDataset is 30 transactions sharing six common items among
+// ~4800 distinct fillers: 13 bits per code, so patterns of length 5+ no
+// longer fit the 64-bit key while the common items stay frequent to k=6.
+func wideDomainDataset(t *testing.T) (d *Dataset, maxK, maxLen int) {
 	common := []Item{1, 2, 3, 4, 5, 6}
-	d := &Dataset{}
+	d = &Dataset{}
 	filler := int64(1000)
 	for i := 0; i < 30; i++ {
 		items := append([]Item(nil), common...)
@@ -198,20 +230,25 @@ func TestPackedWideDomainFallback(t *testing.T) {
 		d.Transactions = append(d.Transactions, Transaction{ID: int64(i + 1), Items: items})
 	}
 	ar := newMineArena()
-	dict := buildDict(d, ar)
-	maxK := dict.maxPackedK()
+	maxK = buildDict(d, ar).maxPackedK()
 	ar.release()
 	if maxK >= len(common) {
 		t.Fatalf("setup: maxPackedK = %d does not force a fallback before k=%d", maxK, len(common))
 	}
+	return d, maxK, len(common)
+}
 
+// TestPackedWideDomainFallback forces the mid-run fallback: the engine
+// must hand off to the generic kernels without changing any result.
+func TestPackedWideDomainFallback(t *testing.T) {
+	d, _, maxLen := wideDomainDataset(t)
 	opts := Options{MinSupportCount: 25}
 	want, err := MineMemory(d, Options{MinSupportCount: 25, DisablePackedKernels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.MaxLen() != len(common) {
-		t.Fatalf("setup: MaxLen = %d, want %d (must cross the packed boundary)", want.MaxLen(), len(common))
+	if want.MaxLen() != maxLen {
+		t.Fatalf("setup: MaxLen = %d, want %d (must cross the packed boundary)", want.MaxLen(), maxLen)
 	}
 	got, err := MineMemory(d, opts)
 	if err != nil {
@@ -228,6 +265,63 @@ func TestPackedWideDomainFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	fuzzSameCounts(t, "parallel-fallback", want, gotPar)
+}
+
+// TestPartitionedHandOff drives the sharded stepper across the packed
+// boundary: at k = maxPackedK+1 every shard row (and only those) lands in
+// one tid-sorted flat relation, the shard and dictionary arenas go back
+// to the pool, and the flat reference finishes the run.
+func TestPartitionedHandOff(t *testing.T) {
+	d, maxK, _ := wideDomainDataset(t)
+	const minSup = 25
+	want, err := MineMemory(d, Options{MinSupportCount: minSup, DisablePackedKernels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &partitionStepper{d: d, opts: Options{MinSupportCount: minSup}, nshards: 4}
+	if _, _, err := s.init(minSup); err != nil {
+		t.Fatal(err)
+	}
+	var sz iterSizes
+	for k := 2; k <= maxK; k++ {
+		if _, sz, err = s.step(k, minSup); err != nil {
+			t.Fatal(err)
+		}
+		if s.flat != nil || sz.plan.Exchange != ExchangeSharded {
+			t.Fatalf("k=%d: left the sharded packed plan early (%s)", k, sz.plan)
+		}
+	}
+	var rkRows, joinRows int
+	for _, sh := range s.shards {
+		rkRows += len(sh.prk)
+		joinRows += len(sh.pjoin)
+	}
+	if int64(rkRows) != sz.rRows || sz.rRows != want.Stats[maxK-1].RRows {
+		t.Fatalf("k=%d: shards hold %d rows, pass reported %d, reference %d", maxK, rkRows, sz.rRows, want.Stats[maxK-1].RRows)
+	}
+
+	ck, sz, err := s.step(maxK+1, minSup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.flat == nil || sz.plan.String() != "generic/resident/1w" {
+		t.Fatalf("k=%d: plan %q, want the flat reference", maxK+1, sz.plan)
+	}
+	if got := s.flat.joinSide.rows(); got != joinRows || !relationSorted(s.flat.joinSide, 0) {
+		t.Errorf("join side: %d rows (sorted=%v), shards held %d", got, relationSorted(s.flat.joinSide, 0), joinRows)
+	}
+	if st := want.Stats[maxK]; sz.rPrime != st.RPrimeRows || sz.rRows != st.RRows || len(ck) != st.CCount {
+		t.Errorf("k=%d: |R'|=%d |R|=%d |C|=%d, reference %d/%d/%d — rows lost in the hand-off",
+			maxK+1, sz.rPrime, sz.rRows, len(ck), st.RPrimeRows, st.RRows, st.CCount)
+	}
+	if s.dict != nil || s.dictAr != nil {
+		t.Error("dictionary arena still held after the hand-off")
+	}
+	for i, sh := range s.shards {
+		if sh.ar != nil || sh.prk != nil || sh.pjoin != nil || sh.psales != nil {
+			t.Errorf("shard %d still holds packed state after the hand-off", i)
+		}
+	}
 }
 
 // TestSortsSkippedCounted asserts the sortedness fast path actually
@@ -271,6 +365,34 @@ func TestPackedSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 100 {
 		t.Errorf("steady-state MineMemory allocs = %.0f, want <= 100", allocs)
+	}
+}
+
+// TestColdArenaExtendsInOneAllocation pins what keeps the first mine's
+// peak memory the same from process to process: packedExtendRows is
+// exactly len(packedExtend), and a cold arena's R'_2 buffer is allocated
+// at that size instead of grown to it.
+func TestColdArenaExtendsInOneAllocation(t *testing.T) {
+	d := signedDataset(11, 3000, 10, 50)
+	ar := new(mineArena)
+	dict := buildDict(d, ar)
+	sales := packSales(d, dict, ar)
+	ext := packedExtend(sales, sales, dict.bits, nil)
+	if got := packedExtendRows(sales, sales, dict.bits); got != len(ext) || got == 0 {
+		t.Fatalf("packedExtendRows = %d, packedExtend made %d rows", got, len(ext))
+	}
+	if got := packedExtendRows(ext, sales, dict.bits); got != len(packedExtend(ext, sales, dict.bits, nil)) {
+		t.Fatalf("k=3: packedExtendRows = %d, packedExtend disagrees", got)
+	}
+
+	st := newExecStepper(d, Options{MinSupportCount: 40}, PagedConfig{}.withDefaults(), nil, fixedStrategy(1, false))
+	defer st.release()
+	if _, _, err := st.init(40); err != nil {
+		t.Fatal(err)
+	}
+	st.ar.ext = nil // cold, whatever the pool held
+	if _, sz, err := st.step(2, 40); err != nil || int(sz.rPrime) != len(ext) || cap(st.ar.ext) != len(ext) {
+		t.Fatalf("cold step 2: |R'_2| = %d, cap(ext) = %d, want both %d (err %v)", sz.rPrime, cap(st.ar.ext), len(ext), err)
 	}
 }
 

@@ -25,14 +25,6 @@ type PagedConfig struct {
 	// Pass a storage.FileStore to run against a real file, or a
 	// storage.FaultStore in failure-injection tests.
 	Store storage.Store
-	// UseHashJoin replaces the merge-scan extension join with an in-memory
-	// hash join (DESIGN.md ablation: it drops the sort before the join but
-	// must hold one join side in memory, surrendering the bounded-memory
-	// property the paper's formulation has).
-	UseHashJoin bool
-	// UseHashGroup replaces the sort + sequential count scan with hash
-	// aggregation when generating C_k.
-	UseHashGroup bool
 }
 
 func (c PagedConfig) withDefaults() PagedConfig {
@@ -66,13 +58,12 @@ type PagedResult struct {
 // the count sort, sequential runs for everything else. A zero budget
 // defaults to PoolFrames × the page size (the pool's own capacity); a
 // negative budget pins everything in RAM. The driver's fixed plan is
-// serial; Options.Strategy = StrategyAuto lets the cost model choose
-// regime and parallelism per iteration instead (MineAuto with the paged
-// driver's budget default and page store). The generic tuple substrate
-// (heap files, external merge sort, exec.MergeJoin) remains behind
-// Options.DisablePackedKernels, the hash ablations, and the
-// wide-pattern fallback. The returned IO stats let experiments check
-// the Section 4.3 bound
+// serial; MineAuto lets the cost model choose regime and parallelism per
+// iteration instead. The generic tuple substrate (heap files, external
+// merge sort, exec.MergeJoin) remains behind Options.DisablePackedKernels
+// and the wide-pattern fallback — the only budget-bounded path once a
+// pattern no longer fits one word. The returned IO stats let experiments
+// check the Section 4.3 bound
 //
 //	(n-1)·‖R_1‖ + Σ‖R'_i‖ + 2·Σ‖R_i‖
 func MinePaged(d *Dataset, opts Options, cfg PagedConfig) (*PagedResult, error) {
@@ -88,20 +79,15 @@ func MinePaged(d *Dataset, opts Options, cfg PagedConfig) (*PagedResult, error) 
 	pool := storage.NewPool(store, cfg.PoolFrames)
 	pres := &PagedResult{}
 	var st stepper
-	if opts.DisablePackedKernels || cfg.UseHashJoin || cfg.UseHashGroup {
-		// The hash ablations are defined on the generic operator substrate.
+	if opts.DisablePackedKernels {
 		sortMem := 0
 		if budget > 0 {
 			sortMem = int(budget)
 		}
-		st = &pagedStepper{d: d, opts: opts, cfg: cfg, pool: pool, pres: pres, sortMem: sortMem}
+		st = &pagedStepper{d: d, opts: opts, pool: pool, pres: pres, sortMem: sortMem}
 	} else {
 		opts.MemoryBudget = budget // resolved: the executor takes it as-is
-		strat := fixedStrategy(1, true)
-		if opts.Strategy == StrategyAuto {
-			strat = autoStrategy()
-		}
-		es := newExecStepper(d, opts, cfg, pres, strat)
+		es := newExecStepper(d, opts, cfg, pres, fixedStrategy(1, true))
 		es.attachPool(pool)
 		st = es
 	}
@@ -117,12 +103,11 @@ func MinePaged(d *Dataset, opts Options, cfg PagedConfig) (*PagedResult, error) 
 // pagedStepper is the generic paged-storage substrate of the SETM
 // pipeline: R_k relations are heap files and every relational step runs
 // through the storage and operator layers, with page-I/O accounting on
-// the side. It serves the hash ablations, the DisablePackedKernels
-// oracle, and the executor's wide-pattern fallback.
+// the side. It serves the DisablePackedKernels oracle and the executor's
+// wide-pattern fallback.
 type pagedStepper struct {
 	d       *Dataset
 	opts    Options
-	cfg     PagedConfig
 	pool    *storage.Pool
 	pres    *PagedResult
 	sortMem int // external-sort run bound in bytes (from the budget)
@@ -145,9 +130,8 @@ func (s *pagedStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 		}
 	}
 
-	// C_1: sort R_1 on item, sequential count scan (or hash aggregation
-	// under the ablation flag).
-	c1, err := countRelation(s.pool, sales, []int{1}, minSup, s.cfg, s.sortMem)
+	// C_1: sort R_1 on item, sequential count scan.
+	c1, err := countRelation(s.pool, sales, []int{1}, minSup, s.sortMem)
 	if err != nil {
 		return nil, iterSizes{}, err
 	}
@@ -175,35 +159,22 @@ func (s *pagedStepper) plan() IterPlan {
 func (s *pagedStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
 	ioStart := s.pool.Stats.Accesses()
 	// R'_k := join(R_{k-1}, R_1) on trans_id with the lexicographic
-	// residual q.item > p.item_{k-1}, projecting away R_1's trans_id.
-	// Default: sort R_{k-1} on (trans_id, items) and merge-scan, as in
-	// Figure 4. Ablation: hash join, which skips the sort but builds
-	// R_1 in memory.
-	lastItem := k - 1 // index of item_{k-1} in the left tuple
-	residual := func(l, r tuple.Tuple) (bool, error) {
-		return r[1].Int > l[lastItem].Int, nil
+	// residual q.item > p.item_{k-1}, projecting away R_1's trans_id:
+	// sort R_{k-1} on (trans_id, items) and merge-scan, as in Figure 4.
+	lastItem := k - 1         // index of item_{k-1} in the left tuple
+	allCols := make([]int, k) // 0..k-1: trans_id plus k-1 items
+	for i := range allCols {
+		allCols[i] = i
 	}
-	var join exec.Operator
-	if s.cfg.UseHashJoin {
-		join = exec.NewHashJoin(
-			exec.NewHeapScan(s.rk), exec.NewHeapScan(s.joinSide),
-			[]int{0}, []int{0}, residual)
-	} else {
-		allCols := make([]int, k) // 0..k-1: trans_id plus k-1 items
-		for i := range allCols {
-			allCols[i] = i
-		}
-		sorted, err := xsort.File(s.pool, s.rk, xsort.ByColumns(allCols...), s.sortMem)
-		if err != nil {
-			return nil, iterSizes{}, err
-		}
-		mj := exec.NewMergeJoin(
-			exec.NewHeapScan(sorted), exec.NewHeapScan(s.joinSide),
-			[]int{0}, []int{0}, nil)
-		// The lexicographic extension condition runs on column vectors.
-		mj.SetVecResidualGT(lastItem, 1)
-		join = mj
+	sorted, err := xsort.File(s.pool, s.rk, xsort.ByColumns(allCols...), s.sortMem)
+	if err != nil {
+		return nil, iterSizes{}, err
 	}
+	join := exec.NewMergeJoin(
+		exec.NewHeapScan(sorted), exec.NewHeapScan(s.joinSide),
+		[]int{0}, []int{0}, nil)
+	// The lexicographic extension condition runs on column vectors.
+	join.SetVecResidualGT(lastItem, 1)
 	// Left tuple has k columns (tid, k-1 items); right adds (tid, item).
 	projIdx := make([]int, 0, k+1)
 	for i := 0; i < k; i++ {
@@ -216,12 +187,12 @@ func (s *pagedStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, err
 		return nil, iterSizes{}, err
 	}
 
-	// sort R'_k on items; C_k := counts (or hash aggregation).
+	// sort R'_k on items; C_k := counts.
 	itemCols := make([]int, k)
 	for i := range itemCols {
 		itemCols[i] = i + 1
 	}
-	ck, err := countRelation(s.pool, rPrime, itemCols, minSup, s.cfg, s.sortMem)
+	ck, err := countRelation(s.pool, rPrime, itemCols, minSup, s.sortMem)
 	if err != nil {
 		return nil, iterSizes{}, err
 	}
@@ -238,48 +209,15 @@ func (s *pagedStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, err
 	return ck, sz, nil
 }
 
-// countRelation produces C_k from an (unsorted) relation: the paper's way
-// is sort-on-items plus a sequential count scan; the hash ablation uses
-// hash aggregation and sorts only the (small) result. sortMem bounds the
+// countRelation produces C_k from an (unsorted) relation the paper's
+// way: sort on items plus a sequential count scan. sortMem bounds the
 // external sort's run size (from the resolved memory budget).
-func countRelation(pool *storage.Pool, f *hp.File, itemCols []int, minSup int64, cfg PagedConfig, sortMem int) ([]ItemsetCount, error) {
-	if cfg.UseHashGroup {
-		grp := exec.NewHashGroup(exec.NewHeapScan(f), itemCols,
-			[]exec.AggSpec{{Kind: exec.AggCount, Name: "cnt"}})
-		rows, err := exec.Drain(grp)
-		if err != nil {
-			return nil, err
-		}
-		var out []ItemsetCount
-		for _, r := range rows {
-			n := r[len(r)-1].Int
-			if n < minSup {
-				continue
-			}
-			items := make([]Item, len(itemCols))
-			for i := range itemCols {
-				items[i] = r[i].Int
-			}
-			out = append(out, ItemsetCount{Items: items, Count: n})
-		}
-		// C_k is canonically ordered; hash output is not.
-		xsortCounts(out)
-		return out, nil
-	}
+func countRelation(pool *storage.Pool, f *hp.File, itemCols []int, minSup int64, sortMem int) ([]ItemsetCount, error) {
 	byItems, err := xsort.File(pool, f, xsort.ByColumns(itemCols...), sortMem)
 	if err != nil {
 		return nil, err
 	}
 	return countFile(byItems, itemCols, minSup)
-}
-
-// xsortCounts orders an ItemsetCount slice lexicographically.
-func xsortCounts(cs []ItemsetCount) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && compareItems(cs[j].Items, cs[j-1].Items) < 0; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
 }
 
 // countFile scans a heap file sorted on itemCols and returns the patterns

@@ -134,41 +134,3 @@ func TestMinePagedSequentialDominatedOnLargeData(t *testing.T) {
 			res.IO.SeqReads, res.IO.RandReads)
 	}
 }
-
-func TestHashAblationsAgreeWithMergeScan(t *testing.T) {
-	// The hash-join and hash-group ablations must produce identical C_k.
-	base, err := MinePaged(PaperExample(), paperOpts, PagedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []PagedConfig{
-		{UseHashJoin: true},
-		{UseHashGroup: true},
-		{UseHashJoin: true, UseHashGroup: true},
-	} {
-		got, err := MinePaged(PaperExample(), paperOpts, cfg)
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		assertSameCounts(t, "hash-ablation", base.Result, got.Result)
-	}
-}
-
-func TestHashAblationOnLargerData(t *testing.T) {
-	d := faultDataset()
-	opts := Options{MinSupportFrac: 0.05}
-	base, err := MinePaged(d, opts, PagedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashed, err := MinePaged(d, opts, PagedConfig{UseHashJoin: true, UseHashGroup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCounts(t, "hash-large", base.Result, hashed.Result)
-	// The hash variant performs strictly fewer sort-related page accesses.
-	if hashed.IO.Accesses() >= base.IO.Accesses() {
-		t.Logf("note: hash accesses %d vs merge %d (hash trades I/O for memory)",
-			hashed.IO.Accesses(), base.IO.Accesses())
-	}
-}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sort"
-	"sync"
 
 	"setm/internal/costmodel"
 )
@@ -14,15 +12,15 @@ import (
 //
 //   - the merge-scan extension is independent per transaction, so R_{k-1}
 //     and R_1 are split at transaction boundaries and joined in parallel;
-//   - support counting sorts row chunks concurrently and merges the
-//     per-chunk run counts;
+//   - support counting counts row chunks concurrently and merges the
+//     per-chunk counts;
 //   - the support filter is again independent per row.
 //
-// It is the same pipeline and the same packed-key (or, under
-// DisablePackedKernels, flat-relation) substrate as MineMemory — the
-// executor held to the fixed plan {packed, resident, N workers} — so
-// results are bit-identical (tests enforce it). workers <= 0 selects
-// GOMAXPROCS.
+// It is the same pipeline and the same packed-key substrate as MineMemory
+// — the executor held to the fixed plan {packed, resident, N workers} — so
+// results are bit-identical (tests enforce it). The fan-out exists on the
+// packed kernels only: under DisablePackedKernels this is the serial flat
+// reference, whatever workers says. workers <= 0 selects GOMAXPROCS.
 func MineParallel(d *Dataset, opts Options, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -35,131 +33,6 @@ func MineParallel(d *Dataset, opts Options, workers int) (*Result, error) {
 // saves on tiny inputs. It is the cost model's threshold, shared so the
 // planner and the kernels agree.
 const parallelMinRows = costmodel.ParallelMinRows
-
-// chunkRelationByTid splits rel (sorted by trans_id) into at most n row
-// ranges whose boundaries respect transaction groups.
-func chunkRelationByTid(rel relation, n int) [][2]int {
-	rows := rel.rows()
-	if rows == 0 || n < 1 {
-		return nil
-	}
-	var bounds [][2]int
-	target := (rows + n - 1) / n
-	start := 0
-	for start < rows {
-		end := start + target
-		if end >= rows {
-			end = rows
-		} else {
-			// Advance to the end of the transaction group.
-			tid := rel.tid(end - 1)
-			for end < rows && rel.tid(end) == tid {
-				end++
-			}
-		}
-		bounds = append(bounds, [2]int{start, end})
-		start = end
-	}
-	return bounds
-}
-
-// salesWindow returns the sub-relation of sales (sorted by tid) covering
-// the tid range [loTid, hiTid].
-func salesWindow(sales relation, loTid, hiTid int64) relation {
-	n := sales.rows()
-	lo := sort.Search(n, func(i int) bool { return sales.tid(i) >= loTid })
-	hi := sort.Search(n, func(i int) bool { return sales.tid(i) > hiTid })
-	return sales.slice(lo, hi)
-}
-
-// extendParallel runs the merge-scan extension over transaction-aligned
-// chunks concurrently; the concatenation preserves global (tid, items)
-// order because chunks are tid-disjoint and ascending.
-func extendParallel(rk, sales relation, workers int) relation {
-	bounds := chunkRelationByTid(rk, workers)
-	if len(bounds) <= 1 {
-		return extendRelation(rk, sales)
-	}
-	parts := make([]relation, len(bounds))
-	var wg sync.WaitGroup
-	for i, b := range bounds {
-		wg.Add(1)
-		go func(i int, b [2]int) {
-			defer wg.Done()
-			chunk := rk.slice(b[0], b[1])
-			sub := salesWindow(sales, chunk.tid(0), chunk.tid(chunk.rows()-1))
-			parts[i] = extendRelation(chunk, sub)
-		}(i, b)
-	}
-	wg.Wait()
-	return concatRelations(rk.stride+1, parts)
-}
-
-// countParallel computes C_k by sorting row chunks on their item columns
-// concurrently, counting runs per chunk into flat count lists, and
-// merging the sorted lists with the support threshold applied at the end.
-// The merge makes the result identical to a single global sort-and-count.
-// The second return is the number of chunk sorts the pre-scan skipped.
-func countParallel(rPrime relation, minSup int64, workers int) ([]ItemsetCount, int64) {
-	bounds := evenChunks(rPrime.rows(), workers)
-	if len(bounds) <= 1 {
-		return countPatterns(rPrime, minSup, 1)
-	}
-	parts := make([][]int64, len(bounds))
-	chunkSkips := make([]int64, len(bounds))
-	var wg sync.WaitGroup
-	for i, b := range bounds {
-		wg.Add(1)
-		go func(i int, b [2]int) {
-			defer wg.Done()
-			chunk := rPrime.slice(b[0], b[1]).clone()
-			if sortRelation(chunk, 1) {
-				chunkSkips[i] = 1
-			}
-			parts[i] = flatCountRuns(chunk, nil)
-		}(i, b)
-	}
-	wg.Wait()
-	var skips int64
-	for _, s := range chunkSkips {
-		skips += s
-	}
-	return mergeFlatCounts(parts, rPrime.stride-1, minSup), skips
-}
-
-// filterParallel applies the support filter over row chunks concurrently,
-// preserving row order, then restores the (trans_id, items) sort. The
-// second return is the number of sorts the pre-scan skipped.
-func filterParallel(rPrime relation, ck []ItemsetCount, workers int) (relation, int64) {
-	if len(ck) == 0 || rPrime.rows() == 0 {
-		return relation{stride: rPrime.stride}, 0
-	}
-	bounds := evenChunks(rPrime.rows(), workers)
-	parts := make([]relation, len(bounds))
-	var wg sync.WaitGroup
-	for i, b := range bounds {
-		wg.Add(1)
-		go func(i int, b [2]int) {
-			defer wg.Done()
-			chunk := rPrime.slice(b[0], b[1])
-			out := relation{stride: chunk.stride}
-			n := chunk.rows()
-			for r := 0; r < n; r++ {
-				if patternSupported(ck, chunk.items(r)) {
-					out.data = append(out.data, chunk.row(r)...)
-				}
-			}
-			parts[i] = out
-		}(i, b)
-	}
-	wg.Wait()
-	out := concatRelations(rPrime.stride, parts)
-	var skips int64
-	if sortRelation(out, 0) {
-		skips++
-	}
-	return out, skips
-}
 
 // evenChunks splits n rows into at most w row ranges of near-equal size.
 func evenChunks(n, w int) [][2]int {
@@ -179,17 +52,4 @@ func evenChunks(n, w int) [][2]int {
 		bounds = append(bounds, [2]int{start, end})
 	}
 	return bounds
-}
-
-// concatRelations concatenates parts (in order) into one relation.
-func concatRelations(stride int, parts []relation) relation {
-	total := 0
-	for _, p := range parts {
-		total += len(p.data)
-	}
-	out := relation{stride: stride, data: make([]int64, 0, total)}
-	for _, p := range parts {
-		out.data = append(out.data, p.data...)
-	}
-	return out
 }

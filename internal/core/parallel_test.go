@@ -71,39 +71,3 @@ func TestMineParallelValidation(t *testing.T) {
 		t.Error("empty dataset accepted")
 	}
 }
-
-func TestChunkRelationByTidRespectsGroups(t *testing.T) {
-	rel := relation{stride: 2, data: []int64{
-		1, 10, 1, 11, 2, 10, 2, 12, 2, 13, 3, 10, 4, 10, 4, 11,
-	}}
-	for n := 1; n <= 6; n++ {
-		bounds := chunkRelationByTid(rel, n)
-		// Bounds tile the relation.
-		if bounds[0][0] != 0 || bounds[len(bounds)-1][1] != rel.rows() {
-			t.Fatalf("n=%d: bounds %v do not tile", n, bounds)
-		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i][0] != bounds[i-1][1] {
-				t.Fatalf("n=%d: gap in bounds %v", n, bounds)
-			}
-			// No transaction straddles a boundary.
-			if rel.tid(bounds[i][0]) == rel.tid(bounds[i][0]-1) {
-				t.Errorf("n=%d: tid %d split across chunks", n, rel.tid(bounds[i][0]))
-			}
-		}
-	}
-	if got := chunkRelationByTid(relation{stride: 2}, 4); got != nil {
-		t.Errorf("chunkRelationByTid(empty) = %v", got)
-	}
-}
-
-func TestSalesWindow(t *testing.T) {
-	sales := relation{stride: 2, data: []int64{1, 5, 2, 6, 2, 7, 4, 8, 7, 9}}
-	sub := salesWindow(sales, 2, 4)
-	if sub.rows() != 3 || sub.tid(0) != 2 || sub.tid(2) != 4 {
-		t.Errorf("salesWindow = %v", sub.data)
-	}
-	if got := salesWindow(sales, 5, 6); got.rows() != 0 {
-		t.Errorf("empty range = %v", got.data)
-	}
-}

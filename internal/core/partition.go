@@ -24,8 +24,15 @@ import (
 // the merged counts equal the serial driver's exactly and the results
 // are bit-identical to MineMemory (the conformance suite enforces it).
 //
+// Sharding exists on the packed kernels only: under DisablePackedKernels
+// this is the serial flat reference, and a run whose patterns outgrow the
+// 64-bit key hands its shards' rows to that same reference (handOff).
+//
 // shards <= 0 selects GOMAXPROCS.
 func MinePartitioned(d *Dataset, opts Options, shards int) (*Result, error) {
+	if opts.DisablePackedKernels {
+		return MineMemory(d, opts)
+	}
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
@@ -44,8 +51,10 @@ type partitionStepper struct {
 	// the merged C_k buffer with its filter bitmap.
 	dict   *packDict
 	dictAr *mineArena
-	packed bool
 	ck     pkCounts
+
+	// flat takes the run over once patterns no longer fit one key.
+	flat *flatStepper
 
 	// Exchange spill state: when Options.MemoryBudget caps the working
 	// set and the shards' candidate count lists collectively outgrow it,
@@ -57,17 +66,8 @@ type partitionStepper struct {
 	exIO   int64
 }
 
-// partitionShard holds one shard's local relations — packed by default,
-// generic flat relations under DisablePackedKernels or after the
-// wide-pattern fallback.
+// partitionShard holds one shard's local packed relations.
 type partitionShard struct {
-	// Generic substrate.
-	sales  relation // local R_1, sorted by (trans_id, item)
-	rk     relation // local R_{k-1}
-	join   relation // local R_1 side of the merge-scan join
-	rPrime relation // local R'_k of the current iteration
-
-	// Packed substrate.
 	psales []prow     // local packed R_1
 	prk    []prow     // local packed R_{k-1}
 	pjoin  []prow     // local packed join side
@@ -115,92 +115,44 @@ func (s *partitionStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error)
 	for i := range s.shards {
 		s.shards[i] = &partitionShard{}
 	}
-	s.packed = !s.opts.DisablePackedKernels
-	if s.packed {
-		s.dictAr = newMineArena()
-		s.dict = buildDict(s.d, s.dictAr)
+	s.dictAr = newMineArena()
+	s.dict = buildDict(s.d, s.dictAr)
+
+	// Local pass: build each shard's packed R_1 and its unfiltered item
+	// counts from the shared dictionary.
+	var wg sync.WaitGroup
+	for i, sh := range s.shards {
+		wg.Add(1)
+		go func(i int, sh *partitionShard) {
+			defer wg.Done()
+			sh.ar = newMineArena()
+			sh.psales = packSales(&Dataset{Transactions: groups[i]}, s.dict, sh.ar)
+			sh.countLocal(sh.psales, s.dict, 1)
+		}(i, sh)
 	}
+	wg.Wait()
 
-	var c1 []ItemsetCount
-	var skips int64
-	if s.packed {
-		// Local pass: build each shard's packed R_1 and its unfiltered
-		// item counts from the shared dictionary.
-		var wg sync.WaitGroup
-		for i, sh := range s.shards {
-			wg.Add(1)
-			go func(i int, sh *partitionShard) {
-				defer wg.Done()
-				sh.ar = newMineArena()
-				sh.psales = packSales(&Dataset{Transactions: groups[i]}, s.dict, sh.ar)
-				sh.countLocal(sh.psales, s.dict, 1)
-			}(i, sh)
-		}
-		wg.Wait()
-
-		// Global pass: merge the packed shard counts at the threshold.
-		ck, err := s.mergeShardCounts(minSup)
-		if err != nil {
-			return nil, iterSizes{}, err
-		}
-		c1 = decodePatterns(ck, 1, s.dict)
-
-		s.forEachShard(func(sh *partitionShard) {
-			sh.prk = sh.psales
-			sh.pjoin = sh.psales
-			if s.opts.PrefilterSales {
-				sh.prk = packedFilter(sh.psales, ck.keys, nil)
-				sh.pjoin = sh.prk
-			}
-		})
-		for _, sh := range s.shards {
-			skips += sh.skips
-		}
-	} else {
-		// Local pass: build each shard's R_1 and its unfiltered counts on
-		// the generic substrate.
-		counts := make([][]int64, s.nshards)
-		var wg sync.WaitGroup
-		for i, sh := range s.shards {
-			wg.Add(1)
-			go func(i int, sh *partitionShard) {
-				defer wg.Done()
-				sh.sales = salesRelation(&Dataset{Transactions: groups[i]})
-				byItem := sh.sales.clone()
-				if sortRelation(byItem, 1) {
-					sh.skips++
-				}
-				counts[i] = flatCountRuns(byItem, nil)
-			}(i, sh)
-		}
-		wg.Wait()
-
-		c1 = mergeFlatCounts(counts, 1, minSup)
-
-		s.forEachShard(func(sh *partitionShard) {
-			sh.rk = sh.sales
-			sh.join = sh.sales
-			if s.opts.PrefilterSales {
-				var fs int64
-				sh.rk, fs = filterRelation(sh.sales, c1)
-				sh.skips += fs
-				sh.join = sh.rk
-			}
-		})
-		for _, sh := range s.shards {
-			skips += sh.skips
-		}
+	// Global pass: merge the packed shard counts at the threshold.
+	ck, err := s.mergeShardCounts(minSup)
+	if err != nil {
+		return nil, iterSizes{}, err
 	}
+	c1 := decodePatterns(ck, 1, s.dict)
 
-	var salesRows, rkRows int64
+	s.forEachShard(func(sh *partitionShard) {
+		sh.prk = sh.psales
+		sh.pjoin = sh.psales
+		if s.opts.PrefilterSales {
+			sh.prk = packedFilter(sh.psales, ck.keys, nil)
+			sh.pjoin = sh.prk
+		}
+	})
+
+	var salesRows, rkRows, skips int64
 	for _, sh := range s.shards {
-		if s.packed {
-			salesRows += int64(len(sh.psales))
-			rkRows += int64(len(sh.prk))
-		} else {
-			salesRows += int64(sh.sales.rows())
-			rkRows += int64(sh.rk.rows())
-		}
+		salesRows += int64(len(sh.psales))
+		rkRows += int64(len(sh.prk))
+		skips += sh.skips
 	}
 	sz := iterSizes{rPrime: salesRows, rRows: rkRows, sortSkips: skips, plan: s.plan()}
 	s.takeExchangeStats(&sz)
@@ -212,10 +164,6 @@ func (s *partitionStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error)
 // (only the exchange lists spill past the budget).
 func (s *partitionStepper) plan() IterPlan {
 	p := IterPlan{Kernel: KernelPacked, Regime: RegimeResident, Workers: s.nshards, Exchange: ExchangeSharded}
-	if !s.packed {
-		p.Kernel = KernelGeneric
-		return p
-	}
 	// Shards pick their count kernel from their own row counts; the pass
 	// reports the table only when every shard counted on one.
 	p.Count = CountTable
@@ -238,26 +186,36 @@ func (s *partitionStepper) takeExchangeStats(sz *iterSizes) {
 }
 
 func (s *partitionStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
-	if s.packed && k > s.dict.maxPackedK() {
-		// Patterns no longer fit one key: every shard unpacks its live
-		// relations, returns its arena, and the loop continues on the
-		// generic kernels.
-		s.forEachShard(func(sh *partitionShard) {
-			sh.rk = unpackRel(sh.prk, k-1, s.dict)
-			sh.join = unpackRel(sh.pjoin, 1, s.dict)
-			sh.psales, sh.prk, sh.pjoin, sh.pext = nil, nil, nil, nil
-			sh.ar.release()
-			sh.ar = nil
-		})
-		s.dict = nil
-		s.dictAr.release()
-		s.dictAr = nil
-		s.packed = false
+	if s.flat == nil && k > s.dict.maxPackedK() {
+		s.handOff(k)
 	}
-	if s.packed {
-		return s.stepPacked(k, minSup)
+	if s.flat != nil {
+		return s.flat.step(k, minSup)
 	}
-	return s.stepGeneric(k, minSup)
+	return s.stepPacked(k, minSup)
+}
+
+// handOff ends the sharded run once k-item patterns no longer fit one
+// key, the way execStepper.stepWideFallback does: the shards' live rows
+// are gathered back into global (trans_id, items) order — shards are
+// tid-disjoint and packed key order is item order — and unpacked into the
+// one serial flat reference; every arena is returned.
+func (s *partitionStepper) handOff(k int) {
+	var rk, join []prow
+	for _, sh := range s.shards {
+		rk = append(rk, sh.prk...)
+		join = append(join, sh.pjoin...)
+	}
+	unpackSorted := func(rows []prow, k int) relation {
+		xsort.RadixSortRows(rows, make([]prow, len(rows)))
+		return unpackRel(rows, k, s.dict)
+	}
+	s.flat = &flatStepper{
+		d: s.d, opts: s.opts,
+		rk:       unpackSorted(rk, k-1),
+		joinSide: unpackSorted(join, 1),
+	}
+	s.release()
 }
 
 // stepPacked runs one sharded iteration on the packed-key substrate:
@@ -436,51 +394,4 @@ func (s *partitionStepper) release() {
 		s.dictAr.release()
 		s.dictAr = nil
 	}
-}
-
-// stepGeneric runs one sharded iteration on the generic flat-relation
-// substrate, exchanging flat int64 count lists.
-func (s *partitionStepper) stepGeneric(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
-	counts := make([][]int64, s.nshards)
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *partitionShard) {
-			defer wg.Done()
-			sh.skips = 0
-			if sortRelation(sh.rk, 0) {
-				sh.skips++
-			}
-			sh.rPrime = extendRelation(sh.rk, sh.join)
-			byItems := sh.rPrime.clone()
-			if sortRelation(byItems, 1) {
-				sh.skips++
-			}
-			counts[i] = flatCountRuns(byItems, nil)
-		}(i, sh)
-	}
-	wg.Wait()
-
-	// Global pass: merge the shard counts into C_k.
-	ck := mergeFlatCounts(counts, k, minSup)
-
-	var rPrimeRows int64
-	for _, sh := range s.shards {
-		rPrimeRows += int64(sh.rPrime.rows())
-	}
-
-	// Local pass: filter each shard's R'_k by the global C_k.
-	s.forEachShard(func(sh *partitionShard) {
-		var fs int64
-		sh.rk, fs = filterRelation(sh.rPrime, ck)
-		sh.skips += fs
-		sh.rPrime = relation{}
-	})
-
-	var rkRows, skips int64
-	for _, sh := range s.shards {
-		rkRows += int64(sh.rk.rows())
-		skips += sh.skips
-	}
-	return ck, iterSizes{rPrime: rPrimeRows, rRows: rkRows, sortSkips: skips, plan: s.plan()}, nil
 }

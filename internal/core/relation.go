@@ -278,64 +278,6 @@ func countRelationRuns(sorted relation, minSup int64) []ItemsetCount {
 	return out
 }
 
-// flatCountRuns scans a relation sorted on its item columns and appends
-// one flat [item_1..item_k, count] record per distinct pattern to dst —
-// no support filter, no per-pattern allocation. The flat form is what
-// parallel workers and partitioned shards exchange before the global
-// merge applies the threshold.
-func flatCountRuns(sorted relation, dst []int64) []int64 {
-	n := sorted.rows()
-	i := 0
-	for i < n {
-		j := i + 1
-		for j < n && compareItems(sorted.items(i), sorted.items(j)) == 0 {
-			j++
-		}
-		dst = append(dst, sorted.items(i)...)
-		dst = append(dst, int64(j-i))
-		i = j
-	}
-	return dst
-}
-
-// mergeFlatCounts merges flat count lists (each sorted by items, stride
-// k+1 with the count in the last field), summing counts of patterns that
-// appear in several lists and returning those meeting minSup in
-// lexicographic order. With minSup 1 it returns the full merged counts.
-func mergeFlatCounts(parts [][]int64, k int, minSup int64) []ItemsetCount {
-	stride := k + 1
-	heads := make([]int, len(parts))
-	cur := make([]int64, k)
-	var out []ItemsetCount
-	for {
-		best := -1
-		for i, h := range heads {
-			if h >= len(parts[i]) {
-				continue
-			}
-			if best == -1 || compareItems(parts[i][h:h+k], parts[best][heads[best]:heads[best]+k]) < 0 {
-				best = i
-			}
-		}
-		if best == -1 {
-			return out
-		}
-		copy(cur, parts[best][heads[best]:heads[best]+k])
-		var total int64
-		for i, h := range heads {
-			if h < len(parts[i]) && compareItems(parts[i][h:h+k], cur) == 0 {
-				total += parts[i][h+k]
-				heads[i] = h + stride
-			}
-		}
-		if total >= minSup {
-			items := make([]Item, k)
-			copy(items, cur)
-			out = append(out, ItemsetCount{Items: items, Count: total})
-		}
-	}
-}
-
 // patternSupported reports whether items occurs in the lexicographically
 // sorted count relation ck — the "simple table look-up on relation C_k"
 // of the paper's filter step, as an allocation-free binary search.

@@ -17,7 +17,7 @@ package core
 // order. The morsel splitters at the bottom of this file carve a
 // relation back into tid-aligned group sources (for the extension join)
 // or exact row ranges (for the filter), so spilled iterations fan out
-// across workers the same way the resident kernels of parallel.go do.
+// across workers the same way the resident kernels of arena.go do.
 //
 // The paper's structure survives intact: extension output inherits
 // (trans_id, items) order, so R'_k spills with no sort; only the count

@@ -93,11 +93,14 @@ type Options struct {
 	// with the unfiltered R_1; this flag is the ablation discussed in
 	// DESIGN.md.
 	PrefilterSales bool
-	// DisablePackedKernels makes the memory, parallel, and partitioned
-	// drivers run on the generic int64 relation kernels instead of the
-	// packed-key engine (see pack.go). Results are bit-identical; the
-	// generic path exists as the wide-pattern fallback, the conformance
-	// oracle, and a benchmark ablation.
+	// DisablePackedKernels replaces the packed-key engine (see pack.go)
+	// with the generic reference: on MineMemory, MineParallel,
+	// MinePartitioned and MineAuto that is one thing, the serial
+	// flat-relation kernels of relation.go (plan "generic/resident/1w",
+	// whatever worker or shard count was asked for); on MinePaged it is
+	// the heap-file merge-scan stepper. Results are bit-identical; the
+	// generic path exists as the wide-pattern fallback and the conformance
+	// oracle, not as something to run for speed.
 	DisablePackedKernels bool
 	// MemoryBudget bounds the mining working set in bytes for the drivers
 	// that can trade memory for page I/O. MinePaged keeps an iteration's
@@ -106,25 +109,19 @@ type Options struct {
 	// exceed the budget; MinePartitioned spills the per-shard count
 	// exchange lists the same way; MineAuto plans each iteration's
 	// regime against it. Zero selects the driver default (MinePaged:
-	// PoolFrames × the 4 KB page size; MineAuto and the in-memory
-	// drivers: unbounded); negative means explicitly unbounded, pinning
-	// even the paged driver's relations in RAM.
+	// PoolFrames × the 4 KB page size; MineAuto: unbounded); negative
+	// means explicitly unbounded, pinning even the paged driver's
+	// relations in RAM. MineMemory and MineParallel ignore it (resident
+	// by contract), as does the flat reference under DisablePackedKernels.
 	MemoryBudget int64
-	// Strategy selects how the driver picks each iteration's execution
-	// plan. StrategyDefault keeps every driver's fixed plan (the driver
-	// name is the contract); StrategyAuto makes MinePaged consult the
-	// cost model per iteration the way MineAuto does — kernel, regime,
-	// and parallelism chosen from observed cardinalities. The other
-	// drivers ignore it.
-	Strategy Strategy
-	// MaxWorkers caps the adaptive executor's parallelism (MineAuto and
-	// StrategyAuto plans). Zero means GOMAXPROCS.
+	// MaxWorkers caps the parallelism of MineAuto's plans and of MineSQL's
+	// engine. Zero means GOMAXPROCS.
 	MaxWorkers int
 	// Checkpoint, when non-nil, makes the adaptive executor persist a
 	// resumable manifest (k, C_1..C_k, R_k as a packed run file) into
 	// CheckpointConfig.Dir at iteration boundaries. A crashed run then
-	// restarts from the last manifest via MineAutoResume instead of
-	// re-mining from scratch, with bit-identical results. Nil disables
+	// restarts from the last manifest via MineAutoResumeMonitored instead
+	// of re-mining from scratch, with bit-identical results. Nil disables
 	// checkpointing (the default; it costs one sequential write of R_k
 	// per covered iteration, which the cost model charges to the plan).
 	// A pointer so Options stays comparable — cache keys and
@@ -139,17 +136,6 @@ type Options struct {
 	// Does not affect Counts; CanonicalOptions zeroes it.
 	RetainBorder bool
 }
-
-// Strategy selects between a driver's fixed execution plan and the
-// cost-model-driven adaptive executor.
-type Strategy int
-
-const (
-	// StrategyDefault keeps the driver's fixed plan.
-	StrategyDefault Strategy = iota
-	// StrategyAuto plans every iteration from observed cardinalities.
-	StrategyAuto
-)
 
 // ResolveMinSupport computes the absolute support threshold for n
 // transactions; the result is at least 1.
@@ -167,7 +153,7 @@ func (o Options) ResolveMinSupport(n int) int64 {
 // CanonicalOptions reduces o, for a dataset of n transactions, to the
 // fields that determine the mining *result*: the resolved absolute
 // support threshold and the pattern-length cap. Every execution knob —
-// strategy, kernels, memory budget, workers, prefiltering — is zeroed,
+// kernels, memory budget, workers, prefiltering — is zeroed,
 // because the drivers are conformance-pinned to bit-identical Counts
 // regardless of plan. Two option sets with equal canonical forms
 // therefore yield the same Result.Counts, which is exactly the cache

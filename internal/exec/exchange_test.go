@@ -164,11 +164,11 @@ func TestWindowBounds(t *testing.T) {
 		want         int
 	}{
 		{0, 0, false, false, 100},
-		{10, 0, true, false, 60},  // keys 10..24
-		{0, 10, false, true, 40},  // keys 0..9
-		{5, 7, true, true, 8},     // keys 5, 6
-		{25, 0, true, false, 0},   // past the end
-		{0, 0, false, true, 0},    // empty upper window
+		{10, 0, true, false, 60}, // keys 10..24
+		{0, 10, false, true, 40}, // keys 0..9
+		{5, 7, true, true, 8},    // keys 5, 6
+		{25, 0, true, false, 0},  // past the end
+		{0, 0, false, true, 0},   // empty upper window
 	} {
 		got, err := Drain(NewWindow(s, 0, tc.lo, tc.hasLo, tc.hi, tc.hasHi))
 		if err != nil {

@@ -67,8 +67,6 @@ func Children(op Operator) []Operator {
 		return []Operator{v.child}
 	case *SortGroup:
 		return []Operator{v.child}
-	case *HashGroup:
-		return []Operator{v.child}
 	case *MergeJoin:
 		return []Operator{v.left, v.right}
 	case *HashJoin:
@@ -166,9 +164,6 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 		explainAt(b, v.child, depth+1, note)
 	case *SortGroup:
 		line("SortGroup by %v (%d aggregates)", v.groupCols, len(v.aggs))
-		explainAt(b, v.child, depth+1, note)
-	case *HashGroup:
-		line("HashGroup by %v (%d aggregates)", v.groupCols, len(v.aggs))
 		explainAt(b, v.child, depth+1, note)
 	case *MergeJoin:
 		if v.hasVecGT {

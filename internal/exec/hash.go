@@ -321,175 +321,3 @@ func (h *HashJoin) nextBatch() (*tuple.Batch, error) {
 }
 
 func (h *HashJoin) Next() (tuple.Tuple, error) { return h.rows.next(h.NextBatch) }
-
-// HashGroup computes grouped aggregates with an in-memory hash table
-// instead of a pre-sorted input — the hash-based alternative to SortGroup
-// for the same ablation. Output order is unspecified (first-seen in
-// practice).
-type HashGroup struct {
-	child     Operator
-	groupCols []int
-	aggs      []AggSpec
-	schema    *tuple.Schema
-
-	childB  BatchOperator
-	out     []tuple.Tuple
-	pos     int
-	buf     *tuple.Batch
-	scratch tuple.Tuple
-
-	stats OpStats
-}
-
-type hashGroupState struct {
-	rep   tuple.Tuple
-	count int64
-	sums  []int64
-	mins  []int64
-	maxs  []int64
-}
-
-// NewHashGroup groups child on groupCols, computing aggs.
-func NewHashGroup(child Operator, groupCols []int, aggs []AggSpec) *HashGroup {
-	in := child.Schema()
-	cols := make([]tuple.Column, 0, len(groupCols)+len(aggs))
-	for _, gc := range groupCols {
-		cols = append(cols, in.Cols[gc])
-	}
-	for _, a := range aggs {
-		name := a.Name
-		if name == "" {
-			name = "agg"
-		}
-		cols = append(cols, tuple.Column{Name: name, Kind: tuple.KindInt})
-	}
-	return &HashGroup{
-		child:     child,
-		groupCols: groupCols,
-		aggs:      aggs,
-		schema:    tuple.NewSchema(cols...),
-		childB:    asBatchOp(child),
-	}
-}
-
-func (g *HashGroup) Schema() *tuple.Schema { return g.schema }
-
-// Child returns the wrapped input.
-func (g *HashGroup) Child() Operator { return g.child }
-
-func (g *HashGroup) Open() error {
-	g.stats.Reset()
-	if err := g.child.Open(); err != nil {
-		return err
-	}
-	defer g.child.Close()
-
-	if g.scratch == nil {
-		g.scratch = make(tuple.Tuple, g.child.Schema().Len())
-	}
-	groups := make(map[string]*hashGroupState)
-	var order []string // deterministic output: first-seen order
-	var keyBuf []byte
-	for {
-		b, err := g.childB.NextBatch()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			keyBuf, err = appendKey(keyBuf[:0], b, i, g.groupCols)
-			if err != nil {
-				return err
-			}
-			key := string(keyBuf)
-			st, ok := groups[key]
-			if !ok {
-				st = &hashGroupState{
-					rep:  b.Row(i),
-					sums: make([]int64, len(g.aggs)),
-					mins: make([]int64, len(g.aggs)),
-					maxs: make([]int64, len(g.aggs)),
-				}
-				groups[key] = st
-				order = append(order, key)
-			}
-			st.count++
-			for ai, a := range g.aggs {
-				switch a.Kind {
-				case AggSum, AggMin, AggMax:
-					col := &b.Cols[a.Col]
-					if col.Kind != tuple.KindInt {
-						return fmt.Errorf("exec: aggregate over non-integer column %d", a.Col)
-					}
-					v := col.I[b.RowIdx(i)]
-					if st.count == 1 {
-						st.sums[ai], st.mins[ai], st.maxs[ai] = v, v, v
-					} else {
-						st.sums[ai] += v
-						if v < st.mins[ai] {
-							st.mins[ai] = v
-						}
-						if v > st.maxs[ai] {
-							st.maxs[ai] = v
-						}
-					}
-				}
-			}
-		}
-	}
-
-	g.out = g.out[:0]
-	for _, key := range order {
-		st := groups[key]
-		row := make(tuple.Tuple, 0, len(g.groupCols)+len(g.aggs))
-		for _, c := range g.groupCols {
-			row = append(row, st.rep[c])
-		}
-		for ai, a := range g.aggs {
-			switch a.Kind {
-			case AggCount:
-				row = append(row, tuple.I(st.count))
-			case AggSum:
-				row = append(row, tuple.I(st.sums[ai]))
-			case AggMin:
-				row = append(row, tuple.I(st.mins[ai]))
-			case AggMax:
-				row = append(row, tuple.I(st.maxs[ai]))
-			}
-		}
-		g.out = append(g.out, row)
-	}
-	g.pos = 0
-	return nil
-}
-
-func (g *HashGroup) Next() (tuple.Tuple, error) {
-	if g.pos >= len(g.out) {
-		return nil, io.EOF
-	}
-	t := g.out[g.pos]
-	g.pos++
-	return t, nil
-}
-
-func (g *HashGroup) nextBatch() (*tuple.Batch, error) {
-	if g.pos >= len(g.out) {
-		return nil, io.EOF
-	}
-	if g.buf == nil {
-		g.buf = tuple.NewBatch(g.schema)
-	}
-	g.buf.Reset()
-	for g.pos < len(g.out) && g.buf.Len() < tuple.BatchSize {
-		if err := g.buf.AppendTuple(g.out[g.pos]); err != nil {
-			return nil, err
-		}
-		g.pos++
-	}
-	return g.buf, nil
-}
-
-func (g *HashGroup) Close() error { return nil }

@@ -102,69 +102,3 @@ func TestHashJoinStringKeys(t *testing.T) {
 		t.Errorf("string-key join = %v", got)
 	}
 }
-
-func TestHashGroupMatchesSortGroup(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	var rows []tuple.Tuple
-	for i := 0; i < 2000; i++ {
-		rows = append(rows, tuple.Ints(rng.Int63n(30), rng.Int63n(100)))
-	}
-	aggs := []AggSpec{
-		{Kind: AggCount, Name: "cnt"},
-		{Kind: AggSum, Col: 1, Name: "sum"},
-		{Kind: AggMin, Col: 1, Name: "min"},
-		{Kind: AggMax, Col: 1, Name: "max"},
-	}
-	hg := NewHashGroup(mem("k,v", rows...), []int{0}, aggs)
-	hgRows, err := Drain(hg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := append([]tuple.Tuple(nil), rows...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i][0].Int < sorted[j][0].Int })
-	sg := NewSortGroup(mem("k,v", sorted...), []int{0}, aggs)
-	sgRows, err := Drain(sg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hgRows) != len(sgRows) {
-		t.Fatalf("hash=%d sort=%d groups", len(hgRows), len(sgRows))
-	}
-	canon := func(rows []tuple.Tuple) {
-		sort.Slice(rows, func(i, j int) bool { return tuple.CompareAll(rows[i], rows[j]) < 0 })
-	}
-	canon(hgRows)
-	canon(sgRows)
-	for i := range hgRows {
-		if !tuple.EqualTuples(hgRows[i], sgRows[i]) {
-			t.Errorf("group %d: hash %v, sort %v", i, hgRows[i], sgRows[i])
-		}
-	}
-}
-
-func TestHashGroupEmptyAndReopen(t *testing.T) {
-	g := NewHashGroup(mem("k"), []int{0}, []AggSpec{{Kind: AggCount, Name: "cnt"}})
-	got, err := Drain(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("empty hash group = %v", got)
-	}
-}
-
-func TestHashGroupDeterministicOrder(t *testing.T) {
-	// First-seen order: keys appear in input order.
-	rows := []tuple.Tuple{tuple.Ints(5), tuple.Ints(3), tuple.Ints(5), tuple.Ints(9)}
-	g := NewHashGroup(mem("k", rows...), []int{0}, []AggSpec{{Kind: AggCount, Name: "cnt"}})
-	got, err := Drain(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{5, 3, 9}
-	for i, w := range want {
-		if got[i][0].Int != w {
-			t.Errorf("group %d key = %v, want %d", i, got[i], w)
-		}
-	}
-}

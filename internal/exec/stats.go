@@ -88,9 +88,6 @@ func (s *Sort) ExecStats() *OpStats              { return &s.stats }
 func (g *SortGroup) NextBatch() (*tuple.Batch, error) { return g.stats.tally(g.nextBatch()) }
 func (g *SortGroup) ExecStats() *OpStats              { return &g.stats }
 
-func (g *HashGroup) NextBatch() (*tuple.Batch, error) { return g.stats.tally(g.nextBatch()) }
-func (g *HashGroup) ExecStats() *OpStats              { return &g.stats }
-
 func (m *MergeJoin) NextBatch() (*tuple.Batch, error) { return m.stats.tally(m.nextBatch()) }
 func (m *MergeJoin) ExecStats() *OpStats              { return &m.stats }
 

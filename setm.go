@@ -30,11 +30,12 @@
 // same strategy space and compute bit-identical results: Mine (packed,
 // resident, serial), MineParallel (packed, resident, N workers),
 // MinePartitioned (hash-sharded with a global count merge), MinePaged
-// (budget-bounded spillable relations with page-I/O accounting; set
-// Options.Strategy = StrategyAuto to re-plan it per iteration), and
+// (budget-bounded spillable relations with page-I/O accounting), and
 // MineSQL (the paper's SQL statements executed by the bundled
 // relational engine). Every Result records the chosen plan per
-// iteration in Stats[i].Plan.
+// iteration in Stats[i].Plan. Options.DisablePackedKernels swaps the
+// packed kernels for the serial flat reference on every resident driver
+// (the heap-file stepper on MinePaged) — an oracle, not a fast path.
 package setm
 
 import (
@@ -71,16 +72,6 @@ type IterationStat = core.IterationStat
 // IterPlan is the per-iteration strategy IR the executor committed to:
 // kernel, memory regime, worker fan-out, exchange, and count kernel.
 type IterPlan = core.IterPlan
-
-// Strategy selects between a driver's fixed execution plan
-// (StrategyDefault) and per-iteration cost-based planning (StrategyAuto).
-type Strategy = core.Strategy
-
-// Strategy values for Options.Strategy.
-const (
-	StrategyDefault = core.StrategyDefault
-	StrategyAuto    = core.StrategyAuto
-)
 
 // PagedConfig tunes the paged driver (buffer-pool frames, page store).
 type PagedConfig = core.PagedConfig
@@ -129,7 +120,7 @@ func MineAuto(d *Dataset, opts Options) (*Result, error) {
 // for long-running callers (the setmd service) that must be able to
 // kill a mining job.
 func MineAutoContext(ctx context.Context, d *Dataset, opts Options) (*Result, error) {
-	return core.MineAutoContext(ctx, d, opts)
+	return core.MineAutoMonitored(ctx, d, opts, nil, nil)
 }
 
 // CheckpointConfig makes a mining run durable: with Options.Checkpoint
@@ -164,7 +155,7 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 // to an uninterrupted MineAuto run with the same options. cp == nil
 // degrades to a plain (checkpointing, if configured) MineAutoContext.
 func MineAutoResume(ctx context.Context, d *Dataset, opts Options, cp *Checkpoint) (*Result, error) {
-	return core.MineAutoResume(ctx, d, opts, cp)
+	return core.MineAutoResumeMonitored(ctx, d, opts, nil, nil, cp)
 }
 
 // BorderSnapshot is the retained state of a completed mining run that
@@ -208,7 +199,7 @@ func MineDelta(ctx context.Context, base, delta *Dataset, snapshot *BorderSnapsh
 // CanonicalOptions reduces opts, for a dataset of n transactions, to
 // the fields that determine the mining result — the resolved absolute
 // support threshold and the pattern-length cap — zeroing every
-// execution knob (strategy, budget, workers, kernels). All drivers are
+// execution knob (budget, workers, kernels, prefiltering). All drivers are
 // conformance-pinned to bit-identical counts regardless of plan, so two
 // option sets with equal canonical forms yield the same Result.Counts;
 // services use the canonical form as a result-cache key.
@@ -275,9 +266,11 @@ type ClassifiedDataset = core.ClassifiedDataset
 type ClassResult = core.ClassResult
 
 // MineClasses implements the extension the paper's conclusion sketches
-// ("relating association rules to customer classes"): one set-oriented
-// pass mines every customer class simultaneously, with support evaluated
-// per class. Use ClassResult.ByClass with Rules to obtain per-class rules.
+// ("relating association rules to customer classes"): the transactions
+// are grouped by class in one pass and each class is then an ordinary
+// mine on the shared executor at that class's own threshold, the count
+// relations tagged C_k(class, items, count) in (class, items) order. Use
+// ClassResult.ByClass with Rules to obtain per-class rules.
 func MineClasses(d *ClassifiedDataset, minSupportFrac float64) (*ClassResult, error) {
 	return core.MineClasses(d, minSupportFrac)
 }

@@ -74,16 +74,6 @@ func TestMineAutoPublicAPI(t *testing.T) {
 			}
 		}
 	}
-	// Strategy Auto threads through the paged driver too.
-	o := opts
-	o.Strategy = setm.StrategyAuto
-	paged, err := setm.MinePaged(d, o, setm.PagedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if paged.TotalPatterns() != mem.TotalPatterns() {
-		t.Errorf("paged auto: %d patterns, want %d", paged.TotalPatterns(), mem.TotalPatterns())
-	}
 }
 
 func TestGenerators(t *testing.T) {
