@@ -17,9 +17,7 @@ type PagedConfig struct {
 	PoolFrames int
 	// Options.MemoryBudget is the one memory knob for the paged driver;
 	// the generic tuple substrate's external-sort runs and the packed
-	// path's spill buffers both derive from it. (A deprecated
-	// SortMemLimit field used to bound the tuple sorts separately; it
-	// was removed once both substrates honoured the shared budget.)
+	// path's spill buffers both derive from it.
 
 	// Store supplies the page store (default: a fresh in-memory store).
 	// Pass a storage.FileStore to run against a real file, or a
@@ -279,10 +277,10 @@ func filterFile(pool *storage.Pool, rPrime *hp.File, k int, ck []ItemsetCount) (
 		}
 		return supported[encode(items)], nil
 	})
-	allCols := make([]int, k+1)
+	allCols := make([]exec.SortKey, k+1)
 	for i := range allCols {
-		allCols[i] = i
+		allCols[i] = exec.SortKey{Col: i}
 	}
-	sorted := exec.NewSort(filtered, xsort.ByColumns(allCols...), pool, 0)
+	sorted := exec.NewSortKeys(filtered, allCols, pool, 0)
 	return exec.Materialize(pool, sorted)
 }

@@ -51,9 +51,7 @@ func MineSQL(d *Dataset, opts Options, cfg SQLConfig) (*Result, error) {
 	if opts.MemoryBudget > 0 {
 		// One budget knob across drivers: the planner's working-set bound
 		// and the external sort's run size both derive from it.
-		dbOpts = append(dbOpts,
-			engine.WithMemBudget(opts.MemoryBudget),
-			engine.WithSortMemory(int(opts.MemoryBudget)))
+		dbOpts = append(dbOpts, engine.WithMemBudget(opts.MemoryBudget))
 	}
 	// The adaptive executor's worker knob carries through to the engine's
 	// planner, which decides per query whether exchange operators pay.

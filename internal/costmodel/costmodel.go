@@ -392,17 +392,9 @@ func ParallelMs(serialMs float64, workers int) float64 {
 	return serialMs/float64(workers) + ParallelFanoutMs*float64(workers)
 }
 
-// ParallelScanMs models a heap scan split into page-range morsels over
-// workers: the serial scan cost divides across the workers, plus the
-// fan-out overhead — the same saturating shape as ParallelMs.
-func ParallelScanMs(p DBParams, pages int64, workers int) float64 {
-	return ParallelMs(SeqScanMs(p, pages), workers)
-}
-
-// ExchangeMs models moving rows through an exchange operator (Gather or
-// Repartition): each row is copied once across the worker boundary (half
-// a CPUTupleMs — a column copy, no decode), plus the per-worker channel
-// and buffer setup. Workers <= 1 means no exchange and costs nothing.
+// ExchangeMs models moving rows through the Gather exchange: each row is
+// copied once across the worker boundary (half a CPUTupleMs — a column
+// copy, no decode), plus the per-worker channel and buffer setup. Workers <= 1 means no exchange and costs nothing.
 func ExchangeMs(rows int64, workers int) float64 {
 	if workers <= 1 {
 		return 0

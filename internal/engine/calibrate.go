@@ -31,12 +31,6 @@ func (db *DB) SetCalibration(cal costmodel.Calibration) {
 	db.calibVer++
 }
 
-// ResetCalibration reverts to the built-in defaults.
-func (db *DB) ResetCalibration() {
-	db.calib = nil
-	db.calibVer++
-}
-
 // Observe executes one SELECT and returns the per-operator calibration
 // observations (actual input/output rows of every filter and grouping).
 func (db *DB) Observe(sql string, params map[string]int64) ([]costmodel.Observation, error) {
@@ -52,11 +46,7 @@ func (db *DB) Observe(sql string, params map[string]int64) ([]costmodel.Observat
 	if err != nil {
 		return nil, err
 	}
-	bop, ok := pl.Root.(exec.BatchOperator)
-	if !ok {
-		return nil, fmt.Errorf("engine: compiled operator %T is not batchable", pl.Root)
-	}
-	if _, err := exec.DrainBatches(bop); err != nil {
+	if _, err := exec.DrainBatches(pl.Root); err != nil {
 		return nil, err
 	}
 	return pl.Observations(), nil

@@ -32,10 +32,9 @@ type DB struct {
 	pool  *storage.Pool
 	cat   *catalog.Catalog
 
-	// SortMemLimit bounds external-sort run size in bytes (0 = default).
-	SortMemLimit int
 	// MemBudget bounds the planner's in-memory working set per sort or
-	// hash build (0 = plan.DefaultMemBudget); larger inputs spill.
+	// hash build (0 = plan.DefaultMemBudget); larger inputs spill, in runs
+	// of this size.
 	MemBudget int64
 
 	// calib is the installed fitted estimation-constant set (nil =
@@ -54,21 +53,17 @@ type DB struct {
 type Option func(*config)
 
 type config struct {
-	poolFrames   int
-	sortMemLimit int
-	memBudget    int64
-	maxWorkers   int
+	poolFrames int
+	memBudget  int64
+	maxWorkers int
 }
 
 // WithPoolFrames sets the buffer-pool capacity in 4 KB frames.
 func WithPoolFrames(n int) Option { return func(c *config) { c.poolFrames = n } }
 
-// WithSortMemory bounds the external sort's in-memory run size in bytes.
-func WithSortMemory(n int) Option { return func(c *config) { c.sortMemLimit = n } }
-
 // WithMemBudget bounds the planner's in-memory working set per sort or
-// hash build; estimates above it plan external sorts (or reject hash
-// builds). Zero keeps the planner default.
+// hash build; estimates above it plan external sorts, whose runs are this
+// size (or reject hash builds). Zero keeps the planner default.
 func WithMemBudget(n int64) Option { return func(c *config) { c.memBudget = n } }
 
 // WithMaxWorkers caps the degree of parallelism of a single query's
@@ -85,12 +80,11 @@ func New(opts ...Option) *DB {
 	store := storage.NewMemStore()
 	pool := storage.NewPool(store, cfg.poolFrames)
 	return &DB{
-		store:        store,
-		pool:         pool,
-		cat:          catalog.New(pool),
-		SortMemLimit: cfg.sortMemLimit,
-		MemBudget:    cfg.memBudget,
-		maxWorkers:   cfg.maxWorkers,
+		store:      store,
+		pool:       pool,
+		cat:        catalog.New(pool),
+		MemBudget:  cfg.memBudget,
+		maxWorkers: cfg.maxWorkers,
 	}
 }
 
@@ -199,11 +193,7 @@ func (db *DB) ExecStmt(st sqlparse.Stmt, params map[string]int64) (*Result, erro
 		if s.Analyze {
 			// Execute the plan to fill the per-operator actual-row counters,
 			// then render with actual-vs-estimated annotations.
-			bop, ok := pl.Root.(exec.BatchOperator)
-			if !ok {
-				return nil, fmt.Errorf("engine: compiled operator %T is not batchable", pl.Root)
-			}
-			batches, err := exec.DrainBatches(bop)
+			batches, err := exec.DrainBatches(pl.Root)
 			if err != nil {
 				return nil, err
 			}
@@ -232,7 +222,6 @@ func (db *DB) ExecStmt(st sqlparse.Stmt, params map[string]int64) (*Result, erro
 
 func (db *DB) compiler(p plan.Params) *plan.Compiler {
 	c := plan.NewCompiler(db.cat, db.pool, p)
-	c.SortMemLimit = db.SortMemLimit
 	c.MemBudget = db.MemBudget
 	c.Calib = db.calib
 	c.MaxWorkers = db.maxWorkers
@@ -316,17 +305,13 @@ func (db *DB) execInsertSelect(s *sqlparse.Insert, pl *plan.Plan) (*Result, erro
 			op.Schema().Len(), s.Table, schema.Len())
 	}
 	wasEmpty := tbl.File.Rows() == 0
-	bop, ok := op.(exec.BatchOperator)
-	if !ok {
-		return nil, fmt.Errorf("engine: compiled operator %T is not batchable", op)
-	}
-	if err := bop.Open(); err != nil {
+	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	defer bop.Close()
+	defer op.Close()
 	var n int64
 	for {
-		b, err := bop.NextBatch()
+		b, err := op.NextBatch()
 		if err == io.EOF {
 			break
 		}

@@ -210,11 +210,7 @@ func (s *Stmt) QueryBatches(params map[string]int64) (*tuple.Schema, []*tuple.Ba
 	if err != nil {
 		return nil, nil, err
 	}
-	bop, ok := pl.Root.(exec.BatchOperator)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: compiled operator %T is not batchable", pl.Root)
-	}
-	batches, err := exec.DrainBatches(bop)
+	batches, err := exec.DrainBatches(pl.Root)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,8 +1,6 @@
-// Vectorized execution contract. Every operator in this package is both a
-// row-at-a-time Operator (the Volcano contract, kept so existing callers
-// and tests work unchanged) and a BatchOperator whose NextBatch moves
-// ~1024 rows of column vectors per call. The batch path is the native
-// implementation; Next is a thin cursor over it.
+// The pull contract's helpers: the one adapter that turns batches into
+// tuples (rowCursor, behind Drain), the joins' shared input cursor, and the
+// column-wise row appenders.
 package exec
 
 import (
@@ -11,78 +9,19 @@ import (
 	"setm/internal/tuple"
 )
 
-// BatchOperator is the vectorized pull contract. A batch returned by
-// NextBatch is valid only until the next NextBatch or Close call on the
-// same operator; producers reuse their buffers. Do not interleave Next and
-// NextBatch calls on one operator instance.
-type BatchOperator interface {
-	// Schema describes the batches produced.
-	Schema() *tuple.Schema
-	// Open prepares the operator (and its inputs) for iteration.
-	Open() error
-	// NextBatch returns the next non-empty batch or io.EOF.
-	NextBatch() (*tuple.Batch, error)
-	// Close releases resources; it must be safe after a failed Open.
-	Close() error
-}
-
-// asBatchOp returns op's native batch interface, wrapping foreign
-// row-only operators in a row-pulling adapter. Every operator in this
-// package is batch-native, so the adapter only fires for external
-// implementations of Operator.
-func asBatchOp(op Operator) BatchOperator {
-	if b, ok := op.(BatchOperator); ok {
-		return b
-	}
-	return &rowBatcher{op: op}
-}
-
-// rowBatcher adapts a row-only Operator to the batch contract.
-type rowBatcher struct {
-	op  Operator
-	buf *tuple.Batch
-}
-
-func (r *rowBatcher) Schema() *tuple.Schema { return r.op.Schema() }
-func (r *rowBatcher) Open() error           { return r.op.Open() }
-func (r *rowBatcher) Close() error          { return r.op.Close() }
-
-func (r *rowBatcher) NextBatch() (*tuple.Batch, error) {
-	if r.buf == nil {
-		r.buf = tuple.NewBatch(r.op.Schema())
-	}
-	r.buf.Reset()
-	for r.buf.Len() < tuple.BatchSize {
-		t, err := r.op.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := r.buf.AppendTuple(t); err != nil {
-			return nil, err
-		}
-	}
-	if r.buf.Len() == 0 {
-		return nil, io.EOF
-	}
-	return r.buf, nil
-}
-
-// rowCursor implements the row-at-a-time adapter over a NextBatch source:
-// each operator's Next() drains its own batches one materialized tuple at
-// a time.
+// rowCursor is the one adapter from the batch contract to tuples: Next
+// hands out op's batches one materialized row at a time. Drain uses it for
+// callers that want rows (SELECT results, the CLI, tests) and the external
+// sort's run builder pulls its input through it (it is an xsort.Iterator).
 type rowCursor struct {
-	b *tuple.Batch
-	i int
+	op Operator
+	b  *tuple.Batch
+	i  int
 }
 
-func (rc *rowCursor) reset() { rc.b, rc.i = nil, 0 }
-
-func (rc *rowCursor) next(src func() (*tuple.Batch, error)) (tuple.Tuple, error) {
+func (rc *rowCursor) Next() (tuple.Tuple, error) {
 	for rc.b == nil || rc.i >= rc.b.Len() {
-		b, err := src()
+		b, err := rc.op.NextBatch()
 		if err != nil {
 			return nil, err
 		}
@@ -93,16 +32,16 @@ func (rc *rowCursor) next(src func() (*tuple.Batch, error)) (tuple.Tuple, error)
 	return t, nil
 }
 
-// batchCursor tracks a row position in a stream of batches pulled from a
-// BatchOperator — the shared input-advance state of the join operators.
+// batchCursor tracks a row position in a stream of batches pulled from an
+// operator — the shared input-advance state of the join operators.
 type batchCursor struct {
-	src BatchOperator
+	src Operator
 	b   *tuple.Batch
 	i   int
 	eof bool
 }
 
-func (c *batchCursor) reset(src BatchOperator) { c.src, c.b, c.i, c.eof = src, nil, 0, false }
+func (c *batchCursor) reset(src Operator) { c.src, c.b, c.i, c.eof = src, nil, 0, false }
 
 // ensure makes (b, i) reference a valid row, pulling batches as needed.
 // It returns false at end of input.
@@ -124,7 +63,7 @@ func (c *batchCursor) ensure() (bool, error) {
 
 // DrainBatches pulls every batch from op (calling Open and Close),
 // returning dense copies safe to keep after the operator is closed.
-func DrainBatches(op BatchOperator) ([]*tuple.Batch, error) {
+func DrainBatches(op Operator) ([]*tuple.Batch, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}

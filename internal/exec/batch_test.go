@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"io"
 	"math/rand"
 	"sort"
 	"testing"
@@ -97,30 +96,17 @@ func refGroupCount(rows []tuple.Tuple, groupCols []int) []tuple.Tuple {
 	return out
 }
 
-// drainBatchesAsRows runs op through the batch contract only, expanding
-// the batches to rows for comparison.
-func drainBatchesAsRows(t *testing.T, op BatchOperator) []tuple.Tuple {
+// drainRows is Drain, failing the test on error.
+func drainRows(t testing.TB, op Operator) []tuple.Tuple {
 	t.Helper()
-	if err := op.Open(); err != nil {
+	rows, err := Drain(op)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer op.Close()
-	var out []tuple.Tuple
-	for {
-		b, err := op.NextBatch()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < b.Len(); i++ {
-			out = append(out, b.Row(i))
-		}
-	}
+	return rows
 }
 
-func requireSameRows(t *testing.T, label string, got, want []tuple.Tuple) {
+func requireSameRows(t testing.TB, label string, got, want []tuple.Tuple) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
@@ -144,10 +130,9 @@ func randRows(rng *rand.Rand, n, arity int, domain int64) []tuple.Tuple {
 	return rows
 }
 
-// TestBatchOperatorsMatchRowReference cross-checks every batch operator
-// against the row-at-a-time reference on randomized inputs, through both
-// the NextBatch contract and the row adapter.
-func TestBatchOperatorsMatchRowReference(t *testing.T) {
+// TestOperatorsMatchRowReference cross-checks the operators against the
+// row-at-a-time reference on randomized inputs.
+func TestOperatorsMatchRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
 		n := rng.Intn(2500) // spans multiple batches
@@ -156,7 +141,7 @@ func TestBatchOperatorsMatchRowReference(t *testing.T) {
 
 		// Sort (asc and desc keys).
 		keys := []SortKey{{Col: 1}, {Col: 0, Desc: trial%2 == 0}}
-		got := drainBatchesAsRows(t, NewSortKeys(NewMemScan(schema, rows), keys, nil, 0))
+		got := drainRows(t, NewSortKeys(NewMemScan(schema, rows), keys, nil, 0))
 		requireSameRows(t, "sort", got, refSort(rows, keys))
 
 		// Filter: vectorized a >= const AND row-predicate b != c.
@@ -178,13 +163,13 @@ func TestBatchOperatorsMatchRowReference(t *testing.T) {
 			return out, nil
 		}
 		pred := func(tp tuple.Tuple) (bool, error) { return tp[1].Int != tp[2].Int, nil }
-		got = drainBatchesAsRows(t, NewFilterVec(NewMemScan(schema, rows), []VecPredicate{vec}, pred))
+		got = drainRows(t, NewFilterVec(NewMemScan(schema, rows), []VecPredicate{vec}, pred))
 		requireSameRows(t, "filter", got, refFilter(rows, func(tp tuple.Tuple) bool {
 			return tp[0].Int >= 3 && tp[1].Int != tp[2].Int
 		}))
 
 		// Project: column fast path (reorder + duplicate a column).
-		got = drainBatchesAsRows(t, NewColumnProject(NewMemScan(schema, rows), []int{2, 0, 0}))
+		got = drainRows(t, NewColumnProject(NewMemScan(schema, rows), []int{2, 0, 0}))
 		want := make([]tuple.Tuple, len(rows))
 		for i, r := range rows {
 			want[i] = tuple.Tuple{r[2], r[0], r[0]}
@@ -193,12 +178,12 @@ func TestBatchOperatorsMatchRowReference(t *testing.T) {
 
 		// Distinct over sorted input.
 		sorted := refSort(rows, []SortKey{{Col: 0}, {Col: 1}, {Col: 2}})
-		got = drainBatchesAsRows(t, NewDistinct(NewMemScan(schema, sorted)))
+		got = drainRows(t, NewDistinct(NewMemScan(schema, sorted)))
 		requireSameRows(t, "distinct", got, refDistinctSorted(sorted))
 
 		// Limit that lands mid-batch.
 		limit := int64(rng.Intn(n + 1))
-		got = drainBatchesAsRows(t, NewLimit(NewMemScan(schema, rows), limit))
+		got = drainRows(t, NewLimit(NewMemScan(schema, rows), limit))
 		requireSameRows(t, "limit", got, rows[:limit])
 
 		// Joins: merge vs hash vs nested-loop vs reference, on sorted keys.
@@ -212,47 +197,24 @@ func TestBatchOperatorsMatchRowReference(t *testing.T) {
 		canon(wantJoin)
 		for _, jc := range []struct {
 			name string
-			op   BatchOperator
+			op   Operator
 		}{
 			{"merge-join", NewMergeJoin(NewMemScan(js, lrows), NewMemScan(js, rrows), []int{0}, []int{0}, nil)},
 			{"hash-join", NewHashJoin(NewMemScan(js, lrows), NewMemScan(js, rrows), []int{0}, []int{0}, nil)},
 			{"nested-loop", NewNestedLoopJoin(NewMemScan(js, lrows), NewMemScan(js, rrows),
 				func(l, r tuple.Tuple) (bool, error) { return l[0].Int == r[0].Int, nil })},
 		} {
-			got := drainBatchesAsRows(t, jc.op)
+			got := drainRows(t, jc.op)
 			canon(got)
 			requireSameRows(t, jc.name, got, wantJoin)
 		}
 
 		// SortGroup COUNT(*) over sorted input.
 		grouped := refSort(rows, []SortKey{{Col: 0}, {Col: 1}})
-		got = drainBatchesAsRows(t, NewSortGroup(NewMemScan(schema, grouped), []int{0, 1},
+		got = drainRows(t, NewSortGroup(NewMemScan(schema, grouped), []int{0, 1},
 			[]AggSpec{{Kind: AggCount, Name: "cnt"}}))
 		requireSameRows(t, "sortgroup", got, refGroupCount(grouped, []int{0, 1}))
 	}
-}
-
-// TestRowAdapterMatchesBatchPath checks that Next() (the row adapter) and
-// NextBatch() yield identical streams for a composed pipeline.
-func TestRowAdapterMatchesBatchPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rows := randRows(rng, 3000, 2, 10)
-	schema := tuple.IntSchema("g", "v")
-	build := func() Operator {
-		sorted := NewSortKeys(NewMemScan(schema, rows), []SortKey{{Col: 0}}, nil, 0)
-		return NewSortGroup(sorted, []int{0}, []AggSpec{
-			{Kind: AggCount, Name: "cnt"},
-			{Kind: AggSum, Col: 1, Name: "sum"},
-			{Kind: AggMin, Col: 1, Name: "min"},
-			{Kind: AggMax, Col: 1, Name: "max"},
-		})
-	}
-	viaRows, err := Drain(build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBatches := drainBatchesAsRows(t, build().(BatchOperator))
-	requireSameRows(t, "row adapter vs batch", viaRows, viaBatches)
 }
 
 // FuzzExecBatch mirrors FuzzPackedKernels for the executor: arbitrary
@@ -280,7 +242,7 @@ func FuzzExecBatch(f *testing.F) {
 		keys := []SortKey{{Col: keyCol}, {Col: 1 - keyCol}}
 
 		// Sort.
-		got := drainBatchesAsRows(t, NewSortKeys(NewMemScan(schema, rows), keys, nil, 0))
+		got := drainRows(t, NewSortKeys(NewMemScan(schema, rows), keys, nil, 0))
 		requireSameRows(t, "fuzz sort", got, refSort(rows, keys))
 
 		// Split into two sorted relations and merge-join on the key column.
@@ -292,18 +254,18 @@ func FuzzExecBatch(f *testing.F) {
 			sort.Slice(rows, func(i, j int) bool { return tuple.CompareAll(rows[i], rows[j]) < 0 })
 		}
 		canon(want)
-		gotJ := drainBatchesAsRows(t, NewMergeJoin(NewMemScan(schema, l), NewMemScan(schema, r),
+		gotJ := drainRows(t, NewMergeJoin(NewMemScan(schema, l), NewMemScan(schema, r),
 			[]int{0}, []int{0}, nil))
 		canon(gotJ)
 		requireSameRows(t, "fuzz merge-join", gotJ, want)
-		gotH := drainBatchesAsRows(t, NewHashJoin(NewMemScan(schema, l), NewMemScan(schema, r),
+		gotH := drainRows(t, NewHashJoin(NewMemScan(schema, l), NewMemScan(schema, r),
 			[]int{0}, []int{0}, nil))
 		canon(gotH)
 		requireSameRows(t, "fuzz hash-join", gotH, want)
 
 		// Group-count the sorted stream.
 		sorted := refSort(rows, []SortKey{{Col: 0}, {Col: 1}})
-		gotG := drainBatchesAsRows(t, NewSortGroup(NewMemScan(schema, sorted), []int{0, 1},
+		gotG := drainRows(t, NewSortGroup(NewMemScan(schema, sorted), []int{0, 1},
 			[]AggSpec{{Kind: AggCount, Name: "cnt"}}))
 		requireSameRows(t, "fuzz group", gotG, refGroupCount(sorted, []int{0, 1}))
 

@@ -27,14 +27,14 @@ func drainOp(b *testing.B, op Operator) int {
 	defer op.Close()
 	n := 0
 	for {
-		_, err := op.Next()
+		batch, err := op.NextBatch()
 		if err == io.EOF {
 			return n
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		n++
+		n += batch.Len()
 	}
 }
 

@@ -1,0 +1,255 @@
+package exec
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"testing"
+
+	hp "setm/internal/heap"
+	"setm/internal/storage"
+	"setm/internal/tuple"
+)
+
+// failingOp is an input whose Open (and anything after it) fails; it
+// counts its Open and Close calls so a test can see it was not left open.
+type failingOp struct {
+	schema        *tuple.Schema
+	opens, closes int
+}
+
+var errBoom = errors.New("boom")
+
+func (f *failingOp) Schema() *tuple.Schema            { return f.schema }
+func (f *failingOp) Open() error                      { f.opens++; return errBoom }
+func (f *failingOp) NextBatch() (*tuple.Batch, error) { return nil, errBoom }
+func (f *failingOp) Close() error                     { f.closes++; return nil }
+
+// opCase builds one operator over inputs made by src; the contract tests
+// run every operator of the package through the same checks.
+type opCase struct {
+	name  string
+	build func(src func() Operator) Operator
+	leaf  bool // no input: src is unused
+}
+
+// contractCases returns a case per operator (Gather and ParallelGroup at
+// 1, 2 and 4 workers) with the multi-page scan that feeds them, its schema
+// and the pool it lives in.
+func contractCases(t *testing.T) (cases []opCase, scan func() Operator, schema *tuple.Schema, pool *storage.Pool) {
+	schema = tuple.IntSchema("trans_id", "item")
+	rows := keyRuns(3000, 21) // ascending on trans_id, a dozen pages
+	pool = storage.NewPool(storage.NewMemStore(), 64)
+	f, err := hp.Create(pool, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AppendAll(rows); err != nil {
+		t.Fatal(err)
+	}
+	scan = func() Operator { return NewHeapScan(f) }
+	evenItem := func(b *tuple.Batch, in, out []int32) ([]int32, error) {
+		v := b.Cols[1].I
+		if in == nil {
+			for i := range v {
+				if v[i]%2 == 0 {
+					out = append(out, int32(i))
+				}
+			}
+			return out, nil
+		}
+		for _, i := range in {
+			if v[i]%2 == 0 {
+				out = append(out, i)
+			}
+		}
+		return out, nil
+	}
+	count := []AggSpec{{Kind: AggCount, Name: "cnt"}}
+	// frags cuts src's scan into n fragments; a failing input stands in for
+	// each fragment.
+	frags := func(src func() Operator, n int) []Operator {
+		if fr := FragmentScans(src(), n); fr != nil {
+			return fr
+		}
+		out := make([]Operator, n)
+		for i := range out {
+			out[i] = src()
+		}
+		return out
+	}
+
+	cases = []opCase{
+		{name: "HeapScan", leaf: true, build: func(func() Operator) Operator { return NewHeapScan(f) }},
+		{name: "MemScan", leaf: true, build: func(func() Operator) Operator { return NewMemScan(schema, rows) }},
+		{name: "Rename", build: func(src func() Operator) Operator { return NewRename(src(), tuple.IntSchema("t", "i")) }},
+		{name: "Filter", build: func(src func() Operator) Operator {
+			return NewFilterVec(src(), []VecPredicate{evenItem},
+				func(tp tuple.Tuple) (bool, error) { return tp[0].Int%3 != 0, nil })
+		}},
+		{name: "Project", build: func(src func() Operator) Operator {
+			return NewProject(src(), tuple.IntSchema("item", "one"),
+				[]Projector{ColProjector(1), ConstProjector(tuple.I(1))})
+		}},
+		{name: "Limit", build: func(src func() Operator) Operator { return NewLimit(src(), 1500) }},
+		{name: "Distinct", build: func(src func() Operator) Operator {
+			return NewDistinct(NewColumnProject(src(), []int{0}))
+		}},
+		{name: "Sort", build: func(src func() Operator) Operator {
+			return NewSortKeys(src(), []SortKey{{Col: 1}, {Col: 0, Desc: true}}, nil, 0)
+		}},
+		{name: "Sort/external", build: func(src func() Operator) Operator {
+			return NewSortKeys(src(), []SortKey{{Col: 1}}, pool, 4096)
+		}},
+		{name: "SortGroup", build: func(src func() Operator) Operator { return NewSortGroup(src(), []int{0}, count) }},
+		{name: "MergeJoin", build: func(src func() Operator) Operator {
+			m := NewMergeJoin(scan(), src(), []int{0}, []int{0}, nil)
+			m.SetVecResidualGT(1, 1)
+			return m
+		}},
+		{name: "HashJoin", build: func(src func() Operator) Operator {
+			return NewHashJoin(scan(), src(), []int{0}, []int{0}, nil)
+		}},
+		{name: "NestedLoopJoin", build: func(src func() Operator) Operator {
+			return NewNestedLoopJoin(NewLimit(scan(), 40), src(),
+				func(l, r tuple.Tuple) (bool, error) { return l[0].Int == r[0].Int, nil })
+		}},
+		{name: "Window", build: func(src func() Operator) Operator { return NewWindow(src(), 0, 100, true, 900, true) }},
+	}
+	for _, w := range []int{1, 2, 4} {
+		w := w
+		cases = append(cases,
+			opCase{name: fmt.Sprintf("Gather/%dw", w), build: func(src func() Operator) Operator {
+				return NewGather(frags(src, 4), w)
+			}},
+			opCase{name: fmt.Sprintf("ParallelGroup/%dw", w), build: func(src func() Operator) Operator {
+				return NewParallelGroup(frags(src, 4), []int{1}, count, w)
+			}})
+	}
+
+	return cases, scan, schema, pool
+}
+
+// pullAll opens op and pulls it to io.EOF, returning its rows and leaving
+// it open.
+func pullAll(t *testing.T, op Operator) []tuple.Tuple {
+	t.Helper()
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	var rows []tuple.Tuple
+	for {
+		b, err := op.NextBatch()
+		if err == io.EOF {
+			return rows
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Len() == 0 {
+			t.Fatal("NextBatch returned an empty batch")
+		}
+		for i := 0; i < b.Len(); i++ {
+			rows = append(rows, b.Row(i))
+		}
+	}
+}
+
+// TestOperatorEOFAfterExhaustion: once an operator has returned io.EOF,
+// every further NextBatch returns io.EOF again.
+func TestOperatorEOFAfterExhaustion(t *testing.T) {
+	cases, scan, _, _ := contractCases(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			op := tc.build(scan)
+			if rows := pullAll(t, op); len(rows) == 0 {
+				t.Fatal("case produces no rows; it checks nothing")
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := op.NextBatch(); err != io.EOF {
+					t.Fatalf("NextBatch call %d after EOF: %v", i+1, err)
+				}
+			}
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestOperatorContract holds every operator to the rest of the one pull
+// contract: a second and third Open–drain–Close of the same instance yield
+// the same rows, Drain — the row adapter — sees exactly the rows NextBatch
+// produced, and Close is safe after a failed Open.
+func TestOperatorContract(t *testing.T) {
+	cases, scan, schema, pool := contractCases(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			op := tc.build(scan)
+			viaBatches := pullAll(t, op)
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// The same instance again, through the row adapter and through
+			// DrainBatches.
+			requireSameRows(t, "Drain vs NextBatch", drainRows(t, op), viaBatches)
+			requireSameRows(t, "second Drain", drainRows(t, op), viaBatches)
+			batches, err := DrainBatches(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var flat []tuple.Tuple
+			for _, b := range batches {
+				for i := 0; i < b.Len(); i++ {
+					flat = append(flat, b.Row(i))
+				}
+			}
+			requireSameRows(t, "DrainBatches flattened vs Drain", flat, viaBatches)
+			if n := pool.PinnedFrames(); n != 0 {
+				t.Errorf("%d frames pinned after Close", n)
+			}
+
+			// Close after a failed Open. A leaf's Open cannot fail: closing
+			// it unopened is the nearest thing. An exchange reports its
+			// fragment's failure from Open or from the first NextBatch.
+			if tc.leaf {
+				if err := tc.build(nil).Close(); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			var inputs []*failingOp
+			bad := tc.build(func() Operator {
+				in := &failingOp{schema: schema}
+				inputs = append(inputs, in)
+				return in
+			})
+			err = bad.Open()
+			if err == nil {
+				_, err = bad.NextBatch()
+			}
+			if !errors.Is(err, errBoom) {
+				t.Fatalf("failing input surfaced as %v", err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := bad.Close(); err != nil {
+					t.Fatalf("Close %d after a failed Open: %v", i+1, err)
+				}
+			}
+			opened := 0
+			for _, in := range inputs {
+				opened += in.opens
+				if in.closes < in.opens {
+					t.Error("an input whose Open failed was never closed")
+				}
+			}
+			if opened == 0 {
+				t.Fatal("the failing input was never opened")
+			}
+			if n := pool.PinnedFrames(); n != 0 {
+				t.Errorf("%d frames pinned after a failed Open", n)
+			}
+		})
+	}
+}

@@ -7,9 +7,9 @@
 //     batches in fragment order, so a plan wrapped in a Gather produces
 //     exactly the serial row order (fragments over consecutive page
 //     ranges concatenate to the full serial scan).
-//   - Repartition additionally hash-partitions the fragment output on key
-//     columns and emits partition-major — the redistribution exchange a
-//     partitioned consumer (hash build, partial aggregate) sits on.
+//   - ParallelGroup (pgroup.go) aggregates N fragments into per-worker hash
+//     tables and merges them; its output order does not depend on the
+//     fragment order at all.
 //
 // Fragment boundaries over sorted files follow the carry-tid discipline
 // of the core executor (SplitByKey): boundaries are chosen at page edges
@@ -55,7 +55,6 @@ type Gather struct {
 
 	cur  int          // fragment the consumer is draining
 	last *tuple.Batch // batch handed out last call, recycled on the next
-	rows rowCursor
 
 	stats OpStats
 }
@@ -74,15 +73,8 @@ func NewGather(fragments []Operator, workers int) *Gather {
 
 func (g *Gather) Schema() *tuple.Schema { return g.schema }
 
-// Workers returns the worker count (for EXPLAIN).
-func (g *Gather) Workers() int { return g.workers }
-
 // Fragments returns the fragment count (for EXPLAIN).
 func (g *Gather) Fragments() int { return len(g.fragments) }
-
-// Fragment returns fragment i's pipeline; EXPLAIN renders fragment 0 as
-// the representative child.
-func (g *Gather) Fragment(i int) Operator { return g.fragments[i] }
 
 // WorkerRows reports rows produced per fragment; valid after the gather
 // has been drained.
@@ -90,7 +82,6 @@ func (g *Gather) WorkerRows() []int64 { return g.perRows }
 
 func (g *Gather) Open() error {
 	g.stats.Reset()
-	g.rows.reset()
 	g.stopWorkers()
 	n := len(g.fragments)
 	g.outs = make([]chan *tuple.Batch, n)
@@ -128,13 +119,12 @@ func (g *Gather) worker() {
 // cancelled mid-stream.
 func (g *Gather) runFragment(f int) bool {
 	op := g.fragments[f]
-	bop := asBatchOp(op)
-	err := bop.Open()
+	err := op.Open()
 	if err == nil {
 		var rows int64
 		for {
 			var b *tuple.Batch
-			b, err = bop.NextBatch()
+			b, err = op.NextBatch()
 			if err != nil {
 				if err == io.EOF {
 					err = nil
@@ -193,8 +183,6 @@ func (g *Gather) nextBatch() (*tuple.Batch, error) {
 	return nil, io.EOF
 }
 
-func (g *Gather) Next() (tuple.Tuple, error) { return g.rows.next(g.NextBatch) }
-
 // stopWorkers cancels and joins the worker pool, draining queued batches.
 func (g *Gather) stopWorkers() {
 	if g.cancel == nil {
@@ -221,178 +209,6 @@ func (g *Gather) Close() error {
 }
 
 // ---------------------------------------------------------------------------
-// Repartition
-
-// Repartition is the redistribution exchange: fragments run on workers as
-// in Gather, but every row is hash-partitioned on key columns into parts
-// buckets, and the output emits partition-major — all rows of partition
-// 0, then partition 1, and so on. Within a partition rows keep (fragment,
-// row) order, so the output is deterministic for any worker count. All
-// key columns must be integers.
-type Repartition struct {
-	fragments []Operator
-	schema    *tuple.Schema
-	keyCols   []int
-	parts     int
-	workers   int
-
-	bufs    [][]*tuple.Batch // [fragment][partition] buffers
-	perRows []int64
-	part    int // partition being emitted
-	frag    int // fragment being emitted within part
-	rows    rowCursor
-
-	stats OpStats
-}
-
-// NewRepartition builds a repartition exchange over fragments on the given
-// integer key columns.
-func NewRepartition(fragments []Operator, keyCols []int, parts, workers int) *Repartition {
-	if parts < 1 {
-		parts = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(fragments) {
-		workers = len(fragments)
-	}
-	return &Repartition{
-		fragments: fragments,
-		schema:    fragments[0].Schema(),
-		keyCols:   keyCols,
-		parts:     parts,
-		workers:   workers,
-	}
-}
-
-func (r *Repartition) Schema() *tuple.Schema { return r.schema }
-
-// Workers returns the worker count (for EXPLAIN).
-func (r *Repartition) Workers() int { return r.workers }
-
-// Parts returns the partition count (for EXPLAIN).
-func (r *Repartition) Parts() int { return r.parts }
-
-// Fragment returns fragment i's pipeline (EXPLAIN renders fragment 0).
-func (r *Repartition) Fragment(i int) Operator { return r.fragments[i] }
-
-// WorkerRows reports rows consumed per fragment.
-func (r *Repartition) WorkerRows() []int64 { return r.perRows }
-
-// PartitionHash is the row-to-partition function: a multiplicative mix of
-// the key words, shared with partitioned hash-table builders so their
-// partition assignment agrees with the exchange's.
-func PartitionHash(b *tuple.Batch, phys int, keyCols []int) uint64 {
-	var h uint64 = 1469598103934665603 // FNV offset basis
-	for _, kc := range keyCols {
-		h ^= uint64(b.Cols[kc].I[phys])
-		h *= 1099511628211
-	}
-	// Final avalanche so low bits depend on every key word.
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
-// Open materializes the partitioned input: fragments run concurrently,
-// each partitioning its own output into private buffers (no shared state
-// beyond the claim counter), then the buffers are exposed partition-major.
-func (r *Repartition) Open() error {
-	r.stats.Reset()
-	r.rows.reset()
-	n := len(r.fragments)
-	r.bufs = make([][]*tuple.Batch, n)
-	r.perRows = make([]int64, n)
-	errs := make([]error, n)
-	var claim atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(r.workers)
-	for w := 0; w < r.workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				f := int(claim.Add(1)) - 1
-				if f >= n {
-					return
-				}
-				errs[f] = r.runFragment(f)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			r.bufs = nil
-			return err
-		}
-	}
-	r.part, r.frag = 0, 0
-	return nil
-}
-
-func (r *Repartition) runFragment(f int) error {
-	op := r.fragments[f]
-	bop := asBatchOp(op)
-	if err := bop.Open(); err != nil {
-		op.Close()
-		return err
-	}
-	parts := make([]*tuple.Batch, r.parts)
-	for p := range parts {
-		parts[p] = tuple.NewBatch(r.schema)
-	}
-	mask := uint64(r.parts)
-	var rows int64
-	for {
-		b, err := bop.NextBatch()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			op.Close()
-			return err
-		}
-		nb := b.Len()
-		for i := 0; i < nb; i++ {
-			phys := b.RowIdx(i)
-			p := PartitionHash(b, phys, r.keyCols) % mask
-			parts[p].AppendRow(b, phys)
-		}
-		rows += int64(nb)
-	}
-	r.bufs[f] = parts
-	r.perRows[f] = rows
-	return op.Close()
-}
-
-func (r *Repartition) nextBatch() (*tuple.Batch, error) {
-	if r.bufs == nil {
-		return nil, io.EOF
-	}
-	for r.part < r.parts {
-		for r.frag < len(r.bufs) {
-			b := r.bufs[r.frag][r.part]
-			r.frag++
-			if b.Len() > 0 {
-				return b, nil
-			}
-		}
-		r.part++
-		r.frag = 0
-	}
-	return nil, io.EOF
-}
-
-func (r *Repartition) Next() (tuple.Tuple, error) { return r.rows.next(r.NextBatch) }
-
-func (r *Repartition) Close() error {
-	r.bufs = nil
-	return nil
-}
-
-// ---------------------------------------------------------------------------
 // Key windows and fragment splitting
 
 // Window bounds a stream that is sorted ascending on integer column col to
@@ -407,11 +223,9 @@ type Window struct {
 	hasLo  bool
 	hasHi  bool
 
-	childB  BatchOperator
 	skipped bool
 	done    bool
 	selBuf  []int32
-	rows    rowCursor
 
 	stats OpStats
 }
@@ -419,15 +233,13 @@ type Window struct {
 // NewWindow bounds child (sorted on col) to [lo, hi); hasLo/hasHi mark
 // open ends.
 func NewWindow(child Operator, col int, lo int64, hasLo bool, hi int64, hasHi bool) *Window {
-	return &Window{child: child, col: col, lo: lo, hasLo: hasLo, hi: hi, hasHi: hasHi,
-		childB: asBatchOp(child)}
+	return &Window{child: child, col: col, lo: lo, hasLo: hasLo, hi: hi, hasHi: hasHi}
 }
 
 func (w *Window) Schema() *tuple.Schema { return w.child.Schema() }
 
 func (w *Window) Open() error {
 	w.stats.Reset()
-	w.rows.reset()
 	w.skipped, w.done = false, false
 	return w.child.Open()
 }
@@ -444,7 +256,7 @@ func (w *Window) nextBatch() (*tuple.Batch, error) {
 		return nil, io.EOF
 	}
 	for {
-		b, err := w.childB.NextBatch()
+		b, err := w.child.NextBatch()
 		if err != nil {
 			return nil, err
 		}
@@ -492,8 +304,6 @@ func (w *Window) nextBatch() (*tuple.Batch, error) {
 		return b, nil
 	}
 }
-
-func (w *Window) Next() (tuple.Tuple, error) { return w.rows.next(w.NextBatch) }
 
 // KeyRange is one fragment's share of a key-sorted heap file: the page
 // range to scan and the key window to apply. Start pages overlap the

@@ -228,26 +228,6 @@ func TestProbeRangeFindsLowerBoundPage(t *testing.T) {
 	}
 }
 
-func TestRepartitionDeterministicAcrossWorkers(t *testing.T) {
-	rows := keyRuns(3000, 7)
-	f := heapFile(t, tuple.IntSchema("trans_id", "item"), rows)
-	drain := func(workers int) []tuple.Tuple {
-		frags := FragmentScans(NewHeapScan(f), 4)
-		got, err := Drain(NewRepartition(frags, []int{0}, 8, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	want := drain(1)
-	if len(want) != len(rows) {
-		t.Fatalf("repartition emitted %d rows, want %d", len(want), len(rows))
-	}
-	for _, w := range []int{2, 4} {
-		wantRows(t, drain(w), want, fmt.Sprintf("repartition workers=%d", w))
-	}
-}
-
 func TestSplitMergeJoinBitIdentical(t *testing.T) {
 	left := keyRuns(3000, 8)
 	right := keyRuns(5000, 9)

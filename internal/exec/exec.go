@@ -1,11 +1,12 @@
 // Package exec implements the query-execution operators of the engine:
-// scans, filter, project, sort, merge-scan join, nested-loop join,
-// sort-based group/count, distinct, and limit.
+// scans, filter, project, sort, merge-scan join, hash join, nested-loop
+// join, sort-based and hash group/count, distinct, limit, and the exchange
+// operators that run a pipeline's fragments in parallel.
 //
-// Since PR 3 the operators are vectorized: data moves as tuple.Batch
-// column vectors (~1024 rows per pull) through the NextBatch contract,
-// with the classic Volcano Next retained as a thin row-at-a-time adapter.
-// The merge-scan join and sort operators are the two primitives the paper
+// The operators are vectorized and have one pull contract: data moves as
+// tuple.Batch column vectors (~1024 rows per pull) through NextBatch.
+// Callers that want tuples go through Drain, the one row adapter. The
+// merge-scan join and sort operators are the two primitives the paper
 // reduces Algorithm SETM to (Section 4.4); the nested-loop join exists so
 // the rejected Section 3 strategy can be executed and measured rather than
 // only modelled.
@@ -24,31 +25,34 @@ import (
 	"setm/internal/xsort"
 )
 
-// Operator is a pull-based tuple stream. The contract follows the Volcano
-// model: Open prepares the stream, Next returns tuples until io.EOF, Close
-// releases resources. Operators are single-use unless documented otherwise.
-// Every operator in this package also implements BatchOperator; the two
-// pull styles must not be mixed on one instance.
+// Operator is a pull-based stream of batches. Open prepares the stream,
+// NextBatch returns batches until io.EOF (and io.EOF again on every later
+// call), Close releases resources. A batch is valid only until the next
+// NextBatch or Close call on the same operator; producers reuse their
+// buffers. An operator may be opened again after Close — the engine's plan
+// cache relies on it — and yields the same rows each time.
 type Operator interface {
-	// Schema describes the tuples produced.
+	// Schema describes the batches produced.
 	Schema() *tuple.Schema
 	// Open prepares the operator (and its inputs) for iteration.
 	Open() error
-	// Next returns the next tuple or io.EOF.
-	Next() (tuple.Tuple, error)
+	// NextBatch returns the next non-empty batch or io.EOF.
+	NextBatch() (*tuple.Batch, error)
 	// Close releases resources; it must be safe after a failed Open.
 	Close() error
 }
 
-// Drain pulls every tuple from op (calling Open and Close) into memory.
+// Drain pulls every row of op (calling Open and Close) into memory as
+// tuples.
 func Drain(op Operator) ([]tuple.Tuple, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
+	rows := rowCursor{op: op}
 	var out []tuple.Tuple
 	for {
-		t, err := op.Next()
+		t, err := rows.Next()
 		if err == io.EOF {
 			return out, nil
 		}
@@ -62,17 +66,16 @@ func Drain(op Operator) ([]tuple.Tuple, error) {
 // Materialize streams op into a fresh heap file in pool, moving data as
 // batches end to end.
 func Materialize(pool *storage.Pool, op Operator) (*hp.File, error) {
-	bop := asBatchOp(op)
-	if err := bop.Open(); err != nil {
+	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	defer bop.Close()
+	defer op.Close()
 	f, err := hp.Create(pool, op.Schema())
 	if err != nil {
 		return nil, err
 	}
 	for {
-		b, err := bop.NextBatch()
+		b, err := op.NextBatch()
 		if err == io.EOF {
 			return f, nil
 		}
@@ -95,7 +98,6 @@ type HeapScan struct {
 	start, end int // page range; end == 0 means the whole file
 	sc         *hp.Scanner
 	buf        *tuple.Batch
-	rows       rowCursor
 
 	stats OpStats
 }
@@ -107,12 +109,6 @@ func NewHeapScan(f *hp.File) *HeapScan { return &HeapScan{file: f} }
 // morsel of a parallel fragment.
 func NewHeapScanRange(f *hp.File, start, end int) *HeapScan {
 	return &HeapScan{file: f, start: start, end: end}
-}
-
-// PageRange reports the scan's page range for EXPLAIN; full == true means
-// the whole file.
-func (s *HeapScan) PageRange() (start, end int, full bool) {
-	return s.start, s.end, s.end == 0
 }
 
 func (s *HeapScan) Schema() *tuple.Schema { return s.file.Schema() }
@@ -127,7 +123,6 @@ func (s *HeapScan) Open() error {
 	if s.buf == nil {
 		s.buf = tuple.NewBatch(s.file.Schema())
 	}
-	s.rows.reset()
 	return nil
 }
 
@@ -141,8 +136,6 @@ func (s *HeapScan) nextBatch() (*tuple.Batch, error) {
 	}
 	return s.buf, nil
 }
-
-func (s *HeapScan) Next() (tuple.Tuple, error) { return s.rows.next(s.NextBatch) }
 
 func (s *HeapScan) Close() error {
 	if s.sc != nil {
@@ -170,15 +163,6 @@ func NewMemScan(schema *tuple.Schema, rows []tuple.Tuple) *MemScan {
 func (s *MemScan) Schema() *tuple.Schema { return s.schema }
 func (s *MemScan) Open() error           { s.stats.Reset(); s.pos = 0; return nil }
 
-func (s *MemScan) Next() (tuple.Tuple, error) {
-	if s.pos >= len(s.rows) {
-		return nil, io.EOF
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, nil
-}
-
 func (s *MemScan) nextBatch() (*tuple.Batch, error) {
 	if s.pos >= len(s.rows) {
 		return nil, io.EOF
@@ -204,8 +188,6 @@ func (s *MemScan) Close() error { return nil }
 type Rename struct {
 	child  Operator
 	schema *tuple.Schema
-	childB BatchOperator
-	rows   rowCursor
 
 	stats OpStats
 }
@@ -213,22 +195,20 @@ type Rename struct {
 // NewRename wraps child with the given schema (which must have the same
 // arity as the child's).
 func NewRename(child Operator, schema *tuple.Schema) *Rename {
-	return &Rename{child: child, schema: schema, childB: asBatchOp(child)}
+	return &Rename{child: child, schema: schema}
 }
 
 func (r *Rename) Schema() *tuple.Schema { return r.schema }
-func (r *Rename) Open() error           { r.stats.Reset(); r.rows.reset(); return r.child.Open() }
+func (r *Rename) Open() error           { r.stats.Reset(); return r.child.Open() }
 func (r *Rename) Close() error          { return r.child.Close() }
 
 func (r *Rename) nextBatch() (*tuple.Batch, error) {
-	b, err := r.childB.NextBatch()
+	b, err := r.child.NextBatch()
 	if err != nil {
 		return nil, err
 	}
 	return b.WithSchema(r.schema), nil
 }
-
-func (r *Rename) Next() (tuple.Tuple, error) { return r.rows.next(r.NextBatch) }
 
 // ---------------------------------------------------------------------------
 // Filter / Project / Limit / Distinct
@@ -250,40 +230,34 @@ type Filter struct {
 	pred  Predicate
 	vecs  []VecPredicate
 
-	childB  BatchOperator
 	selBuf  []int32
 	selBuf2 []int32
 	scratch tuple.Tuple
-	rows    rowCursor
 
 	stats OpStats
 }
 
 // NewFilter wraps child with row predicate pred.
 func NewFilter(child Operator, pred Predicate) *Filter {
-	return &Filter{child: child, pred: pred, childB: asBatchOp(child)}
+	return &Filter{child: child, pred: pred}
 }
 
 // NewFilterVec wraps child with vectorized conjuncts and an optional
 // residual row predicate (either may be nil/empty).
 func NewFilterVec(child Operator, vecs []VecPredicate, pred Predicate) *Filter {
-	return &Filter{child: child, pred: pred, vecs: vecs, childB: asBatchOp(child)}
+	return &Filter{child: child, pred: pred, vecs: vecs}
 }
 
 func (f *Filter) Schema() *tuple.Schema { return f.child.Schema() }
-func (f *Filter) Open() error           { f.stats.Reset(); f.rows.reset(); return f.child.Open() }
+func (f *Filter) Open() error           { f.stats.Reset(); return f.child.Open() }
 func (f *Filter) Close() error          { return f.child.Close() }
-
-// Vectorized reports how many of the filter's conjuncts run vectorized
-// (for EXPLAIN output).
-func (f *Filter) Vectorized() int { return len(f.vecs) }
 
 func (f *Filter) nextBatch() (*tuple.Batch, error) {
 	if f.scratch == nil {
 		f.scratch = make(tuple.Tuple, f.child.Schema().Len())
 	}
 	for {
-		b, err := f.childB.NextBatch()
+		b, err := f.child.NextBatch()
 		if err != nil {
 			return nil, err
 		}
@@ -343,8 +317,6 @@ func (f *Filter) nextBatch() (*tuple.Batch, error) {
 	}
 }
 
-func (f *Filter) Next() (tuple.Tuple, error) { return f.rows.next(f.NextBatch) }
-
 // Projector computes one output column from an input tuple.
 type Projector func(tuple.Tuple) (tuple.Value, error)
 
@@ -364,25 +336,23 @@ func ConstProjector(v tuple.Value) Projector {
 }
 
 // Project maps input tuples through a list of projectors. Pure column
-// projections (NewColumnProject / NewProjectColumns) are zero-copy on the
-// batch path: the output batch shares the child's column vectors.
+// projections (NewColumnProject / NewProjectColumns) are zero-copy: the
+// output batch shares the child's column vectors.
 type Project struct {
 	child   Operator
 	schema  *tuple.Schema
 	projs   []Projector
 	colIdxs []int // non-nil => pure column projection fast path
 
-	childB  BatchOperator
 	buf     *tuple.Batch
 	scratch tuple.Tuple
-	rows    rowCursor
 
 	stats OpStats
 }
 
 // NewProject builds a projection with the given output schema.
 func NewProject(child Operator, schema *tuple.Schema, projs []Projector) *Project {
-	return &Project{child: child, schema: schema, projs: projs, childB: asBatchOp(child)}
+	return &Project{child: child, schema: schema, projs: projs}
 }
 
 // NewColumnProject projects the input columns at idxs.
@@ -397,15 +367,15 @@ func NewProjectColumns(child Operator, idxs []int, schema *tuple.Schema) *Projec
 	for i, ix := range idxs {
 		projs[i] = ColProjector(ix)
 	}
-	return &Project{child: child, schema: schema, projs: projs, colIdxs: idxs, childB: asBatchOp(child)}
+	return &Project{child: child, schema: schema, projs: projs, colIdxs: idxs}
 }
 
 func (p *Project) Schema() *tuple.Schema { return p.schema }
-func (p *Project) Open() error           { p.stats.Reset(); p.rows.reset(); return p.child.Open() }
+func (p *Project) Open() error           { p.stats.Reset(); return p.child.Open() }
 func (p *Project) Close() error          { return p.child.Close() }
 
 func (p *Project) nextBatch() (*tuple.Batch, error) {
-	b, err := p.childB.NextBatch()
+	b, err := p.child.NextBatch()
 	if err != nil {
 		return nil, err
 	}
@@ -432,33 +402,29 @@ func (p *Project) nextBatch() (*tuple.Batch, error) {
 	return p.buf, nil
 }
 
-func (p *Project) Next() (tuple.Tuple, error) { return p.rows.next(p.NextBatch) }
-
 // Limit passes at most n tuples.
 type Limit struct {
-	child  Operator
-	n      int64
-	seen   int64
-	childB BatchOperator
-	rows   rowCursor
+	child Operator
+	n     int64
+	seen  int64
 
 	stats OpStats
 }
 
 // NewLimit caps child at n tuples.
 func NewLimit(child Operator, n int64) *Limit {
-	return &Limit{child: child, n: n, childB: asBatchOp(child)}
+	return &Limit{child: child, n: n}
 }
 
 func (l *Limit) Schema() *tuple.Schema { return l.child.Schema() }
-func (l *Limit) Open() error           { l.stats.Reset(); l.seen = 0; l.rows.reset(); return l.child.Open() }
+func (l *Limit) Open() error           { l.stats.Reset(); l.seen = 0; return l.child.Open() }
 func (l *Limit) Close() error          { return l.child.Close() }
 
 func (l *Limit) nextBatch() (*tuple.Batch, error) {
 	if l.seen >= l.n {
 		return nil, io.EOF
 	}
-	b, err := l.childB.NextBatch()
+	b, err := l.child.NextBatch()
 	if err != nil {
 		return nil, err
 	}
@@ -469,38 +435,33 @@ func (l *Limit) nextBatch() (*tuple.Batch, error) {
 	return b, nil
 }
 
-func (l *Limit) Next() (tuple.Tuple, error) { return l.rows.next(l.NextBatch) }
-
 // Distinct removes consecutive duplicates; the input must be sorted so that
-// equal tuples are adjacent. The batch path compares adjacent rows column
-// by column and emits a selection vector.
+// equal tuples are adjacent. It compares adjacent rows column by column
+// and emits a selection vector.
 type Distinct struct {
 	child  Operator
-	childB BatchOperator
 	prev   tuple.Tuple // last row of the previous batch
 	selBuf []int32
-	rows   rowCursor
 
 	stats OpStats
 }
 
 // NewDistinct wraps a sorted child.
 func NewDistinct(child Operator) *Distinct {
-	return &Distinct{child: child, childB: asBatchOp(child)}
+	return &Distinct{child: child}
 }
 
 func (d *Distinct) Schema() *tuple.Schema { return d.child.Schema() }
 func (d *Distinct) Open() error {
 	d.stats.Reset()
 	d.prev = nil
-	d.rows.reset()
 	return d.child.Open()
 }
 func (d *Distinct) Close() error { return d.child.Close() }
 
 func (d *Distinct) nextBatch() (*tuple.Batch, error) {
 	for {
-		b, err := d.childB.NextBatch()
+		b, err := d.child.NextBatch()
 		if err != nil {
 			return nil, err
 		}
@@ -529,8 +490,6 @@ func (d *Distinct) nextBatch() (*tuple.Batch, error) {
 		return b, nil
 	}
 }
-
-func (d *Distinct) Next() (tuple.Tuple, error) { return d.rows.next(d.NextBatch) }
 
 // rowsEqual reports whether logical rows i and j of b are equal on every
 // column.
@@ -575,20 +534,19 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes and orders its input. Two implementations back it:
+// Sort materializes and orders its input on its keys. Equal keys keep
+// their input order on both paths:
 //
-//   - The vectorized path (NewSortKeys with a nil pool): input batches are
+//   - Without a pool the sort is columnar and in memory: input batches are
 //     gathered into one columnar buffer and an index permutation is sorted
-//     with cache-friendly column comparisons — no per-row boxing. Equal
-//     keys keep their input order (the permutation index is the final
-//     tie-break), matching the stable semantics of the classic path.
-//   - The classic path (NewSort, or NewSortKeys with a pool): tuples are
-//     pulled row-wise; with a pool the sort is external, spilling runs to
-//     heap files and counting their I/O (the 2·Σ‖R'_i‖ term of Section
-//     4.3), otherwise an in-memory stable sort.
+//     with cache-friendly column comparisons — no per-row boxing. The
+//     permutation index is the final tie-break.
+//   - With a pool the sort is external (xsort.Stream): rows are pulled
+//     through the row adapter into bounded runs that spill to heap files
+//     in the pool and are merged, so their I/O is counted (the 2·Σ‖R'_i‖
+//     term of Section 4.3). The sorted file lives until Close.
 type Sort struct {
 	child    Operator
-	cmp      xsort.Comparator
 	keys     []SortKey
 	pool     *storage.Pool
 	memLimit int
@@ -602,40 +560,25 @@ type Sort struct {
 	pos   int
 	buf   *tuple.Batch
 
-	out  Operator // classic path output
-	outB BatchOperator
-	rows rowCursor
+	out *HeapScan // external path: scan of the sorted file, which Close frees
 
 	stats OpStats
 }
 
-// NewSort builds a comparator-driven sort (external when pool is non-nil).
-func NewSort(child Operator, cmp xsort.Comparator, pool *storage.Pool, memLimit int) *Sort {
-	return &Sort{child: child, cmp: cmp, pool: pool, memLimit: memLimit}
-}
-
-// NewSortKeys builds a key-driven sort: vectorized in memory when pool is
-// nil, external (spilling runs through pool) otherwise.
+// NewSortKeys builds a sort on keys: vectorized in memory when pool is
+// nil, external otherwise, spilling runs of at most memLimit bytes
+// (0 = xsort.DefaultMemoryLimit) through pool.
 func NewSortKeys(child Operator, keys []SortKey, pool *storage.Pool, memLimit int) *Sort {
 	return &Sort{child: child, keys: keys, pool: pool, memLimit: memLimit}
 }
 
 func (s *Sort) Schema() *tuple.Schema { return s.child.Schema() }
 
-// Keys returns the sort keys (nil for comparator-driven sorts).
-func (s *Sort) Keys() []SortKey { return s.keys }
-
-// External reports whether the sort spills runs through a pool.
-func (s *Sort) External() bool { return s.pool != nil }
-
 // SetParallel runs the columnar radix sort as w per-worker runs merged by
 // an in-memory cascade. The merged permutation is identical to the serial
 // one: the radix pairs carry the global row index as tie-break, so the
 // run merge reproduces the serial total order exactly.
 func (s *Sort) SetParallel(w int) { s.parallel = w }
-
-// Parallel returns the sort-worker count (for EXPLAIN).
-func (s *Sort) Parallel() int { return s.parallel }
 
 // SetSizeHint pre-sizes the columnar gather buffer for n input rows.
 func (s *Sort) SetSizeHint(n int) { s.sizeHint = n }
@@ -659,44 +602,20 @@ func comparatorFromKeys(keys []SortKey) xsort.Comparator {
 
 func (s *Sort) Open() error {
 	s.stats.Reset()
-	s.rows.reset()
-	s.store, s.perm, s.pos = nil, nil, 0
-	s.out, s.outB = nil, nil
+	// The child is drained here, so it is closed here — also when its Open
+	// fails part-way, which nobody else would clean up after.
+	defer s.child.Close()
 	if err := s.child.Open(); err != nil {
 		return err
 	}
-	defer s.child.Close()
-
-	if s.keys != nil && s.pool == nil {
+	if s.pool == nil {
 		return s.openColumnar()
 	}
-
-	cmp := s.cmp
-	if cmp == nil {
-		cmp = comparatorFromKeys(s.keys)
+	f, err := xsort.Stream(s.pool, s.child.Schema(), &rowCursor{op: s.child}, comparatorFromKeys(s.keys), s.memLimit)
+	if err != nil {
+		return err
 	}
-	if s.pool != nil {
-		f, err := xsort.Stream(s.pool, s.child.Schema(), opIter{s.child}, cmp, s.memLimit)
-		if err != nil {
-			return err
-		}
-		s.out = NewHeapScan(f)
-	} else {
-		var rows []tuple.Tuple
-		for {
-			t, err := s.child.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			rows = append(rows, t)
-		}
-		xsort.Tuples(rows, cmp)
-		s.out = NewMemScan(s.child.Schema(), rows)
-	}
-	s.outB = asBatchOp(s.out)
+	s.out = NewHeapScan(f)
 	return s.out.Open()
 }
 
@@ -817,9 +736,8 @@ func (s *Sort) openColumnar() error {
 	if s.sizeHint > 0 {
 		store.Grow(s.sizeHint)
 	}
-	childB := asBatchOp(s.child)
 	for {
-		b, err := childB.NextBatch()
+		b, err := s.child.NextBatch()
 		if err == io.EOF {
 			break
 		}
@@ -924,50 +842,33 @@ func (s *Sort) openColumnar() error {
 	return nil
 }
 
-type opIter struct{ op Operator }
-
-func (o opIter) Next() (tuple.Tuple, error) { return o.op.Next() }
-func (o opIter) Close()                     {}
-
 func (s *Sort) nextBatch() (*tuple.Batch, error) {
-	if s.store != nil {
-		if s.pos >= len(s.perm) {
-			return nil, io.EOF
-		}
-		s.buf.Reset()
-		end := s.pos + tuple.BatchSize
-		if end > len(s.perm) {
-			end = len(s.perm)
-		}
-		for ; s.pos < end; s.pos++ {
-			s.buf.AppendRow(s.store, int(s.perm[s.pos]))
-		}
-		return s.buf, nil
-	}
-	if s.outB == nil {
-		return nil, io.EOF
-	}
-	return s.outB.NextBatch()
-}
-
-func (s *Sort) Next() (tuple.Tuple, error) {
-	if s.store != nil {
-		return s.rows.next(s.NextBatch)
-	}
-	if s.out == nil {
-		return nil, io.EOF
-	}
-	t, err := s.out.Next()
-	if err == nil {
-		s.stats.AddRows(1) // classic path bypasses NextBatch; keep rows exact
-	}
-	return t, err
-}
-
-func (s *Sort) Close() error {
 	if s.out != nil {
-		return s.out.Close()
+		return s.out.NextBatch()
 	}
+	if s.pos >= len(s.perm) {
+		return nil, io.EOF
+	}
+	s.buf.Reset()
+	end := s.pos + tuple.BatchSize
+	if end > len(s.perm) {
+		end = len(s.perm)
+	}
+	for ; s.pos < end; s.pos++ {
+		s.buf.AppendRow(s.store, int(s.perm[s.pos]))
+	}
+	return s.buf, nil
+}
+
+// Close drops the columnar store or, on the external path, frees the
+// sorted file: a cached plan re-sorts on its next Open, so a file kept
+// past Close would be a leak of its pages.
+func (s *Sort) Close() error {
 	s.store, s.perm = nil, nil
+	if s.out != nil {
+		s.out.Close()
+		s.out.file.Free()
+		s.out = nil
+	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"io"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,7 +8,6 @@ import (
 	hp "setm/internal/heap"
 	"setm/internal/storage"
 	"setm/internal/tuple"
-	"setm/internal/xsort"
 )
 
 func mem(names string, rows ...tuple.Tuple) *MemScan {
@@ -128,7 +126,7 @@ func TestSortOperatorInMemoryAndExternal(t *testing.T) {
 		if withPool {
 			pool = storage.NewPool(storage.NewMemStore(), 16)
 		}
-		s := NewSort(mem("v", rows...), xsort.ByColumns(0), pool, 16)
+		s := NewSortKeys(mem("v", rows...), []SortKey{{Col: 0}}, pool, 16)
 		got, err := Drain(s)
 		if err != nil {
 			t.Fatal(err)
@@ -347,7 +345,7 @@ func TestPipelineComposition(t *testing.T) {
 		rows = append(rows, tuple.Ints(rng.Int63n(20)))
 	}
 	p := NewSortGroup(
-		NewSort(mem("v", rows...), xsort.ByColumns(0), nil, 0),
+		NewSortKeys(mem("v", rows...), []SortKey{{Col: 0}}, nil, 0),
 		[]int{0}, []AggSpec{{Kind: AggCount, Name: "cnt"}})
 	got, err := Drain(p)
 	if err != nil {
@@ -364,20 +362,5 @@ func TestPipelineComposition(t *testing.T) {
 	}
 	if total != 1000 {
 		t.Errorf("counts sum to %d, want 1000", total)
-	}
-}
-
-func TestOperatorEOFAfterExhaustion(t *testing.T) {
-	s := mem("v", tuple.Ints(1))
-	if err := s.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Next(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := s.Next(); err != io.EOF {
-			t.Fatalf("call %d after exhaustion: %v", i, err)
-		}
 	}
 }

@@ -5,52 +5,10 @@ import (
 	"strings"
 )
 
-// Child accessors expose operator-tree structure for plan inspection
-// (EXPLAIN output, planner tests). Join operators expose both inputs via
-// Left/Right.
-
-// Child returns the wrapped input.
-func (r *Rename) Child() Operator { return r.child }
-
-// Child returns the wrapped input.
-func (f *Filter) Child() Operator { return f.child }
-
-// Child returns the wrapped input.
-func (p *Project) Child() Operator { return p.child }
-
-// Child returns the wrapped input.
-func (l *Limit) Child() Operator { return l.child }
-
-// Child returns the wrapped input.
-func (d *Distinct) Child() Operator { return d.child }
-
-// Child returns the wrapped input.
-func (s *Sort) Child() Operator { return s.child }
-
-// Child returns the wrapped input.
-func (g *SortGroup) Child() Operator { return g.child }
-
-// Left returns the outer join input.
-func (m *MergeJoin) Left() Operator { return m.left }
-
-// Right returns the inner join input.
-func (m *MergeJoin) Right() Operator { return m.right }
-
-// Left returns the outer join input.
-func (n *NestedLoopJoin) Left() Operator { return n.left }
-
-// Right returns the inner join input.
-func (n *NestedLoopJoin) Right() Operator { return n.right }
-
-// Left returns the probe-side join input.
-func (h *HashJoin) Left() Operator { return h.left }
-
-// Right returns the build-side join input.
-func (h *HashJoin) Right() Operator { return h.right }
-
-// Children returns op's direct inputs in plan order (left before right),
-// for generic tree walks: EXPLAIN ANALYZE rendering and calibration
-// observation collection. Leaf operators return nil.
+// Children returns op's direct inputs in plan order (left before right).
+// It is the one description of the operator tree's shape: EXPLAIN [ANALYZE]
+// rendering, calibration observation collection and the planner tests all
+// walk plans through it. Leaf operators return nil.
 func Children(op Operator) []Operator {
 	switch v := op.(type) {
 	case *Rename:
@@ -78,8 +36,6 @@ func Children(op Operator) []Operator {
 	case *Gather:
 		// Fragment 0 stands in for the pipeline shape; the fragments are
 		// clones over different page ranges.
-		return []Operator{v.fragments[0]}
-	case *Repartition:
 		return []Operator{v.fragments[0]}
 	case *ParallelGroup:
 		return []Operator{v.fragments[0]}
@@ -131,60 +87,43 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 		line("MemScan %s (%d rows)", v.schema, len(v.rows))
 	case *Rename:
 		line("Rename %s", v.schema)
-		explainAt(b, v.child, depth+1, note)
 	case *Filter:
 		if n := len(v.vecs); n > 0 {
 			line("Filter (%d vectorized)", n)
 		} else {
 			line("Filter")
 		}
-		explainAt(b, v.child, depth+1, note)
 	case *Project:
 		line("Project %s", v.schema)
-		explainAt(b, v.child, depth+1, note)
 	case *Limit:
 		line("Limit %d", v.n)
-		explainAt(b, v.child, depth+1, note)
 	case *Distinct:
 		line("Distinct")
-		explainAt(b, v.child, depth+1, note)
 	case *Sort:
 		switch {
-		case v.keys != nil && v.pool == nil && v.parallel > 1:
-			line("Sort keys=%v (vectorized in-memory, %d sort workers)", v.keys, v.parallel)
-		case v.keys != nil && v.pool == nil:
-			line("Sort keys=%v (vectorized in-memory)", v.keys)
-		case v.keys != nil:
-			line("Sort keys=%v (external)", v.keys)
 		case v.pool != nil:
-			line("Sort (external)")
+			line("Sort keys=%v (external)", v.keys)
+		case v.parallel > 1:
+			line("Sort keys=%v (vectorized in-memory, %d sort workers)", v.keys, v.parallel)
 		default:
-			line("Sort")
+			line("Sort keys=%v (vectorized in-memory)", v.keys)
 		}
-		explainAt(b, v.child, depth+1, note)
 	case *SortGroup:
 		line("SortGroup by %v (%d aggregates)", v.groupCols, len(v.aggs))
-		explainAt(b, v.child, depth+1, note)
 	case *MergeJoin:
 		if v.hasVecGT {
 			line("MergeJoin on %v = %v (residual R[%d] > L[%d] pushed down)", v.leftKeys, v.rightKeys, v.gtRight, v.gtLeft)
 		} else {
 			line("MergeJoin on %v = %v", v.leftKeys, v.rightKeys)
 		}
-		explainAt(b, v.left, depth+1, note)
-		explainAt(b, v.right, depth+1, note)
 	case *HashJoin:
 		if v.buildWorkers > 1 {
 			line("HashJoin on %v = %v (build right, %d partitions)", v.leftKeys, v.rightKeys, v.buildWorkers)
 		} else {
 			line("HashJoin on %v = %v (build right)", v.leftKeys, v.rightKeys)
 		}
-		explainAt(b, v.left, depth+1, note)
-		explainAt(b, v.right, depth+1, note)
 	case *NestedLoopJoin:
 		line("NestedLoopJoin")
-		explainAt(b, v.left, depth+1, note)
-		explainAt(b, v.right, depth+1, note)
 	case *Window:
 		lo, hasLo, hi, hasHi := v.Bounds()
 		switch {
@@ -197,17 +136,14 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 		default:
 			line("Window col %d (unbounded)", v.col)
 		}
-		explainAt(b, v.child, depth+1, note)
 	case *Gather:
 		line("Gather (dop=%d, %d fragments)", v.workers, len(v.fragments))
-		explainAt(b, v.fragments[0], depth+1, note)
-	case *Repartition:
-		line("Repartition on %v (dop=%d, %d partitions, %d fragments)", v.keyCols, v.workers, v.parts, len(v.fragments))
-		explainAt(b, v.fragments[0], depth+1, note)
 	case *ParallelGroup:
 		line("ParallelGroup by %v (%d aggregates, dop=%d, %d fragments)", v.groupCols, len(v.aggs), v.workers, len(v.fragments))
-		explainAt(b, v.fragments[0], depth+1, note)
 	default:
 		line("%T", op)
+	}
+	for _, c := range Children(op) {
+		explainAt(b, c, depth+1, note)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	hp "setm/internal/heap"
 	"setm/internal/storage"
 	"setm/internal/tuple"
-	"setm/internal/xsort"
 )
 
 func TestExplainRendersEveryOperator(t *testing.T) {
@@ -23,7 +22,7 @@ func TestExplainRendersEveryOperator(t *testing.T) {
 	scan := NewHeapScan(f)
 	renamed := NewRename(scan, tuple.IntSchema("t.k", "t.v"))
 	filtered := NewFilter(renamed, func(tuple.Tuple) (bool, error) { return true, nil })
-	sorted := NewSort(filtered, xsort.ByColumns(0), nil, 0)
+	sorted := NewSortKeys(filtered, []SortKey{{Col: 0}}, nil, 0)
 	right := NewMemScan(tuple.IntSchema("u.k"), []tuple.Tuple{tuple.Ints(1)})
 	joined := NewMergeJoin(sorted, right, []int{0}, []int{0}, nil)
 	grouped := NewSortGroup(joined, []int{0}, []AggSpec{{Kind: AggCount, Name: "cnt"}})
@@ -56,39 +55,5 @@ func TestExplainNestedLoop(t *testing.T) {
 	out := Explain(NewNestedLoopJoin(l, r, nil))
 	if !strings.Contains(out, "NestedLoopJoin") {
 		t.Errorf("missing NestedLoopJoin:\n%s", out)
-	}
-}
-
-func TestChildAccessors(t *testing.T) {
-	base := NewMemScan(tuple.IntSchema("a"), nil)
-	if NewFilter(base, nil).Child() != base {
-		t.Error("Filter.Child")
-	}
-	if NewLimit(base, 1).Child() != base {
-		t.Error("Limit.Child")
-	}
-	if NewDistinct(base).Child() != base {
-		t.Error("Distinct.Child")
-	}
-	if NewRename(base, base.Schema()).Child() != base {
-		t.Error("Rename.Child")
-	}
-	if NewSort(base, xsort.ByColumns(0), nil, 0).Child() != base {
-		t.Error("Sort.Child")
-	}
-	if NewColumnProject(base, []int{0}).Child() != base {
-		t.Error("Project.Child")
-	}
-	if NewSortGroup(base, nil, nil).Child() != base {
-		t.Error("SortGroup.Child")
-	}
-	other := NewMemScan(tuple.IntSchema("b"), nil)
-	mj := NewMergeJoin(base, other, []int{0}, []int{0}, nil)
-	if mj.Left() != base || mj.Right() != other {
-		t.Error("MergeJoin Left/Right")
-	}
-	nl := NewNestedLoopJoin(base, other, nil)
-	if nl.Left() != base || nl.Right() != other {
-		t.Error("NestedLoopJoin Left/Right")
 	}
 }

@@ -47,7 +47,6 @@ type SortGroup struct {
 	// yields one row of zero aggregates, as SQL requires for COUNT(*).
 	Global bool
 
-	childB BatchOperator
 	lb     *tuple.Batch
 	li     int
 	srcEOF bool
@@ -62,7 +61,6 @@ type SortGroup struct {
 	emitted bool
 	done    bool
 	out     *tuple.Batch
-	rows    rowCursor
 
 	stats OpStats
 }
@@ -86,7 +84,6 @@ func NewSortGroup(child Operator, groupCols []int, aggs []AggSpec) *SortGroup {
 		groupCols: groupCols,
 		aggs:      aggs,
 		schema:    tuple.NewSchema(cols...),
-		childB:    asBatchOp(child),
 	}
 }
 
@@ -99,7 +96,6 @@ func (g *SortGroup) Open() error {
 	g.haveCur = false
 	g.emitted = false
 	g.done = false
-	g.rows.reset()
 	if g.curKey == nil {
 		g.curKey = make([]tuple.Value, len(g.groupCols))
 		g.sums = make([]int64, len(g.aggs))
@@ -209,7 +205,7 @@ func (g *SortGroup) nextBatch() (*tuple.Batch, error) {
 	for g.out.Len() < tuple.BatchSize {
 		// Ensure an input row.
 		for !g.srcEOF && (g.lb == nil || g.li >= g.lb.Len()) {
-			b, err := g.childB.NextBatch()
+			b, err := g.child.NextBatch()
 			if err == io.EOF {
 				g.srcEOF = true
 				break
@@ -251,5 +247,3 @@ func (g *SortGroup) nextBatch() (*tuple.Batch, error) {
 	}
 	return g.out, nil
 }
-
-func (g *SortGroup) Next() (tuple.Tuple, error) { return g.rows.next(g.NextBatch) }

@@ -26,7 +26,6 @@ type HashJoin struct {
 	buildWorkers int // >1: partitioned parallel build
 	buildHint    int // expected build rows, pre-sizes store and table
 
-	leftB BatchOperator
 	store *tuple.Batch // materialized right input
 
 	// The build rows of one key are chained in store order: index[p] maps
@@ -44,7 +43,6 @@ type HashJoin struct {
 	keyBuf             []byte
 	out                *tuple.Batch
 	lscratch, rscratch tuple.Tuple
-	rows               rowCursor
 
 	stats OpStats
 }
@@ -68,7 +66,6 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []int, residual JoinP
 		rightKeys: rightKeys,
 		residual:  residual,
 		schema:    left.Schema().Concat(right.Schema()),
-		leftB:     asBatchOp(left),
 	}
 }
 
@@ -85,9 +82,6 @@ func (h *HashJoin) SetBuildSizeHint(n int) { h.buildHint = n }
 // partition and its chain is in store order — so probe output is unchanged
 // for any w.
 func (h *HashJoin) SetBuildWorkers(w int) { h.buildWorkers = w }
-
-// BuildWorkers returns the partitioned-build worker count (for EXPLAIN).
-func (h *HashJoin) BuildWorkers() int { return h.buildWorkers }
 
 // keyPartition maps a serialized key to a table partition.
 func keyPartition(key []byte, parts int) int {
@@ -132,9 +126,8 @@ func (h *HashJoin) Open() error {
 	if h.buildHint > 0 {
 		h.store.Grow(h.buildHint)
 	}
-	rightB := asBatchOp(h.right)
 	for {
-		b, err := rightB.NextBatch()
+		b, err := h.right.NextBatch()
 		if err == io.EOF {
 			break
 		}
@@ -169,9 +162,8 @@ func (h *HashJoin) Open() error {
 			}
 		}
 	}
-	h.lcur.reset(h.leftB)
+	h.lcur.reset(h.left)
 	h.probing = false
-	h.rows.reset()
 	return nil
 }
 
@@ -319,5 +311,3 @@ func (h *HashJoin) nextBatch() (*tuple.Batch, error) {
 	}
 	return h.out, nil
 }
-
-func (h *HashJoin) Next() (tuple.Tuple, error) { return h.rows.next(h.NextBatch) }

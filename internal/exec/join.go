@@ -34,8 +34,7 @@ type MergeJoin struct {
 	gtLeft, gtRight int
 	hasVecGT        bool
 
-	leftB, rightB BatchOperator
-	lcur, rcur    batchCursor
+	lcur, rcur batchCursor
 
 	// The right group for curKey is the physical rows [gLo, gHi) of grp:
 	// the current right batch, or buf when the group had to be copied.
@@ -53,7 +52,6 @@ type MergeJoin struct {
 
 	out                *tuple.Batch
 	lscratch, rscratch tuple.Tuple
-	rows               rowCursor
 
 	stats OpStats
 }
@@ -67,8 +65,6 @@ func NewMergeJoin(left, right Operator, leftKeys, rightKeys []int, residual Join
 		rightKeys: rightKeys,
 		residual:  residual,
 		schema:    left.Schema().Concat(right.Schema()),
-		leftB:     asBatchOp(left),
-		rightB:    asBatchOp(right),
 	}
 }
 
@@ -95,14 +91,13 @@ func (m *MergeJoin) Open() error {
 	if m.intKeys && m.curKeyInts == nil {
 		m.curKeyInts = make([]int64, len(m.leftKeys))
 	}
-	m.lcur.reset(m.leftB)
-	m.rcur.reset(m.rightB)
+	m.lcur.reset(m.left)
+	m.rcur.reset(m.right)
 	if m.buf == nil {
 		m.buf = tuple.NewBatch(m.right.Schema())
 	}
 	m.grp, m.gLo, m.gHi = m.buf, 0, 0
 	m.haveKey, m.matched = false, false
-	m.rows.reset()
 	return nil
 }
 
@@ -373,8 +368,6 @@ func (m *MergeJoin) nextBatch() (*tuple.Batch, error) {
 	return m.out, nil
 }
 
-func (m *MergeJoin) Next() (tuple.Tuple, error) { return m.rows.next(m.NextBatch) }
-
 // NestedLoopJoin joins by scanning the entire right input once per left
 // tuple. The right input is materialized (columnar) at Open. This is the
 // strawman the paper's Section 3 analysis rejects; it exists to be measured.
@@ -383,14 +376,12 @@ type NestedLoopJoin struct {
 	pred        JoinPredicate
 	schema      *tuple.Schema
 
-	leftB BatchOperator
 	store *tuple.Batch // materialized right input
 	lcur  batchCursor
 	ri    int
 
 	out                *tuple.Batch
 	lscratch, rscratch tuple.Tuple
-	rows               rowCursor
 
 	stats OpStats
 }
@@ -403,7 +394,6 @@ func NewNestedLoopJoin(left, right Operator, pred JoinPredicate) *NestedLoopJoin
 		right:  right,
 		pred:   pred,
 		schema: left.Schema().Concat(right.Schema()),
-		leftB:  asBatchOp(left),
 	}
 }
 
@@ -418,9 +408,8 @@ func (n *NestedLoopJoin) Open() error {
 		return err
 	}
 	n.store = tuple.NewBatch(n.right.Schema())
-	rightB := asBatchOp(n.right)
 	for {
-		b, err := rightB.NextBatch()
+		b, err := n.right.NextBatch()
 		if err == io.EOF {
 			break
 		}
@@ -429,9 +418,8 @@ func (n *NestedLoopJoin) Open() error {
 		}
 		n.store.Append(b)
 	}
-	n.lcur.reset(n.leftB)
+	n.lcur.reset(n.left)
 	n.ri = 0
-	n.rows.reset()
 	return nil
 }
 
@@ -486,5 +474,3 @@ func (n *NestedLoopJoin) nextBatch() (*tuple.Batch, error) {
 	}
 	return n.out, nil
 }
-
-func (n *NestedLoopJoin) Next() (tuple.Tuple, error) { return n.rows.next(n.NextBatch) }

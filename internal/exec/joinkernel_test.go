@@ -88,24 +88,24 @@ func checkJoinKernels(t *testing.T, label string, c joinCase, wantInt bool) {
 	for _, w := range []int{0, 1, 2, 4} {
 		h := NewHashJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, nil)
 		h.SetBuildWorkers(w)
-		requireSameRows(t, fmt.Sprintf("%s: hash join, %d build workers", label, w), drainBatchesAsRows(t, h), want)
+		requireSameRows(t, fmt.Sprintf("%s: hash join, %d build workers", label, w), drainRows(t, h), want)
 		if h.intKeys != wantInt {
 			t.Fatalf("%s: hash join took intKeys=%v", label, h.intKeys)
 		}
 		h = NewHashJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, gt)
 		h.SetBuildWorkers(w)
-		requireSameRows(t, fmt.Sprintf("%s: hash join + residual, %d build workers", label, w), drainBatchesAsRows(t, h), wantGT)
+		requireSameRows(t, fmt.Sprintf("%s: hash join + residual, %d build workers", label, w), drainRows(t, h), wantGT)
 	}
 	m := NewMergeJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, nil)
-	requireSameRows(t, label+": merge join", drainBatchesAsRows(t, m), want)
+	requireSameRows(t, label+": merge join", drainRows(t, m), want)
 	if m.intKeys != wantInt {
 		t.Fatalf("%s: merge join took intKeys=%v", label, m.intKeys)
 	}
 	m = NewMergeJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, gt)
-	requireSameRows(t, label+": merge join + row residual", drainBatchesAsRows(t, m), wantGT)
+	requireSameRows(t, label+": merge join + row residual", drainRows(t, m), wantGT)
 	m = NewMergeJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, nil)
 	m.SetVecResidualGT(2, 2)
-	requireSameRows(t, label+": merge join + vectorized residual", drainBatchesAsRows(t, m), wantGT)
+	requireSameRows(t, label+": merge join + vectorized residual", drainRows(t, m), wantGT)
 }
 
 // joinKernelCases expands one pair of integer-keyed inputs into the

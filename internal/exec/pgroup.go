@@ -153,7 +153,6 @@ type ParallelGroup struct {
 	perm    []int32
 	pos     int
 	out     *tuple.Batch
-	rows    rowCursor
 
 	stats OpStats
 }
@@ -192,29 +191,19 @@ func NewParallelGroup(fragments []Operator, groupCols []int, aggs []AggSpec, wor
 
 func (g *ParallelGroup) Schema() *tuple.Schema { return g.schema }
 
-// Workers returns the worker count (for EXPLAIN).
-func (g *ParallelGroup) Workers() int { return g.workers }
-
-// Fragments returns the fragment count (for EXPLAIN).
-func (g *ParallelGroup) Fragments() int { return len(g.fragments) }
-
-// Fragment returns fragment i's pipeline (EXPLAIN renders fragment 0).
-func (g *ParallelGroup) Fragment(i int) Operator { return g.fragments[i] }
-
 // WorkerRows reports input rows aggregated per fragment.
 func (g *ParallelGroup) WorkerRows() []int64 { return g.perRows }
 
 // buildFragment aggregates fragment f into t.
 func (g *ParallelGroup) buildFragment(f int, t *groupTable, key []int64) (int64, error) {
 	op := g.fragments[f]
-	bop := asBatchOp(op)
-	if err := bop.Open(); err != nil {
+	if err := op.Open(); err != nil {
 		op.Close()
 		return 0, err
 	}
 	var rows int64
 	for {
-		b, err := bop.NextBatch()
+		b, err := op.NextBatch()
 		if err == io.EOF {
 			break
 		}
@@ -269,7 +258,6 @@ func (g *ParallelGroup) buildFragment(f int, t *groupTable, key []int64) (int64,
 
 func (g *ParallelGroup) Open() error {
 	g.stats.Reset()
-	g.rows.reset()
 	g.merged, g.perm, g.pos = nil, nil, 0
 	n := len(g.fragments)
 	g.perRows = make([]int64, n)
@@ -406,8 +394,6 @@ func (g *ParallelGroup) nextBatch() (*tuple.Batch, error) {
 	}
 	return g.out, nil
 }
-
-func (g *ParallelGroup) Next() (tuple.Tuple, error) { return g.rows.next(g.NextBatch) }
 
 func (g *ParallelGroup) Close() error {
 	g.merged, g.perm = nil, nil

@@ -31,10 +31,6 @@ func (st *OpStats) Reset() {
 	st.rows.Store(0)
 }
 
-// AddRows counts rows produced outside the batch path (e.g. the classic
-// sort path's row cursor).
-func (st *OpStats) AddRows(n int64) { st.rows.Add(n) }
-
 // StatsReporter is implemented by every operator in this package; it
 // exposes the operator's actual-output counters.
 type StatsReporter interface {
@@ -58,8 +54,7 @@ func (st *OpStats) tally(b *tuple.Batch, err error) (*tuple.Batch, error) {
 
 // Counted NextBatch fronts for each operator: the real work happens in the
 // operators' nextBatch methods; these wrappers keep the row/batch counters
-// exact on both the batch path and the row path (rowCursor pulls through
-// NextBatch).
+// exact for every consumer, Drain's row adapter included.
 
 func (s *HeapScan) NextBatch() (*tuple.Batch, error) { return s.stats.tally(s.nextBatch()) }
 func (s *HeapScan) ExecStats() *OpStats              { return &s.stats }
@@ -102,9 +97,6 @@ func (g *Gather) ExecStats() *OpStats              { return &g.stats }
 
 func (w *Window) NextBatch() (*tuple.Batch, error) { return w.stats.tally(w.nextBatch()) }
 func (w *Window) ExecStats() *OpStats              { return &w.stats }
-
-func (r *Repartition) NextBatch() (*tuple.Batch, error) { return r.stats.tally(r.nextBatch()) }
-func (r *Repartition) ExecStats() *OpStats              { return &r.stats }
 
 func (g *ParallelGroup) NextBatch() (*tuple.Batch, error) { return g.stats.tally(g.nextBatch()) }
 func (g *ParallelGroup) ExecStats() *OpStats              { return &g.stats }

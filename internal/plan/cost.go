@@ -12,6 +12,7 @@ import (
 
 	"setm/internal/costmodel"
 	"setm/internal/exec"
+	"setm/internal/storage"
 	"setm/internal/tuple"
 )
 
@@ -75,14 +76,6 @@ func (p *Plan) Note(op exec.Operator) string { return p.notes[op] }
 
 // Explain renders the plan with cost annotations.
 func (p *Plan) Explain() string { return exec.ExplainAnnotated(p.Root, p.Note) }
-
-// EstRows returns the planner's estimated output rows for op; ok is false
-// for operators the planner did not estimate individually (e.g. the bare
-// HeapScan under a Rename, whose live row count EXPLAIN prints anyway).
-func (p *Plan) EstRows(op exec.Operator) (int64, bool) {
-	r, ok := p.ests[op]
-	return r, ok
-}
 
 // note records an EXPLAIN annotation for op.
 func (c *Compiler) note(op exec.Operator, format string, args ...interface{}) {
@@ -250,7 +243,9 @@ func (c *Compiler) sortNode(n node, keys []exec.SortKey, why string) node {
 			}
 		}
 	}
-	op := exec.NewSortKeys(child, keys, pool, c.SortMemLimit)
+	// An external sort builds its runs in the working set the budget allows
+	// (never below one page); in memory the run size is unused.
+	op := exec.NewSortKeys(child, keys, pool, int(max(c.memBudget(), storage.PageSize)))
 	est := n.est
 	if dop > 1 {
 		op.SetParallel(dop)

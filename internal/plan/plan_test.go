@@ -281,21 +281,11 @@ func TestCompilePlanAnnotations(t *testing.T) {
 	}
 }
 
-// walkPlan visits every operator reachable through Child/Left/Right
-// accessors.
+// walkPlan visits every operator of the tree, parents first.
 func walkPlan(op exec.Operator, visit func(exec.Operator)) {
 	visit(op)
-	type childer interface{ Child() exec.Operator }
-	type joiner interface {
-		Left() exec.Operator
-		Right() exec.Operator
-	}
-	if c, ok := op.(childer); ok {
-		walkPlan(c.Child(), visit)
-	}
-	if j, ok := op.(joiner); ok {
-		walkPlan(j.Left(), visit)
-		walkPlan(j.Right(), visit)
+	for _, c := range exec.Children(op) {
+		walkPlan(c, visit)
 	}
 }
 
@@ -310,43 +300,11 @@ func TestPlanFallsBackToNestedLoop(t *testing.T) {
 	}
 }
 
-// containsOperator walks known operator wrappers looking for a match.
+// containsOperator reports whether any operator of the tree matches.
 func containsOperator(op exec.Operator, match func(exec.Operator) bool) bool {
-	if match(op) {
-		return true
-	}
-	switch v := op.(type) {
-	case *exec.Project:
-		return containsOperatorChild(v, match)
-	case *exec.Filter:
-		return containsOperatorChild(v, match)
-	case *exec.Sort:
-		return containsOperatorChild(v, match)
-	case *exec.Limit:
-		return containsOperatorChild(v, match)
-	case *exec.Distinct:
-		return containsOperatorChild(v, match)
-	case *exec.SortGroup:
-		return containsOperatorChild(v, match)
-	case *exec.MergeJoin, *exec.NestedLoopJoin:
-		// Joins are terminal for this walk (their inputs are scans/sorts).
-		return false
-	}
-	return false
-}
-
-// containsOperatorChild uses reflection-free child access: re-walk via the
-// exported constructors is impossible, so rely on the unexported field via
-// interface upcasting — instead, exploit that all wrapper operators store
-// the child first; we approximate by checking the schema-compatible
-// wrapped operator through a type switch in containsOperator. For wrapped
-// children we use the Child method added below.
-func containsOperatorChild(op exec.Operator, match func(exec.Operator) bool) bool {
-	type childer interface{ Child() exec.Operator }
-	if c, ok := op.(childer); ok {
-		return containsOperator(c.Child(), match)
-	}
-	return false
+	found := false
+	walkPlan(op, func(o exec.Operator) { found = found || match(o) })
+	return found
 }
 
 func TestPredicatePushdown(t *testing.T) {
@@ -529,5 +487,62 @@ func TestSortBudgetUsesPackedRowBytes(t *testing.T) {
 	plan2 := exec.ExplainAnnotated(op2, func(o exec.Operator) string { return c2.notes[o] })
 	if !strings.Contains(plan2, "external") {
 		t.Fatalf("packed bytes exceed the budget; plan kept the sort in memory:\n%s", plan2)
+	}
+}
+
+// TestPlannerExternalSortRunSize pins the one budget the planner has: a
+// sort whose input outgrows MemBudget goes external, builds its runs in
+// exactly that budget — the page allocations are those of a hand-built
+// sort with that run size, not of the default's single run — and returns
+// what the in-memory plan returns.
+func TestPlannerExternalSortRunSize(t *testing.T) {
+	pool := storage.NewPool(storage.NewMemStore(), 64)
+	cat := catalog.New(pool)
+	tbl, err := cat.Create("t", tuple.IntSchema("k", "seq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000 // 320,000 packed bytes
+	for i := 0; i < n; i++ {
+		if err := tbl.File.Append(tuple.Ints(int64(i*7919%1000), int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const query = "SELECT k, seq FROM t ORDER BY k"
+	const budget = 32 << 10
+	allocs := func(op exec.Operator) ([]tuple.Tuple, int64) {
+		before := pool.Stats.Allocs
+		rows := drain(t, op)
+		return rows, pool.Stats.Allocs - before
+	}
+
+	inMem := NewCompiler(cat, pool, nil)
+	want := drain(t, compile(t, inMem, query))
+	if len(want) != n {
+		t.Fatalf("in-memory plan returned %d rows, want %d", len(want), n)
+	}
+
+	c := NewCompiler(cat, pool, nil)
+	c.MemBudget = budget
+	op := compile(t, c, query)
+	if text := exec.Explain(op); !strings.Contains(text, "(external)") {
+		t.Fatalf("a %d-byte budget under a %d-byte input kept the sort in memory:\n%s", budget, n*16, text)
+	}
+	got, planned := allocs(op)
+	if len(got) != len(want) {
+		t.Fatalf("external plan returned %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !tuple.EqualTuples(got[i], want[i]) {
+			t.Fatalf("row %d = %v, in-memory plan has %v", i, got[i], want[i])
+		}
+	}
+
+	keys := []exec.SortKey{{Col: 0}}
+	_, atBudget := allocs(exec.NewSortKeys(exec.NewHeapScan(tbl.File), keys, pool, budget))
+	_, atDefault := allocs(exec.NewSortKeys(exec.NewHeapScan(tbl.File), keys, pool, 0))
+	if planned != atBudget || planned == atDefault {
+		t.Errorf("planned sort allocated %d pages; %d-byte runs allocate %d, default runs %d",
+			planned, budget, atBudget, atDefault)
 	}
 }

@@ -17,10 +17,9 @@ type Compiler struct {
 	cat    *catalog.Catalog
 	pool   *storage.Pool // spill target for external sorts; nil = in-memory only
 	params Params
-	// SortMemLimit bounds in-memory run size for external sorts (0 = default).
-	SortMemLimit int
 	// MemBudget bounds the in-memory working set of a sort or hash build
-	// (0 = DefaultMemBudget); the cost model spills or rejects above it.
+	// (0 = DefaultMemBudget); the cost model spills or rejects above it, and
+	// an external sort's runs are this size.
 	MemBudget int64
 	// Calib overrides the built-in estimation constants with a fitted set
 	// (nil = costmodel.DefaultCalibration).

@@ -42,84 +42,78 @@ func ByAllColumns() Comparator {
 // File sorts the tuples of in into a fresh heap file using at most
 // memLimit bytes of in-memory tuple buffer per run.
 func File(pool *storage.Pool, in *hp.File, cmp Comparator, memLimit int) (*hp.File, error) {
-	it := heapIter{sc: in.Scan()}
-	defer it.Close()
-	return Stream(pool, in.Schema(), &it, cmp, memLimit)
+	sc := in.Scan()
+	defer sc.Close()
+	return Stream(pool, in.Schema(), sc, cmp, memLimit)
 }
 
 // Iterator is a minimal pull-based tuple stream. Next returns io.EOF at the
-// end.
+// end. Whoever opened the stream closes it; the sort only reads.
 type Iterator interface {
 	Next() (tuple.Tuple, error)
-	Close()
 }
 
-type heapIter struct{ sc *hp.Scanner }
-
-func (h *heapIter) Next() (tuple.Tuple, error) { return h.sc.Next() }
-func (h *heapIter) Close()                     { h.sc.Close() }
-
-// Stream sorts an arbitrary tuple stream into a fresh heap file.
+// Stream sorts an arbitrary tuple stream into a fresh heap file: runs of
+// at most memLimit bytes are sorted in memory and written out, then
+// merged. Every run is freed once merged and on every error path, so the
+// one file returned is all the call leaves in the pool.
 func Stream(pool *storage.Pool, schema *tuple.Schema, in Iterator, cmp Comparator, memLimit int) (*hp.File, error) {
 	if memLimit <= 0 {
 		memLimit = DefaultMemoryLimit
 	}
+	runs, err := writeRuns(pool, schema, in, cmp, memLimit)
+	if err != nil {
+		freeFiles(runs)
+		return nil, err
+	}
+	return mergeRuns(pool, schema, runs, cmp)
+}
 
+// writeRuns cuts in into sorted runs of at most memLimit bytes — at least
+// one, which is empty when in is. On error it returns the runs written so
+// far, the failed one included, for the caller to free.
+func writeRuns(pool *storage.Pool, schema *tuple.Schema, in Iterator, cmp Comparator, memLimit int) ([]*hp.File, error) {
 	var runs []*hp.File
 	var buf []tuple.Tuple
 	bufBytes := 0
-
 	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
 		sort.SliceStable(buf, func(i, j int) bool { return cmp(buf[i], buf[j]) < 0 })
 		run, err := hp.Create(pool, schema)
 		if err != nil {
 			return err
 		}
-		if err := run.AppendAll(buf); err != nil {
-			return err
-		}
 		runs = append(runs, run)
-		buf = buf[:0]
-		bufBytes = 0
-		return nil
+		err = run.AppendAll(buf)
+		buf, bufBytes = buf[:0], 0
+		return err
 	}
-
 	for {
 		t, err := in.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return runs, err
 		}
 		buf = append(buf, t)
 		bufBytes += tuple.EncodedSize(schema, t)
 		if bufBytes >= memLimit {
 			if err := flush(); err != nil {
-				return nil, err
+				return runs, err
 			}
 		}
 	}
+	var err error
+	if len(buf) > 0 || len(runs) == 0 {
+		err = flush()
+	}
+	return runs, err
+}
 
-	// Single in-memory run: write the result directly.
-	if len(runs) == 0 {
-		sort.SliceStable(buf, func(i, j int) bool { return cmp(buf[i], buf[j]) < 0 })
-		out, err := hp.Create(pool, schema)
-		if err != nil {
-			return nil, err
-		}
-		if err := out.AppendAll(buf); err != nil {
-			return nil, err
-		}
-		return out, nil
+func freeFiles(files []*hp.File) {
+	for _, f := range files {
+		f.Free()
 	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return mergeRuns(pool, schema, runs, cmp)
 }
 
 // mergeEntry is one head-of-run element in the merge heap.
@@ -152,11 +146,56 @@ func (m *mergeHeap) Pop() interface{} {
 	return e
 }
 
+// mergeRuns merges sorted runs into one file, consuming them. Each round
+// merges consecutive groups of FanIn(pool.Capacity()) runs, so a merge
+// never pins more frames than the pool has — one per open run plus the two
+// an append can hold — however many runs there are. Groups stay in run
+// order and ties break on run index, so the cascade is as stable as a
+// single merge.
 func mergeRuns(pool *storage.Pool, schema *tuple.Schema, runs []*hp.File, cmp Comparator) (*hp.File, error) {
+	fanIn := FanIn(pool.Capacity())
+	for len(runs) > 1 {
+		var next []*hp.File
+		for len(runs) > 0 {
+			n := min(fanIn, len(runs))
+			merged, err := mergeGroup(pool, schema, runs[:n], cmp)
+			runs = runs[n:]
+			if err != nil {
+				freeFiles(next)
+				freeFiles(runs)
+				return nil, err
+			}
+			next = append(next, merged)
+		}
+		runs = next
+	}
+	return runs[0], nil
+}
+
+// mergeGroup merges runs (at most the fan-in) into a fresh file and frees
+// them, whether or not it succeeds; the only run of a group is returned as
+// it is.
+func mergeGroup(pool *storage.Pool, schema *tuple.Schema, runs []*hp.File, cmp Comparator) (*hp.File, error) {
+	if len(runs) == 1 {
+		return runs[0], nil
+	}
 	out, err := hp.Create(pool, schema)
+	if err == nil {
+		err = mergeInto(out, runs, cmp)
+	}
+	freeFiles(runs) // mergeInto has closed its scanners: no page of a run is pinned
 	if err != nil {
+		if out != nil {
+			out.Free()
+		}
 		return nil, err
 	}
+	return out, nil
+}
+
+// mergeInto appends the k-way merge of runs to out; ties go to the earlier
+// run.
+func mergeInto(out *hp.File, runs []*hp.File, cmp Comparator) error {
 	scanners := make([]*hp.Scanner, len(runs))
 	for i, r := range runs {
 		scanners[i] = r.Scan()
@@ -174,7 +213,7 @@ func mergeRuns(pool *storage.Pool, schema *tuple.Schema, runs []*hp.File, cmp Co
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		h.entries = append(h.entries, mergeEntry{t: t, src: i})
 	}
@@ -182,24 +221,18 @@ func mergeRuns(pool *storage.Pool, schema *tuple.Schema, runs []*hp.File, cmp Co
 	for h.Len() > 0 {
 		e := heap.Pop(h).(mergeEntry)
 		if err := out.Append(e.t); err != nil {
-			return nil, err
+			return err
 		}
 		t, err := scanners[e.src].Next()
 		if err == io.EOF {
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		heap.Push(h, mergeEntry{t: t, src: e.src})
 	}
-	return out, nil
-}
-
-// Tuples sorts a slice of tuples in place; the in-memory fast path used by
-// the memory-resident SETM driver.
-func Tuples(ts []tuple.Tuple, cmp Comparator) {
-	sort.SliceStable(ts, func(i, j int) bool { return cmp(ts[i], ts[j]) < 0 })
+	return nil
 }
 
 // IsSorted reports whether the heap file's tuples are in cmp order; used by

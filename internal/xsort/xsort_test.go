@@ -186,13 +186,55 @@ func TestMultiColumnOrdering(t *testing.T) {
 	}
 }
 
-func TestTuplesInPlace(t *testing.T) {
-	ts := []tuple.Tuple{tuple.Ints(3), tuple.Ints(1), tuple.Ints(2)}
-	Tuples(ts, ByColumns(0))
-	for i, want := range []int64{1, 2, 3} {
-		if ts[i][0].Int != want {
-			t.Errorf("Tuples[%d] = %v", i, ts[i])
+// TestFileMergesBeyondThePoolAndFreesItsRuns sorts 40 runs through a
+// 16-frame pool: the merge must cascade instead of opening every run at
+// once, stay stable across the cascade, and leave nothing behind but the
+// caller's input and the one output file.
+func TestFileMergesBeyondThePoolAndFreesItsRuns(t *testing.T) {
+	store := storage.NewMemStore()
+	pool := storage.NewPool(store, 16)
+	rng := rand.New(rand.NewSource(4))
+	rows := make([]tuple.Tuple, 10000)
+	for i := range rows {
+		rows[i] = tuple.Ints(rng.Int63n(50), int64(i))
+	}
+	in := makeFile(t, pool, rows, "k", "seq")
+	out, err := File(pool, in, ByColumns(0), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := out.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]tuple.Tuple{}, rows...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i][0].Int < want[j][0].Int })
+	if len(got) != len(want) {
+		t.Fatalf("sorted %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !tuple.EqualTuples(got[i], want[i]) {
+			t.Fatalf("row %d = %v, want %v (cascade not stable?)", i, got[i], want[i])
 		}
+	}
+	if again, err := in.ReadAll(); err != nil || len(again) != len(rows) {
+		t.Fatalf("input file after the sort: %d rows, err %v", len(again), err)
+	}
+	if n := pool.PinnedFrames(); n != 0 {
+		t.Errorf("%d frames left pinned", n)
+	}
+	// Every page that is neither input nor output is back on the free list:
+	// that many allocations are served without growing the store.
+	pages := store.NumPages()
+	for i := in.Pages() + out.Pages(); i < pages; i++ {
+		pg, err := pool.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(pg)
+	}
+	if store.NumPages() != pages {
+		t.Errorf("store grew %d -> %d pages: runs were not freed", pages, store.NumPages())
 	}
 }
 
