@@ -6,9 +6,9 @@ import "sync"
 // its iterations: the radix ping-pong buffers, the count step's tables
 // (or, on the sort kernel, its key-column clone), the extension output,
 // the filtered R_k, the packed C_k, and (for workers > 1) the per-worker
-// chunk buffers. Buffers grow
-// to the high-water mark of the run and are reused verbatim afterwards,
-// so steady-state iterations allocate (almost) nothing.
+// chunk buffers. Buffers grow to the high-water mark of the run and are
+// reused verbatim afterwards, so steady-state iterations allocate
+// (almost) nothing.
 type mineArena struct {
 	ext      []prow   // R'_k, the extension output
 	rkBuf    []prow   // R_k, the filter output
@@ -17,18 +17,18 @@ type mineArena struct {
 	joinBuf  []prow   // prefiltered join side (PrefilterSales only)
 	keys     []uint64 // key-column clone sorted by the count step's sort kernel
 	keysTmp  []uint64 // radix scratch for key sorts
+	kcKeys   []uint64 // the streaming key counter's bounded key buffer
 	txItems  []uint64 // per-transaction code scratch
 	bitmap   []uint64 // C_k membership bitmap for the filter step
 	dictBuf  []int64  // the dictionary's code -> item table
 	dictLUT  []uint32 // the dictionary's item -> code table (and presence pass)
 	ck       pkCounts // packed C_k
 
-	// Per-worker buffers for the parallel chunk kernels (resident path)
-	// and the spilled regime's worker-private key counters.
+	// Per-worker buffers for the parallel chunk kernels (resident path);
+	// the streaming passes' one key counter borrows slot 0 of wTmp/wTab.
 	wRows   [][]prow   // extension / filter chunk outputs
 	wCounts []pkCounts // per-chunk count runs
 	wTmp    [][]uint64 // per-chunk radix scratch
-	wKeys   [][]uint64 // per-worker bounded key buffers (spilled regime)
 	wTab    [][]uint32 // per-worker count tables (slot 0 serves serial passes)
 	wSkips  []int64    // per-chunk sort-skip tallies
 }
@@ -56,9 +56,6 @@ func (a *mineArena) workerSlots(n int) {
 	}
 	for len(a.wTmp) < n {
 		a.wTmp = append(a.wTmp, nil)
-	}
-	for len(a.wKeys) < n {
-		a.wKeys = append(a.wKeys, nil)
 	}
 	for len(a.wTab) < n {
 		a.wTab = append(a.wTab, nil)

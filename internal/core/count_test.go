@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"setm/internal/costmodel"
@@ -130,33 +129,69 @@ func TestCountKernelRuleEdges(t *testing.T) {
 		t.Error("CountTableFits accepted a table one byte over the sort buffers")
 	}
 
-	// Budget-bounded counter: the share is 2*8*capKeys.
+	// The streaming key counter's single-counter contract. Bounded: the
+	// share is 2*8*capKeys, so at the edge it counts on the table from the
+	// first key and writes no run, one key under it sorts bounded runs.
+	// Unbounded: it buffers until the table pays (tabAt keys, 16 B each)
+	// and then drains into it; an input shorter than that finishes on the
+	// sort kernel, in RAM.
 	pool := storage.NewPool(storage.NewMemStore(), 16)
 	for _, tc := range []struct {
-		capKeys int
-		want    string
-	}{{atEdge, CountTable}, {atEdge - 1, CountSort}} {
+		name         string
+		capKeys      int
+		nrows        int
+		want         string
+		tableAtFirst bool // on the table after one key
+		runs         bool // key runs written
+	}{
+		{"bounded at edge", atEdge, 3 * atEdge, CountTable, true, false},
+		{"bounded under edge", atEdge - 1, 3 * atEdge, CountSort, false, true},
+		{"unbounded switches at tabAt", 0, 3 * atEdge, CountTable, false, false},
+		{"unbounded shorter than tabAt", 0, atEdge - 1, CountSort, false, false},
+	} {
 		var st spillStats
 		kc := newKeyCounter(nil, pool, tc.capKeys, 4, cells, &st)
-		rows := randKeyRows(3, 3*atEdge, 12)
-		if err := kc.addRows(rows); err != nil {
+		rows := randKeyRows(3, tc.nrows, 12)
+		if tc.capKeys == 0 && kc.tabAt != atEdge {
+			t.Errorf("%s: tabAt = %d, want %d", tc.name, kc.tabAt, atEdge)
+		}
+		// One key, up to one short of the switch point, then the rest, in
+		// batches that straddle it.
+		if err := kc.addRows(rows[:1]); err != nil {
 			t.Fatal(err)
 		}
-		got, kernel, err := finishCounters(pool, []*keyCounter{kc}, 4, 1, 2, pkCounts{})
+		if (kc.tab != nil) != tc.tableAtFirst {
+			t.Errorf("%s: on the table after one key = %v", tc.name, kc.tab != nil)
+		}
+		head := min(len(rows), atEdge-1)
+		if err := kc.addRows(rows[1:head]); err != nil {
+			t.Fatal(err)
+		}
+		if tc.capKeys == 0 && kc.tab != nil {
+			t.Errorf("%s: switched to the table at %d keys, before tabAt", tc.name, head)
+		}
+		for part := rows[head:]; len(part) > 0; {
+			n := min(len(part), 37)
+			if err := kc.addRows(part[:n]); err != nil {
+				t.Fatal(err)
+			}
+			part = part[n:]
+		}
+		got, kernel, err := kc.finish(2, pkCounts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if kernel != tc.want {
-			t.Errorf("capKeys=%d: kernel %q, want %q", tc.capKeys, kernel, tc.want)
+			t.Errorf("%s: kernel %q, want %q", tc.name, kernel, tc.want)
 		}
-		if (st.runs == 0) != (tc.want == CountTable) {
-			t.Errorf("capKeys=%d (%s): %d key runs written", tc.capKeys, kernel, st.runs)
+		if (st.runs != 0) != tc.runs {
+			t.Errorf("%s (%s): %d key runs written", tc.name, kernel, st.runs)
 		}
 		var ar mineArena
 		var skips int64
 		want, _ := countRows(rows, sortDict(dict), k, 2, 1, &ar, pkCounts{}, &skips)
 		if !samePkCounts(got, want) {
-			t.Errorf("capKeys=%d (%s): counts differ from the resident sort kernel", tc.capKeys, kernel)
+			t.Errorf("%s (%s): counts differ from the resident sort kernel", tc.name, kernel)
 		}
 	}
 	if n := pool.PinnedFrames(); n != 0 {
@@ -248,68 +283,6 @@ func TestCountRowsParallelTables(t *testing.T) {
 			par, _ := countRows(rows, dict, 2, ms, w, &arW, pkCounts{}, &skips)
 			if !samePkCounts(par, serial) {
 				t.Errorf("%s: parallel tables differ from the serial table", label)
-			}
-		}
-	}
-}
-
-// TestKeyCountersStreamingTables drives worker-private key counters the
-// way the spilled regime's morsel workers do — concurrently, each on its
-// own rows — and checks the fold: bounded counters count on tables from
-// the first key, unbounded ones switch once the table pays (so a short
-// morsel is still buffering when the pass ends), and either mix sums to
-// the resident answer with no key run written.
-func TestKeyCountersStreamingTables(t *testing.T) {
-	items := make([]int64, 32)
-	for i := range items {
-		items[i] = int64(i)
-	}
-	dict := newPackDict(items, 1<<20, nil)
-	cells := dict.countTableCells(2) // 1024 cells: switches at 256 keys when unbounded
-	rows := randKeyRows(7, 6000, 10)
-	var ar mineArena
-	var skips int64
-	want, _ := countRows(rows, sortDict(dict), 2, 3, 1, &ar, pkCounts{}, &skips)
-	pool := storage.NewPool(storage.NewMemStore(), 16)
-	for _, capKeys := range []int{0, 512} {
-		for _, W := range []int{2, 4} {
-			stats := make([]spillStats, W)
-			kcs := make([]*keyCounter, W)
-			// The last worker's morsel is 100 rows: under the unbounded
-			// switch point, so it finishes still buffering.
-			cuts := evenChunks(len(rows)-100, W-1)
-			cuts = append(cuts, [2]int{len(rows) - 100, len(rows)})
-			var wg sync.WaitGroup
-			for w := range kcs {
-				kcs[w] = newKeyCounter(nil, pool, capKeys, 4, cells, &stats[w])
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					part := rows[cuts[w][0]:cuts[w][1]]
-					for len(part) > 0 {
-						n := min(len(part), 37)
-						if err := kcs[w].addRows(part[:n]); err != nil {
-							t.Error(err)
-						}
-						part = part[n:]
-					}
-				}(w)
-			}
-			wg.Wait()
-			if last := kcs[W-1]; (last.tab == nil) != (capKeys == 0) {
-				t.Errorf("cap=%d W=%d: short morsel on table = %v", capKeys, W, last.tab != nil)
-			}
-			got, kernel, err := finishCounters(pool, kcs, 4, W, 3, pkCounts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if kernel != CountTable || !samePkCounts(got, want) {
-				t.Errorf("cap=%d W=%d: kernel %q, counts equal = %v", capKeys, W, kernel, samePkCounts(got, want))
-			}
-			for w := range stats {
-				if stats[w].runs != 0 {
-					t.Errorf("cap=%d W=%d: worker %d wrote %d key runs", capKeys, W, w, stats[w].runs)
-				}
 			}
 		}
 	}

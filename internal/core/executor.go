@@ -16,9 +16,8 @@ package core
 //     budget-bounded spillable relations streaming to and from the page
 //     store as raw packed-page runs, an extent at a time (spill.go);
 //   - parallelism 1..N: the resident packed kernels fan out across chunk
-//     workers (arena.go); the spilled regime morsel-splits the
-//     relations into tid-aligned windows, each worker spilling into
-//     private run sets merged by a concurrent cascade (xsort).
+//     workers (arena.go); a budget-bounded pass is serial — one cursor,
+//     one appender, one key counter, sequential page access.
 //
 // This stepper always runs exchange "none"; "sharded" is the partitioned
 // driver's count-distribution exchange over the same packed kernels
@@ -35,7 +34,6 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"sync"
 
 	"setm/internal/costmodel"
 	hp "setm/internal/heap"
@@ -54,7 +52,9 @@ type IterPlan struct {
 	// "spilled" (budget-bounded spillable relations; runs are written
 	// only when a buffer actually outgrows its share).
 	Regime string
-	// Workers is the fan-out the iteration's kernels run at.
+	// Workers is the fan-out the iteration's kernels ran at; always 1 for
+	// a pass that streamed through the spillable relations (the spilled
+	// regime, and a resident plan whose inputs were still runs).
 	Workers int
 	// Exchange is "none" (single executor) or "sharded" (the partitioned
 	// driver's per-shard pipelines with a global count merge).
@@ -101,7 +101,8 @@ type strategyFunc func(costmodel.PlanInput) IterPlan
 // fixedStrategy is a driver that always runs one point in the strategy
 // space: workers kernels, and — when budgetBounded — the spilled regime
 // whenever a positive budget is in force (the regime's appenders write
-// runs only if a buffer actually overflows its budget share).
+// runs only if a buffer actually overflows its budget share; nextPlan
+// makes such a pass serial whatever workers says).
 func fixedStrategy(workers int, budgetBounded bool) strategyFunc {
 	return func(in costmodel.PlanInput) IterPlan {
 		p := IterPlan{Kernel: KernelPacked, Regime: RegimeResident, Workers: workers, Exchange: ExchangeNone}
@@ -117,7 +118,8 @@ func fixedStrategy(workers int, budgetBounded bool) strategyFunc {
 
 // autoStrategy consults the cost model: packed while the key fits,
 // spilled exactly when the modeled packed footprint crosses the budget,
-// and the worker count that minimizes the modeled iteration cost.
+// and — for a resident pass — the worker count that minimizes the modeled
+// iteration cost.
 func autoStrategy() strategyFunc {
 	return func(in costmodel.PlanInput) IterPlan {
 		c := costmodel.ChoosePlan(in)
@@ -136,16 +138,16 @@ func autoStrategy() strategyFunc {
 // iteration's kernel, memory regime, and parallelism are chosen by the
 // cost model from the previous iteration's observed cardinalities,
 // Options.MemoryBudget (<= 0: unbounded, fully resident), and the
-// available CPUs (capped by Options.MaxWorkers). Results are
-// bit-identical to Mine; the chosen plans are recorded in
-// Result.Stats[i].Plan.
+// available CPUs (capped by Options.MaxWorkers; budget-bounded passes are
+// serial). Results are bit-identical to Mine; the chosen plans are
+// recorded in Result.Stats[i].Plan.
 func MineAuto(d *Dataset, opts Options) (*Result, error) {
 	return MineAutoMonitored(context.Background(), d, opts, nil, nil)
 }
 
 // MineAutoMonitored is MineAuto under a context and with the hooks a
 // long-running service needs. The executor polls ctx at every iteration
-// boundary and — in the spilled regime — at morsel and merge
+// boundary and — in the spilled regime — at block and merge
 // granularity, so a cancelled job returns promptly with its arenas
 // released, its partial spill runs recycled into the pool's free list,
 // and zero pinned frames; the returned error wraps ctx.Err(). pool is a
@@ -199,11 +201,11 @@ type execStepper struct {
 	budget     int64 // 0 = unbounded
 	maxWorkers int
 
-	// ctx, when non-nil, is polled by the kernels at morsel granularity
-	// so a cancelled run stops between groups instead of finishing the
-	// iteration; the error paths it triggers are the same ones injected
-	// storage faults exercise, so cleanup (appender aborts, run frees,
-	// pin releases) is shared.
+	// ctx, when non-nil, is polled by the streaming kernels every few
+	// thousand rows, so a cancelled run stops between groups instead of
+	// finishing the iteration; the error paths it triggers are the same
+	// ones injected storage faults exercise, so cleanup (appender aborts,
+	// run frees, pin releases) is shared.
 	ctx context.Context
 
 	pool *storage.Pool // created by attachPool, or lazily at first spill
@@ -248,8 +250,7 @@ func (s *execStepper) attachPool(pool *storage.Pool) {
 
 // cancelled is the executor's cancellation checkpoint: nil while the run
 // may continue, the context's error once it must stop. Kernels poll it
-// at morsel boundaries and every cancelCheckRows rows inside streaming
-// loops.
+// every cancelCheckRows rows inside streaming loops.
 func (s *execStepper) cancelled() error {
 	if s.ctx == nil {
 		return nil
@@ -303,23 +304,18 @@ func (s *execStepper) ensurePool() {
 }
 
 // nextPlan asks the strategy for the upcoming iteration's plan, feeding
-// it the previous iteration's observed cardinalities.
+// it the previous iteration's observed cardinalities. A budget-bounded
+// pass is serial whatever the strategy says: its cost is sequential page
+// access, which a second cursor on the same store only breaks up.
 func (s *execStepper) nextPlan(k int, prevRPrime, prevRRows int64) IterPlan {
 	p := s.strat(costmodel.PlanInput{
 		K: k, PrevRPrime: prevRPrime, PrevRRows: prevRRows,
 		AvgBasket: s.avgBasket, PackedOK: k <= s.dict.maxPackedK(),
-		Budget: s.budget, Workers: s.maxWorkers, PoolFrames: s.cfg.PoolFrames,
+		Budget: s.budget, Workers: s.maxWorkers,
 		CountTableBytes: s.dict.countTableBytes(k), Checkpoint: s.opts.Checkpoint != nil,
 	})
-	if p.Workers < 1 {
+	if p.Workers < 1 || p.Regime == RegimeSpilled {
 		p.Workers = 1
-	}
-	if p.Regime == RegimeSpilled {
-		// Safety net for arbitrary (fixed/forced) strategies; the auto
-		// strategy already models this cap inside ChoosePlan.
-		if byPool := costmodel.SpillWorkerCap(s.cfg.PoolFrames); p.Workers > byPool {
-			p.Workers = byPool
-		}
 	}
 	return p
 }
@@ -338,31 +334,22 @@ func (s *execStepper) chunk() int64 {
 	return c
 }
 
-// capRows is one appender's row bound when the chunk is split across w
-// workers; 0 when unbounded.
-func (s *execStepper) capRows(w int) int {
+// capRows is an appender's row bound, one chunk; 0 when unbounded.
+func (s *execStepper) capRows() int {
 	c := s.chunk()
 	if c <= 0 {
 		return 0
 	}
-	n := int(c / costmodel.PackedRowBytes / int64(w))
-	if n < rowsPerPage {
-		n = rowsPerPage // one page of rows
-	}
-	return n
+	return max(int(c/costmodel.PackedRowBytes), rowsPerPage) // at least a page of rows
 }
 
-// capKeys is one key counter's bound under w workers; 0 when unbounded.
-func (s *execStepper) capKeys(w int) int {
+// capKeys is the key counter's bound, one chunk; 0 when unbounded.
+func (s *execStepper) capKeys() int {
 	c := s.chunk()
 	if c <= 0 {
 		return 0
 	}
-	n := int(c / costmodel.PackedKeyBytes / int64(w))
-	if n < storage.WordsPerPage {
-		n = storage.WordsPerPage // one page of keys
-	}
-	return n
+	return max(int(c/costmodel.PackedKeyBytes), storage.WordsPerPage) // at least a page of keys
 }
 
 // countSup is the threshold the count kernels run at: minSup normally,
@@ -440,7 +427,7 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	var ck pkCounts
 	var err error
 	if plan.Regime == RegimeSpilled {
-		ck, skips, plan.Count, err = s.countMemStreaming(mem, s.countSup(minSup), plan)
+		ck, skips, plan.Count, err = s.countMemStreaming(mem, s.countSup(minSup))
 		if err != nil {
 			return nil, iterSizes{}, err
 		}
@@ -450,33 +437,9 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	ck = s.splitBorder(ck, minSup)
 	c1 := decodePatterns(ck, 1, s.dict)
 
-	// The paper does not filter R_1 by C_1 (Section 6.1); PrefilterSales
-	// is the ablation restricting both join sides to frequent items.
-	var sales *srel
-	if s.opts.PrefilterSales {
-		if plan.Regime == RegimeSpilled {
-			sales, err = s.filterMemStreaming(mem, 1, ck, plan)
-			if err != nil {
-				return nil, iterSizes{}, err
-			}
-			// The unfiltered rows are dead; keep the arena buffer.
-		} else {
-			s.ar.joinBuf = packedFilter(mem, ck.keys, s.ar.joinBuf[:0])
-			sales = memSrel(s.ar.joinBuf)
-		}
-	} else {
-		sales = memSrel(mem)
-		if cap := s.capRows(1); plan.Regime == RegimeSpilled && cap > 0 && len(mem) > cap {
-			// R_1 outgrows its budget share: spill it (in parallel when
-			// the plan fans out) and drop the resident copy — the runs
-			// are then the only holder, so the budget genuinely bounds
-			// R_1's RAM. The arena must not recycle the dropped buffer.
-			sales, err = s.spillMemParallel(mem, plan.Workers)
-			if err != nil {
-				return nil, iterSizes{}, err
-			}
-			s.ar.salesBuf = nil
-		}
+	sales, err := s.buildJoinSide(mem, ck, plan)
+	if err != nil {
+		return nil, iterSizes{}, err
 	}
 	s.sales, s.rk, s.join = sales, sales, sales
 
@@ -512,10 +475,9 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 	}
 	// The streaming path also serves a resident plan whose *inputs* are
 	// still spilled (the spilled→resident transition): unbounded
-	// appenders then land the outputs in RAM.
-	if plan.Regime == RegimeSpilled || !s.rk.resident() || !s.join.resident() {
-		s.ensurePool()
-	}
+	// appenders then land the outputs in RAM. It is serial either way.
+	s.ensurePool()
+	plan.Workers = 1
 	return s.stepStreaming(k, minSup, plan)
 }
 
@@ -524,8 +486,7 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 // arena.go when the plan says so. No budget machinery, no cursors.
 func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
 	ioStart, stStart := s.startIteration()
-	rk := s.rk.flatten()
-	join := s.join.flatten()
+	rk, join := s.rk.mem, s.join.mem
 
 	var skips int64
 	// sort R_{k-1} on (trans_id, items): the previous filter preserved
@@ -592,102 +553,49 @@ func (s *execStepper) countResident(rows []prow, k int, minSup int64, workers in
 	return ck, kernel
 }
 
-// stepStreaming is the spillable path: budget-bounded appenders and key
-// counters over morsel-split group cursors. With plan.Workers > 1 the
-// morsels run concurrently, each worker spilling into private run sets;
-// with a resident plan (spilled→resident transition) the caps are
-// simply unbounded and the outputs land in RAM.
+// stepStreaming is the spillable path, one pass front to back: a group
+// cursor over each input, one budget-bounded appender per output and one
+// key counter. With a resident plan (the spilled→resident transition)
+// the caps are simply unbounded and the outputs land in RAM.
 func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
 	ioStart, stStart := s.startIteration()
 	// sort R_{k-1} on (trans_id, items): relations are appended (and
 	// spilled) in exactly that order, so the sort is provably redundant.
 	skips := int64(1)
 
-	W := plan.Workers
-	if s.rk.rows() < parallelMinRows {
-		W = 1
+	capR, capK := 0, 0
+	if plan.Regime == RegimeSpilled {
+		capR, capK = s.capRows(), s.capKeys()
 	}
-	srcs, err := splitGroups(s.pool, s.rk, W)
+
+	// R'_k := merge-scan(R_{k-1}, R_1), streamed group by group; output
+	// inherits (trans_id, items) order, so it spills as one sequential run
+	// with no sort. The key column is counted on the fly (fused with the
+	// extension), saving a full re-read of R'_k. The appender reuses the
+	// arena's extension buffer for its resident portion.
+	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st, mem: s.ar.ext[:0]}
+	defer app.abort(s.pool) // no-op once finished
+	kc := s.keyCounterFor(k, capK)
+	defer s.stashKeyCounter(kc)
+	defer kc.abort() // no-op once finish has consumed the runs
+	if err := s.extendStreaming(app, kc); err != nil {
+		return nil, iterSizes{}, err
+	}
+	rPrime, err := app.finish()
 	if err != nil {
 		return nil, iterSizes{}, err
 	}
-	if len(srcs) == 0 {
-		srcs = []groupSrc{{pool: s.pool, mem: nil}}
-	}
-	W = len(srcs)
-
-	capR, capK := 0, 0
-	if plan.Regime == RegimeSpilled {
-		capR, capK = s.capRows(W), s.capKeys(W)
-	}
-	fanIn := mergeFanIn(s.pool, s.chunk())
-
-	// R'_k := merge-scan(R_{k-1}, R_1), streamed group by group; output
-	// inherits (trans_id, items) order, so each morsel spills as
-	// sequential runs with no sort. The key column is counted on the fly
-	// (fused with the extension), saving a full re-read of R'_k.
-	apps := make([]*spillAppender, W)
-	stats := make([]spillStats, W)
-	errs := make([]error, W)
-	kcs := s.newKeyCounters(k, capK, fanIn, stats)
-	for w := 0; w < W; w++ {
-		apps[w] = &spillAppender{pool: s.pool, capRows: capR, st: &stats[w]}
-	}
-	if W == 1 {
-		// The serial appender can reuse the arena's extension buffer for
-		// its resident portion.
-		apps[0].mem = s.ar.ext[:0]
-		errs[0] = s.extendMorsel(srcs[0], apps[0], kcs[0], false)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < W; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				errs[w] = s.extendMorsel(srcs[w], apps[w], kcs[w], true)
-			}(w)
-		}
-		wg.Wait()
-	}
-	segs := make([]sseg, 0, W)
-	for w := 0; w < W; w++ {
-		if errs[w] == nil {
-			var seg sseg
-			seg, errs[w] = apps[w].finishSeg()
-			if errs[w] == nil {
-				segs = append(segs, seg)
-			}
-		}
-	}
-	for w := 0; w < W; w++ {
-		if errs[w] != nil {
-			for i := range segs {
-				if segs[i].spilled {
-					segs[i].run.Free(s.pool)
-				}
-			}
-			for _, a := range apps {
-				a.abort(s.pool)
-			}
-			for _, kc := range kcs {
-				kc.abort()
-			}
-			s.mergeWorkerState(kcs, stats, W)
-			return nil, iterSizes{}, errs[w]
-		}
-	}
-	rPrime := assembleSrel(segs)
 	if s.rk != s.join {
 		s.rk.free(s.pool) // consumed; the join side lives on
 	}
 	s.rk = nil
 
-	// C_k: the fused counters' tables summed, or their bounded radix
-	// runs merged and counted.
+	// C_k: the fused counter's table read out, or its bounded radix runs
+	// merged and counted.
 	dst := pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]}
-	ck, kernel, err := finishCounters(s.pool, kcs, fanIn, s.mergeWorkers(W, fanIn), s.countSup(minSup), dst)
+	ck, kernel, err := kc.finish(s.countSup(minSup), dst)
 	plan.Count = kernel
-	skips += s.mergeWorkerState(kcs, stats, W)
+	skips += kc.skips
 	if err != nil {
 		rPrime.free(s.pool)
 		return nil, iterSizes{}, err
@@ -698,7 +606,7 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 
 	// R_k := filter R'_k by C_k; filtering preserves (trans_id, items)
 	// order, so the paper's post-filter sort is skipped.
-	rk, err := s.filterStreaming(rPrime, k, ck, W, capR, true)
+	rk, err := s.filterStreaming(rPrime, k, ck, capR, true)
 	rPrimePages := rPrime.pages()
 	rPrimeRows := rPrime.rows()
 	rPrime.free(s.pool)
@@ -716,75 +624,38 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	return cOut, sz, nil
 }
 
-// newKeyCounters builds one key counter per worker stats slot for pass
-// k, each bounded to capKeys (0: unbounded) and seeded with the arena's
-// per-worker buffers.
-func (s *execStepper) newKeyCounters(k, capKeys, fanIn int, stats []spillStats) []*keyCounter {
-	W := len(stats)
-	s.ar.workerSlots(W)
-	cells := s.dict.countTableCells(k)
-	kcs := make([]*keyCounter, W)
-	for w := range kcs {
-		kcs[w] = newKeyCounter(s.ctx, s.pool, capKeys, fanIn, cells, &stats[w])
-		kcs[w].keys = s.ar.wKeys[w][:0]
-		kcs[w].tmp = s.ar.wTmp[w]
-		kcs[w].tabBuf = s.ar.wTab[w]
-	}
-	return kcs
+// keyCounterFor builds pass k's key counter, bounded to capKeys (0:
+// unbounded) and seeded with the arena's buffers — slot 0 of the
+// per-worker scratch and tables serves serial passes.
+func (s *execStepper) keyCounterFor(k, capKeys int) *keyCounter {
+	s.ar.workerSlots(1)
+	kc := newKeyCounter(s.ctx, s.pool, capKeys, mergeFanIn(s.pool, s.chunk()), s.dict.countTableCells(k), &s.st)
+	kc.keys, kc.tmp, kc.tabBuf = s.ar.kcKeys[:0], s.ar.wTmp[0], s.ar.wTab[0]
+	return kc
 }
 
-// mergeWorkerState folds the workers' spill stats into the run total,
-// returns the workers' sort-skip tally, and re-stashes the counters'
-// grown buffers in the arena for the next iteration.
-func (s *execStepper) mergeWorkerState(kcs []*keyCounter, stats []spillStats, w int) int64 {
-	var skips int64
-	for i := 0; i < w; i++ {
-		s.st.merge(stats[i])
-		skips += kcs[i].skips
-		s.ar.wKeys[i] = kcs[i].keys
-		s.ar.wTmp[i] = kcs[i].tmp
-		s.ar.wTab[i] = kcs[i].tabBuf
-	}
-	return skips
+// stashKeyCounter returns the counter's (grown) buffers to the arena for
+// the next pass.
+func (s *execStepper) stashKeyCounter(kc *keyCounter) {
+	s.ar.kcKeys, s.ar.wTmp[0], s.ar.wTab[0] = kc.keys, kc.tmp, kc.tabBuf
 }
 
-// mergeWorkers bounds the concurrent cascade groups of the final count
-// merge: each group holds fanIn read buffers and its writer's, so the
-// budget share caps how many run at once.
-func (s *execStepper) mergeWorkers(w int, fanIn int) int {
-	if c := s.chunk(); c > 0 {
-		w = min(w, int(c/(int64(fanIn+1)*runBufferBytes(s.pool))))
-	}
-	return max(w, 1)
-}
-
-// extendMorsel runs the merge-scan extension over one tid-aligned morsel
-// of R_{k-1}: groups of the morsel joined against the matching groups of
-// the join side, appending R'_k rows to app and their keys to kc. When
-// seekJoin is set (parallel morsels), the join cursor fast-starts at the
-// morsel's first transaction.
-func (s *execStepper) extendMorsel(src groupSrc, app *spillAppender, kc *keyCounter, seekJoin bool) error {
+// extendStreaming runs the merge-scan extension: the groups of R_{k-1}
+// joined against the matching groups of the join side, appending R'_k
+// rows to app and their keys to kc.
+func (s *execStepper) extendStreaming(app *spillAppender, kc *keyCounter) error {
 	if err := s.cancelled(); err != nil {
 		return err
 	}
-	rkG := src.open()
+	rkG := groupsOf(s.pool, s.rk)
 	defer rkG.close()
 	g1, err := rkG.next()
 	if err != nil || g1 == nil {
 		return err
 	}
-	var joinG groupIter
-	if seekJoin {
-		joinG, err = seekGroups(s.pool, s.join, g1[0].Tid)
-	} else {
-		// The join side gets its own cursor even when it is the same
-		// relation (iteration 2's self-join): each stream needs
-		// independent position.
-		joinG = groupsOf(s.pool, s.join)
-	}
-	if err != nil {
-		return err
-	}
+	// The join side gets its own cursor even when it is the same relation
+	// (iteration 2's self-join): each stream needs independent position.
+	joinG := groupsOf(s.pool, s.join)
 	defer joinG.close()
 	g2, err := joinG.next()
 	if err != nil {
@@ -842,216 +713,97 @@ func (s *execStepper) extendMorsel(src groupSrc, app *spillAppender, kc *keyCoun
 }
 
 // filterStreaming keeps the rows of r whose key occurs in ck, preserving
-// order, split across W workers by exact row ranges; narrow key spaces
-// test membership through a shared read-only bitmap. seedArena lets the
-// serial iteration-local call reuse the arena's R_k buffer; callers
-// whose output outlives the iteration (the prefiltered join side) must
-// pass false so later iterations cannot clobber it.
-func (s *execStepper) filterStreaming(r *srel, k int, ck pkCounts, W, capR int, seedArena bool) (*srel, error) {
+// order, a block at a time; narrow key spaces test membership through a
+// bitmap. seedArena lets the iteration-local call reuse the arena's R_k
+// buffer; callers whose output outlives the iteration (the prefiltered
+// join side) must pass false so later iterations cannot clobber it.
+func (s *execStepper) filterStreaming(r *srel, k int, ck pkCounts, capR int, seedArena bool) (*srel, error) {
 	bm := buildKeyBitmap(ck.keys, uint(k)*s.dict.bits, s.ar)
-	if r.rows() < parallelMinRows {
-		W = 1
+	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st}
+	if seedArena {
+		app.mem = s.ar.rkBuf[:0]
 	}
-	parts := splitRows(s.pool, r, W)
-	if len(parts) == 0 {
-		return &srel{}, nil
-	}
-	W = len(parts)
-	apps := make([]*spillAppender, W)
-	stats := make([]spillStats, W)
-	errs := make([]error, W)
-	for w := 0; w < W; w++ {
-		apps[w] = &spillAppender{pool: s.pool, capRows: capR, st: &stats[w]}
-	}
-	if W == 1 {
-		if seedArena {
-			apps[0].mem = s.ar.rkBuf[:0]
-		}
-		errs[0] = filterPart(s.ctx, &parts[0], apps[0], bm, ck.keys)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < W; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				errs[w] = filterPart(s.ctx, &parts[w], apps[w], bm, ck.keys)
-			}(w)
-		}
-		wg.Wait()
-	}
-	segs := make([]sseg, 0, W)
-	var firstErr error
-	for w := 0; w < W; w++ {
-		if errs[w] != nil && firstErr == nil {
-			firstErr = errs[w]
-		}
-	}
-	for w := 0; w < W && firstErr == nil; w++ {
-		seg, err := apps[w].finishSeg()
-		if err != nil {
-			firstErr = err
-			break
-		}
-		segs = append(segs, seg)
-	}
-	for w := 0; w < W; w++ {
-		s.st.merge(stats[w])
-	}
-	if firstErr != nil {
-		for i := range segs {
-			if segs[i].spilled {
-				segs[i].run.Free(s.pool)
-			}
-		}
-		for _, a := range apps {
-			a.abort(s.pool)
-		}
-		return nil, firstErr
-	}
-	return assembleSrel(segs), nil
-}
-
-// filterPart streams one row range of R'_k through the support filter a
-// block at a time, polling ctx (when non-nil) once a block.
-func filterPart(ctx context.Context, part *groupSrcRows, app *spillAppender, bm []uint64, ckKeys []uint64) error {
-	it := part.open()
+	defer app.abort(s.pool) // no-op once finished
+	it := rowsOf(s.pool, r)
 	defer it.close()
 	var keep []prow
 	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := s.cancelled(); err != nil {
+			return nil, err
 		}
 		blk, err := it.next()
-		if err != nil || blk == nil {
-			return err
+		if err != nil {
+			return nil, err
+		}
+		if blk == nil {
+			return app.finish()
 		}
 		if bm != nil {
 			keep = packedFilterBitmap(blk, bm, keep[:0])
 		} else {
-			keep = packedFilter(blk, ckKeys, keep[:0])
+			keep = packedFilter(blk, ck.keys, keep[:0])
 		}
 		if err := app.add(keep); err != nil {
-			return err
+			return nil, err
 		}
 	}
 }
 
-// countMemStreaming streams the keys of resident rows through
-// budget-bounded counters (fanned across workers), producing C_1 at
-// minSup — the init path's count when the plan is spilled. Also returns
-// the sort-skip tally and the count kernel that ran.
-func (s *execStepper) countMemStreaming(mem []prow, minSup int64, plan IterPlan) (pkCounts, int64, string, error) {
-	W := plan.Workers
-	if len(mem) < parallelMinRows {
-		W = 1
-	}
-	bounds := evenChunks(len(mem), W)
-	if len(bounds) == 0 {
-		bounds = [][2]int{{0, 0}}
-	}
-	W = len(bounds)
-	fanIn := mergeFanIn(s.pool, s.chunk())
-	stats := make([]spillStats, W)
-	errs := make([]error, W)
-	kcs := s.newKeyCounters(1, s.capKeys(W), fanIn, stats)
-	feed := func(w int) error {
-		rows := mem[bounds[w][0]:bounds[w][1]]
-		for len(rows) > 0 {
-			if err := s.cancelled(); err != nil {
-				return err
-			}
-			n := min(len(rows), cancelCheckRows)
-			if err := kcs[w].addRows(rows[:n]); err != nil {
-				return err
-			}
-			rows = rows[n:]
+// countMemStreaming streams the keys of resident rows through a
+// budget-bounded counter, producing C_1 at minSup — the init path's count
+// when the plan is spilled. Also returns the sort-skip tally and the count
+// kernel that ran.
+func (s *execStepper) countMemStreaming(mem []prow, minSup int64) (pkCounts, int64, string, error) {
+	kc := s.keyCounterFor(1, s.capKeys())
+	defer s.stashKeyCounter(kc)
+	defer kc.abort() // no-op once finish has consumed the runs
+	for rows := mem; len(rows) > 0; {
+		if err := s.cancelled(); err != nil {
+			return pkCounts{}, 0, "", err
 		}
-		return nil
-	}
-	if W == 1 {
-		errs[0] = feed(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < W; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				errs[w] = feed(w)
-			}(w)
+		n := min(len(rows), cancelCheckRows)
+		if err := kc.addRows(rows[:n]); err != nil {
+			return pkCounts{}, 0, "", err
 		}
-		wg.Wait()
-	}
-	for w := 0; w < W; w++ {
-		if errs[w] != nil {
-			for _, kc := range kcs {
-				kc.abort()
-			}
-			s.mergeWorkerState(kcs, stats, W)
-			return pkCounts{}, 0, "", errs[w]
-		}
+		rows = rows[n:]
 	}
 	dst := pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]}
-	ck, kernel, err := finishCounters(s.pool, kcs, fanIn, s.mergeWorkers(W, fanIn), minSup, dst)
-	skips := s.mergeWorkerState(kcs, stats, W)
+	ck, kernel, err := kc.finish(minSup, dst)
 	if err != nil {
 		return pkCounts{}, 0, "", err
 	}
 	s.ck = ck
-	return ck, skips, kernel, nil
+	return ck, kc.skips, kernel, nil
 }
 
-// filterMemStreaming filters resident rows by C_k through budget-bounded
-// appenders (the init path's PrefilterSales under a spilled plan).
-func (s *execStepper) filterMemStreaming(mem []prow, k int, ck pkCounts, plan IterPlan) (*srel, error) {
-	return s.filterStreaming(memSrel(mem), k, ck, plan.Workers, s.capRows(max(1, plan.Workers)), false)
-}
-
-// spillMemParallel writes resident rows out as tid-aligned runs, one per
-// worker, and returns the spilled relation.
-func (s *execStepper) spillMemParallel(mem []prow, workers int) (*srel, error) {
-	bounds := chunkProwsByTid(mem, workers)
-	segs := make([]sseg, len(bounds))
-	stats := make([]spillStats, len(bounds))
-	errs := make([]error, len(bounds))
-	if len(bounds) == 1 {
+// buildJoinSide turns the packed SALES rows into the join side R_1 under
+// the first pass's plan; c1 is the packed C_1 (counted by init, decoded
+// from the manifest by resume). The paper does not filter R_1 by C_1
+// (Section 6.1); PrefilterSales is the ablation restricting both join
+// sides to frequent items.
+func (s *execStepper) buildJoinSide(mem []prow, c1 pkCounts, plan IterPlan) (*srel, error) {
+	spilled := plan.Regime == RegimeSpilled
+	if s.opts.PrefilterSales {
+		if spilled {
+			// The unfiltered rows are dead; keep the arena buffer.
+			return s.filterStreaming(memSrel(mem), 1, c1, s.capRows(), false)
+		}
+		s.ar.joinBuf = packedFilter(mem, c1.keys, s.ar.joinBuf[:0])
+		return memSrel(s.ar.joinBuf), nil
+	}
+	if capR := s.capRows(); spilled && capR > 0 && len(mem) > capR {
+		// R_1 outgrows its budget share: spill it and drop the resident
+		// copy — the run is then the only holder, so the budget genuinely
+		// bounds R_1's RAM. The arena must not recycle the dropped buffer.
 		run, err := xsort.SpillRows(s.pool, mem)
 		if err != nil {
 			return nil, err
 		}
 		s.st.addRun(run)
+		s.ar.salesBuf = nil
 		return runSrel(run), nil
 	}
-	var wg sync.WaitGroup
-	for i, b := range bounds {
-		wg.Add(1)
-		go func(i int, b [2]int) {
-			defer wg.Done()
-			run, err := xsort.SpillRows(s.pool, mem[b[0]:b[1]])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			stats[i].addRun(run)
-			segs[i] = sseg{run: run, spilled: true}
-		}(i, b)
-	}
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			for j := range segs {
-				if segs[j].spilled {
-					segs[j].run.Free(s.pool)
-				}
-			}
-			return nil, errs[i]
-		}
-	}
-	for i := range stats {
-		s.st.merge(stats[i])
-	}
-	return assembleSrel(segs), nil
+	return memSrel(mem), nil
 }
 
 // stepWideFallback hands the pipeline to the generic kernels when
@@ -1064,8 +816,8 @@ func (s *execStepper) stepWideFallback(k int, minSup int64) ([]ItemsetCount, ite
 	if s.pool == nil && s.rk.resident() && s.join.resident() {
 		s.fbFlat = &flatStepper{
 			d: s.d, opts: s.opts,
-			rk:       unpackRel(s.rk.flatten(), k-1, s.dict),
-			joinSide: unpackRel(s.join.flatten(), 1, s.dict),
+			rk:       unpackRel(s.rk.mem, k-1, s.dict),
+			joinSide: unpackRel(s.join.mem, 1, s.dict),
 		}
 		s.releasePacked()
 		return s.step(k, minSup)
@@ -1212,28 +964,13 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 	}
 
 	// Join side: init's construction with C_1 decoded from the manifest.
-	var sales *srel
-	var err error
+	var c1 pkCounts
 	if s.opts.PrefilterSales {
-		ck := encodeCounts(cp.Counts[0], s.dict)
-		if plan.Regime == RegimeSpilled {
-			sales, err = s.filterMemStreaming(mem, 1, ck, plan)
-			if err != nil {
-				return iterSizes{}, err
-			}
-		} else {
-			s.ar.joinBuf = packedFilter(mem, ck.keys, s.ar.joinBuf[:0])
-			sales = memSrel(s.ar.joinBuf)
-		}
-	} else {
-		sales = memSrel(mem)
-		if cap := s.capRows(1); plan.Regime == RegimeSpilled && cap > 0 && len(mem) > cap {
-			sales, err = s.spillMemParallel(mem, plan.Workers)
-			if err != nil {
-				return iterSizes{}, err
-			}
-			s.ar.salesBuf = nil
-		}
+		c1 = encodeCounts(cp.Counts[0], s.dict)
+	}
+	sales, err := s.buildJoinSide(mem, c1, plan)
+	if err != nil {
+		return iterSizes{}, err
 	}
 	s.sales, s.join = sales, sales
 
@@ -1244,7 +981,7 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 	capR := 0
 	if planK.Regime == RegimeSpilled {
 		s.ensurePool()
-		capR = s.capRows(1)
+		capR = s.capRows()
 	}
 	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st}
 	if err := readCheckpointRows(cp, func(rows []prow) error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -33,9 +34,9 @@ func execDataset(seed int64, txns int) *Dataset {
 	return d
 }
 
-// forcedStrategy pins the executor to a specific worker count in the
-// spilled regime — how the tests drive the parallel spill paths
-// deterministically regardless of the host's CPU count.
+// forcedStrategy asks for a specific worker count in the spilled regime
+// — how the tests prove a budgeted pass runs serially whatever a strategy
+// says, regardless of the host's CPU count.
 func forcedStrategy(workers int) strategyFunc {
 	return func(in costmodel.PlanInput) IterPlan {
 		p := IterPlan{Kernel: KernelPacked, Regime: RegimeSpilled, Workers: workers, Exchange: ExchangeNone}
@@ -46,7 +47,7 @@ func forcedStrategy(workers int) strategyFunc {
 	}
 }
 
-// runForced mines d with the executor pinned to workers under the given
+// runForced mines d with the strategy asking for workers under the given
 // budget and pool size.
 func runForced(d *Dataset, opts Options, workers, frames int) (*Result, *storage.Pool, error) {
 	pool := storage.NewPool(storage.NewMemStore(), frames)
@@ -57,61 +58,100 @@ func runForced(d *Dataset, opts Options, workers, frames int) (*Result, *storage
 	return res, pool, err
 }
 
-// TestSpillParallelMatchesSerial pins the morsel-parallel spilled regime
-// to the serial answer across worker counts and budgets, on data large
-// enough that every iteration genuinely spills per worker.
-func TestSpillParallelMatchesSerial(t *testing.T) {
+// TestBudgetedPassesRunSerial: a budget-bounded pass is one worker,
+// whatever the strategy or Options.MaxWorkers asks for. Every pass
+// recorded as spilled — and the first resident-plan pass after one, which
+// still streams its inputs from runs — must record Workers == 1, the
+// counts must equal MineMemory's, and the spill accounting (runs, bytes,
+// page I/O per pass) must not depend on the worker setting at all.
+func TestBudgetedPassesRunSerial(t *testing.T) {
 	d := execDataset(5, 3000)
 	opts := Options{MinSupportFrac: 0.01}
 	want, err := MineMemory(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 3, 7} {
-		for _, budget := range []int64{16 << 10, 256 << 10} {
-			o := opts
-			o.MemoryBudget = budget
-			got, pool, err := runForced(d, o, workers, 64)
-			if err != nil {
-				t.Fatalf("workers=%d budget=%d: %v", workers, budget, err)
+
+	type spillAcct struct{ runs, bytes, pageIO int64 }
+	check := func(label string, got *Result, pool *storage.Pool, mustSpill bool) []spillAcct {
+		t.Helper()
+		assertSameCounts(t, label, want, got)
+		if n := pool.PinnedFrames(); n != 0 {
+			t.Errorf("%s: %d pinned frames left", label, n)
+		}
+		var acct []spillAcct
+		var runs int64
+		afterSpilled := false
+		for _, st := range got.Stats {
+			spilled := st.Plan.Regime == RegimeSpilled
+			if (spilled || afterSpilled) && st.Plan.Workers != 1 {
+				t.Errorf("%s k=%d: plan %s, want one worker", label, st.K, st.Plan)
 			}
-			assertSameCounts(t, fmt.Sprintf("workers=%d budget=%d", workers, budget), want, got)
-			if n := pool.PinnedFrames(); n != 0 {
-				t.Errorf("workers=%d budget=%d: %d pinned frames left", workers, budget, n)
-			}
-			if workers > 1 && budget == 16<<10 {
-				var runs int64
-				for _, st := range got.Stats {
-					runs += st.RunsSpilled
-				}
-				if runs == 0 {
-					t.Errorf("workers=%d: tiny budget never spilled", workers)
-				}
-			}
+			afterSpilled = spilled
+			runs += st.RunsSpilled
+			acct = append(acct, spillAcct{st.RunsSpilled, st.SpillBytes, st.PageIO})
+		}
+		if mustSpill && runs == 0 {
+			t.Errorf("%s: tiny budget never spilled", label)
+		}
+		return acct
+	}
+	sameAcct := func(label string, a, b []spillAcct) {
+		t.Helper()
+		if !slices.Equal(a, b) {
+			t.Errorf("%s: spill accounting depends on the worker setting:\n%v\n%v", label, a, b)
 		}
 	}
-}
 
-// TestSpillParallelFaults sweeps injected faults through the parallel
-// spilled regime: every failure must surface (wrapped), never panic, and
-// the pool must hold zero pinned frames afterwards even with concurrent
-// writers in flight.
-func TestSpillParallelFaults(t *testing.T) {
-	d := faultDataset()
-	opts := Options{MinSupportFrac: 0.05, MemoryBudget: 16 << 10}
-	for _, failAfter := range []int{0, 2, 10, 60} {
-		fs := storage.NewFaultStore(storage.NewMemStore())
-		fs.FailWriteAfter = failAfter
-		pool := storage.NewPool(fs, 32)
-		st := newExecStepper(d, opts, PagedConfig{PoolFrames: 32}, nil, forcedStrategy(3))
-		st.attachPool(pool)
-		_, err := runPipeline(d, opts, st)
-		if err == nil {
-			t.Errorf("failAfter=%d: mining succeeded despite write faults", failAfter)
-			continue
+	for _, budget := range []int64{16 << 10, 256 << 10} {
+		var first []spillAcct
+		for _, workers := range []int{1, 2, 3, 7} {
+			o := opts
+			o.MemoryBudget = budget
+			label := fmt.Sprintf("forced workers=%d budget=%d", workers, budget)
+			got, pool, err := runForced(d, o, workers, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			acct := check(label, got, pool, budget == 16<<10)
+			if first == nil {
+				first = acct
+			}
+			sameAcct(label, first, acct)
 		}
-		if n := pool.PinnedFrames(); n != 0 {
-			t.Errorf("failAfter=%d: %d pinned frames after error", failAfter, n)
+	}
+
+	// MineAuto: at a budget every pass exceeds, and at the budget the
+	// final pass's modeled footprint just fits (TestAutoRecordsPlans'
+	// flip), so the run ends on a resident plan over spilled inputs.
+	total := 0
+	for _, tx := range d.Transactions {
+		total += len(tx.Items)
+	}
+	lastIn := want.Stats[len(want.Stats)-2].RRows
+	flip := costmodel.PackedIterFootprint(costmodel.EstRPrimeRows(lastIn, float64(total)/float64(len(d.Transactions))), 0) + 1
+	for _, budget := range []int64{8 << 10, flip} {
+		var first []spillAcct
+		for _, maxWorkers := range []int{1, 2, 4} {
+			o := opts
+			o.MemoryBudget, o.MaxWorkers = budget, maxWorkers
+			label := fmt.Sprintf("auto maxworkers=%d budget=%d", maxWorkers, budget)
+			pool := storage.NewPool(storage.NewMemStore(), 64)
+			got, err := MineAutoMonitored(context.Background(), d, o, pool, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if got.Stats[0].Plan.Regime != RegimeSpilled {
+				t.Errorf("%s: k=1 plan %s, want spilled", label, got.Stats[0].Plan)
+			}
+			if last := got.Stats[len(got.Stats)-1]; budget == flip && (last.Plan.Regime != RegimeResident || last.PageIO == 0) {
+				t.Errorf("%s: last pass %s with %d page I/Os, want a resident plan streaming spilled inputs", label, last.Plan, last.PageIO)
+			}
+			acct := check(label, got, pool, budget == 8<<10)
+			if first == nil {
+				first = acct
+			}
+			sameAcct(label, first, acct)
 		}
 	}
 }
@@ -247,114 +287,6 @@ func TestFixedDriversRecordPlans(t *testing.T) {
 	}
 	if p := sqlRes.Stats[0].Plan; p.Kernel != KernelSQL {
 		t.Errorf("MineSQL plan = %+v", p)
-	}
-}
-
-// TestSplitGroupsSpilledRun: the tid-aligned morsel split of a spilled
-// run must partition the transaction groups exactly — every group
-// appears once, in order, whatever the part count.
-func TestSplitGroupsSpilledRun(t *testing.T) {
-	pool := storage.NewPool(storage.NewMemStore(), 16)
-	// Groups of varying sizes crossing page boundaries (256 rows/page).
-	var rows []prow
-	tid := uint64(0)
-	for len(rows) < 2000 {
-		tid += 1 + uint64(len(rows)%3)
-		n := 1 + (len(rows)*7)%9
-		for i := 0; i < n; i++ {
-			rows = append(rows, prow{Tid: tid, Key: uint64(i)})
-		}
-	}
-	run, err := xsort.SpillRows(pool, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := runSrel(run)
-
-	collect := func(gs []groupSrc) []prow {
-		var out []prow
-		for i := range gs {
-			it := gs[i].open()
-			for {
-				g, err := it.next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if g == nil {
-					break
-				}
-				out = append(out, g...)
-			}
-			it.close()
-		}
-		return out
-	}
-	for _, n := range []int{1, 2, 3, 5, 16, 100} {
-		gs, err := splitGroups(pool, rel, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := collect(gs)
-		if len(got) != len(rows) {
-			t.Fatalf("n=%d: %d rows out, want %d", n, len(got), len(rows))
-		}
-		for i := range rows {
-			if got[i] != rows[i] {
-				t.Fatalf("n=%d: row %d = %+v, want %+v", n, i, got[i], rows[i])
-			}
-		}
-	}
-	if n := pool.PinnedFrames(); n != 0 {
-		t.Fatalf("%d pinned frames left", n)
-	}
-}
-
-// TestSeekGroupsSpilledRun: seeking a spilled relation to a tid must
-// yield exactly the groups at or after it.
-func TestSeekGroupsSpilledRun(t *testing.T) {
-	pool := storage.NewPool(storage.NewMemStore(), 16)
-	var rows []prow
-	for tid := uint64(10); tid < 900; tid += 3 {
-		for i := uint64(0); i < (tid%5)+1; i++ {
-			rows = append(rows, prow{Tid: tid, Key: i})
-		}
-	}
-	run, err := xsort.SpillRows(pool, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := runSrel(run)
-	for _, from := range []uint64{0, 10, 11, 500, 899, 2000} {
-		it, err := seekGroups(pool, rel, from)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []prow
-		for {
-			g, err := it.next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g == nil {
-				break
-			}
-			got = append(got, g...)
-		}
-		it.close()
-		var want []prow
-		for _, r := range rows {
-			if r.Tid >= from {
-				want = append(want, r)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("from=%d: %d rows, want %d", from, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("from=%d: row %d mismatch", from, i)
-			}
-		}
 	}
 }
 

@@ -347,14 +347,7 @@ func (s *partitionStepper) mergeShardCountsSpilled(minSup int64) (pkCounts, erro
 			dst.counts = append(dst.counts, n)
 		}
 	}
-	// Cascade rounds (engaged when the shard count exceeds the fan-in)
-	// merge concurrently, bounded like the executor's spilled workers.
-	fanIn := xsort.FanIn(s.exPool.Capacity())
-	workers := costmodel.SpillWorkerCap(s.exPool.Capacity())
-	if workers > s.nshards {
-		workers = s.nshards
-	}
-	err := xsort.MergeRowsN(s.exPool, runs, fanIn, workers, func(r prow) error {
+	err := xsort.MergeRows(s.exPool, runs, xsort.FanIn(s.exPool.Capacity()), func(r prow) error {
 		if n > 0 && r.Tid == cur {
 			n += int64(r.Key)
 			return nil

@@ -60,8 +60,8 @@ func runPipeline(d *Dataset, opts Options, s stepper) (*Result, error) {
 
 // runPipelineCtx drives the shared SETM loop with cancellation and an
 // optional per-iteration observer. The context is checked at every
-// iteration boundary (the executor's kernels additionally poll it at
-// morsel granularity, so a spilled pass cancels promptly); a cancelled
+// iteration boundary (the executor's kernels additionally poll it
+// every few thousand rows, so a spilled pass cancels promptly); a cancelled
 // run aborts the stepper — freeing its arenas, spill runs, and pinned
 // frames — and returns an error wrapping ctx.Err(). onIter, when
 // non-nil, receives each IterationStat as the iteration completes — the

@@ -587,7 +587,6 @@ type PlanInput struct {
 	PackedOK   bool    // pattern still fits one 64-bit packed key
 	Budget     int64   // remaining MemoryBudget in bytes (<= 0: unbounded)
 	Workers    int     // available CPUs (caller caps by Options.MaxWorkers)
-	PoolFrames int     // buffer-pool frames available to a spilled regime
 	// CountTableBytes is the size of a direct-address count table over
 	// the upcoming pass's packed key space, 4·2^(K·bitsPerItem); zero when
 	// the key space is wider than the executor's table cap (or unknown).
@@ -603,8 +602,8 @@ type PlanInput struct {
 type PlanChoice struct {
 	Packed bool // packed-key kernels (false: generic fallback forced)
 	Spill  bool // budget-bounded spilled regime instead of resident
-	// Workers is the chosen fan-out (>= 1; spilled regimes are
-	// additionally capped so concurrent writers cannot exhaust the pool).
+	// Workers is the chosen fan-out (>= 1; always 1 when Spill: a
+	// budget-bounded pass is serial).
 	Workers int
 	// EstRPrime and FootprintBytes expose the model's intermediate
 	// quantities: the projected |R'_k| and the resident footprint whose
@@ -619,27 +618,16 @@ type PlanChoice struct {
 // across workers costs more than it saves.
 const ParallelMinRows = 2048
 
-// SpillWorkerCap bounds a spilled regime's concurrent workers by the
-// buffer pool. Runs themselves hold extent buffers, not frames, but every
-// worker's morsel seeks probe run pages through the frames (Run.RowAt)
-// and the pool serializes all of them, so the fan-out stays a fraction of
-// the frame capacity. Shared by ChoosePlan (so EstMs models the
-// enforceable fan-out) and the executor's safety clamp (so arbitrary
-// fixed strategies cannot crowd the pool); returns at least 1.
-func SpillWorkerCap(poolFrames int) int {
-	w := poolFrames / 4
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // ChoosePlan picks an iteration strategy from observed cardinalities:
 // packed kernels whenever the pattern fits one key, the spilled regime
-// exactly when the modeled packed footprint exceeds the budget, and the
-// worker count that minimizes the modeled iteration cost. It never
-// returns an invalid plan (Workers >= 1, Spill false when unbounded),
-// whatever the inputs.
+// exactly when the modeled packed footprint exceeds the budget, and — for
+// a resident pass — the worker count that minimizes the modeled iteration
+// cost. A spilled pass is one worker: its cost is sequential page access
+// (the paper's Section 4.3 argument), which concurrent cursors on one
+// store break up — measured at 0.34-0.37x of the serial pass at two
+// workers on the quest workload under an 8 MiB budget. It never returns
+// an invalid plan (Workers >= 1, Spill false when unbounded), whatever the
+// inputs.
 func ChoosePlan(in PlanInput) PlanChoice {
 	c := PlanChoice{Packed: in.PackedOK, Workers: 1}
 	c.EstRPrime = EstRPrimeRows(in.PrevRRows, in.AvgBasket)
@@ -668,14 +656,14 @@ func ChoosePlan(in PlanInput) PlanChoice {
 	// radix sort of the key column — or, when the pass counts on a table,
 	// clearing and scanning its cells; and — when spilled — the extra
 	// sequential write+read of the run pages (rows only when no key runs
-	// are sorted). The count kernel follows the fan-out: every worker
-	// keeps its own table, so the rule applies to a worker's share of the
-	// keys, and budget-bounded to its share of the key counter's sort
-	// buffers (half the budget, split across the workers).
+	// are sorted). The count kernel follows the fan-out: every resident
+	// worker keeps its own table, so the rule applies to a worker's share
+	// of the keys; a spilled pass's one table must also fit the key
+	// counter's sort buffers (half the budget).
 	costAt := func(w int) float64 {
 		table := CountTableFits(in.CountTableBytes, c.EstRPrime/int64(w))
 		if c.Spill {
-			table = table && in.CountTableBytes <= in.Budget/int64(2*w)
+			table = table && in.CountTableBytes <= in.Budget/2
 		}
 		serial := CPUTupleMs * float64(3*c.EstRPrime)
 		if table {
@@ -695,19 +683,11 @@ func ChoosePlan(in PlanInput) PlanChoice {
 	}
 	c.EstMs = costAt(1)
 
-	maxW := in.Workers
-	if maxW < 1 {
-		maxW = 1
-	}
-	if c.Spill {
-		if byPool := SpillWorkerCap(in.PoolFrames); byPool < maxW {
-			maxW = byPool
-		}
-	}
 	// ParallelMs is convex in the worker count (dividable work plus a
 	// linear fan-out charge), so the best fan-out is rarely an endpoint;
-	// scan doublings up to maxW and keep the modeled minimum.
-	if c.EstRPrime >= ParallelMinRows && maxW > 1 {
+	// scan doublings up to the available workers and keep the modeled
+	// minimum.
+	if maxW := in.Workers; !c.Spill && c.EstRPrime >= ParallelMinRows && maxW > 1 {
 		for w := 2; ; w *= 2 {
 			if w > maxW {
 				w = maxW

@@ -99,9 +99,9 @@ func TestChoosePlanCountTable(t *testing.T) {
 // TestChoosePlanWorkers: large relations fan out across the available
 // CPUs, small ones stay serial, mid-size ones on many-core machines get
 // the cost-minimizing intermediate fan-out (not all-or-nothing), and a
-// spilled regime is capped by the pool's frame capacity.
+// spilled pass is one worker at a cost the available workers cannot move.
 func TestChoosePlanWorkers(t *testing.T) {
-	big := PlanInput{K: 2, PrevRRows: 500_000, AvgBasket: 10, PackedOK: true, Workers: 8, PoolFrames: 256}
+	big := PlanInput{K: 2, PrevRRows: 500_000, AvgBasket: 10, PackedOK: true, Workers: 8}
 	if c := ChoosePlan(big); c.Workers != 8 {
 		t.Errorf("big resident iteration: workers = %d, want 8", c.Workers)
 	}
@@ -112,7 +112,7 @@ func TestChoosePlanWorkers(t *testing.T) {
 	}
 	// Mid-size work on a 64-way box: full fan-out costs more in dispatch
 	// than it saves, but an intermediate fan-out still beats serial.
-	mid := PlanInput{K: 2, PrevRRows: 1500, AvgBasket: 4, PackedOK: true, Workers: 64, PoolFrames: 256}
+	mid := PlanInput{K: 2, PrevRRows: 1500, AvgBasket: 4, PackedOK: true, Workers: 64}
 	cm := ChoosePlan(mid)
 	if cm.EstRPrime < ParallelMinRows {
 		t.Fatalf("mid estimate %d below the parallel threshold; adjust the fixture", cm.EstRPrime)
@@ -120,22 +120,22 @@ func TestChoosePlanWorkers(t *testing.T) {
 	if cm.Workers <= 1 || cm.Workers >= 64 {
 		t.Errorf("mid-size on 64 CPUs: workers = %d, want an intermediate fan-out", cm.Workers)
 	}
-	serial := ChoosePlan(PlanInput{K: 2, PrevRRows: 1500, AvgBasket: 4, PackedOK: true, Workers: 1, PoolFrames: 256})
+	serial := ChoosePlan(PlanInput{K: 2, PrevRRows: 1500, AvgBasket: 4, PackedOK: true, Workers: 1})
 	if cm.EstMs >= serial.EstMs {
 		t.Errorf("chosen fan-out models %.3f ms, serial %.3f ms", cm.EstMs, serial.EstMs)
 	}
 	spilled := big
 	spilled.Budget = 1 << 10
-	spilled.PoolFrames = 8
 	c := ChoosePlan(spilled)
 	if !c.Spill {
 		t.Fatal("1 KB budget did not spill")
 	}
-	if c.Workers > SpillWorkerCap(spilled.PoolFrames) {
-		t.Errorf("spilled workers = %d exceed pool cap %d", c.Workers, SpillWorkerCap(spilled.PoolFrames))
+	if c.Workers != 1 {
+		t.Errorf("spilled workers = %d, want 1", c.Workers)
 	}
-	if c.Workers < 1 {
-		t.Errorf("workers = %d, want >= 1", c.Workers)
+	spilled.Workers = 1
+	if c1 := ChoosePlan(spilled); c1.EstMs != c.EstMs {
+		t.Errorf("spilled EstMs depends on the available workers: %.3f at 8, %.3f at 1", c.EstMs, c1.EstMs)
 	}
 }
 
@@ -160,7 +160,7 @@ func TestChoosePlanObservedCandidateCap(t *testing.T) {
 // read-back, and because the charge cannot be divided across workers it
 // never increases the chosen fan-out.
 func TestChoosePlanCheckpointCharge(t *testing.T) {
-	in := PlanInput{K: 2, PrevRRows: 500_000, AvgBasket: 10, PackedOK: true, Workers: 8, PoolFrames: 256}
+	in := PlanInput{K: 2, PrevRRows: 500_000, AvgBasket: 10, PackedOK: true, Workers: 8}
 	plain := ChoosePlan(in)
 	in.Checkpoint = true
 	ck := ChoosePlan(in)

@@ -108,44 +108,6 @@ func checkRun(t *testing.T, pool *Pool, run Run, want []uint64) {
 	if _, err := rd.Word(); err != io.EOF {
 		t.Fatalf("Word past the end: %v, want io.EOF", err)
 	}
-
-	for _, start := range []int{0, 1, run.Pages() / 2, run.Pages() - 1, run.Pages(), run.Pages() + 3} {
-		if start < 0 {
-			continue
-		}
-		from := min(start*WordsPerPage, len(want))
-		rd := NewRunReaderAt(pool, run, start)
-		if rd.ConsumedRows() != int64(from/2) {
-			t.Fatalf("ReaderAt(%d) starts at row %d, want %d", start, rd.ConsumedRows(), from/2)
-		}
-		got, err := readAll(rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameWords(t, "ReaderAt", got, want[from:])
-	}
-
-	for _, v := range [][2]int{{0, run.Pages()}, {1, 2}, {RunExtentPages - 1, RunExtentPages + 2}, {run.Pages() - 1, run.Pages() + 5}, {3, 3}} {
-		lo, hi := max(v[0], 0), min(v[1], run.Pages())
-		var part []uint64
-		if lo < hi {
-			part = want[lo*WordsPerPage : min(hi*WordsPerPage, len(want))]
-		}
-		got, err := readAll(NewRunReader(pool, run.PageView(v[0], v[1])))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameWords(t, "PageView", got, part)
-	}
-
-	if len(want)%2 == 0 {
-		for i := int64(0); i < run.Rows(); i += 1 + run.Rows()/37 {
-			row, err := run.RowAt(pool, i)
-			if err != nil || row.Tid != want[2*i] || row.Key != want[2*i+1] {
-				t.Fatalf("RowAt(%d) = %+v, %v; want (%d, %d)", i, row, err, want[2*i], want[2*i+1])
-			}
-		}
-	}
 	if p := pool.PinnedFrames(); p != 0 {
 		t.Fatalf("%d pinned frames after reading", p)
 	}
@@ -153,8 +115,8 @@ func checkRun(t *testing.T, pool *Pool, run Run, want []uint64) {
 
 // TestRunRoundTripProperty: whatever mix of appends wrote it, on either
 // store, over contiguous or fragmented page ids, a run reads back
-// word for word through Block, Word, NewRunReaderAt, PageView and RowAt,
-// and its pages are reused once freed.
+// word for word through Block and Word, and its pages are reused once
+// freed.
 func TestRunRoundTripProperty(t *testing.T) {
 	const ext = RunExtentPages * WordsPerPage
 	for name, open := range testStores {

@@ -60,50 +60,6 @@ func (r *Run) Free(pool *Pool) {
 	r.words = 0
 }
 
-// PageView returns a non-owning view of pages [lo, hi) of the run, with
-// the word count clipped to the words those pages actually hold. Views
-// let morsel-parallel readers scan disjoint stretches of one run
-// concurrently; they alias the parent's pages, so only the parent may be
-// freed. Page boundaries align to rows (WordsPerPage is even), so a row
-// run's view never splits a (tid, key) pair.
-func (r Run) PageView(lo, hi int) Run {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(r.pages) {
-		hi = len(r.pages)
-	}
-	if lo >= hi {
-		return Run{}
-	}
-	words := r.words - int64(lo)*WordsPerPage
-	if max := int64(hi-lo) * WordsPerPage; words > max {
-		words = max
-	}
-	if words < 0 {
-		words = 0
-	}
-	return Run{pages: r.pages[lo:hi], words: words}
-}
-
-// RowAt fetches the (tid, key) row at index i with a single page access
-// — the probe primitive behind binary searches over a sorted row run
-// (morsel boundary tids, join-side seeks).
-func (r Run) RowAt(pool *Pool, i int64) (PackedRow, error) {
-	if i < 0 || i >= r.Rows() {
-		return PackedRow{}, fmt.Errorf("storage: row %d out of range (run has %d rows)", i, r.Rows())
-	}
-	w := 2 * i
-	pg, err := pool.Fetch(r.pages[w/WordsPerPage])
-	if err != nil {
-		return PackedRow{}, err
-	}
-	off := int(w%WordsPerPage) * 8
-	row := PackedRow{Tid: pg.U64(off), Key: pg.U64(off + 8)}
-	pool.Unpin(pg)
-	return row, nil
-}
-
 // RunWriter appends words to a fresh run. It stages them in its own
 // buffer of one extent (Pool.RunExtent pages) and hands each full extent,
 // and the tail at Close, to the pool in one piece; it holds no frame and
@@ -250,21 +206,6 @@ type RunReader struct {
 func NewRunReader(pool *Pool, run Run) *RunReader {
 	return &RunReader{pool: pool, run: run}
 }
-
-// NewRunReaderAt opens a reader positioned at the start of page
-// startPage (clamped to the run). The words of earlier pages count as
-// consumed, so ConsumedRows reports absolute positions within the run —
-// what a morsel worker needs to honour a global row boundary.
-func NewRunReaderAt(pool *Pool, run Run, startPage int) *RunReader {
-	startPage = min(max(startPage, 0), len(run.pages))
-	consumed := min(int64(startPage)*WordsPerPage, run.words)
-	return &RunReader{pool: pool, run: run, idx: startPage, consumed: consumed}
-}
-
-// ConsumedRows returns the absolute number of (tid, key) rows consumed
-// from the front of the run, counting the pages a NewRunReaderAt start
-// position skipped.
-func (r *RunReader) ConsumedRows() int64 { return r.consumed / 2 }
 
 // fill reads the next extent into the word buffer.
 func (r *RunReader) fill() error {

@@ -10,7 +10,6 @@ package xsort
 
 import (
 	"io"
-	"sync"
 
 	"setm/internal/storage"
 )
@@ -162,28 +161,15 @@ func FanIn(poolFrames int) int {
 // completes (also on error). Ties are broken by run index, so the merge
 // is stable with respect to the run order.
 func MergeRows(pool *storage.Pool, runs []storage.Run, fanIn int, emit func(storage.PackedRow) error) error {
-	return MergeRowsN(pool, runs, fanIn, 1, emit)
+	return mergePacked(pool, runs, fanIn, 2, func(w [2]uint64) error {
+		return emit(storage.PackedRow{Tid: w[0], Key: w[1]})
+	})
 }
 
 // MergeKeys streams the k-way merge of ascending key runs to emit, with
 // the same cascading, consumption, and stability contract as MergeRows.
 func MergeKeys(pool *storage.Pool, runs []storage.Run, fanIn int, emit func(uint64) error) error {
-	return MergeKeysN(pool, runs, fanIn, 1, emit)
-}
-
-// MergeRowsN is MergeRows with the cascade's independent group merges
-// running on up to workers goroutines. The final fan-in merge (the one
-// that calls emit) is inherently sequential; only the reduction rounds
-// parallelize. The emitted sequence is identical for any worker count.
-func MergeRowsN(pool *storage.Pool, runs []storage.Run, fanIn, workers int, emit func(storage.PackedRow) error) error {
-	return mergePacked(pool, runs, fanIn, workers, 2, func(w [2]uint64) error {
-		return emit(storage.PackedRow{Tid: w[0], Key: w[1]})
-	})
-}
-
-// MergeKeysN is MergeKeys with a concurrent cascade, as MergeRowsN.
-func MergeKeysN(pool *storage.Pool, runs []storage.Run, fanIn, workers int, emit func(uint64) error) error {
-	return mergePacked(pool, runs, fanIn, workers, 1, func(w [2]uint64) error {
+	return mergePacked(pool, runs, fanIn, 1, func(w [2]uint64) error {
 		return emit(w[0])
 	})
 }
@@ -191,65 +177,42 @@ func MergeKeysN(pool *storage.Pool, runs []storage.Run, fanIn, workers int, emit
 // mergePacked is the shared merge engine: width is the words per element
 // (1 = bare key, 2 = (tid, key) row), compared as (word0, word1). Each
 // cascade round partitions the runs into consecutive groups of fanIn and
-// merges up to workers groups concurrently — every group holds its
-// readers' and its writer's extent buffers and moves them through the
-// shared (goroutine-safe) pool, so the caller bounds memory by capping
-// fanIn and workers together.
-func mergePacked(pool *storage.Pool, runs []storage.Run, fanIn, workers, width int, emit func([2]uint64) error) error {
+// merges them one after another into intermediate runs, so at most fanIn
+// readers' and one writer's extent buffers are held at once; the final
+// merge (the one that calls emit) takes whatever is left.
+func mergePacked(pool *storage.Pool, runs []storage.Run, fanIn, width int, emit func([2]uint64) error) error {
 	if fanIn < 2 {
 		fanIn = 2
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	for len(runs) > fanIn {
 		// Full groups merge this round; a short tail rides along unmerged.
-		var groups [][]storage.Run
+		var out []storage.Run
 		rest := runs
 		for len(rest) > fanIn {
-			groups = append(groups, rest[:fanIn])
+			group := rest[:fanIn]
 			rest = rest[fanIn:]
-		}
-		out := make([]storage.Run, len(groups))
-		errs := make([]error, len(groups))
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for gi := range groups {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(gi int, group []storage.Run) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				w := storage.NewRunWriter(pool)
-				err := mergeOnce(pool, group, width, func(words [2]uint64) error {
-					for i := 0; i < width; i++ {
-						if err := w.Word(words[i]); err != nil {
-							return err
-						}
+			w := storage.NewRunWriter(pool)
+			err := mergeOnce(pool, group, width, func(words [2]uint64) error {
+				for i := 0; i < width; i++ {
+					if err := w.Word(words[i]); err != nil {
+						return err
 					}
-					return nil
-				})
-				merged, cerr := w.Close()
-				if err == nil {
-					err = cerr
 				}
-				if err != nil {
-					merged.Free(pool)
-					errs[gi] = err
-					return
-				}
-				out[gi] = merged
-			}(gi, groups[gi])
-		}
-		wg.Wait()
-		for _, err := range errs {
+				return nil
+			})
+			merged, cerr := w.Close()
+			if err == nil {
+				err = cerr
+			}
 			if err != nil {
-				// Group inputs were freed by their mergeOnce; release the
-				// survivors and the tail.
+				// The group's inputs were freed by mergeOnce; release its
+				// partial output, the earlier groups' and everything unmerged.
+				merged.Free(pool)
 				freeRuns(pool, out)
 				freeRuns(pool, rest)
 				return err
 			}
+			out = append(out, merged)
 		}
 		runs = append(out, rest...)
 	}
@@ -391,7 +354,7 @@ func freeRuns(pool *storage.Pool, runs []storage.Run) {
 // appending and returning the result. Ties across runs break toward the
 // lower run index, so when the runs are consecutive chunks of one input
 // the merge is stable and the output permutation matches a serial sort of
-// the whole input. This is the in-memory twin of MergeRowsN, used by the
+// the whole input. This is the in-memory twin of MergeRows, used by the
 // parallel Sort operator to combine per-worker RadixSortRows runs.
 func MergeRowSlices(runs [][]storage.PackedRow, out []storage.PackedRow) []storage.PackedRow {
 	live := runs[:0]

@@ -113,52 +113,46 @@ func TestMergeSortedRunsEqualsGlobalSort(t *testing.T) {
 	}
 }
 
-// TestMergeRowsNConcurrentCascade drives the deep-cascade shape through
-// the concurrent reduction rounds: the emitted sequence must be
-// identical for every worker count, all input runs consumed, and no
-// pins left behind.
+// TestMergeRowsNConcurrentCascade drives the deep-cascade shape — ~445
+// runs at fan-in 3, several reduction rounds — through MergeRows: the
+// emitted sequence must be the global sort, all input runs consumed, and
+// no pins left behind. (The name dates from the cascade's concurrent
+// rounds; the shape is what it keeps.)
 func TestMergeRowsNConcurrentCascade(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rows := randomRows(rng, 4000, 300, 1<<16)
 	want := append([]storage.PackedRow(nil), rows...)
 	sortRowsRef(want)
-	for _, workers := range []int{1, 2, 4, 9} {
-		pool := storage.NewPool(storage.NewMemStore(), 16)
-		var runs []storage.Run
-		const chunk = 9 // ~445 runs: several cascade rounds at fan-in 3
-		for i := 0; i < len(rows); i += chunk {
-			end := min(i+chunk, len(rows))
-			c := append([]storage.PackedRow(nil), rows[i:end]...)
-			RadixSortRows(c, make([]storage.PackedRow, len(c)))
-			run, err := SpillRows(pool, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs = append(runs, run)
-		}
-		var got []storage.PackedRow
-		err := MergeRowsN(pool, runs, 3, workers, func(r storage.PackedRow) error {
-			got = append(got, r)
-			return nil
-		})
+	pool := storage.NewPool(storage.NewMemStore(), 16)
+	var runs []storage.Run
+	const chunk = 9
+	for i := 0; i < len(rows); i += chunk {
+		end := min(i+chunk, len(rows))
+		c := append([]storage.PackedRow(nil), rows[i:end]...)
+		RadixSortRows(c, make([]storage.PackedRow, len(c)))
+		run, err := SpillRows(pool, c)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: merged %d rows, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: row %d = %+v, want %+v", workers, i, got[i], want[i])
-			}
-		}
-		if p := pool.PinnedFrames(); p != 0 {
-			t.Fatalf("workers=%d: %d pinned frames after merge", workers, p)
-		}
+		runs = append(runs, run)
+	}
+	var got []storage.PackedRow
+	err := MergeRows(pool, runs, 3, func(r storage.PackedRow) error {
+		got = append(got, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("row cascade diverges from the global sort (%d vs %d rows)", len(got), len(want))
+	}
+	if p := pool.PinnedFrames(); p != 0 {
+		t.Fatalf("%d pinned frames after merge", p)
 	}
 }
 
-// TestMergeKeysNConcurrentCascade is the key-column twin.
+// TestMergeKeysNConcurrentCascade is the key-column twin, at fan-in 4.
 func TestMergeKeysNConcurrentCascade(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var all []uint64
@@ -180,14 +174,14 @@ func TestMergeKeysNConcurrentCascade(t *testing.T) {
 	}
 	slices.Sort(all)
 	var got []uint64
-	if err := MergeKeysN(pool, runs, 4, 3, func(k uint64) error {
+	if err := MergeKeys(pool, runs, 4, func(k uint64) error {
 		got = append(got, k)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(got, all) {
-		t.Fatalf("concurrent key cascade diverges from the global sort (%d vs %d keys)", len(got), len(all))
+		t.Fatalf("key cascade diverges from the global sort (%d vs %d keys)", len(got), len(all))
 	}
 }
 

@@ -98,7 +98,7 @@ func Mine(d *Dataset, opts Options) (*Result, error) {
 // iteration's kernel, memory regime, and parallelism are chosen by the
 // cost model from the previous iteration's observed cardinalities,
 // Options.MemoryBudget (<= 0: unbounded), and the CPUs available (capped
-// by Options.MaxWorkers). Results are bit-identical to Mine; the chosen
+// by Options.MaxWorkers; budget-bounded passes are serial). Results are bit-identical to Mine; the chosen
 // plans are recorded per iteration in Result.Stats[i].Plan.
 //
 //	res, _ := setm.MineAuto(d, setm.Options{
@@ -113,7 +113,7 @@ func MineAuto(d *Dataset, opts Options) (*Result, error) {
 }
 
 // MineAutoContext is MineAuto under a context: the executor polls ctx
-// at every iteration boundary and — in the spilled regime — at morsel
+// at every iteration boundary and — in the spilled regime — at block
 // and merge granularity, so a cancelled job returns promptly with its
 // arenas released, partial spill runs recycled, and zero pinned buffer
 // frames. The returned error wraps ctx.Err(). This is the entry point
