@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -370,5 +371,72 @@ func TestSalesRowsNormalization(t *testing.T) {
 	}
 	if d.NumSalesRows() != 3 {
 		t.Errorf("NumSalesRows = %d", d.NumSalesRows())
+	}
+}
+
+// salesRowsRef is the definition of SalesRows, written naively: a set of
+// items per transaction, every row sorted.
+func salesRowsRef(d *Dataset) [][2]int64 {
+	rows := [][2]int64{}
+	for _, tx := range d.Transactions {
+		seen := map[Item]bool{}
+		for _, it := range tx.Items {
+			if !seen[it] {
+				seen[it] = true
+				rows = append(rows, [2]int64{tx.ID, it})
+			}
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i][0] != rows[j][0] {
+			return rows[i][0] < rows[j][0]
+		}
+		return rows[i][1] < rows[j][1]
+	})
+	return rows
+}
+
+// TestSalesRowsLinearPath: SalesRows agrees with the naive reference on
+// normalized input (flattened as it stands, into an exactly-sized slice)
+// and on everything that needs the sorts: unsorted transactions, unsorted
+// or duplicated items, and one trans_id spread over several transactions
+// (whose rows are kept once per transaction).
+func TestSalesRowsLinearPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 400; trial++ {
+		shape := trial % 5 // 0: normalized, 1: +shuffled items, 2: +duplicate items, 3: +shuffled txns, 4: +repeated tids
+		d := &Dataset{}
+		tid := int64(rng.Intn(10)) - 5
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			var items []Item
+			for it := Item(-2); it < 10; it++ {
+				if rng.Intn(3) == 0 {
+					items = append(items, it)
+				}
+			}
+			if shape >= 2 && len(items) > 0 {
+				items = append(items, items[rng.Intn(len(items))])
+			}
+			if shape >= 1 {
+				rng.Shuffle(len(items), func(a, b int) { items[a], items[b] = items[b], items[a] })
+			}
+			d.Transactions = append(d.Transactions, Transaction{ID: tid, Items: items})
+			if shape < 4 || rng.Intn(3) > 0 {
+				tid += 1 + int64(rng.Intn(3))
+			}
+		}
+		if shape >= 3 {
+			rng.Shuffle(len(d.Transactions), func(a, b int) {
+				d.Transactions[a], d.Transactions[b] = d.Transactions[b], d.Transactions[a]
+			})
+		}
+		want := salesRowsRef(d)
+		got := d.buildSalesRows()
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("shape %d %v: SalesRows %v, reference %v", shape, d.Transactions, got, want)
+		}
+		if shape == 0 && cap(got) != len(got) {
+			t.Fatalf("normalized input: %d rows in a slice of %d", len(got), cap(got))
+		}
 	}
 }

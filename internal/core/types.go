@@ -15,8 +15,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -46,7 +47,9 @@ func (d *Dataset) NumTransactions() int { return len(d.Transactions) }
 
 // SalesRows converts the dataset to the SALES(trans_id, item) tuple format,
 // deduplicating items within a transaction and sorting rows by
-// (trans_id, item) — the normalized relation the paper stores.
+// (trans_id, item) — the normalized relation the paper stores. Input that
+// is already normalized (trans_ids and every item list strictly ascending:
+// what ReadDataset and the generators produce) is only flattened.
 // The result is computed once and cached; callers must not mutate it (or
 // d.Transactions afterwards).
 func (d *Dataset) SalesRows() [][2]int64 {
@@ -55,22 +58,33 @@ func (d *Dataset) SalesRows() [][2]int64 {
 }
 
 func (d *Dataset) buildSalesRows() [][2]int64 {
-	var rows [][2]int64
+	n := 0
 	for _, tx := range d.Transactions {
-		seen := make(map[Item]bool, len(tx.Items))
-		for _, it := range tx.Items {
-			if !seen[it] {
-				seen[it] = true
-				rows = append(rows, [2]int64{tx.ID, it})
+		n += len(tx.Items)
+	}
+	rows := make([][2]int64, 0, n)
+	var scratch []Item
+	ascending := true // the trans_ids, strictly
+	for i, tx := range d.Transactions {
+		ascending = ascending && (i == 0 || d.Transactions[i-1].ID < tx.ID)
+		items := tx.Items
+		for j := 1; j < len(items); j++ {
+			if items[j-1] >= items[j] { // sort and deduplicate a copy
+				scratch = append(scratch[:0], items...)
+				slices.Sort(scratch)
+				items = slices.Compact(scratch)
+				break
 			}
 		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i][0] != rows[j][0] {
-			return rows[i][0] < rows[j][0]
+		for _, it := range items {
+			rows = append(rows, [2]int64{tx.ID, it})
 		}
-		return rows[i][1] < rows[j][1]
-	})
+	}
+	if !ascending {
+		slices.SortFunc(rows, func(a, b [2]int64) int {
+			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+		})
+	}
 	return rows
 }
 

@@ -187,8 +187,28 @@ func TestAppendValidation(t *testing.T) {
 	if der, code, raw := c.appendTo(ds.Version, dup); code != http.StatusOK || der.DeltaTxns != 1 {
 		t.Fatalf("repeated delta tid should fold into one basket: %d %s", code, raw)
 	}
+	// ... also when the repeat is not contiguous: the reader splices the
+	// split basket together, so the handler still sees each tid once.
+	split := fmt.Sprintf("%d 1\n%d 2\n%d 3\n", maxTid+5, maxTid+6, maxTid+5)
+	var der dataset
+	if code, raw := c.do("POST", "/datasets/"+ds.Version+"/append", []byte(split)); code != http.StatusOK {
+		t.Fatalf("non-contiguous repeated delta tid: %d %s", code, raw)
+	} else if err := json.Unmarshal(raw, &der); err != nil || der.DeltaTxns != 2 || der.SalesRows != ds.SalesRows+3 {
+		t.Fatalf("non-contiguous repeated delta tid folded into %+v (%v), want 2 transactions, 3 rows", der, err)
+	}
 	if _, code, _ := c.appendTo(ds.Version, &core.Dataset{}); code != http.StatusBadRequest {
 		t.Fatalf("empty delta: %d, want 400", code)
+	}
+
+	// "Beyond the parent" is beyond its last trans_id, wherever that lies.
+	neg := c.upload(&core.Dataset{Transactions: []core.Transaction{
+		{ID: -9, Items: []core.Item{1, 2}}, {ID: -5, Items: []core.Item{2}},
+	}})
+	for tid, want := range map[int64]int{-5: http.StatusBadRequest, -4: http.StatusOK} {
+		delta := &core.Dataset{Transactions: []core.Transaction{{ID: tid, Items: []core.Item{3}}}}
+		if _, code, raw := c.appendTo(neg.Version, delta); code != want {
+			t.Fatalf("append of tid %d to a parent ending at -5: %d %s, want %d", tid, code, raw, want)
+		}
 	}
 }
 

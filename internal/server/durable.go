@@ -483,18 +483,18 @@ func (s *Server) restoreDoneJob(j *job, rj *replayedJob) {
 	j.cached = rj.cached
 	ds, ok := s.datasets[j.dataset]
 	if !ok {
-		j.state, j.errMsg = stateFailed, "result discarded: dataset deleted"
+		j.discard(discardedResult)
 		return
 	}
 	opts := rj.sub.Opts
 	if opts == nil {
-		j.state, j.errMsg = stateFailed, "result lost: submit record incomplete"
+		j.discard("result lost: submit record incomplete")
 		return
 	}
 	key := cacheKey{Version: ds.Version, Opts: core.CanonicalOptions(s.effectiveOptions(opts), ds.Transactions)}
 	res, ok := s.loadResult(key)
 	if !ok {
-		j.state, j.errMsg = stateFailed, "result lost: envelope missing after restart"
+		j.discard("result lost: envelope missing after restart")
 		return
 	}
 	j.result, j.iters = res, res.Stats
@@ -542,7 +542,8 @@ func (s *Server) resumeJob(j *job, rj *replayedJob) {
 	// delta mine stays a delta mine after restart. runJob ignores the
 	// plan when a verified checkpoint exists (the delta path's executor
 	// fallback checkpoints against the combined dataset).
-	j.delta = s.deltaPlanFor(ds, opts)
+	plan := s.deltaPlanFor(ds, opts)
+	j.delta = plan != nil
 
 	grant, err := s.adm.tryAdmit(j.est)
 	if err != nil {
@@ -554,7 +555,7 @@ func (s *Server) resumeJob(j *job, rj *replayedJob) {
 	s.registerJob(j)
 	s.met.jobsResumed.Add(1)
 	s.wg.Add(1)
-	go s.runJob(ctx, j, ds, opts, key, grant, true)
+	go s.runJob(ctx, j, ds, opts, key, plan, grant, true)
 }
 
 // effectiveOptions applies the server-side default budget, mirroring

@@ -220,20 +220,22 @@ const (
 
 // deltaPlan is the incremental-mining opportunity captured at submit
 // time: the parent's datasets and border snapshot are pinned here so a
-// cache eviction between submit and run cannot pull the rug out.
+// cache eviction between submit and run cannot pull the rug out. runJob
+// holds it, not the job: a terminal job pins no data set and no border.
 type deltaPlan struct {
 	base  *core.Dataset
 	delta *core.Dataset
 	snap  *core.BorderSnapshot
 }
 
-// job is one mining job's lifecycle record.
+// job is one mining job's lifecycle record, kept for the life of the server:
+// it holds its data set's version id only, and the result until discard.
 type job struct {
 	id      string
 	dataset string
 	est     int64
 	created time.Time
-	delta   *deltaPlan // non-nil: mine incrementally from the parent
+	delta   bool // submitted with a deltaPlan: mined incrementally from the parent
 
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the job reaches a terminal state
@@ -245,6 +247,16 @@ type job struct {
 	result *core.Result
 	errMsg string
 	pool   *storage.Pool // non-nil only while running
+}
+
+const discardedResult = "result discarded: dataset deleted" // errMsg after a DELETE
+
+// discard turns a done job into the failed one that has lost its result,
+// the same whether its data set was deleted on this server or replay found
+// it gone. No mine failed, so no counter moves. The caller holds j.mu.
+func (j *job) discard(reason string) {
+	j.state, j.errMsg = stateFailed, reason
+	j.result, j.iters, j.delta = nil, nil, false
 }
 
 // New builds a Server with the given configuration.
@@ -383,12 +395,8 @@ func (s *Server) handleAppendDataset(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty delta")
 		return
 	}
-	var maxTid int64
-	for _, tx := range parent.d.Transactions {
-		if tx.ID > maxTid {
-			maxTid = tx.ID
-		}
-	}
+	// Transactions ascend by trans_id: ReadDataset sorts, appends add beyond.
+	maxTid := parent.d.Transactions[len(parent.d.Transactions)-1].ID
 	for _, tx := range deltaD.Transactions {
 		// ReadDataset already folded repeated tids into one basket, so
 		// disjointness from the parent is the only precondition left.
@@ -486,8 +494,8 @@ func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 // handleDeleteDataset unregisters a dataset. While any queued or
 // running job references it the delete answers 409 — results being
 // mined must not lose their input mid-run. Terminal jobs keep their
-// ledger entries; only the dataset, its blob, its cached results, and
-// its spilled result envelopes go.
+// ledger entries; the dataset, its blob, its cached results, its spilled
+// result envelopes and the results its done jobs hold go (see discard).
 func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -519,6 +527,14 @@ func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	delete(s.datasets, id)
+	for _, jid := range s.jobOrder {
+		j := s.jobs[jid]
+		j.mu.Lock()
+		if j.dataset == id && j.state == stateDone {
+			j.discard(discardedResult)
+		}
+		j.mu.Unlock()
+	}
 	s.mu.Unlock()
 
 	s.cache.purgeVersion(id)
@@ -579,7 +595,7 @@ func (j *job) status() jobStatus {
 	defer j.mu.Unlock()
 	st := jobStatus{
 		ID: j.id, Dataset: j.dataset, State: j.state,
-		Cached: j.cached, Delta: j.delta != nil, EstBytes: j.est, Error: j.errMsg,
+		Cached: j.cached, Delta: j.delta, EstBytes: j.est, Error: j.errMsg,
 	}
 	for _, it := range j.iters {
 		st.Iterations = append(st.Iterations, iterStatus{
@@ -653,11 +669,14 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		j.state, j.cached, j.result, j.iters = stateDone, true, res, res.Stats
 		j.mu.Unlock()
 		close(j.done)
+		if !s.registerSubmitted(j) {
+			httpError(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
+			return
+		}
 		_ = s.walAppend(
 			walRecord{Type: recJob, JobID: j.id, Dataset: ds.Version, State: stateQueued, Opts: jopts},
 			walRecord{Type: recJob, JobID: j.id, State: stateDone, Cached: true},
 		)
-		s.registerJob(j)
 		writeJSON(w, http.StatusOK, j.status())
 		return
 	}
@@ -667,15 +686,16 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	// result WITH a border snapshot under the same canonical options is
 	// mined incrementally — O(delta) instead of O(full re-mine) — and
 	// admitted at the (much smaller) delta footprint. The snapshot and
-	// datasets are pinned on the job now, immune to cache eviction
+	// datasets are pinned in the plan now, immune to cache eviction
 	// between submit and run.
-	j.delta = s.deltaPlanFor(ds, opts)
+	plan := s.deltaPlanFor(ds, opts)
+	j.delta = plan != nil
 
 	// Cost-based admission: estimate the job's peak footprint and gate
 	// the sum of running estimates under the global budget.
-	if j.delta != nil {
-		deltaRows := ds.SalesRows - j.delta.snap.SalesRows
-		j.est = costmodel.DeltaFootprint(deltaRows, ds.AvgBasket, j.delta.snap.Candidates(), opts.MemoryBudget)
+	if plan != nil {
+		deltaRows := ds.SalesRows - plan.snap.SalesRows
+		j.est = costmodel.DeltaFootprint(deltaRows, ds.AvgBasket, plan.snap.Candidates(), opts.MemoryBudget)
 	} else {
 		j.est = costmodel.MineFootprint(ds.SalesRows, ds.AvgBasket, opts.MemoryBudget)
 	}
@@ -694,6 +714,14 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "admission: %v", err)
 		return
 	}
+	ctx, cancel := s.jobContext(req.TimeoutMs)
+	j.cancel = cancel
+	if !s.registerSubmitted(j) {
+		cancel()
+		grant.release()
+		httpError(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
+		return
+	}
 	if grant.admitted() {
 		s.met.jobsAdmitted.Add(1)
 	} else {
@@ -707,11 +735,8 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		Type: recJob, JobID: j.id, Dataset: ds.Version, State: stateQueued,
 		Est: j.est, Opts: jopts,
 	})
-	ctx, cancel := s.jobContext(req.TimeoutMs)
-	j.cancel = cancel
-	s.registerJob(j)
 	s.wg.Add(1)
-	go s.runJob(ctx, j, ds, opts, key, grant, false)
+	go s.runJob(ctx, j, ds, opts, key, plan, grant, false)
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
@@ -744,7 +769,7 @@ func (s *Server) deltaPlanFor(ds *dataset, opts core.Options) *deltaPlan {
 // (boot recovery) it first tries to continue from the job's checkpoint,
 // falling back to a full re-mine when none verifies — either way the
 // result is bit-identical to an uninterrupted run.
-func (s *Server) runJob(ctx context.Context, j *job, ds *dataset, opts core.Options, key cacheKey, grant *grant, resume bool) {
+func (s *Server) runJob(ctx context.Context, j *job, ds *dataset, opts core.Options, key cacheKey, plan *deltaPlan, grant *grant, resume bool) {
 	defer s.wg.Done()
 	defer close(j.done)
 	defer grant.release()
@@ -788,14 +813,14 @@ func (s *Server) runJob(ctx context.Context, j *job, ds *dataset, opts core.Opti
 	}
 	var res *core.Result
 	var err error
-	if j.delta != nil && cp == nil {
+	if plan != nil && cp == nil {
 		// Incremental path: count the delta against the parent's retained
 		// border and patch the parent's result. A snapshot the delta
 		// cannot absorb (ErrBorder) demotes to a cold mine — never a
 		// failed job. A resumed job (cp != nil) mines cold: its
 		// checkpoint already identifies the combined dataset.
 		s.met.deltaMines.Add(1)
-		res, err = core.MineDeltaMonitored(ctx, j.delta.base, j.delta.delta, j.delta.snap, opts, pool, onIter)
+		res, err = core.MineDeltaMonitored(ctx, plan.base, plan.delta, plan.snap, opts, pool, onIter)
 		if err != nil && errors.Is(err, core.ErrBorder) {
 			j.mu.Lock()
 			j.iters = nil
@@ -857,6 +882,20 @@ func (s *Server) registerJob(j *job) {
 	s.mu.Unlock()
 }
 
+// registerSubmitted is registerJob for a fresh submit, refused when the data
+// set was deleted since the handler looked it up. A submit registers before
+// it journals or runs, so a DELETE came first (404 here) or finds the job.
+func (s *Server) registerSubmitted(j *job) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, live := s.datasets[j.dataset]
+	if live {
+		s.jobs[j.id] = j
+		s.jobOrder = append(s.jobOrder, j.id)
+	}
+	return live
+}
+
 func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
@@ -907,7 +946,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	state, res, errMsg := j.state, j.result, j.errMsg
 	j.mu.Unlock()
 	switch state {
-	case stateDone:
+	case stateDone: // holds a result: losing it makes the job failed (discard)
 		writeJSON(w, http.StatusOK, res)
 	case stateFailed, stateCancelled:
 		httpError(w, http.StatusGone, "job %s: %s", state, errMsg)
