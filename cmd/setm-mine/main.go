@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	minSupCount := fs.Int64("minsup-count", 0, "minimum support as an absolute count (overrides -minsup)")
 	minConf := fs.Float64("minconf", 0.70, "minimum confidence factor")
 	algo := fs.String("algo", "memory", "algorithm: memory, auto, parallel, partitioned, paged, sql, nested, ais, apriori")
-	workers := fs.Int("workers", 0, "with -algo parallel/auto: worker cap of the packed kernels' fan-out (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "with -algo parallel/auto: worker cap of the packed kernels' fan-out (0 = GOMAXPROCS); -algo sql is serial")
 	memBudget := fs.Int64("membudget", 0, "with -algo auto/paged: memory budget in bytes (0 = driver default)")
 	shards := fs.Int("shards", 0, "with -algo partitioned: shard count of the packed sharded plan (0 = GOMAXPROCS)")
 	trace := fs.Bool("trace", false, "with -algo sql: print each SQL statement")

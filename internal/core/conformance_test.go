@@ -140,10 +140,6 @@ func conformanceMiners() []minerFn {
 		{"sql", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MineSQL(d, o, core.SQLConfig{})
 		}},
-		{"sql-parallel-4", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			o.MaxWorkers = 4
-			return core.MineSQL(d, o, core.SQLConfig{})
-		}},
 		{"apriori", apriori.MineApriori},
 		{"ais", apriori.MineAIS},
 	}

@@ -43,7 +43,8 @@ import (
 )
 
 // IterPlan is the per-iteration strategy IR the executor commits to at
-// the top of each SETM pass.
+// the top of each SETM pass. Workers and Exchange describe native plans
+// only: a SQL pass always reports 1 and "none".
 type IterPlan struct {
 	// Kernel is "packed" (64-bit packed-key kernels) or "generic" (the
 	// int64 relation kernels, forced once k*bitsPerItem exceeds 64).

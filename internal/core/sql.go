@@ -43,7 +43,21 @@ type SQLConfig struct {
 // After each iteration the consumed intermediates are discarded with DROP
 // TABLE — the paper notes R'_k and R_{k-1} are no longer needed once R_k
 // exists — so the engine's page store stays bounded across iterations.
+// The statements run one after another on one goroutine;
+// Options.MaxWorkers is ignored.
 func MineSQL(d *Dataset, opts Options, cfg SQLConfig) (*Result, error) {
+	s, err := newSQLStepper(d, opts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return runPipeline(d, opts, s)
+}
+
+// newSQLStepper creates the engine and bulk-loads SALES.
+func newSQLStepper(d *Dataset, opts Options, cfg SQLConfig) (*sqlStepper, error) {
+	if err := validate(d, opts); err != nil {
+		return nil, err
+	}
 	var dbOpts []engine.Option
 	if cfg.PoolFrames > 0 {
 		dbOpts = append(dbOpts, engine.WithPoolFrames(cfg.PoolFrames))
@@ -53,22 +67,13 @@ func MineSQL(d *Dataset, opts Options, cfg SQLConfig) (*Result, error) {
 		// and the external sort's run size both derive from it.
 		dbOpts = append(dbOpts, engine.WithMemBudget(opts.MemoryBudget))
 	}
-	// The adaptive executor's worker knob carries through to the engine's
-	// planner, which decides per query whether exchange operators pay.
-	workers := resolveWorkers(opts.MaxWorkers)
-	if workers > 1 {
-		dbOpts = append(dbOpts, engine.WithMaxWorkers(workers))
-	}
-	s := &sqlStepper{d: d, opts: opts, cfg: cfg, db: engine.New(dbOpts...), workers: workers}
+	s := &sqlStepper{d: d, opts: opts, cfg: cfg, db: engine.New(dbOpts...)}
 	// Bulk-load SALES before the pipeline starts timing iteration 1, so
 	// Stats[0].Duration covers the C_1 SQL alone — matching what the other
 	// drivers charge to their first iteration. The load moves columns end
 	// to end: SalesRows() is already sorted by (trans_id, item), and the
 	// declared ordering lets the planner skip the paper-mandated sorts the
 	// storage layout already satisfies.
-	if err := validate(d, opts); err != nil {
-		return nil, err
-	}
 	salesSchema := tuple.IntSchema("trans_id", "item")
 	batch := tuple.NewBatch(salesSchema)
 	batch.Grow(len(d.SalesRows()))
@@ -81,7 +86,7 @@ func MineSQL(d *Dataset, opts Options, cfg SQLConfig) (*Result, error) {
 		return nil, err
 	}
 	s.salesRows = int64(batch.Len())
-	return runPipeline(d, opts, s)
+	return s, nil
 }
 
 // sqlStepper is the relational-engine substrate of the SETM pipeline:
@@ -95,22 +100,11 @@ type sqlStepper struct {
 	salesRows int64  // |SALES|, loaded before the pipeline starts
 	prevR     string // table name of R_{k-1} ("sales" for k=2 without prefilter)
 	stmts     map[string]*engine.Stmt
-	workers   int // planner worker cap handed to the engine
 }
 
-// sqlPlan is the SQL driver's strategy IR: the paper's statements
-// executed by the budget-aware relational engine, with up to `workers`
-// intra-query parallelism via exchange operators.
-func sqlPlan(workers int) IterPlan {
-	if workers < 1 {
-		workers = 1
-	}
-	ex := ExchangeNone
-	if workers > 1 {
-		ex = ExchangeSharded
-	}
-	return IterPlan{Kernel: KernelSQL, Regime: RegimeSpilled, Workers: workers, Exchange: ex}
-}
+// sqlPlan is the plan every SQL pass reports: the paper's statements on
+// the budget-aware relational engine, one at a time on one goroutine.
+var sqlPlan = IterPlan{Kernel: KernelSQL, Regime: RegimeSpilled, Workers: 1, Exchange: ExchangeNone}
 
 // run executes one statement with the :minsupport parameter bound,
 // through a per-stepper prepared-statement memo.
@@ -187,7 +181,7 @@ func (s *sqlStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	if _, err := s.run("DROP TABLE c1", minSup); err != nil {
 		return nil, iterSizes{}, err
 	}
-	return c1, iterSizes{rPrime: s.salesRows, rRows: r1Rows, plan: sqlPlan(s.workers)}, nil
+	return c1, iterSizes{rPrime: s.salesRows, rRows: r1Rows, plan: sqlPlan}, nil
 }
 
 func (s *sqlStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
@@ -303,20 +297,24 @@ func (s *sqlStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error
 	}
 
 	s.prevR = rk
-	return counts, iterSizes{rPrime: rpRes.RowsAffected, rRows: rkRes.RowsAffected, plan: sqlPlan(s.workers)}, nil
+	return counts, iterSizes{rPrime: rpRes.RowsAffected, rRows: rkRes.RowsAffected, plan: sqlPlan}, nil
 }
 
-// readCounts loads C_k from the engine into the canonical sorted form,
-// pulling column batches instead of materializing tuples. (C_k is stored
-// in group order, so the planner proves the ORDER BY redundant.)
-func readCounts(db *engine.DB, k int, minSup int64) ([]ItemsetCount, error) {
+// countsQuery reads C_k back in canonical order. (C_k is stored in group
+// order, so the planner proves the ORDER BY redundant.)
+func countsQuery(k int) string {
 	cols := make([]string, k)
 	for i := range cols {
 		cols[i] = fmt.Sprintf("item%d", i+1)
 	}
 	list := strings.Join(cols, ", ")
-	_, batches, err := db.QueryBatches(
-		fmt.Sprintf("SELECT %s, cnt FROM c%d ORDER BY %s", list, k, list), nil)
+	return fmt.Sprintf("SELECT %s, cnt FROM c%d ORDER BY %s", list, k, list)
+}
+
+// readCounts loads C_k from the engine into the canonical sorted form,
+// pulling column batches instead of materializing tuples.
+func readCounts(db *engine.DB, k int, minSup int64) ([]ItemsetCount, error) {
+	_, batches, err := db.QueryBatches(countsQuery(k), nil)
 	if err != nil {
 		return nil, err
 	}

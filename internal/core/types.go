@@ -128,9 +128,9 @@ type Options struct {
 	// relations in RAM. MineMemory and MineParallel ignore it (resident
 	// by contract), as does the flat reference under DisablePackedKernels.
 	MemoryBudget int64
-	// MaxWorkers caps the parallelism of MineAuto's resident plans and of
-	// MineSQL's engine. Zero means GOMAXPROCS. It is ignored by
-	// budget-bounded passes, which are serial.
+	// MaxWorkers caps the parallelism of MineAuto's resident plans. Zero
+	// means GOMAXPROCS. It is ignored by budget-bounded passes and by
+	// MineSQL, which are serial.
 	MaxWorkers int
 	// Checkpoint, when non-nil, makes the adaptive executor persist a
 	// resumable manifest (k, C_1..C_k, R_k as a packed run file) into

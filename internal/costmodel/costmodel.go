@@ -392,19 +392,6 @@ func ParallelMs(serialMs float64, workers int) float64 {
 	return serialMs/float64(workers) + ParallelFanoutMs*float64(workers)
 }
 
-// ExchangeMs models moving rows through the Gather exchange: each row is
-// copied once across the worker boundary (half a CPUTupleMs — a column
-// copy, no decode), plus the per-worker channel and buffer setup. Workers <= 1 means no exchange and costs nothing.
-func ExchangeMs(rows int64, workers int) float64 {
-	if workers <= 1 {
-		return 0
-	}
-	if rows > maxModelRows {
-		rows = maxModelRows
-	}
-	return CPUTupleMs*float64(rows)/2 + ParallelFanoutMs*float64(workers)
-}
-
 // HashGroupMs models hash aggregation of rows into groups distinct
 // groups with sorted emission: one table probe per row (two tuple
 // touches — hash and compare) plus the comparison sort of the distinct
@@ -615,7 +602,11 @@ type PlanChoice struct {
 }
 
 // ParallelMinRows is the relation size below which fanning kernels out
-// across workers costs more than it saves.
+// across workers costs more than it saves. Its one user is the native
+// resident fan-out (ChoosePlan below and core's chunk kernels). The value
+// is PR 1's guess, never fitted: the only ladder behind the fan-out it
+// gates is quest-resident, 1.30–1.35× at two workers on an R'_2 of 5.2 M
+// rows, three orders of magnitude above it (ROADMAP item 4d).
 const ParallelMinRows = 2048
 
 // ChoosePlan picks an iteration strategy from observed cardinalities:

@@ -41,12 +41,8 @@ type DB struct {
 	// costmodel defaults); calibVer versions it for the plan-cache key.
 	calib    *costmodel.Calibration
 	calibVer uint64
-	// plans caches compiled plans per (text, params, epoch, calibVer,
-	// worker cap).
+	// plans caches compiled plans per (text, params, epoch, calibVer).
 	plans planCache
-
-	// maxWorkers caps per-query parallelism (0 or 1 = serial plans).
-	maxWorkers int
 }
 
 // Option configures a DB.
@@ -55,7 +51,6 @@ type Option func(*config)
 type config struct {
 	poolFrames int
 	memBudget  int64
-	maxWorkers int
 }
 
 // WithPoolFrames sets the buffer-pool capacity in 4 KB frames.
@@ -66,11 +61,6 @@ func WithPoolFrames(n int) Option { return func(c *config) { c.poolFrames = n } 
 // size (or reject hash builds). Zero keeps the planner default.
 func WithMemBudget(n int64) Option { return func(c *config) { c.memBudget = n } }
 
-// WithMaxWorkers caps the degree of parallelism of a single query's
-// exchange operators (parallel scans, split merge joins, hash-aggregate
-// and sort workers). Zero or one keeps plans serial.
-func WithMaxWorkers(n int) Option { return func(c *config) { c.maxWorkers = n } }
-
 // New creates an empty database.
 func New(opts ...Option) *DB {
 	cfg := config{poolFrames: DefaultPoolFrames}
@@ -80,11 +70,10 @@ func New(opts ...Option) *DB {
 	store := storage.NewMemStore()
 	pool := storage.NewPool(store, cfg.poolFrames)
 	return &DB{
-		store:      store,
-		pool:       pool,
-		cat:        catalog.New(pool),
-		MemBudget:  cfg.memBudget,
-		maxWorkers: cfg.maxWorkers,
+		store:     store,
+		pool:      pool,
+		cat:       catalog.New(pool),
+		MemBudget: cfg.memBudget,
 	}
 }
 
@@ -224,7 +213,6 @@ func (db *DB) compiler(p plan.Params) *plan.Compiler {
 	c := plan.NewCompiler(db.cat, db.pool, p)
 	c.MemBudget = db.MemBudget
 	c.Calib = db.calib
-	c.MaxWorkers = db.maxWorkers
 	return c
 }
 
@@ -305,35 +293,46 @@ func (db *DB) execInsertSelect(s *sqlparse.Insert, pl *plan.Plan) (*Result, erro
 			op.Schema().Len(), s.Table, schema.Len())
 	}
 	wasEmpty := tbl.File.Rows() == 0
-	if err := op.Open(); err != nil {
+	// As on the VALUES path, the ordering claim and the cached plans that
+	// relied on it go before the first append: a fill that fails part-way
+	// keeps the rows it had appended.
+	tbl.OrderedBy = nil
+	db.cat.Bump()
+	n, err := fill(tbl.File, op)
+	if err != nil {
 		return nil, err
 	}
-	defer op.Close()
-	var n int64
+	// A fresh fill from a stream with a known output ordering makes the
+	// table provably sorted, which later plans exploit to skip sorts.
+	if wasEmpty && len(pl.Ordering) > 0 {
+		tbl.OrderedBy = pl.Ordering
+	}
+	return &Result{RowsAffected: n}, nil
+}
+
+// fill appends every row op produces to f and returns their number.
+func fill(f *hp.File, op exec.Operator) (n int64, err error) {
+	if err := op.Open(); err != nil {
+		return 0, err
+	}
+	defer func() {
+		if cerr := op.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	for {
 		b, err := op.NextBatch()
 		if err == io.EOF {
-			break
+			return n, nil
 		}
 		if err != nil {
-			return nil, err
+			return n, err
 		}
-		if err := tbl.File.AppendBatch(b); err != nil {
-			return nil, err
+		if err := f.AppendBatch(b); err != nil {
+			return n, err
 		}
 		n += int64(b.Len())
 	}
-	// Record (or invalidate) the table's known ordering: a fresh fill
-	// from a stream with a known output ordering makes the table
-	// provably sorted, which later plans exploit to skip sorts; any
-	// append to existing rows destroys the guarantee.
-	if wasEmpty && len(pl.Ordering) > 0 {
-		tbl.OrderedBy = pl.Ordering
-	} else {
-		tbl.OrderedBy = nil
-	}
-	db.cat.Bump() // ordering knowledge changed: invalidate cached plans
-	return &Result{RowsAffected: n}, nil
 }
 
 // evalConst evaluates a constant expression (literals, params, arithmetic)

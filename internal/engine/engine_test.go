@@ -286,6 +286,71 @@ func TestInsertSelectDescendingDoesNotClaimAscending(t *testing.T) {
 	}
 }
 
+// TestFailedInsertSelectDropsOrderingClaim: an INSERT ... SELECT that
+// fails after some batches keeps the rows it had appended, so the target's
+// ordering claim — and every cached plan that skipped a sort on it — must
+// already be gone.
+func TestFailedInsertSelectDropsOrderingClaim(t *testing.T) {
+	db := New()
+	const n, bad = 5010, 2500 // the zero divisor sits in src's third batch
+	var base, src []tuple.Tuple
+	for i := int64(0); i < n; i++ {
+		base = append(base, tuple.Ints((i*7919)%n)) // a permutation of 0..n-1
+	}
+	for i := int64(0); i < 3000; i++ {
+		b := int64(1)
+		if i == bad {
+			b = 0
+		}
+		src = append(src, tuple.Ints(i, b))
+	}
+	if err := db.LoadTable("base", tuple.IntSchema("a"), base); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadTable("src", tuple.IntSchema("a", "b"), src); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("CREATE TABLE t (a INT, q INT)", nil)
+	db.MustExec("INSERT INTO t SELECT base.a, base.a FROM base ORDER BY base.a", nil)
+	tbl, err := db.Catalog().Get("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.OrderedBy) != 1 || tbl.OrderedBy[0] != 0 {
+		t.Fatalf("setup: t.OrderedBy = %v, want [0]", tbl.OrderedBy)
+	}
+	ordered, err := db.Prepare("SELECT a FROM t ORDER BY a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ordered.Exec(nil); err != nil { // caches the sort-skipping plan
+		t.Fatal(err)
+	}
+
+	_, err = db.Exec("INSERT INTO t SELECT src.a, 10 / src.b FROM src", nil)
+	if err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("INSERT over a zero divisor: %v", err)
+	}
+	if got := tbl.File.Rows(); got <= n {
+		t.Fatalf("setup: the failed INSERT appended nothing (%d rows)", got)
+	}
+	if tbl.OrderedBy != nil {
+		t.Errorf("t.OrderedBy = %v after a partial append", tbl.OrderedBy)
+	}
+	res, err := ordered.Exec(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(res.Rows)) != tbl.File.Rows() {
+		t.Fatalf("%d rows, table holds %d", len(res.Rows), tbl.File.Rows())
+	}
+	for i := 1; i < len(res.Rows); i++ {
+		if res.Rows[i-1][0].Int > res.Rows[i][0].Int {
+			t.Fatalf("ORDER BY a: row %d = %d after %d", i, res.Rows[i][0].Int, res.Rows[i-1][0].Int)
+		}
+	}
+}
+
 func TestErrors(t *testing.T) {
 	db := New()
 	db.MustExec("CREATE TABLE t (a INT, b INT)", nil)

@@ -131,12 +131,11 @@ func paramsKey(params map[string]int64) string {
 	return b.String()
 }
 
-// planKeyPrefix is the validity part of a plan-cache key: schema epoch,
-// calibration version, and the worker cap (plans embed their exchange
-// operators, so a cap change means different physical plans). A key minted
-// under an older epoch simply never matches again.
+// planKeyPrefix is the validity part of a plan-cache key: schema epoch and
+// calibration version. A key minted under an older epoch simply never
+// matches again.
 func (db *DB) planKeyPrefix(params map[string]int64) string {
-	return fmt.Sprintf("%d|%d|%d|%s", db.cat.Epoch(), db.calibVer, db.maxWorkers, paramsKey(params))
+	return fmt.Sprintf("%d|%d|%s", db.cat.Epoch(), db.calibVer, paramsKey(params))
 }
 
 // planFor returns a cached plan for (text, params) or compiles one. The

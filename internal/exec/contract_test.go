@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"testing"
 
@@ -33,9 +32,8 @@ type opCase struct {
 	leaf  bool // no input: src is unused
 }
 
-// contractCases returns a case per operator (Gather and ParallelGroup at
-// 1, 2 and 4 workers) with the multi-page scan that feeds them, its schema
-// and the pool it lives in.
+// contractCases returns a case per operator with the multi-page scan that
+// feeds them, its schema and the pool it lives in.
 func contractCases(t *testing.T) (cases []opCase, scan func() Operator, schema *tuple.Schema, pool *storage.Pool) {
 	schema = tuple.IntSchema("trans_id", "item")
 	rows := keyRuns(3000, 21) // ascending on trans_id, a dozen pages
@@ -66,19 +64,6 @@ func contractCases(t *testing.T) (cases []opCase, scan func() Operator, schema *
 		return out, nil
 	}
 	count := []AggSpec{{Kind: AggCount, Name: "cnt"}}
-	// frags cuts src's scan into n fragments; a failing input stands in for
-	// each fragment.
-	frags := func(src func() Operator, n int) []Operator {
-		if fr := FragmentScans(src(), n); fr != nil {
-			return fr
-		}
-		out := make([]Operator, n)
-		for i := range out {
-			out[i] = src()
-		}
-		return out
-	}
-
 	cases = []opCase{
 		{name: "HeapScan", leaf: true, build: func(func() Operator) Operator { return NewHeapScan(f) }},
 		{name: "MemScan", leaf: true, build: func(func() Operator) Operator { return NewMemScan(schema, rows) }},
@@ -114,17 +99,7 @@ func contractCases(t *testing.T) (cases []opCase, scan func() Operator, schema *
 			return NewNestedLoopJoin(NewLimit(scan(), 40), src(),
 				func(l, r tuple.Tuple) (bool, error) { return l[0].Int == r[0].Int, nil })
 		}},
-		{name: "Window", build: func(src func() Operator) Operator { return NewWindow(src(), 0, 100, true, 900, true) }},
-	}
-	for _, w := range []int{1, 2, 4} {
-		w := w
-		cases = append(cases,
-			opCase{name: fmt.Sprintf("Gather/%dw", w), build: func(src func() Operator) Operator {
-				return NewGather(frags(src, 4), w)
-			}},
-			opCase{name: fmt.Sprintf("ParallelGroup/%dw", w), build: func(src func() Operator) Operator {
-				return NewParallelGroup(frags(src, 4), []int{1}, count, w)
-			}})
+		{name: "HashGroup", build: func(src func() Operator) Operator { return NewHashGroup(src(), []int{1}, count) }},
 	}
 
 	return cases, scan, schema, pool
@@ -211,8 +186,7 @@ func TestOperatorContract(t *testing.T) {
 			}
 
 			// Close after a failed Open. A leaf's Open cannot fail: closing
-			// it unopened is the nearest thing. An exchange reports its
-			// fragment's failure from Open or from the first NextBatch.
+			// it unopened is the nearest thing.
 			if tc.leaf {
 				if err := tc.build(nil).Close(); err != nil {
 					t.Fatal(err)

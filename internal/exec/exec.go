@@ -1,7 +1,7 @@
 // Package exec implements the query-execution operators of the engine:
 // scans, filter, project, sort, merge-scan join, hash join, nested-loop
-// join, sort-based and hash group/count, distinct, limit, and the exchange
-// operators that run a pipeline's fragments in parallel.
+// join, sort-based and hash group/count, distinct and limit. A plan runs on
+// the goroutine that pulls it.
 //
 // The operators are vectorized and have one pull contract: data moves as
 // tuple.Batch column vectors (~1024 rows per pull) through NextBatch.
@@ -17,7 +17,6 @@ import (
 	"io"
 	"math/bits"
 	"slices"
-	"sync"
 
 	hp "setm/internal/heap"
 	"setm/internal/storage"
@@ -94,10 +93,9 @@ func Materialize(pool *storage.Pool, op Operator) (*hp.File, error) {
 // HeapScan reads a heap file front to back, decoding records directly into
 // column vectors.
 type HeapScan struct {
-	file       *hp.File
-	start, end int // page range; end == 0 means the whole file
-	sc         *hp.Scanner
-	buf        *tuple.Batch
+	file *hp.File
+	sc   *hp.Scanner
+	buf  *tuple.Batch
 
 	stats OpStats
 }
@@ -105,21 +103,11 @@ type HeapScan struct {
 // NewHeapScan returns a scan over f.
 func NewHeapScan(f *hp.File) *HeapScan { return &HeapScan{file: f} }
 
-// NewHeapScanRange returns a scan over pages [start, end) of f — one
-// morsel of a parallel fragment.
-func NewHeapScanRange(f *hp.File, start, end int) *HeapScan {
-	return &HeapScan{file: f, start: start, end: end}
-}
-
 func (s *HeapScan) Schema() *tuple.Schema { return s.file.Schema() }
 
 func (s *HeapScan) Open() error {
 	s.stats.Reset()
-	if s.end > 0 {
-		s.sc = s.file.ScanRange(s.start, s.end)
-	} else {
-		s.sc = s.file.Scan()
-	}
+	s.sc = s.file.Scan()
 	if s.buf == nil {
 		s.buf = tuple.NewBatch(s.file.Schema())
 	}
@@ -551,7 +539,6 @@ type Sort struct {
 	pool     *storage.Pool
 	memLimit int
 
-	parallel int // sort-worker count for the columnar path (0/1 = serial)
 	sizeHint int // expected input rows, pre-sizes the columnar buffer
 
 	// columnar path state
@@ -573,12 +560,6 @@ func NewSortKeys(child Operator, keys []SortKey, pool *storage.Pool, memLimit in
 }
 
 func (s *Sort) Schema() *tuple.Schema { return s.child.Schema() }
-
-// SetParallel runs the columnar radix sort as w per-worker runs merged by
-// an in-memory cascade. The merged permutation is identical to the serial
-// one: the radix pairs carry the global row index as tie-break, so the
-// run merge reproduces the serial total order exactly.
-func (s *Sort) SetParallel(w int) { s.parallel = w }
 
 // SetSizeHint pre-sizes the columnar gather buffer for n input rows.
 func (s *Sort) SetSizeHint(n int) { s.sizeHint = n }
@@ -628,12 +609,7 @@ func (s *Sort) Open() error {
 // input position — the same total order the comparison paths produce.
 // Returns false (perm untouched) when the combined key domain needs more
 // than 64 bits.
-//
-// With workers > 1 the rows are cut into contiguous chunks, each packed
-// and radix-sorted on its own goroutine, and the sorted runs are merged
-// in memory. The pair's minor word is the global row index, a unique
-// tie-break, so the merged permutation is exactly the serial one.
-func sortPermRadix(store *tuple.Batch, cols []int, perm []int32, workers int) bool {
+func sortPermRadix(store *tuple.Batch, cols []int, perm []int32) bool {
 	n := len(perm)
 	if n < 2 {
 		return true
@@ -665,42 +641,15 @@ func sortPermRadix(store *tuple.Batch, cols []int, perm []int32, workers int) bo
 	if totalBits > 64 {
 		return false
 	}
-	pack := func(pairs []storage.PackedRow, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			var key uint64
-			for _, p := range packs {
-				key = key<<p.bits | (uint64(p.v[r]) - p.min)
-			}
-			pairs[r-lo] = storage.PackedRow{Tid: key, Key: uint64(uint32(r))}
+	sorted := make([]storage.PackedRow, n)
+	for r := range sorted {
+		var key uint64
+		for _, p := range packs {
+			key = key<<p.bits | (uint64(p.v[r]) - p.min)
 		}
+		sorted[r] = storage.PackedRow{Tid: key, Key: uint64(uint32(r))}
 	}
-	var sorted []storage.PackedRow
-	if workers > 1 && n >= 2*tuple.BatchSize {
-		if workers > n/tuple.BatchSize {
-			workers = n / tuple.BatchSize
-		}
-		runs := make([][]storage.PackedRow, workers)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			lo, hi := w*n/workers, (w+1)*n/workers
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				run := make([]storage.PackedRow, hi-lo)
-				pack(run, lo, hi)
-				tmp := make([]storage.PackedRow, hi-lo)
-				xsort.RadixSortRows(run, tmp)
-				runs[w] = run
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		sorted = xsort.MergeRowSlices(runs, make([]storage.PackedRow, 0, n))
-	} else {
-		sorted = make([]storage.PackedRow, n)
-		pack(sorted, 0, n)
-		tmp := make([]storage.PackedRow, n)
-		xsort.RadixSortRows(sorted, tmp)
-	}
+	xsort.RadixSortRows(sorted, make([]storage.PackedRow, n))
 	for i := range sorted {
 		perm[i] = int32(uint32(sorted[i].Key))
 	}
@@ -777,7 +726,7 @@ func (s *Sort) openColumnar() error {
 		// conservative ordering claim cannot prove it (e.g. SETM's R'_k).
 		// The permutation stays the identity, which a stable sort of a
 		// sorted store would produce anyway, so output is unchanged.
-	case intAsc && sortPermRadix(store, cols, perm, s.parallel):
+	case intAsc && sortPermRadix(store, cols, perm):
 		// Sorted by the packed radix kernel: the combined key domain fit
 		// one word, so the rows moved in O(n) byte passes instead of
 		// n·log n indirect comparisons.

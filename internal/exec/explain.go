@@ -31,14 +31,8 @@ func Children(op Operator) []Operator {
 		return []Operator{v.left, v.right}
 	case *NestedLoopJoin:
 		return []Operator{v.left, v.right}
-	case *Window:
+	case *HashGroup:
 		return []Operator{v.child}
-	case *Gather:
-		// Fragment 0 stands in for the pipeline shape; the fragments are
-		// clones over different page ranges.
-		return []Operator{v.fragments[0]}
-	case *ParallelGroup:
-		return []Operator{v.fragments[0]}
 	default:
 		return nil
 	}
@@ -78,11 +72,7 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 	}
 	switch v := op.(type) {
 	case *HeapScan:
-		if v.end > 0 {
-			line("HeapScan %s (pages [%d,%d) of %d)", v.file.Schema(), v.start, v.end, v.file.Pages())
-		} else {
-			line("HeapScan %s (%d rows, %d pages)", v.file.Schema(), v.file.Rows(), v.file.Pages())
-		}
+		line("HeapScan %s (%d rows, %d pages)", v.file.Schema(), v.file.Rows(), v.file.Pages())
 	case *MemScan:
 		line("MemScan %s (%d rows)", v.schema, len(v.rows))
 	case *Rename:
@@ -100,12 +90,9 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 	case *Distinct:
 		line("Distinct")
 	case *Sort:
-		switch {
-		case v.pool != nil:
+		if v.pool != nil {
 			line("Sort keys=%v (external)", v.keys)
-		case v.parallel > 1:
-			line("Sort keys=%v (vectorized in-memory, %d sort workers)", v.keys, v.parallel)
-		default:
+		} else {
 			line("Sort keys=%v (vectorized in-memory)", v.keys)
 		}
 	case *SortGroup:
@@ -117,29 +104,11 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 			line("MergeJoin on %v = %v", v.leftKeys, v.rightKeys)
 		}
 	case *HashJoin:
-		if v.buildWorkers > 1 {
-			line("HashJoin on %v = %v (build right, %d partitions)", v.leftKeys, v.rightKeys, v.buildWorkers)
-		} else {
-			line("HashJoin on %v = %v (build right)", v.leftKeys, v.rightKeys)
-		}
+		line("HashJoin on %v = %v (build right)", v.leftKeys, v.rightKeys)
 	case *NestedLoopJoin:
 		line("NestedLoopJoin")
-	case *Window:
-		lo, hasLo, hi, hasHi := v.Bounds()
-		switch {
-		case hasLo && hasHi:
-			line("Window col %d in [%d,%d)", v.col, lo, hi)
-		case hasLo:
-			line("Window col %d ≥ %d", v.col, lo)
-		case hasHi:
-			line("Window col %d < %d", v.col, hi)
-		default:
-			line("Window col %d (unbounded)", v.col)
-		}
-	case *Gather:
-		line("Gather (dop=%d, %d fragments)", v.workers, len(v.fragments))
-	case *ParallelGroup:
-		line("ParallelGroup by %v (%d aggregates, dop=%d, %d fragments)", v.groupCols, len(v.aggs), v.workers, len(v.fragments))
+	case *HashGroup:
+		line("HashGroup by %v (%d aggregates)", v.groupCols, len(v.aggs))
 	default:
 		line("%T", op)
 	}

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"setm/internal/tuple"
 )
@@ -23,16 +22,19 @@ type HashJoin struct {
 	residual    JoinPredicate
 	schema      *tuple.Schema
 
-	buildWorkers int // >1: partitioned parallel build
-	buildHint    int // expected build rows, pre-sizes store and table
+	buildHint int // expected build rows, pre-sizes store and table
 
 	store *tuple.Batch // materialized right input
 
-	// The build rows of one key are chained in store order: index[p] maps
-	// the keys of partition p to the first row of their chain, next[i] is
-	// the following row with row i's key (-1 ends the chain).
+	// The build rows of one key are chained in store order: the index maps
+	// a key to the first row of its chain, next[i] is the following row
+	// with row i's key (-1 ends the chain). All-integer keys index through
+	// an open-addressing table (key -> slot, heads by slot); a key with a
+	// string column is serialized by appendKey into a map.
 	intKeys bool // every key column is an integer on both sides
-	index   []keyIndex
+	ints    *groupTable
+	heads   []int32
+	strs    map[string]int32
 	next    []int32
 
 	lcur    batchCursor
@@ -45,16 +47,6 @@ type HashJoin struct {
 	lscratch, rscratch tuple.Tuple
 
 	stats OpStats
-}
-
-// keyIndex maps the keys of one build partition to the first build row of
-// each. All-integer keys use an open-addressing table (key -> slot, heads
-// by slot); a key with a string column is serialized by appendKey into a
-// map.
-type keyIndex struct {
-	ints  *groupTable
-	heads []int32
-	strs  map[string]int32
 }
 
 // NewHashJoin joins left and right on equality of the key columns.
@@ -74,24 +66,6 @@ func (h *HashJoin) Schema() *tuple.Schema { return h.schema }
 // SetBuildSizeHint pre-sizes the build-side store and hash table for n
 // rows.
 func (h *HashJoin) SetBuildSizeHint(n int) { h.buildHint = n }
-
-// SetBuildWorkers partitions the hash-table build over w goroutines: the
-// build input is materialized once (serially, keeping row order), then
-// each worker builds the table partition owning hash(key) mod w. Match
-// chains are identical to a serial build — every key lives in exactly one
-// partition and its chain is in store order — so probe output is unchanged
-// for any w.
-func (h *HashJoin) SetBuildWorkers(w int) { h.buildWorkers = w }
-
-// keyPartition maps a serialized key to a table partition.
-func keyPartition(key []byte, parts int) int {
-	var fnv uint64 = 1469598103934665603
-	for _, c := range key {
-		fnv ^= uint64(c)
-		fnv *= 1099511628211
-	}
-	return int(fnv % uint64(parts))
-}
 
 // appendKey serializes the key columns of b's logical row i into buf.
 func appendKey(buf []byte, b *tuple.Batch, i int, cols []int) ([]byte, error) {
@@ -137,42 +111,20 @@ func (h *HashJoin) Open() error {
 		h.store.Append(b)
 	}
 	h.intKeys = intKeyColumns(h.left.Schema(), h.right.Schema(), h.leftKeys, h.rightKeys)
-	parts := max(h.buildWorkers, 1)
 	h.next = make([]int32, h.store.Len())
-	h.index = make([]keyIndex, parts)
 	h.key = make([]int64, len(h.leftKeys))
-	if parts == 1 {
-		if err := h.buildPartition(0, 1); err != nil {
-			return err
-		}
-	} else {
-		errs := make([]error, parts)
-		var wg sync.WaitGroup
-		wg.Add(parts)
-		for w := 0; w < parts; w++ {
-			go func(w int) {
-				defer wg.Done()
-				errs[w] = h.buildPartition(w, parts)
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
+	if err := h.buildIndex(); err != nil {
+		return err
 	}
 	h.lcur.reset(h.left)
 	h.probing = false
 	return nil
 }
 
-// buildPartition indexes the build rows whose key hashes to partition w of
-// parts. Rows are visited last to first and pushed onto the front of their
-// key's chain, so every chain lists its rows in store order whatever the
-// partitioning — probe output does not depend on the worker count. Workers
-// write disjoint elements of h.next.
-func (h *HashJoin) buildPartition(w, parts int) error {
+// buildIndex indexes the build rows. Rows are visited last to first and
+// pushed onto the front of their key's chain, so every chain lists its
+// rows in store order.
+func (h *HashJoin) buildIndex() error {
 	rows := h.store.Len()
 	if h.intKeys {
 		t := newGroupTable(len(h.rightKeys), 0)
@@ -182,29 +134,22 @@ func (h *HashJoin) buildPartition(w, parts int) error {
 			for k, c := range h.rightKeys {
 				key[k] = h.store.Cols[c].I[i]
 			}
-			hv := hashKey(key)
-			if parts > 1 && intKeyPartition(hv, parts) != w {
-				continue
-			}
-			s := t.lookup(key, hv)
+			s := t.lookup(key, hashKey(key))
 			if s == len(heads) {
 				heads = append(heads, -1)
 			}
 			h.next[i] = heads[s]
 			heads[s] = int32(i)
 		}
-		h.index[w] = keyIndex{ints: t, heads: heads}
+		h.ints, h.heads = t, heads
 		return nil
 	}
-	t := make(map[string]int32, h.buildHint/parts)
+	t := make(map[string]int32, h.buildHint)
 	var buf []byte
 	for i := rows - 1; i >= 0; i-- {
 		var err error
 		if buf, err = appendKey(buf[:0], h.store, i, h.rightKeys); err != nil {
 			return err
-		}
-		if parts > 1 && keyPartition(buf, parts) != w {
-			continue
 		}
 		h.next[i] = -1
 		if head, ok := t[string(buf)]; ok {
@@ -212,13 +157,9 @@ func (h *HashJoin) buildPartition(w, parts int) error {
 		}
 		t[string(buf)] = int32(i)
 	}
-	h.index[w] = keyIndex{strs: t}
+	h.strs = t
 	return nil
 }
-
-// intKeyPartition maps an integer key's hash to a table partition. It uses
-// the hash's high half; the tables index by the low bits.
-func intKeyPartition(hv uint64, parts int) int { return int(hv>>32) % parts }
 
 // firstMatch returns the first build row matching the current left row's
 // key, or -1.
@@ -228,12 +169,8 @@ func (h *HashJoin) firstMatch() (int32, error) {
 		for k, c := range h.leftKeys {
 			h.key[k] = h.lcur.b.Cols[c].I[phys]
 		}
-		hv, p := hashKey(h.key), 0
-		if len(h.index) > 1 {
-			p = intKeyPartition(hv, len(h.index))
-		}
-		if s, _ := h.index[p].ints.find(h.key, hv); s >= 0 {
-			return h.index[p].heads[s], nil
+		if s, _ := h.ints.find(h.key, hashKey(h.key)); s >= 0 {
+			return h.heads[s], nil
 		}
 		return -1, nil
 	}
@@ -241,11 +178,7 @@ func (h *HashJoin) firstMatch() (int32, error) {
 	if h.keyBuf, err = appendKey(h.keyBuf[:0], h.lcur.b, h.lcur.i, h.leftKeys); err != nil {
 		return -1, err
 	}
-	p := 0
-	if len(h.index) > 1 {
-		p = keyPartition(h.keyBuf, len(h.index))
-	}
-	if head, ok := h.index[p].strs[string(h.keyBuf)]; ok {
+	if head, ok := h.strs[string(h.keyBuf)]; ok {
 		return head, nil
 	}
 	return -1, nil
@@ -254,7 +187,7 @@ func (h *HashJoin) firstMatch() (int32, error) {
 func (h *HashJoin) Close() error {
 	err1 := h.left.Close()
 	err2 := h.right.Close()
-	h.index, h.next = nil, nil
+	h.ints, h.heads, h.strs, h.next = nil, nil, nil, nil
 	h.store = nil
 	if err1 != nil {
 		return err1

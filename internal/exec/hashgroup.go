@@ -1,24 +1,16 @@
-// ParallelGroup: hash aggregation with sorted output. Where SortGroup
-// needs its input pre-sorted on the group columns (and the planner pays a
-// full materializing sort for it), ParallelGroup aggregates unsorted
-// input into a hash table keyed by the group columns and sorts only the
-// distinct groups for emission. Output is identical to sort+SortGroup —
-// groups ascending on the group columns, same aggregate values — at
+// HashGroup: hash aggregation with sorted output. Where SortGroup needs
+// its input pre-sorted on the group columns (and the planner pays a full
+// materializing sort for it), HashGroup aggregates unsorted input into a
+// hash table keyed by the group columns and sorts only the distinct groups
+// for emission. Output is identical to sort+SortGroup — groups ascending
+// on the group columns, same aggregate values — at
 // O(rows + groups·log groups) instead of O(rows·log rows).
-//
-// With several fragment children the table build is partitioned: each
-// worker aggregates its claimed fragments into a private table (morsel
-// stealing, as in Gather), and a merge step combines the per-worker
-// tables by sorting their slots together and folding equal keys — the
-// same combine the emission sort needs anyway, so the merge is free.
 package exec
 
 import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"setm/internal/tuple"
 )
@@ -137,32 +129,27 @@ func (t *groupTable) lookup(key []int64, hv uint64) int {
 	return s
 }
 
-// ParallelGroup aggregates its children (fragments of one logical input)
-// on integer group columns, emitting groups ascending on the group
-// columns — the order a sort+SortGroup plan produces. Aggregates are
-// COUNT/SUM/MIN/MAX over integer columns.
-type ParallelGroup struct {
-	fragments []Operator
+// HashGroup aggregates its child on integer group columns, emitting groups
+// ascending on the group columns — the order a sort+SortGroup plan
+// produces. Aggregates are COUNT/SUM/MIN/MAX over integer columns.
+type HashGroup struct {
+	child     Operator
 	groupCols []int
 	aggs      []AggSpec
 	schema    *tuple.Schema
-	workers   int
 
-	perRows []int64
-	merged  *groupTable
-	perm    []int32
-	pos     int
-	out     *tuple.Batch
+	table *groupTable
+	perm  []int32
+	pos   int
+	out   *tuple.Batch
 
 	stats OpStats
 }
 
-// NewParallelGroup groups the union of the fragments' rows on groupCols
-// (all integer), computing aggs, with the table build spread over up to
-// workers goroutines. The fragments' schemas must match; their
-// concatenation must be the logical input relation.
-func NewParallelGroup(fragments []Operator, groupCols []int, aggs []AggSpec, workers int) *ParallelGroup {
-	in := fragments[0].Schema()
+// NewHashGroup groups child's rows on groupCols (all integer), computing
+// aggs.
+func NewHashGroup(child Operator, groupCols []int, aggs []AggSpec) *HashGroup {
+	in := child.Schema()
 	cols := make([]tuple.Column, 0, len(groupCols)+len(aggs))
 	for _, gc := range groupCols {
 		cols = append(cols, in.Cols[gc])
@@ -174,47 +161,30 @@ func NewParallelGroup(fragments []Operator, groupCols []int, aggs []AggSpec, wor
 		}
 		cols = append(cols, tuple.Column{Name: name, Kind: tuple.KindInt})
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(fragments) {
-		workers = len(fragments)
-	}
-	return &ParallelGroup{
-		fragments: fragments,
+	return &HashGroup{
+		child:     child,
 		groupCols: groupCols,
 		aggs:      aggs,
 		schema:    tuple.NewSchema(cols...),
-		workers:   workers,
 	}
 }
 
-func (g *ParallelGroup) Schema() *tuple.Schema { return g.schema }
+func (g *HashGroup) Schema() *tuple.Schema { return g.schema }
 
-// WorkerRows reports input rows aggregated per fragment.
-func (g *ParallelGroup) WorkerRows() []int64 { return g.perRows }
-
-// buildFragment aggregates fragment f into t.
-func (g *ParallelGroup) buildFragment(f int, t *groupTable, key []int64) (int64, error) {
-	op := g.fragments[f]
-	if err := op.Open(); err != nil {
-		op.Close()
-		return 0, err
-	}
-	var rows int64
+// build drains the (open) child into t.
+func (g *HashGroup) build(t *groupTable) error {
+	key := make([]int64, len(g.groupCols))
 	for {
-		b, err := op.NextBatch()
+		b, err := g.child.NextBatch()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			op.Close()
-			return rows, err
+			return err
 		}
 		for _, gc := range g.groupCols {
 			if b.Cols[gc].Kind != tuple.KindInt {
-				op.Close()
-				return rows, fmt.Errorf("exec: parallel group over non-integer column %d", gc)
+				return fmt.Errorf("exec: hash group over non-integer column %d", gc)
 			}
 		}
 		n := b.Len()
@@ -233,8 +203,7 @@ func (g *ParallelGroup) buildFragment(f int, t *groupTable, key []int64) (int64,
 				case AggSum, AggMin, AggMax:
 					col := &b.Cols[a.Col]
 					if col.Kind != tuple.KindInt {
-						op.Close()
-						return rows, fmt.Errorf("exec: aggregate over non-integer column %d", a.Col)
+						return fmt.Errorf("exec: aggregate over non-integer column %d", a.Col)
 					}
 					v := col.I[phys]
 					if first {
@@ -251,52 +220,28 @@ func (g *ParallelGroup) buildFragment(f int, t *groupTable, key []int64) (int64,
 				}
 			}
 		}
-		rows += int64(n)
 	}
-	return rows, op.Close()
 }
 
-func (g *ParallelGroup) Open() error {
+func (g *HashGroup) Open() error {
 	g.stats.Reset()
-	g.merged, g.perm, g.pos = nil, nil, 0
-	n := len(g.fragments)
-	g.perRows = make([]int64, n)
-	tables := make([]*groupTable, g.workers)
-	errs := make([]error, g.workers)
-	var claim atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(g.workers)
-	for w := 0; w < g.workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			t := newGroupTable(len(g.groupCols), len(g.aggs))
-			tables[w] = t
-			key := make([]int64, len(g.groupCols))
-			for {
-				f := int(claim.Add(1)) - 1
-				if f >= n {
-					return
-				}
-				rows, err := g.buildFragment(f, t, key)
-				g.perRows[f] = rows
-				if err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
+	g.table, g.perm, g.pos = nil, nil, 0
+	// The child is drained here, so it is closed here — also when its Open
+	// fails part-way.
+	t := newGroupTable(len(g.groupCols), len(g.aggs))
+	err := g.child.Open()
+	if err == nil {
+		err = g.build(t)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if cerr := g.child.Close(); err == nil {
+		err = cerr
 	}
-	g.merged = g.mergeTables(tables)
+	if err != nil {
+		return err
+	}
 	// Emission order: groups ascending on the group columns, which is what
-	// the equivalent sort+SortGroup plan emits. The merge step has already
-	// folded duplicate keys, so a plain permutation sort finishes the job.
-	t := g.merged
+	// the equivalent sort+SortGroup plan emits.
+	g.table = t
 	g.perm = make([]int32, t.slots())
 	for i := range g.perm {
 		g.perm[i] = int32(i)
@@ -319,48 +264,11 @@ func (g *ParallelGroup) Open() error {
 	return nil
 }
 
-// mergeTables folds the per-worker partial tables into one. Worker 0's
-// table (the largest, as worker 0 claims first) is kept; the other
-// workers' slots are folded in by table lookup.
-func (g *ParallelGroup) mergeTables(tables []*groupTable) *groupTable {
-	base := tables[0]
-	key := make([]int64, base.nkeys)
-	for _, t := range tables[1:] {
-		for s := 0; s < t.slots(); s++ {
-			if t.counts[s] == 0 {
-				continue
-			}
-			for k := 0; k < t.nkeys; k++ {
-				key[k] = t.keys[k][s]
-			}
-			d := base.lookup(key, hashKey(key))
-			first := base.counts[d] == 0
-			base.counts[d] += t.counts[s]
-			for a := 0; a < t.naggs; a++ {
-				if first {
-					base.sums[a][d] = t.sums[a][s]
-					base.mins[a][d] = t.mins[a][s]
-					base.maxs[a][d] = t.maxs[a][s]
-				} else {
-					base.sums[a][d] += t.sums[a][s]
-					if t.mins[a][s] < base.mins[a][d] {
-						base.mins[a][d] = t.mins[a][s]
-					}
-					if t.maxs[a][s] > base.maxs[a][d] {
-						base.maxs[a][d] = t.maxs[a][s]
-					}
-				}
-			}
-		}
-	}
-	return base
-}
-
-func (g *ParallelGroup) nextBatch() (*tuple.Batch, error) {
-	if g.merged == nil || g.pos >= len(g.perm) {
+func (g *HashGroup) nextBatch() (*tuple.Batch, error) {
+	if g.table == nil || g.pos >= len(g.perm) {
 		return nil, io.EOF
 	}
-	t := g.merged
+	t := g.table
 	g.out.Reset()
 	end := g.pos + tuple.BatchSize
 	if end > len(g.perm) {
@@ -395,7 +303,7 @@ func (g *ParallelGroup) nextBatch() (*tuple.Batch, error) {
 	return g.out, nil
 }
 
-func (g *ParallelGroup) Close() error {
-	g.merged, g.perm = nil, nil
+func (g *HashGroup) Close() error {
+	g.table, g.perm = nil, nil
 	return nil
 }

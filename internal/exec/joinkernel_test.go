@@ -57,9 +57,9 @@ func stringKeyed(rows []tuple.Tuple, cols ...int) (*tuple.Schema, []tuple.Tuple)
 	return s, refSort(out, []SortKey{{Col: 0}, {Col: 1}})
 }
 
-// checkJoinKernels runs HashJoin (serial and with 1, 2 and 4 build workers)
-// and MergeJoin, bare and with the v-column residual, over one case and
-// compares each, row for row and in order, with the nested-loop reference.
+// checkJoinKernels runs HashJoin and MergeJoin, bare and with the v-column
+// residual, over one case and compares each, row for row and in order,
+// with the nested-loop reference.
 // wantInt states which key path the operators must have taken.
 func checkJoinKernels(t *testing.T, label string, c joinCase, wantInt bool) {
 	t.Helper()
@@ -85,17 +85,13 @@ func checkJoinKernels(t *testing.T, label string, c joinCase, wantInt bool) {
 	gt := func(l, r tuple.Tuple) (bool, error) { return r[2].Int > l[2].Int, nil }
 	wantGT := refFilter(want, func(tp tuple.Tuple) bool { return tp[5].Int > tp[2].Int })
 
-	for _, w := range []int{0, 1, 2, 4} {
-		h := NewHashJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, nil)
-		h.SetBuildWorkers(w)
-		requireSameRows(t, fmt.Sprintf("%s: hash join, %d build workers", label, w), drainRows(t, h), want)
-		if h.intKeys != wantInt {
-			t.Fatalf("%s: hash join took intKeys=%v", label, h.intKeys)
-		}
-		h = NewHashJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, gt)
-		h.SetBuildWorkers(w)
-		requireSameRows(t, fmt.Sprintf("%s: hash join + residual, %d build workers", label, w), drainRows(t, h), wantGT)
+	h := NewHashJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, nil)
+	requireSameRows(t, label+": hash join", drainRows(t, h), want)
+	if h.intKeys != wantInt {
+		t.Fatalf("%s: hash join took intKeys=%v", label, h.intKeys)
 	}
+	h = NewHashJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, gt)
+	requireSameRows(t, label+": hash join + residual", drainRows(t, h), wantGT)
 	m := NewMergeJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, nil)
 	requireSameRows(t, label+": merge join", drainRows(t, m), want)
 	if m.intKeys != wantInt {

@@ -147,3 +147,13 @@ func TestExternalSortReleasesPages(t *testing.T) {
 		}
 	}
 }
+
+// TestSortSkipsAlreadySortedInput: a single-key sort of input already in
+// key order is the identity permutation — item values stay in input order
+// within equal trans_id runs.
+func TestSortSkipsAlreadySortedInput(t *testing.T) {
+	rows := keyRuns(3000, 13)
+	f := heapFile(t, tuple.IntSchema("trans_id", "item"), rows)
+	got := drainRows(t, NewSortKeys(NewHeapScan(f), []SortKey{{Col: 0}}, nil, 0))
+	requireSameRows(t, "sort of pre-sorted input", got, rows)
+}

@@ -10,9 +10,9 @@ import (
 // and batches it produced since Open. EXPLAIN ANALYZE reads these after a
 // plan has been drained to report actual-vs-estimated rows per operator,
 // and the calibration harness fits the planner's selectivity constants
-// from them. The counters are atomic: parallel operators tally from
-// worker goroutines while EXPLAIN ANALYZE (or a concurrent plan walk) may
-// read them, and the race detector must stay quiet.
+// from them. The counters are atomic: a plan walk (EXPLAIN ANALYZE, the
+// calibration harness) may read them while another goroutine drains the
+// plan, and the race detector must stay quiet.
 type OpStats struct {
 	batches atomic.Int64
 	rows    atomic.Int64
@@ -35,12 +35,6 @@ func (st *OpStats) Reset() {
 // exposes the operator's actual-output counters.
 type StatsReporter interface {
 	ExecStats() *OpStats
-}
-
-// WorkerReporter is implemented by parallel operators; it exposes the
-// per-worker (per-fragment) actual input row counts for EXPLAIN ANALYZE.
-type WorkerReporter interface {
-	WorkerRows() []int64
 }
 
 // tally counts one NextBatch result on its way out.
@@ -92,11 +86,5 @@ func (h *HashJoin) ExecStats() *OpStats              { return &h.stats }
 func (n *NestedLoopJoin) NextBatch() (*tuple.Batch, error) { return n.stats.tally(n.nextBatch()) }
 func (n *NestedLoopJoin) ExecStats() *OpStats              { return &n.stats }
 
-func (g *Gather) NextBatch() (*tuple.Batch, error) { return g.stats.tally(g.nextBatch()) }
-func (g *Gather) ExecStats() *OpStats              { return &g.stats }
-
-func (w *Window) NextBatch() (*tuple.Batch, error) { return w.stats.tally(w.nextBatch()) }
-func (w *Window) ExecStats() *OpStats              { return &w.stats }
-
-func (g *ParallelGroup) NextBatch() (*tuple.Batch, error) { return g.stats.tally(g.nextBatch()) }
-func (g *ParallelGroup) ExecStats() *OpStats              { return &g.stats }
+func (g *HashGroup) NextBatch() (*tuple.Batch, error) { return g.stats.tally(g.nextBatch()) }
+func (g *HashGroup) ExecStats() *OpStats              { return &g.stats }

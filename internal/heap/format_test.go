@@ -128,48 +128,6 @@ func checkFile(t *testing.T, rng *rand.Rand, f *File, want []tuple.Tuple) {
 		same(fmt.Sprintf("NextBatch(max=%d)", lim), got)
 	}
 
-	// Disjoint page ranges partition the rows in order, and FirstKey agrees
-	// with the first row of every page.
-	got = got[:0]
-	for start := 0; start < f.Pages(); {
-		end := start + 1 + rng.Intn(3)
-		sc := f.ScanRange(start, end)
-		for {
-			tp, err := sc.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, tp)
-		}
-		sc.Close()
-		start = end
-	}
-	same("ScanRange partition", got)
-	for p := 0; p < f.Pages(); p++ {
-		sc := f.ScanRange(p, p+1)
-		first, err := sc.Next()
-		sc.Close()
-		for c, col := range s.Cols {
-			v, ok, ferr := f.FirstKey(p, c)
-			if ferr != nil {
-				t.Fatal(ferr)
-			}
-			switch {
-			case err == io.EOF || col.Kind != tuple.KindInt:
-				if ok {
-					t.Fatalf("FirstKey(%d,%d) ok on an empty page or string column", p, c)
-				}
-			case !ok || v != first[c].Int:
-				t.Fatalf("FirstKey(%d,%d) = %d,%v, want %d", p, c, v, ok, first[c].Int)
-			}
-		}
-	}
-	if _, ok, _ := f.FirstKey(0, s.Len()); ok {
-		t.Fatal("FirstKey ok on a column out of range")
-	}
 }
 
 // roundTrip drives one randomized file: interleaved Append and AppendBatch
@@ -353,9 +311,6 @@ func TestPageFormatGuards(t *testing.T) {
 	f, err := Create(newPool(4), tuple.IntSchema("a", "b"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok, err := f.FirstKey(0, 0); ok || err != nil {
-		t.Errorf("FirstKey on the empty tail page = ok %v, err %v", ok, err)
 	}
 	for name, bad := range map[string]tuple.Tuple{
 		"short":   tuple.Ints(1),

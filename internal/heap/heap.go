@@ -273,9 +273,8 @@ func (f *File) Free() {
 	f.rows = 0
 }
 
-// Scanner iterates a heap file front to back — the whole chain, or a
-// contiguous page range (a morsel of the parallel executor). Next returns
-// io.EOF after the final tuple of the range.
+// Scanner iterates a heap file front to back, over the pages it had when
+// the scan began. Next returns io.EOF after the final tuple.
 type Scanner struct {
 	file *File
 	pg   *storage.Page
@@ -284,63 +283,14 @@ type Scanner struct {
 	done bool
 
 	pageIdx int // index into file.pageIDs of the current page
-	endIdx  int // exclusive page-range bound
+	endIdx  int // page count when the scan began
 }
 
 // Scan returns a scanner positioned before the first tuple.
-func (f *File) Scan() *Scanner { return f.ScanRange(0, len(f.pageIDs)) }
+func (f *File) Scan() *Scanner { return &Scanner{file: f, endIdx: len(f.pageIDs)} }
 
-// ScanRange returns a scanner over the pages [start, end) of the file (by
-// page position, not page ID) — the morsel granularity of the parallel
-// executor: disjoint ranges partition the file's rows in order. Bounds are
-// clamped to the file.
-func (f *File) ScanRange(start, end int) *Scanner {
-	if start < 0 {
-		start = 0
-	}
-	if end > len(f.pageIDs) {
-		end = len(f.pageIDs)
-	}
-	s := &Scanner{file: f, pageIdx: start, endIdx: end}
-	if start >= end {
-		s.done = true
-	}
-	return s
-}
-
-// FirstKey returns the integer column col of the first row of page pageIdx
-// (by position). ok is false when the page holds no rows (only the tail
-// page of a file can be empty) or the column is not an integer. The
-// parallel planner uses it to pick key-aligned morsel boundaries without
-// scanning.
-func (f *File) FirstKey(pageIdx, col int) (v int64, ok bool, err error) {
-	if pageIdx < 0 || pageIdx >= len(f.pageIDs) {
-		return 0, false, fmt.Errorf("heap: page index %d out of range (%d pages)", pageIdx, len(f.pageIDs))
-	}
-	if col < 0 || col >= f.schema.Len() || f.schema.Cols[col].Kind != tuple.KindInt {
-		return 0, false, nil
-	}
-	pg, err := f.pool.Fetch(f.pageIDs[pageIdx])
-	if err != nil {
-		return 0, false, err
-	}
-	defer f.pool.Unpin(pg)
-	if pg.U16(hdrCount) == 0 {
-		return 0, false, nil
-	}
-	if f.rowsCap > 0 {
-		return int64(pg.U64(f.slot(col, 0))), true, nil
-	}
-	n := int(pg.U16(hdrSize))
-	t, _, err := tuple.Decode(pg.Data[hdrSize+2:hdrSize+2+n], f.schema)
-	if err != nil {
-		return 0, false, err
-	}
-	return t[col].Int, true, nil
-}
-
-// advance pins the next page of the range, releasing the current one.
-// Returns false when the range is exhausted (done is set).
+// advance pins the next page, releasing the current one. Returns false
+// when the pages are exhausted (done is set).
 func (s *Scanner) advance() (bool, error) {
 	if s.pg != nil {
 		s.file.pool.Unpin(s.pg)

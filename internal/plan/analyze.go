@@ -35,11 +35,6 @@ func (p *Plan) ExplainAnalyzed() string {
 			if est, ok := p.ests[op]; ok {
 				act += fmt.Sprintf(" (est %d)", est)
 			}
-			if wr, ok := op.(exec.WorkerReporter); ok {
-				if per := wr.WorkerRows(); len(per) > 1 {
-					act += fmt.Sprintf("; per-worker rows %v", per)
-				}
-			}
 		}
 		if note != "" {
 			return note + "; " + act

@@ -187,23 +187,6 @@ func remapOrdering(ordering, projIdxs []int) []int {
 
 // sortNode wraps n in the cheapest sort on keys, or returns it unchanged
 // (with an EXPLAIN note) when the known ordering already covers the keys.
-// dop picks the degree of parallelism for a pipeline of the given input
-// cardinality and serial cost: the power-of-two worker count ≤ MaxWorkers
-// that minimizes costmodel.ParallelMs plus exchange overhead, or 1 when
-// the input is below costmodel.ParallelMinRows or the fan-out never pays.
-func (c *Compiler) dop(rows int64, serialMs float64) int {
-	if c.MaxWorkers <= 1 || rows < costmodel.ParallelMinRows {
-		return 1
-	}
-	best, bestMs := 1, serialMs
-	for w := 2; w <= c.MaxWorkers; w *= 2 {
-		if ms := costmodel.ParallelMs(serialMs, w) + costmodel.ExchangeMs(rows, w); ms < bestMs {
-			best, bestMs = w, ms
-		}
-	}
-	return best
-}
-
 func (c *Compiler) sortNode(n node, keys []exec.SortKey, why string) node {
 	allAsc := true
 	cols := make([]int, len(keys))
@@ -225,41 +208,15 @@ func (c *Compiler) sortNode(n node, keys []exec.SortKey, why string) node {
 	if !external {
 		pool = nil
 	}
-	serialMs := costmodel.SortMs(p, n.est.Rows, rowBytes, external)
-	child := n.op
-	dop := 1
-	if !external {
-		// Parallel in-memory sort: split the feeding scan pipeline into
-		// page-range fragments under a Gather when possible, and sort the
-		// materialized store with per-worker runs plus a stable merge —
-		// both order-preserving, so the permutation matches the serial
-		// sort exactly.
-		if dop = c.dop(n.est.Rows, serialMs); dop > 1 {
-			if frags := exec.FragmentScans(child, dop); frags != nil {
-				g := exec.NewGather(frags, dop)
-				c.note(g, "parallel scan (dop=%d, %d fragments)", dop, len(frags))
-				c.setEst(g, n.est.Rows)
-				child = g
-			}
-		}
-	}
 	// An external sort builds its runs in the working set the budget allows
 	// (never below one page); in memory the run size is unused.
-	op := exec.NewSortKeys(child, keys, pool, int(max(c.memBudget(), storage.PageSize)))
+	op := exec.NewSortKeys(n.op, keys, pool, int(max(c.memBudget(), storage.PageSize)))
 	est := n.est
-	if dop > 1 {
-		op.SetParallel(dop)
-		est.CostMs += costmodel.ParallelMs(serialMs, dop) + costmodel.ExchangeMs(n.est.Rows, dop)
-	} else {
-		est.CostMs += serialMs
-	}
+	est.CostMs += costmodel.SortMs(p, n.est.Rows, rowBytes, external)
 	if !external && n.est.Rows > 0 && n.est.Rows < 1<<31 {
 		op.SetSizeHint(int(n.est.Rows))
 	}
 	kind := "in-memory columnar"
-	if dop > 1 {
-		kind = fmt.Sprintf("in-memory columnar (dop=%d)", dop)
-	}
 	if external {
 		kind = fmt.Sprintf("external (est %d bytes > budget %d)", sortBytes, c.memBudget())
 	}
@@ -351,19 +308,8 @@ func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *g
 			est.Rows = max64(1, int64(float64(est.Rows)*c.calibration().SelRange))
 			noteTxt += fmt.Sprintf("; residual R[%d]>L[%d] pushed down", gt.ri, gt.li)
 		}
-		var jop exec.Operator = op
-		if dop := c.dop(left.est.Rows+right.est.Rows, passMs); dop > 1 && leftSorted && rightSorted {
-			// Both inputs read their files in key order: split the join
-			// into key-aligned page-range fragments under a Gather.
-			if g := exec.SplitMergeJoin(op, dop); g != nil {
-				jop = g
-				est.CostMs = l.est.CostMs + r.est.CostMs +
-					costmodel.ParallelMs(passMs, dop) + costmodel.ExchangeMs(est.Rows, dop)
-				noteTxt += fmt.Sprintf("; split into %d key-aligned fragments (dop=%d)", g.Fragments(), dop)
-			}
-		}
-		c.note(jop, "%s; est %d rows", noteTxt, est.Rows)
-		c.setEst(jop, est.Rows)
+		c.note(op, "%s; est %d rows", noteTxt, est.Rows)
+		c.setEst(op, est.Rows)
 		// Merge join emits left rows in order, each with its right group in
 		// right order: the output stays ordered by the left stream's
 		// ordering — and by left columns ONLY. Extending the claim with
@@ -373,21 +319,16 @@ func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *g
 		// two equal left rows emits 1,2,1,2). Without a uniqueness proof
 		// the planner stays conservative.
 		ordering := append([]int{}, l.ordering...)
-		return node{op: jop, est: est, ordering: ordering}
+		return node{op: op, est: est, ordering: ordering}
 	}
 
 	op := exec.NewHashJoin(left.op, right.op, leftKeys, rightKeys, nil)
 	if right.est.Rows > 0 && right.est.Rows < 1<<24 {
 		op.SetBuildSizeHint(int(right.est.Rows))
 	}
-	buildNote := ""
-	if bdop := c.dop(right.est.Rows, costmodel.CPUTupleMs*float64(right.est.Rows)); bdop > 1 {
-		op.SetBuildWorkers(bdop)
-		buildNote = fmt.Sprintf(" (dop=%d)", bdop)
-	}
 	est.CostMs += hashMs
-	c.note(op, "cost-based: hash %.2fms < merge-scan %.2fms (nested-loop %.2fms); build %d rows%s, est %d rows",
-		hashMs, mergeMs, nlMs, right.est.Rows, buildNote, est.Rows)
+	c.note(op, "cost-based: hash %.2fms < merge-scan %.2fms (nested-loop %.2fms); build %d rows, est %d rows",
+		hashMs, mergeMs, nlMs, right.est.Rows, est.Rows)
 	c.setEst(op, est.Rows)
 	// Probing emits each left row's matches contiguously, so any ordering
 	// on left columns survives.

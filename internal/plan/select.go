@@ -24,9 +24,6 @@ type Compiler struct {
 	// Calib overrides the built-in estimation constants with a fitted set
 	// (nil = costmodel.DefaultCalibration).
 	Calib *costmodel.Calibration
-	// MaxWorkers caps the degree of parallelism of a single query's
-	// exchange operators (0 or 1 = serial plans only).
-	MaxWorkers int
 
 	notes   map[exec.Operator]string
 	ests    map[exec.Operator]int64
@@ -112,18 +109,6 @@ func (c *Compiler) CompilePlan(sel *sqlparse.Select) (*Plan, error) {
 		}
 		c.setEst(op, est.Rows)
 		n = node{op: op, est: est, ordering: n.ordering}
-	}
-	// A plan that is still a pure scan pipeline — no grouping, join, or
-	// sort absorbed the parallelism — can run its page-range fragments
-	// under a Gather. Fragment order is page order, so the output rows
-	// and the ordering claim are unchanged.
-	if dop := c.dop(n.est.Rows, n.est.CostMs); dop > 1 {
-		if frags := exec.FragmentScans(n.op, dop); frags != nil {
-			g := exec.NewGather(frags, dop)
-			c.note(g, "parallel scan (dop=%d, %d fragments)", dop, len(frags))
-			c.setEst(g, n.est.Rows)
-			n.op = g
-		}
 	}
 	return &Plan{Root: n.op, Ordering: n.ordering, Est: n.est,
 		notes: c.notes, ests: c.ests, classes: c.classes}, nil
@@ -504,9 +489,9 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 		CostMs:   child.est.CostMs + groupCost,
 	}
 	// Both grouping operators emit groups in ascending group-column order
-	// (SortGroup streams its sorted input; ParallelGroup sorts its merged
-	// table before emitting), so the output is ordered by the group
-	// columns' output positions.
+	// (SortGroup streams its sorted input; HashGroup sorts its table
+	// before emitting), so the output is ordered by the group columns'
+	// output positions.
 	ordering := make([]int, len(groupIdxs))
 	for i := range groupIdxs {
 		ordering[i] = i
@@ -545,15 +530,14 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 	return n, aggCols, nil
 }
 
-// hashGroupChoice prices hash aggregation (ParallelGroup) against the
+// hashGroupChoice prices hash aggregation (HashGroup) against the
 // sort-then-scan pipeline for GROUP BY and builds it when cheaper. It
 // requires integer group and aggregate columns (the hash table is
 // columnar int64 storage) and an input not already ordered on the group
-// columns — a free SortGroup beats any hash table. At DOP > 1 the input
-// is split into page-range scan fragments aggregated by parallel workers
-// and merged; groups are emitted in ascending group-column order either
-// way, so the output is bit-identical to the sort path. Returns (nil, 0)
-// when the sort path wins or the shapes don't allow hashing.
+// columns — a free SortGroup beats any hash table. Groups are emitted in
+// ascending group-column order either way, so the output is bit-identical
+// to the sort path. Returns (nil, 0) when the sort path wins or the shapes
+// don't allow hashing.
 func (c *Compiler) hashGroupChoice(in node, groupIdxs []int, specs []exec.AggSpec, estGroups int64) (exec.Operator, float64) {
 	if len(groupIdxs) == 0 {
 		return nil, 0
@@ -584,23 +568,10 @@ func (c *Compiler) hashGroupChoice(in node, groupIdxs []int, specs []exec.AggSpe
 	if hashMs >= sortMs {
 		return nil, 0
 	}
-	dop := c.dop(rows, hashMs)
-	frags := []exec.Operator{in.op}
-	if dop > 1 {
-		if split := exec.FragmentScans(in.op, dop); split != nil {
-			frags = split
-		} else {
-			dop = 1
-		}
-	}
-	grp := exec.NewParallelGroup(frags, groupIdxs, specs, dop)
-	cost := hashMs
-	if dop > 1 {
-		cost = costmodel.ParallelMs(hashMs, dop) + costmodel.ExchangeMs(rows, dop)
-	}
-	c.note(grp, "cost-based: hash aggregate %.2fms < sort+scan %.2fms (dop=%d); est %d groups from %d rows",
-		cost, sortMs, dop, estGroups, rows)
-	return grp, cost
+	grp := exec.NewHashGroup(in.op, groupIdxs, specs)
+	c.note(grp, "cost-based: hash aggregate %.2fms < sort+scan %.2fms; est %d groups from %d rows",
+		hashMs, sortMs, estGroups, rows)
+	return grp, hashMs
 }
 
 // compileWithAggs compiles an expression in which aggregate calls refer to

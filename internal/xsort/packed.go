@@ -349,81 +349,3 @@ func freeRuns(pool *storage.Pool, runs []storage.Run) {
 		runs[i].Free(pool)
 	}
 }
-
-// MergeRowSlices merges sorted in-memory (Tid, Key) runs into out,
-// appending and returning the result. Ties across runs break toward the
-// lower run index, so when the runs are consecutive chunks of one input
-// the merge is stable and the output permutation matches a serial sort of
-// the whole input. This is the in-memory twin of MergeRows, used by the
-// parallel Sort operator to combine per-worker RadixSortRows runs.
-func MergeRowSlices(runs [][]storage.PackedRow, out []storage.PackedRow) []storage.PackedRow {
-	live := runs[:0]
-	total := 0
-	for _, r := range runs {
-		if len(r) > 0 {
-			live = append(live, r)
-			total += len(r)
-		}
-	}
-	if cap(out)-len(out) < total {
-		grown := make([]storage.PackedRow, len(out), len(out)+total)
-		copy(grown, out)
-		out = grown
-	}
-	switch len(live) {
-	case 0:
-		return out
-	case 1:
-		return append(out, live[0]...)
-	}
-	heads := make([]int, len(live))
-	for {
-		best := -1
-		for i := range live {
-			if heads[i] >= len(live[i]) {
-				continue
-			}
-			if best == -1 || live[i][heads[i]].Less(live[best][heads[best]]) {
-				best = i
-			}
-		}
-		if best == -1 {
-			return out
-		}
-		// Copy the whole prefix of the winner that stays below every other
-		// head: runs from chunked inputs have long monotone stretches, and
-		// bulk appends beat element-at-a-time heap pops.
-		end := len(live[best])
-		for i := range live {
-			if i == best || heads[i] >= len(live[i]) {
-				continue
-			}
-			limit := live[i][heads[i]]
-			lo, hi := heads[best]+1, end
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if i < best {
-					// The other run wins ties, so stop at the first element
-					// that is not strictly below its head.
-					if live[best][mid].Less(limit) {
-						lo = mid + 1
-					} else {
-						hi = mid
-					}
-				} else {
-					// We win ties against higher run indices.
-					if !limit.Less(live[best][mid]) {
-						lo = mid + 1
-					} else {
-						hi = mid
-					}
-				}
-			}
-			if lo < end {
-				end = lo
-			}
-		}
-		out = append(out, live[best][heads[best]:end]...)
-		heads[best] = end
-	}
-}

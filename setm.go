@@ -31,7 +31,7 @@
 // resident, serial), MineParallel (packed, resident, N workers),
 // MinePartitioned (hash-sharded with a global count merge), MinePaged
 // (budget-bounded spillable relations with page-I/O accounting), and
-// MineSQL (the paper's SQL statements executed by the bundled
+// MineSQL (the paper's SQL statements executed serially by the bundled
 // relational engine). Every Result records the chosen plan per
 // iteration in Stats[i].Plan. Options.DisablePackedKernels swaps the
 // packed kernels for the serial flat reference on every resident driver
@@ -236,7 +236,8 @@ func MinePaged(d *Dataset, opts Options, cfg PagedConfig) (*PagedResult, error) 
 }
 
 // MineSQL runs Algorithm SETM by executing the paper's SQL formulation on
-// the bundled relational engine.
+// the bundled relational engine, one statement after another on one
+// goroutine: Options.MaxWorkers is ignored.
 func MineSQL(d *Dataset, opts Options, cfg SQLConfig) (*Result, error) {
 	return core.MineSQL(d, opts, cfg)
 }
