@@ -10,7 +10,10 @@ package main
 //     silently and the log stays appendable,
 //   - the interrupted job is resumed — from its iteration checkpoint
 //     when one committed — and finishes bit-identical to an
-//     uninterrupted in-process mine,
+//     uninterrupted in-process mine (the sweeps force a checkpoint every
+//     pass, since their tens-of-ms jobs would pace to none;
+//     TestCrashResumesPacedCheckpoint runs the default cadence on a job
+//     long enough to earn one),
 //   - no *.tmp debris is left anywhere in the datadir,
 //   - the restarted server reports zero pinned buffer frames.
 //
@@ -40,6 +43,7 @@ import (
 
 	"setm"
 	"setm/internal/core"
+	"setm/internal/gen"
 )
 
 // buildSetmd compiles the real binary under test into dir.
@@ -78,7 +82,7 @@ type setmdProc struct {
 	logs *bytes.Buffer
 }
 
-func startSetmd(t *testing.T, bin, datadir string) *setmdProc {
+func startSetmd(t *testing.T, bin, datadir string, flags ...string) *setmdProc {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -88,7 +92,7 @@ func startSetmd(t *testing.T, bin, datadir string) *setmdProc {
 	l.Close()
 
 	logs := &bytes.Buffer{}
-	cmd := exec.Command(bin, "-addr", addr, "-datadir", datadir, "-drain-timeout", "10s")
+	cmd := exec.Command(bin, append([]string{"-addr", addr, "-datadir", datadir, "-drain-timeout", "10s"}, flags...)...)
 	cmd.Stderr = logs
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start setmd: %v", err)
@@ -166,6 +170,103 @@ func crashIters() int {
 	return 3
 }
 
+// everyPass is the cadence flag of the sweeps: their jobs take tens of
+// milliseconds, which the default cadence would never checkpoint.
+var everyPass = []string{"-checkpoint-interval", "1"}
+
+// upload registers sales text and returns the version id.
+func (p *setmdProc) upload(t *testing.T, sales string) string {
+	t.Helper()
+	code, body := p.post(t, "/datasets", "text/plain", sales)
+	if code != http.StatusOK {
+		t.Fatalf("upload: %d %s", code, body)
+	}
+	var ds struct {
+		Version string `json:"version"`
+	}
+	if err := json.Unmarshal(body, &ds); err != nil || ds.Version == "" {
+		t.Fatalf("upload response %s: %v", body, err)
+	}
+	return ds.Version
+}
+
+// submit posts a job request body.
+func (p *setmdProc) submit(t *testing.T, req string) {
+	t.Helper()
+	code, body := p.post(t, "/jobs", "application/json", req)
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("submit %s: %d %s", req, code, body)
+	}
+}
+
+// waitDone blocks until the job is terminal and requires it to be done.
+func (p *setmdProc) waitDone(t *testing.T, id string) {
+	t.Helper()
+	var fin struct {
+		State string `json:"state"`
+		Error string `json:"error"`
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		_, body := p.get(t, "/jobs/"+id+"?wait=1")
+		if err := json.Unmarshal(body, &fin); err != nil {
+			t.Fatalf("job status %s: %v", body, err)
+		}
+		if fin.State == "done" || fin.State == "failed" || fin.State == "cancelled" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s stuck in %q", id, fin.State)
+		}
+	}
+	if fin.State != "done" {
+		t.Fatalf("%s finished %q: %s\nlogs:\n%s", id, fin.State, fin.Error, p.logs)
+	}
+}
+
+// assertResult fetches the job's result and compares every C_k to want.
+func (p *setmdProc) assertResult(t *testing.T, id string, want *core.Result) {
+	t.Helper()
+	code, body := p.get(t, "/jobs/"+id+"/result")
+	if code != http.StatusOK {
+		t.Fatalf("result: %d %s", code, body)
+	}
+	var got core.Result
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Counts) != len(want.Counts) {
+		t.Fatalf("%s has %d iterations after the crash, want %d", id, len(got.Counts), len(want.Counts))
+	}
+	for k := range want.Counts {
+		if !countsEqual(want.Counts[k], got.Counts[k]) {
+			t.Fatalf("C_%d differs after the crash", k+1)
+		}
+	}
+}
+
+// metrics scrapes /metrics and requires each line to be present.
+func (p *setmdProc) metrics(t *testing.T, lines ...string) string {
+	t.Helper()
+	_, body := p.get(t, "/metrics")
+	for _, line := range lines {
+		if !bytes.Contains(body, []byte(line+"\n")) {
+			t.Fatalf("metrics lack %q:\n%s", line, body)
+		}
+	}
+	return string(body)
+}
+
+func assertNoTmpDebris(t *testing.T, datadir string) {
+	t.Helper()
+	filepath.WalkDir(datadir, func(path string, e fs.DirEntry, err error) error {
+		if err == nil && !e.IsDir() && strings.HasSuffix(e.Name(), ".tmp") {
+			t.Errorf("temp debris survived restart: %s", path)
+		}
+		return nil
+	})
+}
+
 // TestCrashRestartSweep is the harness entry point.
 func TestCrashRestartSweep(t *testing.T) {
 	if testing.Short() {
@@ -197,25 +298,11 @@ func TestCrashRestartSweep(t *testing.T) {
 		tearTail := i%3 == 1 // every third cycle also corrupts the WAL tail
 		t.Run(fmt.Sprintf("cycle-%d-delay-%v-torn-%v", i, delay, tearTail), func(t *testing.T) {
 			datadir := t.TempDir()
-			p := startSetmd(t, bin, datadir)
-
-			code, body := p.post(t, "/datasets", "text/plain", sales.String())
-			if code != http.StatusOK {
-				t.Fatalf("upload: %d %s", code, body)
-			}
-			var ds struct {
-				Version string `json:"version"`
-			}
-			if err := json.Unmarshal(body, &ds); err != nil || ds.Version == "" {
-				t.Fatalf("upload response %s: %v", body, err)
-			}
+			p := startSetmd(t, bin, datadir, everyPass...)
+			version := p.upload(t, sales.String())
 			// A squeezed budget makes the job spill and checkpoint slowly
 			// enough for the kill to land mid-run on most cycles.
-			code, body = p.post(t, "/jobs", "application/json",
-				fmt.Sprintf(`{"dataset":%q,"minsup_count":4,"membudget":32768}`, ds.Version))
-			if code != http.StatusAccepted && code != http.StatusOK {
-				t.Fatalf("submit: %d %s", code, body)
-			}
+			p.submit(t, fmt.Sprintf(`{"dataset":%q,"minsup_count":4,"membudget":32768}`, version))
 
 			time.Sleep(delay)
 			p.kill() // the crash: no drain, no flush, SIGKILL
@@ -230,64 +317,22 @@ func TestCrashRestartSweep(t *testing.T) {
 			}
 
 			// Restart on the same directory and check every invariant.
-			p2 := startSetmd(t, bin, datadir)
-			code, body = p2.get(t, "/datasets")
-			if code != http.StatusOK || !bytes.Contains(body, []byte(ds.Version)) {
+			p2 := startSetmd(t, bin, datadir, everyPass...)
+			code, body := p2.get(t, "/datasets")
+			if code != http.StatusOK || !bytes.Contains(body, []byte(version)) {
 				t.Fatalf("dataset lost across crash: %d %s\nlogs:\n%s", code, body, p2.logs)
 			}
+			p2.waitDone(t, "job-1")
+			p2.assertResult(t, "job-1", want)
 
-			var fin struct {
-				State string `json:"state"`
-				Error string `json:"error"`
-			}
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				_, body = p2.get(t, "/jobs/job-1?wait=1")
-				if err := json.Unmarshal(body, &fin); err != nil {
-					t.Fatalf("job status %s: %v", body, err)
-				}
-				if fin.State == "done" || fin.State == "failed" || fin.State == "cancelled" {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("job stuck in %q after restart", fin.State)
-				}
-			}
-			if fin.State != "done" {
-				t.Fatalf("job finished %q after restart: %s\nlogs:\n%s", fin.State, fin.Error, p2.logs)
-			}
-			code, body = p2.get(t, "/jobs/job-1/result")
-			if code != http.StatusOK {
-				t.Fatalf("result: %d %s", code, body)
-			}
-			var got core.Result
-			if err := json.Unmarshal(body, &got); err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Counts) != len(want.Counts) {
-				t.Fatalf("resumed result has %d iterations, want %d", len(got.Counts), len(want.Counts))
-			}
-			for k := range want.Counts {
-				if !countsEqual(want.Counts[k], got.Counts[k]) {
-					t.Fatalf("C_%d differs after crash resume", k+1)
-				}
-			}
-
-			_, body = p2.get(t, "/metrics")
-			if !bytes.Contains(body, []byte("setmd_pool_pinned_frames 0")) {
-				t.Fatalf("pinned frames nonzero after resume:\n%s", body)
-			}
-			resumed := bytes.Contains(body, []byte("setmd_jobs_resumed 1"))
-			t.Logf("kill after %v: job %s (resumed=%v, torn tail=%v)", delay, fin.State, resumed, tearTail)
+			m := p2.metrics(t, "setmd_pool_pinned_frames 0")
+			resumed := strings.Contains(m, "setmd_jobs_resumed 1\n")
+			t.Logf("kill after %v: job done (resumed=%v, from a checkpoint=%v, torn tail=%v)",
+				delay, resumed, strings.Contains(m, "setmd_checkpoint_resumes 1\n"), tearTail)
 			if i == 0 && !resumed {
 				t.Error("cycle 0 kills before the job can finish; it must take the resume path")
 			}
-			filepath.WalkDir(datadir, func(path string, e fs.DirEntry, err error) error {
-				if err == nil && !e.IsDir() && strings.HasSuffix(e.Name(), ".tmp") {
-					t.Errorf("temp debris survived restart: %s", path)
-				}
-				return nil
-			})
+			assertNoTmpDebris(t, datadir)
 			p2.stop(t)
 		})
 	}
@@ -354,43 +399,14 @@ func TestCrashMidDeltaSweep(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("cycle-%d-delay-%v", i, delay), func(t *testing.T) {
 			datadir := t.TempDir()
-			p := startSetmd(t, bin, datadir)
-
-			code, body := p.post(t, "/datasets", "text/plain", baseSales.String())
-			if code != http.StatusOK {
-				t.Fatalf("upload: %d %s", code, body)
-			}
-			var ds struct {
-				Version string `json:"version"`
-			}
-			if err := json.Unmarshal(body, &ds); err != nil || ds.Version == "" {
-				t.Fatalf("upload response %s: %v", body, err)
-			}
+			p := startSetmd(t, bin, datadir, everyPass...)
+			version := p.upload(t, baseSales.String())
 			// Prime the parent: its cached result carries the border
 			// snapshot the incremental path patches against.
-			code, body = p.post(t, "/jobs", "application/json",
-				fmt.Sprintf(`{"dataset":%q,"minsup_count":4}`, ds.Version))
-			if code != http.StatusAccepted && code != http.StatusOK {
-				t.Fatalf("prime submit: %d %s", code, body)
-			}
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				var st struct {
-					State string `json:"state"`
-				}
-				_, body = p.get(t, "/jobs/job-1?wait=1")
-				if err := json.Unmarshal(body, &st); err != nil {
-					t.Fatalf("prime status %s: %v", body, err)
-				}
-				if st.State == "done" {
-					break
-				}
-				if st.State == "failed" || st.State == "cancelled" || time.Now().After(deadline) {
-					t.Fatalf("prime mine ended %q\nlogs:\n%s", st.State, p.logs)
-				}
-			}
+			p.submit(t, fmt.Sprintf(`{"dataset":%q,"minsup_count":4}`, version))
+			p.waitDone(t, "job-1")
 
-			code, body = p.post(t, "/datasets/"+ds.Version+"/append", "text/plain", deltaSales.String())
+			code, body := p.post(t, "/datasets/"+version+"/append", "text/plain", deltaSales.String())
 			if code != http.StatusOK {
 				t.Fatalf("append: %d %s", code, body)
 			}
@@ -401,23 +417,19 @@ func TestCrashMidDeltaSweep(t *testing.T) {
 			if err := json.Unmarshal(body, &der); err != nil || der.Version == "" {
 				t.Fatalf("append response %s: %v", body, err)
 			}
-			if der.Parent != ds.Version {
-				t.Fatalf("derived parent = %q, want %q", der.Parent, ds.Version)
+			if der.Parent != version {
+				t.Fatalf("derived parent = %q, want %q", der.Parent, version)
 			}
 			// The refresh under test: a squeezed budget slows any
 			// fallback re-mine so kills land mid-run on most cycles.
-			code, body = p.post(t, "/jobs", "application/json",
-				fmt.Sprintf(`{"dataset":%q,"minsup_count":4,"membudget":32768}`, der.Version))
-			if code != http.StatusAccepted && code != http.StatusOK {
-				t.Fatalf("refresh submit: %d %s", code, body)
-			}
+			p.submit(t, fmt.Sprintf(`{"dataset":%q,"minsup_count":4,"membudget":32768}`, der.Version))
 
 			time.Sleep(delay)
 			p.kill() // the crash: no drain, no flush, SIGKILL mid-refresh
 
 			// Restart on the same directory: the append record and delta
 			// blob must replay, then the interrupted refresh must finish.
-			p2 := startSetmd(t, bin, datadir)
+			p2 := startSetmd(t, bin, datadir, everyPass...)
 			code, body = p2.get(t, "/datasets/"+der.Version)
 			if code != http.StatusOK {
 				t.Fatalf("derived version lost across crash: %d %s\nlogs:\n%s", code, body, p2.logs)
@@ -429,59 +441,75 @@ func TestCrashMidDeltaSweep(t *testing.T) {
 			if err := json.Unmarshal(body, &der2); err != nil {
 				t.Fatal(err)
 			}
-			if der2.Parent != ds.Version || der2.DeltaTxns != delta.NumTransactions() {
+			if der2.Parent != version || der2.DeltaTxns != delta.NumTransactions() {
 				t.Fatalf("replayed derived dataset: parent=%q delta_txns=%d, want parent=%q delta_txns=%d",
-					der2.Parent, der2.DeltaTxns, ds.Version, delta.NumTransactions())
+					der2.Parent, der2.DeltaTxns, version, delta.NumTransactions())
 			}
+			p2.waitDone(t, "job-2")
+			p2.assertResult(t, "job-2", want)
+			p2.metrics(t, "setmd_pool_pinned_frames 0")
+			t.Logf("kill after %v: refresh done", delay)
+			assertNoTmpDebris(t, datadir)
+			p2.stop(t)
+		})
+	}
+}
 
-			var fin struct {
-				State string `json:"state"`
-				Error string `json:"error"`
-			}
-			deadline = time.Now().Add(30 * time.Second)
-			for {
-				_, body = p2.get(t, "/jobs/job-2?wait=1")
-				if err := json.Unmarshal(body, &fin); err != nil {
-					t.Fatalf("job status %s: %v", body, err)
-				}
-				if fin.State == "done" || fin.State == "failed" || fin.State == "cancelled" {
+// TestCrashResumesPacedCheckpoint runs the default cadence on a job long
+// enough to earn a checkpoint — half of T10I4D100K under a 1 MiB budget:
+// passes 1–2 are several times the predicted cost of writing R_2 — kills
+// the server the moment the manifest commits, and requires the restart to
+// continue from it; a second server killed before any pass finished has
+// nothing to continue from and re-mines. Both end in the reference result.
+func TestCrashResumesPacedCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash harness needs a built binary and real kills; skipped in -short")
+	}
+	bin := buildSetmd(t, t.TempDir())
+	d := gen.Quest(gen.T10I4D100K(0.5, 1))
+	var sales bytes.Buffer
+	if err := setm.WriteDataset(&sales, d); err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.MineMemory(d, core.Options{MinSupportFrac: 0.0025})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		awaitCkpt   bool
+		wantResumes string
+	}{
+		{"killed-after-first-checkpoint", true, "setmd_checkpoint_resumes 1"},
+		{"killed-before-any-checkpoint", false, "setmd_checkpoint_resumes 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			datadir := t.TempDir()
+			p := startSetmd(t, bin, datadir)
+			version := p.upload(t, sales.String())
+			p.submit(t, fmt.Sprintf(`{"dataset":%q,"minsup":0.0025,"membudget":1048576}`, version))
+			manifest := filepath.Join(datadir, "checkpoints", "job-1", "MANIFEST.json")
+			for deadline := time.Now().Add(30 * time.Second); tc.awaitCkpt; time.Sleep(time.Millisecond) {
+				if _, err := os.Stat(manifest); err == nil {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("refresh stuck in %q after restart", fin.State)
+					t.Fatalf("no paced checkpoint within 30 s\nmetrics:\n%s", p.metrics(t))
 				}
 			}
-			if fin.State != "done" {
-				t.Fatalf("refresh finished %q after restart: %s\nlogs:\n%s", fin.State, fin.Error, p2.logs)
-			}
-			code, body = p2.get(t, "/jobs/job-2/result")
-			if code != http.StatusOK {
-				t.Fatalf("result: %d %s", code, body)
-			}
-			var got core.Result
-			if err := json.Unmarshal(body, &got); err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Counts) != len(want.Counts) {
-				t.Fatalf("refresh result has %d iterations, want %d", len(got.Counts), len(want.Counts))
-			}
-			for k := range want.Counts {
-				if !countsEqual(want.Counts[k], got.Counts[k]) {
-					t.Fatalf("C_%d differs after mid-delta crash", k+1)
-				}
+			p.kill()
+			if _, err := os.Stat(manifest); (err == nil) != tc.awaitCkpt {
+				t.Fatalf("manifest on disk after the kill: err=%v, want present=%v (the job outran the kill)", err, tc.awaitCkpt)
 			}
 
-			_, body = p2.get(t, "/metrics")
-			if !bytes.Contains(body, []byte("setmd_pool_pinned_frames 0")) {
-				t.Fatalf("pinned frames nonzero after mid-delta resume:\n%s", body)
+			p2 := startSetmd(t, bin, datadir)
+			p2.waitDone(t, "job-1")
+			p2.assertResult(t, "job-1", want)
+			p2.metrics(t, "setmd_jobs_resumed 1", tc.wantResumes, "setmd_pool_pinned_frames 0")
+			assertNoTmpDebris(t, datadir)
+			if _, err := os.Stat(filepath.Dir(manifest)); !os.IsNotExist(err) {
+				t.Errorf("checkpoint directory survived the job's completion (err=%v)", err)
 			}
-			t.Logf("kill after %v: refresh %s", delay, fin.State)
-			filepath.WalkDir(datadir, func(path string, e fs.DirEntry, err error) error {
-				if err == nil && !e.IsDir() && strings.HasSuffix(e.Name(), ".tmp") {
-					t.Errorf("temp debris survived restart: %s", path)
-				}
-				return nil
-			})
 			p2.stop(t)
 		})
 	}

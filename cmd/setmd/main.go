@@ -8,12 +8,14 @@
 //
 //	setmd -addr :8080 -membudget 1073741824 -datadir /var/lib/setmd
 //
-// With -datadir the service is durable: dataset registrations and job
-// lifecycle transitions are journaled to a write-ahead log, completed
-// results are spilled to disk, and running jobs checkpoint each mining
-// iteration — a kill -9 followed by a restart on the same directory
-// replays the journal, restores datasets and finished results, and
-// resumes interrupted jobs from their checkpoints bit-identically.
+// With -datadir the service is durable: dataset registrations, job
+// submissions and terminal states are journaled to a write-ahead log,
+// completed results are spilled to disk, and running jobs checkpoint
+// their mining iterations as often as the work at risk pays for — a
+// kill -9 followed by a restart on the same directory replays the
+// journal, restores datasets and finished results, and resumes
+// interrupted jobs (from a checkpoint where one was written, from
+// scratch otherwise) bit-identically.
 //
 // A session:
 //
@@ -60,7 +62,7 @@ func run(args []string, stderr io.Writer) error {
 	maxUpload := fs.Int64("max-upload", 1<<30, "maximum dataset upload size in bytes")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a drain waits for running jobs before cancelling them")
 	dataDir := fs.String("datadir", "", "data directory for durable state (WAL, dataset blobs, results, checkpoints); empty = in-memory only")
-	ckptInterval := fs.Int("checkpoint-interval", 1, "checkpoint every N-th mining iteration of a durable job (1 = every iteration)")
+	ckptInterval := fs.Int("checkpoint-interval", 0, "0 = pace a durable job's checkpoints by the mining work they protect (checkpoint I/O under ~10% of mining time; a mine of milliseconds writes none); N >= 1 = checkpoint every N-th iteration unconditionally")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "how long a client may take to send request headers (slow-loris guard)")
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "how long an idle keep-alive connection is kept open")
 	writeTimeout := fs.Duration("write-timeout", 10*time.Minute, "per-response write deadline; generous because ?wait=1 long-polls job completion")

@@ -1,6 +1,6 @@
 package core
 
-// Durable per-iteration checkpoints. SETM's loop state at an iteration
+// Durable iteration-boundary checkpoints. SETM's loop state at an iteration
 // boundary is tiny and explicit — the paper's Figure 4 recurrence needs
 // only C_1..C_k (for the result so far, and C_1 for the PrefilterSales
 // join side) and R_k (the filtered relation the next merge-scan extends)
@@ -14,7 +14,6 @@ package core
 // bit-identical to an uninterrupted run.
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -24,7 +23,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"time"
 
 	"setm/internal/storage"
 )
@@ -36,9 +37,11 @@ type CheckpointConfig struct {
 	// directory holds at most one checkpoint: each write replaces the
 	// previous manifest and removes its run file.
 	Dir string
-	// Interval checkpoints every Interval-th iteration; values <= 1
-	// checkpoint every iteration. Raising it trades recovery work
-	// (re-mining up to Interval-1 iterations) for less write I/O.
+	// Interval >= 1 checkpoints every Interval-th iteration,
+	// unconditionally. Zero (the default) paces: an iteration is
+	// checkpointed once the mining time no checkpoint protects is
+	// ckptPaceWork times the predicted cost of writing its R_k, so a mine
+	// cheaper to redo than to protect writes nothing (see checkpointPays).
 	Interval int
 	// NoSync skips the fsyncs around checkpoint files. Only for tests:
 	// a crash may then lose or tear the newest checkpoint (resume falls
@@ -101,13 +104,38 @@ type ckptManifest struct {
 	Stats           []IterationStat  `json:"stats"`
 }
 
-// checkpointDue reports whether iteration k should be persisted under
-// the configured cadence.
-func checkpointDue(k int, cfg *CheckpointConfig) bool {
-	if cfg.Interval <= 1 {
-		return true
+// Pacing, for CheckpointConfig.Interval 0. ckptPaceWork bounds checkpoint
+// I/O to 1/10 of mining time and what a crash loses to ten predicted
+// writes plus a pass; ISSUE 26's probe set it (setmd-mix cold job, retail,
+// p50 of three rounds, re-taken 2026-10-05): a checkpoint every pass cost
+// 17.1 ms on an 11 ms mine, so the share worth paying is far under 1, and
+// at 1/10 a ten-second mine still checkpoints every pass. The seed prices
+// a job's first write, before one is measured: BenchmarkSaveCheckpoint,
+// same day, -cpu 1, read 1.7 / 2.4 / 5.7 / 9.8 / 36.3 ms for R_k of
+// 16 B / 0.21 / 1.86 / 3.7 / 16.5 MB — 1.7 ms of fsyncs (four; 241 µs is
+// wal.append_sync_us), creates and renames plus 2.2 ns a byte, which
+// prices retail's three checkpoints (3.5 MB) at the issue's 12.8 ms.
+const (
+	ckptPaceWork      = 10
+	ckptSeedFixed     = 1700 * time.Microsecond
+	ckptSeedNsPerByte = 2.2
+)
+
+// checkpointCost predicts the wall time of checkpointing an R_k of the
+// given bytes: the fixed part (four fsyncs, two renames) plus a per-byte
+// part — the last write's measured one, the seed's before any write.
+func checkpointCost(bytes int64, lastCost time.Duration, lastBytes int64) time.Duration {
+	perByte := ckptSeedNsPerByte
+	if lastBytes > 0 {
+		perByte = float64(max(0, lastCost-ckptSeedFixed)) / float64(lastBytes)
 	}
-	return k%cfg.Interval == 0
+	return ckptSeedFixed + time.Duration(perByte*float64(bytes))
+}
+
+// checkpointPays is the pacing rule: work is the mining time since the
+// last durable point, cost the predicted time to make this one durable.
+func checkpointPays(work, cost time.Duration) bool {
+	return work >= ckptPaceWork*cost
 }
 
 // saveCheckpoint persists cp plus the live R_k into cfg.Dir and returns
@@ -161,18 +189,14 @@ func saveCheckpoint(cfg *CheckpointConfig, cp *Checkpoint, pool *storage.Pool, r
 }
 
 // writeCheckpointRun streams rk as the checkpoint run format: magic,
-// row count, raw little-endian (tid, key) pairs, CRC-32C of the pairs.
+// row count, raw little-endian (tid, key) pairs, CRC-32C of the pairs —
+// encoded, summed and written one iterator block at a time.
 func writeCheckpointRun(w io.Writer, pool *storage.Pool, rk *srel) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(ckptMagic); err != nil {
+	buf := binary.LittleEndian.AppendUint64([]byte(ckptMagic), uint64(rk.rows()))
+	if _, err := w.Write(buf); err != nil {
 		return err
 	}
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(rk.rows()))
-	if _, err := bw.Write(buf[:8]); err != nil {
-		return err
-	}
-	sum := crc32.New(ckptCRC)
+	var sum uint32
 	it := rowsOf(pool, rk)
 	defer it.close()
 	for {
@@ -183,20 +207,18 @@ func writeCheckpointRun(w io.Writer, pool *storage.Pool, rk *srel) error {
 		if blk == nil {
 			break
 		}
-		for _, row := range blk {
-			binary.LittleEndian.PutUint64(buf[0:8], row.Tid)
-			binary.LittleEndian.PutUint64(buf[8:16], row.Key)
-			sum.Write(buf[:])
-			if _, err := bw.Write(buf[:]); err != nil {
-				return err
-			}
+		buf = slices.Grow(buf[:0], len(blk)*16)[:len(blk)*16]
+		for i, row := range blk {
+			binary.LittleEndian.PutUint64(buf[i*16:], row.Tid)
+			binary.LittleEndian.PutUint64(buf[i*16+8:], row.Key)
+		}
+		sum = crc32.Update(sum, ckptCRC, buf)
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
 	}
-	binary.LittleEndian.PutUint32(buf[:4], sum.Sum32())
-	if _, err := bw.Write(buf[:4]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(binary.LittleEndian.AppendUint32(buf[:0], sum))
+	return err
 }
 
 // LoadCheckpoint reads and fully verifies the checkpoint in dir: the
@@ -256,9 +278,8 @@ func readCheckpointRows(cp *Checkpoint, fn func(rows []prow) error) error {
 		return fmt.Errorf("%w: run file: %v", ErrCheckpoint, err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
 	hdr := make([]byte, len(ckptMagic)+8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	if _, err := io.ReadFull(f, hdr); err != nil {
 		return fmt.Errorf("%w: run header: %v", ErrCheckpoint, err)
 	}
 	if string(hdr[:len(ckptMagic)]) != ckptMagic {
@@ -268,29 +289,29 @@ func readCheckpointRows(cp *Checkpoint, fn func(rows []prow) error) error {
 	if rows != cp.RRows {
 		return fmt.Errorf("%w: run holds %d rows, manifest says %d", ErrCheckpoint, rows, cp.RRows)
 	}
-	sum := crc32.New(ckptCRC)
-	batch := make([]prow, 0, ckptBatchRows)
-	var buf [16]byte
-	for i := int64(0); i < rows; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return fmt.Errorf("%w: run truncated at row %d: %v", ErrCheckpoint, i, err)
-		}
-		sum.Write(buf[:])
-		batch = append(batch, prow{
-			Tid: binary.LittleEndian.Uint64(buf[0:8]),
-			Key: binary.LittleEndian.Uint64(buf[8:16]),
-		})
-		if len(batch) == ckptBatchRows {
+	var sum uint32
+	buf := make([]byte, ckptBatchRows*16)
+	batch := make([]prow, 0, ckptBatchRows) // the last one waits for the CRC
+	for left := rows; left > 0; left -= int64(len(batch)) {
+		if len(batch) > 0 {
 			if err := fn(batch); err != nil {
 				return err
 			}
-			batch = batch[:0]
+		}
+		blk := buf[:min(left, ckptBatchRows)*16]
+		if _, err := io.ReadFull(f, blk); err != nil {
+			return fmt.Errorf("%w: run truncated at row %d: %v", ErrCheckpoint, rows-left, err)
+		}
+		sum = crc32.Update(sum, ckptCRC, blk)
+		batch = batch[:len(blk)/16]
+		for i := range batch {
+			batch[i] = prow{Tid: binary.LittleEndian.Uint64(blk[i*16:]), Key: binary.LittleEndian.Uint64(blk[i*16+8:])}
 		}
 	}
-	if _, err := io.ReadFull(br, buf[:4]); err != nil {
+	if _, err := io.ReadFull(f, buf[:4]); err != nil {
 		return fmt.Errorf("%w: run trailer: %v", ErrCheckpoint, err)
 	}
-	if binary.LittleEndian.Uint32(buf[:4]) != sum.Sum32() {
+	if binary.LittleEndian.Uint32(buf[:4]) != sum {
 		return fmt.Errorf("%w: run CRC mismatch", ErrCheckpoint)
 	}
 	if len(batch) > 0 {

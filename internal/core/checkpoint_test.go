@@ -16,6 +16,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"setm/internal/core"
 	"setm/internal/storage"
@@ -46,7 +47,7 @@ func ckptDataset(seed int64, txns, maxLen, nItems int) *core.Dataset {
 func writeCheckpointAt(t *testing.T, d *core.Dataset, opts core.Options, k int, dir string) *core.Checkpoint {
 	t.Helper()
 	opts.MaxPatternLen = k
-	opts.Checkpoint = &core.CheckpointConfig{Dir: dir, NoSync: true}
+	opts.Checkpoint = &core.CheckpointConfig{Dir: dir, Interval: 1, NoSync: true}
 	if _, err := core.MineAuto(d, opts); err != nil {
 		t.Fatalf("checkpointed mine (k<=%d): %v", k, err)
 	}
@@ -134,7 +135,7 @@ func TestCheckpointResumeWideFallback(t *testing.T) {
 
 	dir := t.TempDir()
 	optsCk := opts
-	optsCk.Checkpoint = &core.CheckpointConfig{Dir: dir, NoSync: true}
+	optsCk.Checkpoint = &core.CheckpointConfig{Dir: dir, Interval: 1, NoSync: true}
 	res, err := core.MineAuto(d, optsCk)
 	if err != nil {
 		t.Fatal(err)
@@ -271,8 +272,9 @@ func TestCheckpointWriteFailureNonFatal(t *testing.T) {
 	}
 	var fails int
 	opts := core.Options{MinSupportCount: 2, Checkpoint: &core.CheckpointConfig{
-		Dir:     filepath.Join(blocker, "ckpt"),
-		OnError: func(err error) { fails++ },
+		Dir:      filepath.Join(blocker, "ckpt"),
+		Interval: 1,
+		OnError:  func(err error) { fails++ },
 	}}
 	ref, err := core.MineAuto(d, core.Options{MinSupportCount: 2})
 	if err != nil {
@@ -296,41 +298,148 @@ func TestCheckpointWriteFailureNonFatal(t *testing.T) {
 }
 
 func TestCheckpointIntervalAndStats(t *testing.T) {
+	defer core.SetClock(stepClock(time.Microsecond))() // the paced row must not depend on the host
 	d := ckptDataset(13, 90, 9, 12)
-	dir := t.TempDir()
-	opts := core.Options{MinSupportCount: 2, Checkpoint: &core.CheckpointConfig{Dir: dir, Interval: 2, NoSync: true}}
-	res, err := core.MineAuto(d, opts)
+	ref, err := core.MineAuto(d, core.Options{MinSupportCount: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wrote []int
-	for _, st := range res.Stats {
-		if st.CheckpointBytes > 0 {
-			wrote = append(wrote, st.K)
-			if st.K%2 != 0 {
-				t.Fatalf("interval 2 checkpointed odd iteration %d", st.K)
+	var resumable []int // passes that leave rows to resume from
+	for _, st := range ref.Stats {
+		if st.RRows > 0 {
+			resumable = append(resumable, st.K)
+		}
+	}
+	if len(resumable) < 3 {
+		t.Fatalf("setup: only passes %v leave an R_k", resumable)
+	}
+	for _, tc := range []struct {
+		interval int
+		want     func(k int) bool
+	}{
+		{1, func(int) bool { return true }},
+		{2, func(k int) bool { return k%2 == 0 }},
+		// Paced: a mine of microseconds never pays for a checkpoint.
+		{0, func(int) bool { return false }},
+	} {
+		dir := filepath.Join(t.TempDir(), "ck")
+		opts := core.Options{MinSupportCount: 2, Checkpoint: &core.CheckpointConfig{Dir: dir, Interval: tc.interval, NoSync: true}}
+		res, err := core.MineAuto(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrote := 0
+		for _, st := range res.Stats {
+			did := st.CheckpointBytes > 0
+			if did != (st.CheckpointDuration > 0) {
+				t.Fatalf("interval %d, k=%d: %d checkpoint bytes in %v", tc.interval, st.K, st.CheckpointBytes, st.CheckpointDuration)
+			}
+			if want := st.RRows > 0 && tc.want(st.K); did != want {
+				t.Fatalf("interval %d: iteration %d checkpointed=%v, want %v", tc.interval, st.K, did, want)
+			}
+			if did {
+				wrote++
 			}
 		}
+		entries, err := os.ReadDir(dir)
+		if wrote == 0 {
+			if !os.IsNotExist(err) {
+				t.Fatalf("interval %d wrote nothing yet left %v behind (err=%v)", tc.interval, entries, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Exactly one checkpoint (manifest + one run file) remains.
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+			if strings.HasSuffix(e.Name(), ".tmp") {
+				t.Fatalf("temp debris left behind: %s", e.Name())
+			}
+		}
+		if len(names) != 2 {
+			t.Fatalf("interval %d: checkpoint dir holds %v, want MANIFEST.json + one run", tc.interval, names)
+		}
 	}
-	if len(wrote) == 0 {
-		t.Fatal("interval 2 never checkpointed")
+}
+
+// stepClock is a clock that moves one step per reading, so every pass and
+// every checkpoint write the pipeline times takes exactly one step.
+func stepClock(step time.Duration) func() time.Time {
+	at := time.Unix(0, 0)
+	return func() time.Time {
+		at = at.Add(step)
+		return at
 	}
-	// Exactly one checkpoint (manifest + one run file) remains.
-	entries, err := os.ReadDir(dir)
+}
+
+// TestCheckpointPacedByWork drives the default cadence with an injected
+// clock: a mine of 2 ms passes is cheaper to redo than to protect and
+// touches no file; the same mine at 200 ms passes checkpoints, and a
+// resume from what it left is the uninterrupted result.
+func TestCheckpointPacedByWork(t *testing.T) {
+	d := ckptDataset(42, 90, 9, 14)
+	opts := core.Options{MinSupportCount: 2}
+	ref, err := core.MineAuto(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
+	if len(ref.Stats) < 5 {
+		t.Fatalf("setup: %d passes, want at least five", len(ref.Stats))
 	}
-	if len(names) != 2 {
-		t.Fatalf("checkpoint dir holds %v, want MANIFEST.json + one run", names)
-	}
-	for _, n := range names {
-		if strings.HasSuffix(n, ".tmp") {
-			t.Fatalf("temp debris left behind: %s", n)
+	mine := func(step time.Duration, dir string) *core.Result {
+		t.Helper()
+		defer core.SetClock(stepClock(step))()
+		o := opts
+		o.Checkpoint = &core.CheckpointConfig{Dir: dir, NoSync: true}
+		res, err := core.MineAuto(d, o)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !reflect.DeepEqual(res.Counts, ref.Counts) {
+			t.Fatalf("%v passes: checkpoint pacing changed the result", step)
+		}
+		return res
+	}
+
+	dir := filepath.Join(t.TempDir(), "never")
+	for _, st := range mine(2*time.Millisecond, dir).Stats {
+		if st.Duration != 2*time.Millisecond || st.CheckpointBytes != 0 {
+			t.Fatalf("k=%d: %v pass wrote %d checkpoint bytes", st.K, st.Duration, st.CheckpointBytes)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a 10 ms mine created its checkpoint directory (err=%v)", err)
+	}
+
+	dir = filepath.Join(t.TempDir(), "paced")
+	var wrote []int
+	for _, st := range mine(200*time.Millisecond, dir).Stats {
+		if st.CheckpointBytes > 0 {
+			wrote = append(wrote, st.K)
+		}
+	}
+	// Pass 1 pays against the seed (200 ms of work, ~2 ms predicted); the
+	// write then reads 200 ms on this clock, so later ones wait for work.
+	if len(wrote) == 0 || wrote[0] != 1 {
+		t.Fatalf("200 ms passes checkpointed at %v, want the first after pass 1", wrote)
+	}
+	cp, err := core.LoadCheckpoint(dir)
+	if err != nil || cp == nil || cp.K != wrote[len(wrote)-1] {
+		t.Fatalf("LoadCheckpoint: cp=%v err=%v, want k=%d", cp, err, wrote[len(wrote)-1])
+	}
+	pool := storage.NewPool(storage.NewMemStore(), 256)
+	res, err := core.MineAutoResumeMonitored(context.Background(), d, opts, pool, nil, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Counts, ref.Counts) {
+		t.Fatal("resume from a paced checkpoint differs from the uninterrupted run")
+	}
+	if pinned := pool.PinnedFrames(); pinned != 0 {
+		t.Fatalf("%d frames pinned after resume", pinned)
 	}
 }
 
@@ -378,7 +487,7 @@ func TestCheckpointWithInjectedPoolFaults(t *testing.T) {
 			}
 			pool := storage.NewPool(fs, 256)
 			optsCk := opts
-			optsCk.Checkpoint = &core.CheckpointConfig{Dir: dir, NoSync: true}
+			optsCk.Checkpoint = &core.CheckpointConfig{Dir: dir, Interval: 1, NoSync: true}
 			res, err := core.MineAutoMonitored(context.Background(), d, optsCk, pool, nil)
 			if err == nil && !reflect.DeepEqual(res.Counts, ref.Counts) {
 				t.Fatalf("%s/%d: survived faults with a wrong answer", mode, failAfter)

@@ -1,6 +1,10 @@
 package core
 
-import "setm/internal/engine"
+import (
+	"time"
+
+	"setm/internal/engine"
+)
 
 // MineSQLOn is MineSQL with its engine exposed: before (may be nil) runs
 // ahead of every traced statement with the engine in the state that
@@ -20,3 +24,11 @@ func MineSQLOn(d *Dataset, opts Options, before func(db *engine.DB, sql string))
 // CountsQuery is the C_k read-back, the one statement of a pass that
 // MineSQL issues outside TraceSQL.
 var CountsQuery = countsQuery
+
+// SetClock swaps the clock that times passes and checkpoint writes (what
+// the checkpoint pacing rule reads) and returns the restore function.
+func SetClock(clock func() time.Time) (restore func()) {
+	prev := now
+	now = clock
+	return func() { now = prev }
+}

@@ -53,6 +53,9 @@ type iterSizes struct {
 	plan IterPlan
 }
 
+// now times passes and checkpoint writes; a test swaps it (export_test.go).
+var now = time.Now
+
 // runPipeline drives the shared SETM loop over a stepper.
 func runPipeline(d *Dataset, opts Options, s stepper) (*Result, error) {
 	return runPipelineCtx(context.Background(), d, opts, s, nil)
@@ -75,8 +78,9 @@ func runPipelineCtx(ctx context.Context, d *Dataset, opts Options, s stepper, on
 // non-nil checkpoint replays its recorded iterations into the result,
 // asks the stepper to rebuild its live state (the stepper must be a
 // checkpointer), and re-enters the loop at iteration cp.K+1. With
-// Options.Checkpoint set and a checkpointer stepper, each completed
-// iteration with surviving rows is persisted at the configured cadence;
+// Options.Checkpoint set and a checkpointer stepper, a completed
+// iteration with surviving rows is persisted when the cadence says so
+// (CheckpointConfig.Interval: fixed, or paced by the work at risk);
 // a failed checkpoint write notifies CheckpointConfig.OnError and
 // disables further checkpoints without failing the mine.
 func runPipelineFrom(ctx context.Context, d *Dataset, opts Options, s stepper, onIter func(IterationStat), cp *Checkpoint) (*Result, error) {
@@ -97,6 +101,10 @@ func runPipelineFrom(ctx context.Context, d *Dataset, opts Options, s stepper, o
 	res := &Result{NumTransactions: d.NumTransactions(), MinSupport: minSup}
 	ckCfg := opts.Checkpoint
 	cw, canCkpt := s.(checkpointer)
+	// Pacing state: mining time no checkpoint protects yet (0 at the start
+	// and after a resume), and the wall and bytes of the last write.
+	var atRisk, lastCost time.Duration
+	var lastBytes int64
 	record := func(k int, ck []ItemsetCount, sz iterSizes, iterStart time.Time) {
 		res.Counts = append(res.Counts, ck)
 		st := IterationStat{
@@ -110,12 +118,15 @@ func runPipelineFrom(ctx context.Context, d *Dataset, opts Options, s stepper, o
 			SpillBytes:   sz.spillBytes,
 			PageIO:       sz.pageIO,
 			Plan:         sz.plan,
-			Duration:     time.Since(iterStart),
+			Duration:     now().Sub(iterStart),
 		}
 		res.Stats = append(res.Stats, st)
+		atRisk += st.Duration
 		// Persist the iteration boundary while there are rows to resume
 		// from; a final empty R_k has nothing a restart would continue.
-		if ckCfg != nil && canCkpt && sz.rRows > 0 && checkpointDue(k, ckCfg) {
+		if ckCfg != nil && canCkpt && sz.rRows > 0 && (ckCfg.Interval >= 1 && k%ckCfg.Interval == 0 ||
+			ckCfg.Interval < 1 && checkpointPays(atRisk, checkpointCost(sz.rRows*16, lastCost, lastBytes))) {
+			t0 := now()
 			n, err := cw.writeCheckpoint(ckCfg, &Checkpoint{
 				K: k, MinSup: minSup, NumTransactions: res.NumTransactions,
 				RPrimeRows: sz.rPrime, RRows: sz.rRows,
@@ -126,8 +137,10 @@ func runPipelineFrom(ctx context.Context, d *Dataset, opts Options, s stepper, o
 					ckCfg.OnError(err)
 				}
 				ckCfg = nil
-			} else if n > 0 {
+			} else if n > 0 { // (0, nil): nothing written, the clock keeps running
+				atRisk, lastCost, lastBytes = 0, now().Sub(t0), sz.rRows*16
 				res.Stats[len(res.Stats)-1].CheckpointBytes = n
+				res.Stats[len(res.Stats)-1].CheckpointDuration = lastCost
 			}
 		}
 		if onIter != nil {
@@ -137,7 +150,7 @@ func runPipelineFrom(ctx context.Context, d *Dataset, opts Options, s stepper, o
 
 	var k int
 	var sz iterSizes
-	iterStart := time.Now()
+	iterStart := now()
 	if cp != nil {
 		if !canCkpt {
 			return fail(fmt.Errorf("%w: this substrate cannot resume", ErrCheckpoint))
@@ -177,7 +190,7 @@ func runPipelineFrom(ctx context.Context, d *Dataset, opts Options, s stepper, o
 			return fail(fmt.Errorf("setm: mining cancelled after iteration %d: %w", k, err))
 		}
 		k++
-		iterStart = time.Now()
+		iterStart = now()
 		var ck []ItemsetCount
 		var err error
 		ck, sz, err = s.step(k, minSup)

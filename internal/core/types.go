@@ -138,7 +138,7 @@ type Options struct {
 	// restarts from the last manifest via MineAutoResumeMonitored instead
 	// of re-mining from scratch, with bit-identical results. Nil disables
 	// checkpointing (the default; it costs one sequential write of R_k
-	// per covered iteration, which the cost model charges to the plan).
+	// per checkpointed iteration, which the cost model charges to the plan).
 	// A pointer so Options stays comparable — cache keys and
 	// CanonicalOptions depend on that; CanonicalOptions zeroes it.
 	Checkpoint *CheckpointConfig
@@ -217,9 +217,11 @@ type IterationStat struct {
 	SpillBytes int64
 	// CheckpointBytes is the number of bytes this iteration's durable
 	// checkpoint (R_k run file plus manifest) wrote, zero when the
-	// iteration was not checkpointed (no Options.Checkpoint, an interval
-	// miss, or the wide-pattern fallback).
-	CheckpointBytes int64
+	// iteration was not checkpointed (no Options.Checkpoint, a cadence
+	// miss, or the wide-pattern fallback). CheckpointDuration is that
+	// write's wall time, outside Duration.
+	CheckpointBytes    int64
+	CheckpointDuration time.Duration `json:",omitempty"`
 	// PageIO is the iteration's physical page accesses (reads + writes)
 	// through the buffer pool — the per-iteration slice of the quantity
 	// the Section 4.3 formula bounds. Zero for the in-memory drivers.

@@ -578,10 +578,11 @@ type PlanInput struct {
 	// the upcoming pass's packed key space, 4·2^(K·bitsPerItem); zero when
 	// the key space is wider than the executor's table cap (or unknown).
 	CountTableBytes int64
-	// Checkpoint is whether the iteration persists a durable checkpoint
+	// Checkpoint is whether the iteration may persist a durable checkpoint
 	// (Options.Checkpoint): one sequential write of R_k — plus, in the
 	// spilled regime, a sequential read-back of the spilled relation —
-	// charged to the plan as a serial (non-parallelizable) term.
+	// charged to the plan as a serial (non-parallelizable) term. An upper
+	// bound: under the paced cadence the pass may not checkpoint.
 	Checkpoint bool
 }
 

@@ -18,24 +18,30 @@ package server
 //	                            key, written atomically before the
 //	                            job's terminal record
 //	checkpoints/<job-id>/       per-job mining checkpoints
-//	                            (core.CheckpointConfig), removed when
-//	                            the job reaches a terminal state
+//	                            (core.CheckpointConfig), created by a
+//	                            job's first checkpoint — a mine cheaper
+//	                            to redo than to protect never writes
+//	                            one — and removed when the job reaches
+//	                            a terminal state
 //
 // Fsync discipline: WAL appends fsync per batch (wal.Log); blobs,
 // result envelopes, and checkpoints go through temp-file + fsync +
 // rename, so a crash can tear only the WAL tail (truncated silently on
-// replay) or leave *.tmp debris (swept at boot). Job lifecycle records
-// after submission are best-effort — a failed append degrades
+// replay) or leave *.tmp debris (swept at boot). A job journals two
+// records, the ones replay reads: queued at submission and its terminal
+// state; what happens in between (running, passes) is not journaled,
+// since replay re-enqueues a job without a terminal record either way.
+// The terminal record is best-effort — a failed append degrades
 // durability, counted by setmd_wal_append_errors, never the request.
 //
 // Recovery: replay rebuilds the dataset registry (registration records
 // minus deletions, blobs re-parsed), restores completed results into
 // the cache and their jobs' ledgers from the result envelopes, restores
 // failed/cancelled jobs with their messages, and re-enqueues every job
-// last seen queued or running back through admission — resuming from
+// without a terminal record back through admission — resuming from
 // its checkpoint when one verifies (core.LoadCheckpoint), re-mining
-// from scratch when none does. Either way the result is bit-identical
-// to an uninterrupted run.
+// from scratch when none does or none was written. Either way the
+// result is bit-identical to an uninterrupted run.
 
 import (
 	"context"
@@ -69,10 +75,6 @@ const (
 	recJob        = "job"         // job lifecycle transition (State field)
 )
 
-// stateIter is the journaled-only "iteration completed" transition; a
-// job seen in it is running.
-const stateIter = "iter"
-
 // walRecord is the JSON payload of one WAL record. One struct covers
 // all record types; unused fields are omitted on the wire.
 type walRecord struct {
@@ -89,7 +91,6 @@ type walRecord struct {
 	JobID   string   `json:"job_id,omitempty"`
 	Dataset string   `json:"dataset,omitempty"`
 	State   string   `json:"state,omitempty"`
-	K       int      `json:"k,omitempty"`      // stateIter: completed iteration
 	Cached  bool     `json:"cached,omitempty"` // done: served from cache
 	Est     int64    `json:"est,omitempty"`    // admission estimate at submit
 	Error   string   `json:"error,omitempty"`  // failed/cancelled reason
@@ -204,11 +205,6 @@ func (s *Server) walAppend(recs ...walRecord) error {
 		return err
 	}
 	return nil
-}
-
-// journalJobState appends one job lifecycle record, best-effort.
-func (s *Server) journalJobState(j *job, state string, k int) {
-	_ = s.walAppend(walRecord{Type: recJob, JobID: j.id, State: state, K: k})
 }
 
 // persistDataset writes the normalized blob atomically, then journals
@@ -335,11 +331,10 @@ func (s *Server) bootDurable() error {
 				jobs[r.JobID] = rj
 				jobOrder = append(jobOrder, r.JobID)
 			}
+			// Only a terminal record moves a job off queued. Anything else —
+			// the submit record itself, the "running" and "iter" records
+			// older logs hold — leaves it to be re-enqueued.
 			switch r.State {
-			case stateQueued:
-				// submit record; already captured above
-			case stateRunning, stateIter:
-				rj.state = stateRunning
 			case stateDone, stateFailed, stateCancelled:
 				rj.state, rj.errMsg, rj.cached = r.State, r.Error, r.Cached
 			}
@@ -464,7 +459,7 @@ func (s *Server) bootDurable() error {
 			close(j.done)
 			s.registerJob(j)
 			os.RemoveAll(s.checkpointDir(id)) // debris from a crash mid-finish
-		default: // queued or running at the crash: back through admission
+		default: // no terminal record: back through admission
 			s.resumeJob(j, rj)
 		}
 	}

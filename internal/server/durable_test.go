@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -50,11 +51,6 @@ func newDurableServer(t *testing.T, dir string, cfg Config) (*Server, *client, f
 // the test's stand-in for a crash that left the job mid-flight.
 func appendWAL(t *testing.T, dir string, recs ...walRecord) {
 	t.Helper()
-	w, err := wal.Open(filepath.Join(dir, walFileName), nil, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
 	bufs := make([][]byte, len(recs))
 	for i := range recs {
 		b, err := json.Marshal(&recs[i])
@@ -63,9 +59,41 @@ func appendWAL(t *testing.T, dir string, recs ...walRecord) {
 		}
 		bufs[i] = b
 	}
-	if err := w.Append(bufs...); err != nil {
+	appendWALRaw(t, dir, bufs...)
+}
+
+// appendWALRaw appends payloads as they are: records of a shape this
+// build no longer writes.
+func appendWALRaw(t *testing.T, dir string, recs ...[]byte) {
+	t.Helper()
+	w, err := wal.Open(filepath.Join(dir, walFileName), nil, wal.Options{NoSync: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
+	if err := w.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// jobRecordStates replays dir's journal and returns, per job id, the
+// State of each of its records in journal order.
+func jobRecordStates(t *testing.T, dir string) map[string][]string {
+	t.Helper()
+	states := make(map[string][]string)
+	if _, err := wal.Replay(filepath.Join(dir, walFileName), func(rec []byte) error {
+		var r walRecord
+		if err := json.Unmarshal(rec, &r); err != nil {
+			return err
+		}
+		if r.Type == recJob {
+			states[r.JobID] = append(states[r.JobID], r.State)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return states
 }
 
 // assertNoTmpDebris walks the datadir for leftover *.tmp files.
@@ -162,7 +190,7 @@ func interruptedJobFixture(t *testing.T, dir string, d *core.Dataset, minSup int
 		ckdir := filepath.Join(dir, checkpointsDirName, "job-1")
 		_, err := core.MineAuto(d, core.Options{
 			MinSupportCount: minSup, MaxPatternLen: 2,
-			Checkpoint: &core.CheckpointConfig{Dir: ckdir, NoSync: true},
+			Checkpoint: &core.CheckpointConfig{Dir: ckdir, Interval: 1, NoSync: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +227,7 @@ func TestDurableResumeFromCheckpoint(t *testing.T) {
 			len(fin.Iterations), len(want.Stats))
 	}
 	m := metricsText(t, c)
-	for _, line := range []string{"setmd_jobs_resumed 1", "setmd_pool_pinned_frames 0"} {
+	for _, line := range []string{"setmd_jobs_resumed 1", "setmd_checkpoint_resumes 1", "setmd_checkpoints_written 0", "setmd_pool_pinned_frames 0"} {
 		if !strings.Contains(m, line) {
 			t.Errorf("metrics missing %q:\n%s", line, m)
 		}
@@ -257,6 +285,99 @@ func TestDurableResumeWithoutCheckpoint(t *testing.T) {
 		t.Fatalf("resumed job finished %s: %s", fin.State, fin.Error)
 	}
 	assertSameCounts(t, "fresh-resume-vs-mine", want, c.result("job-1"))
+	// A re-mine is a resumed job, not a resumed checkpoint.
+	m := metricsText(t, c)
+	for _, line := range []string{"setmd_jobs_resumed 1", "setmd_checkpoint_resumes 0"} {
+		if !strings.Contains(m, line) {
+			t.Errorf("metrics missing %q:\n%s", line, m)
+		}
+	}
+}
+
+// TestJobJournalsWhatReplayReads: a cold job journals its submission and
+// its terminal state and nothing between, a cache hit the same two; a mine
+// of milliseconds under the default cadence writes no checkpoint and never
+// creates its directory, and a forced cadence shows in /metrics and the
+// job's status.
+func TestJobJournalsWhatReplayReads(t *testing.T) {
+	dir := t.TempDir()
+	d := testDataset(73, 1200)
+	_, c, closeFn := newDurableServer(t, dir, Config{})
+	ds := c.upload(d)
+	for i, wantCode := range []int{http.StatusAccepted, http.StatusOK} {
+		var st jobStatus
+		if code := c.doJSON("POST", "/jobs", jobRequest{Dataset: ds.Version, MinSupCount: 10}, &st); code != wantCode {
+			t.Fatalf("submit %d: status %d, want %d", i, code, wantCode)
+		}
+		if fin := c.waitDone(st.ID); fin.State != stateDone {
+			t.Fatalf("%s finished %s: %s", st.ID, fin.State, fin.Error)
+		}
+	}
+	got := jobRecordStates(t, dir)
+	for _, id := range []string{"job-1", "job-2"} {
+		if states := got[id]; len(states) != 2 || states[0] != stateQueued || states[1] != stateDone {
+			t.Errorf("%s journaled %v, want [queued done]", id, states)
+		}
+	}
+	if m := metricsText(t, c); !strings.Contains(m, "setmd_checkpoints_written 0\n") || !strings.Contains(m, "setmd_checkpoint_bytes 0\n") {
+		t.Errorf("a mine of milliseconds wrote checkpoints:\n%s", m)
+	}
+	if entries, err := os.ReadDir(filepath.Join(dir, checkpointsDirName)); err != nil || len(entries) != 0 {
+		t.Errorf("checkpoints/ holds %v (err=%v), want nothing ever created", entries, err)
+	}
+	closeFn()
+
+	_, c2, _ := newDurableServer(t, dir, Config{CheckpointInterval: 1})
+	var st jobStatus
+	if code := c2.doJSON("POST", "/jobs", jobRequest{Dataset: ds.Version, MinSupCount: 11}, &st); code != http.StatusAccepted {
+		t.Fatalf("submit at interval 1: status %d", code)
+	}
+	fin := c2.waitDone(st.ID)
+	wrote := 0
+	for _, it := range fin.Iterations {
+		if it.CheckpointBytes > 0 {
+			wrote++
+		}
+	}
+	if wrote == 0 {
+		t.Fatalf("interval 1: no iteration reports checkpoint_bytes: %+v", fin.Iterations)
+	}
+	if m := metricsText(t, c2); !strings.Contains(m, "setmd_checkpoints_written "+strconv.Itoa(wrote)+"\n") {
+		t.Errorf("metrics disagree with the job's %d checkpointed iterations:\n%s", wrote, m)
+	}
+}
+
+// TestBootReplaysRetiredJobRecords: a journal written before "running" and
+// "iter" records were retired still boots, and the job they describe is
+// re-enqueued and finishes.
+func TestBootReplaysRetiredJobRecords(t *testing.T) {
+	dir := t.TempDir()
+	d := testDataset(79, 1000)
+	const minSup = 8
+	_, c, closeFn := newDurableServer(t, dir, Config{})
+	version := c.upload(d).Version
+	closeFn()
+	appendWALRaw(t, dir,
+		[]byte(`{"type":"job","job_id":"job-1","dataset":"`+version+`","state":"queued","est":1048576,"opts":{"minsup_count":8}}`),
+		[]byte(`{"type":"job","job_id":"job-1","state":"running"}`),
+		[]byte(`{"type":"job","job_id":"job-1","state":"iter","k":1}`),
+		[]byte(`{"type":"job","job_id":"job-1","state":"iter","k":2}`),
+		[]byte(`{"type":"job","job_id":"job-1","state":"iter","k":3}`),
+	)
+
+	want, err := core.MineMemory(d, core.Options{MinSupportCount: minSup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c2, _ := newDurableServer(t, dir, Config{})
+	fin := c2.waitDone("job-1")
+	if fin.State != stateDone {
+		t.Fatalf("job behind retired records finished %s: %s", fin.State, fin.Error)
+	}
+	assertSameCounts(t, "retired-records-vs-mine", want, c2.result("job-1"))
+	if states := jobRecordStates(t, dir)["job-1"]; len(states) != 6 || states[5] != stateDone {
+		t.Errorf("job-1 journal reads %v, want the five old records and done", states)
+	}
 }
 
 // TestDurableDuplicateDatasetRecords: replaying a journal holding the

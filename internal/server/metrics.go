@@ -25,6 +25,13 @@ type metrics struct {
 	jobsResumed     atomic.Int64 // interrupted jobs re-enqueued at boot
 	walAppendErrors atomic.Int64 // journal appends that failed (durability degraded)
 	persistErrors   atomic.Int64 // result envelope / checkpoint writes that failed
+
+	// Checkpoint pacing: what durable jobs wrote, and how many boot-time
+	// resumes continued from a verified checkpoint (jobsResumed counts the
+	// re-mines from scratch too).
+	checkpointsWritten atomic.Int64
+	checkpointBytes    atomic.Int64
+	checkpointResumes  atomic.Int64
 }
 
 // handleMetrics renders the counters in the flat "name value" text
@@ -65,6 +72,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	put("jobs_cancelled", s.met.jobsCancelled.Load())
 	put("jobs_timed_out", s.met.jobsTimedOut.Load())
 	put("jobs_resumed", s.met.jobsResumed.Load())
+	put("checkpoints_written", s.met.checkpointsWritten.Load())
+	put("checkpoint_bytes", s.met.checkpointBytes.Load())
+	put("checkpoint_resumes", s.met.checkpointResumes.Load())
 	put("wal_append_errors", s.met.walAppendErrors.Load())
 	put("persist_errors", s.met.persistErrors.Load())
 	if s.wal != nil {

@@ -79,13 +79,16 @@ type Config struct {
 	// DataDir, when non-empty, makes the server durable: dataset
 	// registrations and job lifecycle transitions are journaled to a WAL
 	// here, completed results spilled to disk, and mining jobs
-	// checkpointed per iteration so a crashed server resumes them on
-	// restart. Durable servers must be built with Open (New ignores
-	// recovery and stays in-memory).
+	// checkpointed at iteration boundaries so a crashed server resumes
+	// them on restart. Durable servers must be built with Open (New
+	// ignores recovery and stays in-memory).
 	DataDir string
-	// CheckpointInterval checkpoints every N-th mining iteration of a
-	// durable job (default 1: every iteration). Raising it trades
-	// recovery re-work for less checkpoint I/O.
+	// CheckpointInterval is core.CheckpointConfig.Interval for durable
+	// jobs. Zero (the default) paces checkpoints by the work they
+	// protect: a pass is checkpointed once the mining time at risk is ten
+	// times the predicted cost of the write, so checkpoint I/O stays
+	// under ~10% of mining time and a mine of milliseconds writes none.
+	// N >= 1 checkpoints every N-th iteration unconditionally.
 	CheckpointInterval int
 	// NoSync skips fsyncs on the WAL, blobs, results, and checkpoints.
 	// Only for tests: a crash may lose acknowledged state.
@@ -110,9 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PoolFrames <= 0 {
 		c.PoolFrames = 256
-	}
-	if c.CheckpointInterval <= 0 {
-		c.CheckpointInterval = 1
 	}
 	return c
 }
@@ -588,6 +588,9 @@ type iterStatus struct {
 	PageIO      int64  `json:"page_io"`
 	Plan        string `json:"plan"`
 	DurationUs  int64  `json:"duration_us"`
+	// The pass's checkpoint, when the cadence wrote one.
+	CheckpointBytes int64 `json:"checkpoint_bytes,omitempty"`
+	CheckpointUs    int64 `json:"checkpoint_us,omitempty"`
 }
 
 func (j *job) status() jobStatus {
@@ -602,7 +605,9 @@ func (j *job) status() jobStatus {
 			K: it.K, RPrimeRows: it.RPrimeRows, RRows: it.RRows,
 			Patterns: it.CCount, RunsSpilled: it.RunsSpilled,
 			PageIO: it.PageIO, Plan: it.Plan.String(),
-			DurationUs: it.Duration.Microseconds(),
+			DurationUs:      it.Duration.Microseconds(),
+			CheckpointBytes: it.CheckpointBytes,
+			CheckpointUs:    it.CheckpointDuration.Microseconds(),
 		})
 	}
 	return st
@@ -765,10 +770,10 @@ func (s *Server) deltaPlanFor(ds *dataset, opts core.Options) *deltaPlan {
 
 // runJob waits for admission (if queued), mines, fills the cache, and
 // releases the admission grant. It owns the job's terminal state. On a
-// durable server the run checkpoints each iteration; with resume set
-// (boot recovery) it first tries to continue from the job's checkpoint,
-// falling back to a full re-mine when none verifies — either way the
-// result is bit-identical to an uninterrupted run.
+// durable server the run checkpoints at the configured cadence; with
+// resume set (boot recovery) it first tries to continue from the job's
+// checkpoint, falling back to a full re-mine when none verifies — either
+// way the result is bit-identical to an uninterrupted run.
 func (s *Server) runJob(ctx context.Context, j *job, ds *dataset, opts core.Options, key cacheKey, plan *deltaPlan, grant *grant, resume bool) {
 	defer s.wg.Done()
 	defer close(j.done)
@@ -789,7 +794,6 @@ func (s *Server) runJob(ctx context.Context, j *job, ds *dataset, opts core.Opti
 	j.state = stateRunning
 	j.pool = pool
 	j.mu.Unlock()
-	s.journalJobState(j, stateRunning, 0)
 
 	var cp *core.Checkpoint
 	if s.durable() {
@@ -805,11 +809,20 @@ func (s *Server) runJob(ctx context.Context, j *job, ds *dataset, opts core.Opti
 			cp, _ = core.LoadCheckpoint(s.checkpointDir(j.id))
 		}
 	}
+	// A resume replays the checkpoint's stats through onIter; only passes
+	// this process mined count towards its checkpoint counters.
+	replayed := 0
+	if cp != nil {
+		replayed = cp.K
+	}
 	onIter := func(it core.IterationStat) {
 		j.mu.Lock()
 		j.iters = append(j.iters, it)
 		j.mu.Unlock()
-		s.journalJobState(j, stateIter, it.K)
+		if it.CheckpointBytes > 0 && it.K > replayed {
+			s.met.checkpointsWritten.Add(1)
+			s.met.checkpointBytes.Add(it.CheckpointBytes)
+		}
 	}
 	var res *core.Result
 	var err error
@@ -837,7 +850,10 @@ func (s *Server) runJob(ctx context.Context, j *job, ds *dataset, opts core.Opti
 			j.mu.Lock()
 			j.iters = nil
 			j.mu.Unlock()
+			replayed = 0
 			res, err = core.MineAutoResumeMonitored(ctx, ds.d, opts, pool, onIter, nil)
+		} else if cp != nil {
+			s.met.checkpointResumes.Add(1)
 		}
 	}
 	if err == nil {

@@ -126,8 +126,12 @@ func MineAutoContext(ctx context.Context, d *Dataset, opts Options) (*Result, er
 // CheckpointConfig makes a mining run durable: with Options.Checkpoint
 // set, the executor persists a resumable manifest (C_1..C_k plus the
 // live R_k) into Dir at iteration boundaries, atomically — a crash
-// mid-write leaves the previous checkpoint intact. Checkpoint write
-// failures never fail the mine; OnError reports them and the run
+// mid-write leaves the previous checkpoint intact. Interval zero paces
+// the writes by the work they protect (a pass is checkpointed once the
+// mining time at risk is ten times the predicted cost of the write, so
+// a mine of milliseconds writes none and never creates Dir); Interval
+// N >= 1 checkpoints every N-th iteration unconditionally. Checkpoint
+// write failures never fail the mine; OnError reports them and the run
 // continues with checkpointing disabled.
 type CheckpointConfig = core.CheckpointConfig
 
