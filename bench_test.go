@@ -194,19 +194,35 @@ func BenchmarkAblationPoolSize(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelWorkers measures the parallel driver's scaling on the
-// full retail data set at 0.1% support (the heaviest published setting).
+// BenchmarkParallelWorkers is the ladder behind the resident fan-out
+// (costmodel.ParallelMinRows quotes it): MineParallel across worker counts
+// on the full retail data set at 0.1% support (the heaviest published
+// setting) and, at 1 and 2 workers, on the bench's quest-resident workload
+// — T10I4D100K at 0.25%, |R'_2| = 5.2M rows. One worker is the serial
+// pass. Run with:
+//
+//	go test -run '^$' -bench ParallelWorkers -cpu 2
 func BenchmarkParallelWorkers(b *testing.B) {
 	full, _, _ := datasets()
-	opts := core.Options{MinSupportFrac: 0.001}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MineParallel(full, opts, workers); err != nil {
-					b.Fatal(err)
+	for _, ds := range []struct {
+		name    string
+		d       func() *core.Dataset
+		opts    core.Options
+		workers []int
+	}{
+		{"retail", func() *core.Dataset { return full }, core.Options{MinSupportFrac: 0.001}, []int{1, 2, 4, 8}},
+		{"quest", func() *core.Dataset { return gen.Quest(gen.T10I4D100K(1.0, 1)) }, core.Options{MinSupportFrac: 0.0025}, []int{1, 2}},
+	} {
+		d := ds.d()
+		for _, workers := range ds.workers {
+			b.Run(fmt.Sprintf("%s/workers=%d", ds.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := core.MineParallel(d, ds.opts, workers); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -237,14 +253,6 @@ func BenchmarkMineDatasets(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.MineParallel(ds.d, ds.opts, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("partitioned/"+ds.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MinePartitioned(ds.d, ds.opts, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -285,28 +293,6 @@ func BenchmarkAblationPackedKernels(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.MineMemory(full, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPartitionedShards measures the partitioned driver's shard
-// scaling on the full retail data set at 0.1% support, alongside
-// BenchmarkParallelWorkers for the intra-iteration fan-out. Why both
-// drivers stay (2 vCPUs, 3×8 runs): quest T10I4D100K @0.25% sharded 2
-// shards 107–115 ms vs parallel 2 workers 137–152 ms vs serial 152–185 ms;
-// retail @0.1% the other way round, 10.6–15.9 vs 8.7–10.2 ms. Each wins
-// somewhere, so choosing between them is the planner's job (ROADMAP item 2).
-func BenchmarkPartitionedShards(b *testing.B) {
-	full, _, _ := datasets()
-	opts := core.Options{MinSupportFrac: 0.001}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MinePartitioned(full, opts, shards); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,10 +8,9 @@
 //	setm-bench -exp compare   # SETM vs nested-loop vs AIS vs Apriori
 //	setm-bench -exp io        # measured paged I/O vs the 4.3 bound
 //	setm-bench -exp model     # live relation sizes vs the analytic model
-//	setm-bench -exp partition # partitioned-driver shard scaling
 //	setm-bench -exp all
 //
-// -strategy {auto,mine,parallel,partitioned,paged,sql} mines once with
+// -strategy {auto,mine,parallel,paged,sql} mines once with
 // the named driver and prints the per-iteration chosen plans — the
 // EXPLAIN-style view of the adaptive executor (combine with -membudget).
 //
@@ -30,7 +29,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"setm/internal/core"
 	"setm/internal/experiments"
@@ -47,13 +45,13 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("setm-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment: fig5, fig6, rrows, times, analysis, compare, io, model, partition, or all")
+	exp := fs.String("exp", "all", "experiment: fig5, fig6, rrows, times, analysis, compare, io, model, or all")
 	txns := fs.Int("txns", 46873, "number of retail transactions to generate")
 	seed := fs.Int64("seed", 1, "data seed")
 	repeats := fs.Int("repeats", 3, "timing repetitions (best-of)")
 	compareTxns := fs.Int("compare-txns", 4000, "transactions for the algorithm comparison (nested-loop is slow)")
 	memBudget := fs.Int64("membudget", 0, "Options.MemoryBudget in bytes for the io experiment and the -strategy run (0 = driver default, -1 = unlimited)")
-	strategy := fs.String("strategy", "", "run one driver {auto,mine,parallel,partitioned,paged,sql} on the retail data set, packed kernels, and print its per-iteration chosen plans (the EXPLAIN of mining); honours -membudget")
+	strategy := fs.String("strategy", "", "run one driver {auto,mine,parallel,paged,sql} on the retail data set, packed kernels, and print its per-iteration chosen plans (the EXPLAIN of mining); honours -membudget")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -150,12 +148,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "sequential-dominated: %v\n", seqDominated)
 	}
 
-	if want("partition") {
-		if err := partitionScaling(dataset(), *repeats, stdout); err != nil {
-			return err
-		}
-	}
-
 	if *strategy != "" {
 		if err := runStrategy(*strategy, dataset(), *memBudget, stdout); err != nil {
 			return err
@@ -176,10 +168,6 @@ func minerFor(name string) (func(*core.Dataset, core.Options) (*core.Result, err
 		return func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MineParallel(d, o, 0)
 		}, nil
-	case "partitioned":
-		return func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			return core.MinePartitioned(d, o, 0)
-		}, nil
 	case "paged":
 		return func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			r, err := core.MinePaged(d, o, core.PagedConfig{})
@@ -193,7 +181,7 @@ func minerFor(name string) (func(*core.Dataset, core.Options) (*core.Result, err
 			return core.MineSQL(d, o, core.SQLConfig{})
 		}, nil
 	default:
-		return nil, fmt.Errorf("unknown -strategy %q (want auto, mine, parallel, partitioned, paged, or sql)", name)
+		return nil, fmt.Errorf("unknown -strategy %q (want auto, mine, parallel, paged, or sql)", name)
 	}
 }
 
@@ -221,38 +209,6 @@ func runStrategy(name string, d *core.Dataset, memBudget int64, stdout io.Writer
 		}
 		fmt.Fprintf(stdout, "%4d  %-24s %10d %10d %8d %6d %8d %12v\n",
 			st.K, plan, st.RPrimeRows, st.RRows, st.CCount, st.RunsSpilled, st.PageIO, st.Duration)
-	}
-	return nil
-}
-
-// partitionScaling times MinePartitioned across shard counts on the
-// retail data set at the heaviest published support (0.1%), checking that
-// every shard count finds the identical pattern set.
-func partitionScaling(d *core.Dataset, repeats int, stdout io.Writer) error {
-	opts := core.Options{MinSupportFrac: 0.001}
-	fmt.Fprintln(stdout, strings.Repeat("=", 72))
-	fmt.Fprintf(stdout, "Partitioned SETM shard scaling (%d transactions, 0.1%% support):\n", d.NumTransactions())
-	fmt.Fprintf(stdout, "%8s  %12s  %10s\n", "shards", "best-of-time", "patterns")
-	wantPatterns := -1
-	for _, shards := range []int{1, 2, 4, 8} {
-		var best time.Duration
-		patterns := 0
-		for r := 0; r < repeats; r++ {
-			res, err := core.MinePartitioned(d, opts, shards)
-			if err != nil {
-				return err
-			}
-			patterns = res.TotalPatterns()
-			if best == 0 || res.Elapsed < best {
-				best = res.Elapsed
-			}
-		}
-		if wantPatterns == -1 {
-			wantPatterns = patterns
-		} else if patterns != wantPatterns {
-			return fmt.Errorf("shards=%d found %d patterns, want %d", shards, patterns, wantPatterns)
-		}
-		fmt.Fprintf(stdout, "%8d  %12v  %10d\n", shards, best, patterns)
 	}
 	return nil
 }

@@ -36,22 +36,6 @@ func TestRunFigureProfiles(t *testing.T) {
 	}
 }
 
-func TestRunPartitionScaling(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-exp", "partition", "-txns", "2000", "-repeats", "1"}, &stdout, &stderr); err != nil {
-		t.Fatalf("run partition: %v", err)
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "shard scaling") {
-		t.Errorf("missing header:\n%s", out)
-	}
-	for _, shards := range []string{"       1", "       2", "       4", "       8"} {
-		if !strings.Contains(out, shards) {
-			t.Errorf("missing row for shards %q:\n%s", strings.TrimSpace(shards), out)
-		}
-	}
-}
-
 func TestRunStrategyPrintsPlans(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-exp", "none", "-txns", "800", "-strategy", "auto", "-membudget", "32768"}, &stdout, &stderr); err != nil {

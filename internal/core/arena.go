@@ -4,32 +4,31 @@ import "sync"
 
 // mineArena holds the scratch buffers one mining run threads through
 // its iterations: the radix ping-pong buffers, the count step's tables
-// (or, on the sort kernel, its key-column clone), the extension output,
-// the filtered R_k, the packed C_k, and (for workers > 1) the per-worker
-// chunk buffers. Buffers grow to the high-water mark of the run and are
-// reused verbatim afterwards, so steady-state iterations allocate
-// (almost) nothing.
+// (or, on the sort kernel, its key-column clone), the filtered R_k, the
+// packed C_k, and the per-worker slots a pass's chunks live in. Buffers
+// grow to the high-water mark of the run and are reused verbatim
+// afterwards, so steady-state iterations allocate (almost) nothing.
 type mineArena struct {
-	ext      []prow   // R'_k, the extension output
-	rkBuf    []prow   // R_k, the filter output
+	rkBuf    []prow   // R_k, the filter output (a fanned-out pass gathers wKeep here)
 	rowsTmp  []prow   // radix scratch for (tid, key) sorts
 	salesBuf []prow   // packed R_1
 	joinBuf  []prow   // prefiltered join side (PrefilterSales only)
 	keys     []uint64 // key-column clone sorted by the count step's sort kernel
-	keysTmp  []uint64 // radix scratch for key sorts
+	keysTmp  []uint64 // radix scratch for serial key sorts
 	kcKeys   []uint64 // the streaming key counter's bounded key buffer
-	txItems  []uint64 // per-transaction code scratch
 	bitmap   []uint64 // C_k membership bitmap for the filter step
 	dictBuf  []int64  // the dictionary's code -> item table
 	dictLUT  []uint32 // the dictionary's item -> code table (and presence pass)
-	ck       pkCounts // packed C_k
 
-	// Per-worker buffers for the parallel chunk kernels (resident path);
-	// the streaming passes' one key counter borrows slot 0 of wTmp/wTab.
-	wRows   [][]prow   // extension / filter chunk outputs
-	wCounts []pkCounts // per-chunk count runs
-	wTmp    [][]uint64 // per-chunk radix scratch
-	wTab    [][]uint32 // per-worker count tables (slot 0 serves serial passes)
+	// Per-worker slots, one per chunk of a resident pass. Slot 0 is the
+	// serial pass's: a one-chunk pass extends into wRows[0] and counts on
+	// wTab[0], and so does the streaming path (its appender's resident
+	// portion, its one key counter's table and scratch).
+	wRows   [][]prow   // R'_k, chunk by chunk: extended here, counted and filtered from here
+	wKeep   [][]prow   // a fanned-out pass's filter output per chunk, gathered into rkBuf
+	wCounts []pkCounts // per-chunk count runs of the sort kernel
+	wTmp    [][]uint64 // per-chunk radix scratch (and packSales' per-transaction code scratch)
+	wTab    [][]uint32 // per-chunk count tables
 	wSkips  []int64    // per-chunk sort-skip tallies
 }
 
@@ -46,22 +45,15 @@ func newMineArena() *mineArena { return arenaPool.Get().(*mineArena) }
 // end.
 func (a *mineArena) release() { arenaPool.Put(a) }
 
-// workerSlots makes the per-worker buffer tables at least n wide.
+// workerSlots makes the per-worker slot tables at least n wide.
 func (a *mineArena) workerSlots(n int) {
-	for len(a.wRows) < n {
-		a.wRows = append(a.wRows, nil)
-	}
-	for len(a.wCounts) < n {
-		a.wCounts = append(a.wCounts, pkCounts{})
-	}
-	for len(a.wTmp) < n {
-		a.wTmp = append(a.wTmp, nil)
-	}
-	for len(a.wTab) < n {
-		a.wTab = append(a.wTab, nil)
-	}
-	for len(a.wSkips) < n {
-		a.wSkips = append(a.wSkips, 0)
+	if d := n - len(a.wRows); d > 0 {
+		a.wRows = append(a.wRows, make([][]prow, d)...)
+		a.wKeep = append(a.wKeep, make([][]prow, d)...)
+		a.wCounts = append(a.wCounts, make([]pkCounts, d)...)
+		a.wTmp = append(a.wTmp, make([][]uint64, d)...)
+		a.wTab = append(a.wTab, make([][]uint32, d)...)
+		a.wSkips = append(a.wSkips, make([]int64, d)...)
 	}
 }
 
@@ -131,31 +123,6 @@ func buildKeyBitmap(ckKeys []uint64, keyBits uint, ar *mineArena) []uint64 {
 	return bm
 }
 
-// chunkProwsByTid splits rows (sorted by tid) into at most n ranges
-// whose boundaries respect transaction groups.
-func chunkProwsByTid(rows []prow, n int) [][2]int {
-	if len(rows) == 0 || n < 1 {
-		return nil
-	}
-	var bounds [][2]int
-	target := (len(rows) + n - 1) / n
-	start := 0
-	for start < len(rows) {
-		end := start + target
-		if end >= len(rows) {
-			end = len(rows)
-		} else {
-			tid := rows[end-1].Tid
-			for end < len(rows) && rows[end].Tid == tid {
-				end++
-			}
-		}
-		bounds = append(bounds, [2]int{start, end})
-		start = end
-	}
-	return bounds
-}
-
 // packedSalesWindow returns the sub-slice of sales (sorted by tid)
 // covering the tid range [loTid, hiTid].
 func packedSalesWindow(sales []prow, loTid, hiTid uint64) []prow {
@@ -179,65 +146,4 @@ func packedSalesWindow(sales []prow, loTid, hiTid uint64) []prow {
 		}
 	}
 	return sales[first:lo]
-}
-
-// extendParallelPacked runs the packed merge-scan extension over
-// transaction-aligned chunks concurrently, concatenating into the
-// arena's extension buffer; the concatenation preserves global
-// (tid, key) order because chunks are tid-disjoint and ascending.
-func extendParallelPacked(rk, sales []prow, itemBits uint, workers int, ar *mineArena) []prow {
-	bounds := chunkProwsByTid(rk, workers)
-	if len(bounds) <= 1 {
-		return packedExtend(rk, sales, itemBits, ar.ext[:0])
-	}
-	ar.workerSlots(len(bounds))
-	var wg sync.WaitGroup
-	for i, b := range bounds {
-		wg.Add(1)
-		go func(i int, b [2]int) {
-			defer wg.Done()
-			chunk := rk[b[0]:b[1]]
-			sub := packedSalesWindow(sales, chunk[0].Tid, chunk[len(chunk)-1].Tid)
-			ar.wRows[i] = packedExtend(chunk, sub, itemBits, ar.wRows[i][:0])
-		}(i, b)
-	}
-	wg.Wait()
-	out := ar.ext[:0]
-	for i := range bounds {
-		out = append(out, ar.wRows[i]...)
-	}
-	return out
-}
-
-// filterParallelPacked applies the support filter over row chunks
-// concurrently and concatenates into the arena's R_k buffer, preserving
-// row order (and so the (trans_id, items) sort). bm, when non-nil, is
-// the shared read-only C_k membership bitmap.
-func filterParallelPacked(rPrime []prow, ckKeys []uint64, bm []uint64, workers int, ar *mineArena) []prow {
-	bounds := evenChunks(len(rPrime), workers)
-	if len(bounds) <= 1 {
-		if bm != nil && len(ckKeys) > 0 {
-			return packedFilterBitmap(rPrime, bm, ar.rkBuf[:0])
-		}
-		return packedFilter(rPrime, ckKeys, ar.rkBuf[:0])
-	}
-	ar.workerSlots(len(bounds))
-	var wg sync.WaitGroup
-	for i, b := range bounds {
-		wg.Add(1)
-		go func(i int, b [2]int) {
-			defer wg.Done()
-			if bm != nil && len(ckKeys) > 0 {
-				ar.wRows[i] = packedFilterBitmap(rPrime[b[0]:b[1]], bm, ar.wRows[i][:0])
-			} else {
-				ar.wRows[i] = packedFilter(rPrime[b[0]:b[1]], ckKeys, ar.wRows[i][:0])
-			}
-		}(i, b)
-	}
-	wg.Wait()
-	out := ar.rkBuf[:0]
-	for i := range bounds {
-		out = append(out, ar.wRows[i]...)
-	}
-	return out
 }

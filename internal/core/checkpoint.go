@@ -67,11 +67,6 @@ type Checkpoint struct {
 
 	dir    string
 	rkFile string
-
-	// memRows, when non-nil, is an in-memory row source standing in for
-	// the run file: the delta miner's fallback seeds a resume from rows
-	// it just materialized, without a round-trip through disk.
-	memRows []prow
 }
 
 // ErrCheckpoint tags every integrity failure of the checkpoint path —
@@ -261,18 +256,6 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 // CRC is verified before the final batch is delivered, so a caller that
 // consumed every batch without error has read an intact relation.
 func readCheckpointRows(cp *Checkpoint, fn func(rows []prow) error) error {
-	if cp.memRows != nil {
-		for off := 0; off < len(cp.memRows); off += ckptBatchRows {
-			end := off + ckptBatchRows
-			if end > len(cp.memRows) {
-				end = len(cp.memRows)
-			}
-			if err := fn(cp.memRows[off:end]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	f, err := os.Open(filepath.Join(cp.dir, cp.rkFile))
 	if err != nil {
 		return fmt.Errorf("%w: run file: %v", ErrCheckpoint, err)

@@ -8,6 +8,7 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -214,6 +215,38 @@ func TestLoadCheckpointEdgeCases(t *testing.T) {
 		os.WriteFile(filepath.Join(dir, "MANIFEST.json"), []byte("{not json"), 0o644)
 		if _, err := core.LoadCheckpoint(dir); !errors.Is(err, core.ErrCheckpoint) {
 			t.Fatalf("garbage manifest: %v", err)
+		}
+	})
+
+	// A manifest written before IterPlan lost its Exchange field (PR 27)
+	// still loads and resumes: unknown JSON fields are ignored.
+	t.Run("older-build-plan-field", func(t *testing.T) {
+		dir := t.TempDir()
+		writeCheckpointAt(t, d, opts, 2, dir)
+		path := filepath.Join(dir, "MANIFEST.json")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := bytes.ReplaceAll(data, []byte(`"Plan":{`), []byte(`"Plan":{"Exchange":"none",`))
+		if bytes.Equal(old, data) {
+			t.Fatalf("setup: no plan in the manifest to age: %s", data)
+		}
+		os.WriteFile(path, old, 0o644)
+		cp, err := core.LoadCheckpoint(dir)
+		if err != nil || cp == nil || cp.K != 2 {
+			t.Fatalf("aged manifest: cp=%v err=%v", cp, err)
+		}
+		got, err := core.MineAutoResumeMonitored(context.Background(), d, opts, nil, nil, cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.MineAuto(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Counts, want.Counts) || got.Stats[1].Plan != want.Stats[1].Plan {
+			t.Fatalf("resume from an aged manifest diverged (plan %q vs %q)", got.Stats[1].Plan, want.Stats[1].Plan)
 		}
 	})
 

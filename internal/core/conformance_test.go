@@ -1,5 +1,5 @@
 // Cross-driver conformance suite: every SETM driver — in-memory,
-// parallel, partitioned, paged, SQL — must return identical count
+// parallel, paged, SQL — must return identical count
 // relations C_k on randomized datasets, and those must match the
 // independent Apriori and AIS implementations at the same support
 // threshold. This is the refactoring safety net the set-oriented
@@ -14,6 +14,7 @@ import (
 
 	"setm/internal/apriori"
 	"setm/internal/core"
+	"setm/internal/costmodel"
 	"setm/internal/gen"
 )
 
@@ -46,8 +47,8 @@ var conformanceCases = []conformanceCase{
 }
 
 // conformanceDataset builds the deterministic random dataset of a case.
-// Transaction IDs are deliberately non-contiguous so the partitioned
-// driver's hash sharding sees realistic keys.
+// Transaction IDs are deliberately non-contiguous: chunk boundaries and
+// join windows are cut by tid value, not by position.
 func conformanceDataset(c conformanceCase) *core.Dataset {
 	rng := rand.New(rand.NewSource(c.seed))
 	d := &core.Dataset{}
@@ -85,11 +86,8 @@ func conformanceMiners() []minerFn {
 		{"parallel-3", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MineParallel(d, o, 3)
 		}},
-		{"partitioned-1", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			return core.MinePartitioned(d, o, 1)
-		}},
-		{"partitioned-4", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			return core.MinePartitioned(d, o, 4)
+		{"parallel-4", func(d *core.Dataset, o core.Options) (*core.Result, error) {
+			return core.MineParallel(d, o, 4)
 		}},
 		{"paged", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			r, err := core.MinePaged(d, o, core.PagedConfig{PoolFrames: 48})
@@ -121,10 +119,6 @@ func conformanceMiners() []minerFn {
 				return nil, err
 			}
 			return r.Result, nil
-		}},
-		{"partitioned-spillx-3", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			o.MemoryBudget = 1 // any non-empty exchange list spills
-			return core.MinePartitioned(d, o, 3)
 		}},
 		{"auto", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MineAuto(d, o)
@@ -189,9 +183,6 @@ func TestDriverConformancePrefilter(t *testing.T) {
 		{"parallel-prefilter", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MineParallel(d, o, 3)
 		}},
-		{"partitioned-prefilter", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			return core.MinePartitioned(d, o, 3)
-		}},
 		{"sql-prefilter", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MineSQL(d, o, core.SQLConfig{})
 		}},
@@ -205,7 +196,7 @@ func TestDriverConformancePrefilter(t *testing.T) {
 }
 
 // TestDriverConformanceOptionMatrix sweeps the PrefilterSales ×
-// MaxPatternLen option matrix across all five drivers (and both
+// MaxPatternLen option matrix across all four drivers (and both
 // substrates of the memory driver), pinned to the generic memory driver
 // as oracle. Neither option may change any count
 // relation: PrefilterSales only drops rows that could never meet the
@@ -215,9 +206,6 @@ func TestDriverConformanceOptionMatrix(t *testing.T) {
 		{"memory", core.MineMemory},
 		{"parallel-3", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MineParallel(d, o, 3)
-		}},
-		{"partitioned-3", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			return core.MinePartitioned(d, o, 3)
 		}},
 		{"memory-generic", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			o.DisablePackedKernels = true
@@ -266,31 +254,164 @@ func TestDriverConformanceOptionMatrix(t *testing.T) {
 	}
 }
 
-// TestPartitionedShardSweep pins the partitioned driver to the serial
-// answer across shard counts, including more shards than transactions.
-func TestPartitionedShardSweep(t *testing.T) {
-	c := conformanceCase{seed: 808, txns: 40, maxLen: 7, nItems: 10}
-	d := conformanceDataset(c)
-	opts := core.Options{MinSupportCount: 3}
-	want, err := core.MineMemory(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 3, 5, 8, 16, 64} {
-		got, err := core.MinePartitioned(d, opts, shards)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+// fanOutCase is one data shape the resident fan-out must get right:
+// chunks are cut by position (through a transaction if need be), join
+// windows by tid value, and every chunk of R'_k is counted and filtered
+// where it was extended.
+type fanOutCase struct {
+	name string
+	d    *core.Dataset
+	opts core.Options
+	// sortAt, when > 0, is a pass that must count on the sort kernel both
+	// serially and at four workers.
+	sortAt int
+	// minR1 is the |R_1| the shape needs (at least ParallelMinRows, or
+	// nothing fans out).
+	minR1 int64
+}
+
+func fanOutCases() []fanOutCase {
+	rng := rand.New(rand.NewSource(4242))
+	basket := func(id int64, n, nItems int) core.Transaction {
+		items := make([]core.Item, n)
+		for j := range items {
+			items[j] = core.Item(1 + rng.Intn(nItems))
 		}
-		assertIdenticalCounts(t, fmt.Sprintf("shards=%d", shards), want, got)
+		return core.Transaction{ID: id, Items: items}
+	}
+	unique := func(id int64, n int, from core.Item) core.Transaction {
+		items := make([]core.Item, n)
+		for j := range items {
+			items[j] = from + core.Item(j)
+		}
+		return core.Transaction{ID: id, Items: items}
+	}
+
+	// One 800-item transaction in the middle of ~2,400 rows of small
+	// baskets: longer than a chunk at W >= 4, so its rows straddle one cut
+	// or several and every side must join the whole of it.
+	big := &core.Dataset{}
+	for i := 0; i < 600; i++ {
+		if i == 300 {
+			big.Transactions = append(big.Transactions, unique(int64(i), 800, 10_000))
+		}
+		big.Transactions = append(big.Transactions, basket(int64(1000+i), 2+rng.Intn(5), 12))
+	}
+
+	// Five transactions, seven workers: three items common to all (and
+	// frequent at minsup 4) among 450 unique ones each.
+	few := &core.Dataset{}
+	for i := 0; i < 5; i++ {
+		tx := unique(int64(i+1), 450, core.Item(1000*(i+1)))
+		tx.Items = append(tx.Items, 1, 2, 3)
+		few.Transactions = append(few.Transactions, tx)
+	}
+
+	// Negative, non-contiguous, unsorted-on-arrival tids.
+	signed := &core.Dataset{}
+	for i, id := 0, int64(-40_000); i < 900; i++ {
+		id += 1 + int64(rng.Intn(90))
+		signed.Transactions = append(signed.Transactions, basket(id, 1+rng.Intn(7), 15))
+	}
+	rng.Shuffle(len(signed.Transactions), func(i, j int) {
+		signed.Transactions[i], signed.Transactions[j] = signed.Transactions[j], signed.Transactions[i]
+	})
+
+	// The first 1,200 transactions hold one item each: the first chunk of
+	// R_1 extends to zero R'_2 rows at every W.
+	hollow := &core.Dataset{}
+	for i := 0; i < 1200; i++ {
+		hollow.Transactions = append(hollow.Transactions, basket(int64(i+1), 1, 9))
+	}
+	for i := 0; i < 500; i++ {
+		hollow.Transactions = append(hollow.Transactions, basket(int64(5000+3*i), 3+rng.Intn(4), 9))
+	}
+
+	wide := conformanceDataset(conformanceCase{seed: 910, txns: 700, maxLen: 8, nItems: 20000})
+
+	retail := gen.DefaultRetail(3)
+	retail.NumTransactions = 8000
+
+	return []fanOutCase{
+		{name: "quest", d: gen.Quest(gen.T10I4D100K(0.02, 5)), opts: core.Options{MinSupportFrac: 0.01}, minR1: 8 * costmodel.ParallelMinRows},
+		{name: "retail", d: gen.Retail(retail), opts: core.Options{MinSupportFrac: 0.002}, minR1: 8 * costmodel.ParallelMinRows},
+		{name: "retail-prefilter", d: gen.Retail(retail), opts: core.Options{MinSupportFrac: 0.002, PrefilterSales: true}},
+		{name: "transaction-split-across-chunks", d: big, opts: core.Options{MinSupportCount: 2}},
+		{name: "more-workers-than-transactions", d: few, opts: core.Options{MinSupportCount: 4}},
+		{name: "negative-sparse-tids", d: signed, opts: core.Options{MinSupportCount: 3}},
+		{name: "chunk-with-no-extensions", d: hollow, opts: core.Options{MinSupportCount: 5}},
+		{name: "sort-counted-pass", d: wide, opts: core.Options{MinSupportCount: 2}, sortAt: 2},
 	}
 }
 
-// TestPartitionedWideHandOff: on the wide-catalogue case with every
-// pattern frequent (baskets of up to 8 items, 14-bit codes), the sharded
-// driver leaves its packed plan exactly where the serial executor does —
-// k = maxPackedK+1 = 5 — for the one serial flat reference, and every
-// pass's cardinalities match.
-func TestPartitionedWideHandOff(t *testing.T) {
+// TestParallelFanOutConformance pins the one fan-out to the serial pass:
+// at 2, 3, 4 and 7 workers the counts, every pass's |R'_k|, |R_k| and
+// |C_k|, and the retained border are MineMemory's, and every packed pass
+// reports packed/resident/Nw with a count kernel.
+func TestParallelFanOutConformance(t *testing.T) {
+	for _, c := range fanOutCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			opts := c.opts
+			opts.RetainBorder = true
+			want, err := core.MineMemory(c.d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r1 := want.Stats[0].RPrimeRows; r1 < max(c.minR1, costmodel.ParallelMinRows) {
+				t.Fatalf("setup: |R_1| = %d rows, too few to fan out as the case means to", r1)
+			}
+			if c.sortAt > 0 && want.Stats[c.sortAt-1].Plan.Count != core.CountSort {
+				t.Fatalf("setup: serial pass %d counts by %q, want sort", c.sortAt, want.Stats[c.sortAt-1].Plan.Count)
+			}
+			for _, w := range []int{2, 3, 4, 7} {
+				label := fmt.Sprintf("%dw", w)
+				got, err := core.MineParallel(c.d, opts, w)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertIdenticalCounts(t, label, want, got)
+				if len(got.Stats) != len(want.Stats) {
+					t.Fatalf("%s: %d passes, want %d", label, len(got.Stats), len(want.Stats))
+				}
+				for i, st := range got.Stats {
+					ref := want.Stats[i]
+					if st.RPrimeRows != ref.RPrimeRows || st.RRows != ref.RRows || st.CCount != ref.CCount {
+						t.Errorf("%s k=%d: |R'|=%d |R|=%d |C|=%d, want %d/%d/%d", label, st.K,
+							st.RPrimeRows, st.RRows, st.CCount, ref.RPrimeRows, ref.RRows, ref.CCount)
+					}
+					if st.Plan.Kernel != core.KernelPacked {
+						continue // past the packed key: the serial flat reference
+					}
+					for _, kernel := range []string{core.CountTable, core.CountSort} {
+						if st.Plan.Count == kernel && st.Plan.String() != fmt.Sprintf("packed/resident/%dw/%s", w, kernel) {
+							t.Errorf("%s k=%d: plan %q", label, st.K, st.Plan)
+						}
+					}
+					if st.Plan.Count == "" || (w == 4 && st.K == c.sortAt && st.Plan.Count != core.CountSort) {
+						t.Errorf("%s k=%d: plan %q names the wrong count kernel", label, st.K, st.Plan)
+					}
+				}
+				if (want.Border == nil) != (got.Border == nil) {
+					t.Fatalf("%s: border retained = %v, serial %v", label, got.Border != nil, want.Border != nil)
+				}
+				if want.Border != nil {
+					core.AssertSameBorder(t, want.Border, got.Border)
+				}
+			}
+		})
+	}
+}
+
+// TestParallelWideCatalogueHandOff: on the wide-catalogue case with every
+// pattern frequent (baskets of up to 8 items, 14-bit codes), the fanned-out
+// executor runs packed/resident/4w exactly as long as the serial one runs
+// packed — through k = maxPackedK = 4 — then hands the run to the one
+// serial flat reference; every pass's cardinalities match and the counts
+// are the independent AIS miner's (Apriori's candidate join is quadratic in
+// |C_k| and takes a minute and a half at minsup 1; TestDriverConformance
+// pins parallel-4 to it on this data set at minsup 3).
+func TestParallelWideCatalogueHandOff(t *testing.T) {
 	c := conformanceCases[len(conformanceCases)-1]
 	if c.name != "wide-catalogue" {
 		t.Fatalf("setup: last conformance case is %q", c.name)
@@ -301,23 +422,30 @@ func TestPartitionedWideHandOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.MinePartitioned(d, opts, 4)
+	got, err := core.MineParallel(d, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalCounts(t, "partitioned-wide", want, got)
+	assertIdenticalCounts(t, "parallel-wide", want, got)
+	oracle, err := apriori.MineAIS(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalCounts(t, "parallel-wide vs ais", oracle, got)
 	if len(got.Stats) != len(want.Stats) {
 		t.Fatalf("%d passes, want %d", len(got.Stats), len(want.Stats))
 	}
 	handedOff := false
 	for i, st := range got.Stats {
 		ref := want.Stats[i]
-		if st.RPrimeRows != ref.RPrimeRows || st.RRows != ref.RRows {
-			t.Errorf("k=%d: |R'|=%d |R|=%d, want %d/%d", st.K, st.RPrimeRows, st.RRows, ref.RPrimeRows, ref.RRows)
+		if st.RPrimeRows != ref.RPrimeRows || st.RRows != ref.RRows || st.CCount != ref.CCount {
+			t.Errorf("k=%d: |R'|=%d |R|=%d |C|=%d, want %d/%d/%d", st.K, st.RPrimeRows, st.RRows, st.CCount, ref.RPrimeRows, ref.RRows, ref.CCount)
 		}
 		if ref.Plan.Kernel == core.KernelPacked {
-			if handedOff || st.Plan.Kernel != core.KernelPacked || st.Plan.Exchange != core.ExchangeSharded {
-				t.Errorf("k=%d: plan %q, want the sharded packed plan", st.K, st.Plan)
+			// The count kernel is chosen per chunk, so it may differ from
+			// the serial pass's; the rest of the plan may not.
+			if p := st.Plan; handedOff || p.Kernel != core.KernelPacked || p.Regime != core.RegimeResident || p.Workers != 4 || p.Count == "" {
+				t.Errorf("k=%d: plan %q, want packed/resident/4w/*", st.K, p)
 			}
 			continue
 		}
@@ -383,33 +511,6 @@ func TestPagedSpillConformanceRetail(t *testing.T) {
 	}
 	if sortPasses == 0 {
 		t.Error("no iteration took the sort kernel: the k-way merge is not covered")
-	}
-}
-
-// TestPartitionedSpilledExchangeConformance pins the partitioned driver
-// with spilled (key, count) exchange lists to the in-RAM merge.
-func TestPartitionedSpilledExchangeConformance(t *testing.T) {
-	cfg := gen.DefaultRetail(11)
-	cfg.NumTransactions = 2000
-	d := gen.Retail(cfg)
-	opts := core.Options{MinSupportFrac: 0.01}
-	want, err := core.MinePartitioned(d, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spillOpts := opts
-	spillOpts.MemoryBudget = 1 << 10 // every exchange outgrows 1 KB
-	got, err := core.MinePartitioned(d, spillOpts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdenticalCounts(t, "partitioned-spilled-exchange", want, got)
-	var runs int64
-	for _, st := range got.Stats {
-		runs += st.RunsSpilled
-	}
-	if runs == 0 {
-		t.Error("exchange never spilled despite the 1 KB budget")
 	}
 }
 

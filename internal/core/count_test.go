@@ -82,12 +82,12 @@ func samePkCounts(a, b pkCounts) bool {
 // countBoth runs countRows on the dictionary's own kernel choice and on
 // the forced sort kernel, requires identical output, and returns the
 // kernel the rule chose.
-func countBoth(t *testing.T, label string, rows []prow, dict *packDict, k int, minSup int64, workers int) string {
+func countBoth(t *testing.T, label string, chunks [][]prow, dict *packDict, k int, minSup int64) string {
 	t.Helper()
 	var ar, arSort mineArena
 	var skips, sortSkips int64
-	got, kernel := countRows(rows, dict, k, minSup, workers, &ar, pkCounts{}, &skips)
-	want, sk := countRows(rows, sortDict(dict), k, minSup, workers, &arSort, pkCounts{}, &sortSkips)
+	got, kernel := countRows(chunks, dict, k, minSup, &ar, pkCounts{}, &skips)
+	want, sk := countRows(chunks, sortDict(dict), k, minSup, &arSort, pkCounts{}, &sortSkips)
 	if sk != CountSort {
 		t.Fatalf("%s: forced sort kernel reported %q", label, sk)
 	}
@@ -119,10 +119,10 @@ func TestCountKernelRuleEdges(t *testing.T) {
 	atEdge := cells * 4 / 16 // keys whose sort buffers equal the table
 
 	// Resident: table bytes == 16*|R'_k|, then one row (16 B) short.
-	if got := countBoth(t, "resident at edge", randKeyRows(1, atEdge, 12), dict, k, 1, 1); got != CountTable {
+	if got := countBoth(t, "resident at edge", [][]prow{randKeyRows(1, atEdge, 12)}, dict, k, 1); got != CountTable {
 		t.Errorf("table bytes == sort bytes: kernel %q, want table", got)
 	}
-	if got := countBoth(t, "resident under edge", randKeyRows(2, atEdge-1, 12), dict, k, 1, 1); got != CountSort {
+	if got := countBoth(t, "resident under edge", [][]prow{randKeyRows(2, atEdge-1, 12)}, dict, k, 1); got != CountSort {
 		t.Errorf("table one row over the sort bytes: kernel %q, want sort", got)
 	}
 	if costmodel.CountTableFits(int64(cells)*4+1, int64(atEdge)) {
@@ -189,7 +189,7 @@ func TestCountKernelRuleEdges(t *testing.T) {
 		}
 		var ar mineArena
 		var skips int64
-		want, _ := countRows(rows, sortDict(dict), k, 2, 1, &ar, pkCounts{}, &skips)
+		want, _ := countRows([][]prow{rows}, sortDict(dict), k, 2, &ar, pkCounts{}, &skips)
 		if !samePkCounts(got, want) {
 			t.Errorf("%s (%s): counts differ from the resident sort kernel", tc.name, kernel)
 		}
@@ -210,25 +210,25 @@ func TestCountKernelRuleEdges(t *testing.T) {
 	}
 
 	// Degenerate inputs.
-	if got := countBoth(t, "empty", nil, dict, k, 1, 1); got != CountSort {
+	if got := countBoth(t, "empty", [][]prow{nil}, dict, k, 1); got != CountSort {
 		t.Errorf("empty input: kernel %q, want sort (nothing to replace)", got)
 	}
 	equal := make([]prow, 2*atEdge)
 	for i := range equal {
 		equal[i] = prow{Tid: uint64(i), Key: 4095}
 	}
-	countBoth(t, "all-equal", equal, dict, k, 1, 1)
-	countBoth(t, "all-equal over threshold", equal, dict, k, int64(len(equal))+1, 1)
+	countBoth(t, "all-equal", [][]prow{equal}, dict, k, 1)
+	countBoth(t, "all-equal over threshold", [][]prow{equal}, dict, k, int64(len(equal))+1)
 	exact := append(randKeyRows(4, 2*atEdge, 11), prow{Key: 4000}, prow{Key: 4000}, prow{Key: 4000}) // key 4000 occurs exactly 3 times
 	for _, ms := range []int64{3, 4} {
 		var ar mineArena
 		var skips int64
-		got, kernel := countRows(exact, dict, k, ms, 1, &ar, pkCounts{}, &skips)
+		got, kernel := countRows([][]prow{exact}, dict, k, ms, &ar, pkCounts{}, &skips)
 		_, found := slices.BinarySearch(got.keys, 4000)
 		if kernel != CountTable || found != (ms == 3) {
 			t.Errorf("minSup=%d (%s): key with count 3 present=%v", ms, kernel, found)
 		}
-		countBoth(t, fmt.Sprintf("exact minSup=%d", ms), exact, dict, k, ms, 1)
+		countBoth(t, fmt.Sprintf("exact minSup=%d", ms), [][]prow{exact}, dict, k, ms)
 	}
 }
 
@@ -252,14 +252,17 @@ func TestCountTableUint32Guard(t *testing.T) {
 	rows := randKeyRows(5, 4096, 2)
 	var ar mineArena
 	var skips int64
-	if _, kernel := countRows(rows, d, 1, 1, 1, &ar, pkCounts{}, &skips); kernel != CountSort {
+	if _, kernel := countRows([][]prow{rows}, d, 1, 1, &ar, pkCounts{}, &skips); kernel != CountSort {
 		t.Errorf("2^32 transactions: kernel %q, want sort", kernel)
 	}
 }
 
-// TestCountRowsParallelTables runs the chunk-parallel table kernel —
-// one table per worker, summed element-wise — at W = 2 and 4 against the
-// serial table and the sort kernel. CI runs it under -race -count=10.
+// TestCountRowsParallelTables runs the chunked count — one table (or one
+// sorted key run) per chunk, tables summed element-wise, runs merged — at
+// W = 2 and 4 against the serial table and the sort kernel, on chunks of
+// unequal length: an empty one, a short one, and one long enough that the
+// kernel rule (applied to the longest chunk) admits the table. CI runs it
+// under -race -count=10.
 func TestCountRowsParallelTables(t *testing.T) {
 	items := make([]int64, 32) // 5 bits: k=2 is a 10-bit key space
 	for i := range items {
@@ -267,22 +270,33 @@ func TestCountRowsParallelTables(t *testing.T) {
 	}
 	dict := newPackDict(items, 1<<20, nil)
 	rows := randKeyRows(6, 8*parallelMinRows, 10)
+	n := len(rows)
+	cuts := map[int][]int{ // chunk end offsets
+		2: {n / 5, n},
+		4: {n / 16, n / 16, n / 2, n},
+	}
 	for _, ms := range []int64{1, 40} {
 		var ar mineArena
 		var skips int64
-		serial, kernel := countRows(rows, dict, 2, ms, 1, &ar, pkCounts{}, &skips)
+		serial, kernel := countRows([][]prow{rows}, dict, 2, ms, &ar, pkCounts{}, &skips)
 		if kernel != CountTable {
 			t.Fatalf("serial kernel %q, want table", kernel)
 		}
 		for _, w := range []int{2, 4} {
+			var chunks [][]prow
+			start := 0
+			for _, end := range cuts[w] {
+				chunks = append(chunks, rows[start:end])
+				start = end
+			}
 			label := fmt.Sprintf("W=%d minSup=%d", w, ms)
-			if got := countBoth(t, label, rows, dict, 2, ms, w); got != CountTable {
+			if got := countBoth(t, label, chunks, dict, 2, ms); got != CountTable {
 				t.Errorf("%s: kernel %q, want table", label, got)
 			}
 			var arW mineArena
-			par, _ := countRows(rows, dict, 2, ms, w, &arW, pkCounts{}, &skips)
+			par, _ := countRows(chunks, dict, 2, ms, &arW, pkCounts{}, &skips)
 			if !samePkCounts(par, serial) {
-				t.Errorf("%s: parallel tables differ from the serial table", label)
+				t.Errorf("%s: chunked tables differ from the serial table", label)
 			}
 		}
 	}

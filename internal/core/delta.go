@@ -22,21 +22,21 @@ package core
 // candidate set. A promotion at level k >= 2 is the one event that
 // invalidates deeper levels: the promoted pattern's extensions over
 // BASE transactions were never counted. That is the border shift that
-// forces a fallback — re-materialize the combined R_k by replaying the
-// (filter-only, count-free, sort-free) extension chain under the now-
-// known F_2..F_k, seed the adaptive executor through the checkpoint
-// resume path, and mine on from iteration k+1. Level-1 promotions never
-// invalidate anything: the paper's R_1 is unfiltered (PrefilterSales
-// off), so every pair occurring anywhere is a counted level-2 candidate.
+// forces the fallback, and the fallback has one route: a plain MineAuto
+// over base+delta (remine). Level-1 promotions never invalidate
+// anything: the paper's R_1 is unfiltered (PrefilterSales off), so every
+// pair occurring anywhere is a counted level-2 candidate. (Replaying the
+// extension chain under the known F_2..F_k and resuming at k+1 was the
+// other fallback route until PR 27; README "measured and deleted" has
+// its pairs — do not rebuild it as a loop of its own.)
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
-	"setm/internal/costmodel"
 	"setm/internal/storage"
-	"setm/internal/xsort"
 )
 
 // MineDelta folds appended transactions into a retained border snapshot
@@ -55,9 +55,9 @@ func MineDelta(ctx context.Context, base, delta *Dataset, snap *BorderSnapshot, 
 // MineDeltaMonitored is MineDelta with the service hooks of
 // MineAutoMonitored: a caller-owned buffer pool and a per-iteration
 // observer. The pure delta path is resident and pool-free; the fallback
-// path inherits the executor's cancellation, spill, and zero-pinned-
-// frames guarantees. With Options.RetainBorder the returned Result
-// carries a refreshed snapshot for base+delta, so appends chain.
+// is MineAutoMonitored itself, with its cancellation, spill, and zero-
+// pinned-frames guarantees. With Options.RetainBorder the returned
+// Result carries a refreshed snapshot for base+delta, so appends chain.
 func MineDeltaMonitored(ctx context.Context, base, delta *Dataset, snap *BorderSnapshot, opts Options, pool *storage.Pool, onIter func(IterationStat)) (*Result, error) {
 	start := time.Now()
 	if snap == nil || len(snap.Levels) == 0 {
@@ -145,11 +145,13 @@ func (m *deltaMiner) run() (*Result, error) {
 	minSup := m.opts.ResolveMinSupport(nCombined)
 	res := &Result{NumTransactions: nCombined, MinSupport: minSup}
 
-	m.deltaSales = packTxns(m.delta.Transactions, m.dict)
+	// A private arena, never pooled: the packed delta rows live in it for
+	// the whole run and the count step reuses its scratch across levels.
+	var ar mineArena
+	m.deltaSales = packSales(m.delta, m.dict, &ar, 1)
 	deltaR := m.deltaSales
 
 	var ext, rkBuf []prow
-	var ar mineArena // private count-step scratch, reused across levels
 	k := 0
 	for {
 		if err := m.cancelled(); err != nil {
@@ -164,7 +166,7 @@ func (m *deltaMiner) run() (*Result, error) {
 		}
 		rPrimeRows := int64(len(rPrime))
 		skips := int64(1) // the R_{k-1} sort: order is preserved throughout
-		dCounts, kernel := countRows(rPrime, m.dict, k, 1, 1, &ar, pkCounts{}, &skips)
+		dCounts, kernel := countRows([][]prow{rPrime}, m.dict, k, 1, &ar, pkCounts{}, &skips)
 
 		baseAll, baseFreq := m.baseLevel(k)
 		all := addPackedCounts(baseAll, dCounts)
@@ -186,7 +188,7 @@ func (m *deltaMiner) run() (*Result, error) {
 			K: k, RPrimeRows: rPrimeRows, RRows: int64(len(deltaR)),
 			RPaperBytes: int64(len(deltaR)) * paperTupleBytes(k),
 			CCount:      len(freq.keys), SortsSkipped: skips,
-			Plan:     IterPlan{Kernel: KernelDelta, Regime: RegimeResident, Workers: 1, Exchange: ExchangeNone, Count: kernel},
+			Plan:     IterPlan{Kernel: KernelDelta, Regime: RegimeResident, Workers: 1, Count: kernel},
 			Duration: time.Since(iterStart),
 		})
 
@@ -199,17 +201,14 @@ func (m *deltaMiner) run() (*Result, error) {
 		// The border shift test: a frequent set at level k that the base
 		// run did not have frequent (a promoted border set, or a pattern
 		// the delta alone pushed over minsup) means level k+1 candidates
-		// over BASE transactions were never counted — re-run the
-		// executor from here. Level 1 is exempt: R_1 is unfiltered, so
-		// the base border at level 2 counted every pair regardless.
-		if k >= 2 && hasNewKey(freq.keys, baseFreq) {
-			return m.fallback(res, k, minSup, nCombined)
-		}
-		// Without promotions F_k(combined) ⊆ F_k(base), so the loop can
-		// only run as deep as the snapshot; running off its end means
-		// the invariant broke (a mismatched snapshot) — re-mine safely.
-		if k+1 > len(m.snap.Levels) {
-			return m.fallback(res, k, minSup, nCombined)
+		// over BASE transactions were never counted. Level 1 is exempt:
+		// R_1 is unfiltered, so the base border at level 2 counted every
+		// pair regardless. Without promotions F_k(combined) ⊆ F_k(base),
+		// so the loop can only run as deep as the snapshot; running off
+		// its end means the invariant broke (a mismatched snapshot).
+		// Either way: fall back.
+		if k >= 2 && hasNewKey(freq.keys, baseFreq) || k+1 > len(m.snap.Levels) {
+			return m.remine()
 		}
 	}
 
@@ -220,7 +219,7 @@ func (m *deltaMiner) run() (*Result, error) {
 		}
 	}
 	if m.opts.RetainBorder {
-		res.Border = m.assembleBorder(minSup, nCombined, len(m.freqs), nil, nil)
+		res.Border = m.assembleBorder(minSup, nCombined)
 	}
 	res.Elapsed = time.Since(m.start)
 	return res, nil
@@ -237,7 +236,9 @@ func (m *deltaMiner) baseLevel(k int) (all pkCounts, freqKeys []uint64) {
 	l := &m.snap.Levels[k-1]
 	fk := m.remapKeys(l.FreqKeys, k)
 	bk := m.remapKeys(l.BorderKeys, k)
-	all = mergeDisjointCounts(
+	// A level's frequent set and border share no key: the sum-merge
+	// only interleaves them.
+	all = addPackedCounts(
 		pkCounts{keys: fk, counts: l.FreqCounts},
 		pkCounts{keys: bk, counts: l.BorderCounts},
 	)
@@ -265,134 +266,27 @@ func (m *deltaMiner) remapKeys(in []uint64, k int) []uint64 {
 	return out
 }
 
-// fallback re-runs the executor from iteration k+1: levels 1..k are
-// exact (just recorded in res), so the combined R_k is re-materialized
-// by replaying the extension chain under the known F_2..F_k — filters
-// only, no sorts (order is preserved throughout), no counting — and the
-// executor resumes from an in-memory checkpoint exactly as it would
-// from a crash.
-func (m *deltaMiner) fallback(res *Result, k int, minSup int64, nCombined int) (*Result, error) {
-	combined := m.combinedDataset()
-
-	// A budget-bounded job whose full working set does not fit would
-	// have the resident replay blow straight through the budget; the
-	// spilling executor handles that case better end to end.
-	salesEst := m.snap.SalesRows + int64(len(m.deltaSales))
-	if b := m.opts.MemoryBudget; b > 0 {
-		avg := float64(salesEst) / float64(nCombined)
-		if salesEst*costmodel.PackedRowBytes+costmodel.PackedIterFootprint(costmodel.EstRPrimeRows(salesEst, avg), m.dict.countTableBytes(2)) > b {
-			return m.remine(combined)
-		}
-	}
-
-	// A border shift in the first half of the run means most of the
-	// mining must be redone anyway; replaying the extension chain and
-	// then resuming would pay the dominant level-2 join twice (once in
-	// the replay, once in the resumed executor's R_1 repacking and
-	// planning) for little saved counting. Measured on the retail
-	// stand-in, a level-2 shift replays slower than the plain re-mine —
-	// so only late shifts, where the already-exact prefix dominates,
-	// take the seeded-resume path.
-	if 2*k >= len(m.snap.Levels) {
-		return m.remine(combined)
-	}
-
-	// The replay runs the same chunked parallel kernels the resident
-	// executor uses — a single-threaded extend chain here would cost
-	// more than the full re-mine it is meant to undercut.
-	rows := packTxns(combined.Transactions, m.dict)
-	salesTotal := int64(len(rows))
-	r := rows
-	rPrimeRows := salesTotal
-	workers := resolveWorkers(m.opts.MaxWorkers)
-	ar := newMineArena()
-	for l := 2; l <= k; l++ {
-		if err := m.cancelled(); err != nil {
-			ar.release()
-			return nil, err
-		}
-		// Extend reads r and writes ar.ext; the filter then reads
-		// ar.ext and overwrites ar.rkBuf (r's backing store from the
-		// previous round) — dead by that point, exactly as in the
-		// executor's resident step.
-		var ext []prow
-		if workers > 1 && len(r) >= parallelMinRows {
-			ext = extendParallelPacked(r, rows, m.dict.bits, workers, ar)
-		} else {
-			ext = packedExtend(r, rows, m.dict.bits, ar.ext[:0])
-		}
-		ar.ext = ext
-		rPrimeRows = int64(len(ext))
-		fk := m.freqs[l-1].keys
-		bm := buildKeyBitmap(fk, uint(l)*m.dict.bits, ar)
-		var out []prow
-		if workers > 1 && len(ext) >= parallelMinRows {
-			out = filterParallelPacked(ext, fk, bm, workers, ar)
-		} else if bm != nil && len(fk) > 0 {
-			out = packedFilterBitmap(ext, bm, ar.rkBuf[:0])
-		} else {
-			out = packedFilter(ext, fk, ar.rkBuf[:0])
-		}
-		ar.rkBuf = out
-		r = out
-	}
-	if len(r) > 0 && &r[0] != &rows[0] {
-		// r aliases the arena; copy it out so the checkpoint survives
-		// the arena's return to the pool.
-		r = append(make([]prow, 0, len(r)), r...)
-	}
-	ar.release()
-
-	cp := &Checkpoint{
-		K: k, MinSup: minSup, NumTransactions: nCombined,
-		SalesRows: salesTotal, RPrimeRows: rPrimeRows, RRows: int64(len(r)),
-		Counts: res.Counts, Stats: res.Stats,
-		memRows: r,
-	}
-	cfg := PagedConfig{}.withDefaults()
-	if m.pool != nil {
-		cfg.PoolFrames = m.pool.Capacity()
-	}
-	st := newExecStepper(combined, m.opts, cfg, nil, autoStrategy())
-	st.ctx = m.ctx
-	if m.pool != nil {
-		st.attachPool(m.pool)
-	}
-	out, err := runPipelineFrom(m.ctx, combined, m.opts, st, m.onIter, cp)
-	if err != nil {
-		return nil, err
-	}
-	if m.opts.RetainBorder && !st.borderLost {
-		out.Border = m.assembleBorder(minSup, nCombined, k, st.borders, out)
-	}
-	out.Elapsed = time.Since(m.start)
-	return out, nil
-}
-
-// remine runs a plain full MineAuto over the combined dataset — the
-// degradation path when even the fallback's resident replay would not
-// fit the budget. Still one call, still correct, just not incremental.
-func (m *deltaMiner) remine(combined *Dataset) (*Result, error) {
-	out, err := MineAutoMonitored(m.ctx, combined, m.opts, m.pool, m.onIter)
-	if err != nil {
-		return nil, err
-	}
-	out.Elapsed = time.Since(m.start)
-	return out, nil
-}
-
-func (m *deltaMiner) combinedDataset() *Dataset {
+// remine is the fallback, whole: a cold MineAuto over base+delta under
+// the caller's options, pool and observer — what the delta prefix already
+// computed is dropped, and with RetainBorder the refreshed snapshot is the
+// one that cold mine retains. Still one call, still exact, just not
+// incremental: a fallback costs a cold mine plus the prefix already paid
+// (BenchmarkDeltaVsCold: 1.1–1.7x cold at one P).
+func (m *deltaMiner) remine() (*Result, error) {
 	txns := make([]Transaction, 0, len(m.base.Transactions)+len(m.delta.Transactions))
 	txns = append(txns, m.base.Transactions...)
 	txns = append(txns, m.delta.Transactions...)
-	return &Dataset{Transactions: txns}
+	out, err := MineAutoMonitored(m.ctx, &Dataset{Transactions: txns}, m.opts, m.pool, m.onIter)
+	if err != nil {
+		return nil, err
+	}
+	out.Elapsed = time.Since(m.start)
+	return out, nil
 }
 
-// assembleBorder builds the refreshed snapshot: levels 1..exact from the
-// delta merge, later levels (a fallback's resumed iterations) from the
-// executor's captured borders with frequent keys re-encoded from the
-// result. res is nil on the pure delta path (no resumed levels).
-func (m *deltaMiner) assembleBorder(minSup int64, nCombined, exact int, resumed []pkCounts, res *Result) *BorderSnapshot {
+// assembleBorder builds the pure delta path's refreshed snapshot: every
+// level's merged frequent set and border.
+func (m *deltaMiner) assembleBorder(minSup int64, nCombined int) *BorderSnapshot {
 	b := &BorderSnapshot{
 		MinSup:          minSup,
 		NumTransactions: nCombined,
@@ -400,23 +294,13 @@ func (m *deltaMiner) assembleBorder(minSup int64, nCombined, exact int, resumed 
 		MaxTid:          m.maxTid,
 		MaxPatternLen:   m.opts.MaxPatternLen,
 		Items:           m.dict.items,
-		Levels:          make([]BorderLevel, 0, exact+len(resumed)),
+		Levels:          make([]BorderLevel, len(m.freqs)),
 	}
-	for i := 0; i < exact; i++ {
-		b.Levels = append(b.Levels, BorderLevel{
-			FreqKeys: m.freqs[i].keys, FreqCounts: m.freqs[i].counts,
-			BorderKeys: m.borders[i].keys, BorderCounts: m.borders[i].counts,
-		})
-	}
-	for i, border := range resumed {
-		var freq pkCounts
-		if lvl := exact + i; res != nil && lvl < len(res.Counts) {
-			freq = encodeCounts(res.Counts[lvl], m.dict)
-		}
-		b.Levels = append(b.Levels, BorderLevel{
+	for i, freq := range m.freqs {
+		b.Levels[i] = BorderLevel{
 			FreqKeys: freq.keys, FreqCounts: freq.counts,
-			BorderKeys: border.keys, BorderCounts: border.counts,
-		})
+			BorderKeys: m.borders[i].keys, BorderCounts: m.borders[i].counts,
+		}
 	}
 	return b
 }
@@ -435,7 +319,7 @@ func extendDict(snap *BorderSnapshot, delta *Dataset) (*packDict, []uint64, erro
 				continue
 			}
 			seen[it] = struct{}{}
-			if !containsItem(snap.Items, it) {
+			if _, ok := slices.BinarySearch(snap.Items, it); !ok {
 				extra = append(extra, it)
 			}
 		}
@@ -446,7 +330,7 @@ func extendDict(snap *BorderSnapshot, delta *Dataset) (*packDict, []uint64, erro
 	merged := make([]int64, 0, len(snap.Items)+len(extra))
 	merged = append(merged, snap.Items...)
 	merged = append(merged, extra...)
-	sortItems(merged)
+	slices.Sort(merged)
 	dict := newPackDict(merged, len(delta.Transactions), nil)
 	if dict.bits != dictBits(len(snap.Items)) {
 		for k := range snap.Levels {
@@ -460,74 +344,6 @@ func extendDict(snap *BorderSnapshot, delta *Dataset) (*packDict, []uint64, erro
 		codeMap[i] = dict.code(it)
 	}
 	return dict, codeMap, nil
-}
-
-func containsItem(sorted []int64, it int64) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sorted[mid] < it {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == it
-}
-
-func sortItems(items []int64) {
-	// Items are few; insertion into sorted order via the stdlib keeps
-	// this dependency-light.
-	for i := 1; i < len(items); i++ {
-		v := items[i]
-		j := i - 1
-		for j >= 0 && items[j] > v {
-			items[j+1] = items[j]
-			j--
-		}
-		items[j+1] = v
-	}
-}
-
-// packTxns is packSales without the arena: per-transaction dedup and
-// code sort, rows globally ordered by (tid, code). Every item must be
-// in the dictionary (the delta miner extends it first).
-func packTxns(txns []Transaction, dict *packDict) []prow {
-	total := 0
-	for _, tx := range txns {
-		total += len(tx.Items)
-	}
-	rows := make([]prow, 0, total)
-	var scratch []uint64
-	for _, tx := range txns {
-		scratch = scratch[:0]
-		for _, it := range tx.Items {
-			scratch = append(scratch, dict.code(it))
-		}
-		for i := 1; i < len(scratch); i++ {
-			v := scratch[i]
-			j := i - 1
-			for j >= 0 && scratch[j] > v {
-				scratch[j+1] = scratch[j]
-				j--
-			}
-			scratch[j+1] = v
-		}
-		utid := uint64(tx.ID) ^ tidFlip
-		var prev uint64
-		for i, c := range scratch {
-			if i > 0 && c == prev {
-				continue
-			}
-			prev = c
-			rows = append(rows, prow{Tid: utid, Key: c})
-		}
-	}
-	if !prowsSorted(rows) {
-		tmp := make([]prow, len(rows))
-		xsort.RadixSortRows(rows, tmp)
-	}
-	return rows
 }
 
 // addPackedCounts sum-merges two ascending counted key runs.
@@ -562,12 +378,6 @@ func addPackedCounts(a, b pkCounts) pkCounts {
 		out.counts = append(out.counts, b.counts[j])
 	}
 	return out
-}
-
-// mergeDisjointCounts interleaves two ascending runs with no shared keys
-// (a level's frequent set and border).
-func mergeDisjointCounts(a, b pkCounts) pkCounts {
-	return addPackedCounts(a, b)
 }
 
 // hasNewKey reports whether ascending keys contains an entry absent

@@ -209,13 +209,12 @@ func TestMineDeltaForcedFallback(t *testing.T) {
 	}
 }
 
-// TestMineDeltaDeepFallbackReplay pins the seeded-resume path: in a run
-// six levels deep, a level-2 promotion sits in the first third of the
-// work, so the fallback replays the exact prefix with filter-only
-// extensions and resumes the executor from there (shallow runs take the
-// plain re-mine instead — see the cost gate in fallback). The refreshed
-// result and its border snapshot must both match a cold mine.
-func TestMineDeltaDeepFallbackReplay(t *testing.T) {
+// TestMineDeltaLevel2PromotionInDeepRun pins the fallback where the
+// deleted seeded-resume route used to run: in a run six levels deep a
+// level-2 promotion sits in the first third of the work. The fallback is
+// a cold re-mine of base+delta, so the refreshed result and its border
+// snapshot must both be exactly what a cold mine retains.
+func TestMineDeltaLevel2PromotionInDeepRun(t *testing.T) {
 	base := &Dataset{}
 	// 6x {1..6}: frequent at every level 1..6 at minsup 5 — a deep run.
 	for i := 0; i < 6; i++ {
@@ -228,7 +227,7 @@ func TestMineDeltaDeepFallbackReplay(t *testing.T) {
 	opts := Options{MinSupportCount: 5, RetainBorder: true}
 	snap := mineBorder(t, base, opts)
 	if len(snap.Levels) < 5 {
-		t.Fatalf("snapshot depth %d; want a deep run so the cost gate picks replay", len(snap.Levels))
+		t.Fatalf("snapshot depth %d; want a deep run", len(snap.Levels))
 	}
 	// The delta promotes {7,8} (4 -> 6): a level-2 border shift.
 	delta := &Dataset{Transactions: []Transaction{
@@ -245,13 +244,12 @@ func TestMineDeltaDeepFallbackReplay(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Counts, want.Counts) {
 		assertSameCounts(t, "deep-fallback", want, got)
-		t.Fatal("replayed fallback counts differ")
+		t.Fatal("fallback counts differ")
 	}
 	if got.Support([]int64{7, 8}) != 6 {
 		t.Fatalf("promoted pair support = %d, want 6", got.Support([]int64{7, 8}))
 	}
-	// The refreshed snapshot (exact prefix + resumed borders) matches
-	// the one a cold mine retains.
+	// The refreshed snapshot matches the one a cold mine retains.
 	assertSameBorder(t, want.Border, got.Border)
 }
 
@@ -337,9 +335,9 @@ func TestMineDeltaCancellation(t *testing.T) {
 	}
 }
 
-// TestMineDeltaBudgetDegradesToRemine pins the tiny-budget path: when
-// the resident fallback replay would blow the memory budget, MineDelta
-// degrades to a full spilling re-mine and still answers exactly.
+// TestMineDeltaBudgetDegradesToRemine pins the tiny-budget path: the
+// fallback re-mines under the caller's budget — a full spilling mine —
+// and still answers exactly.
 func TestMineDeltaBudgetDegradesToRemine(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	base, delta := deltaSplit(rng, 80, 80, 9, 7, 7)

@@ -5,9 +5,9 @@ package core
 // cardinalities — which is exactly what lets a DBMS *plan* each pass
 // instead of hard-coding a strategy. This file is that planner's engine
 // room: one stepper that, at the top of every pipeline iteration, picks
-// a strategy IR (IterPlan: kernel, memory regime, parallelism, exchange)
-// from the cardinalities the previous iteration observed, then executes
-// the iteration under it.
+// a strategy IR (IterPlan: kernel, memory regime, parallelism) from the
+// cardinalities the previous iteration observed, then executes the
+// iteration under it.
 //
 //   - kernel packed|generic: the bit-packed 64-bit key kernels while the
 //     pattern fits one word, the serial flat reference (resident) or the
@@ -15,13 +15,11 @@ package core
 //   - regime resident|spilled: arena-backed in-RAM slices versus
 //     budget-bounded spillable relations streaming to and from the page
 //     store as raw packed-page runs, an extent at a time (spill.go);
-//   - parallelism 1..N: the resident packed kernels fan out across chunk
-//     workers (arena.go); a budget-bounded pass is serial — one cursor,
-//     one appender, one key counter, sequential page access.
-//
-// This stepper always runs exchange "none"; "sharded" is the partitioned
-// driver's count-distribution exchange over the same packed kernels
-// (partition.go), a fixed plan of its own stepper.
+//   - parallelism 1..N: a resident packed pass cuts R_{k-1} into one
+//     contiguous chunk per worker, and each chunk of R'_k stays in its
+//     worker's buffer through the count and the filter (stepResident); a
+//     budget-bounded pass is serial — one cursor, one appender, one key
+//     counter, sequential page access.
 //
 // Every public driver is a thin wrapper over this stepper with either a
 // fixed plan (Mine, MineParallel, MinePaged) or the cost-model-driven
@@ -43,8 +41,8 @@ import (
 )
 
 // IterPlan is the per-iteration strategy IR the executor commits to at
-// the top of each SETM pass. Workers and Exchange describe native plans
-// only: a SQL pass always reports 1 and "none".
+// the top of each SETM pass. Workers describes native plans only: a SQL
+// pass always reports 1.
 type IterPlan struct {
 	// Kernel is "packed" (64-bit packed-key kernels) or "generic" (the
 	// int64 relation kernels, forced once k*bitsPerItem exceeds 64).
@@ -57,9 +55,6 @@ type IterPlan struct {
 	// a pass that streamed through the spillable relations (the spilled
 	// regime, and a resident plan whose inputs were still runs).
 	Workers int
-	// Exchange is "none" (single executor) or "sharded" (the partitioned
-	// driver's per-shard pipelines with a global count merge).
-	Exchange string
 	// Count is the packed count step's kernel, known once the pass has
 	// sized R'_k: "table" (direct-address counting table — the key space
 	// was narrow enough to replace the sort buffers) or "sort" (radix sort
@@ -69,16 +64,14 @@ type IterPlan struct {
 
 // IterPlan vocabulary.
 const (
-	KernelPacked    = "packed"
-	KernelGeneric   = "generic"
-	KernelSQL       = "sql"   // the SQL driver's engine-executed statements
-	KernelDelta     = "delta" // MineDelta's incremental count-merge pass
-	RegimeResident  = "resident"
-	RegimeSpilled   = "spilled"
-	ExchangeNone    = "none"
-	ExchangeSharded = "sharded"
-	CountTable      = "table" // direct-address counting table, no sort
-	CountSort       = "sort"  // radix sort (skipped when pre-sorted) + run count
+	KernelPacked   = "packed"
+	KernelGeneric  = "generic"
+	KernelSQL      = "sql"   // the SQL driver's engine-executed statements
+	KernelDelta    = "delta" // MineDelta's incremental count-merge pass
+	RegimeResident = "resident"
+	RegimeSpilled  = "spilled"
+	CountTable     = "table" // direct-address counting table, no sort
+	CountSort      = "sort"  // radix sort (skipped when pre-sorted) + run count
 )
 
 // String renders the plan compactly: "packed/spilled/4w/table".
@@ -89,9 +82,6 @@ func (p IterPlan) String() string {
 	s := p.Kernel + "/" + p.Regime + "/" + strconv.Itoa(p.Workers) + "w"
 	if p.Count != "" {
 		s += "/" + p.Count
-	}
-	if p.Exchange == ExchangeSharded {
-		s += "/sharded"
 	}
 	return s
 }
@@ -106,7 +96,7 @@ type strategyFunc func(costmodel.PlanInput) IterPlan
 // makes such a pass serial whatever workers says).
 func fixedStrategy(workers int, budgetBounded bool) strategyFunc {
 	return func(in costmodel.PlanInput) IterPlan {
-		p := IterPlan{Kernel: KernelPacked, Regime: RegimeResident, Workers: workers, Exchange: ExchangeNone}
+		p := IterPlan{Kernel: KernelPacked, Regime: RegimeResident, Workers: workers}
 		if !in.PackedOK {
 			p.Kernel = KernelGeneric
 		}
@@ -124,7 +114,7 @@ func fixedStrategy(workers int, budgetBounded bool) strategyFunc {
 func autoStrategy() strategyFunc {
 	return func(in costmodel.PlanInput) IterPlan {
 		c := costmodel.ChoosePlan(in)
-		p := IterPlan{Kernel: KernelPacked, Regime: RegimeResident, Workers: c.Workers, Exchange: ExchangeNone}
+		p := IterPlan{Kernel: KernelPacked, Regime: RegimeResident, Workers: c.Workers}
 		if !c.Packed {
 			p.Kernel = KernelGeneric
 		}
@@ -416,7 +406,7 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	}
 	ioStart, stStart := s.startIteration()
 
-	mem := packSales(s.d, s.dict, s.ar)
+	mem := packSales(s.d, s.dict, s.ar, plan.Workers)
 	salesRows := int64(len(mem))
 	s.salesTotal = salesRows
 
@@ -433,7 +423,7 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 			return nil, iterSizes{}, err
 		}
 	} else {
-		ck, plan.Count = s.countResident(mem, 1, s.countSup(minSup), plan.Workers, &skips)
+		ck, plan.Count = s.countResident(chunkRows(mem, plan.Workers), 1, s.countSup(minSup), &skips)
 	}
 	ck = s.splitBorder(ck, minSup)
 	c1 := decodePatterns(ck, 1, s.dict)
@@ -463,7 +453,7 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 		}
 		sz.pageIO += s.convIO
 		s.convIO = 0
-		sz.plan = IterPlan{Kernel: KernelGeneric, Regime: RegimeSpilled, Workers: 1, Exchange: ExchangeNone}
+		sz.plan = IterPlan{Kernel: KernelGeneric, Regime: RegimeSpilled, Workers: 1}
 		return ck, sz, nil
 	}
 
@@ -482,12 +472,21 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 	return s.stepStreaming(k, minSup, plan)
 }
 
-// stepResident is the in-RAM fast path: the packed kernels of pack.go on
-// arena-backed slices, fanned across workers by the chunk kernels of
-// arena.go when the plan says so. No budget machinery, no cursors.
+// stepResident is the in-RAM fast path, and the one place sort → extend
+// → count → filter is written for resident rows: the packed kernels of
+// pack.go on arena-backed slices. No budget machinery, no cursors.
+//
+// The pass is independent per transaction, so it fans out by cutting
+// R_{k-1} into the plan's chunks (chunkRows). Chunk i is extended into
+// worker slot i and stays there through the count and the filter: R'_k,
+// the pass's largest relation by an order of magnitude, is never
+// gathered; only R_k's survivors are, so the next pass, checkpoints and
+// the border see one contiguous relation. One chunk (a serial plan, or
+// fewer than parallelMinRows rows) is the serial pass: slot 0, the filter
+// straight into rkBuf, no goroutine.
 func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
 	ioStart, stStart := s.startIteration()
-	rk, join := s.rk.mem, s.join.mem
+	rk, join, ar, bits := s.rk.mem, s.join.mem, s.ar, s.dict.bits
 
 	var skips int64
 	// sort R_{k-1} on (trans_id, items): the previous filter preserved
@@ -495,61 +494,80 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	if prowsSorted(rk) {
 		skips++
 	} else {
-		s.ar.rowsTmp = growProws(s.ar.rowsTmp, len(rk))
-		xsort.RadixSortRows(rk, s.ar.rowsTmp)
+		ar.rowsTmp = growProws(ar.rowsTmp, len(rk))
+		xsort.RadixSortRows(rk, ar.rowsTmp)
 	}
 
-	// R'_k := merge-scan(R_{k-1}, R_1).
-	var rPrime []prow
-	if plan.Workers > 1 && len(rk) >= parallelMinRows {
-		rPrime = extendParallelPacked(rk, join, s.dict.bits, plan.Workers, s.ar)
-	} else {
-		if cap(s.ar.ext) == 0 {
-			// A cold arena would grow R'_k by append: four times its final
-			// size in abandoned copies, freed whenever the collector gets
-			// to them, which makes the process's peak RSS differ by 100+ MB
-			// from one run to the next. Count once, allocate once.
-			s.ar.ext = make([]prow, 0, packedExtendRows(rk, join, s.dict.bits))
+	// R'_k := merge-scan(R_{k-1}, R_1), chunk by chunk against the window
+	// of R_1 covering the chunk's transactions.
+	chunks := chunkRows(rk, plan.Workers)
+	W := len(chunks)
+	ar.workerSlots(W)
+	rPrime := ar.wRows[:W]
+	eachChunk(W, func(i int) {
+		part, side := chunks[i], join
+		if W > 1 {
+			side = packedSalesWindow(join, part[0].Tid, part[len(part)-1].Tid)
 		}
-		rPrime = packedExtend(rk, join, s.dict.bits, s.ar.ext[:0])
+		if cap(rPrime[i]) == 0 {
+			// A cold buffer would grow by append: four times its final size
+			// in abandoned copies, freed whenever the collector gets to
+			// them, which makes the process's peak RSS differ by 100+ MB
+			// from one run to the next. Count once, allocate once.
+			rPrime[i] = make([]prow, 0, packedExtendRows(part, side, bits))
+		}
+		rPrime[i] = packedExtend(part, side, bits, rPrime[i][:0])
+	})
+	var rPrimeRows int64
+	for _, c := range rPrime {
+		rPrimeRows += int64(len(c))
 	}
-	s.ar.ext = rPrime
 
 	// C_k: count the key column of R'_k (on a table when the key space
-	// is narrow, else by sorting a clone), apply the support threshold.
-	ck, kernel := s.countResident(rPrime, k, s.countSup(minSup), plan.Workers, &skips)
+	// is narrow, else by sorting a clone) chunk by chunk, merge, apply the
+	// support threshold.
+	ck, kernel := s.countResident(rPrime, k, s.countSup(minSup), &skips)
 	plan.Count = kernel
 	ck = s.splitBorder(ck, minSup)
 	cOut := decodePatterns(ck, k, s.dict)
 
 	// R_k := filter R'_k by C_k. Filtering preserves (trans_id, items)
-	// order, so the paper's post-filter sort is provably unnecessary.
-	bm := buildKeyBitmap(ck.keys, uint(k)*s.dict.bits, s.ar)
-	var out []prow
-	if plan.Workers > 1 && len(rPrime) >= parallelMinRows {
-		out = filterParallelPacked(rPrime, ck.keys, bm, plan.Workers, s.ar)
-	} else if bm != nil && len(ck.keys) > 0 {
-		out = packedFilterBitmap(rPrime, bm, s.ar.rkBuf[:0])
-	} else {
-		out = packedFilter(rPrime, ck.keys, s.ar.rkBuf[:0])
+	// order within a chunk and the chunks are gathered in R_{k-1}'s order,
+	// so the paper's post-filter sort is provably unnecessary.
+	bm := buildKeyBitmap(ck.keys, uint(k)*bits, ar)
+	filter := func(rows, out []prow) []prow {
+		if bm != nil && len(ck.keys) > 0 {
+			return packedFilterBitmap(rows, bm, out)
+		}
+		return packedFilter(rows, ck.keys, out)
 	}
-	s.ar.rkBuf = out
+	out := ar.rkBuf[:0]
+	if W == 1 {
+		out = filter(rPrime[0], out)
+	} else {
+		keep := ar.wKeep[:W]
+		eachChunk(W, func(i int) { keep[i] = filter(rPrime[i], keep[i][:0]) })
+		for _, c := range keep {
+			out = append(out, c...)
+		}
+	}
+	ar.rkBuf = out
 	skips++
 	s.rk = memSrel(out)
 
 	s.pres.RPages = append(s.pres.RPages, s.rk.pages())
-	s.pres.RPrimePages = append(s.pres.RPrimePages, int(costmodel.PackedPages(int64(len(rPrime)), costmodel.PackedRowBytes)))
-	sz := iterSizes{rPrime: int64(len(rPrime)), rRows: s.rk.rows(), sortSkips: skips, plan: plan}
+	s.pres.RPrimePages = append(s.pres.RPrimePages, int(costmodel.PackedPages(rPrimeRows, costmodel.PackedRowBytes)))
+	sz := iterSizes{rPrime: rPrimeRows, rRows: s.rk.rows(), sortSkips: skips, plan: plan}
 	s.endIteration(&sz, ioStart, stStart)
 	s.observe(sz)
 	return cOut, sz, nil
 }
 
-// countResident runs the in-RAM count kernel over rows into the
-// stepper's reused C_k buffers.
-func (s *execStepper) countResident(rows []prow, k int, minSup int64, workers int, skips *int64) (pkCounts, string) {
+// countResident runs the in-RAM count kernel over a pass's chunks into
+// the stepper's reused C_k buffers.
+func (s *execStepper) countResident(chunks [][]prow, k int, minSup int64, skips *int64) (pkCounts, string) {
 	dst := pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]}
-	ck, kernel := countRows(rows, s.dict, k, minSup, workers, s.ar, dst, skips)
+	ck, kernel := countRows(chunks, s.dict, k, minSup, s.ar, dst, skips)
 	s.ck = ck
 	return ck, kernel
 }
@@ -573,8 +591,9 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	// inherits (trans_id, items) order, so it spills as one sequential run
 	// with no sort. The key column is counted on the fly (fused with the
 	// extension), saving a full re-read of R'_k. The appender reuses the
-	// arena's extension buffer for its resident portion.
-	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st, mem: s.ar.ext[:0]}
+	// arena's serial extension buffer (slot 0) for its resident portion.
+	s.ar.workerSlots(1)
+	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st, mem: s.ar.wRows[0][:0]}
 	defer app.abort(s.pool) // no-op once finished
 	kc := s.keyCounterFor(k, capK)
 	defer s.stashKeyCounter(kc)
@@ -958,7 +977,7 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 		// reloaded relation to the wide-pattern fallback as usual.)
 		return iterSizes{}, fmt.Errorf("%w: checkpoint k=%d but packed keys end at k=%d", ErrCheckpoint, cp.K, s.dict.maxPackedK())
 	}
-	mem := packSales(s.d, s.dict, s.ar)
+	mem := packSales(s.d, s.dict, s.ar, plan.Workers)
 	s.salesTotal = int64(len(mem))
 	if cp.SalesRows != s.salesTotal {
 		return iterSizes{}, fmt.Errorf("%w: packed SALES has %d rows, manifest says %d", ErrCheckpoint, s.salesTotal, cp.SalesRows)

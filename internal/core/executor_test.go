@@ -39,7 +39,7 @@ func execDataset(seed int64, txns int) *Dataset {
 // says, regardless of the host's CPU count.
 func forcedStrategy(workers int) strategyFunc {
 	return func(in costmodel.PlanInput) IterPlan {
-		p := IterPlan{Kernel: KernelPacked, Regime: RegimeSpilled, Workers: workers, Exchange: ExchangeNone}
+		p := IterPlan{Kernel: KernelPacked, Regime: RegimeSpilled, Workers: workers}
 		if in.Budget <= 0 {
 			p.Regime = RegimeResident
 		}
@@ -243,8 +243,7 @@ func TestAutoRecordsPlans(t *testing.T) {
 
 // TestFixedDriversRecordPlans pins the wrappers' fixed plans in the
 // stats: Mine is packed/resident/1w, MineParallel carries its worker
-// count, MinePaged is spilled under its default budget, and the
-// partitioned driver reports the sharded exchange.
+// count, MinePaged is spilled under its default budget.
 func TestFixedDriversRecordPlans(t *testing.T) {
 	d := PaperExample()
 	opts := Options{MinSupportFrac: 0.3}
@@ -271,14 +270,6 @@ func TestFixedDriversRecordPlans(t *testing.T) {
 	}
 	if p := paged.Stats[0].Plan; p.Regime != RegimeSpilled || p.Kernel != KernelPacked {
 		t.Errorf("MinePaged plan = %+v", p)
-	}
-
-	part, err := MinePartitioned(d, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := part.Stats[0].Plan; p.Exchange != ExchangeSharded || p.Workers != 4 {
-		t.Errorf("MinePartitioned plan = %+v", p)
 	}
 
 	sqlRes, err := MineSQL(d, opts, SQLConfig{})

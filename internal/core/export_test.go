@@ -32,3 +32,7 @@ func SetClock(clock func() time.Time) (restore func()) {
 	now = clock
 	return func() { now = prev }
 }
+
+// AssertSameBorder is the semantic snapshot comparison of delta_test.go,
+// for the external conformance suite.
+var AssertSameBorder = assertSameBorder

@@ -59,7 +59,7 @@ func FuzzMine(f *testing.F) {
 	f.Add([]byte{10, 20, 30, 40, 50, 0, 10, 20, 30, 0, 10, 20}, uint8(2), uint8(1))
 	f.Add([]byte{1}, uint8(1), uint8(0))
 	f.Add([]byte{255, 254, 253, 0, 255, 254, 0, 255}, uint8(3), uint8(7))
-	f.Fuzz(func(t *testing.T, data []byte, minSup, shards uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, minSup, workers uint8) {
 		d := fuzzDataset(data)
 		if d == nil {
 			return
@@ -107,16 +107,11 @@ func FuzzMine(f *testing.F) {
 		}
 
 		// Cross-driver agreement on the full result.
-		par, err := MineParallel(d, opts, 2)
+		par, err := MineParallel(d, opts, int(workers%5)+1)
 		if err != nil {
 			t.Fatalf("MineParallel: %v", err)
 		}
 		fuzzSameCounts(t, "parallel", res, par)
-		part, err := MinePartitioned(d, opts, int(shards%5)+1)
-		if err != nil {
-			t.Fatalf("MinePartitioned: %v", err)
-		}
-		fuzzSameCounts(t, "partitioned", res, part)
 
 		// Packed engine vs the generic oracle on the same run.
 		gen := opts
@@ -228,8 +223,8 @@ func FuzzPackedKernels(f *testing.F) {
 			}
 			var a1, a2 mineArena
 			var s1, s2 int64
-			got, _ := countRows(rows, dict, k, ms, 1, &a1, pkCounts{}, &s1)
-			want, kernel := countRows(rows, sortDict(dict), k, ms, 1, &a2, pkCounts{}, &s2)
+			got, _ := countRows([][]prow{rows}, dict, k, ms, &a1, pkCounts{}, &s1)
+			want, kernel := countRows([][]prow{rows}, sortDict(dict), k, ms, &a2, pkCounts{}, &s2)
 			if kernel != CountSort || !samePkCounts(got, want) {
 				t.Fatalf("minSup=%d: countRows disagrees with its sort kernel (%s)", ms, kernel)
 			}

@@ -63,7 +63,7 @@ func (s *flatStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 // plan is the fixed strategy IR the generic in-memory substrate runs
 // under, recorded per iteration like the executor's.
 func (s *flatStepper) plan() IterPlan {
-	return IterPlan{Kernel: KernelGeneric, Regime: RegimeResident, Workers: 1, Exchange: ExchangeNone}
+	return IterPlan{Kernel: KernelGeneric, Regime: RegimeResident, Workers: 1}
 }
 
 func (s *flatStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {

@@ -24,9 +24,9 @@ package core
 //     buffers it replaces — 16 B per key, i.e. 16*|R'_k| resident and
 //     2*8*capKeys under a memory budget — and the key space is within
 //     maxCountTableBits. Every packed count site (resident serial and
-//     chunk-parallel, spilled key counters, partitioned shards, the delta
-//     miner) goes through countRows / keyCounter, which share the two
-//     kernels below. Measured on bench/ (seed 3, 15 s, one CPU):
+//     fanned out, spilled key counters, the delta miner) goes through
+//     countRows / keyCounter, which share the two kernels below.
+//     Measured on bench/ (seed 3, 15 s, one CPU):
 //     mine_p50_s quest-resident 0.32 -> 0.125 s over three alternating
 //     pairs, quest-spilled 0.90 -> 0.36 s (a mine writes 7 runs instead
 //     of 31), retail-resident 14.0 -> 9.3 ms;
@@ -40,7 +40,6 @@ package core
 import (
 	"math/bits"
 	"slices"
-	"sync"
 
 	"setm/internal/costmodel"
 	"setm/internal/storage"
@@ -193,41 +192,43 @@ func (d *packDict) maxPackedK() int { return int(64 / d.bits) }
 
 // packSales builds the packed R_1 = SALES(trans_id, item code), items
 // deduplicated per transaction and rows globally sorted by
-// (trans_id, code) — the packed twin of salesRelation.
-func packSales(d *Dataset, dict *packDict, ar *mineArena) []prow {
+// (trans_id, code) — the packed twin of salesRelation. With workers > 1
+// (and enough rows to pay for it) the transactions are packed in that
+// many ranges concurrently, each into the stretch of the buffer its items
+// would fill if none were duplicates, and the gaps deduplication left are
+// closed afterwards.
+func packSales(d *Dataset, dict *packDict, ar *mineArena, workers int) []prow {
+	txns := d.Transactions
 	total := 0
-	for _, tx := range d.Transactions {
+	for _, tx := range txns {
 		total += len(tx.Items)
 	}
-	ar.salesBuf = growProws(ar.salesBuf, total)
-	rows := ar.salesBuf[:0]
-	scratch := ar.txItems[:0]
-	for _, tx := range d.Transactions {
-		scratch = scratch[:0]
-		for _, it := range tx.Items {
-			scratch = append(scratch, dict.code(it))
-		}
-		// Baskets are short; insertion sort beats the generic sort here.
-		for i := 1; i < len(scratch); i++ {
-			v := scratch[i]
-			j := i - 1
-			for j >= 0 && scratch[j] > v {
-				scratch[j+1] = scratch[j]
-				j--
-			}
-			scratch[j+1] = v
-		}
-		utid := uint64(tx.ID) ^ tidFlip
-		var prev uint64
-		for i, c := range scratch {
-			if i > 0 && c == prev {
-				continue
-			}
-			prev = c
-			rows = append(rows, prow{Tid: utid, Key: c})
+	W := 1
+	if workers > 1 && total >= parallelMinRows {
+		W = min(workers, len(txns))
+	}
+	ar.workerSlots(W)
+	buf := growProws(ar.salesBuf, total)
+	per := (len(txns) + W - 1) / W
+	ranges, offs, parts := make([][]Transaction, W), make([]int, W), make([][]prow, W)
+	for i, off := 0, 0; i < W; i++ {
+		ranges[i] = txns[min(i*per, len(txns)):min((i+1)*per, len(txns))]
+		offs[i] = off
+		for _, tx := range ranges[i] {
+			off += len(tx.Items)
 		}
 	}
-	ar.txItems = scratch
+	eachChunk(W, func(i int) {
+		parts[i] = packBaskets(ranges[i], dict, buf[offs[i]:offs[i]], &ar.wTmp[i])
+	})
+	rows := parts[0]
+	for i := 1; i < W; i++ {
+		if len(rows) == offs[i] {
+			rows = rows[:len(rows)+len(parts[i])] // no gap before this stretch
+		} else {
+			rows = append(rows, parts[i]...) // leftwards within buf; copy handles the overlap
+		}
+	}
 	ar.salesBuf = rows
 	if !prowsSorted(rows) {
 		ar.rowsTmp = growProws(ar.rowsTmp, len(rows))
@@ -236,8 +237,47 @@ func packSales(d *Dataset, dict *packDict, ar *mineArena) []prow {
 	return rows
 }
 
+// packBaskets appends the packed rows of txns to out — a transaction's
+// items encoded, sorted and deduplicated through *scratch — and returns it.
+func packBaskets(txns []Transaction, dict *packDict, out []prow, scratch *[]uint64) []prow {
+	codes := (*scratch)[:0]
+	for _, tx := range txns {
+		codes = codes[:0]
+		for _, it := range tx.Items {
+			codes = append(codes, dict.code(it))
+		}
+		// Baskets are short; insertion sort beats the generic sort here.
+		for i := 1; i < len(codes); i++ {
+			v := codes[i]
+			j := i - 1
+			for j >= 0 && codes[j] > v {
+				codes[j+1] = codes[j]
+				j--
+			}
+			codes[j+1] = v
+		}
+		utid := uint64(tx.ID) ^ tidFlip
+		var prev uint64
+		for i, c := range codes {
+			if i > 0 && c == prev {
+				continue
+			}
+			prev = c
+			out = append(out, prow{Tid: utid, Key: c})
+		}
+	}
+	*scratch = codes
+	return out
+}
+
 // prowsSorted reports whether rows are ordered by (tid, key) — the
-// sortedness pre-scan that lets steppers skip the paper's re-sorts.
+// sortedness pre-scan that lets steppers skip the paper's re-sorts. It is
+// 16% of a retail mine and stays out of line: inlined into stepResident
+// the loop is compiled with that function's registers and placement and
+// moves with every edit there (9.03 -> 9.18 ms a retail mine across PR
+// 27's edit; 8.78 out of line).
+//
+//go:noinline
 func prowsSorted(rows []prow) bool {
 	for i := 1; i < len(rows); i++ {
 		a, b := rows[i-1], rows[i]
@@ -364,9 +404,9 @@ func packedCountRuns(keys []uint64, minSup int64, dst pkCounts) pkCounts {
 	return dst
 }
 
-// mergePackedCounts merges per-chunk (or per-shard) packed count lists,
-// summing counts of keys that appear in several lists and keeping those
-// meeting minSup — the packed twin of mergeFlatCounts. Appends to dst.
+// mergePackedCounts merges per-chunk packed count lists, summing counts
+// of keys that appear in several lists and keeping those meeting minSup —
+// the packed twin of mergeFlatCounts. Appends to dst.
 func mergePackedCounts(parts []pkCounts, minSup int64, dst pkCounts) pkCounts {
 	heads := make([]int, len(parts))
 	for {
@@ -457,41 +497,26 @@ func sortCountKeys(keys []uint64, tmp *[]uint64, minSup int64, dst pkCounts, ski
 }
 
 // countRows is the count step over resident rows: C_k at minSup from
-// the keys of rows (R'_k, or SALES at k=1), appended to dst, plus the
-// kernel that ran. Narrow key spaces count straight off the rows into
-// the arena's table(s) — one per worker, summed element-wise — and a
-// table-counted pass tallies one skipped sort; otherwise the key column
-// is cloned into the arena and sorted, per chunk when fanned out, with
-// the per-chunk counts merged under the threshold.
-func countRows(rows []prow, dict *packDict, k int, minSup int64, workers int, ar *mineArena, dst pkCounts, skips *int64) (pkCounts, string) {
-	var bounds [][2]int
-	if workers > 1 && len(rows) >= parallelMinRows {
-		bounds = evenChunks(len(rows), workers)
-	}
-	if len(bounds) <= 1 {
-		bounds = [][2]int{{0, len(rows)}}
-	}
-	W := len(bounds)
+// the keys of chunks (R'_k as the pass's workers hold it, or SALES at
+// k=1; one chunk is the serial count), appended to dst, plus the kernel
+// that ran. Narrow key spaces count straight off the rows into the
+// arena's tables — one per chunk, summed element-wise — and a
+// table-counted pass tallies one skipped sort; otherwise each chunk's key
+// column is cloned into the arena and sorted, and the per-chunk counts
+// are merged under the threshold. The kernel rule is applied per chunk —
+// a chunk's table against the keys that chunk counts — on the longest.
+func countRows(chunks [][]prow, dict *packDict, k int, minSup int64, ar *mineArena, dst pkCounts, skips *int64) (pkCounts, string) {
+	W := len(chunks)
 	ar.workerSlots(W)
-	eachChunk := func(fn func(i int, b [2]int)) {
-		if W == 1 {
-			fn(0, bounds[0])
-			return
-		}
-		var wg sync.WaitGroup
-		for i, b := range bounds {
-			wg.Add(1)
-			go func(i int, b [2]int) {
-				defer wg.Done()
-				fn(i, b)
-			}(i, b)
-		}
-		wg.Wait()
+	total, longest := 0, 0
+	for _, c := range chunks {
+		total += len(c)
+		longest = max(longest, len(c))
 	}
 
-	if cells := dict.countTableCells(k); countTableFits(cells, bounds[0][1]) {
-		eachChunk(func(i int, b [2]int) {
-			ar.wTab[i] = tableCountRows(rows[b[0]:b[1]], ar.wTab[i], cells)
+	if cells := dict.countTableCells(k); countTableFits(cells, longest) {
+		eachChunk(W, func(i int) {
+			ar.wTab[i] = tableCountRows(chunks[i], ar.wTab[i], cells)
 		})
 		acc := ar.wTab[0]
 		for _, tab := range ar.wTab[1:W] {
@@ -503,23 +528,31 @@ func countRows(rows []prow, dict *packDict, k int, minSup int64, workers int, ar
 		return emitCountTable(acc, minSup, dst), CountTable
 	}
 
-	keys := growU64(ar.keys, len(rows))
+	keys := growU64(ar.keys, total)
 	ar.keys = keys
-	for i, r := range rows {
-		keys[i] = r.Key
-	}
 	if W == 1 {
+		for i, r := range chunks[0] {
+			keys[i] = r.Key
+		}
 		return sortCountKeys(keys, &ar.keysTmp, minSup, dst, skips), CountSort
 	}
-	eachChunk(func(i int, b [2]int) {
+	starts := make([]int, W)
+	for i := 1; i < W; i++ {
+		starts[i] = starts[i-1] + len(chunks[i-1])
+	}
+	eachChunk(W, func(i int) {
+		part := keys[starts[i] : starts[i]+len(chunks[i])]
+		for j, r := range chunks[i] {
+			part[j] = r.Key
+		}
 		ar.wSkips[i] = 0
-		ar.wCounts[i] = sortCountKeys(keys[b[0]:b[1]], &ar.wTmp[i], 1, pkCounts{
+		ar.wCounts[i] = sortCountKeys(part, &ar.wTmp[i], 1, pkCounts{
 			keys:   ar.wCounts[i].keys[:0],
 			counts: ar.wCounts[i].counts[:0],
 		}, &ar.wSkips[i])
 	})
-	for i := range bounds {
-		*skips += ar.wSkips[i]
+	for _, n := range ar.wSkips[:W] {
+		*skips += n
 	}
 	return mergePackedCounts(ar.wCounts[:W], minSup, dst), CountSort
 }

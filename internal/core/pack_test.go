@@ -142,20 +142,26 @@ func signedDataset(seed int64, txns, maxLen, nItems int) *Dataset {
 }
 
 func TestPackSalesMatchesSalesRelation(t *testing.T) {
-	d := signedDataset(21, 60, 9, 30)
-	want := salesRelation(d)
-	ar := newMineArena()
-	defer ar.release()
-	dict := buildDict(d, ar)
-	rows := packSales(d, dict, ar)
-	got := unpackRel(rows, 1, dict)
-	if !slices.Equal(got.data, want.data) {
-		t.Fatalf("packed sales mismatch:\ngot  %v\nwant %v", got.data, want.data)
+	// The second data set is long enough to be packed in ranges, and its
+	// baskets repeat items, so deduplication leaves gaps between the
+	// ranges' stretches that packSales must close.
+	for _, d := range []*Dataset{signedDataset(21, 60, 9, 30), signedDataset(22, 900, 9, 12)} {
+		want := salesRelation(d)
+		for _, workers := range []int{1, 2, 3, 7, 5000} {
+			ar := newMineArena()
+			dict := buildDict(d, ar)
+			rows := packSales(d, dict, ar, workers)
+			got := unpackRel(rows, 1, dict)
+			if !slices.Equal(got.data, want.data) {
+				t.Fatalf("%d transactions, %d workers: packed sales mismatch:\ngot  %v\nwant %v", len(d.Transactions), workers, got.data, want.data)
+			}
+			ar.release()
+		}
 	}
 }
 
 // TestPackedMatchesGenericDrivers pins the packed engine to the generic
-// kernels on random data across the three in-memory drivers.
+// kernels on random data across the in-memory drivers.
 func TestPackedMatchesGenericDrivers(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		d := signedDataset(seed, 90, 10, 24)
@@ -167,9 +173,8 @@ func TestPackedMatchesGenericDrivers(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, mine := range map[string]func() (*Result, error){
-				"memory":      func() (*Result, error) { return MineMemory(d, packed) },
-				"parallel":    func() (*Result, error) { return MineParallel(d, packed, 3) },
-				"partitioned": func() (*Result, error) { return MinePartitioned(d, packed, 3) },
+				"memory":   func() (*Result, error) { return MineMemory(d, packed) },
+				"parallel": func() (*Result, error) { return MineParallel(d, packed, 3) },
 			} {
 				got, err := mine()
 				if err != nil {
@@ -192,9 +197,8 @@ func TestGenericIsOneReference(t *testing.T) {
 	}
 	generic := Options{MinSupportCount: 4, DisablePackedKernels: true}
 	for name, mine := range map[string]func() (*Result, error){
-		"memory":        func() (*Result, error) { return MineMemory(d, generic) },
-		"parallel-3":    func() (*Result, error) { return MineParallel(d, generic, 3) },
-		"partitioned-4": func() (*Result, error) { return MinePartitioned(d, generic, 4) },
+		"memory":     func() (*Result, error) { return MineMemory(d, generic) },
+		"parallel-3": func() (*Result, error) { return MineParallel(d, generic, 3) },
 		"auto-4w": func() (*Result, error) {
 			o := generic
 			o.MaxWorkers = 4
@@ -255,11 +259,6 @@ func TestPackedWideDomainFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	fuzzSameCounts(t, "memory-fallback", want, got)
-	gotPart, err := MinePartitioned(d, opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fuzzSameCounts(t, "partitioned-fallback", want, gotPart)
 	gotPar, err := MineParallel(d, opts, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -267,60 +266,57 @@ func TestPackedWideDomainFallback(t *testing.T) {
 	fuzzSameCounts(t, "parallel-fallback", want, gotPar)
 }
 
-// TestPartitionedHandOff drives the sharded stepper across the packed
-// boundary: at k = maxPackedK+1 every shard row (and only those) lands in
-// one tid-sorted flat relation, the shard and dictionary arenas go back
-// to the pool, and the flat reference finishes the run.
-func TestPartitionedHandOff(t *testing.T) {
+// TestParallelHandOffReturnsArena drives the fanned-out executor across
+// the packed boundary: packed/resident/4w through k = maxPackedK, then at
+// maxPackedK+1 every live row (and only those) lands in the one serial
+// flat reference, sorted, the arena goes back to the pool, and the flat
+// reference finishes the pass with the reference's cardinalities.
+func TestParallelHandOffReturnsArena(t *testing.T) {
 	d, maxK, _ := wideDomainDataset(t)
 	const minSup = 25
+	opts := Options{MinSupportCount: minSup}
 	want, err := MineMemory(d, Options{MinSupportCount: minSup, DisablePackedKernels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &partitionStepper{d: d, opts: Options{MinSupportCount: minSup}, nshards: 4}
+	s := newExecStepper(d, opts, PagedConfig{}.withDefaults(), nil, fixedStrategy(4, false))
+	defer s.release()
 	if _, _, err := s.init(minSup); err != nil {
 		t.Fatal(err)
+	}
+	if len(s.rk.mem) < parallelMinRows {
+		t.Fatalf("setup: |R_1| = %d never fans out", len(s.rk.mem))
 	}
 	var sz iterSizes
 	for k := 2; k <= maxK; k++ {
 		if _, sz, err = s.step(k, minSup); err != nil {
 			t.Fatal(err)
 		}
-		if s.flat != nil || sz.plan.Exchange != ExchangeSharded {
-			t.Fatalf("k=%d: left the sharded packed plan early (%s)", k, sz.plan)
+		if s.fbFlat != nil || sz.plan.Kernel != KernelPacked || sz.plan.Workers != 4 {
+			t.Fatalf("k=%d: left the fanned-out packed plan early (%s)", k, sz.plan)
 		}
 	}
-	var rkRows, joinRows int
-	for _, sh := range s.shards {
-		rkRows += len(sh.prk)
-		joinRows += len(sh.pjoin)
-	}
+	rkRows, joinRows := len(s.rk.mem), len(s.join.mem)
 	if int64(rkRows) != sz.rRows || sz.rRows != want.Stats[maxK-1].RRows {
-		t.Fatalf("k=%d: shards hold %d rows, pass reported %d, reference %d", maxK, rkRows, sz.rRows, want.Stats[maxK-1].RRows)
+		t.Fatalf("k=%d: executor holds %d rows, pass reported %d, reference %d", maxK, rkRows, sz.rRows, want.Stats[maxK-1].RRows)
 	}
 
 	ck, sz, err := s.step(maxK+1, minSup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.flat == nil || sz.plan.String() != "generic/resident/1w" {
+	if s.fbFlat == nil || sz.plan.String() != "generic/resident/1w" {
 		t.Fatalf("k=%d: plan %q, want the flat reference", maxK+1, sz.plan)
 	}
-	if got := s.flat.joinSide.rows(); got != joinRows || !relationSorted(s.flat.joinSide, 0) {
-		t.Errorf("join side: %d rows (sorted=%v), shards held %d", got, relationSorted(s.flat.joinSide, 0), joinRows)
+	if got := s.fbFlat.joinSide.rows(); got != joinRows || !relationSorted(s.fbFlat.joinSide, 0) {
+		t.Errorf("join side: %d rows (sorted=%v), executor held %d", got, relationSorted(s.fbFlat.joinSide, 0), joinRows)
 	}
 	if st := want.Stats[maxK]; sz.rPrime != st.RPrimeRows || sz.rRows != st.RRows || len(ck) != st.CCount {
 		t.Errorf("k=%d: |R'|=%d |R|=%d |C|=%d, reference %d/%d/%d — rows lost in the hand-off",
 			maxK+1, sz.rPrime, sz.rRows, len(ck), st.RPrimeRows, st.RRows, st.CCount)
 	}
-	if s.dict != nil || s.dictAr != nil {
-		t.Error("dictionary arena still held after the hand-off")
-	}
-	for i, sh := range s.shards {
-		if sh.ar != nil || sh.prk != nil || sh.pjoin != nil || sh.psales != nil {
-			t.Errorf("shard %d still holds packed state after the hand-off", i)
-		}
+	if s.ar != nil || s.dict != nil || s.rk != nil || s.join != nil || s.sales != nil {
+		t.Error("packed state or arena still held after the hand-off")
 	}
 }
 
@@ -376,7 +372,7 @@ func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 	d := signedDataset(11, 3000, 10, 50)
 	ar := new(mineArena)
 	dict := buildDict(d, ar)
-	sales := packSales(d, dict, ar)
+	sales := packSales(d, dict, ar, 1)
 	ext := packedExtend(sales, sales, dict.bits, nil)
 	if got := packedExtendRows(sales, sales, dict.bits); got != len(ext) || got == 0 {
 		t.Fatalf("packedExtendRows = %d, packedExtend made %d rows", got, len(ext))
@@ -390,9 +386,55 @@ func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 	if _, _, err := st.init(40); err != nil {
 		t.Fatal(err)
 	}
-	st.ar.ext = nil // cold, whatever the pool held
-	if _, sz, err := st.step(2, 40); err != nil || int(sz.rPrime) != len(ext) || cap(st.ar.ext) != len(ext) {
-		t.Fatalf("cold step 2: |R'_2| = %d, cap(ext) = %d, want both %d (err %v)", sz.rPrime, cap(st.ar.ext), len(ext), err)
+	st.ar.wRows[0] = nil // cold, whatever the pool held
+	if _, sz, err := st.step(2, 40); err != nil || int(sz.rPrime) != len(ext) || cap(st.ar.wRows[0]) != len(ext) {
+		t.Fatalf("cold step 2: |R'_2| = %d, cap(wRows[0]) = %d, want both %d (err %v)", sz.rPrime, cap(st.ar.wRows[0]), len(ext), err)
+	}
+}
+
+// TestParallelPassHoldsOneRPrime pins what the fan-out is for: a
+// two-worker pass keeps each chunk of R'_k in the slot it was extended
+// into, so an arena with cold slots ends the mine holding one R'_k — not the chunks
+// and a gathered copy of them, which is 2x — and each cold slot was sized
+// by packedExtendRows, not grown to.
+func TestParallelPassHoldsOneRPrime(t *testing.T) {
+	d := signedDataset(17, 9000, 12, 60)
+	const minSup = 30
+	s := newExecStepper(d, Options{MinSupportCount: minSup}, PagedConfig{}.withDefaults(), nil, fixedStrategy(2, false))
+	if _, _, err := s.init(minSup); err != nil {
+		t.Fatal(err)
+	}
+	defer s.release()
+	clear(s.ar.wRows) // cold slots: nothing a pooled arena's last mine left behind
+	var maxRPrime int64
+	for k := 2; ; k++ {
+		ck, sz, err := s.step(k, minSup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 2 {
+			if sz.rPrime < 100_000 {
+				t.Fatalf("setup: |R'_2| = %d, want >= 100k", sz.rPrime)
+			}
+			var held int64
+			for _, c := range s.ar.wRows[:2] {
+				held += int64(cap(c))
+			}
+			if held != sz.rPrime {
+				t.Errorf("cold slots hold %d rows for an R'_2 of %d: not sized by packedExtendRows", held, sz.rPrime)
+			}
+		}
+		maxRPrime = max(maxRPrime, sz.rPrime)
+		if len(ck) == 0 {
+			break
+		}
+	}
+	var held int64
+	for _, c := range s.ar.wRows {
+		held += int64(cap(c))
+	}
+	if limit := maxRPrime + maxRPrime/4; held > limit {
+		t.Errorf("arena holds %d extension rows after a two-worker mine, max |R'_k| = %d (limit %d)", held, maxRPrime, limit)
 	}
 }
 

@@ -151,7 +151,7 @@ func (s *pagedStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 
 // plan is the fixed strategy IR of the generic paged substrate.
 func (s *pagedStepper) plan() IterPlan {
-	return IterPlan{Kernel: KernelGeneric, Regime: RegimeSpilled, Workers: 1, Exchange: ExchangeNone}
+	return IterPlan{Kernel: KernelGeneric, Regime: RegimeSpilled, Workers: 1}
 }
 
 func (s *pagedStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {

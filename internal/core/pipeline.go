@@ -22,8 +22,8 @@ import (
 // runPipeline owns that loop — option validation, support resolution,
 // termination, iteration statistics, timing — while a stepper supplies the
 // substrate-specific relational steps. All drivers (in-memory, parallel,
-// partitioned, paged, SQL) parameterize this one loop, so they cannot
-// drift apart and any loop-level change lands in all of them at once.
+// paged, SQL) parameterize this one loop, so they cannot drift apart and
+// any loop-level change lands in all of them at once.
 
 // stepper is one execution substrate for the SETM pipeline.
 type stepper interface {
@@ -206,8 +206,8 @@ func runPipelineFrom(ctx context.Context, d *Dataset, opts Options, s stepper, o
 	trimEmptyTail(res)
 	// Border assembly must precede release (the dictionary is arena-
 	// backed). A resumed run skips it: iterations before the checkpoint
-	// were never re-counted, so their borders are unknown here — the
-	// delta miner, which owns both halves, assembles its own snapshot.
+	// were never re-counted, so their borders are unknown and the result
+	// carries no snapshot.
 	if opts.RetainBorder && cp == nil {
 		if b, ok := s.(borderer); ok {
 			res.Border = b.borderSnapshot(res)

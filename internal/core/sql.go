@@ -104,7 +104,7 @@ type sqlStepper struct {
 
 // sqlPlan is the plan every SQL pass reports: the paper's statements on
 // the budget-aware relational engine, one at a time on one goroutine.
-var sqlPlan = IterPlan{Kernel: KernelSQL, Regime: RegimeSpilled, Workers: 1, Exchange: ExchangeNone}
+var sqlPlan = IterPlan{Kernel: KernelSQL, Regime: RegimeSpilled, Workers: 1}
 
 // run executes one statement with the :minsupport parameter bound,
 // through a per-stepper prepared-statement memo.

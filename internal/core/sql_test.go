@@ -55,9 +55,8 @@ func TestMineSQLIgnoresMaxWorkers(t *testing.T) {
 			}
 			assertIdenticalCounts(t, label, want, got)
 			for _, st := range got.Stats {
-				if st.Plan.String() != "sql/spilled/1w" || st.Plan.Exchange != core.ExchangeNone {
-					t.Errorf("%s k=%d: plan %q exchange %q, want sql/spilled/1w and none",
-						label, st.K, st.Plan, st.Plan.Exchange)
+				if st.Plan.String() != "sql/spilled/1w" {
+					t.Errorf("%s k=%d: plan %q, want sql/spilled/1w", label, st.K, st.Plan)
 				}
 			}
 			if n := db.Pool().PinnedFrames(); n != 0 {

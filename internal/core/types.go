@@ -108,11 +108,10 @@ type Options struct {
 	// DESIGN.md.
 	PrefilterSales bool
 	// DisablePackedKernels replaces the packed-key engine (see pack.go)
-	// with the generic reference: on MineMemory, MineParallel,
-	// MinePartitioned and MineAuto that is one thing, the serial
-	// flat-relation kernels of relation.go (plan "generic/resident/1w",
-	// whatever worker or shard count was asked for); on MinePaged it is
-	// the heap-file merge-scan stepper. Results are bit-identical; the
+	// with the generic reference: on MineMemory, MineParallel and MineAuto
+	// that is one thing, the serial flat-relation kernels of relation.go
+	// (plan "generic/resident/1w", whatever worker count was asked for);
+	// on MinePaged it is the heap-file merge-scan stepper. Results are bit-identical; the
 	// generic path exists as the wide-pattern fallback and the conformance
 	// oracle, not as something to run for speed.
 	DisablePackedKernels bool
@@ -120,9 +119,8 @@ type Options struct {
 	// that can trade memory for page I/O. MinePaged keeps an iteration's
 	// packed relations in RAM while they fit and transparently streams
 	// them through the buffer pool as sorted packed-page runs once they
-	// exceed the budget; MinePartitioned spills the per-shard count
-	// exchange lists the same way; MineAuto plans each iteration's
-	// regime against it. Zero selects the driver default (MinePaged:
+	// exceed the budget; MineAuto plans each iteration's regime against
+	// it. Zero selects the driver default (MinePaged:
 	// PoolFrames × the 4 KB page size; MineAuto: unbounded); negative
 	// means explicitly unbounded, pinning even the paged driver's
 	// relations in RAM. MineMemory and MineParallel ignore it (resident

@@ -602,12 +602,14 @@ type PlanChoice struct {
 	EstMs float64
 }
 
-// ParallelMinRows is the relation size below which fanning kernels out
+// ParallelMinRows is the relation size below which fanning a pass out
 // across workers costs more than it saves. Its one user is the native
-// resident fan-out (ChoosePlan below and core's chunk kernels). The value
-// is PR 1's guess, never fitted: the only ladder behind the fan-out it
-// gates is quest-resident, 1.30–1.35× at two workers on an R'_2 of 5.2 M
-// rows, three orders of magnitude above it (ROADMAP item 4d).
+// resident fan-out (ChoosePlan below and core's stepResident). The value
+// is PR 1's guess, never fitted: the ladder behind the fan-out it gates
+// (BenchmarkParallelWorkers, -cpu 2, 2026-10-05) reads 1.65–1.7× at two
+// workers on quest (138–143 → 81–85 ms, R'_2 of 5.2 M rows) and 1.35× on
+// retail (8.8–8.9 → 6.5–6.7 ms, R_1 of 116 k rows) — both two to three
+// orders of magnitude above it (ROADMAP item 10c).
 const ParallelMinRows = 2048
 
 // ChoosePlan picks an iteration strategy from observed cardinalities:

@@ -138,6 +138,24 @@ func TestDurableRestartRestoresState(t *testing.T) {
 	}
 	close1()
 
+	// Age the envelope: a build before PR 27 wrote an Exchange field into
+	// every plan. Unknown JSON fields are ignored on the way back in.
+	envs, _ := filepath.Glob(filepath.Join(dir, resultsDirName, "*.json"))
+	if len(envs) != 1 {
+		t.Fatalf("result envelopes on disk: %v, want one", envs)
+	}
+	env, err := os.ReadFile(envs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	aged := bytes.ReplaceAll(env, []byte(`"Plan":{`), []byte(`"Plan":{"Exchange":"none",`))
+	if bytes.Equal(aged, env) {
+		t.Fatal("setup: no plan in the envelope to age")
+	}
+	if err := os.WriteFile(envs[0], aged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	_, c2, _ := newDurableServer(t, dir, Config{})
 	var dss []dataset
 	if code := c2.doJSON("GET", "/datasets", nil, &dss); code != http.StatusOK || len(dss) != 1 {

@@ -22,14 +22,14 @@
 //
 // All mining runs through one adaptive executor whose per-iteration
 // strategy IR — kernel (packed or generic), memory regime (resident or
-// spilled), parallelism, and exchange — is chosen at the top of each
-// SETM pass. MineAuto lets the paper's own cost model (Sections 3.2/4.3
-// generalized in internal/costmodel) pick that plan per iteration from
-// the previous iteration's observed cardinalities, the MemoryBudget,
-// and the available CPUs. The classic drivers are fixed points in the
+// spilled), and parallelism — is chosen at the top of each SETM pass.
+// MineAuto lets the paper's own cost model (Sections 3.2/4.3 generalized
+// in internal/costmodel) pick that plan per iteration from the previous
+// iteration's observed cardinalities, the MemoryBudget, and the
+// available CPUs. The classic drivers are fixed points in the
 // same strategy space and compute bit-identical results: Mine (packed,
-// resident, serial), MineParallel (packed, resident, N workers),
-// MinePartitioned (hash-sharded with a global count merge), MinePaged
+// resident, serial), MineParallel (packed, resident, one chunk of the
+// pass per worker), MinePaged
 // (budget-bounded spillable relations with page-I/O accounting), and
 // MineSQL (the paper's SQL statements executed serially by the bundled
 // relational engine). Every Result records the chosen plan per
@@ -220,14 +220,12 @@ func MineParallel(d *Dataset, opts Options, workers int) (*Result, error) {
 	return core.MineParallel(d, opts, workers)
 }
 
-// MinePartitioned runs Algorithm SETM with transactions hash-sharded into
-// the given number of partitions (shards <= 0 uses GOMAXPROCS). Each shard
-// runs the pipeline over purely local relations; per-iteration candidate
-// counts are merged in a global second pass before the support filter, so
-// results are identical to Mine. It is the sharding stepping-stone toward
-// distributed SETM: shards share nothing but the merged count relations.
+// MinePartitioned is MineParallel with shards workers.
+//
+// Deprecated: the hash-sharded driver it named was ahead of MineParallel
+// only by a copy MineParallel no longer makes, and is gone.
 func MinePartitioned(d *Dataset, opts Options, shards int) (*Result, error) {
-	return core.MinePartitioned(d, opts, shards)
+	return core.MineParallel(d, opts, shards)
 }
 
 // MinePaged runs Algorithm SETM out of core: the packed-key kernels over
