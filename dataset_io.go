@@ -7,9 +7,10 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
+
+	"setm/internal/storage"
 )
 
 // WriteDataset writes a dataset in the SALES text format: one
@@ -206,39 +207,11 @@ func LoadDatasetFile(path string) (*Dataset, error) {
 	return ReadDataset(f)
 }
 
-// SaveDatasetFile writes a dataset to a file path, atomically: the data
-// is written to a temporary file in the destination's directory, synced
-// to stable storage, and renamed over the target, so a crash mid-write
-// leaves any existing file at path intact rather than truncated.
+// SaveDatasetFile writes a dataset to a file path, atomically and
+// durably (storage.WriteFileAtomic): a crash or a failed write leaves any
+// existing file at path intact rather than truncated.
 func SaveDatasetFile(path string, d *Dataset) error {
-	return saveDatasetAtomic(path, func(w io.Writer) error {
+	return storage.WriteFileAtomic(path, false, func(w io.Writer) error {
 		return WriteDataset(w, d)
 	})
-}
-
-// saveDatasetAtomic runs write against a temp file next to path and
-// publishes it with fsync + rename. Factored out so tests can inject a
-// writer that dies mid-stream and assert the destination survives.
-func saveDatasetAtomic(path string, write func(io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = write(tmp); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

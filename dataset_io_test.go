@@ -17,9 +17,12 @@ import (
 	"testing"
 	"testing/iotest"
 	"unsafe"
+
+	"setm/internal/storage"
 )
 
-// TestSaveDatasetAtomicMidWriteCrash kills the write mid-stream and
+// TestSaveDatasetAtomicMidWriteCrash kills a write mid-stream through the
+// atomic writer SaveDatasetFile uses (storage.WriteFileAtomic) and
 // checks the previously saved dataset survives untouched — the
 // server-critical property os.Create-in-place lacked.
 func TestSaveDatasetAtomicMidWriteCrash(t *testing.T) {
@@ -38,7 +41,7 @@ func TestSaveDatasetAtomicMidWriteCrash(t *testing.T) {
 	}
 
 	boom := errors.New("killed mid-write")
-	err = saveDatasetAtomic(path, func(w io.Writer) error {
+	err = storage.WriteFileAtomic(path, false, func(w io.Writer) error {
 		// A partial, corrupt prefix reaches the temp file before death.
 		if _, werr := io.WriteString(w, "1 1\n2 "); werr != nil {
 			return werr
@@ -46,7 +49,7 @@ func TestSaveDatasetAtomicMidWriteCrash(t *testing.T) {
 		return boom
 	})
 	if !errors.Is(err, boom) {
-		t.Fatalf("saveDatasetAtomic error = %v, want the injected failure", err)
+		t.Fatalf("WriteFileAtomic error = %v, want the injected failure", err)
 	}
 
 	got, err := os.ReadFile(path)

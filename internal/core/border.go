@@ -12,7 +12,7 @@ package core
 //
 // The snapshot serializes in the checkpoint family's format: one binary
 // file (magic, little-endian payload, CRC-32C trailer) written through
-// atomicWriteFile, holding the item dictionary, the minsup floor, and
+// storage.WriteFileAtomic, holding the item dictionary, the minsup floor, and
 // per-iteration F_k plus border as packed (key, count) runs under that
 // dictionary.
 
@@ -25,6 +25,8 @@ import (
 	"io"
 	"os"
 	"slices"
+
+	"setm/internal/storage"
 )
 
 // BorderSnapshot is the retained state of one completed mining run: the
@@ -110,7 +112,7 @@ func SaveBorder(path string, b *BorderSnapshot, nosync bool) error {
 	if b == nil {
 		return fmt.Errorf("%w: nil snapshot", ErrBorder)
 	}
-	return atomicWriteFile(path, nosync, func(w io.Writer) error {
+	return storage.WriteFileAtomic(path, nosync, func(w io.Writer) error {
 		bw := bufio.NewWriterSize(w, 1<<16)
 		if _, err := bw.WriteString(borderMagic); err != nil {
 			return err

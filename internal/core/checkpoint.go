@@ -146,7 +146,7 @@ func saveCheckpoint(cfg *CheckpointConfig, cp *Checkpoint, pool *storage.Pool, r
 		return 0, err
 	}
 	rkFile := fmt.Sprintf("rk-%03d.run", cp.K)
-	if err := atomicWriteFile(filepath.Join(cfg.Dir, rkFile), cfg.NoSync, func(w io.Writer) error {
+	if err := storage.WriteFileAtomic(filepath.Join(cfg.Dir, rkFile), cfg.NoSync, func(w io.Writer) error {
 		return writeCheckpointRun(w, pool, rk)
 	}); err != nil {
 		return 0, err
@@ -163,7 +163,7 @@ func saveCheckpoint(cfg *CheckpointConfig, cp *Checkpoint, pool *storage.Pool, r
 	if err != nil {
 		return 0, err
 	}
-	if err := atomicWriteFile(filepath.Join(cfg.Dir, ckptManifestName), cfg.NoSync, func(w io.Writer) error {
+	if err := storage.WriteFileAtomic(filepath.Join(cfg.Dir, ckptManifestName), cfg.NoSync, func(w io.Writer) error {
 		_, werr := w.Write(data)
 		return werr
 	}); err != nil {
@@ -303,50 +303,6 @@ func readCheckpointRows(cp *Checkpoint, fn func(rows []prow) error) error {
 	return nil
 }
 
-// atomicWriteFile writes via a temp file in the target's directory,
-// fsyncs (unless nosync), and renames into place, so the target is
-// never observable half-written. A crash leaves at most a *.tmp file
-// the recovery sweep removes.
-func atomicWriteFile(path string, nosync bool, write func(io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*.tmp")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-		}
-		if err != nil {
-			os.Remove(name)
-		}
-	}()
-	if err = write(tmp); err != nil {
-		return err
-	}
-	if !nosync {
-		if err = tmp.Sync(); err != nil {
-			return err
-		}
-	}
-	err = tmp.Close()
-	tmp = nil
-	if err != nil {
-		return err
-	}
-	if err = os.Rename(name, path); err != nil {
-		return err
-	}
-	if !nosync {
-		if d, derr := os.Open(dir); derr == nil {
-			d.Sync()
-			d.Close()
-		}
-	}
-	return nil
-}
-
 // MineAutoResumeMonitored continues a mining run from a checkpoint
 // loaded by LoadCheckpoint: the executor rebuilds its deterministic
 // state (dictionary, packed SALES, join side), streams R_K back in
@@ -369,7 +325,7 @@ func MineAutoResumeMonitored(ctx context.Context, d *Dataset, opts Options, pool
 	if pool != nil {
 		cfg.PoolFrames = pool.Capacity()
 	}
-	st := newExecStepper(d, opts, cfg, nil, autoStrategy())
+	st := newExecStepper(d, opts, cfg, autoStrategy())
 	st.ctx = ctx
 	if pool != nil {
 		st.attachPool(pool)

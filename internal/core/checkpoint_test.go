@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -103,7 +104,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 // TestCheckpointResumeWideFallback pins resume on a dataset whose
 // catalogue forces patterns past the 64-bit packed key: checkpoints stop
 // at the packed boundary, and resuming from the last packed manifest
-// re-runs the fallback iterations to the same answer.
+// re-runs the fallback iterations to the same answer — resident, and
+// under an 8 MiB budget, where the checkpointed R_k are runs.
 func TestCheckpointResumeWideFallback(t *testing.T) {
 	// ~4800 distinct filler items need 13-bit codes, so patterns of
 	// length 5+ outgrow the 64-bit key; the 6 common items stay frequent
@@ -119,44 +121,47 @@ func TestCheckpointResumeWideFallback(t *testing.T) {
 		}
 		d.Transactions = append(d.Transactions, core.Transaction{ID: int64(i + 1), Items: items})
 	}
-	opts := core.Options{MinSupportCount: 25}
-	ref, err := core.MineAuto(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fellBack := false
-	for _, st := range ref.Stats {
-		if st.Plan.Kernel == core.KernelGeneric {
-			fellBack = true
-		}
-	}
-	if !fellBack {
-		t.Fatal("setup: dataset did not force the wide-pattern fallback")
-	}
+	for _, budget := range []int64{0, 8 << 20} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			opts := core.Options{MinSupportCount: 25, MemoryBudget: budget}
+			ref, err := core.MineAuto(d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fellBack, spilled := false, false
+			for _, st := range ref.Stats {
+				fellBack = fellBack || st.Plan.Kernel == core.KernelGeneric
+				spilled = spilled || st.Plan.Regime == core.RegimeSpilled
+			}
+			if !fellBack || spilled != (budget > 0) {
+				t.Fatalf("setup: fallback %v, spilled passes %v under budget %d", fellBack, spilled, budget)
+			}
 
-	dir := t.TempDir()
-	optsCk := opts
-	optsCk.Checkpoint = &core.CheckpointConfig{Dir: dir, Interval: 1, NoSync: true}
-	res, err := core.MineAuto(d, optsCk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Counts, ref.Counts) {
-		t.Fatal("checkpointing changed the mining result")
-	}
-	cp, err := core.LoadCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp == nil {
-		t.Fatal("no checkpoint survived the fallback run")
-	}
-	resumed, err := core.MineAutoResumeMonitored(context.Background(), d, opts, nil, nil, cp)
-	if err != nil {
-		t.Fatalf("resume from packed k=%d across the fallback: %v", cp.K, err)
-	}
-	if !reflect.DeepEqual(resumed.Counts, ref.Counts) {
-		t.Fatal("resumed counts differ across the wide-pattern fallback")
+			dir := t.TempDir()
+			optsCk := opts
+			optsCk.Checkpoint = &core.CheckpointConfig{Dir: dir, Interval: 1, NoSync: true}
+			res, err := core.MineAuto(d, optsCk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Counts, ref.Counts) {
+				t.Fatal("checkpointing changed the mining result")
+			}
+			cp, err := core.LoadCheckpoint(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp == nil {
+				t.Fatal("no checkpoint survived the fallback run")
+			}
+			resumed, err := core.MineAutoResumeMonitored(context.Background(), d, opts, nil, nil, cp)
+			if err != nil {
+				t.Fatalf("resume from packed k=%d across the fallback: %v", cp.K, err)
+			}
+			if !reflect.DeepEqual(resumed.Counts, ref.Counts) {
+				t.Fatal("resumed counts differ across the wide-pattern fallback")
+			}
+		})
 	}
 }
 

@@ -8,14 +8,17 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"setm/internal/apriori"
 	"setm/internal/core"
 	"setm/internal/costmodel"
 	"setm/internal/gen"
+	"setm/internal/storage"
 )
 
 // conformanceCase describes one randomized dataset shape.
@@ -74,9 +77,10 @@ type minerFn struct {
 
 // conformanceMiners lists every driver and baseline that must agree.
 // The memory driver's packed-key default is the reference; the -generic
-// entries run the two generic substrates (DisablePackedKernels: the
-// serial flat reference, and the heap-file paged stepper), pinning them
-// and the packed kernels to one answer.
+// entries run the one generic substrate, the serial flat reference
+// (DisablePackedKernels), through MineMemory and through MinePaged's
+// pool-owning entry point, pinning it and the packed kernels to one
+// answer on every case.
 func conformanceMiners() []minerFn {
 	return []minerFn{
 		{"memory-generic", func(d *core.Dataset, o core.Options) (*core.Result, error) {
@@ -404,13 +408,17 @@ func TestParallelFanOutConformance(t *testing.T) {
 }
 
 // TestParallelWideCatalogueHandOff: on the wide-catalogue case with every
-// pattern frequent (baskets of up to 8 items, 14-bit codes), the fanned-out
-// executor runs packed/resident/4w exactly as long as the serial one runs
-// packed — through k = maxPackedK = 4 — then hands the run to the one
-// serial flat reference; every pass's cardinalities match and the counts
-// are the independent AIS miner's (Apriori's candidate join is quadratic in
-// |C_k| and takes a minute and a half at minsup 1; TestDriverConformance
-// pins parallel-4 to it on this data set at minsup 3).
+// pattern frequent (baskets of up to 8 items, 14-bit codes), the executor
+// runs packed exactly as long as the serial one does — through k =
+// maxPackedK = 4 — then hands the run to the one serial flat reference;
+// every pass's cardinalities match and the counts are the independent AIS
+// miner's (Apriori's candidate join is quadratic in |C_k| and takes a
+// minute and a half at minsup 1; TestDriverConformance pins parallel-4 to
+// it on this data set at minsup 3). Fanned out the packed passes read
+// packed/resident/4w; under a 16 KiB budget — MinePaged, and
+// MineAutoMonitored twice on one caller-owned pool — packed/spilled/1w,
+// with nothing pinned and no page the first mine's runs held left
+// unrecycled (the second mine grows the store by none).
 func TestParallelWideCatalogueHandOff(t *testing.T) {
 	c := conformanceCases[len(conformanceCases)-1]
 	if c.name != "wide-catalogue" {
@@ -422,40 +430,115 @@ func TestParallelWideCatalogueHandOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.MineParallel(d, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdenticalCounts(t, "parallel-wide", want, got)
 	oracle, err := apriori.MineAIS(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalCounts(t, "parallel-wide vs ais", oracle, got)
-	if len(got.Stats) != len(want.Stats) {
-		t.Fatalf("%d passes, want %d", len(got.Stats), len(want.Stats))
-	}
-	handedOff := false
-	for i, st := range got.Stats {
-		ref := want.Stats[i]
-		if st.RPrimeRows != ref.RPrimeRows || st.RRows != ref.RRows || st.CCount != ref.CCount {
-			t.Errorf("k=%d: |R'|=%d |R|=%d |C|=%d, want %d/%d/%d", st.K, st.RPrimeRows, st.RRows, st.CCount, ref.RPrimeRows, ref.RRows, ref.CCount)
-		}
-		if ref.Plan.Kernel == core.KernelPacked {
-			// The count kernel is chosen per chunk, so it may differ from
-			// the serial pass's; the rest of the plan may not.
-			if p := st.Plan; handedOff || p.Kernel != core.KernelPacked || p.Regime != core.RegimeResident || p.Workers != 4 || p.Count == "" {
-				t.Errorf("k=%d: plan %q, want packed/resident/4w/*", st.K, p)
+	assertIdenticalCounts(t, "memory vs ais", oracle, want)
+	budgeted := opts
+	budgeted.MemoryBudget = 16 << 10
+	store := storage.NewMemStore()
+	pool := storage.NewPool(store, 8)
+	storePages := 0
+	for _, m := range []struct {
+		name   string
+		packed string // the plan of every packed pass, count kernel aside
+		mine   func() (*core.Result, error)
+	}{
+		{"parallel-4", "packed/resident/4w", func() (*core.Result, error) { return core.MineParallel(d, opts, 4) }},
+		{"paged-16KiB", "packed/spilled/1w", func() (*core.Result, error) {
+			r, err := core.MinePaged(d, budgeted, core.PagedConfig{PoolFrames: 8})
+			if err != nil {
+				return nil, err
 			}
-			continue
+			return r.Result, nil
+		}},
+		{"auto-16KiB", "packed/spilled/1w", func() (*core.Result, error) {
+			return core.MineAutoMonitored(context.Background(), d, budgeted, pool, nil)
+		}},
+		{"auto-16KiB-again", "packed/spilled/1w", func() (*core.Result, error) {
+			storePages = store.NumPages()
+			return core.MineAutoMonitored(context.Background(), d, budgeted, pool, nil)
+		}},
+	} {
+		got, err := m.mine()
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
 		}
-		handedOff = true
-		if st.Plan.String() != "generic/resident/1w" {
-			t.Errorf("k=%d: plan %q, want generic/resident/1w", st.K, st.Plan)
+		assertIdenticalCounts(t, m.name, want, got)
+		if len(got.Stats) != len(want.Stats) {
+			t.Fatalf("%s: %d passes, want %d", m.name, len(got.Stats), len(want.Stats))
+		}
+		handedOff := false
+		for i, st := range got.Stats {
+			ref := want.Stats[i]
+			if st.RPrimeRows != ref.RPrimeRows || st.RRows != ref.RRows || st.CCount != ref.CCount {
+				t.Errorf("%s k=%d: |R'|=%d |R|=%d |C|=%d, want %d/%d/%d", m.name, st.K, st.RPrimeRows, st.RRows, st.CCount, ref.RPrimeRows, ref.RRows, ref.CCount)
+			}
+			if ref.Plan.Kernel == core.KernelPacked {
+				// The count kernel is chosen per pass (and per chunk), so it
+				// may differ from the serial pass's; the rest of the plan may not.
+				if p := st.Plan; handedOff || p.Count == "" || p.String() != m.packed+"/"+p.Count {
+					t.Errorf("%s k=%d: plan %q, want %s/*", m.name, st.K, p, m.packed)
+				}
+				continue
+			}
+			handedOff = true
+			if st.Plan.String() != "generic/resident/1w" {
+				t.Errorf("%s k=%d: plan %q, want generic/resident/1w", m.name, st.K, st.Plan)
+			}
+		}
+		if !handedOff {
+			t.Fatalf("%s: setup: the run never outgrew the packed key", m.name)
 		}
 	}
-	if !handedOff {
-		t.Fatal("setup: the run never outgrew the packed key")
+	if n := pool.PinnedFrames(); n != 0 {
+		t.Errorf("%d frames pinned after the budgeted mines", n)
+	}
+	if got := store.NumPages(); got != storePages {
+		t.Errorf("the second budgeted mine grew the store %d -> %d pages: the first left runs allocated", storePages, got)
+	}
+}
+
+// pagedSpillRetail is TestPagedSpillConformanceRetail's fixture: 4,000
+// retail transactions at minsup 1%, mined by MinePaged under a 32 KiB
+// budget over a 16-frame pool.
+func pagedSpillRetail(t *testing.T) (d *core.Dataset, opts core.Options, got *core.PagedResult) {
+	t.Helper()
+	cfg := gen.DefaultRetail(7)
+	cfg.NumTransactions = 4000
+	d = gen.Retail(cfg)
+	opts = core.Options{MinSupportFrac: 0.01}
+	spillOpts := opts
+	spillOpts.MemoryBudget = 32 << 10
+	got, err := core.MinePaged(d, spillOpts, core.PagedConfig{PoolFrames: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, opts, got
+}
+
+// TestMinePagedRPagesPopulated pins the page footprints MinePaged reports
+// (‖R_k‖ and ‖R'_k‖ per pass, 16-byte rows in 4 KiB pages, at least one
+// page; ‖R'_1‖ is ‖R_1‖) on the paper example and on the spilled retail
+// run — the inputs of the Section 4.3 bound PagedIOCheck computes.
+func TestMinePagedRPagesPopulated(t *testing.T) {
+	paper, err := core.MinePaged(core.PaperExample(), core.Options{MinSupportFrac: 0.3}, core.PagedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, retail := pagedSpillRetail(t)
+	for _, c := range []struct {
+		name          string
+		got           *core.PagedResult
+		rPages, prime []int
+	}{
+		{"paper", paper, []int{1, 1, 1, 1}, []int{1, 1, 1, 1}},
+		{"retail", retail, []int{39, 12, 1, 1}, []int{39, 38, 9, 1}},
+	} {
+		if !slices.Equal(c.got.RPages, c.rPages) || !slices.Equal(c.got.RPrimePages, c.prime) {
+			t.Errorf("%s: RPages %v, RPrimePages %v; want %v, %v", c.name, c.got.RPages, c.got.RPrimePages, c.rPages, c.prime)
+		}
 	}
 }
 
@@ -467,18 +550,8 @@ func TestParallelWideCatalogueHandOff(t *testing.T) {
 // writes no key runs; from k=2 the key space outgrows the share and the
 // bounded radix runs and their k-way merge are exercised.
 func TestPagedSpillConformanceRetail(t *testing.T) {
-	cfg := gen.DefaultRetail(7)
-	cfg.NumTransactions = 4000
-	d := gen.Retail(cfg)
-	opts := core.Options{MinSupportFrac: 0.01}
-
+	d, opts, got := pagedSpillRetail(t)
 	want, err := core.MineMemory(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spillOpts := opts
-	spillOpts.MemoryBudget = 32 << 10
-	got, err := core.MinePaged(d, spillOpts, core.PagedConfig{PoolFrames: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,10 @@ package core
 // iteration under it.
 //
 //   - kernel packed|generic: the bit-packed 64-bit key kernels while the
-//     pattern fits one word, the serial flat reference (resident) or the
-//     heap-file paged stepper (under a pool) past it;
+//     pattern fits one word; past it the live relations are decoded, every
+//     run and the arena are released, and the serial flat reference of
+//     relation.go finishes the mine, resident (stepWideFallback) — the
+//     planner is asked only about passes the executor can pack;
 //   - regime resident|spilled: arena-backed in-RAM slices versus
 //     budget-bounded spillable relations streaming to and from the page
 //     store as raw packed-page runs, an extent at a time (spill.go);
@@ -34,9 +36,7 @@ import (
 	"strconv"
 
 	"setm/internal/costmodel"
-	hp "setm/internal/heap"
 	"setm/internal/storage"
-	"setm/internal/tuple"
 	"setm/internal/xsort"
 )
 
@@ -45,7 +45,8 @@ import (
 // pass always reports 1.
 type IterPlan struct {
 	// Kernel is "packed" (64-bit packed-key kernels) or "generic" (the
-	// int64 relation kernels, forced once k*bitsPerItem exceeds 64).
+	// flat reference's int64 relation kernels: every pass under
+	// DisablePackedKernels, and every pass after k*bitsPerItem exceeds 64).
 	Kernel string
 	// Regime is "resident" (relations in RAM, no budget machinery) or
 	// "spilled" (budget-bounded spillable relations; runs are written
@@ -58,7 +59,7 @@ type IterPlan struct {
 	// Count is the packed count step's kernel, known once the pass has
 	// sized R'_k: "table" (direct-address counting table — the key space
 	// was narrow enough to replace the sort buffers) or "sort" (radix sort
-	// + run count). Empty for the generic, SQL, and wide-fallback passes.
+	// + run count). Empty for the generic and SQL passes.
 	Count string
 }
 
@@ -97,9 +98,6 @@ type strategyFunc func(costmodel.PlanInput) IterPlan
 func fixedStrategy(workers int, budgetBounded bool) strategyFunc {
 	return func(in costmodel.PlanInput) IterPlan {
 		p := IterPlan{Kernel: KernelPacked, Regime: RegimeResident, Workers: workers}
-		if !in.PackedOK {
-			p.Kernel = KernelGeneric
-		}
 		if budgetBounded && in.Budget > 0 {
 			p.Regime = RegimeSpilled
 		}
@@ -107,17 +105,13 @@ func fixedStrategy(workers int, budgetBounded bool) strategyFunc {
 	}
 }
 
-// autoStrategy consults the cost model: packed while the key fits,
-// spilled exactly when the modeled packed footprint crosses the budget,
-// and — for a resident pass — the worker count that minimizes the modeled
-// iteration cost.
+// autoStrategy consults the cost model: spilled exactly when the modeled
+// packed footprint crosses the budget, and — for a resident pass — the
+// worker count that minimizes the modeled iteration cost.
 func autoStrategy() strategyFunc {
 	return func(in costmodel.PlanInput) IterPlan {
 		c := costmodel.ChoosePlan(in)
 		p := IterPlan{Kernel: KernelPacked, Regime: RegimeResident, Workers: c.Workers}
-		if !c.Packed {
-			p.Kernel = KernelGeneric
-		}
 		if c.Spill {
 			p.Regime = RegimeSpilled
 		}
@@ -159,22 +153,18 @@ func resolveWorkers(maxWorkers int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// newExecStepper builds the executor. pres may be nil (a private result
-// is kept for the wide-pattern fallback's accounting); cfg supplies the
-// pool geometry and page store for spilled regimes. The budget is taken
-// from opts.MemoryBudget as-is: positive bounds the working set, zero or
+// newExecStepper builds the executor; cfg supplies the pool geometry and
+// page store for spilled regimes. The budget is taken from
+// opts.MemoryBudget as-is: positive bounds the working set, zero or
 // negative means unbounded (MinePaged resolves its pool-sized default
 // before calling).
-func newExecStepper(d *Dataset, opts Options, cfg PagedConfig, pres *PagedResult, strat strategyFunc) *execStepper {
-	if pres == nil {
-		pres = &PagedResult{}
-	}
+func newExecStepper(d *Dataset, opts Options, cfg PagedConfig, strat strategyFunc) *execStepper {
 	budget := opts.MemoryBudget
 	if budget < 0 {
 		budget = 0
 	}
 	return &execStepper{
-		d: d, opts: opts, cfg: cfg, pres: pres, strat: strat,
+		d: d, opts: opts, cfg: cfg, strat: strat,
 		budget: budget, maxWorkers: resolveWorkers(opts.MaxWorkers),
 		retainBorder: opts.RetainBorder,
 	}
@@ -186,7 +176,6 @@ type execStepper struct {
 	d     *Dataset
 	opts  Options
 	cfg   PagedConfig
-	pres  *PagedResult
 	strat strategyFunc
 
 	budget     int64 // 0 = unbounded
@@ -214,9 +203,7 @@ type execStepper struct {
 	prevRPrime int64
 	prevRRows  int64
 
-	fbFlat  *flatStepper // wide-pattern fallback, fully resident runs
-	fbPaged *pagedStepper
-	convIO  int64 // page I/O of the fallback's relation decode
+	fbFlat *flatStepper // the wide-pattern hand-off, once patterns outgrow the key
 
 	// Border retention (Options.RetainBorder): the count kernels run at
 	// threshold 1 and splitBorder keeps the sub-minsup runs — the
@@ -294,15 +281,15 @@ func (s *execStepper) ensurePool() {
 	}
 }
 
-// nextPlan asks the strategy for the upcoming iteration's plan, feeding
-// it the previous iteration's observed cardinalities. A budget-bounded
-// pass is serial whatever the strategy says: its cost is sequential page
-// access, which a second cursor on the same store only breaks up.
+// nextPlan asks the strategy for the upcoming packed iteration's plan,
+// feeding it the previous iteration's observed cardinalities. A
+// budget-bounded pass is serial whatever the strategy says: its cost is
+// sequential page access, which a second cursor on the same store only
+// breaks up.
 func (s *execStepper) nextPlan(k int, prevRPrime, prevRRows int64) IterPlan {
 	p := s.strat(costmodel.PlanInput{
 		K: k, PrevRPrime: prevRPrime, PrevRRows: prevRRows,
-		AvgBasket: s.avgBasket, PackedOK: k <= s.dict.maxPackedK(),
-		Budget: s.budget, Workers: s.maxWorkers,
+		AvgBasket: s.avgBasket, Budget: s.budget, Workers: s.maxWorkers,
 		CountTableBytes: s.dict.countTableBytes(k), Checkpoint: s.opts.Checkpoint != nil,
 	})
 	if p.Workers < 1 || p.Regime == RegimeSpilled {
@@ -434,8 +421,6 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	}
 	s.sales, s.rk, s.join = sales, sales, sales
 
-	s.pres.RPages = append(s.pres.RPages, s.rk.pages())
-	s.pres.RPrimePages = append(s.pres.RPrimePages, s.rk.pages())
 	sz := iterSizes{rPrime: salesRows, rRows: s.rk.rows(), sortSkips: skips, plan: plan}
 	s.endIteration(&sz, ioStart, stStart)
 	s.observe(sz)
@@ -446,17 +431,6 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 	if s.fbFlat != nil {
 		return s.fbFlat.step(k, minSup)
 	}
-	if s.fbPaged != nil {
-		ck, sz, err := s.fbPaged.step(k, minSup)
-		if err != nil {
-			return nil, iterSizes{}, err
-		}
-		sz.pageIO += s.convIO
-		s.convIO = 0
-		sz.plan = IterPlan{Kernel: KernelGeneric, Regime: RegimeSpilled, Workers: 1}
-		return ck, sz, nil
-	}
-
 	if k > s.dict.maxPackedK() {
 		return s.stepWideFallback(k, minSup)
 	}
@@ -555,8 +529,6 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	skips++
 	s.rk = memSrel(out)
 
-	s.pres.RPages = append(s.pres.RPages, s.rk.pages())
-	s.pres.RPrimePages = append(s.pres.RPrimePages, int(costmodel.PackedPages(rPrimeRows, costmodel.PackedRowBytes)))
 	sz := iterSizes{rPrime: rPrimeRows, rRows: s.rk.rows(), sortSkips: skips, plan: plan}
 	s.endIteration(&sz, ioStart, stStart)
 	s.observe(sz)
@@ -627,7 +599,6 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	// R_k := filter R'_k by C_k; filtering preserves (trans_id, items)
 	// order, so the paper's post-filter sort is skipped.
 	rk, err := s.filterStreaming(rPrime, k, ck, capR, true)
-	rPrimePages := rPrime.pages()
 	rPrimeRows := rPrime.rows()
 	rPrime.free(s.pool)
 	if err != nil {
@@ -636,8 +607,6 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	skips++
 	s.rk = rk
 
-	s.pres.RPages = append(s.pres.RPages, rk.pages())
-	s.pres.RPrimePages = append(s.pres.RPrimePages, rPrimePages)
 	sz := iterSizes{rPrime: rPrimeRows, rRows: rk.rows(), sortSkips: skips, plan: plan}
 	s.endIteration(&sz, ioStart, stStart)
 	s.observe(sz)
@@ -826,96 +795,51 @@ func (s *execStepper) buildJoinSide(mem []prow, c1 pkCounts, plan IterPlan) (*sr
 	return memSrel(mem), nil
 }
 
-// stepWideFallback hands the pipeline to the generic kernels when
-// patterns outgrow the 64-bit packed key: fully resident state unpacks
-// into the serial flat reference (the in-memory drivers' fallback); anything
-// touching the pool decodes into heap files and continues on the generic
-// paged stepper, its decode I/O charged to the handoff iteration.
+// stepWideFallback hands the pipeline to the serial flat reference when
+// patterns outgrow the 64-bit packed key: R_{k-1} and the join side are
+// decoded block by block — resident rows or runs alike — every run goes
+// back to the pool, the arena is returned, and the flat reference runs
+// this pass and every later one, resident. The pool reads of the decode
+// are charged to this pass.
 func (s *execStepper) stepWideFallback(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
 	s.borderLost = true
-	if s.pool == nil && s.rk.resident() && s.join.resident() {
-		s.fbFlat = &flatStepper{
-			d: s.d, opts: s.opts,
-			rk:       unpackRel(s.rk.mem, k-1, s.dict),
-			joinSide: unpackRel(s.join.mem, 1, s.dict),
-		}
-		s.releasePacked()
-		return s.step(k, minSup)
-	}
-	s.ensurePool()
-	convStart := s.pool.Stats.Accesses()
-	if err := s.buildPagedFallback(k); err != nil {
+	ioStart, _ := s.startIteration()
+	rk, err := s.unpackSrel(s.rk, k-1)
+	if err != nil {
 		return nil, iterSizes{}, err
 	}
-	s.convIO = s.pool.Stats.Accesses() - convStart
-	return s.step(k, minSup)
-}
-
-// buildPagedFallback decodes the live packed relations into heap files
-// for the generic paged stepper.
-func (s *execStepper) buildPagedFallback(k int) error {
-	rkFile, err := s.relToHeap(s.rk, k-1)
-	if err != nil {
-		return err
-	}
-	joinFile := rkFile
+	join := rk
 	if s.join != s.rk {
-		if joinFile, err = s.relToHeap(s.join, 1); err != nil {
-			return err
+		if join, err = s.unpackSrel(s.join, 1); err != nil {
+			return nil, iterSizes{}, err
 		}
 	}
-	sortMem := 0
-	if s.budget > 0 {
-		sortMem = int(s.budget)
+	var decodeIO int64
+	if s.pool != nil {
+		decodeIO = s.pool.Stats.Accesses() - ioStart
 	}
-	s.fbPaged = &pagedStepper{
-		d: s.d, opts: s.opts, pool: s.pool, pres: s.pres,
-		sortMem: sortMem, rk: rkFile, joinSide: joinFile,
-	}
-	if s.rk != s.join {
-		s.rk.free(s.pool)
-	}
-	s.join.free(s.pool)
-	if s.sales != nil && s.sales != s.join {
-		s.sales.free(s.pool)
-	}
-	s.releasePacked()
-	return nil
+	s.abort() // the packed state is done: free its runs, return the arena
+	s.fbFlat = &flatStepper{d: s.d, opts: s.opts, rk: rk, joinSide: join}
+	ck, sz, err := s.fbFlat.step(k, minSup)
+	sz.pageIO += decodeIO
+	return ck, sz, err
 }
 
-// relToHeap decodes a packed relation of k-item patterns into a generic
-// heap file sorted the same way the packed rows are.
-func (s *execStepper) relToHeap(r *srel, k int) (*hp.File, error) {
-	names := make([]string, 0, k+1)
-	names = append(names, "trans_id")
-	for i := 1; i <= k; i++ {
-		names = append(names, "item"+strconv.Itoa(i))
-	}
-	f, err := hp.Create(s.pool, tuple.IntSchema(names...))
-	if err != nil {
-		return nil, err
-	}
-	mask := uint64(1)<<s.dict.bits - 1
+// unpackSrel decodes a packed relation of k-item patterns into a flat
+// relation one block at a time, in the same (trans_id, items) order.
+func (s *execStepper) unpackSrel(r *srel, k int) (relation, error) {
+	rel := relation{stride: k + 1, data: make([]int64, 0, r.rows()*int64(k+1))}
 	it := rowsOf(s.pool, r)
 	defer it.close()
-	vals := make([]int64, k+1)
 	for {
+		if err := s.cancelled(); err != nil {
+			return relation{}, err
+		}
 		blk, err := it.next()
-		if err != nil {
-			return nil, err
+		if err != nil || blk == nil {
+			return rel, err
 		}
-		if blk == nil {
-			return f, nil
-		}
-		for _, row := range blk {
-			vals[0] = int64(row.Tid ^ tidFlip)
-			for c := 0; c < k; c++ {
-				vals[c+1] = int64(s.dict.items[(row.Key>>(uint(k-1-c)*s.dict.bits))&mask])
-			}
-			if err := f.Append(tuple.Ints(vals...)); err != nil {
-				return nil, err
-			}
-		}
+		rel = unpackRel(rel, blk, s.dict)
 	}
 }
 
@@ -941,7 +865,7 @@ func (s *execStepper) release() {
 // the pipeline to carry on without one (the last packed checkpoint
 // remains valid: resume re-mines the fallback iterations from it).
 func (s *execStepper) writeCheckpoint(cfg *CheckpointConfig, cp *Checkpoint) (int64, error) {
-	if s.fbFlat != nil || s.fbPaged != nil || s.dict == nil || s.rk == nil {
+	if s.fbFlat != nil || s.dict == nil || s.rk == nil {
 		return 0, nil
 	}
 	cp.SalesRows = s.salesTotal
@@ -994,12 +918,12 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 	}
 	s.sales, s.join = sales, sales
 
-	// R_K streams from the checkpoint under the plan the next iteration
-	// would run: a spilled plan bounds the reload the same way an
-	// appender bounds a live iteration's output.
-	planK := s.nextPlan(cp.K+1, cp.RPrimeRows, cp.RRows)
+	// R_K streams from the checkpoint under the regime the next iteration
+	// would plan (past the packed key the hand-off decodes it either way):
+	// a spilled plan bounds the reload the same way an appender bounds a
+	// live iteration's output.
 	capR := 0
-	if planK.Regime == RegimeSpilled {
+	if s.nextPlan(cp.K+1, cp.RPrimeRows, cp.RRows).Regime == RegimeSpilled {
 		s.ensurePool()
 		capR = s.capRows()
 	}
@@ -1022,7 +946,7 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 		return iterSizes{}, fmt.Errorf("%w: reloaded %d rows, manifest says %d", ErrCheckpoint, rk.rows(), cp.RRows)
 	}
 	s.prevRPrime, s.prevRRows = cp.RPrimeRows, cp.RRows
-	return iterSizes{rPrime: cp.RPrimeRows, rRows: rk.rows(), plan: planK}, nil
+	return iterSizes{rPrime: cp.RPrimeRows, rRows: rk.rows()}, nil
 }
 
 // encodeCounts re-packs a decoded single-item count relation into the

@@ -51,7 +51,7 @@ func forcedStrategy(workers int) strategyFunc {
 // budget and pool size.
 func runForced(d *Dataset, opts Options, workers, frames int) (*Result, *storage.Pool, error) {
 	pool := storage.NewPool(storage.NewMemStore(), frames)
-	st := newExecStepper(d, opts, PagedConfig{PoolFrames: frames}.withDefaults(), nil, forcedStrategy(workers))
+	st := newExecStepper(d, opts, PagedConfig{PoolFrames: frames}.withDefaults(), forcedStrategy(workers))
 	st.cfg.PoolFrames = frames
 	st.attachPool(pool)
 	res, err := runPipeline(d, opts, st)
@@ -329,7 +329,7 @@ func TestCancelledSpillReleasesEverything(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cs := &cancelStore{Store: storage.NewMemStore(), writesLeft: after, cancel: cancel}
 		pool := storage.NewPool(cs, 32)
-		st := newExecStepper(d, opts, PagedConfig{PoolFrames: 32}, nil, forcedStrategy(3))
+		st := newExecStepper(d, opts, PagedConfig{PoolFrames: 32}, forcedStrategy(3))
 		st.ctx = ctx
 		st.attachPool(pool)
 		_, err := runPipelineCtx(ctx, d, opts, st, nil)

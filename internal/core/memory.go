@@ -14,22 +14,23 @@ func MineMemory(d *Dataset, opts Options) (*Result, error) {
 // newMemoryStepper picks the substrate for the resident fixed-plan
 // drivers: the executor on the packed-key engine at the given fan-out by
 // default, the one serial flat-relation reference under the
-// DisablePackedKernels ablation.
+// DisablePackedKernels ablation (on every native driver, MinePaged's
+// included).
 func newMemoryStepper(d *Dataset, opts Options, workers int) stepper {
 	if opts.DisablePackedKernels {
 		return &flatStepper{d: d, opts: opts}
 	}
 	opts.MemoryBudget = 0 // the in-memory drivers are unbounded by contract
-	return newExecStepper(d, opts, PagedConfig{}.withDefaults(), nil, fixedStrategy(workers, false))
+	return newExecStepper(d, opts, PagedConfig{}.withDefaults(), fixedStrategy(workers, false))
 }
 
 // flatStepper is the generic in-memory substrate of the SETM pipeline:
 // R_k lives in flat stride-(k+1) relations and the kernels of
 // relation.go (sort, merge-scan extension, count scan, binary-search
 // filter) implement the steps, serially. It is the one reference the
-// packed engine is conformance-tested against — what every resident
-// driver runs under DisablePackedKernels — and the mid-run fallback when
-// patterns outgrow the 64-bit packed key.
+// packed engine is conformance-tested against — what every native driver
+// runs under DisablePackedKernels — and the mid-run hand-off when
+// patterns outgrow the 64-bit packed key (stepWideFallback).
 type flatStepper struct {
 	d    *Dataset
 	opts Options
@@ -100,5 +101,5 @@ func countPatterns(rPrime relation, minSup int64) ([]ItemsetCount, int64) {
 	if sortRelation(byItems, 1) {
 		skips++
 	}
-	return countRelationRuns(byItems, minSup), skips
+	return countItemRuns(byItems, minSup), skips
 }

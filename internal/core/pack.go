@@ -604,17 +604,16 @@ func decodePatterns(pk pkCounts, k int, dict *packDict) []ItemsetCount {
 	return out
 }
 
-// unpackRel expands packed rows into the generic flat relation — the
-// bridge to the int64 kernels when patterns outgrow the 64-bit key.
-func unpackRel(rows []prow, k int, dict *packDict) relation {
-	st := k + 1
-	rel := relation{stride: st, data: make([]int64, len(rows)*st)}
+// unpackRel appends packed rows of k-item patterns to the flat relation
+// rel (stride k+1) — the bridge to the int64 kernels when patterns
+// outgrow the 64-bit key.
+func unpackRel(rel relation, rows []prow, dict *packDict) relation {
+	k := rel.stride - 1
 	mask := uint64(1)<<dict.bits - 1
-	for i, r := range rows {
-		off := i * st
-		rel.data[off] = int64(r.Tid ^ tidFlip)
+	for _, r := range rows {
+		rel.data = append(rel.data, int64(r.Tid^tidFlip))
 		for c := 0; c < k; c++ {
-			rel.data[off+1+c] = dict.items[(r.Key>>(uint(k-1-c)*dict.bits))&mask]
+			rel.data = append(rel.data, dict.items[(r.Key>>(uint(k-1-c)*dict.bits))&mask])
 		}
 	}
 	return rel

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 
+	"setm/internal/storage"
 	"setm/internal/xsort"
 )
 
@@ -151,7 +154,7 @@ func TestPackSalesMatchesSalesRelation(t *testing.T) {
 			ar := newMineArena()
 			dict := buildDict(d, ar)
 			rows := packSales(d, dict, ar, workers)
-			got := unpackRel(rows, 1, dict)
+			got := unpackRel(relation{stride: 2}, rows, dict)
 			if !slices.Equal(got.data, want.data) {
 				t.Fatalf("%d transactions, %d workers: packed sales mismatch:\ngot  %v\nwant %v", len(d.Transactions), workers, got.data, want.data)
 			}
@@ -187,8 +190,9 @@ func TestPackedMatchesGenericDrivers(t *testing.T) {
 }
 
 // TestGenericIsOneReference: DisablePackedKernels means one thing on
-// every resident driver — the serial flat reference, whatever fan-out was
-// asked for — and that reference agrees with the packed kernels.
+// every driver — the serial flat reference, whatever fan-out, budget or
+// pool was asked for (MinePaged's then does no page I/O) — and that
+// reference agrees with the packed kernels.
 func TestGenericIsOneReference(t *testing.T) {
 	d := signedDataset(5, 400, 9, 20)
 	packed, err := MineMemory(d, Options{MinSupportCount: 4})
@@ -203,6 +207,18 @@ func TestGenericIsOneReference(t *testing.T) {
 			o := generic
 			o.MaxWorkers = 4
 			return MineAuto(d, o)
+		},
+		"paged-16KiB": func() (*Result, error) {
+			o := generic
+			o.MemoryBudget = 16 << 10
+			r, err := MinePaged(d, o, PagedConfig{PoolFrames: 8})
+			if err == nil && r.IO.Accesses() != 0 {
+				err = fmt.Errorf("%d page accesses", r.IO.Accesses())
+			}
+			if err != nil {
+				return nil, err
+			}
+			return r.Result, nil
 		},
 	} {
 		got, err := mine()
@@ -279,7 +295,7 @@ func TestParallelHandOffReturnsArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newExecStepper(d, opts, PagedConfig{}.withDefaults(), nil, fixedStrategy(4, false))
+	s := newExecStepper(d, opts, PagedConfig{}.withDefaults(), fixedStrategy(4, false))
 	defer s.release()
 	if _, _, err := s.init(minSup); err != nil {
 		t.Fatal(err)
@@ -317,6 +333,124 @@ func TestParallelHandOffReturnsArena(t *testing.T) {
 	}
 	if s.ar != nil || s.dict != nil || s.rk != nil || s.join != nil || s.sales != nil {
 		t.Error("packed state or arena still held after the hand-off")
+	}
+}
+
+// TestSpilledHandOffReturnsArena is the budgeted twin of
+// TestParallelHandOffReturnsArena. Under a 16 KiB budget every packed pass
+// of the wide-domain set is packed/spilled/1w over runs; at maxPackedK+1
+// the executor decodes R_{k-1} and R_1 from their runs into the flat
+// reference, frees every page they held, returns the arena and charges
+// the decode's pool reads to that pass. Through the public drivers
+// (MinePaged, and MineAutoMonitored on a caller-owned pool) the counts and
+// every pass's cardinalities are the flat reference's, nothing stays
+// pinned, and a second identical mine on the same pool allocates no page.
+func TestSpilledHandOffReturnsArena(t *testing.T) {
+	d, maxK, _ := wideDomainDataset(t)
+	const minSup = 25
+	opts := Options{MinSupportCount: minSup, MemoryBudget: 16 << 10}
+	want, err := MineMemory(d, Options{MinSupportCount: minSup, DisablePackedKernels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPasses := func(label string, got *Result) {
+		t.Helper()
+		fuzzSameCounts(t, label, want, got)
+		if len(got.Stats) != len(want.Stats) {
+			t.Fatalf("%s: %d passes, want %d", label, len(got.Stats), len(want.Stats))
+		}
+		for i, st := range got.Stats {
+			ref := want.Stats[i]
+			if st.RPrimeRows != ref.RPrimeRows || st.RRows != ref.RRows || st.CCount != ref.CCount {
+				t.Errorf("%s k=%d: |R'|=%d |R|=%d |C|=%d, reference %d/%d/%d", label, st.K,
+					st.RPrimeRows, st.RRows, st.CCount, ref.RPrimeRows, ref.RRows, ref.CCount)
+			}
+			p := st.Plan
+			if st.K <= maxK && (p.Kernel != KernelPacked || p.Regime != RegimeSpilled || p.Workers != 1 || p.Count == "") {
+				t.Errorf("%s k=%d: plan %q, want packed/spilled/1w/*", label, st.K, p)
+			}
+			if st.K > maxK && p.String() != "generic/resident/1w" {
+				t.Errorf("%s k=%d: plan %q, want generic/resident/1w", label, st.K, p)
+			}
+		}
+	}
+
+	// The executor, pass by pass.
+	store := storage.NewMemStore()
+	pool := storage.NewPool(store, 8)
+	s := newExecStepper(d, opts, PagedConfig{PoolFrames: 8}, fixedStrategy(1, true))
+	s.attachPool(pool)
+	defer s.release()
+	if _, _, err := s.init(minSup); err != nil {
+		t.Fatal(err)
+	}
+	for k := 2; k <= maxK; k++ {
+		if _, _, err := s.step(k, minSup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.rk.resident() || s.join.resident() {
+		t.Fatalf("setup: R_%d spilled %v, R_1 spilled %v — the decode would read no run", maxK, !s.rk.resident(), !s.join.resident())
+	}
+	joinRows := s.join.rows()
+	accBefore := pool.Stats.Accesses()
+	ck, sz, err := s.step(maxK+1, minSup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.fbFlat == nil || sz.plan.String() != "generic/resident/1w" {
+		t.Fatalf("k=%d: plan %q, want the flat reference", maxK+1, sz.plan)
+	}
+	if got := s.fbFlat.joinSide.rows(); int64(got) != joinRows || !relationSorted(s.fbFlat.joinSide, 0) {
+		t.Errorf("join side: %d rows (sorted=%v), the run held %d", got, relationSorted(s.fbFlat.joinSide, 0), joinRows)
+	}
+	if st := want.Stats[maxK]; sz.rPrime != st.RPrimeRows || sz.rRows != st.RRows || len(ck) != st.CCount {
+		t.Errorf("k=%d: |R'|=%d |R|=%d |C|=%d, reference %d/%d/%d — rows lost in the hand-off",
+			maxK+1, sz.rPrime, sz.rRows, len(ck), st.RPrimeRows, st.RRows, st.CCount)
+	}
+	if io := pool.Stats.Accesses() - accBefore; sz.pageIO != io || io == 0 {
+		t.Errorf("k=%d: pass charged %d page I/Os, the decode made %d", maxK+1, sz.pageIO, io)
+	}
+	if s.ar != nil || s.dict != nil || s.rk != nil || s.join != nil || s.sales != nil {
+		t.Error("packed state or arena still held after the hand-off")
+	}
+	if n := pool.PinnedFrames(); n != 0 {
+		t.Errorf("%d frames pinned after the hand-off", n)
+	}
+	// Every page is back on the free list: a run as large as the whole
+	// store is served without growing it.
+	np := store.NumPages()
+	run, err := xsort.SpillKeys(pool, make([]uint64, np*storage.WordsPerPage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := store.NumPages(); got != np {
+		t.Errorf("re-spill grew the store %d -> %d pages: the hand-off kept runs", np, got)
+	}
+	run.Free(pool)
+
+	// The public drivers.
+	paged, err := MinePaged(d, opts, PagedConfig{PoolFrames: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPasses("paged", paged.Result)
+	store = storage.NewMemStore()
+	pool = storage.NewPool(store, 8)
+	for run := 1; run <= 2; run++ {
+		got, err := MineAutoMonitored(context.Background(), d, opts, pool, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPasses(fmt.Sprintf("auto run %d", run), got)
+		if n := pool.PinnedFrames(); n != 0 {
+			t.Errorf("auto run %d: %d frames pinned", run, n)
+		}
+		if run == 1 {
+			np = store.NumPages()
+		} else if got := store.NumPages(); got != np {
+			t.Errorf("second mine grew the store %d -> %d pages: the first left runs allocated", np, got)
+		}
 	}
 }
 
@@ -381,7 +515,7 @@ func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 		t.Fatalf("k=3: packedExtendRows = %d, packedExtend disagrees", got)
 	}
 
-	st := newExecStepper(d, Options{MinSupportCount: 40}, PagedConfig{}.withDefaults(), nil, fixedStrategy(1, false))
+	st := newExecStepper(d, Options{MinSupportCount: 40}, PagedConfig{}.withDefaults(), fixedStrategy(1, false))
 	defer st.release()
 	if _, _, err := st.init(40); err != nil {
 		t.Fatal(err)
@@ -400,7 +534,7 @@ func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 func TestParallelPassHoldsOneRPrime(t *testing.T) {
 	d := signedDataset(17, 9000, 12, 60)
 	const minSup = 30
-	s := newExecStepper(d, Options{MinSupportCount: minSup}, PagedConfig{}.withDefaults(), nil, fixedStrategy(2, false))
+	s := newExecStepper(d, Options{MinSupportCount: minSup}, PagedConfig{}.withDefaults(), fixedStrategy(2, false))
 	if _, _, err := s.init(minSup); err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,8 @@ func TestMinePagedOnRealFile(t *testing.T) {
 func TestMinePagedSurfacesIOErrors(t *testing.T) {
 	// Inject faults at varying depths; mining must return the error (not
 	// panic, not return partial results as success).
-	// Note: the paged driver needs at least 4 frames (two scanner pins, an
-	// output page, one spare); the injection tests use that minimum so a
-	// working set larger than the pool forces physical I/O deterministically.
+	// The injection tests use a 4-frame pool, so a working set larger than
+	// the pool forces physical I/O deterministically.
 	d := faultDataset()
 	for _, failAfter := range []int{0, 1, 5, 20, 100} {
 		fstore := storage.NewFaultStore(storage.NewMemStore())
@@ -92,21 +91,6 @@ func TestMinePagedReadFaults(t *testing.T) {
 	}
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Errorf("error %v does not wrap the injected fault", err)
-	}
-}
-
-func TestMinePagedRPagesPopulated(t *testing.T) {
-	res, err := MinePaged(PaperExample(), paperOpts, PagedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.RPages) < 2 {
-		t.Fatalf("RPages = %v", res.RPages)
-	}
-	for i, p := range res.RPages {
-		if p < 1 {
-			t.Errorf("‖R_%d‖ = %d", i+1, p)
-		}
 	}
 }
 

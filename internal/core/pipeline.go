@@ -221,11 +221,12 @@ func runPipelineFrom(ctx context.Context, d *Dataset, opts Options, s stepper, o
 }
 
 // checkpointer is implemented by steppers that can persist and rebuild
-// their live state at an iteration boundary (today: the adaptive
-// executor's packed engine). writeCheckpoint persists cp plus the live
-// R_k, returning bytes written (0, nil when the substrate is in a state
-// it does not checkpoint, e.g. the wide-pattern fallback); resume
-// rebuilds the stepper as if iteration cp.K had just completed.
+// their live state at an iteration boundary (the adaptive executor).
+// writeCheckpoint persists cp plus the live packed R_k, returning bytes
+// written — (0, nil) once the wide-pattern hand-off has decoded R_k into
+// the flat reference, which is not checkpointed (resume re-runs those
+// passes from the last packed checkpoint); resume rebuilds the stepper as
+// if iteration cp.K had just completed.
 type checkpointer interface {
 	writeCheckpoint(cfg *CheckpointConfig, cp *Checkpoint) (int64, error)
 	resume(cp *Checkpoint) (iterSizes, error)

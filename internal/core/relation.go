@@ -255,10 +255,10 @@ func extendRelation(rk, sales relation) relation {
 	return out
 }
 
-// countRelationRuns scans a relation sorted on its item columns and
+// countItemRuns scans a relation sorted on its item columns and
 // returns the patterns meeting minSup — the paper's "simple sequential
 // scan" producing C_k. Allocates only for patterns that survive.
-func countRelationRuns(sorted relation, minSup int64) []ItemsetCount {
+func countItemRuns(sorted relation, minSup int64) []ItemsetCount {
 	k := sorted.stride - 1
 	n := sorted.rows()
 	var out []ItemsetCount

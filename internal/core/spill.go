@@ -31,7 +31,6 @@ import (
 	"io"
 	"slices"
 
-	"setm/internal/costmodel"
 	"setm/internal/storage"
 	"setm/internal/xsort"
 )
@@ -73,16 +72,6 @@ func (r *srel) rows() int64 {
 
 // resident reports whether the rows are in RAM (then r.mem is all of them).
 func (r *srel) resident() bool { return !r.spilled }
-
-// pages is the relation's page footprint ‖R‖: the run's real pages when
-// spilled, the packed-page equivalent of the resident rows otherwise (so
-// the Section 4.3 arithmetic stays meaningful across both regimes).
-func (r *srel) pages() int {
-	if r.spilled {
-		return max(r.run.Pages(), 1)
-	}
-	return max(int(costmodel.PackedPages(int64(len(r.mem)), costmodel.PackedRowBytes)), 1)
-}
 
 // free returns a spilled relation's pages to the pool and drops the rows.
 func (r *srel) free(pool *storage.Pool) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -17,7 +18,7 @@ var spillOpts = Options{MinSupportFrac: 0.05, MemoryBudget: 16 << 10}
 func runSpillPipeline(d *Dataset, opts Options, store storage.Store, frames int) (*storage.Pool, error) {
 	pool := storage.NewPool(store, frames)
 	cfg := PagedConfig{PoolFrames: frames, Store: store}
-	st := newExecStepper(d, opts, cfg, nil, fixedStrategy(1, true))
+	st := newExecStepper(d, opts, cfg, fixedStrategy(1, true))
 	st.attachPool(pool)
 	_, err := runPipeline(d, opts, st)
 	return pool, err
@@ -101,6 +102,62 @@ func TestSpillPipelineFaultsThroughMinePaged(t *testing.T) {
 		if !errors.Is(err, storage.ErrInjected) {
 			t.Errorf("failAfter=%d: error %v does not wrap the injected fault", failAfter, err)
 		}
+	}
+}
+
+// TestSpilledHandOffSurfacesFaults aims storage faults at the wide-pattern
+// hand-off's decode of spilled runs. A fault-free run finds the pool's
+// page reads when pass maxPackedK completes and during the hand-off pass;
+// a read fault inside that window must fail the mine in the hand-off pass
+// with a wrapped storage.ErrInjected — no panic, nothing pinned. A write
+// fault armed at the hand-off never fires: the decode and the flat
+// reference write nothing.
+func TestSpilledHandOffSurfacesFaults(t *testing.T) {
+	d, maxK, _ := wideDomainDataset(t)
+	opts := Options{MinSupportCount: 25, MemoryBudget: 16 << 10}
+	mine := func(fs *storage.FaultStore, onIter func(*storage.Pool, IterationStat)) (*storage.Pool, int, error) {
+		pool := storage.NewPool(fs, 8)
+		passes := 0
+		_, err := MineAutoMonitored(context.Background(), d, opts, pool, func(st IterationStat) {
+			passes++
+			if onIter != nil {
+				onIter(pool, st)
+			}
+		})
+		return pool, passes, err
+	}
+	var readsAt, writesAt, decodeReads int64
+	if _, _, err := mine(storage.NewFaultStore(storage.NewMemStore()), func(pool *storage.Pool, st IterationStat) {
+		switch st.K {
+		case maxK:
+			readsAt, writesAt = pool.Stats.Reads, pool.Stats.Writes
+		case maxK + 1:
+			decodeReads = pool.Stats.Reads - readsAt
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if decodeReads == 0 {
+		t.Fatal("setup: the hand-off read no page")
+	}
+	for _, j := range []int64{0, decodeReads / 2, decodeReads - 1} {
+		fs := storage.NewFaultStore(storage.NewMemStore())
+		fs.FailReadAfter = int(readsAt + j)
+		pool, passes, err := mine(fs, nil)
+		if !errors.Is(err, storage.ErrInjected) {
+			t.Errorf("read %d of %d in the decode: error %v does not wrap the injected fault", j, decodeReads, err)
+		}
+		if passes != maxK {
+			t.Errorf("read %d of %d in the decode: failed after %d passes, want %d", j, decodeReads, passes, maxK)
+		}
+		if n := pool.PinnedFrames(); n != 0 {
+			t.Errorf("read %d of %d in the decode: %d frames pinned", j, decodeReads, n)
+		}
+	}
+	fs := storage.NewFaultStore(storage.NewMemStore())
+	fs.FailWriteAfter = int(writesAt)
+	if _, _, err := mine(fs, nil); err != nil {
+		t.Errorf("write fault armed at the hand-off fired: %v", err)
 	}
 }
 

@@ -3,15 +3,22 @@
 // 1995): frequent-pattern mining by repeated sorting and merge-scan joins
 // over the per-transaction pattern relations R_k.
 //
-// Three drivers compute identical count relations C_k:
+// The drivers compute identical count relations C_k:
 //
-//   - MineMemory: the in-memory fast path ("we implemented the algorithm to
-//     run in main memory and read a file of transactions", Section 6).
-//   - MinePaged: the same loop over the paged storage substrate (heap
-//     files, external sort, merge-scan join operators), with page-I/O
+//   - MineMemory and MineParallel: the in-memory fast path ("we
+//     implemented the algorithm to run in main memory and read a file of
+//     transactions", Section 6), serial or one chunk of a pass per worker.
+//   - MinePaged: the same executor under a memory budget, its relations
+//     spilling to a buffer pool as packed-page runs, with page-I/O
 //     accounting matching the Section 4.3 analysis.
+//   - MineAuto: the same executor with each pass's plan chosen by the cost
+//     model.
 //   - MineSQL: the paper's SQL formulation (Section 4.1) executed verbatim
 //     by the relational engine.
+//
+// The native drivers share one generic kernel, the serial flat reference
+// of relation.go: what DisablePackedKernels runs, and what every pass runs
+// once a pattern outgrows the 64-bit packed key.
 package core
 
 import (
@@ -108,23 +115,24 @@ type Options struct {
 	// DESIGN.md.
 	PrefilterSales bool
 	// DisablePackedKernels replaces the packed-key engine (see pack.go)
-	// with the generic reference: on MineMemory, MineParallel and MineAuto
-	// that is one thing, the serial flat-relation kernels of relation.go
-	// (plan "generic/resident/1w", whatever worker count was asked for);
-	// on MinePaged it is the heap-file merge-scan stepper. Results are bit-identical; the
-	// generic path exists as the wide-pattern fallback and the conformance
-	// oracle, not as something to run for speed.
+	// with the generic reference on every native driver: the serial
+	// flat-relation kernels of relation.go (plan "generic/resident/1w",
+	// whatever worker count, budget or pool was asked for; MinePaged then
+	// does no page I/O). Results are bit-identical; the generic path exists
+	// as the wide-pattern hand-off and the conformance oracle, not as
+	// something to run for speed.
 	DisablePackedKernels bool
-	// MemoryBudget bounds the mining working set in bytes for the drivers
-	// that can trade memory for page I/O. MinePaged keeps an iteration's
-	// packed relations in RAM while they fit and transparently streams
-	// them through the buffer pool as sorted packed-page runs once they
-	// exceed the budget; MineAuto plans each iteration's regime against
-	// it. Zero selects the driver default (MinePaged:
-	// PoolFrames × the 4 KB page size; MineAuto: unbounded); negative
-	// means explicitly unbounded, pinning even the paged driver's
-	// relations in RAM. MineMemory and MineParallel ignore it (resident
-	// by contract), as does the flat reference under DisablePackedKernels.
+	// MemoryBudget bounds the mining working set of the packed passes in
+	// bytes, for the drivers that can trade memory for page I/O.
+	// MinePaged keeps an iteration's packed relations in RAM while they
+	// fit and transparently streams them through the buffer pool as
+	// sorted packed-page runs once they exceed the budget; MineAuto plans
+	// each iteration's regime against it. Zero selects the driver default
+	// (MinePaged: PoolFrames × the 4 KB page size; MineAuto: unbounded);
+	// negative means explicitly unbounded, pinning even the paged driver's
+	// relations in RAM. MineMemory and MineParallel ignore it (resident by
+	// contract), as does the flat reference: under DisablePackedKernels,
+	// and for every pass past the packed key, which runs resident.
 	MemoryBudget int64
 	// MaxWorkers caps the parallelism of MineAuto's resident plans. Zero
 	// means GOMAXPROCS. It is ignored by budget-bounded passes and by

@@ -571,7 +571,6 @@ type PlanInput struct {
 	// caps the basket-based |R'_k| projection (see ChoosePlan).
 	PrevRPrime int64
 	AvgBasket  float64 // |R_1| / |transactions|
-	PackedOK   bool    // pattern still fits one 64-bit packed key
 	Budget     int64   // remaining MemoryBudget in bytes (<= 0: unbounded)
 	Workers    int     // available CPUs (caller caps by Options.MaxWorkers)
 	// CountTableBytes is the size of a direct-address count table over
@@ -588,8 +587,7 @@ type PlanInput struct {
 
 // PlanChoice is ChoosePlan's decision, in engine-neutral terms.
 type PlanChoice struct {
-	Packed bool // packed-key kernels (false: generic fallback forced)
-	Spill  bool // budget-bounded spilled regime instead of resident
+	Spill bool // budget-bounded spilled regime instead of resident
 	// Workers is the chosen fan-out (>= 1; always 1 when Spill: a
 	// budget-bounded pass is serial).
 	Workers int
@@ -612,10 +610,9 @@ type PlanChoice struct {
 // orders of magnitude above it (ROADMAP item 10c).
 const ParallelMinRows = 2048
 
-// ChoosePlan picks an iteration strategy from observed cardinalities:
-// packed kernels whenever the pattern fits one key, the spilled regime
-// exactly when the modeled packed footprint exceeds the budget, and — for
-// a resident pass — the worker count that minimizes the modeled iteration
+// ChoosePlan picks a packed-key iteration's strategy from observed
+// cardinalities: the spilled regime exactly when the modeled packed
+// footprint exceeds the budget and — for a resident pass — the worker count that minimizes the modeled iteration
 // cost. A spilled pass is one worker: its cost is sequential page access
 // (the paper's Section 4.3 argument), which concurrent cursors on one
 // store break up — measured at 0.34-0.37x of the serial pass at two
@@ -623,7 +620,7 @@ const ParallelMinRows = 2048
 // an invalid plan (Workers >= 1, Spill false when unbounded), whatever the
 // inputs.
 func ChoosePlan(in PlanInput) PlanChoice {
-	c := PlanChoice{Packed: in.PackedOK, Workers: 1}
+	c := PlanChoice{Workers: 1}
 	c.EstRPrime = EstRPrimeRows(in.PrevRRows, in.AvgBasket)
 	if in.K >= 3 && in.PrevRPrime > 0 && c.EstRPrime > in.PrevRPrime {
 		// Candidate growth is front-loaded: once support pruning bites

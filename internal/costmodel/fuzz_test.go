@@ -9,16 +9,15 @@ import "testing"
 // workers on offer), spilling only under a positive budget, non-negative
 // model quantities, and a finite cost estimate.
 func FuzzChoosePlan(f *testing.F) {
-	f.Add(2, int64(1000), int64(4000), 5.0, true, int64(1<<20), 4, int64(0))
-	f.Add(1, int64(0), int64(0), 0.0, false, int64(-1), 0, int64(4096))
-	f.Add(64, int64(1)<<62, int64(1)<<62, 1e18, true, int64(1), 1<<30, int64(1)<<62)
-	f.Add(2, int64(500000), int64(0), 10.0, true, int64(8<<20), 2, int64(4<<20))
+	f.Add(2, int64(1000), int64(4000), 5.0, int64(1<<20), 4, int64(0))
+	f.Add(1, int64(0), int64(0), 0.0, int64(-1), 0, int64(4096))
+	f.Add(64, int64(1)<<62, int64(1)<<62, 1e18, int64(1), 1<<30, int64(1)<<62)
+	f.Add(2, int64(500000), int64(0), 10.0, int64(8<<20), 2, int64(4<<20))
 	f.Fuzz(func(t *testing.T, k int, prevR, prevRPrime int64, avgBasket float64,
-		packedOK bool, budget int64, workers int, countTableBytes int64) {
+		budget int64, workers int, countTableBytes int64) {
 		in := PlanInput{
 			K: k, PrevRRows: prevR, PrevRPrime: prevRPrime, AvgBasket: avgBasket,
-			PackedOK: packedOK, Budget: budget, Workers: workers,
-			CountTableBytes: countTableBytes,
+			Budget: budget, Workers: workers, CountTableBytes: countTableBytes,
 		}
 		c := ChoosePlan(in)
 		if c.Workers < 1 {
@@ -38,9 +37,6 @@ func FuzzChoosePlan(f *testing.F) {
 			if c1 := ChoosePlan(in); c1.EstMs != c.EstMs {
 				t.Fatalf("spilled EstMs %v at %d available workers, %v at 1", c.EstMs, workers, c1.EstMs)
 			}
-		}
-		if c.Packed != packedOK {
-			t.Fatalf("Packed = %v, want %v (generic only when the key overflows)", c.Packed, packedOK)
 		}
 		if c.EstRPrime < 0 || c.FootprintBytes < 0 {
 			t.Fatalf("negative model quantities: rows=%d footprint=%d", c.EstRPrime, c.FootprintBytes)

@@ -7,7 +7,7 @@ import (
 // TestChoosePlanSpillFlip pins the resident→spilled transition to the
 // exact point where the modeled packed footprint crosses the budget.
 func TestChoosePlanSpillFlip(t *testing.T) {
-	in := PlanInput{K: 2, PrevRRows: 10_000, AvgBasket: 6, PackedOK: true, Workers: 1}
+	in := PlanInput{K: 2, PrevRRows: 10_000, AvgBasket: 6, Workers: 1}
 	foot := PackedIterFootprint(EstRPrimeRows(in.PrevRRows, in.AvgBasket), 0)
 	if foot <= 0 {
 		t.Fatalf("footprint = %d, want > 0", foot)
@@ -63,7 +63,7 @@ func TestChoosePlanFootprintModel(t *testing.T) {
 // sort — cheaper and smaller exactly when CountTableFits holds, so the
 // spill decision follows the program that runs.
 func TestChoosePlanCountTable(t *testing.T) {
-	in := PlanInput{K: 2, PrevRRows: 100_000, AvgBasket: 10, PackedOK: true, Workers: 1}
+	in := PlanInput{K: 2, PrevRRows: 100_000, AvgBasket: 10, Workers: 1}
 	sorted := ChoosePlan(in)
 	in.CountTableBytes = 1 << 20
 	tabled := ChoosePlan(in)
@@ -101,7 +101,7 @@ func TestChoosePlanCountTable(t *testing.T) {
 // the cost-minimizing intermediate fan-out (not all-or-nothing), and a
 // spilled pass is one worker at a cost the available workers cannot move.
 func TestChoosePlanWorkers(t *testing.T) {
-	big := PlanInput{K: 2, PrevRRows: 500_000, AvgBasket: 10, PackedOK: true, Workers: 8}
+	big := PlanInput{K: 2, PrevRRows: 500_000, AvgBasket: 10, Workers: 8}
 	if c := ChoosePlan(big); c.Workers != 8 {
 		t.Errorf("big resident iteration: workers = %d, want 8", c.Workers)
 	}
@@ -112,7 +112,7 @@ func TestChoosePlanWorkers(t *testing.T) {
 	}
 	// Mid-size work on a 64-way box: full fan-out costs more in dispatch
 	// than it saves, but an intermediate fan-out still beats serial.
-	mid := PlanInput{K: 2, PrevRRows: 1500, AvgBasket: 4, PackedOK: true, Workers: 64}
+	mid := PlanInput{K: 2, PrevRRows: 1500, AvgBasket: 4, Workers: 64}
 	cm := ChoosePlan(mid)
 	if cm.EstRPrime < ParallelMinRows {
 		t.Fatalf("mid estimate %d below the parallel threshold; adjust the fixture", cm.EstRPrime)
@@ -120,7 +120,7 @@ func TestChoosePlanWorkers(t *testing.T) {
 	if cm.Workers <= 1 || cm.Workers >= 64 {
 		t.Errorf("mid-size on 64 CPUs: workers = %d, want an intermediate fan-out", cm.Workers)
 	}
-	serial := ChoosePlan(PlanInput{K: 2, PrevRRows: 1500, AvgBasket: 4, PackedOK: true, Workers: 1})
+	serial := ChoosePlan(PlanInput{K: 2, PrevRRows: 1500, AvgBasket: 4, Workers: 1})
 	if cm.EstMs >= serial.EstMs {
 		t.Errorf("chosen fan-out models %.3f ms, serial %.3f ms", cm.EstMs, serial.EstMs)
 	}
@@ -144,7 +144,7 @@ func TestChoosePlanWorkers(t *testing.T) {
 // front-loaded, so a shrinking run must not keep planning for the
 // worst case.
 func TestChoosePlanObservedCandidateCap(t *testing.T) {
-	in := PlanInput{K: 3, PrevRRows: 10_000, PrevRPrime: 12_000, AvgBasket: 10, PackedOK: true, Workers: 1}
+	in := PlanInput{K: 3, PrevRRows: 10_000, PrevRPrime: 12_000, AvgBasket: 10, Workers: 1}
 	c := ChoosePlan(in)
 	if c.EstRPrime != 12_000 { // basket model would say 50,000
 		t.Errorf("k=3 estimate = %d, want the observed cap 12000", c.EstRPrime)
@@ -160,7 +160,7 @@ func TestChoosePlanObservedCandidateCap(t *testing.T) {
 // read-back, and because the charge cannot be divided across workers it
 // never increases the chosen fan-out.
 func TestChoosePlanCheckpointCharge(t *testing.T) {
-	in := PlanInput{K: 2, PrevRRows: 500_000, AvgBasket: 10, PackedOK: true, Workers: 8}
+	in := PlanInput{K: 2, PrevRRows: 500_000, AvgBasket: 10, Workers: 8}
 	plain := ChoosePlan(in)
 	in.Checkpoint = true
 	ck := ChoosePlan(in)
@@ -181,7 +181,7 @@ func TestChoosePlanCheckpointCharge(t *testing.T) {
 		t.Error("CheckpointMs of empty relation must be free")
 	}
 	// And the whole-plan delta equals the charge for the chosen estimate.
-	serialIn := PlanInput{K: 2, PrevRRows: 10, AvgBasket: 2, PackedOK: true, Workers: 1}
+	serialIn := PlanInput{K: 2, PrevRRows: 10, AvgBasket: 2, Workers: 1}
 	base := ChoosePlan(serialIn)
 	serialIn.Checkpoint = true
 	withCk := ChoosePlan(serialIn)

@@ -169,7 +169,7 @@ func TestOperatorsMatchRowReference(t *testing.T) {
 		}))
 
 		// Project: column fast path (reorder + duplicate a column).
-		got = drainRows(t, NewColumnProject(NewMemScan(schema, rows), []int{2, 0, 0}))
+		got = drainRows(t, NewProjectColumns(NewMemScan(schema, rows), []int{2, 0, 0}, schema.Project([]int{2, 0, 0})))
 		want := make([]tuple.Tuple, len(rows))
 		for i, r := range rows {
 			want[i] = tuple.Tuple{r[2], r[0], r[0]}

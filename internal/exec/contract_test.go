@@ -78,7 +78,7 @@ func contractCases(t *testing.T) (cases []opCase, scan func() Operator, schema *
 		}},
 		{name: "Limit", build: func(src func() Operator) Operator { return NewLimit(src(), 1500) }},
 		{name: "Distinct", build: func(src func() Operator) Operator {
-			return NewDistinct(NewColumnProject(src(), []int{0}))
+			return NewDistinct(NewProjectColumns(src(), []int{0}, schema.Project([]int{0})))
 		}},
 		{name: "Sort", build: func(src func() Operator) Operator {
 			return NewSortKeys(src(), []SortKey{{Col: 1}, {Col: 0, Desc: true}}, nil, 0)

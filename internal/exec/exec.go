@@ -62,31 +62,6 @@ func Drain(op Operator) ([]tuple.Tuple, error) {
 	}
 }
 
-// Materialize streams op into a fresh heap file in pool, moving data as
-// batches end to end.
-func Materialize(pool *storage.Pool, op Operator) (*hp.File, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	f, err := hp.Create(pool, op.Schema())
-	if err != nil {
-		return nil, err
-	}
-	for {
-		b, err := op.NextBatch()
-		if err == io.EOF {
-			return f, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := f.AppendBatch(b); err != nil {
-			return nil, err
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Scans
 
@@ -324,7 +299,7 @@ func ConstProjector(v tuple.Value) Projector {
 }
 
 // Project maps input tuples through a list of projectors. Pure column
-// projections (NewColumnProject / NewProjectColumns) are zero-copy: the
+// projections (NewProjectColumns) are zero-copy: the
 // output batch shares the child's column vectors.
 type Project struct {
 	child   Operator
@@ -341,11 +316,6 @@ type Project struct {
 // NewProject builds a projection with the given output schema.
 func NewProject(child Operator, schema *tuple.Schema, projs []Projector) *Project {
 	return &Project{child: child, schema: schema, projs: projs}
-}
-
-// NewColumnProject projects the input columns at idxs.
-func NewColumnProject(child Operator, idxs []int) *Project {
-	return NewProjectColumns(child, idxs, child.Schema().Project(idxs))
 }
 
 // NewProjectColumns projects the input columns at idxs under an explicit

@@ -67,7 +67,7 @@ func TestFilter(t *testing.T) {
 
 func TestProject(t *testing.T) {
 	s := mem("a,b,c", tuple.Ints(1, 2, 3))
-	p := NewColumnProject(s, []int{2, 0})
+	p := NewProjectColumns(s, []int{2, 0}, s.Schema().Project([]int{2, 0}))
 	got, err := Drain(p)
 	if err != nil {
 		t.Fatal(err)
@@ -321,19 +321,21 @@ func TestSortGroupEmptyInput(t *testing.T) {
 	}
 }
 
+// TestMaterialize: a sort given a pool materializes its input as heap-file
+// runs (xsort.Stream) and streams the merged file back, leaving nothing
+// pinned.
 func TestMaterialize(t *testing.T) {
 	pool := storage.NewPool(storage.NewMemStore(), 16)
-	s := mem("a,b", tuple.Ints(1, 2), tuple.Ints(3, 4))
-	f, err := Materialize(pool, s)
+	s := mem("a,b", tuple.Ints(3, 4), tuple.Ints(1, 2))
+	rows, err := Drain(NewSortKeys(s, []SortKey{{Col: 0}}, pool, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
+	if len(rows) != 2 || rows[0][0].Int != 1 || rows[1][0].Int != 3 {
+		t.Errorf("materialized sort = %v", rows)
 	}
-	if len(rows) != 2 || rows[1][0].Int != 3 {
-		t.Errorf("Materialize = %v", rows)
+	if n := pool.PinnedFrames(); n != 0 {
+		t.Errorf("%d frames left pinned", n)
 	}
 }
 

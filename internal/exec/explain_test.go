@@ -26,7 +26,7 @@ func TestExplainRendersEveryOperator(t *testing.T) {
 	right := NewMemScan(tuple.IntSchema("u.k"), []tuple.Tuple{tuple.Ints(1)})
 	joined := NewMergeJoin(sorted, right, []int{0}, []int{0}, nil)
 	grouped := NewSortGroup(joined, []int{0}, []AggSpec{{Kind: AggCount, Name: "cnt"}})
-	projected := NewColumnProject(grouped, []int{0, 1})
+	projected := NewProjectColumns(grouped, []int{0, 1}, grouped.Schema())
 	distinct := NewDistinct(projected)
 	limited := NewLimit(distinct, 10)
 

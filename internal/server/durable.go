@@ -47,6 +47,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -57,6 +58,7 @@ import (
 
 	"setm"
 	"setm/internal/core"
+	"setm/internal/storage"
 	"setm/internal/wal"
 )
 
@@ -214,7 +216,7 @@ func (s *Server) persistDataset(ds *dataset, norm []byte) error {
 	if !s.durable() {
 		return nil
 	}
-	if err := atomicWrite(s.datasetBlobPath(ds.Version), s.cfg.NoSync, norm); err != nil {
+	if err := storage.WriteFileAtomic(s.datasetBlobPath(ds.Version), s.cfg.NoSync, writeBytes(norm)); err != nil {
 		return err
 	}
 	return s.walAppend(walRecord{
@@ -231,7 +233,7 @@ func (s *Server) persistAppend(ds *dataset, deltaNorm []byte) error {
 	if !s.durable() {
 		return nil
 	}
-	if err := atomicWrite(s.deltaBlobPath(ds.Version), s.cfg.NoSync, deltaNorm); err != nil {
+	if err := storage.WriteFileAtomic(s.deltaBlobPath(ds.Version), s.cfg.NoSync, writeBytes(deltaNorm)); err != nil {
 		return err
 	}
 	return s.walAppend(walRecord{
@@ -254,7 +256,7 @@ func (s *Server) persistResult(key cacheKey, res *core.Result) {
 	}
 	data, err := json.Marshal(&env)
 	if err == nil {
-		err = atomicWrite(s.resultPath(key), s.cfg.NoSync, data)
+		err = storage.WriteFileAtomic(s.resultPath(key), s.cfg.NoSync, writeBytes(data))
 	}
 	if err != nil {
 		s.met.persistErrors.Add(1)
@@ -584,51 +586,16 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// atomicWrite lands data at path via temp file + fsync + rename, with
-// a directory sync so the rename itself survives power loss. Debris on
-// crash is a *.tmp file the boot sweep removes.
-func atomicWrite(path string, nosync bool, data []byte) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".setmd-*.tmp")
-	if err != nil {
+// writeBytes is a storage.WriteFileAtomic body that writes data.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
 	}
-	name := tmp.Name()
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-		}
-		if err != nil {
-			os.Remove(name)
-		}
-	}()
-	if _, err = tmp.Write(data); err != nil {
-		return err
-	}
-	if !nosync {
-		if err = tmp.Sync(); err != nil {
-			return err
-		}
-	}
-	err = tmp.Close()
-	tmp = nil
-	if err != nil {
-		return err
-	}
-	if err = os.Rename(name, path); err != nil {
-		return err
-	}
-	if !nosync {
-		if d, derr := os.Open(dir); derr == nil {
-			d.Sync()
-			d.Close()
-		}
-	}
-	return nil
 }
 
-// sweepTmp removes temp-file debris (ours and the checkpoint writer's,
-// both *.tmp) left by a crash mid-atomic-write anywhere in the datadir.
+// sweepTmp removes temp-file debris (storage.WriteFileAtomic's *.tmp
+// files) left by a crash mid-write anywhere in the datadir.
 func sweepTmp(root string) {
 	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.HasSuffix(d.Name(), ".tmp") {

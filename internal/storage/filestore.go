@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -116,4 +117,45 @@ func (s *FileStore) Sync() error {
 		return err
 	}
 	return s.f.Sync()
+}
+
+// WriteFileAtomic lands a file at path whole or not at all: write fills a
+// temp file in path's directory, which is fsynced, renamed over path, and
+// followed by a sync of the directory so the rename itself survives power
+// loss. nosync skips both syncs. On any error the temp file is removed and
+// path keeps its old content; a crash leaves at most a temp file named
+// .<base>-*.tmp, which a sweep of *.tmp files clears.
+func WriteFileAtomic(path string, nosync bool, write func(io.Writer) error) (err error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err = write(tmp); err != nil {
+		return err
+	}
+	if !nosync {
+		if err = tmp.Sync(); err != nil {
+			return err
+		}
+	}
+	if err = tmp.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	if !nosync {
+		if d, derr := os.Open(dir); derr == nil {
+			d.Sync()
+			d.Close()
+		}
+	}
+	return nil
 }

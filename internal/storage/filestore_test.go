@@ -1,9 +1,13 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -198,5 +202,55 @@ func TestPoolPropagatesEvictionWriteFaults(t *testing.T) {
 	// Allocating a second page must evict (and fail to write) the first.
 	if _, err := p.Allocate(); !errors.Is(err, ErrInjected) {
 		t.Errorf("eviction write fault = %v", err)
+	}
+}
+
+// TestWriteFileAtomicFailedWriteKeepsTarget: a writer that dies halfway
+// leaves the old target byte-identical and no *.tmp behind; a good write
+// then replaces it.
+func TestWriteFileAtomicFailedWriteKeepsTarget(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "target.bin")
+	old := []byte("the committed content\n")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("killed mid-write")
+	err := WriteFileAtomic(path, false, func(w io.Writer) error {
+		if _, werr := w.Write(bytes.Repeat([]byte("x"), 3*PageSize)); werr != nil {
+			return werr
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteFileAtomic error = %v, want the writer's", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("target after a failed write: %q (err %v), want %q", got, err, old)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			t.Errorf("temp file %s left behind", e.Name())
+		}
+	}
+	if len(entries) != 1 {
+		t.Errorf("directory holds %d entries, want the target alone", len(entries))
+	}
+
+	for _, nosync := range []bool{false, true} {
+		want := []byte(fmt.Sprintf("replaced, nosync=%v", nosync))
+		if err := WriteFileAtomic(path, nosync, func(w io.Writer) error {
+			_, werr := w.Write(want)
+			return werr
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("nosync=%v: target = %q (err %v), want %q", nosync, got, err, want)
+		}
 	}
 }

@@ -33,7 +33,7 @@ func BenchmarkExternalSort(b *testing.B) {
 			f := benchFile(b, pool, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := File(pool, f, ByColumns(0, 1), 64<<10); err != nil {
+				if _, err := sortFile(pool, f, byColumns(0, 1), 64<<10); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -47,7 +47,7 @@ func BenchmarkInMemorySort(b *testing.B) {
 	f := benchFile(b, pool, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := File(pool, f, ByColumns(0, 1), 0); err != nil {
+		if _, err := sortFile(pool, f, byColumns(0, 1), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

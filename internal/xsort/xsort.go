@@ -28,25 +28,6 @@ const DefaultMemoryLimit = 4 << 20
 // Comparator orders tuples; negative means a < b.
 type Comparator func(a, b tuple.Tuple) int
 
-// ByColumns returns a comparator ordering tuples ascending on the given
-// column indexes.
-func ByColumns(idxs ...int) Comparator {
-	return func(a, b tuple.Tuple) int { return tuple.CompareAt(a, b, idxs) }
-}
-
-// ByAllColumns orders tuples ascending across every column in order.
-func ByAllColumns() Comparator {
-	return func(a, b tuple.Tuple) int { return tuple.CompareAll(a, b) }
-}
-
-// File sorts the tuples of in into a fresh heap file using at most
-// memLimit bytes of in-memory tuple buffer per run.
-func File(pool *storage.Pool, in *hp.File, cmp Comparator, memLimit int) (*hp.File, error) {
-	sc := in.Scan()
-	defer sc.Close()
-	return Stream(pool, in.Schema(), sc, cmp, memLimit)
-}
-
 // Iterator is a minimal pull-based tuple stream. Next returns io.EOF at the
 // end. Whoever opened the stream closes it; the sort only reads.
 type Iterator interface {
@@ -233,25 +214,4 @@ func mergeInto(out *hp.File, runs []*hp.File, cmp Comparator) error {
 		heap.Push(h, mergeEntry{t: t, src: e.src})
 	}
 	return nil
-}
-
-// IsSorted reports whether the heap file's tuples are in cmp order; used by
-// tests and by the planner to skip redundant sorts.
-func IsSorted(f *hp.File, cmp Comparator) (bool, error) {
-	sc := f.Scan()
-	defer sc.Close()
-	var prev tuple.Tuple
-	for {
-		t, err := sc.Next()
-		if err == io.EOF {
-			return true, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		if prev != nil && cmp(prev, t) > 0 {
-			return false, nil
-		}
-		prev = t
-	}
 }

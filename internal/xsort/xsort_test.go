@@ -15,6 +15,32 @@ func newPool() *storage.Pool {
 	return storage.NewPool(storage.NewMemStore(), 128)
 }
 
+// sortFile sorts the tuples of a heap file through Stream.
+func sortFile(pool *storage.Pool, in *hp.File, cmp Comparator, memLimit int) (*hp.File, error) {
+	sc := in.Scan()
+	defer sc.Close()
+	return Stream(pool, in.Schema(), sc, cmp, memLimit)
+}
+
+// byColumns orders tuples ascending on the given column indexes.
+func byColumns(idxs ...int) Comparator {
+	return func(a, b tuple.Tuple) int { return tuple.CompareAt(a, b, idxs) }
+}
+
+// isSorted reports whether a heap file's tuples are in cmp order.
+func isSorted(f *hp.File, cmp Comparator) (bool, error) {
+	rows, err := f.ReadAll()
+	if err != nil {
+		return false, err
+	}
+	for i := 1; i < len(rows); i++ {
+		if cmp(rows[i-1], rows[i]) > 0 {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
 func makeFile(t *testing.T, pool *storage.Pool, rows []tuple.Tuple, names ...string) *hp.File {
 	t.Helper()
 	f, err := hp.Create(pool, tuple.IntSchema(names...))
@@ -33,7 +59,7 @@ func TestSortSmallInMemory(t *testing.T) {
 		tuple.Ints(3, 1), tuple.Ints(1, 2), tuple.Ints(2, 0), tuple.Ints(1, 1),
 	}
 	f := makeFile(t, pool, rows, "a", "b")
-	out, err := File(pool, f, ByAllColumns(), 0)
+	out, err := sortFile(pool, f, tuple.CompareAll, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +87,14 @@ func TestExternalSortSpillsAndMerges(t *testing.T) {
 	}
 	f := makeFile(t, pool, rows, "k", "seq")
 	// Tiny memory limit forces many runs.
-	out, err := File(pool, f, ByColumns(0), 4096)
+	out, err := sortFile(pool, f, byColumns(0), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Rows() != n {
 		t.Fatalf("sorted file has %d rows, want %d", out.Rows(), n)
 	}
-	sorted, err := IsSorted(out, ByColumns(0))
+	sorted, err := isSorted(out, byColumns(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +113,7 @@ func TestExternalSortStability(t *testing.T) {
 		rows[i] = tuple.Ints(rng.Int63n(10), int64(i))
 	}
 	f := makeFile(t, pool, rows, "k", "seq")
-	out, err := File(pool, f, ByColumns(0), 2048)
+	out, err := sortFile(pool, f, byColumns(0), 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +131,7 @@ func TestExternalSortStability(t *testing.T) {
 func TestSortEmptyAndSingleton(t *testing.T) {
 	pool := newPool()
 	f := makeFile(t, pool, nil, "x")
-	out, err := File(pool, f, ByColumns(0), 0)
+	out, err := sortFile(pool, f, byColumns(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +139,7 @@ func TestSortEmptyAndSingleton(t *testing.T) {
 		t.Errorf("empty sort produced %d rows", out.Rows())
 	}
 	f1 := makeFile(t, pool, []tuple.Tuple{tuple.Ints(7)}, "x")
-	out1, err := File(pool, f1, ByColumns(0), 0)
+	out1, err := sortFile(pool, f1, byColumns(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +163,7 @@ func TestSortMatchesSortPackage(t *testing.T) {
 		if err := hf.AppendAll(rows); err != nil {
 			return false
 		}
-		out, err := File(pool, hf, ByColumns(0), 64) // force spills
+		out, err := sortFile(pool, hf, byColumns(0), 64) // force spills
 		if err != nil {
 			return false
 		}
@@ -167,7 +193,7 @@ func TestMultiColumnOrdering(t *testing.T) {
 	}
 	f := makeFile(t, pool, rows, "tid", "i1", "i2")
 	// Sort on (tid, i1, i2), SETM's R_k ordering.
-	out, err := File(pool, f, ByColumns(0, 1, 2), 0)
+	out, err := sortFile(pool, f, byColumns(0, 1, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +225,7 @@ func TestFileMergesBeyondThePoolAndFreesItsRuns(t *testing.T) {
 		rows[i] = tuple.Ints(rng.Int63n(50), int64(i))
 	}
 	in := makeFile(t, pool, rows, "k", "seq")
-	out, err := File(pool, in, ByColumns(0), 4096)
+	out, err := sortFile(pool, in, byColumns(0), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +264,16 @@ func TestFileMergesBeyondThePoolAndFreesItsRuns(t *testing.T) {
 	}
 }
 
+// TestIsSortedDetectsDisorder guards the check the sort tests above
+// rely on: a file out of order must be reported as such.
 func TestIsSortedDetectsDisorder(t *testing.T) {
 	pool := newPool()
 	f := makeFile(t, pool, []tuple.Tuple{tuple.Ints(2), tuple.Ints(1)}, "x")
-	ok, err := IsSorted(f, ByColumns(0))
+	ok, err := isSorted(f, byColumns(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
-		t.Error("IsSorted accepted disorder")
+		t.Error("isSorted accepted disorder")
 	}
 }

@@ -33,9 +33,10 @@
 // (budget-bounded spillable relations with page-I/O accounting), and
 // MineSQL (the paper's SQL statements executed serially by the bundled
 // relational engine). Every Result records the chosen plan per
-// iteration in Stats[i].Plan. Options.DisablePackedKernels swaps the
-// packed kernels for the serial flat reference on every resident driver
-// (the heap-file stepper on MinePaged) — an oracle, not a fast path.
+// iteration in Stats[i].Plan. A pattern too wide for one 64-bit packed
+// key hands off, resident, to the serial flat reference on every driver;
+// Options.DisablePackedKernels runs that reference from the first pass on
+// every native driver — an oracle, not a fast path.
 package setm
 
 import (
@@ -232,7 +233,9 @@ func MinePartitioned(d *Dataset, opts Options, shards int) (*Result, error) {
 // spillable relations that stay in RAM below Options.MemoryBudget and
 // stream through the buffer pool as raw packed-page runs above it, with
 // page I/O counted so runs can be checked against the Section 4.3
-// analysis. It is the driver for datasets whose working set exceeds RAM.
+// analysis. It is the driver for datasets whose working set exceeds RAM;
+// the budget governs the packed passes, and a pass past the packed key
+// runs resident on the flat reference.
 func MinePaged(d *Dataset, opts Options, cfg PagedConfig) (*PagedResult, error) {
 	return core.MinePaged(d, opts, cfg)
 }
