@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation, one per table/figure
-// (see DESIGN.md's experiment index), plus the ablations DESIGN.md calls
-// out. Run with:
+// (`setm-bench -exp` prints the same tables; README "Benchmarks" indexes
+// the suites), plus the ablations. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -161,7 +161,7 @@ func BenchmarkDrivers(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPrefilter measures the DESIGN.md ablation: joining with
+// BenchmarkAblationPrefilter measures Options.PrefilterSales: joining with
 // the full SALES relation (paper-faithful) vs prefiltering it by C_1.
 func BenchmarkAblationPrefilter(b *testing.B) {
 	full, _, _ := datasets()

@@ -1,5 +1,6 @@
 // Command setm-bench regenerates the paper's evaluation tables and
-// figures (see DESIGN.md for the experiment index):
+// figures, one -exp each (README "Benchmarks" lists the go test suites
+// that time them):
 //
 //	setm-bench -exp fig5      # Figure 5: size of R_i per iteration
 //	setm-bench -exp fig6      # Figure 6: cardinality of C_i per iteration

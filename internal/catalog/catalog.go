@@ -31,20 +31,7 @@ type Table struct {
 type Catalog struct {
 	pool   *storage.Pool
 	tables map[string]*Table // key: lower-cased name
-	epoch  uint64
 }
-
-// Epoch is the catalog's schema version: it advances on every change that
-// can invalidate a compiled plan — CREATE, DROP, TRUNCATE, Replace, and
-// (via Bump) mutations of a table's known ordering. The engine's plan
-// cache keys on it, so cached plans survive exactly as long as the tables
-// and orderings they were compiled against.
-func (c *Catalog) Epoch() uint64 { return c.epoch }
-
-// Bump advances the epoch explicitly; callers that mutate planning-relevant
-// table state outside the catalog's own methods (the engine sets
-// Table.OrderedBy after INSERT ... SELECT) must call it.
-func (c *Catalog) Bump() { c.epoch++ }
 
 // New returns an empty catalog allocating tables in pool.
 func New(pool *storage.Pool) *Catalog {
@@ -63,7 +50,6 @@ func (c *Catalog) Create(name string, schema *tuple.Schema) (*Table, error) {
 	}
 	t := &Table{Name: name, File: f}
 	c.tables[key] = t
-	c.epoch++
 	return t, nil
 }
 
@@ -94,7 +80,6 @@ func (c *Catalog) Drop(name string) error {
 	}
 	delete(c.tables, key)
 	t.File.Free()
-	c.epoch++
 	return nil
 }
 
@@ -113,7 +98,6 @@ func (c *Catalog) Truncate(name string) error {
 	t.File.Free()
 	t.File = f
 	t.OrderedBy = nil
-	c.epoch++
 	return nil
 }
 
@@ -122,7 +106,6 @@ func (c *Catalog) Truncate(name string) error {
 // R_k without copying tuples.
 func (c *Catalog) Replace(name string, f *hp.File) {
 	key := strings.ToLower(name)
-	c.epoch++
 	if t, ok := c.tables[key]; ok {
 		t.File.Free() // reclaim the superseded file, as Drop/Truncate do
 		t.File = f

@@ -99,44 +99,24 @@ type sqlStepper struct {
 
 	salesRows int64  // |SALES|, loaded before the pipeline starts
 	prevR     string // table name of R_{k-1} ("sales" for k=2 without prefilter)
-	stmts     map[string]*engine.Stmt
 }
 
 // sqlPlan is the plan every SQL pass reports: the paper's statements on
 // the budget-aware relational engine, one at a time on one goroutine.
 var sqlPlan = IterPlan{Kernel: KernelSQL, Regime: RegimeSpilled, Workers: 1}
 
-// run executes one statement with the :minsupport parameter bound,
-// through a per-stepper prepared-statement memo.
+// run executes one statement with the :minsupport parameter bound. The
+// engine's shared AST cache makes repeated MineSQL calls in one process
+// skip parsing.
 func (s *sqlStepper) run(sql string, minSup int64) (*engine.Result, error) {
 	if s.cfg.TraceSQL != nil {
 		s.cfg.TraceSQL(sql)
-	}
-	st, err := s.prepared(sql)
-	if err != nil {
-		return nil, err
-	}
-	return st.Exec(map[string]int64{"minsupport": minSup})
-}
-
-// prepared memoizes prepared statements by text. Each iteration's texts
-// are distinct (tables are named per k), but the DROP/CREATE shapes and
-// any re-run of the same iteration reuse the parse; underneath, the
-// engine's shared AST cache makes repeated MineSQL calls in one process
-// skip parsing entirely.
-func (s *sqlStepper) prepared(sql string) (*engine.Stmt, error) {
-	if st, ok := s.stmts[sql]; ok {
-		return st, nil
 	}
 	st, err := s.db.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	if s.stmts == nil {
-		s.stmts = make(map[string]*engine.Stmt)
-	}
-	s.stmts[sql] = st
-	return st, nil
+	return st.Exec(map[string]int64{"minsupport": minSup})
 }
 
 func (s *sqlStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {

@@ -111,8 +111,8 @@ type Options struct {
 	MaxPatternLen int
 	// PrefilterSales joins R_{k-1} with a SALES relation restricted to
 	// frequent items instead of the full one. The paper's Figure 4 joins
-	// with the unfiltered R_1; this flag is the ablation discussed in
-	// DESIGN.md.
+	// with the unfiltered R_1; this flag is the ablation
+	// BenchmarkAblationPrefilter measures (README "Benchmarks").
 	PrefilterSales bool
 	// DisablePackedKernels replaces the packed-key engine (see pack.go)
 	// with the generic reference on every native driver: the serial
@@ -215,9 +215,8 @@ type IterationStat struct {
 	// (Plan.Count == "table"), which tallies as one skipped sort per pass.
 	SortsSkipped int64
 	// RunsSpilled counts the sorted packed-page runs this iteration wrote
-	// through the buffer pool because a relation, key column, or count
-	// exchange outgrew Options.MemoryBudget. Zero when the iteration ran
-	// entirely in RAM.
+	// through the buffer pool because a relation or key column outgrew
+	// Options.MemoryBudget. Zero when the iteration ran entirely in RAM.
 	RunsSpilled int64
 	// SpillBytes is the payload written into those runs.
 	SpillBytes int64

@@ -233,6 +233,34 @@ func SortMergeAnalysis(w UniformWorkload, p DBParams, n int) SortMergeReport {
 // matters far less than its being positive.
 const CPUTupleMs = 0.0001
 
+// Planner cardinality constants, System-R style: without histograms an
+// equality conjunct is assumed to keep 1/10 of its input, a range
+// comparison about 1/3, anything else 1/4, and a GROUP BY to emit one
+// group per ten input rows. EXPLAIN ANALYZE shows how far they are off.
+const (
+	DefaultSelEquality = 0.10
+	DefaultSelRange    = 0.30
+	DefaultSelDefault  = 0.25
+	DefaultGroupFrac   = 0.10
+)
+
+// QError is the symmetric estimation-error factor max(est/act, act/est),
+// the standard cardinality-estimation quality metric; 1 is a perfect
+// estimate. Zero counts are smoothed to 1 row.
+func QError(est, act int64) float64 {
+	e, a := float64(est), float64(act)
+	if e < 1 {
+		e = 1
+	}
+	if a < 1 {
+		a = 1
+	}
+	if e > a {
+		return e / a
+	}
+	return a / e
+}
+
 // PagesFor returns the page footprint of a relation of rows tuples at
 // bytesPerRow each, using the paper's convention of dividing total bytes
 // by the usable page payload (see RPages).

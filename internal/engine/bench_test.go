@@ -88,28 +88,6 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 }
 
-// BenchmarkPreparedExec is BenchmarkGroupCountQuery through a prepared
-// statement: the plan compiles once and is reused from the plan cache, so
-// the delta against BenchmarkGroupCountQuery isolates what per-call parse
-// and planning used to cost. (db.Exec now shares the same caches, so the
-// delta is visible mostly in allocations.)
-func BenchmarkPreparedExec(b *testing.B) {
-	db := benchDB(b, 20000)
-	st, err := db.Prepare(`SELECT s.item, COUNT(*) FROM sales s
-	           GROUP BY s.item HAVING COUNT(*) >= :minsupport`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := map[string]int64{"minsupport": 10}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Exec(params); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkInsertSelect measures the INSERT ... SELECT ... ORDER BY path
 // SETM uses to materialize each R_k.
 func BenchmarkInsertSelect(b *testing.B) {

@@ -40,9 +40,9 @@ func flattenBatches(s *tuple.Schema, batches []*tuple.Batch) []tuple.Tuple {
 }
 
 // TestQueryBatchesConcurrent runs a prepared statement from two goroutines
-// under -race. Each execution checks a plan instance out of the cache (or
-// compiles a fresh one), so concurrent runs never share operator state.
-// Results must match the serial answer exactly.
+// under -race. Each execution compiles its own plan, so concurrent runs
+// never share operator state. Results must match the serial answer
+// exactly.
 func TestQueryBatchesConcurrent(t *testing.T) {
 	db := New()
 	loadPairs(t, db, "sales", 8000, 42)

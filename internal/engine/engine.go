@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"setm/internal/catalog"
-	"setm/internal/costmodel"
 	"setm/internal/exec"
 	hp "setm/internal/heap"
 	"setm/internal/plan"
@@ -32,17 +31,10 @@ type DB struct {
 	pool  *storage.Pool
 	cat   *catalog.Catalog
 
-	// MemBudget bounds the planner's in-memory working set per sort or
+	// memBudget bounds the planner's in-memory working set per sort or
 	// hash build (0 = plan.DefaultMemBudget); larger inputs spill, in runs
 	// of this size.
-	MemBudget int64
-
-	// calib is the installed fitted estimation-constant set (nil =
-	// costmodel defaults); calibVer versions it for the plan-cache key.
-	calib    *costmodel.Calibration
-	calibVer uint64
-	// plans caches compiled plans per (text, params, epoch, calibVer).
-	plans planCache
+	memBudget int64
 }
 
 // Option configures a DB.
@@ -73,7 +65,7 @@ func New(opts ...Option) *DB {
 		store:     store,
 		pool:      pool,
 		cat:       catalog.New(pool),
-		MemBudget: cfg.memBudget,
+		memBudget: cfg.memBudget,
 	}
 }
 
@@ -94,8 +86,7 @@ type Result struct {
 
 // Exec parses and runs a single SQL statement. params supplies values for
 // named parameters such as :minsupport. Parsing goes through the shared
-// AST cache and SELECT / INSERT ... SELECT through the plan cache, so
-// repeated texts behave like prepared statements.
+// AST cache, so repeated texts parse once.
 func (db *DB) Exec(sql string, params map[string]int64) (*Result, error) {
 	st, err := db.Prepare(sql)
 	if err != nil {
@@ -162,18 +153,18 @@ func (db *DB) ExecStmt(st sqlparse.Stmt, params map[string]int64) (*Result, erro
 		return db.execInsert(s, p)
 
 	case *sqlparse.Select:
-		op, err := db.compiler(p).CompileSelect(s)
+		pl, err := db.compile(s, p)
 		if err != nil {
 			return nil, err
 		}
-		rows, err := exec.Drain(op)
+		rows, err := exec.Drain(pl.Root)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Schema: op.Schema(), Rows: rows}, nil
+		return &Result{Schema: pl.Root.Schema(), Rows: rows}, nil
 
 	case *sqlparse.Explain:
-		pl, err := db.compiler(p).CompilePlan(s.Select)
+		pl, err := db.compile(s.Select, p)
 		if err != nil {
 			return nil, err
 		}
@@ -209,11 +200,11 @@ func (db *DB) ExecStmt(st sqlparse.Stmt, params map[string]int64) (*Result, erro
 	}
 }
 
-func (db *DB) compiler(p plan.Params) *plan.Compiler {
+// compile plans sel against the catalog as it stands.
+func (db *DB) compile(sel *sqlparse.Select, p plan.Params) (*plan.Plan, error) {
 	c := plan.NewCompiler(db.cat, db.pool, p)
-	c.MemBudget = db.MemBudget
-	c.Calib = db.calib
-	return c
+	c.MemBudget = db.memBudget
+	return c.CompilePlan(sel)
 }
 
 func (db *DB) execInsert(s *sqlparse.Insert, p plan.Params) (*Result, error) {
@@ -227,16 +218,15 @@ func (db *DB) execInsert(s *sqlparse.Insert, p plan.Params) (*Result, error) {
 	}
 
 	if s.Select != nil {
-		pl, err := db.compiler(p).CompilePlan(s.Select)
+		pl, err := db.compile(s.Select, p)
 		if err != nil {
 			return nil, err
 		}
-		return db.execInsertSelect(s, pl)
+		return insertSelect(tbl, pl)
 	}
 
 	var n int64
 	tbl.OrderedBy = nil
-	db.cat.Bump() // ordering knowledge changed: invalidate cached plans
 	for _, row := range s.Rows {
 		if len(row) != schema.Len() {
 			return nil, fmt.Errorf("engine: INSERT row arity %d does not match table %q arity %d",
@@ -276,28 +266,17 @@ func validateInsertCols(s *sqlparse.Insert, schema *tuple.Schema) error {
 	return nil
 }
 
-// execInsertSelect appends the rows of a compiled SELECT plan to the
-// target table (the plan may come from the plan cache).
-func (db *DB) execInsertSelect(s *sqlparse.Insert, pl *plan.Plan) (*Result, error) {
-	tbl, err := db.cat.Get(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	schema := tbl.File.Schema()
-	if err := validateInsertCols(s, schema); err != nil {
-		return nil, err
-	}
+// insertSelect appends the rows of a compiled SELECT plan to tbl.
+func insertSelect(tbl *catalog.Table, pl *plan.Plan) (*Result, error) {
 	op := pl.Root
-	if op.Schema().Len() != schema.Len() {
+	if got, want := op.Schema().Len(), tbl.File.Schema().Len(); got != want {
 		return nil, fmt.Errorf("engine: INSERT SELECT arity %d does not match table %q arity %d",
-			op.Schema().Len(), s.Table, schema.Len())
+			got, tbl.Name, want)
 	}
 	wasEmpty := tbl.File.Rows() == 0
-	// As on the VALUES path, the ordering claim and the cached plans that
-	// relied on it go before the first append: a fill that fails part-way
-	// keeps the rows it had appended.
+	// As on the VALUES path, the ordering claim goes before the first
+	// append: a fill that fails part-way keeps the rows it had appended.
 	tbl.OrderedBy = nil
-	db.cat.Bump()
 	n, err := fill(tbl.File, op)
 	if err != nil {
 		return nil, err
@@ -410,15 +389,13 @@ func (db *DB) LoadTableBatch(name string, schema *tuple.Schema, b *tuple.Batch, 
 	db.cat.Replace(name, f)
 	if t, err := db.cat.Get(name); err == nil {
 		t.OrderedBy = append([]int{}, orderedBy...)
-		db.cat.Bump() // ordering knowledge changed: invalidate cached plans
 	}
 	return nil
 }
 
 // QueryBatches runs a SELECT and returns the result as dense column-major
 // batches, avoiding per-row tuple materialization. The batches are copies,
-// safe to keep. It goes through the prepared-statement path (AST and plan
-// caches).
+// safe to keep. It goes through the prepared-statement path (AST cache).
 func (db *DB) QueryBatches(sql string, params map[string]int64) (*tuple.Schema, []*tuple.Batch, error) {
 	st, err := db.Prepare(sql)
 	if err != nil {

@@ -288,8 +288,7 @@ func TestInsertSelectDescendingDoesNotClaimAscending(t *testing.T) {
 
 // TestFailedInsertSelectDropsOrderingClaim: an INSERT ... SELECT that
 // fails after some batches keeps the rows it had appended, so the target's
-// ordering claim — and every cached plan that skipped a sort on it — must
-// already be gone.
+// ordering claim must already be gone.
 func TestFailedInsertSelectDropsOrderingClaim(t *testing.T) {
 	db := New()
 	const n, bad = 5010, 2500 // the zero divisor sits in src's third batch

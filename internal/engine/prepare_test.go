@@ -1,11 +1,11 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
-	"setm/internal/costmodel"
 	"setm/internal/tuple"
 )
 
@@ -53,58 +53,66 @@ func TestPreparedParamRebinding(t *testing.T) {
 	}
 }
 
-func TestPlanCacheReusesAndRespectsEpoch(t *testing.T) {
-	db := setupSales(t)
-	const q = `SELECT s.trans_id, s.item FROM sales s ORDER BY s.trans_id`
-	st, err := db.Prepare(q)
+// TestPreparedSelectSeesCatalogChanges: a prepared SELECT plans against
+// the catalog as it stands at each execution, so a table dropped and
+// re-created, or replaced by a load, returns its new rows, and a table
+// that is gone returns the catalog's error.
+func TestPreparedSelectSeesCatalogChanges(t *testing.T) {
+	db := New()
+	db.MustExec("CREATE TABLE t (a INT)", nil)
+	db.MustExec("INSERT INTO t VALUES (1), (2)", nil)
+	st, err := db.Prepare(`SELECT t.a FROM t ORDER BY t.a`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Exec(nil); err != nil {
-		t.Fatal(err)
+	// check runs st through Exec and QueryBatches; both must see want.
+	check := func(when string, want ...int64) {
+		t.Helper()
+		r, err := st.Exec(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		_, batches, err := st.QueryBatches(nil)
+		if err != nil {
+			t.Fatalf("%s: QueryBatches: %v", when, err)
+		}
+		for _, rows := range [][]tuple.Tuple{r.Rows, flattenBatches(nil, batches)} {
+			var got []int64
+			for _, row := range rows {
+				got = append(got, row[0].Int)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: got %v, want %v", when, got, want)
+			}
+		}
 	}
-	db.plans.mu.Lock()
-	cached := len(db.plans.m)
-	db.plans.mu.Unlock()
-	if cached != 1 {
-		t.Fatalf("after first exec: %d cached plans, want 1", cached)
-	}
-	// Same epoch: the second execution must consume and restore the entry.
-	if _, err := st.Exec(nil); err != nil {
-		t.Fatal(err)
-	}
-	db.plans.mu.Lock()
-	var key string
-	for k := range db.plans.m {
-		key = k
-	}
-	db.plans.mu.Unlock()
-	if !strings.Contains(key, q) {
-		t.Fatalf("cache key %q does not embed the statement text", key)
-	}
+	check("first run", 1, 2)
 
-	// A schema change bumps the epoch: the old entry's key can never match
-	// again, and re-execution mints a fresh plan under the new epoch.
-	epoch := db.cat.Epoch()
-	db.MustExec("CREATE TABLE other (a INT)", nil)
-	if db.cat.Epoch() == epoch {
-		t.Fatal("CREATE TABLE did not bump the catalog epoch")
-	}
-	if _, err := st.Exec(nil); err != nil {
+	db.MustExec("DROP TABLE t", nil)
+	db.MustExec("CREATE TABLE t (b INT, a INT)", nil)
+	db.MustExec("INSERT INTO t VALUES (9, 7)", nil)
+	check("after DROP and CREATE", 7)
+
+	rows := []tuple.Tuple{tuple.Ints(5), tuple.Ints(3), tuple.Ints(4)}
+	if err := db.LoadTable("t", tuple.IntSchema("a"), rows); err != nil {
 		t.Fatal(err)
 	}
-	db.plans.mu.Lock()
-	cached = len(db.plans.m)
-	db.plans.mu.Unlock()
-	if cached != 2 {
-		t.Fatalf("after epoch bump: %d cached plans, want 2 (stale + fresh)", cached)
+	check("after a load", 3, 4, 5)
+
+	db.MustExec("DROP TABLE t", nil)
+	const noTable = `catalog: no such table "t"`
+	if _, err := st.Exec(nil); err == nil || err.Error() != noTable {
+		t.Fatalf("after DROP: err = %v, want %q", err, noTable)
+	}
+	if _, _, err := st.QueryBatches(nil); err == nil || err.Error() != noTable {
+		t.Fatalf("after DROP: QueryBatches err = %v, want %q", err, noTable)
 	}
 }
 
-// TestPlanCacheOrderingInvalidation is the correctness case the epoch key
-// exists for: a cached plan that skipped a sort (input provably ordered)
-// must not be reused after an append destroys the ordering guarantee.
-func TestPlanCacheOrderingInvalidation(t *testing.T) {
+// TestPreparedSelectSortsAgainAfterAppend: a prepared SELECT whose first
+// run skipped its sort (the table was provably ordered) sorts again once
+// an append destroyed the ordering.
+func TestPreparedSelectSortsAgainAfterAppend(t *testing.T) {
 	db := New()
 	db.MustExec("CREATE TABLE t (a INT, b INT)", nil)
 	db.MustExec("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)", nil)
@@ -130,7 +138,44 @@ func TestPlanCacheOrderingInvalidation(t *testing.T) {
 	var prev int64 = math.MinInt64
 	for _, row := range r.Rows {
 		if row[0].Int < prev {
-			t.Fatalf("stale sort-free plan reused after append: out of order %v", r.Rows)
+			t.Fatalf("sort skipped after append: out of order %v", r.Rows)
+		}
+		prev = row[0].Int
+	}
+	if len(r.Rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(r.Rows))
+	}
+}
+
+// TestPreparedInsertSelectSortsAgainAfterAppend is the same check for a
+// prepared INSERT ... SELECT ... ORDER BY: once its source lost its
+// ordering, the target is filled sorted again (and may claim to be).
+func TestPreparedInsertSelectSortsAgainAfterAppend(t *testing.T) {
+	db := New()
+	db.MustExec("CREATE TABLE t (a INT, b INT)", nil)
+	db.MustExec("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)", nil)
+	db.MustExec("CREATE TABLE s (a INT, b INT)", nil)
+	db.MustExec("INSERT INTO s SELECT t.a, t.b FROM t ORDER BY t.a", nil)
+	db.MustExec("CREATE TABLE dst (a INT, b INT)", nil)
+
+	st, err := db.Prepare(`INSERT INTO dst SELECT s.a, s.b FROM s ORDER BY s.a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Exec(nil); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("INSERT INTO s VALUES (0, 0)", nil)
+	db.MustExec("DELETE FROM dst", nil)
+	if _, err := st.Exec(nil); err != nil {
+		t.Fatal(err)
+	}
+	// No ORDER BY: the scan returns dst's rows in stored order.
+	r := db.MustExec("SELECT dst.a FROM dst", nil)
+	var prev int64 = math.MinInt64
+	for _, row := range r.Rows {
+		if row[0].Int < prev {
+			t.Fatalf("sort skipped after the source's append: dst stored out of order %v", r.Rows)
 		}
 		prev = row[0].Int
 	}
@@ -181,32 +226,6 @@ func TestStmtQueryBatches(t *testing.T) {
 	}
 }
 
-func TestExplainAnalyzeReportsActualVsEstimated(t *testing.T) {
-	db := setupSales(t)
-	r := db.MustExec(`EXPLAIN ANALYZE SELECT s.item, COUNT(*) FROM sales s
-		GROUP BY s.item HAVING COUNT(*) >= :minsupport`, map[string]int64{"minsupport": 4})
-	var text strings.Builder
-	for _, row := range r.Rows {
-		text.WriteString(row[0].Str)
-		text.WriteByte('\n')
-	}
-	out := text.String()
-	// Every executed operator reports actuals alongside the estimate.
-	if !strings.Contains(out, "actual ") || !strings.Contains(out, "(est ") {
-		t.Fatalf("EXPLAIN ANALYZE lacks actual-vs-estimated annotations:\n%s", out)
-	}
-	// The grouped scan sees 30 sales rows and emits 8 groups; HAVING keeps 5.
-	if !strings.Contains(out, "actual 8 rows") {
-		t.Errorf("expected the SortGroup to report actual 8 rows:\n%s", out)
-	}
-	if !strings.Contains(out, "actual 5 rows") {
-		t.Errorf("expected the HAVING filter to report actual 5 rows:\n%s", out)
-	}
-	if !strings.Contains(out, "actual: 5 rows;") {
-		t.Errorf("summary line should lead with the actual root cardinality:\n%s", out)
-	}
-}
-
 func TestExplainWithoutAnalyzeDoesNotExecute(t *testing.T) {
 	db := setupSales(t)
 	db.MustExec("CREATE TABLE sink (item INT)", nil)
@@ -215,75 +234,5 @@ func TestExplainWithoutAnalyzeDoesNotExecute(t *testing.T) {
 		if strings.Contains(row[0].Str, "actual") {
 			t.Fatalf("plain EXPLAIN must not report actuals: %s", row[0].Str)
 		}
-	}
-}
-
-func TestCalibrateImprovesSelectivityEstimate(t *testing.T) {
-	db := New()
-	db.MustExec("CREATE TABLE t (a INT, b INT)", nil)
-	// 1000 rows; a=1 on half of them — five times the default 0.10
-	// equality selectivity, so the default estimate is off by 5×.
-	rows := make([]tuple.Tuple, 1000)
-	for i := range rows {
-		rows[i] = tuple.Ints(int64(i%2), int64(i))
-	}
-	if err := db.LoadTable("t", tuple.IntSchema("a", "b"), rows); err != nil {
-		t.Fatal(err)
-	}
-	const q = `SELECT t.b FROM t WHERE t.a = :x`
-
-	qerrBefore := filterQError(t, db, q)
-	cal, err := db.Calibrate([]string{q}, map[string]int64{"x": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal.SelEquality <= costmodel.DefaultSelEquality {
-		t.Fatalf("fitted SelEquality %.3f did not move toward the observed 0.5", cal.SelEquality)
-	}
-	qerrAfter := filterQError(t, db, q)
-	if qerrAfter >= qerrBefore {
-		t.Fatalf("calibration did not improve the estimate: q-error %.2f -> %.2f", qerrBefore, qerrAfter)
-	}
-	// One observation fits against a ridge prior toward the default, so
-	// the fitted constant lands between 0.10 and 0.50 — and the remaining
-	// q-error stays within a loose pinned bound.
-	if qerrAfter > 3.0 {
-		t.Fatalf("post-calibration q-error %.2f exceeds pinned bound 3.0", qerrAfter)
-	}
-}
-
-// filterQError runs q and returns the q-error of the filter's estimate.
-func filterQError(t *testing.T, db *DB, q string) float64 {
-	t.Helper()
-	obs, err := db.Observe(q, map[string]int64{"x": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs) != 1 {
-		t.Fatalf("expected 1 observation, got %d", len(obs))
-	}
-	cal := db.Calibration()
-	est := int64(float64(obs[0].In) * cal.SelEquality)
-	return costmodel.QError(est, obs[0].Out)
-}
-
-func TestCalibrationVersionInvalidatesPlanCache(t *testing.T) {
-	db := setupSales(t)
-	st, err := db.Prepare(`SELECT s.item FROM sales s WHERE s.item = :x`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Exec(map[string]int64{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
-	db.SetCalibration(costmodel.DefaultCalibration())
-	if _, err := st.Exec(map[string]int64{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
-	db.plans.mu.Lock()
-	cached := len(db.plans.m)
-	db.plans.mu.Unlock()
-	if cached != 2 {
-		t.Fatalf("after calibration bump: %d cached plans, want 2 (stale + fresh)", cached)
 	}
 }

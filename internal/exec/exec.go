@@ -780,8 +780,8 @@ func (s *Sort) nextBatch() (*tuple.Batch, error) {
 }
 
 // Close drops the columnar store or, on the external path, frees the
-// sorted file: a cached plan re-sorts on its next Open, so a file kept
-// past Close would be a leak of its pages.
+// sorted file: a re-opened Sort sorts again on its next Open, so a file
+// kept past Close would be a leak of its pages.
 func (s *Sort) Close() error {
 	s.store, s.perm = nil, nil
 	if s.out != nil {

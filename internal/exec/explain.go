@@ -7,8 +7,7 @@ import (
 
 // Children returns op's direct inputs in plan order (left before right).
 // It is the one description of the operator tree's shape: EXPLAIN [ANALYZE]
-// rendering, calibration observation collection and the planner tests all
-// walk plans through it. Leaf operators return nil.
+// rendering and the planner tests walk plans through it. Leaf operators return nil.
 func Children(op Operator) []Operator {
 	switch v := op.(type) {
 	case *Rename:

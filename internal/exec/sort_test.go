@@ -57,8 +57,8 @@ func freeListLen(t testing.TB, pool *storage.Pool) int {
 }
 
 // TestExternalSortReleasesPages pins the external sort's page discipline:
-// it merges any number of runs through a pool of any size, a cached plan
-// re-executing it does not grow the store, it leaves no frame pinned, and a
+// it merges any number of runs through a pool of any size, re-executing
+// it does not grow the store, it leaves no frame pinned, and a
 // failed allocation at any point leaves nothing behind but the input.
 func TestExternalSortReleasesPages(t *testing.T) {
 	stores := []struct {

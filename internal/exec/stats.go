@@ -8,11 +8,9 @@ import (
 
 // OpStats records an operator's actual output cardinality: how many rows
 // and batches it produced since Open. EXPLAIN ANALYZE reads these after a
-// plan has been drained to report actual-vs-estimated rows per operator,
-// and the calibration harness fits the planner's selectivity constants
-// from them. The counters are atomic: a plan walk (EXPLAIN ANALYZE, the
-// calibration harness) may read them while another goroutine drains the
-// plan, and the race detector must stay quiet.
+// plan has been drained to report actual-vs-estimated rows per operator.
+// The counters are atomic: a plan walk may read them while another
+// goroutine drains the plan, and the race detector must stay quiet.
 type OpStats struct {
 	batches atomic.Int64
 	rows    atomic.Int64

@@ -21,15 +21,6 @@ import (
 // build side).
 const DefaultMemBudget = 256 << 20
 
-// opClasses records, per operator, what the calibration harness needs to
-// re-derive its estimate: filter conjunct counts by class, or that the
-// operator is a grouping. Paired with actual input/output rows after a run
-// it becomes a costmodel.Observation.
-type opClasses struct {
-	eq, rng, def int
-	group        bool
-}
-
 // Estimate is the planner's guess for one operator's output.
 type Estimate struct {
 	// Rows is the estimated output cardinality.
@@ -65,9 +56,6 @@ type Plan struct {
 	// ests maps operators to their estimated output rows, for EXPLAIN
 	// ANALYZE's actual-vs-estimated report.
 	ests map[exec.Operator]int64
-	// classes maps calibratable operators (filters, groupings) to their
-	// conjunct classes, for Observations.
-	classes map[exec.Operator]opClasses
 }
 
 // Note returns the planner's annotation for op (empty when none), in the
@@ -103,29 +91,12 @@ func (c *Compiler) memBudget() int64 {
 	return DefaultMemBudget
 }
 
-// calibration returns the active estimation constants: the installed
-// fitted set, or the built-in defaults.
-func (c *Compiler) calibration() costmodel.Calibration {
-	if c.Calib != nil {
-		return *c.Calib
-	}
-	return costmodel.DefaultCalibration()
-}
-
 // setEst records op's estimated output rows for EXPLAIN ANALYZE.
 func (c *Compiler) setEst(op exec.Operator, rows int64) {
 	if c.ests == nil {
 		c.ests = make(map[exec.Operator]int64)
 	}
 	c.ests[op] = rows
-}
-
-// setClasses records op's calibration classes for Observations.
-func (c *Compiler) setClasses(op exec.Operator, cls opClasses) {
-	if c.classes == nil {
-		c.classes = make(map[exec.Operator]opClasses)
-	}
-	c.classes[op] = cls
 }
 
 // schemaRowBytes estimates the stored bytes of one row over the
@@ -305,7 +276,7 @@ func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *g
 			// Filter pass over materialized join rows.
 			op.SetVecResidualGT(gt.li, gt.ri)
 			gt.cj.used = true
-			est.Rows = max64(1, int64(float64(est.Rows)*c.calibration().SelRange))
+			est.Rows = max64(1, int64(float64(est.Rows)*costmodel.DefaultSelRange))
 			noteTxt += fmt.Sprintf("; residual R[%d]>L[%d] pushed down", gt.ri, gt.li)
 		}
 		c.note(op, "%s; est %d rows", noteTxt, est.Rows)

@@ -48,11 +48,11 @@ func compile(t *testing.T, c *Compiler, sql string) exec.Operator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := c.CompileSelect(st.(*sqlparse.Select))
+	pl, err := c.CompilePlan(st.(*sqlparse.Select))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return op
+	return pl.Root
 }
 
 func drain(t *testing.T, op exec.Operator) []tuple.Tuple {
@@ -344,7 +344,7 @@ func TestMissingParamFails(t *testing.T) {
 	}
 	c := NewCompiler(cat, pool, nil)
 	st, _ := sqlparse.Parse("SELECT t.a FROM t WHERE t.a >= :missing")
-	if _, err := c.CompileSelect(st.(*sqlparse.Select)); err == nil {
+	if _, err := c.CompilePlan(st.(*sqlparse.Select)); err == nil {
 		t.Error("missing parameter accepted")
 	} else if !strings.Contains(err.Error(), "missing") {
 		t.Errorf("error = %v", err)
@@ -354,7 +354,7 @@ func TestMissingParamFails(t *testing.T) {
 func TestGroupByNonColumnRejected(t *testing.T) {
 	c, _ := fixture(t)
 	st, _ := sqlparse.Parse("SELECT COUNT(*) FROM sales s GROUP BY s.item + 1")
-	if _, err := c.CompileSelect(st.(*sqlparse.Select)); err == nil {
+	if _, err := c.CompilePlan(st.(*sqlparse.Select)); err == nil {
 		t.Error("GROUP BY expression accepted")
 	}
 }
@@ -362,7 +362,7 @@ func TestGroupByNonColumnRejected(t *testing.T) {
 func TestAggregateOutsideGroupRejected(t *testing.T) {
 	c, _ := fixture(t)
 	st, _ := sqlparse.Parse("SELECT s.item FROM sales s WHERE COUNT(*) > 1")
-	if _, err := c.CompileSelect(st.(*sqlparse.Select)); err == nil {
+	if _, err := c.CompilePlan(st.(*sqlparse.Select)); err == nil {
 		t.Error("aggregate in WHERE accepted")
 	}
 }

@@ -21,13 +21,9 @@ type Compiler struct {
 	// (0 = DefaultMemBudget); the cost model spills or rejects above it, and
 	// an external sort's runs are this size.
 	MemBudget int64
-	// Calib overrides the built-in estimation constants with a fitted set
-	// (nil = costmodel.DefaultCalibration).
-	Calib *costmodel.Calibration
 
-	notes   map[exec.Operator]string
-	ests    map[exec.Operator]int64
-	classes map[exec.Operator]opClasses
+	notes map[exec.Operator]string
+	ests  map[exec.Operator]int64
 }
 
 // NewCompiler builds a compiler. pool may be nil to keep sorts in memory.
@@ -38,15 +34,6 @@ func NewCompiler(cat *catalog.Catalog, pool *storage.Pool, params Params) *Compi
 	return &Compiler{cat: cat, pool: pool, params: params}
 }
 
-// CompileSelect compiles a SELECT into an operator tree.
-func (c *Compiler) CompileSelect(sel *sqlparse.Select) (exec.Operator, error) {
-	p, err := c.CompilePlan(sel)
-	if err != nil {
-		return nil, err
-	}
-	return p.Root, nil
-}
-
 // CompilePlan compiles a SELECT into a physical plan, choosing operators
 // by cost (catalog row counts fed through the paper's page arithmetic)
 // and tracking the output ordering so provably redundant sorts are
@@ -54,7 +41,6 @@ func (c *Compiler) CompileSelect(sel *sqlparse.Select) (exec.Operator, error) {
 func (c *Compiler) CompilePlan(sel *sqlparse.Select) (*Plan, error) {
 	c.notes = make(map[exec.Operator]string)
 	c.ests = make(map[exec.Operator]int64)
-	c.classes = make(map[exec.Operator]opClasses)
 	n, err := c.compileFromWhere(sel)
 	if err != nil {
 		return nil, err
@@ -111,7 +97,7 @@ func (c *Compiler) CompilePlan(sel *sqlparse.Select) (*Plan, error) {
 		n = node{op: op, est: est, ordering: n.ordering}
 	}
 	return &Plan{Root: n.op, Ordering: n.ordering, Est: n.est,
-		notes: c.notes, ests: c.ests, classes: c.classes}, nil
+		notes: c.notes, ests: c.ests}, nil
 }
 
 // scanRef builds a qualified scan of one FROM table: every column is
@@ -146,22 +132,18 @@ type conjunct struct {
 	used bool
 }
 
-// conjSelectivity returns the calibrated selectivity of one conjunct and
-// tallies its class (equality / range / default) into cls so the operator
-// can later be paired with its actual cardinalities for re-fitting.
-func conjSelectivity(e sqlparse.Expr, cal costmodel.Calibration, cls *opClasses) float64 {
+// conjSelectivity returns the System-R selectivity of one conjunct by its
+// class: equality, range, or anything else.
+func conjSelectivity(e sqlparse.Expr) float64 {
 	if be, ok := e.(*sqlparse.BinaryExpr); ok {
 		switch be.Op {
 		case sqlparse.OpEq:
-			cls.eq++
-			return cal.SelEquality
+			return costmodel.DefaultSelEquality
 		case sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
-			cls.rng++
-			return cal.SelRange
+			return costmodel.DefaultSelRange
 		}
 	}
-	cls.def++
-	return cal.SelDefault
+	return costmodel.DefaultSelDefault
 }
 
 // fullFromSchema concatenates the qualified schemas of every FROM table,
@@ -187,8 +169,6 @@ func (c *Compiler) attachFilters(n node, conjs []*conjunct, scope map[string]boo
 	var vecs []exec.VecPredicate
 	var preds []exec.Predicate
 	sel := 1.0
-	cal := c.calibration()
-	var cls opClasses
 	for _, cj := range conjs {
 		if cj.used {
 			continue
@@ -211,7 +191,7 @@ func (c *Compiler) attachFilters(n node, conjs []*conjunct, scope map[string]boo
 			}
 			preds = append(preds, p)
 		}
-		sel *= conjSelectivity(cj.expr, cal, &cls)
+		sel *= conjSelectivity(cj.expr)
 		cj.used = true
 	}
 	if len(vecs) == 0 && len(preds) == 0 {
@@ -228,7 +208,6 @@ func (c *Compiler) attachFilters(n node, conjs []*conjunct, scope map[string]boo
 	c.note(op, "selectivity≈%.2f, est %d rows (%d/%d conjuncts vectorized)",
 		sel, est.Rows, len(vecs), len(vecs)+len(preds))
 	c.setEst(op, est.Rows)
-	c.setClasses(op, cls)
 	return node{op: op, est: est, ordering: n.ordering}, nil
 }
 
@@ -466,8 +445,7 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 		aggCols[ae.String()] = len(groupIdxs) + i
 	}
 
-	cal := c.calibration()
-	estGroups := max64(1, int64(float64(in.est.Rows)*cal.GroupFrac))
+	estGroups := max64(1, int64(float64(in.est.Rows)*costmodel.DefaultGroupFrac))
 	child := in
 	var gop exec.Operator
 	var groupCost float64
@@ -497,14 +475,12 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 		ordering[i] = i
 	}
 	c.setEst(gop, est.Rows)
-	c.setClasses(gop, opClasses{group: true})
 	n := node{op: gop, est: est, ordering: ordering}
 
 	if sel.Having != nil {
 		rewritten := rewriteAggs(sel.Having, aggCols)
-		var cls opClasses
 		est := n.est
-		est.Rows = max64(1, int64(float64(est.Rows)*conjSelectivity(rewritten, cal, &cls)))
+		est.Rows = max64(1, int64(float64(est.Rows)*conjSelectivity(rewritten)))
 		var op *exec.Filter
 		if vp := compileVecPredicate(rewritten, gop.Schema(), c.params); vp != nil {
 			op = exec.NewFilterVec(n.op, []exec.VecPredicate{vp}, nil)
@@ -524,7 +500,6 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 			c.note(op, "HAVING, est %d rows", est.Rows)
 		}
 		c.setEst(op, est.Rows)
-		c.setClasses(op, cls)
 		n = node{op: op, est: est, ordering: n.ordering}
 	}
 	return n, aggCols, nil

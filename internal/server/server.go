@@ -1,13 +1,13 @@
-// Package server implements setmd, the long-running mining service of
-// ROADMAP item 1: SETM run where the paper argued it belongs — inside
-// the data-management system, as a shared service — instead of a
-// one-off in-process batch job. The server registers versioned datasets
-// (the SALES text codec, content-addressed), executes mining jobs
-// through the adaptive executor (setm.MineAuto semantics, cancellable),
-// fronts them with a result cache keyed on (dataset version, canonical
-// options) so repeat queries are free, and admits work through a
-// cost-model gate that bounds the *sum* of running jobs' estimated
-// memory footprints under one global budget.
+// Package server implements setmd, the long-running mining service:
+// SETM run where the paper argued it belongs — inside the
+// data-management system, as a shared service — instead of a one-off
+// in-process batch job. The server registers versioned datasets (the
+// SALES text codec, content-addressed), executes mining jobs through the
+// adaptive executor (setm.MineAuto semantics, cancellable), fronts them
+// with a result cache keyed on (dataset version, canonical options) so
+// repeat queries are free, and admits work through a cost-model gate
+// that bounds the *sum* of running jobs' estimated memory footprints
+// under one global budget.
 //
 // Endpoints:
 //
@@ -17,17 +17,17 @@
 //	                          returns the derived version with a parent
 //	                          link — mining it reuses the parent's
 //	                          cached result incrementally
-
-// GET    /datasets          list registered datasets
-// GET    /datasets/{id}     one dataset's metadata
-// DELETE /datasets/{id}     unregister (409 while jobs reference it)
-// POST   /jobs              submit a mining job (JSON body)
-// GET    /jobs              list jobs
-// GET    /jobs/{id}         job status + per-iteration plan rows
-// GET    /jobs/{id}/result  the mining result once done
-// DELETE /jobs/{id}         cancel a queued or running job
-// GET    /metrics           counters and gauges, text format
-// GET    /healthz           liveness (503 once draining)
+//	GET    /datasets          list registered datasets
+//	GET    /datasets/{id}     one dataset's metadata
+//	DELETE /datasets/{id}     unregister (409 while a queued or running
+//	                          job mines it, or it is a version's parent)
+//	POST   /jobs              submit a mining job (JSON body)
+//	GET    /jobs              list jobs
+//	GET    /jobs/{id}         job status + per-iteration plan rows
+//	GET    /jobs/{id}/result  the mining result once done
+//	DELETE /jobs/{id}         cancel a queued or running job
+//	GET    /metrics           counters and gauges, text format
+//	GET    /healthz           liveness (503 once draining)
 package server
 
 import (

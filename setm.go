@@ -71,7 +71,7 @@ type ItemsetCount = core.ItemsetCount
 type IterationStat = core.IterationStat
 
 // IterPlan is the per-iteration strategy IR the executor committed to:
-// kernel, memory regime, worker fan-out, exchange, and count kernel.
+// kernel, memory regime, worker fan-out, and count kernel.
 type IterPlan = core.IterPlan
 
 // PagedConfig tunes the paged driver (buffer-pool frames, page store).
