@@ -138,6 +138,15 @@ func conformanceMiners() []minerFn {
 		{"sql", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MineSQL(d, o, core.SQLConfig{})
 		}},
+		{"sql-8KiB", func(d *core.Dataset, o core.Options) (*core.Result, error) {
+			// The bounded-memory SQL path: external sorts and SortGroup.
+			o.MemoryBudget = 8 << 10
+			r, db, err := core.MineSQLOn(d, o, nil)
+			if n := db.Pool().PinnedFrames(); err == nil && n != 0 {
+				err = fmt.Errorf("%d frames pinned after the mine", n)
+			}
+			return r, err
+		}},
 		{"apriori", apriori.MineApriori},
 		{"ais", apriori.MineAIS},
 	}

@@ -17,7 +17,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current planner")
 
 // sqlFixture is one data set the SQL-path tests mine, deep enough to
-// reach k = 3.
+// reach k = 3. retail-8KiB is retail under an 8 KiB budget: its count
+// statements plan SortGroup over external sorts, the bounded-memory path
+// of GROUP BY, where a 32 KiB budget still plans HashGroup.
 type sqlFixture struct {
 	name string
 	d    *core.Dataset
@@ -29,6 +31,7 @@ func sqlFixtures() []sqlFixture {
 	retail.NumTransactions = 4000
 	return []sqlFixture{
 		{"retail", gen.Retail(retail), core.Options{MinSupportFrac: 0.01}},
+		{"retail-8KiB", gen.Retail(retail), core.Options{MinSupportFrac: 0.01, MemoryBudget: 8 << 10}},
 		{"quest", gen.Quest(gen.T10I4D100K(0.03, 1)), core.Options{MinSupportFrac: 0.003}},
 	}
 }

@@ -320,8 +320,6 @@ func evalConst(e sqlparse.Expr, p plan.Params) (tuple.Value, error) {
 	switch v := e.(type) {
 	case *sqlparse.IntLit:
 		return tuple.I(v.Value), nil
-	case *sqlparse.StringLit:
-		return tuple.S(v.Value), nil
 	case *sqlparse.Param:
 		val, ok := p[v.Name]
 		if !ok {
@@ -336,9 +334,6 @@ func evalConst(e sqlparse.Expr, p plan.Params) (tuple.Value, error) {
 		r, err := evalConst(v.R, p)
 		if err != nil {
 			return tuple.Value{}, err
-		}
-		if l.Kind != tuple.KindInt || r.Kind != tuple.KindInt {
-			return tuple.Value{}, fmt.Errorf("engine: non-integer arithmetic in VALUES")
 		}
 		switch v.Op {
 		case sqlparse.OpAdd:

@@ -90,10 +90,10 @@ func appendJoinRow(out, left *tuple.Batch, li int, right *tuple.Batch, ri int) {
 	lp, rp := left.RowIdx(li), right.RowIdx(ri)
 	nl := len(left.Cols)
 	for c := range left.Cols {
-		appendColValue(&out.Cols[c], &left.Cols[c], lp)
+		out.Cols[c].I = append(out.Cols[c].I, left.Cols[c].I[lp])
 	}
 	for c := range right.Cols {
-		appendColValue(&out.Cols[nl+c], &right.Cols[c], rp)
+		out.Cols[nl+c].I = append(out.Cols[nl+c].I, right.Cols[c].I[rp])
 	}
 	out.BumpRow()
 }
@@ -106,34 +106,14 @@ func appendJoinRows(out, left *tuple.Batch, li int, right *tuple.Batch, ri, n in
 	lp := left.RowIdx(li)
 	nl := len(left.Cols)
 	for c := range left.Cols {
-		dst, src := &out.Cols[c], &left.Cols[c]
-		if src.Kind == tuple.KindInt {
-			v := src.I[lp]
-			for k := 0; k < n; k++ {
-				dst.I = append(dst.I, v)
-			}
-		} else {
-			v := src.S[lp]
-			for k := 0; k < n; k++ {
-				dst.S = append(dst.S, v)
-			}
+		dst, v := &out.Cols[c], left.Cols[c].I[lp]
+		for k := 0; k < n; k++ {
+			dst.I = append(dst.I, v)
 		}
 	}
 	for c := range right.Cols {
-		dst, src := &out.Cols[nl+c], &right.Cols[c]
-		if src.Kind == tuple.KindInt {
-			dst.I = append(dst.I, src.I[ri:ri+n]...)
-		} else {
-			dst.S = append(dst.S, src.S[ri:ri+n]...)
-		}
+		dst := &out.Cols[nl+c]
+		dst.I = append(dst.I, right.Cols[c].I[ri:ri+n]...)
 	}
 	out.BumpRows(n)
-}
-
-func appendColValue(dst, src *tuple.ColVec, phys int) {
-	if src.Kind == tuple.KindInt {
-		dst.I = append(dst.I, src.I[phys])
-	} else {
-		dst.S = append(dst.S, src.S[phys])
-	}
 }

@@ -40,16 +40,6 @@ func refFilter(rows []tuple.Tuple, keep func(tuple.Tuple) bool) []tuple.Tuple {
 	return out
 }
 
-func refDistinctSorted(rows []tuple.Tuple) []tuple.Tuple {
-	var out []tuple.Tuple
-	for i, r := range rows {
-		if i == 0 || !tuple.EqualTuples(rows[i-1], r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 func refEquiJoin(l, r []tuple.Tuple, lk, rk []int) []tuple.Tuple {
 	var out []tuple.Tuple
 	for _, lt := range l {
@@ -176,17 +166,7 @@ func TestOperatorsMatchRowReference(t *testing.T) {
 		}
 		requireSameRows(t, "project", got, want)
 
-		// Distinct over sorted input.
-		sorted := refSort(rows, []SortKey{{Col: 0}, {Col: 1}, {Col: 2}})
-		got = drainRows(t, NewDistinct(NewMemScan(schema, sorted)))
-		requireSameRows(t, "distinct", got, refDistinctSorted(sorted))
-
-		// Limit that lands mid-batch.
-		limit := int64(rng.Intn(n + 1))
-		got = drainRows(t, NewLimit(NewMemScan(schema, rows), limit))
-		requireSameRows(t, "limit", got, rows[:limit])
-
-		// Joins: merge vs hash vs nested-loop vs reference, on sorted keys.
+		// Joins: merge vs hash vs reference, on sorted keys.
 		lrows := refSort(randRows(rng, rng.Intn(400), 2, 6), []SortKey{{Col: 0}, {Col: 1}})
 		rrows := refSort(randRows(rng, rng.Intn(400), 2, 6), []SortKey{{Col: 0}, {Col: 1}})
 		js := tuple.IntSchema("k", "v")
@@ -199,10 +179,8 @@ func TestOperatorsMatchRowReference(t *testing.T) {
 			name string
 			op   Operator
 		}{
-			{"merge-join", NewMergeJoin(NewMemScan(js, lrows), NewMemScan(js, rrows), []int{0}, []int{0}, nil)},
-			{"hash-join", NewHashJoin(NewMemScan(js, lrows), NewMemScan(js, rrows), []int{0}, []int{0}, nil)},
-			{"nested-loop", NewNestedLoopJoin(NewMemScan(js, lrows), NewMemScan(js, rrows),
-				func(l, r tuple.Tuple) (bool, error) { return l[0].Int == r[0].Int, nil })},
+			{"merge-join", NewMergeJoin(NewMemScan(js, lrows), NewMemScan(js, rrows), []int{0}, []int{0})},
+			{"hash-join", NewHashJoin(NewMemScan(js, lrows), NewMemScan(js, rrows), []int{0}, []int{0})},
 		} {
 			got := drainRows(t, jc.op)
 			canon(got)
@@ -255,11 +233,11 @@ func FuzzExecBatch(f *testing.F) {
 		}
 		canon(want)
 		gotJ := drainRows(t, NewMergeJoin(NewMemScan(schema, l), NewMemScan(schema, r),
-			[]int{0}, []int{0}, nil))
+			[]int{0}, []int{0}))
 		canon(gotJ)
 		requireSameRows(t, "fuzz merge-join", gotJ, want)
 		gotH := drainRows(t, NewHashJoin(NewMemScan(schema, l), NewMemScan(schema, r),
-			[]int{0}, []int{0}, nil))
+			[]int{0}, []int{0}))
 		canon(gotH)
 		requireSameRows(t, "fuzz hash-join", gotH, want)
 
@@ -269,7 +247,7 @@ func FuzzExecBatch(f *testing.F) {
 			[]AggSpec{{Kind: AggCount, Name: "cnt"}}))
 		requireSameRows(t, "fuzz group", gotG, refGroupCount(sorted, []int{0, 1}))
 
-		// The join kernels, integer and string keyed, dense and selection-
+		// The join kernels, on one and two key columns, dense and selection-
 		// vectored, on (k1, k2, v) rows whose keys reach the int64 extremes.
 		var wide []tuple.Tuple
 		for i := 0; i+2 < len(data); i += 3 {

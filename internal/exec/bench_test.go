@@ -48,23 +48,7 @@ func BenchmarkMergeJoin(b *testing.B) {
 		b.Run(fmtInt(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				j := NewMergeJoin(NewMemScan(schema, left), NewMemScan(schema, right),
-					[]int{0}, []int{0}, nil)
-				drainOp(b, j)
-			}
-		})
-	}
-}
-
-// BenchmarkNestedLoopJoin is the quadratic comparator (small sizes only).
-func BenchmarkNestedLoopJoin(b *testing.B) {
-	for _, n := range []int{100, 1000} {
-		left := sortedPairs(n, n/5, 1)
-		right := sortedPairs(n, n/5, 2)
-		schema := tuple.IntSchema("k", "v")
-		b.Run(fmtInt(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				j := NewNestedLoopJoin(NewMemScan(schema, left), NewMemScan(schema, right),
-					func(l, r tuple.Tuple) (bool, error) { return l[0].Int == r[0].Int, nil })
+					[]int{0}, []int{0})
 				drainOp(b, j)
 			}
 		})

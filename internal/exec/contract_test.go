@@ -76,10 +76,6 @@ func contractCases(t *testing.T) (cases []opCase, scan func() Operator, schema *
 			return NewProject(src(), tuple.IntSchema("item", "one"),
 				[]Projector{ColProjector(1), ConstProjector(tuple.I(1))})
 		}},
-		{name: "Limit", build: func(src func() Operator) Operator { return NewLimit(src(), 1500) }},
-		{name: "Distinct", build: func(src func() Operator) Operator {
-			return NewDistinct(NewProjectColumns(src(), []int{0}, schema.Project([]int{0})))
-		}},
 		{name: "Sort", build: func(src func() Operator) Operator {
 			return NewSortKeys(src(), []SortKey{{Col: 1}, {Col: 0, Desc: true}}, nil, 0)
 		}},
@@ -88,16 +84,12 @@ func contractCases(t *testing.T) (cases []opCase, scan func() Operator, schema *
 		}},
 		{name: "SortGroup", build: func(src func() Operator) Operator { return NewSortGroup(src(), []int{0}, count) }},
 		{name: "MergeJoin", build: func(src func() Operator) Operator {
-			m := NewMergeJoin(scan(), src(), []int{0}, []int{0}, nil)
+			m := NewMergeJoin(scan(), src(), []int{0}, []int{0})
 			m.SetVecResidualGT(1, 1)
 			return m
 		}},
 		{name: "HashJoin", build: func(src func() Operator) Operator {
-			return NewHashJoin(scan(), src(), []int{0}, []int{0}, nil)
-		}},
-		{name: "NestedLoopJoin", build: func(src func() Operator) Operator {
-			return NewNestedLoopJoin(NewLimit(scan(), 40), src(),
-				func(l, r tuple.Tuple) (bool, error) { return l[0].Int == r[0].Int, nil })
+			return NewHashJoin(scan(), src(), []int{0}, []int{0})
 		}},
 		{name: "HashGroup", build: func(src func() Operator) Operator { return NewHashGroup(src(), []int{1}, count) }},
 	}

@@ -1,15 +1,16 @@
-// Package exec implements the query-execution operators of the engine:
-// scans, filter, project, sort, merge-scan join, hash join, nested-loop
-// join, sort-based and hash group/count, distinct and limit. A plan runs on
-// the goroutine that pulls it.
+// Package exec implements the nine query-execution operators of the
+// engine: heap scan, rename, filter, project, sort, sort-based and hash
+// group/count, merge-scan join and hash join. A plan runs on the goroutine
+// that pulls it.
 //
 // The operators are vectorized and have one pull contract: data moves as
-// tuple.Batch column vectors (~1024 rows per pull) through NextBatch.
-// Callers that want tuples go through Drain, the one row adapter. The
-// merge-scan join and sort operators are the two primitives the paper
-// reduces Algorithm SETM to (Section 4.4); the nested-loop join exists so
-// the rejected Section 3 strategy can be executed and measured rather than
-// only modelled.
+// tuple.Batch integer column vectors (~1024 rows per pull) through
+// NextBatch. Callers that want tuples go through Drain, the one row
+// adapter. The merge-scan join and sort operators are the two primitives
+// the paper reduces Algorithm SETM to (Section 4.4). Every join is an
+// equi-join; the one condition evaluated inside a join is the merge join's
+// right > left column test (SetVecResidualGT), SETM's lexicographic
+// extension condition.
 package exec
 
 import (
@@ -28,8 +29,8 @@ import (
 // NextBatch returns batches until io.EOF (and io.EOF again on every later
 // call), Close releases resources. A batch is valid only until the next
 // NextBatch or Close call on the same operator; producers reuse their
-// buffers. An operator may be opened again after Close — the engine's plan
-// cache relies on it — and yields the same rows each time.
+// buffers. An operator may be opened again after Close and yields the same
+// rows each time.
 type Operator interface {
 	// Schema describes the batches produced.
 	Schema() *tuple.Schema
@@ -108,43 +109,6 @@ func (s *HeapScan) Close() error {
 	return nil
 }
 
-// MemScan streams an in-memory tuple slice.
-type MemScan struct {
-	schema *tuple.Schema
-	rows   []tuple.Tuple
-	pos    int
-	buf    *tuple.Batch
-
-	stats OpStats
-}
-
-// NewMemScan returns a scan over rows.
-func NewMemScan(schema *tuple.Schema, rows []tuple.Tuple) *MemScan {
-	return &MemScan{schema: schema, rows: rows}
-}
-
-func (s *MemScan) Schema() *tuple.Schema { return s.schema }
-func (s *MemScan) Open() error           { s.stats.Reset(); s.pos = 0; return nil }
-
-func (s *MemScan) nextBatch() (*tuple.Batch, error) {
-	if s.pos >= len(s.rows) {
-		return nil, io.EOF
-	}
-	if s.buf == nil {
-		s.buf = tuple.NewBatch(s.schema)
-	}
-	s.buf.Reset()
-	for s.pos < len(s.rows) && s.buf.Len() < tuple.BatchSize {
-		if err := s.buf.AppendTuple(s.rows[s.pos]); err != nil {
-			return nil, err
-		}
-		s.pos++
-	}
-	return s.buf, nil
-}
-
-func (s *MemScan) Close() error { return nil }
-
 // Rename passes tuples through unchanged under a different schema; the
 // planner uses it to qualify base-table column names with FROM-clause
 // bindings ("sales r1" exposes columns "r1.trans_id", "r1.item").
@@ -174,7 +138,7 @@ func (r *Rename) nextBatch() (*tuple.Batch, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Filter / Project / Limit / Distinct
+// Filter / Project
 
 // Predicate decides whether a tuple passes a filter.
 type Predicate func(tuple.Tuple) (bool, error)
@@ -358,129 +322,6 @@ func (p *Project) nextBatch() (*tuple.Batch, error) {
 		p.buf.BumpRow()
 	}
 	return p.buf, nil
-}
-
-// Limit passes at most n tuples.
-type Limit struct {
-	child Operator
-	n     int64
-	seen  int64
-
-	stats OpStats
-}
-
-// NewLimit caps child at n tuples.
-func NewLimit(child Operator, n int64) *Limit {
-	return &Limit{child: child, n: n}
-}
-
-func (l *Limit) Schema() *tuple.Schema { return l.child.Schema() }
-func (l *Limit) Open() error           { l.stats.Reset(); l.seen = 0; return l.child.Open() }
-func (l *Limit) Close() error          { return l.child.Close() }
-
-func (l *Limit) nextBatch() (*tuple.Batch, error) {
-	if l.seen >= l.n {
-		return nil, io.EOF
-	}
-	b, err := l.child.NextBatch()
-	if err != nil {
-		return nil, err
-	}
-	if rem := l.n - l.seen; int64(b.Len()) > rem {
-		b.Truncate(int(rem))
-	}
-	l.seen += int64(b.Len())
-	return b, nil
-}
-
-// Distinct removes consecutive duplicates; the input must be sorted so that
-// equal tuples are adjacent. It compares adjacent rows column by column
-// and emits a selection vector.
-type Distinct struct {
-	child  Operator
-	prev   tuple.Tuple // last row of the previous batch
-	selBuf []int32
-
-	stats OpStats
-}
-
-// NewDistinct wraps a sorted child.
-func NewDistinct(child Operator) *Distinct {
-	return &Distinct{child: child}
-}
-
-func (d *Distinct) Schema() *tuple.Schema { return d.child.Schema() }
-func (d *Distinct) Open() error {
-	d.stats.Reset()
-	d.prev = nil
-	return d.child.Open()
-}
-func (d *Distinct) Close() error { return d.child.Close() }
-
-func (d *Distinct) nextBatch() (*tuple.Batch, error) {
-	for {
-		b, err := d.child.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		n := b.Len()
-		if n == 0 {
-			continue
-		}
-		sel := d.selBuf[:0]
-		for i := 0; i < n; i++ {
-			var dup bool
-			if i == 0 {
-				dup = d.prev != nil && rowEqualsTuple(b, 0, d.prev)
-			} else {
-				dup = rowsEqual(b, i-1, i)
-			}
-			if !dup {
-				sel = append(sel, int32(b.RowIdx(i)))
-			}
-		}
-		d.selBuf = sel[:0]
-		d.prev = b.Row(n - 1)
-		if len(sel) == 0 {
-			continue
-		}
-		b.SetSel(sel)
-		return b, nil
-	}
-}
-
-// rowsEqual reports whether logical rows i and j of b are equal on every
-// column.
-func rowsEqual(b *tuple.Batch, i, j int) bool {
-	pi, pj := b.RowIdx(i), b.RowIdx(j)
-	for c := range b.Cols {
-		col := &b.Cols[c]
-		if col.Kind == tuple.KindInt {
-			if col.I[pi] != col.I[pj] {
-				return false
-			}
-		} else if col.S[pi] != col.S[pj] {
-			return false
-		}
-	}
-	return true
-}
-
-// rowEqualsTuple reports whether logical row i of b equals t column by
-// column.
-func rowEqualsTuple(b *tuple.Batch, i int, t tuple.Tuple) bool {
-	phys := b.RowIdx(i)
-	for c := range b.Cols {
-		col := &b.Cols[c]
-		if col.Kind == tuple.KindInt {
-			if t[c].Kind != tuple.KindInt || col.I[phys] != t[c].Int {
-				return false
-			}
-		} else if t[c].Kind != tuple.KindString || col.S[phys] != t[c].Str {
-			return false
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -676,31 +517,25 @@ func (s *Sort) openColumnar() error {
 		cols[i] = k.Col
 		desc[i] = k.Desc
 	}
-	// All-integer ascending keys (every SETM sort): compare raw column
-	// slices without per-row dispatch.
-	intAsc := true
-	for i, c := range cols {
-		if desc[i] || store.Cols[c].Kind != tuple.KindInt {
-			intAsc = false
-			break
-		}
-	}
+	// All-ascending keys (every SETM sort) compare raw column slices; a
+	// descending key takes the per-key comparator.
+	asc := !slices.Contains(desc, true)
 	// slices.SortFunc (not sort.Slice) avoids the reflect-based swapper:
 	// the permutation swaps as concrete int32s. The index tie-break makes
 	// every ordering total, so the unstable pdqsort still yields the same
 	// (input-order-on-ties) permutation a stable sort would.
 	switch {
-	case intAsc && storeSortedAsc(store, cols):
+	case asc && storeSortedAsc(store, cols):
 		// Input already sorted on the keys — common when a join preserves
 		// the physical order the ORDER BY asks for but the planner's
 		// conservative ordering claim cannot prove it (e.g. SETM's R'_k).
 		// The permutation stays the identity, which a stable sort of a
 		// sorted store would produce anyway, so output is unchanged.
-	case intAsc && sortPermRadix(store, cols, perm):
+	case asc && sortPermRadix(store, cols, perm):
 		// Sorted by the packed radix kernel: the combined key domain fit
 		// one word, so the rows moved in O(n) byte passes instead of
 		// n·log n indirect comparisons.
-	case intAsc && len(cols) == 1:
+	case asc && len(cols) == 1:
 		v := store.Cols[cols[0]].I
 		slices.SortFunc(perm, func(pi, pj int32) int {
 			a, b := v[pi], v[pj]
@@ -712,7 +547,7 @@ func (s *Sort) openColumnar() error {
 			}
 			return int(pi) - int(pj)
 		})
-	case intAsc && len(cols) == 2:
+	case asc && len(cols) == 2:
 		// Two integer keys — the (trans_id, item) shape of every SETM
 		// intermediate sort — compare without the key-column loop.
 		k0, k1 := store.Cols[cols[0]].I, store.Cols[cols[1]].I
@@ -729,7 +564,7 @@ func (s *Sort) openColumnar() error {
 			}
 			return int(pi) - int(pj)
 		})
-	case intAsc:
+	case asc:
 		keyCols := make([][]int64, len(cols))
 		for i, c := range cols {
 			keyCols[i] = store.Cols[c].I

@@ -97,28 +97,6 @@ func TestProjectWithConstAndError(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	s := mem("v", tuple.Ints(1), tuple.Ints(2), tuple.Ints(3))
-	got, err := Drain(NewLimit(s, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Errorf("Limit = %v", got)
-	}
-}
-
-func TestDistinctOnSortedInput(t *testing.T) {
-	s := mem("v", tuple.Ints(1), tuple.Ints(1), tuple.Ints(2), tuple.Ints(2), tuple.Ints(2), tuple.Ints(3))
-	got, err := Drain(NewDistinct(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Errorf("Distinct = %v", got)
-	}
-}
-
 func TestSortOperatorInMemoryAndExternal(t *testing.T) {
 	rows := []tuple.Tuple{tuple.Ints(3), tuple.Ints(1), tuple.Ints(2)}
 	for _, withPool := range []bool{false, true} {
@@ -146,8 +124,8 @@ func TestMergeJoinBasic(t *testing.T) {
 		tuple.Ints(10, 1), tuple.Ints(10, 2), tuple.Ints(20, 1))
 	right := mem("tid,item",
 		tuple.Ints(10, 1), tuple.Ints(10, 2), tuple.Ints(10, 3), tuple.Ints(20, 1), tuple.Ints(20, 4))
-	j := NewMergeJoin(left, right, []int{0}, []int{0},
-		func(l, r tuple.Tuple) (bool, error) { return r[1].Int > l[1].Int, nil })
+	j := NewMergeJoin(left, right, []int{0}, []int{0})
+	j.SetVecResidualGT(1, 1)
 	got, err := Drain(j)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +147,7 @@ func TestMergeJoinBasic(t *testing.T) {
 func TestMergeJoinManyToMany(t *testing.T) {
 	left := mem("k,l", tuple.Ints(1, 100), tuple.Ints(1, 101), tuple.Ints(2, 102))
 	right := mem("k,r", tuple.Ints(1, 200), tuple.Ints(1, 201), tuple.Ints(3, 202))
-	j := NewMergeJoin(left, right, []int{0}, []int{0}, nil)
+	j := NewMergeJoin(left, right, []int{0}, []int{0})
 	got, err := Drain(j)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +160,7 @@ func TestMergeJoinManyToMany(t *testing.T) {
 func TestMergeJoinDisjointKeys(t *testing.T) {
 	left := mem("k", tuple.Ints(1), tuple.Ints(3), tuple.Ints(5))
 	right := mem("k", tuple.Ints(2), tuple.Ints(4), tuple.Ints(6))
-	j := NewMergeJoin(left, right, []int{0}, []int{0}, nil)
+	j := NewMergeJoin(left, right, []int{0}, []int{0})
 	got, err := Drain(j)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +179,7 @@ func TestMergeJoinEmptyInputs(t *testing.T) {
 		{"left empty", nil, []tuple.Tuple{tuple.Ints(1)}},
 		{"right empty", []tuple.Tuple{tuple.Ints(1)}, nil},
 	} {
-		j := NewMergeJoin(mem("k", tc.left...), mem("k", tc.right...), []int{0}, []int{0}, nil)
+		j := NewMergeJoin(mem("k", tc.left...), mem("k", tc.right...), []int{0}, []int{0})
 		got, err := Drain(j)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -213,7 +191,8 @@ func TestMergeJoinEmptyInputs(t *testing.T) {
 }
 
 func TestMergeJoinMatchesNestedLoop(t *testing.T) {
-	// Property: on random sorted inputs, merge join == nested-loop join.
+	// Property: on random sorted inputs, merge join == the nested-loop
+	// reference.
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
 		var lrows, rrows []tuple.Tuple
@@ -229,17 +208,12 @@ func TestMergeJoinMatchesNestedLoop(t *testing.T) {
 		byKey(lrows)
 		byKey(rrows)
 
-		mj := NewMergeJoin(mem("k,v", lrows...), mem("k,v", rrows...), []int{0}, []int{0}, nil)
+		mj := NewMergeJoin(mem("k,v", lrows...), mem("k,v", rrows...), []int{0}, []int{0})
 		mjRows, err := Drain(mj)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nl := NewNestedLoopJoin(mem("k,v", lrows...), mem("k,v", rrows...),
-			func(l, r tuple.Tuple) (bool, error) { return l[0].Int == r[0].Int, nil })
-		nlRows, err := Drain(nl)
-		if err != nil {
-			t.Fatal(err)
-		}
+		nlRows := refEquiJoin(lrows, rrows, []int{0}, []int{0})
 		if len(mjRows) != len(nlRows) {
 			t.Fatalf("trial %d: merge=%d nested=%d", trial, len(mjRows), len(nlRows))
 		}
@@ -253,18 +227,6 @@ func TestMergeJoinMatchesNestedLoop(t *testing.T) {
 				t.Fatalf("trial %d row %d: %v vs %v", trial, i, mjRows[i], nlRows[i])
 			}
 		}
-	}
-}
-
-func TestNestedLoopCrossProduct(t *testing.T) {
-	l := mem("a", tuple.Ints(1), tuple.Ints(2))
-	r := mem("b", tuple.Ints(10), tuple.Ints(20), tuple.Ints(30))
-	got, err := Drain(NewNestedLoopJoin(l, r, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 6 {
-		t.Errorf("cross product = %d rows", len(got))
 	}
 }
 
@@ -340,7 +302,7 @@ func TestMaterialize(t *testing.T) {
 }
 
 func TestPipelineComposition(t *testing.T) {
-	// sort -> distinct -> group count over random data with duplicates.
+	// sort -> group count over random data with duplicates.
 	rng := rand.New(rand.NewSource(11))
 	var rows []tuple.Tuple
 	for i := 0; i < 1000; i++ {

@@ -16,10 +16,6 @@ func Children(op Operator) []Operator {
 		return []Operator{v.child}
 	case *Project:
 		return []Operator{v.child}
-	case *Limit:
-		return []Operator{v.child}
-	case *Distinct:
-		return []Operator{v.child}
 	case *Sort:
 		return []Operator{v.child}
 	case *SortGroup:
@@ -27,8 +23,6 @@ func Children(op Operator) []Operator {
 	case *MergeJoin:
 		return []Operator{v.left, v.right}
 	case *HashJoin:
-		return []Operator{v.left, v.right}
-	case *NestedLoopJoin:
 		return []Operator{v.left, v.right}
 	case *HashGroup:
 		return []Operator{v.child}
@@ -72,8 +66,6 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 	switch v := op.(type) {
 	case *HeapScan:
 		line("HeapScan %s (%d rows, %d pages)", v.file.Schema(), v.file.Rows(), v.file.Pages())
-	case *MemScan:
-		line("MemScan %s (%d rows)", v.schema, len(v.rows))
 	case *Rename:
 		line("Rename %s", v.schema)
 	case *Filter:
@@ -84,10 +76,6 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 		}
 	case *Project:
 		line("Project %s", v.schema)
-	case *Limit:
-		line("Limit %d", v.n)
-	case *Distinct:
-		line("Distinct")
 	case *Sort:
 		if v.pool != nil {
 			line("Sort keys=%v (external)", v.keys)
@@ -104,8 +92,6 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 		}
 	case *HashJoin:
 		line("HashJoin on %v = %v (build right)", v.leftKeys, v.rightKeys)
-	case *NestedLoopJoin:
-		line("NestedLoopJoin")
 	case *HashGroup:
 		line("HashGroup by %v (%d aggregates)", v.groupCols, len(v.aggs))
 	default:

@@ -24,36 +24,27 @@ func TestExplainRendersEveryOperator(t *testing.T) {
 	filtered := NewFilter(renamed, func(tuple.Tuple) (bool, error) { return true, nil })
 	sorted := NewSortKeys(filtered, []SortKey{{Col: 0}}, nil, 0)
 	right := NewMemScan(tuple.IntSchema("u.k"), []tuple.Tuple{tuple.Ints(1)})
-	joined := NewMergeJoin(sorted, right, []int{0}, []int{0}, nil)
+	joined := NewMergeJoin(sorted, right, []int{0}, []int{0})
+	joined.SetVecResidualGT(1, 0)
 	grouped := NewSortGroup(joined, []int{0}, []AggSpec{{Kind: AggCount, Name: "cnt"}})
-	projected := NewProjectColumns(grouped, []int{0, 1}, grouped.Schema())
-	distinct := NewDistinct(projected)
-	limited := NewLimit(distinct, 10)
+	hashed := NewHashGroup(NewHashJoin(grouped, NewHeapScan(f), []int{0}, []int{0}), []int{0}, nil)
+	projected := NewProjectColumns(hashed, []int{0}, hashed.Schema())
 
-	out := Explain(limited)
+	out := Explain(projected)
 	for _, want := range []string{
-		"Limit 10", "Distinct", "Project", "SortGroup", "MergeJoin",
+		"Project", "HashGroup", "HashJoin", "SortGroup", "MergeJoin", "residual R[0] > L[1]",
 		"Sort", "Filter", "Rename", "HeapScan", "MemScan",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
 		}
 	}
-	// Indentation reflects depth: Limit at 0, Distinct at 1.
+	// Indentation reflects depth: Project at 0, HashGroup at 1.
 	lines := strings.Split(out, "\n")
-	if !strings.HasPrefix(lines[0], "Limit") {
+	if !strings.HasPrefix(lines[0], "Project") {
 		t.Errorf("first line = %q", lines[0])
 	}
-	if !strings.HasPrefix(lines[1], "  Distinct") {
+	if !strings.HasPrefix(lines[1], "  HashGroup") {
 		t.Errorf("second line = %q", lines[1])
-	}
-}
-
-func TestExplainNestedLoop(t *testing.T) {
-	l := NewMemScan(tuple.IntSchema("a"), nil)
-	r := NewMemScan(tuple.IntSchema("b"), nil)
-	out := Explain(NewNestedLoopJoin(l, r, nil))
-	if !strings.Contains(out, "NestedLoopJoin") {
-		t.Errorf("missing NestedLoopJoin:\n%s", out)
 	}
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"io"
 
 	"setm/internal/tuple"
@@ -52,7 +51,7 @@ type SortGroup struct {
 	srcEOF bool
 
 	haveCur bool
-	curKey  []tuple.Value
+	curKey  []int64
 	count   int64
 	sums    []int64
 	mins    []int64
@@ -97,7 +96,7 @@ func (g *SortGroup) Open() error {
 	g.emitted = false
 	g.done = false
 	if g.curKey == nil {
-		g.curKey = make([]tuple.Value, len(g.groupCols))
+		g.curKey = make([]int64, len(g.groupCols))
 		g.sums = make([]int64, len(g.aggs))
 		g.mins = make([]int64, len(g.aggs))
 		g.maxs = make([]int64, len(g.aggs))
@@ -112,12 +111,7 @@ func (g *SortGroup) Close() error { return g.child.Close() }
 func (g *SortGroup) keyMatchesCur(b *tuple.Batch, i int) bool {
 	phys := b.RowIdx(i)
 	for k, gc := range g.groupCols {
-		col := &b.Cols[gc]
-		if col.Kind == tuple.KindInt {
-			if g.curKey[k].Kind != tuple.KindInt || col.I[phys] != g.curKey[k].Int {
-				return false
-			}
-		} else if g.curKey[k].Kind != tuple.KindString || col.S[phys] != g.curKey[k].Str {
+		if b.Cols[gc].I[phys] != g.curKey[k] {
 			return false
 		}
 	}
@@ -128,19 +122,14 @@ func (g *SortGroup) keyMatchesCur(b *tuple.Batch, i int) bool {
 func (g *SortGroup) startGroup(b *tuple.Batch, i int) {
 	phys := b.RowIdx(i)
 	for k, gc := range g.groupCols {
-		col := &b.Cols[gc]
-		if col.Kind == tuple.KindInt {
-			g.curKey[k] = tuple.I(col.I[phys])
-		} else {
-			g.curKey[k] = tuple.S(col.S[phys])
-		}
+		g.curKey[k] = b.Cols[gc].I[phys]
 	}
 	g.count = 0
 	g.haveCur = true
 }
 
 // accumulate folds logical row i of b into the current group.
-func (g *SortGroup) accumulate(b *tuple.Batch, i int) error {
+func (g *SortGroup) accumulate(b *tuple.Batch, i int) {
 	g.count++
 	phys := b.RowIdx(i)
 	for ai, a := range g.aggs {
@@ -148,11 +137,7 @@ func (g *SortGroup) accumulate(b *tuple.Batch, i int) error {
 		case AggCount:
 			// count handled globally
 		case AggSum, AggMin, AggMax:
-			col := &b.Cols[a.Col]
-			if col.Kind != tuple.KindInt {
-				return fmt.Errorf("exec: aggregate over non-integer column %d", a.Col)
-			}
-			v := col.I[phys]
+			v := b.Cols[a.Col].I[phys]
 			if g.count == 1 {
 				g.sums[ai], g.mins[ai], g.maxs[ai] = v, v, v
 			} else {
@@ -166,13 +151,12 @@ func (g *SortGroup) accumulate(b *tuple.Batch, i int) error {
 			}
 		}
 	}
-	return nil
 }
 
 // flushGroup appends the finished current group to out.
 func (g *SortGroup) flushGroup(out *tuple.Batch) {
 	for k := range g.groupCols {
-		out.Cols[k].AppendValue(g.curKey[k])
+		out.Cols[k].I = append(out.Cols[k].I, g.curKey[k])
 	}
 	base := len(g.groupCols)
 	for ai, a := range g.aggs {
@@ -237,9 +221,7 @@ func (g *SortGroup) nextBatch() (*tuple.Batch, error) {
 		if !g.haveCur {
 			g.startGroup(g.lb, g.li)
 		}
-		if err := g.accumulate(g.lb, g.li); err != nil {
-			return nil, err
-		}
+		g.accumulate(g.lb, g.li)
 		g.li++
 	}
 	if g.out.Len() == 0 {

@@ -8,15 +8,14 @@
 package exec
 
 import (
-	"fmt"
 	"io"
 	"slices"
 
 	"setm/internal/tuple"
 )
 
-// groupTable is an open-addressing hash table from an all-integer group
-// key to a slot of aggregate state. Keys and states are stored columnar;
+// groupTable is an open-addressing hash table from a group key to a slot
+// of aggregate state. Keys and states are stored columnar;
 // buckets hold slot indexes.
 type groupTable struct {
 	nkeys int
@@ -129,9 +128,9 @@ func (t *groupTable) lookup(key []int64, hv uint64) int {
 	return s
 }
 
-// HashGroup aggregates its child on integer group columns, emitting groups
+// HashGroup aggregates its child on its group columns, emitting groups
 // ascending on the group columns — the order a sort+SortGroup plan
-// produces. Aggregates are COUNT/SUM/MIN/MAX over integer columns.
+// produces. Aggregates are COUNT/SUM/MIN/MAX.
 type HashGroup struct {
 	child     Operator
 	groupCols []int
@@ -146,8 +145,7 @@ type HashGroup struct {
 	stats OpStats
 }
 
-// NewHashGroup groups child's rows on groupCols (all integer), computing
-// aggs.
+// NewHashGroup groups child's rows on groupCols, computing aggs.
 func NewHashGroup(child Operator, groupCols []int, aggs []AggSpec) *HashGroup {
 	in := child.Schema()
 	cols := make([]tuple.Column, 0, len(groupCols)+len(aggs))
@@ -182,11 +180,6 @@ func (g *HashGroup) build(t *groupTable) error {
 		if err != nil {
 			return err
 		}
-		for _, gc := range g.groupCols {
-			if b.Cols[gc].Kind != tuple.KindInt {
-				return fmt.Errorf("exec: hash group over non-integer column %d", gc)
-			}
-		}
 		n := b.Len()
 		for i := 0; i < n; i++ {
 			phys := b.RowIdx(i)
@@ -201,11 +194,7 @@ func (g *HashGroup) build(t *groupTable) error {
 				case AggCount:
 					// count handled globally
 				case AggSum, AggMin, AggMax:
-					col := &b.Cols[a.Col]
-					if col.Kind != tuple.KindInt {
-						return fmt.Errorf("exec: aggregate over non-integer column %d", a.Col)
-					}
-					v := col.I[phys]
+					v := b.Cols[a.Col].I[phys]
 					if first {
 						t.sums[ai][s], t.mins[ai][s], t.maxs[ai][s] = v, v, v
 					} else {

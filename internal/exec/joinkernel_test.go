@@ -10,13 +10,11 @@ import (
 )
 
 // joinCase is one pair of join inputs for checkJoinKernels. Rows have the
-// shape (k1, k2, v): keys picks the key columns (kinds given by the
-// schemas), v is the residual column. Both sides must be sorted on their
-// key columns.
+// shape (k1, k2, v): keys picks the key columns, v is the residual column.
+// Both sides must be sorted on their key columns.
 type joinCase struct {
-	ls, rs *tuple.Schema
-	l, r   []tuple.Tuple
-	keys   []int
+	l, r []tuple.Tuple
+	keys []int
 	// sel routes both inputs through a vectorized filter (v%4 != 0), so the
 	// joins see selection-vectored batches.
 	sel bool
@@ -40,31 +38,14 @@ func joinRows(rng *rand.Rand, n, dom int, sortV bool) []tuple.Tuple {
 	return refSort(rows, keys)
 }
 
-// stringKeyed rewrites the key columns cols of rows (and schema) as
-// strings and re-sorts on the keys, for the non-integer key path.
-func stringKeyed(rows []tuple.Tuple, cols ...int) (*tuple.Schema, []tuple.Tuple) {
-	s := tuple.IntSchema("k1", "k2", "v")
-	out := make([]tuple.Tuple, len(rows))
-	for i, r := range rows {
-		out[i] = r.Clone()
-		for _, c := range cols {
-			out[i][c] = tuple.S(fmt.Sprint(r[c].Int))
-		}
-	}
-	for _, c := range cols {
-		s.Cols[c].Kind = tuple.KindString
-	}
-	return s, refSort(out, []SortKey{{Col: 0}, {Col: 1}})
-}
-
-// checkJoinKernels runs HashJoin and MergeJoin, bare and with the v-column
-// residual, over one case and compares each, row for row and in order,
-// with the nested-loop reference.
-// wantInt states which key path the operators must have taken.
-func checkJoinKernels(t *testing.T, label string, c joinCase, wantInt bool) {
+// checkJoinKernels runs HashJoin and MergeJoin, the merge join also with
+// the vectorized v-column residual, over one case and compares each, row
+// for row and in order, with the nested-loop reference.
+func checkJoinKernels(t *testing.T, label string, c joinCase) {
 	t.Helper()
+	s := tuple.IntSchema("k1", "k2", "v")
 	keep := func(tp tuple.Tuple) bool { return !c.sel || tp[2].Int%4 != 0 }
-	src := func(s *tuple.Schema, rows []tuple.Tuple) Operator {
+	src := func(rows []tuple.Tuple) Operator {
 		if !c.sel {
 			return NewMemScan(s, rows)
 		}
@@ -82,43 +63,25 @@ func checkJoinKernels(t *testing.T, label string, c joinCase, wantInt bool) {
 		return NewFilterVec(NewMemScan(s, rows), []VecPredicate{vec}, nil)
 	}
 	want := refEquiJoin(refFilter(c.l, keep), refFilter(c.r, keep), c.keys, c.keys)
-	gt := func(l, r tuple.Tuple) (bool, error) { return r[2].Int > l[2].Int, nil }
 	wantGT := refFilter(want, func(tp tuple.Tuple) bool { return tp[5].Int > tp[2].Int })
 
-	h := NewHashJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, nil)
+	h := NewHashJoin(src(c.l), src(c.r), c.keys, c.keys)
 	requireSameRows(t, label+": hash join", drainRows(t, h), want)
-	if h.intKeys != wantInt {
-		t.Fatalf("%s: hash join took intKeys=%v", label, h.intKeys)
-	}
-	h = NewHashJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, gt)
-	requireSameRows(t, label+": hash join + residual", drainRows(t, h), wantGT)
-	m := NewMergeJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, nil)
+	m := NewMergeJoin(src(c.l), src(c.r), c.keys, c.keys)
 	requireSameRows(t, label+": merge join", drainRows(t, m), want)
-	if m.intKeys != wantInt {
-		t.Fatalf("%s: merge join took intKeys=%v", label, m.intKeys)
-	}
-	m = NewMergeJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, gt)
-	requireSameRows(t, label+": merge join + row residual", drainRows(t, m), wantGT)
-	m = NewMergeJoin(src(c.ls, c.l), src(c.rs, c.r), c.keys, c.keys, nil)
+	m = NewMergeJoin(src(c.l), src(c.r), c.keys, c.keys)
 	m.SetVecResidualGT(2, 2)
 	requireSameRows(t, label+": merge join + vectorized residual", drainRows(t, m), wantGT)
 }
 
-// joinKernelCases expands one pair of integer-keyed inputs into the
-// schema and key variants every kernel must agree on.
+// joinKernelCases expands one pair of inputs into the key and selection
+// variants every kernel must agree on.
 func joinKernelCases(t *testing.T, label string, l, r []tuple.Tuple) {
 	t.Helper()
-	ints := tuple.IntSchema("k1", "k2", "v")
 	for _, sel := range []bool{false, true} {
 		tag := fmt.Sprintf("%s sel=%v", label, sel)
-		checkJoinKernels(t, tag+" int key", joinCase{ints, ints, l, r, []int{0}, sel}, true)
-		checkJoinKernels(t, tag+" int pair key", joinCase{ints, ints, l, r, []int{0, 1}, sel}, true)
-		ss, sl := stringKeyed(l, 0, 1)
-		_, sr := stringKeyed(r, 0, 1)
-		checkJoinKernels(t, tag+" string key", joinCase{ss, ss, sl, sr, []int{0}, sel}, false)
-		ms, ml := stringKeyed(l, 1)
-		_, mr := stringKeyed(r, 1)
-		checkJoinKernels(t, tag+" mixed key", joinCase{ms, ms, ml, mr, []int{0, 1}, sel}, false)
+		checkJoinKernels(t, tag+" key", joinCase{l, r, []int{0}, sel})
+		checkJoinKernels(t, tag+" pair key", joinCase{l, r, []int{0, 1}, sel})
 	}
 }
 

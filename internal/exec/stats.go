@@ -51,9 +51,6 @@ func (st *OpStats) tally(b *tuple.Batch, err error) (*tuple.Batch, error) {
 func (s *HeapScan) NextBatch() (*tuple.Batch, error) { return s.stats.tally(s.nextBatch()) }
 func (s *HeapScan) ExecStats() *OpStats              { return &s.stats }
 
-func (s *MemScan) NextBatch() (*tuple.Batch, error) { return s.stats.tally(s.nextBatch()) }
-func (s *MemScan) ExecStats() *OpStats              { return &s.stats }
-
 func (r *Rename) NextBatch() (*tuple.Batch, error) { return r.stats.tally(r.nextBatch()) }
 func (r *Rename) ExecStats() *OpStats              { return &r.stats }
 
@@ -62,12 +59,6 @@ func (f *Filter) ExecStats() *OpStats              { return &f.stats }
 
 func (p *Project) NextBatch() (*tuple.Batch, error) { return p.stats.tally(p.nextBatch()) }
 func (p *Project) ExecStats() *OpStats              { return &p.stats }
-
-func (l *Limit) NextBatch() (*tuple.Batch, error) { return l.stats.tally(l.nextBatch()) }
-func (l *Limit) ExecStats() *OpStats              { return &l.stats }
-
-func (d *Distinct) NextBatch() (*tuple.Batch, error) { return d.stats.tally(d.nextBatch()) }
-func (d *Distinct) ExecStats() *OpStats              { return &d.stats }
 
 func (s *Sort) NextBatch() (*tuple.Batch, error) { return s.stats.tally(s.nextBatch()) }
 func (s *Sort) ExecStats() *OpStats              { return &s.stats }
@@ -80,9 +71,6 @@ func (m *MergeJoin) ExecStats() *OpStats              { return &m.stats }
 
 func (h *HashJoin) NextBatch() (*tuple.Batch, error) { return h.stats.tally(h.nextBatch()) }
 func (h *HashJoin) ExecStats() *OpStats              { return &h.stats }
-
-func (n *NestedLoopJoin) NextBatch() (*tuple.Batch, error) { return n.stats.tally(n.nextBatch()) }
-func (n *NestedLoopJoin) ExecStats() *OpStats              { return &n.stats }
 
 func (g *HashGroup) NextBatch() (*tuple.Batch, error) { return g.stats.tally(g.nextBatch()) }
 func (g *HashGroup) ExecStats() *OpStats              { return &g.stats }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"setm/internal/storage"
@@ -14,19 +13,13 @@ import (
 )
 
 // wantRowsPerPage is the page-format arithmetic, restated independently of
-// the implementation: an all-INT schema holds (PageSize-8)/(8·cols) rows a
-// page; any other schema has no fixed figure (0).
+// the implementation: (PageSize-8)/(8·cols) rows a page.
 func wantRowsPerPage(s *tuple.Schema) int {
-	for _, c := range s.Cols {
-		if c.Kind != tuple.KindInt {
-			return 0
-		}
-	}
 	return (storage.PageSize - 8) / (8 * s.Len())
 }
 
 // randSchema draws 1…64 INT columns, or 1…6 columns with at least one
-// string among them.
+// string among them, which Create must refuse.
 func randSchema(rng *rand.Rand, ncols int, mixed bool) *tuple.Schema {
 	if !mixed {
 		names := make([]string, 1+ncols%64)
@@ -48,16 +41,7 @@ func randSchema(rng *rand.Rand, ncols int, mixed bool) *tuple.Schema {
 
 func randTuple(rng *rand.Rand, s *tuple.Schema) tuple.Tuple {
 	t := make(tuple.Tuple, s.Len())
-	long := rng.Intn(40) == 0 // one long string turns pages over quickly
-	for i, c := range s.Cols {
-		if c.Kind == tuple.KindString {
-			n := rng.Intn(12)
-			if long {
-				n, long = 500+rng.Intn(1500), false
-			}
-			t[i] = tuple.S(strings.Repeat(string(rune('a'+rng.Intn(26))), n))
-			continue
-		}
+	for i := range t {
 		switch rng.Intn(8) {
 		case 0:
 			t[i] = tuple.I(math.MinInt64)
@@ -77,10 +61,9 @@ func checkFile(t *testing.T, rng *rand.Rand, f *File, want []tuple.Tuple) {
 	if f.Rows() != int64(len(want)) {
 		t.Fatalf("Rows = %d, want %d", f.Rows(), len(want))
 	}
-	if per := wantRowsPerPage(s); per > 0 {
-		if wantPages := max(1, (len(want)+per-1)/per); f.Pages() != wantPages {
-			t.Fatalf("Pages = %d, want ceil(%d/%d) = %d", f.Pages(), len(want), per, wantPages)
-		}
+	per := wantRowsPerPage(s)
+	if wantPages := max(1, (len(want)+per-1)/per); f.Pages() != wantPages {
+		t.Fatalf("Pages = %d, want ceil(%d/%d) = %d", f.Pages(), len(want), per, wantPages)
 	}
 	same := func(label string, got []tuple.Tuple) {
 		t.Helper()
@@ -100,7 +83,6 @@ func checkFile(t *testing.T, rng *rand.Rand, f *File, want []tuple.Tuple) {
 	same("Scan/Next", got)
 
 	// NextBatch, with max below a page, around a page and at BatchSize.
-	per := wantRowsPerPage(s)
 	for _, lim := range []int{1, 7, per - 1, per + 1, tuple.BatchSize} {
 		if lim < 1 {
 			continue
@@ -133,11 +115,17 @@ func checkFile(t *testing.T, rng *rand.Rand, f *File, want []tuple.Tuple) {
 // roundTrip drives one randomized file: interleaved Append and AppendBatch
 // (batch sizes around rowsCap and BatchSize, with and without selection
 // vectors), every read path against an in-memory reference, then Free and a
-// second file that reuses the freed pages.
+// second file that reuses the freed pages. A mixed schema must be refused.
 func roundTrip(t *testing.T, seed int64, ncols int, mixed bool, ops int) {
 	rng := rand.New(rand.NewSource(seed))
 	s := randSchema(rng, ncols, mixed)
 	pool := newPool(3 + rng.Intn(6))
+	if mixed {
+		if _, err := Create(pool, s); err == nil {
+			t.Fatalf("Create accepted %v", s)
+		}
+		return
+	}
 	per := wantRowsPerPage(s)
 	sizes := []int{0, 1, per - 1, per, per + 1, 2*per + 3, tuple.BatchSize - 1, tuple.BatchSize, tuple.BatchSize + 1}
 	freed, storePages := 0, 0 // the first file's pages, and the store's size once it is freed
@@ -214,14 +202,11 @@ func FuzzHeapRoundTrip(f *testing.F) {
 }
 
 // TestAppendBatchAllocationFault refuses the N-th page allocation in the
-// middle of an AppendBatch, for every N the batch needs, on both layouts.
-// The file must keep exactly the rows it reports, stay appendable, and lose
-// nothing to eviction (the pool is two frames).
+// middle of an AppendBatch, for every N the batch needs. The file must keep
+// exactly the rows it reports, stay appendable, and lose nothing to
+// eviction (the pool is two frames).
 func TestAppendBatchAllocationFault(t *testing.T) {
-	for _, s := range []*tuple.Schema{
-		tuple.IntSchema("a", "b"),
-		tuple.NewSchema(tuple.Column{Name: "a", Kind: tuple.KindInt}, tuple.Column{Name: "s", Kind: tuple.KindString}),
-	} {
+	for _, s := range []*tuple.Schema{tuple.IntSchema("a", "b"), tuple.IntSchema("a", "b", "c", "d", "e")} {
 		rng := rand.New(rand.NewSource(11))
 		b := tuple.NewBatch(s)
 		for i := 0; i < 2000; i++ {
@@ -274,41 +259,39 @@ func TestAppendBatchAllocationFault(t *testing.T) {
 }
 
 func TestPageFormatGuards(t *testing.T) {
-	// 511 INT columns still fit one row a page; 512 do not, and every append
-	// is refused with the capacity error.
+	// 511 INT columns still fit one row a page; 512 and none are refused
+	// at Create.
 	names := make([]string, 512)
 	for i := range names {
 		names[i] = fmt.Sprintf("c%d", i)
 	}
-	row := make([]int64, 512)
-	for cols, fits := range map[int]bool{511: true, 512: false} {
-		f, err := Create(newPool(4), tuple.IntSchema(names[:cols]...))
-		if err != nil {
+	row := make([]int64, 511)
+	f, err := Create(newPool(4), tuple.IntSchema(names[:511]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := tuple.NewBatch(f.Schema())
+	for i := 0; i < 3; i++ {
+		if err := b.AppendTuple(tuple.Ints(row...)); err != nil {
 			t.Fatal(err)
 		}
-		b := tuple.NewBatch(f.Schema())
-		for i := 0; i < 3; i++ {
-			if err := b.AppendTuple(tuple.Ints(row[:cols]...)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for name, err := range map[string]error{"Append": f.Append(tuple.Ints(row[:cols]...)), "AppendBatch": f.AppendBatch(b)} {
-			if fits && err != nil {
-				t.Errorf("%d columns: %s: %v", cols, name, err)
-			}
-			if !fits && (err == nil || !strings.Contains(err.Error(), "exceeds page capacity")) {
-				t.Errorf("%d columns: %s error = %v, want the capacity error", cols, name, err)
-			}
-		}
-		if fits && (f.Rows() != 4 || f.Pages() != 4) {
-			t.Errorf("%d columns: %d rows on %d pages, want 4 on 4", cols, f.Rows(), f.Pages())
-		}
-		if !fits && f.Rows() != 0 {
-			t.Errorf("%d columns: %d rows kept", cols, f.Rows())
+	}
+	if err := f.Append(tuple.Ints(row...)); err != nil {
+		t.Errorf("511 columns: Append: %v", err)
+	}
+	if err := f.AppendBatch(b); err != nil {
+		t.Errorf("511 columns: AppendBatch: %v", err)
+	}
+	if f.Rows() != 4 || f.Pages() != 4 {
+		t.Errorf("511 columns: %d rows on %d pages, want 4 on 4", f.Rows(), f.Pages())
+	}
+	for _, s := range []*tuple.Schema{tuple.IntSchema(names...), tuple.IntSchema()} {
+		if _, err := Create(newPool(4), s); err == nil {
+			t.Errorf("Create accepted %d columns", s.Len())
 		}
 	}
 
-	f, err := Create(newPool(4), tuple.IntSchema("a", "b"))
+	f, err = Create(newPool(4), tuple.IntSchema("a", "b"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,27 +1,22 @@
 // Package heap implements append-only record files ("heap files") over the
-// paged storage layer. A heap file stores tuples of a fixed schema packed
-// into a chain of pages; it supports appending and full sequential scans,
-// which are the only access paths SETM needs for its R_k relations.
+// paged storage layer. A heap file stores rows of a fixed all-INT schema
+// packed into a chain of pages; it supports appending and full sequential
+// scans, which are the only access paths SETM needs for its R_k relations.
 //
 // Every page starts with the same 8-byte header:
 //
 //	offset 0:  u32 next page ID (InvalidPage at the tail)
 //	offset 4:  u16 row count
-//	offset 6:  u16 free offset (record layout only)
+//	offset 6:  u16 reserved
 //
-// What follows depends on the schema and on nothing else; Create picks the
-// layout and no caller can ask for the other:
-//
-//   - All columns INT (every relation SETM mines: SALES, R_k, R'_k, C_k):
-//     column-major. A page holds rowsCap = (PageSize-8)/(8·cols) rows; row r's
-//     value of column c is the little-endian int64 at hdrSize+8·(c·rowsCap+r).
-//     With no per-row length and no per-value kind switch, AppendBatch and
-//     NextBatch move one column of one page per loop, and rows per page is
-//     the paper's Section 3.2 entries-per-page arithmetic (costmodel.RPages:
-//     page bytes over row bytes), which the record layout's 2-byte prefix
-//     used to miss.
-//   - Any string column: records in the tuple codec (tuple.Encode), each
-//     prefixed by a u16 length, packed from offset 8 up to the free offset.
+// The rows follow column-major. A page holds rowsCap = (PageSize-8)/(8·cols)
+// rows; row r's value of column c is the little-endian int64 at
+// hdrSize+8·(c·rowsCap+r). With no per-row length and no per-value kind
+// switch, AppendBatch and NextBatch move one column of one page per loop,
+// and rows per page is the paper's Section 3.2 entries-per-page arithmetic
+// (costmodel.RPages: page bytes over row bytes). Create refuses a schema
+// this layout cannot hold: a column that is not INT, no columns, or more
+// than 511 columns (not one row a page).
 package heap
 
 import (
@@ -35,17 +30,14 @@ import (
 const (
 	hdrNext  = 0
 	hdrCount = 4
-	hdrFree  = 6
 	hdrSize  = 8
 )
 
-// File is a heap file: a linked list of record pages in a shared pool.
+// File is a heap file: a linked list of column-major pages in a shared pool.
 type File struct {
-	pool   *storage.Pool
-	schema *tuple.Schema
-	// rowsCap > 0 selects the column-major layout and is its rows per page;
-	// 0 selects the record layout.
-	rowsCap int
+	pool    *storage.Pool
+	schema  *tuple.Schema
+	rowsCap int // rows per page
 
 	first   storage.PageID
 	last    storage.PageID
@@ -54,8 +46,20 @@ type File struct {
 	pageIDs []storage.PageID // every page of the chain, in order, for Free
 }
 
-// Create allocates an empty heap file with the given tuple schema.
+// Create allocates an empty heap file with the given all-INT schema.
 func Create(pool *storage.Pool, schema *tuple.Schema) (*File, error) {
+	if schema.Len() == 0 {
+		return nil, fmt.Errorf("heap: a table needs at least one column")
+	}
+	for _, c := range schema.Cols {
+		if c.Kind != tuple.KindInt {
+			return nil, fmt.Errorf("heap: column %q is %s; only INT columns are stored", c.Name, c.Kind)
+		}
+	}
+	rowsCap := (storage.PageSize - hdrSize) / (8 * schema.Len())
+	if rowsCap == 0 {
+		return nil, fmt.Errorf("heap: a row of %d columns exceeds page capacity", schema.Len())
+	}
 	pg, err := pool.Allocate()
 	if err != nil {
 		return nil, err
@@ -63,30 +67,13 @@ func Create(pool *storage.Pool, schema *tuple.Schema) (*File, error) {
 	initPage(pg)
 	id := pg.ID
 	pool.Unpin(pg)
-	return &File{pool: pool, schema: schema, rowsCap: intRowsPerPage(schema),
+	return &File{pool: pool, schema: schema, rowsCap: rowsCap,
 		first: id, last: id, pages: 1, pageIDs: []storage.PageID{id}}, nil
-}
-
-// intRowsPerPage returns the column-major rows per page of an all-INT
-// schema and 0 for any other. An all-INT schema too wide for one row a page
-// also gets 0: in the record layout its rows fail the capacity check, so
-// appends are refused with the error they always were.
-func intRowsPerPage(s *tuple.Schema) int {
-	if s.Len() == 0 {
-		return 0
-	}
-	for _, c := range s.Cols {
-		if c.Kind != tuple.KindInt {
-			return 0
-		}
-	}
-	return (storage.PageSize - hdrSize) / (8 * s.Len())
 }
 
 func initPage(pg *storage.Page) {
 	pg.PutU32(hdrNext, uint32(storage.InvalidPage))
 	pg.PutU16(hdrCount, 0)
-	pg.PutU16(hdrFree, hdrSize)
 	pg.MarkDirty()
 }
 
@@ -103,19 +90,18 @@ func (f *File) Pages() int { return f.pages }
 // SizeBytes returns the storage footprint in bytes (pages × page size).
 func (f *File) SizeBytes() int64 { return int64(f.pages) * storage.PageSize }
 
-// slot returns the byte offset of column col's value for row r of a
-// column-major page.
+// slot returns the byte offset of column col's value for row r of a page.
 func (f *File) slot(col, r int) int { return hdrSize + 8*(col*f.rowsCap+r) }
 
-// tail is the pinned last page of the file during an append. count and free
-// shadow the page header; release writes them back, which must happen before
-// the page is unpinned on every path — the next append would overwrite rows
-// a stale header does not cover, and an eviction drop a page never marked
+// tail is the pinned last page of the file during an append. count shadows
+// the page header; release writes it back, which must happen before the
+// page is unpinned on every path — the next append would overwrite rows a
+// stale header does not cover, and an eviction drop a page never marked
 // dirty.
 type tail struct {
-	f           *File
-	pg          *storage.Page
-	count, free int
+	f     *File
+	pg    *storage.Page
+	count int
 }
 
 func (f *File) pinTail() (tail, error) {
@@ -123,21 +109,24 @@ func (f *File) pinTail() (tail, error) {
 	if err != nil {
 		return tail{}, err
 	}
-	return tail{f: f, pg: pg, count: int(pg.U16(hdrCount)), free: int(pg.U16(hdrFree))}, nil
+	return tail{f: f, pg: pg, count: int(pg.U16(hdrCount))}, nil
 }
 
 // release writes the header back, counts the rows added and unpins the page.
 func (t *tail) release() {
 	t.f.rows += int64(t.count - int(t.pg.U16(hdrCount)))
 	t.pg.PutU16(hdrCount, uint16(t.count))
-	t.pg.PutU16(hdrFree, uint16(t.free))
 	t.pg.MarkDirty()
 	t.f.pool.Unpin(t.pg)
 }
 
-// chain makes a fresh page the tail. When the allocation fails the current
-// page stays the tail, so the file remains consistent and appendable.
-func (t *tail) chain() error {
+// room makes sure the tail page has a free row slot, chaining a fresh page
+// when it is full. When the allocation fails the current page stays the
+// tail, so the file remains consistent and appendable.
+func (t *tail) room() error {
+	if t.count < t.f.rowsCap {
+		return nil
+	}
 	npg, err := t.f.pool.Allocate()
 	if err != nil {
 		return err
@@ -148,7 +137,7 @@ func (t *tail) chain() error {
 	t.f.last = npg.ID
 	t.f.pages++
 	t.f.pageIDs = append(t.f.pageIDs, npg.ID)
-	t.pg, t.count, t.free = npg, 0, hdrSize
+	t.pg, t.count = npg, 0
 	return nil
 }
 
@@ -158,7 +147,7 @@ func (f *File) Append(t tuple.Tuple) error {
 		return fmt.Errorf("heap: append arity %d does not match schema %d", len(t), f.schema.Len())
 	}
 	for i, c := range f.schema.Cols {
-		if t[i].Kind != c.Kind {
+		if t[i].Kind != tuple.KindInt {
 			return fmt.Errorf("heap: column %q kind %s got %s", c.Name, c.Kind, t[i].Kind)
 		}
 	}
@@ -167,33 +156,12 @@ func (f *File) Append(t tuple.Tuple) error {
 		return err
 	}
 	defer tl.release()
-	if f.rowsCap > 0 {
-		if tl.count == f.rowsCap {
-			if err := tl.chain(); err != nil {
-				return err
-			}
-		}
-		for c, v := range t {
-			tl.pg.PutU64(f.slot(c, tl.count), uint64(v.Int))
-		}
-		tl.count++
-		return nil
-	}
-	need := tuple.EncodedSize(f.schema, t) + 2
-	if need > storage.PageSize-hdrSize {
-		return fmt.Errorf("heap: tuple of %d bytes exceeds page capacity", need)
-	}
-	if tl.free+need > storage.PageSize {
-		if err := tl.chain(); err != nil {
-			return err
-		}
-	}
-	// need fits the page, so Encode writes in place.
-	if _, err := tuple.Encode(tl.pg.Data[tl.free+2:tl.free+2], f.schema, t); err != nil {
+	if err := tl.room(); err != nil {
 		return err
 	}
-	tl.pg.PutU16(tl.free, uint16(need-2))
-	tl.free += need
+	for c, v := range t {
+		tl.pg.PutU64(f.slot(c, tl.count), uint64(v.Int))
+	}
 	tl.count++
 	return nil
 }
@@ -225,36 +193,16 @@ func (f *File) AppendBatch(b *tuple.Batch) error {
 		return err
 	}
 	defer tl.release()
-	if f.rowsCap > 0 {
-		for i := 0; i < n; {
-			if tl.count == f.rowsCap {
-				if err := tl.chain(); err != nil {
-					return err
-				}
-			}
-			k := min(n-i, f.rowsCap-tl.count)
-			if err := b.PutIntColumns(tl.pg.Data[f.slot(0, tl.count):], f.rowsCap, i, k); err != nil {
-				return err
-			}
-			tl.count += k
-			i += k
+	for i := 0; i < n; {
+		if err := tl.room(); err != nil {
+			return err
 		}
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		need := b.EncodedRowSize(i) + 2
-		if need > storage.PageSize-hdrSize {
-			return fmt.Errorf("heap: tuple of %d bytes exceeds page capacity", need)
+		k := min(n-i, f.rowsCap-tl.count)
+		if err := b.PutIntColumns(tl.pg.Data[f.slot(0, tl.count):], f.rowsCap, i, k); err != nil {
+			return err
 		}
-		if tl.free+need > storage.PageSize {
-			if err := tl.chain(); err != nil {
-				return err
-			}
-		}
-		b.EncodeRowTo(tl.pg.Data[tl.free+2:tl.free+2], i)
-		tl.pg.PutU16(tl.free, uint16(need-2))
-		tl.free += need
-		tl.count++
+		tl.count += k
+		i += k
 	}
 	return nil
 }
@@ -279,7 +227,6 @@ type Scanner struct {
 	file *File
 	pg   *storage.Page
 	idx  int
-	off  int
 	done bool
 
 	pageIdx int // index into file.pageIDs of the current page
@@ -308,7 +255,6 @@ func (s *Scanner) advance() (bool, error) {
 	}
 	s.pg = pg
 	s.idx = 0
-	s.off = hdrSize
 	return true, nil
 }
 
@@ -328,21 +274,11 @@ func (s *Scanner) Next() (tuple.Tuple, error) {
 			}
 		}
 		if s.idx < int(s.pg.U16(hdrCount)) {
-			if f := s.file; f.rowsCap > 0 {
-				t := make(tuple.Tuple, f.schema.Len())
-				for c := range t {
-					t[c] = tuple.I(int64(s.pg.U64(f.slot(c, s.idx))))
-				}
-				s.idx++
-				return t, nil
+			f := s.file
+			t := make(tuple.Tuple, f.schema.Len())
+			for c := range t {
+				t[c] = tuple.I(int64(s.pg.U64(f.slot(c, s.idx))))
 			}
-			n := int(s.pg.U16(s.off))
-			rec := s.pg.Data[s.off+2 : s.off+2+n]
-			t, _, err := tuple.Decode(rec, s.file.schema)
-			if err != nil {
-				return nil, err
-			}
-			s.off += 2 + n
 			s.idx++
 			return t, nil
 		}
@@ -380,25 +316,13 @@ func (s *Scanner) NextBatch(b *tuple.Batch, max int) (int, error) {
 			}
 		}
 		count := int(s.pg.U16(hdrCount))
-		if f := s.file; f.rowsCap > 0 {
-			k := min(count-s.idx, max-added)
-			if err := b.AppendIntColumns(s.pg.Data[f.slot(0, s.idx):], f.rowsCap, k); err != nil {
-				return added, err
-			}
-			s.idx += k
-			added += k
-		} else {
-			for s.idx < count && added < max {
-				n := int(s.pg.U16(s.off))
-				rec := s.pg.Data[s.off+2 : s.off+2+n]
-				if _, err := b.AppendEncoded(rec); err != nil {
-					return added, err
-				}
-				s.off += 2 + n
-				s.idx++
-				added++
-			}
+		f := s.file
+		k := min(count-s.idx, max-added)
+		if err := b.AppendIntColumns(s.pg.Data[f.slot(0, s.idx):], f.rowsCap, k); err != nil {
+			return added, err
 		}
+		s.idx += k
+		added += k
 		if s.idx < count {
 			return added, nil // batch full mid-page
 		}

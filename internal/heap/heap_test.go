@@ -1,8 +1,10 @@
 package heap
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -107,6 +109,8 @@ func TestScanSurvivesEviction(t *testing.T) {
 	}
 }
 
+// TestStringColumns: a STRING column is refused at Create, before any
+// page is allocated.
 func TestStringColumns(t *testing.T) {
 	pool := newPool(8)
 	sch := tuple.NewSchema(
@@ -114,38 +118,27 @@ func TestStringColumns(t *testing.T) {
 		tuple.Column{Name: "name", Kind: tuple.KindString},
 	)
 	f, err := Create(pool, sch)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), `column "name" is STRING`) {
+		t.Fatalf("Create(%v) = %v, %v; want the non-INT error", sch, f, err)
 	}
-	rows := []tuple.Tuple{
-		{tuple.I(1), tuple.S("bread")},
-		{tuple.I(2), tuple.S("butter")},
-		{tuple.I(3), tuple.S("")},
-	}
-	if err := f.AppendAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if !tuple.EqualTuples(got[i], rows[i]) {
-			t.Errorf("row %d = %v, want %v", i, got[i], rows[i])
-		}
+	if n := pool.Store().NumPages(); n != 0 {
+		t.Errorf("a refused Create allocated %d pages", n)
 	}
 }
 
+// TestOversizeTupleRejected: a row wider than a page (512 INT columns,
+// 4096 bytes against 4088 after the header) is refused at Create.
 func TestOversizeTupleRejected(t *testing.T) {
-	pool := newPool(8)
-	sch := tuple.NewSchema(tuple.Column{Name: "s", Kind: tuple.KindString})
-	f, err := Create(pool, sch)
-	if err != nil {
-		t.Fatal(err)
+	names := make([]string, 512)
+	for i := range names {
+		names[i] = fmt.Sprintf("c%d", i)
 	}
-	big := make([]byte, storage.PageSize)
-	if err := f.Append(tuple.Tuple{tuple.S(string(big))}); err == nil {
-		t.Error("oversize tuple accepted")
+	pool := newPool(8)
+	if _, err := Create(pool, tuple.IntSchema(names...)); err == nil || !strings.Contains(err.Error(), "exceeds page capacity") {
+		t.Errorf("512 columns: %v, want the capacity error", err)
+	}
+	if f, err := Create(pool, tuple.IntSchema(names[:511]...)); err != nil || f.rowsCap != 1 {
+		t.Errorf("511 columns: %v, %v; want one row a page", f, err)
 	}
 }
 

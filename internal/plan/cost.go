@@ -1,10 +1,11 @@
 // Cost-based physical planning. The compiler estimates cardinalities from
 // catalog row counts, converts them to page footprints with the paper's
 // storage arithmetic (internal/costmodel), and prices the alternative
-// physical operators — merge-scan vs hash vs nested-loop join, in-memory
-// vs external sort, sort skipped entirely when the input's known ordering
-// already covers the keys. The chosen plan and its estimates surface in
-// EXPLAIN via per-operator notes.
+// physical operators — merge-scan vs hash join, in-memory vs external
+// sort, sort skipped entirely when the input's known ordering already
+// covers the keys. The chosen plan and its estimates surface in EXPLAIN via
+// per-operator notes; a join's note also shows what the nested-loop
+// strategy of the paper's Section 3 would have cost, which no plan runs.
 package plan
 
 import (
@@ -99,25 +100,15 @@ func (c *Compiler) setEst(op exec.Operator, rows int64) {
 	c.ests[op] = rows
 }
 
-// schemaRowBytes estimates the stored bytes of one row over the
-// concatenation of the given schemas, following the heap file's two
-// layouts: 8 per integer column and nothing else when every column is an
-// integer (column-major pages, which is also the width of a row in the
-// sort's unboxed working set); otherwise a nominal 16 per string column
-// plus the 2-byte record length prefix.
+// schemaRowBytes is the stored bytes of one row over the concatenation of
+// the given schemas: 8 per integer column, as in the heap file's
+// column-major pages and the sort's unboxed working set.
 func schemaRowBytes(schemas ...*tuple.Schema) int64 {
-	var n, prefix int64
+	var n int64
 	for _, s := range schemas {
-		for _, col := range s.Cols {
-			if col.Kind == tuple.KindInt {
-				n += 8
-			} else {
-				n += 16
-				prefix = 2
-			}
-		}
+		n += 8 * int64(s.Len())
 	}
-	return n + prefix
+	return n
 }
 
 // orderingHasPrefix reports whether keys form a prefix of ordering — the
@@ -264,7 +255,7 @@ func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *g
 		} else {
 			r = c.sortNode(right, sortKeysFor(rightKeys), "merge-scan join")
 		}
-		op := exec.NewMergeJoin(l.op, r.op, leftKeys, rightKeys, nil)
+		op := exec.NewMergeJoin(l.op, r.op, leftKeys, rightKeys)
 		passMs := costmodel.MergePassMs(left.est.Rows, right.est.Rows)
 		est.CostMs = l.est.CostMs + r.est.CostMs + passMs
 		noteTxt := fmt.Sprintf("cost-based: merge-scan %.2fms ≤ hash %.2fms (nested-loop %.2fms)",
@@ -293,7 +284,7 @@ func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *g
 		return node{op: op, est: est, ordering: ordering}
 	}
 
-	op := exec.NewHashJoin(left.op, right.op, leftKeys, rightKeys, nil)
+	op := exec.NewHashJoin(left.op, right.op, leftKeys, rightKeys)
 	if right.est.Rows > 0 && right.est.Rows < 1<<24 {
 		op.SetBuildSizeHint(int(right.est.Rows))
 	}

@@ -1,7 +1,10 @@
 // Package plan compiles parsed SQL statements into executable operator
-// trees. It performs name resolution, predicate pushdown, join-method
-// selection (merge-scan join for equi-joins, nested-loop otherwise),
-// sort-based grouping, and ORDER BY/LIMIT placement.
+// trees. It performs name resolution, predicate pushdown, cost-based
+// choice between merge-scan and hash equi-joins, sort- or hash-based
+// grouping, and ORDER BY placement. Every column and value is an integer;
+// booleans are 0/1. A table in FROM must be joined to the tables before it
+// by a column equality — a cross product is an error — and GROUP BY and
+// ORDER BY take column references only.
 //
 // The planner embodies the paper's observation that "the experience that
 // has been gained in optimizing relational queries can directly be applied"
@@ -76,9 +79,6 @@ func compileExpr(e sqlparse.Expr, s *tuple.Schema, params Params) (exec.Projecto
 	case *sqlparse.IntLit:
 		return exec.ConstProjector(tuple.I(v.Value)), nil
 
-	case *sqlparse.StringLit:
-		return exec.ConstProjector(tuple.S(v.Value)), nil
-
 	case *sqlparse.Param:
 		val, ok := params[v.Name]
 		if !ok {
@@ -121,9 +121,7 @@ func compileExpr(e sqlparse.Expr, s *tuple.Schema, params Params) (exec.Projecto
 	}
 }
 
-func truthy(v tuple.Value) bool {
-	return v.Kind == tuple.KindInt && v.Int != 0
-}
+func truthy(v tuple.Value) bool { return v.Int != 0 }
 
 func compileBinary(op sqlparse.BinaryOp, l, r exec.Projector) (exec.Projector, error) {
 	boolVal := func(b bool) tuple.Value {
@@ -199,9 +197,6 @@ func compileBinary(op sqlparse.BinaryOp, l, r exec.Projector) (exec.Projector, e
 			if err != nil {
 				return tuple.Value{}, err
 			}
-			if lv.Kind != tuple.KindInt || rv.Kind != tuple.KindInt {
-				return tuple.Value{}, fmt.Errorf("plan: arithmetic on non-integer values")
-			}
 			switch op {
 			case sqlparse.OpAdd:
 				return tuple.I(lv.Int + rv.Int), nil
@@ -221,14 +216,13 @@ func compileBinary(op sqlparse.BinaryOp, l, r exec.Projector) (exec.Projector, e
 	}
 }
 
-// vecOperand classifies an expression as a vectorizable operand: an
-// integer column reference or an integer constant (literal or bound
-// parameter).
+// vecOperand classifies an expression as a vectorizable operand: a column
+// reference or a constant (literal or bound parameter).
 func vecOperand(e sqlparse.Expr, s *tuple.Schema, params Params) (colIdx int, constVal int64, isCol, ok bool) {
 	switch v := e.(type) {
 	case *sqlparse.ColumnRef:
 		idx, err := resolveColumn(s, v)
-		if err != nil || s.Cols[idx].Kind != tuple.KindInt {
+		if err != nil {
 			return 0, 0, false, false
 		}
 		return idx, 0, true, true
@@ -236,7 +230,7 @@ func vecOperand(e sqlparse.Expr, s *tuple.Schema, params Params) (colIdx int, co
 		return 0, v.Value, false, true
 	case *sqlparse.Param:
 		val, have := params[v.Name]
-		if !have || val.Kind != tuple.KindInt {
+		if !have {
 			return 0, 0, false, false
 		}
 		return 0, val.Int, false, true
@@ -281,7 +275,7 @@ func mirrorOp(op sqlparse.BinaryOp) sqlparse.BinaryOp {
 }
 
 // compileVecPredicate lowers a conjunct to a vectorized predicate when it
-// is a comparison between integer columns and/or constants — the shapes
+// is a comparison between columns and/or constants — the shapes
 // SETM's WHERE and HAVING clauses are made of (q.trans_id = p.trans_id,
 // q.item > p.item_{k-1}, COUNT(*) >= :minsupport). It returns nil when the
 // expression needs the general row-at-a-time evaluator.

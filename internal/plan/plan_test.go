@@ -289,14 +289,23 @@ func walkPlan(op exec.Operator, visit func(exec.Operator)) {
 	}
 }
 
-func TestPlanFallsBackToNestedLoop(t *testing.T) {
+// TestPlanRefusesCrossProduct: a table no column equality links to the
+// tables before it is an error naming it, with or without other conditions.
+func TestPlanRefusesCrossProduct(t *testing.T) {
 	c, _ := fixture(t)
-	op := compile(t, c, `SELECT p.item FROM sales p, sales q WHERE p.item < q.item`)
-	if !containsOperator(op, func(o exec.Operator) bool {
-		_, ok := o.(*exec.NestedLoopJoin)
-		return ok
-	}) {
-		t.Error("non-equi join compiled without nested loop")
+	for _, q := range []string{
+		`SELECT p.item FROM sales p, sales q WHERE p.item < q.item`,
+		`SELECT p.item FROM sales p, sales q`,
+		`SELECT p.item FROM sales p, c1 c, sales q WHERE p.item = c.item1 AND c.cnt > q.item`,
+	} {
+		st, err := sqlparse.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const want = "plan: no equi-join condition links q to the tables before it"
+		if _, err := c.CompilePlan(st.(*sqlparse.Select)); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", q, err, want)
+		}
 	}
 }
 
@@ -447,10 +456,10 @@ func TestDivisionByZero(t *testing.T) {
 
 func TestOrderByDescending(t *testing.T) {
 	c, _ := fixture(t)
-	op := compile(t, c, "SELECT s.item FROM sales s ORDER BY s.item DESC LIMIT 1")
+	op := compile(t, c, "SELECT s.item FROM sales s ORDER BY s.item DESC")
 	rows := drain(t, op)
-	if len(rows) != 1 || rows[0][0].Int != 3 {
-		t.Errorf("max item = %v", rows)
+	if len(rows) != 7 || rows[0][0].Int != 3 || rows[6][0].Int != 1 {
+		t.Errorf("items descending = %v", rows)
 	}
 }
 

@@ -69,32 +69,9 @@ func (c *Compiler) CompilePlan(sel *sqlparse.Select) (*Plan, error) {
 		return nil, err
 	}
 
-	if sel.Distinct {
-		allCols := make([]int, n.op.Schema().Len())
-		for i := range allCols {
-			allCols[i] = i
-		}
-		n = c.sortNode(n, sortKeysFor(allCols), "DISTINCT")
-		op := exec.NewDistinct(n.op)
-		est := n.est
-		est.Rows = max64(1, est.Rows/2)
-		c.setEst(op, est.Rows)
-		n = node{op: op, est: est, ordering: n.ordering}
-	}
-
 	n, err = c.compileOrderBy(sel, n, aggCols)
 	if err != nil {
 		return nil, err
-	}
-
-	if sel.Limit >= 0 {
-		op := exec.NewLimit(n.op, sel.Limit)
-		est := n.est
-		if est.Rows > sel.Limit {
-			est.Rows = sel.Limit
-		}
-		c.setEst(op, est.Rows)
-		n = node{op: op, est: est, ordering: n.ordering}
 	}
 	return &Plan{Root: n.op, Ordering: n.ordering, Est: n.est,
 		notes: c.notes, ests: c.ests}, nil
@@ -212,8 +189,10 @@ func (c *Compiler) attachFilters(n node, conjs []*conjunct, scope map[string]boo
 }
 
 // compileFromWhere builds the join tree: left-deep in FROM order, with the
-// physical join operator (merge-scan, hash, nested-loop) chosen per step
-// by the cost model. Single-table conjuncts are pushed below the joins.
+// physical join operator (merge-scan or hash) chosen per step by the cost
+// model. Every table after the first must be linked to the tables before
+// it by at least one column equality; a cross product is refused.
+// Single-table conjuncts are pushed below the joins.
 func (c *Compiler) compileFromWhere(sel *sqlparse.Select) (node, error) {
 	if len(sel.From) == 0 {
 		return node{}, fmt.Errorf("plan: query has no FROM clause")
@@ -295,6 +274,9 @@ func (c *Compiler) compileFromWhere(sel *sqlparse.Select) (node, error) {
 			rightKeys = append(rightKeys, ri)
 			cj.used = true
 		}
+		if len(leftKeys) == 0 {
+			return node{}, fmt.Errorf("plan: no equi-join condition links %s to the tables before it", ref.Binding())
+		}
 
 		// A remaining conjunct of the form right.col > left.col (or the
 		// mirrored <) is a pushdown candidate: a merge join evaluates it
@@ -303,7 +285,7 @@ func (c *Compiler) compileFromWhere(sel *sqlparse.Select) (node, error) {
 		// resolve in exactly one input.
 		var gt *gtConjunct
 		for _, cj := range conjs {
-			if len(leftKeys) == 0 || gt != nil {
+			if gt != nil {
 				break
 			}
 			if cj.used {
@@ -333,27 +315,10 @@ func (c *Compiler) compileFromWhere(sel *sqlparse.Select) (node, error) {
 			if _, err := resolveColumn(right.op.Schema(), small); err == nil {
 				continue
 			}
-			if current.op.Schema().Cols[li].Kind != tuple.KindInt ||
-				right.op.Schema().Cols[ri].Kind != tuple.KindInt {
-				continue
-			}
 			gt = &gtConjunct{cj: cj, li: li, ri: ri}
 		}
 
-		if len(leftKeys) > 0 {
-			current = c.joinChoice(current, right, leftKeys, rightKeys, gt)
-		} else {
-			op := exec.NewNestedLoopJoin(current.op, right.op, nil)
-			est := Estimate{
-				Rows:     current.est.Rows * max64(right.est.Rows, 1),
-				RowBytes: schemaRowBytes(current.op.Schema(), right.op.Schema()),
-				CostMs: current.est.CostMs + right.est.CostMs +
-					costmodel.NestedLoopMs(current.est.Rows, right.est.Rows),
-			}
-			c.note(op, "no equi-join key; est %d rows, cost≈%.2fms", est.Rows, est.CostMs)
-			c.setEst(op, est.Rows)
-			current = node{op: op, est: est, ordering: append([]int{}, current.ordering...)}
-		}
+		current = c.joinChoice(current, right, leftKeys, rightKeys, gt)
 		scope[rbind] = true
 		current, err = c.attachFilters(current, conjs, scope)
 		if err != nil {
@@ -507,29 +472,16 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 
 // hashGroupChoice prices hash aggregation (HashGroup) against the
 // sort-then-scan pipeline for GROUP BY and builds it when cheaper. It
-// requires integer group and aggregate columns (the hash table is
-// columnar int64 storage) and an input not already ordered on the group
-// columns — a free SortGroup beats any hash table. Groups are emitted in
-// ascending group-column order either way, so the output is bit-identical
-// to the sort path. Returns (nil, 0) when the sort path wins or the shapes
-// don't allow hashing.
+// requires an input not already ordered on the group columns — a free
+// SortGroup beats any hash table. Groups are emitted in ascending
+// group-column order either way, so the output is bit-identical to the
+// sort path. Returns (nil, 0) when the sort path wins.
 func (c *Compiler) hashGroupChoice(in node, groupIdxs []int, specs []exec.AggSpec, estGroups int64) (exec.Operator, float64) {
 	if len(groupIdxs) == 0 {
 		return nil, 0
 	}
 	if orderingHasPrefix(in.ordering, groupIdxs) {
 		return nil, 0 // SortGroup streams the ordered input for free
-	}
-	s := in.op.Schema()
-	for _, g := range groupIdxs {
-		if s.Cols[g].Kind != tuple.KindInt {
-			return nil, 0
-		}
-	}
-	for _, sp := range specs {
-		if sp.Kind != exec.AggCount && s.Cols[sp.Col].Kind != tuple.KindInt {
-			return nil, 0
-		}
 	}
 	rows := in.est.Rows
 	rowBytes := in.est.RowBytes
@@ -568,26 +520,6 @@ func rewriteAggs(e sqlparse.Expr, aggCols map[string]int) sqlparse.Expr {
 		return &sqlparse.NotExpr{E: rewriteAggs(v.E, aggCols)}
 	default:
 		return e
-	}
-}
-
-// inferKind determines the output column type of an expression.
-func (c *Compiler) inferKind(e sqlparse.Expr, s *tuple.Schema) tuple.Kind {
-	switch v := e.(type) {
-	case *sqlparse.ColumnRef:
-		if idx, err := resolveColumn(s, v); err == nil {
-			return s.Cols[idx].Kind
-		}
-		return tuple.KindInt
-	case *sqlparse.StringLit:
-		return tuple.KindString
-	case *sqlparse.Param:
-		if val, ok := c.params[v.Name]; ok {
-			return val.Kind
-		}
-		return tuple.KindInt
-	default:
-		return tuple.KindInt
 	}
 }
 
@@ -641,7 +573,7 @@ func (c *Compiler) compileProjection(sel *sqlparse.Select, in node, aggCols map[
 			return node{}, err
 		}
 		projs = append(projs, pr)
-		cols = append(cols, tuple.Column{Name: outputName(it), Kind: c.inferKind(expr, inSchema)})
+		cols = append(cols, tuple.Column{Name: outputName(it), Kind: tuple.KindInt})
 	}
 	schema := tuple.NewSchema(cols...)
 	est := in.est

@@ -2,7 +2,6 @@ package sqlparse
 
 import (
 	"fmt"
-	"strings"
 
 	"setm/internal/tuple"
 )
@@ -10,7 +9,7 @@ import (
 // Stmt is any parsed SQL statement.
 type Stmt interface{ stmt() }
 
-// CreateTable is CREATE TABLE name (col type, ...).
+// CreateTable is CREATE TABLE name (col INT, ...).
 type CreateTable struct {
 	Name        string
 	IfNotExists bool
@@ -40,14 +39,12 @@ type Insert struct {
 
 // Select is a SELECT query.
 type Select struct {
-	Distinct bool
-	Items    []SelectItem
-	From     []TableRef
-	Where    Expr
-	GroupBy  []Expr
-	Having   Expr
-	OrderBy  []OrderItem
-	Limit    int64 // -1 = no limit
+	Items   []SelectItem
+	From    []TableRef
+	Where   Expr
+	GroupBy []Expr
+	Having  Expr
+	OrderBy []OrderItem
 }
 
 // SelectItem is one projected expression with an optional alias.
@@ -111,11 +108,6 @@ type IntLit struct {
 	Value int64
 }
 
-// StringLit is a string literal.
-type StringLit struct {
-	Value string
-}
-
 // Param is a named parameter :name.
 type Param struct {
 	Name string
@@ -171,7 +163,6 @@ type NotExpr struct {
 
 func (*ColumnRef) expr()  {}
 func (*IntLit) expr()     {}
-func (*StringLit) expr()  {}
 func (*Param) expr()      {}
 func (*AggExpr) expr()    {}
 func (*BinaryExpr) expr() {}
@@ -184,9 +175,8 @@ func (c *ColumnRef) String() string {
 	return c.Name
 }
 
-func (i *IntLit) String() string    { return fmt.Sprintf("%d", i.Value) }
-func (s *StringLit) String() string { return "'" + strings.ReplaceAll(s.Value, "'", "''") + "'" }
-func (p *Param) String() string     { return ":" + p.Name }
+func (i *IntLit) String() string { return fmt.Sprintf("%d", i.Value) }
+func (p *Param) String() string  { return ":" + p.Name }
 
 func (a *AggExpr) String() string {
 	if a.Star {

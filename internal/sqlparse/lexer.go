@@ -1,7 +1,9 @@
 // Package sqlparse implements the lexer, AST, and parser for the SQL subset
-// the paper's queries use: CREATE/DROP TABLE, INSERT (VALUES and INSERT ...
-// SELECT), DELETE, and SELECT with joins, WHERE, GROUP BY, HAVING, ORDER BY,
-// COUNT(*), named parameters (:minsupport), and EXPLAIN [ANALYZE].
+// the paper's queries use: CREATE/DROP TABLE over INT columns, INSERT
+// (VALUES and INSERT ... SELECT), DELETE, and SELECT with joins, WHERE,
+// GROUP BY, HAVING, ORDER BY, COUNT/SUM/MIN/MAX, named parameters
+// (:minsupport), and EXPLAIN [ANALYZE]. The grammar is written out in EBNF
+// at the head of parser.go; anything outside it is a positioned error.
 //
 // The front end is allocation-free on the hot path: the scanner walks the
 // source string byte by byte, token text is a substring sharing the source's
@@ -26,32 +28,14 @@ const (
 	TokIdent
 	TokKeyword
 	TokInt
-	TokString
 	TokParam  // :name
 	TokSymbol // punctuation and operators
 )
 
-// Token is one lexical token with its source position (1-based line/col).
-type Token struct {
-	Kind TokenKind
-	Text string // keywords are upper-cased; idents keep original case
-	Line int
-	Col  int
-}
-
-func (t Token) String() string {
-	switch t.Kind {
-	case TokEOF:
-		return "end of input"
-	case TokString:
-		return fmt.Sprintf("'%s'", t.Text)
-	default:
-		return t.Text
-	}
-}
-
 // kwID identifies a keyword. Matching a word yields an ID so the parser
-// compares small integers instead of strings.
+// compares small integers instead of strings. STRING, VARCHAR, DISTINCT and
+// LIMIT are reserved words that no production uses: they are never
+// identifiers, so each fails where it stands.
 type kwID uint8
 
 const (
@@ -131,7 +115,6 @@ const (
 	clsBad   = iota // no token starts with this byte
 	clsIdent        // identifier or keyword start
 	clsDigit        // integer literal
-	clsQuote        // ' string literal
 	clsColon        // :parameter
 	clsSym2         // < > ! — may start a two-character operator
 	clsSym1         // single-character symbol
@@ -166,8 +149,6 @@ func init() {
 			classTab[i] = clsIdent
 		case digitTab[i]:
 			classTab[i] = clsDigit
-		case i == '\'':
-			classTab[i] = clsQuote
 		case i == ':':
 			classTab[i] = clsColon
 		case i == '<' || i == '>' || i == '!':
@@ -222,30 +203,26 @@ const (
 )
 
 // token is the scanner's internal token: text borrows the source (or a
-// canonical keyword constant), so producing one never allocates. String
-// literals containing doubled-quote escapes are the one exception. Fields
+// canonical keyword constant), so producing one never allocates. Fields
 // beyond kind, line, and col are only meaningful for the kinds that set
-// them: symbol
-// tokens carry sym (their text is derived on demand), int tokens carry
-// ival/intBad, and so on.
+// them: symbol tokens carry sym (their text is derived on demand), int
+// tokens carry ival/intBad, and so on.
 type token struct {
 	kind   TokenKind
 	kw     kwID   // valid when kind == TokKeyword
 	sym    byte   // valid when kind == TokSymbol
 	intBad bool   // TokInt: literal does not fit in int64
 	ival   int64  // valid when kind == TokInt
-	text   string // valid for ident/keyword/int/string/param
+	text   string // valid for ident/keyword/int/param
 	line   int
 	col    int
 }
 
-// describe renders the token for error messages, mirroring Token.String.
+// describe renders the token for error messages.
 func (t *token) describe() string {
 	switch t.kind {
 	case TokEOF:
 		return "end of input"
-	case TokString:
-		return "'" + t.text + "'"
 	case TokSymbol:
 		return symString(t.sym)
 	default:
@@ -257,9 +234,8 @@ func (t *token) describe() string {
 type scanner struct {
 	src       string
 	pos       int
-	line      int    // 1-based
-	lineStart int    // byte offset where the current line begins
-	buf       []byte // scratch for unescaping string literals
+	line      int // 1-based
+	lineStart int // byte offset where the current line begins
 }
 
 func (s *scanner) init(src string) {
@@ -347,47 +323,6 @@ skip:
 		t.intBad = bad
 		return nil
 
-	case clsQuote:
-		start := pos + 1
-		i := start
-		escaped := false
-		for {
-			if i >= len(src) {
-				return fmt.Errorf("sql:%d:%d: unterminated string literal", t.line, t.col)
-			}
-			ch := src[i]
-			if ch == '\'' {
-				if i+1 < len(src) && src[i+1] == '\'' {
-					escaped = true
-					i += 2
-					continue
-				}
-				break
-			}
-			if ch == '\n' {
-				s.line++
-				s.lineStart = i + 1
-			}
-			i++
-		}
-		t.kind = TokString
-		if !escaped {
-			t.text = src[start:i]
-		} else {
-			buf := s.buf[:0]
-			for j := start; j < i; j++ {
-				ch := src[j]
-				buf = append(buf, ch)
-				if ch == '\'' {
-					j++ // skip the doubled quote
-				}
-			}
-			s.buf = buf
-			t.text = string(buf)
-		}
-		s.pos = i + 1
-		return nil
-
 	case clsColon:
 		pos++
 		if pos >= len(src) || !identStartTab[src[pos]] {
@@ -439,50 +374,5 @@ skip:
 
 	default:
 		return fmt.Errorf("sql:%d:%d: unexpected character %q", t.line, t.col, c)
-	}
-}
-
-// Lexer is the public token-stream view over the scanner, kept for tests and
-// diagnostics.
-type Lexer struct {
-	s scanner
-	t token
-}
-
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer {
-	l := &Lexer{}
-	l.s.init(src)
-	return l
-}
-
-// Next returns the next token. After the input is exhausted it returns
-// TokEOF forever.
-func (l *Lexer) Next() (Token, error) {
-	if err := l.s.next(&l.t); err != nil {
-		return Token{Line: l.t.line, Col: l.t.col}, err
-	}
-	text := l.t.text
-	if l.t.kind == TokSymbol {
-		text = symString(l.t.sym)
-	} else if l.t.kind == TokEOF {
-		text = ""
-	}
-	return Token{Kind: l.t.kind, Text: text, Line: l.t.line, Col: l.t.col}, nil
-}
-
-// Tokenize lexes the whole input (for tests and diagnostics).
-func Tokenize(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var out []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == TokEOF {
-			return out, nil
-		}
 	}
 }

@@ -1,3 +1,47 @@
+// The grammar the parser accepts, in EBNF. Keywords are case-insensitive
+// and reserved; STRING, VARCHAR, DISTINCT and LIMIT are reserved too but
+// appear in no production. ANALYZE is a keyword only right after EXPLAIN.
+// "--" starts a comment that runs to the end of the line.
+//
+//	script    = { stmt | ";" } .                     (ParseScript)
+//	statement = stmt [ ";" ] .                       (ParseStatement)
+//	stmt      = create | drop | delete | insert | select | explain .
+//	create    = "CREATE" "TABLE" [ "IF" "NOT" "EXISTS" ] ident
+//	            "(" ident intType { "," ident intType } ")" .
+//	intType   = "INT" | "INTEGER" .
+//	drop      = "DROP" "TABLE" [ "IF" "EXISTS" ] ident .
+//	delete    = "DELETE" "FROM" ident .
+//	insert    = "INSERT" "INTO" ident [ "(" ident { "," ident } ")" ]
+//	            ( "VALUES" row { "," row } | select ) .
+//	row       = "(" expr { "," expr } ")" .
+//	explain   = "EXPLAIN" [ "ANALYZE" ] select .
+//	select    = "SELECT" item { "," item }
+//	            "FROM" table { "," table }
+//	            [ "WHERE" expr ]
+//	            [ "GROUP" "BY" expr { "," expr } ]
+//	            [ "HAVING" expr ]
+//	            [ "ORDER" "BY" order { "," order } ] .
+//	item      = "*" | expr [ [ "AS" ] ident ] .
+//	table     = ident [ [ "AS" ] ident ] .
+//	order     = expr [ "ASC" | "DESC" ] .
+//	expr      = and { "OR" and } .
+//	and       = not { "AND" not } .
+//	not       = "NOT" not | cmp .
+//	cmp       = add [ ( "=" | "<>" | "!=" | "<" | "<=" | ">" | ">=" ) add ] .
+//	add       = mul { ( "+" | "-" ) mul } .
+//	mul       = primary { ( "*" | "/" ) primary } .
+//	primary   = int | ":" ident | "(" expr ")" | "-" primary
+//	          | "COUNT" "(" "*" ")"
+//	          | ( "COUNT" | "SUM" | "MIN" | "MAX" ) "(" expr ")"
+//	          | ident [ "." ident ] .
+//	int       = digit { digit } .                    (at most MaxInt64)
+//	ident     = letter { letter | digit } .          (not a keyword)
+//
+// A letter is "_" or a Latin-1 letter; the parameter's ":" and its name are
+// one token. The planner further requires GROUP BY and ORDER BY items to be
+// columns and every join to have an equality between columns of the two
+// sides.
+
 package sqlparse
 
 import (
@@ -18,7 +62,6 @@ type arena struct {
 	nots     []NotExpr
 	cols     []ColumnRef
 	ints     []IntLit
-	strs     []StringLit
 	params   []Param
 	aggs     []AggExpr
 	selects  []Select
@@ -42,7 +85,6 @@ func (a *arena) reset() {
 	a.nots = a.nots[:0]
 	a.cols = a.cols[:0]
 	a.ints = a.ints[:0]
-	a.strs = a.strs[:0]
 	a.params = a.params[:0]
 	a.aggs = a.aggs[:0]
 	a.selects = a.selects[:0]
@@ -79,11 +121,6 @@ func (a *arena) newCol(qual, name string) *ColumnRef {
 func (a *arena) newInt(v int64) *IntLit {
 	a.ints = append(a.ints, IntLit{Value: v})
 	return &a.ints[len(a.ints)-1]
-}
-
-func (a *arena) newString(s string) *StringLit {
-	a.strs = append(a.strs, StringLit{Value: s})
-	return &a.strs[len(a.strs)-1]
 }
 
 func (a *arena) newParam(name string) *Param {
@@ -403,33 +440,13 @@ func (p *Parser) parseCreate() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		var kind tuple.Kind
-		switch {
-		case p.isKw(kwInt) || p.isKw(kwInteger):
-			kind = tuple.KindInt
-		case p.isKw(kwStringT) || p.isKw(kwVarchar):
-			kind = tuple.KindString
-		default:
+		if !p.isKw(kwInt) && !p.isKw(kwInteger) {
 			return nil, p.errf("expected column type, found %s", p.tok.describe())
 		}
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		// Tolerate VARCHAR(n).
-		if ok, err := p.acceptSym('('); err != nil {
-			return nil, err
-		} else if ok {
-			if p.tok.kind != TokInt {
-				return nil, p.errf("expected length, found %s", p.tok.describe())
-			}
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			if err := p.expectSym(')'); err != nil {
-				return nil, err
-			}
-		}
-		p.a.tcols = append(p.a.tcols, tuple.Column{Name: col, Kind: kind})
+		p.a.tcols = append(p.a.tcols, tuple.Column{Name: col, Kind: tuple.KindInt})
 		if ok, err := p.acceptSym(','); err != nil {
 			return nil, err
 		} else if !ok {
@@ -572,13 +589,8 @@ func (p *Parser) parseSelect() (*Select, error) {
 	if err := p.next(); err != nil { // SELECT
 		return nil, err
 	}
-	p.a.selects = append(p.a.selects, Select{Limit: -1})
+	p.a.selects = append(p.a.selects, Select{})
 	sel := &p.a.selects[len(p.a.selects)-1]
-	if ok, err := p.acceptKw(kwDistinct); err != nil {
-		return nil, err
-	} else if ok {
-		sel.Distinct = true
-	}
 	// Select list.
 	itemStart := len(p.a.items)
 	for {
@@ -724,33 +736,11 @@ func (p *Parser) parseSelect() (*Select, error) {
 		end := len(p.a.orders)
 		sel.OrderBy = p.a.orders[start:end:end]
 	}
-	if ok, err := p.acceptKw(kwLimit); err != nil {
-		return nil, err
-	} else if ok {
-		if p.tok.kind != TokInt {
-			return nil, p.errf("expected integer after LIMIT, found %s", p.tok.describe())
-		}
-		if p.tok.intBad {
-			return nil, p.errf("bad LIMIT value %q", p.tok.text)
-		}
-		sel.Limit = p.tok.ival
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-	}
 	return sel, nil
 }
 
-// Expression precedence levels, loosest to tightest. The grammar matches the
-// previous recursive-descent implementation exactly:
-//
-//	expr    := orExpr
-//	orExpr  := andExpr (OR andExpr)*
-//	andExpr := notExpr (AND notExpr)*
-//	notExpr := NOT notExpr | cmp
-//	cmp     := addExpr ((= | <> | < | <= | > | >=) addExpr)?
-//	addExpr := mulExpr ((+|-) mulExpr)*
-//	mulExpr := primary ((*|/) primary)*
+// Expression precedence levels, loosest to tightest: one per layer of the
+// expr rules in the grammar at the head of this file.
 const (
 	precOr = iota + 1
 	precAnd
@@ -870,13 +860,6 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			return nil, err
 		}
 		return p.a.newInt(v), nil
-
-	case p.tok.kind == TokString:
-		s := p.tok.text
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		return p.a.newString(s), nil
 
 	case p.tok.kind == TokParam:
 		name := p.tok.text

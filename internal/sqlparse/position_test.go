@@ -30,11 +30,6 @@ func TestErrorPositionsThroughComments(t *testing.T) {
 			want: "sql:2:11:",
 		},
 		{
-			name: "multi-line string literal advances line count",
-			src:  "SELECT 'a\nb\nc' FROM t WHERE ?",
-			want: "sql:3:17:",
-		},
-		{
 			name: "bare colon",
 			src:  "SELECT a FROM t WHERE b = :",
 			want: "sql:1:27:",
@@ -103,7 +98,7 @@ func TestErrorPositionDeepInScript(t *testing.T) {
 // TestTokenPositionsMultiLine pins token line/col across comments, blank
 // lines, and operators.
 func TestTokenPositionsMultiLine(t *testing.T) {
-	toks, err := Tokenize("SELECT a -- c\n\n  FROM t\nWHERE a >= :p")
+	toks, err := tokenize("SELECT a -- c\n\n  FROM t\nWHERE a >= :p")
 	if err != nil {
 		t.Fatal(err)
 	}

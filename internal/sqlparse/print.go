@@ -1,11 +1,6 @@
 package sqlparse
 
-import (
-	"fmt"
-	"strings"
-
-	"setm/internal/tuple"
-)
+import "strings"
 
 // Print renders a parsed statement back to SQL text. The output is
 // canonical (expressions fully parenthesized, explicit AS on aliases) and
@@ -31,11 +26,7 @@ func printStmt(sb *strings.Builder, st Stmt) {
 				sb.WriteString(", ")
 			}
 			sb.WriteString(c.Name)
-			if c.Kind == tuple.KindString {
-				sb.WriteString(" STRING")
-			} else {
-				sb.WriteString(" INT")
-			}
+			sb.WriteString(" INT")
 		}
 		sb.WriteString(")")
 
@@ -80,9 +71,6 @@ func printStmt(sb *strings.Builder, st Stmt) {
 
 	case *Select:
 		sb.WriteString("SELECT ")
-		if s.Distinct {
-			sb.WriteString("DISTINCT ")
-		}
 		for i, item := range s.Items {
 			if i > 0 {
 				sb.WriteString(", ")
@@ -136,9 +124,6 @@ func printStmt(sb *strings.Builder, st Stmt) {
 					sb.WriteString(" DESC")
 				}
 			}
-		}
-		if s.Limit >= 0 {
-			fmt.Fprintf(sb, " LIMIT %d", s.Limit)
 		}
 
 	case *Explain:

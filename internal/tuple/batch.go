@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -11,43 +12,13 @@ import (
 // inside the L1/L2 caches while amortizing per-call overhead.
 const BatchSize = 1024
 
-// ColVec is one column of a Batch: a dense vector of values of a single
-// kind. Exactly one of I or S is used, selected by Kind.
+// ColVec is one column of a Batch: a dense vector of integers.
 type ColVec struct {
-	Kind Kind
-	I    []int64
-	S    []string
+	I []int64
 }
 
-// AppendValue appends v to the vector, coercing by the column's kind.
-func (c *ColVec) AppendValue(v Value) {
-	switch c.Kind {
-	case KindInt:
-		c.I = append(c.I, v.Int)
-	default:
-		c.S = append(c.S, v.Str)
-	}
-}
-
-// value returns the physical row i as a Value.
-func (c *ColVec) value(i int) Value {
-	switch c.Kind {
-	case KindInt:
-		return I(c.I[i])
-	default:
-		return S(c.S[i])
-	}
-}
-
-// truncate shrinks the vector to n physical rows.
-func (c *ColVec) truncate(n int) {
-	switch c.Kind {
-	case KindInt:
-		c.I = c.I[:n]
-	default:
-		c.S = c.S[:n]
-	}
-}
+// AppendValue appends v's integer to the vector.
+func (c *ColVec) AppendValue(v Value) { c.I = append(c.I, v.Int) }
 
 // Batch is a column-major slice of rows: one ColVec per schema column plus
 // an optional selection vector. Operators exchange batches instead of
@@ -58,8 +29,8 @@ func (c *ColVec) truncate(n int) {
 //
 // The selection vector, when non-nil, lists the physical row indexes that
 // are logically present, in order. Filters produce selections instead of
-// copying survivors; downstream operators either iterate through the
-// selection or Compact it away.
+// copying survivors; downstream operators iterate through the selection,
+// and Clone copies only the rows it selects.
 type Batch struct {
 	schema *Schema
 	Cols   []ColVec
@@ -69,11 +40,7 @@ type Batch struct {
 
 // NewBatch returns an empty batch for the given schema.
 func NewBatch(s *Schema) *Batch {
-	b := &Batch{schema: s, Cols: make([]ColVec, s.Len())}
-	for i, c := range s.Cols {
-		b.Cols[i].Kind = c.Kind
-	}
-	return b
+	return &Batch{schema: s, Cols: make([]ColVec, s.Len())}
 }
 
 // Schema returns the batch's schema.
@@ -107,7 +74,7 @@ func (b *Batch) RowIdx(i int) int {
 // Reset empties the batch for refilling, keeping column capacity.
 func (b *Batch) Reset() {
 	for i := range b.Cols {
-		b.Cols[i].truncate(0)
+		b.Cols[i].I = b.Cols[i].I[:0]
 	}
 	b.n = 0
 	b.sel = nil
@@ -122,24 +89,13 @@ func (b *Batch) Grow(n int) {
 		return
 	}
 	for c := range b.Cols {
-		if b.Cols[c].Kind == KindInt {
-			if cap(b.Cols[c].I)-len(b.Cols[c].I) < n {
-				grown := make([]int64, len(b.Cols[c].I), len(b.Cols[c].I)+n)
-				copy(grown, b.Cols[c].I)
-				b.Cols[c].I = grown
-			}
-		} else {
-			if cap(b.Cols[c].S)-len(b.Cols[c].S) < n {
-				grown := make([]string, len(b.Cols[c].S), len(b.Cols[c].S)+n)
-				copy(grown, b.Cols[c].S)
-				b.Cols[c].S = grown
-			}
+		if col := b.Cols[c].I; cap(col)-len(col) < n {
+			b.Cols[c].I = append(make([]int64, 0, len(col)+n), col...)
 		}
 	}
 }
 
-// AppendTuple appends one row given as a tuple. Values are stored by the
-// schema's column kinds.
+// AppendTuple appends one row given as a tuple of integer values.
 func (b *Batch) AppendTuple(t Tuple) error {
 	if len(t) != len(b.Cols) {
 		return fmt.Errorf("tuple: batch append arity %d does not match schema %d", len(t), len(b.Cols))
@@ -155,12 +111,7 @@ func (b *Batch) AppendTuple(t Tuple) error {
 // the end of b.
 func (b *Batch) AppendRow(src *Batch, phys int) {
 	for i := range b.Cols {
-		switch b.Cols[i].Kind {
-		case KindInt:
-			b.Cols[i].I = append(b.Cols[i].I, src.Cols[i].I[phys])
-		default:
-			b.Cols[i].S = append(b.Cols[i].S, src.Cols[i].S[phys])
-		}
+		b.Cols[i].I = append(b.Cols[i].I, src.Cols[i].I[phys])
 	}
 	b.n++
 }
@@ -184,11 +135,7 @@ func (b *Batch) Append(src *Batch) { b.AppendRange(src, 0, src.Len()) }
 func (b *Batch) AppendRange(src *Batch, from, to int) {
 	if src.sel == nil {
 		for c := range b.Cols {
-			if b.Cols[c].Kind == KindInt {
-				b.Cols[c].I = append(b.Cols[c].I, src.Cols[c].I[from:to]...)
-			} else {
-				b.Cols[c].S = append(b.Cols[c].S, src.Cols[c].S[from:to]...)
-			}
+			b.Cols[c].I = append(b.Cols[c].I, src.Cols[c].I[from:to]...)
 		}
 		b.n += to - from
 		return
@@ -197,9 +144,6 @@ func (b *Batch) AppendRange(src *Batch, from, to int) {
 		b.AppendRow(src, int(phys))
 	}
 }
-
-// Value returns column c of logical row i.
-func (b *Batch) Value(i, c int) Value { return b.Cols[c].value(b.RowIdx(i)) }
 
 // Row materializes logical row i as a freshly allocated tuple.
 func (b *Batch) Row(i int) Tuple {
@@ -217,55 +161,14 @@ func (b *Batch) RowInto(buf Tuple, i int) Tuple {
 // selection vector.
 func (b *Batch) PhysRowInto(buf Tuple, phys int) Tuple {
 	for c := range b.Cols {
-		buf[c] = b.Cols[c].value(phys)
+		buf[c] = I(b.Cols[c].I[phys])
 	}
 	return buf
 }
 
-// Truncate keeps only the first k logical rows.
-func (b *Batch) Truncate(k int) {
-	if k >= b.Len() {
-		return
-	}
-	if b.sel != nil {
-		b.sel = b.sel[:k]
-		return
-	}
-	for i := range b.Cols {
-		b.Cols[i].truncate(k)
-	}
-	b.n = k
-}
-
-// Compact applies the selection vector in place, leaving a dense batch
-// with no selection. It is a no-op when no selection is installed.
-func (b *Batch) Compact() {
-	if b.sel == nil {
-		return
-	}
-	sel := b.sel
-	for c := range b.Cols {
-		col := &b.Cols[c]
-		switch col.Kind {
-		case KindInt:
-			for out, phys := range sel {
-				col.I[out] = col.I[phys]
-			}
-			col.I = col.I[:len(sel)]
-		default:
-			for out, phys := range sel {
-				col.S[out] = col.S[phys]
-			}
-			col.S = col.S[:len(sel)]
-		}
-	}
-	b.n = len(sel)
-	b.sel = nil
-}
-
 // WithSchema returns a shallow view of the batch under a different schema
-// with the same column kinds; storage is shared. Rename uses this to
-// re-qualify column names without copying data.
+// of the same arity; storage is shared. Rename uses this to re-qualify
+// column names without copying data.
 func (b *Batch) WithSchema(s *Schema) *Batch {
 	v := *b
 	v.schema = s
@@ -287,20 +190,12 @@ func (b *Batch) Clone() *Batch {
 	out := NewBatch(b.schema)
 	n := b.Len()
 	for c := range b.Cols {
-		col := &b.Cols[c]
-		oc := &out.Cols[c]
-		switch col.Kind {
-		case KindInt:
-			oc.I = make([]int64, n)
-			for i := 0; i < n; i++ {
-				oc.I[i] = col.I[b.RowIdx(i)]
-			}
-		default:
-			oc.S = make([]string, n)
-			for i := 0; i < n; i++ {
-				oc.S[i] = col.S[b.RowIdx(i)]
-			}
+		col := b.Cols[c].I
+		oc := make([]int64, n)
+		for i := range oc {
+			oc[i] = col[b.RowIdx(i)]
 		}
+		out.Cols[c].I = oc
 	}
 	out.n = n
 	return out
@@ -308,24 +203,11 @@ func (b *Batch) Clone() *Batch {
 
 // CompareRows orders logical row i of b against logical row j of o on the
 // paired key columns, with per-key descending flags (nil desc = all
-// ascending). Both batches must share column kinds at the key positions.
+// ascending).
 func (b *Batch) CompareRows(i int, o *Batch, j int, bCols, oCols []int, desc []bool) int {
 	bi, oj := b.RowIdx(i), o.RowIdx(j)
 	for k := range bCols {
-		var c int
-		bc, oc := &b.Cols[bCols[k]], &o.Cols[oCols[k]]
-		if bc.Kind == KindInt && oc.Kind == KindInt {
-			av, bv := bc.I[bi], oc.I[oj]
-			switch {
-			case av < bv:
-				c = -1
-			case av > bv:
-				c = 1
-			}
-		} else {
-			c = Compare(bc.value(bi), oc.value(oj))
-		}
-		if c != 0 {
+		if c := cmp.Compare(b.Cols[bCols[k]].I[bi], o.Cols[oCols[k]].I[oj]); c != 0 {
 			if desc != nil && desc[k] {
 				return -c
 			}
@@ -335,40 +217,10 @@ func (b *Batch) CompareRows(i int, o *Batch, j int, bCols, oCols []int, desc []b
 	return 0
 }
 
-// AppendEncoded decodes one record in the binary tuple codec (see Encode)
-// directly into the batch's columns, returning the bytes consumed.
-func (b *Batch) AppendEncoded(src []byte) (int, error) {
-	off := 0
-	for i := range b.Cols {
-		col := &b.Cols[i]
-		switch col.Kind {
-		case KindInt:
-			if off+8 > len(src) {
-				return 0, fmt.Errorf("tuple: short buffer decoding int column %d", i)
-			}
-			col.I = append(col.I, int64(binary.BigEndian.Uint64(src[off:])))
-			off += 8
-		default:
-			if off+4 > len(src) {
-				return 0, fmt.Errorf("tuple: short buffer decoding string length of column %d", i)
-			}
-			n := int(binary.BigEndian.Uint32(src[off:]))
-			off += 4
-			if off+n > len(src) {
-				return 0, fmt.Errorf("tuple: short buffer decoding string column %d", i)
-			}
-			col.S = append(col.S, string(src[off:off+n]))
-			off += n
-		}
-	}
-	b.n++
-	return off, nil
-}
-
 // AppendIntColumns appends n rows decoded from a column-major block of
-// little-endian int64 slots — the heap file's page layout for an all-INT
-// schema. src starts at the first row's slot of column 0; column c's slots
-// follow at src[c*stride*8:].
+// little-endian int64 slots — the heap file's page layout. src starts at
+// the first row's slot of column 0; column c's slots follow at
+// src[c*stride*8:].
 func (b *Batch) AppendIntColumns(src []byte, stride, n int) error {
 	if err := b.checkIntColumns(len(src), stride, n); err != nil {
 		return err
@@ -408,52 +260,11 @@ func (b *Batch) PutIntColumns(dst []byte, stride, from, n int) error {
 	return nil
 }
 
-// checkIntColumns guards the column-major codec: every column an integer,
-// and n slots of the last column inside a block of size bytes.
+// checkIntColumns guards the column-major codec: n slots of the last
+// column must lie inside a block of size bytes.
 func (b *Batch) checkIntColumns(size, stride, n int) error {
-	for c := range b.Cols {
-		if b.Cols[c].Kind != KindInt {
-			return fmt.Errorf("tuple: column %d is %s in an all-INT page", c, b.Cols[c].Kind)
-		}
-	}
 	if ((len(b.Cols)-1)*stride+n)*8 > size {
 		return fmt.Errorf("tuple: %d rows of %d columns overrun a %d-byte column block", n, len(b.Cols), size)
 	}
 	return nil
-}
-
-// EncodedRowSize returns the codec size of logical row i.
-func (b *Batch) EncodedRowSize(i int) int {
-	phys := b.RowIdx(i)
-	n := 0
-	for c := range b.Cols {
-		switch b.Cols[c].Kind {
-		case KindInt:
-			n += 8
-		default:
-			n += 4 + len(b.Cols[c].S[phys])
-		}
-	}
-	return n
-}
-
-// EncodeRowTo appends the codec encoding of logical row i to dst,
-// matching Encode's layout exactly.
-func (b *Batch) EncodeRowTo(dst []byte, i int) []byte {
-	phys := b.RowIdx(i)
-	for c := range b.Cols {
-		col := &b.Cols[c]
-		switch col.Kind {
-		case KindInt:
-			var buf [8]byte
-			binary.BigEndian.PutUint64(buf[:], uint64(col.I[phys]))
-			dst = append(dst, buf[:]...)
-		default:
-			var buf [4]byte
-			binary.BigEndian.PutUint32(buf[:], uint32(len(col.S[phys])))
-			dst = append(dst, buf[:]...)
-			dst = append(dst, col.S[phys]...)
-		}
-	}
-	return dst
 }

@@ -5,21 +5,24 @@ import (
 )
 
 func TestBatchAppendRowIdxAndValue(t *testing.T) {
-	s := NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "s", Kind: KindString})
-	b := NewBatch(s)
-	for i := 0; i < 5; i++ {
-		if err := b.AppendTuple(Tuple{I(int64(i)), S(string(rune('a' + i)))}); err != nil {
+	b := NewBatch(IntSchema("a", "b"))
+	for i := int64(0); i < 5; i++ {
+		if err := b.AppendTuple(Ints(i, 10*i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if b.Len() != 5 || b.NumPhysical() != 5 {
 		t.Fatalf("Len = %d phys = %d", b.Len(), b.NumPhysical())
 	}
-	if v := b.Value(3, 0); v.Int != 3 {
-		t.Errorf("Value(3,0) = %v", v)
+	if r := b.Row(3); r[0].Int != 3 || r[1].Int != 30 {
+		t.Errorf("Row(3) = %v", r)
 	}
-	if v := b.Value(2, 1); v.Str != "c" {
-		t.Errorf("Value(2,1) = %v", v)
+	b.SetSel([]int32{4, 2})
+	if b.RowIdx(1) != 2 || b.Row(1)[1].Int != 20 {
+		t.Errorf("selected row 1 = %d: %v", b.RowIdx(1), b.Row(1))
+	}
+	if err := b.AppendTuple(Ints(1)); err == nil {
+		t.Error("AppendTuple accepted a short tuple")
 	}
 }
 
@@ -35,78 +38,45 @@ func TestBatchSelectionCompactAndClone(t *testing.T) {
 	if b.Len() != 3 || b.RowIdx(2) != 5 {
 		t.Fatalf("selected Len = %d, RowIdx(2) = %d", b.Len(), b.RowIdx(2))
 	}
+	// Clone compacts: a dense copy of the selected rows only.
 	clone := b.Clone()
-	b.Compact()
-	if b.Sel() != nil || b.Len() != 3 {
-		t.Fatalf("after Compact: sel=%v len=%d", b.Sel(), b.Len())
+	if clone.Sel() != nil || clone.Len() != 3 || clone.NumPhysical() != 3 {
+		t.Fatalf("clone: sel=%v len=%d phys=%d", clone.Sel(), clone.Len(), clone.NumPhysical())
 	}
 	for i, want := range []int64{1, 3, 5} {
-		if b.Cols[0].I[i] != want || clone.Cols[0].I[i] != want {
-			t.Errorf("row %d: compacted %d, clone %d, want %d", i, b.Cols[0].I[i], clone.Cols[0].I[i], want)
+		if clone.Cols[0].I[i] != want || clone.Cols[1].I[i] != want*10 {
+			t.Errorf("clone row %d = (%d, %d), want (%d, %d)", i, clone.Cols[0].I[i], clone.Cols[1].I[i], want, want*10)
 		}
-		if b.Cols[1].I[i] != want*10 {
-			t.Errorf("row %d col b = %d", i, b.Cols[1].I[i])
-		}
+	}
+	b.Cols[0].I[1] = -1
+	if clone.Cols[0].I[0] != 1 {
+		t.Error("clone shares storage with its source")
 	}
 }
 
-func TestBatchTruncateWithAndWithoutSelection(t *testing.T) {
-	s := IntSchema("a")
-	b := NewBatch(s)
-	for i := int64(0); i < 6; i++ {
-		b.Cols[0].I = append(b.Cols[0].I, i)
-		b.BumpRow()
-	}
-	b.Truncate(4)
-	if b.Len() != 4 {
-		t.Fatalf("dense truncate Len = %d", b.Len())
-	}
-	b.SetSel([]int32{0, 2, 3})
-	b.Truncate(2)
-	if b.Len() != 2 || b.RowIdx(1) != 2 {
-		t.Fatalf("selected truncate Len = %d RowIdx(1) = %d", b.Len(), b.RowIdx(1))
-	}
-}
-
+// TestBatchEncodedRoundTrip: encoding reads through the selection vector,
+// and a run written at an offset of the block decodes from that offset.
 func TestBatchEncodedRoundTrip(t *testing.T) {
-	s := NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "s", Kind: KindString})
-	src := NewBatch(s)
-	rows := []Tuple{
-		{I(-5), S("hello")},
-		{I(1 << 40), S("")},
-		{I(0), S("x")},
-	}
-	for _, r := range rows {
-		if err := src.AppendTuple(r); err != nil {
+	src := NewBatch(IntSchema("a", "b"))
+	for i := int64(0); i < 6; i++ {
+		if err := src.AppendTuple(Ints(i, -i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Encode each row with the batch codec and decode into a fresh batch;
-	// the encoding must also agree byte for byte with tuple.Encode.
-	dst := NewBatch(s)
-	for i := range rows {
-		enc := src.EncodeRowTo(nil, i)
-		if want := src.EncodedRowSize(i); len(enc) != want {
-			t.Errorf("row %d: encoded %d bytes, EncodedRowSize says %d", i, len(enc), want)
-		}
-		legacy, err := Encode(nil, s, rows[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(enc) != string(legacy) {
-			t.Errorf("row %d: batch codec diverges from tuple.Encode", i)
-		}
-		n, err := dst.AppendEncoded(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(enc) {
-			t.Errorf("row %d: consumed %d of %d bytes", i, n, len(enc))
-		}
+	src.SetSel([]int32{5, 1, 4})
+	const stride = 8
+	block := make([]byte, 8*stride*2)
+	// Rows 1..2 of the selection land in slots 3..4.
+	if err := src.PutIntColumns(block[8*3:], stride, 1, 2); err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range rows {
-		if !EqualTuples(dst.Row(i), r) {
-			t.Errorf("round trip row %d = %v, want %v", i, dst.Row(i), r)
+	dst := NewBatch(src.Schema())
+	if err := dst.AppendIntColumns(block[8*3:], stride, 2); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []Tuple{Ints(1, -1), Ints(4, -4)} {
+		if !EqualTuples(dst.Row(i), want) {
+			t.Errorf("row %d = %v, want %v", i, dst.Row(i), want)
 		}
 	}
 }
@@ -125,8 +95,8 @@ func TestBatchProjectAndWithSchema(t *testing.T) {
 	if proj.Len() != 2 {
 		t.Fatalf("projected Len = %d", proj.Len())
 	}
-	if v := proj.Value(1, 0); v.Int != 9 {
-		t.Errorf("proj Value(1,0) = %v, want 9", v)
+	if r := proj.Row(1); r[0].Int != 9 || r[1].Int != 3 {
+		t.Errorf("proj Row(1) = %v, want [9 3]", r)
 	}
 	renamed := b.WithSchema(IntSchema("x", "y", "z"))
 	if renamed.Schema().Cols[0].Name != "x" || renamed.Len() != 2 {

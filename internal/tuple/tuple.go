@@ -1,14 +1,16 @@
 // Package tuple defines the value, schema, and tuple types shared by every
-// layer of the relational micro-engine, together with comparators and a
-// compact binary codec used by the page storage layer.
+// layer of the relational micro-engine, together with their comparators and
+// the column batch the operators exchange.
 //
-// The engine is deliberately small: values are 64-bit integers or strings,
-// which is all the SETM reproduction needs (the paper represents items and
-// transaction identifiers as 4-byte integers; we widen to 64 bits).
+// Every stored column is a 64-bit integer: SALES, R'_k, C_k and R_k hold
+// item codes, transaction ids and counts and nothing else (the paper uses
+// 4-byte integers; we widen to 64 bits). KindString exists for one purpose,
+// the text lines of an EXPLAIN result; no relation stores a string, and no
+// operator compares, hashes or sorts one.
 package tuple
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -19,7 +21,7 @@ type Kind uint8
 const (
 	// KindInt is a 64-bit signed integer column.
 	KindInt Kind = iota
-	// KindString is a variable-length string column.
+	// KindString is a line of text in an EXPLAIN result.
 	KindString
 )
 
@@ -35,8 +37,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a single column value. Exactly one of the payload fields is
-// meaningful, selected by Kind. The zero Value is the integer 0.
+// Value is a single column value: an integer, or (KindString) a line of
+// EXPLAIN text in Str. The zero Value is the integer 0.
 type Value struct {
 	Kind Kind
 	Int  int64
@@ -46,33 +48,11 @@ type Value struct {
 // I constructs an integer value.
 func I(v int64) Value { return Value{Kind: KindInt, Int: v} }
 
-// S constructs a string value.
+// S constructs a line of EXPLAIN text.
 func S(v string) Value { return Value{Kind: KindString, Str: v} }
 
-// Compare orders two values. Integers order numerically, strings
-// lexicographically; an integer sorts before a string (mixed-kind
-// comparisons only arise in malformed queries and are still total so that
-// sorting never panics).
-func Compare(a, b Value) int {
-	if a.Kind != b.Kind {
-		if a.Kind < b.Kind {
-			return -1
-		}
-		return 1
-	}
-	switch a.Kind {
-	case KindInt:
-		switch {
-		case a.Int < b.Int:
-			return -1
-		case a.Int > b.Int:
-			return 1
-		}
-		return 0
-	default:
-		return strings.Compare(a.Str, b.Str)
-	}
-}
+// Compare orders two integer values numerically.
+func Compare(a, b Value) int { return cmp.Compare(a.Int, b.Int) }
 
 // Equal reports whether two values compare equal.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
@@ -231,74 +211,3 @@ func CompareAll(a, b Tuple) int {
 // EqualTuples reports whether a and b are the same length and compare equal
 // column by column.
 func EqualTuples(a, b Tuple) bool { return CompareAll(a, b) == 0 }
-
-// Encode appends the binary encoding of t (under schema s) to dst and
-// returns the extended slice. Integer columns use 8-byte big-endian
-// (preserving sort order for unsigned-biased comparison is not required
-// since we decode before comparing); string columns a 4-byte length prefix.
-func Encode(dst []byte, s *Schema, t Tuple) ([]byte, error) {
-	if len(t) != len(s.Cols) {
-		return nil, fmt.Errorf("tuple: encode arity %d does not match schema %d", len(t), len(s.Cols))
-	}
-	for i, c := range s.Cols {
-		v := t[i]
-		if v.Kind != c.Kind {
-			return nil, fmt.Errorf("tuple: column %q kind %s got %s", c.Name, c.Kind, v.Kind)
-		}
-		switch c.Kind {
-		case KindInt:
-			var buf [8]byte
-			binary.BigEndian.PutUint64(buf[:], uint64(v.Int))
-			dst = append(dst, buf[:]...)
-		case KindString:
-			var buf [4]byte
-			binary.BigEndian.PutUint32(buf[:], uint32(len(v.Str)))
-			dst = append(dst, buf[:]...)
-			dst = append(dst, v.Str...)
-		}
-	}
-	return dst, nil
-}
-
-// Decode parses one tuple under schema s from src. It returns the tuple and
-// the number of bytes consumed.
-func Decode(src []byte, s *Schema) (Tuple, int, error) {
-	t := make(Tuple, len(s.Cols))
-	off := 0
-	for i, c := range s.Cols {
-		switch c.Kind {
-		case KindInt:
-			if off+8 > len(src) {
-				return nil, 0, fmt.Errorf("tuple: short buffer decoding int column %q", c.Name)
-			}
-			t[i] = I(int64(binary.BigEndian.Uint64(src[off:])))
-			off += 8
-		case KindString:
-			if off+4 > len(src) {
-				return nil, 0, fmt.Errorf("tuple: short buffer decoding string length of %q", c.Name)
-			}
-			n := int(binary.BigEndian.Uint32(src[off:]))
-			off += 4
-			if off+n > len(src) {
-				return nil, 0, fmt.Errorf("tuple: short buffer decoding string column %q", c.Name)
-			}
-			t[i] = S(string(src[off : off+n]))
-			off += n
-		}
-	}
-	return t, off, nil
-}
-
-// EncodedSize returns the number of bytes Encode will produce for t.
-func EncodedSize(s *Schema, t Tuple) int {
-	n := 0
-	for i, c := range s.Cols {
-		switch c.Kind {
-		case KindInt:
-			n += 8
-		case KindString:
-			n += 4 + len(t[i].Str)
-		}
-	}
-	return n
-}

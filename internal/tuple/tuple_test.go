@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -17,11 +18,8 @@ func TestValueCompare(t *testing.T) {
 		{I(2), I(1), 1},
 		{I(5), I(5), 0},
 		{I(-3), I(3), -1},
-		{S("a"), S("b"), -1},
-		{S("b"), S("a"), 1},
-		{S("abc"), S("abc"), 0},
-		{I(0), S(""), -1}, // ints sort before strings
-		{S(""), I(0), 1},
+		{I(math.MinInt64), I(math.MaxInt64), -1},
+		{I(math.MaxInt64), I(math.MinInt64), 1},
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
@@ -79,63 +77,76 @@ func TestSchemaProjectConcat(t *testing.T) {
 	}
 }
 
+// putGet writes the logical rows of b into a column-major block with the
+// given stride (rows per page) and decodes them into a fresh batch.
+func putGet(t *testing.T, b *Batch, stride int) *Batch {
+	t.Helper()
+	block := make([]byte, 8*stride*len(b.Cols))
+	if err := b.PutIntColumns(block, stride, 0, b.Len()); err != nil {
+		t.Fatal(err)
+	}
+	out := NewBatch(b.Schema())
+	if err := out.AppendIntColumns(block, stride, b.Len()); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestEncodeDecodeRoundTrip: the page codec returns every value, the int64
+// extremes included, in its row and column.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	s := NewSchema(
-		Column{"id", KindInt},
-		Column{"name", KindString},
-		Column{"qty", KindInt},
-	)
-	in := Tuple{I(42), S("bread & butter"), I(-7)}
-	enc, err := Encode(nil, s, in)
-	if err != nil {
-		t.Fatal(err)
+	in := []Tuple{Ints(42, math.MinInt64, -7), Ints(0, math.MaxInt64, 1<<40), Ints(-1, 0, 1)}
+	b := NewBatch(IntSchema("id", "a", "b"))
+	for _, r := range in {
+		if err := b.AppendTuple(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(enc) != EncodedSize(s, in) {
-		t.Errorf("EncodedSize = %d, len(enc) = %d", EncodedSize(s, in), len(enc))
+	out := putGet(t, b, 5)
+	if out.Len() != len(in) {
+		t.Fatalf("decoded %d rows, want %d", out.Len(), len(in))
 	}
-	out, n, err := Decode(enc, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(enc) {
-		t.Errorf("Decode consumed %d of %d bytes", n, len(enc))
-	}
-	if !EqualTuples(in, out) {
-		t.Errorf("round trip got %v, want %v", out, in)
+	for i, r := range in {
+		if !EqualTuples(out.Row(i), r) {
+			t.Errorf("row %d = %v, want %v", i, out.Row(i), r)
+		}
 	}
 }
 
-func TestEncodeRejectsBadArityAndKind(t *testing.T) {
-	s := IntSchema("a", "b")
-	if _, err := Encode(nil, s, Ints(1)); err == nil {
-		t.Error("Encode accepted wrong arity")
-	}
-	if _, err := Encode(nil, s, Tuple{I(1), S("x")}); err == nil {
-		t.Error("Encode accepted wrong kind")
-	}
-}
-
+// TestDecodeShortBuffer: a block too short for the rows asked of it is
+// refused on both sides of the codec.
 func TestDecodeShortBuffer(t *testing.T) {
-	s := IntSchema("a")
-	if _, _, err := Decode([]byte{1, 2, 3}, s); err == nil {
-		t.Error("Decode accepted short buffer")
+	b := NewBatch(IntSchema("a", "b"))
+	if err := b.AppendIntColumns(make([]byte, 8*(4+3)-1), 4, 3); err == nil {
+		t.Error("AppendIntColumns accepted a short block")
 	}
-	ss := NewSchema(Column{"s", KindString})
-	if _, _, err := Decode([]byte{0, 0, 0, 9, 'x'}, ss); err == nil {
-		t.Error("Decode accepted truncated string")
+	if b.Len() != 0 {
+		t.Errorf("a refused decode appended %d rows", b.Len())
+	}
+	if err := b.AppendTuple(Ints(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.PutIntColumns(make([]byte, 8*(4+1)-1), 4, 0, 1); err == nil {
+		t.Error("PutIntColumns accepted a short block")
 	}
 }
 
 func TestEncodeDecodeQuick(t *testing.T) {
-	s := NewSchema(Column{"i", KindInt}, Column{"s", KindString})
-	f := func(i int64, str string) bool {
-		in := Tuple{I(i), S(str)}
-		enc, err := Encode(nil, s, in)
-		if err != nil {
-			return false
+	f := func(a, c []int64) bool {
+		n := min(len(a), len(c))
+		b := NewBatch(IntSchema("a", "c"))
+		for i := 0; i < n; i++ {
+			if b.AppendTuple(Ints(a[i], c[i])) != nil {
+				return false
+			}
 		}
-		out, _, err := Decode(enc, s)
-		return err == nil && EqualTuples(in, out)
+		out := putGet(t, b, n+1)
+		for i := 0; i < n; i++ {
+			if out.Cols[0].I[i] != a[i] || out.Cols[1].I[i] != c[i] {
+				return false
+			}
+		}
+		return out.Len() == n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -77,7 +77,7 @@ func writeRuns(pool *storage.Pool, schema *tuple.Schema, in Iterator, cmp Compar
 			return runs, err
 		}
 		buf = append(buf, t)
-		bufBytes += tuple.EncodedSize(schema, t)
+		bufBytes += 8 * len(t)
 		if bufBytes >= memLimit {
 			if err := flush(); err != nil {
 				return runs, err
