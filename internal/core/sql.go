@@ -10,9 +10,6 @@ import (
 
 // SQLConfig tunes the SQL driver.
 type SQLConfig struct {
-	// PoolFrames is the engine buffer-pool capacity (default
-	// engine.DefaultPoolFrames).
-	PoolFrames int
 	// TraceSQL, when non-nil, receives every statement before execution;
 	// examples use it to show that mining really is running as SQL.
 	TraceSQL func(sql string)
@@ -59,9 +56,6 @@ func newSQLStepper(d *Dataset, opts Options, cfg SQLConfig) (*sqlStepper, error)
 		return nil, err
 	}
 	var dbOpts []engine.Option
-	if cfg.PoolFrames > 0 {
-		dbOpts = append(dbOpts, engine.WithPoolFrames(cfg.PoolFrames))
-	}
 	if opts.MemoryBudget > 0 {
 		// One budget knob across drivers: the planner's working-set bound
 		// and the external sort's run size both derive from it.

@@ -20,9 +20,9 @@ import (
 	"setm/internal/tuple"
 )
 
-// DefaultPoolFrames is the buffer-pool capacity used when none is given.
-// SETM's access pattern is sequential, so modest pools behave like large
-// ones (one of the ablations in bench_test.go measures exactly this).
+// DefaultPoolFrames is the buffer-pool capacity of every DB, in 4 KB
+// frames. SETM's access pattern is sequential, so modest pools behave like
+// large ones.
 const DefaultPoolFrames = 1024
 
 // DB is one engine instance.
@@ -38,35 +38,22 @@ type DB struct {
 }
 
 // Option configures a DB.
-type Option func(*config)
-
-type config struct {
-	poolFrames int
-	memBudget  int64
-}
-
-// WithPoolFrames sets the buffer-pool capacity in 4 KB frames.
-func WithPoolFrames(n int) Option { return func(c *config) { c.poolFrames = n } }
+type Option func(*DB)
 
 // WithMemBudget bounds the planner's in-memory working set per sort or
 // hash build; estimates above it plan external sorts, whose runs are this
 // size (or reject hash builds). Zero keeps the planner default.
-func WithMemBudget(n int64) Option { return func(c *config) { c.memBudget = n } }
+func WithMemBudget(n int64) Option { return func(db *DB) { db.memBudget = n } }
 
 // New creates an empty database.
 func New(opts ...Option) *DB {
-	cfg := config{poolFrames: DefaultPoolFrames}
-	for _, o := range opts {
-		o(&cfg)
-	}
 	store := storage.NewMemStore()
-	pool := storage.NewPool(store, cfg.poolFrames)
-	return &DB{
-		store:     store,
-		pool:      pool,
-		cat:       catalog.New(pool),
-		memBudget: cfg.memBudget,
+	pool := storage.NewPool(store, DefaultPoolFrames)
+	db := &DB{store: store, pool: pool, cat: catalog.New(pool)}
+	for _, o := range opts {
+		o(db)
 	}
+	return db
 }
 
 // Pool exposes the buffer pool (for I/O statistics).
@@ -234,11 +221,11 @@ func (db *DB) execInsert(s *sqlparse.Insert, p plan.Params) (*Result, error) {
 		}
 		t := make(tuple.Tuple, len(row))
 		for i, e := range row {
-			v, err := evalConst(e, p)
+			v, err := plan.EvalConst(e, p)
 			if err != nil {
 				return nil, err
 			}
-			t[i] = v
+			t[i] = tuple.I(v)
 		}
 		if err := tbl.File.Append(t); err != nil {
 			return nil, err
@@ -311,47 +298,6 @@ func fill(f *hp.File, op exec.Operator) (n int64, err error) {
 			return n, err
 		}
 		n += int64(b.Len())
-	}
-}
-
-// evalConst evaluates a constant expression (literals, params, arithmetic)
-// for INSERT ... VALUES.
-func evalConst(e sqlparse.Expr, p plan.Params) (tuple.Value, error) {
-	switch v := e.(type) {
-	case *sqlparse.IntLit:
-		return tuple.I(v.Value), nil
-	case *sqlparse.Param:
-		val, ok := p[v.Name]
-		if !ok {
-			return tuple.Value{}, fmt.Errorf("engine: missing value for parameter :%s", v.Name)
-		}
-		return val, nil
-	case *sqlparse.BinaryExpr:
-		l, err := evalConst(v.L, p)
-		if err != nil {
-			return tuple.Value{}, err
-		}
-		r, err := evalConst(v.R, p)
-		if err != nil {
-			return tuple.Value{}, err
-		}
-		switch v.Op {
-		case sqlparse.OpAdd:
-			return tuple.I(l.Int + r.Int), nil
-		case sqlparse.OpSub:
-			return tuple.I(l.Int - r.Int), nil
-		case sqlparse.OpMul:
-			return tuple.I(l.Int * r.Int), nil
-		case sqlparse.OpDiv:
-			if r.Int == 0 {
-				return tuple.Value{}, fmt.Errorf("engine: division by zero in VALUES")
-			}
-			return tuple.I(l.Int / r.Int), nil
-		default:
-			return tuple.Value{}, fmt.Errorf("engine: operator %s not allowed in VALUES", v.Op)
-		}
-	default:
-		return tuple.Value{}, fmt.Errorf("engine: expression %T not allowed in VALUES", e)
 	}
 }
 

@@ -585,11 +585,16 @@ func TestInsertConstExpressions(t *testing.T) {
 	if _, err := db.Exec("INSERT INTO t VALUES (:missing, 1)", nil); err == nil {
 		t.Error("missing param in VALUES accepted")
 	}
-	if _, err := db.Exec("INSERT INTO t VALUES (1 = 1, 1)", nil); err == nil {
-		t.Error("comparison in VALUES accepted")
-	}
 	if _, err := db.Exec("INSERT INTO t VALUES (a, 1)", nil); err == nil {
 		t.Error("column ref in VALUES accepted")
+	}
+	// VALUES takes any constant expression; booleans are 0/1.
+	db.MustExec("DELETE FROM t", nil)
+	db.MustExec("INSERT INTO t VALUES (1 = 1, NOT 2 > 1), (3 > 2 AND 1 < 0 OR 5 <> 5, :x * 2)",
+		map[string]int64{"x": 21})
+	res = db.MustExec("SELECT a, s FROM t ORDER BY s", nil)
+	if got := rowsToPairs(res.Rows); len(got) != 2 || got[0][0] != 1 || got[0][1] != 0 || got[1][0] != 0 || got[1][1] != 42 {
+		t.Errorf("boolean VALUES = %v", got)
 	}
 }
 

@@ -134,35 +134,31 @@ func TestOperatorsMatchRowReference(t *testing.T) {
 		got := drainRows(t, NewSortKeys(NewMemScan(schema, rows), keys, nil, 0))
 		requireSameRows(t, "sort", got, refSort(rows, keys))
 
-		// Filter: vectorized a >= const AND row-predicate b != c.
-		vec := func(b *tuple.Batch, in, out []int32) ([]int32, error) {
-			a := b.Cols[0].I
-			if in == nil {
-				for i := range a {
-					if a[i] >= 3 {
-						out = append(out, int32(i))
-					}
-				}
-				return out, nil
+		// Filter: two conjuncts, the second seeing only the first's rows.
+		aAtLeast3 := func(tp tuple.Tuple) bool { return tp[0].Int >= 3 }
+		bNotC := func(tp tuple.Tuple) bool { return tp[1].Int != tp[2].Int }
+		filtered := func() Operator {
+			return NewFilter(NewMemScan(schema, rows), []VecPredicate{rowPred(aAtLeast3), rowPred(bNotC)})
+		}
+		wantFiltered := refFilter(rows, func(tp tuple.Tuple) bool { return aAtLeast3(tp) && bNotC(tp) })
+		requireSameRows(t, "filter", drainRows(t, filtered()), wantFiltered)
+
+		// Project: column references only (reorder + duplicate a column),
+		// over a selection-vectored input, plus a computed column.
+		sum := func(b *tuple.Batch, sel []int32, out []int64) ([]int64, error) {
+			if sel == nil {
+				t.Fatal("a filtered batch reached the projection without its selection")
 			}
-			for _, i := range in {
-				if a[i] >= 3 {
-					out = append(out, i)
-				}
+			for _, phys := range sel {
+				out[phys] = b.Cols[1].I[phys] + b.Cols[2].I[phys]
 			}
 			return out, nil
 		}
-		pred := func(tp tuple.Tuple) (bool, error) { return tp[1].Int != tp[2].Int, nil }
-		got = drainRows(t, NewFilterVec(NewMemScan(schema, rows), []VecPredicate{vec}, pred))
-		requireSameRows(t, "filter", got, refFilter(rows, func(tp tuple.Tuple) bool {
-			return tp[0].Int >= 3 && tp[1].Int != tp[2].Int
-		}))
-
-		// Project: column fast path (reorder + duplicate a column).
-		got = drainRows(t, NewProjectColumns(NewMemScan(schema, rows), []int{2, 0, 0}, schema.Project([]int{2, 0, 0})))
-		want := make([]tuple.Tuple, len(rows))
-		for i, r := range rows {
-			want[i] = tuple.Tuple{r[2], r[0], r[0]}
+		got = drainRows(t, NewProject(filtered(), tuple.IntSchema("c", "a", "a2", "b+c"),
+			[]Expr{ColExpr(2), ColExpr(0), ColExpr(0), sum}))
+		want := make([]tuple.Tuple, len(wantFiltered))
+		for i, r := range wantFiltered {
+			want[i] = tuple.Tuple{r[2], r[0], r[0], tuple.I(r[1].Int + r[2].Int)}
 		}
 		requireSameRows(t, "project", got, want)
 

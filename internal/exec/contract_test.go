@@ -46,35 +46,19 @@ func contractCases(t *testing.T) (cases []opCase, scan func() Operator, schema *
 		t.Fatal(err)
 	}
 	scan = func() Operator { return NewHeapScan(f) }
-	evenItem := func(b *tuple.Batch, in, out []int32) ([]int32, error) {
-		v := b.Cols[1].I
-		if in == nil {
-			for i := range v {
-				if v[i]%2 == 0 {
-					out = append(out, int32(i))
-				}
-			}
-			return out, nil
-		}
-		for _, i := range in {
-			if v[i]%2 == 0 {
-				out = append(out, i)
-			}
-		}
-		return out, nil
-	}
 	count := []AggSpec{{Kind: AggCount, Name: "cnt"}}
 	cases = []opCase{
 		{name: "HeapScan", leaf: true, build: func(func() Operator) Operator { return NewHeapScan(f) }},
 		{name: "MemScan", leaf: true, build: func(func() Operator) Operator { return NewMemScan(schema, rows) }},
 		{name: "Rename", build: func(src func() Operator) Operator { return NewRename(src(), tuple.IntSchema("t", "i")) }},
 		{name: "Filter", build: func(src func() Operator) Operator {
-			return NewFilterVec(src(), []VecPredicate{evenItem},
-				func(tp tuple.Tuple) (bool, error) { return tp[0].Int%3 != 0, nil })
+			return NewFilter(src(), []VecPredicate{
+				rowPred(func(tp tuple.Tuple) bool { return tp[1].Int%2 == 0 }),
+				rowPred(func(tp tuple.Tuple) bool { return tp[0].Int%3 != 0 }),
+			})
 		}},
 		{name: "Project", build: func(src func() Operator) Operator {
-			return NewProject(src(), tuple.IntSchema("item", "one"),
-				[]Projector{ColProjector(1), ConstProjector(tuple.I(1))})
+			return NewProject(src(), tuple.IntSchema("item", "one"), []Expr{ColExpr(1), constExpr(1)})
 		}},
 		{name: "Sort", build: func(src func() Operator) Operator {
 			return NewSortKeys(src(), []SortKey{{Col: 1}, {Col: 0, Desc: true}}, nil, 0)

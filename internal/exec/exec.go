@@ -11,10 +11,15 @@
 // equi-join; the one condition evaluated inside a join is the merge join's
 // right > left column test (SetVecResidualGT), SETM's lexicographic
 // extension condition.
+//
+// Expressions have one form, Expr: a function that computes a column
+// vector over a batch's live rows. Project evaluates one per output column;
+// Filter takes its conjuncts as VecPredicates and narrows the batch's
+// selection vector one conjunct at a time, so a later conjunct is evaluated
+// only on the rows the earlier ones kept.
 package exec
 
 import (
-	"fmt"
 	"io"
 	"math/bits"
 	"slices"
@@ -140,39 +145,41 @@ func (r *Rename) nextBatch() (*tuple.Batch, error) {
 // ---------------------------------------------------------------------------
 // Filter / Project
 
-// Predicate decides whether a tuple passes a filter.
-type Predicate func(tuple.Tuple) (bool, error)
+// Expr evaluates one integer expression over the live rows of a batch: for
+// each physical row phys in sel (every physical row when sel is nil) it sets
+// out[phys], and it returns the vector holding the results. out has one slot
+// per physical row of b. A column reference returns the batch's own vector
+// instead, which callers read and never write. Booleans are 0/1.
+type Expr func(b *tuple.Batch, sel []int32, out []int64) ([]int64, error)
+
+// ColExpr is a reference to column i: it costs nothing, returning the
+// batch's vector as it stands.
+func ColExpr(i int) Expr {
+	return func(b *tuple.Batch, _ []int32, _ []int64) ([]int64, error) { return b.Cols[i].I, nil }
+}
 
 // VecPredicate is a vectorized predicate: given the live physical rows of
 // b (`in`, nil meaning all physical rows), it appends the surviving
-// physical rows to out and returns it. The planner compiles simple integer
-// comparisons (column vs column, column vs constant) to this form.
+// physical rows to out and returns it. The planner compiles every WHERE and
+// HAVING conjunct to this form.
 type VecPredicate func(b *tuple.Batch, in, out []int32) ([]int32, error)
 
-// Filter passes through tuples satisfying its predicates. Vectorized
-// conjuncts run first, producing a selection vector without copying; a
-// residual row predicate (if any) is applied per surviving row.
+// Filter passes through the rows that satisfy all of its conjuncts. It
+// narrows the batch's selection one conjunct at a time, so each conjunct
+// sees only the rows the ones before it kept; no row is copied.
 type Filter struct {
 	child Operator
-	pred  Predicate
 	vecs  []VecPredicate
 
 	selBuf  []int32
 	selBuf2 []int32
-	scratch tuple.Tuple
 
 	stats OpStats
 }
 
-// NewFilter wraps child with row predicate pred.
-func NewFilter(child Operator, pred Predicate) *Filter {
-	return &Filter{child: child, pred: pred}
-}
-
-// NewFilterVec wraps child with vectorized conjuncts and an optional
-// residual row predicate (either may be nil/empty).
-func NewFilterVec(child Operator, vecs []VecPredicate, pred Predicate) *Filter {
-	return &Filter{child: child, pred: pred, vecs: vecs}
+// NewFilter wraps child with conjuncts, applied in order.
+func NewFilter(child Operator, vecs []VecPredicate) *Filter {
+	return &Filter{child: child, vecs: vecs}
 }
 
 func (f *Filter) Schema() *tuple.Schema { return f.child.Schema() }
@@ -180,9 +187,6 @@ func (f *Filter) Open() error           { f.stats.Reset(); return f.child.Open()
 func (f *Filter) Close() error          { return f.child.Close() }
 
 func (f *Filter) nextBatch() (*tuple.Batch, error) {
-	if f.scratch == nil {
-		f.scratch = make(tuple.Tuple, f.child.Schema().Len())
-	}
 	for {
 		b, err := f.child.NextBatch()
 		if err != nil {
@@ -190,7 +194,7 @@ func (f *Filter) nextBatch() (*tuple.Batch, error) {
 		}
 		// cur is the working selection of live physical rows; nil means
 		// every physical row. It alternates between the two scratch buffers
-		// as each predicate stage filters it.
+		// as each conjunct narrows it.
 		cur := b.Sel()
 		for _, vp := range f.vecs {
 			next := f.selBuf[:0]
@@ -207,36 +211,6 @@ func (f *Filter) nextBatch() (*tuple.Batch, error) {
 		if len(f.vecs) > 0 && len(cur) == 0 {
 			continue
 		}
-		if f.pred != nil {
-			out := f.selBuf[:0]
-			f.selBuf, f.selBuf2 = f.selBuf2, f.selBuf
-			if cur == nil {
-				for phys := 0; phys < b.NumPhysical(); phys++ {
-					ok, err := f.pred(b.PhysRowInto(f.scratch, phys))
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						out = append(out, int32(phys))
-					}
-				}
-			} else {
-				for _, phys := range cur {
-					ok, err := f.pred(b.PhysRowInto(f.scratch, int(phys)))
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						out = append(out, phys)
-					}
-				}
-			}
-			cur = out
-			f.selBuf2 = out[:0:cap(out)]
-			if len(cur) == 0 {
-				continue
-			}
-		}
 		if cur != nil {
 			b.SetSel(cur)
 		}
@@ -244,52 +218,26 @@ func (f *Filter) nextBatch() (*tuple.Batch, error) {
 	}
 }
 
-// Projector computes one output column from an input tuple.
-type Projector func(tuple.Tuple) (tuple.Value, error)
-
-// ColProjector projects input column idx.
-func ColProjector(idx int) Projector {
-	return func(t tuple.Tuple) (tuple.Value, error) {
-		if idx < 0 || idx >= len(t) {
-			return tuple.Value{}, fmt.Errorf("exec: projection column %d out of range (arity %d)", idx, len(t))
-		}
-		return t[idx], nil
-	}
-}
-
-// ConstProjector always yields v.
-func ConstProjector(v tuple.Value) Projector {
-	return func(tuple.Tuple) (tuple.Value, error) { return v, nil }
-}
-
-// Project maps input tuples through a list of projectors. Pure column
-// projections (NewProjectColumns) are zero-copy: the
-// output batch shares the child's column vectors.
+// Project evaluates one Expr per output column. A column reference shares
+// the child's vector and the child's selection passes through, so a pure
+// column projection copies nothing; a computed column is written for the
+// live rows only.
 type Project struct {
-	child   Operator
-	schema  *tuple.Schema
-	projs   []Projector
-	colIdxs []int // non-nil => pure column projection fast path
+	child  Operator
+	schema *tuple.Schema
+	exprs  []Expr
 
-	buf     *tuple.Batch
-	scratch tuple.Tuple
+	cols []tuple.ColVec // the output view's columns, refilled every batch
+	bufs [][]int64      // each column's result buffer
 
 	stats OpStats
 }
 
-// NewProject builds a projection with the given output schema.
-func NewProject(child Operator, schema *tuple.Schema, projs []Projector) *Project {
-	return &Project{child: child, schema: schema, projs: projs}
-}
-
-// NewProjectColumns projects the input columns at idxs under an explicit
-// output schema (the planner renames columns this way).
-func NewProjectColumns(child Operator, idxs []int, schema *tuple.Schema) *Project {
-	projs := make([]Projector, len(idxs))
-	for i, ix := range idxs {
-		projs[i] = ColProjector(ix)
-	}
-	return &Project{child: child, schema: schema, projs: projs, colIdxs: idxs}
+// NewProject builds a projection with the given output schema, one
+// expression per output column.
+func NewProject(child Operator, schema *tuple.Schema, exprs []Expr) *Project {
+	return &Project{child: child, schema: schema, exprs: exprs,
+		cols: make([]tuple.ColVec, len(exprs)), bufs: make([][]int64, len(exprs))}
 }
 
 func (p *Project) Schema() *tuple.Schema { return p.schema }
@@ -301,27 +249,16 @@ func (p *Project) nextBatch() (*tuple.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.colIdxs != nil {
-		return b.Project(p.schema, p.colIdxs), nil
-	}
-	if p.buf == nil {
-		p.buf = tuple.NewBatch(p.schema)
-		p.scratch = make(tuple.Tuple, p.child.Schema().Len())
-	}
-	p.buf.Reset()
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		in := b.RowInto(p.scratch, i)
-		for c, pr := range p.projs {
-			v, err := pr(in)
-			if err != nil {
-				return nil, err
-			}
-			p.buf.Cols[c].AppendValue(v)
+	n := b.NumPhysical()
+	for c, e := range p.exprs {
+		if cap(p.bufs[c]) < n {
+			p.bufs[c] = make([]int64, n)
 		}
-		p.buf.BumpRow()
+		if p.cols[c].I, err = e(b, b.Sel(), p.bufs[c][:n]); err != nil {
+			return nil, err
+		}
 	}
-	return p.buf, nil
+	return b.View(p.schema, p.cols), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -53,9 +54,44 @@ func TestHeapScan(t *testing.T) {
 	}
 }
 
+// rowPred adapts a per-row test to a VecPredicate, so operator tests can
+// state a filter one row at a time.
+func rowPred(keep func(tuple.Tuple) bool) VecPredicate {
+	return func(b *tuple.Batch, in, out []int32) ([]int32, error) {
+		row := make(tuple.Tuple, len(b.Cols))
+		test := func(phys int32) {
+			for c := range b.Cols {
+				row[c] = tuple.I(b.Cols[c].I[phys])
+			}
+			if keep(row) {
+				out = append(out, phys)
+			}
+		}
+		if in == nil {
+			for phys := range b.NumPhysical() {
+				test(int32(phys))
+			}
+		}
+		for _, phys := range in {
+			test(phys)
+		}
+		return out, nil
+	}
+}
+
+// constExpr is the literal v as an Expr.
+func constExpr(v int64) Expr {
+	return func(b *tuple.Batch, sel []int32, out []int64) ([]int64, error) {
+		for i := range out {
+			out[i] = v
+		}
+		return out, nil
+	}
+}
+
 func TestFilter(t *testing.T) {
 	s := mem("v", tuple.Ints(1), tuple.Ints(2), tuple.Ints(3), tuple.Ints(4))
-	f := NewFilter(s, func(tp tuple.Tuple) (bool, error) { return tp[0].Int%2 == 0, nil })
+	f := NewFilter(s, []VecPredicate{rowPred(func(tp tuple.Tuple) bool { return tp[0].Int%2 == 0 })})
 	got, err := Drain(f)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +103,7 @@ func TestFilter(t *testing.T) {
 
 func TestProject(t *testing.T) {
 	s := mem("a,b,c", tuple.Ints(1, 2, 3))
-	p := NewProjectColumns(s, []int{2, 0}, s.Schema().Project([]int{2, 0}))
+	p := NewProject(s, s.Schema().Project([]int{2, 0}), []Expr{ColExpr(2), ColExpr(0)})
 	got, err := Drain(p)
 	if err != nil {
 		t.Fatal(err)
@@ -82,18 +118,18 @@ func TestProject(t *testing.T) {
 
 func TestProjectWithConstAndError(t *testing.T) {
 	s := mem("a", tuple.Ints(5))
-	p := NewProject(s, tuple.IntSchema("a", "k"),
-		[]Projector{ColProjector(0), ConstProjector(tuple.I(42))})
+	p := NewProject(s, tuple.IntSchema("a", "k"), []Expr{ColExpr(0), constExpr(42)})
 	got, err := Drain(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0][1].Int != 42 {
-		t.Errorf("const projector = %v", got)
+		t.Errorf("const expression = %v", got)
 	}
-	bad := NewProject(mem("a", tuple.Ints(1)), tuple.IntSchema("x"), []Projector{ColProjector(9)})
-	if _, err := Drain(bad); err == nil {
-		t.Error("out-of-range projection succeeded")
+	boom := func(*tuple.Batch, []int32, []int64) ([]int64, error) { return nil, errBoom }
+	bad := NewProject(mem("a", tuple.Ints(1)), tuple.IntSchema("x"), []Expr{boom})
+	if _, err := Drain(bad); !errors.Is(err, errBoom) {
+		t.Errorf("failing expression surfaced as %v", err)
 	}
 }
 

@@ -69,11 +69,7 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 	case *Rename:
 		line("Rename %s", v.schema)
 	case *Filter:
-		if n := len(v.vecs); n > 0 {
-			line("Filter (%d vectorized)", n)
-		} else {
-			line("Filter")
-		}
+		line("Filter (%d vectorized)", len(v.vecs))
 	case *Project:
 		line("Project %s", v.schema)
 	case *Sort:

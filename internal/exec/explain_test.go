@@ -21,14 +21,14 @@ func TestExplainRendersEveryOperator(t *testing.T) {
 
 	scan := NewHeapScan(f)
 	renamed := NewRename(scan, tuple.IntSchema("t.k", "t.v"))
-	filtered := NewFilter(renamed, func(tuple.Tuple) (bool, error) { return true, nil })
+	filtered := NewFilter(renamed, []VecPredicate{rowPred(func(tuple.Tuple) bool { return true })})
 	sorted := NewSortKeys(filtered, []SortKey{{Col: 0}}, nil, 0)
 	right := NewMemScan(tuple.IntSchema("u.k"), []tuple.Tuple{tuple.Ints(1)})
 	joined := NewMergeJoin(sorted, right, []int{0}, []int{0})
 	joined.SetVecResidualGT(1, 0)
 	grouped := NewSortGroup(joined, []int{0}, []AggSpec{{Kind: AggCount, Name: "cnt"}})
 	hashed := NewHashGroup(NewHashJoin(grouped, NewHeapScan(f), []int{0}, []int{0}), []int{0}, nil)
-	projected := NewProjectColumns(hashed, []int{0}, hashed.Schema())
+	projected := NewProject(hashed, hashed.Schema(), []Expr{ColExpr(0)})
 
 	out := Explain(projected)
 	for _, want := range []string{

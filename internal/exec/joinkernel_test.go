@@ -49,18 +49,7 @@ func checkJoinKernels(t *testing.T, label string, c joinCase) {
 		if !c.sel {
 			return NewMemScan(s, rows)
 		}
-		vec := func(b *tuple.Batch, in, out []int32) ([]int32, error) {
-			if in != nil {
-				t.Fatal("selecting filter stacked on a selection")
-			}
-			for i, v := range b.Cols[2].I {
-				if v%4 != 0 {
-					out = append(out, int32(i))
-				}
-			}
-			return out, nil
-		}
-		return NewFilterVec(NewMemScan(s, rows), []VecPredicate{vec}, nil)
+		return NewFilter(NewMemScan(s, rows), []VecPredicate{rowPred(keep)})
 	}
 	want := refEquiJoin(refFilter(c.l, keep), refFilter(c.r, keep), c.keys, c.keys)
 	wantGT := refFilter(want, func(tp tuple.Tuple) bool { return tp[5].Int > tp[2].Int })

@@ -6,6 +6,15 @@
 // by a column equality — a cross product is an error — and GROUP BY and
 // ORDER BY take column references only.
 //
+// Every expression — WHERE and HAVING conjuncts, the select list, INSERT …
+// VALUES — compiles to one vectorized form, exec.Expr, which computes a
+// column vector over a batch's live rows. AND and OR short-circuit per row:
+// the right side runs only on the rows the left side leaves undecided. Each
+// AND term of WHERE becomes one Filter conjunct, placed as low as its
+// columns allow, and a Filter narrows its selection conjunct by conjunct in
+// WHERE order, so within one Filter a later conjunct never sees a row an
+// earlier one removed.
+//
 // The planner embodies the paper's observation that "the experience that
 // has been gained in optimizing relational queries can directly be applied"
 // to mining: given the SETM queries, it independently chooses the
@@ -13,6 +22,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -64,43 +74,36 @@ func resolveColumn(s *tuple.Schema, ref *sqlparse.ColumnRef) (int, error) {
 	return found, nil
 }
 
-// compileExpr builds a Projector evaluating e against tuples of schema s.
-// Boolean results are encoded as integers (0/1). Aggregates must have been
-// rewritten to column references before compilation.
-func compileExpr(e sqlparse.Expr, s *tuple.Schema, params Params) (exec.Projector, error) {
+// compileExpr lowers e to an exec.Expr over batches of schema s: column
+// references, integer literals, bound parameters, NOT and every binary
+// operator. Booleans are 0/1. Aggregates must have been rewritten to
+// column references into the grouped schema first.
+func compileExpr(e sqlparse.Expr, s *tuple.Schema, params Params) (exec.Expr, error) {
 	switch v := e.(type) {
 	case *sqlparse.ColumnRef:
 		idx, err := resolveColumn(s, v)
 		if err != nil {
 			return nil, err
 		}
-		return exec.ColProjector(idx), nil
+		return exec.ColExpr(idx), nil
 
 	case *sqlparse.IntLit:
-		return exec.ConstProjector(tuple.I(v.Value)), nil
+		return constExpr(v.Value), nil
 
 	case *sqlparse.Param:
 		val, ok := params[v.Name]
 		if !ok {
 			return nil, fmt.Errorf("plan: missing value for parameter :%s", v.Name)
 		}
-		return exec.ConstProjector(val), nil
+		return constExpr(val.Int), nil
 
 	case *sqlparse.NotExpr:
 		inner, err := compileExpr(v.E, s, params)
 		if err != nil {
 			return nil, err
 		}
-		return func(t tuple.Tuple) (tuple.Value, error) {
-			x, err := inner(t)
-			if err != nil {
-				return tuple.Value{}, err
-			}
-			if truthy(x) {
-				return tuple.I(0), nil
-			}
-			return tuple.I(1), nil
-		}, nil
+		// NOT x is x = 0.
+		return binaryExpr(binaryOps[sqlparse.OpEq], inner, constExpr(0)), nil
 
 	case *sqlparse.BinaryExpr:
 		l, err := compileExpr(v.L, s, params)
@@ -111,7 +114,14 @@ func compileExpr(e sqlparse.Expr, s *tuple.Schema, params Params) (exec.Projecto
 		if err != nil {
 			return nil, err
 		}
-		return compileBinary(v.Op, l, r)
+		if v.Op == sqlparse.OpAnd || v.Op == sqlparse.OpOr {
+			return logicExpr(l, r, v.Op == sqlparse.OpOr), nil
+		}
+		op, ok := binaryOps[v.Op]
+		if !ok {
+			return nil, fmt.Errorf("plan: unsupported operator %s", v.Op)
+		}
+		return binaryExpr(op, l, r), nil
 
 	case *sqlparse.AggExpr:
 		return nil, fmt.Errorf("plan: aggregate %s outside GROUP BY context", v)
@@ -121,268 +131,183 @@ func compileExpr(e sqlparse.Expr, s *tuple.Schema, params Params) (exec.Projecto
 	}
 }
 
-func truthy(v tuple.Value) bool { return v.Int != 0 }
-
-func compileBinary(op sqlparse.BinaryOp, l, r exec.Projector) (exec.Projector, error) {
-	boolVal := func(b bool) tuple.Value {
-		if b {
-			return tuple.I(1)
+// binaryOps evaluates every arithmetic and comparison operator on one pair
+// of values; false means division by zero. Comparisons yield 0 or 1.
+var binaryOps = map[sqlparse.BinaryOp]func(a, b int64) (int64, bool){
+	sqlparse.OpEq:  func(a, b int64) (int64, bool) { return b2i(a == b), true },
+	sqlparse.OpNe:  func(a, b int64) (int64, bool) { return b2i(a != b), true },
+	sqlparse.OpLt:  func(a, b int64) (int64, bool) { return b2i(a < b), true },
+	sqlparse.OpLe:  func(a, b int64) (int64, bool) { return b2i(a <= b), true },
+	sqlparse.OpGt:  func(a, b int64) (int64, bool) { return b2i(a > b), true },
+	sqlparse.OpGe:  func(a, b int64) (int64, bool) { return b2i(a >= b), true },
+	sqlparse.OpAdd: func(a, b int64) (int64, bool) { return a + b, true },
+	sqlparse.OpSub: func(a, b int64) (int64, bool) { return a - b, true },
+	sqlparse.OpMul: func(a, b int64) (int64, bool) { return a * b, true },
+	sqlparse.OpDiv: func(a, b int64) (int64, bool) {
+		if b == 0 {
+			return 0, false
 		}
-		return tuple.I(0)
+		return a / b, true
+	},
+}
+
+var errDivByZero = errors.New("plan: division by zero")
+
+func b2i(c bool) int64 {
+	if c {
+		return 1
 	}
-	switch op {
-	case sqlparse.OpAnd:
-		return func(t tuple.Tuple) (tuple.Value, error) {
-			lv, err := l(t)
-			if err != nil {
-				return tuple.Value{}, err
+	return 0
+}
+
+// fit returns *buf resliced to n values, replacing it first if it is short.
+func fit(buf *[]int64, n int) []int64 {
+	if cap(*buf) < n {
+		*buf = make([]int64, n)
+	}
+	return (*buf)[:n]
+}
+
+// constExpr yields v on every live row.
+func constExpr(v int64) exec.Expr {
+	return func(b *tuple.Batch, sel []int32, out []int64) ([]int64, error) {
+		if sel == nil {
+			for phys := range out {
+				out[phys] = v
 			}
-			if !truthy(lv) {
-				return tuple.I(0), nil
-			}
-			rv, err := r(t)
-			if err != nil {
-				return tuple.Value{}, err
-			}
-			return boolVal(truthy(rv)), nil
-		}, nil
-	case sqlparse.OpOr:
-		return func(t tuple.Tuple) (tuple.Value, error) {
-			lv, err := l(t)
-			if err != nil {
-				return tuple.Value{}, err
-			}
-			if truthy(lv) {
-				return tuple.I(1), nil
-			}
-			rv, err := r(t)
-			if err != nil {
-				return tuple.Value{}, err
-			}
-			return boolVal(truthy(rv)), nil
-		}, nil
-	case sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
-		return func(t tuple.Tuple) (tuple.Value, error) {
-			lv, err := l(t)
-			if err != nil {
-				return tuple.Value{}, err
-			}
-			rv, err := r(t)
-			if err != nil {
-				return tuple.Value{}, err
-			}
-			c := tuple.Compare(lv, rv)
-			switch op {
-			case sqlparse.OpEq:
-				return boolVal(c == 0), nil
-			case sqlparse.OpNe:
-				return boolVal(c != 0), nil
-			case sqlparse.OpLt:
-				return boolVal(c < 0), nil
-			case sqlparse.OpLe:
-				return boolVal(c <= 0), nil
-			case sqlparse.OpGt:
-				return boolVal(c > 0), nil
-			default:
-				return boolVal(c >= 0), nil
-			}
-		}, nil
-	case sqlparse.OpAdd, sqlparse.OpSub, sqlparse.OpMul, sqlparse.OpDiv:
-		return func(t tuple.Tuple) (tuple.Value, error) {
-			lv, err := l(t)
-			if err != nil {
-				return tuple.Value{}, err
-			}
-			rv, err := r(t)
-			if err != nil {
-				return tuple.Value{}, err
-			}
-			switch op {
-			case sqlparse.OpAdd:
-				return tuple.I(lv.Int + rv.Int), nil
-			case sqlparse.OpSub:
-				return tuple.I(lv.Int - rv.Int), nil
-			case sqlparse.OpMul:
-				return tuple.I(lv.Int * rv.Int), nil
-			default:
-				if rv.Int == 0 {
-					return tuple.Value{}, fmt.Errorf("plan: division by zero")
-				}
-				return tuple.I(lv.Int / rv.Int), nil
-			}
-		}, nil
-	default:
-		return nil, fmt.Errorf("plan: unsupported operator %s", op)
+			return out, nil
+		}
+		for _, phys := range sel {
+			out[phys] = v
+		}
+		return out, nil
 	}
 }
 
-// vecOperand classifies an expression as a vectorizable operand: a column
-// reference or a constant (literal or bound parameter).
-func vecOperand(e sqlparse.Expr, s *tuple.Schema, params Params) (colIdx int, constVal int64, isCol, ok bool) {
-	switch v := e.(type) {
-	case *sqlparse.ColumnRef:
-		idx, err := resolveColumn(s, v)
+// binaryExpr applies op to the values of l and r on every live row. Each
+// operand writes into a buffer of its own, so any expression can nest.
+func binaryExpr(op func(a, b int64) (int64, bool), l, r exec.Expr) exec.Expr {
+	var lbuf, rbuf []int64
+	return func(b *tuple.Batch, sel []int32, out []int64) ([]int64, error) {
+		lv, err := l(b, sel, fit(&lbuf, len(out)))
 		if err != nil {
-			return 0, 0, false, false
+			return nil, err
 		}
-		return idx, 0, true, true
-	case *sqlparse.IntLit:
-		return 0, v.Value, false, true
-	case *sqlparse.Param:
-		val, have := params[v.Name]
-		if !have {
-			return 0, 0, false, false
+		rv, err := r(b, sel, fit(&rbuf, len(out)))
+		if err != nil {
+			return nil, err
 		}
-		return 0, val.Int, false, true
-	}
-	return 0, 0, false, false
-}
-
-// intCmpKeep returns the per-row keep decision for a comparison operator
-// over int64 operands, or nil for non-comparison operators.
-func intCmpKeep(op sqlparse.BinaryOp) func(a, b int64) bool {
-	switch op {
-	case sqlparse.OpEq:
-		return func(a, b int64) bool { return a == b }
-	case sqlparse.OpNe:
-		return func(a, b int64) bool { return a != b }
-	case sqlparse.OpLt:
-		return func(a, b int64) bool { return a < b }
-	case sqlparse.OpLe:
-		return func(a, b int64) bool { return a <= b }
-	case sqlparse.OpGt:
-		return func(a, b int64) bool { return a > b }
-	case sqlparse.OpGe:
-		return func(a, b int64) bool { return a >= b }
-	}
-	return nil
-}
-
-// mirrorOp swaps a comparison's operand order: a OP b ⇔ b mirrorOp(OP) a.
-func mirrorOp(op sqlparse.BinaryOp) sqlparse.BinaryOp {
-	switch op {
-	case sqlparse.OpLt:
-		return sqlparse.OpGt
-	case sqlparse.OpLe:
-		return sqlparse.OpGe
-	case sqlparse.OpGt:
-		return sqlparse.OpLt
-	case sqlparse.OpGe:
-		return sqlparse.OpLe
-	default: // Eq/Ne are symmetric
-		return op
-	}
-}
-
-// compileVecPredicate lowers a conjunct to a vectorized predicate when it
-// is a comparison between columns and/or constants — the shapes
-// SETM's WHERE and HAVING clauses are made of (q.trans_id = p.trans_id,
-// q.item > p.item_{k-1}, COUNT(*) >= :minsupport). It returns nil when the
-// expression needs the general row-at-a-time evaluator.
-func compileVecPredicate(e sqlparse.Expr, s *tuple.Schema, params Params) exec.VecPredicate {
-	be, ok := e.(*sqlparse.BinaryExpr)
-	if !ok {
-		return nil
-	}
-	op := be.Op
-	if intCmpKeep(op) == nil {
-		return nil
-	}
-	lc, lv, lIsCol, lok := vecOperand(be.L, s, params)
-	rc, rv, rIsCol, rok := vecOperand(be.R, s, params)
-	if !lok || !rok {
-		return nil
-	}
-	// Normalize const-col to col-const by mirroring the operator, leaving
-	// three shapes: col-col, col-const, const-const.
-	if !lIsCol && rIsCol {
-		op = mirrorOp(op)
-		lc, lIsCol = rc, true
-		rv = lv
-		rIsCol = false
-	}
-	keep := intCmpKeep(op)
-	switch {
-	case lIsCol && rIsCol:
-		return func(b *tuple.Batch, in, out []int32) ([]int32, error) {
-			a, bb := b.Cols[lc].I, b.Cols[rc].I
-			if in == nil {
-				for phys := range a {
-					if keep(a[phys], bb[phys]) {
-						out = append(out, int32(phys))
-					}
+		if sel == nil {
+			for phys := range out {
+				v, ok := op(lv[phys], rv[phys])
+				if !ok {
+					return nil, errDivByZero
 				}
-				return out, nil
-			}
-			for _, phys := range in {
-				if keep(a[phys], bb[phys]) {
-					out = append(out, phys)
-				}
+				out[phys] = v
 			}
 			return out, nil
 		}
-	case lIsCol:
-		return func(b *tuple.Batch, in, out []int32) ([]int32, error) {
-			a := b.Cols[lc].I
-			if in == nil {
-				for phys := range a {
-					if keep(a[phys], rv) {
-						out = append(out, int32(phys))
-					}
-				}
-				return out, nil
+		for _, phys := range sel {
+			v, ok := op(lv[phys], rv[phys])
+			if !ok {
+				return nil, errDivByZero
 			}
-			for _, phys := range in {
-				if keep(a[phys], rv) {
-					out = append(out, phys)
-				}
-			}
-			return out, nil
+			out[phys] = v
 		}
-	default:
-		// Constant comparison: all-or-nothing.
-		pass := keep(lv, rv)
-		return func(b *tuple.Batch, in, out []int32) ([]int32, error) {
-			if !pass {
-				return out, nil
-			}
-			if in == nil {
-				for phys := 0; phys < b.NumPhysical(); phys++ {
-					out = append(out, int32(phys))
-				}
-				return out, nil
-			}
-			return append(out, in...), nil
-		}
+		return out, nil
 	}
 }
 
-// compilePredicate builds an exec.Predicate from a boolean expression.
-func compilePredicate(e sqlparse.Expr, s *tuple.Schema, params Params) (exec.Predicate, error) {
-	pr, err := compileExpr(e, s, params)
+// logicExpr is AND (or = false) or OR (or = true) with SQL's short circuit:
+// r is evaluated only on the rows l leaves undecided — the true ones under
+// AND, the false ones under OR — so `a = 0 OR 10 / a > 1` divides no zero.
+func logicExpr(l, r exec.Expr, or bool) exec.Expr {
+	var lbuf, rbuf []int64
+	var undecided []int32
+	return func(b *tuple.Batch, sel []int32, out []int64) ([]int64, error) {
+		lv, err := l(b, sel, fit(&lbuf, len(out)))
+		if err != nil {
+			return nil, err
+		}
+		decided := b2i(or)
+		undecided = undecided[:0]
+		if sel == nil {
+			for phys := range out {
+				if (lv[phys] != 0) == or {
+					out[phys] = decided
+				} else {
+					undecided = append(undecided, int32(phys))
+				}
+			}
+		} else {
+			for _, phys := range sel {
+				if (lv[phys] != 0) == or {
+					out[phys] = decided
+				} else {
+					undecided = append(undecided, phys)
+				}
+			}
+		}
+		if len(undecided) == 0 {
+			return out, nil
+		}
+		rv, err := r(b, undecided, fit(&rbuf, len(out)))
+		if err != nil {
+			return nil, err
+		}
+		for _, phys := range undecided {
+			out[phys] = b2i(rv[phys] != 0)
+		}
+		return out, nil
+	}
+}
+
+// compilePredicate lowers a boolean expression to the VecPredicate that
+// keeps the rows where its value is not 0. The expression is evaluated on
+// the input's live rows only.
+func compilePredicate(e sqlparse.Expr, s *tuple.Schema, params Params) (exec.VecPredicate, error) {
+	x, err := compileExpr(e, s, params)
 	if err != nil {
 		return nil, err
 	}
-	return func(t tuple.Tuple) (bool, error) {
-		v, err := pr(t)
+	var buf []int64
+	return func(b *tuple.Batch, in, out []int32) ([]int32, error) {
+		v, err := x(b, in, fit(&buf, b.NumPhysical()))
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		return truthy(v), nil
+		if in == nil {
+			for phys := range b.NumPhysical() {
+				if v[phys] != 0 {
+					out = append(out, int32(phys))
+				}
+			}
+			return out, nil
+		}
+		for _, phys := range in {
+			if v[phys] != 0 {
+				out = append(out, phys)
+			}
+		}
+		return out, nil
 	}, nil
 }
 
-// andPredicates combines conjunct predicates.
-func andPredicates(preds []exec.Predicate) exec.Predicate {
-	return func(t tuple.Tuple) (bool, error) {
-		for _, p := range preds {
-			ok, err := p(t)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
+// EvalConst evaluates a constant expression of INSERT … VALUES — literals,
+// parameters and any operator over them — over a batch of one row and no
+// columns, so a column reference is an unknown column.
+func EvalConst(e sqlparse.Expr, params Params) (int64, error) {
+	x, err := compileExpr(e, tuple.NewSchema(), params)
+	if err != nil {
+		return 0, err
 	}
+	one := tuple.NewBatch(tuple.NewSchema())
+	one.BumpRow()
+	v, err := x(one, nil, make([]int64, 1))
+	if err != nil {
+		return 0, err
+	}
+	return v[0], nil
 }
 
 // columnBindings returns the set of FROM-clause bindings an expression

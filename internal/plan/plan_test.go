@@ -403,57 +403,6 @@ func TestResolveColumnRules(t *testing.T) {
 	}
 }
 
-func TestExprEvaluationSemantics(t *testing.T) {
-	s := tuple.IntSchema("a", "b")
-	cases := []struct {
-		sql  string
-		a, b int64
-		want int64
-	}{
-		{"a + b * 2", 1, 3, 7},
-		{"(a + b) * 2", 1, 3, 8},
-		{"a - b", 5, 3, 2},
-		{"a / b", 7, 2, 3},
-		{"a = b", 2, 2, 1},
-		{"a <> b", 2, 2, 0},
-		{"a < b AND b < 10", 1, 5, 1},
-		{"a > b OR b = 5", 1, 5, 1},
-		{"NOT a = b", 1, 2, 1},
-		{"a >= 2", 2, 0, 1},
-		{"a <= 1", 2, 0, 0},
-	}
-	for _, c := range cases {
-		st, err := sqlparse.Parse("SELECT " + c.sql + " FROM t")
-		if err != nil {
-			t.Fatalf("%s: %v", c.sql, err)
-		}
-		expr := st.(*sqlparse.Select).Items[0].Expr
-		pr, err := compileExpr(expr, s, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", c.sql, err)
-		}
-		got, err := pr(tuple.Ints(c.a, c.b))
-		if err != nil {
-			t.Fatalf("%s: %v", c.sql, err)
-		}
-		if got.Int != c.want {
-			t.Errorf("%s with a=%d b=%d = %d, want %d", c.sql, c.a, c.b, got.Int, c.want)
-		}
-	}
-}
-
-func TestDivisionByZero(t *testing.T) {
-	s := tuple.IntSchema("a")
-	st, _ := sqlparse.Parse("SELECT a / 0 FROM t")
-	pr, err := compileExpr(st.(*sqlparse.Select).Items[0].Expr, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pr(tuple.Ints(1)); err == nil {
-		t.Error("division by zero succeeded")
-	}
-}
-
 func TestOrderByDescending(t *testing.T) {
 	c, _ := fixture(t)
 	op := compile(t, c, "SELECT s.item FROM sales s ORDER BY s.item DESC")

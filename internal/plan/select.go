@@ -140,11 +140,9 @@ func (c *Compiler) fullFromSchema(from []sqlparse.TableRef) (*tuple.Schema, erro
 }
 
 // attachFilters wraps n with every unused conjunct resolvable in scope
-// (nil scope = anything resolvable), compiling vectorizable comparisons to
-// VecPredicates and the rest to a row predicate.
+// (nil scope = anything resolvable), one Filter conjunct each.
 func (c *Compiler) attachFilters(n node, conjs []*conjunct, scope map[string]bool) (node, error) {
 	var vecs []exec.VecPredicate
-	var preds []exec.Predicate
 	sel := 1.0
 	for _, cj := range conjs {
 		if cj.used {
@@ -159,31 +157,23 @@ func (c *Compiler) attachFilters(n node, conjs []*conjunct, scope map[string]boo
 				continue
 			}
 		}
-		if vp := compileVecPredicate(cj.expr, n.op.Schema(), c.params); vp != nil {
-			vecs = append(vecs, vp)
-		} else {
-			p, err := compilePredicate(cj.expr, n.op.Schema(), c.params)
-			if err != nil {
-				return node{}, err
-			}
-			preds = append(preds, p)
+		vp, err := compilePredicate(cj.expr, n.op.Schema(), c.params)
+		if err != nil {
+			return node{}, err
 		}
+		vecs = append(vecs, vp)
 		sel *= conjSelectivity(cj.expr)
 		cj.used = true
 	}
-	if len(vecs) == 0 && len(preds) == 0 {
+	if len(vecs) == 0 {
 		return n, nil
 	}
-	var rowPred exec.Predicate
-	if len(preds) > 0 {
-		rowPred = andPredicates(preds)
-	}
-	op := exec.NewFilterVec(n.op, vecs, rowPred)
+	op := exec.NewFilter(n.op, vecs)
 	est := n.est
 	est.CostMs += costmodel.CPUTupleMs * float64(est.Rows)
 	est.Rows = max64(1, int64(float64(est.Rows)*sel))
 	c.note(op, "selectivity≈%.2f, est %d rows (%d/%d conjuncts vectorized)",
-		sel, est.Rows, len(vecs), len(vecs)+len(preds))
+		sel, est.Rows, len(vecs), len(vecs))
 	c.setEst(op, est.Rows)
 	return node{op: op, est: est, ordering: n.ordering}, nil
 }
@@ -444,26 +434,14 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 
 	if sel.Having != nil {
 		rewritten := rewriteAggs(sel.Having, aggCols)
+		vp, err := compilePredicate(rewritten, gop.Schema(), c.params)
+		if err != nil {
+			return node{}, nil, err
+		}
 		est := n.est
 		est.Rows = max64(1, int64(float64(est.Rows)*conjSelectivity(rewritten)))
-		var op *exec.Filter
-		if vp := compileVecPredicate(rewritten, gop.Schema(), c.params); vp != nil {
-			op = exec.NewFilterVec(n.op, []exec.VecPredicate{vp}, nil)
-			c.note(op, "HAVING (vectorized), est %d rows", est.Rows)
-		} else {
-			pred, err := c.compileWithAggs(sel.Having, gop.Schema(), aggCols)
-			if err != nil {
-				return node{}, nil, err
-			}
-			op = exec.NewFilter(n.op, func(t tuple.Tuple) (bool, error) {
-				v, err := pred(t)
-				if err != nil {
-					return false, err
-				}
-				return truthy(v), nil
-			})
-			c.note(op, "HAVING, est %d rows", est.Rows)
-		}
+		op := exec.NewFilter(n.op, []exec.VecPredicate{vp})
+		c.note(op, "HAVING (vectorized), est %d rows", est.Rows)
 		c.setEst(op, est.Rows)
 		n = node{op: op, est: est, ordering: n.ordering}
 	}
@@ -501,13 +479,6 @@ func (c *Compiler) hashGroupChoice(in node, groupIdxs []int, specs []exec.AggSpe
 	return grp, hashMs
 }
 
-// compileWithAggs compiles an expression in which aggregate calls refer to
-// pre-computed columns of the grouped schema.
-func (c *Compiler) compileWithAggs(e sqlparse.Expr, s *tuple.Schema, aggCols map[string]int) (exec.Projector, error) {
-	rewritten := rewriteAggs(e, aggCols)
-	return compileExpr(rewritten, s, c.params)
-}
-
 // rewriteAggs replaces aggregate sub-expressions with column references
 // into the grouped schema (by their rendered name).
 func rewriteAggs(e sqlparse.Expr, aggCols map[string]int) sqlparse.Expr {
@@ -534,12 +505,13 @@ func outputName(it sqlparse.SelectItem) string {
 	return it.Expr.String()
 }
 
-// compileProjection evaluates the select list. Pure column projections
-// (the common SETM shape) take the zero-copy batch path and keep the
-// ordering of the surviving leading columns.
+// compileProjection evaluates the select list, one expression per output
+// column. Column references share the input's vectors, so a pure column
+// projection (the common SETM shape) copies nothing and keeps the ordering
+// of the surviving leading columns.
 func (c *Compiler) compileProjection(sel *sqlparse.Select, in node, aggCols map[string]int) (node, error) {
 	inSchema := in.op.Schema()
-	var projs []exec.Projector
+	var exprs []exec.Expr
 	var cols []tuple.Column
 	colIdxs := make([]int, 0, len(sel.Items))
 	pureCols := true
@@ -550,7 +522,7 @@ func (c *Compiler) compileProjection(sel *sqlparse.Select, in node, aggCols map[
 				if dot := strings.LastIndexByte(name, '.'); dot >= 0 {
 					name = name[dot+1:]
 				}
-				projs = append(projs, exec.ColProjector(i))
+				exprs = append(exprs, exec.ColExpr(i))
 				colIdxs = append(colIdxs, i)
 				cols = append(cols, tuple.Column{Name: name, Kind: col.Kind})
 			}
@@ -562,30 +534,28 @@ func (c *Compiler) compileProjection(sel *sqlparse.Select, in node, aggCols map[
 			if err != nil {
 				return node{}, err
 			}
-			projs = append(projs, exec.ColProjector(idx))
+			exprs = append(exprs, exec.ColExpr(idx))
 			colIdxs = append(colIdxs, idx)
 			cols = append(cols, tuple.Column{Name: outputName(it), Kind: inSchema.Cols[idx].Kind})
 			continue
 		}
 		pureCols = false
-		pr, err := compileExpr(expr, inSchema, c.params)
+		x, err := compileExpr(expr, inSchema, c.params)
 		if err != nil {
 			return node{}, err
 		}
-		projs = append(projs, pr)
+		exprs = append(exprs, x)
 		cols = append(cols, tuple.Column{Name: outputName(it), Kind: tuple.KindInt})
 	}
 	schema := tuple.NewSchema(cols...)
+	op := exec.NewProject(in.op, schema, exprs)
 	est := in.est
 	est.RowBytes = schemaRowBytes(schema)
+	c.setEst(op, est.Rows)
 	if pureCols {
-		op := exec.NewProjectColumns(in.op, colIdxs, schema)
-		c.setEst(op, est.Rows)
 		return node{op: op, est: est, ordering: remapOrdering(in.ordering, colIdxs)}, nil
 	}
 	est.CostMs += costmodel.CPUTupleMs * float64(est.Rows)
-	op := exec.NewProject(in.op, schema, projs)
-	c.setEst(op, est.Rows)
 	return node{op: op, est: est}, nil
 }
 

@@ -17,9 +17,6 @@ type ColVec struct {
 	I []int64
 }
 
-// AppendValue appends v's integer to the vector.
-func (c *ColVec) AppendValue(v Value) { c.I = append(c.I, v.Int) }
-
 // Batch is a column-major slice of rows: one ColVec per schema column plus
 // an optional selection vector. Operators exchange batches instead of
 // single tuples; a batch returned by NextBatch is valid only until the
@@ -101,7 +98,7 @@ func (b *Batch) AppendTuple(t Tuple) error {
 		return fmt.Errorf("tuple: batch append arity %d does not match schema %d", len(t), len(b.Cols))
 	}
 	for i := range b.Cols {
-		b.Cols[i].AppendValue(t[i])
+		b.Cols[i].I = append(b.Cols[i].I, t[i].Int)
 	}
 	b.n++
 	return nil
@@ -147,23 +144,12 @@ func (b *Batch) AppendRange(src *Batch, from, to int) {
 
 // Row materializes logical row i as a freshly allocated tuple.
 func (b *Batch) Row(i int) Tuple {
+	phys := b.RowIdx(i)
 	t := make(Tuple, len(b.Cols))
-	return b.RowInto(t, i)
-}
-
-// RowInto materializes logical row i into buf (which must have the batch's
-// arity) and returns it, avoiding the allocation of Row.
-func (b *Batch) RowInto(buf Tuple, i int) Tuple {
-	return b.PhysRowInto(buf, b.RowIdx(i))
-}
-
-// PhysRowInto materializes the physical row phys into buf, ignoring any
-// selection vector.
-func (b *Batch) PhysRowInto(buf Tuple, phys int) Tuple {
 	for c := range b.Cols {
-		buf[c] = I(b.Cols[c].I[phys])
+		t[c] = I(b.Cols[c].I[phys])
 	}
-	return buf
+	return t
 }
 
 // WithSchema returns a shallow view of the batch under a different schema
@@ -175,14 +161,11 @@ func (b *Batch) WithSchema(s *Schema) *Batch {
 	return &v
 }
 
-// Project returns a shallow view holding only the columns at idxs under
-// the given schema; column storage and the selection vector are shared.
-func (b *Batch) Project(s *Schema, idxs []int) *Batch {
-	v := &Batch{schema: s, Cols: make([]ColVec, len(idxs)), n: b.n, sel: b.sel}
-	for i, ix := range idxs {
-		v.Cols[i] = b.Cols[ix]
-	}
-	return v
+// View returns a batch of the given columns under schema s that shares b's
+// row count and selection vector; nothing is copied. Each column must hold
+// one value per physical row of b.
+func (b *Batch) View(s *Schema, cols []ColVec) *Batch {
+	return &Batch{schema: s, Cols: cols, n: b.n, sel: b.sel}
 }
 
 // Clone returns a dense deep copy of the batch's logical rows.

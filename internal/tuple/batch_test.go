@@ -91,12 +91,16 @@ func TestBatchProjectAndWithSchema(t *testing.T) {
 		b.BumpRow()
 	}
 	b.SetSel([]int32{1, 3})
-	proj := b.Project(IntSchema("c", "a"), []int{2, 0})
+	proj := b.View(IntSchema("c", "a"), []ColVec{b.Cols[2], b.Cols[0]})
 	if proj.Len() != 2 {
 		t.Fatalf("projected Len = %d", proj.Len())
 	}
 	if r := proj.Row(1); r[0].Int != 9 || r[1].Int != 3 {
 		t.Errorf("proj Row(1) = %v, want [9 3]", r)
+	}
+	proj.SetSel([]int32{0})
+	if b.Len() != 2 {
+		t.Error("a view's selection reached the batch it views")
 	}
 	renamed := b.WithSchema(IntSchema("x", "y", "z"))
 	if renamed.Schema().Cols[0].Name != "x" || renamed.Len() != 2 {
