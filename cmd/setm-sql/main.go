@@ -1,7 +1,7 @@
 // Command setm-sql is an interactive shell for the bundled relational
 // engine: the environment in which the paper's mining queries can be typed
-// and run by hand. Statements end with ';'. EXPLAIN SELECT shows the plan
-// (merge-join selection, pushdown, grouping).
+// and run by hand. Statements end with ';'. EXPLAIN SELECT prints the plan
+// (merge-join selection, pushdown, grouping) one operator per line.
 //
 // Usage:
 //
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"setm"
@@ -54,14 +55,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rows := make([]tuple.Tuple, 0, len(d.Transactions)*3)
+		schema := tuple.IntSchema("trans_id", "item")
+		b := tuple.NewBatch(schema)
 		for _, r := range d.SalesRows() {
-			rows = append(rows, tuple.Ints(r[0], r[1]))
+			b.Cols[0].I = append(b.Cols[0].I, r[0])
+			b.Cols[1].I = append(b.Cols[1].I, r[1])
+			b.BumpRow()
 		}
-		if err := db.LoadTable("sales", tuple.IntSchema("trans_id", "item"), rows); err != nil {
+		if err := db.LoadTableBatch("sales", schema, b, nil); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "loaded %d rows into sales(trans_id, item)\n", len(rows))
+		fmt.Fprintf(stdout, "loaded %d rows into sales(trans_id, item)\n", b.Len())
 	}
 
 	fmt.Fprintln(stdout, "setm-sql — statements end with ';', exit with \\q")
@@ -100,18 +104,17 @@ func execute(db *engine.DB, sql string, stdout io.Writer) {
 		fmt.Fprintf(stdout, "error: %v\n", err)
 		return
 	}
-	if res == nil {
-		return
+	switch {
+	case res == nil:
+	case res.Plan != "":
+		fmt.Fprint(stdout, res.Plan)
+	case res.Schema != nil:
+		printResult(res, stdout)
+	case res.RowsAffected > 0:
+		fmt.Fprintf(stdout, "%d rows affected\n", res.RowsAffected)
+	default:
+		fmt.Fprintln(stdout, "ok")
 	}
-	if res.Schema == nil {
-		if res.RowsAffected > 0 {
-			fmt.Fprintf(stdout, "%d rows affected\n", res.RowsAffected)
-		} else {
-			fmt.Fprintln(stdout, "ok")
-		}
-		return
-	}
-	printResult(res, stdout)
 }
 
 func printResult(res *engine.Result, stdout io.Writer) {
@@ -124,7 +127,7 @@ func printResult(res *engine.Result, stdout io.Writer) {
 	for r, row := range res.Rows {
 		cells[r] = make([]string, len(row))
 		for c, v := range row {
-			s := v.String()
+			s := strconv.FormatInt(v, 10)
 			cells[r][c] = s
 			if len(s) > widths[c] {
 				widths[c] = len(s)

@@ -55,6 +55,33 @@ func TestRunPreloadsSalesAndMines(t *testing.T) {
 	}
 }
 
+// TestRunPrintsExplainPlan: EXPLAIN prints the plan as plain lines, one
+// operator per line and the estimate last, not as a result table.
+func TestRunPrintsExplainPlan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sales.txt")
+	if err := setm.SaveDatasetFile(path, setm.PaperExample()); err != nil {
+		t.Fatal(err)
+	}
+	script := "EXPLAIN ANALYZE SELECT s.item, COUNT(*) FROM sales s GROUP BY s.item;\n"
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-load", path}, strings.NewReader(script), &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	out := stdout.String()
+	for _, want := range []string{
+		"\nsql> Project (item INT, COUNT(*) INT)  -- actual 8 rows",
+		"\n      HeapScan (trans_id INT, item INT) (30 rows, 1 pages)",
+		"\nactual: 8 rows; estimated: ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "rows)") {
+		t.Errorf("EXPLAIN printed as a result table:\n%s", out)
+	}
+}
+
 func TestRunReportsSQLErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run(nil, strings.NewReader("SELECT FROM;\n"), &stdout, &stderr); err != nil {

@@ -14,6 +14,16 @@ func newCatalog() (*Catalog, *storage.Pool) {
 	return New(pool), pool
 }
 
+// appendRow appends one row to f.
+func appendRow(f *hp.File, vals ...int64) error {
+	b := tuple.NewBatch(f.Schema())
+	for c, v := range vals {
+		b.Cols[c].I = append(b.Cols[c].I, v)
+	}
+	b.BumpRow()
+	return f.AppendBatch(b)
+}
+
 func TestCreateGetDrop(t *testing.T) {
 	c, _ := newCatalog()
 	tbl, err := c.Create("Sales", tuple.IntSchema("tid", "item"))
@@ -61,7 +71,7 @@ func TestTruncateKeepsSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.File.Append(tuple.Ints(1, 2)); err != nil {
+	if err := appendRow(tbl.File, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Truncate("t"); err != nil {
@@ -85,7 +95,7 @@ func TestReplaceInstallsFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Append(tuple.Ints(9)); err != nil {
+	if err := appendRow(f, 9); err != nil {
 		t.Fatal(err)
 	}
 	// Replace creates the entry when absent...

@@ -90,10 +90,7 @@ func TestFigure4PlansGolden(t *testing.T) {
 				t.Fatalf("%s: EXPLAIN %s: %v", fx.name, sel, err)
 			}
 			fmt.Fprintf(&out, "-- %s\n", spaceRE.ReplaceAllString(sel, " "))
-			for _, row := range res.Rows {
-				line := pagesRE.ReplaceAllString(row[0].Str, "N pages")
-				out.WriteString(costRE.ReplaceAllString(line, "cost≈Xms") + "\n")
-			}
+			out.WriteString(costRE.ReplaceAllString(pagesRE.ReplaceAllString(res.Plan, "N pages"), "cost≈Xms"))
 			out.WriteByte('\n')
 		}
 		opts := fx.opts

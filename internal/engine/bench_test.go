@@ -11,13 +11,11 @@ func benchDB(b *testing.B, rows int) *DB {
 	b.Helper()
 	db := New()
 	rng := rand.New(rand.NewSource(1))
-	data := make([]tuple.Tuple, rows)
+	data := make([][]int64, rows)
 	for i := range data {
-		data[i] = tuple.Ints(rng.Int63n(int64(rows/5+1)), rng.Int63n(100))
+		data[i] = []int64{rng.Int63n(int64(rows/5 + 1)), rng.Int63n(100)}
 	}
-	if err := db.LoadTable("sales", tuple.IntSchema("trans_id", "item"), data); err != nil {
-		b.Fatal(err)
-	}
+	loadRows(b, db, "sales", tuple.IntSchema("trans_id", "item"), data)
 	return db
 }
 

@@ -11,29 +11,31 @@ import (
 
 // loadPairs creates table name with n (trans_id, item) rows, trans_id
 // ascending — the physical shape MineSQL loads.
-func loadPairs(t testing.TB, db *DB, name string, n int, seed int64) []tuple.Tuple {
+func loadPairs(t testing.TB, db *DB, name string, n int, seed int64) [][]int64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	rows := make([]tuple.Tuple, 0, n)
+	rows := make([][]int64, 0, n)
 	tid := int64(0)
 	for len(rows) < n {
 		tid += 1 + rng.Int63n(3)
 		run := 1 + rng.Intn(5)
 		for j := 0; j < run && len(rows) < n; j++ {
-			rows = append(rows, tuple.Ints(tid, rng.Int63n(40)))
+			rows = append(rows, []int64{tid, rng.Int63n(40)})
 		}
 	}
-	if err := db.LoadTable(name, tuple.IntSchema("trans_id", "item"), rows); err != nil {
-		t.Fatal(err)
-	}
+	loadRows(t, db, name, tuple.IntSchema("trans_id", "item"), rows)
 	return rows
 }
 
-func flattenBatches(s *tuple.Schema, batches []*tuple.Batch) []tuple.Tuple {
-	var rows []tuple.Tuple
+func flattenBatches(s *tuple.Schema, batches []*tuple.Batch) [][]int64 {
+	var rows [][]int64
 	for _, b := range batches {
-		for i := 0; i < b.Len(); i++ {
-			rows = append(rows, b.Row(i))
+		for i := range b.Len() {
+			row := make([]int64, len(b.Cols))
+			for c := range row {
+				row[c] = b.Cols[c].I[b.RowIdx(i)]
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows

@@ -64,9 +64,13 @@ func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 
 // Result is the outcome of one statement.
 type Result struct {
-	// Schema and Rows are set for SELECT statements.
+	// Schema and Rows are set for SELECT statements: one []int64 per row,
+	// in schema order.
 	Schema *tuple.Schema
-	Rows   []tuple.Tuple
+	Rows   [][]int64
+	// Plan is set for EXPLAIN [ANALYZE]: one line per operator, then a
+	// summary line, each ending in a newline.
+	Plan string
 	// RowsAffected counts inserted rows for INSERT.
 	RowsAffected int64
 }
@@ -110,7 +114,6 @@ func (db *DB) ExecScript(sql string, params map[string]int64) (*Result, error) {
 
 // ExecStmt runs one parsed statement.
 func (db *DB) ExecStmt(st sqlparse.Stmt, params map[string]int64) (*Result, error) {
-	p := plan.IntParams(params)
 	switch s := st.(type) {
 	case *sqlparse.CreateTable:
 		if s.IfNotExists && db.cat.Has(s.Name) {
@@ -137,10 +140,10 @@ func (db *DB) ExecStmt(st sqlparse.Stmt, params map[string]int64) (*Result, erro
 		return &Result{}, nil
 
 	case *sqlparse.Insert:
-		return db.execInsert(s, p)
+		return db.execInsert(s, params)
 
 	case *sqlparse.Select:
-		pl, err := db.compile(s, p)
+		pl, err := db.compile(s, params)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +154,7 @@ func (db *DB) ExecStmt(st sqlparse.Stmt, params map[string]int64) (*Result, erro
 		return &Result{Schema: pl.Root.Schema(), Rows: rows}, nil
 
 	case *sqlparse.Explain:
-		pl, err := db.compile(s.Select, p)
+		pl, err := db.compile(s.Select, params)
 		if err != nil {
 			return nil, err
 		}
@@ -170,17 +173,11 @@ func (db *DB) ExecStmt(st sqlparse.Stmt, params map[string]int64) (*Result, erro
 			}
 			rendered = pl.ExplainAnalyzed()
 		}
-		schema := tuple.NewSchema(tuple.Column{Name: "plan", Kind: tuple.KindString})
-		var rows []tuple.Tuple
-		for _, line := range strings.Split(strings.TrimRight(rendered, "\n"), "\n") {
-			rows = append(rows, tuple.Tuple{tuple.S(line)})
-		}
 		summary := fmt.Sprintf("estimated: %d rows, cost≈%.2fms (model)", pl.Est.Rows, pl.Est.CostMs)
 		if s.Analyze {
 			summary = fmt.Sprintf("actual: %d rows; %s", actual, summary)
 		}
-		rows = append(rows, tuple.Tuple{tuple.S(summary)})
-		return &Result{Schema: schema, Rows: rows}, nil
+		return &Result{Plan: rendered + summary + "\n"}, nil
 
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", st)
@@ -212,27 +209,28 @@ func (db *DB) execInsert(s *sqlparse.Insert, p plan.Params) (*Result, error) {
 		return insertSelect(tbl, pl)
 	}
 
-	var n int64
-	tbl.OrderedBy = nil
+	// Every row is evaluated before any is appended, so a row that fails
+	// leaves the table as it was.
+	b := tuple.NewBatch(schema)
 	for _, row := range s.Rows {
 		if len(row) != schema.Len() {
 			return nil, fmt.Errorf("engine: INSERT row arity %d does not match table %q arity %d",
 				len(row), s.Table, schema.Len())
 		}
-		t := make(tuple.Tuple, len(row))
 		for i, e := range row {
 			v, err := plan.EvalConst(e, p)
 			if err != nil {
 				return nil, err
 			}
-			t[i] = tuple.I(v)
+			b.Cols[i].I = append(b.Cols[i].I, v)
 		}
-		if err := tbl.File.Append(t); err != nil {
-			return nil, err
-		}
-		n++
+		b.BumpRow()
 	}
-	return &Result{RowsAffected: n}, nil
+	tbl.OrderedBy = nil
+	if err := tbl.File.AppendBatch(b); err != nil {
+		return nil, err
+	}
+	return &Result{RowsAffected: int64(b.Len())}, nil
 }
 
 // validateInsertCols checks an explicit INSERT column list: it must cover
@@ -261,8 +259,8 @@ func insertSelect(tbl *catalog.Table, pl *plan.Plan) (*Result, error) {
 			got, tbl.Name, want)
 	}
 	wasEmpty := tbl.File.Rows() == 0
-	// As on the VALUES path, the ordering claim goes before the first
-	// append: a fill that fails part-way keeps the rows it had appended.
+	// The ordering claim goes before the first append: a fill that fails
+	// part-way keeps the rows it had appended.
 	tbl.OrderedBy = nil
 	n, err := fill(tbl.File, op)
 	if err != nil {
@@ -299,20 +297,6 @@ func fill(f *hp.File, op exec.Operator) (n int64, err error) {
 		}
 		n += int64(b.Len())
 	}
-}
-
-// LoadTable creates (or replaces) a table from in-memory rows; the fast
-// path miners and tests use to install data without SQL round-trips.
-func (db *DB) LoadTable(name string, schema *tuple.Schema, rows []tuple.Tuple) error {
-	f, err := hp.Create(db.pool, schema)
-	if err != nil {
-		return err
-	}
-	if err := f.AppendAll(rows); err != nil {
-		return err
-	}
-	db.cat.Replace(name, f)
-	return nil
 }
 
 // LoadTableBatch creates (or replaces) a table from a column-major batch,

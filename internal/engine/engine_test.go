@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,16 +38,19 @@ func setupSales(t *testing.T) *DB {
 	return db
 }
 
-func rowsToPairs(rows []tuple.Tuple) [][]int64 {
-	out := make([][]int64, len(rows))
-	for i, r := range rows {
-		vals := make([]int64, len(r))
-		for j, v := range r {
-			vals[j] = v.Int
+// loadRows installs rows as table name through LoadTableBatch.
+func loadRows(t testing.TB, db *DB, name string, schema *tuple.Schema, rows [][]int64) {
+	t.Helper()
+	b := tuple.NewBatch(schema)
+	for _, r := range rows {
+		for c, v := range r {
+			b.Cols[c].I = append(b.Cols[c].I, v)
 		}
-		out[i] = vals
+		b.BumpRow()
 	}
-	return out
+	if err := db.LoadTableBatch(name, schema, b, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCreateInsertSelect(t *testing.T) {
@@ -57,7 +61,7 @@ func TestCreateInsertSelect(t *testing.T) {
 		t.Errorf("RowsAffected = %d", r.RowsAffected)
 	}
 	res := db.MustExec("SELECT a, b FROM t ORDER BY a DESC", nil)
-	got := rowsToPairs(res.Rows)
+	got := res.Rows
 	if len(got) != 2 || got[0][0] != 3 || got[1][1] != 2 {
 		t.Errorf("rows = %v", got)
 	}
@@ -82,10 +86,10 @@ func TestPaperC1Query(t *testing.T) {
 	res := db.MustExec("SELECT item, cnt FROM c1 ORDER BY item", nil)
 	want := [][2]int64{{1, 6}, {2, 4}, {3, 4}, {4, 6}, {5, 4}, {6, 3}}
 	if len(res.Rows) != len(want) {
-		t.Fatalf("C1 = %v", rowsToPairs(res.Rows))
+		t.Fatalf("C1 = %v", res.Rows)
 	}
 	for i, w := range want {
-		if res.Rows[i][0].Int != w[0] || res.Rows[i][1].Int != w[1] {
+		if res.Rows[i][0] != w[0] || res.Rows[i][1] != w[1] {
 			t.Errorf("C1[%d] = %v, want %v", i, res.Rows[i], w)
 		}
 	}
@@ -104,7 +108,7 @@ func TestPaperPairQuery(t *testing.T) {
 		map[string]int64{"minsupport": 3})
 	// Figure 2's C2: AB:3 AC:3 BC:3 DE:3 DF:3 EF:3.
 	want := [][3]int64{{1, 2, 3}, {1, 3, 3}, {2, 3, 3}, {4, 5, 3}, {4, 6, 3}, {5, 6, 3}}
-	got := rowsToPairs(res.Rows)
+	got := res.Rows
 	if len(got) != len(want) {
 		t.Fatalf("C2 = %v", got)
 	}
@@ -126,7 +130,7 @@ func TestMergeJoinChosenForEquiJoin(t *testing.T) {
 	db.MustExec("INSERT INTO r VALUES (1, 100), (2, 200), (2, 201), (4, 400)", nil)
 	res := db.MustExec(`SELECT l.v, r.w FROM l, r WHERE l.k = r.k ORDER BY l.v, r.w`, nil)
 	want := [][2]int64{{10, 100}, {11, 100}, {20, 200}, {20, 201}}
-	got := rowsToPairs(res.Rows)
+	got := res.Rows
 	if len(got) != len(want) {
 		t.Fatalf("join = %v", got)
 	}
@@ -153,7 +157,7 @@ func TestThreeWayJoin(t *testing.T) {
 	                    ORDER BY r1.item, r2.item`, nil)
 	// Same C2 as before: all first items are frequent in this data set.
 	if len(res.Rows) != 6 {
-		t.Fatalf("three-way join C2 = %v", rowsToPairs(res.Rows))
+		t.Fatalf("three-way join C2 = %v", res.Rows)
 	}
 }
 
@@ -170,7 +174,7 @@ func TestSelectStarAndLimit(t *testing.T) {
 	db.MustExec("CREATE TABLE t (a INT, b INT)", nil)
 	db.MustExec("INSERT INTO t VALUES (5, 6), (1, 2), (3, 4)", nil)
 	res := db.MustExec("SELECT * FROM t ORDER BY a", nil)
-	if got := rowsToPairs(res.Rows); len(got) != 3 || got[0][0] != 1 || got[2][1] != 6 {
+	if got := res.Rows; len(got) != 3 || got[0][0] != 1 || got[2][1] != 6 {
 		t.Fatalf("rows = %v", got)
 	}
 	if res.Schema.Names()[0] != "a" || res.Schema.Names()[1] != "b" {
@@ -186,7 +190,7 @@ func TestDistinct(t *testing.T) {
 	execError(t, db, "SELECT DISTINCT a FROM t", "sql:1:8: expected expression, found DISTINCT")
 	// GROUP BY is how the engine deduplicates.
 	res := db.MustExec("SELECT a FROM t GROUP BY a", nil)
-	if got := rowsToPairs(res.Rows); len(got) != 2 || got[0][0] != 1 || got[1][0] != 2 {
+	if got := res.Rows; len(got) != 2 || got[0][0] != 1 || got[1][0] != 2 {
 		t.Errorf("grouped = %v", got)
 	}
 }
@@ -195,12 +199,12 @@ func TestGlobalCount(t *testing.T) {
 	db := New()
 	db.MustExec("CREATE TABLE t (a INT)", nil)
 	res := db.MustExec("SELECT COUNT(*) FROM t", nil)
-	if len(res.Rows) != 1 || res.Rows[0][0].Int != 0 {
+	if len(res.Rows) != 1 || res.Rows[0][0] != 0 {
 		t.Errorf("count over empty = %v", res.Rows)
 	}
 	db.MustExec("INSERT INTO t VALUES (1), (2), (3)", nil)
 	res = db.MustExec("SELECT COUNT(*) FROM t", nil)
-	if res.Rows[0][0].Int != 3 {
+	if res.Rows[0][0] != 3 {
 		t.Errorf("count = %v", res.Rows)
 	}
 }
@@ -210,7 +214,7 @@ func TestSumMinMax(t *testing.T) {
 	db.MustExec("CREATE TABLE t (g INT, v INT)", nil)
 	db.MustExec("INSERT INTO t VALUES (1, 5), (1, 7), (2, 3)", nil)
 	res := db.MustExec("SELECT g, SUM(v), MIN(v), MAX(v) FROM t GROUP BY g ORDER BY g", nil)
-	got := rowsToPairs(res.Rows)
+	got := res.Rows
 	if got[0][1] != 12 || got[0][2] != 5 || got[0][3] != 7 || got[1][1] != 3 {
 		t.Errorf("aggregates = %v", got)
 	}
@@ -274,7 +278,7 @@ func TestInsertSelectWithOrderBy(t *testing.T) {
 	db.MustExec("INSERT INTO dst SELECT src.a FROM src ORDER BY src.a", nil)
 	res := db.MustExec("SELECT a FROM dst", nil)
 	for i, want := range []int64{1, 2, 3} {
-		if res.Rows[i][0].Int != want {
+		if res.Rows[i][0] != want {
 			t.Errorf("dst[%d] = %v", i, res.Rows[i])
 		}
 	}
@@ -291,7 +295,7 @@ func TestInsertSelectDescendingDoesNotClaimAscending(t *testing.T) {
 	db.MustExec("INSERT INTO dst SELECT src.a FROM src ORDER BY src.a DESC", nil)
 	res := db.MustExec("SELECT a FROM dst ORDER BY a", nil)
 	for i, want := range []int64{1, 2, 3} {
-		if res.Rows[i][0].Int != want {
+		if res.Rows[i][0] != want {
 			t.Fatalf("ascending ORDER BY after DESC fill: row %d = %v", i, res.Rows[i])
 		}
 	}
@@ -303,23 +307,19 @@ func TestInsertSelectDescendingDoesNotClaimAscending(t *testing.T) {
 func TestFailedInsertSelectDropsOrderingClaim(t *testing.T) {
 	db := New()
 	const n, bad = 5010, 2500 // the zero divisor sits in src's third batch
-	var base, src []tuple.Tuple
+	var base, src [][]int64
 	for i := int64(0); i < n; i++ {
-		base = append(base, tuple.Ints((i*7919)%n)) // a permutation of 0..n-1
+		base = append(base, []int64{(i * 7919) % n}) // a permutation of 0..n-1
 	}
 	for i := int64(0); i < 3000; i++ {
 		b := int64(1)
 		if i == bad {
 			b = 0
 		}
-		src = append(src, tuple.Ints(i, b))
+		src = append(src, []int64{i, b})
 	}
-	if err := db.LoadTable("base", tuple.IntSchema("a"), base); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.LoadTable("src", tuple.IntSchema("a", "b"), src); err != nil {
-		t.Fatal(err)
-	}
+	loadRows(t, db, "base", tuple.IntSchema("a"), base)
+	loadRows(t, db, "src", tuple.IntSchema("a", "b"), src)
 	db.MustExec("CREATE TABLE t (a INT, q INT)", nil)
 	db.MustExec("INSERT INTO t SELECT base.a, base.a FROM base ORDER BY base.a", nil)
 	tbl, err := db.Catalog().Get("t")
@@ -355,8 +355,8 @@ func TestFailedInsertSelectDropsOrderingClaim(t *testing.T) {
 		t.Fatalf("%d rows, table holds %d", len(res.Rows), tbl.File.Rows())
 	}
 	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i-1][0].Int > res.Rows[i][0].Int {
-			t.Fatalf("ORDER BY a: row %d = %d after %d", i, res.Rows[i][0].Int, res.Rows[i-1][0].Int)
+		if res.Rows[i-1][0] > res.Rows[i][0] {
+			t.Fatalf("ORDER BY a: row %d = %d after %d", i, res.Rows[i][0], res.Rows[i-1][0])
 		}
 	}
 }
@@ -397,7 +397,7 @@ func TestExecScript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].Int != 2 {
+	if res.Rows[0][0] != 2 {
 		t.Errorf("script result = %v", res.Rows)
 	}
 }
@@ -407,14 +407,14 @@ func TestUnqualifiedColumnResolution(t *testing.T) {
 	db.MustExec("CREATE TABLE t (a INT, b INT)", nil)
 	db.MustExec("INSERT INTO t VALUES (1, 10), (2, 20)", nil)
 	res := db.MustExec("SELECT b FROM t WHERE a = 2", nil)
-	if len(res.Rows) != 1 || res.Rows[0][0].Int != 20 {
+	if len(res.Rows) != 1 || res.Rows[0][0] != 20 {
 		t.Errorf("rows = %v", res.Rows)
 	}
 }
 
 // TestStringColumnsEndToEnd: no layer takes a string. The parser refuses
-// the column type and the literal, and a bulk load of a STRING schema is
-// refused by the heap file; nothing is created.
+// the column type and the literal, and a bulk load of a column that is not
+// INT is refused by the heap file; nothing is created.
 func TestStringColumnsEndToEnd(t *testing.T) {
 	db := New()
 	execError(t, db, "CREATE TABLE items (id INT, name STRING)", "sql:1:34: expected column type, found STRING")
@@ -422,14 +422,14 @@ func TestStringColumnsEndToEnd(t *testing.T) {
 	db.MustExec("CREATE TABLE items (id INT, qty INT)", nil)
 	execError(t, db, "INSERT INTO items VALUES (1, 'bread')", `sql:1:30: unexpected character '\''`)
 	execError(t, db, "SELECT id FROM items WHERE qty = 'x'", `sql:1:34: unexpected character '\''`)
-	s := tuple.NewSchema(tuple.Column{Name: "name", Kind: tuple.KindString})
-	if err := db.LoadTable("names", s, nil); err == nil {
-		t.Error("LoadTable accepted a STRING column")
+	s := tuple.NewSchema(tuple.Column{Name: "name", Kind: tuple.Kind(1)})
+	if err := db.LoadTableBatch("names", s, tuple.NewBatch(s), nil); err == nil {
+		t.Error("LoadTableBatch accepted a column that is not INT")
 	}
 	if db.Catalog().Has("names") {
 		t.Error("a refused load left a table behind")
 	}
-	if got := db.MustExec("SELECT COUNT(*) FROM items", nil).Rows[0][0].Int; got != 0 {
+	if got := db.MustExec("SELECT COUNT(*) FROM items", nil).Rows[0][0]; got != 0 {
 		t.Errorf("items holds %d rows after refused inserts", got)
 	}
 }
@@ -447,13 +447,13 @@ func TestCrossJoinWithoutEquiPredicate(t *testing.T) {
 	execError(t, db, "SELECT a.x, b.y FROM a, b WHERE a.x < b.y ORDER BY a.x, b.y", want)
 	execError(t, db, "EXPLAIN SELECT a.x FROM a, b", want)
 	execError(t, db, "INSERT INTO a SELECT b.y FROM a, b", want)
-	if got := db.MustExec("SELECT COUNT(*) FROM a", nil).Rows[0][0].Int; got != 2 {
+	if got := db.MustExec("SELECT COUNT(*) FROM a", nil).Rows[0][0]; got != 2 {
 		t.Errorf("a holds %d rows, want 2", got)
 	}
 	// The same tables joined on a column equality plan a keyed join.
 	db.MustExec("INSERT INTO a VALUES (20)", nil)
 	res := db.MustExec("SELECT a.x, b.y FROM a, b WHERE b.y = a.x", nil)
-	if got := rowsToPairs(res.Rows); len(got) != 1 || got[0][0] != 20 || got[0][1] != 20 {
+	if got := res.Rows; len(got) != 1 || got[0][0] != 20 || got[0][1] != 20 {
 		t.Errorf("equi-join = %v", got)
 	}
 }
@@ -463,7 +463,7 @@ func TestArithmeticInSelect(t *testing.T) {
 	db.MustExec("CREATE TABLE t (a INT)", nil)
 	db.MustExec("INSERT INTO t VALUES (5)", nil)
 	res := db.MustExec("SELECT a * 2 + 1 AS x FROM t", nil)
-	if res.Rows[0][0].Int != 11 {
+	if res.Rows[0][0] != 11 {
 		t.Errorf("arith = %v", res.Rows)
 	}
 	if res.Schema.Names()[0] != "x" {
@@ -473,12 +473,10 @@ func TestArithmeticInSelect(t *testing.T) {
 
 func TestLoadTableFastPath(t *testing.T) {
 	db := New()
-	rows := []tuple.Tuple{tuple.Ints(10, 1), tuple.Ints(10, 2)}
-	if err := db.LoadTable("sales", tuple.IntSchema("trans_id", "item"), rows); err != nil {
-		t.Fatal(err)
-	}
+	rows := [][]int64{{10, 1}, {10, 2}}
+	loadRows(t, db, "sales", tuple.IntSchema("trans_id", "item"), rows)
 	res := db.MustExec("SELECT COUNT(*) FROM sales", nil)
-	if res.Rows[0][0].Int != 2 {
+	if res.Rows[0][0] != 2 {
 		t.Errorf("loaded rows = %v", res.Rows)
 	}
 }
@@ -489,8 +487,8 @@ func TestHavingWithoutGroupColumnInOutput(t *testing.T) {
 	db.MustExec("CREATE TABLE t (g INT)", nil)
 	db.MustExec("INSERT INTO t VALUES (1), (1), (2)", nil)
 	res := db.MustExec("SELECT g FROM t GROUP BY g HAVING COUNT(*) >= 2", nil)
-	if len(res.Rows) != 1 || res.Rows[0][0].Int != 1 {
-		t.Errorf("rows = %v", rowsToPairs(res.Rows))
+	if len(res.Rows) != 1 || res.Rows[0][0] != 1 {
+		t.Errorf("rows = %v", res.Rows)
 	}
 }
 
@@ -502,13 +500,7 @@ func TestExplainShowsCostBasedPlan(t *testing.T) {
 	res := db.MustExec(`EXPLAIN SELECT r1.item, r2.item
 	                    FROM sales r1, sales r2
 	                    WHERE r1.trans_id = r2.trans_id`, nil)
-	if res.Schema.Names()[0] != "plan" {
-		t.Fatalf("schema = %v", res.Schema.Names())
-	}
-	var plan string
-	for _, r := range res.Rows {
-		plan += r[0].Str + "\n"
-	}
+	plan := res.Plan
 	for _, want := range []string{"HashJoin", "cost-based", "Project", "HeapScan", "estimated:"} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("plan missing %s:\n%s", want, plan)
@@ -529,10 +521,7 @@ func TestExplainMergeJoinOnSortedTables(t *testing.T) {
 	             ORDER BY s.trans_id, s.item`, nil)
 	res := db.MustExec(`EXPLAIN SELECT p.item, q.item FROM r1 p, r2 q
 	                    WHERE q.trans_id = p.trans_id AND q.item > p.item`, nil)
-	var plan string
-	for _, r := range res.Rows {
-		plan += r[0].Str + "\n"
-	}
+	plan := res.Plan
 	if !strings.Contains(plan, "MergeJoin") {
 		t.Errorf("sorted tables did not plan a merge join:\n%s", plan)
 	}
@@ -548,7 +537,7 @@ func TestExplainMergeJoinOnSortedTables(t *testing.T) {
 		t.Fatal("merge join over sorted tables returned nothing")
 	}
 	for i := 1; i < len(got.Rows); i++ {
-		if tuple.CompareAll(got.Rows[i-1], got.Rows[i]) > 0 {
+		if slices.Compare(got.Rows[i-1], got.Rows[i]) > 0 {
 			t.Fatalf("ORDER BY violated at row %d: %v > %v", i, got.Rows[i-1], got.Rows[i])
 		}
 	}
@@ -559,7 +548,7 @@ func TestInsertWithColumnList(t *testing.T) {
 	db.MustExec("CREATE TABLE t (a INT, b INT)", nil)
 	db.MustExec("INSERT INTO t (a, b) VALUES (1, 2)", nil)
 	res := db.MustExec("SELECT a, b FROM t", nil)
-	if len(res.Rows) != 1 || res.Rows[0][1].Int != 2 {
+	if len(res.Rows) != 1 || res.Rows[0][1] != 2 {
 		t.Errorf("rows = %v", res.Rows)
 	}
 	// Partial or misordered column lists are rejected.
@@ -576,7 +565,7 @@ func TestInsertConstExpressions(t *testing.T) {
 	db.MustExec("CREATE TABLE t (a INT, s INT)", nil)
 	db.MustExec("INSERT INTO t VALUES (2 * 3 + 1, -1), (10 / 2 - 1, 0 - 2)", nil)
 	res := db.MustExec("SELECT a, s FROM t ORDER BY a", nil)
-	if got := rowsToPairs(res.Rows); got[0][0] != 4 || got[1][0] != 7 || got[0][1] != -2 || got[1][1] != -1 {
+	if got := res.Rows; got[0][0] != 4 || got[1][0] != 7 || got[0][1] != -2 || got[1][1] != -1 {
 		t.Errorf("rows = %v", got)
 	}
 	if _, err := db.Exec("INSERT INTO t VALUES (1 / 0, 1)", nil); err == nil {
@@ -593,8 +582,40 @@ func TestInsertConstExpressions(t *testing.T) {
 	db.MustExec("INSERT INTO t VALUES (1 = 1, NOT 2 > 1), (3 > 2 AND 1 < 0 OR 5 <> 5, :x * 2)",
 		map[string]int64{"x": 21})
 	res = db.MustExec("SELECT a, s FROM t ORDER BY s", nil)
-	if got := rowsToPairs(res.Rows); len(got) != 2 || got[0][0] != 1 || got[0][1] != 0 || got[1][0] != 0 || got[1][1] != 42 {
+	if got := res.Rows; len(got) != 2 || got[0][0] != 1 || got[0][1] != 0 || got[1][0] != 0 || got[1][1] != 42 {
 		t.Errorf("boolean VALUES = %v", got)
+	}
+}
+
+// TestInsertValuesFailureAppendsNothing: VALUES evaluates every row before
+// it appends one, so a failing row — its value or its arity — leaves the
+// table as it was, rows before it included.
+func TestInsertValuesFailureAppendsNothing(t *testing.T) {
+	db := New()
+	db.MustExec("CREATE TABLE t (a INT)", nil)
+	execError(t, db, "INSERT INTO t VALUES (1), (2), (10 / 0)", "plan: division by zero")
+	execError(t, db, "INSERT INTO t VALUES (1), (2, 3)", `engine: INSERT row arity 2 does not match table "t" arity 1`)
+	if got := db.MustExec("SELECT COUNT(*) FROM t", nil).Rows[0][0]; got != 0 {
+		t.Errorf("t holds %d rows after failed inserts, want 0", got)
+	}
+	if r := db.MustExec("INSERT INTO t VALUES (1), (2)", nil); r.RowsAffected != 2 {
+		t.Errorf("RowsAffected = %d, want 2", r.RowsAffected)
+	}
+}
+
+// TestExplainResultIsPlanText: EXPLAIN [ANALYZE] returns its text in Plan,
+// one line per operator and the summary last, with no Schema and no Rows.
+func TestExplainResultIsPlanText(t *testing.T) {
+	db := setupSales(t)
+	for _, q := range []string{"EXPLAIN SELECT s.item FROM sales s", "EXPLAIN ANALYZE SELECT s.item FROM sales s"} {
+		res := db.MustExec(q, nil)
+		if res.Schema != nil || res.Rows != nil {
+			t.Errorf("%s: Schema %v, %d rows; want neither", q, res.Schema, len(res.Rows))
+		}
+		lines := strings.Split(res.Plan, "\n")
+		if len(lines) < 3 || lines[len(lines)-1] != "" || !strings.Contains(lines[len(lines)-2], "estimated: ") {
+			t.Errorf("%s: plan text %q, want operator lines then the summary, each newline-terminated", q, res.Plan)
+		}
 	}
 }
 
@@ -610,7 +631,7 @@ func TestExecScriptStopsOnError(t *testing.T) {
 	}
 	// The third statement must not have run.
 	res := db.MustExec("SELECT COUNT(*) FROM t", nil)
-	if res.Rows[0][0].Int != 0 {
+	if res.Rows[0][0] != 0 {
 		t.Errorf("statements after error executed: %v", res.Rows)
 	}
 }

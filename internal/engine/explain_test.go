@@ -19,12 +19,15 @@ func retailDB(t *testing.T) *engine.DB {
 	cfg := gen.DefaultRetail(7)
 	cfg.NumTransactions = 2000
 	d := gen.Retail(cfg)
-	rows := make([]tuple.Tuple, 0, len(d.SalesRows()))
+	schema := tuple.IntSchema("trans_id", "item")
+	b := tuple.NewBatch(schema)
 	for _, r := range d.SalesRows() {
-		rows = append(rows, tuple.Ints(r[0], r[1]))
+		b.Cols[0].I = append(b.Cols[0].I, r[0])
+		b.Cols[1].I = append(b.Cols[1].I, r[1])
+		b.BumpRow()
 	}
 	db := engine.New()
-	if err := db.LoadTable("sales", tuple.IntSchema("trans_id", "item"), rows); err != nil {
+	if err := db.LoadTableBatch("sales", schema, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -34,12 +37,7 @@ func TestExplainAnalyzeReportsActualVsEstimated(t *testing.T) {
 	db := engine.SetupSales(t)
 	r := db.MustExec(`EXPLAIN ANALYZE SELECT s.item, COUNT(*) FROM sales s
 		GROUP BY s.item HAVING COUNT(*) >= :minsupport`, map[string]int64{"minsupport": 4})
-	var text strings.Builder
-	for _, row := range r.Rows {
-		text.WriteString(row[0].Str)
-		text.WriteByte('\n')
-	}
-	out := text.String()
+	out := r.Plan
 	// Every executed operator reports actuals alongside the estimate.
 	if !strings.Contains(out, "actual ") || !strings.Contains(out, "(est ") {
 		t.Fatalf("EXPLAIN ANALYZE lacks actual-vs-estimated annotations:\n%s", out)
@@ -65,7 +63,8 @@ func TestExplainAnalyzeReportsActualVsEstimated(t *testing.T) {
 func TestCalibrationOnRetailFixture(t *testing.T) {
 	r := retailDB(t).MustExec(`EXPLAIN ANALYZE SELECT s.item, COUNT(*) FROM sales s
 		GROUP BY s.item HAVING COUNT(*) >= :minsupport`, map[string]int64{"minsupport": 20})
-	summary := r.Rows[len(r.Rows)-1][0].Str
+	lines := strings.Split(strings.TrimSuffix(r.Plan, "\n"), "\n")
+	summary := lines[len(lines)-1]
 	var actual, estimated int64
 	if _, err := fmt.Sscanf(summary, "actual: %d rows; estimated: %d rows", &actual, &estimated); err != nil {
 		t.Fatalf("unparseable EXPLAIN ANALYZE summary %q: %v", summary, err)

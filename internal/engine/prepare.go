@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"setm/internal/exec"
-	"setm/internal/plan"
 	"setm/internal/sqlparse"
 	"setm/internal/tuple"
 )
@@ -82,7 +81,7 @@ func (s *Stmt) QueryBatches(params map[string]int64) (*tuple.Schema, []*tuple.Ba
 	if !ok {
 		return nil, nil, fmt.Errorf("engine: QueryBatches requires a SELECT, got %T", s.ast)
 	}
-	pl, err := s.db.compile(sel, plan.IntParams(params))
+	pl, err := s.db.compile(sel, params)
 	if err != nil {
 		return nil, nil, err
 	}

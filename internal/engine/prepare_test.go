@@ -28,7 +28,7 @@ func TestPreparedExecMatchesExec(t *testing.T) {
 		}
 		for j := range got.Rows {
 			for c := range got.Rows[j] {
-				if got.Rows[j][c].Int != want.Rows[j][c].Int {
+				if got.Rows[j][c] != want.Rows[j][c] {
 					t.Fatalf("run %d row %d: %v != %v", i, j, got.Rows[j], want.Rows[j])
 				}
 			}
@@ -76,10 +76,10 @@ func TestPreparedSelectSeesCatalogChanges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: QueryBatches: %v", when, err)
 		}
-		for _, rows := range [][]tuple.Tuple{r.Rows, flattenBatches(nil, batches)} {
+		for _, rows := range [][][]int64{r.Rows, flattenBatches(nil, batches)} {
 			var got []int64
 			for _, row := range rows {
-				got = append(got, row[0].Int)
+				got = append(got, row[0])
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%s: got %v, want %v", when, got, want)
@@ -93,10 +93,8 @@ func TestPreparedSelectSeesCatalogChanges(t *testing.T) {
 	db.MustExec("INSERT INTO t VALUES (9, 7)", nil)
 	check("after DROP and CREATE", 7)
 
-	rows := []tuple.Tuple{tuple.Ints(5), tuple.Ints(3), tuple.Ints(4)}
-	if err := db.LoadTable("t", tuple.IntSchema("a"), rows); err != nil {
-		t.Fatal(err)
-	}
+	rows := [][]int64{{5}, {3}, {4}}
+	loadRows(t, db, "t", tuple.IntSchema("a"), rows)
 	check("after a load", 3, 4, 5)
 
 	db.MustExec("DROP TABLE t", nil)
@@ -137,10 +135,10 @@ func TestPreparedSelectSortsAgainAfterAppend(t *testing.T) {
 	}
 	var prev int64 = math.MinInt64
 	for _, row := range r.Rows {
-		if row[0].Int < prev {
+		if row[0] < prev {
 			t.Fatalf("sort skipped after append: out of order %v", r.Rows)
 		}
-		prev = row[0].Int
+		prev = row[0]
 	}
 	if len(r.Rows) != 4 {
 		t.Fatalf("got %d rows, want 4", len(r.Rows))
@@ -174,10 +172,10 @@ func TestPreparedInsertSelectSortsAgainAfterAppend(t *testing.T) {
 	r := db.MustExec("SELECT dst.a FROM dst", nil)
 	var prev int64 = math.MinInt64
 	for _, row := range r.Rows {
-		if row[0].Int < prev {
+		if row[0] < prev {
 			t.Fatalf("sort skipped after the source's append: dst stored out of order %v", r.Rows)
 		}
-		prev = row[0].Int
+		prev = row[0]
 	}
 	if len(r.Rows) != 4 {
 		t.Fatalf("got %d rows, want 4", len(r.Rows))
@@ -230,9 +228,7 @@ func TestExplainWithoutAnalyzeDoesNotExecute(t *testing.T) {
 	db := setupSales(t)
 	db.MustExec("CREATE TABLE sink (item INT)", nil)
 	r := db.MustExec("EXPLAIN SELECT s.item FROM sales s", nil)
-	for _, row := range r.Rows {
-		if strings.Contains(row[0].Str, "actual") {
-			t.Fatalf("plain EXPLAIN must not report actuals: %s", row[0].Str)
-		}
+	if strings.Contains(r.Plan, "actual") {
+		t.Fatalf("plain EXPLAIN must not report actuals:\n%s", r.Plan)
 	}
 }

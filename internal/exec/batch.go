@@ -1,6 +1,5 @@
-// The pull contract's helpers: the one adapter that turns batches into
-// tuples (rowCursor, behind Drain), the joins' shared input cursor, and the
-// column-wise row appenders.
+// The pull contract's helpers: the joins' shared input cursor, DrainBatches,
+// and the column-wise row appenders.
 package exec
 
 import (
@@ -8,29 +7,6 @@ import (
 
 	"setm/internal/tuple"
 )
-
-// rowCursor is the one adapter from the batch contract to tuples: Next
-// hands out op's batches one materialized row at a time. Drain uses it for
-// callers that want rows (SELECT results, the CLI, tests) and the external
-// sort's run builder pulls its input through it (it is an xsort.Iterator).
-type rowCursor struct {
-	op Operator
-	b  *tuple.Batch
-	i  int
-}
-
-func (rc *rowCursor) Next() (tuple.Tuple, error) {
-	for rc.b == nil || rc.i >= rc.b.Len() {
-		b, err := rc.op.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		rc.b, rc.i = b, 0
-	}
-	t := rc.b.Row(rc.i)
-	rc.i++
-	return t, nil
-}
 
 // batchCursor tracks a row position in a stream of batches pulled from an
 // operator — the shared input-advance state of the join operators.

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,13 +13,13 @@ import (
 // ---------------------------------------------------------------------------
 // Row-at-a-time reference implementations. The batch operators are checked
 // against these simple oracles on randomized inputs; the oracles compute
-// the same relational operations directly over []tuple.Tuple.
+// the same relational operations directly over [][]int64.
 
-func refSort(rows []tuple.Tuple, keys []SortKey) []tuple.Tuple {
-	out := append([]tuple.Tuple{}, rows...)
+func refSort(rows [][]int64, keys []SortKey) [][]int64 {
+	out := append([][]int64{}, rows...)
 	sort.SliceStable(out, func(i, j int) bool {
 		for _, k := range keys {
-			c := tuple.Compare(out[i][k.Col], out[j][k.Col])
+			c := cmp.Compare(out[i][k.Col], out[j][k.Col])
 			if c != 0 {
 				if k.Desc {
 					return c > 0
@@ -30,8 +32,8 @@ func refSort(rows []tuple.Tuple, keys []SortKey) []tuple.Tuple {
 	return out
 }
 
-func refFilter(rows []tuple.Tuple, keep func(tuple.Tuple) bool) []tuple.Tuple {
-	var out []tuple.Tuple
+func refFilter(rows [][]int64, keep func([]int64) bool) [][]int64 {
+	var out [][]int64
 	for _, r := range rows {
 		if keep(r) {
 			out = append(out, r)
@@ -40,19 +42,19 @@ func refFilter(rows []tuple.Tuple, keep func(tuple.Tuple) bool) []tuple.Tuple {
 	return out
 }
 
-func refEquiJoin(l, r []tuple.Tuple, lk, rk []int) []tuple.Tuple {
-	var out []tuple.Tuple
+func refEquiJoin(l, r [][]int64, lk, rk []int) [][]int64 {
+	var out [][]int64
 	for _, lt := range l {
 		for _, rt := range r {
 			match := true
 			for i := range lk {
-				if !tuple.Equal(lt[lk[i]], rt[rk[i]]) {
+				if lt[lk[i]] != rt[rk[i]] {
 					match = false
 					break
 				}
 			}
 			if match {
-				row := append(append(tuple.Tuple{}, lt...), rt...)
+				row := append(append([]int64{}, lt...), rt...)
 				out = append(out, row)
 			}
 		}
@@ -60,22 +62,22 @@ func refEquiJoin(l, r []tuple.Tuple, lk, rk []int) []tuple.Tuple {
 	return out
 }
 
-func refGroupCount(rows []tuple.Tuple, groupCols []int) []tuple.Tuple {
+func refGroupCount(rows [][]int64, groupCols []int) [][]int64 {
 	// rows must be sorted on groupCols; emits (group..., count) per run.
-	var out []tuple.Tuple
-	var cur tuple.Tuple
+	var out [][]int64
+	var cur []int64
 	var n int64
 	flush := func() {
 		if cur != nil {
-			row := make(tuple.Tuple, 0, len(groupCols)+1)
+			row := make([]int64, 0, len(groupCols)+1)
 			for _, gc := range groupCols {
 				row = append(row, cur[gc])
 			}
-			out = append(out, append(row, tuple.I(n)))
+			out = append(out, append(row, n))
 		}
 	}
 	for _, r := range rows {
-		if cur != nil && tuple.CompareAt(cur, r, groupCols) == 0 {
+		if cur != nil && sameKeys(cur, r, groupCols) {
 			n++
 			continue
 		}
@@ -86,8 +88,18 @@ func refGroupCount(rows []tuple.Tuple, groupCols []int) []tuple.Tuple {
 	return out
 }
 
+// sameKeys reports whether a and b agree on the columns cols.
+func sameKeys(a, b []int64, cols []int) bool {
+	for _, c := range cols {
+		if a[c] != b[c] {
+			return false
+		}
+	}
+	return true
+}
+
 // drainRows is Drain, failing the test on error.
-func drainRows(t testing.TB, op Operator) []tuple.Tuple {
+func drainRows(t testing.TB, op Operator) [][]int64 {
 	t.Helper()
 	rows, err := Drain(op)
 	if err != nil {
@@ -96,26 +108,26 @@ func drainRows(t testing.TB, op Operator) []tuple.Tuple {
 	return rows
 }
 
-func requireSameRows(t testing.TB, label string, got, want []tuple.Tuple) {
+func requireSameRows(t testing.TB, label string, got, want [][]int64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
 	}
 	for i := range got {
-		if !tuple.EqualTuples(got[i], want[i]) {
+		if !slices.Equal(got[i], want[i]) {
 			t.Fatalf("%s: row %d = %v, want %v", label, i, got[i], want[i])
 		}
 	}
 }
 
-func randRows(rng *rand.Rand, n, arity int, domain int64) []tuple.Tuple {
-	rows := make([]tuple.Tuple, n)
+func randRows(rng *rand.Rand, n, arity int, domain int64) [][]int64 {
+	rows := make([][]int64, n)
 	for i := range rows {
 		vals := make([]int64, arity)
 		for j := range vals {
 			vals[j] = rng.Int63n(domain)
 		}
-		rows[i] = tuple.Ints(vals...)
+		rows[i] = vals
 	}
 	return rows
 }
@@ -135,12 +147,12 @@ func TestOperatorsMatchRowReference(t *testing.T) {
 		requireSameRows(t, "sort", got, refSort(rows, keys))
 
 		// Filter: two conjuncts, the second seeing only the first's rows.
-		aAtLeast3 := func(tp tuple.Tuple) bool { return tp[0].Int >= 3 }
-		bNotC := func(tp tuple.Tuple) bool { return tp[1].Int != tp[2].Int }
+		aAtLeast3 := func(tp []int64) bool { return tp[0] >= 3 }
+		bNotC := func(tp []int64) bool { return tp[1] != tp[2] }
 		filtered := func() Operator {
 			return NewFilter(NewMemScan(schema, rows), []VecPredicate{rowPred(aAtLeast3), rowPred(bNotC)})
 		}
-		wantFiltered := refFilter(rows, func(tp tuple.Tuple) bool { return aAtLeast3(tp) && bNotC(tp) })
+		wantFiltered := refFilter(rows, func(tp []int64) bool { return aAtLeast3(tp) && bNotC(tp) })
 		requireSameRows(t, "filter", drainRows(t, filtered()), wantFiltered)
 
 		// Project: column references only (reorder + duplicate a column),
@@ -156,9 +168,9 @@ func TestOperatorsMatchRowReference(t *testing.T) {
 		}
 		got = drainRows(t, NewProject(filtered(), tuple.IntSchema("c", "a", "a2", "b+c"),
 			[]Expr{ColExpr(2), ColExpr(0), ColExpr(0), sum}))
-		want := make([]tuple.Tuple, len(wantFiltered))
+		want := make([][]int64, len(wantFiltered))
 		for i, r := range wantFiltered {
-			want[i] = tuple.Tuple{r[2], r[0], r[0], tuple.I(r[1].Int + r[2].Int)}
+			want[i] = []int64{r[2], r[0], r[0], r[1] + r[2]}
 		}
 		requireSameRows(t, "project", got, want)
 
@@ -167,8 +179,8 @@ func TestOperatorsMatchRowReference(t *testing.T) {
 		rrows := refSort(randRows(rng, rng.Intn(400), 2, 6), []SortKey{{Col: 0}, {Col: 1}})
 		js := tuple.IntSchema("k", "v")
 		wantJoin := refEquiJoin(lrows, rrows, []int{0}, []int{0})
-		canon := func(rows []tuple.Tuple) {
-			sort.Slice(rows, func(i, j int) bool { return tuple.CompareAll(rows[i], rows[j]) < 0 })
+		canon := func(rows [][]int64) {
+			sort.Slice(rows, func(i, j int) bool { return slices.Compare(rows[i], rows[j]) < 0 })
 		}
 		canon(wantJoin)
 		for _, jc := range []struct {
@@ -207,9 +219,9 @@ func FuzzExecBatch(f *testing.F) {
 		}
 		// Decode rows of arity 2 from the byte stream, small domain so
 		// joins and groups actually collide.
-		var rows []tuple.Tuple
+		var rows [][]int64
 		for i := 0; i+1 < len(data); i += 2 {
-			rows = append(rows, tuple.Ints(int64(data[i]%16), int64(data[i+1]%16)))
+			rows = append(rows, []int64{int64(data[i] % 16), int64(data[i+1] % 16)})
 		}
 		schema := tuple.IntSchema("k", "v")
 		keyCol := int(keyByte) % 2
@@ -224,8 +236,8 @@ func FuzzExecBatch(f *testing.F) {
 		l := refSort(rows[:split], []SortKey{{Col: 0}, {Col: 1}})
 		r := refSort(rows[split:], []SortKey{{Col: 0}, {Col: 1}})
 		want := refEquiJoin(l, r, []int{0}, []int{0})
-		canon := func(rows []tuple.Tuple) {
-			sort.Slice(rows, func(i, j int) bool { return tuple.CompareAll(rows[i], rows[j]) < 0 })
+		canon := func(rows [][]int64) {
+			sort.Slice(rows, func(i, j int) bool { return slices.Compare(rows[i], rows[j]) < 0 })
 		}
 		canon(want)
 		gotJ := drainRows(t, NewMergeJoin(NewMemScan(schema, l), NewMemScan(schema, r),
@@ -245,10 +257,10 @@ func FuzzExecBatch(f *testing.F) {
 
 		// The join kernels, on one and two key columns, dense and selection-
 		// vectored, on (k1, k2, v) rows whose keys reach the int64 extremes.
-		var wide []tuple.Tuple
+		var wide [][]int64
 		for i := 0; i+2 < len(data); i += 3 {
-			wide = append(wide, tuple.Ints(joinKeyVals[int(data[i])%len(joinKeyVals)],
-				joinKeyVals[data[i+1]%2], int64(data[i+2]%9)))
+			wide = append(wide, []int64{joinKeyVals[int(data[i])%len(joinKeyVals)],
+				joinKeyVals[data[i+1]%2], int64(data[i+2] % 9)})
 		}
 		split = int(splitByte) % (len(wide) + 1)
 		wideKeys := []SortKey{{Col: 0}, {Col: 1}}

@@ -3,19 +3,20 @@ package exec
 import (
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"setm/internal/tuple"
 )
 
-func sortedPairs(n, keys int, seed int64) []tuple.Tuple {
+func sortedPairs(n, keys int, seed int64) [][]int64 {
 	rng := rand.New(rand.NewSource(seed))
-	rows := make([]tuple.Tuple, n)
+	rows := make([][]int64, n)
 	for i := range rows {
-		rows[i] = tuple.Ints(rng.Int63n(int64(keys)), int64(i))
+		rows[i] = []int64{rng.Int63n(int64(keys)), int64(i)}
 	}
-	sort.Slice(rows, func(i, j int) bool { return tuple.CompareAll(rows[i], rows[j]) < 0 })
+	sort.Slice(rows, func(i, j int) bool { return slices.Compare(rows[i], rows[j]) < 0 })
 	return rows
 }
 

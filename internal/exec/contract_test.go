@@ -5,7 +5,6 @@ import (
 	"io"
 	"testing"
 
-	hp "setm/internal/heap"
 	"setm/internal/storage"
 	"setm/internal/tuple"
 )
@@ -38,13 +37,7 @@ func contractCases(t *testing.T) (cases []opCase, scan func() Operator, schema *
 	schema = tuple.IntSchema("trans_id", "item")
 	rows := keyRuns(3000, 21) // ascending on trans_id, a dozen pages
 	pool = storage.NewPool(storage.NewMemStore(), 64)
-	f, err := hp.Create(pool, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AppendAll(rows); err != nil {
-		t.Fatal(err)
-	}
+	f := heapFile(t, pool, schema, rows)
 	scan = func() Operator { return NewHeapScan(f) }
 	count := []AggSpec{{Kind: AggCount, Name: "cnt"}}
 	cases = []opCase{
@@ -53,8 +46,8 @@ func contractCases(t *testing.T) (cases []opCase, scan func() Operator, schema *
 		{name: "Rename", build: func(src func() Operator) Operator { return NewRename(src(), tuple.IntSchema("t", "i")) }},
 		{name: "Filter", build: func(src func() Operator) Operator {
 			return NewFilter(src(), []VecPredicate{
-				rowPred(func(tp tuple.Tuple) bool { return tp[1].Int%2 == 0 }),
-				rowPred(func(tp tuple.Tuple) bool { return tp[0].Int%3 != 0 }),
+				rowPred(func(tp []int64) bool { return tp[1]%2 == 0 }),
+				rowPred(func(tp []int64) bool { return tp[0]%3 != 0 }),
 			})
 		}},
 		{name: "Project", build: func(src func() Operator) Operator {
@@ -83,12 +76,12 @@ func contractCases(t *testing.T) (cases []opCase, scan func() Operator, schema *
 
 // pullAll opens op and pulls it to io.EOF, returning its rows and leaving
 // it open.
-func pullAll(t *testing.T, op Operator) []tuple.Tuple {
+func pullAll(t *testing.T, op Operator) [][]int64 {
 	t.Helper()
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
-	var rows []tuple.Tuple
+	var rows [][]int64
 	for {
 		b, err := op.NextBatch()
 		if err == io.EOF {
@@ -100,10 +93,20 @@ func pullAll(t *testing.T, op Operator) []tuple.Tuple {
 		if b.Len() == 0 {
 			t.Fatal("NextBatch returned an empty batch")
 		}
-		for i := 0; i < b.Len(); i++ {
-			rows = append(rows, b.Row(i))
+		rows = append(rows, batchRows(b)...)
+	}
+}
+
+// batchRows returns b's logical rows, read through its selection.
+func batchRows(b *tuple.Batch) [][]int64 {
+	rows := make([][]int64, b.Len())
+	for i := range rows {
+		rows[i] = make([]int64, len(b.Cols))
+		for c := range b.Cols {
+			rows[i][c] = b.Cols[c].I[b.RowIdx(i)]
 		}
 	}
+	return rows
 }
 
 // TestOperatorEOFAfterExhaustion: once an operator has returned io.EOF,
@@ -130,8 +133,8 @@ func TestOperatorEOFAfterExhaustion(t *testing.T) {
 
 // TestOperatorContract holds every operator to the rest of the one pull
 // contract: a second and third Open–drain–Close of the same instance yield
-// the same rows, Drain — the row adapter — sees exactly the rows NextBatch
-// produced, and Close is safe after a failed Open.
+// the same rows, Drain sees exactly the rows NextBatch produced, and Close
+// is safe after a failed Open.
 func TestOperatorContract(t *testing.T) {
 	cases, scan, schema, pool := contractCases(t)
 	for _, tc := range cases {
@@ -142,19 +145,16 @@ func TestOperatorContract(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The same instance again, through the row adapter and through
-			// DrainBatches.
+			// The same instance again, through Drain and through DrainBatches.
 			requireSameRows(t, "Drain vs NextBatch", drainRows(t, op), viaBatches)
 			requireSameRows(t, "second Drain", drainRows(t, op), viaBatches)
 			batches, err := DrainBatches(op)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var flat []tuple.Tuple
+			var flat [][]int64
 			for _, b := range batches {
-				for i := 0; i < b.Len(); i++ {
-					flat = append(flat, b.Row(i))
-				}
+				flat = append(flat, batchRows(b)...)
 			}
 			requireSameRows(t, "DrainBatches flattened vs Drain", flat, viaBatches)
 			if n := pool.PinnedFrames(); n != 0 {

@@ -5,11 +5,11 @@
 //
 // The operators are vectorized and have one pull contract: data moves as
 // tuple.Batch integer column vectors (~1024 rows per pull) through
-// NextBatch. Callers that want tuples go through Drain, the one row
-// adapter. The merge-scan join and sort operators are the two primitives
-// the paper reduces Algorithm SETM to (Section 4.4). Every join is an
-// equi-join; the one condition evaluated inside a join is the merge join's
-// right > left column test (SetVecResidualGT), SETM's lexicographic
+// NextBatch, the only form rows take. Drain copies a result out as one
+// []int64 per row. The merge-scan join and sort operators are the two
+// primitives the paper reduces Algorithm SETM to (Section 4.4). Every join
+// is an equi-join; the one condition evaluated inside a join is the merge
+// join's right > left column test (SetVecResidualGT), SETM's lexicographic
 // extension condition.
 //
 // Expressions have one form, Expr: a function that computes a column
@@ -21,6 +21,7 @@ package exec
 
 import (
 	"io"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -47,25 +48,24 @@ type Operator interface {
 	Close() error
 }
 
-// Drain pulls every row of op (calling Open and Close) into memory as
-// tuples.
-func Drain(op Operator) ([]tuple.Tuple, error) {
-	if err := op.Open(); err != nil {
+// Drain pulls every row of op (calling Open and Close) into memory, one
+// []int64 per row in schema order.
+func Drain(op Operator) ([][]int64, error) {
+	batches, err := DrainBatches(op)
+	if err != nil {
 		return nil, err
 	}
-	defer op.Close()
-	rows := rowCursor{op: op}
-	var out []tuple.Tuple
-	for {
-		t, err := rows.Next()
-		if err == io.EOF {
-			return out, nil
+	var rows [][]int64
+	for _, b := range batches { // dense copies
+		for i := range b.Len() {
+			row := make([]int64, len(b.Cols))
+			for c := range b.Cols {
+				row[c] = b.Cols[c].I[i]
+			}
+			rows = append(rows, row)
 		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
 	}
+	return rows, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ func (s *HeapScan) Close() error {
 	return nil
 }
 
-// Rename passes tuples through unchanged under a different schema; the
+// Rename passes batches through unchanged under a different schema; the
 // planner uses it to qualify base-table column names with FROM-clause
 // bindings ("sales r1" exposes columns "r1.trans_id", "r1.item").
 type Rename struct {
@@ -270,17 +270,20 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes and orders its input on its keys. Equal keys keep
-// their input order on both paths:
-//
-//   - Without a pool the sort is columnar and in memory: input batches are
-//     gathered into one columnar buffer and an index permutation is sorted
-//     with cache-friendly column comparisons — no per-row boxing. The
-//     permutation index is the final tie-break.
-//   - With a pool the sort is external (xsort.Stream): rows are pulled
-//     through the row adapter into bounded runs that spill to heap files
-//     in the pool and are merged, so their I/O is counted (the 2·Σ‖R'_i‖
-//     term of Section 4.3). The sorted file lives until Close.
+// DefaultSortMemory bounds the bytes of rows an external sort holds per
+// run when it is given a non-positive limit (4 MB — large enough that the
+// paper's data sets sort in one or two runs, small enough to exercise
+// merging in tests).
+const DefaultSortMemory = 4 << 20
+
+// Sort materializes and orders its input on its keys. Input batches are
+// gathered into one columnar store and an index permutation is sorted with
+// column comparisons; the permutation index is the final tie-break, so
+// equal keys keep their input order. Without a pool that is the whole
+// sort. With a pool the sort is external: every memLimit bytes of input
+// the store is sorted and written as a heap-file run in the pool, and
+// xsort.MergeFiles merges the runs, so their I/O is counted (the
+// 2·Σ‖R'_i‖ term of Section 4.3). The sorted file lives until Close.
 type Sort struct {
 	child    Operator
 	keys     []SortKey
@@ -289,7 +292,7 @@ type Sort struct {
 
 	sizeHint int // expected input rows, pre-sizes the columnar buffer
 
-	// columnar path state
+	// in-memory path state
 	store *tuple.Batch
 	perm  []int32
 	pos   int
@@ -300,9 +303,9 @@ type Sort struct {
 	stats OpStats
 }
 
-// NewSortKeys builds a sort on keys: vectorized in memory when pool is
-// nil, external otherwise, spilling runs of at most memLimit bytes
-// (0 = xsort.DefaultMemoryLimit) through pool.
+// NewSortKeys builds a sort on keys: in memory when pool is nil, external
+// otherwise, writing runs of at most memLimit bytes (0 = DefaultSortMemory)
+// through pool.
 func NewSortKeys(child Operator, keys []SortKey, pool *storage.Pool, memLimit int) *Sort {
 	return &Sort{child: child, keys: keys, pool: pool, memLimit: memLimit}
 }
@@ -312,23 +315,6 @@ func (s *Sort) Schema() *tuple.Schema { return s.child.Schema() }
 // SetSizeHint pre-sizes the columnar gather buffer for n input rows.
 func (s *Sort) SetSizeHint(n int) { s.sizeHint = n }
 
-// comparatorFromKeys lowers sort keys to an xsort comparator for the
-// external path.
-func comparatorFromKeys(keys []SortKey) xsort.Comparator {
-	return func(a, b tuple.Tuple) int {
-		for _, k := range keys {
-			c := tuple.Compare(a[k.Col], b[k.Col])
-			if c != 0 {
-				if k.Desc {
-					return -c
-				}
-				return c
-			}
-		}
-		return 0
-	}
-}
-
 func (s *Sort) Open() error {
 	s.stats.Reset()
 	// The child is drained here, so it is closed here — also when its Open
@@ -337,10 +323,71 @@ func (s *Sort) Open() error {
 	if err := s.child.Open(); err != nil {
 		return err
 	}
-	if s.pool == nil {
-		return s.openColumnar()
+	schema := s.child.Schema()
+	cols := make([]int, len(s.keys))
+	desc := make([]bool, len(s.keys))
+	for i, k := range s.keys {
+		cols[i], desc[i] = k.Col, k.Desc
 	}
-	f, err := xsort.Stream(s.pool, s.child.Schema(), &rowCursor{op: s.child}, comparatorFromKeys(s.keys), s.memLimit)
+	runRows := math.MaxInt
+	if s.pool != nil {
+		mem, width := s.memLimit, 8*schema.Len()
+		if mem <= 0 {
+			mem = DefaultSortMemory
+		}
+		runRows = (mem + width - 1) / width
+	}
+	store := tuple.NewBatch(schema)
+	store.Grow(min(s.sizeHint, runRows))
+	var runs []*hp.File
+	// spill sorts the store into a fresh run; on failure it frees them all.
+	spill := func() error {
+		store.SetSel(sortPerm(store, cols, desc))
+		run, err := hp.Create(s.pool, schema)
+		if err == nil {
+			runs = append(runs, run)
+			err = run.AppendBatch(store)
+		}
+		store.Reset()
+		if err != nil {
+			hp.FreeAll(runs)
+		}
+		return err
+	}
+	for {
+		b, err := s.child.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			hp.FreeAll(runs)
+			return err
+		}
+		for from, n := 0, b.Len(); from < n; {
+			k := min(n-from, runRows-store.Len())
+			store.AppendRange(b, from, from+k)
+			from += k
+			if store.Len() == runRows {
+				if err := spill(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if s.pool == nil {
+		s.store, s.perm, s.pos = store, sortPerm(store, cols, desc), 0
+		if s.buf == nil {
+			s.buf = tuple.NewBatch(schema)
+		}
+		return nil
+	}
+	// Every external sort writes at least one run, the last one included.
+	if store.Len() > 0 || len(runs) == 0 {
+		if err := spill(); err != nil {
+			return err
+		}
+	}
+	f, err := xsort.MergeFiles(s.pool, runs, cols, desc)
 	if err != nil {
 		return err
 	}
@@ -426,33 +473,13 @@ func storeSortedAsc(store *tuple.Batch, cols []int) bool {
 	return true
 }
 
-// openColumnar gathers the child into a columnar buffer and sorts an index
-// permutation over it.
-func (s *Sort) openColumnar() error {
-	store := tuple.NewBatch(s.child.Schema())
-	if s.sizeHint > 0 {
-		store.Grow(s.sizeHint)
-	}
-	for {
-		b, err := s.child.NextBatch()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		store.Append(b)
-	}
+// sortPerm returns the permutation that orders store's rows on the key
+// columns cols (desc[i] flips cols[i]), equal keys in input order.
+func sortPerm(store *tuple.Batch, cols []int, desc []bool) []int32 {
 	n := store.Len()
 	perm := make([]int32, n)
 	for i := range perm {
 		perm[i] = int32(i)
-	}
-	cols := make([]int, len(s.keys))
-	desc := make([]bool, len(s.keys))
-	for i, k := range s.keys {
-		cols[i] = k.Col
-		desc[i] = k.Desc
 	}
 	// All-ascending keys (every SETM sort) compare raw column slices; a
 	// descending key takes the per-key comparator.
@@ -526,11 +553,7 @@ func (s *Sort) openColumnar() error {
 			return int(pi) - int(pj) // stability: preserve input order on ties
 		})
 	}
-	s.store, s.perm, s.pos = store, perm, 0
-	if s.buf == nil {
-		s.buf = tuple.NewBatch(s.child.Schema())
-	}
-	return nil
+	return perm
 }
 
 func (s *Sort) nextBatch() (*tuple.Batch, error) {

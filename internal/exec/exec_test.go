@@ -3,15 +3,15 @@ package exec
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
-	hp "setm/internal/heap"
 	"setm/internal/storage"
 	"setm/internal/tuple"
 )
 
-func mem(names string, rows ...tuple.Tuple) *MemScan {
+func mem(names string, rows ...[]int64) *MemScan {
 	var cols []string
 	start := 0
 	for i := 0; i <= len(names); i++ {
@@ -24,28 +24,22 @@ func mem(names string, rows ...tuple.Tuple) *MemScan {
 }
 
 func TestMemScanAndDrain(t *testing.T) {
-	s := mem("a,b", tuple.Ints(1, 2), tuple.Ints(3, 4))
+	s := mem("a,b", []int64{1, 2}, []int64{3, 4})
 	got, err := Drain(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[1][1].Int != 4 {
+	if len(got) != 2 || got[1][1] != 4 {
 		t.Errorf("Drain = %v", got)
 	}
 }
 
 func TestHeapScan(t *testing.T) {
-	pool := storage.NewPool(storage.NewMemStore(), 16)
-	f, err := hp.Create(pool, tuple.IntSchema("x"))
-	if err != nil {
-		t.Fatal(err)
+	rows := make([][]int64, 500)
+	for i := range rows {
+		rows[i] = []int64{int64(i)}
 	}
-	for i := 0; i < 500; i++ {
-		if err := f.Append(tuple.Ints(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := Drain(NewHeapScan(f))
+	got, err := Drain(NewHeapScan(heapFile(t, nil, tuple.IntSchema("x"), rows)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +50,12 @@ func TestHeapScan(t *testing.T) {
 
 // rowPred adapts a per-row test to a VecPredicate, so operator tests can
 // state a filter one row at a time.
-func rowPred(keep func(tuple.Tuple) bool) VecPredicate {
+func rowPred(keep func([]int64) bool) VecPredicate {
 	return func(b *tuple.Batch, in, out []int32) ([]int32, error) {
-		row := make(tuple.Tuple, len(b.Cols))
+		row := make([]int64, len(b.Cols))
 		test := func(phys int32) {
 			for c := range b.Cols {
-				row[c] = tuple.I(b.Cols[c].I[phys])
+				row[c] = b.Cols[c].I[phys]
 			}
 			if keep(row) {
 				out = append(out, phys)
@@ -90,25 +84,25 @@ func constExpr(v int64) Expr {
 }
 
 func TestFilter(t *testing.T) {
-	s := mem("v", tuple.Ints(1), tuple.Ints(2), tuple.Ints(3), tuple.Ints(4))
-	f := NewFilter(s, []VecPredicate{rowPred(func(tp tuple.Tuple) bool { return tp[0].Int%2 == 0 })})
+	s := mem("v", []int64{1}, []int64{2}, []int64{3}, []int64{4})
+	f := NewFilter(s, []VecPredicate{rowPred(func(tp []int64) bool { return tp[0]%2 == 0 })})
 	got, err := Drain(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0][0].Int != 2 || got[1][0].Int != 4 {
+	if len(got) != 2 || got[0][0] != 2 || got[1][0] != 4 {
 		t.Errorf("Filter = %v", got)
 	}
 }
 
 func TestProject(t *testing.T) {
-	s := mem("a,b,c", tuple.Ints(1, 2, 3))
+	s := mem("a,b,c", []int64{1, 2, 3})
 	p := NewProject(s, s.Schema().Project([]int{2, 0}), []Expr{ColExpr(2), ColExpr(0)})
 	got, err := Drain(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0][0].Int != 3 || got[0][1].Int != 1 {
+	if got[0][0] != 3 || got[0][1] != 1 {
 		t.Errorf("Project = %v", got)
 	}
 	if p.Schema().Names()[0] != "c" {
@@ -117,24 +111,24 @@ func TestProject(t *testing.T) {
 }
 
 func TestProjectWithConstAndError(t *testing.T) {
-	s := mem("a", tuple.Ints(5))
+	s := mem("a", []int64{5})
 	p := NewProject(s, tuple.IntSchema("a", "k"), []Expr{ColExpr(0), constExpr(42)})
 	got, err := Drain(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0][1].Int != 42 {
+	if got[0][1] != 42 {
 		t.Errorf("const expression = %v", got)
 	}
 	boom := func(*tuple.Batch, []int32, []int64) ([]int64, error) { return nil, errBoom }
-	bad := NewProject(mem("a", tuple.Ints(1)), tuple.IntSchema("x"), []Expr{boom})
+	bad := NewProject(mem("a", []int64{1}), tuple.IntSchema("x"), []Expr{boom})
 	if _, err := Drain(bad); !errors.Is(err, errBoom) {
 		t.Errorf("failing expression surfaced as %v", err)
 	}
 }
 
 func TestSortOperatorInMemoryAndExternal(t *testing.T) {
-	rows := []tuple.Tuple{tuple.Ints(3), tuple.Ints(1), tuple.Ints(2)}
+	rows := [][]int64{{3}, {1}, {2}}
 	for _, withPool := range []bool{false, true} {
 		var pool *storage.Pool
 		if withPool {
@@ -146,7 +140,7 @@ func TestSortOperatorInMemoryAndExternal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, want := range []int64{1, 2, 3} {
-			if got[i][0].Int != want {
+			if got[i][0] != want {
 				t.Errorf("withPool=%v: sorted[%d] = %v", withPool, i, got[i])
 			}
 		}
@@ -157,9 +151,9 @@ func TestMergeJoinBasic(t *testing.T) {
 	// SALES-style join: R1(tid, item) ⋈ SALES(tid, item) on tid with
 	// residual right.item > left.item — the SETM extension step.
 	left := mem("tid,item",
-		tuple.Ints(10, 1), tuple.Ints(10, 2), tuple.Ints(20, 1))
+		[]int64{10, 1}, []int64{10, 2}, []int64{20, 1})
 	right := mem("tid,item",
-		tuple.Ints(10, 1), tuple.Ints(10, 2), tuple.Ints(10, 3), tuple.Ints(20, 1), tuple.Ints(20, 4))
+		[]int64{10, 1}, []int64{10, 2}, []int64{10, 3}, []int64{20, 1}, []int64{20, 4})
 	j := NewMergeJoin(left, right, []int{0}, []int{0})
 	j.SetVecResidualGT(1, 1)
 	got, err := Drain(j)
@@ -173,7 +167,7 @@ func TestMergeJoinBasic(t *testing.T) {
 	want := [][4]int64{{10, 1, 10, 2}, {10, 1, 10, 3}, {10, 2, 10, 3}, {20, 1, 20, 4}}
 	for i, w := range want {
 		for c := 0; c < 4; c++ {
-			if got[i][c].Int != w[c] {
+			if got[i][c] != w[c] {
 				t.Errorf("row %d = %v, want %v", i, got[i], w)
 			}
 		}
@@ -181,8 +175,8 @@ func TestMergeJoinBasic(t *testing.T) {
 }
 
 func TestMergeJoinManyToMany(t *testing.T) {
-	left := mem("k,l", tuple.Ints(1, 100), tuple.Ints(1, 101), tuple.Ints(2, 102))
-	right := mem("k,r", tuple.Ints(1, 200), tuple.Ints(1, 201), tuple.Ints(3, 202))
+	left := mem("k,l", []int64{1, 100}, []int64{1, 101}, []int64{2, 102})
+	right := mem("k,r", []int64{1, 200}, []int64{1, 201}, []int64{3, 202})
 	j := NewMergeJoin(left, right, []int{0}, []int{0})
 	got, err := Drain(j)
 	if err != nil {
@@ -194,8 +188,8 @@ func TestMergeJoinManyToMany(t *testing.T) {
 }
 
 func TestMergeJoinDisjointKeys(t *testing.T) {
-	left := mem("k", tuple.Ints(1), tuple.Ints(3), tuple.Ints(5))
-	right := mem("k", tuple.Ints(2), tuple.Ints(4), tuple.Ints(6))
+	left := mem("k", []int64{1}, []int64{3}, []int64{5})
+	right := mem("k", []int64{2}, []int64{4}, []int64{6})
 	j := NewMergeJoin(left, right, []int{0}, []int{0})
 	got, err := Drain(j)
 	if err != nil {
@@ -209,11 +203,11 @@ func TestMergeJoinDisjointKeys(t *testing.T) {
 func TestMergeJoinEmptyInputs(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
-		left, right []tuple.Tuple
+		left, right [][]int64
 	}{
 		{"both empty", nil, nil},
-		{"left empty", nil, []tuple.Tuple{tuple.Ints(1)}},
-		{"right empty", []tuple.Tuple{tuple.Ints(1)}, nil},
+		{"left empty", nil, [][]int64{{1}}},
+		{"right empty", [][]int64{{1}}, nil},
 	} {
 		j := NewMergeJoin(mem("k", tc.left...), mem("k", tc.right...), []int{0}, []int{0})
 		got, err := Drain(j)
@@ -231,15 +225,15 @@ func TestMergeJoinMatchesNestedLoop(t *testing.T) {
 	// reference.
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
-		var lrows, rrows []tuple.Tuple
+		var lrows, rrows [][]int64
 		for i := 0; i < rng.Intn(40); i++ {
-			lrows = append(lrows, tuple.Ints(rng.Int63n(10), rng.Int63n(5)))
+			lrows = append(lrows, []int64{rng.Int63n(10), rng.Int63n(5)})
 		}
 		for i := 0; i < rng.Intn(40); i++ {
-			rrows = append(rrows, tuple.Ints(rng.Int63n(10), rng.Int63n(5)))
+			rrows = append(rrows, []int64{rng.Int63n(10), rng.Int63n(5)})
 		}
-		byKey := func(rows []tuple.Tuple) {
-			sort.SliceStable(rows, func(i, j int) bool { return tuple.CompareAll(rows[i], rows[j]) < 0 })
+		byKey := func(rows [][]int64) {
+			sort.SliceStable(rows, func(i, j int) bool { return slices.Compare(rows[i], rows[j]) < 0 })
 		}
 		byKey(lrows)
 		byKey(rrows)
@@ -253,13 +247,13 @@ func TestMergeJoinMatchesNestedLoop(t *testing.T) {
 		if len(mjRows) != len(nlRows) {
 			t.Fatalf("trial %d: merge=%d nested=%d", trial, len(mjRows), len(nlRows))
 		}
-		canon := func(rows []tuple.Tuple) {
-			sort.Slice(rows, func(i, j int) bool { return tuple.CompareAll(rows[i], rows[j]) < 0 })
+		canon := func(rows [][]int64) {
+			sort.Slice(rows, func(i, j int) bool { return slices.Compare(rows[i], rows[j]) < 0 })
 		}
 		canon(mjRows)
 		canon(nlRows)
 		for i := range mjRows {
-			if !tuple.EqualTuples(mjRows[i], nlRows[i]) {
+			if !slices.Equal(mjRows[i], nlRows[i]) {
 				t.Fatalf("trial %d row %d: %v vs %v", trial, i, mjRows[i], nlRows[i])
 			}
 		}
@@ -268,7 +262,7 @@ func TestMergeJoinMatchesNestedLoop(t *testing.T) {
 
 func TestSortGroupCount(t *testing.T) {
 	// Count items, HAVING-style filtering applied downstream.
-	s := mem("item", tuple.Ints(1), tuple.Ints(1), tuple.Ints(1), tuple.Ints(2), tuple.Ints(3), tuple.Ints(3))
+	s := mem("item", []int64{1}, []int64{1}, []int64{1}, []int64{2}, []int64{3}, []int64{3})
 	g := NewSortGroup(s, []int{0}, []AggSpec{{Kind: AggCount, Name: "cnt"}})
 	got, err := Drain(g)
 	if err != nil {
@@ -279,15 +273,15 @@ func TestSortGroupCount(t *testing.T) {
 		t.Fatalf("groups = %v", got)
 	}
 	for _, row := range got {
-		if want[row[0].Int] != row[1].Int {
-			t.Errorf("count(%d) = %d, want %d", row[0].Int, row[1].Int, want[row[0].Int])
+		if want[row[0]] != row[1] {
+			t.Errorf("count(%d) = %d, want %d", row[0], row[1], want[row[0]])
 		}
 	}
 }
 
 func TestSortGroupMultiKeyAndAggs(t *testing.T) {
 	s := mem("a,b,v",
-		tuple.Ints(1, 1, 5), tuple.Ints(1, 1, 7), tuple.Ints(1, 2, 1), tuple.Ints(2, 1, 9))
+		[]int64{1, 1, 5}, []int64{1, 1, 7}, []int64{1, 2, 1}, []int64{2, 1, 9})
 	g := NewSortGroup(s, []int{0, 1}, []AggSpec{
 		{Kind: AggCount, Name: "cnt"},
 		{Kind: AggSum, Col: 2, Name: "sum"},
@@ -303,7 +297,7 @@ func TestSortGroupMultiKeyAndAggs(t *testing.T) {
 	}
 	// First group (1,1): count 2, sum 12, min 5, max 7.
 	r := got[0]
-	if r[2].Int != 2 || r[3].Int != 12 || r[4].Int != 5 || r[5].Int != 7 {
+	if r[2] != 2 || r[3] != 12 || r[4] != 5 || r[5] != 7 {
 		t.Errorf("group (1,1) = %v", r)
 	}
 }
@@ -320,16 +314,16 @@ func TestSortGroupEmptyInput(t *testing.T) {
 }
 
 // TestMaterialize: a sort given a pool materializes its input as heap-file
-// runs (xsort.Stream) and streams the merged file back, leaving nothing
-// pinned.
+// runs, merges them (xsort.MergeFiles) and streams the merged file back,
+// leaving nothing pinned.
 func TestMaterialize(t *testing.T) {
 	pool := storage.NewPool(storage.NewMemStore(), 16)
-	s := mem("a,b", tuple.Ints(3, 4), tuple.Ints(1, 2))
+	s := mem("a,b", []int64{3, 4}, []int64{1, 2})
 	rows, err := Drain(NewSortKeys(s, []SortKey{{Col: 0}}, pool, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0][0].Int != 1 || rows[1][0].Int != 3 {
+	if len(rows) != 2 || rows[0][0] != 1 || rows[1][0] != 3 {
 		t.Errorf("materialized sort = %v", rows)
 	}
 	if n := pool.PinnedFrames(); n != 0 {
@@ -340,9 +334,9 @@ func TestMaterialize(t *testing.T) {
 func TestPipelineComposition(t *testing.T) {
 	// sort -> group count over random data with duplicates.
 	rng := rand.New(rand.NewSource(11))
-	var rows []tuple.Tuple
+	var rows [][]int64
 	for i := 0; i < 1000; i++ {
-		rows = append(rows, tuple.Ints(rng.Int63n(20)))
+		rows = append(rows, []int64{rng.Int63n(20)})
 	}
 	p := NewSortGroup(
 		NewSortKeys(mem("v", rows...), []SortKey{{Col: 0}}, nil, 0),
@@ -353,12 +347,12 @@ func TestPipelineComposition(t *testing.T) {
 	}
 	total := int64(0)
 	for i := 1; i < len(got); i++ {
-		if got[i-1][0].Int >= got[i][0].Int {
+		if got[i-1][0] >= got[i][0] {
 			t.Fatal("group keys not ascending")
 		}
 	}
 	for _, r := range got {
-		total += r[1].Int
+		total += r[1]
 	}
 	if total != 1000 {
 		t.Errorf("counts sum to %d, want 1000", total)

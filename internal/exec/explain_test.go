@@ -4,26 +4,17 @@ import (
 	"strings"
 	"testing"
 
-	hp "setm/internal/heap"
-	"setm/internal/storage"
 	"setm/internal/tuple"
 )
 
 func TestExplainRendersEveryOperator(t *testing.T) {
-	pool := storage.NewPool(storage.NewMemStore(), 16)
-	f, err := hp.Create(pool, tuple.IntSchema("k", "v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Append(tuple.Ints(1, 2)); err != nil {
-		t.Fatal(err)
-	}
+	f := heapFile(t, nil, tuple.IntSchema("k", "v"), [][]int64{{1, 2}})
 
 	scan := NewHeapScan(f)
 	renamed := NewRename(scan, tuple.IntSchema("t.k", "t.v"))
-	filtered := NewFilter(renamed, []VecPredicate{rowPred(func(tuple.Tuple) bool { return true })})
+	filtered := NewFilter(renamed, []VecPredicate{rowPred(func([]int64) bool { return true })})
 	sorted := NewSortKeys(filtered, []SortKey{{Col: 0}}, nil, 0)
-	right := NewMemScan(tuple.IntSchema("u.k"), []tuple.Tuple{tuple.Ints(1)})
+	right := NewMemScan(tuple.IntSchema("u.k"), [][]int64{{1}})
 	joined := NewMergeJoin(sorted, right, []int{0}, []int{0})
 	joined.SetVecResidualGT(1, 0)
 	grouped := NewSortGroup(joined, []int{0}, []AggSpec{{Kind: AggCount, Name: "cnt"}})

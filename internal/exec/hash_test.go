@@ -2,16 +2,15 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
-
-	"setm/internal/tuple"
 )
 
 func TestHashJoinBasic(t *testing.T) {
-	left := mem("tid,item", tuple.Ints(10, 1), tuple.Ints(10, 2), tuple.Ints(20, 1))
+	left := mem("tid,item", []int64{10, 1}, []int64{10, 2}, []int64{20, 1})
 	right := mem("tid,item",
-		tuple.Ints(10, 1), tuple.Ints(10, 2), tuple.Ints(10, 3), tuple.Ints(20, 1), tuple.Ints(20, 4))
+		[]int64{10, 1}, []int64{10, 2}, []int64{10, 3}, []int64{20, 1}, []int64{20, 4})
 	j := NewHashJoin(left, right, []int{0}, []int{0})
 	got, err := Drain(j)
 	if err != nil {
@@ -26,15 +25,15 @@ func TestHashJoinBasic(t *testing.T) {
 func TestHashJoinMatchesMergeJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 25; trial++ {
-		var lrows, rrows []tuple.Tuple
+		var lrows, rrows [][]int64
 		for i := 0; i < rng.Intn(60); i++ {
-			lrows = append(lrows, tuple.Ints(rng.Int63n(8), rng.Int63n(5)))
+			lrows = append(lrows, []int64{rng.Int63n(8), rng.Int63n(5)})
 		}
 		for i := 0; i < rng.Intn(60); i++ {
-			rrows = append(rrows, tuple.Ints(rng.Int63n(8), rng.Int63n(5)))
+			rrows = append(rrows, []int64{rng.Int63n(8), rng.Int63n(5)})
 		}
-		canon := func(rows []tuple.Tuple) {
-			sort.Slice(rows, func(i, j int) bool { return tuple.CompareAll(rows[i], rows[j]) < 0 })
+		canon := func(rows [][]int64) {
+			sort.Slice(rows, func(i, j int) bool { return slices.Compare(rows[i], rows[j]) < 0 })
 		}
 		canon(lrows)
 		canon(rrows)
@@ -55,7 +54,7 @@ func TestHashJoinMatchesMergeJoin(t *testing.T) {
 		canon(hjRows)
 		canon(mjRows)
 		for i := range hjRows {
-			if !tuple.EqualTuples(hjRows[i], mjRows[i]) {
+			if !slices.Equal(hjRows[i], mjRows[i]) {
 				t.Fatalf("trial %d row %d: %v vs %v", trial, i, hjRows[i], mjRows[i])
 			}
 		}
@@ -65,11 +64,11 @@ func TestHashJoinMatchesMergeJoin(t *testing.T) {
 func TestHashJoinEmptyInputs(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
-		left, right []tuple.Tuple
+		left, right [][]int64
 	}{
 		{"both empty", nil, nil},
-		{"left empty", nil, []tuple.Tuple{tuple.Ints(1)}},
-		{"right empty", []tuple.Tuple{tuple.Ints(1)}, nil},
+		{"left empty", nil, [][]int64{{1}}},
+		{"right empty", [][]int64{{1}}, nil},
 	} {
 		j := NewHashJoin(mem("k", tc.left...), mem("k", tc.right...), []int{0}, []int{0})
 		got, err := Drain(j)

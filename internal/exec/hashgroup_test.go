@@ -4,37 +4,22 @@ import (
 	"math/rand"
 	"testing"
 
-	hp "setm/internal/heap"
-	"setm/internal/storage"
 	"setm/internal/tuple"
 )
 
 // heapFile builds a heap file from rows (several pages when rows is large
 // enough: ~250 two-int rows per 4 KB page).
-func heapFile(t testing.TB, schema *tuple.Schema, rows []tuple.Tuple) *hp.File {
-	t.Helper()
-	pool := storage.NewPool(storage.NewMemStore(), 64)
-	f, err := hp.Create(pool, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AppendAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 // keyRuns generates n (trans_id, item) rows ascending on trans_id with
 // duplicate-key runs, the physical shape of every SETM relation.
-func keyRuns(n int, seed int64) []tuple.Tuple {
+func keyRuns(n int, seed int64) [][]int64 {
 	rng := rand.New(rand.NewSource(seed))
-	rows := make([]tuple.Tuple, 0, n)
+	rows := make([][]int64, 0, n)
 	tid := int64(0)
 	for len(rows) < n {
 		tid += 1 + rng.Int63n(3)
 		run := 1 + rng.Intn(6)
 		for j := 0; j < run && len(rows) < n; j++ {
-			rows = append(rows, tuple.Ints(tid, rng.Int63n(50)))
+			rows = append(rows, []int64{tid, rng.Int63n(50)})
 		}
 	}
 	return rows
@@ -45,9 +30,9 @@ func keyRuns(n int, seed int64) []tuple.Tuple {
 // on a multi-page input, on an empty one, and again when re-opened.
 func TestHashGroupMatchesSortGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var rows []tuple.Tuple
+	var rows [][]int64
 	for i := 0; i < 5000; i++ {
-		rows = append(rows, tuple.Ints(rng.Int63n(97), rng.Int63n(13), rng.Int63n(1000)))
+		rows = append(rows, []int64{rng.Int63n(97), rng.Int63n(13), rng.Int63n(1000)})
 	}
 	schema := tuple.IntSchema("a", "b", "v")
 	specs := []AggSpec{
@@ -57,8 +42,8 @@ func TestHashGroupMatchesSortGroup(t *testing.T) {
 		{Kind: AggMax, Col: 2, Name: "mx"},
 	}
 	groupCols := []int{0, 1}
-	for label, in := range map[string][]tuple.Tuple{"5000 rows": rows, "empty": nil} {
-		f := heapFile(t, schema, in)
+	for label, in := range map[string][][]int64{"5000 rows": rows, "empty": nil} {
+		f := heapFile(t, nil, schema, in)
 		sorted := NewSortKeys(NewHeapScan(f), []SortKey{{Col: 0}, {Col: 1}}, nil, 0)
 		want := drainRows(t, NewSortGroup(sorted, groupCols, specs))
 		if (len(want) == 0) != (len(in) == 0) {

@@ -13,7 +13,7 @@ import (
 // shape (k1, k2, v): keys picks the key columns, v is the residual column.
 // Both sides must be sorted on their key columns.
 type joinCase struct {
-	l, r []tuple.Tuple
+	l, r [][]int64
 	keys []int
 	// sel routes both inputs through a vectorized filter (v%4 != 0), so the
 	// joins see selection-vectored batches.
@@ -26,10 +26,10 @@ var joinKeyVals = []int64{math.MinInt64, math.MinInt64 + 1, -2, -1, 0, 1, 2, 3, 
 
 // joinRows draws n rows (k1, k2, v) over the first dom key values. The
 // rows come back sorted on (k1, k2); v stays in draw order unless sortV.
-func joinRows(rng *rand.Rand, n, dom int, sortV bool) []tuple.Tuple {
-	rows := make([]tuple.Tuple, n)
+func joinRows(rng *rand.Rand, n, dom int, sortV bool) [][]int64 {
+	rows := make([][]int64, n)
 	for i := range rows {
-		rows[i] = tuple.Ints(joinKeyVals[rng.Intn(dom)], joinKeyVals[rng.Intn(2)], rng.Int63n(9))
+		rows[i] = []int64{joinKeyVals[rng.Intn(dom)], joinKeyVals[rng.Intn(2)], rng.Int63n(9)}
 	}
 	keys := []SortKey{{Col: 0}, {Col: 1}}
 	if sortV {
@@ -44,15 +44,15 @@ func joinRows(rng *rand.Rand, n, dom int, sortV bool) []tuple.Tuple {
 func checkJoinKernels(t *testing.T, label string, c joinCase) {
 	t.Helper()
 	s := tuple.IntSchema("k1", "k2", "v")
-	keep := func(tp tuple.Tuple) bool { return !c.sel || tp[2].Int%4 != 0 }
-	src := func(rows []tuple.Tuple) Operator {
+	keep := func(tp []int64) bool { return !c.sel || tp[2]%4 != 0 }
+	src := func(rows [][]int64) Operator {
 		if !c.sel {
 			return NewMemScan(s, rows)
 		}
 		return NewFilter(NewMemScan(s, rows), []VecPredicate{rowPred(keep)})
 	}
 	want := refEquiJoin(refFilter(c.l, keep), refFilter(c.r, keep), c.keys, c.keys)
-	wantGT := refFilter(want, func(tp tuple.Tuple) bool { return tp[5].Int > tp[2].Int })
+	wantGT := refFilter(want, func(tp []int64) bool { return tp[5] > tp[2] })
 
 	h := NewHashJoin(src(c.l), src(c.r), c.keys, c.keys)
 	requireSameRows(t, label+": hash join", drainRows(t, h), want)
@@ -65,7 +65,7 @@ func checkJoinKernels(t *testing.T, label string, c joinCase) {
 
 // joinKernelCases expands one pair of inputs into the key and selection
 // variants every kernel must agree on.
-func joinKernelCases(t *testing.T, label string, l, r []tuple.Tuple) {
+func joinKernelCases(t *testing.T, label string, l, r [][]int64) {
 	t.Helper()
 	for _, sel := range []bool{false, true} {
 		tag := fmt.Sprintf("%s sel=%v", label, sel)

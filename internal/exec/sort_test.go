@@ -26,16 +26,11 @@ func sortInput(t testing.TB, pool *storage.Pool, runs int) *hp.File {
 		n = (runs-1)*(sortRunBytes/16) + 30
 	}
 	rng := rand.New(rand.NewSource(int64(runs)))
-	f, err := hp.Create(pool, tuple.IntSchema("k", "seq"))
-	if err != nil {
-		t.Fatal(err)
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = []int64{rng.Int63n(40), int64(i)}
 	}
-	for i := 0; i < n; i++ {
-		if err := f.Append(tuple.Ints(rng.Int63n(40), int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return f
+	return heapFile(t, pool, tuple.IntSchema("k", "seq"), rows)
 }
 
 // freeListLen counts the pool's free page ids the only way a caller can:
@@ -153,7 +148,7 @@ func TestExternalSortReleasesPages(t *testing.T) {
 // within equal trans_id runs.
 func TestSortSkipsAlreadySortedInput(t *testing.T) {
 	rows := keyRuns(3000, 13)
-	f := heapFile(t, tuple.IntSchema("trans_id", "item"), rows)
+	f := heapFile(t, nil, tuple.IntSchema("trans_id", "item"), rows)
 	got := drainRows(t, NewSortKeys(NewHeapScan(f), []SortKey{{Col: 0}}, nil, 0))
 	requireSameRows(t, "sort of pre-sorted input", got, rows)
 }

@@ -46,7 +46,7 @@ func (st *OpStats) tally(b *tuple.Batch, err error) (*tuple.Batch, error) {
 
 // Counted NextBatch fronts for each operator: the real work happens in the
 // operators' nextBatch methods; these wrappers keep the row/batch counters
-// exact for every consumer, Drain's row adapter included.
+// exact for every consumer, Drain included.
 
 func (s *HeapScan) NextBatch() (*tuple.Batch, error) { return s.stats.tally(s.nextBatch()) }
 func (s *HeapScan) ExecStats() *OpStats              { return &s.stats }

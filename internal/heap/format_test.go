@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"setm/internal/storage"
@@ -19,7 +20,7 @@ func wantRowsPerPage(s *tuple.Schema) int {
 }
 
 // randSchema draws 1…64 INT columns, or 1…6 columns with at least one
-// string among them, which Create must refuse.
+// that is not INT among them, which Create must refuse.
 func randSchema(rng *rand.Rand, ncols int, mixed bool) *tuple.Schema {
 	if !mixed {
 		names := make([]string, 1+ncols%64)
@@ -33,29 +34,41 @@ func randSchema(rng *rand.Rand, ncols int, mixed bool) *tuple.Schema {
 	for i := range cols {
 		cols[i] = tuple.Column{Name: fmt.Sprintf("c%d", i), Kind: tuple.KindInt}
 		if i == str || rng.Intn(3) == 0 {
-			cols[i].Kind = tuple.KindString
+			cols[i].Kind = tuple.Kind(1)
 		}
 	}
 	return tuple.NewSchema(cols...)
 }
 
-func randTuple(rng *rand.Rand, s *tuple.Schema) tuple.Tuple {
-	t := make(tuple.Tuple, s.Len())
-	for i := range t {
+func randRow(rng *rand.Rand, s *tuple.Schema) []int64 {
+	r := make([]int64, s.Len())
+	for i := range r {
 		switch rng.Intn(8) {
 		case 0:
-			t[i] = tuple.I(math.MinInt64)
+			r[i] = math.MinInt64
 		case 1:
-			t[i] = tuple.I(math.MaxInt64)
+			r[i] = math.MaxInt64
 		default:
-			t[i] = tuple.I(rng.Int63() - rng.Int63())
+			r[i] = rng.Int63() - rng.Int63()
 		}
 	}
-	return t
+	return r
+}
+
+// batchRows returns b's logical rows.
+func batchRows(b *tuple.Batch) [][]int64 {
+	out := make([][]int64, b.Len())
+	for i := range out {
+		out[i] = make([]int64, len(b.Cols))
+		for c := range out[i] {
+			out[i][c] = b.Cols[c].I[b.RowIdx(i)]
+		}
+	}
+	return out
 }
 
 // checkFile compares every read path of f with the rows it should hold.
-func checkFile(t *testing.T, rng *rand.Rand, f *File, want []tuple.Tuple) {
+func checkFile(t *testing.T, f *File, want [][]int64) {
 	t.Helper()
 	s := f.Schema()
 	if f.Rows() != int64(len(want)) {
@@ -65,57 +78,28 @@ func checkFile(t *testing.T, rng *rand.Rand, f *File, want []tuple.Tuple) {
 	if wantPages := max(1, (len(want)+per-1)/per); f.Pages() != wantPages {
 		t.Fatalf("Pages = %d, want ceil(%d/%d) = %d", f.Pages(), len(want), per, wantPages)
 	}
-	same := func(label string, got []tuple.Tuple) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
-		}
-		for i := range got {
-			if !tuple.EqualTuples(got[i], want[i]) {
-				t.Fatalf("%s: row %d = %v, want %v", label, i, got[i], want[i])
-			}
-		}
-	}
-	got, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	same("Scan/Next", got)
-
 	// NextBatch, with max below a page, around a page and at BatchSize.
 	for _, lim := range []int{1, 7, per - 1, per + 1, tuple.BatchSize} {
 		if lim < 1 {
 			continue
 		}
-		got = got[:0]
-		sc := f.Scan()
-		b := tuple.NewBatch(s)
-		for {
-			b.Reset()
-			k, err := sc.NextBatch(b, lim)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if k != b.Len() || k > lim || k == 0 {
-				t.Fatalf("NextBatch(max=%d) reported %d rows, batch holds %d", lim, k, b.Len())
-			}
-			for i := 0; i < k; i++ {
-				got = append(got, b.Row(i))
+		got := readAll(t, f, lim)
+		if len(got) != len(want) {
+			t.Fatalf("NextBatch(max=%d): %d rows, want %d", lim, len(got), len(want))
+		}
+		for i := range got {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("NextBatch(max=%d): row %d = %v, want %v", lim, i, got[i], want[i])
 			}
 		}
-		sc.Close()
-		same(fmt.Sprintf("NextBatch(max=%d)", lim), got)
 	}
-
 }
 
-// roundTrip drives one randomized file: interleaved Append and AppendBatch
-// (batch sizes around rowsCap and BatchSize, with and without selection
-// vectors), every read path against an in-memory reference, then Free and a
-// second file that reuses the freed pages. A mixed schema must be refused.
+// roundTrip drives one randomized file: interleaved single-row and larger
+// AppendBatch calls (batch sizes around rowsCap and BatchSize, with and
+// without selection vectors), every read path against an in-memory
+// reference, then Free and a second file that reuses the freed pages. A
+// mixed schema must be refused.
 func roundTrip(t *testing.T, seed int64, ncols int, mixed bool, ops int) {
 	rng := rand.New(rand.NewSource(seed))
 	s := randSchema(rng, ncols, mixed)
@@ -134,14 +118,14 @@ func roundTrip(t *testing.T, seed int64, ncols int, mixed bool, ops int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []tuple.Tuple
+		var want [][]int64
 		for op := 0; op < 1+ops%12; op++ {
 			if rng.Intn(3) == 0 {
-				tp := randTuple(rng, s)
-				if err := f.Append(tp); err != nil {
+				r := randRow(rng, s)
+				if err := appendRows(f, r); err != nil {
 					t.Fatal(err)
 				}
-				want = append(want, tp)
+				want = append(want, r)
 				continue
 			}
 			n := sizes[rng.Intn(len(sizes))]
@@ -150,9 +134,10 @@ func roundTrip(t *testing.T, seed int64, ncols int, mixed bool, ops int) {
 			}
 			b := tuple.NewBatch(s)
 			for i := 0; i < n; i++ {
-				if err := b.AppendTuple(randTuple(rng, s)); err != nil {
-					t.Fatal(err)
+				for c, v := range randRow(rng, s) {
+					b.Cols[c].I = append(b.Cols[c].I, v)
 				}
+				b.BumpRow()
 			}
 			if rng.Intn(2) == 0 {
 				sel := []int32{}
@@ -166,11 +151,9 @@ func roundTrip(t *testing.T, seed int64, ncols int, mixed bool, ops int) {
 			if err := f.AppendBatch(b); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < b.Len(); i++ {
-				want = append(want, b.Row(i))
-			}
+			want = append(want, batchRows(b)...)
 		}
-		checkFile(t, rng, f, want)
+		checkFile(t, f, want)
 		if grown := pool.Store().NumPages() - storePages; round == 1 && grown > max(0, f.Pages()-freed) {
 			t.Fatalf("second file of %d pages grew the store by %d with %d freed pages to reuse", f.Pages(), grown, freed)
 		}
@@ -210,9 +193,10 @@ func TestAppendBatchAllocationFault(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		b := tuple.NewBatch(s)
 		for i := 0; i < 2000; i++ {
-			if err := b.AppendTuple(randTuple(rng, s)); err != nil {
-				t.Fatal(err)
+			for c, v := range randRow(rng, s) {
+				b.Cols[c].I = append(b.Cols[c].I, v)
 			}
+			b.BumpRow()
 		}
 		for n := 1; ; n++ {
 			fs := storage.NewFaultStore(storage.NewMemStore())
@@ -236,9 +220,9 @@ func TestAppendBatchAllocationFault(t *testing.T) {
 				t.Fatalf("alloc %d: file reports %d rows on %d pages", n, kept, f.Pages())
 			}
 			fs.FailAllocAfter = -1
-			// A single Append lands after the kept rows, not on top of them.
-			extra := randTuple(rng, s)
-			if err := f.Append(extra); err != nil {
+			// A single-row append lands after the kept rows, not on top of them.
+			extra := randRow(rng, s)
+			if err := appendRows(f, extra); err != nil {
 				t.Fatal(err)
 			}
 			rest := tuple.NewBatch(s)
@@ -246,14 +230,9 @@ func TestAppendBatchAllocationFault(t *testing.T) {
 			if err := f.AppendBatch(rest); err != nil {
 				t.Fatal(err)
 			}
-			want := make([]tuple.Tuple, 0, b.Len()+1)
-			for i := 0; i < b.Len(); i++ {
-				if i == kept {
-					want = append(want, extra)
-				}
-				want = append(want, b.Row(i))
-			}
-			checkFile(t, rng, f, want)
+			all := batchRows(b)
+			want := slices.Concat(all[:kept], [][]int64{extra}, all[kept:])
+			checkFile(t, f, want)
 		}
 	}
 }
@@ -270,17 +249,11 @@ func TestPageFormatGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := tuple.NewBatch(f.Schema())
-	for i := 0; i < 3; i++ {
-		if err := b.AppendTuple(tuple.Ints(row...)); err != nil {
-			t.Fatal(err)
-		}
+	if err := appendRows(f, row); err != nil {
+		t.Errorf("511 columns: one row: %v", err)
 	}
-	if err := f.Append(tuple.Ints(row...)); err != nil {
-		t.Errorf("511 columns: Append: %v", err)
-	}
-	if err := f.AppendBatch(b); err != nil {
-		t.Errorf("511 columns: AppendBatch: %v", err)
+	if err := appendRows(f, row, row, row); err != nil {
+		t.Errorf("511 columns: three rows: %v", err)
 	}
 	if f.Rows() != 4 || f.Pages() != 4 {
 		t.Errorf("511 columns: %d rows on %d pages, want 4 on 4", f.Rows(), f.Pages())
@@ -295,26 +268,23 @@ func TestPageFormatGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, bad := range map[string]tuple.Tuple{
-		"short":   tuple.Ints(1),
-		"long":    tuple.Ints(1, 2, 3),
-		"non-INT": {tuple.I(1), tuple.S("x")},
-	} {
-		if err := f.Append(bad); err == nil {
-			t.Errorf("Append accepted a %s tuple", name)
-		}
-	}
 	if err := f.AppendBatch(tuple.NewBatch(tuple.IntSchema("a"))); err != nil {
 		t.Errorf("empty batch: %v", err)
 	}
 	narrow := tuple.NewBatch(tuple.IntSchema("a"))
-	if err := narrow.AppendTuple(tuple.Ints(1)); err != nil {
-		t.Fatal(err)
+	narrow.Cols[0].I = append(narrow.Cols[0].I, 1)
+	narrow.BumpRow()
+	wide := tuple.NewBatch(tuple.IntSchema("a", "b", "c"))
+	for c := range wide.Cols {
+		wide.Cols[c].I = append(wide.Cols[c].I, int64(c))
 	}
-	if err := f.AppendBatch(narrow); err == nil {
-		t.Error("AppendBatch accepted a batch of the wrong arity")
+	wide.BumpRow()
+	for name, bad := range map[string]*tuple.Batch{"short": narrow, "long": wide} {
+		if err := f.AppendBatch(bad); err == nil {
+			t.Errorf("AppendBatch accepted a %s row", name)
+		}
 	}
-	if err := f.Append(tuple.Ints(7, 8)); err != nil {
+	if err := appendRows(f, []int64{7, 8}); err != nil {
 		t.Fatal(err)
 	}
 	sc := f.Scan()
@@ -322,5 +292,5 @@ func TestPageFormatGuards(t *testing.T) {
 	if _, err := sc.NextBatch(narrow, 10); err == nil || err == io.EOF {
 		t.Errorf("NextBatch into a batch of the wrong arity: %v", err)
 	}
-	checkFile(t, rand.New(rand.NewSource(1)), f, []tuple.Tuple{tuple.Ints(7, 8)})
+	checkFile(t, f, [][]int64{{7, 8}})
 }

@@ -2,6 +2,8 @@
 // paged storage layer. A heap file stores rows of a fixed all-INT schema
 // packed into a chain of pages; it supports appending and full sequential
 // scans, which are the only access paths SETM needs for its R_k relations.
+// Both move column batches (AppendBatch, Scanner.NextBatch); there is no
+// row-at-a-time API.
 //
 // Every page starts with the same 8-byte header:
 //
@@ -77,10 +79,10 @@ func initPage(pg *storage.Page) {
 	pg.MarkDirty()
 }
 
-// Schema returns the tuple schema of the file.
+// Schema returns the schema of the file.
 func (f *File) Schema() *tuple.Schema { return f.schema }
 
-// Rows returns the number of tuples appended.
+// Rows returns the number of rows appended.
 func (f *File) Rows() int64 { return f.rows }
 
 // Pages returns the number of pages the file occupies. This is the
@@ -141,45 +143,9 @@ func (t *tail) room() error {
 	return nil
 }
 
-// Append adds one tuple at the end of the file.
-func (f *File) Append(t tuple.Tuple) error {
-	if len(t) != f.schema.Len() {
-		return fmt.Errorf("heap: append arity %d does not match schema %d", len(t), f.schema.Len())
-	}
-	for i, c := range f.schema.Cols {
-		if t[i].Kind != tuple.KindInt {
-			return fmt.Errorf("heap: column %q kind %s got %s", c.Name, c.Kind, t[i].Kind)
-		}
-	}
-	tl, err := f.pinTail()
-	if err != nil {
-		return err
-	}
-	defer tl.release()
-	if err := tl.room(); err != nil {
-		return err
-	}
-	for c, v := range t {
-		tl.pg.PutU64(f.slot(c, tl.count), uint64(v.Int))
-	}
-	tl.count++
-	return nil
-}
-
-// AppendAll appends every tuple in ts.
-func (f *File) AppendAll(ts []tuple.Tuple) error {
-	for _, t := range ts {
-		if err := f.Append(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AppendBatch appends every logical row of b, encoding column vectors
-// straight into page buffers — the bulk path of the vectorized executor,
-// which skips the per-row tuple materialization of Append. When it fails
-// part-way the rows already placed stay appended.
+// AppendBatch appends every logical row of b, in selection order, encoding
+// column vectors straight into page buffers. When it fails part-way the
+// rows already placed stay appended.
 func (f *File) AppendBatch(b *tuple.Batch) error {
 	n := b.Len()
 	if n == 0 {
@@ -221,8 +187,15 @@ func (f *File) Free() {
 	f.rows = 0
 }
 
+// FreeAll frees every file in files, as Free does.
+func FreeAll(files []*File) {
+	for _, f := range files {
+		f.Free()
+	}
+}
+
 // Scanner iterates a heap file front to back, over the pages it had when
-// the scan began. Next returns io.EOF after the final tuple.
+// the scan began. NextBatch returns io.EOF after the final row.
 type Scanner struct {
 	file *File
 	pg   *storage.Page
@@ -233,7 +206,7 @@ type Scanner struct {
 	endIdx  int // page count when the scan began
 }
 
-// Scan returns a scanner positioned before the first tuple.
+// Scan returns a scanner positioned before the first row.
 func (f *File) Scan() *Scanner { return &Scanner{file: f, endIdx: len(f.pageIDs)} }
 
 // advance pins the next page, releasing the current one. Returns false
@@ -258,39 +231,7 @@ func (s *Scanner) advance() (bool, error) {
 	return true, nil
 }
 
-// Next returns the next tuple, or io.EOF when exhausted.
-func (s *Scanner) Next() (tuple.Tuple, error) {
-	if s.done {
-		return nil, io.EOF
-	}
-	for {
-		if s.pg == nil {
-			ok, err := s.advance()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, io.EOF
-			}
-		}
-		if s.idx < int(s.pg.U16(hdrCount)) {
-			f := s.file
-			t := make(tuple.Tuple, f.schema.Len())
-			for c := range t {
-				t[c] = tuple.I(int64(s.pg.U64(f.slot(c, s.idx))))
-			}
-			s.idx++
-			return t, nil
-		}
-		if ok, err := s.advance(); err != nil {
-			return nil, err
-		} else if !ok {
-			return nil, io.EOF
-		}
-	}
-}
-
-// NextBatch decodes up to max further tuples directly into b's column
+// NextBatch decodes up to max further rows directly into b's column
 // vectors (appending to its current contents) and reports how many were
 // added. It returns io.EOF only when the file is exhausted and no rows
 // were added.
@@ -345,22 +286,4 @@ func (s *Scanner) Close() {
 		s.pg = nil
 	}
 	s.done = true
-}
-
-// ReadAll scans the whole file into memory; intended for tests and small
-// relations such as the C_k count tables.
-func (f *File) ReadAll() ([]tuple.Tuple, error) {
-	sc := f.Scan()
-	defer sc.Close()
-	var out []tuple.Tuple
-	for {
-		t, err := sc.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
 }

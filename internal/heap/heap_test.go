@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,29 +17,60 @@ func newPool(frames int) *storage.Pool {
 	return storage.NewPool(storage.NewMemStore(), frames)
 }
 
+// appendRows appends rows to f as one batch.
+func appendRows(f *File, rows ...[]int64) error {
+	b := tuple.NewBatch(f.Schema())
+	for _, r := range rows {
+		for c, v := range r {
+			b.Cols[c].I = append(b.Cols[c].I, v)
+		}
+		b.BumpRow()
+	}
+	return f.AppendBatch(b)
+}
+
+// readAll scans f through NextBatch, at most max rows a call, checking each
+// call's count against the batch it filled.
+func readAll(t testing.TB, f *File, max int) [][]int64 {
+	t.Helper()
+	sc := f.Scan()
+	defer sc.Close()
+	b := tuple.NewBatch(f.Schema())
+	var out [][]int64
+	for {
+		b.Reset()
+		k, err := sc.NextBatch(b, max)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k != b.Len() || k > max || k == 0 {
+			t.Fatalf("NextBatch(max=%d) reported %d rows, batch holds %d", max, k, b.Len())
+		}
+		for i := range k {
+			row := make([]int64, len(b.Cols))
+			for c := range row {
+				row[c] = b.Cols[c].I[i]
+			}
+			out = append(out, row)
+		}
+	}
+}
+
 func TestAppendScanRoundTrip(t *testing.T) {
 	pool := newPool(16)
 	f, err := Create(pool, tuple.IntSchema("trans_id", "item"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []tuple.Tuple{
-		tuple.Ints(10, 1), tuple.Ints(10, 2), tuple.Ints(20, 1), tuple.Ints(30, 5),
-	}
-	if err := f.AppendAll(want); err != nil {
+	want := [][]int64{{10, 1}, {10, 2}, {20, 1}, {30, 5}}
+	if err := appendRows(f, want...); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d rows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !tuple.EqualTuples(got[i], want[i]) {
-			t.Errorf("row %d = %v, want %v", i, got[i], want[i])
-		}
+	if got := readAll(t, f, tuple.BatchSize); !slices.EqualFunc(got, want, slices.Equal) {
+		t.Errorf("rows = %v, want %v", got, want)
 	}
 	if f.Rows() != int64(len(want)) {
 		t.Errorf("Rows = %d, want %d", f.Rows(), len(want))
@@ -52,73 +84,67 @@ func TestMultiPageSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 5000 // 3 ints = 24 bytes, 170 rows a page, so 30 pages
-	for i := 0; i < n; i++ {
-		if err := f.Append(tuple.Ints(int64(i), int64(i*2), int64(i*3))); err != nil {
+	for i := 0; i < n; i += 100 {
+		rows := make([][]int64, 100)
+		for j := range rows {
+			v := int64(i + j)
+			rows[j] = []int64{v, v * 2, v * 3}
+		}
+		if err := appendRows(f, rows...); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if f.Pages() < 2 {
 		t.Fatalf("expected multi-page file, got %d pages", f.Pages())
 	}
-	sc := f.Scan()
-	defer sc.Close()
-	i := 0
-	for {
-		tp, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tp[0].Int != int64(i) || tp[2].Int != int64(i*3) {
+	got := readAll(t, f, tuple.BatchSize)
+	for i, tp := range got {
+		if tp[0] != int64(i) || tp[2] != int64(i*3) {
 			t.Fatalf("row %d corrupted: %v", i, tp)
 		}
-		i++
 	}
-	if i != n {
-		t.Errorf("scanned %d rows, want %d", i, n)
+	if len(got) != n {
+		t.Errorf("scanned %d rows, want %d", len(got), n)
 	}
 }
 
 func TestScanSurvivesEviction(t *testing.T) {
 	// A pool of 2 frames forces every page of a large file to be evicted and
-	// re-read; the scan must still see every tuple in order.
+	// re-read; the scan must still see every row in order.
 	pool := newPool(2)
 	f, err := Create(pool, tuple.IntSchema("v"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 2000
-	for i := 0; i < n; i++ {
-		if err := f.Append(tuple.Ints(int64(i))); err != nil {
-			t.Fatal(err)
-		}
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = []int64{int64(i)}
 	}
-	got, err := f.ReadAll()
-	if err != nil {
+	if err := appendRows(f, rows...); err != nil {
 		t.Fatal(err)
 	}
+	got := readAll(t, f, tuple.BatchSize)
 	if len(got) != n {
 		t.Fatalf("got %d rows, want %d", len(got), n)
 	}
 	for i, tp := range got {
-		if tp[0].Int != int64(i) {
+		if tp[0] != int64(i) {
 			t.Fatalf("row %d = %v", i, tp)
 		}
 	}
 }
 
-// TestStringColumns: a STRING column is refused at Create, before any
-// page is allocated.
+// TestStringColumns: a column that is not INT (a string column, once) is
+// refused at Create, before any page is allocated.
 func TestStringColumns(t *testing.T) {
 	pool := newPool(8)
 	sch := tuple.NewSchema(
 		tuple.Column{Name: "id", Kind: tuple.KindInt},
-		tuple.Column{Name: "name", Kind: tuple.KindString},
+		tuple.Column{Name: "name", Kind: tuple.Kind(1)},
 	)
 	f, err := Create(pool, sch)
-	if err == nil || !strings.Contains(err.Error(), `column "name" is STRING`) {
+	if err == nil || !strings.Contains(err.Error(), `column "name" is Kind(1)`) {
 		t.Fatalf("Create(%v) = %v, %v; want the non-INT error", sch, f, err)
 	}
 	if n := pool.Store().NumPages(); n != 0 {
@@ -148,11 +174,7 @@ func TestEmptyFileScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
+	if got := readAll(t, f, tuple.BatchSize); len(got) != 0 {
 		t.Errorf("empty file scanned %d rows", len(got))
 	}
 	if f.Pages() != 1 {
@@ -168,16 +190,16 @@ func TestQuickRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for _, v := range vals {
-			if err := hf.Append(tuple.Ints(v)); err != nil {
+			if err := appendRows(hf, []int64{v}); err != nil {
 				return false
 			}
 		}
-		got, err := hf.ReadAll()
-		if err != nil || len(got) != len(vals) {
+		got := readAll(t, hf, 7)
+		if len(got) != len(vals) {
 			return false
 		}
 		for i, v := range vals {
-			if got[i][0].Int != v {
+			if got[i][0] != v {
 				return false
 			}
 		}
@@ -196,7 +218,7 @@ func TestPagesMatchesFootprint(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 3000; i++ {
-		if err := f.Append(tuple.Ints(rng.Int63(), rng.Int63())); err != nil {
+		if err := appendRows(f, []int64{rng.Int63(), rng.Int63()}); err != nil {
 			t.Fatal(err)
 		}
 	}

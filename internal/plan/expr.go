@@ -32,16 +32,7 @@ import (
 )
 
 // Params carries named query parameters (:minsupport and friends).
-type Params map[string]tuple.Value
-
-// IntParams builds Params from an int map; convenience for callers.
-func IntParams(m map[string]int64) Params {
-	p := make(Params, len(m))
-	for k, v := range m {
-		p[k] = tuple.I(v)
-	}
-	return p
-}
+type Params map[string]int64
 
 // resolveColumn finds the schema index of a column reference. Qualified
 // references ("p.item") must match exactly; unqualified references match a
@@ -95,7 +86,7 @@ func compileExpr(e sqlparse.Expr, s *tuple.Schema, params Params) (exec.Expr, er
 		if !ok {
 			return nil, fmt.Errorf("plan: missing value for parameter :%s", v.Name)
 		}
-		return constExpr(val.Int), nil
+		return constExpr(val), nil
 
 	case *sqlparse.NotExpr:
 		inner, err := compileExpr(v.E, s, params)

@@ -4,11 +4,13 @@ import (
 	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"setm/internal/catalog"
 	"setm/internal/exec"
+	hp "setm/internal/heap"
 	"setm/internal/sqlparse"
 	"setm/internal/storage"
 	"setm/internal/tuple"
@@ -24,7 +26,7 @@ func evalRow(e sqlparse.Expr, row map[string]int64, params Params) (int64, error
 	case *sqlparse.IntLit:
 		return v.Value, nil
 	case *sqlparse.Param:
-		return params[v.Name].Int, nil
+		return params[v.Name], nil
 	case *sqlparse.NotExpr:
 		x, err := evalRow(v.E, row, params)
 		return b2i(x == 0), err
@@ -58,15 +60,23 @@ func parseExpr(t *testing.T, src string) sqlparse.Expr {
 }
 
 // batchOf builds a dense batch of schema s holding rows.
-func batchOf(t *testing.T, s *tuple.Schema, rows ...tuple.Tuple) *tuple.Batch {
-	t.Helper()
+func batchOf(s *tuple.Schema, rows ...[]int64) *tuple.Batch {
 	b := tuple.NewBatch(s)
 	for _, r := range rows {
-		if err := b.AppendTuple(r); err != nil {
-			t.Fatal(err)
+		for c, v := range r {
+			b.Cols[c].I = append(b.Cols[c].I, v)
 		}
+		b.BumpRow()
 	}
 	return b
+}
+
+// appendRows appends rows to f as one batch.
+func appendRows(t *testing.T, f *hp.File, rows ...[]int64) {
+	t.Helper()
+	if err := f.AppendBatch(batchOf(f.Schema(), rows...)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestExprEvaluationSemantics(t *testing.T) {
@@ -93,7 +103,7 @@ func TestExprEvaluationSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
 		}
-		got, err := x(batchOf(t, s, tuple.Ints(c.a, c.b)), nil, make([]int64, 1))
+		got, err := x(batchOf(s, []int64{c.a, c.b}), nil, make([]int64, 1))
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
 		}
@@ -109,7 +119,7 @@ func TestDivisionByZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x(batchOf(t, s, tuple.Ints(1)), nil, make([]int64, 1)); err == nil {
+	if _, err := x(batchOf(s, []int64{1}), nil, make([]int64, 1)); err == nil {
 		t.Error("division by zero succeeded")
 	}
 }
@@ -122,21 +132,21 @@ func TestDivisionByZero(t *testing.T) {
 // selection excludes is no error.
 func TestExprMatchesRowInterpreter(t *testing.T) {
 	s := tuple.IntSchema("a", "b", "c")
-	params := Params{"p": tuple.I(3)}
+	params := Params{"p": 3}
 	rng := rand.New(rand.NewSource(7))
-	var rows []tuple.Tuple
+	var rows [][]int64
 	var sparse, cNonZero []int32
 	for i := 0; i < 3000; i++ {
-		r := tuple.Ints(rng.Int63n(7)-3, rng.Int63n(5)+1, rng.Int63n(7)-3)
+		r := []int64{rng.Int63n(7) - 3, rng.Int63n(5) + 1, rng.Int63n(7) - 3}
 		rows = append(rows, r)
 		if rng.Intn(3) == 0 {
 			sparse = append(sparse, int32(i))
 		}
-		if r[2].Int != 0 {
+		if r[2] != 0 {
 			cNonZero = append(cNonZero, int32(i))
 		}
 	}
-	b := batchOf(t, s, rows...)
+	b := batchOf(s, rows...)
 	all := make([]int32, len(rows))
 	for i := range all {
 		all[i] = int32(i)
@@ -164,7 +174,7 @@ func TestExprMatchesRowInterpreter(t *testing.T) {
 			var wantErr error
 			for _, phys := range sc.live {
 				r := rows[phys]
-				v, err := evalRow(e, map[string]int64{"a": r[0].Int, "b": r[1].Int, "c": r[2].Int}, params)
+				v, err := evalRow(e, map[string]int64{"a": r[0], "b": r[1], "c": r[2]}, params)
 				if err != nil {
 					wantErr = err
 					break
@@ -199,13 +209,11 @@ func TestShortCircuitAndConjunctNarrowing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := []tuple.Tuple{
-		tuple.Ints(-2, 1), tuple.Ints(0, 2), tuple.Ints(3, 3), tuple.Ints(5, 4),
-		tuple.Ints(0, 5), tuple.Ints(1, 6), tuple.Ints(12, 7),
+	rows := [][]int64{
+		{-2, 1}, {0, 2}, {3, 3}, {5, 4},
+		{0, 5}, {1, 6}, {12, 7},
 	}
-	if err := tbl.File.AppendAll(rows); err != nil {
-		t.Fatal(err)
-	}
+	appendRows(t, tbl.File, rows...)
 	for _, tc := range []struct {
 		query   string
 		wantErr bool
@@ -238,21 +246,21 @@ func TestShortCircuitAndConjunctNarrowing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.query, err)
 		}
-		var want []tuple.Tuple
+		var want [][]int64
 		for _, r := range rows { // already in b order
-			env := map[string]int64{"a": r[0].Int, "b": r[1].Int}
+			env := map[string]int64{"a": r[0], "b": r[1]}
 			if sel.Where != nil {
 				if keep, err := evalRow(sel.Where, env, nil); err != nil || keep == 0 {
 					continue
 				}
 			}
-			var out tuple.Tuple
+			var out []int64
 			for _, it := range sel.Items {
 				v, err := evalRow(it.Expr, env, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				out = append(out, tuple.I(v))
+				out = append(out, v)
 			}
 			want = append(want, out)
 		}
@@ -260,7 +268,7 @@ func TestShortCircuitAndConjunctNarrowing(t *testing.T) {
 			t.Fatalf("%s: %v, want %v", tc.query, got, want)
 		}
 		for i := range want {
-			if !tuple.EqualTuples(got[i], want[i]) {
+			if !slices.Equal(got[i], want[i]) {
 				t.Fatalf("%s: row %d = %v, want %v", tc.query, i, got[i], want[i])
 			}
 		}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,26 +21,17 @@ func fixture(t *testing.T) (*Compiler, *catalog.Catalog) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := [][2]int64{
+	appendRows(t, sales.File, [][]int64{
 		{10, 1}, {10, 2}, {10, 3},
 		{20, 1}, {20, 2},
 		{30, 2}, {30, 3},
-	}
-	for _, r := range rows {
-		if err := sales.File.Append(tuple.Ints(r[0], r[1])); err != nil {
-			t.Fatal(err)
-		}
-	}
+	}...)
 	c1, err := cat.Create("c1", tuple.IntSchema("item1", "cnt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range [][2]int64{{1, 2}, {2, 3}, {3, 2}} {
-		if err := c1.File.Append(tuple.Ints(r[0], r[1])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return NewCompiler(cat, pool, Params{"minsupport": tuple.I(2)}), cat
+	appendRows(t, c1.File, [][]int64{{1, 2}, {2, 3}, {3, 2}}...)
+	return NewCompiler(cat, pool, Params{"minsupport": 2}), cat
 }
 
 func compile(t *testing.T, c *Compiler, sql string) exec.Operator {
@@ -55,7 +47,7 @@ func compile(t *testing.T, c *Compiler, sql string) exec.Operator {
 	return pl.Root
 }
 
-func drain(t *testing.T, op exec.Operator) []tuple.Tuple {
+func drain(t *testing.T, op exec.Operator) [][]int64 {
 	t.Helper()
 	rows, err := exec.Drain(op)
 	if err != nil {
@@ -132,18 +124,14 @@ func TestPlanSmallBuildSideChoosesHashJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5000; i++ {
-		if err := big.File.Append(tuple.Ints(int64(i), int64(i%7))); err != nil {
-			t.Fatal(err)
-		}
+		appendRows(t, big.File, []int64{int64(i), int64(i % 7)})
 	}
 	small, err := cat.Create("small", tuple.IntSchema("item", "cnt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := small.File.Append(tuple.Ints(int64(i), 1)); err != nil {
-			t.Fatal(err)
-		}
+		appendRows(t, small.File, []int64{int64(i), 1})
 	}
 	c := NewCompiler(cat, pool, nil)
 	op := compile(t, c, `SELECT b.tid FROM big b, small s WHERE b.item = s.item`)
@@ -170,21 +158,13 @@ func TestMergeJoinOrderingNotOverclaimed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range [][2]int64{{1, 5}, {1, 3}} {
-		if err := l.File.Append(tuple.Ints(r[0], r[1])); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendRows(t, l.File, [][]int64{{1, 5}, {1, 3}}...)
 	l.OrderedBy = []int{0} // sorted by a only; b breaks ties arbitrarily
 	r, err := cat.Create("r", tuple.IntSchema("a", "c"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range [][2]int64{{1, 1}, {1, 2}} {
-		if err := r.File.Append(tuple.Ints(row[0], row[1])); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendRows(t, r.File, [][]int64{{1, 1}, {1, 2}}...)
 	r.OrderedBy = []int{0, 1}
 	c := NewCompiler(cat, pool, nil)
 	op := compile(t, c, `SELECT p.a, p.b, q.c FROM l p, r q
@@ -194,7 +174,7 @@ func TestMergeJoinOrderingNotOverclaimed(t *testing.T) {
 		t.Fatalf("rows = %v", rows)
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i-1][2].Int > rows[i][2].Int {
+		if rows[i-1][2] > rows[i][2] {
 			t.Fatalf("ORDER BY p.a, q.c violated: %v before %v", rows[i-1], rows[i])
 		}
 	}
@@ -211,21 +191,13 @@ func TestMergeJoinOrderingDuplicateLeftRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range [][2]int64{{1, 5}, {1, 5}} {
-		if err := l.File.Append(tuple.Ints(r[0], r[1])); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendRows(t, l.File, [][]int64{{1, 5}, {1, 5}}...)
 	l.OrderedBy = []int{0, 1}
 	r, err := cat.Create("r", tuple.IntSchema("a", "c"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range [][2]int64{{1, 1}, {1, 2}} {
-		if err := r.File.Append(tuple.Ints(row[0], row[1])); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendRows(t, r.File, [][]int64{{1, 1}, {1, 2}}...)
 	r.OrderedBy = []int{0, 1}
 	c := NewCompiler(cat, pool, nil)
 	op := compile(t, c, `SELECT p.a, p.b, q.c FROM l p, r q
@@ -235,7 +207,7 @@ func TestMergeJoinOrderingDuplicateLeftRows(t *testing.T) {
 		t.Fatalf("rows = %v", rows)
 	}
 	for i := 1; i < len(rows); i++ {
-		if tuple.CompareAll(rows[i-1], rows[i]) > 0 {
+		if slices.Compare(rows[i-1], rows[i]) > 0 {
 			t.Fatalf("ORDER BY violated: %v before %v", rows[i-1], rows[i])
 		}
 	}
@@ -340,7 +312,7 @@ func TestParamCompilation(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %v", rows)
 	}
-	if rows[1][1].Int != 3 {
+	if rows[1][1] != 3 {
 		t.Errorf("count(2) = %v", rows[1])
 	}
 }
@@ -407,15 +379,8 @@ func TestOrderByDescending(t *testing.T) {
 	c, _ := fixture(t)
 	op := compile(t, c, "SELECT s.item FROM sales s ORDER BY s.item DESC")
 	rows := drain(t, op)
-	if len(rows) != 7 || rows[0][0].Int != 3 || rows[6][0].Int != 1 {
+	if len(rows) != 7 || rows[0][0] != 3 || rows[6][0] != 1 {
 		t.Errorf("items descending = %v", rows)
-	}
-}
-
-func TestIntParamsHelper(t *testing.T) {
-	p := IntParams(map[string]int64{"x": 42})
-	if v, ok := p["x"]; !ok || v.Int != 42 {
-		t.Errorf("IntParams = %v", p)
 	}
 }
 
@@ -461,14 +426,14 @@ func TestPlannerExternalSortRunSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 20000 // 320,000 packed bytes
-	for i := 0; i < n; i++ {
-		if err := tbl.File.Append(tuple.Ints(int64(i*7919%1000), int64(i))); err != nil {
-			t.Fatal(err)
-		}
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = []int64{int64(i * 7919 % 1000), int64(i)}
 	}
+	appendRows(t, tbl.File, rows...)
 	const query = "SELECT k, seq FROM t ORDER BY k"
 	const budget = 32 << 10
-	allocs := func(op exec.Operator) ([]tuple.Tuple, int64) {
+	allocs := func(op exec.Operator) ([][]int64, int64) {
 		before := pool.Stats.Allocs
 		rows := drain(t, op)
 		return rows, pool.Stats.Allocs - before
@@ -491,7 +456,7 @@ func TestPlannerExternalSortRunSize(t *testing.T) {
 		t.Fatalf("external plan returned %d rows, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if !tuple.EqualTuples(got[i], want[i]) {
+		if !slices.Equal(got[i], want[i]) {
 			t.Fatalf("row %d = %v, in-memory plan has %v", i, got[i], want[i])
 		}
 	}

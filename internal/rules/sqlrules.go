@@ -38,21 +38,20 @@ func GenerateSQL(res *core.Result, minConfidence float64) ([]Rule, error) {
 	db := engine.New()
 	// Load every C_k as a table ck(item1..itemk, cnt).
 	for k := 1; k <= len(res.Counts); k++ {
-		cols := make([]tuple.Column, 0, k+1)
+		names := make([]string, 0, k+1)
 		for i := 1; i <= k; i++ {
-			cols = append(cols, tuple.Column{Name: fmt.Sprintf("item%d", i), Kind: tuple.KindInt})
+			names = append(names, fmt.Sprintf("item%d", i))
 		}
-		cols = append(cols, tuple.Column{Name: "cnt", Kind: tuple.KindInt})
-		rows := make([]tuple.Tuple, 0, len(res.C(k)))
+		schema := tuple.IntSchema(append(names, "cnt")...)
+		b := tuple.NewBatch(schema)
 		for _, c := range res.C(k) {
-			row := make(tuple.Tuple, 0, k+1)
-			for _, it := range c.Items {
-				row = append(row, tuple.I(it))
+			for i, it := range c.Items {
+				b.Cols[i].I = append(b.Cols[i].I, it)
 			}
-			row = append(row, tuple.I(c.Count))
-			rows = append(rows, row)
+			b.Cols[k].I = append(b.Cols[k].I, c.Count)
+			b.BumpRow()
 		}
-		if err := db.LoadTable(fmt.Sprintf("c%d", k), tuple.NewSchema(cols...), rows); err != nil {
+		if err := db.LoadTableBatch(fmt.Sprintf("c%d", k), schema, b, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -99,11 +98,8 @@ func GenerateSQL(res *core.Result, minConfidence float64) ([]Rule, error) {
 			}
 			for _, row := range r.Rows {
 				items := make([]core.Item, k)
-				for i := 0; i < k; i++ {
-					items[i] = row[i].Int
-				}
-				cnt := row[k].Int
-				antCnt := row[k+1].Int
+				copy(items, row[:k])
+				cnt, antCnt := row[k], row[k+1]
 				ant := make([]core.Item, 0, k-1)
 				for _, i := range kept {
 					ant = append(ant, items[i])

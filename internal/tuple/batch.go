@@ -92,18 +92,6 @@ func (b *Batch) Grow(n int) {
 	}
 }
 
-// AppendTuple appends one row given as a tuple of integer values.
-func (b *Batch) AppendTuple(t Tuple) error {
-	if len(t) != len(b.Cols) {
-		return fmt.Errorf("tuple: batch append arity %d does not match schema %d", len(t), len(b.Cols))
-	}
-	for i := range b.Cols {
-		b.Cols[i].I = append(b.Cols[i].I, t[i].Int)
-	}
-	b.n++
-	return nil
-}
-
 // AppendRow copies the physical row phys of src (same column layout) onto
 // the end of b.
 func (b *Batch) AppendRow(src *Batch, phys int) {
@@ -140,16 +128,6 @@ func (b *Batch) AppendRange(src *Batch, from, to int) {
 	for _, phys := range src.sel[from:to] {
 		b.AppendRow(src, int(phys))
 	}
-}
-
-// Row materializes logical row i as a freshly allocated tuple.
-func (b *Batch) Row(i int) Tuple {
-	phys := b.RowIdx(i)
-	t := make(Tuple, len(b.Cols))
-	for c := range b.Cols {
-		t[c] = I(b.Cols[c].I[phys])
-	}
-	return t
 }
 
 // WithSchema returns a shallow view of the batch under a different schema

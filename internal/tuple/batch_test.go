@@ -1,28 +1,25 @@
 package tuple
 
 import (
+	"reflect"
 	"testing"
 )
 
 func TestBatchAppendRowIdxAndValue(t *testing.T) {
-	b := NewBatch(IntSchema("a", "b"))
-	for i := int64(0); i < 5; i++ {
-		if err := b.AppendTuple(Ints(i, 10*i)); err != nil {
-			t.Fatal(err)
-		}
+	src := ints([]int64{0, 0}, []int64{1, 10}, []int64{2, 20}, []int64{3, 30}, []int64{4, 40})
+	b := NewBatch(src.Schema())
+	for i := range src.Len() {
+		b.AppendRow(src, i)
 	}
 	if b.Len() != 5 || b.NumPhysical() != 5 {
 		t.Fatalf("Len = %d phys = %d", b.Len(), b.NumPhysical())
 	}
-	if r := b.Row(3); r[0].Int != 3 || r[1].Int != 30 {
-		t.Errorf("Row(3) = %v", r)
+	if b.Cols[0].I[3] != 3 || b.Cols[1].I[3] != 30 {
+		t.Errorf("row 3 = (%d, %d)", b.Cols[0].I[3], b.Cols[1].I[3])
 	}
 	b.SetSel([]int32{4, 2})
-	if b.RowIdx(1) != 2 || b.Row(1)[1].Int != 20 {
-		t.Errorf("selected row 1 = %d: %v", b.RowIdx(1), b.Row(1))
-	}
-	if err := b.AppendTuple(Ints(1)); err == nil {
-		t.Error("AppendTuple accepted a short tuple")
+	if b.RowIdx(1) != 2 || b.Cols[1].I[b.RowIdx(1)] != 20 {
+		t.Errorf("selected row 1 = %d", b.RowIdx(1))
 	}
 }
 
@@ -59,9 +56,9 @@ func TestBatchSelectionCompactAndClone(t *testing.T) {
 func TestBatchEncodedRoundTrip(t *testing.T) {
 	src := NewBatch(IntSchema("a", "b"))
 	for i := int64(0); i < 6; i++ {
-		if err := src.AppendTuple(Ints(i, -i)); err != nil {
-			t.Fatal(err)
-		}
+		src.Cols[0].I = append(src.Cols[0].I, i)
+		src.Cols[1].I = append(src.Cols[1].I, -i)
+		src.BumpRow()
 	}
 	src.SetSel([]int32{5, 1, 4})
 	const stride = 8
@@ -74,10 +71,8 @@ func TestBatchEncodedRoundTrip(t *testing.T) {
 	if err := dst.AppendIntColumns(block[8*3:], stride, 2); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []Tuple{Ints(1, -1), Ints(4, -4)} {
-		if !EqualTuples(dst.Row(i), want) {
-			t.Errorf("row %d = %v, want %v", i, dst.Row(i), want)
-		}
+	if want := ints([]int64{1, -1}, []int64{4, -4}); !reflect.DeepEqual(dst.Cols, want.Cols) {
+		t.Errorf("decoded %v, want %v", dst.Cols, want.Cols)
 	}
 }
 
@@ -95,8 +90,8 @@ func TestBatchProjectAndWithSchema(t *testing.T) {
 	if proj.Len() != 2 {
 		t.Fatalf("projected Len = %d", proj.Len())
 	}
-	if r := proj.Row(1); r[0].Int != 9 || r[1].Int != 3 {
-		t.Errorf("proj Row(1) = %v, want [9 3]", r)
+	if p := proj.RowIdx(1); proj.Cols[0].I[p] != 9 || proj.Cols[1].I[p] != 3 {
+		t.Errorf("proj row 1 = (%d, %d), want (9, 3)", proj.Cols[0].I[p], proj.Cols[1].I[p])
 	}
 	proj.SetSel([]int32{0})
 	if b.Len() != 2 {

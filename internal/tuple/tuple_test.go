@@ -9,28 +9,51 @@ import (
 	"testing/quick"
 )
 
+// ints builds a batch of the given rows under an all-INT schema with one
+// column per value.
+func ints(rows ...[]int64) *Batch {
+	names := make([]string, len(rows[0]))
+	for c := range names {
+		names[c] = string(rune('a' + c))
+	}
+	b := NewBatch(IntSchema(names...))
+	for _, r := range rows {
+		for c, v := range r {
+			b.Cols[c].I = append(b.Cols[c].I, v)
+		}
+		b.BumpRow()
+	}
+	return b
+}
+
+// compare orders two integers through CompareRows, the one row comparator.
+func compare(x, y int64) int {
+	b := ints([]int64{x}, []int64{y})
+	return b.CompareRows(0, b, 1, []int{0}, []int{0}, nil)
+}
+
 func TestValueCompare(t *testing.T) {
 	cases := []struct {
-		a, b Value
+		a, b int64
 		want int
 	}{
-		{I(1), I(2), -1},
-		{I(2), I(1), 1},
-		{I(5), I(5), 0},
-		{I(-3), I(3), -1},
-		{I(math.MinInt64), I(math.MaxInt64), -1},
-		{I(math.MaxInt64), I(math.MinInt64), 1},
+		{1, 2, -1},
+		{2, 1, 1},
+		{5, 5, 0},
+		{-3, 3, -1},
+		{math.MinInt64, math.MaxInt64, -1},
+		{math.MaxInt64, math.MinInt64, 1},
 	}
 	for _, c := range cases {
-		if got := Compare(c.a, c.b); got != c.want {
-			t.Errorf("Compare(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
+		if got := compare(c.a, c.b); got != c.want {
+			t.Errorf("compare(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestCompareAntisymmetric(t *testing.T) {
 	f := func(a, b int64) bool {
-		return Compare(I(a), I(b)) == -Compare(I(b), I(a))
+		return compare(a, b) == -compare(b, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -41,8 +64,8 @@ func TestCompareTransitiveProperty(t *testing.T) {
 	f := func(a, b, c int64) bool {
 		vs := []int64{a, b, c}
 		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-		return Compare(I(vs[0]), I(vs[1])) <= 0 && Compare(I(vs[1]), I(vs[2])) <= 0 &&
-			Compare(I(vs[0]), I(vs[2])) <= 0
+		return compare(vs[0], vs[1]) <= 0 && compare(vs[1], vs[2]) <= 0 &&
+			compare(vs[0], vs[2]) <= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -95,21 +118,13 @@ func putGet(t *testing.T, b *Batch, stride int) *Batch {
 // TestEncodeDecodeRoundTrip: the page codec returns every value, the int64
 // extremes included, in its row and column.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	in := []Tuple{Ints(42, math.MinInt64, -7), Ints(0, math.MaxInt64, 1<<40), Ints(-1, 0, 1)}
-	b := NewBatch(IntSchema("id", "a", "b"))
-	for _, r := range in {
-		if err := b.AppendTuple(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	b := ints([]int64{42, math.MinInt64, -7}, []int64{0, math.MaxInt64, 1 << 40}, []int64{-1, 0, 1})
 	out := putGet(t, b, 5)
-	if out.Len() != len(in) {
-		t.Fatalf("decoded %d rows, want %d", out.Len(), len(in))
+	if out.Len() != b.Len() {
+		t.Fatalf("decoded %d rows, want %d", out.Len(), b.Len())
 	}
-	for i, r := range in {
-		if !EqualTuples(out.Row(i), r) {
-			t.Errorf("row %d = %v, want %v", i, out.Row(i), r)
-		}
+	if !reflect.DeepEqual(out.Cols, b.Cols) {
+		t.Errorf("decoded %v, want %v", out.Cols, b.Cols)
 	}
 }
 
@@ -123,9 +138,7 @@ func TestDecodeShortBuffer(t *testing.T) {
 	if b.Len() != 0 {
 		t.Errorf("a refused decode appended %d rows", b.Len())
 	}
-	if err := b.AppendTuple(Ints(1, 2)); err != nil {
-		t.Fatal(err)
-	}
+	b = ints([]int64{1, 2})
 	if err := b.PutIntColumns(make([]byte, 8*(4+1)-1), 4, 0, 1); err == nil {
 		t.Error("PutIntColumns accepted a short block")
 	}
@@ -135,11 +148,8 @@ func TestEncodeDecodeQuick(t *testing.T) {
 	f := func(a, c []int64) bool {
 		n := min(len(a), len(c))
 		b := NewBatch(IntSchema("a", "c"))
-		for i := 0; i < n; i++ {
-			if b.AppendTuple(Ints(a[i], c[i])) != nil {
-				return false
-			}
-		}
+		b.Cols[0].I, b.Cols[1].I = a[:n], c[:n]
+		b.BumpRows(n)
 		out := putGet(t, b, n+1)
 		for i := 0; i < n; i++ {
 			if out.Cols[0].I[i] != a[i] || out.Cols[1].I[i] != c[i] {
@@ -153,58 +163,60 @@ func TestEncodeDecodeQuick(t *testing.T) {
 	}
 }
 
+// TestCompareAt: CompareRows orders on the key columns it is given and no
+// others.
 func TestCompareAt(t *testing.T) {
-	a := Ints(1, 5, 9)
-	b := Ints(1, 7, 0)
-	if got := CompareAt(a, b, []int{0}); got != 0 {
-		t.Errorf("CompareAt col0 = %d, want 0", got)
+	b := ints([]int64{1, 5, 9}, []int64{1, 7, 0})
+	if got := b.CompareRows(0, b, 1, []int{0}, []int{0}, nil); got != 0 {
+		t.Errorf("CompareRows col0 = %d, want 0", got)
 	}
-	if got := CompareAt(a, b, []int{0, 1}); got != -1 {
-		t.Errorf("CompareAt cols 0,1 = %d, want -1", got)
+	if got := b.CompareRows(0, b, 1, []int{0, 1}, []int{0, 1}, nil); got != -1 {
+		t.Errorf("CompareRows cols 0,1 = %d, want -1", got)
 	}
-	if got := CompareAt(a, b, []int{2}); got != 1 {
-		t.Errorf("CompareAt col2 = %d, want 1", got)
-	}
-}
-
-func TestCompareAllPrefix(t *testing.T) {
-	if got := CompareAll(Ints(1, 2), Ints(1, 2, 3)); got != -1 {
-		t.Errorf("prefix should sort first, got %d", got)
-	}
-	if got := CompareAll(Ints(1, 2, 3), Ints(1, 2)); got != 1 {
-		t.Errorf("extension should sort last, got %d", got)
+	if got := b.CompareRows(0, b, 1, []int{2}, []int{2}, nil); got != 1 {
+		t.Errorf("CompareRows col2 = %d, want 1", got)
 	}
 }
 
+// TestTupleCloneIndependence: a dense batch's Clone shares no storage.
 func TestTupleCloneIndependence(t *testing.T) {
-	a := Ints(1, 2, 3)
+	a := ints([]int64{1, 2, 3})
 	b := a.Clone()
-	b[0] = I(99)
-	if a[0].Int != 1 {
+	b.Cols[0].I[0] = 99
+	if a.Cols[0].I[0] != 1 {
 		t.Error("Clone shares backing storage")
 	}
 }
 
+// TestSortUsingCompareAll: a permutation sorted with CompareRows over every
+// column orders the batch lexicographically.
 func TestSortUsingCompareAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	ts := make([]Tuple, 200)
-	for i := range ts {
-		ts[i] = Ints(rng.Int63n(10), rng.Int63n(10), rng.Int63n(10))
+	rows := make([][]int64, 200)
+	for i := range rows {
+		rows[i] = []int64{rng.Int63n(10), rng.Int63n(10), rng.Int63n(10)}
 	}
-	sort.Slice(ts, func(i, j int) bool { return CompareAll(ts[i], ts[j]) < 0 })
-	for i := 1; i < len(ts); i++ {
-		if CompareAll(ts[i-1], ts[i]) > 0 {
-			t.Fatalf("not sorted at %d: %v > %v", i, ts[i-1], ts[i])
+	b := ints(rows...)
+	all := []int{0, 1, 2}
+	perm := make([]int32, b.Len())
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.Slice(perm, func(i, j int) bool { return b.CompareRows(int(perm[i]), b, int(perm[j]), all, all, nil) < 0 })
+	b.SetSel(perm)
+	for i := 1; i < b.Len(); i++ {
+		if b.CompareRows(i-1, b, i, all, all, nil) > 0 {
+			t.Fatalf("not sorted at %d: %v > %v", i, rows[perm[i-1]], rows[perm[i]])
 		}
 	}
 }
 
 func TestStringRendering(t *testing.T) {
-	s := NewSchema(Column{"a", KindInt}, Column{"b", KindString})
-	if got, want := s.String(), "(a INT, b STRING)"; got != want {
+	s := NewSchema(Column{"a", KindInt}, Column{"b", KindInt})
+	if got, want := s.String(), "(a INT, b INT)"; got != want {
 		t.Errorf("Schema.String() = %q, want %q", got, want)
 	}
-	if got, want := (Tuple{I(1), S("x")}).String(), "[1 x]"; got != want {
-		t.Errorf("Tuple.String() = %q, want %q", got, want)
+	if got, want := Kind(1).String(), "Kind(1)"; got != want {
+		t.Errorf("Kind(1).String() = %q, want %q", got, want)
 	}
 }

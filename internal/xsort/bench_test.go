@@ -1,4 +1,4 @@
-package xsort
+package xsort_test
 
 import (
 	"math/rand"
@@ -6,22 +6,16 @@ import (
 
 	hp "setm/internal/heap"
 	"setm/internal/storage"
-	"setm/internal/tuple"
 )
 
 func benchFile(b *testing.B, pool *storage.Pool, n int) *hp.File {
 	b.Helper()
-	f, err := hp.Create(pool, tuple.IntSchema("tid", "item"))
-	if err != nil {
-		b.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < n; i++ {
-		if err := f.Append(tuple.Ints(rng.Int63n(10000), rng.Int63n(1000))); err != nil {
-			b.Fatal(err)
-		}
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = []int64{rng.Int63n(10000), rng.Int63n(1000)}
 	}
-	return f
+	return makeFile(b, pool, rows, "tid", "item")
 }
 
 // BenchmarkExternalSort measures the sort primitive at SETM's typical
@@ -33,9 +27,7 @@ func BenchmarkExternalSort(b *testing.B) {
 			f := benchFile(b, pool, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sortFile(pool, f, byColumns(0, 1), 64<<10); err != nil {
-					b.Fatal(err)
-				}
+				sortFile(b, pool, f, 64<<10, []int{0, 1})
 			}
 		})
 	}
@@ -47,9 +39,7 @@ func BenchmarkInMemorySort(b *testing.B) {
 	f := benchFile(b, pool, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sortFile(pool, f, byColumns(0, 1), 0); err != nil {
-			b.Fatal(err)
-		}
+		sortFile(b, pool, f, 0, []int{0, 1})
 	}
 }
 

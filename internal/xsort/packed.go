@@ -2,10 +2,9 @@
 // rows and bare key columns, plus external sorting for both — bounded
 // in-memory radix runs spilled as raw packed pages (storage.Run) and a
 // cascaded k-way merge that streams the sorted sequence back out. This is
-// the same two-primitive shape as the tuple path above (run generation,
-// merge), with the comparator replaced by integer order and the tuple
-// codec replaced by raw little-endian words, so the out-of-core mining
-// pipeline pays no per-row encoding.
+// the same two-primitive shape as the heap-file path (run generation,
+// merge), with key columns replaced by a (tid, key) word pair and heap
+// files replaced by raw runs that bypass the pool's frames.
 package xsort
 
 import (

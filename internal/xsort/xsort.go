@@ -1,149 +1,46 @@
-// Package xsort implements external merge sort over heap files: bounded
-// in-memory run generation followed by a k-way merge. Sorting is the first
-// of the two database primitives Algorithm SETM is built from ("the
-// algorithm consists of a single loop, in which two sort operations and one
-// merge-scan join are performed", Section 4.4).
+// Package xsort implements external merge sort: bounded in-memory runs
+// followed by a k-way merge. Sorting is the first of the two database
+// primitives Algorithm SETM is built from ("the algorithm consists of a
+// single loop, in which two sort operations and one merge-scan join are
+// performed", Section 4.4).
 //
-// Runs spill to heap files in the same buffer pool as the input, so the
-// page-access accounting captures the full cost of the sort, matching the
-// 2·Σ‖R_i‖ term of the paper's Section 4.3 formula.
+// exec.Sort writes its sorted runs as heap files in its input's buffer
+// pool and MergeFiles merges them, so page I/O counts the whole sort (the
+// 2·Σ‖R_i‖ term of Section 4.3). The native miner's path is packed.go.
 package xsort
 
 import (
 	"container/heap"
 	"io"
-	"sort"
 
 	hp "setm/internal/heap"
 	"setm/internal/storage"
 	"setm/internal/tuple"
 )
 
-// DefaultMemoryLimit bounds the bytes of tuples buffered per run when the
-// caller passes a non-positive limit (4 MB — large enough that the paper's
-// data sets sort in one or two runs, small enough to exercise merging in
-// tests).
-const DefaultMemoryLimit = 4 << 20
-
-// Comparator orders tuples; negative means a < b.
-type Comparator func(a, b tuple.Tuple) int
-
-// Iterator is a minimal pull-based tuple stream. Next returns io.EOF at the
-// end. Whoever opened the stream closes it; the sort only reads.
-type Iterator interface {
-	Next() (tuple.Tuple, error)
-}
-
-// Stream sorts an arbitrary tuple stream into a fresh heap file: runs of
-// at most memLimit bytes are sorted in memory and written out, then
-// merged. Every run is freed once merged and on every error path, so the
-// one file returned is all the call leaves in the pool.
-func Stream(pool *storage.Pool, schema *tuple.Schema, in Iterator, cmp Comparator, memLimit int) (*hp.File, error) {
-	if memLimit <= 0 {
-		memLimit = DefaultMemoryLimit
-	}
-	runs, err := writeRuns(pool, schema, in, cmp, memLimit)
-	if err != nil {
-		freeFiles(runs)
-		return nil, err
-	}
-	return mergeRuns(pool, schema, runs, cmp)
-}
-
-// writeRuns cuts in into sorted runs of at most memLimit bytes — at least
-// one, which is empty when in is. On error it returns the runs written so
-// far, the failed one included, for the caller to free.
-func writeRuns(pool *storage.Pool, schema *tuple.Schema, in Iterator, cmp Comparator, memLimit int) ([]*hp.File, error) {
-	var runs []*hp.File
-	var buf []tuple.Tuple
-	bufBytes := 0
-	flush := func() error {
-		sort.SliceStable(buf, func(i, j int) bool { return cmp(buf[i], buf[j]) < 0 })
-		run, err := hp.Create(pool, schema)
-		if err != nil {
-			return err
-		}
-		runs = append(runs, run)
-		err = run.AppendAll(buf)
-		buf, bufBytes = buf[:0], 0
-		return err
-	}
-	for {
-		t, err := in.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return runs, err
-		}
-		buf = append(buf, t)
-		bufBytes += 8 * len(t)
-		if bufBytes >= memLimit {
-			if err := flush(); err != nil {
-				return runs, err
-			}
-		}
-	}
-	var err error
-	if len(buf) > 0 || len(runs) == 0 {
-		err = flush()
-	}
-	return runs, err
-}
-
-func freeFiles(files []*hp.File) {
-	for _, f := range files {
-		f.Free()
-	}
-}
-
-// mergeEntry is one head-of-run element in the merge heap.
-type mergeEntry struct {
-	t   tuple.Tuple
-	src int
-}
-
-type mergeHeap struct {
-	entries []mergeEntry
-	cmp     Comparator
-}
-
-func (m *mergeHeap) Len() int { return len(m.entries) }
-func (m *mergeHeap) Less(i, j int) bool {
-	c := m.cmp(m.entries[i].t, m.entries[j].t)
-	if c != 0 {
-		return c < 0
-	}
-	// Tie-break on run index for stability.
-	return m.entries[i].src < m.entries[j].src
-}
-func (m *mergeHeap) Swap(i, j int)      { m.entries[i], m.entries[j] = m.entries[j], m.entries[i] }
-func (m *mergeHeap) Push(x interface{}) { m.entries = append(m.entries, x.(mergeEntry)) }
-func (m *mergeHeap) Pop() interface{} {
-	old := m.entries
-	n := len(old)
-	e := old[n-1]
-	m.entries = old[:n-1]
-	return e
-}
-
-// mergeRuns merges sorted runs into one file, consuming them. Each round
-// merges consecutive groups of FanIn(pool.Capacity()) runs, so a merge
-// never pins more frames than the pool has — one per open run plus the two
-// an append can hold — however many runs there are. Groups stay in run
-// order and ties break on run index, so the cascade is as stable as a
-// single merge.
-func mergeRuns(pool *storage.Pool, schema *tuple.Schema, runs []*hp.File, cmp Comparator) (*hp.File, error) {
+// MergeFiles merges runs — one or more heap files of one schema, each
+// sorted on the key columns cols, desc[i] flipping cols[i] (nil desc = all
+// ascending) — into one file in that order. Ties go to the earlier run, so
+// the runs of a stable sort merge stably. Each round merges consecutive
+// groups of FanIn(pool.Capacity()) runs, so a merge never pins more frames
+// than the pool has: one per open run plus the two an append can hold.
+// The runs are consumed, on every path: the file returned is all the call
+// leaves in the pool.
+func MergeFiles(pool *storage.Pool, runs []*hp.File, cols []int, desc []bool) (*hp.File, error) {
 	fanIn := FanIn(pool.Capacity())
 	for len(runs) > 1 {
 		var next []*hp.File
 		for len(runs) > 0 {
-			n := min(fanIn, len(runs))
-			merged, err := mergeGroup(pool, schema, runs[:n], cmp)
-			runs = runs[n:]
+			group := runs[:min(fanIn, len(runs))]
+			runs = runs[len(group):]
+			if len(group) == 1 {
+				next = append(next, group[0])
+				continue
+			}
+			merged, err := mergeGroup(pool, group, cols, desc)
 			if err != nil {
-				freeFiles(next)
-				freeFiles(runs)
+				hp.FreeAll(next)
+				hp.FreeAll(runs)
 				return nil, err
 			}
 			next = append(next, merged)
@@ -153,65 +50,95 @@ func mergeRuns(pool *storage.Pool, schema *tuple.Schema, runs []*hp.File, cmp Co
 	return runs[0], nil
 }
 
-// mergeGroup merges runs (at most the fan-in) into a fresh file and frees
-// them, whether or not it succeeds; the only run of a group is returned as
-// it is.
-func mergeGroup(pool *storage.Pool, schema *tuple.Schema, runs []*hp.File, cmp Comparator) (*hp.File, error) {
-	if len(runs) == 1 {
-		return runs[0], nil
-	}
-	out, err := hp.Create(pool, schema)
+// mergeGroup merges runs into a fresh file and frees them either way.
+func mergeGroup(pool *storage.Pool, runs []*hp.File, cols []int, desc []bool) (*hp.File, error) {
+	out, err := hp.Create(pool, runs[0].Schema())
 	if err == nil {
-		err = mergeInto(out, runs, cmp)
-	}
-	freeFiles(runs) // mergeInto has closed its scanners: no page of a run is pinned
-	if err != nil {
-		if out != nil {
+		if err = mergeInto(out, runs, cols, desc); err != nil {
 			out.Free()
+			out = nil
 		}
-		return nil, err
 	}
-	return out, nil
+	hp.FreeAll(runs) // mergeInto has closed its scanners: no page of a run is pinned
+	return out, err
 }
 
-// mergeInto appends the k-way merge of runs to out; ties go to the earlier
-// run.
-func mergeInto(out *hp.File, runs []*hp.File, cmp Comparator) error {
-	scanners := make([]*hp.Scanner, len(runs))
-	for i, r := range runs {
-		scanners[i] = r.Scan()
-	}
-	defer func() {
-		for _, sc := range scanners {
-			sc.Close()
-		}
-	}()
+// runHead is a run's scanner and batch; row i is the next to merge.
+type runHead struct {
+	sc *hp.Scanner
+	b  *tuple.Batch
+	i  int
+}
 
-	h := &mergeHeap{cmp: cmp}
-	for i, sc := range scanners {
-		t, err := sc.Next()
-		if err == io.EOF {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		h.entries = append(h.entries, mergeEntry{t: t, src: i})
+// fileMerge is a min-heap of run indexes by head row, then run index.
+type fileMerge struct {
+	heads []runHead
+	order []int
+	cols  []int
+	desc  []bool
+}
+
+func (m *fileMerge) Len() int { return len(m.order) }
+func (m *fileMerge) Less(x, y int) bool {
+	a, b := &m.heads[m.order[x]], &m.heads[m.order[y]]
+	c := a.b.CompareRows(a.i, b.b, b.i, m.cols, m.cols, m.desc)
+	return c < 0 || c == 0 && m.order[x] < m.order[y]
+}
+func (m *fileMerge) Swap(x, y int) { m.order[x], m.order[y] = m.order[y], m.order[x] }
+func (m *fileMerge) Push(x any)    { m.order = append(m.order, x.(int)) }
+func (m *fileMerge) Pop() any {
+	r := m.order[len(m.order)-1]
+	m.order = m.order[:len(m.order)-1]
+	return r
+}
+
+// advance moves run r's head one row on, reading the run's next batch when
+// the current one is used up; false means the run is exhausted.
+func (m *fileMerge) advance(r int) (bool, error) {
+	h := &m.heads[r]
+	h.i++
+	if h.i < h.b.Len() {
+		return true, nil
 	}
-	heap.Init(h)
-	for h.Len() > 0 {
-		e := heap.Pop(h).(mergeEntry)
-		if err := out.Append(e.t); err != nil {
-			return err
-		}
-		t, err := scanners[e.src].Next()
-		if err == io.EOF {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		heap.Push(h, mergeEntry{t: t, src: e.src})
+	h.b.Reset()
+	h.i = 0
+	_, err := h.sc.NextBatch(h.b, tuple.BatchSize)
+	if err == io.EOF {
+		return false, nil
 	}
-	return nil
+	return err == nil, err
+}
+
+// mergeInto appends the k-way merge of runs to out, a batch at a time.
+func mergeInto(out *hp.File, runs []*hp.File, cols []int, desc []bool) error {
+	m := &fileMerge{heads: make([]runHead, len(runs)), cols: cols, desc: desc}
+	for r, run := range runs {
+		m.heads[r] = runHead{sc: run.Scan(), b: tuple.NewBatch(run.Schema()), i: -1}
+		defer m.heads[r].sc.Close()
+		if ok, err := m.advance(r); err != nil {
+			return err
+		} else if ok {
+			m.order = append(m.order, r)
+		}
+	}
+	heap.Init(m)
+	buf := tuple.NewBatch(out.Schema())
+	for len(m.order) > 0 {
+		h := &m.heads[m.order[0]]
+		buf.AppendRow(h.b, h.i) // head batches are dense
+		if buf.Len() == tuple.BatchSize {
+			if err := out.AppendBatch(buf); err != nil {
+				return err
+			}
+			buf.Reset()
+		}
+		if ok, err := m.advance(m.order[0]); err != nil {
+			return err
+		} else if ok {
+			heap.Fix(m, 0)
+		} else {
+			heap.Pop(m)
+		}
+	}
+	return out.AppendBatch(buf)
 }
