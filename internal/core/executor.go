@@ -290,7 +290,7 @@ func (s *execStepper) nextPlan(k int, prevRPrime, prevRRows int64) IterPlan {
 	p := s.strat(costmodel.PlanInput{
 		K: k, PrevRPrime: prevRPrime, PrevRRows: prevRRows,
 		AvgBasket: s.avgBasket, Budget: s.budget, Workers: s.maxWorkers,
-		CountTableBytes: s.dict.countTableBytes(k), Checkpoint: s.opts.Checkpoint != nil,
+		CountTableBytes: s.dict.countTableBytes(k),
 	})
 	if p.Workers < 1 || p.Regime == RegimeSpilled {
 		p.Workers = 1

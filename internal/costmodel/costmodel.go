@@ -605,12 +605,6 @@ type PlanInput struct {
 	// the upcoming pass's packed key space, 4·2^(K·bitsPerItem); zero when
 	// the key space is wider than the executor's table cap (or unknown).
 	CountTableBytes int64
-	// Checkpoint is whether the iteration may persist a durable checkpoint
-	// (Options.Checkpoint): one sequential write of R_k — plus, in the
-	// spilled regime, a sequential read-back of the spilled relation —
-	// charged to the plan as a serial (non-parallelizable) term. An upper
-	// bound: under the paced cadence the pass may not checkpoint.
-	Checkpoint bool
 }
 
 // PlanChoice is ChoosePlan's decision, in engine-neutral terms.
@@ -635,7 +629,7 @@ type PlanChoice struct {
 // (BenchmarkParallelWorkers, -cpu 2, 2026-10-05) reads 1.65–1.7× at two
 // workers on quest (138–143 → 81–85 ms, R'_2 of 5.2 M rows) and 1.35× on
 // retail (8.8–8.9 → 6.5–6.7 ms, R_1 of 116 k rows) — both two to three
-// orders of magnitude above it (ROADMAP item 10c).
+// orders of magnitude above it (ROADMAP item 12(b)).
 const ParallelMinRows = 2048
 
 // ChoosePlan picks a packed-key iteration's strategy from observed
@@ -659,16 +653,6 @@ func ChoosePlan(in PlanInput) PlanChoice {
 	}
 	c.FootprintBytes = PackedIterFootprint(c.EstRPrime, in.CountTableBytes)
 	c.Spill = in.Budget > 0 && c.FootprintBytes > in.Budget
-
-	// A durable checkpoint is one writer streaming R_k to one file: it
-	// never fans out, so it is charged outside the parallelizable term —
-	// which also means it dampens the modeled benefit of extra workers.
-	// A spilled iteration additionally re-reads the spilled R_k pages to
-	// copy them into the checkpoint.
-	var ckptMs float64
-	if in.Checkpoint {
-		ckptMs = CheckpointMs(c.EstRPrime, c.Spill)
-	}
 
 	// costAt models the iteration at w workers. The dominant costs: the
 	// merge-scan extension, count and filter passes; the count step's
@@ -698,7 +682,7 @@ func ChoosePlan(in PlanInput) PlanChoice {
 			}
 			serial += 2 * SeqScanMs(p, pages)
 		}
-		return ParallelMs(serial, w) + ckptMs
+		return ParallelMs(serial, w)
 	}
 	c.EstMs = costAt(1)
 
@@ -721,26 +705,6 @@ func ChoosePlan(in PlanInput) PlanChoice {
 		}
 	}
 	return c
-}
-
-// CheckpointMs models the serial cost of persisting one iteration's
-// durable checkpoint: a sequential write of R_k's packed pages (the
-// manifest is noise next to it), plus — when the iteration ran spilled —
-// a sequential read-back of those pages, since the relation being
-// checkpointed then lives in runs rather than RAM. Rows are the
-// projected |R_k|; callers pass the |R'_k| estimate as the conservative
-// upper bound.
-func CheckpointMs(rows int64, spilled bool) float64 {
-	if rows <= 0 {
-		return 0
-	}
-	p := PaperDBParams()
-	pages := PackedPages(rows, PackedRowBytes)
-	ms := SeqScanMs(p, pages)
-	if spilled {
-		ms *= 2
-	}
-	return ms
 }
 
 // String renders the nested-loop report in the paper's terms.

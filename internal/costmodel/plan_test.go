@@ -155,41 +155,6 @@ func TestChoosePlanObservedCandidateCap(t *testing.T) {
 	}
 }
 
-// TestChoosePlanCheckpointCharge: a checkpointing iteration pays a
-// serial I/O term — the modeled cost rises, spilled plans pay the extra
-// read-back, and because the charge cannot be divided across workers it
-// never increases the chosen fan-out.
-func TestChoosePlanCheckpointCharge(t *testing.T) {
-	in := PlanInput{K: 2, PrevRRows: 500_000, AvgBasket: 10, Workers: 8}
-	plain := ChoosePlan(in)
-	in.Checkpoint = true
-	ck := ChoosePlan(in)
-	if ck.EstMs <= plain.EstMs {
-		t.Errorf("checkpointing modeled at %.3f ms, plain %.3f ms: charge missing", ck.EstMs, plain.EstMs)
-	}
-	if ck.Workers > plain.Workers {
-		t.Errorf("serial checkpoint charge raised fan-out: %d > %d", ck.Workers, plain.Workers)
-	}
-	// The explicit charge: resident writes once, spilled also reads back.
-	rows := int64(100_000)
-	res := CheckpointMs(rows, false)
-	sp := CheckpointMs(rows, true)
-	if res <= 0 || sp != 2*res {
-		t.Errorf("CheckpointMs: resident %.3f, spilled %.3f, want spilled = 2x resident > 0", res, sp)
-	}
-	if CheckpointMs(0, false) != 0 || CheckpointMs(-5, true) != 0 {
-		t.Error("CheckpointMs of empty relation must be free")
-	}
-	// And the whole-plan delta equals the charge for the chosen estimate.
-	serialIn := PlanInput{K: 2, PrevRRows: 10, AvgBasket: 2, Workers: 1}
-	base := ChoosePlan(serialIn)
-	serialIn.Checkpoint = true
-	withCk := ChoosePlan(serialIn)
-	if want := base.EstMs + CheckpointMs(base.EstRPrime, base.Spill); withCk.EstMs != want {
-		t.Errorf("serial plan with checkpoint = %.6f ms, want %.6f", withCk.EstMs, want)
-	}
-}
-
 // TestParallelMsMonotonic: more workers never make the modeled cost
 // negative, and the overhead term makes tiny work prefer serial.
 func TestParallelMsMonotonic(t *testing.T) {

@@ -21,8 +21,8 @@ import (
 )
 
 // DefaultPoolFrames is the buffer-pool capacity of every DB, in 4 KB
-// frames. SETM's access pattern is sequential, so modest pools behave like
-// large ones.
+// frames. Tables are heap files, which take no frame, so the capacity
+// only sets the external sort's merge fan-in (xsort.FanIn).
 const DefaultPoolFrames = 1024
 
 // DB is one engine instance.

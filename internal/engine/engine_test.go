@@ -70,6 +70,27 @@ func TestCreateInsertSelect(t *testing.T) {
 	}
 }
 
+// TestInsertSelectFromItself: INSERT INTO t SELECT … FROM t inserts the
+// rows t held when the statement began, also when a batch of the scan
+// ends part-way into the page the insert is filling.
+func TestInsertSelectFromItself(t *testing.T) {
+	for _, n := range []int{1120, 3000} {
+		db := New()
+		rows := make([][]int64, n)
+		for i := range rows {
+			rows[i] = []int64{int64(i), int64(n - i)}
+		}
+		loadRows(t, db, "t", tuple.IntSchema("a", "b"), rows)
+		if r := db.MustExec("INSERT INTO t SELECT t.a, t.b FROM t", nil); r.RowsAffected != int64(n) {
+			t.Errorf("%d rows: RowsAffected = %d, want %d", n, r.RowsAffected, n)
+		}
+		got := db.MustExec("SELECT a, b FROM t", nil).Rows
+		if !slices.EqualFunc(got, slices.Concat(rows, rows), slices.Equal) {
+			t.Errorf("%d rows: t holds %d rows after the insert, want the %d loaded twice", n, len(got), n)
+		}
+	}
+}
+
 func TestPaperC1Query(t *testing.T) {
 	// The paper's C_1 query (Section 3.1) against the Figure 1 data; with
 	// minsupport = 3 the counts must match relation C1 of Figure 1:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	hp "setm/internal/heap"
@@ -39,12 +40,11 @@ func sortInput(t testing.TB, pool *storage.Pool, runs int) *hp.File {
 func freeListLen(t testing.TB, pool *storage.Pool) int {
 	t.Helper()
 	pages := pool.Store().NumPages()
+	page := make([]byte, storage.PageSize)
 	for n := 0; ; n++ {
-		pg, err := pool.Allocate()
-		if err != nil {
+		if _, err := pool.AppendPages(nil, page); err != nil {
 			t.Fatal(err)
 		}
-		pool.Unpin(pg)
 		if pool.Store().NumPages() > pages {
 			return n
 		}
@@ -140,6 +140,29 @@ func TestExternalSortReleasesPages(t *testing.T) {
 		if failures == 0 {
 			t.Fatalf("%d runs: no allocation was ever refused", runs)
 		}
+	}
+}
+
+// TestHeapFilesTakeNoFrame: a heap file holds no buffer-pool frame, so
+// appending 3,000 rows twice, scanning them back and sorting them
+// externally all run on a pool of one frame.
+func TestHeapFilesTakeNoFrame(t *testing.T) {
+	pool := storage.NewPool(storage.NewMemStore(), 1)
+	schema := tuple.IntSchema("k", "seq")
+	rng := rand.New(rand.NewSource(5))
+	rows := make([][]int64, 3000)
+	for i := range rows {
+		rows[i] = []int64{rng.Int63n(40), int64(i)}
+	}
+	want := slices.Concat(rows, rows)
+	f := heapFile(t, pool, schema, want)
+	requireSameRows(t, "scan", drainRows(t, NewHeapScan(f)), want)
+	keys := []SortKey{{Col: 0}}
+	requireSameRows(t, "external sort",
+		drainRows(t, NewSortKeys(NewHeapScan(f), keys, pool, sortRunBytes)),
+		drainRows(t, NewSortKeys(NewMemScan(schema, want), keys, nil, 0)))
+	if n := pool.PinnedFrames(); n != 0 {
+		t.Errorf("%d frames left pinned", n)
 	}
 }
 

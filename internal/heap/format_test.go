@@ -75,7 +75,7 @@ func checkFile(t *testing.T, f *File, want [][]int64) {
 		t.Fatalf("Rows = %d, want %d", f.Rows(), len(want))
 	}
 	per := wantRowsPerPage(s)
-	if wantPages := max(1, (len(want)+per-1)/per); f.Pages() != wantPages {
+	if wantPages := (len(want) + per - 1) / per; f.Pages() != wantPages {
 		t.Fatalf("Pages = %d, want ceil(%d/%d) = %d", f.Pages(), len(want), per, wantPages)
 	}
 	// NextBatch, with max below a page, around a page and at BatchSize.
@@ -186,8 +186,7 @@ func FuzzHeapRoundTrip(f *testing.F) {
 
 // TestAppendBatchAllocationFault refuses the N-th page allocation in the
 // middle of an AppendBatch, for every N the batch needs. The file must keep
-// exactly the rows it reports, stay appendable, and lose nothing to
-// eviction (the pool is two frames).
+// exactly the rows it reports and stay appendable.
 func TestAppendBatchAllocationFault(t *testing.T) {
 	for _, s := range []*tuple.Schema{tuple.IntSchema("a", "b"), tuple.IntSchema("a", "b", "c", "d", "e")} {
 		rng := rand.New(rand.NewSource(11))

@@ -1,13 +1,21 @@
 // Package heap implements append-only record files ("heap files") over the
 // paged storage layer. A heap file stores rows of a fixed all-INT schema
-// packed into a chain of pages; it supports appending and full sequential
-// scans, which are the only access paths SETM needs for its R_k relations.
-// Both move column batches (AppendBatch, Scanner.NextBatch); there is no
+// packed into pages; it supports appending and full sequential scans,
+// which are the only access paths SETM needs for its R_k relations. Both
+// move column batches (AppendBatch, Scanner.NextBatch); there is no
 // row-at-a-time API.
+//
+// A heap file's pages are written once, except that the partial last page
+// is rewritten in place as rows arrive, and read front to back. So, like
+// packed runs, they take no buffer-pool frame and hold no pin: AppendBatch
+// encodes each page in a buffer of its own and writes it with the pool's
+// uncached page I/O (Pool.AppendPages, Pool.WritePages), and a Scanner
+// reads one page at a time into its own buffer (Pool.ReadPages). Every
+// page still counts in Pool.Stats.
 //
 // Every page starts with the same 8-byte header:
 //
-//	offset 0:  u32 next page ID (InvalidPage at the tail)
+//	offset 0:  u32 reserved
 //	offset 4:  u16 row count
 //	offset 6:  u16 reserved
 //
@@ -22,6 +30,7 @@
 package heap
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -30,25 +39,22 @@ import (
 )
 
 const (
-	hdrNext  = 0
 	hdrCount = 4
 	hdrSize  = 8
 )
 
-// File is a heap file: a linked list of column-major pages in a shared pool.
+// File is a heap file: its pages in order, every one full but the last.
 type File struct {
 	pool    *storage.Pool
 	schema  *tuple.Schema
 	rowsCap int // rows per page
 
-	first   storage.PageID
-	last    storage.PageID
-	pages   int
+	pageIDs []storage.PageID
 	rows    int64
-	pageIDs []storage.PageID // every page of the chain, in order, for Free
 }
 
-// Create allocates an empty heap file with the given all-INT schema.
+// Create makes an empty heap file with the given all-INT schema. It takes
+// no page until rows are appended.
 func Create(pool *storage.Pool, schema *tuple.Schema) (*File, error) {
 	if schema.Len() == 0 {
 		return nil, fmt.Errorf("heap: a table needs at least one column")
@@ -62,21 +68,7 @@ func Create(pool *storage.Pool, schema *tuple.Schema) (*File, error) {
 	if rowsCap == 0 {
 		return nil, fmt.Errorf("heap: a row of %d columns exceeds page capacity", schema.Len())
 	}
-	pg, err := pool.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	initPage(pg)
-	id := pg.ID
-	pool.Unpin(pg)
-	return &File{pool: pool, schema: schema, rowsCap: rowsCap,
-		first: id, last: id, pages: 1, pageIDs: []storage.PageID{id}}, nil
-}
-
-func initPage(pg *storage.Page) {
-	pg.PutU32(hdrNext, uint32(storage.InvalidPage))
-	pg.PutU16(hdrCount, 0)
-	pg.MarkDirty()
+	return &File{pool: pool, schema: schema, rowsCap: rowsCap}, nil
 }
 
 // Schema returns the schema of the file.
@@ -87,65 +79,26 @@ func (f *File) Rows() int64 { return f.rows }
 
 // Pages returns the number of pages the file occupies. This is the
 // quantity written ‖R_k‖ in the paper's I/O analysis.
-func (f *File) Pages() int { return f.pages }
+func (f *File) Pages() int { return len(f.pageIDs) }
 
 // SizeBytes returns the storage footprint in bytes (pages × page size).
-func (f *File) SizeBytes() int64 { return int64(f.pages) * storage.PageSize }
+func (f *File) SizeBytes() int64 { return int64(len(f.pageIDs)) * storage.PageSize }
 
 // slot returns the byte offset of column col's value for row r of a page.
 func (f *File) slot(col, r int) int { return hdrSize + 8*(col*f.rowsCap+r) }
 
-// tail is the pinned last page of the file during an append. count shadows
-// the page header; release writes it back, which must happen before the
-// page is unpinned on every path — the next append would overwrite rows a
-// stale header does not cover, and an eviction drop a page never marked
-// dirty.
-type tail struct {
-	f     *File
-	pg    *storage.Page
-	count int
+// encode writes the logical rows [from, from+k) of b into page after its
+// first used rows and sets the page's row count.
+func (f *File) encode(page []byte, b *tuple.Batch, from, used, k int) error {
+	binary.LittleEndian.PutUint16(page[hdrCount:], uint16(used+k))
+	return b.PutIntColumns(page[f.slot(0, used):], f.rowsCap, from, k)
 }
 
-func (f *File) pinTail() (tail, error) {
-	pg, err := f.pool.Fetch(f.last)
-	if err != nil {
-		return tail{}, err
-	}
-	return tail{f: f, pg: pg, count: int(pg.U16(hdrCount))}, nil
-}
-
-// release writes the header back, counts the rows added and unpins the page.
-func (t *tail) release() {
-	t.f.rows += int64(t.count - int(t.pg.U16(hdrCount)))
-	t.pg.PutU16(hdrCount, uint16(t.count))
-	t.pg.MarkDirty()
-	t.f.pool.Unpin(t.pg)
-}
-
-// room makes sure the tail page has a free row slot, chaining a fresh page
-// when it is full. When the allocation fails the current page stays the
-// tail, so the file remains consistent and appendable.
-func (t *tail) room() error {
-	if t.count < t.f.rowsCap {
-		return nil
-	}
-	npg, err := t.f.pool.Allocate()
-	if err != nil {
-		return err
-	}
-	initPage(npg)
-	t.pg.PutU32(hdrNext, uint32(npg.ID))
-	t.release()
-	t.f.last = npg.ID
-	t.f.pages++
-	t.f.pageIDs = append(t.f.pageIDs, npg.ID)
-	t.pg, t.count = npg, 0
-	return nil
-}
-
-// AppendBatch appends every logical row of b, in selection order, encoding
-// column vectors straight into page buffers. When it fails part-way the
-// rows already placed stay appended.
+// AppendBatch appends every logical row of b, in selection order. A
+// partial last page is read back, filled and rewritten in place; the rest
+// of the rows go onto new pages, encoded one at a time in a buffer of the
+// call's own. When it fails part-way the rows of every page written stay
+// appended, and a new page that could not be written is given back.
 func (f *File) AppendBatch(b *tuple.Batch) error {
 	n := b.Len()
 	if n == 0 {
@@ -154,20 +107,36 @@ func (f *File) AppendBatch(b *tuple.Batch) error {
 	if len(b.Cols) != f.schema.Len() {
 		return fmt.Errorf("heap: batch arity %d does not match schema %d", len(b.Cols), f.schema.Len())
 	}
-	tl, err := f.pinTail()
-	if err != nil {
-		return err
+	page := make([]byte, storage.PageSize)
+	i := 0
+	if used := int(f.rows % int64(f.rowsCap)); used > 0 {
+		last := f.pageIDs[len(f.pageIDs)-1:]
+		k := min(n, f.rowsCap-used)
+		if err := f.pool.ReadPages(last, page); err != nil {
+			return err
+		}
+		if err := f.encode(page, b, 0, used, k); err != nil {
+			return err
+		}
+		if err := f.pool.WritePages(last, page); err != nil {
+			return err
+		}
+		f.rows += int64(k)
+		i = k
 	}
-	defer tl.release()
-	for i := 0; i < n; {
-		if err := tl.room(); err != nil {
+	for i < n {
+		k := min(n-i, f.rowsCap)
+		clear(page)
+		if err := f.encode(page, b, i, 0, k); err != nil {
 			return err
 		}
-		k := min(n-i, f.rowsCap-tl.count)
-		if err := b.PutIntColumns(tl.pg.Data[f.slot(0, tl.count):], f.rowsCap, i, k); err != nil {
+		ids, err := f.pool.AppendPages(f.pageIDs, page)
+		if err != nil {
+			f.pool.FreePages(ids[len(f.pageIDs):])
 			return err
 		}
-		tl.count += k
+		f.pageIDs = ids
+		f.rows += int64(k)
 		i += k
 	}
 	return nil
@@ -183,7 +152,6 @@ func (f *File) AppendBatch(b *tuple.Batch) error {
 func (f *File) Free() {
 	f.pool.FreePages(f.pageIDs)
 	f.pageIDs = nil
-	f.pages = 0
 	f.rows = 0
 }
 
@@ -194,96 +162,56 @@ func FreeAll(files []*File) {
 	}
 }
 
-// Scanner iterates a heap file front to back, over the pages it had when
-// the scan began. NextBatch returns io.EOF after the final row.
+// Scanner iterates a heap file front to back over the pages and rows it
+// had when the scan began, reading one page at a time into its own
+// buffer. Rows appended during the scan, even onto the page being read,
+// are not returned. NextBatch returns io.EOF after the final row.
 type Scanner struct {
-	file *File
-	pg   *storage.Page
-	idx  int
-	done bool
-
-	pageIdx int // index into file.pageIDs of the current page
-	endIdx  int // page count when the scan began
+	file  *File
+	pages []storage.PageID
+	rows  int64  // rows when the scan began
+	next  int64  // rows returned so far
+	page  []byte // the page row next lies on, read when the scan enters it
 }
 
 // Scan returns a scanner positioned before the first row.
-func (f *File) Scan() *Scanner { return &Scanner{file: f, endIdx: len(f.pageIDs)} }
-
-// advance pins the next page, releasing the current one. Returns false
-// when the pages are exhausted (done is set).
-func (s *Scanner) advance() (bool, error) {
-	if s.pg != nil {
-		s.file.pool.Unpin(s.pg)
-		s.pg = nil
-		s.pageIdx++
-	}
-	if s.pageIdx >= s.endIdx {
-		s.done = true
-		return false, nil
-	}
-	pg, err := s.file.pool.Fetch(s.file.pageIDs[s.pageIdx])
-	if err != nil {
-		s.done = true
-		return false, err
-	}
-	s.pg = pg
-	s.idx = 0
-	return true, nil
+func (f *File) Scan() *Scanner {
+	return &Scanner{file: f, pages: f.pageIDs, rows: f.rows, page: make([]byte, storage.PageSize)}
 }
 
 // NextBatch decodes up to max further rows directly into b's column
 // vectors (appending to its current contents) and reports how many were
-// added. It returns io.EOF only when the file is exhausted and no rows
+// added. It returns io.EOF only when the scan is exhausted and no rows
 // were added.
 func (s *Scanner) NextBatch(b *tuple.Batch, max int) (int, error) {
-	if s.done {
+	if s.next >= s.rows {
 		return 0, io.EOF
 	}
-	if len(b.Cols) != s.file.schema.Len() {
-		return 0, fmt.Errorf("heap: batch arity %d does not match schema %d", len(b.Cols), s.file.schema.Len())
+	f := s.file
+	if len(b.Cols) != f.schema.Len() {
+		return 0, fmt.Errorf("heap: batch arity %d does not match schema %d", len(b.Cols), f.schema.Len())
 	}
 	added := 0
-	for added < max {
-		if s.pg == nil {
-			ok, err := s.advance()
-			if err != nil {
+	for added < max && s.next < s.rows {
+		p, r := int(s.next/int64(f.rowsCap)), int(s.next%int64(f.rowsCap))
+		if r == 0 {
+			if err := f.pool.ReadPages(s.pages[p:p+1], s.page); err != nil {
 				return added, err
 			}
-			if !ok {
-				if added == 0 {
-					return 0, io.EOF
-				}
-				return added, nil
-			}
 		}
-		count := int(s.pg.U16(hdrCount))
-		f := s.file
-		k := min(count-s.idx, max-added)
-		if err := b.AppendIntColumns(s.pg.Data[f.slot(0, s.idx):], f.rowsCap, k); err != nil {
+		k := min(f.rowsCap-r, int(s.rows-s.next), max-added)
+		if err := b.AppendIntColumns(s.page[f.slot(0, r):], f.rowsCap, k); err != nil {
 			return added, err
 		}
-		s.idx += k
+		s.next += int64(k)
 		added += k
-		if s.idx < count {
-			return added, nil // batch full mid-page
-		}
-		if ok, err := s.advance(); err != nil {
-			return added, err
-		} else if !ok {
-			if added == 0 {
-				return 0, io.EOF
-			}
-			return added, nil
-		}
 	}
 	return added, nil
 }
 
-// Close releases any pinned page; safe to call multiple times.
+// Close ends the scan and drops its page buffer; safe to call multiple
+// times.
 func (s *Scanner) Close() {
-	if s.pg != nil {
-		s.file.pool.Unpin(s.pg)
-		s.pg = nil
-	}
-	s.done = true
+	s.next = s.rows
+	s.page = nil
 }

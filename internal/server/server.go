@@ -73,9 +73,6 @@ type Config struct {
 	CacheEntries int
 	// MaxUploadBytes caps one dataset upload (default 1 GiB).
 	MaxUploadBytes int64
-	// PoolFrames is each job's buffer-pool capacity in 4 KB frames
-	// (default 256, the paged driver's default).
-	PoolFrames int
 	// DataDir, when non-empty, makes the server durable: dataset
 	// registrations and job lifecycle transitions are journaled to a WAL
 	// here, completed results spilled to disk, and mining jobs
@@ -110,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxUploadBytes <= 0 {
 		c.MaxUploadBytes = 1 << 30
-	}
-	if c.PoolFrames <= 0 {
-		c.PoolFrames = 256
 	}
 	return c
 }
@@ -789,7 +783,9 @@ func (s *Server) runJob(ctx context.Context, j *job, ds *dataset, opts core.Opti
 	if grant.promoted {
 		s.met.jobsAdmitted.Add(1)
 	}
-	pool := storage.NewPool(storage.NewMemStore(), s.cfg.PoolFrames)
+	// A job's pool carries only packed runs, which take no frame: its
+	// capacity (the paged driver's 256) only sets the merge fan-in.
+	pool := storage.NewPool(storage.NewMemStore(), 256)
 	j.mu.Lock()
 	j.state = stateRunning
 	j.pool = pool

@@ -9,12 +9,14 @@
 // paper reasons about.
 //
 // Two paths lead from the pool to the store, sharing page ids, the free
-// list and the Stats. Heap files and the B+-tree update pages in place, so
-// they go through the pool's LRU frames, a page per store call. Packed
-// runs (run.go) are written once and read front to back, which is the
-// access pattern the paper prices as sequential: they keep out of the
-// frames and move in extents of up to RunExtentPages pages, one store call
-// per contiguous stretch of page ids.
+// list and the Stats. The Section 3 baseline's B+-tree updates pages in
+// place, so it goes through the pool's LRU frames, a page per store call.
+// Heap files and packed runs (run.go) are written once and read front to
+// back, which is the access pattern the paper prices as sequential: they
+// keep out of the frames and move pages between their own buffers and the
+// store by the pool's uncached page I/O, one store call per contiguous
+// stretch of page ids — heap files a page at a time, runs in extents of up
+// to RunExtentPages pages.
 package storage
 
 import (

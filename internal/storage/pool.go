@@ -63,19 +63,21 @@ func (s *Stats) noteWrite(id PageID) {
 }
 
 // Pool is a fixed-capacity LRU buffer pool over a Store. A single mutex
-// serializes frame and pin accounting, so concurrent readers and writers
-// — the mining executor's parallel spilled regime runs several RunWriters
-// and RunReaders at once — share one pool safely. Page *contents* are not
-// guarded here: a fetched page may be mutated only by the caller that
-// holds its pin, which is the run/heap writers' existing single-owner
-// discipline. The engine still executes queries single-threaded, as the
-// paper's system did; it simply pays one uncontended lock per page op.
+// serializes frame and pin accounting and the uncached page I/O, so
+// concurrent readers and writers — the mining executor's parallel spilled
+// regime runs several RunWriters and RunReaders at once — share one pool
+// safely. Page *contents* are not guarded here: a fetched page may be
+// mutated only by the caller that holds its pin, which is the B+-tree's
+// single-owner discipline. The engine still executes queries
+// single-threaded, as the paper's system did; it simply pays one
+// uncontended lock per page op.
 //
-// Frames serve the structures that update pages in place (heap files, the
-// B+-tree). Packed runs are written once and read front to back, where an
-// LRU cannot help, so they bypass the frames: appendExtent and readExtent
-// move whole extents between a run's own buffer and the store, sharing
-// the page ids, the free list and the Stats with the frame path.
+// Frames serve only the B+-tree of the Section 3 baseline, which updates
+// pages in place. Heap files and packed runs are written once and read
+// front to back, where an LRU cannot help, so they bypass the frames:
+// AppendPages, WritePages, ReadPages and readExtent move pages between the
+// caller's own buffer and the store, sharing the page ids, the free list
+// and the Stats with the frame path.
 type Pool struct {
 	mu       sync.Mutex
 	store    Store
@@ -287,12 +289,11 @@ func (p *Pool) LimitRunExtent(share int64) {
 	p.runExtent = int(min(max(share/PageSize, 1), RunExtentPages))
 }
 
-// appendExtent persists buf, a whole number of pages, as that many new
-// pages of a run and returns ids extended by theirs: free-list ids first,
-// one store call per contiguous stretch of ids, every page counted in
-// Stats. On error ids still gains every page taken, so the writer can
-// free its partial run.
-func (p *Pool) appendExtent(ids []PageID, buf []byte) ([]PageID, error) {
+// AppendPages persists buf, a whole number of pages, as that many new
+// pages and returns ids extended by theirs: free-list ids first, written
+// as WritePages writes. On error ids still gains every page taken, so the
+// caller can free them.
+func (p *Pool) AppendPages(ids []PageID, buf []byte) ([]PageID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	first := len(ids)
@@ -303,22 +304,57 @@ func (p *Pool) appendExtent(ids []PageID, buf []byte) ([]PageID, error) {
 		}
 		ids = append(ids, id)
 	}
-	for lo := first; lo < len(ids); {
+	return ids, p.writePages(ids[first:], buf)
+}
+
+// WritePages overwrites the pages ids, which no frame caches, with buf, a
+// page each: one store call per contiguous stretch of ids, every page
+// counted in Stats.
+func (p *Pool) WritePages(ids []PageID, buf []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.writePages(ids, buf)
+}
+
+func (p *Pool) writePages(ids []PageID, buf []byte) error {
+	for lo := 0; lo < len(ids); {
 		hi := stretchEnd(ids, lo)
-		if err := p.store.WritePages(ids[lo], buf[(lo-first)*PageSize:(hi-first)*PageSize]); err != nil {
-			return ids, err
+		if err := p.store.WritePages(ids[lo], buf[lo*PageSize:hi*PageSize]); err != nil {
+			return err
 		}
 		for _, id := range ids[lo:hi] {
 			p.Stats.noteWrite(id)
 		}
 		lo = hi
 	}
-	return ids, nil
+	return nil
+}
+
+// ReadPages copies the pages ids, which no frame caches, into dst, a page
+// each: one store call per contiguous stretch of ids, every page counted
+// as a physical read.
+func (p *Pool) ReadPages(ids []PageID, dst []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.readPages(ids, dst)
+}
+
+func (p *Pool) readPages(ids []PageID, dst []byte) error {
+	for lo := 0; lo < len(ids); {
+		hi := stretchEnd(ids, lo)
+		if err := p.store.ReadPages(ids[lo], dst[lo*PageSize:hi*PageSize]); err != nil {
+			return err
+		}
+		for _, id := range ids[lo:hi] {
+			p.Stats.noteRead(id)
+		}
+		lo = hi
+	}
+	return nil
 }
 
 // readExtent decodes the pages ids of a run into dst (WordsPerPage words
-// a page), one store call per contiguous stretch, every page counted as a
-// physical read: run pages are never cached in frames.
+// a page), read as ReadPages reads them.
 func (p *Pool) readExtent(ids []PageID, dst []uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -326,15 +362,8 @@ func (p *Pool) readExtent(ids []PageID, dst []uint64) error {
 		p.scratch = make([]byte, len(ids)*PageSize)
 	}
 	buf := p.scratch[:len(ids)*PageSize]
-	for lo := 0; lo < len(ids); {
-		hi := stretchEnd(ids, lo)
-		if err := p.store.ReadPages(ids[lo], buf[lo*PageSize:hi*PageSize]); err != nil {
-			return err
-		}
-		for _, id := range ids[lo:hi] {
-			p.Stats.noteRead(id)
-		}
-		lo = hi
+	if err := p.readPages(ids, buf); err != nil {
+		return err
 	}
 	for i := range dst {
 		dst[i] = binary.LittleEndian.Uint64(buf[i*8:])

@@ -13,7 +13,7 @@ import (
 // caller's contract. Runs are how the out-of-core SETM pipeline spills
 // sorted row and key sequences: written once and read front to back, in
 // extents that go straight between the writer's or reader's buffer and
-// the store (Pool.appendExtent, Pool.readExtent) — the paper's sequential
+// the store (Pool.AppendPages, Pool.readExtent) — the paper's sequential
 // access — while every page still shows up in the pool's Section 4.3
 // accounting and comes from, and returns to, the pool's free list.
 
@@ -100,7 +100,7 @@ func (w *RunWriter) flush() error {
 	clear(w.buf[len(w.buf):n])
 	w.run.words += int64(len(w.buf) / 8)
 	var err error
-	w.run.pages, err = w.pool.appendExtent(w.run.pages, w.buf[:n])
+	w.run.pages, err = w.pool.AppendPages(w.run.pages, w.buf[:n])
 	w.buf = w.buf[:0]
 	if err != nil {
 		w.err = fmt.Errorf("storage: run writer: %w", err)

@@ -4,7 +4,7 @@
 // cascaded k-way merge that streams the sorted sequence back out. This is
 // the same two-primitive shape as the heap-file path (run generation,
 // merge), with key columns replaced by a (tid, key) word pair and heap
-// files replaced by raw runs that bypass the pool's frames.
+// files replaced by raw runs moved in extents.
 package xsort
 
 import (

@@ -22,8 +22,9 @@ import (
 // sorted on the key columns cols, desc[i] flipping cols[i] (nil desc = all
 // ascending) — into one file in that order. Ties go to the earlier run, so
 // the runs of a stable sort merge stably. Each round merges consecutive
-// groups of FanIn(pool.Capacity()) runs, so a merge never pins more frames
-// than the pool has: one per open run plus the two an append can hold.
+// groups of FanIn(pool.Capacity()) runs, so a merge holds no more page
+// buffers than the pool has frames: one per open run's scanner plus the
+// one an append encodes into.
 // The runs are consumed, on every path: the file returned is all the call
 // leaves in the pool.
 func MergeFiles(pool *storage.Pool, runs []*hp.File, cols []int, desc []bool) (*hp.File, error) {
@@ -59,7 +60,7 @@ func mergeGroup(pool *storage.Pool, runs []*hp.File, cols []int, desc []bool) (*
 			out = nil
 		}
 	}
-	hp.FreeAll(runs) // mergeInto has closed its scanners: no page of a run is pinned
+	hp.FreeAll(runs) // mergeInto has closed its scanners
 	return out, err
 }
 

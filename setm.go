@@ -80,7 +80,7 @@ type PagedConfig = core.PagedConfig
 // PagedResult is a mining result plus page-I/O statistics.
 type PagedResult = core.PagedResult
 
-// SQLConfig tunes the SQL driver (pool size, statement tracing).
+// SQLConfig tunes the SQL driver (statement tracing).
 type SQLConfig = core.SQLConfig
 
 // Rule is one association rule X ⇒ I.
