@@ -161,22 +161,6 @@ func BenchmarkDrivers(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPrefilter measures Options.PrefilterSales: joining with
-// the full SALES relation (paper-faithful) vs prefiltering it by C_1.
-func BenchmarkAblationPrefilter(b *testing.B) {
-	full, _, _ := datasets()
-	for _, pre := range []bool{false, true} {
-		b.Run(fmt.Sprintf("prefilter=%v", pre), func(b *testing.B) {
-			opts := core.Options{MinSupportFrac: 0.005, PrefilterSales: pre}
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MineMemory(full, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationPoolSize measures buffer-pool sensitivity of the paged
 // driver: SETM's sequential access pattern should make small pools nearly
 // as good as large ones.

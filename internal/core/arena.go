@@ -12,7 +12,6 @@ type mineArena struct {
 	rkBuf    []prow   // R_k, the filter output (a fanned-out pass gathers wKeep here)
 	rowsTmp  []prow   // radix scratch for (tid, key) sorts
 	salesBuf []prow   // packed R_1
-	joinBuf  []prow   // prefiltered join side (PrefilterSales only)
 	keys     []uint64 // key-column clone sorted by the count step's sort kernel
 	keysTmp  []uint64 // radix scratch for serial key sorts
 	kcKeys   []uint64 // the streaming key counter's bounded key buffer

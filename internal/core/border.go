@@ -338,3 +338,21 @@ func (s *execStepper) borderSnapshot(res *Result) *BorderSnapshot {
 	}
 	return b
 }
+
+// encodeCounts re-packs a decoded count relation into the sorted key
+// form of a border level. Code order equals item order (the dictionary
+// is order-preserving), so the lexicographic input order carries over
+// to the keys.
+func encodeCounts(ck []ItemsetCount, dict *packDict) pkCounts {
+	keys := make([]uint64, len(ck))
+	counts := make([]int64, len(ck))
+	for i, c := range ck {
+		var key uint64
+		for _, it := range c.Items {
+			key = key<<dict.bits | dict.code(it)
+		}
+		keys[i] = key
+		counts[i] = c.Count
+	}
+	return pkCounts{keys: keys, counts: counts}
+}

@@ -2,13 +2,12 @@ package core
 
 // Durable iteration-boundary checkpoints. SETM's loop state at an iteration
 // boundary is tiny and explicit — the paper's Figure 4 recurrence needs
-// only C_1..C_k (for the result so far, and C_1 for the PrefilterSales
-// join side) and R_k (the filtered relation the next merge-scan extends)
-// to reproduce every later iteration exactly. A checkpoint is therefore
-// one manifest (JSON: k, thresholds, counts, stats) plus one packed run
-// file holding R_k's (tid, key) rows, both written atomically
-// (temp + fsync + rename, manifest last) so a crash mid-checkpoint
-// leaves the previous checkpoint intact. Resume re-derives everything
+// only C_1..C_k (the result so far) and R_k (the filtered relation the
+// next merge-scan extends) to reproduce every later iteration exactly. A
+// checkpoint is therefore one manifest (JSON: k, thresholds, counts,
+// stats) plus one packed run file holding R_k's (tid, key) rows, both
+// written atomically (temp + fsync + rename, manifest last) so a crash
+// mid-checkpoint leaves the previous checkpoint intact. Resume re-derives everything
 // else — the dictionary and packed SALES are deterministic functions of
 // the dataset — and re-enters the pipeline at iteration k+1,
 // bit-identical to an uninterrupted run.
@@ -305,7 +304,7 @@ func readCheckpointRows(cp *Checkpoint, fn func(rows []prow) error) error {
 
 // MineAutoResumeMonitored continues a mining run from a checkpoint
 // loaded by LoadCheckpoint: the executor rebuilds its deterministic
-// state (dictionary, packed SALES, join side), streams R_K back in
+// state (dictionary, packed SALES as R_1), streams R_K back in
 // under the current memory budget, and re-enters the loop at iteration
 // K+1. Results are bit-identical to an uninterrupted MineAuto run with
 // the same options. cp == nil is a plain MineAutoMonitored run — this is

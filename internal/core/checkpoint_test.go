@@ -1,8 +1,7 @@
 // Checkpoint/resume conformance: a mine interrupted at ANY iteration
 // boundary and resumed from its durable checkpoint must produce count
 // relations bit-identical to an uninterrupted MineAuto run — across
-// memory regimes, budgets, the PrefilterSales ablation, and the
-// wide-pattern fallback — and every integrity failure of the checkpoint
+// memory regimes, budgets and the wide-pattern fallback — and every integrity failure of the checkpoint
 // files must surface as ErrCheckpoint (so callers fall back to a full
 // re-mine), never as a crash or a wrong answer.
 package core_test
@@ -67,8 +66,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}{
 		{"resident", core.Options{MinSupportCount: 2}},
 		{"spilled-tiny-budget", core.Options{MinSupportCount: 2, MemoryBudget: 1 << 14, MaxWorkers: 2}},
-		{"prefilter", core.Options{MinSupportCount: 3, PrefilterSales: true}},
-		{"prefilter-spilled", core.Options{MinSupportCount: 3, PrefilterSales: true, MemoryBudget: 1 << 14}},
 		{"frac-support", core.Options{MinSupportFrac: 0.04, MaxWorkers: 3}},
 	}
 	d := ckptDataset(42, 90, 9, 14)

@@ -180,40 +180,10 @@ func TestDriverConformance(t *testing.T) {
 	}
 }
 
-// TestDriverConformancePrefilter runs the PrefilterSales ablation through
-// the drivers that implement it (the flat-relation and SQL substrates).
-func TestDriverConformancePrefilter(t *testing.T) {
-	c := conformanceCases[0]
-	d := conformanceDataset(c)
-	base := core.Options{MinSupportCount: 3}
-	pre := core.Options{MinSupportCount: 3, PrefilterSales: true}
-	want, err := core.MineMemory(d, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []minerFn{
-		{"memory-prefilter", core.MineMemory},
-		{"parallel-prefilter", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			return core.MineParallel(d, o, 3)
-		}},
-		{"sql-prefilter", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			return core.MineSQL(d, o, core.SQLConfig{})
-		}},
-	} {
-		got, err := m.mine(d, pre)
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		assertIdenticalCounts(t, m.name, want, got)
-	}
-}
-
-// TestDriverConformanceOptionMatrix sweeps the PrefilterSales ×
-// MaxPatternLen option matrix across all four drivers (and both
-// substrates of the memory driver), pinned to the generic memory driver
-// as oracle. Neither option may change any count
-// relation: PrefilterSales only drops rows that could never meet the
-// threshold, and MaxPatternLen only truncates the iteration count.
+// TestDriverConformanceOptionMatrix sweeps MaxPatternLen across all four
+// drivers (and both substrates of the memory driver), pinned to the
+// generic memory driver as oracle. The cap may not change any count
+// relation: it only truncates the iteration count.
 func TestDriverConformanceOptionMatrix(t *testing.T) {
 	matrixMiners := []minerFn{
 		{"memory", core.MineMemory},
@@ -239,28 +209,21 @@ func TestDriverConformanceOptionMatrix(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			d := conformanceDataset(c)
-			for _, pre := range []bool{false, true} {
-				for _, maxLen := range []int{0, 1, 2, 3} {
-					opts := core.Options{
-						MinSupportCount: c.minSups[0],
-						PrefilterSales:  pre,
-						MaxPatternLen:   maxLen,
-					}
-					oracleOpts := opts
-					oracleOpts.PrefilterSales = false
-					oracleOpts.DisablePackedKernels = true
-					want, err := core.MineMemory(d, oracleOpts)
+			for _, maxLen := range []int{0, 1, 2, 3} {
+				opts := core.Options{MinSupportCount: c.minSups[0], MaxPatternLen: maxLen}
+				oracleOpts := opts
+				oracleOpts.DisablePackedKernels = true
+				want, err := core.MineMemory(d, oracleOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range matrixMiners {
+					label := fmt.Sprintf("maxlen=%d %s", maxLen, m.name)
+					got, err := m.mine(d, opts)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: %v", label, err)
 					}
-					for _, m := range matrixMiners {
-						label := fmt.Sprintf("prefilter=%v maxlen=%d %s", pre, maxLen, m.name)
-						got, err := m.mine(d, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						assertIdenticalCounts(t, label, want, got)
-					}
+					assertIdenticalCounts(t, label, want, got)
 				}
 			}
 		})
@@ -348,7 +311,6 @@ func fanOutCases() []fanOutCase {
 	return []fanOutCase{
 		{name: "quest", d: gen.Quest(gen.T10I4D100K(0.02, 5)), opts: core.Options{MinSupportFrac: 0.01}, minR1: 8 * costmodel.ParallelMinRows},
 		{name: "retail", d: gen.Retail(retail), opts: core.Options{MinSupportFrac: 0.002}, minR1: 8 * costmodel.ParallelMinRows},
-		{name: "retail-prefilter", d: gen.Retail(retail), opts: core.Options{MinSupportFrac: 0.002, PrefilterSales: true}},
 		{name: "transaction-split-across-chunks", d: big, opts: core.Options{MinSupportCount: 2}},
 		{name: "more-workers-than-transactions", d: few, opts: core.Options{MinSupportCount: 4}},
 		{name: "negative-sparse-tids", d: signed, opts: core.Options{MinSupportCount: 3}},
@@ -620,6 +582,28 @@ func assertIdenticalCounts(t *testing.T, label string, want, got *core.Result) {
 			}
 		}
 	}
+	// The per-pass relation sizes (Figures 5–6) are the algorithm's, not
+	// the driver's: every SETM driver reports the oracle's |R'_k| and
+	// |R_k|, so |R_1| = |SALES| everywhere. Apriori and AIS count other
+	// relations and record no plan.
+	if !isSETM(want) || !isSETM(got) {
+		return
+	}
+	if len(got.Stats) != len(want.Stats) {
+		t.Fatalf("%s: %d passes, want %d", label, len(got.Stats), len(want.Stats))
+	}
+	for i, w := range want.Stats {
+		if g := got.Stats[i]; g.RPrimeRows != w.RPrimeRows || g.RRows != w.RRows {
+			t.Errorf("%s: k=%d |R'|=%d |R|=%d, want %d/%d", label, w.K,
+				g.RPrimeRows, g.RRows, w.RPrimeRows, w.RRows)
+		}
+	}
+}
+
+// isSETM reports whether r came from a SETM driver, which records each
+// pass's plan.
+func isSETM(r *core.Result) bool {
+	return len(r.Stats) > 0 && r.Stats[0].Plan.Kernel != ""
 }
 
 func sameItems(a, b []core.Item) bool {

@@ -139,31 +139,6 @@ func TestDriversAgreeOnRandomData(t *testing.T) {
 	}
 }
 
-func TestPrefilterSalesAblationAgrees(t *testing.T) {
-	// Prefiltering SALES by C_1 must not change any C_k.
-	rng := rand.New(rand.NewSource(23))
-	d := randomDataset(rng, 80, 10, 15)
-	base, err := MineMemory(d, Options{MinSupportCount: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := MineMemory(d, Options{MinSupportCount: 3, PrefilterSales: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCounts(t, "prefilter-mem", base, pre)
-	preSQL, err := MineSQL(d, Options{MinSupportCount: 3, PrefilterSales: true}, SQLConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCounts(t, "prefilter-sql", base, preSQL)
-	prePaged, err := MinePaged(d, Options{MinSupportCount: 3, PrefilterSales: true}, PagedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCounts(t, "prefilter-paged", base, prePaged.Result)
-}
-
 func assertSameCounts(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if len(a.Counts) != len(b.Counts) {

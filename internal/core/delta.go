@@ -24,8 +24,8 @@ package core
 // BASE transactions were never counted. That is the border shift that
 // forces the fallback, and the fallback has one route: a plain MineAuto
 // over base+delta (remine). Level-1 promotions never invalidate
-// anything: the paper's R_1 is unfiltered (PrefilterSales off), so every
-// pair occurring anywhere is a counted level-2 candidate. (Replaying the
+// anything: the paper's R_1 is unfiltered SALES, so every pair
+// occurring anywhere is a counted level-2 candidate. (Replaying the
 // extension chain under the known F_2..F_k and resuming at k+1 was the
 // other fallback route until PR 27; README "measured and deleted" has
 // its pairs — do not rebuild it as a loop of its own.)
@@ -65,9 +65,6 @@ func MineDeltaMonitored(ctx context.Context, base, delta *Dataset, snap *BorderS
 	}
 	if opts.DisablePackedKernels {
 		return nil, fmt.Errorf("%w: delta mining requires the packed executor", ErrBorder)
-	}
-	if opts.PrefilterSales {
-		return nil, fmt.Errorf("%w: delta mining does not support PrefilterSales", ErrBorder)
 	}
 	if opts.MaxPatternLen != snap.MaxPatternLen {
 		return nil, fmt.Errorf("%w: snapshot mined with MaxPatternLen=%d, requested %d",

@@ -275,11 +275,6 @@ func TestMineDeltaValidation(t *testing.T) {
 	bad("generic kernels", err)
 
 	o = opts
-	o.PrefilterSales = true
-	_, err = MineDelta(ctx, base, delta, snap, o)
-	bad("prefilter ablation", err)
-
-	o = opts
 	o.MaxPatternLen = 2
 	_, err = MineDelta(ctx, base, delta, snap, o)
 	bad("maxlen mismatch", err)

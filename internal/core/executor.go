@@ -185,16 +185,15 @@ type execStepper struct {
 	// thousand rows, so a cancelled run stops between groups instead of
 	// finishing the iteration; the error paths it triggers are the same
 	// ones injected storage faults exercise, so cleanup (appender aborts,
-	// run frees, pin releases) is shared.
+	// run frees) is shared.
 	ctx context.Context
 
 	pool *storage.Pool // created by attachPool, or lazily at first spill
 
 	dict  *packDict
 	ar    *mineArena
-	sales *srel // packed R_1
+	sales *srel // packed R_1, the join side of every pass
 	rk    *srel // R_{k-1}
-	join  *srel // join side (sales, or the prefiltered R_1)
 	ck    pkCounts
 	st    spillStats
 
@@ -244,27 +243,16 @@ const cancelCheckRows = 4096
 
 // abort releases everything a failed or cancelled run still holds: the
 // live relations' spilled runs go back to the pool's free list and the
-// packed state's arenas are returned. Pin releases are the kernels' own
-// responsibility (their error paths already unpin, as the fault sweeps
-// prove); abort reclaims what survives those paths — the relations the
+// packed state's arenas are returned. The kernels' error paths free
+// their own appenders and counters; abort reclaims the relations the
 // stepper itself owns across iterations.
 func (s *execStepper) abort() {
 	if s.pool != nil {
-		rels := []*srel{s.rk, s.join, s.sales}
-		for i, r := range rels {
-			if r == nil {
-				continue
-			}
-			aliased := false
-			for j := 0; j < i; j++ {
-				if rels[j] == r {
-					aliased = true
-					break
-				}
-			}
-			if !aliased {
-				r.free(s.pool)
-			}
+		if s.rk != nil && s.rk != s.sales {
+			s.rk.free(s.pool)
+		}
+		if s.sales != nil {
+			s.sales.free(s.pool)
 		}
 	}
 	s.releasePacked()
@@ -415,11 +403,11 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	ck = s.splitBorder(ck, minSup)
 	c1 := decodePatterns(ck, 1, s.dict)
 
-	sales, err := s.buildJoinSide(mem, ck, plan)
+	sales, err := s.buildJoinSide(mem, plan)
 	if err != nil {
 		return nil, iterSizes{}, err
 	}
-	s.sales, s.rk, s.join = sales, sales, sales
+	s.sales, s.rk = sales, sales
 
 	sz := iterSizes{rPrime: salesRows, rRows: s.rk.rows(), sortSkips: skips, plan: plan}
 	s.endIteration(&sz, ioStart, stStart)
@@ -435,7 +423,7 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 		return s.stepWideFallback(k, minSup)
 	}
 	plan := s.nextPlan(k, s.prevRPrime, s.prevRRows)
-	if plan.Regime == RegimeResident && s.rk.resident() && s.join.resident() {
+	if plan.Regime == RegimeResident && s.rk.resident() && s.sales.resident() {
 		return s.stepResident(k, minSup, plan)
 	}
 	// The streaming path also serves a resident plan whose *inputs* are
@@ -460,7 +448,7 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 // straight into rkBuf, no goroutine.
 func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
 	ioStart, stStart := s.startIteration()
-	rk, join, ar, bits := s.rk.mem, s.join.mem, s.ar, s.dict.bits
+	rk, sales, ar, bits := s.rk.mem, s.sales.mem, s.ar, s.dict.bits
 
 	var skips int64
 	// sort R_{k-1} on (trans_id, items): the previous filter preserved
@@ -479,9 +467,9 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	ar.workerSlots(W)
 	rPrime := ar.wRows[:W]
 	eachChunk(W, func(i int) {
-		part, side := chunks[i], join
+		part, side := chunks[i], sales
 		if W > 1 {
-			side = packedSalesWindow(join, part[0].Tid, part[len(part)-1].Tid)
+			side = packedSalesWindow(sales, part[0].Tid, part[len(part)-1].Tid)
 		}
 		if cap(rPrime[i]) == 0 {
 			// A cold buffer would grow by append: four times its final size
@@ -577,8 +565,8 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	if err != nil {
 		return nil, iterSizes{}, err
 	}
-	if s.rk != s.join {
-		s.rk.free(s.pool) // consumed; the join side lives on
+	if s.rk != s.sales {
+		s.rk.free(s.pool) // consumed; R_1 lives on
 	}
 	s.rk = nil
 
@@ -598,7 +586,7 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 
 	// R_k := filter R'_k by C_k; filtering preserves (trans_id, items)
 	// order, so the paper's post-filter sort is skipped.
-	rk, err := s.filterStreaming(rPrime, k, ck, capR, true)
+	rk, err := s.filterStreaming(rPrime, k, ck, capR)
 	rPrimeRows := rPrime.rows()
 	rPrime.free(s.pool)
 	if err != nil {
@@ -630,8 +618,8 @@ func (s *execStepper) stashKeyCounter(kc *keyCounter) {
 }
 
 // extendStreaming runs the merge-scan extension: the groups of R_{k-1}
-// joined against the matching groups of the join side, appending R'_k
-// rows to app and their keys to kc.
+// joined against the matching groups of R_1, appending R'_k rows to app
+// and their keys to kc.
 func (s *execStepper) extendStreaming(app *spillAppender, kc *keyCounter) error {
 	if err := s.cancelled(); err != nil {
 		return err
@@ -642,9 +630,9 @@ func (s *execStepper) extendStreaming(app *spillAppender, kc *keyCounter) error 
 	if err != nil || g1 == nil {
 		return err
 	}
-	// The join side gets its own cursor even when it is the same relation
+	// R_1 gets its own cursor even when R_{k-1} is the same relation
 	// (iteration 2's self-join): each stream needs independent position.
-	joinG := groupsOf(s.pool, s.join)
+	joinG := groupsOf(s.pool, s.sales)
 	defer joinG.close()
 	g2, err := joinG.next()
 	if err != nil {
@@ -702,16 +690,11 @@ func (s *execStepper) extendStreaming(app *spillAppender, kc *keyCounter) error 
 }
 
 // filterStreaming keeps the rows of r whose key occurs in ck, preserving
-// order, a block at a time; narrow key spaces test membership through a
-// bitmap. seedArena lets the iteration-local call reuse the arena's R_k
-// buffer; callers whose output outlives the iteration (the prefiltered
-// join side) must pass false so later iterations cannot clobber it.
-func (s *execStepper) filterStreaming(r *srel, k int, ck pkCounts, capR int, seedArena bool) (*srel, error) {
+// order, a block at a time, into the arena's R_k buffer; narrow key
+// spaces test membership through a bitmap.
+func (s *execStepper) filterStreaming(r *srel, k int, ck pkCounts, capR int) (*srel, error) {
 	bm := buildKeyBitmap(ck.keys, uint(k)*s.dict.bits, s.ar)
-	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st}
-	if seedArena {
-		app.mem = s.ar.rkBuf[:0]
-	}
+	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st, mem: s.ar.rkBuf[:0]}
 	defer app.abort(s.pool) // no-op once finished
 	it := rowsOf(s.pool, r)
 	defer it.close()
@@ -765,22 +748,11 @@ func (s *execStepper) countMemStreaming(mem []prow, minSup int64) (pkCounts, int
 	return ck, kc.skips, kernel, nil
 }
 
-// buildJoinSide turns the packed SALES rows into the join side R_1 under
-// the first pass's plan; c1 is the packed C_1 (counted by init, decoded
-// from the manifest by resume). The paper does not filter R_1 by C_1
-// (Section 6.1); PrefilterSales is the ablation restricting both join
-// sides to frequent items.
-func (s *execStepper) buildJoinSide(mem []prow, c1 pkCounts, plan IterPlan) (*srel, error) {
-	spilled := plan.Regime == RegimeSpilled
-	if s.opts.PrefilterSales {
-		if spilled {
-			// The unfiltered rows are dead; keep the arena buffer.
-			return s.filterStreaming(memSrel(mem), 1, c1, s.capRows(), false)
-		}
-		s.ar.joinBuf = packedFilter(mem, c1.keys, s.ar.joinBuf[:0])
-		return memSrel(s.ar.joinBuf), nil
-	}
-	if capR := s.capRows(); spilled && capR > 0 && len(mem) > capR {
+// buildJoinSide turns the packed SALES rows into R_1, the join side of
+// every pass, under the first pass's plan. The paper does not filter R_1
+// by C_1 (Section 6.1), so R_1 is SALES itself.
+func (s *execStepper) buildJoinSide(mem []prow, plan IterPlan) (*srel, error) {
+	if capR := s.capRows(); plan.Regime == RegimeSpilled && capR > 0 && len(mem) > capR {
 		// R_1 outgrows its budget share: spill it and drop the resident
 		// copy — the run is then the only holder, so the budget genuinely
 		// bounds R_1's RAM. The arena must not recycle the dropped buffer.
@@ -796,10 +768,10 @@ func (s *execStepper) buildJoinSide(mem []prow, c1 pkCounts, plan IterPlan) (*sr
 }
 
 // stepWideFallback hands the pipeline to the serial flat reference when
-// patterns outgrow the 64-bit packed key: R_{k-1} and the join side are
-// decoded block by block — resident rows or runs alike — every run goes
-// back to the pool, the arena is returned, and the flat reference runs
-// this pass and every later one, resident. The pool reads of the decode
+// patterns outgrow the 64-bit packed key: R_{k-1} and R_1 are decoded
+// block by block — resident rows or runs alike — every run goes back to
+// the pool, the arena is returned, and the flat reference runs this pass
+// and every later one, resident. The pool reads of the decode
 // are charged to this pass.
 func (s *execStepper) stepWideFallback(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
 	s.borderLost = true
@@ -809,8 +781,8 @@ func (s *execStepper) stepWideFallback(k int, minSup int64) ([]ItemsetCount, ite
 		return nil, iterSizes{}, err
 	}
 	join := rk
-	if s.join != s.rk {
-		if join, err = s.unpackSrel(s.join, 1); err != nil {
+	if s.sales != s.rk {
+		if join, err = s.unpackSrel(s.sales, 1); err != nil {
 			return nil, iterSizes{}, err
 		}
 	}
@@ -819,7 +791,7 @@ func (s *execStepper) stepWideFallback(k int, minSup int64) ([]ItemsetCount, ite
 		decodeIO = s.pool.Stats.Accesses() - ioStart
 	}
 	s.abort() // the packed state is done: free its runs, return the arena
-	s.fbFlat = &flatStepper{d: s.d, opts: s.opts, rk: rk, joinSide: join}
+	s.fbFlat = &flatStepper{d: s.d, rk: rk, joinSide: join}
 	ck, sz, err := s.fbFlat.step(k, minSup)
 	sz.pageIO += decodeIO
 	return ck, sz, err
@@ -845,7 +817,7 @@ func (s *execStepper) unpackSrel(r *srel, k int) (relation, error) {
 
 // releasePacked drops the packed state and returns the arena.
 func (s *execStepper) releasePacked() {
-	s.rk, s.join, s.sales, s.dict = nil, nil, nil, nil
+	s.rk, s.sales, s.dict = nil, nil, nil
 	if s.ar != nil {
 		s.ar.release()
 		s.ar = nil
@@ -873,13 +845,12 @@ func (s *execStepper) writeCheckpoint(cfg *CheckpointConfig, cp *Checkpoint) (in
 }
 
 // resume rebuilds the executor as if iteration cp.K had just completed:
-// the deterministic state (dictionary, packed SALES, join side) is
-// recomputed from the dataset exactly as init would — C_1 taken from
-// the manifest instead of recounted — and R_K streams back from the
-// checkpoint's run file through a budget-bounded appender, so resuming
-// honors the *current* MemoryBudget even if the original run spilled
-// differently. Integrity failures wrap ErrCheckpoint; the pipeline's
-// fail path aborts the stepper, so nothing leaks.
+// the deterministic state (dictionary, packed SALES as R_1) is
+// recomputed from the dataset exactly as init would, and R_K streams
+// back from the checkpoint's run file through a budget-bounded appender,
+// so resuming honors the *current* MemoryBudget even if the original run
+// spilled differently. Integrity failures wrap ErrCheckpoint; the
+// pipeline's fail path aborts the stepper, so nothing leaks.
 func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 	total := 0
 	for _, tx := range s.d.Transactions {
@@ -907,16 +878,11 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 		return iterSizes{}, fmt.Errorf("%w: packed SALES has %d rows, manifest says %d", ErrCheckpoint, s.salesTotal, cp.SalesRows)
 	}
 
-	// Join side: init's construction with C_1 decoded from the manifest.
-	var c1 pkCounts
-	if s.opts.PrefilterSales {
-		c1 = encodeCounts(cp.Counts[0], s.dict)
-	}
-	sales, err := s.buildJoinSide(mem, c1, plan)
+	sales, err := s.buildJoinSide(mem, plan)
 	if err != nil {
 		return iterSizes{}, err
 	}
-	s.sales, s.join = sales, sales
+	s.sales = sales
 
 	// R_K streams from the checkpoint under the regime the next iteration
 	// would plan (past the packed key the hand-off decodes it either way):
@@ -947,22 +913,4 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 	}
 	s.prevRPrime, s.prevRRows = cp.RPrimeRows, cp.RRows
 	return iterSizes{rPrime: cp.RPrimeRows, rRows: rk.rows()}, nil
-}
-
-// encodeCounts re-packs a decoded single-item count relation into the
-// sorted key form the filter kernels take. Code order equals item order
-// (the dictionary is order-preserving), so the lexicographic input
-// order carries over to the keys.
-func encodeCounts(ck []ItemsetCount, dict *packDict) pkCounts {
-	keys := make([]uint64, len(ck))
-	counts := make([]int64, len(ck))
-	for i, c := range ck {
-		var key uint64
-		for _, it := range c.Items {
-			key = key<<dict.bits | dict.code(it)
-		}
-		keys[i] = key
-		counts[i] = c.Count
-	}
-	return pkCounts{keys: keys, counts: counts}
 }

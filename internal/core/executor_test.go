@@ -307,11 +307,6 @@ func (c *cancelStore) wrote(pages int) {
 	c.mu.Unlock()
 }
 
-func (c *cancelStore) WritePage(id storage.PageID, src *[storage.PageSize]byte) error {
-	c.wrote(1)
-	return c.Store.WritePage(id, src)
-}
-
 func (c *cancelStore) WritePages(id storage.PageID, src []byte) error {
 	c.wrote(len(src) / storage.PageSize)
 	return c.Store.WritePages(id, src)
@@ -390,7 +385,7 @@ func TestMineAutoContextPreCancelled(t *testing.T) {
 // determining fields do not.
 func TestCanonicalOptions(t *testing.T) {
 	const n = 1000
-	a := CanonicalOptions(Options{MinSupportFrac: 0.01, MaxWorkers: 4, MemoryBudget: 1 << 20, PrefilterSales: true}, n)
+	a := CanonicalOptions(Options{MinSupportFrac: 0.01, MaxWorkers: 4, MemoryBudget: 1 << 20, RetainBorder: true}, n)
 	b := CanonicalOptions(Options{MinSupportCount: 10, DisablePackedKernels: true}, n)
 	if a != b {
 		t.Fatalf("execution knobs leaked into canonical form: %+v vs %+v", a, b)

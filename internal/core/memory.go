@@ -18,7 +18,7 @@ func MineMemory(d *Dataset, opts Options) (*Result, error) {
 // included).
 func newMemoryStepper(d *Dataset, opts Options, workers int) stepper {
 	if opts.DisablePackedKernels {
-		return &flatStepper{d: d, opts: opts}
+		return &flatStepper{d: d}
 	}
 	opts.MemoryBudget = 0 // the in-memory drivers are unbounded by contract
 	return newExecStepper(d, opts, PagedConfig{}.withDefaults(), fixedStrategy(workers, false))
@@ -32,8 +32,7 @@ func newMemoryStepper(d *Dataset, opts Options, workers int) stepper {
 // runs under DisablePackedKernels — and the mid-run hand-off when
 // patterns outgrow the 64-bit packed key (stepWideFallback).
 type flatStepper struct {
-	d    *Dataset
-	opts Options
+	d *Dataset
 
 	rk       relation // R_{k-1}, sorted by (trans_id, items)
 	joinSide relation // R_1 side of the merge-scan join
@@ -47,17 +46,9 @@ func (s *flatStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	c1, skips := countPatterns(sales, minSup)
 
 	// The paper does not filter R_1 by C_1: "the starting relations are the
-	// same and hence |R_1| = 115,568 in all cases" (Section 6.1). The
-	// PrefilterSales ablation restricts both join sides to frequent items.
-	s.rk = sales
-	s.joinSide = sales
-	if s.opts.PrefilterSales {
-		var fs int64
-		s.rk, fs = filterRelation(sales, c1)
-		skips += fs
-		s.joinSide = s.rk
-	}
-	sz := iterSizes{rPrime: int64(sales.rows()), rRows: int64(s.rk.rows()), sortSkips: skips, plan: s.plan()}
+	// same and hence |R_1| = 115,568 in all cases" (Section 6.1).
+	s.rk, s.joinSide = sales, sales
+	sz := iterSizes{rPrime: int64(sales.rows()), rRows: int64(sales.rows()), sortSkips: skips, plan: s.plan()}
 	return c1, sz, nil
 }
 

@@ -312,7 +312,7 @@ func TestParallelHandOffReturnsArena(t *testing.T) {
 			t.Fatalf("k=%d: left the fanned-out packed plan early (%s)", k, sz.plan)
 		}
 	}
-	rkRows, joinRows := len(s.rk.mem), len(s.join.mem)
+	rkRows, joinRows := len(s.rk.mem), len(s.sales.mem)
 	if int64(rkRows) != sz.rRows || sz.rRows != want.Stats[maxK-1].RRows {
 		t.Fatalf("k=%d: executor holds %d rows, pass reported %d, reference %d", maxK, rkRows, sz.rRows, want.Stats[maxK-1].RRows)
 	}
@@ -331,7 +331,7 @@ func TestParallelHandOffReturnsArena(t *testing.T) {
 		t.Errorf("k=%d: |R'|=%d |R|=%d |C|=%d, reference %d/%d/%d — rows lost in the hand-off",
 			maxK+1, sz.rPrime, sz.rRows, len(ck), st.RPrimeRows, st.RRows, st.CCount)
 	}
-	if s.ar != nil || s.dict != nil || s.rk != nil || s.join != nil || s.sales != nil {
+	if s.ar != nil || s.dict != nil || s.rk != nil || s.sales != nil {
 		t.Error("packed state or arena still held after the hand-off")
 	}
 }
@@ -389,10 +389,10 @@ func TestSpilledHandOffReturnsArena(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.rk.resident() || s.join.resident() {
-		t.Fatalf("setup: R_%d spilled %v, R_1 spilled %v — the decode would read no run", maxK, !s.rk.resident(), !s.join.resident())
+	if s.rk.resident() || s.sales.resident() {
+		t.Fatalf("setup: R_%d spilled %v, R_1 spilled %v — the decode would read no run", maxK, !s.rk.resident(), !s.sales.resident())
 	}
-	joinRows := s.join.rows()
+	joinRows := s.sales.rows()
 	accBefore := pool.Stats.Accesses()
 	ck, sz, err := s.step(maxK+1, minSup)
 	if err != nil {
@@ -411,7 +411,7 @@ func TestSpilledHandOffReturnsArena(t *testing.T) {
 	if io := pool.Stats.Accesses() - accBefore; sz.pageIO != io || io == 0 {
 		t.Errorf("k=%d: pass charged %d page I/Os, the decode made %d", maxK+1, sz.pageIO, io)
 	}
-	if s.ar != nil || s.dict != nil || s.rk != nil || s.join != nil || s.sales != nil {
+	if s.ar != nil || s.dict != nil || s.rk != nil || s.sales != nil {
 		t.Error("packed state or arena still held after the hand-off")
 	}
 	if n := pool.PinnedFrames(); n != 0 {

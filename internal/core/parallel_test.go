@@ -51,21 +51,6 @@ func TestMineParallelMatchesSequentialRandomized(t *testing.T) {
 	}
 }
 
-func TestMineParallelPrefilter(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := randomDataset(rng, 100, 6, 12)
-	opts := Options{MinSupportCount: 3, PrefilterSales: true}
-	want, err := MineMemory(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MineParallel(d, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCounts(t, "parallel-prefilter", want, got)
-}
-
 func TestMineParallelValidation(t *testing.T) {
 	if _, err := MineParallel(&Dataset{}, paperOpts, 2); err == nil {
 		t.Error("empty dataset accepted")

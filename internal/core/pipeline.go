@@ -27,9 +27,9 @@ import (
 
 // stepper is one execution substrate for the SETM pipeline.
 type stepper interface {
-	// init builds R_1 (applying the PrefilterSales ablation if requested)
-	// and computes C_1 at the given absolute support threshold. The
-	// returned sizes are |SALES| (as rPrime — R_1 has no R') and |R_1|.
+	// init builds R_1, which is SALES itself (Section 6.1), and computes
+	// C_1 at the given absolute support threshold. The returned sizes are
+	// |SALES| (as rPrime — R_1 has no R') and |R_1| = |SALES|.
 	init(minSup int64) (c1 []ItemsetCount, sz iterSizes, err error)
 	// step runs one full SETM iteration for pattern length k: sort
 	// R_{k-1}, merge-scan extend with R_1, sort on items, count into C_k,

@@ -61,7 +61,7 @@ func newSQLStepper(d *Dataset, opts Options, cfg SQLConfig) (*sqlStepper, error)
 		// and the external sort's run size both derive from it.
 		dbOpts = append(dbOpts, engine.WithMemBudget(opts.MemoryBudget))
 	}
-	s := &sqlStepper{d: d, opts: opts, cfg: cfg, db: engine.New(dbOpts...)}
+	s := &sqlStepper{cfg: cfg, db: engine.New(dbOpts...)}
 	// Bulk-load SALES before the pipeline starts timing iteration 1, so
 	// Stats[0].Duration covers the C_1 SQL alone — matching what the other
 	// drivers charge to their first iteration. The load moves columns end
@@ -86,13 +86,11 @@ func newSQLStepper(d *Dataset, opts Options, cfg SQLConfig) (*sqlStepper, error)
 // sqlStepper is the relational-engine substrate of the SETM pipeline:
 // every step executes the paper's SQL statements on the bundled engine.
 type sqlStepper struct {
-	d    *Dataset
-	opts Options
-	cfg  SQLConfig
-	db   *engine.DB
+	cfg SQLConfig
+	db  *engine.DB
 
 	salesRows int64  // |SALES|, loaded before the pipeline starts
-	prevR     string // table name of R_{k-1} ("sales" for k=2 without prefilter)
+	prevR     string // table name of R_{k-1} ("sales" for k=2)
 }
 
 // sqlPlan is the plan every SQL pass reports: the paper's statements on
@@ -131,31 +129,12 @@ func (s *sqlStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	}
 
 	// R_1: the paper uses SALES itself, already sorted by (trans_id, item).
-	// PrefilterSales instead restricts it to frequent items via C_1.
 	s.prevR = "sales"
-	if s.opts.PrefilterSales {
-		if _, err := s.run("CREATE TABLE r1 (trans_id INT, item1 INT)", minSup); err != nil {
-			return nil, iterSizes{}, err
-		}
-		if _, err := s.run(`INSERT INTO r1
-			SELECT s.trans_id, s.item
-			FROM sales s, c1 c
-			WHERE s.item = c.item1
-			ORDER BY s.trans_id, s.item`, minSup); err != nil {
-			return nil, iterSizes{}, err
-		}
-		s.prevR = "r1"
-	}
-	r1Rows, err := tableRows(s.db, s.prevR)
-	if err != nil {
-		return nil, iterSizes{}, err
-	}
-	// C_1 is fully consumed (read out above, and joined into R_1 when
-	// prefiltering); drop it like every later C_k.
+	// C_1 is fully consumed (read out above); drop it like every later C_k.
 	if _, err := s.run("DROP TABLE c1", minSup); err != nil {
 		return nil, iterSizes{}, err
 	}
-	return c1, iterSizes{rPrime: s.salesRows, rRows: r1Rows, plan: sqlPlan}, nil
+	return c1, iterSizes{rPrime: s.salesRows, rRows: s.salesRows, plan: sqlPlan}, nil
 }
 
 func (s *sqlStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
@@ -310,12 +289,4 @@ func readCounts(db *engine.DB, k int, minSup int64) ([]ItemsetCount, error) {
 		}
 	}
 	return out, nil
-}
-
-func tableRows(db *engine.DB, name string) (int64, error) {
-	f, err := db.Table(name)
-	if err != nil {
-		return 0, err
-	}
-	return f.Rows(), nil
 }

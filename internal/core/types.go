@@ -109,11 +109,6 @@ type Options struct {
 	// MaxPatternLen stops the loop after patterns of this length (0 = run
 	// until R_k is empty, the paper's termination condition).
 	MaxPatternLen int
-	// PrefilterSales joins R_{k-1} with a SALES relation restricted to
-	// frequent items instead of the full one. The paper's Figure 4 joins
-	// with the unfiltered R_1; this flag is the ablation
-	// BenchmarkAblationPrefilter measures (README "Benchmarks").
-	PrefilterSales bool
 	// DisablePackedKernels replaces the packed-key engine (see pack.go)
 	// with the generic reference on every native driver: the serial
 	// flat-relation kernels of relation.go (plan "generic/resident/1w",
@@ -144,7 +139,8 @@ type Options struct {
 	// restarts from the last manifest via MineAutoResumeMonitored instead
 	// of re-mining from scratch, with bit-identical results. Nil disables
 	// checkpointing (the default; it costs one sequential write of R_k
-	// per checkpointed iteration, which the cost model charges to the plan).
+	// per checkpointed iteration, which CheckpointConfig.Interval's pacing
+	// weighs against the mining time it protects).
 	// A pointer so Options stays comparable — cache keys and
 	// CanonicalOptions depend on that; CanonicalOptions zeroes it.
 	Checkpoint *CheckpointConfig
@@ -174,7 +170,7 @@ func (o Options) ResolveMinSupport(n int) int64 {
 // CanonicalOptions reduces o, for a dataset of n transactions, to the
 // fields that determine the mining *result*: the resolved absolute
 // support threshold and the pattern-length cap. Every execution knob —
-// kernels, memory budget, workers, prefiltering — is zeroed,
+// kernels, memory budget, workers, checkpointing — is zeroed,
 // because the drivers are conformance-pinned to bit-identical Counts
 // regardless of plan. Two option sets with equal canonical forms
 // therefore yield the same Result.Counts, which is exactly the cache

@@ -328,12 +328,3 @@ func (db *DB) QueryBatches(sql string, params map[string]int64) (*tuple.Schema, 
 	}
 	return st.QueryBatches(params)
 }
-
-// Table returns the heap file backing a table.
-func (db *DB) Table(name string) (*hp.File, error) {
-	t, err := db.cat.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.File, nil
-}

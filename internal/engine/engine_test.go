@@ -676,16 +676,8 @@ func TestInsertSelectArityMismatch(t *testing.T) {
 	}
 }
 
-func TestTableAccessor(t *testing.T) {
+func TestCatalogPoolAccessors(t *testing.T) {
 	db := New()
-	db.MustExec("CREATE TABLE t (a INT)", nil)
-	f, err := db.Table("t")
-	if err != nil || f == nil {
-		t.Fatalf("Table = %v, %v", f, err)
-	}
-	if _, err := db.Table("missing"); err == nil {
-		t.Error("Table(missing) succeeded")
-	}
 	if db.Catalog() == nil || db.Pool() == nil {
 		t.Error("accessors returned nil")
 	}

@@ -239,16 +239,6 @@ type callCounter struct {
 	reads, writes int
 }
 
-func (c *callCounter) ReadPage(id PageID, dst *[PageSize]byte) error {
-	c.reads++
-	return c.Store.ReadPage(id, dst)
-}
-
-func (c *callCounter) WritePage(id PageID, src *[PageSize]byte) error {
-	c.writes++
-	return c.Store.WritePage(id, src)
-}
-
 func (c *callCounter) ReadPages(id PageID, dst []byte) error {
 	c.reads++
 	return c.Store.ReadPages(id, dst)

@@ -33,16 +33,6 @@ func NewFaultStore(inner Store) *FaultStore {
 // ErrInjected is the sentinel failure; errors.Is-compatible via wrapping.
 var ErrInjected = fmt.Errorf("storage: injected fault")
 
-// ReadPage implements Store.
-func (s *FaultStore) ReadPage(id PageID, dst *[PageSize]byte) error {
-	return s.ReadPages(id, dst[:])
-}
-
-// WritePage implements Store.
-func (s *FaultStore) WritePage(id PageID, src *[PageSize]byte) error {
-	return s.WritePages(id, src[:])
-}
-
 // allowed is how many of n more pages a schedule lets through after done.
 func allowed(failAfter, done, n int) int {
 	if failAfter < 0 || done+n <= failAfter {

@@ -57,16 +57,6 @@ func (s *FileStore) extend() error {
 	return s.f.Truncate(int64(s.pages) * PageSize)
 }
 
-// ReadPage implements Store.
-func (s *FileStore) ReadPage(id PageID, dst *[PageSize]byte) error {
-	return s.ReadPages(id, dst[:])
-}
-
-// WritePage implements Store.
-func (s *FileStore) WritePage(id PageID, src *[PageSize]byte) error {
-	return s.WritePages(id, src[:])
-}
-
 // ReadPages implements Store with one read call. Allocated pages past the
 // end of the file were never written and read as zeros.
 func (s *FileStore) ReadPages(id PageID, dst []byte) error {

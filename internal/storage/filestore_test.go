@@ -25,11 +25,11 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 	var buf [PageSize]byte
 	buf[0], buf[PageSize-1] = 0xAA, 0x55
-	if err := s.WritePage(id, &buf); err != nil {
+	if err := s.WritePages(id, buf[:]); err != nil {
 		t.Fatal(err)
 	}
 	var out [PageSize]byte
-	if err := s.ReadPage(id, &out); err != nil {
+	if err := s.ReadPages(id, out[:]); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != 0xAA || out[PageSize-1] != 0x55 {
@@ -53,7 +53,7 @@ func TestFileStorePersistsAcrossReopen(t *testing.T) {
 		}
 		var buf [PageSize]byte
 		buf[0] = byte(i + 1)
-		if err := s.WritePage(id, &buf); err != nil {
+		if err := s.WritePages(id, buf[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestFileStorePersistsAcrossReopen(t *testing.T) {
 		t.Fatalf("NumPages after reopen = %d", s2.NumPages())
 	}
 	var out [PageSize]byte
-	if err := s2.ReadPage(1, &out); err != nil {
+	if err := s2.ReadPages(1, out[:]); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != 2 {
@@ -96,10 +96,10 @@ func TestFileStoreBoundsChecks(t *testing.T) {
 	}
 	defer s.Close()
 	var buf [PageSize]byte
-	if err := s.ReadPage(0, &buf); err == nil {
+	if err := s.ReadPages(0, buf[:]); err == nil {
 		t.Error("read of unallocated page succeeded")
 	}
-	if err := s.WritePage(9, &buf); err == nil {
+	if err := s.WritePages(9, buf[:]); err == nil {
 		t.Error("write of unallocated page succeeded")
 	}
 }
@@ -145,19 +145,19 @@ func TestFaultStoreInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf [PageSize]byte
-	if err := fs.WritePage(0, &buf); err != nil {
+	if err := fs.WritePages(0, buf[:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.ReadPage(0, &buf); err != nil {
+	if err := fs.ReadPages(0, buf[:]); err != nil {
 		t.Fatal(err)
 	}
 
 	fs.FailReadAfter = 1 // one read already happened
-	if err := fs.ReadPage(0, &buf); !errors.Is(err, ErrInjected) {
+	if err := fs.ReadPages(0, buf[:]); !errors.Is(err, ErrInjected) {
 		t.Errorf("read fault = %v", err)
 	}
 	fs.FailWriteAfter = 1
-	if err := fs.WritePage(0, &buf); !errors.Is(err, ErrInjected) {
+	if err := fs.WritePages(0, buf[:]); !errors.Is(err, ErrInjected) {
 		t.Errorf("write fault = %v", err)
 	}
 	fs.FailAllocAfter = 1

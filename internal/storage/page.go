@@ -71,10 +71,6 @@ func (p *Page) U64(off int) uint64 { return binary.LittleEndian.Uint64(p.Data[of
 
 // Store is the raw page I/O interface beneath the buffer pool.
 type Store interface {
-	// ReadPage copies page id into dst.
-	ReadPage(id PageID, dst *[PageSize]byte) error
-	// WritePage persists src as page id.
-	WritePage(id PageID, src *[PageSize]byte) error
 	// ReadPages copies the consecutive pages starting at id into dst, a
 	// whole number of pages long: one call moves a whole extent.
 	ReadPages(id PageID, dst []byte) error
@@ -104,24 +100,6 @@ type MemStore struct {
 
 // NewMemStore returns an empty in-memory page store.
 func NewMemStore() *MemStore { return &MemStore{} }
-
-// ReadPage implements Store.
-func (m *MemStore) ReadPage(id PageID, dst *[PageSize]byte) error {
-	if int(id) >= m.n {
-		return fmt.Errorf("storage: read of unallocated page %d (have %d)", id, m.n)
-	}
-	*dst = m.chunks[id/memChunkPages][id%memChunkPages]
-	return nil
-}
-
-// WritePage implements Store.
-func (m *MemStore) WritePage(id PageID, src *[PageSize]byte) error {
-	if int(id) >= m.n {
-		return fmt.Errorf("storage: write of unallocated page %d (have %d)", id, m.n)
-	}
-	m.chunks[id/memChunkPages][id%memChunkPages] = *src
-	return nil
-}
 
 // checkExtent validates a multi-page transfer of n bytes at id against a
 // store of have pages and returns the page count.

@@ -161,8 +161,8 @@ func (p *Pool) Fetch(id PageID) (*Page, error) {
 		p.Stats.Hits++
 		return pg, nil
 	}
-	pg := p.takeFrame(id, false) // ReadPage overwrites the full frame
-	if err := p.store.ReadPage(id, &pg.Data); err != nil {
+	pg := p.takeFrame(id, false) // the read overwrites the full frame
+	if err := p.store.ReadPages(id, pg.Data[:]); err != nil {
 		p.recycleFrame(pg)
 		return nil, err
 	}
@@ -429,7 +429,7 @@ func (p *Pool) evictIfFull() error {
 		}
 		pg := victim.Value.(*lruEntry).page
 		if pg.dirty {
-			if err := p.store.WritePage(pg.ID, &pg.Data); err != nil {
+			if err := p.store.WritePages(pg.ID, pg.Data[:]); err != nil {
 				return err
 			}
 			p.Stats.noteWrite(pg.ID)
@@ -463,7 +463,7 @@ func (p *Pool) flushLocked() error {
 	for el := p.lru.Front(); el != nil; el = el.Next() {
 		pg := el.Value.(*lruEntry).page
 		if pg.dirty {
-			if err := p.store.WritePage(pg.ID, &pg.Data); err != nil {
+			if err := p.store.WritePages(pg.ID, pg.Data[:]); err != nil {
 				return err
 			}
 			p.Stats.noteWrite(pg.ID)

@@ -15,11 +15,11 @@ func TestMemStoreAllocateReadWrite(t *testing.T) {
 	}
 	var buf [PageSize]byte
 	buf[0] = 0xAB
-	if err := m.WritePage(id, &buf); err != nil {
+	if err := m.WritePages(id, buf[:]); err != nil {
 		t.Fatal(err)
 	}
 	var out [PageSize]byte
-	if err := m.ReadPage(id, &out); err != nil {
+	if err := m.ReadPages(id, out[:]); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != 0xAB {
@@ -33,10 +33,10 @@ func TestMemStoreAllocateReadWrite(t *testing.T) {
 func TestMemStoreRejectsUnallocated(t *testing.T) {
 	m := NewMemStore()
 	var buf [PageSize]byte
-	if err := m.ReadPage(3, &buf); err == nil {
+	if err := m.ReadPages(3, buf[:]); err == nil {
 		t.Error("read of unallocated page succeeded")
 	}
-	if err := m.WritePage(3, &buf); err == nil {
+	if err := m.WritePages(3, buf[:]); err == nil {
 		t.Error("write of unallocated page succeeded")
 	}
 }
@@ -174,7 +174,7 @@ func TestPoolFlushAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf [PageSize]byte
-	if err := m.ReadPage(id, &buf); err != nil {
+	if err := m.ReadPages(id, buf[:]); err != nil {
 		t.Fatal(err)
 	}
 	if buf[7] != 0x7F {

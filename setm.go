@@ -57,8 +57,7 @@ type Transaction = core.Transaction
 type Dataset = core.Dataset
 
 // Options configures a mining run (minimum support, pattern-length cap,
-// the PrefilterSales ablation, and the MemoryBudget bound for the
-// out-of-core drivers).
+// and the MemoryBudget bound for the out-of-core drivers).
 type Options = core.Options
 
 // Result holds the count relations C_k and per-iteration statistics.
@@ -204,7 +203,7 @@ func MineDelta(ctx context.Context, base, delta *Dataset, snapshot *BorderSnapsh
 // CanonicalOptions reduces opts, for a dataset of n transactions, to
 // the fields that determine the mining result — the resolved absolute
 // support threshold and the pattern-length cap — zeroing every
-// execution knob (budget, workers, kernels, prefiltering). All drivers are
+// execution knob (budget, workers, kernels, checkpointing). All drivers are
 // conformance-pinned to bit-identical counts regardless of plan, so two
 // option sets with equal canonical forms yield the same Result.Counts;
 // services use the canonical form as a result-cache key.
@@ -219,14 +218,6 @@ func CanonicalOptions(opts Options, n int) Options {
 // advertises.
 func MineParallel(d *Dataset, opts Options, workers int) (*Result, error) {
 	return core.MineParallel(d, opts, workers)
-}
-
-// MinePartitioned is MineParallel with shards workers.
-//
-// Deprecated: the hash-sharded driver it named was ahead of MineParallel
-// only by a copy MineParallel no longer makes, and is gone.
-func MinePartitioned(d *Dataset, opts Options, shards int) (*Result, error) {
-	return core.MineParallel(d, opts, shards)
 }
 
 // MinePaged runs Algorithm SETM out of core: the packed-key kernels over

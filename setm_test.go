@@ -239,13 +239,7 @@ func TestMineParallelPublicAPI(t *testing.T) {
 	if seq.TotalPatterns() != par.TotalPatterns() {
 		t.Errorf("parallel %d patterns, sequential %d", par.TotalPatterns(), seq.TotalPatterns())
 	}
-	// The deprecated sharded entry point is MineParallel under another
-	// name and must keep answering as Mine does.
-	part, err := setm.MinePartitioned(setm.PaperExample(), setm.Options{MinSupportFrac: 0.30}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(part.Counts, seq.Counts) {
-		t.Errorf("MinePartitioned counts differ from Mine")
+	if !reflect.DeepEqual(par.Counts, seq.Counts) {
+		t.Errorf("MineParallel counts differ from Mine")
 	}
 }
