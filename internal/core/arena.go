@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"math/bits"
+	"slices"
+	"sync"
+)
 
 // mineArena holds the scratch buffers one mining run threads through
 // its iterations: the radix ping-pong buffers, the count step's tables
@@ -15,9 +19,10 @@ type mineArena struct {
 	keys     []uint64 // key-column clone sorted by the count step's sort kernel
 	keysTmp  []uint64 // radix scratch for serial key sorts
 	kcKeys   []uint64 // the streaming key counter's bounded key buffer
-	bitmap   []uint64 // C_k membership bitmap for the filter step
 	dictBuf  []int64  // the dictionary's code -> item table
 	dictLUT  []uint32 // the dictionary's item -> code table (and presence pass)
+
+	rankDir []rankWord // C_k's membership bitmap and rank directory (keyIndex)
 
 	// Per-worker slots, one per chunk of a resident pass. Slot 0 is the
 	// serial pass's: a one-chunk pass extends into wRows[0] and counts on
@@ -85,7 +90,10 @@ func growU32(buf []uint32, n int) []uint32 {
 
 // maxCountTableBits bounds the key space the count step addresses
 // directly: 2^24 uint32 cells is a 64 MiB table, which the kernel rule
-// (table bytes <= 16 B per key counted) admits only from 4M keys up.
+// (table bytes <= 16 B per key counted) admits only from 4M keys up. The
+// space is 2^(k*bits) points while k <= 2 and |C_{k-1}|*2^bits from
+// k = 3 (keySpace), so on a catalogue of 2^10 items every pass with
+// fewer than 2^14 frequent prefixes is under it.
 // The rule alone keeps the table's memory below the sort's; the cap is
 // where its speed stops being safe. Past the last-level cache every
 // increment of a scattered key column is a cache and TLB miss, while the
@@ -100,26 +108,79 @@ func growU32(buf []uint32, n int) []uint32 {
 // the frequent items, which only helps the table.)
 const maxCountTableBits = 24
 
-// maxFilterBitmapBits bounds the key space a filter bitmap will cover:
-// 2^22 bits is a 512 KiB bitmap, cleared and refilled per iteration from
-// the arena. Wider key spaces fall back to binary search over C_k.
+// maxFilterBitmapBits bounds the key space a keyIndex maps densely:
+// 2^22 points is a 1 MiB directory (16 B per 64 points), cleared and
+// refilled per iteration from the arena. Wider key spaces fall back to
+// binary search over C_k.
 const maxFilterBitmapBits = 22
 
-// buildKeyBitmap fills an arena-backed bitmap with the C_k keys so the
-// filter step tests membership in O(1), or returns nil when the key
-// space is too wide to map densely.
-func buildKeyBitmap(ckKeys []uint64, keyBits uint, ar *mineArena) []uint64 {
-	if keyBits > maxFilterBitmapBits {
-		return nil
+// keyIndex is C_k seen from its key space: membership for pass k's
+// filter, and a key's rank in C_k — the prefix code pass k+1 extends
+// with. Over a narrow space it is a bitmap whose words carry the count
+// of keys below them (a rank directory: one look-up and one popcount);
+// over a wide one, binary search in the ascending keys. Built once per
+// pass, it is read-only from then on, so a fanned-out extension's chunks
+// share it.
+type keyIndex struct {
+	keys []uint64   // C_k, ascending
+	dir  []rankWord // nil past maxFilterBitmapBits
+}
+
+// rankWord is 64 points of a key space: a bit per point that is a C_k
+// key, and how many C_k keys lie below the first.
+type rankWord struct {
+	bits  uint64
+	below uint64
+}
+
+// buildKeyIndex indexes the C_k keys over a key space of space points
+// in the arena's directory buffer.
+func buildKeyIndex(ckKeys []uint64, space uint64, ar *mineArena) keyIndex {
+	x := keyIndex{keys: ckKeys}
+	if space > 1<<maxFilterBitmapBits {
+		return x
 	}
-	words := int((uint64(1)<<keyBits + 63) / 64)
-	bm := growU64(ar.bitmap, words)
-	ar.bitmap = bm
-	clear(bm)
+	words := int((space + 63) / 64)
+	if cap(ar.rankDir) < words {
+		ar.rankDir = make([]rankWord, words)
+	}
+	x.dir = ar.rankDir[:words]
+	clear(x.dir)
 	for _, k := range ckKeys {
-		bm[k>>6] |= 1 << (k & 63)
+		x.dir[k>>6].bits |= 1 << (k & 63)
 	}
-	return bm
+	var n uint64
+	for w := range x.dir {
+		x.dir[w].below = n
+		n += uint64(bits.OnesCount64(x.dir[w].bits))
+	}
+	return x
+}
+
+// rank is the position in C_k of a key that is in it.
+func (x *keyIndex) rank(key uint64) uint64 {
+	if x.dir != nil {
+		return x.dir[key>>6].rank(key)
+	}
+	i, _ := slices.BinarySearch(x.keys, key)
+	return uint64(i)
+}
+
+// rank is keyIndex.rank for a key in this word, small enough to inline
+// into packedExtend's loop.
+func (d rankWord) rank(key uint64) uint64 {
+	return d.below + uint64(bits.OnesCount64(d.bits&(1<<(key&63)-1)))
+}
+
+// filter appends the rows whose key is in C_k to out (packedFilter).
+func (x *keyIndex) filter(rows, out []prow) []prow {
+	if len(x.keys) == 0 {
+		return out
+	}
+	if x.dir != nil {
+		return packedFilterBitmap(rows, x.dir, out)
+	}
+	return packedFilter(rows, x.keys, out)
 }
 
 // packedSalesWindow returns the sub-slice of sales (sorted by tid)

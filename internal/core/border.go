@@ -326,15 +326,28 @@ func (s *execStepper) borderSnapshot(res *Result) *BorderSnapshot {
 		Items:           slices.Clone(s.dict.items),
 		Levels:          make([]BorderLevel, len(s.borders)),
 	}
+	// The border runs are in the executor's key layout, rank-coded from
+	// level 3 (pack.go); a snapshot is bit-packed at every level, so each
+	// rank is replaced by the bit-packed key of the C_{k-1} pattern it
+	// ranks. Ranks ascend with those keys, so the runs stay ascending.
+	mask := uint64(1)<<s.dict.bits - 1
+	var prev pkCounts
 	for i := range s.borders {
 		var freq pkCounts
 		if i < len(res.Counts) {
 			freq = encodeCounts(res.Counts[i], s.dict)
 		}
+		border := s.borders[i]
+		if i >= 2 {
+			for j, key := range border.keys {
+				border.keys[j] = prev.keys[key>>s.dict.bits]<<s.dict.bits | key&mask
+			}
+		}
 		b.Levels[i] = BorderLevel{
 			FreqKeys: freq.keys, FreqCounts: freq.counts,
-			BorderKeys: s.borders[i].keys, BorderCounts: s.borders[i].counts,
+			BorderKeys: border.keys, BorderCounts: border.counts,
 		}
+		prev = freq
 	}
 	return b
 }

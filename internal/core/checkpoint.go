@@ -78,8 +78,11 @@ var ErrCheckpoint = errors.New("setm: invalid or mismatched checkpoint")
 const (
 	ckptManifestName = "MANIFEST.json"
 	ckptMagic        = "SETMRK01"
-	ckptVersion      = 1
-	ckptBatchRows    = 4096
+	// ckptVersion 2: R_K's run holds the executor's keys, rank-coded from
+	// k = 3 (pack.go). A version-1 run's bit-packed keys would read as
+	// wrong ranks, so it is refused and the job re-mines.
+	ckptVersion   = 2
+	ckptBatchRows = 4096
 )
 
 var ckptCRC = crc32.MakeTable(crc32.Castagnoli)

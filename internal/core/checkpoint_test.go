@@ -252,10 +252,30 @@ func TestLoadCheckpointEdgeCases(t *testing.T) {
 		}
 	})
 
+	// A version-1 checkpoint's run holds bit-packed keys where this
+	// build reads rank codes (k >= 3): it must be refused, never resumed.
+	t.Run("version-1-manifest", func(t *testing.T) {
+		dir := t.TempDir()
+		writeCheckpointAt(t, d, opts, 3, dir)
+		path := filepath.Join(dir, "MANIFEST.json")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 := bytes.Replace(data, []byte(`"version":2,`), []byte(`"version":1,`), 1)
+		if bytes.Equal(v1, data) {
+			t.Fatalf("setup: manifest is not version 2: %s", data)
+		}
+		os.WriteFile(path, v1, 0o644)
+		if cp, err := core.LoadCheckpoint(dir); cp != nil || !errors.Is(err, core.ErrCheckpoint) {
+			t.Fatalf("version-1 manifest: cp=%v err=%v, want ErrCheckpoint", cp, err)
+		}
+	})
+
 	t.Run("escaping-run-path", func(t *testing.T) {
 		dir := t.TempDir()
 		os.WriteFile(filepath.Join(dir, "MANIFEST.json"),
-			[]byte(`{"version":1,"k":1,"min_sup":2,"num_transactions":3,"rk_file":"../../etc/passwd","counts":[[]]}`), 0o644)
+			[]byte(`{"version":2,"k":1,"min_sup":2,"num_transactions":3,"rk_file":"../../etc/passwd","counts":[[]]}`), 0o644)
 		if _, err := core.LoadCheckpoint(dir); !errors.Is(err, core.ErrCheckpoint) {
 			t.Fatalf("path-escaping manifest: %v", err)
 		}

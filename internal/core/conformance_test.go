@@ -516,10 +516,14 @@ func TestMinePagedRPagesPopulated(t *testing.T) {
 // TestPagedSpillConformanceRetail pins the out-of-core packed pipeline
 // to Mine on the retail fixture with a budget small enough that every
 // sort-counted iteration genuinely spills (≥ 2 sorted runs written), the
-// regime the paper's disk-resident analysis describes. k=1's key space
-// fits a counting table inside the 32 KiB budget's share, so that pass
-// writes no key runs; from k=2 the key space outgrows the share and the
-// bounded radix runs and their k-way merge are exercised.
+// regime the paper's disk-resident analysis describes. On the fixture's
+// 59-item catalogue every pass's key space — 2^(k·6) points through k=2,
+// |C_{k-1}|·2^6 rank-coded after — fits a counting table inside the
+// 32 KiB budget's share, so no pass writes key runs. Its wide twin adds
+// 4,096 singleton transactions of unseen items: 13-bit codes put k=1's
+// table past the share, k=2 past the table cap and k=3's 34·2^13 points
+// past the share, so the bounded radix runs and their k-way merge are
+// exercised there.
 func TestPagedSpillConformanceRetail(t *testing.T) {
 	d, opts, got := pagedSpillRetail(t)
 	want, err := core.MineMemory(d, opts)
@@ -527,10 +531,28 @@ func TestPagedSpillConformanceRetail(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIdenticalCounts(t, "paged-spill-retail", want, got.Result)
-
 	if got.IO.Accesses() == 0 {
 		t.Error("no page I/O: the budget did not force the out-of-core regime")
 	}
+	for _, st := range got.Stats {
+		if st.Plan.Count != core.CountTable {
+			t.Errorf("k=%d counted by %q; its key space should fit the table", st.K, st.Plan.Count)
+		}
+	}
+
+	wide := &core.Dataset{Transactions: slices.Clone(d.Transactions)}
+	for i := 0; i < 1<<12; i++ {
+		wide.Transactions = append(wide.Transactions, core.Transaction{ID: int64(1e6 + i), Items: []core.Item{core.Item(1e6 + i)}})
+	}
+	wideOpts := core.Options{MinSupportCount: want.MinSupport}
+	if want, err = core.MineMemory(wide, wideOpts); err != nil {
+		t.Fatal(err)
+	}
+	wideOpts.MemoryBudget = 32 << 10
+	if got, err = core.MinePaged(wide, wideOpts, core.PagedConfig{PoolFrames: 16}); err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalCounts(t, "paged-spill-retail-wide", want, got.Result)
 	// Every sort-counted iteration that carried candidate rows must have
 	// spilled at least two runs — otherwise the budget is not exercising
 	// the k-way merge and the test is vacuous.
@@ -538,9 +560,8 @@ func TestPagedSpillConformanceRetail(t *testing.T) {
 	for _, st := range got.Stats {
 		switch st.Plan.Count {
 		case core.CountSort:
-			sortPasses++
-			if st.K < 2 {
-				t.Errorf("k=%d counted by sort; its key space should fit the table", st.K)
+			if st.K == 2 || st.K == 3 {
+				sortPasses++
 			}
 			if st.RRows > 0 && st.RunsSpilled < 2 {
 				t.Errorf("k=%d: only %d runs spilled (want >= 2); budget too generous", st.K, st.RunsSpilled)
@@ -553,8 +574,8 @@ func TestPagedSpillConformanceRetail(t *testing.T) {
 			t.Errorf("k=%d: %d runs spilled but zero spill bytes accounted", st.K, st.RunsSpilled)
 		}
 	}
-	if sortPasses == 0 {
-		t.Error("no iteration took the sort kernel: the k-way merge is not covered")
+	if sortPasses < 2 {
+		t.Errorf("%d iterations took the sort kernel, want k=2 and k=3: the k-way merge is not covered", sortPasses)
 	}
 }
 
@@ -616,4 +637,78 @@ func sameItems(a, b []core.Item) bool {
 		}
 	}
 	return true
+}
+
+// TestRankCodedPlans pins where rank-coded keys put the count step. A
+// k-pattern's key is (rank of its prefix in C_{k-1}, last item code)
+// from k=3 on, so the key space is |C_{k-1}|·2^bits points, not
+// 2^(k·bits). On a quest fixture over 128 items (7-bit codes) every pass
+// from k=2 then counts on the table — serial, fanned out over two
+// workers (whose chunks share C_{k-1}'s rank directory), and spilled
+// under an 8 MiB budget. Singleton transactions of unseen items widen
+// the codes to 12 bits without adding a candidate: |C_2|·2^12 points
+// (|C_2| is 7,005) exceed the table cap, and k=3 sorts. Every case is
+// pinned to the flat reference, pass by pass.
+func TestRankCodedPlans(t *testing.T) {
+	cfg := gen.T10I4D100K(1, 1)
+	cfg.NumItems, cfg.NumTransactions = 128, 8000
+	d := gen.Quest(cfg)
+	opts := core.Options{MinSupportCount: 32}
+	flatOpts := opts
+	flatOpts.DisablePackedKernels = true
+	want, err := core.MineMemory(d, flatOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Stats) < 4 {
+		t.Fatalf("fixture mines %d passes, want k >= 4 so two passes are rank-coded", len(want.Stats))
+	}
+	check := func(label string, got *core.Result, regime, count string) {
+		t.Helper()
+		assertIdenticalCounts(t, label, want, got)
+		for _, st := range got.Stats {
+			if st.K >= 2 && (st.Plan.Kernel != core.KernelPacked || st.Plan.Regime != regime || st.Plan.Count != count) {
+				t.Errorf("%s: k=%d ran %s, want packed/%s/*/%s", label, st.K, st.Plan, regime, count)
+			}
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		o := opts
+		o.MaxWorkers = workers
+		got, err := core.MineAuto(d, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("resident-%dw", workers), got, core.RegimeResident, core.CountTable)
+		if workers == 2 && got.Stats[1].Plan.Workers != 2 {
+			t.Errorf("k=2 ran %s: the two-worker case did not fan out", got.Stats[1].Plan)
+		}
+	}
+	spillOpts := opts
+	spillOpts.MemoryBudget = 8 << 20
+	spilled, err := core.MinePaged(d, spillOpts, core.PagedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("spilled-8MiB", spilled.Result, core.RegimeSpilled, core.CountTable)
+
+	const bits, fillers = 12, 1<<12 - 128 // 4,096 distinct items
+	wide := &core.Dataset{Transactions: slices.Clone(d.Transactions)}
+	for i := 0; i < fillers; i++ {
+		wide.Transactions = append(wide.Transactions, core.Transaction{ID: int64(1e6 + i), Items: []core.Item{core.Item(1e6 + i)}})
+	}
+	if want, err = core.MineMemory(wide, flatOpts); err != nil {
+		t.Fatal(err)
+	}
+	if c2 := len(want.C(2)); c2<<bits <= 1<<24 {
+		t.Fatalf("setup: |C_2|·2^%d = %d points is within the table cap", bits, c2<<bits)
+	}
+	got, err := core.MineAuto(wide, core.Options{MinSupportCount: 32, MaxWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalCounts(t, "wide", want, got)
+	if st := got.Stats[2]; st.Plan.Kernel != core.KernelPacked || st.Plan.Count != core.CountSort {
+		t.Errorf("wide: k=3 ran %s, want packed/*/sort", st.Plan)
+	}
 }

@@ -75,6 +75,12 @@ func sortDict(dict *packDict) *packDict {
 	return &d
 }
 
+// bitCells is the count table a pass over bit-packed k-patterns counts
+// on (0: it sorts).
+func bitCells(dict *packDict, k int) int {
+	return dict.countTableCells(dict.bitSpace(k))
+}
+
 func samePkCounts(a, b pkCounts) bool {
 	return slices.Equal(a.keys, b.keys) && slices.Equal(a.counts, b.counts)
 }
@@ -86,8 +92,8 @@ func countBoth(t *testing.T, label string, chunks [][]prow, dict *packDict, k in
 	t.Helper()
 	var ar, arSort mineArena
 	var skips, sortSkips int64
-	got, kernel := countRows(chunks, dict, k, minSup, &ar, pkCounts{}, &skips)
-	want, sk := countRows(chunks, sortDict(dict), k, minSup, &arSort, pkCounts{}, &sortSkips)
+	got, kernel := countRows(chunks, bitCells(dict, k), minSup, &ar, pkCounts{}, &skips)
+	want, sk := countRows(chunks, bitCells(sortDict(dict), k), minSup, &arSort, pkCounts{}, &sortSkips)
 	if sk != CountSort {
 		t.Fatalf("%s: forced sort kernel reported %q", label, sk)
 	}
@@ -112,7 +118,7 @@ func TestCountKernelRuleEdges(t *testing.T) {
 	}
 	dict := newPackDict(items, 1000, nil)
 	const k = 2 // 12-bit keys: 4096 cells, a 16 KiB table
-	cells := dict.countTableCells(k)
+	cells := bitCells(dict, k)
 	if cells != 4096 {
 		t.Fatalf("countTableCells(2) = %d, want 4096", cells)
 	}
@@ -189,7 +195,7 @@ func TestCountKernelRuleEdges(t *testing.T) {
 		}
 		var ar mineArena
 		var skips int64
-		want, _ := countRows([][]prow{rows}, sortDict(dict), k, 2, &ar, pkCounts{}, &skips)
+		want, _ := countRows([][]prow{rows}, bitCells(sortDict(dict), k), 2, &ar, pkCounts{}, &skips)
 		if !samePkCounts(got, want) {
 			t.Errorf("%s (%s): counts differ from the resident sort kernel", tc.name, kernel)
 		}
@@ -201,11 +207,11 @@ func TestCountKernelRuleEdges(t *testing.T) {
 	// The cap: a key space of exactly maxCountTableBits has a table, one
 	// bit more has none, whatever the input size.
 	wide := &packDict{bits: maxCountTableBits, counts32: true}
-	if got := wide.countTableCells(1); got != 1<<maxCountTableBits {
+	if got := bitCells(wide, 1); got != 1<<maxCountTableBits {
 		t.Errorf("cells at the cap = %d, want 2^%d", got, maxCountTableBits)
 	}
 	wide.bits++
-	if got := wide.countTableCells(1); got != 0 {
+	if got := bitCells(wide, 1); got != 0 {
 		t.Errorf("cells one bit past the cap = %d, want 0", got)
 	}
 
@@ -223,7 +229,7 @@ func TestCountKernelRuleEdges(t *testing.T) {
 	for _, ms := range []int64{3, 4} {
 		var ar mineArena
 		var skips int64
-		got, kernel := countRows([][]prow{exact}, dict, k, ms, &ar, pkCounts{}, &skips)
+		got, kernel := countRows([][]prow{exact}, bitCells(dict, k), ms, &ar, pkCounts{}, &skips)
 		_, found := slices.BinarySearch(got.keys, 4000)
 		if kernel != CountTable || found != (ms == 3) {
 			t.Errorf("minSup=%d (%s): key with count 3 present=%v", ms, kernel, found)
@@ -239,20 +245,20 @@ func TestCountKernelRuleEdges(t *testing.T) {
 func TestCountTableUint32Guard(t *testing.T) {
 	items := []int64{1, 2, 3, 4}
 	limit := int64(1) << 32
-	if d := newPackDict(items, int(limit-1), nil); d.countTableCells(1) == 0 {
+	if d := newPackDict(items, int(limit-1), nil); bitCells(d, 1) == 0 {
 		t.Error("2^32-1 transactions: table ruled out, want allowed")
 	}
 	d := newPackDict(items, int(limit), nil)
 	if int64(int(limit)) != limit {
 		t.Skip("int is 32 bits wide")
 	}
-	if got := d.countTableCells(1); got != 0 {
+	if got := bitCells(d, 1); got != 0 {
 		t.Errorf("2^32 transactions: countTableCells = %d, want 0", got)
 	}
 	rows := randKeyRows(5, 4096, 2)
 	var ar mineArena
 	var skips int64
-	if _, kernel := countRows([][]prow{rows}, d, 1, 1, &ar, pkCounts{}, &skips); kernel != CountSort {
+	if _, kernel := countRows([][]prow{rows}, bitCells(d, 1), 1, &ar, pkCounts{}, &skips); kernel != CountSort {
 		t.Errorf("2^32 transactions: kernel %q, want sort", kernel)
 	}
 }
@@ -278,7 +284,7 @@ func TestCountRowsParallelTables(t *testing.T) {
 	for _, ms := range []int64{1, 40} {
 		var ar mineArena
 		var skips int64
-		serial, kernel := countRows([][]prow{rows}, dict, 2, ms, &ar, pkCounts{}, &skips)
+		serial, kernel := countRows([][]prow{rows}, bitCells(dict, 2), ms, &ar, pkCounts{}, &skips)
 		if kernel != CountTable {
 			t.Fatalf("serial kernel %q, want table", kernel)
 		}
@@ -294,7 +300,7 @@ func TestCountRowsParallelTables(t *testing.T) {
 				t.Errorf("%s: kernel %q, want table", label, got)
 			}
 			var arW mineArena
-			par, _ := countRows(chunks, dict, 2, ms, &arW, pkCounts{}, &skips)
+			par, _ := countRows(chunks, bitCells(dict, 2), ms, &arW, pkCounts{}, &skips)
 			if !samePkCounts(par, serial) {
 				t.Errorf("%s: chunked tables differ from the serial table", label)
 			}

@@ -158,12 +158,12 @@ func (m *deltaMiner) run() (*Result, error) {
 		iterStart := time.Now()
 		rPrime := m.deltaSales
 		if k > 1 {
-			ext = packedExtend(deltaR, m.deltaSales, m.dict.bits, ext[:0])
+			ext = packedExtend(deltaR, m.deltaSales, m.dict.bits, nil, ext[:0])
 			rPrime = ext
 		}
 		rPrimeRows := int64(len(rPrime))
 		skips := int64(1) // the R_{k-1} sort: order is preserved throughout
-		dCounts, kernel := countRows([][]prow{rPrime}, m.dict, k, 1, &ar, pkCounts{}, &skips)
+		dCounts, kernel := countRows([][]prow{rPrime}, m.dict.countTableCells(m.dict.bitSpace(k)), 1, &ar, pkCounts{}, &skips)
 
 		baseAll, baseFreq := m.baseLevel(k)
 		all := addPackedCounts(baseAll, dCounts)

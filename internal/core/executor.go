@@ -197,6 +197,12 @@ type execStepper struct {
 	ck    pkCounts
 	st    spillStats
 
+	// The last completed pass's C_k, decoded, and its keys' index: pass
+	// k+1 sizes its key space by the one, decodes through it, and ranks
+	// the prefixes it extends through the other (pack.go's key layout).
+	prevC []ItemsetCount
+	idx   keyIndex
+
 	avgBasket  float64
 	salesTotal int64 // |packed SALES|, the checkpoint's dataset identity
 	prevRPrime int64
@@ -278,7 +284,7 @@ func (s *execStepper) nextPlan(k int, prevRPrime, prevRRows int64) IterPlan {
 	p := s.strat(costmodel.PlanInput{
 		K: k, PrevRPrime: prevRPrime, PrevRRows: prevRRows,
 		AvgBasket: s.avgBasket, Budget: s.budget, Workers: s.maxWorkers,
-		CountTableBytes: s.dict.countTableBytes(k),
+		CountTableBytes: int64(s.tableCells(k)) * costmodel.CountCellBytes,
 	})
 	if p.Workers < 1 || p.Regime == RegimeSpilled {
 		p.Workers = 1
@@ -316,6 +322,38 @@ func (s *execStepper) capKeys() int {
 		return 0
 	}
 	return max(int(c/costmodel.PackedKeyBytes), storage.WordsPerPage) // at least a page of keys
+}
+
+// tableCells is pass k's count table size (0: the pass sorts) over its
+// key space: bit-packed through k = 2, one 2^bits row per rank of
+// C_{k-1} from k = 3. It reads C_{k-1} from prevC, so it holds from the
+// top of pass k until the pass ends.
+func (s *execStepper) tableCells(k int) int {
+	return s.dict.countTableCells(s.dict.keySpace(k, len(s.prevC)))
+}
+
+// prefixes is the index pass k's extension ranks R_{k-1}'s keys in:
+// nil through k = 2, whose keys stay bit-packed, C_{k-1}'s from k = 3.
+func (s *execStepper) prefixes(k int) *keyIndex {
+	if k <= 2 {
+		return nil
+	}
+	return &s.idx
+}
+
+// endPass decodes pass k's frequent counts ck, indexes their keys for
+// pass k's filter and pass k+1's extension, and makes them the C_{k-1}
+// of the next pass.
+func (s *execStepper) endPass(k int, ck pkCounts) []ItemsetCount {
+	var cOut []ItemsetCount
+	if k <= 2 {
+		cOut = decodePatterns(ck, k, s.dict)
+	} else {
+		cOut = decodeRanked(ck, s.prevC, s.dict)
+	}
+	s.idx = buildKeyIndex(ck.keys, s.dict.keySpace(k, len(s.prevC)), s.ar)
+	s.prevC = cOut
+	return cOut
 }
 
 // countSup is the threshold the count kernels run at: minSup normally,
@@ -398,10 +436,11 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 			return nil, iterSizes{}, err
 		}
 	} else {
-		ck, plan.Count = s.countResident(chunkRows(mem, plan.Workers), 1, s.countSup(minSup), &skips)
+		ck, plan.Count = s.countResident(chunkRows(mem, plan.Workers), s.tableCells(1), s.countSup(minSup), &skips)
 	}
 	ck = s.splitBorder(ck, minSup)
 	c1 := decodePatterns(ck, 1, s.dict)
+	s.prevC = c1
 
 	sales, err := s.buildJoinSide(mem, plan)
 	if err != nil {
@@ -452,8 +491,9 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 
 	var skips int64
 	// sort R_{k-1} on (trans_id, items): the previous filter preserved
-	// that order, so the pre-scan almost always skips this sort.
-	if prowsSorted(rk) {
+	// that order, so the pre-scan almost always skips this sort — and at
+	// k=2 R_{k-1} is packed SALES, which packSales has just ordered.
+	if s.rk == s.sales || prowsSorted(rk) {
 		skips++
 	} else {
 		ar.rowsTmp = growProws(ar.rowsTmp, len(rk))
@@ -461,7 +501,9 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	}
 
 	// R'_k := merge-scan(R_{k-1}, R_1), chunk by chunk against the window
-	// of R_1 covering the chunk's transactions.
+	// of R_1 covering the chunk's transactions; from k = 3 each R_{k-1}
+	// row's rank in C_{k-1} becomes the prefix of its extensions' keys.
+	prefixes := s.prefixes(k)
 	chunks := chunkRows(rk, plan.Workers)
 	W := len(chunks)
 	ar.workerSlots(W)
@@ -478,7 +520,7 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 			// from one run to the next. Count once, allocate once.
 			rPrime[i] = make([]prow, 0, packedExtendRows(part, side, bits))
 		}
-		rPrime[i] = packedExtend(part, side, bits, rPrime[i][:0])
+		rPrime[i] = packedExtend(part, side, bits, prefixes, rPrime[i][:0])
 	})
 	var rPrimeRows int64
 	for _, c := range rPrime {
@@ -488,27 +530,20 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	// C_k: count the key column of R'_k (on a table when the key space
 	// is narrow, else by sorting a clone) chunk by chunk, merge, apply the
 	// support threshold.
-	ck, kernel := s.countResident(rPrime, k, s.countSup(minSup), &skips)
+	ck, kernel := s.countResident(rPrime, s.tableCells(k), s.countSup(minSup), &skips)
 	plan.Count = kernel
 	ck = s.splitBorder(ck, minSup)
-	cOut := decodePatterns(ck, k, s.dict)
+	cOut := s.endPass(k, ck)
 
 	// R_k := filter R'_k by C_k. Filtering preserves (trans_id, items)
 	// order within a chunk and the chunks are gathered in R_{k-1}'s order,
 	// so the paper's post-filter sort is provably unnecessary.
-	bm := buildKeyBitmap(ck.keys, uint(k)*bits, ar)
-	filter := func(rows, out []prow) []prow {
-		if bm != nil && len(ck.keys) > 0 {
-			return packedFilterBitmap(rows, bm, out)
-		}
-		return packedFilter(rows, ck.keys, out)
-	}
 	out := ar.rkBuf[:0]
 	if W == 1 {
-		out = filter(rPrime[0], out)
+		out = s.idx.filter(rPrime[0], out)
 	} else {
 		keep := ar.wKeep[:W]
-		eachChunk(W, func(i int) { keep[i] = filter(rPrime[i], keep[i][:0]) })
+		eachChunk(W, func(i int) { keep[i] = s.idx.filter(rPrime[i], keep[i][:0]) })
 		for _, c := range keep {
 			out = append(out, c...)
 		}
@@ -524,10 +559,11 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 }
 
 // countResident runs the in-RAM count kernel over a pass's chunks into
-// the stepper's reused C_k buffers.
-func (s *execStepper) countResident(chunks [][]prow, k int, minSup int64, skips *int64) (pkCounts, string) {
+// the stepper's reused C_k buffers, on a table of cells cells if the
+// kernel rule admits one.
+func (s *execStepper) countResident(chunks [][]prow, cells int, minSup int64, skips *int64) (pkCounts, string) {
 	dst := pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]}
-	ck, kernel := countRows(chunks, s.dict, k, minSup, s.ar, dst, skips)
+	ck, kernel := countRows(chunks, cells, minSup, s.ar, dst, skips)
 	s.ck = ck
 	return ck, kernel
 }
@@ -558,7 +594,7 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	kc := s.keyCounterFor(k, capK)
 	defer s.stashKeyCounter(kc)
 	defer kc.abort() // no-op once finish has consumed the runs
-	if err := s.extendStreaming(app, kc); err != nil {
+	if err := s.extendStreaming(app, kc, s.prefixes(k)); err != nil {
 		return nil, iterSizes{}, err
 	}
 	rPrime, err := app.finish()
@@ -582,11 +618,11 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	}
 	s.ck = ck
 	ck = s.splitBorder(ck, minSup)
-	cOut := decodePatterns(ck, k, s.dict)
+	cOut := s.endPass(k, ck)
 
 	// R_k := filter R'_k by C_k; filtering preserves (trans_id, items)
 	// order, so the paper's post-filter sort is skipped.
-	rk, err := s.filterStreaming(rPrime, k, ck, capR)
+	rk, err := s.filterStreaming(rPrime, capR)
 	rPrimeRows := rPrime.rows()
 	rPrime.free(s.pool)
 	if err != nil {
@@ -606,7 +642,7 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 // per-worker scratch and tables serves serial passes.
 func (s *execStepper) keyCounterFor(k, capKeys int) *keyCounter {
 	s.ar.workerSlots(1)
-	kc := newKeyCounter(s.ctx, s.pool, capKeys, mergeFanIn(s.pool, s.chunk()), s.dict.countTableCells(k), &s.st)
+	kc := newKeyCounter(s.ctx, s.pool, capKeys, mergeFanIn(s.pool, s.chunk()), s.tableCells(k), &s.st)
 	kc.keys, kc.tmp, kc.tabBuf = s.ar.kcKeys[:0], s.ar.wTmp[0], s.ar.wTab[0]
 	return kc
 }
@@ -619,8 +655,8 @@ func (s *execStepper) stashKeyCounter(kc *keyCounter) {
 
 // extendStreaming runs the merge-scan extension: the groups of R_{k-1}
 // joined against the matching groups of R_1, appending R'_k rows to app
-// and their keys to kc.
-func (s *execStepper) extendStreaming(app *spillAppender, kc *keyCounter) error {
+// and their keys to kc. prefixes is as for packedExtend.
+func (s *execStepper) extendStreaming(app *spillAppender, kc *keyCounter, prefixes *keyIndex) error {
 	if err := s.cancelled(); err != nil {
 		return err
 	}
@@ -660,8 +696,11 @@ func (s *execStepper) extendStreaming(app *spillAppender, kc *keyCounter) error 
 		default:
 			scratch = scratch[:0]
 			for _, p := range g1 {
-				last := p.Key & mask
-				base := p.Key << s.dict.bits
+				last, base := p.Key&mask, p.Key
+				if prefixes != nil {
+					base = prefixes.rank(p.Key)
+				}
+				base <<= s.dict.bits
 				for _, q := range g2 {
 					if q.Key > last {
 						scratch = append(scratch, prow{Tid: t1, Key: base | q.Key})
@@ -689,11 +728,10 @@ func (s *execStepper) extendStreaming(app *spillAppender, kc *keyCounter) error 
 	return nil
 }
 
-// filterStreaming keeps the rows of r whose key occurs in ck, preserving
-// order, a block at a time, into the arena's R_k buffer; narrow key
-// spaces test membership through a bitmap.
-func (s *execStepper) filterStreaming(r *srel, k int, ck pkCounts, capR int) (*srel, error) {
-	bm := buildKeyBitmap(ck.keys, uint(k)*s.dict.bits, s.ar)
+// filterStreaming keeps the rows of r whose key occurs in the pass's
+// C_k (s.idx), preserving order, a block at a time, into the arena's R_k
+// buffer.
+func (s *execStepper) filterStreaming(r *srel, capR int) (*srel, error) {
 	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st, mem: s.ar.rkBuf[:0]}
 	defer app.abort(s.pool) // no-op once finished
 	it := rowsOf(s.pool, r)
@@ -710,11 +748,7 @@ func (s *execStepper) filterStreaming(r *srel, k int, ck pkCounts, capR int) (*s
 		if blk == nil {
 			return app.finish()
 		}
-		if bm != nil {
-			keep = packedFilterBitmap(blk, bm, keep[:0])
-		} else {
-			keep = packedFilter(blk, ck.keys, keep[:0])
-		}
+		keep = s.idx.filter(blk, keep[:0])
 		if err := app.add(keep); err != nil {
 			return nil, err
 		}
@@ -798,9 +832,14 @@ func (s *execStepper) stepWideFallback(k int, minSup int64) ([]ItemsetCount, ite
 }
 
 // unpackSrel decodes a packed relation of k-item patterns into a flat
-// relation one block at a time, in the same (trans_id, items) order.
+// relation one block at a time, in the same (trans_id, items) order: R_1
+// from its codes, R_k (k >= 2) as occurrences of C_k's patterns.
 func (s *execStepper) unpackSrel(r *srel, k int) (relation, error) {
 	rel := relation{stride: k + 1, data: make([]int64, 0, r.rows()*int64(k+1))}
+	var ck []ItemsetCount
+	if k >= 2 {
+		ck = s.prevC
+	}
 	it := rowsOf(s.pool, r)
 	defer it.close()
 	for {
@@ -811,13 +850,13 @@ func (s *execStepper) unpackSrel(r *srel, k int) (relation, error) {
 		if err != nil || blk == nil {
 			return rel, err
 		}
-		rel = unpackRel(rel, blk, s.dict)
+		rel = unpackRel(rel, blk, s.dict, ck, &s.idx)
 	}
 }
 
 // releasePacked drops the packed state and returns the arena.
 func (s *execStepper) releasePacked() {
-	s.rk, s.sales, s.dict = nil, nil, nil
+	s.rk, s.sales, s.dict, s.idx = nil, nil, nil, keyIndex{}
 	if s.ar != nil {
 		s.ar.release()
 		s.ar = nil
@@ -883,6 +922,20 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 		return iterSizes{}, err
 	}
 	s.sales = sales
+
+	// C_K, re-coded from the manifest: the next pass ranks R_K's keys in
+	// it, decodes through it and sizes its key space by it.
+	var prev []ItemsetCount
+	if cp.K >= 2 {
+		prev = cp.Counts[cp.K-2]
+	}
+	keys, ok := encodeLevel(cp.Counts[cp.K-1], prev, cp.K, s.dict)
+	if !ok || !keysSorted(keys) {
+		return iterSizes{}, fmt.Errorf("%w: C_%d does not code under this dataset's dictionary", ErrCheckpoint, cp.K)
+	}
+	s.ck = pkCounts{keys: keys}
+	s.idx = buildKeyIndex(keys, s.dict.keySpace(cp.K, len(prev)), s.ar)
+	s.prevC = cp.Counts[cp.K-1]
 
 	// R_K streams from the checkpoint under the regime the next iteration
 	// would plan (past the packed key the hand-off decodes it either way):

@@ -131,12 +131,20 @@ func FuzzMine(f *testing.F) {
 // radix sort + run count — must return identical packed counts for the
 // drawn (keys, key width) at the drawn threshold and at the extremes 1
 // and n.
+//
+// The same rows then run whole passes on a drawn catalogue width: their
+// transactions plus 2^width singleton transactions of unseen items,
+// which widen the item codes without adding a candidate. Narrow draws
+// put the rank-coded passes (k >= 3) on the count table, wide ones on
+// the sort, and either must match the flat reference pass by pass.
 func FuzzPackedKernels(f *testing.F) {
-	f.Add([]byte{1, 5, 3, 2, 4, 1, 1, 5, 3}, uint8(2), uint8(2))
-	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint8(1), uint8(1))
-	f.Add([]byte{3, 200, 100, 3, 200, 100, 7, 1, 2}, uint8(3), uint8(2))
-	f.Add([]byte{1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 2, 7, 2, 8}, uint8(0), uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, kRaw, minSupRaw uint8) {
+	f.Add([]byte{1, 5, 3, 2, 4, 1, 1, 5, 3}, uint8(2), uint8(2), uint8(0))
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint8(1), uint8(1), uint8(3))
+	f.Add([]byte{3, 200, 100, 3, 200, 100, 7, 1, 2}, uint8(3), uint8(2), uint8(12))
+	f.Add([]byte{1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 2, 7, 2, 8}, uint8(0), uint8(3), uint8(6))
+	f.Add([]byte{1, 1, 2, 3, 1, 1, 2, 4, 1, 1, 3, 4, 1, 2, 3, 4, 2, 1, 2, 3, 2, 1, 2, 4, 2, 1, 3, 4, 2, 2, 3, 4,
+		3, 1, 2, 3, 3, 1, 2, 4, 3, 2, 3, 4, 4, 1, 2, 3, 4, 2, 3, 4, 5, 1, 3, 4, 5, 1, 2, 4}, uint8(2), uint8(1), uint8(12))
+	f.Fuzz(func(t *testing.T, data []byte, kRaw, minSupRaw, widthRaw uint8) {
 		k := int(kRaw%3) + 1
 		st := k + 1
 		n := len(data) / st
@@ -183,7 +191,7 @@ func FuzzPackedKernels(f *testing.F) {
 		sortRelation(genSorted, 0)
 		sortedRows := append([]prow(nil), rows...)
 		xsort.RadixSortRows(sortedRows, make([]prow, n))
-		if got := unpackRel(relation{stride: k + 1}, sortedRows, dict); !slices.Equal(got.data, genSorted.data) {
+		if got := unpackRel(relation{stride: k + 1}, sortedRows, dict, nil, nil); !slices.Equal(got.data, genSorted.data) {
 			t.Fatalf("row sort mismatch:\ngot  %v\nwant %v", got.data, genSorted.data)
 		}
 
@@ -211,7 +219,7 @@ func FuzzPackedKernels(f *testing.F) {
 		// Table ≡ sort: the table kernel off the unsorted rows against the
 		// run count of the sorted keys, then the dispatching kernel (which
 		// picks by the size rule) against itself with the table ruled out.
-		cells := dict.countTableCells(k)
+		cells := bitCells(dict, k)
 		if cells != 1<<(uint(k)*dict.bits) {
 			t.Fatalf("countTableCells(%d) = %d at %d bits per item", k, cells, dict.bits)
 		}
@@ -223,8 +231,8 @@ func FuzzPackedKernels(f *testing.F) {
 			}
 			var a1, a2 mineArena
 			var s1, s2 int64
-			got, _ := countRows([][]prow{rows}, dict, k, ms, &a1, pkCounts{}, &s1)
-			want, kernel := countRows([][]prow{rows}, sortDict(dict), k, ms, &a2, pkCounts{}, &s2)
+			got, _ := countRows([][]prow{rows}, bitCells(dict, k), ms, &a1, pkCounts{}, &s1)
+			want, kernel := countRows([][]prow{rows}, bitCells(sortDict(dict), k), ms, &a2, pkCounts{}, &s2)
 			if kernel != CountSort || !samePkCounts(got, want) {
 				t.Fatalf("minSup=%d: countRows disagrees with its sort kernel (%s)", ms, kernel)
 			}
@@ -234,15 +242,43 @@ func FuzzPackedKernels(f *testing.F) {
 		// filter (both inputs sorted, so outputs must be bit-identical).
 		wantF, _ := filterRelation(genSorted, want)
 		gotRows := packedFilter(sortedRows, pk.keys, nil)
-		if got := unpackRel(relation{stride: k + 1}, gotRows, dict); !slices.Equal(got.data, wantF.data) {
+		if got := unpackRel(relation{stride: k + 1}, gotRows, dict, nil, nil); !slices.Equal(got.data, wantF.data) {
 			t.Fatalf("filter mismatch:\ngot  %v\nwant %v", got.data, wantF.data)
 		}
 		ar := newMineArena()
 		defer ar.release()
-		if bm := buildKeyBitmap(pk.keys, uint(k)*dict.bits, ar); bm != nil && len(pk.keys) > 0 {
-			bmRows := packedFilterBitmap(sortedRows, bm, nil)
-			if !slices.Equal(bmRows, gotRows) {
+		if x := buildKeyIndex(pk.keys, dict.bitSpace(k), ar); x.dir != nil {
+			if bmRows := x.filter(sortedRows, nil); !slices.Equal(bmRows, gotRows) {
 				t.Fatalf("bitmap filter disagrees with binary-search filter")
+			}
+		}
+
+		byTid := map[int64][]Item{}
+		for i := 0; i < n; i++ {
+			byTid[rel.tid(i)] = append(byTid[rel.tid(i)], rel.items(i)...)
+		}
+		d := &Dataset{}
+		for tid, items := range byTid {
+			slices.Sort(items)
+			d.Transactions = append(d.Transactions, Transaction{ID: tid, Items: slices.Compact(items)})
+		}
+		for i := 0; i < 1<<(widthRaw%13); i++ {
+			d.Transactions = append(d.Transactions, Transaction{ID: int64(100 + i), Items: []Item{Item(100 + i)}})
+		}
+		opts := Options{MinSupportCount: minSup, MaxPatternLen: 5, MaxWorkers: 1}
+		packed, err := MineAuto(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.DisablePackedKernels = true
+		flat, err := MineMemory(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fuzzSameCounts(t, "packed-vs-flat", flat, packed)
+		for i, w := range flat.Stats {
+			if g := packed.Stats[i]; g.RPrimeRows != w.RPrimeRows || g.RRows != w.RRows {
+				t.Fatalf("k=%d (%s): |R'|=%d |R|=%d, flat reference %d/%d", w.K, g.Plan, g.RPrimeRows, g.RRows, w.RPrimeRows, w.RRows)
 			}
 		}
 	})

@@ -1,41 +1,61 @@
 package core
 
 // The packed-key execution engine. At mine start item ids are
-// dictionary-encoded into a dense domain (newPackDict); while
-// k*bitsPerItem fits one 64-bit word, an R'_k row is a (trans_id, key)
-// pair with the whole pattern bit-packed into the key — item_1 in the
-// most significant bits — so unsigned integer order on keys equals
-// lexicographic order on patterns. The per-iteration kernels then
-// collapse:
+// dictionary-encoded into a dense domain (newPackDict), and an R'_k row
+// is a (trans_id, key) pair whose key codes the whole k-pattern in one
+// 64-bit word so that unsigned integer order on keys equals
+// lexicographic order on patterns. The key layout:
+//
+//   - k <= 2: the item codes bit-packed, item_1 in the most significant
+//     bits — SALES rows carry one code, R'_2 rows code_1<<bits | code_2;
+//   - k >= 3: rank(prefix in C_{k-1}) << bits | code(last item), the
+//     prefix's position among the frequent (k-1)-patterns in ascending
+//     order. Every R'_k row extends an R_{k-1} row, whose pattern is in
+//     C_{k-1}, so the rank always exists; and ranks ascend with the
+//     prefixes, so the order argument survives. This is AprioriTid's
+//     candidate id (Agrawal & Srikant, VLDB 1994) taken a relation at a
+//     time. The key space shrinks from 2^(k*bits) points to
+//     |C_{k-1}|*2^bits (keySpace), which puts every quest pass that has
+//     candidate rows on the count table. The extension looks the rank up once per
+//     R_{k-1} row through C_{k-1}'s keyIndex, and decodeRanked reads a
+//     C_k key back through the decoded C_{k-1}. Measured on bench/
+//     (seed 1, 15 s, one CPU of a 2-vCPU Xeon VM): mine_p50_s
+//     quest-resident 0.201 -> 0.143 s over ten alternating pairs, the
+//     traced k=3 pass 57 -> 24 ms.
+//
+// MineDelta and the border snapshot keep the bit-packed layout at every
+// k; the executor re-packs its border levels when it assembles one.
+// The per-iteration kernels then collapse:
 //
 //   - the paper's sorts become byte-wise LSD radix passes over a single
 //     column, or are skipped outright when a pre-scan proves the input
 //     already ordered (the common case: extension and filtering both
 //     preserve (trans_id, items) order);
 //   - the count step ("sort R'_k on items; count") is a counting table
-//     when the packed key space is narrow, radix sort + run count
-//     otherwise. The packed key is a perfect hash of the pattern, so one
-//     pass of tab[key]++ over a []uint32 of 2^(k*bitsPerItem) cells and a
-//     scan of the table in index order yield exactly the ascending
-//     (key, count) list the sort produces — no key-column clone, no
-//     scratch, and in the spilled regime no key runs and no merge. The
-//     rule (costmodel.CountTableFits) is computed from what the pass
-//     observes: the table is used iff its bytes do not exceed the sort
-//     buffers it replaces — 16 B per key, i.e. 16*|R'_k| resident and
-//     2*8*capKeys under a memory budget — and the key space is within
-//     maxCountTableBits. Every packed count site (resident serial and
-//     fanned out, spilled key counters, the delta miner) goes through
-//     countRows / keyCounter, which share the two kernels below.
-//     Measured on bench/ (seed 3, 15 s, one CPU):
+//     when the key space is narrow, radix sort + run count otherwise.
+//     The key is a perfect hash of the pattern, so one pass of tab[key]++
+//     over a []uint32 of one cell per key-space point and a scan of the
+//     table in index order yield exactly the ascending (key, count) list
+//     the sort produces — no key-column clone, no radix buffer, and in the
+//     spilled regime no key runs and no merge. The rule
+//     (costmodel.CountTableFits) is computed from what the pass observes:
+//     the table is used iff its bytes (4*|C_{k-1}|*2^bits from k = 3)
+//     do not exceed the sort buffers it replaces — 16 B per key, i.e.
+//     16*|R'_k| resident and 2*8*capKeys under a memory budget — and the
+//     key space is within maxCountTableBits. Every packed count site
+//     (resident serial and fanned out, spilled key counters, the delta
+//     miner) goes through countRows / keyCounter, which share the two
+//     kernels below. Measured on bench/ (seed 3, 15 s, one CPU):
 //     mine_p50_s quest-resident 0.32 -> 0.125 s over three alternating
 //     pairs, quest-spilled 0.90 -> 0.36 s (a mine writes 7 runs instead
 //     of 31), retail-resident 14.0 -> 9.3 ms;
-//   - the support filter is a binary search over the packed C_k keys, or
-//     a bitmap probe when the key space is narrow.
+//   - the support filter is a bitmap probe when the key space is narrow
+//     enough to map densely, else a binary search over the C_k keys.
 //
-// Patterns too wide to pack (k*bitsPerItem > 64) fall back mid-run to
-// the generic int64 relation kernels of relation.go, which also remain
-// the conformance oracle behind Options.DisablePackedKernels.
+// Patterns wider than bit-packed keys could hold (k*bitsPerItem > 64)
+// fall back mid-run to the generic int64 relation kernels of
+// relation.go, which also remain the conformance oracle behind
+// Options.DisablePackedKernels.
 
 import (
 	"math/bits"
@@ -301,17 +321,24 @@ func keysSorted(keys []uint64) bool {
 // packedExtend is the merge-scan join of packed R_{k-1} with packed R_1
 // (Figure 4's extension step): both inputs sorted by trans_id; within a
 // transaction each pattern is extended by the sale items whose code
-// exceeds its last item's. Appends to out and returns it; the output
-// inherits (trans_id, key) order.
-func packedExtend(rk, sales []prow, itemBits uint, out []prow) []prow {
+// exceeds its last item's. prefixes is C_{k-1}'s index when R'_k is
+// rank-coded (k >= 3): the extended key is then the row's rank in
+// C_{k-1}, shifted; nil bit-packs (k = 2, and MineDelta at every k).
+// Appends to out and returns it; the output inherits (trans_id, key)
+// order.
+func packedExtend(rk, sales []prow, itemBits uint, prefixes *keyIndex, out []prow) []prow {
 	mask := uint64(1)<<itemBits - 1
+	var dir []rankWord // the rank directory, looked up inline
+	if prefixes != nil {
+		dir = prefixes.dir
+	}
 	nr, ns := len(rk), len(sales)
 	i, j := 0, 0
 	for i < nr && j < ns {
 		tid := rk[i].Tid
 		switch {
 		case sales[j].Tid < tid:
-			j++
+			j = skipTo(sales, j, tid)
 		case sales[j].Tid > tid:
 			i++
 		default:
@@ -324,8 +351,15 @@ func packedExtend(rk, sales []prow, itemBits uint, out []prow) []prow {
 				jEnd++
 			}
 			for p := i; p < iEnd; p++ {
-				last := rk[p].Key & mask
-				base := rk[p].Key << itemBits
+				key := rk[p].Key
+				last, base := key&mask, key
+				switch {
+				case dir != nil:
+					base = dir[key>>6].rank(key)
+				case prefixes != nil:
+					base = prefixes.rank(key)
+				}
+				base <<= itemBits
 				for q := j; q < jEnd; q++ {
 					if it := sales[q].Key; it > last {
 						out = append(out, prow{Tid: tid, Key: base | it})
@@ -338,6 +372,30 @@ func packedExtend(rk, sales []prow, itemBits uint, out []prow) []prow {
 	return out
 }
 
+// skipTo returns the first position from j on whose trans_id is at least
+// tid, sales[j].Tid being below it: a galloping search, so a short
+// R_{k-1} (the deep passes) skips the long stretches of SALES between
+// its transactions in logarithmic time instead of row by row.
+func skipTo(sales []prow, j int, tid uint64) int {
+	step := 1
+	for j+step < len(sales) && sales[j+step].Tid < tid {
+		j += step
+		step *= 2
+	}
+	// sales[j].Tid < tid <= sales[j+step].Tid (or the end): the answer is
+	// in (j, j+step].
+	lo, hi := j+1, min(j+step, len(sales))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if sales[mid].Tid < tid {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // packedExtendRows is |R'_k| without materializing it: packedExtend's
 // merge-scan with the appends counted instead of made.
 func packedExtendRows(rk, sales []prow, itemBits uint) int {
@@ -348,7 +406,7 @@ func packedExtendRows(rk, sales []prow, itemBits uint) int {
 		tid := rk[i].Tid
 		switch {
 		case sales[j].Tid < tid:
-			j++
+			j = skipTo(sales, j, tid)
 		case sales[j].Tid > tid:
 			i++
 		default:
@@ -437,20 +495,39 @@ func mergePackedCounts(parts []pkCounts, minSup int64, dst pkCounts) pkCounts {
 	}
 }
 
-// countTableCells is the size of pass k's direct-address count table,
-// one cell per point of the k*bits-bit key space, or 0 when the pass
-// must sort: the key space is wider than maxCountTableBits, or supports
-// could overflow a uint32 cell.
-func (d *packDict) countTableCells(k int) int {
-	if keyBits := uint(k) * d.bits; d.counts32 && keyBits <= maxCountTableBits {
-		return 1 << keyBits
+// bitSpace is the key space of bit-packed k-patterns, 2^(k*bits)
+// points, saturating at 2^63: the executor's at k <= 2, MineDelta's at
+// every k.
+func (d *packDict) bitSpace(k int) uint64 {
+	if kb := uint(k) * d.bits; kb < 63 {
+		return 1 << kb
 	}
-	return 0
+	return 1 << 63
 }
 
-// countTableBytes is countTableCells in bytes, the planner's unit.
-func (d *packDict) countTableBytes(k int) int64 {
-	return int64(d.countTableCells(k)) * costmodel.CountCellBytes
+// keySpace is the number of points in the executor's level-k key space:
+// bitSpace(k) while k <= 2, and from k = 3 one row of 2^bits last-item
+// codes per rank of C_{k-1}, whose size is prev — |C_{k-1}|*2^bits,
+// saturating at 2^63.
+func (d *packDict) keySpace(k, prev int) uint64 {
+	if k <= 2 {
+		return d.bitSpace(k)
+	}
+	if d.bits >= 63 || uint64(prev) > 1<<(63-d.bits) {
+		return 1 << 63
+	}
+	return uint64(prev) << d.bits
+}
+
+// countTableCells is the size of the direct-address count table over a
+// key space of space points, one cell per point, or 0 when the pass must
+// sort: the space is wider than maxCountTableBits, or supports could
+// overflow a uint32 cell.
+func (d *packDict) countTableCells(space uint64) int {
+	if d.counts32 && space <= 1<<maxCountTableBits {
+		return int(space)
+	}
+	return 0
 }
 
 // countTableFits applies the kernel rule to a table of cells cells and
@@ -499,13 +576,14 @@ func sortCountKeys(keys []uint64, tmp *[]uint64, minSup int64, dst pkCounts, ski
 // countRows is the count step over resident rows: C_k at minSup from
 // the keys of chunks (R'_k as the pass's workers hold it, or SALES at
 // k=1; one chunk is the serial count), appended to dst, plus the kernel
-// that ran. Narrow key spaces count straight off the rows into the
+// that ran. cells is the pass's countTableCells. Narrow key spaces count
+// straight off the rows into the
 // arena's tables — one per chunk, summed element-wise — and a
 // table-counted pass tallies one skipped sort; otherwise each chunk's key
 // column is cloned into the arena and sorted, and the per-chunk counts
 // are merged under the threshold. The kernel rule is applied per chunk —
 // a chunk's table against the keys that chunk counts — on the longest.
-func countRows(chunks [][]prow, dict *packDict, k int, minSup int64, ar *mineArena, dst pkCounts, skips *int64) (pkCounts, string) {
+func countRows(chunks [][]prow, cells int, minSup int64, ar *mineArena, dst pkCounts, skips *int64) (pkCounts, string) {
 	W := len(chunks)
 	ar.workerSlots(W)
 	total, longest := 0, 0
@@ -514,7 +592,7 @@ func countRows(chunks [][]prow, dict *packDict, k int, minSup int64, ar *mineAre
 		longest = max(longest, len(c))
 	}
 
-	if cells := dict.countTableCells(k); countTableFits(cells, longest) {
+	if countTableFits(cells, longest) {
 		eachChunk(W, func(i int) {
 			ar.wTab[i] = tableCountRows(chunks[i], ar.wTab[i], cells)
 		})
@@ -573,20 +651,20 @@ func packedFilter(rPrime []prow, ckKeys []uint64, out []prow) []prow {
 }
 
 // packedFilterBitmap is packedFilter with the C_k look-up as an O(1)
-// bitmap test — used whenever the k*bitsPerItem key space is narrow
-// enough to map densely (see buildKeyBitmap).
-func packedFilterBitmap(rPrime []prow, bm []uint64, out []prow) []prow {
+// bitmap test — used whenever the key space is narrow enough to map
+// densely (see buildKeyIndex).
+func packedFilterBitmap(rPrime []prow, dir []rankWord, out []prow) []prow {
 	for _, r := range rPrime {
-		if bm[r.Key>>6]&(1<<(r.Key&63)) != 0 {
+		if dir[r.Key>>6].bits&(1<<(r.Key&63)) != 0 {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// decodePatterns expands packed counts into the public ItemsetCount form.
-// All pattern slices share one backing array: two allocations per C_k
-// regardless of pattern count.
+// decodePatterns expands bit-packed counts into the public ItemsetCount
+// form. All pattern slices share one backing array: two allocations per
+// C_k regardless of pattern count.
 func decodePatterns(pk pkCounts, k int, dict *packDict) []ItemsetCount {
 	if len(pk.keys) == 0 {
 		return nil
@@ -604,14 +682,71 @@ func decodePatterns(pk pkCounts, k int, dict *packDict) []ItemsetCount {
 	return out
 }
 
+// decodeRanked is decodePatterns for rank-coded counts: a key's pattern
+// is C_{k-1}[rank]'s items (prev, decoded) followed by its last item.
+func decodeRanked(pk pkCounts, prev []ItemsetCount, dict *packDict) []ItemsetCount {
+	if len(pk.keys) == 0 {
+		return nil
+	}
+	k := len(prev[0].Items) + 1
+	out := make([]ItemsetCount, len(pk.keys))
+	backing := make([]Item, len(pk.keys)*k)
+	mask := uint64(1)<<dict.bits - 1
+	for i, key := range pk.keys {
+		items := backing[i*k : (i+1)*k : (i+1)*k]
+		copy(items, prev[key>>dict.bits].Items)
+		items[k-1] = dict.items[key&mask]
+		out[i] = ItemsetCount{Items: items, Count: pk.counts[i]}
+	}
+	return out
+}
+
+// encodeLevel is the decoders' inverse, for the resume path: the
+// executor's level-k keys of the decoded, ascending ck — codes while
+// k <= 2, prefixes ranked in prev = C_{k-1} from k = 3. A pattern this
+// dataset's level k cannot hold (a wrong length, an item outside the
+// dictionary, a prefix not in prev) reports false.
+func encodeLevel(ck, prev []ItemsetCount, k int, dict *packDict) ([]uint64, bool) {
+	keys := make([]uint64, len(ck))
+	for i, c := range ck {
+		if len(c.Items) != k {
+			return nil, false
+		}
+		last, ok := slices.BinarySearch(dict.items, c.Items[k-1])
+		if !ok {
+			return nil, false
+		}
+		prefix := 0
+		switch {
+		case k == 2:
+			if prefix, ok = slices.BinarySearch(dict.items, c.Items[0]); !ok {
+				return nil, false
+			}
+		case k >= 3:
+			prefix = searchCounts(prev, c.Items[:k-1])
+			if prefix == len(prev) || compareItems(prev[prefix].Items, c.Items[:k-1]) != 0 {
+				return nil, false
+			}
+		}
+		keys[i] = uint64(prefix)<<dict.bits | uint64(last)
+	}
+	return keys, true
+}
+
 // unpackRel appends packed rows of k-item patterns to the flat relation
 // rel (stride k+1) — the bridge to the int64 kernels when patterns
-// outgrow the 64-bit key.
-func unpackRel(rel relation, rows []prow, dict *packDict) relation {
+// outgrow the 64-bit key. With ck nil the keys are bit-packed codes (R_1,
+// or MineDelta's relations); otherwise the rows are R_k's, every one an
+// occurrence of a pattern of ck = C_k, found through its index.
+func unpackRel(rel relation, rows []prow, dict *packDict, ck []ItemsetCount, idx *keyIndex) relation {
 	k := rel.stride - 1
 	mask := uint64(1)<<dict.bits - 1
 	for _, r := range rows {
 		rel.data = append(rel.data, int64(r.Tid^tidFlip))
+		if ck != nil {
+			rel.data = append(rel.data, ck[idx.rank(r.Key)].Items...)
+			continue
+		}
 		for c := 0; c < k; c++ {
 			rel.data = append(rel.data, dict.items[(r.Key>>(uint(k-1-c)*dict.bits))&mask])
 		}

@@ -154,7 +154,7 @@ func TestPackSalesMatchesSalesRelation(t *testing.T) {
 			ar := newMineArena()
 			dict := buildDict(d, ar)
 			rows := packSales(d, dict, ar, workers)
-			got := unpackRel(relation{stride: 2}, rows, dict)
+			got := unpackRel(relation{stride: 2}, rows, dict, nil, nil)
 			if !slices.Equal(got.data, want.data) {
 				t.Fatalf("%d transactions, %d workers: packed sales mismatch:\ngot  %v\nwant %v", len(d.Transactions), workers, got.data, want.data)
 			}
@@ -507,11 +507,11 @@ func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 	ar := new(mineArena)
 	dict := buildDict(d, ar)
 	sales := packSales(d, dict, ar, 1)
-	ext := packedExtend(sales, sales, dict.bits, nil)
+	ext := packedExtend(sales, sales, dict.bits, nil, nil)
 	if got := packedExtendRows(sales, sales, dict.bits); got != len(ext) || got == 0 {
 		t.Fatalf("packedExtendRows = %d, packedExtend made %d rows", got, len(ext))
 	}
-	if got := packedExtendRows(ext, sales, dict.bits); got != len(packedExtend(ext, sales, dict.bits, nil)) {
+	if got := packedExtendRows(ext, sales, dict.bits); got != len(packedExtend(ext, sales, dict.bits, nil, nil)) {
 		t.Fatalf("k=3: packedExtendRows = %d, packedExtend disagrees", got)
 	}
 
@@ -572,22 +572,35 @@ func TestParallelPassHoldsOneRPrime(t *testing.T) {
 	}
 }
 
+// TestBuildKeyBitmap pins the key index both ways: over a narrow key
+// space its bitmap holds exactly the C_k keys and its rank directory
+// gives every key's position, over a wide one there is no bitmap and
+// the rank comes from binary search — the same positions.
 func TestBuildKeyBitmap(t *testing.T) {
 	ar := newMineArena()
 	defer ar.release()
-	if bm := buildKeyBitmap([]uint64{1}, maxFilterBitmapBits+1, ar); bm != nil {
+	keys := []uint64{0, 3, 63, 64, 130, 4095}
+	if x := buildKeyIndex(keys, 1<<maxFilterBitmapBits+1, ar); x.dir != nil {
 		t.Fatal("bitmap built for an over-wide key space")
+	} else {
+		for i, k := range keys {
+			if got := x.rank(k); got != uint64(i) {
+				t.Fatalf("binary-search rank(%d) = %d, want %d", k, got, i)
+			}
+		}
 	}
-	keys := []uint64{0, 3, 64, 4095}
-	bm := buildKeyBitmap(keys, 12, ar)
-	if bm == nil {
-		t.Fatal("no bitmap for a 12-bit key space")
+	x := buildKeyIndex(keys, 4096, ar)
+	if x.dir == nil {
+		t.Fatal("no bitmap for a 4096-point key space")
 	}
 	for k := uint64(0); k < 4096; k++ {
-		want := slices.Contains(keys, k)
-		got := bm[k>>6]&(1<<(k&63)) != 0
+		i, want := slices.BinarySearch(keys, k)
+		got := x.dir[k>>6].bits&(1<<(k&63)) != 0
 		if got != want {
 			t.Fatalf("bitmap[%d] = %v, want %v", k, got, want)
+		}
+		if want && x.rank(k) != uint64(i) {
+			t.Fatalf("rank(%d) = %d, want %d", k, x.rank(k), i)
 		}
 	}
 }

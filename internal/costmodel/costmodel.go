@@ -602,8 +602,10 @@ type PlanInput struct {
 	Budget     int64   // remaining MemoryBudget in bytes (<= 0: unbounded)
 	Workers    int     // available CPUs (caller caps by Options.MaxWorkers)
 	// CountTableBytes is the size of a direct-address count table over
-	// the upcoming pass's packed key space, 4·2^(K·bitsPerItem); zero when
-	// the key space is wider than the executor's table cap (or unknown).
+	// the upcoming pass's key space: 4·2^(K·bitsPerItem) while K <= 2,
+	// 4·|C_{K−1}|·2^bitsPerItem from K = 3, where a pattern's key is its
+	// prefix's rank in C_{K−1} and its last item's code. Zero when the
+	// key space is wider than the executor's table cap (or unknown).
 	CountTableBytes int64
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
@@ -283,6 +284,45 @@ func TestDurableResumeMissingRunFile(t *testing.T) {
 		t.Fatalf("job with damaged checkpoint finished %s: %s", fin.State, fin.Error)
 	}
 	assertSameCounts(t, "remine-vs-mine", want, c.result("job-1"))
+}
+
+// TestDurableResumeRefusesVersion1Checkpoint: a checkpoint written by a
+// build whose R_k run held bit-packed keys (manifest version 1) is
+// refused, and the job re-mines to the same counts instead of resuming.
+func TestDurableResumeRefusesVersion1Checkpoint(t *testing.T) {
+	dir := t.TempDir()
+	d := testDataset(61, 1200)
+	const minSup = 8
+	interruptedJobFixture(t, dir, d, minSup, true)
+	path := filepath.Join(dir, checkpointsDirName, "job-1", "MANIFEST.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.Replace(data, []byte(`"version":2,`), []byte(`"version":1,`), 1)
+	if bytes.Equal(v1, data) {
+		t.Fatalf("fixture manifest is not version 2: %s", data)
+	}
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.LoadCheckpoint(filepath.Dir(path)); !errors.Is(err, core.ErrCheckpoint) {
+		t.Fatalf("version-1 manifest loaded: %v", err)
+	}
+
+	want, err := core.MineMemory(d, core.Options{MinSupportCount: minSup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c, _ := newDurableServer(t, dir, Config{})
+	fin := c.waitDone("job-1")
+	if fin.State != stateDone {
+		t.Fatalf("job with a version-1 checkpoint finished %s: %s", fin.State, fin.Error)
+	}
+	assertSameCounts(t, "remine-vs-mine", want, c.result("job-1"))
+	if m := metricsText(t, c); !strings.Contains(m, "setmd_checkpoint_resumes 0") {
+		t.Errorf("a version-1 checkpoint was resumed from:\n%s", m)
+	}
 }
 
 // TestDurableResumeWithoutCheckpoint: a job that died before its first
