@@ -13,14 +13,11 @@ import (
 // grow to the high-water mark of the run and are reused verbatim
 // afterwards, so steady-state iterations allocate (almost) nothing.
 type mineArena struct {
-	rkBuf    []prow   // R_k, the filter output (a fanned-out pass gathers wKeep here)
-	rowsTmp  []prow   // radix scratch for (tid, key) sorts
-	salesBuf []prow   // packed R_1
-	keys     []uint64 // key-column clone sorted by the count step's sort kernel
-	keysTmp  []uint64 // radix scratch for serial key sorts
-	kcKeys   []uint64 // the streaming key counter's bounded key buffer
-	dictBuf  []int64  // the dictionary's code -> item table
-	dictLUT  []uint32 // the dictionary's item -> code table (and presence pass)
+	rkBuf   []prow   // R_k, the filter output (a fanned-out pass gathers wKeep here)
+	rowsTmp []prow   // radix scratch for (tid, key) sorts
+	keys    []uint64 // key-column clone sorted by the count step's sort kernel
+	keysTmp []uint64 // radix scratch for serial key sorts
+	kcKeys  []uint64 // the streaming key counter's bounded key buffer
 
 	rankDir []rankWord // C_k's membership bitmap and rank directory (keyIndex)
 
@@ -31,7 +28,7 @@ type mineArena struct {
 	wRows   [][]prow   // R'_k, chunk by chunk: extended here, counted and filtered from here
 	wKeep   [][]prow   // a fanned-out pass's filter output per chunk, gathered into rkBuf
 	wCounts []pkCounts // per-chunk count runs of the sort kernel
-	wTmp    [][]uint64 // per-chunk radix scratch (and packSales' per-transaction code scratch)
+	wTmp    [][]uint64 // per-chunk radix scratch
 	wTab    [][]uint32 // per-chunk count tables
 	wSkips  []int64    // per-chunk sort-skip tallies
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -372,21 +374,27 @@ func salesRowsRef(d *Dataset) [][2]int64 {
 }
 
 // TestSalesRowsLinearPath: SalesRows agrees with the naive reference on
-// normalized input (flattened as it stands, into an exactly-sized slice)
-// and on everything that needs the sorts: unsorted transactions, unsorted
-// or duplicated items, and one trans_id spread over several transactions
-// (whose rows are kept once per transaction).
+// normalized input (into an exactly-sized slice) and on everything that
+// needs the sorts: unsorted transactions, unsorted or duplicated items,
+// and one trans_id spread over several transactions (whose rows are kept
+// once per transaction). Every shape runs twice:
+// over a dense catalogue (the dictionary's look-up table) and over item
+// ids 2^35 apart with trans_ids far below zero (binary search, sign flip).
 func TestSalesRowsLinearPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	for trial := 0; trial < 400; trial++ {
+	for trial := 0; trial < 800; trial++ {
 		shape := trial % 5 // 0: normalized, 1: +shuffled items, 2: +duplicate items, 3: +shuffled txns, 4: +repeated tids
+		sparse := trial%10 >= 5
+		scale, tid := Item(1), int64(rng.Intn(10))-5
+		if sparse {
+			scale, tid = 1<<35, tid-1<<40
+		}
 		d := &Dataset{}
-		tid := int64(rng.Intn(10)) - 5
 		for i, n := 0, rng.Intn(12); i < n; i++ {
 			var items []Item
 			for it := Item(-2); it < 10; it++ {
 				if rng.Intn(3) == 0 {
-					items = append(items, it)
+					items = append(items, it*scale)
 				}
 			}
 			if shape >= 2 && len(items) > 0 {
@@ -406,12 +414,141 @@ func TestSalesRowsLinearPath(t *testing.T) {
 			})
 		}
 		want := salesRowsRef(d)
-		got := d.buildSalesRows()
+		got := d.SalesRows()
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("shape %d %v: SalesRows %v, reference %v", shape, d.Transactions, got, want)
 		}
 		if shape == 0 && cap(got) != len(got) {
 			t.Fatalf("normalized input: %d rows in a slice of %d", len(got), cap(got))
 		}
+		if dict := d.packed().dict; sparse && len(dict.items) > 1 && dict.lut != nil {
+			t.Fatalf("item ids %d apart: the dictionary has a look-up table", scale)
+		}
+	}
+}
+
+// TestDatasetMemoStaleness: the packed memo follows the Transactions
+// header. After each change — shortened in place, appended within the
+// array's capacity (same address, new length), appended past it, and
+// replaced by another slice of the same length — a mine of the dataset
+// equals one of a fresh Dataset holding the same transactions, and so do
+// SalesRows and NumSalesRows.
+func TestDatasetMemoStaleness(t *testing.T) {
+	d := signedDataset(31, 300, 8, 40)
+	extra := signedDataset(32, 120, 8, 40).Transactions
+	for i := range extra {
+		extra[i].ID += 1 << 20 // beyond every tid of d
+	}
+	opts := Options{MinSupportCount: 6}
+	check := func(label string) {
+		t.Helper()
+		got, err := MineAuto(d, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want, err := MineAuto(&Dataset{Transactions: slices.Clone(d.Transactions)}, opts)
+		if err != nil {
+			t.Fatalf("%s: fresh: %v", label, err)
+		}
+		assertSameCounts(t, label, want, got)
+		if rows := d.SalesRows(); !reflect.DeepEqual(rows, salesRowsRef(d)) || d.NumSalesRows() != len(rows) {
+			t.Fatalf("%s: SalesRows (%d, NumSalesRows %d) differ from the reference", label, len(rows), d.NumSalesRows())
+		}
+	}
+	check("first mine")
+	d.Transactions = d.Transactions[:250]
+	check("shortened")
+	d.Transactions = append(d.Transactions, extra[:50]...)
+	check("appended within capacity")
+	d.Transactions = append(d.Transactions, extra[50:]...)
+	check("appended past capacity")
+	d.Transactions = slices.Clone(signedDataset(33, len(d.Transactions), 8, 40).Transactions)
+	check("replaced, same length")
+}
+
+// TestDatasetMemoConcurrent: one Dataset mined from four goroutines at
+// once — MineAuto at two workers, MineAuto under an 8 MiB budget (R_1
+// outgrows its share of it, so that mine's passes read a spilled copy of
+// the memo), MineSQL, and SalesRows, which is all WriteDataset reads.
+// Every result equals the flat reference and the memo's rows are the
+// same after as before. A cold dataset read from four goroutines builds
+// one relation however many of them build it.
+func TestDatasetMemoConcurrent(t *testing.T) {
+	cold := signedDataset(40, 500, 8, 40)
+	want := len(salesRowsRef(cold))
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if n := cold.NumSalesRows(); n != want {
+				t.Errorf("cold NumSalesRows = %d, want %d", n, want)
+			}
+		}()
+	}
+	wg.Wait()
+
+	d := signedDataset(7, 22000, 12, 400)
+	opts := Options{MinSupportFrac: 0.01}
+	ref := opts
+	ref.DisablePackedKernels = true
+	flat, err := MineMemory(d, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := salesRowsRef(d)
+	memo := d.packed()
+	before := slices.Clone(memo.rows)
+
+	budgeted := opts
+	budgeted.MemoryBudget = 8 << 20
+	parallel := opts
+	parallel.MaxWorkers = 2
+	mines := []struct {
+		name string
+		mine func() (*Result, error)
+	}{
+		{"auto W=2", func() (*Result, error) { return MineAuto(d, parallel) }},
+		{"auto 8 MiB", func() (*Result, error) { return MineAuto(d, budgeted) }},
+		{"sql", func() (*Result, error) { return MineSQL(d, opts, SQLConfig{}) }},
+	}
+	results := make([]*Result, len(mines))
+	errs := make([]error, len(mines))
+	var rows [][2]int64
+	for i, m := range mines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = m.mine()
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rows = d.SalesRows()
+	}()
+	wg.Wait()
+
+	for i, m := range mines {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", m.name, errs[i])
+		}
+		assertSameCounts(t, m.name, flat, results[i])
+	}
+	if !reflect.DeepEqual(rows, wantRows) {
+		t.Fatalf("SalesRows: %d rows differ from the reference's %d", len(rows), len(wantRows))
+	}
+	spilledR1 := false
+	for _, st := range results[1].Stats {
+		spilledR1 = spilledR1 || (st.K == 1 && st.RunsSpilled > 0)
+	}
+	if !spilledR1 {
+		t.Errorf("8 MiB budget: R_1 did not spill (%d rows); the spilled copy went untested", len(before))
+	}
+	if d.packed() != memo {
+		t.Fatal("the memo was rebuilt under an unchanged Transactions header")
+	}
+	if !slices.Equal(memo.rows, before) {
+		t.Fatalf("a mine wrote into the memo's %d rows", len(before))
 	}
 }

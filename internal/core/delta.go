@@ -142,10 +142,12 @@ func (m *deltaMiner) run() (*Result, error) {
 	minSup := m.opts.ResolveMinSupport(nCombined)
 	res := &Result{NumTransactions: nCombined, MinSupport: minSup}
 
-	// A private arena, never pooled: the packed delta rows live in it for
-	// the whole run and the count step reuses its scratch across levels.
+	// A private arena, never pooled: the count step reuses its scratch
+	// across levels. The delta is packed under the base's dictionary, not
+	// its own, so it bypasses the delta dataset's memo.
 	var ar mineArena
-	m.deltaSales = packSales(m.delta, m.dict, &ar, 1)
+	m.deltaSales = packSales(m.delta)
+	m.dict.recode(m.deltaSales)
 	deltaR := m.deltaSales
 
 	var ext, rkBuf []prow

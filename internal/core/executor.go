@@ -410,21 +410,23 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 		s.avgBasket = float64(total) / float64(n)
 	}
 	// The dictionary comes first: the plan's count-kernel term needs its
-	// code width.
+	// code width. It and the packed SALES are the dataset's memo, built
+	// by the first mine and read by every one after.
+	memo := s.d.packed()
 	s.ar = newMineArena()
-	s.dict = buildDict(s.d, s.ar)
+	s.dict = memo.dict
 	plan := s.nextPlan(1, int64(total), int64(total))
 	if plan.Regime == RegimeSpilled {
 		s.ensurePool()
 	}
 	ioStart, stStart := s.startIteration()
 
-	mem := packSales(s.d, s.dict, s.ar, plan.Workers)
+	mem := memo.rows
 	salesRows := int64(len(mem))
 	s.salesTotal = salesRows
 
 	// C_1: counts per item code. The rows are resident at this point
-	// either way (building R_1 needs them); the spilled regime only bounds
+	// either way (they are the dataset's); the spilled regime only bounds
 	// the *additional* working set, streaming the keys through
 	// budget-bounded counters.
 	var skips int64
@@ -492,7 +494,8 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	var skips int64
 	// sort R_{k-1} on (trans_id, items): the previous filter preserved
 	// that order, so the pre-scan almost always skips this sort — and at
-	// k=2 R_{k-1} is packed SALES, which packSales has just ordered.
+	// k=2 R_{k-1} is packed SALES, which packSales ordered — and which is
+	// the dataset's memo, never to be written.
 	if s.rk == s.sales || prowsSorted(rk) {
 		skips++
 	} else {
@@ -787,15 +790,14 @@ func (s *execStepper) countMemStreaming(mem []prow, minSup int64) (pkCounts, int
 // by C_1 (Section 6.1), so R_1 is SALES itself.
 func (s *execStepper) buildJoinSide(mem []prow, plan IterPlan) (*srel, error) {
 	if capR := s.capRows(); plan.Regime == RegimeSpilled && capR > 0 && len(mem) > capR {
-		// R_1 outgrows its budget share: spill it and drop the resident
-		// copy — the run is then the only holder, so the budget genuinely
-		// bounds R_1's RAM. The arena must not recycle the dropped buffer.
+		// R_1 outgrows its budget share: the passes read a spilled copy,
+		// so their page I/O is the Section 4.3 analysis' whatever the
+		// dataset keeps resident.
 		run, err := xsort.SpillRows(s.pool, mem)
 		if err != nil {
 			return nil, err
 		}
 		s.st.addRun(run)
-		s.ar.salesBuf = nil
 		return runSrel(run), nil
 	}
 	return memSrel(mem), nil
@@ -884,8 +886,8 @@ func (s *execStepper) writeCheckpoint(cfg *CheckpointConfig, cp *Checkpoint) (in
 }
 
 // resume rebuilds the executor as if iteration cp.K had just completed:
-// the deterministic state (dictionary, packed SALES as R_1) is
-// recomputed from the dataset exactly as init would, and R_K streams
+// the deterministic state (dictionary, packed SALES as R_1) is the
+// dataset's memo, read exactly as init reads it, and R_K streams
 // back from the checkpoint's run file through a budget-bounded appender,
 // so resuming honors the *current* MemoryBudget even if the original run
 // spilled differently. Integrity failures wrap ErrCheckpoint; the
@@ -898,8 +900,9 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 	if n := len(s.d.Transactions); n > 0 {
 		s.avgBasket = float64(total) / float64(n)
 	}
+	memo := s.d.packed()
 	s.ar = newMineArena()
-	s.dict = buildDict(s.d, s.ar)
+	s.dict = memo.dict
 	plan := s.nextPlan(1, int64(total), int64(total))
 	if plan.Regime == RegimeSpilled {
 		s.ensurePool()
@@ -911,7 +914,7 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 		// reloaded relation to the wide-pattern fallback as usual.)
 		return iterSizes{}, fmt.Errorf("%w: checkpoint k=%d but packed keys end at k=%d", ErrCheckpoint, cp.K, s.dict.maxPackedK())
 	}
-	mem := packSales(s.d, s.dict, s.ar, plan.Workers)
+	mem := memo.rows
 	s.salesTotal = int64(len(mem))
 	if cp.SalesRows != s.salesTotal {
 		return iterSizes{}, fmt.Errorf("%w: packed SALES has %d rows, manifest says %d", ErrCheckpoint, s.salesTotal, cp.SalesRows)

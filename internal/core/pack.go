@@ -138,64 +138,49 @@ func newPackDict(sortedDistinct []int64, txns int, lutBuf []uint32) *packDict {
 	return d
 }
 
-// buildDict collects the distinct items of a dataset into a dictionary
-// whose tables live in the arena (valid until the arena is released at
-// pipeline end, which outlives every use of the dictionary). When the
-// item-id span is small enough that the look-up table could exist at all
-// (distinct <= occurrences), the distinct items are found by one presence
-// pass over a span-sized table; otherwise the (sign-flipped) occurrences
-// are radix-sorted through the arena's key buffers and compacted.
-func buildDict(d *Dataset, ar *mineArena) *packDict {
-	total := 0
+// buildDict collects the distinct items of packSales' rows, whose keys
+// still hold the sign-flipped items, into a dictionary with tables of its
+// own (the dataset's memo holds it). When the item-id span is small
+// enough that the look-up table could exist at all (distinct <= rows),
+// the distinct items are found by one presence pass over a span-sized
+// table, which then becomes the look-up table; otherwise a copy of the
+// key column is radix-sorted and compacted.
+func buildDict(raw []prow, txns int) *packDict {
 	lo, hi := int64(0), int64(-1)
-	for _, tx := range d.Transactions {
-		for _, it := range tx.Items {
-			if total == 0 || it < lo {
-				lo = it
-			}
-			if total == 0 || it > hi {
-				hi = it
-			}
-			total++
-		}
+	if len(raw) > 0 {
+		lo = int64(raw[0].Key ^ tidFlip)
+		hi = lo
 	}
-	items := ar.dictBuf[:0]
-	if span, ok := lutSpan(lo, hi, total); ok {
-		present := growU32(ar.dictLUT, span)
-		clear(present)
-		for _, tx := range d.Transactions {
-			for _, it := range tx.Items {
-				present[it-lo] = 1
-			}
+	for _, r := range raw {
+		lo, hi = min(lo, int64(r.Key^tidFlip)), max(hi, int64(r.Key^tidFlip))
+	}
+	var items []int64
+	var present []uint32
+	if span, ok := lutSpan(lo, hi, len(raw)); ok {
+		present = make([]uint32, span)
+		for _, r := range raw {
+			present[int64(r.Key^tidFlip)-lo] = 1
 		}
 		for i, p := range present {
 			if p != 0 {
 				items = append(items, lo+int64(i))
 			}
 		}
-		ar.dictLUT = present
 	} else {
-		ar.keys = growU64(ar.keys, total)
-		all := ar.keys[:0]
-		for _, tx := range d.Transactions {
-			for _, it := range tx.Items {
-				all = append(all, uint64(it)^tidFlip)
-			}
+		keys := make([]uint64, len(raw))
+		for i, r := range raw {
+			keys[i] = r.Key
 		}
-		ar.keysTmp = growU64(ar.keysTmp, len(all))
-		xsort.RadixSortU64(all, ar.keysTmp)
-		var prev uint64
-		for i, v := range all {
-			if i == 0 || v != prev {
+		xsort.RadixSortU64(keys, make([]uint64, len(keys)))
+		for i, v := range keys {
+			if i == 0 || v != keys[i-1] {
 				items = append(items, int64(v^tidFlip))
-				prev = v
 			}
 		}
 	}
-	ar.dictBuf = items
 	// The look-up table, when the distinct count admits one, reuses the
-	// presence table (the sort path never qualifies: distinct <= total).
-	return newPackDict(items, len(d.Transactions), ar.dictLUT)
+	// presence table (the sort path never qualifies: distinct <= rows).
+	return newPackDict(items, txns, present)
 }
 
 // code returns the dense code of an item known to be in the dictionary.
@@ -210,92 +195,61 @@ func (d *packDict) code(item int64) uint64 {
 // maxPackedK is the longest pattern length one key can hold.
 func (d *packDict) maxPackedK() int { return int(64 / d.bits) }
 
-// packSales builds the packed R_1 = SALES(trans_id, item code), items
+// recode replaces the sign-flipped items in the keys of packSales' rows
+// with their codes. Codes ascend with the items, so the rows stay sorted.
+func (d *packDict) recode(rows []prow) {
+	for i, r := range rows {
+		rows[i].Key = d.code(int64(r.Key ^ tidFlip))
+	}
+}
+
+// packSales builds SALES(trans_id, item) as packed rows, items
 // deduplicated per transaction and rows globally sorted by
-// (trans_id, code) — the packed twin of salesRelation. With workers > 1
-// (and enough rows to pay for it) the transactions are packed in that
-// many ranges concurrently, each into the stretch of the buffer its items
-// would fill if none were duplicates, and the gaps deduplication left are
-// closed afterwards.
-func packSales(d *Dataset, dict *packDict, ar *mineArena, workers int) []prow {
-	txns := d.Transactions
+// (trans_id, item), into a buffer of its own. A key holds the item
+// sign-flipped (so unsigned order is item order) until recode makes it
+// the item's code: the packed R_1, the twin of salesRelation.
+func packSales(d *Dataset) []prow {
 	total := 0
-	for _, tx := range txns {
+	for _, tx := range d.Transactions {
 		total += len(tx.Items)
 	}
-	W := 1
-	if workers > 1 && total >= parallelMinRows {
-		W = min(workers, len(txns))
-	}
-	ar.workerSlots(W)
-	buf := growProws(ar.salesBuf, total)
-	per := (len(txns) + W - 1) / W
-	ranges, offs, parts := make([][]Transaction, W), make([]int, W), make([][]prow, W)
-	for i, off := 0, 0; i < W; i++ {
-		ranges[i] = txns[min(i*per, len(txns)):min((i+1)*per, len(txns))]
-		offs[i] = off
-		for _, tx := range ranges[i] {
-			off += len(tx.Items)
+	rows := make([]prow, total)
+	n := 0
+	ascending := true // the trans_ids, strictly
+	for i, tx := range d.Transactions {
+		ascending = ascending && (i == 0 || d.Transactions[i-1].ID < tx.ID)
+		start, utid := n, uint64(tx.ID)^tidFlip
+		for _, it := range tx.Items {
+			// Insertion into the transaction's sorted rows, dropping a
+			// duplicate: baskets are short and usually already sorted.
+			key := uint64(it) ^ tidFlip
+			j := n
+			for j > start && rows[j-1].Key > key {
+				j--
+			}
+			if j > start && rows[j-1].Key == key {
+				continue
+			}
+			if j < n {
+				copy(rows[j+1:n+1], rows[j:n])
+			}
+			rows[j] = prow{Tid: utid, Key: key}
+			n++
 		}
 	}
-	eachChunk(W, func(i int) {
-		parts[i] = packBaskets(ranges[i], dict, buf[offs[i]:offs[i]], &ar.wTmp[i])
-	})
-	rows := parts[0]
-	for i := 1; i < W; i++ {
-		if len(rows) == offs[i] {
-			rows = rows[:len(rows)+len(parts[i])] // no gap before this stretch
-		} else {
-			rows = append(rows, parts[i]...) // leftwards within buf; copy handles the overlap
-		}
-	}
-	ar.salesBuf = rows
-	if !prowsSorted(rows) {
-		ar.rowsTmp = growProws(ar.rowsTmp, len(rows))
-		xsort.RadixSortRows(rows, ar.rowsTmp)
+	rows = rows[:n]
+	if !ascending {
+		xsort.RadixSortRows(rows, make([]prow, len(rows)))
 	}
 	return rows
 }
 
-// packBaskets appends the packed rows of txns to out — a transaction's
-// items encoded, sorted and deduplicated through *scratch — and returns it.
-func packBaskets(txns []Transaction, dict *packDict, out []prow, scratch *[]uint64) []prow {
-	codes := (*scratch)[:0]
-	for _, tx := range txns {
-		codes = codes[:0]
-		for _, it := range tx.Items {
-			codes = append(codes, dict.code(it))
-		}
-		// Baskets are short; insertion sort beats the generic sort here.
-		for i := 1; i < len(codes); i++ {
-			v := codes[i]
-			j := i - 1
-			for j >= 0 && codes[j] > v {
-				codes[j+1] = codes[j]
-				j--
-			}
-			codes[j+1] = v
-		}
-		utid := uint64(tx.ID) ^ tidFlip
-		var prev uint64
-		for i, c := range codes {
-			if i > 0 && c == prev {
-				continue
-			}
-			prev = c
-			out = append(out, prow{Tid: utid, Key: c})
-		}
-	}
-	*scratch = codes
-	return out
-}
-
 // prowsSorted reports whether rows are ordered by (tid, key) — the
-// sortedness pre-scan that lets steppers skip the paper's re-sorts. It is
-// 16% of a retail mine and stays out of line: inlined into stepResident
-// the loop is compiled with that function's registers and placement and
-// moves with every edit there (9.03 -> 9.18 ms a retail mine across PR
-// 27's edit; 8.78 out of line).
+// sortedness pre-scan that lets steppers skip the paper's re-sorts. It
+// stays out of line: inlined into stepResident the loop is compiled with
+// that function's registers and placement and moves with every edit
+// there (9.03 -> 9.18 ms a retail mine across one such edit; 8.78 out
+// of line).
 //
 //go:noinline
 func prowsSorted(rows []prow) bool {

@@ -62,8 +62,7 @@ func TestBuildDictPaths(t *testing.T) {
 		want := slices.Clone(c.items)
 		slices.Sort(want)
 		want = slices.Compact(want)
-		var ar mineArena
-		dict := buildDict(d, &ar)
+		dict := d.packed().dict
 		if !slices.Equal(dict.items, want) {
 			t.Errorf("%s: items = %v, want %v", name, dict.items, want)
 			continue
@@ -145,20 +144,13 @@ func signedDataset(seed int64, txns, maxLen, nItems int) *Dataset {
 }
 
 func TestPackSalesMatchesSalesRelation(t *testing.T) {
-	// The second data set is long enough to be packed in ranges, and its
-	// baskets repeat items, so deduplication leaves gaps between the
-	// ranges' stretches that packSales must close.
 	for _, d := range []*Dataset{signedDataset(21, 60, 9, 30), signedDataset(22, 900, 9, 12)} {
 		want := salesRelation(d)
-		for _, workers := range []int{1, 2, 3, 7, 5000} {
-			ar := newMineArena()
-			dict := buildDict(d, ar)
-			rows := packSales(d, dict, ar, workers)
-			got := unpackRel(relation{stride: 2}, rows, dict, nil, nil)
-			if !slices.Equal(got.data, want.data) {
-				t.Fatalf("%d transactions, %d workers: packed sales mismatch:\ngot  %v\nwant %v", len(d.Transactions), workers, got.data, want.data)
-			}
-			ar.release()
+		memo := d.packed()
+		rows, dict := memo.rows, memo.dict
+		got := unpackRel(relation{stride: 2}, rows, dict, nil, nil)
+		if !slices.Equal(got.data, want.data) {
+			t.Fatalf("%d transactions: packed sales mismatch:\ngot  %v\nwant %v", len(d.Transactions), got.data, want.data)
 		}
 	}
 }
@@ -249,9 +241,7 @@ func wideDomainDataset(t *testing.T) (d *Dataset, maxK, maxLen int) {
 		}
 		d.Transactions = append(d.Transactions, Transaction{ID: int64(i + 1), Items: items})
 	}
-	ar := newMineArena()
-	maxK = buildDict(d, ar).maxPackedK()
-	ar.release()
+	maxK = d.packed().dict.maxPackedK()
 	if maxK >= len(common) {
 		t.Fatalf("setup: maxPackedK = %d does not force a fallback before k=%d", maxK, len(common))
 	}
@@ -504,9 +494,8 @@ func TestPackedSteadyStateAllocs(t *testing.T) {
 // at that size instead of grown to it.
 func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 	d := signedDataset(11, 3000, 10, 50)
-	ar := new(mineArena)
-	dict := buildDict(d, ar)
-	sales := packSales(d, dict, ar, 1)
+	memo := d.packed()
+	dict, sales := memo.dict, memo.rows
 	ext := packedExtend(sales, sales, dict.bits, nil, nil)
 	if got := packedExtendRows(sales, sales, dict.bits); got != len(ext) || got == 0 {
 		t.Fatalf("packedExtendRows = %d, packedExtend made %d rows", got, len(ext))

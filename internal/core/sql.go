@@ -65,15 +65,17 @@ func newSQLStepper(d *Dataset, opts Options, cfg SQLConfig) (*sqlStepper, error)
 	// Bulk-load SALES before the pipeline starts timing iteration 1, so
 	// Stats[0].Duration covers the C_1 SQL alone — matching what the other
 	// drivers charge to their first iteration. The load moves columns end
-	// to end: SalesRows() is already sorted by (trans_id, item), and the
-	// declared ordering lets the planner skip the paper-mandated sorts the
-	// storage layout already satisfies.
+	// to end, decoded from the dataset's packed memo in one pass: it is
+	// already sorted by (trans_id, item), and the declared ordering lets
+	// the planner skip the paper-mandated sorts the storage layout already
+	// satisfies.
+	memo := d.packed()
 	salesSchema := tuple.IntSchema("trans_id", "item")
 	batch := tuple.NewBatch(salesSchema)
-	batch.Grow(len(d.SalesRows()))
-	for _, r := range d.SalesRows() {
-		batch.Cols[0].I = append(batch.Cols[0].I, r[0])
-		batch.Cols[1].I = append(batch.Cols[1].I, r[1])
+	batch.Grow(len(memo.rows))
+	for _, r := range memo.rows {
+		batch.Cols[0].I = append(batch.Cols[0].I, int64(r.Tid^tidFlip))
+		batch.Cols[1].I = append(batch.Cols[1].I, memo.dict.items[r.Key])
 		batch.BumpRow()
 	}
 	if err := s.db.LoadTableBatch("sales", salesSchema, batch, []int{0, 1}); err != nil {

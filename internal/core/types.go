@@ -22,11 +22,10 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
-	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Item identifies a sellable item. The paper represents items as 4-byte
@@ -41,11 +40,47 @@ type Transaction struct {
 }
 
 // Dataset is an ordered collection of transactions.
+//
+// A dataset keeps one normalized form of itself: the packed SALES
+// relation (one 16-byte (trans_id, item code) row per distinct item of a
+// transaction, sorted by (trans_id, item)) and its item dictionary, built
+// on first use and read by every mine, SalesRows and NumSalesRows after
+// it. The memo is keyed by the Transactions slice header (the address of
+// its first element and its length): assigning or appending to
+// Transactions rebuilds it on next use. Editing the transactions it was
+// built from — in place, or by shortening the slice and appending over
+// them — is not noticed, so callers must not.
 type Dataset struct {
 	Transactions []Transaction
 
-	salesOnce sync.Once
-	salesRows [][2]int64
+	memo atomic.Pointer[salesMemo]
+}
+
+// salesMemo is a dataset's packed SALES and item dictionary: read-only
+// once built, shared by every reader, never part of a pooled arena.
+//
+// tx is a pointer, not an address, so the array it was built from cannot
+// be freed and reused under the same key while the memo is held.
+type salesMemo struct {
+	tx   *Transaction // unsafe.SliceData(Transactions) when built
+	n    int          // len(Transactions) when built
+	dict *packDict
+	rows []prow // R_1 = SALES(tid, item code), sorted by (tid, code)
+}
+
+// packed returns the dataset's memo, building it if the Transactions
+// header changed since it was last built (or it never was). Concurrent
+// first callers may both build it; either result is the same relation.
+func (d *Dataset) packed() *salesMemo {
+	tx, n := unsafe.SliceData(d.Transactions), len(d.Transactions)
+	if m := d.memo.Load(); m != nil && m.tx == tx && m.n == n {
+		return m
+	}
+	rows := packSales(d)
+	m := &salesMemo{tx: tx, n: n, dict: buildDict(rows, n), rows: rows}
+	m.dict.recode(rows)
+	d.memo.Store(m)
+	return m
 }
 
 // NumTransactions returns the number of customer transactions, the
@@ -54,49 +89,19 @@ func (d *Dataset) NumTransactions() int { return len(d.Transactions) }
 
 // SalesRows converts the dataset to the SALES(trans_id, item) tuple format,
 // deduplicating items within a transaction and sorting rows by
-// (trans_id, item) — the normalized relation the paper stores. Input that
-// is already normalized (trans_ids and every item list strictly ascending:
-// what ReadDataset and the generators produce) is only flattened.
-// The result is computed once and cached; callers must not mutate it (or
-// d.Transactions afterwards).
+// (trans_id, item) — the normalized relation the paper stores. Each call
+// decodes the dataset's packed memo into a fresh slice the caller owns.
 func (d *Dataset) SalesRows() [][2]int64 {
-	d.salesOnce.Do(func() { d.salesRows = d.buildSalesRows() })
-	return d.salesRows
-}
-
-func (d *Dataset) buildSalesRows() [][2]int64 {
-	n := 0
-	for _, tx := range d.Transactions {
-		n += len(tx.Items)
-	}
-	rows := make([][2]int64, 0, n)
-	var scratch []Item
-	ascending := true // the trans_ids, strictly
-	for i, tx := range d.Transactions {
-		ascending = ascending && (i == 0 || d.Transactions[i-1].ID < tx.ID)
-		items := tx.Items
-		for j := 1; j < len(items); j++ {
-			if items[j-1] >= items[j] { // sort and deduplicate a copy
-				scratch = append(scratch[:0], items...)
-				slices.Sort(scratch)
-				items = slices.Compact(scratch)
-				break
-			}
-		}
-		for _, it := range items {
-			rows = append(rows, [2]int64{tx.ID, it})
-		}
-	}
-	if !ascending {
-		slices.SortFunc(rows, func(a, b [2]int64) int {
-			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
-		})
+	m := d.packed()
+	rows := make([][2]int64, len(m.rows))
+	for i, r := range m.rows {
+		rows[i] = [2]int64{int64(r.Tid ^ tidFlip), m.dict.items[r.Key]}
 	}
 	return rows
 }
 
 // NumSalesRows returns |R_1|: the number of (trans_id, item) tuples.
-func (d *Dataset) NumSalesRows() int { return len(d.SalesRows()) }
+func (d *Dataset) NumSalesRows() int { return len(d.packed().rows) }
 
 // Options configures a mining run.
 type Options struct {

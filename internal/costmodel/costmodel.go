@@ -518,7 +518,9 @@ func capSpilledIter(iter, memBudget int64) int64 {
 
 // MineFootprint estimates the peak resident bytes one whole mining job
 // needs: the packed R_1 relation (salesRows (tid, key) rows, resident
-// for every iteration's merge-scan) plus the dominant iteration's
+// for every iteration's merge-scan: the data set's packed memo, which
+// the first mine builds and later ones share, so charging it to every
+// job keeps the sum an upper estimate) plus the dominant iteration's
 // working set, projected from the first extension — the largest R'_k a
 // run produces. A positive memBudget caps the iteration term, because
 // the spilled regime streams past the budget instead of growing the
@@ -527,8 +529,8 @@ func capSpilledIter(iter, memBudget int64) int64 {
 // projected footprint. This is the admission-control estimate a mining
 // service sums across running jobs against its global memory budget —
 // a planning quantity with the same contract as the rest of this file:
-// good enough to rank and bound, not a guarantee. The item dictionary
-// does not exist at admission time, so the count step is charged as the
+// good enough to rank and bound, not a guarantee. The estimate reads no
+// item dictionary, so the count step is charged as the
 // sort kernel; the counting table the executor may pick instead is never
 // larger than the sort buffers, so this stays an upper estimate.
 func MineFootprint(salesRows int64, avgBasket float64, memBudget int64) int64 {
