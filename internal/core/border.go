@@ -305,10 +305,11 @@ type borderer interface {
 }
 
 // borderSnapshot assembles the retained border state into a snapshot.
-// Returns nil when the run could not keep a complete border — the
-// wide-pattern fallback took over, or capture was never enabled.
+// Returns nil when capture was never enabled, or when a retained level
+// lies past maxPackedK: the snapshot is bit-packed at every level, and
+// those patterns do not fit one key.
 func (s *execStepper) borderSnapshot(res *Result) *BorderSnapshot {
-	if !s.retainBorder || s.borderLost || s.dict == nil {
+	if !s.retainBorder || len(s.borders) > s.dict.maxPackedK() {
 		return nil
 	}
 	var maxTid int64

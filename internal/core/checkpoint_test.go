@@ -1,9 +1,10 @@
 // Checkpoint/resume conformance: a mine interrupted at ANY iteration
 // boundary and resumed from its durable checkpoint must produce count
 // relations bit-identical to an uninterrupted MineAuto run — across
-// memory regimes, budgets and the wide-pattern fallback — and every integrity failure of the checkpoint
-// files must surface as ErrCheckpoint (so callers fall back to a full
-// re-mine), never as a crash or a wrong answer.
+// memory regimes, budgets and catalogues wider than a bit-packed key
+// holds — and every integrity failure of the checkpoint files must
+// surface as ErrCheckpoint (so callers fall back to a full re-mine),
+// never as a crash or a wrong answer.
 package core_test
 
 import (
@@ -98,15 +99,15 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeWideFallback pins resume on a dataset whose
-// catalogue forces patterns past the 64-bit packed key: checkpoints stop
-// at the packed boundary, and resuming from the last packed manifest
-// re-runs the fallback iterations to the same answer — resident, and
-// under an 8 MiB budget, where the checkpointed R_k are runs.
-func TestCheckpointResumeWideFallback(t *testing.T) {
-	// ~4800 distinct filler items need 13-bit codes, so patterns of
-	// length 5+ outgrow the 64-bit key; the 6 common items stay frequent
-	// past that boundary (the TestPackedWideDomainFallback construction).
+// TestCheckpointResumeWideCatalogue pins checkpoints past the bit-packed
+// width: on a catalogue whose codes take 13 bits (a bit-packed key holds
+// four) with patterns to k = 6, every pass with surviving rows writes a
+// checkpoint, and resuming from each one past k = 4 gives the
+// uninterrupted run's counts — resident, and under an 8 MiB budget,
+// where some passes spill.
+func TestCheckpointResumeWideCatalogue(t *testing.T) {
+	// ~4800 distinct filler items among 6 common ones, which stay
+	// frequent to k = 6 (the TestPackedWideDomainFallback construction).
 	common := []core.Item{1, 2, 3, 4, 5, 6}
 	d := &core.Dataset{}
 	filler := int64(1000)
@@ -118,6 +119,7 @@ func TestCheckpointResumeWideFallback(t *testing.T) {
 		}
 		d.Transactions = append(d.Transactions, core.Transaction{ID: int64(i + 1), Items: items})
 	}
+	const maxPackedK = 4 // 64 / 13 bits
 	for _, budget := range []int64{0, 8 << 20} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
 			opts := core.Options{MinSupportCount: 25, MemoryBudget: budget}
@@ -125,38 +127,25 @@ func TestCheckpointResumeWideFallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fellBack, spilled := false, false
+			spilled := false
 			for _, st := range ref.Stats {
-				fellBack = fellBack || st.Plan.Kernel == core.KernelGeneric
 				spilled = spilled || st.Plan.Regime == core.RegimeSpilled
 			}
-			if !fellBack || spilled != (budget > 0) {
-				t.Fatalf("setup: fallback %v, spilled passes %v under budget %d", fellBack, spilled, budget)
+			if ref.MaxLen() != len(common) || spilled != (budget > 0) {
+				t.Fatalf("setup: MaxLen %d, spilled passes %v under budget %d", ref.MaxLen(), spilled, budget)
 			}
-
-			dir := t.TempDir()
-			optsCk := opts
-			optsCk.Checkpoint = &core.CheckpointConfig{Dir: dir, Interval: 1, NoSync: true}
-			res, err := core.MineAuto(d, optsCk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res.Counts, ref.Counts) {
-				t.Fatal("checkpointing changed the mining result")
-			}
-			cp, err := core.LoadCheckpoint(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cp == nil {
-				t.Fatal("no checkpoint survived the fallback run")
-			}
-			resumed, err := core.MineAutoResumeMonitored(context.Background(), d, opts, nil, nil, cp)
-			if err != nil {
-				t.Fatalf("resume from packed k=%d across the fallback: %v", cp.K, err)
-			}
-			if !reflect.DeepEqual(resumed.Counts, ref.Counts) {
-				t.Fatal("resumed counts differ across the wide-pattern fallback")
+			for k := maxPackedK + 1; k <= ref.MaxLen(); k++ {
+				cp := writeCheckpointAt(t, d, opts, k, t.TempDir())
+				if cp == nil || cp.K != k {
+					t.Fatalf("k=%d: no checkpoint written past the bit-packed width", k)
+				}
+				resumed, err := core.MineAutoResumeMonitored(context.Background(), d, opts, nil, nil, cp)
+				if err != nil {
+					t.Fatalf("resume from k=%d: %v", cp.K, err)
+				}
+				if !reflect.DeepEqual(resumed.Counts, ref.Counts) {
+					t.Fatalf("k=%d: resumed counts differ from the uninterrupted run", k)
+				}
 			}
 		})
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"setm/internal/apriori"
@@ -378,56 +379,63 @@ func TestParallelFanOutConformance(t *testing.T) {
 	}
 }
 
-// TestParallelWideCatalogueHandOff: on the wide-catalogue case with every
-// pattern frequent (baskets of up to 8 items, 14-bit codes), the executor
-// runs packed exactly as long as the serial one does — through k =
-// maxPackedK = 4 — then hands the run to the one serial flat reference;
-// every pass's cardinalities match and the counts are the independent AIS
-// miner's (Apriori's candidate join is quadratic in |C_k| and takes a
-// minute and a half at minsup 1; TestDriverConformance pins parallel-4 to
-// it on this data set at minsup 3). Fanned out the packed passes read
+// TestWideCataloguePacked: on the wide-catalogue case with every pattern
+// frequent (baskets of up to 8 items, 14-bit codes, so a bit-packed key
+// holds four), every pass of every driver runs the packed kernels past
+// k = 4 as before it, with the flat reference's per-pass |R'_k|, |R_k|
+// and |C_k|, and the counts are the independent AIS miner's (Apriori's
+// candidate join is quadratic in |C_k| and takes a minute and a half at
+// minsup 1; TestDriverConformance pins parallel-4 to it on this data set
+// at minsup 3). Serial passes read packed/resident/1w, fanned out
 // packed/resident/4w; under a 16 KiB budget — MinePaged, and
 // MineAutoMonitored twice on one caller-owned pool — packed/spilled/1w,
 // with nothing pinned and no page the first mine's runs held left
 // unrecycled (the second mine grows the store by none).
-func TestParallelWideCatalogueHandOff(t *testing.T) {
+func TestWideCataloguePacked(t *testing.T) {
 	c := conformanceCases[len(conformanceCases)-1]
 	if c.name != "wide-catalogue" {
 		t.Fatalf("setup: last conformance case is %q", c.name)
 	}
 	d := conformanceDataset(c)
 	opts := core.Options{MinSupportCount: 1}
-	want, err := core.MineMemory(d, opts)
+	generic := opts
+	generic.DisablePackedKernels = true
+	want, err := core.MineMemory(d, generic)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if last := want.Stats[len(want.Stats)-1].K; last <= 5 {
+		t.Fatalf("setup: the mine ends at k = %d, never deep past k = 4", last)
 	}
 	oracle, err := apriori.MineAIS(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalCounts(t, "memory vs ais", oracle, want)
+	assertIdenticalCounts(t, "reference vs ais", oracle, want)
 	budgeted := opts
 	budgeted.MemoryBudget = 16 << 10
 	store := storage.NewMemStore()
 	pool := storage.NewPool(store, 8)
 	storePages := 0
 	for _, m := range []struct {
-		name   string
-		packed string // the plan of every packed pass, count kernel aside
-		mine   func() (*core.Result, error)
+		name  string
+		plans []string // what a pass's plan may be, count kernel aside
+		mine  func() (*core.Result, error)
 	}{
-		{"parallel-4", "packed/resident/4w", func() (*core.Result, error) { return core.MineParallel(d, opts, 4) }},
-		{"paged-16KiB", "packed/spilled/1w", func() (*core.Result, error) {
+		{"memory", []string{"packed/resident/1w"}, func() (*core.Result, error) { return core.MineMemory(d, opts) }},
+		{"parallel-4", []string{"packed/resident/4w"}, func() (*core.Result, error) { return core.MineParallel(d, opts, 4) }},
+		{"paged-16KiB", []string{"packed/spilled/1w"}, func() (*core.Result, error) {
 			r, err := core.MinePaged(d, budgeted, core.PagedConfig{PoolFrames: 8})
 			if err != nil {
 				return nil, err
 			}
 			return r.Result, nil
 		}},
-		{"auto-16KiB", "packed/spilled/1w", func() (*core.Result, error) {
+		// The planner picks each pass's regime; budgeted, it stays serial.
+		{"auto-16KiB", []string{"packed/spilled/1w", "packed/resident/1w"}, func() (*core.Result, error) {
 			return core.MineAutoMonitored(context.Background(), d, budgeted, pool, nil)
 		}},
-		{"auto-16KiB-again", "packed/spilled/1w", func() (*core.Result, error) {
+		{"auto-16KiB-again", []string{"packed/spilled/1w", "packed/resident/1w"}, func() (*core.Result, error) {
 			storePages = store.NumPages()
 			return core.MineAutoMonitored(context.Background(), d, budgeted, pool, nil)
 		}},
@@ -436,31 +444,12 @@ func TestParallelWideCatalogueHandOff(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
-		assertIdenticalCounts(t, m.name, want, got)
-		if len(got.Stats) != len(want.Stats) {
-			t.Fatalf("%s: %d passes, want %d", m.name, len(got.Stats), len(want.Stats))
-		}
-		handedOff := false
-		for i, st := range got.Stats {
-			ref := want.Stats[i]
-			if st.RPrimeRows != ref.RPrimeRows || st.RRows != ref.RRows || st.CCount != ref.CCount {
-				t.Errorf("%s k=%d: |R'|=%d |R|=%d |C|=%d, want %d/%d/%d", m.name, st.K, st.RPrimeRows, st.RRows, st.CCount, ref.RPrimeRows, ref.RRows, ref.CCount)
+		assertSamePasses(t, m.name, want, got)
+		for _, st := range got.Stats {
+			// The count kernel is chosen per pass (and per chunk).
+			if p := st.Plan; p.Count == "" || !slices.Contains(m.plans, strings.TrimSuffix(p.String(), "/"+p.Count)) {
+				t.Errorf("%s k=%d: plan %q, want one of %v/*", m.name, st.K, p, m.plans)
 			}
-			if ref.Plan.Kernel == core.KernelPacked {
-				// The count kernel is chosen per pass (and per chunk), so it
-				// may differ from the serial pass's; the rest of the plan may not.
-				if p := st.Plan; handedOff || p.Count == "" || p.String() != m.packed+"/"+p.Count {
-					t.Errorf("%s k=%d: plan %q, want %s/*", m.name, st.K, p, m.packed)
-				}
-				continue
-			}
-			handedOff = true
-			if st.Plan.String() != "generic/resident/1w" {
-				t.Errorf("%s k=%d: plan %q, want generic/resident/1w", m.name, st.K, st.Plan)
-			}
-		}
-		if !handedOff {
-			t.Fatalf("%s: setup: the run never outgrew the packed key", m.name)
 		}
 	}
 	if n := pool.PinnedFrames(); n != 0 {
@@ -468,6 +457,78 @@ func TestParallelWideCatalogueHandOff(t *testing.T) {
 	}
 	if got := store.NumPages(); got != storePages {
 		t.Errorf("the second budgeted mine grew the store %d -> %d pages: the first left runs allocated", storePages, got)
+	}
+}
+
+// TestWideCatalogueSpilled is the budget past the bit-packed width: a
+// catalogue of exactly 2^16 items (16-bit codes, so a bit-packed key
+// holds four) mined to k = 6 under an 8 MiB budget. 2,000 baskets hold
+// the same nine common items and the other 65,527 items are one-item
+// baskets. The planner spills a pass whose modeled footprint, ~40 B per
+// candidate row, outgrows the budget: passes 5 and 6 each project 252,000
+// rows, ~10 MB. MaxPatternLen ends the mine there, before the passes
+// shrink back under it. MineAuto then runs both spilled, as MinePaged runs
+// every pass: packed/spilled/* past k = 4, with the flat reference's
+// counts and per-pass cardinalities.
+func TestWideCatalogueSpilled(t *testing.T) {
+	d := &core.Dataset{}
+	common := []core.Item{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	for i := 0; i < 2000; i++ {
+		d.Transactions = append(d.Transactions, core.Transaction{ID: int64(len(d.Transactions) + 1), Items: common})
+	}
+	for it := core.Item(1000); it < core.Item(1000+1<<16-len(common)); it++ {
+		d.Transactions = append(d.Transactions, core.Transaction{ID: int64(len(d.Transactions) + 1), Items: []core.Item{it}})
+	}
+	opts := core.Options{MinSupportCount: 2, MaxPatternLen: 6}
+	generic := opts
+	generic.DisablePackedKernels = true
+	want, err := core.MineMemory(d, generic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.MaxLen() != 6 {
+		t.Fatalf("setup: MaxLen %d, want 6", want.MaxLen())
+	}
+	budgeted := opts
+	budgeted.MemoryBudget = 8 << 20
+	for name, mine := range map[string]func() (*core.Result, error){
+		"auto-8MiB": func() (*core.Result, error) { return core.MineAuto(d, budgeted) },
+		"paged-8MiB": func() (*core.Result, error) {
+			r, err := core.MinePaged(d, budgeted, core.PagedConfig{})
+			if err != nil {
+				return nil, err
+			}
+			return r.Result, nil
+		},
+	} {
+		got, err := mine()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		assertSamePasses(t, name, want, got)
+		for _, st := range got.Stats {
+			p := st.Plan
+			if p.Kernel != core.KernelPacked || (st.K > 4 && (p.Regime != core.RegimeSpilled || p.Count == "")) {
+				t.Errorf("%s k=%d: plan %q", name, st.K, p)
+			}
+		}
+	}
+}
+
+// assertSamePasses checks got against the reference want: identical
+// counts and, pass by pass, the same |R'_k|, |R_k| and |C_k|.
+func assertSamePasses(t *testing.T, label string, want, got *core.Result) {
+	t.Helper()
+	assertIdenticalCounts(t, label, want, got)
+	if len(got.Stats) != len(want.Stats) {
+		t.Fatalf("%s: %d passes, want %d", label, len(got.Stats), len(want.Stats))
+	}
+	for i, st := range got.Stats {
+		ref := want.Stats[i]
+		if st.RPrimeRows != ref.RPrimeRows || st.RRows != ref.RRows || st.CCount != ref.CCount {
+			t.Errorf("%s k=%d: |R'|=%d |R|=%d |C|=%d, want %d/%d/%d", label, st.K,
+				st.RPrimeRows, st.RRows, st.CCount, ref.RPrimeRows, ref.RRows, ref.CCount)
+		}
 	}
 }
 

@@ -9,11 +9,10 @@ package core
 // cardinalities the previous iteration observed, then executes the
 // iteration under it.
 //
-//   - kernel packed|generic: the bit-packed 64-bit key kernels while the
-//     pattern fits one word; past it the live relations are decoded, every
-//     run and the arena are released, and the serial flat reference of
-//     relation.go finishes the mine, resident (stepWideFallback) — the
-//     planner is asked only about passes the executor can pack;
+//   - kernel: the packed 64-bit key kernels of pack.go at every k. From
+//     k = 3 a key is rank(prefix in C_{k-1}) << bits | last code, so its
+//     width depends on |C_{k-1}|*2^bits, not on k; a pass whose keys
+//     would not fit one word fails (keyFits) instead of aliasing them;
 //   - regime resident|spilled: arena-backed in-RAM slices versus
 //     budget-bounded spillable relations streaming to and from the page
 //     store as raw packed-page runs, an extent at a time (spill.go);
@@ -31,6 +30,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -44,9 +44,9 @@ import (
 // the top of each SETM pass. Workers describes native plans only: a SQL
 // pass always reports 1.
 type IterPlan struct {
-	// Kernel is "packed" (64-bit packed-key kernels) or "generic" (the
-	// flat reference's int64 relation kernels: every pass under
-	// DisablePackedKernels, and every pass after k*bitsPerItem exceeds 64).
+	// Kernel is "packed" (64-bit packed-key kernels, every executor pass)
+	// or "generic" (the flat reference's int64 relation kernels, every
+	// pass under DisablePackedKernels).
 	Kernel string
 	// Regime is "resident" (relations in RAM, no budget machinery) or
 	// "spilled" (budget-bounded spillable relations; runs are written
@@ -208,16 +208,10 @@ type execStepper struct {
 	prevRPrime int64
 	prevRRows  int64
 
-	fbFlat *flatStepper // the wide-pattern hand-off, once patterns outgrow the key
-
 	// Border retention (Options.RetainBorder): the count kernels run at
 	// threshold 1 and splitBorder keeps the sub-minsup runs — the
-	// negative border — per iteration. borderLost marks a run the
-	// wide-pattern fallback took over mid-way: the generic kernels count
-	// at minsup directly, so the border from there on is unknowable and
-	// no snapshot is produced.
+	// negative border — per iteration.
 	retainBorder bool
-	borderLost   bool
 	borders      []pkCounts
 }
 
@@ -246,23 +240,6 @@ func (s *execStepper) cancelled() error {
 // cancelled spilled pass stops in well under a millisecond of work,
 // large enough that ctx.Err()'s mutex never shows up in profiles.
 const cancelCheckRows = 4096
-
-// abort releases everything a failed or cancelled run still holds: the
-// live relations' spilled runs go back to the pool's free list and the
-// packed state's arenas are returned. The kernels' error paths free
-// their own appenders and counters; abort reclaims the relations the
-// stepper itself owns across iterations.
-func (s *execStepper) abort() {
-	if s.pool != nil {
-		if s.rk != nil && s.rk != s.sales {
-			s.rk.free(s.pool)
-		}
-		if s.sales != nil {
-			s.sales.free(s.pool)
-		}
-	}
-	s.releasePacked()
-}
 
 // ensurePool creates the executor's private pool on first spill.
 func (s *execStepper) ensurePool() {
@@ -456,12 +433,12 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	return c1, sz, nil
 }
 
+// errKeyWidth tags a pass whose keys would not fit one 64-bit word.
+var errKeyWidth = errors.New("setm: pattern keys outgrow 64 bits")
+
 func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
-	if s.fbFlat != nil {
-		return s.fbFlat.step(k, minSup)
-	}
-	if k > s.dict.maxPackedK() {
-		return s.stepWideFallback(k, minSup)
+	if !s.dict.keyFits(k, len(s.prevC)) {
+		return nil, iterSizes{}, fmt.Errorf("%w: pass %d over %d prefixes of %d-bit codes", errKeyWidth, k, len(s.prevC), s.dict.bits)
 	}
 	plan := s.nextPlan(k, s.prevRPrime, s.prevRRows)
 	if plan.Regime == RegimeResident && s.rk.resident() && s.sales.resident() {
@@ -803,61 +780,20 @@ func (s *execStepper) buildJoinSide(mem []prow, plan IterPlan) (*srel, error) {
 	return memSrel(mem), nil
 }
 
-// stepWideFallback hands the pipeline to the serial flat reference when
-// patterns outgrow the 64-bit packed key: R_{k-1} and R_1 are decoded
-// block by block — resident rows or runs alike — every run goes back to
-// the pool, the arena is returned, and the flat reference runs this pass
-// and every later one, resident. The pool reads of the decode
-// are charged to this pass.
-func (s *execStepper) stepWideFallback(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
-	s.borderLost = true
-	ioStart, _ := s.startIteration()
-	rk, err := s.unpackSrel(s.rk, k-1)
-	if err != nil {
-		return nil, iterSizes{}, err
-	}
-	join := rk
-	if s.sales != s.rk {
-		if join, err = s.unpackSrel(s.sales, 1); err != nil {
-			return nil, iterSizes{}, err
-		}
-	}
-	var decodeIO int64
+// release returns everything the stepper holds once the pipeline is done
+// or has failed: the live relations' spilled runs go back to the pool's
+// free list and the arena goes back to its pool. The kernels' error paths
+// free their own appenders and counters; release reclaims the relations
+// the stepper itself owns across iterations.
+func (s *execStepper) release() {
 	if s.pool != nil {
-		decodeIO = s.pool.Stats.Accesses() - ioStart
-	}
-	s.abort() // the packed state is done: free its runs, return the arena
-	s.fbFlat = &flatStepper{d: s.d, rk: rk, joinSide: join}
-	ck, sz, err := s.fbFlat.step(k, minSup)
-	sz.pageIO += decodeIO
-	return ck, sz, err
-}
-
-// unpackSrel decodes a packed relation of k-item patterns into a flat
-// relation one block at a time, in the same (trans_id, items) order: R_1
-// from its codes, R_k (k >= 2) as occurrences of C_k's patterns.
-func (s *execStepper) unpackSrel(r *srel, k int) (relation, error) {
-	rel := relation{stride: k + 1, data: make([]int64, 0, r.rows()*int64(k+1))}
-	var ck []ItemsetCount
-	if k >= 2 {
-		ck = s.prevC
-	}
-	it := rowsOf(s.pool, r)
-	defer it.close()
-	for {
-		if err := s.cancelled(); err != nil {
-			return relation{}, err
+		if s.rk != nil && s.rk != s.sales {
+			s.rk.free(s.pool)
 		}
-		blk, err := it.next()
-		if err != nil || blk == nil {
-			return rel, err
+		if s.sales != nil {
+			s.sales.free(s.pool)
 		}
-		rel = unpackRel(rel, blk, s.dict, ck, &s.idx)
 	}
-}
-
-// releasePacked drops the packed state and returns the arena.
-func (s *execStepper) releasePacked() {
 	s.rk, s.sales, s.dict, s.idx = nil, nil, nil, keyIndex{}
 	if s.ar != nil {
 		s.ar.release()
@@ -865,22 +801,9 @@ func (s *execStepper) releasePacked() {
 	}
 }
 
-// release returns the stepper's arena once the pipeline is done.
-func (s *execStepper) release() {
-	if s.ar != nil {
-		s.releasePacked()
-	}
-}
-
 // writeCheckpoint persists the pipeline-built manifest plus the live
-// R_k. Once the wide-pattern fallback owns the iteration the packed
-// relation is gone, so there is nothing to checkpoint — (0, nil) tells
-// the pipeline to carry on without one (the last packed checkpoint
-// remains valid: resume re-mines the fallback iterations from it).
+// R_k.
 func (s *execStepper) writeCheckpoint(cfg *CheckpointConfig, cp *Checkpoint) (int64, error) {
-	if s.fbFlat != nil || s.dict == nil || s.rk == nil {
-		return 0, nil
-	}
 	cp.SalesRows = s.salesTotal
 	return saveCheckpoint(cfg, cp, s.pool, s.rk)
 }
@@ -891,7 +814,7 @@ func (s *execStepper) writeCheckpoint(cfg *CheckpointConfig, cp *Checkpoint) (in
 // back from the checkpoint's run file through a budget-bounded appender,
 // so resuming honors the *current* MemoryBudget even if the original run
 // spilled differently. Integrity failures wrap ErrCheckpoint; the
-// pipeline's fail path aborts the stepper, so nothing leaks.
+// pipeline's fail path releases the stepper, so nothing leaks.
 func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 	total := 0
 	for _, tx := range s.d.Transactions {
@@ -906,13 +829,6 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 	plan := s.nextPlan(1, int64(total), int64(total))
 	if plan.Regime == RegimeSpilled {
 		s.ensurePool()
-	}
-	if cp.K > s.dict.maxPackedK() {
-		// Checkpoints are only written while the pattern fits a packed
-		// key; a manifest past that width cannot have come from this
-		// dataset. (cp.K == maxPackedK is fine: the next step hands the
-		// reloaded relation to the wide-pattern fallback as usual.)
-		return iterSizes{}, fmt.Errorf("%w: checkpoint k=%d but packed keys end at k=%d", ErrCheckpoint, cp.K, s.dict.maxPackedK())
 	}
 	mem := memo.rows
 	s.salesTotal = int64(len(mem))
@@ -941,9 +857,8 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 	s.prevC = cp.Counts[cp.K-1]
 
 	// R_K streams from the checkpoint under the regime the next iteration
-	// would plan (past the packed key the hand-off decodes it either way):
-	// a spilled plan bounds the reload the same way an appender bounds a
-	// live iteration's output.
+	// would plan: a spilled plan bounds the reload the same way an
+	// appender bounds a live iteration's output.
 	capR := 0
 	if s.nextPlan(cp.K+1, cp.RPrimeRows, cp.RRows).Regime == RegimeSpilled {
 		s.ensurePool()

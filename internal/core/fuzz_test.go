@@ -191,7 +191,7 @@ func FuzzPackedKernels(f *testing.F) {
 		sortRelation(genSorted, 0)
 		sortedRows := append([]prow(nil), rows...)
 		xsort.RadixSortRows(sortedRows, make([]prow, n))
-		if got := unpackRel(relation{stride: k + 1}, sortedRows, dict, nil, nil); !slices.Equal(got.data, genSorted.data) {
+		if got := unpackRel(relation{stride: k + 1}, sortedRows, dict); !slices.Equal(got.data, genSorted.data) {
 			t.Fatalf("row sort mismatch:\ngot  %v\nwant %v", got.data, genSorted.data)
 		}
 
@@ -242,7 +242,7 @@ func FuzzPackedKernels(f *testing.F) {
 		// filter (both inputs sorted, so outputs must be bit-identical).
 		wantF, _ := filterRelation(genSorted, want)
 		gotRows := packedFilter(sortedRows, pk.keys, nil)
-		if got := unpackRel(relation{stride: k + 1}, gotRows, dict, nil, nil); !slices.Equal(got.data, wantF.data) {
+		if got := unpackRel(relation{stride: k + 1}, gotRows, dict); !slices.Equal(got.data, wantF.data) {
 			t.Fatalf("filter mismatch:\ngot  %v\nwant %v", got.data, wantF.data)
 		}
 		ar := newMineArena()

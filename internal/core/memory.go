@@ -5,8 +5,7 @@ package core
 // {packed, resident, 1 worker} — the packed-key kernels of pack.go with
 // every kernel on the serial path and no budget machinery.
 // Options.DisablePackedKernels selects the generic flat-relation kernels
-// instead — the conformance oracle and the fallback for patterns too
-// wide to pack.
+// instead — the conformance oracle.
 func MineMemory(d *Dataset, opts Options) (*Result, error) {
 	return runPipeline(d, opts, newMemoryStepper(d, opts, 1))
 }
@@ -29,8 +28,7 @@ func newMemoryStepper(d *Dataset, opts Options, workers int) stepper {
 // relation.go (sort, merge-scan extension, count scan, binary-search
 // filter) implement the steps, serially. It is the one reference the
 // packed engine is conformance-tested against — what every native driver
-// runs under DisablePackedKernels — and the mid-run hand-off when
-// patterns outgrow the 64-bit packed key (stepWideFallback).
+// runs under DisablePackedKernels.
 type flatStepper struct {
 	d *Dataset
 

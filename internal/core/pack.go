@@ -52,9 +52,9 @@ package core
 //   - the support filter is a bitmap probe when the key space is narrow
 //     enough to map densely, else a binary search over the C_k keys.
 //
-// Patterns wider than bit-packed keys could hold (k*bitsPerItem > 64)
-// fall back mid-run to the generic int64 relation kernels of
-// relation.go, which also remain the conformance oracle behind
+// Because a rank-coded key is |C_{k-1}|*2^bits wide whatever k is, these
+// kernels run every pass of every mine (keyFits). The generic int64
+// relation kernels of relation.go remain the conformance oracle behind
 // Options.DisablePackedKernels.
 
 import (
@@ -192,7 +192,8 @@ func (d *packDict) code(item int64) uint64 {
 	return uint64(i)
 }
 
-// maxPackedK is the longest pattern length one key can hold.
+// maxPackedK is the longest pattern length one bit-packed key can hold:
+// the deepest level a border snapshot can store.
 func (d *packDict) maxPackedK() int { return int(64 / d.bits) }
 
 // recode replaces the sign-flipped items in the keys of packSales' rows
@@ -473,6 +474,16 @@ func (d *packDict) keySpace(k, prev int) uint64 {
 	return uint64(prev) << d.bits
 }
 
+// keyFits reports whether the executor's level-k keys fit one word: two
+// codes at k = 2, and from k = 3 a key space of |C_{k-1}|*2^bits <= 2^64
+// points, prev being |C_{k-1}|.
+func (d *packDict) keyFits(k, prev int) bool {
+	if k <= 2 {
+		return uint(k)*d.bits <= 64
+	}
+	return uint64(prev) <= 1<<(64-d.bits)
+}
+
 // countTableCells is the size of the direct-address count table over a
 // key space of space points, one cell per point, or 0 when the pass must
 // sort: the space is wider than maxCountTableBits, or supports could
@@ -661,6 +672,9 @@ func decodeRanked(pk pkCounts, prev []ItemsetCount, dict *packDict) []ItemsetCou
 // dataset's level k cannot hold (a wrong length, an item outside the
 // dictionary, a prefix not in prev) reports false.
 func encodeLevel(ck, prev []ItemsetCount, k int, dict *packDict) ([]uint64, bool) {
+	if !dict.keyFits(k, len(prev)) {
+		return nil, false
+	}
 	keys := make([]uint64, len(ck))
 	for i, c := range ck {
 		if len(c.Items) != k {
@@ -685,27 +699,6 @@ func encodeLevel(ck, prev []ItemsetCount, k int, dict *packDict) ([]uint64, bool
 		keys[i] = uint64(prefix)<<dict.bits | uint64(last)
 	}
 	return keys, true
-}
-
-// unpackRel appends packed rows of k-item patterns to the flat relation
-// rel (stride k+1) — the bridge to the int64 kernels when patterns
-// outgrow the 64-bit key. With ck nil the keys are bit-packed codes (R_1,
-// or MineDelta's relations); otherwise the rows are R_k's, every one an
-// occurrence of a pattern of ck = C_k, found through its index.
-func unpackRel(rel relation, rows []prow, dict *packDict, ck []ItemsetCount, idx *keyIndex) relation {
-	k := rel.stride - 1
-	mask := uint64(1)<<dict.bits - 1
-	for _, r := range rows {
-		rel.data = append(rel.data, int64(r.Tid^tidFlip))
-		if ck != nil {
-			rel.data = append(rel.data, ck[idx.rank(r.Key)].Items...)
-			continue
-		}
-		for c := 0; c < k; c++ {
-			rel.data = append(rel.data, dict.items[(r.Key>>(uint(k-1-c)*dict.bits))&mask])
-		}
-	}
-	return rel
 }
 
 // The packed-key substrate's stepper lives in executor.go: the adaptive

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -148,7 +149,7 @@ func TestPackSalesMatchesSalesRelation(t *testing.T) {
 		want := salesRelation(d)
 		memo := d.packed()
 		rows, dict := memo.rows, memo.dict
-		got := unpackRel(relation{stride: 2}, rows, dict, nil, nil)
+		got := unpackRel(relation{stride: 2}, rows, dict)
 		if !slices.Equal(got.data, want.data) {
 			t.Fatalf("%d transactions: packed sales mismatch:\ngot  %v\nwant %v", len(d.Transactions), got.data, want.data)
 		}
@@ -228,7 +229,7 @@ func TestGenericIsOneReference(t *testing.T) {
 
 // wideDomainDataset is 30 transactions sharing six common items among
 // ~4800 distinct fillers: 13 bits per code, so patterns of length 5+ no
-// longer fit the 64-bit key while the common items stay frequent to k=6.
+// longer fit a bit-packed key while the common items stay frequent to k=6.
 func wideDomainDataset(t *testing.T) (d *Dataset, maxK, maxLen int) {
 	common := []Item{1, 2, 3, 4, 5, 6}
 	d = &Dataset{}
@@ -243,205 +244,133 @@ func wideDomainDataset(t *testing.T) (d *Dataset, maxK, maxLen int) {
 	}
 	maxK = d.packed().dict.maxPackedK()
 	if maxK >= len(common) {
-		t.Fatalf("setup: maxPackedK = %d does not force a fallback before k=%d", maxK, len(common))
+		t.Fatalf("setup: maxPackedK = %d, want patterns of length %d past it", maxK, len(common))
 	}
 	return d, maxK, len(common)
 }
 
-// TestPackedWideDomainFallback forces the mid-run fallback: the engine
-// must hand off to the generic kernels without changing any result.
+// TestPackedWideDomainFallback mines the wide-domain set past the
+// 64/bits boundary: every pass of the serial and the fanned-out executor
+// stays on the packed kernels, with the reference's counts and per-pass
+// cardinalities.
 func TestPackedWideDomainFallback(t *testing.T) {
-	d, _, maxLen := wideDomainDataset(t)
+	d, maxK, maxLen := wideDomainDataset(t)
 	opts := Options{MinSupportCount: 25}
 	want, err := MineMemory(d, Options{MinSupportCount: 25, DisablePackedKernels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.MaxLen() != maxLen {
-		t.Fatalf("setup: MaxLen = %d, want %d (must cross the packed boundary)", want.MaxLen(), maxLen)
+		t.Fatalf("setup: MaxLen = %d, want %d (must cross k = %d)", want.MaxLen(), maxLen, maxK)
 	}
-	got, err := MineMemory(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fuzzSameCounts(t, "memory-fallback", want, got)
-	gotPar, err := MineParallel(d, opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fuzzSameCounts(t, "parallel-fallback", want, gotPar)
-}
-
-// TestParallelHandOffReturnsArena drives the fanned-out executor across
-// the packed boundary: packed/resident/4w through k = maxPackedK, then at
-// maxPackedK+1 every live row (and only those) lands in the one serial
-// flat reference, sorted, the arena goes back to the pool, and the flat
-// reference finishes the pass with the reference's cardinalities.
-func TestParallelHandOffReturnsArena(t *testing.T) {
-	d, maxK, _ := wideDomainDataset(t)
-	const minSup = 25
-	opts := Options{MinSupportCount: minSup}
-	want, err := MineMemory(d, Options{MinSupportCount: minSup, DisablePackedKernels: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newExecStepper(d, opts, PagedConfig{}.withDefaults(), fixedStrategy(4, false))
-	defer s.release()
-	if _, _, err := s.init(minSup); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.rk.mem) < parallelMinRows {
-		t.Fatalf("setup: |R_1| = %d never fans out", len(s.rk.mem))
-	}
-	var sz iterSizes
-	for k := 2; k <= maxK; k++ {
-		if _, sz, err = s.step(k, minSup); err != nil {
-			t.Fatal(err)
+	for name, mine := range map[string]func() (*Result, error){
+		"memory":     func() (*Result, error) { return MineMemory(d, opts) },
+		"parallel-3": func() (*Result, error) { return MineParallel(d, opts, 3) },
+	} {
+		got, err := mine()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if s.fbFlat != nil || sz.plan.Kernel != KernelPacked || sz.plan.Workers != 4 {
-			t.Fatalf("k=%d: left the fanned-out packed plan early (%s)", k, sz.plan)
-		}
-	}
-	rkRows, joinRows := len(s.rk.mem), len(s.sales.mem)
-	if int64(rkRows) != sz.rRows || sz.rRows != want.Stats[maxK-1].RRows {
-		t.Fatalf("k=%d: executor holds %d rows, pass reported %d, reference %d", maxK, rkRows, sz.rRows, want.Stats[maxK-1].RRows)
-	}
-
-	ck, sz, err := s.step(maxK+1, minSup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.fbFlat == nil || sz.plan.String() != "generic/resident/1w" {
-		t.Fatalf("k=%d: plan %q, want the flat reference", maxK+1, sz.plan)
-	}
-	if got := s.fbFlat.joinSide.rows(); got != joinRows || !relationSorted(s.fbFlat.joinSide, 0) {
-		t.Errorf("join side: %d rows (sorted=%v), executor held %d", got, relationSorted(s.fbFlat.joinSide, 0), joinRows)
-	}
-	if st := want.Stats[maxK]; sz.rPrime != st.RPrimeRows || sz.rRows != st.RRows || len(ck) != st.CCount {
-		t.Errorf("k=%d: |R'|=%d |R|=%d |C|=%d, reference %d/%d/%d — rows lost in the hand-off",
-			maxK+1, sz.rPrime, sz.rRows, len(ck), st.RPrimeRows, st.RRows, st.CCount)
-	}
-	if s.ar != nil || s.dict != nil || s.rk != nil || s.sales != nil {
-		t.Error("packed state or arena still held after the hand-off")
-	}
-}
-
-// TestSpilledHandOffReturnsArena is the budgeted twin of
-// TestParallelHandOffReturnsArena. Under a 16 KiB budget every packed pass
-// of the wide-domain set is packed/spilled/1w over runs; at maxPackedK+1
-// the executor decodes R_{k-1} and R_1 from their runs into the flat
-// reference, frees every page they held, returns the arena and charges
-// the decode's pool reads to that pass. Through the public drivers
-// (MinePaged, and MineAutoMonitored on a caller-owned pool) the counts and
-// every pass's cardinalities are the flat reference's, nothing stays
-// pinned, and a second identical mine on the same pool allocates no page.
-func TestSpilledHandOffReturnsArena(t *testing.T) {
-	d, maxK, _ := wideDomainDataset(t)
-	const minSup = 25
-	opts := Options{MinSupportCount: minSup, MemoryBudget: 16 << 10}
-	want, err := MineMemory(d, Options{MinSupportCount: minSup, DisablePackedKernels: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPasses := func(label string, got *Result) {
-		t.Helper()
-		fuzzSameCounts(t, label, want, got)
+		fuzzSameCounts(t, name, want, got)
 		if len(got.Stats) != len(want.Stats) {
-			t.Fatalf("%s: %d passes, want %d", label, len(got.Stats), len(want.Stats))
+			t.Fatalf("%s: %d passes, want %d", name, len(got.Stats), len(want.Stats))
 		}
 		for i, st := range got.Stats {
 			ref := want.Stats[i]
-			if st.RPrimeRows != ref.RPrimeRows || st.RRows != ref.RRows || st.CCount != ref.CCount {
-				t.Errorf("%s k=%d: |R'|=%d |R|=%d |C|=%d, reference %d/%d/%d", label, st.K,
-					st.RPrimeRows, st.RRows, st.CCount, ref.RPrimeRows, ref.RRows, ref.CCount)
-			}
-			p := st.Plan
-			if st.K <= maxK && (p.Kernel != KernelPacked || p.Regime != RegimeSpilled || p.Workers != 1 || p.Count == "") {
-				t.Errorf("%s k=%d: plan %q, want packed/spilled/1w/*", label, st.K, p)
-			}
-			if st.K > maxK && p.String() != "generic/resident/1w" {
-				t.Errorf("%s k=%d: plan %q, want generic/resident/1w", label, st.K, p)
+			if st.Plan.Kernel != KernelPacked || st.RPrimeRows != ref.RPrimeRows || st.RRows != ref.RRows {
+				t.Errorf("%s k=%d: plan %q |R'|=%d |R|=%d, want packed and %d/%d", name, st.K, st.Plan,
+					st.RPrimeRows, st.RRows, ref.RPrimeRows, ref.RRows)
 			}
 		}
+	}
+}
+
+// TestStepRefusesKeysPastOneWord pins the executor's width check: a pass
+// whose keys would not fit 64 bits — two codes of more than 32 bits at
+// k = 2, |C_{k-1}|*2^bits past 2^64 from k = 3 — fails with errKeyWidth
+// before it reads a row or touches the pool: the stepper holds no
+// relation (a read would panic) and its pool fails every access.
+func TestStepRefusesKeysPastOneWord(t *testing.T) {
+	for _, c := range []struct {
+		k, bits, prev int
+		fits          bool
+	}{
+		{2, 32, 0, true}, {2, 33, 0, false},
+		{3, 60, 16, true}, {3, 60, 17, false},
+		{7, 16, 1 << 48, true}, {7, 16, 1<<48 + 1, false},
+	} {
+		dict := &packDict{bits: uint(c.bits)}
+		if got := dict.keyFits(c.k, c.prev); got != c.fits {
+			t.Errorf("keyFits(k=%d, |C|=%d) at %d bits = %v, want %v", c.k, c.prev, c.bits, got, c.fits)
+		}
+		if c.fits || c.prev > 1<<10 {
+			continue
+		}
+		fs := storage.NewFaultStore(storage.NewMemStore())
+		fs.FailReadAfter, fs.FailWriteAfter, fs.FailAllocAfter = 0, 0, 0
+		pool := storage.NewPool(fs, 4)
+		s := newExecStepper(signedDataset(1, 10, 3, 5), Options{MemoryBudget: 16 << 10}, PagedConfig{PoolFrames: 4}, fixedStrategy(1, true))
+		s.attachPool(pool)
+		s.dict, s.prevC = dict, make([]ItemsetCount, c.prev)
+		_, _, err := s.step(c.k, 1)
+		if !errors.Is(err, errKeyWidth) {
+			t.Errorf("k=%d at %d bits, |C_{k-1}| = %d: step returned %v, want errKeyWidth", c.k, c.bits, c.prev, err)
+		}
+		if n := pool.Stats.Accesses(); n != 0 {
+			t.Errorf("k=%d at %d bits: %d page accesses before the refusal", c.k, c.bits, n)
+		}
+	}
+}
+
+// TestBorderSnapshotPackedWidth pins which mines keep a border snapshot:
+// the snapshot is bit-packed at every level, so a mine with a level past
+// maxPackedK (the wide-domain set) keeps none, with counts unchanged,
+// while one whose last level is exactly maxPackedK keeps its snapshot
+// and MineDelta on it is a cold mine of base+delta.
+func TestBorderSnapshotPackedWidth(t *testing.T) {
+	d, maxK, _ := wideDomainDataset(t)
+	want, err := MineMemory(d, Options{MinSupportCount: 25, DisablePackedKernels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MineAuto(d, Options{MinSupportCount: 25, RetainBorder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzSameCounts(t, "wide, border retained", want, got)
+	if got.Border != nil {
+		t.Errorf("levels to k=%d, past maxPackedK = %d, kept a %d-level border", len(got.Stats), maxK, len(got.Border.Levels))
 	}
 
-	// The executor, pass by pass.
-	store := storage.NewMemStore()
-	pool := storage.NewPool(store, 8)
-	s := newExecStepper(d, opts, PagedConfig{PoolFrames: 8}, fixedStrategy(1, true))
-	s.attachPool(pool)
-	defer s.release()
-	if _, _, err := s.init(minSup); err != nil {
-		t.Fatal(err)
+	// Three common items among the same fillers: C_3 is the last frequent
+	// level, and pass maxPackedK = 4 the last one run (its extensions are
+	// all single-transaction fillers).
+	base := &Dataset{}
+	for _, tx := range d.Transactions {
+		base.Transactions = append(base.Transactions, Transaction{ID: tx.ID, Items: tx.Items[3:]})
 	}
-	for k := 2; k <= maxK; k++ {
-		if _, _, err := s.step(k, minSup); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.rk.resident() || s.sales.resident() {
-		t.Fatalf("setup: R_%d spilled %v, R_1 spilled %v — the decode would read no run", maxK, !s.rk.resident(), !s.sales.resident())
-	}
-	joinRows := s.sales.rows()
-	accBefore := pool.Stats.Accesses()
-	ck, sz, err := s.step(maxK+1, minSup)
+	opts := Options{MinSupportCount: 25, RetainBorder: true}
+	res, err := MineAuto(base, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.fbFlat == nil || sz.plan.String() != "generic/resident/1w" {
-		t.Fatalf("k=%d: plan %q, want the flat reference", maxK+1, sz.plan)
+	if len(res.Stats) != maxK || res.Border == nil || len(res.Border.Levels) != maxK {
+		t.Fatalf("last level k=%d (maxPackedK %d): border %v", len(res.Stats), maxK, res.Border != nil)
 	}
-	if got := s.fbFlat.joinSide.rows(); int64(got) != joinRows || !relationSorted(s.fbFlat.joinSide, 0) {
-		t.Errorf("join side: %d rows (sorted=%v), the run held %d", got, relationSorted(s.fbFlat.joinSide, 0), joinRows)
+	delta := &Dataset{}
+	for i := int64(1); i <= 5; i++ {
+		delta.Transactions = append(delta.Transactions, Transaction{ID: 100 + i, Items: []Item{4, 5, 6, 1000 + i, 90_000 + i}})
 	}
-	if st := want.Stats[maxK]; sz.rPrime != st.RPrimeRows || sz.rRows != st.RRows || len(ck) != st.CCount {
-		t.Errorf("k=%d: |R'|=%d |R|=%d |C|=%d, reference %d/%d/%d — rows lost in the hand-off",
-			maxK+1, sz.rPrime, sz.rRows, len(ck), st.RPrimeRows, st.RRows, st.CCount)
-	}
-	if io := pool.Stats.Accesses() - accBefore; sz.pageIO != io || io == 0 {
-		t.Errorf("k=%d: pass charged %d page I/Os, the decode made %d", maxK+1, sz.pageIO, io)
-	}
-	if s.ar != nil || s.dict != nil || s.rk != nil || s.sales != nil {
-		t.Error("packed state or arena still held after the hand-off")
-	}
-	if n := pool.PinnedFrames(); n != 0 {
-		t.Errorf("%d frames pinned after the hand-off", n)
-	}
-	// Every page is back on the free list: a run as large as the whole
-	// store is served without growing it.
-	np := store.NumPages()
-	run, err := xsort.SpillKeys(pool, make([]uint64, np*storage.WordsPerPage))
+	all := &Dataset{Transactions: append(slices.Clone(base.Transactions), delta.Transactions...)}
+	cold, err := MineAuto(all, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := store.NumPages(); got != np {
-		t.Errorf("re-spill grew the store %d -> %d pages: the hand-off kept runs", np, got)
-	}
-	run.Free(pool)
-
-	// The public drivers.
-	paged, err := MinePaged(d, opts, PagedConfig{PoolFrames: 8})
+	inc, err := MineDelta(context.Background(), base, delta, res.Border, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPasses("paged", paged.Result)
-	store = storage.NewMemStore()
-	pool = storage.NewPool(store, 8)
-	for run := 1; run <= 2; run++ {
-		got, err := MineAutoMonitored(context.Background(), d, opts, pool, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPasses(fmt.Sprintf("auto run %d", run), got)
-		if n := pool.PinnedFrames(); n != 0 {
-			t.Errorf("auto run %d: %d frames pinned", run, n)
-		}
-		if run == 1 {
-			np = store.NumPages()
-		} else if got := store.NumPages(); got != np {
-			t.Errorf("second mine grew the store %d -> %d pages: the first left runs allocated", np, got)
-		}
-	}
+	fuzzSameCounts(t, "delta vs cold", cold, inc)
 }
 
 // TestSortsSkippedCounted asserts the sortedness fast path actually
@@ -559,6 +488,21 @@ func TestParallelPassHoldsOneRPrime(t *testing.T) {
 	if limit := maxRPrime + maxRPrime/4; held > limit {
 		t.Errorf("arena holds %d extension rows after a two-worker mine, max |R'_k| = %d (limit %d)", held, maxRPrime, limit)
 	}
+}
+
+// unpackRel appends bit-packed rows of k-item patterns (R_1's codes, or
+// MineDelta's keys) to the flat relation rel of stride k+1: the packed
+// kernels' results in the reference's form.
+func unpackRel(rel relation, rows []prow, dict *packDict) relation {
+	k := rel.stride - 1
+	mask := uint64(1)<<dict.bits - 1
+	for _, r := range rows {
+		rel.data = append(rel.data, int64(r.Tid^tidFlip))
+		for c := 0; c < k; c++ {
+			rel.data = append(rel.data, dict.items[(r.Key>>(uint(k-1-c)*dict.bits))&mask])
+		}
+	}
+	return rel
 }
 
 // TestBuildKeyBitmap pins the key index both ways: over a narrow key

@@ -47,10 +47,8 @@ type PagedResult struct {
 // sort, sequential runs for everything else. A zero budget defaults to
 // PoolFrames × the page size (the pool's own capacity); a negative budget
 // pins everything in RAM. MineAuto lets the cost model choose regime and
-// parallelism per iteration instead. A pattern too wide for one packed key
-// hands off, resident, to the serial flat reference, as on every driver;
-// Options.DisablePackedKernels runs that reference from the start (no
-// page I/O). The returned IO stats and page footprints let experiments
+// parallelism per iteration instead. Options.DisablePackedKernels runs
+// the serial flat reference instead (no page I/O). The returned IO stats and page footprints let experiments
 // check the Section 4.3 bound
 //
 //	(n-1)·‖R_1‖ + Σ‖R'_i‖ + 2·Σ‖R_i‖

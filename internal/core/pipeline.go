@@ -65,7 +65,7 @@ func runPipeline(d *Dataset, opts Options, s stepper) (*Result, error) {
 // optional per-iteration observer. The context is checked at every
 // iteration boundary (the executor's kernels additionally poll it
 // every few thousand rows, so a spilled pass cancels promptly); a cancelled
-// run aborts the stepper — freeing its arenas, spill runs, and pinned
+// run releases the stepper — freeing its arenas, spill runs, and pinned
 // frames — and returns an error wrapping ctx.Err(). onIter, when
 // non-nil, receives each IterationStat as the iteration completes — the
 // hook long-running callers (the setmd job status endpoint) stream
@@ -88,8 +88,8 @@ func runPipelineFrom(ctx context.Context, d *Dataset, opts Options, s stepper, o
 		return nil, err
 	}
 	fail := func(err error) (*Result, error) {
-		if a, ok := s.(aborter); ok {
-			a.abort()
+		if r, ok := s.(releaser); ok {
+			r.release()
 		}
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func runPipelineFrom(ctx context.Context, d *Dataset, opts Options, s stepper, o
 					ckCfg.OnError(err)
 				}
 				ckCfg = nil
-			} else if n > 0 { // (0, nil): nothing written, the clock keeps running
+			} else {
 				atRisk, lastCost, lastBytes = 0, now().Sub(t0), sz.rRows*16
 				res.Stats[len(res.Stats)-1].CheckpointBytes = n
 				res.Stats[len(res.Stats)-1].CheckpointDuration = lastCost
@@ -223,23 +223,18 @@ func runPipelineFrom(ctx context.Context, d *Dataset, opts Options, s stepper, o
 // checkpointer is implemented by steppers that can persist and rebuild
 // their live state at an iteration boundary (the adaptive executor).
 // writeCheckpoint persists cp plus the live packed R_k, returning bytes
-// written — (0, nil) once the wide-pattern hand-off has decoded R_k into
-// the flat reference, which is not checkpointed (resume re-runs those
-// passes from the last packed checkpoint); resume rebuilds the stepper as
-// if iteration cp.K had just completed.
+// written; resume rebuilds the stepper as if iteration cp.K had just
+// completed.
 type checkpointer interface {
 	writeCheckpoint(cfg *CheckpointConfig, cp *Checkpoint) (int64, error)
 	resume(cp *Checkpoint) (iterSizes, error)
 }
 
-// releaser is implemented by steppers that recycle scratch memory (the
-// packed engine's arenas) once the pipeline is done stepping.
+// releaser is implemented by steppers that hold storage-layer resources
+// (spilled runs, buffer-pool pages, arenas) the pipeline must give back
+// once it is done stepping, whether the run finished, failed or was
+// cancelled.
 type releaser interface{ release() }
-
-// aborter is implemented by steppers that hold storage-layer resources
-// (spilled runs, buffer-pool pages, arenas) a failed or cancelled run
-// must release.
-type aborter interface{ abort() }
 
 // trimEmptyTail drops a trailing empty C_k so that len(res.Counts) is the
 // largest k with frequent patterns (keeping at least C_1).

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -28,12 +27,26 @@ func runSpillPipeline(d *Dataset, opts Options, store storage.Store, frames int)
 // allocation faults at many depths through the spilling pipeline: every
 // failure must surface as an error wrapping storage.ErrInjected — no
 // panic, no partial result reported as success — and the pool must hold
-// zero pinned frames afterwards (error paths release every pin).
+// zero pinned frames afterwards (error paths release every pin). The
+// sweep's last depths fault the final passes, which on the wide-domain
+// set lie past the width a bit-packed key holds.
 func TestSpillPipelineSurfacesFaults(t *testing.T) {
-	d := faultDataset()
+	wide, _, _ := wideDomainDataset(t)
+	for _, c := range []struct {
+		name string
+		d    *Dataset
+		opts Options
+	}{
+		{"fault-dataset", faultDataset(), spillOpts},
+		{"wide-domain", wide, Options{MinSupportCount: 25, MemoryBudget: 16 << 10}},
+	} {
+		t.Run(c.name, func(t *testing.T) { sweepSpillFaults(t, c.d, c.opts) })
+	}
+}
 
+func sweepSpillFaults(t *testing.T, d *Dataset, opts Options) {
 	// Sanity: without faults the run succeeds, spills, and leaves no pins.
-	pool, err := runSpillPipeline(d, spillOpts, storage.NewMemStore(), 8)
+	pool, err := runSpillPipeline(d, opts, storage.NewMemStore(), 8)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
 	}
@@ -49,7 +62,7 @@ func TestSpillPipelineSurfacesFaults(t *testing.T) {
 	// the store only when the free list is empty, so they are far fewer
 	// than pool.Stats.Allocs).
 	baseline := storage.NewFaultStore(storage.NewMemStore())
-	if _, err := runSpillPipeline(d, spillOpts, baseline, 8); err != nil {
+	if _, err := runSpillPipeline(d, opts, baseline, 8); err != nil {
 		t.Fatal(err)
 	}
 	kinds := []struct {
@@ -66,13 +79,13 @@ func TestSpillPipelineSurfacesFaults(t *testing.T) {
 			t.Errorf("%s: fault-free run performed no operations of this kind", kind.name)
 			continue
 		}
-		for _, failAfter := range []int{0, 1, 2, 5, 13, 50, 200} {
+		for _, failAfter := range []int{0, 1, 2, 5, 13, 50, 200, kind.max / 2, kind.max - 1} {
 			if failAfter >= kind.max {
 				continue // the run never reaches this depth
 			}
 			fs := storage.NewFaultStore(storage.NewMemStore())
 			kind.set(fs, failAfter)
-			pool, err := runSpillPipeline(d, spillOpts, fs, 8)
+			pool, err := runSpillPipeline(d, opts, fs, 8)
 			if err == nil {
 				t.Errorf("%s failAfter=%d: mining succeeded despite injected faults", kind.name, failAfter)
 				continue
@@ -102,62 +115,6 @@ func TestSpillPipelineFaultsThroughMinePaged(t *testing.T) {
 		if !errors.Is(err, storage.ErrInjected) {
 			t.Errorf("failAfter=%d: error %v does not wrap the injected fault", failAfter, err)
 		}
-	}
-}
-
-// TestSpilledHandOffSurfacesFaults aims storage faults at the wide-pattern
-// hand-off's decode of spilled runs. A fault-free run finds the pool's
-// page reads when pass maxPackedK completes and during the hand-off pass;
-// a read fault inside that window must fail the mine in the hand-off pass
-// with a wrapped storage.ErrInjected — no panic, nothing pinned. A write
-// fault armed at the hand-off never fires: the decode and the flat
-// reference write nothing.
-func TestSpilledHandOffSurfacesFaults(t *testing.T) {
-	d, maxK, _ := wideDomainDataset(t)
-	opts := Options{MinSupportCount: 25, MemoryBudget: 16 << 10}
-	mine := func(fs *storage.FaultStore, onIter func(*storage.Pool, IterationStat)) (*storage.Pool, int, error) {
-		pool := storage.NewPool(fs, 8)
-		passes := 0
-		_, err := MineAutoMonitored(context.Background(), d, opts, pool, func(st IterationStat) {
-			passes++
-			if onIter != nil {
-				onIter(pool, st)
-			}
-		})
-		return pool, passes, err
-	}
-	var readsAt, writesAt, decodeReads int64
-	if _, _, err := mine(storage.NewFaultStore(storage.NewMemStore()), func(pool *storage.Pool, st IterationStat) {
-		switch st.K {
-		case maxK:
-			readsAt, writesAt = pool.Stats.Reads, pool.Stats.Writes
-		case maxK + 1:
-			decodeReads = pool.Stats.Reads - readsAt
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if decodeReads == 0 {
-		t.Fatal("setup: the hand-off read no page")
-	}
-	for _, j := range []int64{0, decodeReads / 2, decodeReads - 1} {
-		fs := storage.NewFaultStore(storage.NewMemStore())
-		fs.FailReadAfter = int(readsAt + j)
-		pool, passes, err := mine(fs, nil)
-		if !errors.Is(err, storage.ErrInjected) {
-			t.Errorf("read %d of %d in the decode: error %v does not wrap the injected fault", j, decodeReads, err)
-		}
-		if passes != maxK {
-			t.Errorf("read %d of %d in the decode: failed after %d passes, want %d", j, decodeReads, passes, maxK)
-		}
-		if n := pool.PinnedFrames(); n != 0 {
-			t.Errorf("read %d of %d in the decode: %d frames pinned", j, decodeReads, n)
-		}
-	}
-	fs := storage.NewFaultStore(storage.NewMemStore())
-	fs.FailWriteAfter = int(writesAt)
-	if _, _, err := mine(fs, nil); err != nil {
-		t.Errorf("write fault armed at the hand-off fired: %v", err)
 	}
 }
 

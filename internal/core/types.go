@@ -17,8 +17,7 @@
 //     by the relational engine.
 //
 // The native drivers share one generic kernel, the serial flat reference
-// of relation.go: what DisablePackedKernels runs, and what every pass runs
-// once a pattern outgrows the 64-bit packed key.
+// of relation.go: what DisablePackedKernels runs.
 package core
 
 import (
@@ -119,8 +118,7 @@ type Options struct {
 	// flat-relation kernels of relation.go (plan "generic/resident/1w",
 	// whatever worker count, budget or pool was asked for; MinePaged then
 	// does no page I/O). Results are bit-identical; the generic path exists
-	// as the wide-pattern hand-off and the conformance oracle, not as
-	// something to run for speed.
+	// as the conformance oracle, not as something to run for speed.
 	DisablePackedKernels bool
 	// MemoryBudget bounds the mining working set of the packed passes in
 	// bytes, for the drivers that can trade memory for page I/O.
@@ -131,8 +129,7 @@ type Options struct {
 	// (MinePaged: PoolFrames × the 4 KB page size; MineAuto: unbounded);
 	// negative means explicitly unbounded, pinning even the paged driver's
 	// relations in RAM. MineMemory and MineParallel ignore it (resident by
-	// contract), as does the flat reference: under DisablePackedKernels,
-	// and for every pass past the packed key, which runs resident.
+	// contract), as does the flat reference under DisablePackedKernels.
 	MemoryBudget int64
 	// MaxWorkers caps the parallelism of MineAuto's resident plans. Zero
 	// means GOMAXPROCS. It is ignored by budget-bounded passes and by
@@ -223,8 +220,8 @@ type IterationStat struct {
 	SpillBytes int64
 	// CheckpointBytes is the number of bytes this iteration's durable
 	// checkpoint (R_k run file plus manifest) wrote, zero when the
-	// iteration was not checkpointed (no Options.Checkpoint, a cadence
-	// miss, or the wide-pattern fallback). CheckpointDuration is that
+	// iteration was not checkpointed (no Options.Checkpoint, or a cadence
+	// miss). CheckpointDuration is that
 	// write's wall time, outside Duration.
 	CheckpointBytes    int64
 	CheckpointDuration time.Duration `json:",omitempty"`

@@ -21,8 +21,8 @@
 // # One executor, many drivers
 //
 // All mining runs through one adaptive executor whose per-iteration
-// strategy IR — kernel (packed or generic), memory regime (resident or
-// spilled), and parallelism — is chosen at the top of each SETM pass.
+// strategy IR — memory regime (resident or spilled) and parallelism, on
+// the packed-key kernels — is chosen at the top of each SETM pass.
 // MineAuto lets the paper's own cost model (Sections 3.2/4.3 generalized
 // in internal/costmodel) pick that plan per iteration from the previous
 // iteration's observed cardinalities, the MemoryBudget, and the
@@ -33,10 +33,9 @@
 // (budget-bounded spillable relations with page-I/O accounting), and
 // MineSQL (the paper's SQL statements executed serially by the bundled
 // relational engine). Every Result records the chosen plan per
-// iteration in Stats[i].Plan. A pattern too wide for one 64-bit packed
-// key hands off, resident, to the serial flat reference on every driver;
-// Options.DisablePackedKernels runs that reference from the first pass on
-// every native driver — an oracle, not a fast path.
+// iteration in Stats[i].Plan. Options.DisablePackedKernels runs the
+// serial flat reference (plan kernel "generic") on every native driver
+// instead — an oracle, not a fast path.
 package setm
 
 import (
@@ -225,8 +224,7 @@ func MineParallel(d *Dataset, opts Options, workers int) (*Result, error) {
 // stream through the buffer pool as raw packed-page runs above it, with
 // page I/O counted so runs can be checked against the Section 4.3
 // analysis. It is the driver for datasets whose working set exceeds RAM;
-// the budget governs the packed passes, and a pass past the packed key
-// runs resident on the flat reference.
+// the budget governs every pass.
 func MinePaged(d *Dataset, opts Options, cfg PagedConfig) (*PagedResult, error) {
 	return core.MinePaged(d, opts, cfg)
 }
