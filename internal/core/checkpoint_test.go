@@ -76,6 +76,10 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The k=2 checkpoint is a pairs pass's: R_2 with no R'_2 behind it.
+			if st := ref.Stats[1]; st.Plan.Count != core.CountPairs {
+				t.Fatalf("setup: k=2 ran %s, want the pairs pass", st.Plan)
+			}
 			for k := 1; k <= len(ref.Counts); k++ {
 				cp := writeCheckpointAt(t, d, sh.opts, k, t.TempDir())
 				if cp == nil {

@@ -242,6 +242,9 @@ type fanOutCase struct {
 	// sortAt, when > 0, is a pass that must count on the sort kernel both
 	// serially and at four workers.
 	sortAt int
+	// pairs marks a shape whose k=2 must count its pairs off SALES
+	// serially and at every fan-out.
+	pairs bool
 	// minR1 is the |R_1| the shape needs (at least ParallelMinRows, or
 	// nothing fans out).
 	minR1 int64
@@ -312,10 +315,10 @@ func fanOutCases() []fanOutCase {
 	return []fanOutCase{
 		{name: "quest", d: gen.Quest(gen.T10I4D100K(0.02, 5)), opts: core.Options{MinSupportFrac: 0.01}, minR1: 8 * costmodel.ParallelMinRows},
 		{name: "retail", d: gen.Retail(retail), opts: core.Options{MinSupportFrac: 0.002}, minR1: 8 * costmodel.ParallelMinRows},
-		{name: "transaction-split-across-chunks", d: big, opts: core.Options{MinSupportCount: 2}},
+		{name: "transaction-split-across-chunks", d: big, opts: core.Options{MinSupportCount: 2}, pairs: true},
 		{name: "more-workers-than-transactions", d: few, opts: core.Options{MinSupportCount: 4}},
-		{name: "negative-sparse-tids", d: signed, opts: core.Options{MinSupportCount: 3}},
-		{name: "chunk-with-no-extensions", d: hollow, opts: core.Options{MinSupportCount: 5}},
+		{name: "negative-sparse-tids", d: signed, opts: core.Options{MinSupportCount: 3}, pairs: true},
+		{name: "chunk-with-no-extensions", d: hollow, opts: core.Options{MinSupportCount: 5}, pairs: true},
 		{name: "sort-counted-pass", d: wide, opts: core.Options{MinSupportCount: 2}, sortAt: 2},
 	}
 }
@@ -323,7 +326,8 @@ func fanOutCases() []fanOutCase {
 // TestParallelFanOutConformance pins the one fan-out to the serial pass:
 // at 2, 3, 4 and 7 workers the counts, every pass's |R'_k|, |R_k| and
 // |C_k|, and the retained border are MineMemory's, and every packed pass
-// reports packed/resident/Nw with a count kernel.
+// reports packed/resident/Nw with a count kernel — pairs at k=2 for the
+// shapes that mark it, one of which cuts a basket across chunks.
 func TestParallelFanOutConformance(t *testing.T) {
 	for _, c := range fanOutCases() {
 		c := c
@@ -339,6 +343,9 @@ func TestParallelFanOutConformance(t *testing.T) {
 			}
 			if c.sortAt > 0 && want.Stats[c.sortAt-1].Plan.Count != core.CountSort {
 				t.Fatalf("setup: serial pass %d counts by %q, want sort", c.sortAt, want.Stats[c.sortAt-1].Plan.Count)
+			}
+			if c.pairs && want.Stats[1].Plan.Count != core.CountPairs {
+				t.Fatalf("setup: serial k=2 counts by %q, want pairs", want.Stats[1].Plan.Count)
 			}
 			for _, w := range []int{2, 3, 4, 7} {
 				label := fmt.Sprintf("%dw", w)
@@ -359,12 +366,13 @@ func TestParallelFanOutConformance(t *testing.T) {
 					if st.Plan.Kernel != core.KernelPacked {
 						continue // past the packed key: the serial flat reference
 					}
-					for _, kernel := range []string{core.CountTable, core.CountSort} {
+					for _, kernel := range []string{core.CountTable, core.CountSort, core.CountPairs} {
 						if st.Plan.Count == kernel && st.Plan.String() != fmt.Sprintf("packed/resident/%dw/%s", w, kernel) {
 							t.Errorf("%s k=%d: plan %q", label, st.K, st.Plan)
 						}
 					}
-					if st.Plan.Count == "" || (w == 4 && st.K == c.sortAt && st.Plan.Count != core.CountSort) {
+					if st.Plan.Count == "" || (w == 4 && st.K == c.sortAt && st.Plan.Count != core.CountSort) ||
+						(c.pairs && st.K == 2 && st.Plan.Count != core.CountPairs) {
 						t.Errorf("%s k=%d: plan %q names the wrong count kernel", label, st.K, st.Plan)
 					}
 				}
@@ -704,12 +712,15 @@ func sameItems(a, b []core.Item) bool {
 // k-pattern's key is (rank of its prefix in C_{k-1}, last item code)
 // from k=3 on, so the key space is |C_{k-1}|·2^bits points, not
 // 2^(k·bits). On a quest fixture over 128 items (7-bit codes) every pass
-// from k=2 then counts on the table — serial, fanned out over two
-// workers (whose chunks share C_{k-1}'s rank directory), and spilled
-// under an 8 MiB budget. Singleton transactions of unseen items widen
-// the codes to 12 bits without adding a candidate: |C_2|·2^12 points
-// (|C_2| is 7,005) exceed the table cap, and k=3 sorts. Every case is
-// pinned to the flat reference, pass by pass.
+// from k=3 then counts on the table, and k=2 counts its pairs straight
+// off SALES — serial, fanned out over two workers (whose chunks share
+// C_{k-1}'s rank directory), and spilled under an 8 MiB budget. MinePaged
+// keeps the materialized k=2, which counts R'_2 on the table. Singleton
+// transactions of unseen items widen the codes to 12 bits without adding
+// a candidate: |C_2|·2^12 points (|C_2| is 7,005) exceed the table cap,
+// and k=3 sorts; so does k=2, whose 2^24-cell table the kernel rule
+// refuses for its ~419k pairs. Every case is pinned to the flat reference, pass by
+// pass.
 func TestRankCodedPlans(t *testing.T) {
 	cfg := gen.T10I4D100K(1, 1)
 	cfg.NumItems, cfg.NumTransactions = 128, 8000
@@ -724,10 +735,14 @@ func TestRankCodedPlans(t *testing.T) {
 	if len(want.Stats) < 4 {
 		t.Fatalf("fixture mines %d passes, want k >= 4 so two passes are rank-coded", len(want.Stats))
 	}
-	check := func(label string, got *core.Result, regime, count string) {
+	check := func(label string, got *core.Result, regime, count2 string) {
 		t.Helper()
 		assertIdenticalCounts(t, label, want, got)
 		for _, st := range got.Stats {
+			count := core.CountTable
+			if st.K == 2 {
+				count = count2
+			}
 			if st.K >= 2 && (st.Plan.Kernel != core.KernelPacked || st.Plan.Regime != regime || st.Plan.Count != count) {
 				t.Errorf("%s: k=%d ran %s, want packed/%s/*/%s", label, st.K, st.Plan, regime, count)
 			}
@@ -740,7 +755,7 @@ func TestRankCodedPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("resident-%dw", workers), got, core.RegimeResident, core.CountTable)
+		check(fmt.Sprintf("resident-%dw", workers), got, core.RegimeResident, core.CountPairs)
 		if workers == 2 && got.Stats[1].Plan.Workers != 2 {
 			t.Errorf("k=2 ran %s: the two-worker case did not fan out", got.Stats[1].Plan)
 		}
@@ -751,7 +766,17 @@ func TestRankCodedPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("spilled-8MiB", spilled.Result, core.RegimeSpilled, core.CountTable)
+	check("paged-8MiB", spilled.Result, core.RegimeSpilled, core.CountTable)
+	// MineAuto under the same budget plans each pass by its footprint, so
+	// only its k=2 is pinned: the pairs pass streaming SALES.
+	autoSpilled, err := core.MineAuto(d, spillOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalCounts(t, "auto-8MiB", want, autoSpilled)
+	if st := autoSpilled.Stats[1]; st.Plan.String() != "packed/spilled/1w/pairs" {
+		t.Errorf("auto-8MiB: k=2 ran %s, want packed/spilled/1w/pairs", st.Plan)
+	}
 
 	const bits, fillers = 12, 1<<12 - 128 // 4,096 distinct items
 	wide := &core.Dataset{Transactions: slices.Clone(d.Transactions)}
@@ -769,7 +794,11 @@ func TestRankCodedPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIdenticalCounts(t, "wide", want, got)
-	if st := got.Stats[2]; st.Plan.Kernel != core.KernelPacked || st.Plan.Count != core.CountSort {
-		t.Errorf("wide: k=3 ran %s, want packed/*/sort", st.Plan)
+	// 2·12 bits is the table cap itself, but a 64 MiB table for ~419k
+	// pairs fails the kernel rule: k=2 keeps the materialized, sorted pass.
+	for k, count := range map[int]string{2: core.CountSort, 3: core.CountSort} {
+		if st := got.Stats[k-1]; st.Plan.Kernel != core.KernelPacked || st.Plan.Count != count {
+			t.Errorf("wide: k=%d ran %s, want packed/*/%s", k, st.Plan, count)
+		}
 	}
 }

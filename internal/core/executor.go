@@ -12,7 +12,10 @@ package core
 //   - kernel: the packed 64-bit key kernels of pack.go at every k. From
 //     k = 3 a key is rank(prefix in C_{k-1}) << bits | last code, so its
 //     width depends on |C_{k-1}|*2^bits, not on k; a pass whose keys
-//     would not fit one word fails (keyFits) instead of aliasing them;
+//     would not fit one word fails (keyFits) instead of aliasing them.
+//     Pass 2 counts each basket's pairs straight off SALES whenever the
+//     count table would count R'_2 (pairsPass), and so never writes
+//     R'_2; MinePaged keeps the paper's materialized pass 2;
 //   - regime resident|spilled: arena-backed in-RAM slices versus
 //     budget-bounded spillable relations streaming to and from the page
 //     store as raw packed-page runs, an extent at a time (spill.go);
@@ -58,8 +61,10 @@ type IterPlan struct {
 	Workers int
 	// Count is the packed count step's kernel, known once the pass has
 	// sized R'_k: "table" (direct-address counting table — the key space
-	// was narrow enough to replace the sort buffers) or "sort" (radix sort
-	// + run count). Empty for the generic and SQL passes.
+	// was narrow enough to replace the sort buffers), "sort" (radix sort
+	// + run count), or at k = 2 "pairs" (the table counts each basket's
+	// pairs straight off SALES and a second scan emits R_2: R'_2 is never
+	// written). Empty for the generic and SQL passes.
 	Count string
 }
 
@@ -73,6 +78,7 @@ const (
 	RegimeSpilled  = "spilled"
 	CountTable     = "table" // direct-address counting table, no sort
 	CountSort      = "sort"  // radix sort (skipped when pre-sorted) + run count
+	CountPairs     = "pairs" // pass 2's pairs counted off SALES on the table; R'_2 never written
 )
 
 // String renders the plan compactly: "packed/spilled/4w/table".
@@ -205,8 +211,13 @@ type execStepper struct {
 
 	avgBasket  float64
 	salesTotal int64 // |packed SALES|, the checkpoint's dataset identity
+	salesPairs int64 // |R'_2|, which the pairs pass's rule reads ahead of it
 	prevRPrime int64
 	prevRRows  int64
+
+	// materializeR2 keeps pass 2 on the paper's extend → count → filter:
+	// MinePaged sets it, so its page I/O is the Section 4.3 algorithm's.
+	materializeR2 bool
 
 	// Border retention (Options.RetainBorder): the count kernels run at
 	// threshold 1 and splitBorder keeps the sub-minsup runs — the
@@ -378,7 +389,12 @@ func (s *execStepper) observe(sz iterSizes) {
 	s.prevRPrime, s.prevRRows = sz.rPrime, sz.rRows
 }
 
-func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
+// open is what init and resume share: the dictionary comes first (the
+// plan's count-kernel term needs its code width), and it and the packed
+// SALES are the dataset's memo, built by the first mine and read by
+// every one after. It takes an arena, plans pass 1 — creating the pool
+// when that plan spills — and returns the plan and the packed SALES.
+func (s *execStepper) open() (IterPlan, []prow) {
 	total := 0
 	for _, tx := range s.d.Transactions {
 		total += len(tx.Items)
@@ -386,21 +402,20 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	if n := len(s.d.Transactions); n > 0 {
 		s.avgBasket = float64(total) / float64(n)
 	}
-	// The dictionary comes first: the plan's count-kernel term needs its
-	// code width. It and the packed SALES are the dataset's memo, built
-	// by the first mine and read by every one after.
 	memo := s.d.packed()
 	s.ar = newMineArena()
 	s.dict = memo.dict
+	s.salesTotal, s.salesPairs = int64(len(memo.rows)), memo.pairs
 	plan := s.nextPlan(1, int64(total), int64(total))
 	if plan.Regime == RegimeSpilled {
 		s.ensurePool()
 	}
-	ioStart, stStart := s.startIteration()
+	return plan, memo.rows
+}
 
-	mem := memo.rows
-	salesRows := int64(len(mem))
-	s.salesTotal = salesRows
+func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
+	plan, mem := s.open()
+	ioStart, stStart := s.startIteration()
 
 	// C_1: counts per item code. The rows are resident at this point
 	// either way (they are the dataset's); the spilled regime only bounds
@@ -427,7 +442,7 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	}
 	s.sales, s.rk = sales, sales
 
-	sz := iterSizes{rPrime: salesRows, rRows: s.rk.rows(), sortSkips: skips, plan: plan}
+	sz := iterSizes{rPrime: s.salesTotal, rRows: s.rk.rows(), sortSkips: skips, plan: plan}
 	s.endIteration(&sz, ioStart, stStart)
 	s.observe(sz)
 	return c1, sz, nil
@@ -441,7 +456,11 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 		return nil, iterSizes{}, fmt.Errorf("%w: pass %d over %d prefixes of %d-bit codes", errKeyWidth, k, len(s.prevC), s.dict.bits)
 	}
 	plan := s.nextPlan(k, s.prevRPrime, s.prevRRows)
+	pairs := s.pairsPass(k, plan)
 	if plan.Regime == RegimeResident && s.rk.resident() && s.sales.resident() {
+		if pairs {
+			return s.stepPairs(minSup, plan)
+		}
 		return s.stepResident(k, minSup, plan)
 	}
 	// The streaming path also serves a resident plan whose *inputs* are
@@ -449,7 +468,142 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 	// appenders then land the outputs in RAM. It is serial either way.
 	s.ensurePool()
 	plan.Workers = 1
+	if pairs {
+		return s.stepPairsStreaming(minSup, plan)
+	}
 	return s.stepStreaming(k, minSup, plan)
+}
+
+// pairsPass reports whether pass k counts pairs straight off SALES
+// (pack.go's pairs pass) instead of writing R'_2: at k = 2 over SALES
+// itself, when the count table would count R'_2 — the kernel rule against
+// |R'_2|, or under a budget against the key counter's bounded buffers.
+func (s *execStepper) pairsPass(k int, plan IterPlan) bool {
+	if k != 2 || s.rk != s.sales || s.materializeR2 {
+		return false
+	}
+	keys := int(s.salesPairs)
+	if plan.Regime == RegimeSpilled {
+		keys = s.capKeys()
+	}
+	return countTableFits(s.tableCells(2), keys)
+}
+
+// stepPairs is pass 2 over resident SALES without R'_2: scan 1 counts
+// each chunk's pairs on its worker's table, the tables are summed and
+// read out as C_2, and scan 2 emits each chunk's pairs in C_2 into its
+// worker's buffer, gathered into R_2 in SALES' order. The chunks are
+// stepResident's; a chunk's last basket pairs with its rows past the cut.
+func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
+	ioStart, stStart := s.startIteration()
+	sales, ar, bits, cells := s.sales.mem, s.ar, s.dict.bits, s.tableCells(2)
+	chunks := chunkRows(sales, plan.Workers)
+	W := len(chunks)
+	ar.workerSlots(W)
+	lo := make([]int, W+1) // chunk i is sales[lo[i]:lo[i+1]]
+	for i, c := range chunks {
+		lo[i+1] = lo[i] + len(c)
+	}
+	eachChunk(W, func(i int) {
+		ar.wTab[i] = growU32(ar.wTab[i], cells)
+		clear(ar.wTab[i])
+		pairsCount(sales, lo[i], lo[i+1], bits, ar.wTab[i])
+	})
+	cOut := s.pairsC2(sumTables(ar.wTab[:W]), minSup)
+
+	out := ar.rkBuf[:0]
+	if W == 1 {
+		out = pairsEmit(sales, 0, len(sales), bits, &s.idx, out)
+	} else {
+		keep := ar.wKeep[:W]
+		eachChunk(W, func(i int) { keep[i] = pairsEmit(sales, lo[i], lo[i+1], bits, &s.idx, keep[i][:0]) })
+		for _, c := range keep {
+			out = append(out, c...)
+		}
+	}
+	ar.rkBuf = out
+	return cOut, s.endPairs(memSrel(out), plan, ioStart, stStart), nil
+}
+
+// stepPairsStreaming is stepPairs over a cursor: both scans stream SALES
+// (its spilled copy under a budget) a basket at a time, scan 1 counts on
+// the key counter's arena table, and scan 2 appends R_2 through a
+// budget-bounded appender. Serial, like every streaming pass.
+func (s *execStepper) stepPairsStreaming(minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
+	ioStart, stStart := s.startIteration()
+	bits := s.dict.bits
+	s.ar.workerSlots(1)
+	tab := growU32(s.ar.wTab[0], s.tableCells(2))
+	clear(tab)
+	s.ar.wTab[0] = tab
+	if err := s.eachBasket(func(b []prow) error {
+		pairsCount(b, 0, len(b), bits, tab)
+		return nil
+	}); err != nil {
+		return nil, iterSizes{}, err
+	}
+	cOut := s.pairsC2(tab, minSup)
+
+	capR := 0
+	if plan.Regime == RegimeSpilled {
+		capR = s.capRows()
+	}
+	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st, mem: s.ar.rkBuf[:0]}
+	defer app.abort(s.pool) // no-op once finished
+	var keep []prow
+	if err := s.eachBasket(func(b []prow) error {
+		keep = pairsEmit(b, 0, len(b), bits, &s.idx, keep[:0])
+		return app.add(keep)
+	}); err != nil {
+		return nil, iterSizes{}, err
+	}
+	rk, err := app.finish()
+	if err != nil {
+		return nil, iterSizes{}, err
+	}
+	return cOut, s.endPairs(rk, plan, ioStart, stStart), nil
+}
+
+// pairsC2 reads C_2 off a pairs pass's count table and ends the count
+// step as every pass does (splitBorder, endPass).
+func (s *execStepper) pairsC2(tab []uint32, minSup int64) []ItemsetCount {
+	s.ck = emitCountTable(tab, s.countSup(minSup), pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]})
+	return s.endPass(2, s.splitBorder(s.ck, minSup))
+}
+
+// endPairs makes R_2 the relation of the next pass and closes the pairs
+// pass's accounting: |R'_2| as the memo counted it, three sorts skipped,
+// as on a table-counted pass.
+func (s *execStepper) endPairs(rk *srel, plan IterPlan, ioStart int64, stStart spillStats) iterSizes {
+	s.rk = rk
+	plan.Count = CountPairs
+	sz := iterSizes{rPrime: s.salesPairs, rRows: rk.rows(), sortSkips: 3, plan: plan}
+	s.endIteration(&sz, ioStart, stStart)
+	s.observe(sz)
+	return sz
+}
+
+// eachBasket streams SALES to fn one basket at a time, polling for
+// cancellation every cancelCheckRows rows.
+func (s *execStepper) eachBasket(fn func(basket []prow) error) error {
+	it := groupsOf(s.pool, s.sales)
+	defer it.close()
+	for since := cancelCheckRows; ; {
+		if since >= cancelCheckRows {
+			since = 0
+			if err := s.cancelled(); err != nil {
+				return err
+			}
+		}
+		b, err := it.next()
+		if err != nil || b == nil {
+			return err
+		}
+		since += len(b)
+		if err := fn(b); err != nil {
+			return err
+		}
+	}
 }
 
 // stepResident is the in-RAM fast path, and the one place sort → extend
@@ -816,22 +970,7 @@ func (s *execStepper) writeCheckpoint(cfg *CheckpointConfig, cp *Checkpoint) (in
 // spilled differently. Integrity failures wrap ErrCheckpoint; the
 // pipeline's fail path releases the stepper, so nothing leaks.
 func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
-	total := 0
-	for _, tx := range s.d.Transactions {
-		total += len(tx.Items)
-	}
-	if n := len(s.d.Transactions); n > 0 {
-		s.avgBasket = float64(total) / float64(n)
-	}
-	memo := s.d.packed()
-	s.ar = newMineArena()
-	s.dict = memo.dict
-	plan := s.nextPlan(1, int64(total), int64(total))
-	if plan.Regime == RegimeSpilled {
-		s.ensurePool()
-	}
-	mem := memo.rows
-	s.salesTotal = int64(len(mem))
+	plan, mem := s.open()
 	if cp.SalesRows != s.salesTotal {
 		return iterSizes{}, fmt.Errorf("%w: packed SALES has %d rows, manifest says %d", ErrCheckpoint, s.salesTotal, cp.SalesRows)
 	}

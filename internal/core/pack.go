@@ -50,7 +50,11 @@ package core
 //     pairs, quest-spilled 0.90 -> 0.36 s (a mine writes 7 runs instead
 //     of 31), retail-resident 14.0 -> 9.3 ms;
 //   - the support filter is a bitmap probe when the key space is narrow
-//     enough to map densely, else a binary search over the C_k keys.
+//     enough to map densely, else a binary search over the C_k keys;
+//   - at k = 2 extension, count and filter become the pairs pass (below)
+//     whenever the table would count R'_2: R'_2 is every pair of a
+//     basket's codes, so one scan of SALES counts the pairs on the table
+//     and a second emits those in C_2 as R_2, and R'_2 is never written.
 //
 // Because a rank-coded key is |C_{k-1}|*2^bits wide whatever k is, these
 // kernels run every pass of every mine (keyFits). The generic int64
@@ -388,6 +392,96 @@ func packedExtendRows(rk, sales []prow, itemBits uint) int {
 }
 
 // ---------------------------------------------------------------------------
+// The pairs pass
+
+// At k = 2, R_{k-1} is SALES itself, and R'_2 = SALES ⋈ SALES on trans_id
+// is every pair of a basket's items in code order: its rows are known
+// from SALES alone, so the pass never writes them. Scan 1 (pairsCount)
+// counts each pair on the count table, C_2 is read out and indexed as
+// for any pass, and scan 2 (pairsEmit) walks the same pairs again and
+// keeps the ones in C_2 — R_2, row for row the filter of the materialized
+// R'_2. Both scans take a range [lo, hi) of SALES rows and pair each row
+// in it with the rest of its basket, which may run past hi: a fanned-out
+// pass cuts SALES anywhere, and each pair belongs to the chunk holding
+// its first row. A trans_id spread over several transactions repeats
+// codes within a basket; only a strictly larger code pairs, as in
+// packedExtend. From k = 3 a second scan of R_{k-1} × SALES costs more
+// than writing a selective R'_k (ROADMAP, "Measured and rejected").
+
+// basketEnd is the end of the basket that rows[p] belongs to.
+func basketEnd(rows []prow, p int) int {
+	end, tid := p+1, rows[p].Tid
+	for end < len(rows) && rows[end].Tid == tid {
+		end++
+	}
+	return end
+}
+
+// pairStart is the first row of rows[p]'s basket (which ends at end)
+// with a code larger than rows[p]'s: where its pairs start.
+func pairStart(rows []prow, p, end int) int {
+	q := p + 1
+	for q < end && rows[q].Key == rows[p].Key {
+		q++
+	}
+	return q
+}
+
+// pairsCount is scan 1: tab[code_p<<bits | code_q]++ for every pair of
+// rows p < q of a basket, p in rows[lo:hi].
+func pairsCount(rows []prow, lo, hi int, bits uint, tab []uint32) {
+	for p := lo; p < hi; {
+		end := basketEnd(rows, p)
+		for stop := min(end, hi); p < stop; p++ {
+			base := rows[p].Key << bits
+			for _, r := range rows[pairStart(rows, p, end):end] {
+				tab[base|r.Key]++
+			}
+		}
+	}
+}
+
+// pairsEmit is scan 2: the pairs of pairsCount's walk whose key is in C_2
+// (ck), appended to out as R_2 rows in (trans_id, key) order.
+func pairsEmit(rows []prow, lo, hi int, bits uint, ck *keyIndex, out []prow) []prow {
+	if len(ck.keys) == 0 {
+		return out
+	}
+	dir := ck.dir
+	for p := lo; p < hi; {
+		end := basketEnd(rows, p)
+		for stop := min(end, hi); p < stop; p++ {
+			tid, base := rows[p].Tid, rows[p].Key<<bits
+			for _, r := range rows[pairStart(rows, p, end):end] {
+				key := base | r.Key
+				if dir != nil {
+					if dir[key>>6].bits&(1<<(key&63)) == 0 {
+						continue
+					}
+				} else if _, ok := slices.BinarySearch(ck.keys, key); !ok {
+					continue
+				}
+				out = append(out, prow{Tid: tid, Key: key})
+			}
+		}
+	}
+	return out
+}
+
+// salesPairs is |R'_2|, known ahead of pass 2: the pairs pairsCount
+// walks over all of SALES, counted without a table. The data set's memo
+// holds it; the pass's rule and its IterationStat read it there.
+func salesPairs(rows []prow) int64 {
+	var n int64
+	for p := 0; p < len(rows); {
+		for end := basketEnd(rows, p); p < end; p++ {
+			n += int64(end - pairStart(rows, p, end))
+		}
+	}
+	return n
+}
+
+// ---------------------------------------------------------------------------
 // The count step
 
 // pkCounts is a packed count relation C_k: ascending pattern keys with
@@ -512,6 +606,17 @@ func tableCountRows(rows []prow, buf []uint32, cells int) []uint32 {
 	return tab
 }
 
+// sumTables adds the workers' count tables into the first and returns it.
+func sumTables(tabs [][]uint32) []uint32 {
+	acc := tabs[0]
+	for _, tab := range tabs[1:] {
+		for key, c := range tab {
+			acc[key] += c
+		}
+	}
+	return acc
+}
+
 // emitCountTable is the table kernel's read-out: cells scanned in index
 // order are keys in ascending order, so appending every (key, count >=
 // minSup) to dst yields exactly what sorting and run-counting the same
@@ -561,14 +666,8 @@ func countRows(chunks [][]prow, cells int, minSup int64, ar *mineArena, dst pkCo
 		eachChunk(W, func(i int) {
 			ar.wTab[i] = tableCountRows(chunks[i], ar.wTab[i], cells)
 		})
-		acc := ar.wTab[0]
-		for _, tab := range ar.wTab[1:W] {
-			for key, c := range tab {
-				acc[key] += c
-			}
-		}
 		*skips++
-		return emitCountTable(acc, minSup, dst), CountTable
+		return emitCountTable(sumTables(ar.wTab[:W]), minSup, dst), CountTable
 	}
 
 	keys := growU64(ar.keys, total)

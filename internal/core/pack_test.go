@@ -376,7 +376,9 @@ func TestBorderSnapshotPackedWidth(t *testing.T) {
 // TestSortsSkippedCounted asserts the sortedness fast path actually
 // fires: extension and filtering preserve (trans_id, items) order, so
 // every iteration past the first should skip at least the re-sort of
-// R_{k-1} and the post-filter sort, on both substrates.
+// R_{k-1} and the post-filter sort, on both substrates. The packed k=2
+// counts its pairs off SALES and tallies the three sorts a table-counted
+// pass skips.
 func TestSortsSkippedCounted(t *testing.T) {
 	d := signedDataset(4, 120, 8, 14)
 	for _, opts := range []Options{
@@ -395,6 +397,9 @@ func TestSortsSkippedCounted(t *testing.T) {
 				t.Errorf("packed=%v k=%d: SortsSkipped = %d, want >= 2",
 					!opts.DisablePackedKernels, st.K, st.SortsSkipped)
 			}
+		}
+		if st := res.Stats[1]; !opts.DisablePackedKernels && (st.Plan.Count != CountPairs || st.SortsSkipped != 3) {
+			t.Errorf("packed k=2: plan %s with %d sorts skipped, want pairs and 3", st.Plan, st.SortsSkipped)
 		}
 	}
 }
@@ -420,7 +425,8 @@ func TestPackedSteadyStateAllocs(t *testing.T) {
 // TestColdArenaExtendsInOneAllocation pins what keeps the first mine's
 // peak memory the same from process to process: packedExtendRows is
 // exactly len(packedExtend), and a cold arena's R'_2 buffer is allocated
-// at that size instead of grown to it.
+// at that size instead of grown to it (the materialized pass 2,
+// MinePaged's).
 func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 	d := signedDataset(11, 3000, 10, 50)
 	memo := d.packed()
@@ -434,6 +440,7 @@ func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 	}
 
 	st := newExecStepper(d, Options{MinSupportCount: 40}, PagedConfig{}.withDefaults(), fixedStrategy(1, false))
+	st.materializeR2 = true
 	defer st.release()
 	if _, _, err := st.init(40); err != nil {
 		t.Fatal(err)
@@ -448,11 +455,13 @@ func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 // two-worker pass keeps each chunk of R'_k in the slot it was extended
 // into, so an arena with cold slots ends the mine holding one R'_k — not the chunks
 // and a gathered copy of them, which is 2x — and each cold slot was sized
-// by packedExtendRows, not grown to.
+// by packedExtendRows, not grown to. Pass 2 is the materialized one
+// (MinePaged's), whose R'_2 is the mine's largest.
 func TestParallelPassHoldsOneRPrime(t *testing.T) {
 	d := signedDataset(17, 9000, 12, 60)
 	const minSup = 30
 	s := newExecStepper(d, Options{MinSupportCount: minSup}, PagedConfig{}.withDefaults(), fixedStrategy(2, false))
+	s.materializeR2 = true
 	if _, _, err := s.init(minSup); err != nil {
 		t.Fatal(err)
 	}

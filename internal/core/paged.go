@@ -48,8 +48,10 @@ type PagedResult struct {
 // PoolFrames × the page size (the pool's own capacity); a negative budget
 // pins everything in RAM. MineAuto lets the cost model choose regime and
 // parallelism per iteration instead. Options.DisablePackedKernels runs
-// the serial flat reference instead (no page I/O). The returned IO stats and page footprints let experiments
-// check the Section 4.3 bound
+// the serial flat reference instead (no page I/O). Pass 2 writes R'_2, as
+// the paper's algorithm does, where the other drivers count its pairs
+// straight off SALES. The returned IO stats and page footprints let
+// experiments check the Section 4.3 bound
 //
 //	(n-1)·‖R_1‖ + Σ‖R'_i‖ + 2·Σ‖R_i‖
 func MinePaged(d *Dataset, opts Options, cfg PagedConfig) (*PagedResult, error) {
@@ -67,6 +69,7 @@ func MinePaged(d *Dataset, opts Options, cfg PagedConfig) (*PagedResult, error) 
 			opts.MemoryBudget = int64(cfg.PoolFrames) * storage.PageSize
 		}
 		es := newExecStepper(d, opts, cfg, fixedStrategy(1, true))
+		es.materializeR2 = true
 		es.attachPool(pool)
 		st = es
 	}

@@ -29,7 +29,9 @@ func runSpillPipeline(d *Dataset, opts Options, store storage.Store, frames int)
 // panic, no partial result reported as success — and the pool must hold
 // zero pinned frames afterwards (error paths release every pin). The
 // sweep's last depths fault the final passes, which on the wide-domain
-// set lie past the width a bit-packed key holds.
+// set lie past the width a bit-packed key holds. The pairs-pass case
+// faults a read and a write at the middle of the streaming pairs pass,
+// and also requires every page free afterwards.
 func TestSpillPipelineSurfacesFaults(t *testing.T) {
 	wide, _, _ := wideDomainDataset(t)
 	for _, c := range []struct {
@@ -42,6 +44,7 @@ func TestSpillPipelineSurfacesFaults(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) { sweepSpillFaults(t, c.d, c.opts) })
 	}
+	t.Run("pairs-pass", faultInsidePairsPass)
 }
 
 func sweepSpillFaults(t *testing.T, d *Dataset, opts Options) {

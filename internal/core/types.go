@@ -61,10 +61,11 @@ type Dataset struct {
 // tx is a pointer, not an address, so the array it was built from cannot
 // be freed and reused under the same key while the memo is held.
 type salesMemo struct {
-	tx   *Transaction // unsafe.SliceData(Transactions) when built
-	n    int          // len(Transactions) when built
-	dict *packDict
-	rows []prow // R_1 = SALES(tid, item code), sorted by (tid, code)
+	tx    *Transaction // unsafe.SliceData(Transactions) when built
+	n     int          // len(Transactions) when built
+	dict  *packDict
+	rows  []prow // R_1 = SALES(tid, item code), sorted by (tid, code)
+	pairs int64  // |R'_2|, known before pass 2 runs (salesPairs)
 }
 
 // packed returns the dataset's memo, building it if the Transactions
@@ -78,6 +79,7 @@ func (d *Dataset) packed() *salesMemo {
 	rows := packSales(d)
 	m := &salesMemo{tx: tx, n: n, dict: buildDict(rows, n), rows: rows}
 	m.dict.recode(rows)
+	m.pairs = salesPairs(rows)
 	d.memo.Store(m)
 	return m
 }
