@@ -179,7 +179,8 @@ func BenchmarkAblationPoolSize(b *testing.B) {
 }
 
 // BenchmarkParallelWorkers is the ladder behind the resident fan-out
-// (costmodel.ParallelMinRows quotes it): MineParallel across worker counts
+// (internal/core's BenchmarkPassFanOut is the same pass by pass, and
+// costmodel.ParallelMinRows quotes that): MineParallel across worker counts
 // on the full retail data set at 0.1% support (the heaviest published
 // setting) and, at 1 and 2 workers, on the bench's quest-resident workload
 // — T10I4D100K at 0.25%, |R'_2| = 5.2M rows. One worker is the serial

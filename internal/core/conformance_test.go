@@ -326,8 +326,10 @@ func fanOutCases() []fanOutCase {
 // TestParallelFanOutConformance pins the one fan-out to the serial pass:
 // at 2, 3, 4 and 7 workers the counts, every pass's |R'_k|, |R_k| and
 // |C_k|, and the retained border are MineMemory's, and every packed pass
-// reports packed/resident/Nw with a count kernel — pairs at k=2 for the
-// shapes that mark it, one of which cuts a basket across chunks.
+// reports the chunks it ran with a count kernel — packed/resident/Nw, or
+// 1w where R_{k-1} is under costmodel.ParallelMinRows rows and the pass
+// stays one chunk — pairs at k=2 for the shapes that mark it, one of
+// which cuts a basket across chunks.
 func TestParallelFanOutConformance(t *testing.T) {
 	for _, c := range fanOutCases() {
 		c := c
@@ -366,8 +368,12 @@ func TestParallelFanOutConformance(t *testing.T) {
 					if st.Plan.Kernel != core.KernelPacked {
 						continue // past the packed key: the serial flat reference
 					}
+					chunks := w
+					if passInputRows(want.Stats, i) < costmodel.ParallelMinRows {
+						chunks = 1
+					}
 					for _, kernel := range []string{core.CountTable, core.CountSort, core.CountPairs} {
-						if st.Plan.Count == kernel && st.Plan.String() != fmt.Sprintf("packed/resident/%dw/%s", w, kernel) {
+						if st.Plan.Count == kernel && st.Plan.String() != fmt.Sprintf("packed/resident/%dw/%s", chunks, kernel) {
 							t.Errorf("%s k=%d: plan %q", label, st.K, st.Plan)
 						}
 					}
@@ -387,6 +393,56 @@ func TestParallelFanOutConformance(t *testing.T) {
 	}
 }
 
+// passInputRows is the relation pass i of stats cut into chunks: SALES
+// (|R_1|) at k = 1, R_{k-1} after it.
+func passInputRows(stats []core.IterationStat, i int) int64 {
+	if i == 0 {
+		return stats[0].RPrimeRows
+	}
+	return stats[i-1].RRows
+}
+
+// TestMineAutoPlanWorkers: MineAuto's planner gives each worker of a
+// resident pass at least costmodel.ParallelMinRows rows of R_{k-1}, and
+// the plan reports the chunks the pass ran: exactly
+// min(MaxWorkers, max(1, |R_{k-1}|/ParallelMinRows)), so never more than
+// max(1, |R_{k-1}|/ParallelMinRows), on quest and retail at two and
+// eight workers.
+func TestMineAutoPlanWorkers(t *testing.T) {
+	retail := gen.DefaultRetail(3)
+	retail.NumTransactions = 8000
+	for _, c := range []struct {
+		name string
+		d    *core.Dataset
+		opts core.Options
+	}{
+		{"quest", gen.Quest(gen.T10I4D100K(0.02, 5)), core.Options{MinSupportFrac: 0.005}},
+		{"retail", gen.Retail(retail), core.Options{MinSupportFrac: 0.002}},
+	} {
+		for _, maxW := range []int{2, 8} {
+			opts := c.opts
+			opts.MaxWorkers = maxW
+			got, err := core.MineAuto(c.d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fanned := false
+			for i, st := range got.Stats {
+				rows := passInputRows(got.Stats, i)
+				want := int(min(int64(maxW), max(1, rows/costmodel.ParallelMinRows)))
+				if st.Plan.Workers != want {
+					t.Errorf("%s at %d workers, k=%d over |R_{k-1}| = %d rows: ran %s, want %dw",
+						c.name, maxW, st.K, rows, st.Plan, want)
+				}
+				fanned = fanned || st.Plan.Workers > 1
+			}
+			if !fanned {
+				t.Errorf("%s at %d workers: no pass fanned out", c.name, maxW)
+			}
+		}
+	}
+}
+
 // TestWideCataloguePacked: on the wide-catalogue case with every pattern
 // frequent (baskets of up to 8 items, 14-bit codes, so a bit-packed key
 // holds four), every pass of every driver runs the packed kernels past
@@ -395,7 +451,7 @@ func TestParallelFanOutConformance(t *testing.T) {
 // candidate join is quadratic in |C_k| and takes a minute and a half at
 // minsup 1; TestDriverConformance pins parallel-4 to it on this data set
 // at minsup 3). Serial passes read packed/resident/1w, fanned out
-// packed/resident/4w; under a 16 KiB budget — MinePaged, and
+// packed/resident/4w (1w under ParallelMinRows rows); under a 16 KiB budget — MinePaged, and
 // MineAutoMonitored twice on one caller-owned pool — packed/spilled/1w,
 // with nothing pinned and no page the first mine's runs held left
 // unrecycled (the second mine grows the store by none).
@@ -431,7 +487,8 @@ func TestWideCataloguePacked(t *testing.T) {
 		mine  func() (*core.Result, error)
 	}{
 		{"memory", []string{"packed/resident/1w"}, func() (*core.Result, error) { return core.MineMemory(d, opts) }},
-		{"parallel-4", []string{"packed/resident/4w"}, func() (*core.Result, error) { return core.MineParallel(d, opts, 4) }},
+		// A pass under ParallelMinRows rows of R_{k-1} runs, and reports, one chunk.
+		{"parallel-4", []string{"packed/resident/4w", "packed/resident/1w"}, func() (*core.Result, error) { return core.MineParallel(d, opts, 4) }},
 		{"paged-16KiB", []string{"packed/spilled/1w"}, func() (*core.Result, error) {
 			r, err := core.MinePaged(d, budgeted, core.PagedConfig{PoolFrames: 8})
 			if err != nil {

@@ -275,7 +275,7 @@ func TestCountRowsParallelTables(t *testing.T) {
 		items[i] = int64(i) * 3
 	}
 	dict := newPackDict(items, 1<<20, nil)
-	rows := randKeyRows(6, 8*parallelMinRows, 10)
+	rows := randKeyRows(6, 8*costmodel.ParallelMinRows, 10)
 	n := len(rows)
 	cuts := map[int][]int{ // chunk end offsets
 		2: {n / 5, n},

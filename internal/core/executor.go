@@ -26,10 +26,13 @@ package core
 //     counter, sequential page access.
 //
 // Every public driver is a thin wrapper over this stepper with either a
-// fixed plan (Mine, MineParallel, MinePaged) or the cost-model-driven
-// adaptive strategy (MineAuto). The chosen plan is recorded per
-// iteration in IterationStat.Plan, so benchmarks and EXPLAIN-style output
-// show why each pass ran the way it did.
+// fixed plan (Mine, MineParallel, MinePaged) or the adaptive strategy
+// (MineAuto), which decides by rule from relation sizes: spilled when the
+// projected footprint crosses the budget, else one worker per
+// costmodel.ParallelMinRows rows of R_{k-1}. The plan each pass ran —
+// its fan-out is the number of chunks it was cut into — is recorded in
+// IterationStat.Plan, so benchmarks and EXPLAIN-style output show why
+// each pass ran the way it did.
 
 import (
 	"context"
@@ -111,9 +114,10 @@ func fixedStrategy(workers int, budgetBounded bool) strategyFunc {
 	}
 }
 
-// autoStrategy consults the cost model: spilled exactly when the modeled
-// packed footprint crosses the budget, and — for a resident pass — the
-// worker count that minimizes the modeled iteration cost.
+// autoStrategy is costmodel.ChoosePlan's rule: spilled exactly when the
+// projected packed footprint crosses the budget, and a resident pass at
+// one worker per costmodel.ParallelMinRows rows of R_{k-1}, up to the
+// available CPUs.
 func autoStrategy() strategyFunc {
 	return func(in costmodel.PlanInput) IterPlan {
 		c := costmodel.ChoosePlan(in)
@@ -126,12 +130,13 @@ func autoStrategy() strategyFunc {
 }
 
 // MineAuto runs Algorithm SETM under the adaptive executor: every
-// iteration's kernel, memory regime, and parallelism are chosen by the
-// cost model from the previous iteration's observed cardinalities,
-// Options.MemoryBudget (<= 0: unbounded, fully resident), and the
-// available CPUs (capped by Options.MaxWorkers; budget-bounded passes are
-// serial). Results are bit-identical to Mine; the chosen plans are
-// recorded in Result.Stats[i].Plan.
+// iteration's memory regime and parallelism follow a rule on the previous
+// iteration's observed cardinalities — spilled when the projected
+// footprint crosses Options.MemoryBudget (<= 0: unbounded, fully
+// resident), else one worker per costmodel.ParallelMinRows rows of
+// R_{k-1}, up to the available CPUs (Options.MaxWorkers; budget-bounded
+// passes are serial). Results are bit-identical to Mine; the plans run
+// are recorded in Result.Stats[i].Plan.
 func MineAuto(d *Dataset, opts Options) (*Result, error) {
 	return MineAutoMonitored(context.Background(), d, opts, nil, nil)
 }
@@ -430,7 +435,9 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 			return nil, iterSizes{}, err
 		}
 	} else {
-		ck, plan.Count = s.countResident(chunkRows(mem, plan.Workers), s.tableCells(1), s.countSup(minSup), &skips)
+		chunks := chunkRows(mem, plan.Workers)
+		plan.Workers = len(chunks)
+		ck, plan.Count = s.countResident(chunks, s.tableCells(1), s.countSup(minSup), &skips)
 	}
 	ck = s.splitBorder(ck, minSup)
 	c1 := decodePatterns(ck, 1, s.dict)
@@ -499,6 +506,7 @@ func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, it
 	sales, ar, bits, cells := s.sales.mem, s.ar, s.dict.bits, s.tableCells(2)
 	chunks := chunkRows(sales, plan.Workers)
 	W := len(chunks)
+	plan.Workers = W
 	ar.workerSlots(W)
 	lo := make([]int, W+1) // chunk i is sales[lo[i]:lo[i+1]]
 	for i, c := range chunks {
@@ -616,8 +624,8 @@ func (s *execStepper) eachBasket(fn func(basket []prow) error) error {
 // the pass's largest relation by an order of magnitude, is never
 // gathered; only R_k's survivors are, so the next pass, checkpoints and
 // the border see one contiguous relation. One chunk (a serial plan, or
-// fewer than parallelMinRows rows) is the serial pass: slot 0, the filter
-// straight into rkBuf, no goroutine.
+// fewer than costmodel.ParallelMinRows rows) is the serial pass: slot 0,
+// the filter straight into rkBuf, no goroutine.
 func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
 	ioStart, stStart := s.startIteration()
 	rk, sales, ar, bits := s.rk.mem, s.sales.mem, s.ar, s.dict.bits
@@ -640,6 +648,7 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	prefixes := s.prefixes(k)
 	chunks := chunkRows(rk, plan.Workers)
 	W := len(chunks)
+	plan.Workers = W
 	ar.workerSlots(W)
 	rPrime := ar.wRows[:W]
 	eachChunk(W, func(i int) {

@@ -242,8 +242,9 @@ func TestAutoRecordsPlans(t *testing.T) {
 }
 
 // TestFixedDriversRecordPlans pins the wrappers' fixed plans in the
-// stats: Mine is packed/resident/1w, MineParallel carries its worker
-// count, MinePaged is spilled under its default budget.
+// stats: Mine is packed/resident/1w, MineParallel reports the chunks it
+// ran — one on the paper's example, far under ParallelMinRows rows —
+// MinePaged is spilled under its default budget.
 func TestFixedDriversRecordPlans(t *testing.T) {
 	d := PaperExample()
 	opts := Options{MinSupportFrac: 0.3}
@@ -260,7 +261,7 @@ func TestFixedDriversRecordPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := par.Stats[0].Plan; p.Workers != 3 || p.Regime != RegimeResident {
+	if p := par.Stats[0].Plan; p.Workers != 1 || p.Regime != RegimeResident {
 		t.Errorf("MineParallel plan = %+v", p)
 	}
 

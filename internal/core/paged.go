@@ -46,8 +46,8 @@ type PagedResult struct {
 // runs — bounded radix runs plus a cascaded k-way merge for the count
 // sort, sequential runs for everything else. A zero budget defaults to
 // PoolFrames × the page size (the pool's own capacity); a negative budget
-// pins everything in RAM. MineAuto lets the cost model choose regime and
-// parallelism per iteration instead. Options.DisablePackedKernels runs
+// pins everything in RAM. MineAuto chooses regime and parallelism per
+// iteration by rule instead. Options.DisablePackedKernels runs
 // the serial flat reference instead (no page I/O). Pass 2 writes R'_2, as
 // the paper's algorithm does, where the other drivers count its pairs
 // straight off SALES. The returned IO stats and page footprints let

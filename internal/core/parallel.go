@@ -29,19 +29,17 @@ func MineParallel(d *Dataset, opts Options, workers int) (*Result, error) {
 	return runPipeline(d, opts, newMemoryStepper(d, opts, workers))
 }
 
-// parallelMinRows is the relation size below which a pass stays serial —
-// goroutine fan-out costs more than it saves on tiny inputs. It is the
-// cost model's threshold, shared so the planner and the kernels agree.
-const parallelMinRows = costmodel.ParallelMinRows
-
 // chunkRows cuts rows into the chunks a resident pass fans out over: one
 // — the serial pass — when workers is 1 or rows are fewer than
-// parallelMinRows, otherwise at most workers contiguous ranges of
-// near-equal length. A cut may fall inside a transaction: the pass is
+// costmodel.ParallelMinRows, otherwise at most workers contiguous ranges
+// of near-equal length. MineAuto's planner asks for no more workers than
+// give each ParallelMinRows rows (costmodel.ChoosePlan); a fixed plan
+// (MineParallel) may ask for more. A pass's plan reports the number of
+// chunks it ran. A cut may fall inside a transaction: the pass is
 // independent per row of R_{k-1} given that transaction's rows of R_1, and
 // each side of the cut joins the same window of R_1.
 func chunkRows(rows []prow, workers int) [][]prow {
-	if workers <= 1 || len(rows) < parallelMinRows {
+	if workers <= 1 || len(rows) < costmodel.ParallelMinRows {
 		return [][]prow{rows}
 	}
 	chunks := make([][]prow, 0, workers)

@@ -304,9 +304,8 @@ func log2(n float64) float64 {
 //
 // The out-of-core packed pipeline stores (tid, key) rows as raw 16-byte
 // pairs (and bare key columns as 8-byte words) in fully packed 4 KB
-// pages — no tuple encoding, no headers. Sort cost on that substrate is
-// linear (byte-wise LSD radix), not comparison-based, and the
-// spill-vs-RAM decision is a byte comparison against the memory budget.
+// pages — no tuple encoding, no headers. The spill-vs-RAM decision is a
+// byte comparison against the memory budget.
 // These formulas give the planner and the drivers one shared source for
 // that arithmetic.
 
@@ -328,20 +327,6 @@ func PackedPages(rows, bytesPerRow int64) int64 {
 		return 0
 	}
 	return ceilDiv(rows*bytesPerRow, packedPageBytes)
-}
-
-// SpillRuns is the number of budget-bounded sorted runs rows of
-// bytesPerRow bytes generate: 1 means the sort completes in RAM; more
-// means an external pass. A non-positive budget never spills.
-func SpillRuns(rows, bytesPerRow, budget int64) int64 {
-	if budget <= 0 || rows <= 0 {
-		return 1
-	}
-	bytes := rows * bytesPerRow
-	if bytes <= budget {
-		return 1
-	}
-	return ceilDiv(bytes, budget)
 }
 
 // MergePassMs is the cost of the merge phase of a merge-scan join over
@@ -376,21 +361,6 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// RadixSortMs estimates a byte-wise LSD radix sort of rows fixed-width
-// elements: a linear counting pass plus a linear placement pass per
-// varying byte. The packed kernels typically touch only the bytes the
-// key domain varies in; passes defaults to the common narrow-domain
-// count when the caller cannot know better.
-func RadixSortMs(rows int64, passes int) float64 {
-	if rows <= 0 {
-		return 0
-	}
-	if passes < 1 {
-		passes = 2
-	}
-	return CPUTupleMs * float64(rows) * float64(2*passes)
-}
-
 // ---------------------------------------------------------------------------
 // Per-iteration executor planning
 //
@@ -401,24 +371,8 @@ func RadixSortMs(rows int64, passes int) float64 {
 // cardinalities the previous iteration *observed*. The functions below
 // are the shared arithmetic for that choice: the paper's point (Sections
 // 3.2/4.3) is precisely that SETM's per-pass cost is predictable from
-// relation sizes, so a planner can pick the pass's execution strategy
-// the way a DBMS picks a join order.
-
-// ParallelFanoutMs is the modeled fixed cost of dispatching one worker
-// goroutine and merging its partial result (chunk bookkeeping, one
-// count-list merge head). It is deliberately coarse: like CPUTupleMs it
-// exists to rank alternatives, not to predict wall-clock.
-const ParallelFanoutMs = 0.05
-
-// ParallelMs scales a perfectly divisible serial cost across workers and
-// adds the per-worker fan-out overhead. Workers <= 1 returns serialMs
-// unchanged.
-func ParallelMs(serialMs float64, workers int) float64 {
-	if workers <= 1 {
-		return serialMs
-	}
-	return serialMs/float64(workers) + ParallelFanoutMs*float64(workers)
-}
+// relation sizes, so the regime is a footprint against the budget and
+// the fan-out a rows-per-worker rule, both read off those sizes.
 
 // HashGroupMs models hash aggregation of rows into groups distinct
 // groups with sorted emission: one table probe per row (two tuple
@@ -596,7 +550,7 @@ const CountCellBytes = 4
 // PlanInput is what the executor observed going into an iteration.
 type PlanInput struct {
 	K         int   // pattern length of the upcoming iteration
-	PrevRRows int64 // |R_{k-1}| observed after the previous filter
+	PrevRRows int64 // |R_{k-1}| observed after the previous filter; sets the fan-out
 	// PrevRPrime is |R'_{k-1}| observed before the filter; from k >= 3 it
 	// caps the basket-based |R'_k| projection (see ChoosePlan).
 	PrevRPrime int64
@@ -614,101 +568,49 @@ type PlanInput struct {
 // PlanChoice is ChoosePlan's decision, in engine-neutral terms.
 type PlanChoice struct {
 	Spill bool // budget-bounded spilled regime instead of resident
-	// Workers is the chosen fan-out (>= 1; always 1 when Spill: a
-	// budget-bounded pass is serial).
+	// Workers is the fan-out (>= 1; always 1 when Spill: a budget-bounded
+	// pass is serial).
 	Workers int
-	// EstRPrime and FootprintBytes expose the model's intermediate
-	// quantities: the projected |R'_k| and the resident footprint whose
-	// comparison against Budget decided Spill.
-	EstRPrime      int64
-	FootprintBytes int64
-	// EstMs is the modeled cost of the iteration under the chosen plan.
-	EstMs float64
 }
 
-// ParallelMinRows is the relation size below which fanning a pass out
-// across workers costs more than it saves. Its one user is the native
-// resident fan-out (ChoosePlan below and core's stepResident). The value
-// is PR 1's guess, never fitted: the ladder behind the fan-out it gates
-// (BenchmarkParallelWorkers, -cpu 2, 2026-10-05) reads 1.65–1.7× at two
-// workers on quest (138–143 → 81–85 ms, R'_2 of 5.2 M rows) and 1.35× on
-// retail (8.8–8.9 → 6.5–6.7 ms, R_1 of 116 k rows) — both two to three
-// orders of magnitude above it (ROADMAP item 12(b)).
+// ParallelMinRows is the fewest rows of R_{k-1} a worker of a resident
+// pass is given: a pass fans out to one worker per ParallelMinRows rows,
+// up to the CPUs available, and core's chunkRows keeps a relation under
+// it in one chunk. The value is the original guess, kept because no
+// measured size beats it: core's BenchmarkPassFanOut (-cpu 2 -benchtime
+// 10x, two runs on a 2-vCPU AMD EPYC VM, 2026-10-17) finds no per-worker
+// |R_{k-1}| from which two workers beat one in >= 9 of 10 alternating
+// pairs on every larger pass of both quest and retail. Quest clears it
+// only from 514k rows a worker (scale 1.0, k = 1 and 2: at least 9 of 10
+// in each run); below that the wins scatter (k = 2 at 155k rows a
+// worker: 7 and 10; k = 3 at 36k: 5 and 2; k = 3 at 13k: 10 and 10).
+// Retail's largest passes, k = 1 and 2 at 58k rows a worker, won 5 and
+// 2, and 10 and 10.
 const ParallelMinRows = 2048
 
 // ChoosePlan picks a packed-key iteration's strategy from observed
-// cardinalities: the spilled regime exactly when the modeled packed
-// footprint exceeds the budget and — for a resident pass — the worker count that minimizes the modeled iteration
-// cost. A spilled pass is one worker: its cost is sequential page access
-// (the paper's Section 4.3 argument), which concurrent cursors on one
-// store break up — measured at 0.34-0.37x of the serial pass at two
-// workers on the quest workload under an 8 MiB budget. It never returns
-// an invalid plan (Workers >= 1, Spill false when unbounded), whatever the
-// inputs.
+// cardinalities, by rule. It spills exactly when the projected packed
+// footprint exceeds a positive budget. A spilled pass is one worker: its
+// cost is sequential page access (the paper's Section 4.3 argument),
+// which concurrent cursors on one store break up — measured at
+// 0.34-0.37x of the serial pass at two workers on the quest workload
+// under an 8 MiB budget. A resident pass gives each worker at least
+// ParallelMinRows rows of R_{k-1}, the relation the executor cuts into
+// chunks, up to in.Workers. It never returns an invalid plan (Workers >=
+// 1, Spill false when unbounded), whatever the inputs.
 func ChoosePlan(in PlanInput) PlanChoice {
-	c := PlanChoice{Workers: 1}
-	c.EstRPrime = EstRPrimeRows(in.PrevRRows, in.AvgBasket)
-	if in.K >= 3 && in.PrevRPrime > 0 && c.EstRPrime > in.PrevRPrime {
+	est := EstRPrimeRows(in.PrevRRows, in.AvgBasket)
+	if in.K >= 3 && in.PrevRPrime > 0 && est > in.PrevRPrime {
 		// Candidate growth is front-loaded: once support pruning bites
 		// (k >= 3), the candidate set has never been observed to outgrow
 		// the previous iteration's, so the observed |R'_{k-1}| caps the
 		// basket-based projection.
-		c.EstRPrime = in.PrevRPrime
+		est = in.PrevRPrime
 	}
-	c.FootprintBytes = PackedIterFootprint(c.EstRPrime, in.CountTableBytes)
-	c.Spill = in.Budget > 0 && c.FootprintBytes > in.Budget
-
-	// costAt models the iteration at w workers. The dominant costs: the
-	// merge-scan extension, count and filter passes; the count step's
-	// radix sort of the key column — or, when the pass counts on a table,
-	// clearing and scanning its cells; and — when spilled — the extra
-	// sequential write+read of the run pages (rows only when no key runs
-	// are sorted). The count kernel follows the fan-out: every resident
-	// worker keeps its own table, so the rule applies to a worker's share
-	// of the keys; a spilled pass's one table must also fit the key
-	// counter's sort buffers (half the budget).
-	costAt := func(w int) float64 {
-		table := CountTableFits(in.CountTableBytes, c.EstRPrime/int64(w))
-		if c.Spill {
-			table = table && in.CountTableBytes <= in.Budget/2
-		}
-		serial := CPUTupleMs * float64(3*c.EstRPrime)
-		if table {
-			serial += CPUTupleMs * float64(in.CountTableBytes/CountCellBytes)
-		} else {
-			serial += RadixSortMs(c.EstRPrime, 2)
-		}
-		if c.Spill {
-			p := PaperDBParams()
-			pages := PackedPages(c.EstRPrime, PackedRowBytes)
-			if !table {
-				pages += PackedPages(c.EstRPrime, PackedKeyBytes)
-			}
-			serial += 2 * SeqScanMs(p, pages)
-		}
-		return ParallelMs(serial, w)
+	if in.Budget > 0 && PackedIterFootprint(est, in.CountTableBytes) > in.Budget {
+		return PlanChoice{Spill: true, Workers: 1}
 	}
-	c.EstMs = costAt(1)
-
-	// ParallelMs is convex in the worker count (dividable work plus a
-	// linear fan-out charge), so the best fan-out is rarely an endpoint;
-	// scan doublings up to the available workers and keep the modeled
-	// minimum.
-	if maxW := in.Workers; !c.Spill && c.EstRPrime >= ParallelMinRows && maxW > 1 {
-		for w := 2; ; w *= 2 {
-			if w > maxW {
-				w = maxW
-			}
-			if par := costAt(w); par < c.EstMs {
-				c.Workers = w
-				c.EstMs = par
-			}
-			if w == maxW {
-				break
-			}
-		}
-	}
-	return c
+	return PlanChoice{Workers: int(max(1, min(int64(in.Workers), in.PrevRRows/ParallelMinRows)))}
 }
 
 // String renders the nested-loop report in the paper's terms.

@@ -175,22 +175,3 @@ func TestPackedPages(t *testing.T) {
 		}
 	}
 }
-
-func TestSpillRuns(t *testing.T) {
-	for _, tc := range []struct {
-		rows, bytesPerRow, budget, want int64
-	}{
-		{1000, 16, 0, 1},     // no budget: never spills
-		{1000, 16, -5, 1},    // negative budget: never spills
-		{1000, 16, 16000, 1}, // fits exactly
-		{1000, 16, 15999, 2}, // one byte over: two runs
-		{1000, 16, 4000, 4},
-		{1000, 16, 1, 16000}, // degenerate tiny budget
-		{0, 16, 1, 1},
-	} {
-		if got := SpillRuns(tc.rows, tc.bytesPerRow, tc.budget); got != tc.want {
-			t.Errorf("SpillRuns(%d, %d, %d) = %d, want %d",
-				tc.rows, tc.bytesPerRow, tc.budget, got, tc.want)
-		}
-	}
-}

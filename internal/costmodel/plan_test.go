@@ -59,125 +59,104 @@ func TestChoosePlanFootprintModel(t *testing.T) {
 }
 
 // TestChoosePlanCountTable: a pass whose key space admits a counting
-// table is charged the table instead of the key column and its radix
-// sort — cheaper and smaller exactly when CountTableFits holds, so the
-// spill decision follows the program that runs.
+// table is charged the table instead of the key column, so the spill
+// decision follows the program that runs — between the two footprints
+// the budget flips the regime by kernel, and a table larger than the
+// sort buffers it would replace changes nothing.
 func TestChoosePlanCountTable(t *testing.T) {
 	in := PlanInput{K: 2, PrevRRows: 100_000, AvgBasket: 10, Workers: 1}
-	sorted := ChoosePlan(in)
-	in.CountTableBytes = 1 << 20
-	tabled := ChoosePlan(in)
-	if !CountTableFits(in.CountTableBytes, tabled.EstRPrime) {
-		t.Fatalf("setup: a 1 MiB table should fit %d keys", tabled.EstRPrime)
+	est := EstRPrimeRows(in.PrevRRows, in.AvgBasket)
+	const table = 1 << 20
+	if !CountTableFits(table, est) {
+		t.Fatalf("setup: a 1 MiB table should fit %d keys", est)
 	}
-	if want := sorted.FootprintBytes - PackedKeyBytes*tabled.EstRPrime + in.CountTableBytes; tabled.FootprintBytes != want {
-		t.Errorf("table footprint = %d, want %d", tabled.FootprintBytes, want)
+	sorted, tabled := PackedIterFootprint(est, 0), PackedIterFootprint(est, table)
+	if want := sorted - PackedKeyBytes*est + table; tabled != want {
+		t.Fatalf("table footprint = %d, want %d", tabled, want)
 	}
-	if tabled.EstMs >= sorted.EstMs {
-		t.Errorf("table pass modeled at %.3f ms, sort pass at %.3f ms: the sort term was not dropped", tabled.EstMs, sorted.EstMs)
-	}
-	// Between the two footprints the budget flips the regime by kernel.
-	in.Budget = tabled.FootprintBytes
-	if c := ChoosePlan(in); c.Spill {
-		t.Error("budget == table footprint: spilled, want resident")
-	}
-	in.CountTableBytes = 0
-	if c := ChoosePlan(in); !c.Spill {
-		t.Error("same budget on the sort kernel: resident, want spilled")
-	}
-	// A table larger than the sort buffers is ignored entirely.
-	in.Budget = 0
-	in.CountTableBytes = 16*sorted.EstRPrime + 1
-	if c := ChoosePlan(in); c != sorted {
-		t.Errorf("oversized table changed the plan: %+v vs %+v", c, sorted)
+	for _, tc := range []struct {
+		table, budget int64
+		spill         bool
+	}{
+		{table, tabled, false},         // the table pass fits exactly
+		{table, tabled - 1, true},      // one byte short
+		{0, tabled, true},              // the same budget on the sort kernel
+		{0, sorted, false},             // the sort pass fits exactly
+		{16*est + 1, sorted - 1, true}, // an oversized table is the sort kernel
+		{16*est + 1, sorted, false},
+	} {
+		in.CountTableBytes, in.Budget = tc.table, tc.budget
+		if c := ChoosePlan(in); c.Spill != tc.spill {
+			t.Errorf("table %d B, budget %d B: spill = %v, want %v", tc.table, tc.budget, c.Spill, tc.spill)
+		}
 	}
 	if CountTableFits(0, 1<<40) || CountTableFits(-4, 1<<40) || CountTableFits(16, 0) {
 		t.Error("CountTableFits accepted an absent table or an empty input")
 	}
 }
 
-// TestChoosePlanWorkers: large relations fan out across the available
-// CPUs, small ones stay serial, mid-size ones on many-core machines get
-// the cost-minimizing intermediate fan-out (not all-or-nothing), and a
-// spilled pass is one worker at a cost the available workers cannot move.
+// TestChoosePlanWorkers pins the fan-out rule: a resident pass gives each
+// worker at least ParallelMinRows rows of R_{k-1}, up to the available
+// CPUs; a spilled pass is one worker whatever is available.
 func TestChoosePlanWorkers(t *testing.T) {
-	big := PlanInput{K: 2, PrevRRows: 500_000, AvgBasket: 10, Workers: 8}
-	if c := ChoosePlan(big); c.Workers != 8 {
-		t.Errorf("big resident iteration: workers = %d, want 8", c.Workers)
+	for _, tc := range []struct {
+		name      string
+		prevRRows int64
+		workers   int
+		want      int
+	}{
+		{"big", 500_000, 8, 8},
+		{"big-one-cpu", 500_000, 1, 1},
+		{"tiny", 10, 8, 1},
+		{"empty", 0, 8, 1},
+		{"just-under-two-workers", 2*ParallelMinRows - 1, 8, 1},
+		{"two-workers", 2 * ParallelMinRows, 8, 2},
+		{"mid-size-on-64-cpus", 20 * ParallelMinRows, 64, 20},
+		{"mid-size-past-a-multiple", 20*ParallelMinRows + ParallelMinRows - 1, 64, 20},
+		{"no-cpus-reported", 500_000, 0, 1},
+	} {
+		in := PlanInput{K: 2, PrevRRows: tc.prevRRows, AvgBasket: 10, Workers: tc.workers}
+		if c := ChoosePlan(in); c.Spill || c.Workers != tc.want {
+			t.Errorf("%s: %+v, want resident at %d workers", tc.name, c, tc.want)
+		}
 	}
-	small := big
-	small.PrevRRows = 10
-	if c := ChoosePlan(small); c.Workers != 1 {
-		t.Errorf("tiny iteration: workers = %d, want 1", c.Workers)
-	}
-	// Mid-size work on a 64-way box: full fan-out costs more in dispatch
-	// than it saves, but an intermediate fan-out still beats serial.
-	mid := PlanInput{K: 2, PrevRRows: 1500, AvgBasket: 4, Workers: 64}
-	cm := ChoosePlan(mid)
-	if cm.EstRPrime < ParallelMinRows {
-		t.Fatalf("mid estimate %d below the parallel threshold; adjust the fixture", cm.EstRPrime)
-	}
-	if cm.Workers <= 1 || cm.Workers >= 64 {
-		t.Errorf("mid-size on 64 CPUs: workers = %d, want an intermediate fan-out", cm.Workers)
-	}
-	serial := ChoosePlan(PlanInput{K: 2, PrevRRows: 1500, AvgBasket: 4, Workers: 1})
-	if cm.EstMs >= serial.EstMs {
-		t.Errorf("chosen fan-out models %.3f ms, serial %.3f ms", cm.EstMs, serial.EstMs)
-	}
-	spilled := big
-	spilled.Budget = 1 << 10
-	c := ChoosePlan(spilled)
-	if !c.Spill {
-		t.Fatal("1 KB budget did not spill")
-	}
-	if c.Workers != 1 {
-		t.Errorf("spilled workers = %d, want 1", c.Workers)
-	}
-	spilled.Workers = 1
-	if c1 := ChoosePlan(spilled); c1.EstMs != c.EstMs {
-		t.Errorf("spilled EstMs depends on the available workers: %.3f at 8, %.3f at 1", c.EstMs, c1.EstMs)
+	spilled := PlanInput{K: 2, PrevRRows: 500_000, AvgBasket: 10, Workers: 8, Budget: 1 << 10}
+	if c := ChoosePlan(spilled); !c.Spill || c.Workers != 1 {
+		t.Errorf("1 KB budget: %+v, want spilled at 1 worker", c)
 	}
 }
 
 // TestChoosePlanObservedCandidateCap: from k >= 3 the observed
 // |R'_{k-1}| caps the basket-based projection — candidate growth is
 // front-loaded, so a shrinking run must not keep planning for the
-// worst case.
+// worst case. The spill flips at the capped footprint from k = 3 and at
+// the uncapped one at k = 2.
 func TestChoosePlanObservedCandidateCap(t *testing.T) {
 	in := PlanInput{K: 3, PrevRRows: 10_000, PrevRPrime: 12_000, AvgBasket: 10, Workers: 1}
-	c := ChoosePlan(in)
-	if c.EstRPrime != 12_000 { // basket model would say 50,000
-		t.Errorf("k=3 estimate = %d, want the observed cap 12000", c.EstRPrime)
+	if est := EstRPrimeRows(in.PrevRRows, in.AvgBasket); est != 50_000 {
+		t.Fatalf("setup: basket projection = %d, want 50000", est)
 	}
-	in.K = 2 // the first extension may legitimately grow past |R'_1|
-	if c := ChoosePlan(in); c.EstRPrime != 50_000 {
-		t.Errorf("k=2 estimate = %d, want the uncapped 50000", c.EstRPrime)
+	capped, uncapped := PackedIterFootprint(12_000, 0), PackedIterFootprint(50_000, 0)
+	for _, tc := range []struct {
+		k      int
+		budget int64
+		spill  bool
+	}{
+		{3, capped, false},
+		{3, capped - 1, true},
+		{2, capped, true}, // the first extension may legitimately grow past |R'_1|
+		{2, uncapped, false},
+		{2, uncapped - 1, true},
+	} {
+		in.K, in.Budget = tc.k, tc.budget
+		if c := ChoosePlan(in); c.Spill != tc.spill {
+			t.Errorf("k=%d, budget %d B: spill = %v, want %v", tc.k, tc.budget, c.Spill, tc.spill)
+		}
 	}
-}
-
-// TestParallelMsMonotonic: more workers never make the modeled cost
-// negative, and the overhead term makes tiny work prefer serial.
-func TestParallelMsMonotonic(t *testing.T) {
-	if got := ParallelMs(100, 1); got != 100 {
-		t.Errorf("ParallelMs(100, 1) = %v, want 100", got)
-	}
-	if got := ParallelMs(100, 4); got <= 0 || got >= 100 {
-		t.Errorf("ParallelMs(100, 4) = %v, want in (0, 100)", got)
-	}
-	if got := ParallelMs(0.001, 8); got <= 0.001 {
-		t.Errorf("ParallelMs(0.001, 8) = %v: fan-out overhead should dominate tiny work", got)
-	}
-}
-
-func TestRadixSortMs(t *testing.T) {
-	if got := RadixSortMs(0, 2); got != 0 {
-		t.Errorf("RadixSortMs(0) = %v", got)
-	}
-	if RadixSortMs(1000, 4) <= RadixSortMs(1000, 2) {
-		t.Error("more radix passes must cost more")
-	}
-	if RadixSortMs(1000, 0) != RadixSortMs(1000, 2) {
-		t.Error("pass count <= 0 must default to the narrow-domain count")
+	// A zero observation (resumed or unknown) leaves the projection alone.
+	in.K, in.PrevRPrime, in.Budget = 3, 0, capped
+	if c := ChoosePlan(in); !c.Spill {
+		t.Error("k=3 with no observed |R'_2|: capped anyway")
 	}
 }
 

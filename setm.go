@@ -23,10 +23,12 @@
 // All mining runs through one adaptive executor whose per-iteration
 // strategy IR — memory regime (resident or spilled) and parallelism, on
 // the packed-key kernels — is chosen at the top of each SETM pass.
-// MineAuto lets the paper's own cost model (Sections 3.2/4.3 generalized
-// in internal/costmodel) pick that plan per iteration from the previous
-// iteration's observed cardinalities, the MemoryBudget, and the
-// available CPUs. The classic drivers are fixed points in the
+// MineAuto picks that plan per iteration by rule from the previous
+// iteration's observed cardinalities, as the paper's cost argument
+// (Sections 3.2/4.3, generalized in internal/costmodel) says it can: the
+// spilled regime when the projected footprint crosses the MemoryBudget,
+// else one worker per costmodel.ParallelMinRows rows of R_{k-1}, up to
+// the available CPUs. The classic drivers are fixed points in the
 // same strategy space and compute bit-identical results: Mine (packed,
 // resident, serial), MineParallel (packed, resident, one chunk of the
 // pass per worker), MinePaged
@@ -94,11 +96,13 @@ func Mine(d *Dataset, opts Options) (*Result, error) {
 }
 
 // MineAuto runs Algorithm SETM under the adaptive executor: each
-// iteration's kernel, memory regime, and parallelism are chosen by the
-// cost model from the previous iteration's observed cardinalities,
-// Options.MemoryBudget (<= 0: unbounded), and the CPUs available (capped
-// by Options.MaxWorkers; budget-bounded passes are serial). Results are bit-identical to Mine; the chosen
-// plans are recorded per iteration in Result.Stats[i].Plan.
+// iteration's memory regime and parallelism follow a rule on the previous
+// iteration's observed cardinalities — spilled when the projected
+// footprint crosses Options.MemoryBudget (<= 0: unbounded), else one
+// worker per costmodel.ParallelMinRows rows of R_{k-1}, up to the CPUs
+// available (Options.MaxWorkers; budget-bounded passes are serial).
+// Results are bit-identical to Mine; the plans run are recorded per
+// iteration in Result.Stats[i].Plan.
 //
 //	res, _ := setm.MineAuto(d, setm.Options{
 //	    MinSupportFrac: 0.001,
