@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -154,6 +155,46 @@ func TestPagedIOCheck(t *testing.T) {
 	// extra C_k scans and buffer-pool caching cuts both ways.
 	if measured > 8*bound {
 		t.Errorf("measured %d far above bound %d", measured, bound)
+	}
+}
+
+// TestPagedIOCheckGolden pins `setm-bench -exp io` — 4,000 retail
+// transactions of seed 1 at 1% — to its figures: 313 page accesses
+// against the Section 4.3 bound of 204, sequential-dominated, and the
+// per-pass spill accounting of the MinePaged run behind them. MinePaged
+// keeps SALES on pages, as the paper's arithmetic charges it, so its k=1
+// writes R_1 as a run. TestPagedIOCheck's 8× band would not notice a
+// driver that stopped doing so; this does.
+func TestPagedIOCheckGolden(t *testing.T) {
+	cfg := gen.DefaultRetail(1)
+	cfg.NumTransactions = 4000
+	d := gen.Retail(cfg)
+	opts := core.Options{MinSupportFrac: 0.01}
+	measured, bound, seqDominated, err := PagedIOCheck(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if measured != 313 || bound != 204 || !seqDominated {
+		t.Errorf("PagedIOCheck = %d measured, %d bound, sequential-dominated %v; want 313, 204, true", measured, bound, seqDominated)
+	}
+
+	// PagedIOCheck's own run: its default budget over its 16-frame pool.
+	opts.MemoryBudget = 32 << 10
+	res, err := core.MinePaged(d, opts, core.PagedConfig{PoolFrames: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type acct struct{ runs, bytes, pageIO int64 }
+	want := []acct{{1, 156048, 39}, {2, 201440, 165}, {1, 34704, 70}, {0, 0, 39}}
+	var got []acct
+	for _, st := range res.Stats {
+		got = append(got, acct{st.RunsSpilled, st.SpillBytes, st.PageIO})
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("MinePaged per-pass (runs, bytes, page I/O) = %v, want %v", got, want)
+	}
+	if len(res.Stats) == 0 || res.Stats[0].RunsSpilled < 1 {
+		t.Error("MinePaged's k=1 wrote no run: SALES is no longer on pages")
 	}
 }
 
