@@ -859,3 +859,106 @@ func TestRankCodedPlans(t *testing.T) {
 		}
 	}
 }
+
+// passStore is a page store that knows which pass is running: it records
+// the pass that last wrote each page, and every read of a page written
+// before the previous pass — the signature of a relation kept on pages
+// across passes, as a spilled copy of SALES is.
+type passStore struct {
+	storage.Store
+	pass       int // set by the mine's onIter hook
+	writer     map[storage.PageID]int
+	reads      int64
+	staleReads []string
+}
+
+func (s *passStore) WritePages(id storage.PageID, src []byte) error {
+	for i := 0; i < len(src)/storage.PageSize; i++ {
+		s.writer[id+storage.PageID(i)] = s.pass
+	}
+	return s.Store.WritePages(id, src)
+}
+
+func (s *passStore) ReadPages(id storage.PageID, dst []byte) error {
+	for i := 0; i < len(dst)/storage.PageSize; i++ {
+		s.reads++
+		if w := s.writer[id+storage.PageID(i)]; w < s.pass-1 {
+			s.staleReads = append(s.staleReads, fmt.Sprintf("k=%d read page %d of k=%d", s.pass, id+storage.PageID(i), w))
+		}
+	}
+	return s.Store.ReadPages(id, dst)
+}
+
+// TestBudgetedMineReadsMemo: a budgeted MineAuto reads R_1 in place from
+// the data set's memo — packed SALES is resident for the data set's life,
+// so a copy of it on pages would free no heap and only add page I/O. On
+// quest and retail under budgets from 16 KiB (every pass spilled) to
+// 8 MiB, over a passStore: the counts and per-pass |R'_k|/|R_k| equal
+// MineMemory's, k=1 makes no page I/O (it is where a copy of SALES would
+// be written), no pass reads a page written before the pass ahead of it
+// (where a copy of SALES would be read), and every page is free at the
+// end. MinePaged, the one driver whose SALES lives on pages for the
+// Section 4.3 analysis, keeps its counts, sizes and per-pass page I/O
+// (golden), and so its k=1 run.
+func TestBudgetedMineReadsMemo(t *testing.T) {
+	retail := gen.DefaultRetail(1)
+	retail.NumTransactions = 4000
+	for _, c := range []struct {
+		name  string
+		d     *core.Dataset
+		opts  core.Options
+		paged map[int64][]int64 // MinePaged's per-pass PageIO by budget
+	}{
+		{"quest", gen.Quest(gen.T10I4D100K(0.05, 1)), core.Options{MinSupportFrac: 0.005}, map[int64][]int64{
+			16 << 10: {202, 13741, 481, 193}, 256 << 10: {202, 8608, 308, 202}, 8 << 20: {0, 2056, 0, 0},
+		}},
+		{"retail", gen.Retail(retail), core.Options{MinSupportFrac: 0.005}, map[int64][]int64{
+			16 << 10: {39, 375, 120, 41}, 256 << 10: {39, 169, 56, 39}, 8 << 20: {0, 0, 0, 0},
+		}},
+	} {
+		want, err := core.MineMemory(c.d, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int64{16 << 10, 256 << 10, 8 << 20} {
+			label := fmt.Sprintf("%s %d KiB", c.name, budget>>10)
+			o := c.opts
+			o.MemoryBudget = budget
+			ps := &passStore{Store: storage.NewMemStore(), pass: 1, writer: map[storage.PageID]int{}}
+			pool := storage.NewPool(ps, 64)
+			got, err := core.MineAutoMonitored(context.Background(), c.d, o, pool, func(core.IterationStat) { ps.pass++ })
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertIdenticalCounts(t, label, want, got)
+			if k1 := got.Stats[0]; k1.RunsSpilled != 0 || k1.PageIO != 0 {
+				t.Errorf("%s: k=1 (%s) wrote %d runs with %d page I/Os; R_1 is the memo's", label, k1.Plan, k1.RunsSpilled, k1.PageIO)
+			}
+			if budget < 1<<20 && (got.Stats[0].Plan.Regime != core.RegimeSpilled || ps.reads == 0) {
+				t.Errorf("setup: %s: k=1 plan %s, %d pages read; want a spilled mine that reads pages", label, got.Stats[0].Plan, ps.reads)
+			}
+			if len(ps.staleReads) > 0 {
+				t.Errorf("%s: %d reads of pages kept across passes, first %s", label, len(ps.staleReads), ps.staleReads[0])
+			}
+			if n := pool.PinnedFrames(); n != 0 {
+				t.Errorf("%s: %d pinned frames", label, n)
+			}
+			if all := pool.Store().NumPages(); core.FreePages(t, pool) != all {
+				t.Errorf("%s: not all %d pages free", label, all)
+			}
+
+			paged, err := core.MinePaged(c.d, o, core.PagedConfig{PoolFrames: 64})
+			if err != nil {
+				t.Fatalf("%s paged: %v", label, err)
+			}
+			assertIdenticalCounts(t, label+" paged", want, paged.Result)
+			var io []int64
+			for _, st := range paged.Stats {
+				io = append(io, st.PageIO)
+			}
+			if !slices.Equal(io, c.paged[budget]) {
+				t.Errorf("%s paged: per-pass page I/O %v, want %v", label, io, c.paged[budget])
+			}
+		}
+	}
+}

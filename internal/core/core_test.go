@@ -467,9 +467,10 @@ func TestDatasetMemoStaleness(t *testing.T) {
 }
 
 // TestDatasetMemoConcurrent: one Dataset mined from four goroutines at
-// once — MineAuto at two workers, MineAuto under an 8 MiB budget (R_1
-// outgrows its share of it, so that mine's passes read a spilled copy of
-// the memo), MineSQL, and SalesRows, which is all WriteDataset reads.
+// once — MineAuto at two workers, MineAuto under an 8 MiB budget (a
+// spilled plan from k=1 whose passes read R_1 in place from the memo,
+// though it outgrows the budget's appender share), MineSQL, and
+// SalesRows, which is all WriteDataset reads.
 // Every result equals the flat reference and the memo's rows are the
 // same after as before. A cold dataset read from four goroutines builds
 // one relation however many of them build it.
@@ -538,12 +539,12 @@ func TestDatasetMemoConcurrent(t *testing.T) {
 	if !reflect.DeepEqual(rows, wantRows) {
 		t.Fatalf("SalesRows: %d rows differ from the reference's %d", len(rows), len(wantRows))
 	}
-	spilledR1 := false
-	for _, st := range results[1].Stats {
-		spilledR1 = spilledR1 || (st.K == 1 && st.RunsSpilled > 0)
+	if k1 := results[1].Stats[0]; k1.Plan.Regime != RegimeSpilled || k1.RunsSpilled != 0 || k1.PageIO != 0 {
+		t.Errorf("8 MiB budget: k=1 ran %s with %d runs and %d page I/Os; want a spilled plan that leaves R_1 (%d rows) in the memo",
+			k1.Plan, k1.RunsSpilled, k1.PageIO, len(before))
 	}
-	if !spilledR1 {
-		t.Errorf("8 MiB budget: R_1 did not spill (%d rows); the spilled copy went untested", len(before))
+	if capRows := (&execStepper{budget: budgeted.MemoryBudget}).capRows(); len(before) <= capRows {
+		t.Errorf("setup: R_1's %d rows fit the 8 MiB budget's appender share of %d", len(before), capRows)
 	}
 	if d.packed() != memo {
 		t.Fatal("the memo was rebuilt under an unchanged Transactions header")

@@ -35,6 +35,7 @@ package core
 // each pass ran the way it did.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -220,9 +221,11 @@ type execStepper struct {
 	prevRPrime int64
 	prevRRows  int64
 
-	// materializeR2 keeps pass 2 on the paper's extend → count → filter:
-	// MinePaged sets it, so its page I/O is the Section 4.3 algorithm's.
-	materializeR2 bool
+	// paperPaged runs the Section 4.3 algorithm as the paper charges it:
+	// pass 2 extends, counts and filters R'_2, and under a spilled plan R_1
+	// is written to pages and streamed back by every pass. MinePaged sets
+	// it; every other driver reads R_1 in place from the data set's memo.
+	paperPaged bool
 
 	// Border retention (Options.RetainBorder): the count kernels run at
 	// threshold 1 and splitBorder keeps the sub-minsup runs — the
@@ -287,7 +290,9 @@ func (s *execStepper) nextPlan(k int, prevRPrime, prevRRows int64) IterPlan {
 
 // chunk is the per-buffer share of the budget (four live bounded buffers:
 // the R'_k appender, the key-sort buffer, the R_k appender, and the
-// streaming cursors' scratch). Zero when unbounded.
+// streaming cursor's scratch). R_1 is not among them: it is the data
+// set's packed SALES, resident outside the budget (MinePaged's spilled
+// copy streams through a cursor of its own). Zero when unbounded.
 func (s *execStepper) chunk() int64 {
 	if s.budget <= 0 {
 		return 0
@@ -422,10 +427,10 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	plan, mem := s.open()
 	ioStart, stStart := s.startIteration()
 
-	// C_1: counts per item code. The rows are resident at this point
-	// either way (they are the dataset's); the spilled regime only bounds
-	// the *additional* working set, streaming the keys through
-	// budget-bounded counters.
+	// C_1: counts per item code. The rows are the data set's memo,
+	// resident whatever the plan; the spilled regime only bounds the
+	// working set beyond them, streaming the keys through a budget-bounded
+	// counter.
 	var skips int64
 	var ck pkCounts
 	var err error
@@ -463,11 +468,10 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 		return nil, iterSizes{}, fmt.Errorf("%w: pass %d over %d prefixes of %d-bit codes", errKeyWidth, k, len(s.prevC), s.dict.bits)
 	}
 	plan := s.nextPlan(k, s.prevRPrime, s.prevRRows)
-	pairs := s.pairsPass(k, plan)
+	if s.pairsPass(k, plan) {
+		return s.stepPairs(minSup, plan)
+	}
 	if plan.Regime == RegimeResident && s.rk.resident() && s.sales.resident() {
-		if pairs {
-			return s.stepPairs(minSup, plan)
-		}
 		return s.stepResident(k, minSup, plan)
 	}
 	// The streaming path also serves a resident plan whose *inputs* are
@@ -475,9 +479,6 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 	// appenders then land the outputs in RAM. It is serial either way.
 	s.ensurePool()
 	plan.Workers = 1
-	if pairs {
-		return s.stepPairsStreaming(minSup, plan)
-	}
 	return s.stepStreaming(k, minSup, plan)
 }
 
@@ -485,8 +486,10 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 // (pack.go's pairs pass) instead of writing R'_2: at k = 2 over SALES
 // itself, when the count table would count R'_2 — the kernel rule against
 // |R'_2|, or under a budget against the key counter's bounded buffers.
+// SALES is then resident: only paperPaged puts it on pages, and that
+// driver materializes R'_2.
 func (s *execStepper) pairsPass(k int, plan IterPlan) bool {
-	if k != 2 || s.rk != s.sales || s.materializeR2 {
+	if k != 2 || s.rk != s.sales || s.paperPaged {
 		return false
 	}
 	keys := int(s.salesPairs)
@@ -496,11 +499,14 @@ func (s *execStepper) pairsPass(k int, plan IterPlan) bool {
 	return countTableFits(s.tableCells(2), keys)
 }
 
-// stepPairs is pass 2 over resident SALES without R'_2: scan 1 counts
+// stepPairs is pass 2 without R'_2, over SALES in place: scan 1 counts
 // each chunk's pairs on its worker's table, the tables are summed and
 // read out as C_2, and scan 2 emits each chunk's pairs in C_2 into its
 // worker's buffer, gathered into R_2 in SALES' order. The chunks are
-// stepResident's; a chunk's last basket pairs with its rows past the cut.
+// stepResident's; a chunk's last basket pairs with its rows past the
+// cut, and so does a range's: each chunk is scanned in ranges of
+// cancelCheckRows rows with a cancellation poll between them. A spilled
+// plan is one chunk whose R_2 goes through a budget-bounded appender.
 func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
 	ioStart, stStart := s.startIteration()
 	sales, ar, bits, cells := s.sales.mem, s.ar, s.dict.bits, s.tableCells(2)
@@ -512,64 +518,78 @@ func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, it
 	for i, c := range chunks {
 		lo[i+1] = lo[i] + len(c)
 	}
+	errs := make([]error, W)
 	eachChunk(W, func(i int) {
-		ar.wTab[i] = growU32(ar.wTab[i], cells)
-		clear(ar.wTab[i])
-		pairsCount(sales, lo[i], lo[i+1], bits, ar.wTab[i])
+		tab := growU32(ar.wTab[i], cells)
+		clear(tab)
+		ar.wTab[i] = tab
+		errs[i] = s.inRanges(lo[i], lo[i+1], func(a, b int) error {
+			pairsCount(sales, a, b, bits, tab)
+			return nil
+		})
 	})
+	if err := cmp.Or(errs...); err != nil {
+		return nil, iterSizes{}, err
+	}
 	cOut := s.pairsC2(sumTables(ar.wTab[:W]), minSup)
 
+	if plan.Regime == RegimeSpilled {
+		s.ensurePool()
+		app := &spillAppender{pool: s.pool, capRows: s.capRows(), st: &s.st, mem: ar.rkBuf[:0]}
+		defer app.abort(s.pool) // no-op once finished
+		keep := ar.wKeep[0]
+		err := s.inRanges(0, len(sales), func(a, b int) error {
+			keep = pairsEmit(sales, a, b, bits, &s.idx, keep[:0])
+			return app.add(keep)
+		})
+		ar.wKeep[0] = keep
+		if err != nil {
+			return nil, iterSizes{}, err
+		}
+		rk, err := app.finish()
+		if err != nil {
+			return nil, iterSizes{}, err
+		}
+		return cOut, s.endPairs(rk, plan, ioStart, stStart), nil
+	}
 	out := ar.rkBuf[:0]
 	if W == 1 {
-		out = pairsEmit(sales, 0, len(sales), bits, &s.idx, out)
+		errs[0] = s.inRanges(0, len(sales), func(a, b int) error {
+			out = pairsEmit(sales, a, b, bits, &s.idx, out)
+			return nil
+		})
 	} else {
 		keep := ar.wKeep[:W]
-		eachChunk(W, func(i int) { keep[i] = pairsEmit(sales, lo[i], lo[i+1], bits, &s.idx, keep[i][:0]) })
+		eachChunk(W, func(i int) {
+			keep[i] = keep[i][:0]
+			errs[i] = s.inRanges(lo[i], lo[i+1], func(a, b int) error {
+				keep[i] = pairsEmit(sales, a, b, bits, &s.idx, keep[i])
+				return nil
+			})
+		})
 		for _, c := range keep {
 			out = append(out, c...)
 		}
+	}
+	if err := cmp.Or(errs...); err != nil {
+		return nil, iterSizes{}, err
 	}
 	ar.rkBuf = out
 	return cOut, s.endPairs(memSrel(out), plan, ioStart, stStart), nil
 }
 
-// stepPairsStreaming is stepPairs over a cursor: both scans stream SALES
-// (its spilled copy under a budget) a basket at a time, scan 1 counts on
-// the key counter's arena table, and scan 2 appends R_2 through a
-// budget-bounded appender. Serial, like every streaming pass.
-func (s *execStepper) stepPairsStreaming(minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
-	ioStart, stStart := s.startIteration()
-	bits := s.dict.bits
-	s.ar.workerSlots(1)
-	tab := growU32(s.ar.wTab[0], s.tableCells(2))
-	clear(tab)
-	s.ar.wTab[0] = tab
-	if err := s.eachBasket(func(b []prow) error {
-		pairsCount(b, 0, len(b), bits, tab)
-		return nil
-	}); err != nil {
-		return nil, iterSizes{}, err
+// inRanges runs fn over the row ranges [a, b) that cut [lo, hi) every
+// cancelCheckRows rows, polling for cancellation before each.
+func (s *execStepper) inRanges(lo, hi int, fn func(a, b int) error) error {
+	for a := lo; a < hi; a += cancelCheckRows {
+		if err := s.cancelled(); err != nil {
+			return err
+		}
+		if err := fn(a, min(a+cancelCheckRows, hi)); err != nil {
+			return err
+		}
 	}
-	cOut := s.pairsC2(tab, minSup)
-
-	capR := 0
-	if plan.Regime == RegimeSpilled {
-		capR = s.capRows()
-	}
-	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st, mem: s.ar.rkBuf[:0]}
-	defer app.abort(s.pool) // no-op once finished
-	var keep []prow
-	if err := s.eachBasket(func(b []prow) error {
-		keep = pairsEmit(b, 0, len(b), bits, &s.idx, keep[:0])
-		return app.add(keep)
-	}); err != nil {
-		return nil, iterSizes{}, err
-	}
-	rk, err := app.finish()
-	if err != nil {
-		return nil, iterSizes{}, err
-	}
-	return cOut, s.endPairs(rk, plan, ioStart, stStart), nil
+	return nil
 }
 
 // pairsC2 reads C_2 off a pairs pass's count table and ends the count
@@ -589,29 +609,6 @@ func (s *execStepper) endPairs(rk *srel, plan IterPlan, ioStart int64, stStart s
 	s.endIteration(&sz, ioStart, stStart)
 	s.observe(sz)
 	return sz
-}
-
-// eachBasket streams SALES to fn one basket at a time, polling for
-// cancellation every cancelCheckRows rows.
-func (s *execStepper) eachBasket(fn func(basket []prow) error) error {
-	it := groupsOf(s.pool, s.sales)
-	defer it.close()
-	for since := cancelCheckRows; ; {
-		if since >= cancelCheckRows {
-			since = 0
-			if err := s.cancelled(); err != nil {
-				return err
-			}
-		}
-		b, err := it.next()
-		if err != nil || b == nil {
-			return err
-		}
-		since += len(b)
-		if err := fn(b); err != nil {
-			return err
-		}
-	}
 }
 
 // stepResident is the in-RAM fast path, and the one place sort → extend
@@ -906,15 +903,8 @@ func (s *execStepper) countMemStreaming(mem []prow, minSup int64) (pkCounts, int
 	kc := s.keyCounterFor(1, s.capKeys())
 	defer s.stashKeyCounter(kc)
 	defer kc.abort() // no-op once finish has consumed the runs
-	for rows := mem; len(rows) > 0; {
-		if err := s.cancelled(); err != nil {
-			return pkCounts{}, 0, "", err
-		}
-		n := min(len(rows), cancelCheckRows)
-		if err := kc.addRows(rows[:n]); err != nil {
-			return pkCounts{}, 0, "", err
-		}
-		rows = rows[n:]
+	if err := s.inRanges(0, len(mem), func(a, b int) error { return kc.addRows(mem[a:b]) }); err != nil {
+		return pkCounts{}, 0, "", err
 	}
 	dst := pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]}
 	ck, kernel, err := kc.finish(minSup, dst)
@@ -927,12 +917,14 @@ func (s *execStepper) countMemStreaming(mem []prow, minSup int64) (pkCounts, int
 
 // buildJoinSide turns the packed SALES rows into R_1, the join side of
 // every pass, under the first pass's plan. The paper does not filter R_1
-// by C_1 (Section 6.1), so R_1 is SALES itself.
+// by C_1 (Section 6.1), so R_1 is SALES itself: the data set's memo,
+// resident for the data set's life, which every pass reads in place —
+// a copy on pages would free no heap, only add page I/O.
 func (s *execStepper) buildJoinSide(mem []prow, plan IterPlan) (*srel, error) {
-	if capR := s.capRows(); plan.Regime == RegimeSpilled && capR > 0 && len(mem) > capR {
-		// R_1 outgrows its budget share: the passes read a spilled copy,
-		// so their page I/O is the Section 4.3 analysis' whatever the
-		// dataset keeps resident.
+	if capR := s.capRows(); s.paperPaged && plan.Regime == RegimeSpilled && capR > 0 && len(mem) > capR {
+		// MinePaged's R_1 outgrows its budget share: its passes read a
+		// spilled copy, so their page I/O is the Section 4.3 analysis',
+		// (n-1)·‖R_1‖ included.
 		run, err := xsort.SpillRows(s.pool, mem)
 		if err != nil {
 			return nil, err

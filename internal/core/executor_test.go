@@ -60,10 +60,11 @@ func runForced(d *Dataset, opts Options, workers, frames int) (*Result, *storage
 
 // TestBudgetedPassesRunSerial: a budget-bounded pass is one worker,
 // whatever the strategy or Options.MaxWorkers asks for. Every pass
-// recorded as spilled — and the first resident-plan pass after one, which
-// still streams its inputs from runs — must record Workers == 1, the
-// counts must equal MineMemory's, and the spill accounting (runs, bytes,
-// page I/O per pass) must not depend on the worker setting at all.
+// recorded as spilled — and every pass that reads pages, such as a
+// resident plan that still streams its input R_{k-1} from a run — must
+// record Workers == 1, the counts must equal MineMemory's, and the spill
+// accounting (runs, bytes, page I/O per pass) must not depend on the
+// worker setting at all.
 func TestBudgetedPassesRunSerial(t *testing.T) {
 	d := execDataset(5, 3000)
 	opts := Options{MinSupportFrac: 0.01}
@@ -81,13 +82,10 @@ func TestBudgetedPassesRunSerial(t *testing.T) {
 		}
 		var acct []spillAcct
 		var runs int64
-		afterSpilled := false
 		for _, st := range got.Stats {
-			spilled := st.Plan.Regime == RegimeSpilled
-			if (spilled || afterSpilled) && st.Plan.Workers != 1 {
-				t.Errorf("%s k=%d: plan %s, want one worker", label, st.K, st.Plan)
+			if (st.Plan.Regime == RegimeSpilled || st.PageIO > 0) && st.Plan.Workers != 1 {
+				t.Errorf("%s k=%d: plan %s with %d page I/Os, want one worker", label, st.K, st.Plan, st.PageIO)
 			}
-			afterSpilled = spilled
 			runs += st.RunsSpilled
 			acct = append(acct, spillAcct{st.RunsSpilled, st.SpillBytes, st.PageIO})
 		}
@@ -121,15 +119,12 @@ func TestBudgetedPassesRunSerial(t *testing.T) {
 		}
 	}
 
-	// MineAuto: at a budget every pass exceeds, and at the budget the
-	// final pass's modeled footprint just fits (TestAutoRecordsPlans'
-	// flip), so the run ends on a resident plan over spilled inputs.
-	total := 0
-	for _, tx := range d.Transactions {
-		total += len(tx.Items)
-	}
+	// MineAuto: at a budget every pass exceeds, and at the largest budget
+	// whose appender share R_{n-1} outgrows by a row: the pass before last
+	// writes it as a run, and the last pass, whose footprint fits, is a
+	// resident plan over that spilled input.
 	lastIn := want.Stats[len(want.Stats)-2].RRows
-	flip := costmodel.PackedIterFootprint(costmodel.EstRPrimeRows(lastIn, float64(total)/float64(len(d.Transactions))), 0) + 1
+	flip := 4*costmodel.PackedRowBytes*lastIn - 1
 	for _, budget := range []int64{8 << 10, flip} {
 		var first []spillAcct
 		for _, maxWorkers := range []int{1, 2, 4} {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"testing"
 	"time"
 
 	"setm/internal/engine"
+	"setm/internal/storage"
 )
 
 // MineSQLOn is MineSQL with its engine exposed: before (may be nil) runs
@@ -36,3 +38,22 @@ func SetClock(clock func() time.Time) (restore func()) {
 // AssertSameBorder is the semantic snapshot comparison of delta_test.go,
 // for the external conformance suite.
 var AssertSameBorder = assertSameBorder
+
+// freePages counts the pool's free list: pages taken before the store
+// grows. Equal to the store's size, every page is free.
+func freePages(t *testing.T, pool *storage.Pool) int {
+	t.Helper()
+	pages := pool.Store().NumPages()
+	page := make([]byte, storage.PageSize)
+	for n := 0; ; n++ {
+		if _, err := pool.AppendPages(nil, page); err != nil {
+			t.Fatal(err)
+		}
+		if pool.Store().NumPages() > pages {
+			return n
+		}
+	}
+}
+
+// FreePages is freePages, for the external conformance suite.
+var FreePages = freePages

@@ -440,7 +440,7 @@ func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 	}
 
 	st := newExecStepper(d, Options{MinSupportCount: 40}, PagedConfig{}.withDefaults(), fixedStrategy(1, false))
-	st.materializeR2 = true
+	st.paperPaged = true
 	defer st.release()
 	if _, _, err := st.init(40); err != nil {
 		t.Fatal(err)
@@ -461,7 +461,7 @@ func TestParallelPassHoldsOneRPrime(t *testing.T) {
 	d := signedDataset(17, 9000, 12, 60)
 	const minSup = 30
 	s := newExecStepper(d, Options{MinSupportCount: minSup}, PagedConfig{}.withDefaults(), fixedStrategy(2, false))
-	s.materializeR2 = true
+	s.paperPaged = true
 	if _, _, err := s.init(minSup); err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,10 @@ type PagedResult struct {
 // footprint fits Options.MemoryBudget runs entirely in RAM; past the
 // budget its relations stream to the pool's page store as raw packed-page
 // runs — bounded radix runs plus a cascaded k-way merge for the count
-// sort, sequential runs for everything else. A zero budget defaults to
+// sort, sequential runs for everything else. It is the one driver whose
+// SALES lives on pages: R_1 past its budget share is written as a run at
+// k = 1 and read back by every later pass, as Section 4.3 charges it,
+// where the other drivers read the data set's resident packed SALES. A zero budget defaults to
 // PoolFrames × the page size (the pool's own capacity); a negative budget
 // pins everything in RAM. MineAuto chooses regime and parallelism per
 // iteration by rule instead. Options.DisablePackedKernels runs
@@ -69,7 +72,7 @@ func MinePaged(d *Dataset, opts Options, cfg PagedConfig) (*PagedResult, error) 
 			opts.MemoryBudget = int64(cfg.PoolFrames) * storage.PageSize
 		}
 		es := newExecStepper(d, opts, cfg, fixedStrategy(1, true))
-		es.materializeR2 = true
+		es.paperPaged = true
 		es.attachPool(pool)
 		st = es
 	}

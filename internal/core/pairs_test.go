@@ -187,7 +187,7 @@ func TestPairsParallelTables(t *testing.T) {
 	const minSup = 60
 	pass2 := func(workers int, materialize bool) ([]ItemsetCount, iterSizes, []prow) {
 		s := newExecStepper(d, Options{MinSupportCount: minSup}, PagedConfig{}.withDefaults(), fixedStrategy(workers, false))
-		s.materializeR2 = materialize
+		s.paperPaged = materialize
 		defer s.release()
 		if _, _, err := s.init(minSup); err != nil {
 			t.Fatal(err)
@@ -216,11 +216,17 @@ func TestPairsParallelTables(t *testing.T) {
 	}
 }
 
-// spilledPairsRun mines the fixture under the spilled fixed plan at a
-// budget whose key counter admits pass 2's table, over store, and
+// spilledPairsDataset is short baskets (at most three items) over six
+// codes, 30,000 transactions: SALES spans several cancelCheckRows ranges,
+// and a range emits about as many R_2 rows as it holds, which outgrow a
+// 64 KiB budget's appender share.
+func spilledPairsDataset() *Dataset { return signedDataset(9, 30000, 3, 6) }
+
+// spilledPairsRun mines spilledPairsDataset under the spilled fixed plan
+// at a budget whose key counter admits pass 2's table, over store, and
 // records the pool's page reads and writes when each pass ends.
 func spilledPairsRun(ctx context.Context, store storage.Store) (res *Result, pool *storage.Pool, reads, writes []int64, err error) {
-	d := faultDataset()
+	d := spilledPairsDataset()
 	opts := Options{MinSupportFrac: 0.05, MemoryBudget: 64 << 10}
 	pool = storage.NewPool(store, 8)
 	st := newExecStepper(d, opts, PagedConfig{PoolFrames: 8, Store: store}, fixedStrategy(1, true))
@@ -232,48 +238,36 @@ func spilledPairsRun(ctx context.Context, store storage.Store) (res *Result, poo
 	return res, pool, reads, writes, err
 }
 
-// freePages counts the pool's free list: pages taken before the store
-// grows. Equal to the store's size, every page is free.
-func freePages(t *testing.T, pool *storage.Pool) int {
-	t.Helper()
-	pages := pool.Store().NumPages()
-	page := make([]byte, storage.PageSize)
-	for n := 0; ; n++ {
-		if _, err := pool.AppendPages(nil, page); err != nil {
-			t.Fatal(err)
-		}
-		if pool.Store().NumPages() > pages {
-			return n
-		}
-	}
-}
-
-// spilledPairsPass runs the fixture fault-free and returns the pool's
-// page reads and writes at the start and the end of its pass 2, which
-// must be a spilled pairs pass that reads and writes pages.
-func spilledPairsPass(t *testing.T) (reads, writes [2]int64) {
+// spilledPairsPass runs spilledPairsDataset fault-free and returns the
+// pool's page writes at the start and the end of its pass 2, a spilled
+// pairs pass that reads SALES in place and writes R_2 as a run, and its
+// page reads at the start and the end of pass 3, which reads that run.
+func spilledPairsPass(t *testing.T) (pass2Writes, pass3Reads [2]int64) {
 	t.Helper()
 	res, _, r, w, err := spilledPairsRun(context.Background(), storage.NewMemStore())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := res.Stats[1]; st.Plan.String() != "packed/spilled/1w/pairs" || r[1] == r[0] || w[1] == w[0] {
-		t.Fatalf("setup: k=2 ran %s with %d reads and %d writes; want a spilled pairs pass that reads and writes pages",
-			st.Plan, r[1]-r[0], w[1]-w[0])
+	if len(res.Stats) < 3 {
+		t.Fatalf("setup: %d passes, want a pass 3 reading R_2", len(res.Stats))
 	}
-	return [2]int64{r[0], r[1]}, [2]int64{w[0], w[1]}
+	if st := res.Stats[1]; st.Plan.String() != "packed/spilled/1w/pairs" || r[1] != r[0] || w[1] == w[0] || r[2] == r[1] {
+		t.Fatalf("setup: k=2 ran %s with %d reads and %d writes, k=3 %d reads; want a spilled pairs pass that writes pages and reads none, then a pass that reads them",
+			st.Plan, r[1]-r[0], w[1]-w[0], r[2]-r[1])
+	}
+	return [2]int64{w[0], w[1]}, [2]int64{r[1], r[2]}
 }
 
-// checkFailedInPass2 asserts what a mine stopped inside pass 2 leaves:
-// the wanted error, one completed pass, zero pinned frames, and every
-// page of the store on the pool's free list.
-func checkFailedInPass2(t *testing.T, label string, pool *storage.Pool, passes int, err, want error) {
+// checkFailedInPass asserts what a mine stopped inside pass k leaves: the
+// wanted error, k-1 completed passes, zero pinned frames, and every page
+// of the store on the pool's free list.
+func checkFailedInPass(t *testing.T, label string, k int, pool *storage.Pool, passes int, err, want error) {
 	t.Helper()
 	if !errors.Is(err, want) {
 		t.Errorf("%s: error %v, want %v", label, err, want)
 	}
-	if passes != 1 {
-		t.Errorf("%s: %d passes completed, want the failure inside pass 2", label, passes)
+	if passes != k-1 {
+		t.Errorf("%s: %d passes completed, want the failure inside pass %d", label, passes, k)
 	}
 	if n := pool.PinnedFrames(); n != 0 {
 		t.Errorf("%s: %d pinned frames", label, n)
@@ -284,55 +278,59 @@ func checkFailedInPass2(t *testing.T, label string, pool *storage.Pool, passes i
 }
 
 // faultInsidePairsPass is TestSpillPipelineSurfacesFaults' pairs-pass
-// case: a read fault and a write fault at the middle of the streaming
-// pairs pass's page I/O.
+// case: a write fault at the middle of R_2's appender in the spilled
+// pairs pass, and a read fault at the middle of pass 3's reads of R_2's
+// run.
 func faultInsidePairsPass(t *testing.T) {
-	reads, writes := spilledPairsPass(t)
+	writes, reads := spilledPairsPass(t)
 	for _, kind := range []struct {
 		name string
+		k    int
 		at   int64
 		set  func(*storage.FaultStore, int)
 	}{
-		{"read", (reads[0] + reads[1]) / 2, func(fs *storage.FaultStore, n int) { fs.FailReadAfter = n }},
-		{"write", (writes[0] + writes[1]) / 2, func(fs *storage.FaultStore, n int) { fs.FailWriteAfter = n }},
+		{"write", 2, (writes[0] + writes[1]) / 2, func(fs *storage.FaultStore, n int) { fs.FailWriteAfter = n }},
+		{"read", 3, (reads[0] + reads[1]) / 2, func(fs *storage.FaultStore, n int) { fs.FailReadAfter = n }},
 	} {
 		fs := storage.NewFaultStore(storage.NewMemStore())
 		kind.set(fs, int(kind.at))
 		_, pool, done, _, err := spilledPairsRun(context.Background(), fs)
 		kind.set(fs, -1) // the free-list probe writes
-		checkFailedInPass2(t, kind.name+" fault", pool, len(done), err, storage.ErrInjected)
+		checkFailedInPass(t, kind.name+" fault", kind.k, pool, len(done), err, storage.ErrInjected)
 	}
 }
 
 // TestCancelledPairsPassReturnsPromptly cancels the context at the
-// middle of the streaming pairs pass's page reads: the mine stops within
-// a block of rows and a run extent or two, and leaves zero pinned frames
-// and every page free.
+// middle of the spilled pairs pass's R_2 page writes: the mine stops
+// within a range of cancelCheckRows SALES rows — the R_2 rows it emits —
+// and the run extent the aborted appender flushes, and leaves zero pinned
+// frames and every page free.
 func TestCancelledPairsPassReturnsPromptly(t *testing.T) {
-	reads, _ := spilledPairsPass(t)
+	writes, _ := spilledPairsPass(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cs := &cancelOnRead{Store: storage.NewMemStore(), readsLeft: int((reads[0] + reads[1]) / 2), cancel: cancel}
+	cs := &cancelOnWrite{Store: storage.NewMemStore(), writesLeft: int((writes[0] + writes[1]) / 2), cancel: cancel}
 	_, pool, done, _, err := spilledPairsRun(ctx, cs)
-	checkFailedInPass2(t, "cancel", pool, len(done), err, context.Canceled)
-	if after := cs.reads - cs.readsAtCancel; after > cancelCheckRows/rowsPerPage+2*storage.RunExtentPages {
-		t.Errorf("%d pages read after the cancel", after)
+	after := cs.writes - cs.writesAtCancel // before the free-list probe writes
+	checkFailedInPass(t, "cancel", 2, pool, len(done), err, context.Canceled)
+	if after > cancelCheckRows/rowsPerPage+1+pool.RunExtent() {
+		t.Errorf("%d pages written after the cancel", after)
 	}
 }
 
-// cancelOnRead cancels its context once readsLeft pages have been read,
-// and counts the pages read after that.
-type cancelOnRead struct {
+// cancelOnWrite cancels its context once writesLeft pages have been
+// written, and counts the pages written after that.
+type cancelOnWrite struct {
 	storage.Store
-	readsLeft, reads, readsAtCancel int
-	cancel                          context.CancelFunc
+	writesLeft, writes, writesAtCancel int
+	cancel                             context.CancelFunc
 }
 
-func (c *cancelOnRead) ReadPages(id storage.PageID, dst []byte) error {
-	c.reads += len(dst) / storage.PageSize
-	if c.readsAtCancel == 0 && c.reads >= c.readsLeft {
-		c.readsAtCancel = c.reads
+func (c *cancelOnWrite) WritePages(id storage.PageID, src []byte) error {
+	c.writes += len(src) / storage.PageSize
+	if c.writesAtCancel == 0 && c.writes >= c.writesLeft {
+		c.writesAtCancel = c.writes
 		c.cancel()
 	}
-	return c.Store.ReadPages(id, dst)
+	return c.Store.WritePages(id, src)
 }
