@@ -221,10 +221,8 @@ type execStepper struct {
 	prevRPrime int64
 	prevRRows  int64
 
-	// paperPaged runs the Section 4.3 algorithm as the paper charges it:
-	// pass 2 extends, counts and filters R'_2, and under a spilled plan R_1
-	// is written to pages and streamed back by every pass. MinePaged sets
-	// it; every other driver reads R_1 in place from the data set's memo.
+	// paperPaged is MinePaged's Section 4.3 algorithm: pass 2 writes R'_2,
+	// and R_1 past its budget share lives on pages (buildJoinSide).
 	paperPaged bool
 
 	// Border retention (Options.RetainBorder): the count kernels run at
@@ -290,9 +288,8 @@ func (s *execStepper) nextPlan(k int, prevRPrime, prevRRows int64) IterPlan {
 
 // chunk is the per-buffer share of the budget (four live bounded buffers:
 // the R'_k appender, the key-sort buffer, the R_k appender, and the
-// streaming cursor's scratch). R_1 is not among them: it is the data
-// set's packed SALES, resident outside the budget (MinePaged's spilled
-// copy streams through a cursor of its own). Zero when unbounded.
+// streaming cursor's scratch; R_1 is the data set's resident SALES,
+// outside the budget). Zero when unbounded.
 func (s *execStepper) chunk() int64 {
 	if s.budget <= 0 {
 		return 0
@@ -428,9 +425,8 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	ioStart, stStart := s.startIteration()
 
 	// C_1: counts per item code. The rows are the data set's memo,
-	// resident whatever the plan; the spilled regime only bounds the
-	// working set beyond them, streaming the keys through a budget-bounded
-	// counter.
+	// resident whatever the plan, which bounds only the working set beyond
+	// them, streaming the keys through a budget-bounded counter.
 	var skips int64
 	var ck pkCounts
 	var err error
@@ -486,8 +482,6 @@ func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 // (pack.go's pairs pass) instead of writing R'_2: at k = 2 over SALES
 // itself, when the count table would count R'_2 — the kernel rule against
 // |R'_2|, or under a budget against the key counter's bounded buffers.
-// SALES is then resident: only paperPaged puts it on pages, and that
-// driver materializes R'_2.
 func (s *execStepper) pairsPass(k int, plan IterPlan) bool {
 	if k != 2 || s.rk != s.sales || s.paperPaged {
 		return false
@@ -499,14 +493,14 @@ func (s *execStepper) pairsPass(k int, plan IterPlan) bool {
 	return countTableFits(s.tableCells(2), keys)
 }
 
-// stepPairs is pass 2 without R'_2, over SALES in place: scan 1 counts
-// each chunk's pairs on its worker's table, the tables are summed and
-// read out as C_2, and scan 2 emits each chunk's pairs in C_2 into its
-// worker's buffer, gathered into R_2 in SALES' order. The chunks are
-// stepResident's; a chunk's last basket pairs with its rows past the
-// cut, and so does a range's: each chunk is scanned in ranges of
-// cancelCheckRows rows with a cancellation poll between them. A spilled
-// plan is one chunk whose R_2 goes through a budget-bounded appender.
+// stepPairs is pass 2 without R'_2, over SALES in place (resident: only
+// paperPaged spills it, and that driver materializes R'_2). Scan 1 counts
+// each chunk's pairs on its worker's table, summed and read out as C_2;
+// scan 2 emits each chunk's pairs in C_2 into its worker's buffer,
+// gathered into R_2 in SALES' order, or through a budget-bounded appender
+// on a spilled (one-chunk) plan. The chunks are stepResident's, scanned in
+// ranges of cancelCheckRows rows with a cancellation poll between them; a
+// chunk's or a range's last basket pairs with its rows past the cut.
 func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
 	ioStart, stStart := s.startIteration()
 	sales, ar, bits, cells := s.sales.mem, s.ar, s.dict.bits, s.tableCells(2)
@@ -533,32 +527,27 @@ func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, it
 	}
 	cOut := s.pairsC2(sumTables(ar.wTab[:W]), minSup)
 
-	if plan.Regime == RegimeSpilled {
+	var rk *srel
+	out := ar.rkBuf[:0]
+	switch {
+	case plan.Regime == RegimeSpilled:
 		s.ensurePool()
-		app := &spillAppender{pool: s.pool, capRows: s.capRows(), st: &s.st, mem: ar.rkBuf[:0]}
+		app := &spillAppender{pool: s.pool, capRows: s.capRows(), st: &s.st, mem: out}
 		defer app.abort(s.pool) // no-op once finished
-		keep := ar.wKeep[0]
-		err := s.inRanges(0, len(sales), func(a, b int) error {
+		var keep []prow
+		errs[0] = s.inRanges(0, len(sales), func(a, b int) error {
 			keep = pairsEmit(sales, a, b, bits, &s.idx, keep[:0])
 			return app.add(keep)
 		})
-		ar.wKeep[0] = keep
-		if err != nil {
-			return nil, iterSizes{}, err
+		if errs[0] == nil {
+			rk, errs[0] = app.finish()
 		}
-		rk, err := app.finish()
-		if err != nil {
-			return nil, iterSizes{}, err
-		}
-		return cOut, s.endPairs(rk, plan, ioStart, stStart), nil
-	}
-	out := ar.rkBuf[:0]
-	if W == 1 {
+	case W == 1:
 		errs[0] = s.inRanges(0, len(sales), func(a, b int) error {
 			out = pairsEmit(sales, a, b, bits, &s.idx, out)
 			return nil
 		})
-	} else {
+	default:
 		keep := ar.wKeep[:W]
 		eachChunk(W, func(i int) {
 			keep[i] = keep[i][:0]
@@ -574,8 +563,11 @@ func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, it
 	if err := cmp.Or(errs...); err != nil {
 		return nil, iterSizes{}, err
 	}
-	ar.rkBuf = out
-	return cOut, s.endPairs(memSrel(out), plan, ioStart, stStart), nil
+	if rk == nil {
+		ar.rkBuf = out
+		rk = memSrel(out)
+	}
+	return cOut, s.endPairs(rk, plan, ioStart, stStart), nil
 }
 
 // inRanges runs fn over the row ranges [a, b) that cut [lo, hi) every
@@ -918,13 +910,12 @@ func (s *execStepper) countMemStreaming(mem []prow, minSup int64) (pkCounts, int
 // buildJoinSide turns the packed SALES rows into R_1, the join side of
 // every pass, under the first pass's plan. The paper does not filter R_1
 // by C_1 (Section 6.1), so R_1 is SALES itself: the data set's memo,
-// resident for the data set's life, which every pass reads in place —
-// a copy on pages would free no heap, only add page I/O.
+// resident for its life, which the passes read in place — a copy on
+// pages would free no heap. MinePaged's passes alone read a spilled copy
+// once R_1 outgrows its budget share, so that their page I/O is the
+// Section 4.3 analysis', (n-1)·‖R_1‖ included.
 func (s *execStepper) buildJoinSide(mem []prow, plan IterPlan) (*srel, error) {
 	if capR := s.capRows(); s.paperPaged && plan.Regime == RegimeSpilled && capR > 0 && len(mem) > capR {
-		// MinePaged's R_1 outgrows its budget share: its passes read a
-		// spilled copy, so their page I/O is the Section 4.3 analysis',
-		// (n-1)·‖R_1‖ included.
 		run, err := xsort.SpillRows(s.pool, mem)
 		if err != nil {
 			return nil, err

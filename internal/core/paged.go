@@ -45,9 +45,8 @@ type PagedResult struct {
 // budget its relations stream to the pool's page store as raw packed-page
 // runs — bounded radix runs plus a cascaded k-way merge for the count
 // sort, sequential runs for everything else. It is the one driver whose
-// SALES lives on pages: R_1 past its budget share is written as a run at
-// k = 1 and read back by every later pass, as Section 4.3 charges it,
-// where the other drivers read the data set's resident packed SALES. A zero budget defaults to
+// SALES lives on pages, for Section 4.3: R_1 past its budget share is a
+// run, read back by every pass. A zero budget defaults to
 // PoolFrames × the page size (the pool's own capacity); a negative budget
 // pins everything in RAM. MineAuto chooses regime and parallelism per
 // iteration by rule instead. Options.DisablePackedKernels runs

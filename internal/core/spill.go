@@ -8,14 +8,9 @@ package core
 // merge-scan extension, key sort + count, support filter — streams
 // through cursors that read either form, so one code path serves the
 // in-RAM and the disk-resident regimes and the switch is just where an
-// appender's buffer tips over the budget.
-//
-// R_1, the join side of every pass, is not one of those relations: it is
-// the data set's packed SALES, a memo that stays resident for the data
-// set's life whatever the budget, so a budgeted pass reads it in place —
-// a copy on pages would free no heap and only add page I/O. MinePaged
-// alone writes R_1 as a run and streams it back every pass, because the
-// Section 4.3 analysis it measures charges (n-1)·‖R_1‖ page reads for it.
+// appender's buffer tips over the budget. R_1 is the exception: the data
+// set's packed SALES, resident whatever the budget and read in place; only
+// MinePaged writes it as a run, as Section 4.3 charges (n-1)·‖R_1‖ for it.
 //
 // A relation is resident rows or one spilled run, never a mix: a budgeted
 // pass runs one cursor per input, one appender per output and one key

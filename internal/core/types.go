@@ -123,18 +123,17 @@ type Options struct {
 	// as the conformance oracle, not as something to run for speed.
 	DisablePackedKernels bool
 	// MemoryBudget bounds the mining working set of the packed passes in
-	// bytes, for the drivers that can trade memory for page I/O: the
-	// working set beyond the data set's packed SALES, which stays resident
-	// for the data set's life and which the passes read in place.
-	// MinePaged keeps an iteration's packed relations in RAM while they
-	// fit and transparently streams them through the buffer pool as
-	// sorted packed-page runs once they exceed the budget — R_1 included,
-	// as the paper's Section 4.3 charges it; MineAuto plans each
-	// iteration's regime against it. Zero selects the driver default
-	// (MinePaged: PoolFrames × the 4 KB page size; MineAuto: unbounded);
-	// negative means explicitly unbounded, pinning even the paged driver's
-	// relations in RAM. MineMemory and MineParallel ignore it (resident by
-	// contract), as does the flat reference under DisablePackedKernels.
+	// bytes, beyond the data set's packed SALES (resident, read in place),
+	// for the drivers that can trade memory for page I/O. MinePaged keeps
+	// an iteration's packed relations in RAM while they fit and
+	// transparently streams them through the buffer pool as sorted
+	// packed-page runs once they exceed the budget, R_1 included; MineAuto
+	// plans each iteration's regime against it. Zero selects the driver
+	// default (MinePaged: PoolFrames × the 4 KB page size; MineAuto:
+	// unbounded); negative means explicitly unbounded, pinning even the
+	// paged driver's relations in RAM. MineMemory and MineParallel ignore
+	// it (resident by contract), as does the flat reference under
+	// DisablePackedKernels.
 	MemoryBudget int64
 	// MaxWorkers caps the parallelism of MineAuto's resident plans. Zero
 	// means GOMAXPROCS. It is ignored by budget-bounded passes and by
