@@ -179,28 +179,3 @@ func (x *keyIndex) filter(rows, out []prow) []prow {
 	}
 	return packedFilter(rows, x.keys, out)
 }
-
-// packedSalesWindow returns the sub-slice of sales (sorted by tid)
-// covering the tid range [loTid, hiTid].
-func packedSalesWindow(sales []prow, loTid, hiTid uint64) []prow {
-	lo, hi := 0, len(sales)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sales[mid].Tid < loTid {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	first := lo
-	lo, hi = first, len(sales)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sales[mid].Tid <= hiTid {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return sales[first:lo]
-}

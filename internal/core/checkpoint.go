@@ -81,7 +81,10 @@ const (
 	// ckptVersion 2: R_K's run holds the executor's keys, rank-coded from
 	// k = 3 (pack.go). A version-1 run's bit-packed keys would read as
 	// wrong ranks, so it is refused and the job re-mines.
-	ckptVersion   = 2
+	// ckptVersion 3: R_K's rows hold basket ordinals, not trans_ids
+	// (pack.go's baskets). A version-2 run's trans_ids would index the
+	// wrong baskets, so it is refused the same way.
+	ckptVersion   = 3
 	ckptBatchRows = 4096
 )
 

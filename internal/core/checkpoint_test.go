@@ -255,9 +255,9 @@ func TestLoadCheckpointEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1 := bytes.Replace(data, []byte(`"version":2,`), []byte(`"version":1,`), 1)
+		v1 := bytes.Replace(data, []byte(`"version":3,`), []byte(`"version":1,`), 1)
 		if bytes.Equal(v1, data) {
-			t.Fatalf("setup: manifest is not version 2: %s", data)
+			t.Fatalf("setup: manifest is not version 3: %s", data)
 		}
 		os.WriteFile(path, v1, 0o644)
 		if cp, err := core.LoadCheckpoint(dir); cp != nil || !errors.Is(err, core.ErrCheckpoint) {
@@ -268,7 +268,7 @@ func TestLoadCheckpointEdgeCases(t *testing.T) {
 	t.Run("escaping-run-path", func(t *testing.T) {
 		dir := t.TempDir()
 		os.WriteFile(filepath.Join(dir, "MANIFEST.json"),
-			[]byte(`{"version":2,"k":1,"min_sup":2,"num_transactions":3,"rk_file":"../../etc/passwd","counts":[[]]}`), 0o644)
+			[]byte(`{"version":3,"k":1,"min_sup":2,"num_transactions":3,"rk_file":"../../etc/passwd","counts":[[]]}`), 0o644)
 		if _, err := core.LoadCheckpoint(dir); !errors.Is(err, core.ErrCheckpoint) {
 			t.Fatalf("path-escaping manifest: %v", err)
 		}
@@ -296,6 +296,38 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	}
 	if _, err := core.MineAutoResumeMonitored(context.Background(), d3, core.Options{MinSupportCount: 2}, nil, nil, cp); !errors.Is(err, core.ErrCheckpoint) {
 		t.Fatalf("mismatched contents: %v", err)
+	}
+	// Same transactions, items and |SALES|, but every two trans_ids made
+	// one: half the baskets, so R_2's rows past the first half name
+	// baskets this dataset does not have. Refused, never indexed.
+	d4 := &core.Dataset{}
+	for i, tx := range d.Transactions {
+		d4.Transactions = append(d4.Transactions, core.Transaction{ID: int64(i / 2), Items: tx.Items})
+	}
+	if d4.NumSalesRows() != d.NumSalesRows() {
+		t.Fatalf("setup: |SALES| %d, want %d", d4.NumSalesRows(), d.NumSalesRows())
+	}
+	if _, err := core.MineAutoResumeMonitored(context.Background(), d4, core.Options{MinSupportCount: 2}, nil, nil, cp); !errors.Is(err, core.ErrCheckpoint) {
+		t.Fatalf("fewer baskets: %v", err)
+	}
+	// A version-2 manifest: its run's rows hold trans_ids, not basket
+	// ordinals. LoadCheckpoint refuses it, so there is nothing to resume.
+	dir := t.TempDir()
+	writeCheckpointAt(t, d, core.Options{MinSupportCount: 2}, 2, dir)
+	path := filepath.Join(dir, "MANIFEST.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := bytes.Replace(data, []byte(`"version":3,`), []byte(`"version":2,`), 1)
+	if bytes.Equal(v2, data) {
+		t.Fatalf("setup: manifest is not version 3: %s", data)
+	}
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if cp2, err := core.LoadCheckpoint(dir); cp2 != nil || !errors.Is(err, core.ErrCheckpoint) {
+		t.Fatalf("version-2 manifest: cp=%v err=%v, want ErrCheckpoint", cp2, err)
 	}
 	// The generic-kernel ablation cannot host a packed resume.
 	if _, err := core.MineAutoResumeMonitored(context.Background(), d, core.Options{MinSupportCount: 2, DisablePackedKernels: true}, nil, nil, cp); !errors.Is(err, core.ErrCheckpoint) {

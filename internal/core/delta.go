@@ -122,7 +122,7 @@ type deltaMiner struct {
 	oldBits uint
 	maxTid  int64
 
-	deltaSales []prow
+	deltaSales baskets    // Δ's SALES, basketized as a memo's
 	freqs      []pkCounts // F_k(combined) per level, ascending packed keys
 	borders    []pkCounts // negative border per level
 }
@@ -144,11 +144,12 @@ func (m *deltaMiner) run() (*Result, error) {
 
 	// A private arena, never pooled: the count step reuses its scratch
 	// across levels. The delta is packed under the base's dictionary, not
-	// its own, so it bypasses the delta dataset's memo.
+	// its own, so it bypasses the delta dataset's memo; its rows carry Δ's
+	// own basket ordinals, which every level's extension looks up.
 	var ar mineArena
 	m.deltaSales = packSales(m.delta)
-	m.dict.recode(m.deltaSales)
-	deltaR := m.deltaSales
+	m.dict.recode(m.deltaSales.rows)
+	deltaR := m.deltaSales.rows
 
 	var ext, rkBuf []prow
 	k := 0
@@ -158,9 +159,9 @@ func (m *deltaMiner) run() (*Result, error) {
 		}
 		k++
 		iterStart := time.Now()
-		rPrime := m.deltaSales
+		rPrime := m.deltaSales.rows
 		if k > 1 {
-			ext = packedExtend(deltaR, m.deltaSales, m.dict.bits, nil, ext[:0])
+			ext = packedExtend(deltaR, &m.deltaSales, m.dict.bits, nil, ext[:0])
 			rPrime = ext
 		}
 		rPrimeRows := int64(len(rPrime))
@@ -289,7 +290,7 @@ func (m *deltaMiner) assembleBorder(minSup int64, nCombined int) *BorderSnapshot
 	b := &BorderSnapshot{
 		MinSup:          minSup,
 		NumTransactions: nCombined,
-		SalesRows:       m.snap.SalesRows + int64(len(m.deltaSales)),
+		SalesRows:       m.snap.SalesRows + int64(len(m.deltaSales.rows)),
 		MaxTid:          m.maxTid,
 		MaxPatternLen:   m.opts.MaxPatternLen,
 		Items:           m.dict.items,

@@ -202,12 +202,13 @@ type execStepper struct {
 
 	pool *storage.Pool // created by attachPool, or lazily at first spill
 
-	dict  *packDict
-	ar    *mineArena
-	sales *srel // packed R_1, the join side of every pass
-	rk    *srel // R_{k-1}
-	ck    pkCounts
-	st    spillStats
+	dict    *packDict
+	ar      *mineArena
+	sales   *srel    // packed R_1, the join side of every pass
+	baskets *baskets // the memo's basket index of R_1, which the extension looks rows up in
+	rk      *srel    // R_{k-1}
+	ck      pkCounts
+	st      spillStats
 
 	// The last completed pass's C_k, decoded, and its keys' index: pass
 	// k+1 sizes its key space by the one, decodes through it, and ranks
@@ -412,6 +413,7 @@ func (s *execStepper) open() (IterPlan, []prow) {
 	memo := s.d.packed()
 	s.ar = newMineArena()
 	s.dict = memo.dict
+	s.baskets = &memo.baskets
 	s.salesTotal, s.salesPairs = int64(len(memo.rows)), memo.pairs
 	plan := s.nextPlan(1, int64(total), int64(total))
 	if plan.Regime == RegimeSpilled {
@@ -503,7 +505,7 @@ func (s *execStepper) pairsPass(k int, plan IterPlan) bool {
 // chunk's or a range's last basket pairs with its rows past the cut.
 func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
 	ioStart, stStart := s.startIteration()
-	sales, ar, bits, cells := s.sales.mem, s.ar, s.dict.bits, s.tableCells(2)
+	sales, starts, ar, bits, cells := s.baskets.rows, s.baskets.starts, s.ar, s.dict.bits, s.tableCells(2)
 	chunks := chunkRows(sales, plan.Workers)
 	W := len(chunks)
 	plan.Workers = W
@@ -518,7 +520,7 @@ func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, it
 		clear(tab)
 		ar.wTab[i] = tab
 		errs[i] = s.inRanges(lo[i], lo[i+1], func(a, b int) error {
-			pairsCount(sales, a, b, bits, tab)
+			pairsCount(sales, starts, a, b, bits, tab)
 			return nil
 		})
 	})
@@ -532,19 +534,19 @@ func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, it
 	switch {
 	case plan.Regime == RegimeSpilled:
 		s.ensurePool()
-		app := &spillAppender{pool: s.pool, capRows: s.capRows(), st: &s.st, mem: out}
+		app := newSpillAppender(s.pool, s.capRows(), &s.st, &ar.rkBuf)
 		defer app.abort(s.pool) // no-op once finished
-		var keep []prow
+		keep := &ar.wKeep[0]
 		errs[0] = s.inRanges(0, len(sales), func(a, b int) error {
-			keep = pairsEmit(sales, a, b, bits, &s.idx, keep[:0])
-			return app.add(keep)
+			*keep = pairsEmit(sales, starts, a, b, bits, &s.idx, (*keep)[:0])
+			return app.add(*keep)
 		})
 		if errs[0] == nil {
 			rk, errs[0] = app.finish()
 		}
 	case W == 1:
 		errs[0] = s.inRanges(0, len(sales), func(a, b int) error {
-			out = pairsEmit(sales, a, b, bits, &s.idx, out)
+			out = pairsEmit(sales, starts, a, b, bits, &s.idx, out)
 			return nil
 		})
 	default:
@@ -552,7 +554,7 @@ func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, it
 		eachChunk(W, func(i int) {
 			keep[i] = keep[i][:0]
 			errs[i] = s.inRanges(lo[i], lo[i+1], func(a, b int) error {
-				keep[i] = pairsEmit(sales, a, b, bits, &s.idx, keep[i])
+				keep[i] = pairsEmit(sales, starts, a, b, bits, &s.idx, keep[i])
 				return nil
 			})
 		})
@@ -617,7 +619,7 @@ func (s *execStepper) endPairs(rk *srel, plan IterPlan, ioStart int64, stStart s
 // the filter straight into rkBuf, no goroutine.
 func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
 	ioStart, stStart := s.startIteration()
-	rk, sales, ar, bits := s.rk.mem, s.sales.mem, s.ar, s.dict.bits
+	rk, ar, bits := s.rk.mem, s.ar, s.dict.bits
 
 	var skips int64
 	// sort R_{k-1} on (trans_id, items): the previous filter preserved
@@ -631,9 +633,10 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 		xsort.RadixSortRows(rk, ar.rowsTmp)
 	}
 
-	// R'_k := merge-scan(R_{k-1}, R_1), chunk by chunk against the window
-	// of R_1 covering the chunk's transactions; from k = 3 each R_{k-1}
-	// row's rank in C_{k-1} becomes the prefix of its extensions' keys.
+	// R'_k := R_{k-1} ⋈ R_1, chunk by chunk, each row extended by the
+	// suffix of its basket that packedExtend looks up; from k = 3 each
+	// R_{k-1} row's rank in C_{k-1} becomes the prefix of its extensions'
+	// keys.
 	prefixes := s.prefixes(k)
 	chunks := chunkRows(rk, plan.Workers)
 	W := len(chunks)
@@ -641,18 +644,14 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	ar.workerSlots(W)
 	rPrime := ar.wRows[:W]
 	eachChunk(W, func(i int) {
-		part, side := chunks[i], sales
-		if W > 1 {
-			side = packedSalesWindow(sales, part[0].Tid, part[len(part)-1].Tid)
-		}
 		if cap(rPrime[i]) == 0 {
 			// A cold buffer would grow by append: four times its final size
 			// in abandoned copies, freed whenever the collector gets to
 			// them, which makes the process's peak RSS differ by 100+ MB
 			// from one run to the next. Count once, allocate once.
-			rPrime[i] = make([]prow, 0, packedExtendRows(part, side, bits))
+			rPrime[i] = make([]prow, 0, packedExtendRows(chunks[i], s.baskets, bits))
 		}
-		rPrime[i] = packedExtend(part, side, bits, prefixes, rPrime[i][:0])
+		rPrime[i] = packedExtend(chunks[i], s.baskets, bits, prefixes, rPrime[i][:0])
 	})
 	var rPrimeRows int64
 	for _, c := range rPrime {
@@ -715,13 +714,13 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 		capR, capK = s.capRows(), s.capKeys()
 	}
 
-	// R'_k := merge-scan(R_{k-1}, R_1), streamed group by group; output
+	// R'_k := R_{k-1} ⋈ R_1, streamed a block of R_{k-1} at a time; output
 	// inherits (trans_id, items) order, so it spills as one sequential run
 	// with no sort. The key column is counted on the fly (fused with the
-	// extension), saving a full re-read of R'_k. The appender reuses the
-	// arena's serial extension buffer (slot 0) for its resident portion.
+	// extension), saving a full re-read of R'_k. The appender's resident
+	// portion is the arena's serial extension buffer (slot 0).
 	s.ar.workerSlots(1)
-	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st, mem: s.ar.wRows[0][:0]}
+	app := newSpillAppender(s.pool, capR, &s.st, &s.ar.wRows[0])
 	defer app.abort(s.pool) // no-op once finished
 	kc := s.keyCounterFor(k, capK)
 	defer s.stashKeyCounter(kc)
@@ -785,10 +784,41 @@ func (s *execStepper) stashKeyCounter(kc *keyCounter) {
 	s.ar.kcKeys, s.ar.wTmp[0], s.ar.wTab[0] = kc.keys, kc.tmp, kc.tabBuf
 }
 
-// extendStreaming runs the merge-scan extension: the groups of R_{k-1}
-// joined against the matching groups of R_1, appending R'_k rows to app
-// and their keys to kc. prefixes is as for packedExtend.
+// extendStreaming extends R_{k-1} a block at a time, polling for
+// cancellation before each, appending R'_k rows to app and their keys to
+// kc. prefixes is as for packedExtend. Each block is looked up in the
+// memo's baskets (packedExtend) whenever R_1 is resident, which is on
+// every driver but MinePaged; a spilled R_1 is merge-scanned
+// (extendMerged).
 func (s *execStepper) extendStreaming(app *spillAppender, kc *keyCounter, prefixes *keyIndex) error {
+	if !s.sales.resident() {
+		return s.extendMerged(app, kc, prefixes)
+	}
+	it := rowsOf(s.pool, s.rk)
+	defer it.close()
+	ext := &s.ar.wKeep[0] // slot 0 is free in a serial pass
+	for {
+		if err := s.cancelled(); err != nil {
+			return err
+		}
+		blk, err := it.next()
+		if err != nil || blk == nil {
+			return err
+		}
+		*ext = packedExtend(blk, s.baskets, s.dict.bits, prefixes, (*ext)[:0])
+		if err := app.add(*ext); err != nil {
+			return err
+		}
+		if err := kc.addRows(*ext); err != nil {
+			return err
+		}
+	}
+}
+
+// extendMerged is Section 4.3's extension, MinePaged's once R_1 is on
+// pages: the merge-scan of R_{k-1}'s transaction groups against the
+// matching groups of R_1, appending R'_k rows to app and their keys to kc.
+func (s *execStepper) extendMerged(app *spillAppender, kc *keyCounter, prefixes *keyIndex) error {
 	if err := s.cancelled(); err != nil {
 		return err
 	}
@@ -864,11 +894,11 @@ func (s *execStepper) extendStreaming(app *spillAppender, kc *keyCounter, prefix
 // C_k (s.idx), preserving order, a block at a time, into the arena's R_k
 // buffer.
 func (s *execStepper) filterStreaming(r *srel, capR int) (*srel, error) {
-	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st, mem: s.ar.rkBuf[:0]}
+	app := newSpillAppender(s.pool, capR, &s.st, &s.ar.rkBuf)
 	defer app.abort(s.pool) // no-op once finished
 	it := rowsOf(s.pool, r)
 	defer it.close()
-	var keep []prow
+	keep := &s.ar.wKeep[0] // slot 0 is free in a serial pass
 	for {
 		if err := s.cancelled(); err != nil {
 			return nil, err
@@ -880,8 +910,8 @@ func (s *execStepper) filterStreaming(r *srel, capR int) (*srel, error) {
 		if blk == nil {
 			return app.finish()
 		}
-		keep = s.idx.filter(blk, keep[:0])
-		if err := app.add(keep); err != nil {
+		*keep = s.idx.filter(blk, (*keep)[:0])
+		if err := app.add(*keep); err != nil {
 			return nil, err
 		}
 	}
@@ -995,10 +1025,16 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 		s.ensurePool()
 		capR = s.capRows()
 	}
-	app := &spillAppender{pool: s.pool, capRows: capR, st: &s.st}
+	app := newSpillAppender(s.pool, capR, &s.st, &s.ar.rkBuf)
+	nb := uint64(len(s.baskets.tids))
 	if err := readCheckpointRows(cp, func(rows []prow) error {
 		if cerr := s.cancelled(); cerr != nil {
 			return cerr
+		}
+		for _, r := range rows {
+			if r.Tid >= nb {
+				return fmt.Errorf("%w: R_%d row of basket %d, the dataset has %d", ErrCheckpoint, cp.K, r.Tid, nb)
+			}
 		}
 		return app.add(rows)
 	}); err != nil {

@@ -57,3 +57,17 @@ func freePages(t *testing.T, pool *storage.Pool) int {
 
 // FreePages is freePages, for the external conformance suite.
 var FreePages = freePages
+
+// SignedDataset is signedDataset, for the external suite.
+var SignedDataset = signedDataset
+
+// BasketIndex is d's memo as its basket index reads: each basket's
+// trans_id, where each basket's rows start (len(tids)+1 entries), and
+// the rows, whose Tid is their basket's ordinal.
+func BasketIndex(d *Dataset) (tids []int64, starts []uint32, rows []storage.PackedRow) {
+	m := d.packed()
+	for _, t := range m.tids {
+		tids = append(tids, int64(t^tidFlip))
+	}
+	return tids, m.starts, m.rows
+}

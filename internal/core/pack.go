@@ -75,9 +75,9 @@ import (
 // correctly even for negative ids.
 const tidFlip = uint64(1) << 63
 
-// prow is one packed R_k row: the Tid field holds trans_id XOR tidFlip,
-// the Key field the k item codes with item_1 in the most significant
-// bits. It IS the storage layer's packed row — the in-memory kernels and
+// prow is one packed R_k row: the Tid field holds the basket ordinal
+// (the memo's tids maps it back to trans_id, see baskets), the Key field
+// the k item codes with item_1 in the most significant bits. It IS the storage layer's packed row — the in-memory kernels and
 // the spilled page runs share one representation, so spilling a relation
 // is a raw memory write, never a re-encoding.
 type prow = storage.PackedRow
@@ -208,12 +208,41 @@ func (d *packDict) recode(rows []prow) {
 	}
 }
 
-// packSales builds SALES(trans_id, item) as packed rows, items
-// deduplicated per transaction and rows globally sorted by
-// (trans_id, item), into a buffer of its own. A key holds the item
+// baskets is packed SALES indexed by basket, a basket being the rows of
+// one trans_id. Baskets are numbered in trans_id order and a row's Tid is
+// its basket's ordinal, so (Tid, Key) order is still (trans_id, item)
+// order; an ordinal indexes its basket's rows directly, which is what
+// lets the extension look a basket up instead of merge-scanning SALES.
+// Ordinals and starts are 32-bit: a data set holds fewer than 2^32 SALES
+// rows (64 GiB of them).
+type baskets struct {
+	rows   []prow   // sorted by (basket, code); codes ascend within a basket
+	starts []uint32 // basket b is rows[starts[b]:starts[b+1]]; len(tids)+1 entries
+	tids   []uint64 // basket -> trans_id XOR tidFlip, strictly ascending
+}
+
+// after is basket b's suffix of codes above last: the extensions of an
+// R_{k-1} row of that basket whose last item's code is last.
+func (s *baskets) after(b, last uint64) []prow {
+	bk := s.rows[s.starts[b]:s.starts[b+1]]
+	lo, hi := 0, len(bk)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bk[mid].Key <= last {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return bk[lo:]
+}
+
+// packSales builds SALES(trans_id, item) as packed rows indexed by basket
+// (baskets), items deduplicated per transaction and rows globally sorted
+// by (trans_id, item), into buffers of their own. A key holds the item
 // sign-flipped (so unsigned order is item order) until recode makes it
 // the item's code: the packed R_1, the twin of salesRelation.
-func packSales(d *Dataset) []prow {
+func packSales(d *Dataset) baskets {
 	total := 0
 	for _, tx := range d.Transactions {
 		total += len(tx.Items)
@@ -246,7 +275,18 @@ func packSales(d *Dataset) []prow {
 	if !ascending {
 		xsort.RadixSortRows(rows, make([]prow, len(rows)))
 	}
-	return rows
+	// Number the baskets: a trans_id spread over several transactions is
+	// one basket, and an empty transaction is none.
+	b := baskets{rows: rows, starts: make([]uint32, 0, len(d.Transactions)+1), tids: make([]uint64, 0, len(d.Transactions))}
+	for i, r := range rows {
+		if len(b.tids) == 0 || r.Tid != b.tids[len(b.tids)-1] {
+			b.starts = append(b.starts, uint32(i))
+			b.tids = append(b.tids, r.Tid)
+		}
+		rows[i].Tid = uint64(len(b.tids) - 1)
+	}
+	b.starts = append(b.starts, uint32(n))
+	return b
 }
 
 // prowsSorted reports whether rows are ordered by (tid, key) — the
@@ -277,116 +317,43 @@ func keysSorted(keys []uint64) bool {
 	return true
 }
 
-// packedExtend is the merge-scan join of packed R_{k-1} with packed R_1
-// (Figure 4's extension step): both inputs sorted by trans_id; within a
-// transaction each pattern is extended by the sale items whose code
-// exceeds its last item's. prefixes is C_{k-1}'s index when R'_k is
-// rank-coded (k >= 3): the extended key is then the row's rank in
-// C_{k-1}, shifted; nil bit-packs (k = 2, and MineDelta at every k).
-// Appends to out and returns it; the output inherits (trans_id, key)
+// packedExtend is Figure 4's extension step, R_{k-1} ⋈ SALES on
+// trans_id, as a look-up: a row's Tid is its basket's ordinal in sales,
+// whose codes ascend, so its extensions are the basket's suffix past its
+// last item's code, appended whole. prefixes is C_{k-1}'s index when
+// R'_k is rank-coded (k >= 3): the extended key is then the row's rank
+// in C_{k-1}, shifted; nil bit-packs (k = 2, and MineDelta at every k).
+// Appends to out and returns it; the output inherits (basket, key)
 // order.
-func packedExtend(rk, sales []prow, itemBits uint, prefixes *keyIndex, out []prow) []prow {
+func packedExtend(rk []prow, sales *baskets, itemBits uint, prefixes *keyIndex, out []prow) []prow {
 	mask := uint64(1)<<itemBits - 1
 	var dir []rankWord // the rank directory, looked up inline
 	if prefixes != nil {
 		dir = prefixes.dir
 	}
-	nr, ns := len(rk), len(sales)
-	i, j := 0, 0
-	for i < nr && j < ns {
-		tid := rk[i].Tid
+	for _, r := range rk {
+		last, base := r.Key&mask, r.Key
 		switch {
-		case sales[j].Tid < tid:
-			j = skipTo(sales, j, tid)
-		case sales[j].Tid > tid:
-			i++
-		default:
-			iEnd := i
-			for iEnd < nr && rk[iEnd].Tid == tid {
-				iEnd++
-			}
-			jEnd := j
-			for jEnd < ns && sales[jEnd].Tid == tid {
-				jEnd++
-			}
-			for p := i; p < iEnd; p++ {
-				key := rk[p].Key
-				last, base := key&mask, key
-				switch {
-				case dir != nil:
-					base = dir[key>>6].rank(key)
-				case prefixes != nil:
-					base = prefixes.rank(key)
-				}
-				base <<= itemBits
-				for q := j; q < jEnd; q++ {
-					if it := sales[q].Key; it > last {
-						out = append(out, prow{Tid: tid, Key: base | it})
-					}
-				}
-			}
-			i, j = iEnd, jEnd
+		case dir != nil:
+			base = dir[r.Key>>6].rank(r.Key)
+		case prefixes != nil:
+			base = prefixes.rank(r.Key)
+		}
+		base <<= itemBits
+		for _, s := range sales.after(r.Tid, last) {
+			out = append(out, prow{Tid: r.Tid, Key: base | s.Key})
 		}
 	}
 	return out
 }
 
-// skipTo returns the first position from j on whose trans_id is at least
-// tid, sales[j].Tid being below it: a galloping search, so a short
-// R_{k-1} (the deep passes) skips the long stretches of SALES between
-// its transactions in logarithmic time instead of row by row.
-func skipTo(sales []prow, j int, tid uint64) int {
-	step := 1
-	for j+step < len(sales) && sales[j+step].Tid < tid {
-		j += step
-		step *= 2
-	}
-	// sales[j].Tid < tid <= sales[j+step].Tid (or the end): the answer is
-	// in (j, j+step].
-	lo, hi := j+1, min(j+step, len(sales))
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sales[mid].Tid < tid {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// packedExtendRows is |R'_k| without materializing it: packedExtend's
-// merge-scan with the appends counted instead of made.
-func packedExtendRows(rk, sales []prow, itemBits uint) int {
+// packedExtendRows is |R'_k| without materializing it: the lengths of
+// the suffixes packedExtend appends, summed.
+func packedExtendRows(rk []prow, sales *baskets, itemBits uint) int {
 	mask := uint64(1)<<itemBits - 1
-	nr, ns := len(rk), len(sales)
-	i, j, n := 0, 0, 0
-	for i < nr && j < ns {
-		tid := rk[i].Tid
-		switch {
-		case sales[j].Tid < tid:
-			j = skipTo(sales, j, tid)
-		case sales[j].Tid > tid:
-			i++
-		default:
-			iEnd := i
-			for iEnd < nr && rk[iEnd].Tid == tid {
-				iEnd++
-			}
-			jEnd := j
-			for jEnd < ns && sales[jEnd].Tid == tid {
-				jEnd++
-			}
-			for p := i; p < iEnd; p++ {
-				last := rk[p].Key & mask
-				for q := j; q < jEnd; q++ {
-					if sales[q].Key > last {
-						n++
-					}
-				}
-			}
-			i, j = iEnd, jEnd
-		}
+	n := 0
+	for _, r := range rk {
+		n += len(sales.after(r.Tid, r.Key&mask))
 	}
 	return n
 }
@@ -396,7 +363,8 @@ func packedExtendRows(rk, sales []prow, itemBits uint) int {
 
 // At k = 2, R_{k-1} is SALES itself, and R'_2 = SALES ⋈ SALES on trans_id
 // is every pair of a basket's items in code order: its rows are known
-// from SALES alone, so the pass never writes them. Scan 1 (pairsCount)
+// from SALES alone, so the pass never writes them. An R_2 row carries its
+// SALES row's basket ordinal, which is all pass 3's look-up needs. Scan 1 (pairsCount)
 // counts each pair on the count table, C_2 is read out and indexed as
 // for any pass, and scan 2 (pairsEmit) walks the same pairs again and
 // keeps the ones in C_2 — R_2, row for row the filter of the materialized
@@ -407,15 +375,6 @@ func packedExtendRows(rk, sales []prow, itemBits uint) int {
 // codes within a basket; only a strictly larger code pairs, as in
 // packedExtend. From k = 3 a second scan of R_{k-1} × SALES costs more
 // than writing a selective R'_k (ROADMAP, "Measured and rejected").
-
-// basketEnd is the end of the basket that rows[p] belongs to.
-func basketEnd(rows []prow, p int) int {
-	end, tid := p+1, rows[p].Tid
-	for end < len(rows) && rows[end].Tid == tid {
-		end++
-	}
-	return end
-}
 
 // pairStart is the first row of rows[p]'s basket (which ends at end)
 // with a code larger than rows[p]'s: where its pairs start.
@@ -428,10 +387,11 @@ func pairStart(rows []prow, p, end int) int {
 }
 
 // pairsCount is scan 1: tab[code_p<<bits | code_q]++ for every pair of
-// rows p < q of a basket, p in rows[lo:hi].
-func pairsCount(rows []prow, lo, hi int, bits uint, tab []uint32) {
+// rows p < q of a basket, p in rows[lo:hi]; SALES is rows, its basket
+// index starts.
+func pairsCount(rows []prow, starts []uint32, lo, hi int, bits uint, tab []uint32) {
 	for p := lo; p < hi; {
-		end := basketEnd(rows, p)
+		end := int(starts[rows[p].Tid+1])
 		for stop := min(end, hi); p < stop; p++ {
 			base := rows[p].Key << bits
 			for _, r := range rows[pairStart(rows, p, end):end] {
@@ -443,13 +403,13 @@ func pairsCount(rows []prow, lo, hi int, bits uint, tab []uint32) {
 
 // pairsEmit is scan 2: the pairs of pairsCount's walk whose key is in C_2
 // (ck), appended to out as R_2 rows in (trans_id, key) order.
-func pairsEmit(rows []prow, lo, hi int, bits uint, ck *keyIndex, out []prow) []prow {
+func pairsEmit(rows []prow, starts []uint32, lo, hi int, bits uint, ck *keyIndex, out []prow) []prow {
 	if len(ck.keys) == 0 {
 		return out
 	}
 	dir := ck.dir
 	for p := lo; p < hi; {
-		end := basketEnd(rows, p)
+		end := int(starts[rows[p].Tid+1])
 		for stop := min(end, hi); p < stop; p++ {
 			tid, base := rows[p].Tid, rows[p].Key<<bits
 			for _, r := range rows[pairStart(rows, p, end):end] {
@@ -471,10 +431,10 @@ func pairsEmit(rows []prow, lo, hi int, bits uint, ck *keyIndex, out []prow) []p
 // salesPairs is |R'_2|, known ahead of pass 2: the pairs pairsCount
 // walks over all of SALES, counted without a table. The data set's memo
 // holds it; the pass's rule and its IterationStat read it there.
-func salesPairs(rows []prow) int64 {
+func salesPairs(rows []prow, starts []uint32) int64 {
 	var n int64
 	for p := 0; p < len(rows); {
-		for end := basketEnd(rows, p); p < end; p++ {
+		for end := int(starts[rows[p].Tid+1]); p < end; p++ {
 			n += int64(end - pairStart(rows, p, end))
 		}
 	}

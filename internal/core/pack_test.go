@@ -148,8 +148,11 @@ func TestPackSalesMatchesSalesRelation(t *testing.T) {
 	for _, d := range []*Dataset{signedDataset(21, 60, 9, 30), signedDataset(22, 900, 9, 12)} {
 		want := salesRelation(d)
 		memo := d.packed()
-		rows, dict := memo.rows, memo.dict
-		got := unpackRel(relation{stride: 2}, rows, dict)
+		rows := slices.Clone(memo.rows)
+		for i, r := range rows {
+			rows[i].Tid = memo.tids[r.Tid] // basket ordinal -> trans_id
+		}
+		got := unpackRel(relation{stride: 2}, rows, memo.dict)
 		if !slices.Equal(got.data, want.data) {
 			t.Fatalf("%d transactions: packed sales mismatch:\ngot  %v\nwant %v", len(d.Transactions), got.data, want.data)
 		}
@@ -431,11 +434,11 @@ func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 	d := signedDataset(11, 3000, 10, 50)
 	memo := d.packed()
 	dict, sales := memo.dict, memo.rows
-	ext := packedExtend(sales, sales, dict.bits, nil, nil)
-	if got := packedExtendRows(sales, sales, dict.bits); got != len(ext) || got == 0 {
+	ext := packedExtend(sales, &memo.baskets, dict.bits, nil, nil)
+	if got := packedExtendRows(sales, &memo.baskets, dict.bits); got != len(ext) || got == 0 {
 		t.Fatalf("packedExtendRows = %d, packedExtend made %d rows", got, len(ext))
 	}
-	if got := packedExtendRows(ext, sales, dict.bits); got != len(packedExtend(ext, sales, dict.bits, nil, nil)) {
+	if got := packedExtendRows(ext, &memo.baskets, dict.bits); got != len(packedExtend(ext, &memo.baskets, dict.bits, nil, nil)) {
 		t.Fatalf("k=3: packedExtendRows = %d, packedExtend disagrees", got)
 	}
 

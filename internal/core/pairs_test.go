@@ -82,7 +82,7 @@ func FuzzPairs(f *testing.F) {
 		if 2*bits > maxCountTableBits {
 			return // past the pairs pass's catalogue
 		}
-		rPrime := packedExtend(sales, sales, bits, nil, nil)
+		rPrime := packedExtend(sales, &memo.baskets, bits, nil, nil)
 		if int64(len(rPrime)) != memo.pairs {
 			t.Fatalf("|R'_2| = %d, the memo counts %d", len(rPrime), memo.pairs)
 		}
@@ -110,7 +110,7 @@ func FuzzPairs(f *testing.F) {
 					tabs := make([][]uint32, W)
 					for i := range tabs {
 						tabs[i] = make([]uint32, len(wantTab))
-						pairsCount(sales, lo[i], lo[i+1], bits, tabs[i])
+						pairsCount(sales, memo.starts, lo[i], lo[i+1], bits, tabs[i])
 					}
 					if got := emitCountTable(sumTables(tabs), ms, pkCounts{}); !samePkCounts(got, want) {
 						t.Fatalf("W=%d cuts %v minSup=%d: C_2 %v:%v, materialized %v:%v", W, lo, ms, got.keys, got.counts, want.keys, want.counts)
@@ -118,7 +118,7 @@ func FuzzPairs(f *testing.F) {
 				}
 				var got []prow
 				for i := 0; i < W; i++ {
-					got = pairsEmit(sales, lo[i], lo[i+1], bits, &idx, got)
+					got = pairsEmit(sales, memo.starts, lo[i], lo[i+1], bits, &idx, got)
 				}
 				if !slices.Equal(got, wantR2) {
 					t.Fatalf("W=%d cuts %v minSup=%d: R_2 %v, materialized %v", W, lo, ms, got, wantR2)

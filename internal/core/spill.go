@@ -5,8 +5,8 @@ package core
 // relations that keep their (tid, key) rows in RAM while they fit the
 // memory budget and become sequential runs of raw packed pages
 // (storage.Run) once they do not. Every kernel of the iteration loop —
-// merge-scan extension, key sort + count, support filter — streams
-// through cursors that read either form, so one code path serves the
+// extension, key sort + count, support filter — streams through cursors
+// that read either form, so one code path serves the
 // in-RAM and the disk-resident regimes and the switch is just where an
 // appender's buffer tips over the budget. R_1 is the exception: the data
 // set's packed SALES, resident whatever the budget and read in place; only
@@ -146,7 +146,7 @@ func rowsOf(pool *storage.Pool, r *srel) rowIter {
 }
 
 // ---------------------------------------------------------------------------
-// Group iteration (the unit the merge-scan extension joins on)
+// Group iteration (the unit MinePaged's merge-scan extension joins on)
 
 // groupIter yields a relation's rows one transaction group at a time;
 // next returns nil at the end.
@@ -266,16 +266,29 @@ func groupsOf(pool *storage.Pool, r *srel) groupIter {
 // spills as one sorted sequential run.
 type spillAppender struct {
 	pool    *storage.Pool
-	capRows int // 0 = unbounded (never spill)
+	capRows int     // 0 = unbounded (never spill)
+	slot    *[]prow // the arena buffer mem grows in, handed back by finish and abort
 	mem     []prow
 	w       *storage.RunWriter // stages an extent itself once spilled
 	st      *spillStats
 	closed  bool
 }
 
+// newSpillAppender opens an appender bounded to capRows (0: unbounded)
+// whose resident rows grow in the arena buffer *slot.
+func newSpillAppender(pool *storage.Pool, capRows int, st *spillStats, slot *[]prow) *spillAppender {
+	return &spillAppender{pool: pool, capRows: capRows, st: st, slot: slot, mem: (*slot)[:0]}
+}
+
 func (a *spillAppender) add(rows []prow) error {
 	if a.w == nil {
 		if a.capRows <= 0 || len(a.mem)+len(rows) <= a.capRows {
+			if a.capRows > 0 && cap(a.mem) < a.capRows {
+				// Sized once, at the bound, as stepResident sizes R'_k: grown
+				// by append, the buffer would leave its abandoned copies to the
+				// collector on every mine whose arena lacks it.
+				a.mem = append(make([]prow, 0, a.capRows), a.mem...)
+			}
 			a.mem = append(a.mem, rows...)
 			return nil
 		}
@@ -283,15 +296,16 @@ func (a *spillAppender) add(rows []prow) error {
 		if err := a.w.Rows(a.mem); err != nil {
 			return err
 		}
-		a.mem = nil
+		a.mem = a.mem[:0] // the writer copied the rows; the buffer goes back to the arena
 	}
 	return a.w.Rows(rows)
 }
 
-// finish seals the appender into a relation: the resident rows, or the
-// one run everything went to.
+// finish seals the appender into a relation: the resident rows (which
+// stay in the arena buffer), or the one run everything went to.
 func (a *spillAppender) finish() (*srel, error) {
 	a.closed = true
+	*a.slot = a.mem
 	if a.w == nil {
 		return memSrel(a.mem), nil
 	}
@@ -306,10 +320,14 @@ func (a *spillAppender) finish() (*srel, error) {
 // abort releases the appender's writer (freeing any partial run) after
 // an error; harmless after finish.
 func (a *spillAppender) abort(pool *storage.Pool) {
-	if a.closed || a.w == nil {
+	if a.closed {
 		return
 	}
 	a.closed = true
+	*a.slot = a.mem
+	if a.w == nil {
+		return
+	}
 	if run, err := a.w.Close(); err == nil {
 		run.Free(pool)
 	}

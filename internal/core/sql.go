@@ -74,7 +74,7 @@ func newSQLStepper(d *Dataset, opts Options, cfg SQLConfig) (*sqlStepper, error)
 	batch := tuple.NewBatch(salesSchema)
 	batch.Grow(len(memo.rows))
 	for _, r := range memo.rows {
-		batch.Cols[0].I = append(batch.Cols[0].I, int64(r.Tid^tidFlip))
+		batch.Cols[0].I = append(batch.Cols[0].I, int64(memo.tids[r.Tid]^tidFlip))
 		batch.Cols[1].I = append(batch.Cols[1].I, memo.dict.items[r.Key])
 		batch.BumpRow()
 	}

@@ -41,8 +41,9 @@ type Transaction struct {
 // Dataset is an ordered collection of transactions.
 //
 // A dataset keeps one normalized form of itself: the packed SALES
-// relation (one 16-byte (trans_id, item code) row per distinct item of a
-// transaction, sorted by (trans_id, item)) and its item dictionary, built
+// relation (one 16-byte (basket, item code) row per distinct item of a
+// transaction, sorted by (trans_id, item), plus 12 bytes of index per
+// distinct trans_id) and its item dictionary, built
 // on first use and read by every mine, SalesRows and NumSalesRows after
 // it. The memo is keyed by the Transactions slice header (the address of
 // its first element and its length): assigning or appending to
@@ -55,17 +56,20 @@ type Dataset struct {
 	memo atomic.Pointer[salesMemo]
 }
 
-// salesMemo is a dataset's packed SALES and item dictionary: read-only
-// once built, shared by every reader, never part of a pooled arena.
+// salesMemo is a dataset's packed SALES, indexed by basket, and its item
+// dictionary: read-only once built, shared by every reader, never part of
+// a pooled arena. SALES rows carry basket ordinals (pack.go's baskets);
+// whatever shows a trans_id (SalesRows, and so WriteDataset, and
+// MineSQL's SALES table) reads it back through tids.
 //
 // tx is a pointer, not an address, so the array it was built from cannot
 // be freed and reused under the same key while the memo is held.
 type salesMemo struct {
-	tx    *Transaction // unsafe.SliceData(Transactions) when built
-	n     int          // len(Transactions) when built
-	dict  *packDict
-	rows  []prow // R_1 = SALES(tid, item code), sorted by (tid, code)
-	pairs int64  // |R'_2|, known before pass 2 runs (salesPairs)
+	tx      *Transaction // unsafe.SliceData(Transactions) when built
+	n       int          // len(Transactions) when built
+	dict    *packDict
+	baskets       // R_1 = SALES(basket, item code), sorted by (basket, code)
+	pairs   int64 // |R'_2|, known before pass 2 runs (salesPairs)
 }
 
 // packed returns the dataset's memo, building it if the Transactions
@@ -76,10 +80,10 @@ func (d *Dataset) packed() *salesMemo {
 	if m := d.memo.Load(); m != nil && m.tx == tx && m.n == n {
 		return m
 	}
-	rows := packSales(d)
-	m := &salesMemo{tx: tx, n: n, dict: buildDict(rows, n), rows: rows}
-	m.dict.recode(rows)
-	m.pairs = salesPairs(rows)
+	sales := packSales(d)
+	m := &salesMemo{tx: tx, n: n, dict: buildDict(sales.rows, n), baskets: sales}
+	m.dict.recode(m.rows)
+	m.pairs = salesPairs(m.rows, m.starts)
 	d.memo.Store(m)
 	return m
 }
@@ -96,7 +100,7 @@ func (d *Dataset) SalesRows() [][2]int64 {
 	m := d.packed()
 	rows := make([][2]int64, len(m.rows))
 	for i, r := range m.rows {
-		rows[i] = [2]int64{int64(r.Tid ^ tidFlip), m.dict.items[r.Key]}
+		rows[i] = [2]int64{int64(m.tids[r.Tid] ^ tidFlip), m.dict.items[r.Key]}
 	}
 	return rows
 }

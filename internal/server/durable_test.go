@@ -299,9 +299,9 @@ func TestDurableResumeRefusesVersion1Checkpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := bytes.Replace(data, []byte(`"version":2,`), []byte(`"version":1,`), 1)
+	v1 := bytes.Replace(data, []byte(`"version":3,`), []byte(`"version":1,`), 1)
 	if bytes.Equal(v1, data) {
-		t.Fatalf("fixture manifest is not version 2: %s", data)
+		t.Fatalf("fixture manifest is not version 3: %s", data)
 	}
 	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
