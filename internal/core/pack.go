@@ -77,9 +77,10 @@ const tidFlip = uint64(1) << 63
 
 // prow is one packed R_k row: the Tid field holds the basket ordinal
 // (the memo's tids maps it back to trans_id, see baskets), the Key field
-// the k item codes with item_1 in the most significant bits. It IS the storage layer's packed row — the in-memory kernels and
-// the spilled page runs share one representation, so spilling a relation
-// is a raw memory write, never a re-encoding.
+// the k item codes with item_1 in the most significant bits. It IS the
+// storage layer's packed row — the in-memory kernels and the spilled
+// page runs share one representation, so spilling a relation is a raw
+// memory write, never a re-encoding.
 type prow = storage.PackedRow
 
 // packDict is the order-preserving dense item dictionary: code i stands
@@ -363,8 +364,7 @@ func packedExtendRows(rk []prow, sales *baskets, itemBits uint) int {
 
 // At k = 2, R_{k-1} is SALES itself, and R'_2 = SALES ⋈ SALES on trans_id
 // is every pair of a basket's items in code order: its rows are known
-// from SALES alone, so the pass never writes them. An R_2 row carries its
-// SALES row's basket ordinal, which is all pass 3's look-up needs. Scan 1 (pairsCount)
+// from SALES alone, so the pass never writes them. Scan 1 (pairsCount)
 // counts each pair on the count table, C_2 is read out and indexed as
 // for any pass, and scan 2 (pairsEmit) walks the same pairs again and
 // keeps the ones in C_2 — R_2, row for row the filter of the materialized
@@ -373,7 +373,9 @@ func packedExtendRows(rk []prow, sales *baskets, itemBits uint) int {
 // pass cuts SALES anywhere, and each pair belongs to the chunk holding
 // its first row. A trans_id spread over several transactions repeats
 // codes within a basket; only a strictly larger code pairs, as in
-// packedExtend. From k = 3 a second scan of R_{k-1} × SALES costs more
+// packedExtend. A basket ends where the memo's starts says, and an R_2
+// row carries its first SALES row's basket ordinal, which is all pass 3's
+// look-up needs. From k = 3 a second scan of R_{k-1} × SALES costs more
 // than writing a selective R'_k (ROADMAP, "Measured and rejected").
 
 // pairStart is the first row of rows[p]'s basket (which ends at end)

@@ -6,9 +6,9 @@ package core
 // memory budget and become sequential runs of raw packed pages
 // (storage.Run) once they do not. Every kernel of the iteration loop —
 // extension, key sort + count, support filter — streams through cursors
-// that read either form, so one code path serves the
-// in-RAM and the disk-resident regimes and the switch is just where an
-// appender's buffer tips over the budget. R_1 is the exception: the data
+// that read either form, so one code path serves the in-RAM and the
+// disk-resident regimes and the switch is just where an appender's
+// buffer tips over the budget. R_1 is the exception: the data
 // set's packed SALES, resident whatever the budget and read in place; only
 // MinePaged writes it as a run, as Section 4.3 charges (n-1)·‖R_1‖ for it.
 //

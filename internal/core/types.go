@@ -43,9 +43,8 @@ type Transaction struct {
 // A dataset keeps one normalized form of itself: the packed SALES
 // relation (one 16-byte (basket, item code) row per distinct item of a
 // transaction, sorted by (trans_id, item), plus 12 bytes of index per
-// distinct trans_id) and its item dictionary, built
-// on first use and read by every mine, SalesRows and NumSalesRows after
-// it. The memo is keyed by the Transactions slice header (the address of
+// distinct trans_id) and its item dictionary, built on first use and
+// read by every mine, SalesRows and NumSalesRows after it. The memo is keyed by the Transactions slice header (the address of
 // its first element and its length): assigning or appending to
 // Transactions rebuilds it on next use. Editing the transactions it was
 // built from — in place, or by shortening the slice and appending over
