@@ -970,7 +970,7 @@ func (s *execStepper) release() {
 			s.sales.free(s.pool)
 		}
 	}
-	s.rk, s.sales, s.dict, s.idx = nil, nil, nil, keyIndex{}
+	s.rk, s.sales, s.baskets, s.dict, s.idx = nil, nil, nil, nil, keyIndex{}
 	if s.ar != nil {
 		s.ar.release()
 		s.ar = nil
