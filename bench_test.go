@@ -180,7 +180,7 @@ func BenchmarkAblationPoolSize(b *testing.B) {
 
 // BenchmarkParallelWorkers is the ladder behind the resident fan-out
 // (internal/core's BenchmarkPassFanOut is the same pass by pass, and
-// costmodel.ParallelMinRows quotes that): MineParallel across worker counts
+// costmodel.ParallelMinRows quotes that): MineAuto across MaxWorkers
 // on the full retail data set at 0.1% support (the heaviest published
 // setting) and, at 1 and 2 workers, on the bench's quest-resident workload
 // — T10I4D100K at 0.25%, |R'_2| = 5.2M rows. One worker is the serial
@@ -200,9 +200,11 @@ func BenchmarkParallelWorkers(b *testing.B) {
 	} {
 		d := ds.d()
 		for _, workers := range ds.workers {
+			opts := ds.opts
+			opts.MaxWorkers = workers
 			b.Run(fmt.Sprintf("%s/workers=%d", ds.name, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := core.MineParallel(d, ds.opts, workers); err != nil {
+					if _, err := core.MineAuto(d, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -212,7 +214,7 @@ func BenchmarkParallelWorkers(b *testing.B) {
 }
 
 // BenchmarkMineDatasets is the headline hot-path series used to track the
-// flat-relation pipeline: Mine and MineParallel on the retail stand-in and
+// flat-relation pipeline: Mine and MineAuto on the retail stand-in and
 // the T10.I4 Quest workload, with allocation counts. Run with:
 //
 //	go test -bench 'MineDatasets' -benchmem
@@ -234,10 +236,10 @@ func BenchmarkMineDatasets(b *testing.B) {
 				}
 			}
 		})
-		b.Run("parallel/"+ds.name, func(b *testing.B) {
+		b.Run("auto/"+ds.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MineParallel(ds.d, ds.opts, 0); err != nil {
+				if _, err := core.MineAuto(ds.d, ds.opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,7 +11,7 @@
 //	setm-bench -exp model     # live relation sizes vs the analytic model
 //	setm-bench -exp all
 //
-// -strategy {auto,mine,parallel,paged,sql} mines once with
+// -strategy {auto,mine,paged,sql} mines once with
 // the named driver and prints the per-iteration chosen plans — the
 // EXPLAIN-style view of the adaptive executor (combine with -membudget).
 //
@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	repeats := fs.Int("repeats", 3, "timing repetitions (best-of)")
 	compareTxns := fs.Int("compare-txns", 4000, "transactions for the algorithm comparison (nested-loop is slow)")
 	memBudget := fs.Int64("membudget", 0, "Options.MemoryBudget in bytes for the io experiment and the -strategy run (0 = driver default, -1 = unlimited)")
-	strategy := fs.String("strategy", "", "run one driver {auto,mine,parallel,paged,sql} on the retail data set, packed kernels, and print its per-iteration chosen plans (the EXPLAIN of mining); honours -membudget")
+	strategy := fs.String("strategy", "", "run one driver {auto,mine,paged,sql} on the retail data set, packed kernels, and print its per-iteration chosen plans (the EXPLAIN of mining); honours -membudget")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -165,10 +165,6 @@ func minerFor(name string) (func(*core.Dataset, core.Options) (*core.Result, err
 		return core.MineAuto, nil
 	case "mine":
 		return core.MineMemory, nil
-	case "parallel":
-		return func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			return core.MineParallel(d, o, 0)
-		}, nil
 	case "paged":
 		return func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			r, err := core.MinePaged(d, o, core.PagedConfig{})
@@ -182,7 +178,7 @@ func minerFor(name string) (func(*core.Dataset, core.Options) (*core.Result, err
 			return core.MineSQL(d, o, core.SQLConfig{})
 		}, nil
 	default:
-		return nil, fmt.Errorf("unknown -strategy %q (want auto, mine, parallel, paged, or sql)", name)
+		return nil, fmt.Errorf("unknown -strategy %q (want auto, mine, paged, or sql)", name)
 	}
 }
 

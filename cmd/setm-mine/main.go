@@ -5,7 +5,7 @@
 //
 //	setm-mine -i sales.txt -minsup 0.01 -minconf 0.7
 //	setm-mine -i sales.txt -algo sql -trace       # show the SQL being run
-//	setm-mine -i sales.txt -algo parallel -workers 2
+//	setm-mine -i sales.txt -algo auto -workers 2
 //	setm-mine -i sales.txt -algo apriori -patterns
 package main
 
@@ -36,8 +36,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	minSup := fs.Float64("minsup", 0.01, "minimum support as a fraction of transactions")
 	minSupCount := fs.Int64("minsup-count", 0, "minimum support as an absolute count (overrides -minsup)")
 	minConf := fs.Float64("minconf", 0.70, "minimum confidence factor")
-	algo := fs.String("algo", "memory", "algorithm: memory, auto, parallel, paged, sql, nested, ais, apriori")
-	workers := fs.Int("workers", 0, "with -algo parallel/auto: worker cap of the packed kernels' fan-out (0 = GOMAXPROCS); -algo sql is serial")
+	algo := fs.String("algo", "memory", "algorithm: memory, auto, paged, sql, nested, ais, apriori")
+	workers := fs.Int("workers", 0, "with -algo auto: worker cap of the packed kernels' fan-out (0 = GOMAXPROCS); the other drivers are serial")
 	memBudget := fs.Int64("membudget", 0, "with -algo auto/paged: memory budget in bytes (0 = driver default)")
 	trace := fs.Bool("trace", false, "with -algo sql: print each SQL statement")
 	patterns := fs.Bool("patterns", false, "print frequent patterns, not just rules")
@@ -77,8 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				fmt.Fprintf(stdout, "k=%d plan=%s\n", st.K, st.Plan)
 			}
 		}
-	case "parallel":
-		res, err = setm.MineParallel(d, opts, *workers)
 	case "paged":
 		var pr *setm.PagedResult
 		pr, err = setm.MinePaged(d, opts, setm.PagedConfig{})

@@ -25,7 +25,7 @@ func writeExampleFile(t *testing.T) string {
 
 func TestRunAllAlgorithmsOnPaperExample(t *testing.T) {
 	in := writeExampleFile(t)
-	for _, algo := range []string{"memory", "auto", "parallel", "paged", "sql", "nested", "ais", "apriori"} {
+	for _, algo := range []string{"memory", "auto", "paged", "sql", "nested", "ais", "apriori"} {
 		t.Run(algo, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			args := []string{"-i", in, "-minsup", "0.30", "-minconf", "0.70", "-letters", "-algo", algo}
@@ -46,7 +46,7 @@ func TestRunAllAlgorithmsOnPaperExample(t *testing.T) {
 func TestRunPatternsFlag(t *testing.T) {
 	in := writeExampleFile(t)
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-i", in, "-minsup-count", "3", "-patterns", "-letters", "-algo", "parallel", "-workers", "3"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-i", in, "-minsup-count", "3", "-patterns", "-letters", "-algo", "auto", "-workers", "3"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(stdout.String(), "D E F : 3") {
@@ -95,7 +95,7 @@ func TestGenMinePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mine := exec.Command(filepath.Join(dir, "setm-mine"), "-i", sales, "-minsup", "0.05", "-algo", "parallel", "-workers", "2")
+	mine := exec.Command(filepath.Join(dir, "setm-mine"), "-i", sales, "-minsup", "0.05", "-algo", "auto", "-workers", "2")
 	out, err := mine.CombinedOutput()
 	if err != nil {
 		t.Fatalf("setm-mine: %v\n%s", err, out)

@@ -314,7 +314,8 @@ func readCheckpointRows(cp *Checkpoint, fn func(rows []prow) error) error {
 // under the current memory budget, and re-enters the loop at iteration
 // K+1. Results are bit-identical to an uninterrupted MineAuto run with
 // the same options. cp == nil is a plain MineAutoMonitored run — this is
-// the one place the adaptive executor is built. A checkpoint that fails
+// where MineAuto and MineMemory build the executor (MinePaged builds its
+// own, for Section 4.3's plan and pool). A checkpoint that fails
 // verification against the dataset and options returns an error wrapping
 // ErrCheckpoint — the caller falls back to a full re-mine; no partial
 // state leaks (pinned frames stay zero).
@@ -324,16 +325,16 @@ func MineAutoResumeMonitored(ctx context.Context, d *Dataset, opts Options, pool
 			return nil, fmt.Errorf("%w: checkpoints require the packed executor (DisablePackedKernels is set)", ErrCheckpoint)
 		}
 		// The ablation is the serial flat reference; there is nothing to plan.
-		return runPipelineCtx(ctx, d, opts, newMemoryStepper(d, opts, 1), onIter)
+		return runPipeline(ctx, d, opts, &flatStepper{d: d}, onIter, nil)
 	}
 	cfg := PagedConfig{}.withDefaults()
 	if pool != nil {
 		cfg.PoolFrames = pool.Capacity()
 	}
-	st := newExecStepper(d, opts, cfg, autoStrategy())
+	st := newExecStepper(d, opts, cfg)
 	st.ctx = ctx
 	if pool != nil {
 		st.attachPool(pool)
 	}
-	return runPipelineFrom(ctx, d, opts, st, onIter, cp)
+	return runPipeline(ctx, d, opts, st, onIter, cp)
 }

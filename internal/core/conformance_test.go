@@ -88,11 +88,13 @@ func conformanceMiners() []minerFn {
 			o.DisablePackedKernels = true
 			return core.MineMemory(d, o)
 		}},
-		{"parallel-3", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			return core.MineParallel(d, o, 3)
+		{"auto-3workers", func(d *core.Dataset, o core.Options) (*core.Result, error) {
+			o.MaxWorkers = 3
+			return core.MineAuto(d, o)
 		}},
-		{"parallel-4", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			return core.MineParallel(d, o, 4)
+		{"auto-4workers", func(d *core.Dataset, o core.Options) (*core.Result, error) {
+			o.MaxWorkers = 4
+			return core.MineAuto(d, o)
 		}},
 		{"paged", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			r, err := core.MinePaged(d, o, core.PagedConfig{PoolFrames: 48})
@@ -188,8 +190,9 @@ func TestDriverConformance(t *testing.T) {
 func TestDriverConformanceOptionMatrix(t *testing.T) {
 	matrixMiners := []minerFn{
 		{"memory", core.MineMemory},
-		{"parallel-3", func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			return core.MineParallel(d, o, 3)
+		{"auto-3workers", func(d *core.Dataset, o core.Options) (*core.Result, error) {
+			o.MaxWorkers = 3
+			return core.MineAuto(d, o)
 		}},
 		{"memory-generic", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			o.DisablePackedKernels = true
@@ -232,9 +235,11 @@ func TestDriverConformanceOptionMatrix(t *testing.T) {
 }
 
 // fanOutCase is one data shape the resident fan-out must get right:
-// chunks are cut by position (through a transaction if need be), join
-// windows by tid value, and every chunk of R'_k is counted and filtered
-// where it was extended.
+// chunks are cut by position (through a transaction if need be), each row
+// looks up its own basket, and every chunk of R'_k is counted and filtered
+// where it was extended. The planner gives a worker at least
+// costmodel.ParallelMinRows rows, so a shape fans out only as far as its
+// size allows.
 type fanOutCase struct {
 	name string
 	d    *core.Dataset
@@ -267,19 +272,20 @@ func fanOutCases() []fanOutCase {
 		return core.Transaction{ID: id, Items: items}
 	}
 
-	// One 800-item transaction in the middle of ~2,400 rows of small
-	// baskets: longer than a chunk at W >= 4, so its rows straddle one cut
-	// or several and every side must join the whole of it.
+	// One 800-item transaction in the middle of ~8,300 rows of small
+	// baskets: the middle cut at two and at four workers falls inside it,
+	// and each side must join the whole of it.
 	big := &core.Dataset{}
-	for i := 0; i < 600; i++ {
-		if i == 300 {
+	for i := 0; i < 2400; i++ {
+		if i == 1200 {
 			big.Transactions = append(big.Transactions, unique(int64(i), 800, 10_000))
 		}
 		big.Transactions = append(big.Transactions, basket(int64(1000+i), 2+rng.Intn(5), 12))
 	}
 
 	// Five transactions, seven workers: three items common to all (and
-	// frequent at minsup 4) among 450 unique ones each.
+	// frequent at minsup 4) among 450 unique ones each. Their 2,265 rows
+	// are fewer than two workers' share, so every pass plans one worker.
 	few := &core.Dataset{}
 	for i := 0; i < 5; i++ {
 		tx := unique(int64(i+1), 450, core.Item(1000*(i+1)))
@@ -289,7 +295,7 @@ func fanOutCases() []fanOutCase {
 
 	// Negative, non-contiguous, unsorted-on-arrival tids.
 	signed := &core.Dataset{}
-	for i, id := 0, int64(-40_000); i < 900; i++ {
+	for i, id := 0, int64(-200_000); i < 2700; i++ {
 		id += 1 + int64(rng.Intn(90))
 		signed.Transactions = append(signed.Transactions, basket(id, 1+rng.Intn(7), 15))
 	}
@@ -297,17 +303,17 @@ func fanOutCases() []fanOutCase {
 		signed.Transactions[i], signed.Transactions[j] = signed.Transactions[j], signed.Transactions[i]
 	})
 
-	// The first 1,200 transactions hold one item each: the first chunk of
-	// R_1 extends to zero R'_2 rows at every W.
+	// The first 4,000 transactions hold one item each, half of R_1 or
+	// more: the first chunk of R_1 extends to zero R'_2 rows at every W.
 	hollow := &core.Dataset{}
-	for i := 0; i < 1200; i++ {
+	for i := 0; i < 4000; i++ {
 		hollow.Transactions = append(hollow.Transactions, basket(int64(i+1), 1, 9))
 	}
-	for i := 0; i < 500; i++ {
-		hollow.Transactions = append(hollow.Transactions, basket(int64(5000+3*i), 3+rng.Intn(4), 9))
+	for i := 0; i < 1000; i++ {
+		hollow.Transactions = append(hollow.Transactions, basket(int64(9000+3*i), 3+rng.Intn(4), 9))
 	}
 
-	wide := conformanceDataset(conformanceCase{seed: 910, txns: 700, maxLen: 8, nItems: 20000})
+	wide := conformanceDataset(conformanceCase{seed: 910, txns: 2000, maxLen: 8, nItems: 20000})
 
 	retail := gen.DefaultRetail(3)
 	retail.NumTransactions = 8000
@@ -351,7 +357,9 @@ func TestParallelFanOutConformance(t *testing.T) {
 			}
 			for _, w := range []int{2, 3, 4, 7} {
 				label := fmt.Sprintf("%dw", w)
-				got, err := core.MineParallel(c.d, opts, w)
+				o := opts
+				o.MaxWorkers = w
+				got, err := core.MineAuto(c.d, o)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -368,10 +376,7 @@ func TestParallelFanOutConformance(t *testing.T) {
 					if st.Plan.Kernel != core.KernelPacked {
 						continue // past the packed key: the serial flat reference
 					}
-					chunks := w
-					if passInputRows(want.Stats, i) < costmodel.ParallelMinRows {
-						chunks = 1
-					}
+					chunks := min(int64(w), max(1, passInputRows(want.Stats, i)/costmodel.ParallelMinRows))
 					for _, kernel := range []string{core.CountTable, core.CountSort, core.CountPairs} {
 						if st.Plan.Count == kernel && st.Plan.String() != fmt.Sprintf("packed/resident/%dw/%s", chunks, kernel) {
 							t.Errorf("%s k=%d: plan %q", label, st.K, st.Plan)
@@ -487,8 +492,12 @@ func TestWideCataloguePacked(t *testing.T) {
 		mine  func() (*core.Result, error)
 	}{
 		{"memory", []string{"packed/resident/1w"}, func() (*core.Result, error) { return core.MineMemory(d, opts) }},
-		// A pass under ParallelMinRows rows of R_{k-1} runs, and reports, one chunk.
-		{"parallel-4", []string{"packed/resident/4w", "packed/resident/1w"}, func() (*core.Result, error) { return core.MineParallel(d, opts, 4) }},
+		// One worker per ParallelMinRows rows of R_{k-1}, up to four.
+		{"auto-4workers", []string{"packed/resident/4w", "packed/resident/3w", "packed/resident/2w", "packed/resident/1w"}, func() (*core.Result, error) {
+			o := opts
+			o.MaxWorkers = 4
+			return core.MineAuto(d, o)
+		}},
 		{"paged-16KiB", []string{"packed/spilled/1w"}, func() (*core.Result, error) {
 			r, err := core.MinePaged(d, budgeted, core.PagedConfig{PoolFrames: 8})
 			if err != nil {

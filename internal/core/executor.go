@@ -25,14 +25,16 @@ package core
 //     budget-bounded pass is serial — one cursor, one appender, one key
 //     counter, sequential page access.
 //
-// Every public driver is a thin wrapper over this stepper with either a
-// fixed plan (Mine, MineParallel, MinePaged) or the adaptive strategy
-// (MineAuto), which decides by rule from relation sizes: spilled when the
-// projected footprint crosses the budget, else one worker per
-// costmodel.ParallelMinRows rows of R_{k-1}. The plan each pass ran —
-// its fan-out is the number of chunks it was cut into — is recorded in
-// IterationStat.Plan, so benchmarks and EXPLAIN-style output show why
-// each pass ran the way it did.
+// nextPlan is the one place a pass is planned. It applies
+// costmodel.ChoosePlan's rule to relation sizes: spilled when the projected
+// footprint crosses the budget, else one worker per
+// costmodel.ParallelMinRows rows of R_{k-1}, up to Options.MaxWorkers.
+// MineAuto runs that rule as is, and Mine is MineAuto at one worker with no
+// budget. MinePaged's plan is the paper's Section 4.3 algorithm instead:
+// spilled whenever its budget is positive, always one worker. The plan
+// each pass ran — its fan-out is the number of chunks it was cut into — is
+// recorded in IterationStat.Plan, so benchmarks and EXPLAIN-style output
+// show why each pass ran the way it did.
 
 import (
 	"cmp"
@@ -41,6 +43,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"sync"
 
 	"setm/internal/costmodel"
 	"setm/internal/storage"
@@ -97,47 +100,14 @@ func (p IterPlan) String() string {
 	return s
 }
 
-// strategyFunc maps the planner's observations to an iteration plan.
-type strategyFunc func(costmodel.PlanInput) IterPlan
-
-// fixedStrategy is a driver that always runs one point in the strategy
-// space: workers kernels, and — when budgetBounded — the spilled regime
-// whenever a positive budget is in force (the regime's appenders write
-// runs only if a buffer actually overflows its budget share; nextPlan
-// makes such a pass serial whatever workers says).
-func fixedStrategy(workers int, budgetBounded bool) strategyFunc {
-	return func(in costmodel.PlanInput) IterPlan {
-		p := IterPlan{Kernel: KernelPacked, Regime: RegimeResident, Workers: workers}
-		if budgetBounded && in.Budget > 0 {
-			p.Regime = RegimeSpilled
-		}
-		return p
-	}
-}
-
-// autoStrategy is costmodel.ChoosePlan's rule: spilled exactly when the
-// projected packed footprint crosses the budget, and a resident pass at
-// one worker per costmodel.ParallelMinRows rows of R_{k-1}, up to the
-// available CPUs.
-func autoStrategy() strategyFunc {
-	return func(in costmodel.PlanInput) IterPlan {
-		c := costmodel.ChoosePlan(in)
-		p := IterPlan{Kernel: KernelPacked, Regime: RegimeResident, Workers: c.Workers}
-		if c.Spill {
-			p.Regime = RegimeSpilled
-		}
-		return p
-	}
-}
-
 // MineAuto runs Algorithm SETM under the adaptive executor: every
 // iteration's memory regime and parallelism follow a rule on the previous
 // iteration's observed cardinalities — spilled when the projected
 // footprint crosses Options.MemoryBudget (<= 0: unbounded, fully
 // resident), else one worker per costmodel.ParallelMinRows rows of
 // R_{k-1}, up to the available CPUs (Options.MaxWorkers; budget-bounded
-// passes are serial). Results are bit-identical to Mine; the plans run
-// are recorded in Result.Stats[i].Plan.
+// passes are serial). Results are bit-identical whatever the plan; the
+// plans run are recorded in Result.Stats[i].Plan.
 func MineAuto(d *Dataset, opts Options) (*Result, error) {
 	return MineAutoMonitored(context.Background(), d, opts, nil, nil)
 }
@@ -157,38 +127,29 @@ func MineAutoMonitored(ctx context.Context, d *Dataset, opts Options, pool *stor
 	return MineAutoResumeMonitored(ctx, d, opts, pool, onIter, nil)
 }
 
-// resolveWorkers applies the MaxWorkers default (GOMAXPROCS).
-func resolveWorkers(maxWorkers int) int {
-	if maxWorkers > 0 {
-		return maxWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // newExecStepper builds the executor; cfg supplies the pool geometry and
 // page store for spilled regimes. The budget is taken from
 // opts.MemoryBudget as-is: positive bounds the working set, zero or
 // negative means unbounded (MinePaged resolves its pool-sized default
-// before calling).
-func newExecStepper(d *Dataset, opts Options, cfg PagedConfig, strat strategyFunc) *execStepper {
-	budget := opts.MemoryBudget
-	if budget < 0 {
-		budget = 0
+// before calling). MaxWorkers <= 0 means GOMAXPROCS.
+func newExecStepper(d *Dataset, opts Options, cfg PagedConfig) *execStepper {
+	workers := opts.MaxWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	return &execStepper{
-		d: d, opts: opts, cfg: cfg, strat: strat,
-		budget: budget, maxWorkers: resolveWorkers(opts.MaxWorkers),
+		d: d, opts: opts, cfg: cfg,
+		budget: max(opts.MemoryBudget, 0), maxWorkers: workers,
 		retainBorder: opts.RetainBorder,
 	}
 }
 
 // execStepper is the adaptive executor: the one substrate behind Mine,
-// MineParallel, MinePaged, and MineAuto.
+// MinePaged and MineAuto.
 type execStepper struct {
-	d     *Dataset
-	opts  Options
-	cfg   PagedConfig
-	strat strategyFunc
+	d    *Dataset
+	opts Options
+	cfg  PagedConfig
 
 	budget     int64 // 0 = unbounded
 	maxWorkers int
@@ -222,7 +183,8 @@ type execStepper struct {
 	prevRPrime int64
 	prevRRows  int64
 
-	// paperPaged is MinePaged's Section 4.3 algorithm: pass 2 writes R'_2,
+	// paperPaged is MinePaged's Section 4.3 algorithm: every pass is serial
+	// and spilled under a positive budget (nextPlan), pass 2 writes R'_2,
 	// and R_1 past its budget share lives on pages (buildJoinSide).
 	paperPaged bool
 
@@ -270,20 +232,28 @@ func (s *execStepper) ensurePool() {
 	}
 }
 
-// nextPlan asks the strategy for the upcoming packed iteration's plan,
-// feeding it the previous iteration's observed cardinalities. A
-// budget-bounded pass is serial whatever the strategy says: its cost is
-// sequential page access, which a second cursor on the same store only
-// breaks up.
+// nextPlan plans the upcoming packed iteration from the previous
+// iteration's observed cardinalities by costmodel.ChoosePlan's rule, or,
+// for MinePaged, as Section 4.3's serial pass, spilled under any positive
+// budget (the regime's appenders write runs only if a buffer actually
+// overflows its budget share). A spilled pass is serial either way.
 func (s *execStepper) nextPlan(k int, prevRPrime, prevRRows int64) IterPlan {
-	p := s.strat(costmodel.PlanInput{
+	p := IterPlan{Kernel: KernelPacked, Regime: RegimeResident, Workers: 1}
+	if s.paperPaged {
+		if s.budget > 0 {
+			p.Regime = RegimeSpilled
+		}
+		return p
+	}
+	c := costmodel.ChoosePlan(costmodel.PlanInput{
 		K: k, PrevRPrime: prevRPrime, PrevRRows: prevRRows,
 		AvgBasket: s.avgBasket, Budget: s.budget, Workers: s.maxWorkers,
 		CountTableBytes: int64(s.tableCells(k)) * costmodel.CountCellBytes,
 	})
-	if p.Workers < 1 || p.Regime == RegimeSpilled {
-		p.Workers = 1
+	if c.Spill {
+		p.Regime = RegimeSpilled
 	}
+	p.Workers = c.Workers
 	return p
 }
 
@@ -400,22 +370,19 @@ func (s *execStepper) observe(sz iterSizes) {
 // open is what init and resume share: the dictionary comes first (the
 // plan's count-kernel term needs its code width), and it and the packed
 // SALES are the dataset's memo, built by the first mine and read by
-// every one after. It takes an arena, plans pass 1 — creating the pool
-// when that plan spills — and returns the plan and the packed SALES.
+// every one after. It takes an arena, plans pass 1 on |R_1| — creating
+// the pool when that plan spills — and returns the plan and the packed
+// SALES.
 func (s *execStepper) open() (IterPlan, []prow) {
-	total := 0
-	for _, tx := range s.d.Transactions {
-		total += len(tx.Items)
-	}
-	if n := len(s.d.Transactions); n > 0 {
-		s.avgBasket = float64(total) / float64(n)
-	}
 	memo := s.d.packed()
 	s.ar = newMineArena()
 	s.dict = memo.dict
 	s.baskets = &memo.baskets
 	s.salesTotal, s.salesPairs = int64(len(memo.rows)), memo.pairs
-	plan := s.nextPlan(1, int64(total), int64(total))
+	if n := len(s.d.Transactions); n > 0 {
+		s.avgBasket = float64(s.salesTotal) / float64(n)
+	}
+	plan := s.nextPlan(1, s.salesTotal, s.salesTotal)
 	if plan.Regime == RegimeSpilled {
 		s.ensurePool()
 	}
@@ -687,6 +654,44 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	s.endIteration(&sz, ioStart, stStart)
 	s.observe(sz)
 	return cOut, sz, nil
+}
+
+// chunkRows cuts rows into the chunks a resident pass fans out over: at
+// most workers contiguous ranges of near-equal length, one — the serial
+// pass — when workers is 1. The planner gives each worker at least
+// costmodel.ParallelMinRows rows (costmodel.ChoosePlan), and a pass's plan
+// reports the number of chunks it ran. A cut may fall inside a
+// transaction: each row of R_{k-1} looks up its own basket of R_1.
+func chunkRows(rows []prow, workers int) [][]prow {
+	if workers <= 1 {
+		return [][]prow{rows}
+	}
+	chunks := make([][]prow, 0, workers)
+	size := (len(rows) + workers - 1) / workers
+	for len(rows) > size {
+		chunks = append(chunks, rows[:size])
+		rows = rows[size:]
+	}
+	return append(chunks, rows)
+}
+
+// eachChunk runs fn(i) for every chunk index below n and waits: inline
+// for one chunk (the serial pass starts no goroutine), one goroutine a
+// chunk otherwise.
+func eachChunk(n int, fn func(i int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
 }
 
 // countResident runs the in-RAM count kernel over a pass's chunks into

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -34,37 +35,24 @@ func execDataset(seed int64, txns int) *Dataset {
 	return d
 }
 
-// forcedStrategy asks for a specific worker count in the spilled regime
-// — how the tests prove a budgeted pass runs serially whatever a strategy
-// says, regardless of the host's CPU count.
-func forcedStrategy(workers int) strategyFunc {
-	return func(in costmodel.PlanInput) IterPlan {
-		p := IterPlan{Kernel: KernelPacked, Regime: RegimeSpilled, Workers: workers}
-		if in.Budget <= 0 {
-			p.Regime = RegimeResident
-		}
-		return p
-	}
-}
-
-// runForced mines d with the strategy asking for workers under the given
-// budget and pool size.
-func runForced(d *Dataset, opts Options, workers, frames int) (*Result, *storage.Pool, error) {
+// runPagedPlan mines d under MinePaged's Section 4.3 plan on a pool of
+// frames frames the test can inspect afterwards.
+func runPagedPlan(d *Dataset, opts Options, frames int) (*Result, *storage.Pool, error) {
 	pool := storage.NewPool(storage.NewMemStore(), frames)
-	st := newExecStepper(d, opts, PagedConfig{PoolFrames: frames}.withDefaults(), forcedStrategy(workers))
-	st.cfg.PoolFrames = frames
+	st := newExecStepper(d, opts, PagedConfig{PoolFrames: frames})
+	st.paperPaged = true
 	st.attachPool(pool)
-	res, err := runPipeline(d, opts, st)
+	res, err := runPipeline(context.Background(), d, opts, st, nil, nil)
 	return res, pool, err
 }
 
 // TestBudgetedPassesRunSerial: a budget-bounded pass is one worker,
-// whatever the strategy or Options.MaxWorkers asks for. Every pass
-// recorded as spilled — and every pass that reads pages, such as a
-// resident plan that still streams its input R_{k-1} from a run — must
-// record Workers == 1, the counts must equal MineMemory's, and the spill
-// accounting (runs, bytes, page I/O per pass) must not depend on the
-// worker setting at all.
+// whatever Options.MaxWorkers asks for, under MinePaged's plan and under
+// MineAuto's. Every pass recorded as spilled — and every pass that reads
+// pages, such as a resident plan that still streams its input R_{k-1}
+// from a run — must record Workers == 1, the counts must equal
+// MineMemory's, and the spill accounting (runs, bytes, page I/O per pass)
+// must not depend on the worker setting at all.
 func TestBudgetedPassesRunSerial(t *testing.T) {
 	d := execDataset(5, 3000)
 	opts := Options{MinSupportFrac: 0.01}
@@ -105,9 +93,9 @@ func TestBudgetedPassesRunSerial(t *testing.T) {
 		var first []spillAcct
 		for _, workers := range []int{1, 2, 3, 7} {
 			o := opts
-			o.MemoryBudget = budget
-			label := fmt.Sprintf("forced workers=%d budget=%d", workers, budget)
-			got, pool, err := runForced(d, o, workers, 64)
+			o.MemoryBudget, o.MaxWorkers = budget, workers
+			label := fmt.Sprintf("paged plan maxworkers=%d budget=%d", workers, budget)
+			got, pool, err := runPagedPlan(d, o, 64)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -236,45 +224,58 @@ func TestAutoRecordsPlans(t *testing.T) {
 	assertSameCounts(t, "auto-flip-budget", res, mid)
 }
 
-// TestFixedDriversRecordPlans pins the wrappers' fixed plans in the
-// stats: Mine is packed/resident/1w, MineParallel reports the chunks it
-// ran — one on the paper's example, far under ParallelMinRows rows —
-// MinePaged is spilled under its default budget.
+// TestFixedDriversRecordPlans pins every pass's plan in the stats:
+// MineMemory is packed/resident/1w, on the paper's example and on
+// pairsFixture, whose 10,800 SALES rows MineAuto fans out; MinePaged is
+// spilled under its default budget; MineSQL's passes are SQL. MineAuto at
+// four workers runs passes 1 and 2 at 4w, and at eight at 5w: one worker
+// per costmodel.ParallelMinRows rows of R_1, counted after each basket's
+// duplicate items are dropped (pairsFixture's baskets hold 24,000 items).
 func TestFixedDriversRecordPlans(t *testing.T) {
+	plans := func(label string, res *Result, err error, want func(k int) string) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for _, st := range res.Stats {
+			if w := want(st.K); w != "" && strings.TrimSuffix(st.Plan.String(), "/"+st.Plan.Count) != w {
+				t.Errorf("%s k=%d: plan %s, want %s/*", label, st.K, st.Plan, w)
+			}
+		}
+	}
+	every := func(p string) func(int) string { return func(int) string { return p } }
+	early := func(p string) func(int) string {
+		return func(k int) string {
+			if k <= 2 {
+				return p
+			}
+			return ""
+		}
+	}
+
 	d := PaperExample()
 	opts := Options{MinSupportFrac: 0.3}
-
 	res, err := MineMemory(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := res.Stats[0].Plan; p.Kernel != KernelPacked || p.Regime != RegimeResident || p.Workers != 1 {
-		t.Errorf("Mine plan = %+v", p)
-	}
-
-	par, err := MineParallel(d, opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := par.Stats[0].Plan; p.Workers != 1 || p.Regime != RegimeResident {
-		t.Errorf("MineParallel plan = %+v", p)
-	}
-
+	plans("MineMemory", res, err, every("packed/resident/1w"))
 	paged, err := MinePaged(d, opts, PagedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := paged.Stats[0].Plan; p.Regime != RegimeSpilled || p.Kernel != KernelPacked {
-		t.Errorf("MinePaged plan = %+v", p)
-	}
+	plans("MinePaged", paged.Result, err, every("packed/spilled/1w"))
+	res, err = MineSQL(d, opts, SQLConfig{})
+	plans("MineSQL", res, err, every("sql/spilled/1w"))
 
-	sqlRes, err := MineSQL(d, opts, SQLConfig{})
-	if err != nil {
-		t.Fatal(err)
+	d = pairsFixture()
+	opts = Options{MinSupportCount: 60}
+	if r1 := d.packed().rows; len(r1) != 10_800 {
+		t.Fatalf("setup: |R_1| = %d, want 10,800", len(r1))
 	}
-	if p := sqlRes.Stats[0].Plan; p.Kernel != KernelSQL {
-		t.Errorf("MineSQL plan = %+v", p)
+	res, err = MineMemory(d, opts)
+	plans("MineMemory", res, err, every("packed/resident/1w"))
+	if len(res.Stats) < 3 {
+		t.Fatalf("setup: %d passes", len(res.Stats))
 	}
+	res, err = MineAuto(d, Options{MinSupportCount: 60, MaxWorkers: 4})
+	plans("MineAuto at 4 workers", res, err, early("packed/resident/4w"))
+	res, err = MineAuto(d, Options{MinSupportCount: 60, MaxWorkers: 8})
+	plans("MineAuto at 8 workers", res, err, early("packed/resident/5w"))
 }
 
 // cancelStore wraps a Store and fires a context cancellation after a
@@ -315,15 +316,15 @@ func (c *cancelStore) WritePages(id storage.PageID, src []byte) error {
 // list — a fresh spill reuses them instead of growing the store.
 func TestCancelledSpillReleasesEverything(t *testing.T) {
 	d := execDataset(11, 3000)
-	opts := Options{MinSupportFrac: 0.01, MemoryBudget: 16 << 10}
+	opts := Options{MinSupportFrac: 0.01, MemoryBudget: 16 << 10, MaxWorkers: 3}
 	for _, after := range []int{1, 5, 25, 80} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cs := &cancelStore{Store: storage.NewMemStore(), writesLeft: after, cancel: cancel}
 		pool := storage.NewPool(cs, 32)
-		st := newExecStepper(d, opts, PagedConfig{PoolFrames: 32}, forcedStrategy(3))
+		st := newExecStepper(d, opts, PagedConfig{PoolFrames: 32})
 		st.ctx = ctx
 		st.attachPool(pool)
-		_, err := runPipelineCtx(ctx, d, opts, st, nil)
+		_, err := runPipeline(ctx, d, opts, st, nil, nil)
 		cancel()
 		if err == nil {
 			t.Fatalf("after=%d: mining succeeded despite cancellation", after)
@@ -354,10 +355,10 @@ func TestCancelledSpillReleasesEverything(t *testing.T) {
 	}
 }
 
-// TestMineAutoContextPreCancelled: a context cancelled before the call
+// TestMineAutoMonitoredPreCancelled: a context cancelled before the call
 // must refuse to mine at all, and a background context must behave
 // exactly like MineAuto.
-func TestMineAutoContextPreCancelled(t *testing.T) {
+func TestMineAutoMonitoredPreCancelled(t *testing.T) {
 	d := execDataset(13, 200)
 	opts := Options{MinSupportFrac: 0.05}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func MineSQLOn(d *Dataset, opts Options, before func(db *engine.DB, sql string))
 	if before != nil {
 		s.cfg.TraceSQL = func(sql string) { before(s.db, sql) }
 	}
-	res, err := runPipeline(d, opts, s)
+	res, err := runPipeline(context.Background(), d, opts, s, nil, nil)
 	return res, s.db, err
 }
 

@@ -13,10 +13,11 @@ import (
 // BenchmarkPassFanOut is the measurement behind costmodel.ParallelMinRows:
 // pass by pass, does a resident pass run faster at two workers than at
 // one, and from what size of R_{k-1} on? Each op is one alternating pair
-// of MineParallel mines at one and two workers (which goes first swaps
+// of MineAuto mines at MaxWorkers one and two (which goes first swaps
 // every pair), on quest at five scales (minsup 0.0025) and the retail
-// stand-in at three sizes (minsup 0.001). For every pass whose R_{k-1}
-// is cut in two (at least ParallelMinRows rows) it reports kN_rows
+// stand-in at three sizes (minsup 0.001). For every pass the planner cuts
+// in two (at least 2·ParallelMinRows rows of R_{k-1}, so the probe can
+// show the threshold too low, not too high) it reports kN_rows
 // (|R_{k-1}|), kN_1w_ms and kN_2w_ms (the median Durations) and
 // kN_2w_wins (the pairs in which two workers beat one). Run on two CPUs:
 //
@@ -45,7 +46,9 @@ func BenchmarkPassFanOut(b *testing.B) {
 			}
 			d, opts := ds.d(), core.Options{MinSupportFrac: ds.minSup}
 			mine := func(workers int) []core.IterationStat {
-				res, err := core.MineParallel(d, opts, workers)
+				o := opts
+				o.MaxWorkers = workers
+				res, err := core.MineAuto(d, o)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -78,7 +81,7 @@ func BenchmarkPassFanOut(b *testing.B) {
 					rows = stats[k-1].RRows
 				}
 				if st.Plan.Workers < 2 {
-					continue // under ParallelMinRows: one chunk at either count
+					continue // one chunk at either count
 				}
 				b.ReportMetric(float64(rows), fmt.Sprintf("k%d_rows", st.K))
 				b.ReportMetric(median(ms[0][k]), fmt.Sprintf("k%d_1w_ms", st.K))

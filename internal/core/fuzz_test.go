@@ -107,11 +107,13 @@ func FuzzMine(f *testing.F) {
 		}
 
 		// Cross-driver agreement on the full result.
-		par, err := MineParallel(d, opts, int(workers%5)+1)
+		fanned := opts
+		fanned.MaxWorkers = int(workers%5) + 1
+		par, err := MineAuto(d, fanned)
 		if err != nil {
-			t.Fatalf("MineParallel: %v", err)
+			t.Fatalf("MineAuto: %v", err)
 		}
-		fuzzSameCounts(t, "parallel", res, par)
+		fuzzSameCounts(t, "auto", res, par)
 
 		// Packed engine vs the generic oracle on the same run.
 		gen := opts

@@ -1,26 +1,14 @@
 package core
 
 // MineMemory runs Algorithm SETM (Figure 4 of the paper) entirely in main
-// memory: the adaptive executor (executor.go) held to the fixed plan
-// {packed, resident, 1 worker} — the packed-key kernels of pack.go with
-// every kernel on the serial path and no budget machinery.
+// memory: MineAuto at one worker with no budget, which plans
+// {packed, resident, 1 worker} on every pass — the packed-key kernels of
+// pack.go on the serial path with no budget machinery.
 // Options.DisablePackedKernels selects the generic flat-relation kernels
 // instead — the conformance oracle.
 func MineMemory(d *Dataset, opts Options) (*Result, error) {
-	return runPipeline(d, opts, newMemoryStepper(d, opts, 1))
-}
-
-// newMemoryStepper picks the substrate for the resident fixed-plan
-// drivers: the executor on the packed-key engine at the given fan-out by
-// default, the one serial flat-relation reference under the
-// DisablePackedKernels ablation (on every native driver, MinePaged's
-// included).
-func newMemoryStepper(d *Dataset, opts Options, workers int) stepper {
-	if opts.DisablePackedKernels {
-		return &flatStepper{d: d}
-	}
-	opts.MemoryBudget = 0 // the in-memory drivers are unbounded by contract
-	return newExecStepper(d, opts, PagedConfig{}.withDefaults(), fixedStrategy(workers, false))
+	opts.MaxWorkers, opts.MemoryBudget = 1, 0
+	return MineAuto(d, opts)
 }
 
 // flatStepper is the generic in-memory substrate of the SETM pipeline:

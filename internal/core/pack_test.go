@@ -172,8 +172,12 @@ func TestPackedMatchesGenericDrivers(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, mine := range map[string]func() (*Result, error){
-				"memory":   func() (*Result, error) { return MineMemory(d, packed) },
-				"parallel": func() (*Result, error) { return MineParallel(d, packed, 3) },
+				"memory": func() (*Result, error) { return MineMemory(d, packed) },
+				"auto-3workers": func() (*Result, error) {
+					o := packed
+					o.MaxWorkers = 3
+					return MineAuto(d, o)
+				},
 			} {
 				got, err := mine()
 				if err != nil {
@@ -197,8 +201,7 @@ func TestGenericIsOneReference(t *testing.T) {
 	}
 	generic := Options{MinSupportCount: 4, DisablePackedKernels: true}
 	for name, mine := range map[string]func() (*Result, error){
-		"memory":     func() (*Result, error) { return MineMemory(d, generic) },
-		"parallel-3": func() (*Result, error) { return MineParallel(d, generic, 3) },
+		"memory": func() (*Result, error) { return MineMemory(d, generic) },
 		"auto-4w": func() (*Result, error) {
 			o := generic
 			o.MaxWorkers = 4
@@ -267,8 +270,12 @@ func TestPackedWideDomainFallback(t *testing.T) {
 		t.Fatalf("setup: MaxLen = %d, want %d (must cross k = %d)", want.MaxLen(), maxLen, maxK)
 	}
 	for name, mine := range map[string]func() (*Result, error){
-		"memory":     func() (*Result, error) { return MineMemory(d, opts) },
-		"parallel-3": func() (*Result, error) { return MineParallel(d, opts, 3) },
+		"memory": func() (*Result, error) { return MineMemory(d, opts) },
+		"auto-3workers": func() (*Result, error) {
+			o := opts
+			o.MaxWorkers = 3
+			return MineAuto(d, o)
+		},
 	} {
 		got, err := mine()
 		if err != nil {
@@ -312,9 +319,15 @@ func TestStepRefusesKeysPastOneWord(t *testing.T) {
 		fs := storage.NewFaultStore(storage.NewMemStore())
 		fs.FailReadAfter, fs.FailWriteAfter, fs.FailAllocAfter = 0, 0, 0
 		pool := storage.NewPool(fs, 4)
-		s := newExecStepper(signedDataset(1, 10, 3, 5), Options{MemoryBudget: 16 << 10}, PagedConfig{PoolFrames: 4}, fixedStrategy(1, true))
+		s := newExecStepper(signedDataset(1, 10, 3, 5), Options{MemoryBudget: 16 << 10}, PagedConfig{PoolFrames: 4})
 		s.attachPool(pool)
 		s.dict, s.prevC = dict, make([]ItemsetCount, c.prev)
+		// An R_{k-1} whose pass would spill, so that a refusal made any
+		// later would have read pages.
+		s.prevRPrime, s.prevRRows = 1<<20, 1<<20
+		if p := s.nextPlan(c.k, s.prevRPrime, s.prevRRows); p.String() != "packed/spilled/1w" {
+			t.Fatalf("k=%d at %d bits: pass planned %s, want packed/spilled/1w", c.k, c.bits, p)
+		}
 		_, _, err := s.step(c.k, 1)
 		if !errors.Is(err, errKeyWidth) {
 			t.Errorf("k=%d at %d bits, |C_{k-1}| = %d: step returned %v, want errKeyWidth", c.k, c.bits, c.prev, err)
@@ -442,7 +455,7 @@ func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 		t.Fatalf("k=3: packedExtendRows = %d, packedExtend disagrees", got)
 	}
 
-	st := newExecStepper(d, Options{MinSupportCount: 40}, PagedConfig{}.withDefaults(), fixedStrategy(1, false))
+	st := newExecStepper(d, Options{MinSupportCount: 40}, PagedConfig{}.withDefaults())
 	st.paperPaged = true
 	defer st.release()
 	if _, _, err := st.init(40); err != nil {
@@ -456,15 +469,15 @@ func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 
 // TestParallelPassHoldsOneRPrime pins what the fan-out is for: a
 // two-worker pass keeps each chunk of R'_k in the slot it was extended
-// into, so an arena with cold slots ends the mine holding one R'_k — not the chunks
-// and a gathered copy of them, which is 2x — and each cold slot was sized
-// by packedExtendRows, not grown to. Pass 2 is the materialized one
-// (MinePaged's), whose R'_2 is the mine's largest.
+// into, so an arena with cold slots ends the mine holding one R'_k — not
+// the chunks and a gathered copy of them, which is 2x — and each cold slot
+// was sized by packedExtendRows, not grown to. The pass is MineAuto's at
+// MaxWorkers 2 whose R'_k is the mine's largest: pass 3, the first to
+// extend into the slots (pass 2 counts its pairs off SALES).
 func TestParallelPassHoldsOneRPrime(t *testing.T) {
 	d := signedDataset(17, 9000, 12, 60)
 	const minSup = 30
-	s := newExecStepper(d, Options{MinSupportCount: minSup}, PagedConfig{}.withDefaults(), fixedStrategy(2, false))
-	s.paperPaged = true
+	s := newExecStepper(d, Options{MinSupportCount: minSup, MaxWorkers: 2}, PagedConfig{}.withDefaults())
 	if _, _, err := s.init(minSup); err != nil {
 		t.Fatal(err)
 	}
@@ -476,19 +489,23 @@ func TestParallelPassHoldsOneRPrime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k == 2 {
-			if sz.rPrime < 100_000 {
-				t.Fatalf("setup: |R'_2| = %d, want >= 100k", sz.rPrime)
+		if k == 3 {
+			if sz.rPrime < 100_000 || sz.plan.Workers != 2 {
+				t.Fatalf("setup: k=3 ran %s over |R'_3| = %d, want 2w over >= 100k", sz.plan, sz.rPrime)
 			}
 			var held int64
 			for _, c := range s.ar.wRows[:2] {
 				held += int64(cap(c))
 			}
 			if held != sz.rPrime {
-				t.Errorf("cold slots hold %d rows for an R'_2 of %d: not sized by packedExtendRows", held, sz.rPrime)
+				t.Errorf("cold slots hold %d rows for an R'_3 of %d: not sized by packedExtendRows", held, sz.rPrime)
 			}
+		} else if k > 3 && sz.rPrime > maxRPrime {
+			t.Fatalf("setup: |R'_%d| = %d outgrows |R'_3| = %d", k, sz.rPrime, maxRPrime)
 		}
-		maxRPrime = max(maxRPrime, sz.rPrime)
+		if k >= 3 {
+			maxRPrime = max(maxRPrime, sz.rPrime)
+		}
 		if len(ck) == 0 {
 			break
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"setm/internal/costmodel"
 	"setm/internal/storage"
 )
@@ -39,12 +41,13 @@ type PagedResult struct {
 }
 
 // MinePaged runs Algorithm SETM with a bounded memory working set: the
-// adaptive executor held to a serial plan, with a positive budget engaging
-// the spillable-relation machinery (spill.go). An iteration whose packed
-// footprint fits Options.MemoryBudget runs entirely in RAM; past the
-// budget its relations stream to the pool's page store as raw packed-page
-// runs — bounded radix runs plus a cascaded k-way merge for the count
-// sort, sequential runs for everything else. It is the one driver whose
+// executor under Section 4.3's plan — every pass serial, and spilled
+// whenever the budget is positive, which engages the spillable-relation
+// machinery (spill.go). An iteration whose packed footprint fits
+// Options.MemoryBudget runs entirely in RAM; past the budget its relations
+// stream to the pool's page store as raw packed-page runs — bounded radix
+// runs plus a cascaded k-way merge for the count sort, sequential runs for
+// everything else. It is the one driver whose
 // SALES lives on pages, for Section 4.3: R_1 past its budget share is a
 // run, read back by every pass. A zero budget defaults to
 // PoolFrames × the page size (the pool's own capacity); a negative budget
@@ -63,19 +66,17 @@ func MinePaged(d *Dataset, opts Options, cfg PagedConfig) (*PagedResult, error) 
 		store = storage.NewMemStore()
 	}
 	pool := storage.NewPool(store, cfg.PoolFrames)
-	var st stepper
-	if opts.DisablePackedKernels {
-		st = newMemoryStepper(d, opts, 1) // the flat reference
-	} else {
+	var st stepper = &flatStepper{d: d} // the reference, DisablePackedKernels
+	if !opts.DisablePackedKernels {
 		if opts.MemoryBudget == 0 {
 			opts.MemoryBudget = int64(cfg.PoolFrames) * storage.PageSize
 		}
-		es := newExecStepper(d, opts, cfg, fixedStrategy(1, true))
+		es := newExecStepper(d, opts, cfg)
 		es.paperPaged = true
 		es.attachPool(pool)
 		st = es
 	}
-	res, err := runPipeline(d, opts, st)
+	res, err := runPipeline(context.Background(), d, opts, st, nil, nil)
 	if err != nil {
 		return nil, err
 	}

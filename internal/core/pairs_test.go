@@ -63,9 +63,10 @@ func pairsCuts(rows []prow, at int) [][]int {
 // R'_2 by C_2, row for row; the memo's |R'_2| must be len(packedExtend). Past 11-bit codes C_2 has no bitmap and
 // scan 2 searches; past 10-bit codes the count tables are not built. Then
 // whole mines: the resident pairs pass (MineAuto) and the streaming one
-// (a spilled plan under a 16 KiB budget) must equal MinePaged's
-// materialized k=2 — counts, every pass's |R'_k| and |R_k|, and the
-// retained border.
+// (MineAuto under a one-byte budget, which every pass outgrows, so each is
+// planned packed/spilled/1w with the buffers a 16 KiB budget gets: one page
+// each) must equal MinePaged's materialized k=2 — counts, every pass's
+// |R'_k| and |R_k|, and the retained border.
 func FuzzPairs(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 1, 2, 0, 4, 5, 6, 7}, uint8(0), uint8(1), uint8(0))
 	f.Add([]byte{1, 1, 2, 128, 2, 3, 0, 0, 5, 0, 3, 4, 5, 6, 0, 9}, uint8(3), uint8(2), uint8(1))
@@ -134,11 +135,15 @@ func FuzzPairs(f *testing.F) {
 			t.Fatal(err)
 		}
 		spilled := opts
-		spilled.MemoryBudget = 16 << 10
-		st := newExecStepper(d, spilled, PagedConfig{}.withDefaults(), fixedStrategy(1, true))
-		streamed, err := runPipeline(d, spilled, st)
+		spilled.MemoryBudget = 1
+		streamed, err := MineAuto(d, spilled)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, st := range streamed.Stats {
+			if p := st.Plan; p.String() != "packed/spilled/1w/"+p.Count {
+				t.Fatalf("one-byte budget k=%d: plan %s, want packed/spilled/1w/*", st.K, p)
+			}
 		}
 		auto, err := MineAuto(d, opts)
 		if err != nil {
@@ -162,9 +167,9 @@ func FuzzPairs(f *testing.F) {
 	})
 }
 
-// pairsFixture is long baskets over 40 items (6-bit codes), 24,000 SALES
-// rows: enough to fan out at four workers, with every cut inside a
-// basket.
+// pairsFixture is 1,200 baskets of 20 items over 40 (6-bit codes), 9
+// distinct ones each: 10,800 SALES rows, which MineAuto fans out at four
+// workers, with every cut inside a basket.
 func pairsFixture() *Dataset {
 	d := &Dataset{}
 	for i := 0; i < 1200; i++ {
@@ -179,14 +184,14 @@ func pairsFixture() *Dataset {
 
 // TestPairsParallelTables runs the fanned-out pairs pass — one count
 // table and one R_2 buffer per worker, tables summed, buffers gathered —
-// at W = 2 and 4 against the materialized pass 2 of the same executor:
-// the same C_2, |R'_2| and R_2, row for row. CI runs it under -race
-// -count=10.
+// at W = 2 and 4 (Options.MaxWorkers) against the materialized pass 2 of
+// MinePaged's unbudgeted plan: the same C_2, |R'_2| and R_2, row for row.
+// CI runs it under -race -count=10.
 func TestPairsParallelTables(t *testing.T) {
 	d := pairsFixture()
 	const minSup = 60
 	pass2 := func(workers int, materialize bool) ([]ItemsetCount, iterSizes, []prow) {
-		s := newExecStepper(d, Options{MinSupportCount: minSup}, PagedConfig{}.withDefaults(), fixedStrategy(workers, false))
+		s := newExecStepper(d, Options{MinSupportCount: minSup, MaxWorkers: workers}, PagedConfig{}.withDefaults())
 		s.paperPaged = materialize
 		defer s.release()
 		if _, _, err := s.init(minSup); err != nil {
@@ -222,19 +227,20 @@ func TestPairsParallelTables(t *testing.T) {
 // 64 KiB budget's appender share.
 func spilledPairsDataset() *Dataset { return signedDataset(9, 30000, 3, 6) }
 
-// spilledPairsRun mines spilledPairsDataset under the spilled fixed plan
-// at a budget whose key counter admits pass 2's table, over store, and
-// records the pool's page reads and writes when each pass ends.
+// spilledPairsRun mines spilledPairsDataset with MineAuto's executor at a
+// budget that spills passes 1 to 3 and whose key counter admits pass 2's
+// table, over store, and records the pool's page reads and writes when
+// each pass ends.
 func spilledPairsRun(ctx context.Context, store storage.Store) (res *Result, pool *storage.Pool, reads, writes []int64, err error) {
 	d := spilledPairsDataset()
 	opts := Options{MinSupportFrac: 0.05, MemoryBudget: 64 << 10}
 	pool = storage.NewPool(store, 8)
-	st := newExecStepper(d, opts, PagedConfig{PoolFrames: 8, Store: store}, fixedStrategy(1, true))
+	st := newExecStepper(d, opts, PagedConfig{PoolFrames: 8, Store: store})
 	st.ctx = ctx
 	st.attachPool(pool)
-	res, err = runPipelineCtx(ctx, d, opts, st, func(IterationStat) {
+	res, err = runPipeline(ctx, d, opts, st, func(IterationStat) {
 		reads, writes = append(reads, pool.Stats.Reads), append(writes, pool.Stats.Writes)
-	})
+	}, nil)
 	return res, pool, reads, writes, err
 }
 
@@ -250,6 +256,11 @@ func spilledPairsPass(t *testing.T) (pass2Writes, pass3Reads [2]int64) {
 	}
 	if len(res.Stats) < 3 {
 		t.Fatalf("setup: %d passes, want a pass 3 reading R_2", len(res.Stats))
+	}
+	for _, st := range res.Stats[:3] {
+		if p := st.Plan; p.String() != "packed/spilled/1w/"+p.Count {
+			t.Fatalf("setup: k=%d ran %s, want packed/spilled/1w/*", st.K, p)
+		}
 	}
 	if st := res.Stats[1]; st.Plan.String() != "packed/spilled/1w/pairs" || r[1] != r[0] || w[1] == w[0] || r[2] == r[1] {
 		t.Fatalf("setup: k=2 ran %s with %d reads and %d writes, k=3 %d reads; want a spilled pairs pass that writes pages and reads none, then a pass that reads them",

@@ -5,24 +5,29 @@ import (
 	"testing"
 )
 
-func TestMineParallelMatchesSequentialOnPaperExample(t *testing.T) {
+// TestMaxWorkersMatchSequentialOnPaperExample: MineAuto at any
+// Options.MaxWorkers, GOMAXPROCS's default included, finds MineMemory's
+// counts at MineMemory's threshold.
+func TestMaxWorkersMatchSequentialOnPaperExample(t *testing.T) {
 	want, err := MineMemory(PaperExample(), paperOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 4, 16} {
-		got, err := MineParallel(PaperExample(), paperOpts, workers)
+		opts := paperOpts
+		opts.MaxWorkers = workers
+		got, err := MineAuto(PaperExample(), opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		assertSameCounts(t, "parallel", want, got)
+		assertSameCounts(t, "auto", want, got)
 		if got.MinSupport != want.MinSupport {
 			t.Errorf("workers=%d: minsup %d vs %d", workers, got.MinSupport, want.MinSupport)
 		}
 	}
 }
 
-func TestMineParallelMatchesSequentialRandomized(t *testing.T) {
+func TestMaxWorkersMatchSequentialRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 6; trial++ {
 		d := randomDataset(rng, 150, 7, 15)
@@ -31,11 +36,12 @@ func TestMineParallelMatchesSequentialRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := MineParallel(d, opts, 3)
+		opts.MaxWorkers = 3
+		got, err := MineAuto(d, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameCounts(t, "parallel-random", want, got)
+		assertSameCounts(t, "auto-random", want, got)
 		// Per-iteration statistics agree too.
 		if len(got.Stats) != len(want.Stats) {
 			t.Fatalf("trial %d: stats %d vs %d", trial, len(got.Stats), len(want.Stats))
@@ -48,11 +54,5 @@ func TestMineParallelMatchesSequentialRandomized(t *testing.T) {
 					want.Stats[i].RPrimeRows, want.Stats[i].RRows)
 			}
 		}
-	}
-}
-
-func TestMineParallelValidation(t *testing.T) {
-	if _, err := MineParallel(&Dataset{}, paperOpts, 2); err == nil {
-		t.Error("empty dataset accepted")
 	}
 }

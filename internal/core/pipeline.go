@@ -21,7 +21,7 @@ import (
 //
 // runPipeline owns that loop — option validation, support resolution,
 // termination, iteration statistics, timing — while a stepper supplies the
-// substrate-specific relational steps. All drivers (in-memory, parallel,
+// substrate-specific relational steps. All drivers (in-memory, adaptive,
 // paged, SQL) parameterize this one loop, so they cannot drift apart and
 // any loop-level change lands in all of them at once.
 
@@ -56,34 +56,23 @@ type iterSizes struct {
 // now times passes and checkpoint writes; a test swaps it (export_test.go).
 var now = time.Now
 
-// runPipeline drives the shared SETM loop over a stepper.
-func runPipeline(d *Dataset, opts Options, s stepper) (*Result, error) {
-	return runPipelineCtx(context.Background(), d, opts, s, nil)
-}
-
-// runPipelineCtx drives the shared SETM loop with cancellation and an
-// optional per-iteration observer. The context is checked at every
-// iteration boundary (the executor's kernels additionally poll it
-// every few thousand rows, so a spilled pass cancels promptly); a cancelled
-// run releases the stepper — freeing its arenas, spill runs, and pinned
-// frames — and returns an error wrapping ctx.Err(). onIter, when
-// non-nil, receives each IterationStat as the iteration completes — the
-// hook long-running callers (the setmd job status endpoint) stream
-// progress from.
-func runPipelineCtx(ctx context.Context, d *Dataset, opts Options, s stepper, onIter func(IterationStat)) (*Result, error) {
-	return runPipelineFrom(ctx, d, opts, s, onIter, nil)
-}
-
-// runPipelineFrom is runPipelineCtx with an optional resume point: a
-// non-nil checkpoint replays its recorded iterations into the result,
-// asks the stepper to rebuild its live state (the stepper must be a
-// checkpointer), and re-enters the loop at iteration cp.K+1. With
-// Options.Checkpoint set and a checkpointer stepper, a completed
-// iteration with surviving rows is persisted when the cadence says so
-// (CheckpointConfig.Interval: fixed, or paced by the work at risk);
-// a failed checkpoint write notifies CheckpointConfig.OnError and
-// disables further checkpoints without failing the mine.
-func runPipelineFrom(ctx context.Context, d *Dataset, opts Options, s stepper, onIter func(IterationStat), cp *Checkpoint) (*Result, error) {
+// runPipeline drives the shared SETM loop over a stepper, with
+// cancellation, an optional per-iteration observer and an optional resume
+// point. The context is checked at every iteration boundary (the
+// executor's kernels additionally poll it every few thousand rows, so a
+// spilled pass cancels promptly); a cancelled run releases the stepper —
+// freeing its arenas, spill runs, and pinned frames — and returns an error
+// wrapping ctx.Err(). onIter, when non-nil, receives each IterationStat as
+// the iteration completes — the hook long-running callers (the setmd job
+// status endpoint) stream progress from. A non-nil checkpoint replays its
+// recorded iterations into the result, asks the stepper to rebuild its
+// live state (the stepper must be a checkpointer), and re-enters the loop
+// at iteration cp.K+1. With Options.Checkpoint set and a checkpointer
+// stepper, a completed iteration with surviving rows is persisted when the
+// cadence says so (CheckpointConfig.Interval: fixed, or paced by the work
+// at risk); a failed checkpoint write notifies CheckpointConfig.OnError
+// and disables further checkpoints without failing the mine.
+func runPipeline(ctx context.Context, d *Dataset, opts Options, s stepper, onIter func(IterationStat), cp *Checkpoint) (*Result, error) {
 	if err := validate(d, opts); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -11,16 +12,15 @@ import (
 // budget over ~4,000 sales rows spills every iteration.
 var spillOpts = Options{MinSupportFrac: 0.05, MemoryBudget: 16 << 10}
 
-// runSpillPipeline drives the executor's spilled regime over the given
-// store with the test's own pool, so assertions can inspect pool state
-// after the run.
-func runSpillPipeline(d *Dataset, opts Options, store storage.Store, frames int) (*storage.Pool, error) {
+// runSpillPipeline runs MineAuto's executor under opts' budget over the
+// given store with the test's own pool, so assertions can inspect pool
+// state after the run.
+func runSpillPipeline(d *Dataset, opts Options, store storage.Store, frames int) (*Result, *storage.Pool, error) {
 	pool := storage.NewPool(store, frames)
-	cfg := PagedConfig{PoolFrames: frames, Store: store}
-	st := newExecStepper(d, opts, cfg, fixedStrategy(1, true))
+	st := newExecStepper(d, opts, PagedConfig{PoolFrames: frames, Store: store})
 	st.attachPool(pool)
-	_, err := runPipeline(d, opts, st)
-	return pool, err
+	res, err := runPipeline(context.Background(), d, opts, st, nil, nil)
+	return res, pool, err
 }
 
 // TestSpillPipelineSurfacesFaults sweeps injected read, write, and
@@ -48,10 +48,16 @@ func TestSpillPipelineSurfacesFaults(t *testing.T) {
 }
 
 func sweepSpillFaults(t *testing.T, d *Dataset, opts Options) {
-	// Sanity: without faults the run succeeds, spills, and leaves no pins.
-	pool, err := runSpillPipeline(d, opts, storage.NewMemStore(), 8)
+	// Sanity: without faults the run succeeds, spills on every pass, and
+	// leaves no pins.
+	res, pool, err := runSpillPipeline(d, opts, storage.NewMemStore(), 8)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
+	}
+	for _, st := range res.Stats {
+		if p := st.Plan; p.String() != "packed/spilled/1w/"+p.Count {
+			t.Errorf("fault-free run k=%d: plan %s, want packed/spilled/1w/*", st.K, p)
+		}
 	}
 	if pool.Stats.Accesses() == 0 {
 		t.Fatal("fault-free run performed no I/O: faults below would never fire")
@@ -65,7 +71,7 @@ func sweepSpillFaults(t *testing.T, d *Dataset, opts Options) {
 	// the store only when the free list is empty, so they are far fewer
 	// than pool.Stats.Allocs).
 	baseline := storage.NewFaultStore(storage.NewMemStore())
-	if _, err := runSpillPipeline(d, opts, baseline, 8); err != nil {
+	if _, _, err := runSpillPipeline(d, opts, baseline, 8); err != nil {
 		t.Fatal(err)
 	}
 	kinds := []struct {
@@ -88,7 +94,7 @@ func sweepSpillFaults(t *testing.T, d *Dataset, opts Options) {
 			}
 			fs := storage.NewFaultStore(storage.NewMemStore())
 			kind.set(fs, failAfter)
-			pool, err := runSpillPipeline(d, opts, fs, 8)
+			_, pool, err := runSpillPipeline(d, opts, fs, 8)
 			if err == nil {
 				t.Errorf("%s failAfter=%d: mining succeeded despite injected faults", kind.name, failAfter)
 				continue

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -47,7 +48,7 @@ func MineSQL(d *Dataset, opts Options, cfg SQLConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runPipeline(d, opts, s)
+	return runPipeline(context.Background(), d, opts, s, nil, nil)
 }
 
 // newSQLStepper creates the engine and bulk-loads SALES.

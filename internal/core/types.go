@@ -5,14 +5,15 @@
 //
 // The drivers compute identical count relations C_k:
 //
-//   - MineMemory and MineParallel: the in-memory fast path ("we
-//     implemented the algorithm to run in main memory and read a file of
-//     transactions", Section 6), serial or one chunk of a pass per worker.
-//   - MinePaged: the same executor under a memory budget, its relations
-//     spilling to a buffer pool as packed-page runs, with page-I/O
-//     accounting matching the Section 4.3 analysis.
-//   - MineAuto: the same executor with each pass's plan chosen by the cost
-//     model.
+//   - MineAuto: the packed-key executor, each pass planned by
+//     costmodel.ChoosePlan's rule: resident and fanned out over
+//     Options.MaxWorkers, or spilled past Options.MemoryBudget.
+//   - MineMemory: the in-memory fast path ("we implemented the algorithm
+//     to run in main memory and read a file of transactions", Section 6),
+//     which is MineAuto at one worker with no budget.
+//   - MinePaged: the same executor under Section 4.3's serial plan, its
+//     relations spilling to a buffer pool as packed-page runs, with
+//     page-I/O accounting matching the Section 4.3 analysis.
 //   - MineSQL: the paper's SQL formulation (Section 4.1) executed verbatim
 //     by the relational engine.
 //
@@ -134,13 +135,13 @@ type Options struct {
 	// plans each iteration's regime against it. Zero selects the driver
 	// default (MinePaged: PoolFrames × the 4 KB page size; MineAuto:
 	// unbounded); negative means explicitly unbounded, pinning even the
-	// paged driver's relations in RAM. MineMemory and MineParallel ignore
-	// it (resident by contract), as does the flat reference under
-	// DisablePackedKernels.
+	// paged driver's relations in RAM. MineMemory ignores it (resident by
+	// contract), as does the flat reference under DisablePackedKernels.
 	MemoryBudget int64
-	// MaxWorkers caps the parallelism of MineAuto's resident plans. Zero
-	// means GOMAXPROCS. It is ignored by budget-bounded passes and by
-	// MineSQL, which are serial.
+	// MaxWorkers caps the parallelism of MineAuto's resident plans, the one
+	// way a mine fans out. Zero means GOMAXPROCS. It is ignored by
+	// budget-bounded passes, MineMemory, MinePaged and MineSQL, which are
+	// serial.
 	MaxWorkers int
 	// Checkpoint, when non-nil, makes the adaptive executor persist a
 	// resumable manifest (k, C_1..C_k, R_k as a packed run file) into

@@ -18,26 +18,24 @@
 //	...
 //	rules, err := setm.Rules(res, 0.7)
 //
-// # One executor, many drivers
+// # One executor, one plan rule
 //
-// All mining runs through one adaptive executor whose per-iteration
-// strategy IR — memory regime (resident or spilled) and parallelism, on
-// the packed-key kernels — is chosen at the top of each SETM pass.
-// MineAuto picks that plan per iteration by rule from the previous
-// iteration's observed cardinalities, as the paper's cost argument
-// (Sections 3.2/4.3, generalized in internal/costmodel) says it can: the
-// spilled regime when the projected footprint crosses the MemoryBudget,
-// else one worker per costmodel.ParallelMinRows rows of R_{k-1}, up to
-// the available CPUs. The classic drivers are fixed points in the
-// same strategy space and compute bit-identical results: Mine (packed,
-// resident, serial), MineParallel (packed, resident, one chunk of the
-// pass per worker), MinePaged
-// (budget-bounded spillable relations with page-I/O accounting), and
-// MineSQL (the paper's SQL statements executed serially by the bundled
-// relational engine). Every Result records the chosen plan per
-// iteration in Stats[i].Plan. Options.DisablePackedKernels runs the
-// serial flat reference (plan kernel "generic") on every native driver
-// instead — an oracle, not a fast path.
+// All mining runs through one executor whose per-iteration strategy IR —
+// memory regime (resident or spilled) and parallelism, on the packed-key
+// kernels — is chosen at the top of each SETM pass by one rule on the
+// previous iteration's observed cardinalities, as the paper's cost
+// argument (Sections 3.2/4.3, generalized in internal/costmodel) says it
+// can: the spilled regime when the projected footprint crosses the
+// MemoryBudget, else one worker per costmodel.ParallelMinRows rows of
+// R_{k-1}, up to Options.MaxWorkers. MineAuto runs that rule; Mine is
+// MineAuto at one worker with no budget. MinePaged runs the paper's
+// Section 4.3 plan instead (serial, spilled under its budget, with
+// page-I/O accounting), and MineSQL the paper's SQL statements, executed
+// serially by the bundled relational engine. All compute bit-identical
+// results, and every Result records the chosen plan per iteration in
+// Stats[i].Plan. Options.DisablePackedKernels runs the serial flat
+// reference (plan kernel "generic") on every native driver instead — an
+// oracle, not a fast path.
 package setm
 
 import (
@@ -115,17 +113,6 @@ func MineAuto(d *Dataset, opts Options) (*Result, error) {
 	return core.MineAuto(d, opts)
 }
 
-// MineAutoContext is MineAuto under a context: the executor polls ctx
-// at every iteration boundary and — in the spilled regime — at block
-// and merge granularity, so a cancelled job returns promptly with its
-// arenas released, partial spill runs recycled, and zero pinned buffer
-// frames. The returned error wraps ctx.Err(). This is the entry point
-// for long-running callers (the setmd service) that must be able to
-// kill a mining job.
-func MineAutoContext(ctx context.Context, d *Dataset, opts Options) (*Result, error) {
-	return core.MineAutoMonitored(ctx, d, opts, nil, nil)
-}
-
 // CheckpointConfig makes a mining run durable: with Options.Checkpoint
 // set, the executor persists a resumable manifest (C_1..C_k plus the
 // live R_k) into Dir at iteration boundaries, atomically — a crash
@@ -159,8 +146,12 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 // LoadCheckpoint: the executor rebuilds its deterministic state from
 // the dataset, streams R_K back in under the current memory budget,
 // and re-enters the loop at iteration K+1. The result is bit-identical
-// to an uninterrupted MineAuto run with the same options. cp == nil
-// degrades to a plain (checkpointing, if configured) MineAutoContext.
+// to an uninterrupted MineAuto run with the same options. cp == nil is a
+// plain MineAuto run (checkpointing, if configured) under ctx: the
+// executor polls ctx at every iteration boundary and — in the spilled
+// regime — at block and merge granularity, so a cancelled job returns
+// promptly with its arenas released, partial spill runs recycled, and
+// zero pinned buffer frames; the returned error wraps ctx.Err().
 func MineAutoResume(ctx context.Context, d *Dataset, opts Options, cp *Checkpoint) (*Result, error) {
 	return core.MineAutoResumeMonitored(ctx, d, opts, nil, nil, cp)
 }
@@ -212,15 +203,6 @@ func MineDelta(ctx context.Context, base, delta *Dataset, snapshot *BorderSnapsh
 // services use the canonical form as a result-cache key.
 func CanonicalOptions(opts Options, n int) Options {
 	return core.CanonicalOptions(opts, n)
-}
-
-// MineParallel runs Algorithm SETM with each iteration's merge-scan,
-// counting, and filtering fanned out across CPU cores (workers <= 0 uses
-// GOMAXPROCS). Results are identical to Mine; the set-oriented
-// formulation parallelizes mechanically, the extensibility the paper
-// advertises.
-func MineParallel(d *Dataset, opts Options, workers int) (*Result, error) {
-	return core.MineParallel(d, opts, workers)
 }
 
 // MinePaged runs Algorithm SETM out of core: the packed-key kernels over

@@ -227,19 +227,19 @@ func TestSaveDatasetFileErrors(t *testing.T) {
 	}
 }
 
-func TestMineParallelPublicAPI(t *testing.T) {
+func TestMaxWorkersPublicAPI(t *testing.T) {
 	seq, err := setm.Mine(setm.PaperExample(), setm.Options{MinSupportFrac: 0.30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := setm.MineParallel(setm.PaperExample(), setm.Options{MinSupportFrac: 0.30}, 4)
+	par, err := setm.MineAuto(setm.PaperExample(), setm.Options{MinSupportFrac: 0.30, MaxWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.TotalPatterns() != par.TotalPatterns() {
-		t.Errorf("parallel %d patterns, sequential %d", par.TotalPatterns(), seq.TotalPatterns())
+		t.Errorf("MaxWorkers 4: %d patterns, sequential %d", par.TotalPatterns(), seq.TotalPatterns())
 	}
 	if !reflect.DeepEqual(par.Counts, seq.Counts) {
-		t.Errorf("MineParallel counts differ from Mine")
+		t.Errorf("MineAuto at MaxWorkers 4: counts differ from Mine")
 	}
 }
