@@ -454,9 +454,10 @@ func TestMineAutoPlanWorkers(t *testing.T) {
 // k = 4 as before it, with the flat reference's per-pass |R'_k|, |R_k|
 // and |C_k|, and the counts are the independent AIS miner's (Apriori's
 // candidate join is quadratic in |C_k| and takes a minute and a half at
-// minsup 1; TestDriverConformance pins parallel-4 to it on this data set
-// at minsup 3). Serial passes read packed/resident/1w, fanned out
-// packed/resident/4w (1w under ParallelMinRows rows); under a 16 KiB budget — MinePaged, and
+// minsup 1; TestDriverConformance pins auto-4workers to it on this data
+// set at minsup 3). Serial passes read packed/resident/1w, MineAuto at
+// four workers packed/resident/Nw (one worker per ParallelMinRows rows,
+// up to four); under a 16 KiB budget — MinePaged, and
 // MineAutoMonitored twice on one caller-owned pool — packed/spilled/1w,
 // with nothing pinned and no page the first mine's runs held left
 // unrecycled (the second mine grows the store by none).
