@@ -18,6 +18,7 @@ package setm_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -51,13 +52,14 @@ func datasets() (*core.Dataset, *core.Dataset, *core.Dataset) {
 }
 
 // BenchmarkExecTimes regenerates the Section 6.2 execution-time table:
-// SETM on the retail data set at each published minimum support.
+// SETM on the retail data set at each published minimum support, at one
+// worker as the paper ran it.
 func BenchmarkExecTimes(b *testing.B) {
 	full, _, _ := datasets()
 	for _, ms := range experiments.PaperMinSupports {
 		b.Run(fmt.Sprintf("minsup=%.1f%%", ms*100), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := setm.Mine(full, setm.Options{MinSupportFrac: ms})
+				res, err := setm.Mine(context.Background(), full, setm.Options{MinSupportFrac: ms, MaxWorkers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -290,7 +292,7 @@ func BenchmarkAblationPackedKernels(b *testing.B) {
 // BenchmarkRuleGeneration measures the Section 5 step alone.
 func BenchmarkRuleGeneration(b *testing.B) {
 	full, _, _ := datasets()
-	res, err := setm.Mine(full, setm.Options{MinSupportFrac: 0.001})
+	res, err := setm.Mine(context.Background(), full, setm.Options{MinSupportFrac: 0.001})
 	if err != nil {
 		b.Fatal(err)
 	}

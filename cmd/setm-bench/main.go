@@ -11,10 +11,6 @@
 //	setm-bench -exp model     # live relation sizes vs the analytic model
 //	setm-bench -exp all
 //
-// -strategy {auto,mine,paged,sql} mines once with
-// the named driver and prints the per-iteration chosen plans — the
-// EXPLAIN-style view of the adaptive executor (combine with -membudget).
-//
 // By default experiments run on the calibrated retail stand-in at full
 // published size (46,873 transactions); -txns scales it down.
 //
@@ -51,8 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "data seed")
 	repeats := fs.Int("repeats", 3, "timing repetitions (best-of)")
 	compareTxns := fs.Int("compare-txns", 4000, "transactions for the algorithm comparison (nested-loop is slow)")
-	memBudget := fs.Int64("membudget", 0, "Options.MemoryBudget in bytes for the io experiment and the -strategy run (0 = driver default, -1 = unlimited)")
-	strategy := fs.String("strategy", "", "run one driver {auto,mine,paged,sql} on the retail data set, packed kernels, and print its per-iteration chosen plans (the EXPLAIN of mining); honours -membudget")
+	memBudget := fs.Int64("membudget", 0, "Options.MemoryBudget in bytes for the io experiment (0 = driver default, -1 = unlimited)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -149,63 +144,5 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "sequential-dominated: %v\n", seqDominated)
 	}
 
-	if *strategy != "" {
-		if err := runStrategy(*strategy, dataset(), *memBudget, stdout); err != nil {
-			return err
-		}
-	}
-
-	return nil
-}
-
-// minerFor resolves a -strategy name to a driver.
-func minerFor(name string) (func(*core.Dataset, core.Options) (*core.Result, error), error) {
-	switch name {
-	case "auto":
-		return core.MineAuto, nil
-	case "mine":
-		return core.MineMemory, nil
-	case "paged":
-		return func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			r, err := core.MinePaged(d, o, core.PagedConfig{})
-			if err != nil {
-				return nil, err
-			}
-			return r.Result, nil
-		}, nil
-	case "sql":
-		return func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			return core.MineSQL(d, o, core.SQLConfig{})
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown -strategy %q (want auto, mine, paged, or sql)", name)
-	}
-}
-
-// runStrategy mines once with the named driver and prints the
-// per-iteration chosen plans — the EXPLAIN-style view of the executor.
-func runStrategy(name string, d *core.Dataset, memBudget int64, stdout io.Writer) error {
-	mine, err := minerFor(name)
-	if err != nil {
-		return err
-	}
-	opts := core.Options{MinSupportFrac: 0.001, MemoryBudget: memBudget}
-	res, err := mine(d, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, strings.Repeat("=", 72))
-	fmt.Fprintf(stdout, "Strategy %s on %d transactions @ 0.1%% (budget=%d): %v, %d patterns\n",
-		name, d.NumTransactions(), memBudget, res.Elapsed, res.TotalPatterns())
-	fmt.Fprintf(stdout, "%4s  %-24s %10s %10s %8s %6s %8s %12s\n",
-		"k", "plan", "|R'_k|", "|R_k|", "|C_k|", "runs", "pageIO", "duration")
-	for _, st := range res.Stats {
-		plan := st.Plan.String()
-		if plan == "" {
-			plan = "-"
-		}
-		fmt.Fprintf(stdout, "%4d  %-24s %10d %10d %8d %6d %8d %12v\n",
-			st.K, plan, st.RPrimeRows, st.RRows, st.CCount, st.RunsSpilled, st.PageIO, st.Duration)
-	}
 	return nil
 }

@@ -36,23 +36,6 @@ func TestRunFigureProfiles(t *testing.T) {
 	}
 }
 
-func TestRunStrategyPrintsPlans(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-exp", "none", "-txns", "800", "-strategy", "auto", "-membudget", "32768"}, &stdout, &stderr); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "Strategy auto") {
-		t.Errorf("missing strategy header:\n%s", out)
-	}
-	if !strings.Contains(out, "packed/spilled") {
-		t.Errorf("32 KB budget run shows no spilled plan:\n%s", out)
-	}
-	if err := run([]string{"-exp", "none", "-strategy", "bogus"}, &stdout, &stderr); err == nil {
-		t.Error("bogus strategy accepted")
-	}
-}
-
 func TestRunRejectsBadFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-exp"}, &stdout, &stderr); err == nil {

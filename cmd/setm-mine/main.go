@@ -5,11 +5,12 @@
 //
 //	setm-mine -i sales.txt -minsup 0.01 -minconf 0.7
 //	setm-mine -i sales.txt -algo sql -trace       # show the SQL being run
-//	setm-mine -i sales.txt -algo auto -workers 2
+//	setm-mine -i sales.txt -workers 2 -membudget 1048576
 //	setm-mine -i sales.txt -algo apriori -patterns
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -36,9 +37,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	minSup := fs.Float64("minsup", 0.01, "minimum support as a fraction of transactions")
 	minSupCount := fs.Int64("minsup-count", 0, "minimum support as an absolute count (overrides -minsup)")
 	minConf := fs.Float64("minconf", 0.70, "minimum confidence factor")
-	algo := fs.String("algo", "memory", "algorithm: memory, auto, paged, sql, nested, ais, apriori")
-	workers := fs.Int("workers", 0, "with -algo auto: worker cap of the packed kernels' fan-out (0 = GOMAXPROCS); the other drivers are serial")
-	memBudget := fs.Int64("membudget", 0, "with -algo auto/paged: memory budget in bytes (0 = driver default)")
+	algo := fs.String("algo", "setm", "algorithm: setm, sql, nested, ais, apriori")
+	workers := fs.Int("workers", 0, "with -algo setm: worker cap of the packed kernels' fan-out (0 = GOMAXPROCS); the other algorithms are serial")
+	memBudget := fs.Int64("membudget", 0, "with -algo setm or sql: memory budget in bytes, spilling past it (0 = unbounded)")
 	trace := fs.Bool("trace", false, "with -algo sql: print each SQL statement")
 	patterns := fs.Bool("patterns", false, "print frequent patterns, not just rules")
 	letters := fs.Bool("letters", false, "display items 1..26 as A..Z")
@@ -67,23 +68,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var res *setm.Result
 	switch *algo {
-	case "memory":
-		res, err = setm.Mine(d, opts)
-	case "auto":
+	case "setm":
 		opts.MaxWorkers = *workers
-		res, err = setm.MineAuto(d, opts)
-		if err == nil {
-			for _, st := range res.Stats {
-				fmt.Fprintf(stdout, "k=%d plan=%s\n", st.K, st.Plan)
-			}
-		}
-	case "paged":
-		var pr *setm.PagedResult
-		pr, err = setm.MinePaged(d, opts, setm.PagedConfig{})
-		if err == nil {
-			res = pr.Result
-			fmt.Fprintf(stdout, "page I/O: %s\n", pr.IO.String())
-		}
+		res, err = setm.Mine(context.Background(), d, opts)
 	case "sql":
 		cfg := setm.SQLConfig{}
 		if *trace {
@@ -106,6 +93,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if err != nil {
 		return err
+	}
+	if *algo == "setm" || *algo == "sql" {
+		printPlans(stdout, res.Stats)
 	}
 
 	var namer setm.ItemNamer
@@ -133,6 +123,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "%d rules at confidence >= %.0f%%:\n", len(rs), *minConf*100)
 	fmt.Fprint(stdout, setm.FormatRules(rs, namer))
 	return nil
+}
+
+// printPlans prints the plan each pass ran with the sizes it saw and the
+// work it did: the EXPLAIN of a mine.
+func printPlans(w io.Writer, stats []setm.IterationStat) {
+	fmt.Fprintf(w, "%4s  %-24s %10s %10s %8s %6s %8s %12s\n",
+		"k", "plan", "|R'_k|", "|R_k|", "|C_k|", "runs", "pageIO", "duration")
+	for _, st := range stats {
+		fmt.Fprintf(w, "%4d  %-24s %10d %10d %8d %6d %8d %12v\n",
+			st.K, st.Plan, st.RPrimeRows, st.RRows, st.CCount, st.RunsSpilled, st.PageIO, st.Duration)
+	}
 }
 
 func formatItems(items []core.Item, namer setm.ItemNamer) string {

@@ -25,7 +25,7 @@ func writeExampleFile(t *testing.T) string {
 
 func TestRunAllAlgorithmsOnPaperExample(t *testing.T) {
 	in := writeExampleFile(t)
-	for _, algo := range []string{"memory", "auto", "paged", "sql", "nested", "ais", "apriori"} {
+	for _, algo := range []string{"setm", "sql", "nested", "ais", "apriori"} {
 		t.Run(algo, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			args := []string{"-i", in, "-minsup", "0.30", "-minconf", "0.70", "-letters", "-algo", algo}
@@ -46,11 +46,31 @@ func TestRunAllAlgorithmsOnPaperExample(t *testing.T) {
 func TestRunPatternsFlag(t *testing.T) {
 	in := writeExampleFile(t)
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-i", in, "-minsup-count", "3", "-patterns", "-letters", "-algo", "auto", "-workers", "3"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-i", in, "-minsup-count", "3", "-patterns", "-letters", "-algo", "setm", "-workers", "3"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(stdout.String(), "D E F : 3") {
 		t.Errorf("patterns output missing DEF:\n%s", stdout.String())
+	}
+}
+
+// TestRunPrintsPlans checks the per-pass table: a 32 KiB budget spills
+// the native executor's passes, and the SQL driver's passes name its
+// kernel.
+func TestRunPrintsPlans(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "quest.txt")
+	if err := setm.SaveDatasetFile(in, setm.NewQuestDataset(0.008, 1)); err != nil { // 800 transactions
+		t.Fatal(err)
+	}
+	for algo, want := range map[string]string{"setm": "packed/spilled", "sql": "sql/spilled/1w"} {
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-i", in, "-minsup", "0.01", "-algo", algo, "-membudget", "32768"}, &stdout, &stderr); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		out := stdout.String()
+		if !strings.Contains(out, "|R'_k|") || !strings.Contains(out, want) {
+			t.Errorf("-algo %s -membudget 32768 prints no %q row:\n%s", algo, want, out)
+		}
 	}
 }
 
@@ -95,7 +115,7 @@ func TestGenMinePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mine := exec.Command(filepath.Join(dir, "setm-mine"), "-i", sales, "-minsup", "0.05", "-algo", "auto", "-workers", "2")
+	mine := exec.Command(filepath.Join(dir, "setm-mine"), "-i", sales, "-minsup", "0.05", "-algo", "setm", "-workers", "2")
 	out, err := mine.CombinedOutput()
 	if err != nil {
 		t.Fatalf("setm-mine: %v\n%s", err, out)

@@ -1,5 +1,5 @@
 // Comparison: every implemented algorithm — SETM's in-memory, adaptive
-// (MineAuto), paged, and SQL drivers, the rejected nested-loop strategy,
+// (Mine), paged, and SQL drivers, the rejected nested-loop strategy,
 // AIS, and Apriori — on a shared Quest synthetic workload, with built-in
 // cross-validation that they all find the same frequent patterns. Also
 // reports the measured page-I/O split (random vs sequential) that
@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -38,11 +39,11 @@ func main() {
 
 	// The adaptive executor under a 1 MB budget: show the per-iteration
 	// plans it chose (kernel/regime/workers) — the EXPLAIN of mining.
-	auto, err := setm.MineAuto(d, setm.Options{MinSupportFrac: *minsup, MemoryBudget: 1 << 20})
+	auto, err := setm.Mine(context.Background(), d, setm.Options{MinSupportFrac: *minsup, MemoryBudget: 1 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nMineAuto @ 1 MB budget — per-iteration chosen plans:")
+	fmt.Println("\nMine @ 1 MB budget — per-iteration chosen plans:")
 	for _, st := range auto.Stats {
 		fmt.Printf("  k=%d  plan=%-22s |R'|=%-8d |R|=%-8d runs=%d pageIO=%d\n",
 			st.K, st.Plan, st.RPrimeRows, st.RRows, st.RunsSpilled, st.PageIO)

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ func main() {
 	d := setm.PaperExample()
 
 	// "We require a minimum support of 30%, i.e., 3 transactions."
-	res, err := setm.Mine(d, setm.Options{MinSupportFrac: 0.30})
+	res, err := setm.Mine(context.Background(), d, setm.Options{MinSupportFrac: 0.30})
 	if err != nil {
 		log.Fatal(err)
 	}

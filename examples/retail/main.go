@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -45,7 +46,7 @@ func main() {
 	fmt.Println(experiments.FormatExecTimes(rows))
 
 	// Strongest rules at 1% support, 70% confidence.
-	res, err := setm.Mine(d, setm.Options{MinSupportFrac: 0.01})
+	res, err := setm.Mine(context.Background(), d, setm.Options{MinSupportFrac: 0.01})
 	if err != nil {
 		log.Fatal(err)
 	}

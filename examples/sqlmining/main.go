@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,13 +46,13 @@ func main() {
 	}
 	fmt.Printf("\nrules re-derived via SQL joins over the count tables: %d (identical)\n", len(sqlRules))
 
-	// Cross-check against the in-memory driver.
-	mem, err := setm.Mine(d, setm.Options{MinSupportFrac: 0.30})
+	// Cross-check against the native executor.
+	mem, err := setm.Mine(context.Background(), d, setm.Options{MinSupportFrac: 0.30})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if mem.TotalPatterns() != res.TotalPatterns() || len(sqlRules) != len(rs) {
-		log.Fatalf("SQL and memory paths disagree")
+		log.Fatalf("SQL and native paths disagree")
 	}
-	fmt.Println("SQL driver output verified against the in-memory driver.")
+	fmt.Println("SQL driver output verified against the native executor.")
 }

@@ -169,7 +169,7 @@ func (m *deltaMiner) run() (*Result, error) {
 		dCounts, kernel := countRows([][]prow{rPrime}, m.dict.countTableCells(m.dict.bitSpace(k)), 1, &ar, pkCounts{}, &skips)
 
 		baseAll, baseFreq := m.baseLevel(k)
-		all := addPackedCounts(baseAll, dCounts)
+		all := mergePackedCounts([]pkCounts{baseAll, dCounts}, 1, newPkCounts(len(baseAll.keys)+len(dCounts.keys)))
 		freq, border := splitBorderCounts(all, minSup)
 		m.freqs = append(m.freqs, freq)
 		m.borders = append(m.borders, border)
@@ -238,10 +238,10 @@ func (m *deltaMiner) baseLevel(k int) (all pkCounts, freqKeys []uint64) {
 	bk := m.remapKeys(l.BorderKeys, k)
 	// A level's frequent set and border share no key: the sum-merge
 	// only interleaves them.
-	all = addPackedCounts(
-		pkCounts{keys: fk, counts: l.FreqCounts},
-		pkCounts{keys: bk, counts: l.BorderCounts},
-	)
+	all = mergePackedCounts([]pkCounts{
+		{keys: fk, counts: l.FreqCounts},
+		{keys: bk, counts: l.BorderCounts},
+	}, 1, newPkCounts(len(fk)+len(bk)))
 	return all, fk
 }
 
@@ -344,40 +344,6 @@ func extendDict(snap *BorderSnapshot, delta *Dataset) (*packDict, []uint64, erro
 		codeMap[i] = dict.code(it)
 	}
 	return dict, codeMap, nil
-}
-
-// addPackedCounts sum-merges two ascending counted key runs.
-func addPackedCounts(a, b pkCounts) pkCounts {
-	out := pkCounts{
-		keys:   make([]uint64, 0, len(a.keys)+len(b.keys)),
-		counts: make([]int64, 0, len(a.keys)+len(b.keys)),
-	}
-	i, j := 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			out.keys = append(out.keys, a.keys[i])
-			out.counts = append(out.counts, a.counts[i])
-			i++
-		case a.keys[i] > b.keys[j]:
-			out.keys = append(out.keys, b.keys[j])
-			out.counts = append(out.counts, b.counts[j])
-			j++
-		default:
-			out.keys = append(out.keys, a.keys[i])
-			out.counts = append(out.counts, a.counts[i]+b.counts[j])
-			i, j = i+1, j+1
-		}
-	}
-	for ; i < len(a.keys); i++ {
-		out.keys = append(out.keys, a.keys[i])
-		out.counts = append(out.counts, a.counts[i])
-	}
-	for ; j < len(b.keys); j++ {
-		out.keys = append(out.keys, b.keys[j])
-		out.counts = append(out.counts, b.counts[j])
-	}
-	return out
 }
 
 // hasNewKey reports whether ascending keys contains an entry absent

@@ -29,12 +29,12 @@ package core
 // costmodel.ChoosePlan's rule to relation sizes: spilled when the projected
 // footprint crosses the budget, else one worker per
 // costmodel.ParallelMinRows rows of R_{k-1}, up to Options.MaxWorkers.
-// MineAuto runs that rule as is, and Mine is MineAuto at one worker with no
-// budget. MinePaged's plan is the paper's Section 4.3 algorithm instead:
-// spilled whenever its budget is positive, always one worker. The plan
-// each pass ran — its fan-out is the number of chunks it was cut into — is
-// recorded in IterationStat.Plan, so benchmarks and EXPLAIN-style output
-// show why each pass ran the way it did.
+// MineAuto runs that rule as is, and MineMemory is MineAuto at one worker
+// with no budget. MinePaged's plan is the paper's Section 4.3 algorithm
+// instead: spilled whenever its budget is positive, always one worker. The
+// plan each pass ran — its fan-out is the number of chunks it was cut
+// into — is recorded in IterationStat.Plan, so benchmarks and EXPLAIN-style
+// output show why each pass ran the way it did.
 
 import (
 	"cmp"
@@ -144,8 +144,8 @@ func newExecStepper(d *Dataset, opts Options, cfg PagedConfig) *execStepper {
 	}
 }
 
-// execStepper is the adaptive executor: the one substrate behind Mine,
-// MinePaged and MineAuto.
+// execStepper is the adaptive executor: the one substrate behind
+// MineMemory, MinePaged and MineAuto.
 type execStepper struct {
 	d    *Dataset
 	opts Options
@@ -170,6 +170,11 @@ type execStepper struct {
 	rk      *srel    // R_{k-1}
 	ck      pkCounts
 	st      spillStats
+
+	// The open accounting window (startIteration): page accesses and
+	// spill totals when the pass began.
+	ioStart int64
+	stStart spillStats
 
 	// The last completed pass's C_k, decoded, and its keys' index: pass
 	// k+1 sizes its key space by the one, decodes through it, and ranks
@@ -346,25 +351,27 @@ func (s *execStepper) splitBorder(ck pkCounts, minSup int64) pkCounts {
 	return freq
 }
 
-// startIteration begins the per-iteration accounting window.
-func (s *execStepper) startIteration() (ioStart int64, stStart spillStats) {
+// startIteration opens the per-iteration accounting window.
+func (s *execStepper) startIteration() {
+	s.ioStart, s.stStart = 0, s.st
 	if s.pool != nil {
-		ioStart = s.pool.Stats.Accesses()
-	}
-	return ioStart, s.st
-}
-
-// endIteration closes the window into the iteration's spill accounting.
-func (s *execStepper) endIteration(sz *iterSizes, ioStart int64, stStart spillStats) {
-	sz.runsSpilled = s.st.runs - stStart.runs
-	sz.spillBytes = s.st.bytes - stStart.bytes
-	if s.pool != nil {
-		sz.pageIO = s.pool.Stats.Accesses() - ioStart
+		s.ioStart = s.pool.Stats.Accesses()
 	}
 }
 
-func (s *execStepper) observe(sz iterSizes) {
-	s.prevRPrime, s.prevRRows = sz.rPrime, sz.rRows
+// endIteration closes the window: it returns the pass's IterationStat —
+// |R'_k|, |R_k| (s.rk by now), the skipped sorts, the plan and the spill
+// accounting — and keeps the two sizes for the next pass's plan.
+func (s *execStepper) endIteration(rPrime, skips int64, plan IterPlan) IterationStat {
+	st := IterationStat{
+		RPrimeRows: rPrime, RRows: s.rk.rows(), SortsSkipped: skips, Plan: plan,
+		RunsSpilled: s.st.runs - s.stStart.runs, SpillBytes: s.st.bytes - s.stStart.bytes,
+	}
+	if s.pool != nil {
+		st.PageIO = s.pool.Stats.Accesses() - s.ioStart
+	}
+	s.prevRPrime, s.prevRRows = rPrime, st.RRows
+	return st
 }
 
 // open is what init and resume share: the dictionary comes first (the
@@ -389,9 +396,9 @@ func (s *execStepper) open() (IterPlan, []prow) {
 	return plan, memo.rows
 }
 
-func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
+func (s *execStepper) init(minSup int64) ([]ItemsetCount, IterationStat, error) {
 	plan, mem := s.open()
-	ioStart, stStart := s.startIteration()
+	s.startIteration()
 
 	// C_1: counts per item code. The rows are the data set's memo,
 	// resident whatever the plan, which bounds only the working set beyond
@@ -402,7 +409,7 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	if plan.Regime == RegimeSpilled {
 		ck, skips, plan.Count, err = s.countMemStreaming(mem, s.countSup(minSup))
 		if err != nil {
-			return nil, iterSizes{}, err
+			return nil, IterationStat{}, err
 		}
 	} else {
 		chunks := chunkRows(mem, plan.Workers)
@@ -415,24 +422,21 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 
 	sales, err := s.buildJoinSide(mem, plan)
 	if err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	s.sales, s.rk = sales, sales
-
-	sz := iterSizes{rPrime: s.salesTotal, rRows: s.rk.rows(), sortSkips: skips, plan: plan}
-	s.endIteration(&sz, ioStart, stStart)
-	s.observe(sz)
-	return c1, sz, nil
+	return c1, s.endIteration(s.salesTotal, skips, plan), nil
 }
 
 // errKeyWidth tags a pass whose keys would not fit one 64-bit word.
 var errKeyWidth = errors.New("setm: pattern keys outgrow 64 bits")
 
-func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
+func (s *execStepper) step(k int, minSup int64) ([]ItemsetCount, IterationStat, error) {
 	if !s.dict.keyFits(k, len(s.prevC)) {
-		return nil, iterSizes{}, fmt.Errorf("%w: pass %d over %d prefixes of %d-bit codes", errKeyWidth, k, len(s.prevC), s.dict.bits)
+		return nil, IterationStat{}, fmt.Errorf("%w: pass %d over %d prefixes of %d-bit codes", errKeyWidth, k, len(s.prevC), s.dict.bits)
 	}
 	plan := s.nextPlan(k, s.prevRPrime, s.prevRRows)
+	s.startIteration()
 	if s.pairsPass(k, plan) {
 		return s.stepPairs(minSup, plan)
 	}
@@ -470,8 +474,7 @@ func (s *execStepper) pairsPass(k int, plan IterPlan) bool {
 // on a spilled (one-chunk) plan. The chunks are stepResident's, scanned in
 // ranges of cancelCheckRows rows with a cancellation poll between them; a
 // chunk's or a range's last basket pairs with its rows past the cut.
-func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
-	ioStart, stStart := s.startIteration()
+func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, IterationStat, error) {
 	sales, starts, ar, bits, cells := s.baskets.rows, s.baskets.starts, s.ar, s.dict.bits, s.tableCells(2)
 	chunks := chunkRows(sales, plan.Workers)
 	W := len(chunks)
@@ -492,7 +495,7 @@ func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, it
 		})
 	})
 	if err := cmp.Or(errs...); err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	cOut := s.pairsC2(sumTables(ar.wTab[:W]), minSup)
 
@@ -530,13 +533,17 @@ func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, it
 		}
 	}
 	if err := cmp.Or(errs...); err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	if rk == nil {
 		ar.rkBuf = out
 		rk = memSrel(out)
 	}
-	return cOut, s.endPairs(rk, plan, ioStart, stStart), nil
+	// R_2 is the next pass's relation; |R'_2| is what the memo counted, and
+	// three sorts are skipped, as on a table-counted pass.
+	s.rk = rk
+	plan.Count = CountPairs
+	return cOut, s.endIteration(s.salesPairs, 3, plan), nil
 }
 
 // inRanges runs fn over the row ranges [a, b) that cut [lo, hi) every
@@ -560,18 +567,6 @@ func (s *execStepper) pairsC2(tab []uint32, minSup int64) []ItemsetCount {
 	return s.endPass(2, s.splitBorder(s.ck, minSup))
 }
 
-// endPairs makes R_2 the relation of the next pass and closes the pairs
-// pass's accounting: |R'_2| as the memo counted it, three sorts skipped,
-// as on a table-counted pass.
-func (s *execStepper) endPairs(rk *srel, plan IterPlan, ioStart int64, stStart spillStats) iterSizes {
-	s.rk = rk
-	plan.Count = CountPairs
-	sz := iterSizes{rPrime: s.salesPairs, rRows: rk.rows(), sortSkips: 3, plan: plan}
-	s.endIteration(&sz, ioStart, stStart)
-	s.observe(sz)
-	return sz
-}
-
 // stepResident is the in-RAM fast path, and the one place sort → extend
 // → count → filter is written for resident rows: the packed kernels of
 // pack.go on arena-backed slices. No budget machinery, no cursors.
@@ -584,8 +579,7 @@ func (s *execStepper) endPairs(rk *srel, plan IterPlan, ioStart int64, stStart s
 // the border see one contiguous relation. One chunk (a serial plan, or
 // fewer than costmodel.ParallelMinRows rows) is the serial pass: slot 0,
 // the filter straight into rkBuf, no goroutine.
-func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
-	ioStart, stStart := s.startIteration()
+func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]ItemsetCount, IterationStat, error) {
 	rk, ar, bits := s.rk.mem, s.ar, s.dict.bits
 
 	var skips int64
@@ -649,11 +643,7 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	ar.rkBuf = out
 	skips++
 	s.rk = memSrel(out)
-
-	sz := iterSizes{rPrime: rPrimeRows, rRows: s.rk.rows(), sortSkips: skips, plan: plan}
-	s.endIteration(&sz, ioStart, stStart)
-	s.observe(sz)
-	return cOut, sz, nil
+	return cOut, s.endIteration(rPrimeRows, skips, plan), nil
 }
 
 // chunkRows cuts rows into the chunks a resident pass fans out over: at
@@ -708,8 +698,7 @@ func (s *execStepper) countResident(chunks [][]prow, cells int, minSup int64, sk
 // cursor over each input, one budget-bounded appender per output and one
 // key counter. With a resident plan (the spilled→resident transition)
 // the caps are simply unbounded and the outputs land in RAM.
-func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]ItemsetCount, iterSizes, error) {
-	ioStart, stStart := s.startIteration()
+func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]ItemsetCount, IterationStat, error) {
 	// sort R_{k-1} on (trans_id, items): relations are appended (and
 	// spilled) in exactly that order, so the sort is provably redundant.
 	skips := int64(1)
@@ -731,11 +720,11 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	defer s.stashKeyCounter(kc)
 	defer kc.abort() // no-op once finish has consumed the runs
 	if err := s.extendStreaming(app, kc, s.prefixes(k)); err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	rPrime, err := app.finish()
 	if err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	if s.rk != s.sales {
 		s.rk.free(s.pool) // consumed; R_1 lives on
@@ -750,7 +739,7 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	skips += kc.skips
 	if err != nil {
 		rPrime.free(s.pool)
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	s.ck = ck
 	ck = s.splitBorder(ck, minSup)
@@ -762,15 +751,11 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 	rPrimeRows := rPrime.rows()
 	rPrime.free(s.pool)
 	if err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	skips++
 	s.rk = rk
-
-	sz := iterSizes{rPrime: rPrimeRows, rRows: rk.rows(), sortSkips: skips, plan: plan}
-	s.endIteration(&sz, ioStart, stStart)
-	s.observe(sz)
-	return cOut, sz, nil
+	return cOut, s.endIteration(rPrimeRows, skips, plan), nil
 }
 
 // keyCounterFor builds pass k's key counter, bounded to capKeys (0:
@@ -996,15 +981,15 @@ func (s *execStepper) writeCheckpoint(cfg *CheckpointConfig, cp *Checkpoint) (in
 // so resuming honors the *current* MemoryBudget even if the original run
 // spilled differently. Integrity failures wrap ErrCheckpoint; the
 // pipeline's fail path releases the stepper, so nothing leaks.
-func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
+func (s *execStepper) resume(cp *Checkpoint) (IterationStat, error) {
 	plan, mem := s.open()
 	if cp.SalesRows != s.salesTotal {
-		return iterSizes{}, fmt.Errorf("%w: packed SALES has %d rows, manifest says %d", ErrCheckpoint, s.salesTotal, cp.SalesRows)
+		return IterationStat{}, fmt.Errorf("%w: packed SALES has %d rows, manifest says %d", ErrCheckpoint, s.salesTotal, cp.SalesRows)
 	}
 
 	sales, err := s.buildJoinSide(mem, plan)
 	if err != nil {
-		return iterSizes{}, err
+		return IterationStat{}, err
 	}
 	s.sales = sales
 
@@ -1016,7 +1001,7 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 	}
 	keys, ok := encodeLevel(cp.Counts[cp.K-1], prev, cp.K, s.dict)
 	if !ok || !keysSorted(keys) {
-		return iterSizes{}, fmt.Errorf("%w: C_%d does not code under this dataset's dictionary", ErrCheckpoint, cp.K)
+		return IterationStat{}, fmt.Errorf("%w: C_%d does not code under this dataset's dictionary", ErrCheckpoint, cp.K)
 	}
 	s.ck = pkCounts{keys: keys}
 	s.idx = buildKeyIndex(keys, s.dict.keySpace(cp.K, len(prev)), s.ar)
@@ -1044,16 +1029,16 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 		return app.add(rows)
 	}); err != nil {
 		app.abort(s.pool)
-		return iterSizes{}, err
+		return IterationStat{}, err
 	}
 	rk, err := app.finish()
 	if err != nil {
-		return iterSizes{}, err
+		return IterationStat{}, err
 	}
 	s.rk = rk
 	if rk.rows() != cp.RRows {
-		return iterSizes{}, fmt.Errorf("%w: reloaded %d rows, manifest says %d", ErrCheckpoint, rk.rows(), cp.RRows)
+		return IterationStat{}, fmt.Errorf("%w: reloaded %d rows, manifest says %d", ErrCheckpoint, rk.rows(), cp.RRows)
 	}
 	s.prevRPrime, s.prevRRows = cp.RPrimeRows, cp.RRows
-	return iterSizes{rPrime: cp.RPrimeRows, rRows: rk.rows()}, nil
+	return IterationStat{RPrimeRows: cp.RPrimeRows, RRows: rk.rows()}, nil
 }

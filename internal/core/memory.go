@@ -24,7 +24,7 @@ type flatStepper struct {
 	joinSide relation // R_1 side of the merge-scan join
 }
 
-func (s *flatStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
+func (s *flatStepper) init(minSup int64) ([]ItemsetCount, IterationStat, error) {
 	// R_1 = SALES in (trans_id, item) form, sorted by (trans_id, item).
 	sales := salesRelation(s.d)
 
@@ -34,17 +34,20 @@ func (s *flatStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	// The paper does not filter R_1 by C_1: "the starting relations are the
 	// same and hence |R_1| = 115,568 in all cases" (Section 6.1).
 	s.rk, s.joinSide = sales, sales
-	sz := iterSizes{rPrime: int64(sales.rows()), rRows: int64(sales.rows()), sortSkips: skips, plan: s.plan()}
-	return c1, sz, nil
+	return c1, s.stat(sales, skips), nil
 }
 
-// plan is the fixed strategy IR the generic in-memory substrate runs
-// under, recorded per iteration like the executor's.
-func (s *flatStepper) plan() IterPlan {
-	return IterPlan{Kernel: KernelGeneric, Regime: RegimeResident, Workers: 1}
+// stat is the pass's IterationStat (R_k is s.rk by now), under the fixed
+// strategy IR the generic in-memory substrate runs under, recorded per
+// iteration like the executor's.
+func (s *flatStepper) stat(rPrime relation, skips int64) IterationStat {
+	return IterationStat{
+		RPrimeRows: int64(rPrime.rows()), RRows: int64(s.rk.rows()), SortsSkipped: skips,
+		Plan: IterPlan{Kernel: KernelGeneric, Regime: RegimeResident, Workers: 1},
+	}
 }
 
-func (s *flatStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
+func (s *flatStepper) step(k int, minSup int64) ([]ItemsetCount, IterationStat, error) {
 	// sort R_{k-1} on (trans_id, item_1..item_{k-1}). Rows are built in
 	// that order already, so the sortedness pre-scan usually skips this —
 	// the paper-faithful call site stays, the cost disappears.
@@ -62,8 +65,7 @@ func (s *flatStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, erro
 	var fs int64
 	s.rk, fs = filterRelation(rPrime, ck)
 	skips += fs
-	sz := iterSizes{rPrime: int64(rPrime.rows()), rRows: int64(s.rk.rows()), sortSkips: skips, plan: s.plan()}
-	return ck, sz, nil
+	return ck, s.stat(rPrime, skips), nil
 }
 
 // countPatterns produces C_k from an unsorted candidate relation: sort a

@@ -473,9 +473,15 @@ func packedCountRuns(keys []uint64, minSup int64, dst pkCounts) pkCounts {
 	return dst
 }
 
-// mergePackedCounts merges per-chunk packed count lists, summing counts
-// of keys that appear in several lists and keeping those meeting minSup —
-// the packed twin of mergeFlatCounts. Appends to dst.
+// newPkCounts returns an empty count list with room for n keys.
+func newPkCounts(n int) pkCounts {
+	return pkCounts{keys: make([]uint64, 0, n), counts: make([]int64, 0, n)}
+}
+
+// mergePackedCounts merges ascending packed count lists (per-chunk counts,
+// or MineDelta's snapshot and delta counts), summing counts of keys that
+// appear in several lists and keeping those meeting minSup. Appends to
+// dst.
 func mergePackedCounts(parts []pkCounts, minSup int64, dst pkCounts) pkCounts {
 	heads := make([]int, len(parts))
 	for {

@@ -462,8 +462,8 @@ func TestColdArenaExtendsInOneAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.ar.wRows[0] = nil // cold, whatever the pool held
-	if _, sz, err := st.step(2, 40); err != nil || int(sz.rPrime) != len(ext) || cap(st.ar.wRows[0]) != len(ext) {
-		t.Fatalf("cold step 2: |R'_2| = %d, cap(wRows[0]) = %d, want both %d (err %v)", sz.rPrime, cap(st.ar.wRows[0]), len(ext), err)
+	if _, sz, err := st.step(2, 40); err != nil || int(sz.RPrimeRows) != len(ext) || cap(st.ar.wRows[0]) != len(ext) {
+		t.Fatalf("cold step 2: |R'_2| = %d, cap(wRows[0]) = %d, want both %d (err %v)", sz.RPrimeRows, cap(st.ar.wRows[0]), len(ext), err)
 	}
 }
 
@@ -490,21 +490,21 @@ func TestParallelPassHoldsOneRPrime(t *testing.T) {
 			t.Fatal(err)
 		}
 		if k == 3 {
-			if sz.rPrime < 100_000 || sz.plan.Workers != 2 {
-				t.Fatalf("setup: k=3 ran %s over |R'_3| = %d, want 2w over >= 100k", sz.plan, sz.rPrime)
+			if sz.RPrimeRows < 100_000 || sz.Plan.Workers != 2 {
+				t.Fatalf("setup: k=3 ran %s over |R'_3| = %d, want 2w over >= 100k", sz.Plan, sz.RPrimeRows)
 			}
 			var held int64
 			for _, c := range s.ar.wRows[:2] {
 				held += int64(cap(c))
 			}
-			if held != sz.rPrime {
-				t.Errorf("cold slots hold %d rows for an R'_3 of %d: not sized by packedExtendRows", held, sz.rPrime)
+			if held != sz.RPrimeRows {
+				t.Errorf("cold slots hold %d rows for an R'_3 of %d: not sized by packedExtendRows", held, sz.RPrimeRows)
 			}
-		} else if k > 3 && sz.rPrime > maxRPrime {
-			t.Fatalf("setup: |R'_%d| = %d outgrows |R'_3| = %d", k, sz.rPrime, maxRPrime)
+		} else if k > 3 && sz.RPrimeRows > maxRPrime {
+			t.Fatalf("setup: |R'_%d| = %d outgrows |R'_3| = %d", k, sz.RPrimeRows, maxRPrime)
 		}
 		if k >= 3 {
-			maxRPrime = max(maxRPrime, sz.rPrime)
+			maxRPrime = max(maxRPrime, sz.RPrimeRows)
 		}
 		if len(ck) == 0 {
 			break

@@ -190,7 +190,7 @@ func pairsFixture() *Dataset {
 func TestPairsParallelTables(t *testing.T) {
 	d := pairsFixture()
 	const minSup = 60
-	pass2 := func(workers int, materialize bool) ([]ItemsetCount, iterSizes, []prow) {
+	pass2 := func(workers int, materialize bool) ([]ItemsetCount, IterationStat, []prow) {
 		s := newExecStepper(d, Options{MinSupportCount: minSup, MaxWorkers: workers}, PagedConfig{}.withDefaults())
 		s.paperPaged = materialize
 		defer s.release()
@@ -209,14 +209,14 @@ func TestPairsParallelTables(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, 4} {
 		c, sz, r := pass2(w, false)
-		if sz.plan.String() != fmt.Sprintf("packed/resident/%dw/pairs", w) {
-			t.Fatalf("W=%d: plan %s", w, sz.plan)
+		if sz.Plan.String() != fmt.Sprintf("packed/resident/%dw/pairs", w) {
+			t.Fatalf("W=%d: plan %s", w, sz.Plan)
 		}
 		if !slices.EqualFunc(c, wantC, func(a, b ItemsetCount) bool { return a.Count == b.Count && slices.Equal(a.Items, b.Items) }) {
 			t.Errorf("W=%d: C_2 differs from the materialized pass", w)
 		}
-		if sz.rPrime != wantSz.rPrime || sz.rRows != wantSz.rRows || !slices.Equal(r, wantR) {
-			t.Errorf("W=%d: |R'_2| %d, |R_2| %d; materialized %d, %d (rows equal: %v)", w, sz.rPrime, sz.rRows, wantSz.rPrime, wantSz.rRows, slices.Equal(r, wantR))
+		if sz.RPrimeRows != wantSz.RPrimeRows || sz.RRows != wantSz.RRows || !slices.Equal(r, wantR) {
+			t.Errorf("W=%d: |R'_2| %d, |R_2| %d; materialized %d, %d (rows equal: %v)", w, sz.RPrimeRows, sz.RRows, wantSz.RPrimeRows, wantSz.RRows, slices.Equal(r, wantR))
 		}
 	}
 }

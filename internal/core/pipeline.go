@@ -28,30 +28,20 @@ import (
 // stepper is one execution substrate for the SETM pipeline.
 type stepper interface {
 	// init builds R_1, which is SALES itself (Section 6.1), and computes
-	// C_1 at the given absolute support threshold. The returned sizes are
-	// |SALES| (as rPrime — R_1 has no R') and |R_1| = |SALES|.
-	init(minSup int64) (c1 []ItemsetCount, sz iterSizes, err error)
+	// C_1 at the given absolute support threshold. The returned stat's
+	// RPrimeRows is |SALES| (R_1 has no R') and RRows is |R_1|.
+	init(minSup int64) (c1 []ItemsetCount, st IterationStat, err error)
 	// step runs one full SETM iteration for pattern length k: sort
 	// R_{k-1}, merge-scan extend with R_1, sort on items, count into C_k,
-	// filter to R_k. The returned sizes are |R'_k| and |R_k|.
-	step(k int, minSup int64) (ck []ItemsetCount, sz iterSizes, err error)
+	// filter to R_k. The returned stat's RPrimeRows is |R'_k| and RRows
+	// is |R_k|.
+	step(k int, minSup int64) (ck []ItemsetCount, st IterationStat, err error)
 }
 
-// iterSizes reports the relation cardinalities of one iteration, plus
-// the number of paper-mandated sorts the sortedness fast path skipped.
-type iterSizes struct {
-	rPrime    int64 // |R'_k|: candidate rows before the support filter
-	rRows     int64 // |R_k|: rows surviving the support filter
-	sortSkips int64 // sorts skipped because the input was already ordered
-
-	// Spill accounting (zero on fully in-memory substrates).
-	runsSpilled int64 // sorted packed-page runs written this iteration
-	spillBytes  int64 // payload bytes written into those runs
-	pageIO      int64 // physical page accesses (reads + writes)
-
-	// plan is the strategy IR the stepper executed this iteration under.
-	plan IterPlan
-}
+// A stepper fills in the IterationStat fields it knows — the relation
+// sizes, SortsSkipped, the spill accounting and the Plan — and
+// runPipeline the rest: K, RPaperBytes, CCount, Duration and the
+// checkpoint fields.
 
 // now times passes and checkpoint writes; a test swaps it (export_test.go).
 var now = time.Now
@@ -94,31 +84,21 @@ func runPipeline(ctx context.Context, d *Dataset, opts Options, s stepper, onIte
 	// and after a resume), and the wall and bytes of the last write.
 	var atRisk, lastCost time.Duration
 	var lastBytes int64
-	record := func(k int, ck []ItemsetCount, sz iterSizes, iterStart time.Time) {
+	record := func(k int, ck []ItemsetCount, st IterationStat, iterStart time.Time) {
 		res.Counts = append(res.Counts, ck)
-		st := IterationStat{
-			K:            k,
-			RPrimeRows:   sz.rPrime,
-			RRows:        sz.rRows,
-			RPaperBytes:  sz.rRows * paperTupleBytes(k),
-			CCount:       len(ck),
-			SortsSkipped: sz.sortSkips,
-			RunsSpilled:  sz.runsSpilled,
-			SpillBytes:   sz.spillBytes,
-			PageIO:       sz.pageIO,
-			Plan:         sz.plan,
-			Duration:     now().Sub(iterStart),
-		}
+		st.K, st.CCount = k, len(ck)
+		st.RPaperBytes = st.RRows * paperTupleBytes(k)
+		st.Duration = now().Sub(iterStart)
 		res.Stats = append(res.Stats, st)
 		atRisk += st.Duration
 		// Persist the iteration boundary while there are rows to resume
 		// from; a final empty R_k has nothing a restart would continue.
-		if ckCfg != nil && canCkpt && sz.rRows > 0 && (ckCfg.Interval >= 1 && k%ckCfg.Interval == 0 ||
-			ckCfg.Interval < 1 && checkpointPays(atRisk, checkpointCost(sz.rRows*16, lastCost, lastBytes))) {
+		if ckCfg != nil && canCkpt && st.RRows > 0 && (ckCfg.Interval >= 1 && k%ckCfg.Interval == 0 ||
+			ckCfg.Interval < 1 && checkpointPays(atRisk, checkpointCost(st.RRows*16, lastCost, lastBytes))) {
 			t0 := now()
 			n, err := cw.writeCheckpoint(ckCfg, &Checkpoint{
 				K: k, MinSup: minSup, NumTransactions: res.NumTransactions,
-				RPrimeRows: sz.rPrime, RRows: sz.rRows,
+				RPrimeRows: st.RPrimeRows, RRows: st.RRows,
 				Counts: res.Counts, Stats: res.Stats,
 			})
 			if err != nil {
@@ -127,7 +107,7 @@ func runPipeline(ctx context.Context, d *Dataset, opts Options, s stepper, onIte
 				}
 				ckCfg = nil
 			} else {
-				atRisk, lastCost, lastBytes = 0, now().Sub(t0), sz.rRows*16
+				atRisk, lastCost, lastBytes = 0, now().Sub(t0), st.RRows*16
 				res.Stats[len(res.Stats)-1].CheckpointBytes = n
 				res.Stats[len(res.Stats)-1].CheckpointDuration = lastCost
 			}
@@ -138,7 +118,7 @@ func runPipeline(ctx context.Context, d *Dataset, opts Options, s stepper, onIte
 	}
 
 	var k int
-	var sz iterSizes
+	var st IterationStat
 	iterStart := now()
 	if cp != nil {
 		if !canCkpt {
@@ -150,7 +130,7 @@ func runPipeline(ctx context.Context, d *Dataset, opts Options, s stepper, onIte
 				ErrCheckpoint, cp.K, cp.MinSup, cp.NumTransactions, minSup, res.NumTransactions))
 		}
 		var err error
-		sz, err = cw.resume(cp)
+		st, err = cw.resume(cp)
 		if err != nil {
 			return fail(err)
 		}
@@ -163,15 +143,14 @@ func runPipeline(ctx context.Context, d *Dataset, opts Options, s stepper, onIte
 		}
 		k = cp.K
 	} else {
-		c1, sz1, err := s.init(minSup)
+		c1, st1, err := s.init(minSup)
 		if err != nil {
 			return fail(err)
 		}
-		record(1, c1, sz1, iterStart)
-		sz = sz1
-		k = 1
+		record(1, c1, st1, iterStart)
+		st, k = st1, 1
 	}
-	for sz.rRows > 0 {
+	for st.RRows > 0 {
 		if opts.MaxPatternLen > 0 && k >= opts.MaxPatternLen {
 			break
 		}
@@ -182,11 +161,11 @@ func runPipeline(ctx context.Context, d *Dataset, opts Options, s stepper, onIte
 		iterStart = now()
 		var ck []ItemsetCount
 		var err error
-		ck, sz, err = s.step(k, minSup)
+		ck, st, err = s.step(k, minSup)
 		if err != nil {
 			return fail(err)
 		}
-		record(k, ck, sz, iterStart)
+		record(k, ck, st, iterStart)
 		if len(ck) == 0 {
 			break
 		}
@@ -216,7 +195,7 @@ func runPipeline(ctx context.Context, d *Dataset, opts Options, s stepper, onIte
 // completed.
 type checkpointer interface {
 	writeCheckpoint(cfg *CheckpointConfig, cp *Checkpoint) (int64, error)
-	resume(cp *Checkpoint) (iterSizes, error)
+	resume(cp *Checkpoint) (IterationStat, error)
 }
 
 // releaser is implemented by steppers that hold storage-layer resources

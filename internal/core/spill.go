@@ -88,10 +88,12 @@ func (r *srel) free(pool *storage.Pool) {
 // ---------------------------------------------------------------------------
 // Row iteration
 
-// rowIter streams packed rows front to back, a block at a time: next
-// returns nil at the end, and a block is valid until the following call.
-// Blocks hold at most cancelCheckRows rows, so a consumer that polls its
-// context once a block stays prompt and its per-block scratch stays small.
+// rowIter streams a relation's packed rows front to back, a slice at a
+// time: next returns nil at the end, and a slice is valid until the
+// following call. rowsOf yields blocks of at most cancelCheckRows rows, so
+// a consumer that polls its context once a block stays prompt and its
+// per-block scratch stays small; groupsOf yields one transaction group a
+// call.
 type rowIter interface {
 	next() ([]prow, error)
 	close()
@@ -147,13 +149,6 @@ func rowsOf(pool *storage.Pool, r *srel) rowIter {
 
 // ---------------------------------------------------------------------------
 // Group iteration (the unit MinePaged's merge-scan extension joins on)
-
-// groupIter yields a relation's rows one transaction group at a time;
-// next returns nil at the end.
-type groupIter interface {
-	next() ([]prow, error)
-	close()
-}
 
 // memGroups windows a resident slice without copying.
 type memGroups struct {
@@ -250,7 +245,7 @@ func (g *runGroups) next() ([]prow, error) {
 func (g *runGroups) close() { g.rd.Close() }
 
 // groupsOf opens a group iterator over the relation.
-func groupsOf(pool *storage.Pool, r *srel) groupIter {
+func groupsOf(pool *storage.Pool, r *srel) rowIter {
 	if r.spilled {
 		return newRunGroups(pool, r.run)
 	}

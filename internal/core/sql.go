@@ -114,33 +114,33 @@ func (s *sqlStepper) run(sql string, minSup int64) (*engine.Result, error) {
 	return st.Exec(map[string]int64{"minsupport": minSup})
 }
 
-func (s *sqlStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
+func (s *sqlStepper) init(minSup int64) ([]ItemsetCount, IterationStat, error) {
 	// C_1. (SALES was bulk-loaded by MineSQL; the mining itself is pure SQL.)
 	if _, err := s.run("CREATE TABLE c1 (item1 INT, cnt INT)", minSup); err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	if _, err := s.run(`INSERT INTO c1
 		SELECT r1.item, COUNT(*)
 		FROM sales r1
 		GROUP BY r1.item
 		HAVING COUNT(*) >= :minsupport`, minSup); err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	c1, err := readCounts(s.db, 1, minSup)
 	if err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 
 	// R_1: the paper uses SALES itself, already sorted by (trans_id, item).
 	s.prevR = "sales"
 	// C_1 is fully consumed (read out above); drop it like every later C_k.
 	if _, err := s.run("DROP TABLE c1", minSup); err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
-	return c1, iterSizes{rPrime: s.salesRows, rRows: s.salesRows, plan: sqlPlan}, nil
+	return c1, IterationStat{RPrimeRows: s.salesRows, RRows: s.salesRows, Plan: sqlPlan}, nil
 }
 
-func (s *sqlStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
+func (s *sqlStepper) step(k int, minSup int64) ([]ItemsetCount, IterationStat, error) {
 	rp := fmt.Sprintf("rp%d", k)
 	ck := fmt.Sprintf("c%d", k)
 	rk := fmt.Sprintf("r%d", k)
@@ -180,7 +180,7 @@ func (s *sqlStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error
 
 	// CREATE + fill R'_k.
 	if _, err := s.run(fmt.Sprintf("CREATE TABLE %s (%s)", rp, declare(cols, "")), minSup); err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	sel := make([]string, 0, k+1)
 	sel = append(sel, "p.trans_id")
@@ -195,12 +195,12 @@ func (s *sqlStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error
 		rp, strings.Join(sel, ", "), s.prevR, prevColRef(k-1))
 	rpRes, err := s.run(insRP, minSup)
 	if err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 
 	// CREATE + fill C_k.
 	if _, err := s.run(fmt.Sprintf("CREATE TABLE %s (%s)", ck, declare(cols, "cnt INT")), minSup); err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	groupList := "p." + strings.Join(cols, ", p.")
 	insCK := fmt.Sprintf(`INSERT INTO %s
@@ -210,16 +210,16 @@ func (s *sqlStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error
 		HAVING COUNT(*) >= :minsupport`,
 		ck, groupList, rp, groupList)
 	if _, err := s.run(insCK, minSup); err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	counts, err := readCounts(s.db, k, minSup)
 	if err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 
 	// CREATE + fill R_k (filter R'_k by C_k, sorted).
 	if _, err := s.run(fmt.Sprintf("CREATE TABLE %s (%s)", rk, declare(cols, "")), minSup); err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 	eqs := make([]string, len(cols))
 	for i, c := range cols {
@@ -233,7 +233,7 @@ func (s *sqlStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error
 		rk, groupList, rp, ck, strings.Join(eqs, " AND "), groupList)
 	rkRes, err := s.run(insRK, minSup)
 	if err != nil {
-		return nil, iterSizes{}, err
+		return nil, IterationStat{}, err
 	}
 
 	// R'_k, C_k, and R_{k-1} are fully consumed once R_k is materialized
@@ -243,17 +243,17 @@ func (s *sqlStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error
 	// extension joins against it.
 	for _, table := range []string{rp, ck} {
 		if _, err := s.run("DROP TABLE "+table, minSup); err != nil {
-			return nil, iterSizes{}, err
+			return nil, IterationStat{}, err
 		}
 	}
 	if s.prevR != "sales" {
 		if _, err := s.run("DROP TABLE "+s.prevR, minSup); err != nil {
-			return nil, iterSizes{}, err
+			return nil, IterationStat{}, err
 		}
 	}
 
 	s.prevR = rk
-	return counts, iterSizes{rPrime: rpRes.RowsAffected, rRows: rkRes.RowsAffected, plan: sqlPlan}, nil
+	return counts, IterationStat{RPrimeRows: rpRes.RowsAffected, RRows: rkRes.RowsAffected, Plan: sqlPlan}, nil
 }
 
 // countsQuery reads C_k back in canonical order. (C_k is stored in group

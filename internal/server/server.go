@@ -3,7 +3,7 @@
 // data-management system, as a shared service — instead of a one-off
 // in-process batch job. The server registers versioned datasets (the
 // SALES text codec, content-addressed), executes mining jobs through the
-// adaptive executor (setm.MineAuto semantics, cancellable), fronts them
+// adaptive executor (setm.Mine semantics, cancellable), fronts them
 // with a result cache keyed on (dataset version, canonical options) so
 // repeat queries are free, and admits work through a cost-model gate
 // that bounds the *sum* of running jobs' estimated memory footprints

@@ -14,28 +14,26 @@
 //	    {ID: 2, Items: []setm.Item{1, 2}},
 //	    {ID: 3, Items: []setm.Item{1, 3}},
 //	}}
-//	res, err := setm.Mine(d, setm.Options{MinSupportFrac: 0.5})
+//	res, err := setm.Mine(ctx, d, setm.Options{MinSupportFrac: 0.5})
 //	...
 //	rules, err := setm.Rules(res, 0.7)
 //
 // # One executor, one plan rule
 //
-// All mining runs through one executor whose per-iteration strategy IR —
-// memory regime (resident or spilled) and parallelism, on the packed-key
-// kernels — is chosen at the top of each SETM pass by one rule on the
-// previous iteration's observed cardinalities, as the paper's cost
-// argument (Sections 3.2/4.3, generalized in internal/costmodel) says it
-// can: the spilled regime when the projected footprint crosses the
-// MemoryBudget, else one worker per costmodel.ParallelMinRows rows of
-// R_{k-1}, up to Options.MaxWorkers. MineAuto runs that rule; Mine is
-// MineAuto at one worker with no budget. MinePaged runs the paper's
-// Section 4.3 plan instead (serial, spilled under its budget, with
-// page-I/O accounting), and MineSQL the paper's SQL statements, executed
-// serially by the bundled relational engine. All compute bit-identical
-// results, and every Result records the chosen plan per iteration in
-// Stats[i].Plan. Options.DisablePackedKernels runs the serial flat
-// reference (plan kernel "generic") on every native driver instead — an
-// oracle, not a fast path.
+// Mine runs one executor whose per-iteration strategy IR — memory regime
+// (resident or spilled) and parallelism, on the packed-key kernels — is
+// chosen at the top of each SETM pass by one rule on the previous
+// iteration's observed cardinalities, as the paper's cost argument
+// (Sections 3.2/4.3, generalized in internal/costmodel) says it can: the
+// spilled regime when the projected footprint crosses the MemoryBudget,
+// else one worker per costmodel.ParallelMinRows rows of R_{k-1}, up to
+// Options.MaxWorkers. MineAutoResume is the same executor continuing from
+// a checkpoint, MineDelta refreshes a mine incrementally from its border
+// snapshot, and MineSQL runs the paper's SQL statements serially on the
+// bundled relational engine. All compute bit-identical results, and every
+// Result records the chosen plan per iteration in Stats[i].Plan.
+// Options.DisablePackedKernels runs the serial flat reference (plan
+// kernel "generic") instead — an oracle, not a fast path.
 package setm
 
 import (
@@ -56,7 +54,7 @@ type Transaction = core.Transaction
 type Dataset = core.Dataset
 
 // Options configures a mining run (minimum support, pattern-length cap,
-// and the MemoryBudget bound for the out-of-core drivers).
+// and the executor's MaxWorkers and MemoryBudget).
 type Options = core.Options
 
 // Result holds the count relations C_k and per-iteration statistics.
@@ -72,12 +70,6 @@ type IterationStat = core.IterationStat
 // kernel, memory regime, worker fan-out, and count kernel.
 type IterPlan = core.IterPlan
 
-// PagedConfig tunes the paged driver (buffer-pool frames, page store).
-type PagedConfig = core.PagedConfig
-
-// PagedResult is a mining result plus page-I/O statistics.
-type PagedResult = core.PagedResult
-
 // SQLConfig tunes the SQL driver (statement tracing).
 type SQLConfig = core.SQLConfig
 
@@ -87,30 +79,26 @@ type Rule = rules.Rule
 // ItemNamer maps item identifiers to display names for rule formatting.
 type ItemNamer = rules.ItemNamer
 
-// Mine runs Algorithm SETM in main memory — the configuration the paper
-// benchmarks in Section 6.
-func Mine(d *Dataset, opts Options) (*Result, error) {
-	return core.MineMemory(d, opts)
-}
-
-// MineAuto runs Algorithm SETM under the adaptive executor: each
+// Mine runs Algorithm SETM under the adaptive executor: each
 // iteration's memory regime and parallelism follow a rule on the previous
 // iteration's observed cardinalities — spilled when the projected
 // footprint crosses Options.MemoryBudget (<= 0: unbounded), else one
-// worker per costmodel.ParallelMinRows rows of R_{k-1}, up to the CPUs
-// available (Options.MaxWorkers; budget-bounded passes are serial).
-// Results are bit-identical to Mine; the plans run are recorded per
-// iteration in Result.Stats[i].Plan.
+// worker per costmodel.ParallelMinRows rows of R_{k-1}, up to
+// Options.MaxWorkers (0: GOMAXPROCS; budget-bounded passes are serial).
+// Results are bit-identical whatever the plan; the plans run are recorded
+// per iteration in Result.Stats[i].Plan. The executor polls ctx at every
+// iteration boundary and, in the spilled regime, at block and merge
+// granularity; a cancelled mine returns an error wrapping ctx.Err().
 //
-//	res, _ := setm.MineAuto(d, setm.Options{
+//	res, _ := setm.Mine(ctx, d, setm.Options{
 //	    MinSupportFrac: 0.001,
 //	    MemoryBudget:   1 << 20, // stay under ~1 MB, spill past it
 //	})
 //	for _, st := range res.Stats {
 //	    fmt.Printf("k=%d plan=%s\n", st.K, st.Plan)
 //	}
-func MineAuto(d *Dataset, opts Options) (*Result, error) {
-	return core.MineAuto(d, opts)
+func Mine(ctx context.Context, d *Dataset, opts Options) (*Result, error) {
+	return core.MineAutoMonitored(ctx, d, opts, nil, nil)
 }
 
 // CheckpointConfig makes a mining run durable: with Options.Checkpoint
@@ -146,12 +134,10 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 // LoadCheckpoint: the executor rebuilds its deterministic state from
 // the dataset, streams R_K back in under the current memory budget,
 // and re-enters the loop at iteration K+1. The result is bit-identical
-// to an uninterrupted MineAuto run with the same options. cp == nil is a
-// plain MineAuto run (checkpointing, if configured) under ctx: the
-// executor polls ctx at every iteration boundary and — in the spilled
-// regime — at block and merge granularity, so a cancelled job returns
-// promptly with its arenas released, partial spill runs recycled, and
-// zero pinned buffer frames; the returned error wraps ctx.Err().
+// to an uninterrupted Mine with the same options. cp == nil is Mine
+// (checkpointing, if configured): a cancelled job returns promptly with
+// its arenas released, partial spill runs recycled, and zero pinned
+// buffer frames; the returned error wraps ctx.Err().
 func MineAutoResume(ctx context.Context, d *Dataset, opts Options, cp *Checkpoint) (*Result, error) {
 	return core.MineAutoResumeMonitored(ctx, d, opts, nil, nil, cp)
 }
@@ -185,10 +171,9 @@ func LoadBorder(path string) (*BorderSnapshot, error) {
 // dictionary and counted against F_k and the negative border, so the
 // refresh costs O(|delta|) instead of O(full re-mine) as long as no
 // border pattern is promoted to frequent. When one is (its unseen
-// extensions were never counted), MineDelta falls back to re-running
-// the executor from the first shifted iteration, seeded through the
-// checkpoint-resume path. Either way the Result is bit-identical to
-// MineAuto(base+delta, opts). Delta transaction ids must all exceed
+// extensions were never counted), MineDelta falls back to a cold Mine of
+// base+delta. Either way the Result is bit-identical to Mine(ctx,
+// base+delta, opts). Delta transaction ids must all exceed
 // snapshot.MaxTid.
 func MineDelta(ctx context.Context, base, delta *Dataset, snapshot *BorderSnapshot, opts Options) (*Result, error) {
 	return core.MineDelta(ctx, base, delta, snapshot, opts)
@@ -203,16 +188,6 @@ func MineDelta(ctx context.Context, base, delta *Dataset, snapshot *BorderSnapsh
 // services use the canonical form as a result-cache key.
 func CanonicalOptions(opts Options, n int) Options {
 	return core.CanonicalOptions(opts, n)
-}
-
-// MinePaged runs Algorithm SETM out of core: the packed-key kernels over
-// spillable relations that stay in RAM below Options.MemoryBudget and
-// stream through the buffer pool as raw packed-page runs above it, with
-// page I/O counted so runs can be checked against the Section 4.3
-// analysis. It is the driver for datasets whose working set exceeds RAM;
-// the budget governs every pass.
-func MinePaged(d *Dataset, opts Options, cfg PagedConfig) (*PagedResult, error) {
-	return core.MinePaged(d, opts, cfg)
 }
 
 // MineSQL runs Algorithm SETM by executing the paper's SQL formulation on

@@ -2,6 +2,8 @@ package setm_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,7 +13,7 @@ import (
 )
 
 func TestQuickstartFlow(t *testing.T) {
-	res, err := setm.Mine(setm.PaperExample(), setm.Options{MinSupportFrac: 0.30})
+	res, err := setm.Mine(context.Background(), setm.PaperExample(), setm.Options{MinSupportFrac: 0.30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +36,7 @@ func TestQuickstartFlow(t *testing.T) {
 func TestAllDriversAgreeOnPublicAPI(t *testing.T) {
 	d := setm.PaperExample()
 	opts := setm.Options{MinSupportFrac: 0.30}
-	mem, err := setm.Mine(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paged, err := setm.MinePaged(d, opts, setm.PagedConfig{})
+	mem, err := setm.Mine(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,23 +44,22 @@ func TestAllDriversAgreeOnPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mem.TotalPatterns() != paged.TotalPatterns() || mem.TotalPatterns() != sql.TotalPatterns() {
-		t.Errorf("drivers disagree: mem=%d paged=%d sql=%d",
-			mem.TotalPatterns(), paged.TotalPatterns(), sql.TotalPatterns())
+	if mem.TotalPatterns() != sql.TotalPatterns() {
+		t.Errorf("drivers disagree: mine=%d sql=%d", mem.TotalPatterns(), sql.TotalPatterns())
 	}
 }
 
-func TestMineAutoPublicAPI(t *testing.T) {
+func TestMinePublicAPI(t *testing.T) {
 	d := setm.PaperExample()
 	opts := setm.Options{MinSupportFrac: 0.30}
-	mem, err := setm.Mine(d, opts)
+	mem, err := setm.Mine(context.Background(), d, setm.Options{MinSupportFrac: 0.30, MaxWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{0, 1 << 12, 1 << 30} {
 		o := opts
 		o.MemoryBudget = budget
-		auto, err := setm.MineAuto(d, o)
+		auto, err := setm.Mine(context.Background(), d, o)
 		if err != nil {
 			t.Fatalf("budget=%d: %v", budget, err)
 		}
@@ -74,6 +71,11 @@ func TestMineAutoPublicAPI(t *testing.T) {
 				t.Errorf("budget=%d k=%d: missing plan %+v", budget, st.K, st.Plan)
 			}
 		}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := setm.Mine(cancelled, d, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled ctx: err = %v, want one wrapping context.Canceled", err)
 	}
 }
 
@@ -102,8 +104,8 @@ func TestDatasetIORoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost transactions: %d vs %d",
 			back.NumTransactions(), d.NumTransactions())
 	}
-	a, _ := setm.Mine(d, setm.Options{MinSupportFrac: 0.3})
-	b, _ := setm.Mine(back, setm.Options{MinSupportFrac: 0.3})
+	a, _ := setm.Mine(context.Background(), d, setm.Options{MinSupportFrac: 0.3})
+	b, _ := setm.Mine(context.Background(), back, setm.Options{MinSupportFrac: 0.3})
 	if a.TotalPatterns() != b.TotalPatterns() {
 		t.Error("round trip changed mining result")
 	}
@@ -133,7 +135,7 @@ func TestReadDatasetErrors(t *testing.T) {
 }
 
 func TestRulesSQLPublicAPI(t *testing.T) {
-	res, err := setm.Mine(setm.PaperExample(), setm.Options{MinSupportFrac: 0.30})
+	res, err := setm.Mine(context.Background(), setm.PaperExample(), setm.Options{MinSupportFrac: 0.30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +190,7 @@ func TestDownstreamWorkflow(t *testing.T) {
 	}
 	opts := setm.Options{MinSupportFrac: 0.02}
 
-	mem, err := setm.Mine(loaded, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paged, err := setm.MinePaged(loaded, opts, setm.PagedConfig{})
+	mem, err := setm.Mine(context.Background(), loaded, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +198,9 @@ func TestDownstreamWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mem.TotalPatterns() != paged.TotalPatterns() || mem.TotalPatterns() != viaSQL.TotalPatterns() {
-		t.Fatalf("drivers disagree after file round trip: %d / %d / %d",
-			mem.TotalPatterns(), paged.TotalPatterns(), viaSQL.TotalPatterns())
+	if mem.TotalPatterns() != viaSQL.TotalPatterns() {
+		t.Fatalf("drivers disagree after file round trip: %d / %d",
+			mem.TotalPatterns(), viaSQL.TotalPatterns())
 	}
 	rs, err := setm.Rules(mem, 0.6)
 	if err != nil {
@@ -228,11 +226,11 @@ func TestSaveDatasetFileErrors(t *testing.T) {
 }
 
 func TestMaxWorkersPublicAPI(t *testing.T) {
-	seq, err := setm.Mine(setm.PaperExample(), setm.Options{MinSupportFrac: 0.30})
+	seq, err := setm.Mine(context.Background(), setm.PaperExample(), setm.Options{MinSupportFrac: 0.30, MaxWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := setm.MineAuto(setm.PaperExample(), setm.Options{MinSupportFrac: 0.30, MaxWorkers: 4})
+	par, err := setm.Mine(context.Background(), setm.PaperExample(), setm.Options{MinSupportFrac: 0.30, MaxWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +238,6 @@ func TestMaxWorkersPublicAPI(t *testing.T) {
 		t.Errorf("MaxWorkers 4: %d patterns, sequential %d", par.TotalPatterns(), seq.TotalPatterns())
 	}
 	if !reflect.DeepEqual(par.Counts, seq.Counts) {
-		t.Errorf("MineAuto at MaxWorkers 4: counts differ from Mine")
+		t.Errorf("MaxWorkers 4: counts differ from MaxWorkers 1")
 	}
 }
