@@ -4,6 +4,7 @@
 //
 //	setm-bench -exp fig5      # Figure 5: size of R_i per iteration
 //	setm-bench -exp fig6      # Figure 6: cardinality of C_i per iteration
+//	setm-bench -exp rrows     # Figure 5's sizes of R_i, in rows
 //	setm-bench -exp times     # Section 6.2: execution time vs support
 //	setm-bench -exp analysis  # Sections 3.2 / 4.3: analytical evaluation
 //	setm-bench -exp compare   # SETM vs nested-loop vs AIS vs Apriori
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"setm/internal/core"
@@ -42,7 +44,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("setm-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment: fig5, fig6, rrows, times, analysis, compare, io, model, or all")
+	exps := []string{"fig5", "fig6", "rrows", "times", "analysis", "compare", "io", "model", "all"}
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(exps, ", "))
 	txns := fs.Int("txns", 46873, "number of retail transactions to generate")
 	seed := fs.Int64("seed", 1, "data seed")
 	repeats := fs.Int("repeats", 3, "timing repetitions (best-of)")
@@ -53,6 +56,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return nil
 		}
 		return err
+	}
+	if !slices.Contains(exps, *exp) {
+		return fmt.Errorf("unknown experiment %q (want one of %s)", *exp, strings.Join(exps, ", "))
 	}
 
 	cfg := gen.DefaultRetail(*seed)

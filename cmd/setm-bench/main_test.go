@@ -41,6 +41,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-exp"}, &stdout, &stderr); err == nil {
 		t.Error("dangling flag accepted")
 	}
+	// A mistyped experiment names the error and the valid names.
+	err := run([]string{"-exp", "fig55"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), `"fig55"`) || !strings.Contains(err.Error(), "rrows") {
+		t.Errorf("-exp fig55: got %v, want an unknown-experiment error listing the names", err)
+	}
 	// The retired harness flags are gone, not silently ignored.
 	for _, flag := range []string{"-json", "-check-trajectory"} {
 		if err := run([]string{"-exp", "none", flag, "x"}, &stdout, &stderr); err == nil {

@@ -13,8 +13,11 @@ package core
 // The snapshot serializes in the checkpoint family's format: one binary
 // file (magic, little-endian payload, CRC-32C trailer) written through
 // storage.WriteFileAtomic, holding the item dictionary, the minsup floor, and
-// per-iteration F_k plus border as packed (key, count) runs under that
-// dictionary.
+// per-iteration F_k plus border as (key, count) runs in the executor's key
+// layout (pack.go): item codes bit-packed through level 2, and from level
+// 3 the prefix's rank in F_{k-1} ahead of the last item's code — so a
+// snapshot holds a mine of any depth. A version-1 file, bit-packed at
+// every level, is refused with ErrBorder.
 
 import (
 	"bufio"
@@ -48,8 +51,8 @@ type BorderSnapshot struct {
 	// the snapshot.
 	MaxPatternLen int
 	// Items is the order-preserving dense dictionary: every distinct
-	// item of the base dataset, ascending. Level keys are bit-packed
-	// under this dictionary.
+	// item of the base dataset, ascending. Level keys are coded under
+	// this dictionary, in the executor's layout (pack.go).
 	Items []int64
 	// Levels[k-1] holds iteration k's frequent patterns and negative
 	// border. One level exists per executed iteration, including a
@@ -58,7 +61,8 @@ type BorderSnapshot struct {
 }
 
 // BorderLevel is one iteration's counted candidates, split at minsup:
-// ascending packed keys with their exact support counts.
+// ascending keys with their exact support counts. From level 3 a key is
+// rank(prefix in the level below's FreqKeys) << bits | last item's code.
 type BorderLevel struct {
 	FreqKeys     []uint64
 	FreqCounts   []int64
@@ -74,7 +78,7 @@ var ErrBorder = errors.New("setm: invalid or mismatched border snapshot")
 
 const (
 	borderMagic   = "SETMBR01"
-	borderVersion = 1
+	borderVersion = 2
 )
 
 // Bytes estimates the snapshot's resident size — the quantity the
@@ -278,40 +282,16 @@ func LoadBorder(path string) (*BorderSnapshot, error) {
 	return b, nil
 }
 
-// splitBorderCounts partitions a count list produced at threshold 1:
-// entries meeting minSup are compacted in place (reusing ck's backing
-// arrays, so the downstream decode/filter sees exactly what a
-// minSup-thresholded count would have produced) and the rest — the
-// negative border — are copied into fresh slices that outlive the
-// arena's recycling.
-func splitBorderCounts(ck pkCounts, minSup int64) (freq, border pkCounts) {
-	w := 0
-	for i, c := range ck.counts {
-		if c >= minSup {
-			ck.keys[w], ck.counts[w] = ck.keys[i], ck.counts[i]
-			w++
-		} else {
-			border.keys = append(border.keys, ck.keys[i])
-			border.counts = append(border.counts, c)
-		}
-	}
-	return pkCounts{keys: ck.keys[:w], counts: ck.counts[:w]}, border
-}
-
 // borderer is implemented by steppers that can assemble a BorderSnapshot
 // once the pipeline finishes (today: the adaptive executor).
 type borderer interface {
 	borderSnapshot(res *Result) *BorderSnapshot
 }
 
-// borderSnapshot assembles the retained border state into a snapshot.
-// Returns nil when capture was never enabled, or when a retained level
-// lies past maxPackedK: the snapshot is bit-packed at every level, and
-// those patterns do not fit one key.
+// borderSnapshot assembles the retained border state into a snapshot
+// in the executor's key layout: the frequent runs re-coded from the
+// result (the count step reused their buffers), the borders as counted.
 func (s *execStepper) borderSnapshot(res *Result) *BorderSnapshot {
-	if !s.retainBorder || len(s.borders) > s.dict.maxPackedK() {
-		return nil
-	}
 	var maxTid int64
 	for i, tx := range s.d.Transactions {
 		if i == 0 || tx.ID > maxTid {
@@ -327,46 +307,19 @@ func (s *execStepper) borderSnapshot(res *Result) *BorderSnapshot {
 		Items:           slices.Clone(s.dict.items),
 		Levels:          make([]BorderLevel, len(s.borders)),
 	}
-	// The border runs are in the executor's key layout, rank-coded from
-	// level 3 (pack.go); a snapshot is bit-packed at every level, so each
-	// rank is replaced by the bit-packed key of the C_{k-1} pattern it
-	// ranks. Ranks ascend with those keys, so the runs stay ascending.
-	mask := uint64(1)<<s.dict.bits - 1
-	var prev pkCounts
-	for i := range s.borders {
+	for i, border := range s.borders {
 		var freq pkCounts
 		if i < len(res.Counts) {
-			freq = encodeCounts(res.Counts[i], s.dict)
-		}
-		border := s.borders[i]
-		if i >= 2 {
-			for j, key := range border.keys {
-				border.keys[j] = prev.keys[key>>s.dict.bits]<<s.dict.bits | key&mask
+			var prev []ItemsetCount
+			if i > 0 {
+				prev = res.Counts[i-1]
 			}
+			freq, _ = encodeLevel(res.Counts[i], prev, i+1, s.dict)
 		}
 		b.Levels[i] = BorderLevel{
 			FreqKeys: freq.keys, FreqCounts: freq.counts,
 			BorderKeys: border.keys, BorderCounts: border.counts,
 		}
-		prev = freq
 	}
 	return b
-}
-
-// encodeCounts re-packs a decoded count relation into the sorted key
-// form of a border level. Code order equals item order (the dictionary
-// is order-preserving), so the lexicographic input order carries over
-// to the keys.
-func encodeCounts(ck []ItemsetCount, dict *packDict) pkCounts {
-	keys := make([]uint64, len(ck))
-	counts := make([]int64, len(ck))
-	for i, c := range ck {
-		var key uint64
-		for _, it := range c.Items {
-			key = key<<dict.bits | dict.code(it)
-		}
-		keys[i] = key
-		counts[i] = c.Count
-	}
-	return pkCounts{keys: keys, counts: counts}
 }

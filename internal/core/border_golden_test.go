@@ -66,10 +66,10 @@ func renderBorder(t *testing.T, b *core.BorderSnapshot) string {
 }
 
 // TestBorderSnapshotGolden pins the RetainBorder snapshot byte for byte
-// on two fixtures, serial and fanned out. The snapshot's levels are
-// bit-packed under the item dictionary whatever key coding the executor
-// counts in, so MineDelta reads them unchanged. -update rewrites
-// testdata/border_*.golden.
+// on two fixtures, serial and fanned out. The snapshot's levels hold the
+// executor's own keys — bit-packed codes through k = 2, the prefix's rank
+// in F_{k-1} from k = 3 — which MineDelta re-ranks into its run. -update
+// rewrites testdata/border_*.golden.
 func TestBorderSnapshotGolden(t *testing.T) {
 	for _, fx := range borderFixtures() {
 		golden := filepath.Join("testdata", "border_"+fx.name+".golden")

@@ -327,6 +327,12 @@ func MineAutoResumeMonitored(ctx context.Context, d *Dataset, opts Options, pool
 		// The ablation is the serial flat reference; there is nothing to plan.
 		return runPipeline(ctx, d, opts, &flatStepper{d: d}, onIter, nil)
 	}
+	return runPipeline(ctx, d, opts, monitoredStepper(ctx, d, opts, pool), onIter, cp)
+}
+
+// monitoredStepper is the executor of MineAutoResumeMonitored and of a
+// MineDelta refresh: ctx polled in its kernels, on the caller's pool.
+func monitoredStepper(ctx context.Context, d *Dataset, opts Options, pool *storage.Pool) *execStepper {
 	cfg := PagedConfig{}.withDefaults()
 	if pool != nil {
 		cfg.PoolFrames = pool.Capacity()
@@ -336,5 +342,5 @@ func MineAutoResumeMonitored(ctx context.Context, d *Dataset, opts Options, pool
 	if pool != nil {
 		st.attachPool(pool)
 	}
-	return runPipeline(ctx, d, opts, st, onIter, cp)
+	return st
 }

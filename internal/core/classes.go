@@ -94,7 +94,7 @@ func (r *ClassResult) ByClass() map[int64]*Result {
 	for class, total := range r.ClassTotals {
 		res := &Result{
 			NumTransactions: total,
-			MinSupport:      minSupFor(r.MinSupportFrac, total),
+			MinSupport:      Options{MinSupportFrac: r.MinSupportFrac}.ResolveMinSupport(total),
 		}
 		for k := 1; k <= len(r.Counts); k++ {
 			var ck []ItemsetCount
@@ -109,14 +109,6 @@ func (r *ClassResult) ByClass() map[int64]*Result {
 		out[class] = res
 	}
 	return out
-}
-
-func minSupFor(frac float64, n int) int64 {
-	ms := int64(frac * float64(n))
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
 }
 
 // MineClasses mines every class at the same relative threshold: the
@@ -152,7 +144,7 @@ func MineClasses(d *ClassifiedDataset, minSupportFrac float64) (*ClassResult, er
 		sub := subsets[class]
 		n := sub.NumTransactions()
 		res.ClassTotals[class] = n
-		mined, err := MineMemory(sub, Options{MinSupportCount: minSupFor(minSupportFrac, n)})
+		mined, err := MineMemory(sub, Options{MinSupportCount: Options{MinSupportFrac: minSupportFrac}.ResolveMinSupport(n)})
 		if err != nil {
 			return nil, fmt.Errorf("setm: class %d: %w", class, err)
 		}

@@ -14,24 +14,25 @@ package core
 //
 // where snapshotCount is 0 for patterns absent from F_k ∪ border
 // (absent means p occurs in no base transaction, or some proper prefix
-// was infrequent). Per iteration, MineDelta runs the packed extension
-// and count kernels over the DELTA rows only, sum-merges the result
-// into the snapshot's counted candidates, and re-applies the (possibly
-// shifted) minsup: frequent sets falling below demote, border sets
-// crossing it promote. Demotions are exact — they only shrink the
-// candidate set. A promotion at level k >= 2 is the one event that
-// invalidates deeper levels: the promoted pattern's extensions over
-// BASE transactions were never counted. That is the border shift that
-// forces the fallback, and the fallback has one route: a plain MineAuto
-// over base+delta (remine). Level-1 promotions never invalidate
-// anything: the paper's R_1 is unfiltered SALES, so every pair
-// occurring anywhere is a counted level-2 candidate. (Replaying the
-// extension chain under the known F_2..F_k and resuming at k+1 was the
-// other fallback route until PR 27; README "measured and deleted" has
-// its pairs — do not rebuild it as a loop of its own.)
+// was infrequent). A refresh is therefore the executor's own pipeline
+// over the DELTA's SALES, packed under the merged dictionary, counting at
+// threshold 1 as under RetainBorder: at every pass splitBorder adds the
+// snapshot's level-k counts (deltaSeed.level) into the pass's counts
+// before it applies the minsup of base+delta, so frequent sets falling
+// below it demote and border sets crossing it promote. Demotions are
+// exact — they only shrink the candidate set, and the base candidates
+// whose prefix demoted are dropped, as a cold mine never counts them. A
+// promotion at level k >= 2 is the one event that invalidates deeper
+// levels: the promoted pattern's extensions over BASE transactions were
+// never counted. That is the border shift (errBorderShift), and its one
+// route is a plain MineAuto over base+delta (remine). Level-1
+// promotions never invalidate anything: the paper's R_1 is unfiltered
+// SALES, so every pair occurring anywhere is a counted level-2
+// candidate.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -54,10 +55,12 @@ func MineDelta(ctx context.Context, base, delta *Dataset, snap *BorderSnapshot, 
 
 // MineDeltaMonitored is MineDelta with the service hooks of
 // MineAutoMonitored: a caller-owned buffer pool and a per-iteration
-// observer. The pure delta path is resident and pool-free; the fallback
-// is MineAutoMonitored itself, with its cancellation, spill, and zero-
-// pinned-frames guarantees. With Options.RetainBorder the returned
-// Result carries a refreshed snapshot for base+delta, so appends chain.
+// observer. The delta passes run on the executor under the caller's
+// budget, workers and pool (never checkpointed), and onIter sees their
+// stats once the refresh has succeeded; the fallback is
+// MineAutoMonitored itself. With Options.RetainBorder the returned
+// Result carries a refreshed snapshot for base+delta — the one a cold
+// mine of base+delta keeps — so appends chain.
 func MineDeltaMonitored(ctx context.Context, base, delta *Dataset, snap *BorderSnapshot, opts Options, pool *storage.Pool, onIter func(IterationStat)) (*Result, error) {
 	start := time.Now()
 	if snap == nil || len(snap.Levels) == 0 {
@@ -74,7 +77,6 @@ func MineDeltaMonitored(ctx context.Context, base, delta *Dataset, snap *BorderS
 		return nil, fmt.Errorf("%w: snapshot covers %d transactions, base has %d",
 			ErrBorder, snap.NumTransactions, base.NumTransactions())
 	}
-	maxTid := snap.MaxTid
 	seen := make(map[int64]struct{}, len(delta.Transactions))
 	for _, tx := range delta.Transactions {
 		if tx.ID <= snap.MaxTid {
@@ -84,279 +86,148 @@ func MineDeltaMonitored(ctx context.Context, base, delta *Dataset, snap *BorderS
 			return nil, fmt.Errorf("%w: duplicate delta trans_id %d", ErrBorder, tx.ID)
 		}
 		seen[tx.ID] = struct{}{}
-		if tx.ID > maxTid {
-			maxTid = tx.ID
+	}
+	remine := func() (*Result, error) {
+		txns := append(slices.Clip(base.Transactions), delta.Transactions...)
+		out, err := MineAutoMonitored(ctx, &Dataset{Transactions: txns}, opts, pool, onIter)
+		if out != nil {
+			out.Elapsed = time.Since(start)
 		}
+		return out, err
 	}
 
-	// Extend the dictionary for unseen delta items; when it grows, the
-	// snapshot's packed keys are re-coded under the merged dictionary
-	// (order-preserving per position, so ascending key order survives).
-	dict, codeMap, err := extendDict(snap, delta)
+	// Δ's SALES under the merged dictionary: unseen delta items get codes,
+	// and the snapshot's keys are re-coded pass by pass (deltaSeed). A
+	// delta without SALES rows adds nothing to count: it is mined cold.
+	sales := packSales(delta)
+	if len(sales.rows) == 0 {
+		return remine()
+	}
+	dict, codeMap := extendDict(snap, sales.rows, len(delta.Transactions))
+	dict.recode(sales.rows)
+	n := base.NumTransactions() + delta.NumTransactions()
+	o := opts
+	o.MinSupportCount, o.Checkpoint = opts.ResolveMinSupport(n), nil
+	st := monitoredStepper(ctx, delta, o, pool)
+	st.retainBorder = true
+	st.seed = &deltaSeed{snap: snap, codeMap: codeMap, oldBits: dictBits(len(snap.Items)),
+		sales: salesMemo{dict: dict, baskets: sales, pairs: salesPairs(sales.rows, sales.starts)}}
+	res, err := runPipeline(ctx, delta, o, st, nil, nil)
+	if errors.Is(err, errBorderShift) {
+		return remine()
+	}
 	if err != nil {
 		return nil, err
 	}
-
-	m := &deltaMiner{
-		ctx: ctx, base: base, delta: delta, snap: snap, opts: opts,
-		pool: pool, onIter: onIter, start: start,
-		dict: dict, codeMap: codeMap, oldBits: dictBits(len(snap.Items)),
-		maxTid: maxTid,
+	res.NumTransactions = n
+	if res.Border != nil {
+		res.Border.NumTransactions, res.Border.SalesRows = n, snap.SalesRows+res.Border.SalesRows
 	}
-	return m.run()
-}
-
-// deltaMiner is the state of one incremental mine.
-type deltaMiner struct {
-	ctx    context.Context
-	base   *Dataset
-	delta  *Dataset
-	snap   *BorderSnapshot
-	opts   Options
-	pool   *storage.Pool
-	onIter func(IterationStat)
-	start  time.Time
-
-	dict    *packDict
-	codeMap []uint64 // old code -> new code; nil when the dictionary is unchanged
-	oldBits uint
-	maxTid  int64
-
-	deltaSales baskets    // Δ's SALES, basketized as a memo's
-	freqs      []pkCounts // F_k(combined) per level, ascending packed keys
-	borders    []pkCounts // negative border per level
-}
-
-func (m *deltaMiner) cancelled() error {
-	if m.ctx == nil {
-		return nil
-	}
-	if err := m.ctx.Err(); err != nil {
-		return fmt.Errorf("setm: mining cancelled: %w", err)
-	}
-	return nil
-}
-
-func (m *deltaMiner) run() (*Result, error) {
-	nCombined := m.base.NumTransactions() + m.delta.NumTransactions()
-	minSup := m.opts.ResolveMinSupport(nCombined)
-	res := &Result{NumTransactions: nCombined, MinSupport: minSup}
-
-	// A private arena, never pooled: the count step reuses its scratch
-	// across levels. The delta is packed under the base's dictionary, not
-	// its own, so it bypasses the delta dataset's memo; its rows carry Δ's
-	// own basket ordinals, which every level's extension looks up.
-	var ar mineArena
-	m.deltaSales = packSales(m.delta)
-	m.dict.recode(m.deltaSales.rows)
-	deltaR := m.deltaSales.rows
-
-	var ext, rkBuf []prow
-	k := 0
-	for {
-		if err := m.cancelled(); err != nil {
-			return nil, err
-		}
-		k++
-		iterStart := time.Now()
-		rPrime := m.deltaSales.rows
-		if k > 1 {
-			ext = packedExtend(deltaR, &m.deltaSales, m.dict.bits, nil, ext[:0])
-			rPrime = ext
-		}
-		rPrimeRows := int64(len(rPrime))
-		skips := int64(1) // the R_{k-1} sort: order is preserved throughout
-		dCounts, kernel := countRows([][]prow{rPrime}, m.dict.countTableCells(m.dict.bitSpace(k)), 1, &ar, pkCounts{}, &skips)
-
-		baseAll, baseFreq := m.baseLevel(k)
-		all := mergePackedCounts([]pkCounts{baseAll, dCounts}, 1, newPkCounts(len(baseAll.keys)+len(dCounts.keys)))
-		freq, border := splitBorderCounts(all, minSup)
-		m.freqs = append(m.freqs, freq)
-		m.borders = append(m.borders, border)
-
-		// R_k on the delta side (R_1 stays unfiltered, per Figure 4).
-		if k > 1 {
-			rkBuf = packedFilter(ext, freq.keys, rkBuf[:0])
-			deltaR, rkBuf = rkBuf, deltaR[:0]
-			if k == 2 {
-				rkBuf = nil // was aliasing deltaSales
-			}
-		}
-
-		res.Counts = append(res.Counts, decodePatterns(freq, k, m.dict))
-		res.Stats = append(res.Stats, IterationStat{
-			K: k, RPrimeRows: rPrimeRows, RRows: int64(len(deltaR)),
-			RPaperBytes: int64(len(deltaR)) * paperTupleBytes(k),
-			CCount:      len(freq.keys), SortsSkipped: skips,
-			Plan:     IterPlan{Kernel: KernelDelta, Regime: RegimeResident, Workers: 1, Count: kernel},
-			Duration: time.Since(iterStart),
-		})
-
-		if len(freq.keys) == 0 {
-			break
-		}
-		if m.opts.MaxPatternLen > 0 && k >= m.opts.MaxPatternLen {
-			break
-		}
-		// The border shift test: a frequent set at level k that the base
-		// run did not have frequent (a promoted border set, or a pattern
-		// the delta alone pushed over minsup) means level k+1 candidates
-		// over BASE transactions were never counted. Level 1 is exempt:
-		// R_1 is unfiltered, so the base border at level 2 counted every
-		// pair regardless. Without promotions F_k(combined) ⊆ F_k(base),
-		// so the loop can only run as deep as the snapshot; running off
-		// its end means the invariant broke (a mismatched snapshot).
-		// Either way: fall back.
-		if k >= 2 && hasNewKey(freq.keys, baseFreq) || k+1 > len(m.snap.Levels) {
-			return m.remine()
-		}
-	}
-
-	trimEmptyTail(res)
-	if m.onIter != nil {
+	if onIter != nil {
 		for _, st := range res.Stats {
-			m.onIter(st)
+			onIter(st)
 		}
 	}
-	if m.opts.RetainBorder {
-		res.Border = m.assembleBorder(minSup, nCombined)
-	}
-	res.Elapsed = time.Since(m.start)
+	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
-// baseLevel returns the snapshot's level-k candidates — frequent and
-// border merged into one ascending counted run, keys re-coded under the
-// extended dictionary — plus the frequent keys alone (the promotion
-// test's reference). Levels past the snapshot are empty.
-func (m *deltaMiner) baseLevel(k int) (all pkCounts, freqKeys []uint64) {
-	if k > len(m.snap.Levels) {
-		return pkCounts{}, nil
-	}
-	l := &m.snap.Levels[k-1]
-	fk := m.remapKeys(l.FreqKeys, k)
-	bk := m.remapKeys(l.BorderKeys, k)
-	// A level's frequent set and border share no key: the sum-merge
-	// only interleaves them.
-	all = mergePackedCounts([]pkCounts{
-		{keys: fk, counts: l.FreqCounts},
-		{keys: bk, counts: l.BorderCounts},
-	}, 1, newPkCounts(len(fk)+len(bk)))
-	return all, fk
+// errBorderShift stops a refresh whose pass k >= 2 promoted a pattern:
+// its extensions over the base were never counted, so it re-mines.
+var errBorderShift = errors.New("setm: the delta promoted a pattern past the snapshot's border")
+
+// deltaSeed is what a refresh adds to the executor: Δ's SALES under the
+// merged dictionary, which the passes run over, and the base's snapshot,
+// whose level-k counts splitBorder adds into pass k's.
+type deltaSeed struct {
+	snap    *BorderSnapshot
+	sales   salesMemo
+	codeMap []uint64 // snapshot code -> merged code
+	oldBits uint     // the snapshot's code width
+	// ranks maps a rank in the base's F_{k-1} to the same pattern's rank in
+	// this run's C_{k-1}, -1 if it demoted: level k's prefixes, set when
+	// pass k-1 ends (rerank), before pass k's count reuses C_{k-1}'s buffers.
+	ranks []int
 }
 
-// remapKeys re-codes packed keys from the snapshot dictionary to the
-// extended one. Each position's mapping is strictly monotone, so the
-// ascending order of the input is preserved. Returns the input when the
-// dictionary did not change.
-func (m *deltaMiner) remapKeys(in []uint64, k int) []uint64 {
-	if m.codeMap == nil {
-		return in
+// key re-codes one level-k snapshot key into this run's layout: each
+// code through codeMap, and from k = 3 the prefix's rank through ranks;
+// false when that prefix demoted. Both maps ascend, so a run of keys
+// stays ascending.
+func (sd *deltaSeed) key(key uint64, k int) (uint64, bool) {
+	bits, mask := sd.sales.dict.bits, uint64(1)<<sd.oldBits-1
+	if k >= 3 {
+		r := sd.ranks[key>>sd.oldBits]
+		return uint64(r)<<bits | sd.codeMap[key&mask], r >= 0
 	}
-	out := make([]uint64, len(in))
-	oldMask := uint64(1)<<m.oldBits - 1
-	for i, key := range in {
-		var nk uint64
-		for c := k - 1; c >= 0; c-- {
-			code := (key >> (uint(c) * m.oldBits)) & oldMask
-			nk = nk<<m.dict.bits | m.codeMap[code]
-		}
-		out[i] = nk
+	var nk uint64
+	for c := k - 1; c >= 0; c-- {
+		nk = nk<<bits | sd.codeMap[key>>(uint(c)*sd.oldBits)&mask]
 	}
-	return out
+	return nk, true
 }
 
-// remine is the fallback, whole: a cold MineAuto over base+delta under
-// the caller's options, pool and observer — what the delta prefix already
-// computed is dropped, and with RetainBorder the refreshed snapshot is the
-// one that cold mine retains. Still one call, still exact, just not
-// incremental: a fallback costs a cold mine plus the prefix already paid
-// (BenchmarkDeltaVsCold: 1.1–1.7x cold at one P).
-func (m *deltaMiner) remine() (*Result, error) {
-	txns := make([]Transaction, 0, len(m.base.Transactions)+len(m.delta.Transactions))
-	txns = append(txns, m.base.Transactions...)
-	txns = append(txns, m.delta.Transactions...)
-	out, err := MineAutoMonitored(m.ctx, &Dataset{Transactions: txns}, m.opts, m.pool, m.onIter)
-	if err != nil {
-		return nil, err
+// snapLevel is the snapshot's level k, empty past its last.
+func (sd *deltaSeed) snapLevel(k int) *BorderLevel {
+	if k > len(sd.snap.Levels) {
+		return &BorderLevel{}
 	}
-	out.Elapsed = time.Since(m.start)
-	return out, nil
+	return &sd.snap.Levels[k-1]
 }
 
-// assembleBorder builds the pure delta path's refreshed snapshot: every
-// level's merged frequent set and border.
-func (m *deltaMiner) assembleBorder(minSup int64, nCombined int) *BorderSnapshot {
-	b := &BorderSnapshot{
-		MinSup:          minSup,
-		NumTransactions: nCombined,
-		SalesRows:       m.snap.SalesRows + int64(len(m.deltaSales.rows)),
-		MaxTid:          m.maxTid,
-		MaxPatternLen:   m.opts.MaxPatternLen,
-		Items:           m.dict.items,
-		Levels:          make([]BorderLevel, len(m.freqs)),
+// level is the snapshot's level k in this run's layout: its frequent run
+// and its border, each ascending.
+func (sd *deltaSeed) level(k int) []pkCounts {
+	l := sd.snapLevel(k)
+	runs := []pkCounts{{l.FreqKeys, l.FreqCounts}, {l.BorderKeys, l.BorderCounts}}
+	if k <= 2 && len(sd.codeMap) == len(sd.sales.dict.items) {
+		return runs // no unseen items: the codes are the snapshot's
 	}
-	for i, freq := range m.freqs {
-		b.Levels[i] = BorderLevel{
-			FreqKeys: freq.keys, FreqCounts: freq.counts,
-			BorderKeys: m.borders[i].keys, BorderCounts: m.borders[i].counts,
-		}
-	}
-	return b
-}
-
-// extendDict merges the delta's distinct items into the snapshot
-// dictionary. Returns the merged dictionary and, when it differs from
-// the snapshot's, the old-code -> new-code map. Fails (wrapping
-// ErrBorder) if any snapshot level's patterns would no longer fit a
-// 64-bit key under the wider codes.
-func extendDict(snap *BorderSnapshot, delta *Dataset) (*packDict, []uint64, error) {
-	seen := make(map[int64]struct{})
-	var extra []int64
-	for _, tx := range delta.Transactions {
-		for _, it := range tx.Items {
-			if _, ok := seen[it]; ok {
-				continue
-			}
-			seen[it] = struct{}{}
-			if _, ok := slices.BinarySearch(snap.Items, it); !ok {
-				extra = append(extra, it)
+	for i, run := range runs {
+		runs[i] = pkCounts{make([]uint64, 0, len(run.keys)), make([]int64, 0, len(run.keys))}
+		for j, key := range run.keys {
+			if nk, ok := sd.key(key, k); ok {
+				runs[i].keys = append(runs[i].keys, nk)
+				runs[i].counts = append(runs[i].counts, run.counts[j])
 			}
 		}
 	}
-	if len(extra) == 0 {
-		return newPackDict(snap.Items, len(delta.Transactions), nil), nil, nil
+	return runs
+}
+
+// rerank sets ranks for pass k+1: the i-th pattern of the base's F_k gets
+// its rank in keys, this run's C_k, or -1. It reports false when keys
+// holds a pattern the base's F_k lacks — a promotion.
+func (sd *deltaSeed) rerank(k int, keys []uint64) bool {
+	base := sd.snapLevel(k).FreqKeys
+	ranks, found := make([]int, len(base)), 0
+	for i, key := range base {
+		nk, ok := sd.key(key, k)
+		j, hit := slices.BinarySearch(keys, nk)
+		ranks[i] = -1
+		if ok && hit {
+			ranks[i], found = j, found+1
+		}
 	}
-	merged := make([]int64, 0, len(snap.Items)+len(extra))
-	merged = append(merged, snap.Items...)
-	merged = append(merged, extra...)
+	sd.ranks = ranks
+	return found == len(keys)
+}
+
+// extendDict merges the distinct items of Δ's packSales rows into the
+// snapshot's dictionary: the merged dictionary, and the map from snapshot
+// codes to merged ones.
+func extendDict(snap *BorderSnapshot, rows []prow, txns int) (*packDict, []uint64) {
+	merged := slices.Clone(snap.Items)
+	for _, r := range rows {
+		if _, ok := slices.BinarySearch(snap.Items, int64(r.Key^tidFlip)); !ok {
+			merged = append(merged, int64(r.Key^tidFlip))
+		}
+	}
 	slices.Sort(merged)
-	dict := newPackDict(merged, len(delta.Transactions), nil)
-	if dict.bits != dictBits(len(snap.Items)) {
-		for k := range snap.Levels {
-			if uint(k+1)*dict.bits > 64 {
-				return nil, nil, fmt.Errorf("%w: level %d patterns exceed 64-bit keys under the extended dictionary", ErrBorder, k+1)
-			}
-		}
-	}
+	dict := newPackDict(slices.Compact(merged), txns, nil)
 	codeMap := make([]uint64, len(snap.Items))
 	for i, it := range snap.Items {
 		codeMap[i] = dict.code(it)
 	}
-	return dict, codeMap, nil
-}
-
-// hasNewKey reports whether ascending keys contains an entry absent
-// from the ascending reference — the promotion detector.
-func hasNewKey(keys, ref []uint64) bool {
-	j := 0
-	for _, k := range keys {
-		for j < len(ref) && ref[j] < k {
-			j++
-		}
-		if j >= len(ref) || ref[j] != k {
-			return true
-		}
-	}
-	return false
+	return dict, codeMap
 }

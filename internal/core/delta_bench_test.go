@@ -17,10 +17,8 @@ import (
 // base is mined with RetainBorder outside the timer, and each iteration
 // times MineDelta(base, delta) and a cold MineAuto(base+delta) back to
 // back. Reported per cell: the two medians in ms, their ratio, and the
-// route MineDelta took — 0 the pure delta path, 1 the fallback (a cold
-// re-mine), 2 a delta prefix followed by executor passes (the seeded
-// resume this file measured out of the tree; only a build before PR 27
-// reports it).
+// route MineDelta took — 0 the pure delta path (its first pass counted
+// the delta's SALES alone), 1 the fallback (a cold re-mine).
 //
 //	go test -run '^$' -bench DeltaVsCold -benchtime 7x -cpu 1,2 ./internal/core/
 func BenchmarkDeltaVsCold(b *testing.B) {
@@ -45,6 +43,7 @@ func BenchmarkDeltaVsCold(b *testing.B) {
 				n := len(full.Transactions) * 100 / (100 + pct)
 				base := &core.Dataset{Transactions: full.Transactions[:n]}
 				delta := &core.Dataset{Transactions: full.Transactions[n:]}
+				deltaSales := int64(delta.NumSalesRows())
 				opts := core.Options{MinSupportFrac: ds.minSup, RetainBorder: true}
 				seed, err := core.MineAuto(base, opts)
 				if err != nil || seed.Border == nil {
@@ -69,11 +68,8 @@ func BenchmarkDeltaVsCold(b *testing.B) {
 					if got.TotalPatterns() != want.TotalPatterns() {
 						b.Fatalf("delta found %d patterns, cold %d", got.TotalPatterns(), want.TotalPatterns())
 					}
-					switch first, last := got.Stats[0].Plan.Kernel, got.Stats[len(got.Stats)-1].Plan.Kernel; {
-					case first != core.KernelDelta:
+					if got.Stats[0].RPrimeRows != deltaSales {
 						route = 1
-					case last != core.KernelDelta:
-						route = 2
 					}
 				}
 				median := func(x []float64) float64 { slices.Sort(x); return x[len(x)/2] }

@@ -7,11 +7,14 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"setm/internal/storage"
@@ -84,11 +87,16 @@ func TestMineDeltaConformance(t *testing.T) {
 		{name: "delta-dominates", seed: 7, baseN: 30, deltaN: 90, maxLen: 8, nItems: 9, deltaItems: 9, opts: Options{MinSupportCount: 10}},
 		// Threshold so high everything demotes to the border.
 		{name: "demote-everything", seed: 8, baseN: 50, deltaN: 10, maxLen: 6, nItems: 30, deltaItems: 30, opts: Options{MinSupportCount: 40}},
+		// The pure path with demoted prefixes: the base's level-3 and -4
+		// candidates under them are dropped, as a cold mine never counts
+		// them, so the refreshed border has no stale entries.
+		{name: "demoted-prefix", seed: 20, baseN: 100, deltaN: 30, maxLen: 8, nItems: 10, deltaItems: 10, opts: Options{MinSupportFrac: 0.12}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			base, delta := deltaSplit(rng, tc.baseN, tc.deltaN, tc.maxLen, tc.nItems, tc.deltaItems)
+			tc.opts.RetainBorder = true
 			snap := mineBorder(t, base, tc.opts)
 
 			got, err := MineDelta(context.Background(), base, delta, snap, tc.opts)
@@ -107,6 +115,9 @@ func TestMineDeltaConformance(t *testing.T) {
 				assertSameCounts(t, tc.name, want, got)
 				t.Fatalf("counts differ from full re-mine")
 			}
+			// The refreshed snapshot is the one a cold mine keeps, on the
+			// pure path as on the fallback (a cold mine).
+			assertSameBorder(t, want.Border, got.Border)
 		})
 	}
 }
@@ -449,6 +460,18 @@ func TestBorderSnapshotCorruption(t *testing.T) {
 			t.Fatalf("flip at %d: got %v, want ErrBorder", off, err)
 		}
 	}
+	// A version-1 file (bit-packed keys at every level), framed and
+	// checksummed as written, is refused whole: setmd mines cold once.
+	v1 := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint64(v1[len(borderMagic):], 1)
+	binary.LittleEndian.PutUint32(v1[len(v1)-4:], crc32.Checksum(v1[len(borderMagic):len(v1)-4], ckptCRC))
+	p := filepath.Join(dir, "v1.border")
+	if err := os.WriteFile(p, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBorder(p); !errors.Is(err, ErrBorder) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 snapshot: got %v, want ErrBorder naming version 1", err)
+	}
 	for _, cut := range []int{0, 4, len(blob) / 2, len(blob) - 1} {
 		p := filepath.Join(dir, "trunc.border")
 		if err := os.WriteFile(p, blob[:cut], 0o644); err != nil {
@@ -493,5 +516,39 @@ func TestRetainBorderDoesNotChangeCounts(t *testing.T) {
 					trial, k, len(bordered.Border.Levels[k-1].FreqKeys), len(bordered.Counts[k-1]))
 			}
 		}
+	}
+}
+
+// TestMineDeltaFansOut pins a refresh's passes on the executor's fan-out:
+// a delta of more than 2 x costmodel.ParallelMinRows SALES rows at
+// MaxWorkers 2 cuts its passes into two chunks, takes the pure path, and
+// still equals a cold mine of base+delta, snapshot included.
+func TestMineDeltaFansOut(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	base, delta := deltaSplit(rng, 2000, 1500, 8, 40, 40)
+	opts := Options{MinSupportFrac: 0.05, MaxWorkers: 2, RetainBorder: true}
+	snap := mineBorder(t, base, opts)
+	got, err := MineDelta(context.Background(), base, delta, snap, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := MineAuto(combined(base, delta), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Counts, want.Counts) {
+		assertSameCounts(t, "fan-out", want, got)
+		t.Fatal("fanned-out refresh diverged")
+	}
+	assertSameBorder(t, want.Border, got.Border)
+	if got.Stats[0].RPrimeRows != int64(delta.NumSalesRows()) {
+		t.Fatalf("|R'_1| = %d, want |delta SALES| = %d: the refresh re-mined", got.Stats[0].RPrimeRows, delta.NumSalesRows())
+	}
+	fanned := false
+	for _, st := range got.Stats {
+		fanned = fanned || st.Plan.Workers == 2
+	}
+	if !fanned {
+		t.Fatalf("no pass fanned out: %v", got.Stats)
 	}
 }

@@ -79,8 +79,7 @@ type IterPlan struct {
 const (
 	KernelPacked   = "packed"
 	KernelGeneric  = "generic"
-	KernelSQL      = "sql"   // the SQL driver's engine-executed statements
-	KernelDelta    = "delta" // MineDelta's incremental count-merge pass
+	KernelSQL      = "sql" // the SQL driver's engine-executed statements
 	RegimeResident = "resident"
 	RegimeSpilled  = "spilled"
 	CountTable     = "table" // direct-address counting table, no sort
@@ -195,9 +194,11 @@ type execStepper struct {
 
 	// Border retention (Options.RetainBorder): the count kernels run at
 	// threshold 1 and splitBorder keeps the sub-minsup runs — the
-	// negative border — per iteration.
+	// negative border — per iteration. seed is a MineDelta refresh's base
+	// snapshot, which splitBorder adds in, and Δ's SALES (delta.go).
 	retainBorder bool
 	borders      []pkCounts
+	seed         *deltaSeed
 }
 
 // attachPool hands the executor a caller-owned buffer pool (MinePaged's,
@@ -337,18 +338,40 @@ func (s *execStepper) countSup(minSup int64) int64 {
 	return minSup
 }
 
-// splitBorder applies the support threshold to a border-retaining count
-// list: the frequent entries are compacted in place (bit-identical to a
-// direct minSup count) and the negative border is copied aside into
-// this iteration's slot. A plain pass-through when retention is off.
-func (s *execStepper) splitBorder(ck pkCounts, minSup int64) pkCounts {
+// splitBorder applies minSup to pass k's count list, made at threshold 1
+// under border retention (a pass-through without): the frequent entries
+// are compacted in place, as a minSup count would have made them, and the
+// negative border is copied into this pass's slot, out of the arena. A
+// refresh first adds the snapshot's level-k counts, and fails with
+// errBorderShift when a pass k >= 2 promotes.
+func (s *execStepper) splitBorder(k int, ck pkCounts, minSup int64) (pkCounts, error) {
 	if !s.retainBorder {
-		return ck
+		return ck, nil
 	}
-	freq, border := splitBorderCounts(ck, minSup)
+	if s.seed != nil {
+		parts, n := append(s.seed.level(k), ck), 0
+		for _, p := range parts {
+			n += len(p.keys)
+		}
+		ck = mergePackedCounts(parts, 1, pkCounts{make([]uint64, 0, n), make([]int64, 0, n)})
+	}
+	var border pkCounts
+	w := 0
+	for i, c := range ck.counts {
+		if c >= minSup {
+			ck.keys[w], ck.counts[w] = ck.keys[i], c
+			w++
+		} else {
+			border.keys = append(border.keys, ck.keys[i])
+			border.counts = append(border.counts, c)
+		}
+	}
 	s.borders = append(s.borders, border)
-	s.ck = freq
-	return freq
+	s.ck = pkCounts{keys: ck.keys[:w], counts: ck.counts[:w]}
+	if s.seed != nil && k >= 2 && !s.seed.rerank(k, s.ck.keys) {
+		return s.ck, errBorderShift
+	}
+	return s.ck, nil
 }
 
 // startIteration opens the per-iteration accounting window.
@@ -381,7 +404,12 @@ func (s *execStepper) endIteration(rPrime, skips int64, plan IterPlan) Iteration
 // the pool when that plan spills — and returns the plan and the packed
 // SALES.
 func (s *execStepper) open() (IterPlan, []prow) {
-	memo := s.d.packed()
+	var memo *salesMemo
+	if s.seed != nil {
+		memo = &s.seed.sales
+	} else {
+		memo = s.d.packed()
+	}
 	s.ar = newMineArena()
 	s.dict = memo.dict
 	s.baskets = &memo.baskets
@@ -416,7 +444,9 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, IterationStat, error) 
 		plan.Workers = len(chunks)
 		ck, plan.Count = s.countResident(chunks, s.tableCells(1), s.countSup(minSup), &skips)
 	}
-	ck = s.splitBorder(ck, minSup)
+	if ck, err = s.splitBorder(1, ck, minSup); err != nil {
+		return nil, IterationStat{}, err
+	}
 	c1 := decodePatterns(ck, 1, s.dict)
 	s.prevC = c1
 
@@ -497,7 +527,10 @@ func (s *execStepper) stepPairs(minSup int64, plan IterPlan) ([]ItemsetCount, It
 	if err := cmp.Or(errs...); err != nil {
 		return nil, IterationStat{}, err
 	}
-	cOut := s.pairsC2(sumTables(ar.wTab[:W]), minSup)
+	cOut, err := s.pairsC2(sumTables(ar.wTab[:W]), minSup)
+	if err != nil {
+		return nil, IterationStat{}, err
+	}
 
 	var rk *srel
 	out := ar.rkBuf[:0]
@@ -562,9 +595,13 @@ func (s *execStepper) inRanges(lo, hi int, fn func(a, b int) error) error {
 
 // pairsC2 reads C_2 off a pairs pass's count table and ends the count
 // step as every pass does (splitBorder, endPass).
-func (s *execStepper) pairsC2(tab []uint32, minSup int64) []ItemsetCount {
+func (s *execStepper) pairsC2(tab []uint32, minSup int64) ([]ItemsetCount, error) {
 	s.ck = emitCountTable(tab, s.countSup(minSup), pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]})
-	return s.endPass(2, s.splitBorder(s.ck, minSup))
+	ck, err := s.splitBorder(2, s.ck, minSup)
+	if err != nil {
+		return nil, err
+	}
+	return s.endPass(2, ck), nil
 }
 
 // stepResident is the in-RAM fast path, and the one place sort → extend
@@ -624,7 +661,10 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	// support threshold.
 	ck, kernel := s.countResident(rPrime, s.tableCells(k), s.countSup(minSup), &skips)
 	plan.Count = kernel
-	ck = s.splitBorder(ck, minSup)
+	ck, err := s.splitBorder(k, ck, minSup)
+	if err != nil {
+		return nil, IterationStat{}, err
+	}
 	cOut := s.endPass(k, ck)
 
 	// R_k := filter R'_k by C_k. Filtering preserves (trans_id, items)
@@ -742,7 +782,10 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 		return nil, IterationStat{}, err
 	}
 	s.ck = ck
-	ck = s.splitBorder(ck, minSup)
+	if ck, err = s.splitBorder(k, ck, minSup); err != nil {
+		rPrime.free(s.pool)
+		return nil, IterationStat{}, err
+	}
 	cOut := s.endPass(k, ck)
 
 	// R_k := filter R'_k by C_k; filtering preserves (trans_id, items)
@@ -999,12 +1042,12 @@ func (s *execStepper) resume(cp *Checkpoint) (IterationStat, error) {
 	if cp.K >= 2 {
 		prev = cp.Counts[cp.K-2]
 	}
-	keys, ok := encodeLevel(cp.Counts[cp.K-1], prev, cp.K, s.dict)
-	if !ok || !keysSorted(keys) {
+	ck, ok := encodeLevel(cp.Counts[cp.K-1], prev, cp.K, s.dict)
+	if !ok || !keysSorted(ck.keys) {
 		return IterationStat{}, fmt.Errorf("%w: C_%d does not code under this dataset's dictionary", ErrCheckpoint, cp.K)
 	}
-	s.ck = pkCounts{keys: keys}
-	s.idx = buildKeyIndex(keys, s.dict.keySpace(cp.K, len(prev)), s.ar)
+	s.ck = ck
+	s.idx = buildKeyIndex(ck.keys, s.dict.keySpace(cp.K, len(prev)), s.ar)
 	s.prevC = cp.Counts[cp.K-1]
 
 	// R_K streams from the checkpoint under the regime the next iteration

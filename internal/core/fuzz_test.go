@@ -176,7 +176,7 @@ func FuzzPackedKernels(f *testing.F) {
 		}
 		slices.Sort(all)
 		dict := newPackDict(slices.Compact(all), n, nil)
-		if k > dict.maxPackedK() {
+		if uint(k)*dict.bits > 64 {
 			return
 		}
 		rows := make([]prow, n)
@@ -308,13 +308,16 @@ func fuzzSameCounts(t *testing.T, label string, want, got *Result) {
 // FuzzMineDelta asserts on arbitrary base/delta splits that incremental
 // mining from a retained border snapshot is bit-identical to a cold
 // mine of the concatenated dataset — across both the pure O(delta)
-// path and the promotion-triggered executor fallback — and that a
-// refreshed snapshot chains to a second append with the same guarantee.
+// path and the promotion-triggered executor fallback, at an absolute or
+// (minSup's high bit) a fractional threshold — that its refreshed
+// snapshot is the one the cold mine keeps, and that it chains to a
+// second append with the same guarantee.
 func FuzzMineDelta(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 1, 2, 0, 4, 5}, []byte{4, 5, 0, 4, 5, 6}, uint8(2))
 	f.Add([]byte{7, 8, 0, 7, 8, 9}, []byte{10, 11, 12}, uint8(1))
 	f.Add([]byte{1, 1, 1, 0, 1}, []byte{}, uint8(3))
 	f.Add([]byte{20, 30, 0, 20, 30, 40, 0, 20}, []byte{20, 30, 40, 0, 20, 30, 40}, uint8(2))
+	f.Add([]byte{1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 0, 4, 5, 6, 0, 4, 5}, []byte{7, 8, 0, 1, 9}, uint8(128+3))
 	f.Fuzz(func(t *testing.T, baseData, deltaData []byte, minSup uint8) {
 		base := fuzzDataset(baseData)
 		if base == nil {
@@ -325,6 +328,9 @@ func FuzzMineDelta(f *testing.F) {
 			MinSupportCount: int64(minSup%8) + 1,
 			MaxPatternLen:   5,
 			RetainBorder:    true,
+		}
+		if minSup >= 128 {
+			opts.MinSupportCount, opts.MinSupportFrac = 0, float64(minSup%8+1)/16
 		}
 		baseRes, err := MineAuto(base, opts)
 		if err != nil {
@@ -353,6 +359,7 @@ func FuzzMineDelta(f *testing.F) {
 			t.Fatalf("MineAuto(combined): %v", err)
 		}
 		fuzzSameCounts(t, "delta-vs-cold", want, got)
+		assertSameBorder(t, want.Border, got.Border)
 
 		// Chain: append the base again (tids re-anchored) onto the
 		// refreshed snapshot.

@@ -23,8 +23,8 @@ package core
 //     quest-resident 0.201 -> 0.143 s over ten alternating pairs, the
 //     traced k=3 pass 57 -> 24 ms.
 //
-// MineDelta and the border snapshot keep the bit-packed layout at every
-// k; the executor re-packs its border levels when it assembles one.
+// A border snapshot keeps these keys as the executor counted them, and
+// MineDelta re-ranks a level's prefixes into its own run (deltaSeed).
 // The per-iteration kernels then collapse:
 //
 //   - the paper's sorts become byte-wise LSD radix passes over a single
@@ -43,9 +43,8 @@ package core
 //     do not exceed the sort buffers it replaces — 16 B per key, i.e.
 //     16*|R'_k| resident and 2*8*capKeys under a memory budget — and the
 //     key space is within maxCountTableBits. Every packed count site
-//     (resident serial and fanned out, spilled key counters, the delta
-//     miner) goes through countRows / keyCounter, which share the two
-//     kernels below. Measured on bench/ (seed 3, 15 s, one CPU):
+//     (resident serial and fanned out, spilled key counters) goes
+//     through countRows / keyCounter, which share the two kernels below. Measured on bench/ (seed 3, 15 s, one CPU):
 //     mine_p50_s quest-resident 0.32 -> 0.125 s over three alternating
 //     pairs, quest-spilled 0.90 -> 0.36 s (a mine writes 7 runs instead
 //     of 31), retail-resident 14.0 -> 9.3 ms;
@@ -197,10 +196,6 @@ func (d *packDict) code(item int64) uint64 {
 	return uint64(i)
 }
 
-// maxPackedK is the longest pattern length one bit-packed key can hold:
-// the deepest level a border snapshot can store.
-func (d *packDict) maxPackedK() int { return int(64 / d.bits) }
-
 // recode replaces the sign-flipped items in the keys of packSales' rows
 // with their codes. Codes ascend with the items, so the rows stay sorted.
 func (d *packDict) recode(rows []prow) {
@@ -323,7 +318,7 @@ func keysSorted(keys []uint64) bool {
 // whose codes ascend, so its extensions are the basket's suffix past its
 // last item's code, appended whole. prefixes is C_{k-1}'s index when
 // R'_k is rank-coded (k >= 3): the extended key is then the row's rank
-// in C_{k-1}, shifted; nil bit-packs (k = 2, and MineDelta at every k).
+// in C_{k-1}, shifted; nil bit-packs (k = 2).
 // Appends to out and returns it; the output inherits (basket, key)
 // order.
 func packedExtend(rk []prow, sales *baskets, itemBits uint, prefixes *keyIndex, out []prow) []prow {
@@ -473,13 +468,8 @@ func packedCountRuns(keys []uint64, minSup int64, dst pkCounts) pkCounts {
 	return dst
 }
 
-// newPkCounts returns an empty count list with room for n keys.
-func newPkCounts(n int) pkCounts {
-	return pkCounts{keys: make([]uint64, 0, n), counts: make([]int64, 0, n)}
-}
-
 // mergePackedCounts merges ascending packed count lists (per-chunk counts,
-// or MineDelta's snapshot and delta counts), summing counts of keys that
+// or a refresh's snapshot and delta counts), summing counts of keys that
 // appear in several lists and keeping those meeting minSup. Appends to
 // dst.
 func mergePackedCounts(parts []pkCounts, minSup int64, dst pkCounts) pkCounts {
@@ -513,8 +503,7 @@ func mergePackedCounts(parts []pkCounts, minSup int64, dst pkCounts) pkCounts {
 }
 
 // bitSpace is the key space of bit-packed k-patterns, 2^(k*bits)
-// points, saturating at 2^63: the executor's at k <= 2, MineDelta's at
-// every k.
+// points, saturating at 2^63: the executor's at k <= 2.
 func (d *packDict) bitSpace(k int) uint64 {
 	if kb := uint(k) * d.bits; kb < 63 {
 		return 1 << kb
@@ -733,39 +722,40 @@ func decodeRanked(pk pkCounts, prev []ItemsetCount, dict *packDict) []ItemsetCou
 	return out
 }
 
-// encodeLevel is the decoders' inverse, for the resume path: the
-// executor's level-k keys of the decoded, ascending ck — codes while
-// k <= 2, prefixes ranked in prev = C_{k-1} from k = 3. A pattern this
-// dataset's level k cannot hold (a wrong length, an item outside the
-// dictionary, a prefix not in prev) reports false.
-func encodeLevel(ck, prev []ItemsetCount, k int, dict *packDict) ([]uint64, bool) {
+// encodeLevel is the decoders' inverse, for the resume path and the
+// border snapshot: the executor's level-k count list of the decoded,
+// ascending ck — codes while k <= 2, prefixes ranked in prev = C_{k-1}
+// from k = 3. A pattern this dataset's level k cannot hold (a wrong
+// length, an item outside the dictionary, a prefix not in prev) reports
+// false.
+func encodeLevel(ck, prev []ItemsetCount, k int, dict *packDict) (pkCounts, bool) {
 	if !dict.keyFits(k, len(prev)) {
-		return nil, false
+		return pkCounts{}, false
 	}
-	keys := make([]uint64, len(ck))
+	pk := pkCounts{keys: make([]uint64, len(ck)), counts: make([]int64, len(ck))}
 	for i, c := range ck {
 		if len(c.Items) != k {
-			return nil, false
+			return pkCounts{}, false
 		}
 		last, ok := slices.BinarySearch(dict.items, c.Items[k-1])
 		if !ok {
-			return nil, false
+			return pkCounts{}, false
 		}
 		prefix := 0
 		switch {
 		case k == 2:
 			if prefix, ok = slices.BinarySearch(dict.items, c.Items[0]); !ok {
-				return nil, false
+				return pkCounts{}, false
 			}
 		case k >= 3:
 			prefix = searchCounts(prev, c.Items[:k-1])
 			if prefix == len(prev) || compareItems(prev[prefix].Items, c.Items[:k-1]) != 0 {
-				return nil, false
+				return pkCounts{}, false
 			}
 		}
-		keys[i] = uint64(prefix)<<dict.bits | uint64(last)
+		pk.keys[i], pk.counts[i] = uint64(prefix)<<dict.bits|uint64(last), c.Count
 	}
-	return keys, true
+	return pk, true
 }
 
 // The packed-key substrate's stepper lives in executor.go: the adaptive

@@ -32,9 +32,6 @@ func TestPackDictOrderPreserving(t *testing.T) {
 	if dict.bits != 3 { // 7 items -> codes 0..6 -> 3 bits
 		t.Errorf("bits = %d, want 3", dict.bits)
 	}
-	if got := dict.maxPackedK(); got != 21 {
-		t.Errorf("maxPackedK = %d, want 21", got)
-	}
 }
 
 // TestBuildDictPaths pins both dictionary builders — the presence pass
@@ -248,9 +245,9 @@ func wideDomainDataset(t *testing.T) (d *Dataset, maxK, maxLen int) {
 		}
 		d.Transactions = append(d.Transactions, Transaction{ID: int64(i + 1), Items: items})
 	}
-	maxK = d.packed().dict.maxPackedK()
+	maxK = 64 / int(d.packed().dict.bits)
 	if maxK >= len(common) {
-		t.Fatalf("setup: maxPackedK = %d, want patterns of length %d past it", maxK, len(common))
+		t.Fatalf("setup: 64/bits = %d, want patterns of length %d past it", maxK, len(common))
 	}
 	return d, maxK, len(common)
 }
@@ -338,44 +335,25 @@ func TestStepRefusesKeysPastOneWord(t *testing.T) {
 	}
 }
 
-// TestBorderSnapshotPackedWidth pins which mines keep a border snapshot:
-// the snapshot is bit-packed at every level, so a mine with a level past
-// maxPackedK (the wide-domain set) keeps none, with counts unchanged,
-// while one whose last level is exactly maxPackedK keeps its snapshot
-// and MineDelta on it is a cold mine of base+delta.
+// TestBorderSnapshotPackedWidth pins the snapshot past the width of a
+// bit-packed key: its levels hold the executor's own keys, rank-coded from
+// k = 3, so the wide-domain set, mined to k = 6 past 64/bits = 4, keeps
+// its snapshot. MineDelta on it, over a delta of unseen fillers that
+// re-codes every level, takes the pure path and equals a cold mine of
+// base+delta, snapshot included.
 func TestBorderSnapshotPackedWidth(t *testing.T) {
-	d, maxK, _ := wideDomainDataset(t)
-	want, err := MineMemory(d, Options{MinSupportCount: 25, DisablePackedKernels: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MineAuto(d, Options{MinSupportCount: 25, RetainBorder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fuzzSameCounts(t, "wide, border retained", want, got)
-	if got.Border != nil {
-		t.Errorf("levels to k=%d, past maxPackedK = %d, kept a %d-level border", len(got.Stats), maxK, len(got.Border.Levels))
-	}
-
-	// Three common items among the same fillers: C_3 is the last frequent
-	// level, and pass maxPackedK = 4 the last one run (its extensions are
-	// all single-transaction fillers).
-	base := &Dataset{}
-	for _, tx := range d.Transactions {
-		base.Transactions = append(base.Transactions, Transaction{ID: tx.ID, Items: tx.Items[3:]})
-	}
+	base, maxK, maxLen := wideDomainDataset(t)
 	opts := Options{MinSupportCount: 25, RetainBorder: true}
 	res, err := MineAuto(base, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stats) != maxK || res.Border == nil || len(res.Border.Levels) != maxK {
-		t.Fatalf("last level k=%d (maxPackedK %d): border %v", len(res.Stats), maxK, res.Border != nil)
+	if res.MaxLen() != maxLen || res.Border == nil || len(res.Border.Levels) != len(res.Stats) {
+		t.Fatalf("levels to k=%d, past 64/bits = %d: border %v", len(res.Stats), maxK, res.Border != nil)
 	}
 	delta := &Dataset{}
 	for i := int64(1); i <= 5; i++ {
-		delta.Transactions = append(delta.Transactions, Transaction{ID: 100 + i, Items: []Item{4, 5, 6, 1000 + i, 90_000 + i}})
+		delta.Transactions = append(delta.Transactions, Transaction{ID: 100 + i, Items: []Item{1, 2, 3, 4, 5, 6, 1000 + i, 90_000 + i}})
 	}
 	all := &Dataset{Transactions: append(slices.Clone(base.Transactions), delta.Transactions...)}
 	cold, err := MineAuto(all, opts)
@@ -387,6 +365,10 @@ func TestBorderSnapshotPackedWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	fuzzSameCounts(t, "delta vs cold", cold, inc)
+	if got, want := inc.Stats[0].RPrimeRows, int64(delta.NumSalesRows()); got != want {
+		t.Errorf("|R'_1| = %d, want |delta SALES| = %d: the refresh re-mined", got, want)
+	}
+	assertSameBorder(t, cold.Border, inc.Border)
 }
 
 // TestSortsSkippedCounted asserts the sortedness fast path actually

@@ -150,7 +150,10 @@ func runPipeline(ctx context.Context, d *Dataset, opts Options, s stepper, onIte
 		record(1, c1, st1, iterStart)
 		st, k = st1, 1
 	}
-	for st.RRows > 0 {
+	// A refresh's Δ rows can run out while the base's candidates still
+	// count, so the loop also runs on while C_k has patterns (a cold mine's
+	// R_k has rows whenever its C_k does).
+	for st.RRows > 0 || len(res.Counts[len(res.Counts)-1]) > 0 {
 		if opts.MaxPatternLen > 0 && k >= opts.MaxPatternLen {
 			break
 		}

@@ -555,8 +555,11 @@ func (s *Server) resumeJob(j *job, rj *replayedJob) {
 	go s.runJob(ctx, j, ds, opts, key, plan, grant, true)
 }
 
-// effectiveOptions applies the server-side default budget, mirroring
-// handleSubmitJob so a resumed job mines exactly as first admitted.
+// effectiveOptions is a job's options, built in this one place for a
+// submission and its replay alike: the request's, the server-side default
+// budget, and RetainBorder — every mine retains its negative border so a
+// later append to this dataset can refresh the result incrementally
+// (invisible in the counts and in cache keys: CanonicalOptions zeroes it).
 func (s *Server) effectiveOptions(o *walOpts) core.Options {
 	opts := o.options()
 	if opts.MemoryBudget <= 0 {

@@ -629,20 +629,13 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("job-%d", s.nextJob)
 	s.mu.Unlock()
 
-	opts := core.Options{
-		MinSupportFrac:  req.MinSupFrac,
-		MinSupportCount: req.MinSupCount,
-		MaxPatternLen:   req.MaxPatternLn,
-		MemoryBudget:    req.MemBudget,
-		MaxWorkers:      req.MaxWorkers,
+	jopts := &walOpts{
+		MinSupFrac: req.MinSupFrac, MinSupCount: req.MinSupCount,
+		MaxLen: req.MaxPatternLn, MemBudget: req.MemBudget,
+		MaxWorkers: req.MaxWorkers, TimeoutMs: req.TimeoutMs,
 	}
-	if opts.MemoryBudget <= 0 {
-		opts.MemoryBudget = s.cfg.JobMemBudget
-	}
-	// Every mine retains its negative border so a later append to this
-	// dataset can refresh the result incrementally. Invisible in the
-	// counts and in cache keys (CanonicalOptions zeroes it).
-	opts.RetainBorder = true
+	opts := s.effectiveOptions(jopts)
+	jopts.MemBudget = opts.MemoryBudget // journaled as admitted
 	if opts.MinSupportCount <= 0 && (opts.MinSupportFrac <= 0 || opts.MinSupportFrac > 1) {
 		httpError(w, http.StatusBadRequest, "need minsup in (0,1] or minsup_count >= 1")
 		return
@@ -653,11 +646,6 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		done: make(chan struct{}), state: stateQueued,
 	}
 	key := cacheKey{Version: ds.Version, Opts: core.CanonicalOptions(opts, ds.Transactions)}
-	jopts := &walOpts{
-		MinSupFrac: req.MinSupFrac, MinSupCount: req.MinSupCount,
-		MaxLen: req.MaxPatternLn, MemBudget: opts.MemoryBudget,
-		MaxWorkers: req.MaxWorkers, TimeoutMs: req.TimeoutMs,
-	}
 
 	// Cache hit: the job is born done; no admission, no mining. Both
 	// lifecycle records land in one WAL batch — a replayed cache-hit job

@@ -145,13 +145,16 @@ func MineAutoResume(ctx context.Context, d *Dataset, opts Options, cp *Checkpoin
 // BorderSnapshot is the retained state of a completed mining run that
 // makes incremental refreshes possible: the item dictionary, every
 // frequent set F_k with exact counts, and the negative border (counted
-// candidates that fell short of minsup) per iteration. Produced by
-// mining with Options.RetainBorder set; consumed by MineDelta.
+// candidates that fell short of minsup) per iteration, keyed as the
+// executor counts them (item codes through k = 2, then the prefix's rank
+// in F_{k-1} and the last item's code), so a mine of any depth keeps one.
+// Produced by mining with Options.RetainBorder set; consumed by MineDelta.
+// A refreshed snapshot is the one a cold mine of base+delta keeps.
 type BorderSnapshot = core.BorderSnapshot
 
 // ErrBorder tags every border-snapshot failure — corrupt or truncated
-// files, snapshots that do not match the presented base dataset or
-// options, and deltas the snapshot's packed-key geometry cannot absorb.
+// files, files of an older format version, and snapshots that do not
+// match the presented base dataset or options.
 var ErrBorder = core.ErrBorder
 
 // SaveBorder atomically persists a border snapshot (CRC-guarded binary,
@@ -167,8 +170,9 @@ func LoadBorder(path string) (*BorderSnapshot, error) {
 }
 
 // MineDelta mines base+delta incrementally from a border snapshot of
-// the base run: appended transactions are packed through the snapshot's
-// dictionary and counted against F_k and the negative border, so the
+// the base run: the executor mines the appended transactions alone, under
+// the snapshot's dictionary grown by their unseen items, and adds the
+// snapshot's counts of F_k and the negative border into each pass, so the
 // refresh costs O(|delta|) instead of O(full re-mine) as long as no
 // border pattern is promoted to frequent. When one is (its unseen
 // extensions were never counted), MineDelta falls back to a cold Mine of
