@@ -46,10 +46,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"fig55"`) || !strings.Contains(err.Error(), "rrows") {
 		t.Errorf("-exp fig55: got %v, want an unknown-experiment error listing the names", err)
 	}
-	// The retired harness flags are gone, not silently ignored.
+	// The retired harness flags are gone, not silently ignored: the
+	// flag parser itself refuses them, ahead of any experiment.
 	for _, flag := range []string{"-json", "-check-trajectory"} {
-		if err := run([]string{"-exp", "none", flag, "x"}, &stdout, &stderr); err == nil {
-			t.Errorf("retired flag %s accepted", flag)
+		err := run([]string{"-exp", "analysis", flag, "x"}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
+			t.Errorf("retired flag %s: got %v, want the parser's undefined-flag error", flag, err)
 		}
 	}
 }

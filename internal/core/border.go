@@ -181,7 +181,7 @@ func SaveBorder(path string, b *BorderSnapshot, nosync bool) error {
 }
 
 // LoadBorder reads and fully verifies a snapshot written by SaveBorder.
-// Any framing or CRC damage returns an error wrapping ErrBorder.
+// Framing or CRC damage, or a key out of range, wraps ErrBorder.
 func LoadBorder(path string) (*BorderSnapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -278,6 +278,20 @@ func LoadBorder(path string) (*BorderSnapshot, error) {
 	}
 	if binary.LittleEndian.Uint32(buf[:4]) != want {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrBorder)
+	}
+	// A key's last code indexes Items and its prefix (none at level 1, a
+	// code at 2, from 3 a rank in the level below's FreqKeys) must too.
+	bits, n := dictBits(len(b.Items)), uint64(len(b.Items))
+	prefixes := []uint64{1, n}
+	for i, l := range b.Levels {
+		if i >= 2 {
+			prefixes = append(prefixes, uint64(len(b.Levels[i-1].FreqKeys)))
+		}
+		for _, key := range slices.Concat(l.FreqKeys, l.BorderKeys) {
+			if key&(1<<bits-1) >= n || key>>bits >= prefixes[i] {
+				return nil, fmt.Errorf("%w: level %d key %#x out of range", ErrBorder, i+1, key)
+			}
+		}
 	}
 	return b, nil
 }

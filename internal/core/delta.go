@@ -2,33 +2,25 @@ package core
 
 // Incremental delta mining over a negative-border snapshot (border.go).
 //
-// The correctness argument rests on one property of SETM's candidate
-// counts: a pattern p of length k generates rows in R'_k exactly when
-// its (k-1)-prefix is frequent, and then it generates one row per
-// supporting transaction — so the recorded count of every candidate
-// (frequent or border) is p's TRUE support over the base dataset, not
-// an artifact of the execution plan. Appending transactions therefore
-// never changes a recorded count; it only adds the delta's own support:
+// A SETM candidate of length k gets one R'_k row per supporting
+// transaction once its (k-1)-prefix is frequent, so every count a
+// snapshot records, frequent or border, is the pattern's true support
+// over the base. An append only adds the delta's own support:
 //
 //	support(p, base+delta) = snapshotCount(p) + support(p, delta)
 //
-// where snapshotCount is 0 for patterns absent from F_k ∪ border
-// (absent means p occurs in no base transaction, or some proper prefix
-// was infrequent). A refresh is therefore the executor's own pipeline
-// over the DELTA's SALES, packed under the merged dictionary, counting at
-// threshold 1 as under RetainBorder: at every pass splitBorder adds the
-// snapshot's level-k counts (deltaSeed.level) into the pass's counts
-// before it applies the minsup of base+delta, so frequent sets falling
-// below it demote and border sets crossing it promote. Demotions are
-// exact — they only shrink the candidate set, and the base candidates
-// whose prefix demoted are dropped, as a cold mine never counts them. A
-// promotion at level k >= 2 is the one event that invalidates deeper
-// levels: the promoted pattern's extensions over BASE transactions were
-// never counted. That is the border shift (errBorderShift), and its one
-// route is a plain MineAuto over base+delta (remine). Level-1
-// promotions never invalidate anything: the paper's R_1 is unfiltered
-// SALES, so every pair occurring anywhere is a counted level-2
-// candidate.
+// where snapshotCount is 0 for a pattern absent from F_k ∪ border (in no
+// base basket, or under an infrequent prefix). A refresh is therefore the
+// executor's pipeline over the delta's SALES, packed under the merged
+// dictionary and counted at threshold 1 as under RetainBorder: splitBorder
+// adds the snapshot's level-k counts (deltaSeed.level) before it applies
+// the minsup of base+delta. Demotions are exact: the base candidates under
+// a demoted prefix are dropped, as a cold mine never counts them. A
+// promotion at level k >= 2 invalidates the deeper levels, whose
+// extensions of it over the base were never counted: errBorderShift, which
+// a plain MineAuto over base+delta answers (remine). A level-1 promotion
+// invalidates nothing: R_1 is unfiltered SALES, so every pair in any
+// basket is a counted level-2 candidate.
 
 import (
 	"context"
@@ -180,9 +172,6 @@ func (sd *deltaSeed) snapLevel(k int) *BorderLevel {
 func (sd *deltaSeed) level(k int) []pkCounts {
 	l := sd.snapLevel(k)
 	runs := []pkCounts{{l.FreqKeys, l.FreqCounts}, {l.BorderKeys, l.BorderCounts}}
-	if k <= 2 && len(sd.codeMap) == len(sd.sales.dict.items) {
-		return runs // no unseen items: the codes are the snapshot's
-	}
 	for i, run := range runs {
 		runs[i] = pkCounts{make([]uint64, 0, len(run.keys)), make([]int64, 0, len(run.keys))}
 		for j, key := range run.keys {

@@ -18,12 +18,22 @@ import (
 // times MineDelta(base, delta) and a cold MineAuto(base+delta) back to
 // back. Reported per cell: the two medians in ms, their ratio, and the
 // route MineDelta took — 0 the pure delta path (its first pass counted
-// the delta's SALES alone), 1 the fallback (a cold re-mine).
+// the delta's SALES alone), 1 the fallback (a cold re-mine). The mix-N
+// cells are bench/'s setmd-mix refresh for body seed N (a retail base of
+// 46,873 transactions and a Δ of 469): mix-1 takes the pure path, mix-2
+// the fallback.
 //
 //	go test -run '^$' -bench DeltaVsCold -benchtime 7x -cpu 1,2 ./internal/core/
 func BenchmarkDeltaVsCold(b *testing.B) {
 	retail := func(seed int64) func() *core.Dataset {
 		return func() *core.Dataset { return gen.Retail(gen.DefaultRetail(seed)) }
+	}
+	mix := func(seed int64) func() *core.Dataset {
+		return func() *core.Dataset {
+			cfg := gen.DefaultRetail(seed)
+			cfg.NumTransactions = 46873 + 469
+			return gen.Retail(cfg)
+		}
 	}
 	quest := func(scale float64, seed int64) func() *core.Dataset {
 		return func() *core.Dataset { return gen.Quest(gen.T10I4D100K(scale, seed)) }
@@ -32,13 +42,18 @@ func BenchmarkDeltaVsCold(b *testing.B) {
 		name   string
 		d      func() *core.Dataset
 		minSup float64
+		pcts   []int
 	}{
-		{"retail-1", retail(1), 0.001}, {"retail-2", retail(2), 0.001},
-		{"retail-3", retail(3), 0.001}, {"retail-4", retail(4), 0.001},
-		{"quest-1.0", quest(1.0, 1), 0.0025}, {"quest-0.5", quest(0.5, 2), 0.0025},
+		{"retail-1", retail(1), 0.001, nil}, {"retail-2", retail(2), 0.001, nil},
+		{"retail-3", retail(3), 0.001, nil}, {"retail-4", retail(4), 0.001, nil},
+		{"quest-1.0", quest(1.0, 1), 0.0025, nil}, {"quest-0.5", quest(0.5, 2), 0.0025, nil},
+		{"mix-1", mix(1), 0.001, []int{1}}, {"mix-2", mix(2), 0.001, []int{1}},
 	} {
-		full := ds.d()
-		for _, pct := range []int{1, 5, 10, 25} {
+		full, pcts := ds.d(), ds.pcts
+		if pcts == nil {
+			pcts = []int{1, 5, 10, 25}
+		}
+		for _, pct := range pcts {
 			b.Run(fmt.Sprintf("%s/+%d%%", ds.name, pct), func(b *testing.B) {
 				n := len(full.Transactions) * 100 / (100 + pct)
 				base := &core.Dataset{Transactions: full.Transactions[:n]}

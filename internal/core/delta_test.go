@@ -472,6 +472,30 @@ func TestBorderSnapshotCorruption(t *testing.T) {
 	if _, err := LoadBorder(p); !errors.Is(err, ErrBorder) || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("version-1 snapshot: got %v, want ErrBorder naming version 1", err)
 	}
+	// A checksummed file whose level-3 key ranks a prefix past the end of
+	// F_2 is refused too: a refresh would index the ranks with it.
+	if len(snap.Levels) < 3 || len(snap.Levels[2].FreqKeys) == 0 {
+		t.Fatalf("fixture needs a frequent level 3, has %d levels", len(snap.Levels))
+	}
+	off := len(borderMagic) + 8*8 + 8*len(snap.Items)
+	for _, l := range snap.Levels[:2] {
+		off += 8 + 16*len(l.FreqKeys) + 8 + 16*len(l.BorderKeys)
+	}
+	off += 8 // level 3's FreqKeys length; its first key follows
+	bits := dictBits(len(snap.Items))
+	bad := append([]byte(nil), blob...)
+	if got := binary.LittleEndian.Uint64(bad[off:]); got != snap.Levels[2].FreqKeys[0] {
+		t.Fatalf("offset %d holds %#x, want level 3's first key %#x", off, got, snap.Levels[2].FreqKeys[0])
+	}
+	binary.LittleEndian.PutUint64(bad[off:], uint64(len(snap.Levels[1].FreqKeys))<<bits)
+	binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.Checksum(bad[len(borderMagic):len(bad)-4], ckptCRC))
+	p = filepath.Join(dir, "rank.border")
+	if err := os.WriteFile(p, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBorder(p); !errors.Is(err, ErrBorder) || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("level-3 prefix rank past F_2: got %v, want ErrBorder naming the range", err)
+	}
 	for _, cut := range []int{0, 4, len(blob) / 2, len(blob) - 1} {
 		p := filepath.Join(dir, "trunc.border")
 		if err := os.WriteFile(p, blob[:cut], 0o644); err != nil {

@@ -42,9 +42,9 @@ package core
 //     the table is used iff its bytes (4*|C_{k-1}|*2^bits from k = 3)
 //     do not exceed the sort buffers it replaces — 16 B per key, i.e.
 //     16*|R'_k| resident and 2*8*capKeys under a memory budget — and the
-//     key space is within maxCountTableBits. Every packed count site
-//     (resident serial and fanned out, spilled key counters) goes
-//     through countRows / keyCounter, which share the two kernels below. Measured on bench/ (seed 3, 15 s, one CPU):
+//     key space is within maxCountTableBits. Every packed count site,
+//     resident or spilled, goes through countRows / keyCounter, which
+//     share the two kernels below. Measured on bench/ (seed 3, 15 s, one CPU):
 //     mine_p50_s quest-resident 0.32 -> 0.125 s over three alternating
 //     pairs, quest-spilled 0.90 -> 0.36 s (a mine writes 7 runs instead
 //     of 31), retail-resident 14.0 -> 9.3 ms;

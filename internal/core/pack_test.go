@@ -351,6 +351,14 @@ func TestBorderSnapshotPackedWidth(t *testing.T) {
 	if res.MaxLen() != maxLen || res.Border == nil || len(res.Border.Levels) != len(res.Stats) {
 		t.Fatalf("levels to k=%d, past 64/bits = %d: border %v", len(res.Stats), maxK, res.Border != nil)
 	}
+	// Both executor mines below retain the border; the flat reference
+	// checks their counts, so a fault common to the two still shows.
+	flat := Options{MinSupportCount: 25, DisablePackedKernels: true}
+	want, err := MineMemory(base, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzSameCounts(t, "wide, border retained", want, res)
 	delta := &Dataset{}
 	for i := int64(1); i <= 5; i++ {
 		delta.Transactions = append(delta.Transactions, Transaction{ID: 100 + i, Items: []Item{1, 2, 3, 4, 5, 6, 1000 + i, 90_000 + i}})
@@ -364,6 +372,10 @@ func TestBorderSnapshotPackedWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want, err = MineMemory(all, flat); err != nil {
+		t.Fatal(err)
+	}
+	fuzzSameCounts(t, "wide base+delta, border retained", want, cold)
 	fuzzSameCounts(t, "delta vs cold", cold, inc)
 	if got, want := inc.Stats[0].RPrimeRows, int64(delta.NumSalesRows()); got != want {
 		t.Errorf("|R'_1| = %d, want |delta SALES| = %d: the refresh re-mined", got, want)
