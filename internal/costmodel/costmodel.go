@@ -216,23 +216,6 @@ func SortMergeAnalysis(w UniformWorkload, p DBParams, n int) SortMergeReport {
 	return r
 }
 
-// ---------------------------------------------------------------------------
-// Engine-facing cost estimation
-//
-// The functions below generalize the paper's page arithmetic (Sections 3.2
-// and 4.3) into per-operator cost formulas the SQL planner consults when
-// choosing physical operators. Costs are expressed in model milliseconds
-// on the paper's reference machine: sequential page accesses at SeqPageMs,
-// random fetches at RandomPageMs, plus a small per-tuple CPU charge so
-// that alternatives with identical I/O (e.g. in-memory joins of cached
-// relations) still rank deterministically.
-
-// CPUTupleMs is the per-tuple CPU charge used by the planner's cost
-// formulas. The paper's model is pure I/O; this term only breaks ties and
-// penalizes quadratic tuple-comparison counts, so its absolute value
-// matters far less than its being positive.
-const CPUTupleMs = 0.0001
-
 // Planner cardinality constants, System-R style: without histograms an
 // equality conjunct is assumed to keep 1/10 of its input, a range
 // comparison about 1/3, anything else 1/4, and a GROUP BY to emit one
@@ -259,44 +242,6 @@ func QError(est, act int64) float64 {
 		return e / a
 	}
 	return a / e
-}
-
-// PagesFor returns the page footprint of a relation of rows tuples at
-// bytesPerRow each, using the paper's convention of dividing total bytes
-// by the usable page payload (see RPages).
-func PagesFor(p DBParams, rows, bytesPerRow int64) int64 {
-	if rows <= 0 {
-		return 1
-	}
-	return ceilDiv(rows*bytesPerRow, int64(p.UsablePageBytes))
-}
-
-// SeqScanMs is the cost of one sequential pass over pages.
-func SeqScanMs(p DBParams, pages int64) float64 {
-	return float64(pages) * p.SeqPageMs
-}
-
-// SortMs estimates sorting rows tuples of bytesPerRow bytes. An in-memory
-// sort charges only comparison CPU (n log2 n); an external sort adds the
-// paper's Section 4.3 accounting — write the runs, read them back — i.e.
-// two extra sequential passes over the relation's pages.
-func SortMs(p DBParams, rows, bytesPerRow int64, external bool) float64 {
-	if rows <= 0 {
-		return 0
-	}
-	n := float64(rows)
-	cost := CPUTupleMs * n * log2(n)
-	if external {
-		cost += 2 * SeqScanMs(p, PagesFor(p, rows, bytesPerRow))
-	}
-	return cost
-}
-
-func log2(n float64) float64 {
-	if n < 2 {
-		return 1
-	}
-	return math.Log2(n)
 }
 
 // ---------------------------------------------------------------------------
@@ -329,38 +274,6 @@ func PackedPages(rows, bytesPerRow int64) int64 {
 	return ceilDiv(rows*bytesPerRow, packedPageBytes)
 }
 
-// MergePassMs is the cost of the merge phase of a merge-scan join over
-// pre-sorted inputs: one interleaved sequential pass over both relations.
-// The inputs' own scan costs are charged by their subplans.
-func MergePassMs(lrows, rrows int64) float64 {
-	return CPUTupleMs * float64(lrows+rrows)
-}
-
-// HashJoinMs is the cost of building a hash table on the build side and
-// probing it once per probe row. Building is charged double CPU (hash +
-// insert) per the usual rule of thumb, which also makes a merge pass over
-// two already-sorted inputs cheaper than hashing them — the planner then
-// prefers the paper's formulation exactly when its precondition (sorted
-// inputs) holds.
-func HashJoinMs(buildRows, probeRows int64) float64 {
-	return CPUTupleMs * (2*float64(buildRows) + float64(probeRows))
-}
-
-// NestedLoopMs is the cost of the rejected Section 3 strategy: the inner
-// relation is scanned once per outer row. With the inner materialized in
-// memory the rescans cost CPU rather than page fetches, so the charge is
-// the pair count.
-func NestedLoopMs(outerRows, innerRows int64) float64 {
-	return CPUTupleMs * float64(outerRows) * maxf(float64(innerRows), 1)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------------
 // Per-iteration executor planning
 //
@@ -373,26 +286,6 @@ func maxf(a, b float64) float64 {
 // 3.2/4.3) is precisely that SETM's per-pass cost is predictable from
 // relation sizes, so the regime is a footprint against the budget and
 // the fan-out a rows-per-worker rule, both read off those sizes.
-
-// HashGroupMs models hash aggregation of rows into groups distinct
-// groups with sorted emission: one table probe per row (two tuple
-// touches — hash and compare) plus the comparison sort of the distinct
-// groups. The planner weighs it against SortMs(rows)+CPUTupleMs·rows for
-// the sort-based alternative.
-func HashGroupMs(rows, groups int64) float64 {
-	if rows > maxModelRows {
-		rows = maxModelRows
-	}
-	if groups > rows {
-		groups = rows
-	}
-	if groups < 2 {
-		groups = 2
-	}
-	probe := CPUTupleMs * 2 * float64(rows)
-	emit := CPUTupleMs * float64(groups) * math.Log2(float64(groups))
-	return probe + emit
-}
 
 // EstRPrimeRows projects |R'_k| from the observed |R_{k-1}| and the mean
 // basket size |R_1|/|transactions|: a surviving length-(k-1) pattern is

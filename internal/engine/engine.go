@@ -173,7 +173,7 @@ func (db *DB) ExecStmt(st sqlparse.Stmt, params map[string]int64) (*Result, erro
 			}
 			rendered = pl.ExplainAnalyzed()
 		}
-		summary := fmt.Sprintf("estimated: %d rows, cost≈%.2fms (model)", pl.Est.Rows, pl.Est.CostMs)
+		summary := fmt.Sprintf("estimated: %d rows", pl.Est.Rows)
 		if s.Analyze {
 			summary = fmt.Sprintf("actual: %d rows; %s", actual, summary)
 		}

@@ -513,16 +513,16 @@ func TestHavingWithoutGroupColumnInOutput(t *testing.T) {
 	}
 }
 
-func TestExplainShowsCostBasedPlan(t *testing.T) {
-	// Unsorted inputs: the cost model picks a keyed join (hash, since
-	// neither side is known to be ordered) and EXPLAIN surfaces the
-	// decision with its estimates.
+func TestExplainShowsRuleBasedPlan(t *testing.T) {
+	// Unsorted inputs: neither side is known to be ordered and the build
+	// side fits the budget, so the rule picks a hash join, and EXPLAIN
+	// names the rule and the root estimate.
 	db := setupSales(t)
 	res := db.MustExec(`EXPLAIN SELECT r1.item, r2.item
 	                    FROM sales r1, sales r2
 	                    WHERE r1.trans_id = r2.trans_id`, nil)
 	plan := res.Plan
-	for _, want := range []string{"HashJoin", "cost-based", "Project", "HeapScan", "estimated:"} {
+	for _, want := range []string{"HashJoin", "hash: build 30 rows fits budget", "Project", "HeapScan", "\nestimated: 30 rows\n"} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("plan missing %s:\n%s", want, plan)
 		}

@@ -2,7 +2,7 @@
 // cache, since statement texts repeat across DB instances in mining runs)
 // and Stmt.Exec binds named parameters at execution time. Plans are not
 // cached: every execution compiles its own against the catalog as it
-// stands, so no plan outlives the tables and orderings it was costed
+// stands, so no plan outlives the tables and orderings it was planned
 // against, and concurrent executions never share operator state.
 
 package engine

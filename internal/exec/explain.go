@@ -44,8 +44,7 @@ func Explain(op Operator) string { return ExplainAnnotated(op, nil) }
 
 // ExplainAnnotated renders the plan with a per-operator annotation
 // callback; non-empty notes are appended to the operator's line. The
-// cost-based planner supplies estimated costs and decision rationales this
-// way.
+// planner supplies its estimates and the rule behind each choice this way.
 func ExplainAnnotated(op Operator, note func(Operator) string) string {
 	var b strings.Builder
 	explainAt(&b, op, 0, note)

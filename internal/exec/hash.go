@@ -8,9 +8,9 @@ import (
 
 // HashJoin is an equi-join that builds an in-memory hash table on the
 // right input and probes it with the left. The paper predates the
-// ubiquity of hash joins in commercial optimizers; the cost-based planner
-// picks it when the build side is small and the inputs are not already
-// sorted on the join keys — SETM's support-filter join (R'_k ⋈ C_k) is the
+// ubiquity of hash joins in commercial optimizers; the planner picks it
+// when the inputs are not both sorted on the join keys and the build side
+// fits the memory budget — SETM's support-filter join (R'_k ⋈ C_k) is the
 // canonical case. Because each left row's matches are emitted
 // contiguously in left order, the output preserves any ordering of the
 // left input on left columns.

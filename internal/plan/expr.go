@@ -1,7 +1,7 @@
 // Package plan compiles parsed SQL statements into executable operator
-// trees. It performs name resolution, predicate pushdown, cost-based
-// choice between merge-scan and hash equi-joins, sort- or hash-based
-// grouping, and ORDER BY placement. Every column and value is an integer;
+// trees. It performs name resolution, predicate pushdown, the rule-based
+// choice between merge-scan and hash equi-joins and between sort- and
+// hash-based grouping, and ORDER BY placement. Every column and value is an integer;
 // booleans are 0/1. A table in FROM must be joined to the tables before it
 // by a column equality — a cross product is an error — and GROUP BY and
 // ORDER BY take column references only.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -61,7 +62,7 @@ func TestPlanChoosesKeyedJoinForEquiJoin(t *testing.T) {
 	op := compile(t, c, `SELECT p.item, q.item FROM sales p, sales q
 	                     WHERE p.trans_id = q.trans_id AND q.item > p.item`)
 	// An equi-join must compile to a keyed physical join (merge-scan or
-	// hash, whichever the cost model prices lower), never a nested loop.
+	// hash, whichever the shape rule picks), never a nested loop.
 	if !containsOperator(op, func(o exec.Operator) bool {
 		switch o.(type) {
 		case *exec.MergeJoin, *exec.HashJoin:
@@ -79,70 +80,101 @@ func TestPlanChoosesKeyedJoinForEquiJoin(t *testing.T) {
 	}
 }
 
-// TestPlanSortedInputsChooseMergeJoin pins the cost model's key decision:
-// when both inputs are already ordered on the join keys (SETM's steady
-// state — R_{k-1} and SALES both sorted by trans_id), the merge-scan join
-// is free of sorts and must win over hashing, with no Sort operator in
-// the plan.
-func TestPlanSortedInputsChooseMergeJoin(t *testing.T) {
-	c, cat := fixture(t)
-	for _, name := range []string{"sales"} {
-		tbl, err := cat.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tbl.OrderedBy = []int{0, 1} // fixture rows are sorted by (trans_id, item)
+// TestPlanRule pins every branch of the planner's shape rule. Joins:
+// merge-scan with no sort when both inputs are ordered on the keys (SETM's
+// extension, R_{k-1} ⋈ SALES on trans_id); else hash when the build side
+// fits the budget (the R'_k ⋈ C_k filter); else sorts and a merge-scan.
+// Groups: a grouped scan with no sort over an input ordered on the group
+// columns; else hash when the estimated groups fit; else a sort and the
+// grouped scan. An empty unordered input hashes: 0 bytes fit any budget.
+func TestPlanRule(t *testing.T) {
+	cases := []struct {
+		name    string
+		sql     string
+		ordered map[string][]int // tables' OrderedBy, set before planning
+		budget  int64            // Compiler.MemBudget; 0 = the default
+		op      string           // the join or group operator the rule picks
+		note    string           // what its EXPLAIN note must contain
+		sorts   int              // Sort operators in the plan
+		rows    int              // result rows
+	}{
+		{"both-ordered-merge", `SELECT p.item, q.item FROM sales p, sales q
+		  WHERE p.trans_id = q.trans_id AND q.item > p.item`,
+			map[string][]int{"sales": {0, 1}}, 0,
+			"MergeJoin", "merge-scan: both inputs ordered on [0]; residual R[1]>L[1] pushed down", 0, 5},
+		{"small-build-hash", `SELECT b.tid FROM big b, small s WHERE b.item = s.item`,
+			nil, 0, "HashJoin", "hash: build 3 rows fits budget", 0, 2144},
+		{"build-over-budget-sort-merge", `SELECT p.item, q.item FROM sales p, sales q
+		  WHERE p.trans_id = q.trans_id AND q.item > p.item`,
+			nil, 100, "MergeJoin", "merge-scan: build 112 bytes over budget 100", 2, 5},
+		{"ordered-group-sortgroup", `SELECT c.item1, COUNT(*) FROM c1 c GROUP BY c.item1`,
+			map[string][]int{"c1": {0}}, 0, "SortGroup", "sort-group: input ordered on [0]", 0, 3},
+		{"groups-fit-hash", `SELECT s.item, COUNT(*) FROM sales s GROUP BY s.item`,
+			nil, 0, "HashGroup", "hash: est 1 groups from 7 rows fit budget", 0, 3},
+		{"groups-over-budget-sort", `SELECT s.item, COUNT(*) FROM sales s GROUP BY s.item`,
+			nil, 8, "SortGroup", "sort-group: est 1 groups (16 bytes) over budget 8", 1, 3},
+		{"empty-join-hash", `SELECT p.tid FROM empty p, c1 q WHERE p.item = q.item1`,
+			map[string][]int{"c1": {0}}, 0, "HashJoin", "hash: build 3 rows fits budget", 0, 0},
+		{"empty-group-hash", `SELECT p.item, COUNT(*) FROM empty p GROUP BY p.item`,
+			nil, 0, "HashGroup", "hash: est 1 groups from 0 rows fit budget", 0, 0},
 	}
-	op := compile(t, c, `SELECT p.item, q.item FROM sales p, sales q
-	                     WHERE p.trans_id = q.trans_id AND q.item > p.item`)
-	foundMerge := false
-	walkPlan(op, func(o exec.Operator) {
-		switch o.(type) {
-		case *exec.MergeJoin:
-			foundMerge = true
-		case *exec.Sort:
-			t.Error("plan contains a Sort despite pre-sorted inputs")
-		}
-	})
-	if !foundMerge {
-		t.Errorf("sorted inputs did not choose a merge join:\n%s", exec.Explain(op))
-	}
-	if rows := drain(t, op); len(rows) != 5 {
-		t.Errorf("pair rows = %d, want 5", len(rows))
-	}
-}
-
-// TestPlanSmallBuildSideChoosesHashJoin pins the other side of the
-// decision: a large unsorted probe side against a small build side (the
-// R'_k ⋈ C_k support-filter join) must hash rather than sort the large
-// input.
-func TestPlanSmallBuildSideChoosesHashJoin(t *testing.T) {
-	pool := storage.NewPool(storage.NewMemStore(), 64)
-	cat := catalog.New(pool)
-	big, err := cat.Create("big", tuple.IntSchema("tid", "item"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		appendRows(t, big.File, []int64{int64(i), int64(i % 7)})
-	}
-	small, err := cat.Create("small", tuple.IntSchema("item", "cnt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		appendRows(t, small.File, []int64{int64(i), 1})
-	}
-	c := NewCompiler(cat, pool, nil)
-	op := compile(t, c, `SELECT b.tid FROM big b, small s WHERE b.item = s.item`)
-	foundHash := false
-	walkPlan(op, func(o exec.Operator) {
-		if _, ok := o.(*exec.HashJoin); ok {
-			foundHash = true
-		}
-	})
-	if !foundHash {
-		t.Errorf("small build side did not choose a hash join:\n%s", exec.Explain(op))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, cat := fixture(t)
+			big, err := cat.Create("big", tuple.IntSchema("tid", "item"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5000; i++ {
+				appendRows(t, big.File, []int64{int64(i), int64(i % 7)})
+			}
+			small, err := cat.Create("small", tuple.IntSchema("item", "cnt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendRows(t, small.File, [][]int64{{0, 1}, {1, 1}, {2, 1}}...)
+			if _, err := cat.Create("empty", tuple.IntSchema("tid", "item")); err != nil {
+				t.Fatal(err)
+			}
+			for name, cols := range tc.ordered {
+				tbl, err := cat.Get(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tbl.OrderedBy = cols // the fixture's rows are stored in that order
+			}
+			c.MemBudget = tc.budget
+			st, err := sqlparse.Parse(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := c.CompilePlan(st.(*sqlparse.Select))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var chosen exec.Operator
+			sorts := 0
+			walkPlan(pl.Root, func(o exec.Operator) {
+				switch o.(type) {
+				case *exec.MergeJoin, *exec.HashJoin, *exec.SortGroup, *exec.HashGroup:
+					chosen = o
+				case *exec.Sort:
+					sorts++
+				}
+			})
+			if got := strings.TrimPrefix(fmt.Sprintf("%T", chosen), "*exec."); got != tc.op {
+				t.Fatalf("rule chose %s, want %s:\n%s", got, tc.op, pl.Explain())
+			}
+			if note := pl.Note(chosen); !strings.Contains(note, tc.note) {
+				t.Errorf("%s note %q lacks %q", tc.op, note, tc.note)
+			}
+			if sorts != tc.sorts {
+				t.Errorf("%d sorts, want %d:\n%s", sorts, tc.sorts, pl.Explain())
+			}
+			if rows := drain(t, pl.Root); len(rows) != tc.rows {
+				t.Errorf("%d rows, want %d", len(rows), tc.rows)
+			}
+		})
 	}
 }
 
@@ -231,8 +263,9 @@ func TestDescendingSortClaimsNoAscendingOrdering(t *testing.T) {
 	}
 }
 
-// TestCompilePlanAnnotations checks that the plan carries cost-model
-// notes for EXPLAIN and a root estimate.
+// TestCompilePlanAnnotations checks that the plan names the rule behind
+// its join in the EXPLAIN notes and carries a root estimate: two unordered
+// inputs whose 7-row build side fits the default budget hash.
 func TestCompilePlanAnnotations(t *testing.T) {
 	c, _ := fixture(t)
 	st, err := sqlparse.Parse(`SELECT p.item, q.item FROM sales p, sales q
@@ -245,8 +278,8 @@ func TestCompilePlanAnnotations(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := p.Explain()
-	if !strings.Contains(out, "cost-based") {
-		t.Errorf("plan lacks cost annotations:\n%s", out)
+	if !strings.Contains(out, "HashJoin on [0] = [0] (build right)  -- hash: build 7 rows fits budget; est 7 rows") {
+		t.Errorf("plan lacks the hash rule's note:\n%s", out)
 	}
 	if p.Est.Rows <= 0 {
 		t.Errorf("root estimate = %+v", p.Est)

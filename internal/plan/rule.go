@@ -1,15 +1,18 @@
-// Cost-based physical planning. The compiler estimates cardinalities from
-// catalog row counts, converts them to page footprints with the paper's
-// storage arithmetic (internal/costmodel), and prices the alternative
-// physical operators — merge-scan vs hash join, in-memory vs external
-// sort, sort skipped entirely when the input's known ordering already
-// covers the keys. The chosen plan and its estimates surface in EXPLAIN via
-// per-operator notes; a join's note also shows what the nested-loop
-// strategy of the paper's Section 3 would have cost, which no plan runs.
+// Rule-based physical planning. The compiler estimates cardinalities from
+// catalog row counts and picks each physical operator from the shape of
+// its inputs, as the paper's Figure-4 statements fix it: a merge-scan
+// join when both inputs are ordered on the keys (R_{k-1} ⋈ SALES on
+// trans_id), else a hash join when the build side fits the memory budget
+// (R'_k ⋈ C_k), else sorts and a merge; a grouped scan over an input
+// already ordered on the group columns, else a hash aggregate when the
+// estimated groups fit, else a sort and the grouped scan. A sort spills
+// when its input outgrows the budget. Every choice surfaces in EXPLAIN as
+// a per-operator note naming the rule that fired.
 package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"setm/internal/costmodel"
 	"setm/internal/exec"
@@ -18,8 +21,8 @@ import (
 )
 
 // DefaultMemBudget bounds the planner's in-memory working set per sort or
-// hash build; larger inputs spill (external sort) or are rejected (hash
-// build side).
+// hash build; a larger sort spills, and a larger build side is sorted and
+// merge-scanned instead.
 const DefaultMemBudget = 256 << 20
 
 // Estimate is the planner's guess for one operator's output.
@@ -28,9 +31,6 @@ type Estimate struct {
 	Rows int64
 	// RowBytes is the estimated encoded size of one row.
 	RowBytes int64
-	// CostMs is the cumulative estimated cost in model milliseconds
-	// (sequential pages at SeqPageMs plus CPU per costmodel.CPUTupleMs).
-	CostMs float64
 }
 
 // Bytes returns the estimated relation footprint.
@@ -50,7 +50,7 @@ type Plan struct {
 	Root exec.Operator
 	// Ordering lists output columns the result stream is sorted by.
 	Ordering []int
-	// Est is the root estimate (rows, row bytes, cumulative model cost).
+	// Est is the root estimate (rows and row bytes).
 	Est Estimate
 	// notes maps operators to EXPLAIN annotations.
 	notes map[exec.Operator]string
@@ -63,7 +63,7 @@ type Plan struct {
 // form exec.ExplainAnnotated expects.
 func (p *Plan) Note(op exec.Operator) string { return p.notes[op] }
 
-// Explain renders the plan with cost annotations.
+// Explain renders the plan with the planner's annotations.
 func (p *Plan) Explain() string { return exec.ExplainAnnotated(p.Root, p.Note) }
 
 // note records an EXPLAIN annotation for op.
@@ -147,8 +147,9 @@ func remapOrdering(ordering, projIdxs []int) []int {
 	return out
 }
 
-// sortNode wraps n in the cheapest sort on keys, or returns it unchanged
-// (with an EXPLAIN note) when the known ordering already covers the keys.
+// sortNode wraps n in a sort on keys — external when its estimated bytes
+// exceed the budget — or returns it unchanged (with an EXPLAIN note) when
+// the known ordering already covers the keys.
 func (c *Compiler) sortNode(n node, keys []exec.SortKey, why string) node {
 	allAsc := true
 	cols := make([]int, len(keys))
@@ -162,9 +163,7 @@ func (c *Compiler) sortNode(n node, keys []exec.SortKey, why string) node {
 		c.noteAppend(n.op, "sort for %s skipped: input already ordered on %v", why, cols)
 		return n
 	}
-	p := costmodel.PaperDBParams()
-	rowBytes := n.est.RowBytes
-	sortBytes := n.est.Rows * rowBytes
+	sortBytes := n.est.Bytes()
 	external := c.pool != nil && sortBytes > c.memBudget()
 	var pool = c.pool
 	if !external {
@@ -173,8 +172,6 @@ func (c *Compiler) sortNode(n node, keys []exec.SortKey, why string) node {
 	// An external sort builds its runs in the working set the budget allows
 	// (never below one page); in memory the run size is unused.
 	op := exec.NewSortKeys(n.op, keys, pool, int(max(c.memBudget(), storage.PageSize)))
-	est := n.est
-	est.CostMs += costmodel.SortMs(p, n.est.Rows, rowBytes, external)
 	if !external && n.est.Rows > 0 && n.est.Rows < 1<<31 {
 		op.SetSizeHint(int(n.est.Rows))
 	}
@@ -182,8 +179,8 @@ func (c *Compiler) sortNode(n node, keys []exec.SortKey, why string) node {
 	if external {
 		kind = fmt.Sprintf("external (est %d bytes > budget %d)", sortBytes, c.memBudget())
 	}
-	c.note(op, "%s sort for %s, est %d rows, cost≈%.2fms", kind, why, est.Rows, est.CostMs)
-	c.setEst(op, est.Rows)
+	c.note(op, "%s sort for %s, est %d rows", kind, why, n.est.Rows)
+	c.setEst(op, n.est.Rows)
 	// The ordering claim is ascending-only (catalog.Table.OrderedBy
 	// semantics): claim the keys up to the first descending one — a
 	// stream sorted by (a ASC, b DESC) is still non-decreasing on a, but
@@ -195,7 +192,7 @@ func (c *Compiler) sortNode(n node, keys []exec.SortKey, why string) node {
 		}
 		ordering = append(ordering, k.Col)
 	}
-	return node{op: op, est: est, ordering: ordering}
+	return node{op: op, est: n.est, ordering: ordering}
 }
 
 // gtConjunct is a WHERE conjunct of the form right[ri] > left[li] (SETM's
@@ -206,95 +203,80 @@ type gtConjunct struct {
 	li, ri int // column indexes into the left / right input schemas
 }
 
-// joinChoice prices the physical alternatives for an equi-join and builds
-// the chosen operator tree. It returns the joined node; the decision
-// rationale is attached to the join operator for EXPLAIN. gt, when
+// joinChoice builds the physical operator tree for an equi-join by the
+// shape of its inputs: a merge-scan when both are ordered on the keys,
+// else a hash join when the right (build) side's estimated bytes fit the
+// budget, else sorts of the unordered sides and a merge-scan. The rule
+// that fired is attached to the join operator for EXPLAIN. gt, when
 // non-nil, is a pushable residual: the merge branch absorbs it (marking
 // the conjunct used); the hash branch leaves it for attachFilters.
 func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *gtConjunct) node {
-	p := costmodel.PaperDBParams()
 	leftSorted := orderingHasPrefix(left.ordering, leftKeys)
 	rightSorted := orderingHasPrefix(right.ordering, rightKeys)
-
-	mergeMs := costmodel.MergePassMs(left.est.Rows, right.est.Rows)
-	if !leftSorted {
-		lb := left.est.RowBytes
-		mergeMs += costmodel.SortMs(p, left.est.Rows, lb, c.pool != nil && left.est.Rows*lb > c.memBudget())
-	}
-	if !rightSorted {
-		rb := right.est.RowBytes
-		mergeMs += costmodel.SortMs(p, right.est.Rows, rb, c.pool != nil && right.est.Rows*rb > c.memBudget())
-	}
-	hashMs := costmodel.HashJoinMs(right.est.Rows, left.est.Rows)
-	if right.est.Bytes() > c.memBudget() {
-		hashMs = mergeMs + 1e12 // build side does not fit: infeasible
-	}
-	nlMs := costmodel.NestedLoopMs(left.est.Rows, right.est.Rows)
 
 	// Join cardinality: |L|·|R| / max(|L|,|R|) — the uniform-key estimate.
 	outRows := left.est.Rows * right.est.Rows
 	if m := max64(left.est.Rows, right.est.Rows); m > 0 {
 		outRows /= m
 	}
-	est := Estimate{
-		Rows:     outRows,
-		RowBytes: schemaRowBytes(left.op.Schema(), right.op.Schema()),
-		CostMs:   left.est.CostMs + right.est.CostMs,
-	}
+	est := Estimate{Rows: outRows, RowBytes: schemaRowBytes(left.op.Schema(), right.op.Schema())}
 
-	if mergeMs <= hashMs {
-		l := left
-		if leftSorted {
-			c.noteAppend(left.op, "already ordered on %v: merge-scan sort skipped", leftKeys)
-		} else {
-			l = c.sortNode(left, sortKeysFor(leftKeys), "merge-scan join")
+	var noteTxt string
+	switch {
+	case leftSorted && rightSorted:
+		keys := fmt.Sprint(leftKeys)
+		if !slices.Equal(leftKeys, rightKeys) {
+			keys += fmt.Sprintf(" = %v", rightKeys)
 		}
-		r := right
-		if rightSorted {
-			c.noteAppend(right.op, "already ordered on %v: merge-scan sort skipped", rightKeys)
-		} else {
-			r = c.sortNode(right, sortKeysFor(rightKeys), "merge-scan join")
+		noteTxt = "merge-scan: both inputs ordered on " + keys
+	case right.est.Bytes() <= c.memBudget():
+		op := exec.NewHashJoin(left.op, right.op, leftKeys, rightKeys)
+		if right.est.Rows > 0 && right.est.Rows < 1<<24 {
+			op.SetBuildSizeHint(int(right.est.Rows))
 		}
-		op := exec.NewMergeJoin(l.op, r.op, leftKeys, rightKeys)
-		passMs := costmodel.MergePassMs(left.est.Rows, right.est.Rows)
-		est.CostMs = l.est.CostMs + r.est.CostMs + passMs
-		noteTxt := fmt.Sprintf("cost-based: merge-scan %.2fms ≤ hash %.2fms (nested-loop %.2fms)",
-			mergeMs, hashMs, nlMs)
-		if gt != nil {
-			// The residual selects, per left row, the suffix of its sorted
-			// right group above the left value — evaluated on column
-			// vectors with a binary search plus bulk appends instead of a
-			// Filter pass over materialized join rows.
-			op.SetVecResidualGT(gt.li, gt.ri)
-			gt.cj.used = true
-			est.Rows = max64(1, int64(float64(est.Rows)*costmodel.DefaultSelRange))
-			noteTxt += fmt.Sprintf("; residual R[%d]>L[%d] pushed down", gt.ri, gt.li)
-		}
-		c.note(op, "%s; est %d rows", noteTxt, est.Rows)
+		c.note(op, "hash: build %d rows fits budget; est %d rows", right.est.Rows, est.Rows)
 		c.setEst(op, est.Rows)
-		// Merge join emits left rows in order, each with its right group in
-		// right order: the output stays ordered by the left stream's
-		// ordering — and by left columns ONLY. Extending the claim with
-		// right columns would require every left row to be distinct: any
-		// repeated left row (SQL tables have bag semantics) replays the
-		// whole right group, interleaving right values (group c=1,2 under
-		// two equal left rows emits 1,2,1,2). Without a uniqueness proof
-		// the planner stays conservative.
-		ordering := append([]int{}, l.ordering...)
-		return node{op: op, est: est, ordering: ordering}
+		// Probing emits each left row's matches contiguously, so any
+		// ordering on left columns survives.
+		return node{op: op, est: est, ordering: append([]int{}, left.ordering...)}
+	default:
+		noteTxt = fmt.Sprintf("merge-scan: build %d bytes over budget %d", right.est.Bytes(), c.memBudget())
 	}
 
-	op := exec.NewHashJoin(left.op, right.op, leftKeys, rightKeys)
-	if right.est.Rows > 0 && right.est.Rows < 1<<24 {
-		op.SetBuildSizeHint(int(right.est.Rows))
+	l := left
+	if leftSorted {
+		c.noteAppend(left.op, "already ordered on %v: merge-scan sort skipped", leftKeys)
+	} else {
+		l = c.sortNode(left, sortKeysFor(leftKeys), "merge-scan join")
 	}
-	est.CostMs += hashMs
-	c.note(op, "cost-based: hash %.2fms < merge-scan %.2fms (nested-loop %.2fms); build %d rows, est %d rows",
-		hashMs, mergeMs, nlMs, right.est.Rows, est.Rows)
+	r := right
+	if rightSorted {
+		c.noteAppend(right.op, "already ordered on %v: merge-scan sort skipped", rightKeys)
+	} else {
+		r = c.sortNode(right, sortKeysFor(rightKeys), "merge-scan join")
+	}
+	op := exec.NewMergeJoin(l.op, r.op, leftKeys, rightKeys)
+	if gt != nil {
+		// The residual selects, per left row, the suffix of its sorted
+		// right group above the left value — evaluated on column vectors
+		// with a binary search plus bulk appends instead of a Filter pass
+		// over materialized join rows.
+		op.SetVecResidualGT(gt.li, gt.ri)
+		gt.cj.used = true
+		est.Rows = max64(1, int64(float64(est.Rows)*costmodel.DefaultSelRange))
+		noteTxt += fmt.Sprintf("; residual R[%d]>L[%d] pushed down", gt.ri, gt.li)
+	}
+	c.note(op, "%s; est %d rows", noteTxt, est.Rows)
 	c.setEst(op, est.Rows)
-	// Probing emits each left row's matches contiguously, so any ordering
-	// on left columns survives.
-	return node{op: op, est: est, ordering: append([]int{}, left.ordering...)}
+	// Merge join emits left rows in order, each with its right group in
+	// right order: the output stays ordered by the left stream's ordering
+	// — and by left columns ONLY. Extending the claim with right columns
+	// would require every left row to be distinct: any repeated left row
+	// (SQL tables have bag semantics) replays the whole right group,
+	// interleaving right values (group c=1,2 under two equal left rows
+	// emits 1,2,1,2). Without a uniqueness proof the planner stays
+	// conservative.
+	return node{op: op, est: est, ordering: append([]int{}, l.ordering...)}
 }
 
 func sortKeysFor(cols []int) []exec.SortKey {

@@ -18,8 +18,9 @@ type Compiler struct {
 	pool   *storage.Pool // spill target for external sorts; nil = in-memory only
 	params Params
 	// MemBudget bounds the in-memory working set of a sort or hash build
-	// (0 = DefaultMemBudget); the cost model spills or rejects above it, and
-	// an external sort's runs are this size.
+	// (0 = DefaultMemBudget): a sort above it spills, a hash build above it
+	// becomes sorts and a merge-scan, and an external sort's runs are this
+	// size.
 	MemBudget int64
 
 	notes map[exec.Operator]string
@@ -35,9 +36,9 @@ func NewCompiler(cat *catalog.Catalog, pool *storage.Pool, params Params) *Compi
 }
 
 // CompilePlan compiles a SELECT into a physical plan, choosing operators
-// by cost (catalog row counts fed through the paper's page arithmetic)
-// and tracking the output ordering so provably redundant sorts are
-// skipped.
+// by the shape of their inputs (known orderings, and estimated bytes
+// against the budget) and tracking the output ordering so provably
+// redundant sorts are skipped.
 func (c *Compiler) CompilePlan(sel *sqlparse.Select) (*Plan, error) {
 	c.notes = make(map[exec.Operator]string)
 	c.ests = make(map[exec.Operator]int64)
@@ -79,8 +80,8 @@ func (c *Compiler) CompilePlan(sel *sqlparse.Select) (*Plan, error) {
 
 // scanRef builds a qualified scan of one FROM table: every column is
 // exposed as "binding.column". The estimate uses the catalog's live row
-// and page counts; the known storage ordering carries over (column
-// positions are unchanged by renaming).
+// count; the known storage ordering carries over (column positions are
+// unchanged by renaming).
 func (c *Compiler) scanRef(ref sqlparse.TableRef) (node, error) {
 	tbl, err := c.cat.Get(ref.Table)
 	if err != nil {
@@ -93,12 +94,7 @@ func (c *Compiler) scanRef(ref sqlparse.TableRef) (node, error) {
 		cols[i] = tuple.Column{Name: binding + "." + col.Name, Kind: col.Kind}
 	}
 	op := exec.NewRename(exec.NewHeapScan(tbl.File), tuple.NewSchema(cols...))
-	p := costmodel.PaperDBParams()
-	est := Estimate{
-		Rows:     tbl.File.Rows(),
-		RowBytes: schemaRowBytes(base),
-		CostMs:   costmodel.SeqScanMs(p, int64(tbl.File.Pages())),
-	}
+	est := Estimate{Rows: tbl.File.Rows(), RowBytes: schemaRowBytes(base)}
 	c.setEst(op, est.Rows)
 	return node{op: op, est: est, ordering: append([]int{}, tbl.OrderedBy...)}, nil
 }
@@ -170,7 +166,6 @@ func (c *Compiler) attachFilters(n node, conjs []*conjunct, scope map[string]boo
 	}
 	op := exec.NewFilter(n.op, vecs)
 	est := n.est
-	est.CostMs += costmodel.CPUTupleMs * float64(est.Rows)
 	est.Rows = max64(1, int64(float64(est.Rows)*sel))
 	c.note(op, "selectivity≈%.2f, est %d rows (%d/%d conjuncts vectorized)",
 		sel, est.Rows, len(vecs), len(vecs))
@@ -179,9 +174,10 @@ func (c *Compiler) attachFilters(n node, conjs []*conjunct, scope map[string]boo
 }
 
 // compileFromWhere builds the join tree: left-deep in FROM order, with the
-// physical join operator (merge-scan or hash) chosen per step by the cost
-// model. Every table after the first must be linked to the tables before
-// it by at least one column equality; a cross product is refused.
+// physical join operator (merge-scan or hash) chosen per step by
+// joinChoice's rule. Every table after the first must be linked to the
+// tables before it by at least one column equality; a cross product is
+// refused.
 // Single-table conjuncts are pushed below the joins.
 func (c *Compiler) compileFromWhere(sel *sqlparse.Select) (node, error) {
 	if len(sel.From) == 0 {
@@ -320,11 +316,14 @@ func (c *Compiler) compileFromWhere(sel *sqlparse.Select) (node, error) {
 	return c.attachFilters(current, conjs, nil)
 }
 
-// compileGroup plans GROUP BY/aggregates: sort on the grouping columns
-// (skipped when the input's ordering already covers them), then a
-// sequential grouped scan (the paper's count-generation step). It returns
-// the grouped node and a map from aggregate expression text (e.g.
-// "COUNT(*)") to its column index in the grouped schema.
+// compileGroup plans GROUP BY/aggregates: a sequential grouped scan (the
+// paper's count-generation step) when the input is already ordered on the
+// grouping columns; else a hash aggregate when the estimated groups fit
+// the budget; else a sort on the grouping columns, then the grouped scan.
+// Both emit groups in ascending group-column order, so the output is
+// bit-identical whichever runs. It returns the grouped node and a map from
+// aggregate expression text (e.g. "COUNT(*)") to its column index in the
+// grouped schema.
 func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string]int, error) {
 	inSchema := in.op.Schema()
 	groupIdxs := make([]int, 0, len(sel.GroupBy))
@@ -401,26 +400,27 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 	}
 
 	estGroups := max64(1, int64(float64(in.est.Rows)*costmodel.DefaultGroupFrac))
-	child := in
+	groupBytes := estGroups * in.est.RowBytes
+	ordered := orderingHasPrefix(in.ordering, groupIdxs)
 	var gop exec.Operator
-	var groupCost float64
-	if gop, groupCost = c.hashGroupChoice(in, groupIdxs, specs, estGroups); gop == nil {
-		if len(groupIdxs) > 0 {
-			child = c.sortNode(in, sortKeysFor(groupIdxs), "GROUP BY")
-		}
-		grp := exec.NewSortGroup(child.op, groupIdxs, specs)
-		if len(groupIdxs) == 0 {
-			grp.Global = true
-		}
+	switch {
+	case len(groupIdxs) == 0:
+		grp := exec.NewSortGroup(in.op, groupIdxs, specs)
+		grp.Global = true
 		gop = grp
-		groupCost = costmodel.CPUTupleMs * float64(child.est.Rows)
-		c.note(grp, "est %d groups from %d rows", estGroups, child.est.Rows)
+		c.note(grp, "global aggregate over %d rows", in.est.Rows)
+	case !ordered && groupBytes <= c.memBudget():
+		gop = exec.NewHashGroup(in.op, groupIdxs, specs)
+		c.note(gop, "hash: est %d groups from %d rows fit budget", estGroups, in.est.Rows)
+	default:
+		why := fmt.Sprintf("input ordered on %v", groupIdxs)
+		if !ordered {
+			why = fmt.Sprintf("est %d groups (%d bytes) over budget %d", estGroups, groupBytes, c.memBudget())
+		}
+		gop = exec.NewSortGroup(c.sortNode(in, sortKeysFor(groupIdxs), "GROUP BY").op, groupIdxs, specs)
+		c.note(gop, "sort-group: %s; est %d groups from %d rows", why, estGroups, in.est.Rows)
 	}
-	est := Estimate{
-		Rows:     estGroups,
-		RowBytes: schemaRowBytes(gop.Schema()),
-		CostMs:   child.est.CostMs + groupCost,
-	}
+	est := Estimate{Rows: estGroups, RowBytes: schemaRowBytes(gop.Schema())}
 	// Both grouping operators emit groups in ascending group-column order
 	// (SortGroup streams its sorted input; HashGroup sorts its table
 	// before emitting), so the output is ordered by the group columns'
@@ -446,37 +446,6 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 		n = node{op: op, est: est, ordering: n.ordering}
 	}
 	return n, aggCols, nil
-}
-
-// hashGroupChoice prices hash aggregation (HashGroup) against the
-// sort-then-scan pipeline for GROUP BY and builds it when cheaper. It
-// requires an input not already ordered on the group columns — a free
-// SortGroup beats any hash table. Groups are emitted in ascending
-// group-column order either way, so the output is bit-identical to the
-// sort path. Returns (nil, 0) when the sort path wins.
-func (c *Compiler) hashGroupChoice(in node, groupIdxs []int, specs []exec.AggSpec, estGroups int64) (exec.Operator, float64) {
-	if len(groupIdxs) == 0 {
-		return nil, 0
-	}
-	if orderingHasPrefix(in.ordering, groupIdxs) {
-		return nil, 0 // SortGroup streams the ordered input for free
-	}
-	rows := in.est.Rows
-	rowBytes := in.est.RowBytes
-	if estGroups*rowBytes > c.memBudget() {
-		return nil, 0 // group table would not fit; external sort handles it
-	}
-	p := costmodel.PaperDBParams()
-	external := c.pool != nil && rows*rowBytes > c.memBudget()
-	sortMs := costmodel.SortMs(p, rows, rowBytes, external) + costmodel.CPUTupleMs*float64(rows)
-	hashMs := costmodel.HashGroupMs(rows, estGroups)
-	if hashMs >= sortMs {
-		return nil, 0
-	}
-	grp := exec.NewHashGroup(in.op, groupIdxs, specs)
-	c.note(grp, "cost-based: hash aggregate %.2fms < sort+scan %.2fms; est %d groups from %d rows",
-		hashMs, sortMs, estGroups, rows)
-	return grp, hashMs
 }
 
 // rewriteAggs replaces aggregate sub-expressions with column references
@@ -555,7 +524,6 @@ func (c *Compiler) compileProjection(sel *sqlparse.Select, in node, aggCols map[
 	if pureCols {
 		return node{op: op, est: est, ordering: remapOrdering(in.ordering, colIdxs)}, nil
 	}
-	est.CostMs += costmodel.CPUTupleMs * float64(est.Rows)
 	return node{op: op, est: est}, nil
 }
 
