@@ -55,6 +55,11 @@ func MineDelta(ctx context.Context, base, delta *Dataset, snap *BorderSnapshot, 
 // mine of base+delta keeps — so appends chain.
 func MineDeltaMonitored(ctx context.Context, base, delta *Dataset, snap *BorderSnapshot, opts Options, pool *storage.Pool, onIter func(IterationStat)) (*Result, error) {
 	start := time.Now()
+	// Refuse the options MineAuto over base+delta refuses (no minimum
+	// support, a fraction above 1) before anything else.
+	if err := validate(base, opts); err != nil {
+		return nil, err
+	}
 	if snap == nil || len(snap.Levels) == 0 {
 		return nil, fmt.Errorf("%w: no snapshot", ErrBorder)
 	}

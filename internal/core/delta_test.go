@@ -305,6 +305,28 @@ func TestMineDeltaValidation(t *testing.T) {
 	bad("duplicate delta trans_id", err)
 }
 
+// TestMineDeltaValidatesOptions: a refresh refuses the options MineAuto
+// over base+delta refuses, with the same error, instead of mining the
+// pure path at the minsup of 1 an unset threshold resolves to.
+func TestMineDeltaValidatesOptions(t *testing.T) {
+	base := &Dataset{}
+	for tid := int64(1); tid <= 6; tid++ {
+		base.Transactions = append(base.Transactions, Transaction{ID: tid, Items: []Item{1, 2, 3}})
+	}
+	delta := &Dataset{Transactions: []Transaction{{ID: 7, Items: []Item{1, 2}}}}
+	snap := mineBorder(t, base, Options{MinSupportCount: 2})
+	for _, opts := range []Options{{}, {MinSupportFrac: 1.5}} {
+		_, want := MineAuto(combined(base, delta), opts)
+		if want == nil {
+			t.Fatalf("%+v: MineAuto over base+delta accepted the options", opts)
+		}
+		res, err := MineDelta(context.Background(), base, delta, snap, opts)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%+v: MineDelta returned (%v, %v), want MineAuto's error %q", opts, res != nil, err, want)
+		}
+	}
+}
+
 // TestMineDeltaCancellation cancels before and during a delta mine; a
 // caller-owned pool must end with zero pinned frames either way.
 func TestMineDeltaCancellation(t *testing.T) {
