@@ -79,7 +79,7 @@ func metricValue(t *testing.T, c *client, name string) int64 {
 // leave a border snapshot gauge behind.
 func TestAppendAndDeltaMine(t *testing.T) {
 	base := testDataset(91, 1200)
-	delta := testDelta(92, base, 60)
+	delta := testDelta(92, base, 10) // promotes nothing: the pure path
 	_, c := newTestServer(t, Config{})
 	ds := c.upload(base)
 
@@ -209,6 +209,50 @@ func TestAppendValidation(t *testing.T) {
 		if _, code, raw := c.appendTo(neg.Version, delta); code != want {
 			t.Fatalf("append of tid %d to a parent ending at -5: %d %s, want %d", tid, code, raw, want)
 		}
+	}
+}
+
+// TestDeltaFallbackIsNotPatched: a refresh whose delta promotes a pattern
+// past the parent's border re-mines base+delta inside MineDelta. The job
+// still answers exactly, but cache_patched counts only pure-path refreshes,
+// so it stays 0.
+func TestDeltaFallbackIsNotPatched(t *testing.T) {
+	base := &core.Dataset{}
+	for tid := int64(1); tid <= 7; tid++ {
+		items := []core.Item{1, 2, 3}
+		if tid > 4 {
+			items = []core.Item{4, 5}
+		}
+		base.Transactions = append(base.Transactions, core.Transaction{ID: tid, Items: items})
+	}
+	delta := &core.Dataset{Transactions: []core.Transaction{
+		{ID: 8, Items: []core.Item{4, 5, 6}},
+		{ID: 9, Items: []core.Item{4, 5, 6}},
+	}}
+	_, c := newTestServer(t, Config{})
+	ds := c.upload(base)
+	if st := c.mine(ds.Version, 4); st.State != stateDone {
+		t.Fatalf("base mine: %s (%s)", st.State, st.Error)
+	}
+	der, code, raw := c.appendTo(ds.Version, delta)
+	if code != http.StatusOK {
+		t.Fatalf("append: status %d: %s", code, raw)
+	}
+	st := c.mine(der.Version, 4)
+	if st.State != stateDone {
+		t.Fatalf("refresh: %s (%s)", st.State, st.Error)
+	}
+	want, err := core.MineAuto(&core.Dataset{Transactions: append(append([]core.Transaction{}, base.Transactions...), delta.Transactions...)},
+		core.Options{MinSupportCount: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameCounts(t, "fallback-vs-cold", want, c.result(st.ID))
+	if v := metricValue(t, c, "delta_mines"); v != 1 {
+		t.Fatalf("delta_mines = %d, want 1", v)
+	}
+	if v := metricValue(t, c, "cache_patched"); v != 0 {
+		t.Fatalf("cache_patched = %d, want 0: the refresh re-mined cold", v)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 type metrics struct {
 	cacheHits     atomic.Int64
 	cacheMisses   atomic.Int64
-	cachePatched  atomic.Int64 // results produced by patching a cached parent (MineDelta)
+	cachePatched  atomic.Int64 // results produced by patching a cached parent (MineDelta's pure path)
 	deltaMines    atomic.Int64 // jobs that entered the incremental path
 	jobsAdmitted  atomic.Int64
 	jobsQueued    atomic.Int64

@@ -823,7 +823,9 @@ func (s *Server) runJob(ctx context.Context, j *job, ds *dataset, opts core.Opti
 			j.iters = nil
 			j.mu.Unlock()
 			res, err = core.MineAutoResumeMonitored(ctx, ds.d, opts, pool, onIter, nil)
-		} else if err == nil {
+		} else if err == nil && len(res.Stats) > 0 && res.Stats[0].RPrimeRows == int64(plan.delta.NumSalesRows()) {
+			// Only the pure path patches: a refresh that re-mined
+			// base+delta inside counts all their SALES rows on pass 1.
 			s.met.cachePatched.Add(1)
 		}
 	} else {
