@@ -124,3 +124,36 @@ func TestNamesSorted(t *testing.T) {
 		t.Errorf("Names = %v, want %v", got, want)
 	}
 }
+
+// TestTruncateAndReplaceResetRanges: a truncated table and a replaced one
+// bound their columns by their own rows only, not the rows they replaced.
+func TestTruncateAndReplaceResetRanges(t *testing.T) {
+	c, pool := newCatalog()
+	tbl, err := c.Create("t", tuple.IntSchema("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRow(tbl.File, -50); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Truncate("t"); err != nil {
+		t.Fatal(err)
+	}
+	if r := tbl.File.Ranges()[0]; r != tuple.EmptyRange {
+		t.Fatalf("range after TRUNCATE = %+v, want empty", r)
+	}
+	if err := appendRow(tbl.File, 9); err != nil {
+		t.Fatal(err)
+	}
+	f, err := hp.Create(pool, tuple.IntSchema("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRow(f, 2); err != nil {
+		t.Fatal(err)
+	}
+	c.Replace("t", f)
+	if r := tbl.File.Ranges()[0]; r != (tuple.Range{Lo: 2, Hi: 2}) {
+		t.Fatalf("range after Replace = %+v, want [2, 2]", r)
+	}
+}

@@ -1,7 +1,7 @@
 package core
 
 // Negative-border snapshots. A SETM run already counts every candidate
-// pattern it generates — packedCountRuns merely discards the runs below
+// pattern it generates — xsort.CountRuns merely discards the runs below
 // minsup. Retaining those discarded (key, count) pairs per iteration —
 // the negative border C_k \ F_k — alongside F_k turns a finished mine
 // into a resumable *state*: because a candidate's recorded count is its
@@ -331,8 +331,8 @@ func (s *execStepper) borderSnapshot(res *Result) *BorderSnapshot {
 			freq, _ = encodeLevel(res.Counts[i], prev, i+1, s.dict)
 		}
 		b.Levels[i] = BorderLevel{
-			FreqKeys: freq.keys, FreqCounts: freq.counts,
-			BorderKeys: border.keys, BorderCounts: border.counts,
+			FreqKeys: freq.Keys, FreqCounts: freq.Counts,
+			BorderKeys: border.Keys, BorderCounts: border.Counts,
 		}
 	}
 	return b

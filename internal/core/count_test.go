@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"setm/internal/xsort"
 	"slices"
 	"testing"
 
@@ -40,7 +41,7 @@ func BenchmarkCountKernel(b *testing.B) {
 			kernels := map[string]func(){
 				"table": func() {
 					ar.wTab[0] = tableCountRows(rows, ar.wTab[0], cells)
-					dst = emitCountTable(ar.wTab[0], 1, pkCounts{keys: dst.keys[:0], counts: dst.counts[:0]})
+					dst = xsort.EmitCountTable(ar.wTab[0], 1, pkCounts{Keys: dst.Keys[:0], Counts: dst.Counts[:0]})
 				},
 				"sort": func() {
 					keys := growU64(ar.keys, len(rows))
@@ -49,7 +50,7 @@ func BenchmarkCountKernel(b *testing.B) {
 						keys[j] = r.Key
 					}
 					var skips int64
-					dst = sortCountKeys(keys, &ar.keysTmp, 1, pkCounts{keys: dst.keys[:0], counts: dst.counts[:0]}, &skips)
+					dst = xsort.SortCountKeys(keys, &ar.keysTmp, 1, pkCounts{Keys: dst.Keys[:0], Counts: dst.Counts[:0]}, &skips)
 				},
 			}
 			for _, kernel := range []string{"table", "sort"} {
@@ -82,7 +83,7 @@ func bitCells(dict *packDict, k int) int {
 }
 
 func samePkCounts(a, b pkCounts) bool {
-	return slices.Equal(a.keys, b.keys) && slices.Equal(a.counts, b.counts)
+	return slices.Equal(a.Keys, b.Keys) && slices.Equal(a.Counts, b.Counts)
 }
 
 // countBoth runs countRows on the dictionary's own kernel choice and on
@@ -99,7 +100,7 @@ func countBoth(t *testing.T, label string, chunks [][]prow, dict *packDict, k in
 	}
 	if !samePkCounts(got, want) {
 		t.Fatalf("%s (%s kernel): counts differ from the sort kernel\ngot  %v %v\nwant %v %v",
-			label, kernel, got.keys, got.counts, want.keys, want.counts)
+			label, kernel, got.Keys, got.Counts, want.Keys, want.Counts)
 	}
 	if kernel == CountTable && skips != 1 {
 		t.Errorf("%s: table pass tallied %d skipped sorts, want 1", label, skips)
@@ -230,7 +231,7 @@ func TestCountKernelRuleEdges(t *testing.T) {
 		var ar mineArena
 		var skips int64
 		got, kernel := countRows([][]prow{exact}, bitCells(dict, k), ms, &ar, pkCounts{}, &skips)
-		_, found := slices.BinarySearch(got.keys, 4000)
+		_, found := slices.BinarySearch(got.Keys, 4000)
 		if kernel != CountTable || found != (ms == 3) {
 			t.Errorf("minSup=%d (%s): key with count 3 present=%v", ms, kernel, found)
 		}

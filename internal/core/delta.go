@@ -176,13 +176,13 @@ func (sd *deltaSeed) snapLevel(k int) *BorderLevel {
 // and its border, each ascending.
 func (sd *deltaSeed) level(k int) []pkCounts {
 	l := sd.snapLevel(k)
-	runs := []pkCounts{{l.FreqKeys, l.FreqCounts}, {l.BorderKeys, l.BorderCounts}}
+	runs := []pkCounts{{Keys: l.FreqKeys, Counts: l.FreqCounts}, {Keys: l.BorderKeys, Counts: l.BorderCounts}}
 	for i, run := range runs {
-		runs[i] = pkCounts{make([]uint64, 0, len(run.keys)), make([]int64, 0, len(run.keys))}
-		for j, key := range run.keys {
+		runs[i] = pkCounts{Keys: make([]uint64, 0, len(run.Keys)), Counts: make([]int64, 0, len(run.Keys))}
+		for j, key := range run.Keys {
 			if nk, ok := sd.key(key, k); ok {
-				runs[i].keys = append(runs[i].keys, nk)
-				runs[i].counts = append(runs[i].counts, run.counts[j])
+				runs[i].Keys = append(runs[i].Keys, nk)
+				runs[i].Counts = append(runs[i].Counts, run.Counts[j])
 			}
 		}
 	}

@@ -323,7 +323,7 @@ func (s *execStepper) endPass(k int, ck pkCounts) []ItemsetCount {
 	} else {
 		cOut = decodeRanked(ck, s.prevC, s.dict)
 	}
-	s.idx = buildKeyIndex(ck.keys, s.dict.keySpace(k, len(s.prevC)), s.ar)
+	s.idx = buildKeyIndex(ck.Keys, s.dict.keySpace(k, len(s.prevC)), s.ar)
 	s.prevC = cOut
 	return cOut
 }
@@ -351,24 +351,24 @@ func (s *execStepper) splitBorder(k int, ck pkCounts, minSup int64) (pkCounts, e
 	if s.seed != nil {
 		parts, n := append(s.seed.level(k), ck), 0
 		for _, p := range parts {
-			n += len(p.keys)
+			n += len(p.Keys)
 		}
-		ck = mergePackedCounts(parts, 1, pkCounts{make([]uint64, 0, n), make([]int64, 0, n)})
+		ck = mergePackedCounts(parts, 1, pkCounts{Keys: make([]uint64, 0, n), Counts: make([]int64, 0, n)})
 	}
 	var border pkCounts
 	w := 0
-	for i, c := range ck.counts {
+	for i, c := range ck.Counts {
 		if c >= minSup {
-			ck.keys[w], ck.counts[w] = ck.keys[i], c
+			ck.Keys[w], ck.Counts[w] = ck.Keys[i], c
 			w++
 		} else {
-			border.keys = append(border.keys, ck.keys[i])
-			border.counts = append(border.counts, c)
+			border.Keys = append(border.Keys, ck.Keys[i])
+			border.Counts = append(border.Counts, c)
 		}
 	}
 	s.borders = append(s.borders, border)
-	s.ck = pkCounts{keys: ck.keys[:w], counts: ck.counts[:w]}
-	if s.seed != nil && k >= 2 && !s.seed.rerank(k, s.ck.keys) {
+	s.ck = pkCounts{Keys: ck.Keys[:w], Counts: ck.Counts[:w]}
+	if s.seed != nil && k >= 2 && !s.seed.rerank(k, s.ck.Keys) {
 		return s.ck, errBorderShift
 	}
 	return s.ck, nil
@@ -596,7 +596,7 @@ func (s *execStepper) inRanges(lo, hi int, fn func(a, b int) error) error {
 // pairsC2 reads C_2 off a pairs pass's count table and ends the count
 // step as every pass does (splitBorder, endPass).
 func (s *execStepper) pairsC2(tab []uint32, minSup int64) ([]ItemsetCount, error) {
-	s.ck = emitCountTable(tab, s.countSup(minSup), pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]})
+	s.ck = xsort.EmitCountTable(tab, s.countSup(minSup), pkCounts{Keys: s.ck.Keys[:0], Counts: s.ck.Counts[:0]})
 	ck, err := s.splitBorder(2, s.ck, minSup)
 	if err != nil {
 		return nil, err
@@ -728,7 +728,7 @@ func eachChunk(n int, fn func(i int)) {
 // the stepper's reused C_k buffers, on a table of cells cells if the
 // kernel rule admits one.
 func (s *execStepper) countResident(chunks [][]prow, cells int, minSup int64, skips *int64) (pkCounts, string) {
-	dst := pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]}
+	dst := pkCounts{Keys: s.ck.Keys[:0], Counts: s.ck.Counts[:0]}
 	ck, kernel := countRows(chunks, cells, minSup, s.ar, dst, skips)
 	s.ck = ck
 	return ck, kernel
@@ -773,7 +773,7 @@ func (s *execStepper) stepStreaming(k int, minSup int64, plan IterPlan) ([]Items
 
 	// C_k: the fused counter's table read out, or its bounded radix runs
 	// merged and counted.
-	dst := pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]}
+	dst := pkCounts{Keys: s.ck.Keys[:0], Counts: s.ck.Counts[:0]}
 	ck, kernel, err := kc.finish(s.countSup(minSup), dst)
 	plan.Count = kernel
 	skips += kc.skips
@@ -961,7 +961,7 @@ func (s *execStepper) countMemStreaming(mem []prow, minSup int64) (pkCounts, int
 	if err := s.inRanges(0, len(mem), func(a, b int) error { return kc.addRows(mem[a:b]) }); err != nil {
 		return pkCounts{}, 0, "", err
 	}
-	dst := pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]}
+	dst := pkCounts{Keys: s.ck.Keys[:0], Counts: s.ck.Counts[:0]}
 	ck, kernel, err := kc.finish(minSup, dst)
 	if err != nil {
 		return pkCounts{}, 0, "", err
@@ -1043,11 +1043,11 @@ func (s *execStepper) resume(cp *Checkpoint) (IterationStat, error) {
 		prev = cp.Counts[cp.K-2]
 	}
 	ck, ok := encodeLevel(cp.Counts[cp.K-1], prev, cp.K, s.dict)
-	if !ok || !keysSorted(ck.keys) {
+	if !ok || !xsort.KeysSorted(ck.Keys) {
 		return IterationStat{}, fmt.Errorf("%w: C_%d does not code under this dataset's dictionary", ErrCheckpoint, cp.K)
 	}
 	s.ck = ck
-	s.idx = buildKeyIndex(ck.keys, s.dict.keySpace(cp.K, len(prev)), s.ar)
+	s.idx = buildKeyIndex(ck.Keys, s.dict.keySpace(cp.K, len(prev)), s.ar)
 	s.prevC = cp.Counts[cp.K-1]
 
 	// R_K streams from the checkpoint under the regime the next iteration

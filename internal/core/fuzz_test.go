@@ -203,10 +203,10 @@ func FuzzPackedKernels(f *testing.F) {
 			keys[i] = r.Key
 		}
 		xsort.RadixSortU64(keys, make([]uint64, n))
-		if !keysSorted(keys) {
+		if !xsort.KeysSorted(keys) {
 			t.Fatal("radixSortU64 left keys unsorted")
 		}
-		pk := packedCountRuns(keys, minSup, pkCounts{})
+		pk := xsort.CountRuns(keys, minSup, pkCounts{})
 		got := decodePatterns(pk, k, dict)
 		want, _ := countPatterns(rel, minSup)
 		if len(got) != len(want) {
@@ -226,10 +226,10 @@ func FuzzPackedKernels(f *testing.F) {
 			t.Fatalf("countTableCells(%d) = %d at %d bits per item", k, cells, dict.bits)
 		}
 		for _, ms := range []int64{1, minSup, int64(n)} {
-			bySort := packedCountRuns(keys, ms, pkCounts{})
-			byTable := emitCountTable(tableCountRows(rows, nil, cells), ms, pkCounts{})
+			bySort := xsort.CountRuns(keys, ms, pkCounts{})
+			byTable := xsort.EmitCountTable(tableCountRows(rows, nil, cells), ms, pkCounts{})
 			if !samePkCounts(byTable, bySort) {
-				t.Fatalf("minSup=%d: table kernel %v:%v, sort kernel %v:%v", ms, byTable.keys, byTable.counts, bySort.keys, bySort.counts)
+				t.Fatalf("minSup=%d: table kernel %v:%v, sort kernel %v:%v", ms, byTable.Keys, byTable.Counts, bySort.Keys, bySort.Counts)
 			}
 			var a1, a2 mineArena
 			var s1, s2 int64
@@ -243,13 +243,13 @@ func FuzzPackedKernels(f *testing.F) {
 		// Filter by C_k: binary search and bitmap paths vs the generic
 		// filter (both inputs sorted, so outputs must be bit-identical).
 		wantF, _ := filterRelation(genSorted, want)
-		gotRows := packedFilter(sortedRows, pk.keys, nil)
+		gotRows := packedFilter(sortedRows, pk.Keys, nil)
 		if got := unpackRel(relation{stride: k + 1}, gotRows, dict); !slices.Equal(got.data, wantF.data) {
 			t.Fatalf("filter mismatch:\ngot  %v\nwant %v", got.data, wantF.data)
 		}
 		ar := newMineArena()
 		defer ar.release()
-		if x := buildKeyIndex(pk.keys, dict.bitSpace(k), ar); x.dir != nil {
+		if x := buildKeyIndex(pk.Keys, dict.bitSpace(k), ar); x.dir != nil {
 			if bmRows := x.filter(sortedRows, nil); !slices.Equal(bmRows, gotRows) {
 				t.Fatalf("bitmap filter disagrees with binary-search filter")
 			}

@@ -303,16 +303,6 @@ func prowsSorted(rows []prow) bool {
 	return true
 }
 
-// keysSorted reports whether keys are in ascending order.
-func keysSorted(keys []uint64) bool {
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] > keys[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // packedExtend is Figure 4's extension step, R_{k-1} ⋈ SALES on
 // trans_id, as a look-up: a row's Tid is its basket's ordinal in sales,
 // whose codes ascend, so its extensions are the basket's suffix past its
@@ -443,30 +433,7 @@ func salesPairs(rows []prow, starts []uint32) int64 {
 
 // pkCounts is a packed count relation C_k: ascending pattern keys with
 // their support counts in parallel slices.
-type pkCounts struct {
-	keys   []uint64
-	counts []int64
-}
-
-// packedCountRuns scans ascending keys and appends one (key, count) per
-// run meeting minSup to dst — the paper's sequential count scan as an
-// integer-equality loop.
-func packedCountRuns(keys []uint64, minSup int64, dst pkCounts) pkCounts {
-	n := len(keys)
-	i := 0
-	for i < n {
-		j := i + 1
-		for j < n && keys[j] == keys[i] {
-			j++
-		}
-		if int64(j-i) >= minSup {
-			dst.keys = append(dst.keys, keys[i])
-			dst.counts = append(dst.counts, int64(j-i))
-		}
-		i = j
-	}
-	return dst
-}
+type pkCounts = xsort.Counts
 
 // mergePackedCounts merges ascending packed count lists (per-chunk counts,
 // or a refresh's snapshot and delta counts), summing counts of keys that
@@ -478,10 +445,10 @@ func mergePackedCounts(parts []pkCounts, minSup int64, dst pkCounts) pkCounts {
 		best := -1
 		var bk uint64
 		for i, h := range heads {
-			if h >= len(parts[i].keys) {
+			if h >= len(parts[i].Keys) {
 				continue
 			}
-			if k := parts[i].keys[h]; best == -1 || k < bk {
+			if k := parts[i].Keys[h]; best == -1 || k < bk {
 				best, bk = i, k
 			}
 		}
@@ -490,14 +457,14 @@ func mergePackedCounts(parts []pkCounts, minSup int64, dst pkCounts) pkCounts {
 		}
 		var total int64
 		for i, h := range heads {
-			if h < len(parts[i].keys) && parts[i].keys[h] == bk {
-				total += parts[i].counts[h]
+			if h < len(parts[i].Keys) && parts[i].Keys[h] == bk {
+				total += parts[i].Counts[h]
 				heads[i] = h + 1
 			}
 		}
 		if total >= minSup {
-			dst.keys = append(dst.keys, bk)
-			dst.counts = append(dst.counts, total)
+			dst.Keys = append(dst.Keys, bk)
+			dst.Counts = append(dst.Counts, total)
 		}
 	}
 }
@@ -574,32 +541,6 @@ func sumTables(tabs [][]uint32) []uint32 {
 	return acc
 }
 
-// emitCountTable is the table kernel's read-out: cells scanned in index
-// order are keys in ascending order, so appending every (key, count >=
-// minSup) to dst yields exactly what sorting and run-counting the same
-// keys would.
-func emitCountTable(tab []uint32, minSup int64, dst pkCounts) pkCounts {
-	for key, c := range tab {
-		if c != 0 && int64(c) >= minSup {
-			dst.keys = append(dst.keys, uint64(key))
-			dst.counts = append(dst.counts, int64(c))
-		}
-	}
-	return dst
-}
-
-// sortCountKeys is the sort kernel over a key buffer the caller owns:
-// sortedness pre-scan, radix sort through *tmp when needed, run count.
-func sortCountKeys(keys []uint64, tmp *[]uint64, minSup int64, dst pkCounts, skips *int64) pkCounts {
-	if keysSorted(keys) {
-		*skips++
-	} else {
-		*tmp = growU64(*tmp, len(keys))
-		xsort.RadixSortU64(keys, *tmp)
-	}
-	return packedCountRuns(keys, minSup, dst)
-}
-
 // countRows is the count step over resident rows: C_k at minSup from
 // the keys of chunks (R'_k as the pass's workers hold it, or SALES at
 // k=1; one chunk is the serial count), appended to dst, plus the kernel
@@ -624,7 +565,7 @@ func countRows(chunks [][]prow, cells int, minSup int64, ar *mineArena, dst pkCo
 			ar.wTab[i] = tableCountRows(chunks[i], ar.wTab[i], cells)
 		})
 		*skips++
-		return emitCountTable(sumTables(ar.wTab[:W]), minSup, dst), CountTable
+		return xsort.EmitCountTable(sumTables(ar.wTab[:W]), minSup, dst), CountTable
 	}
 
 	keys := growU64(ar.keys, total)
@@ -633,7 +574,7 @@ func countRows(chunks [][]prow, cells int, minSup int64, ar *mineArena, dst pkCo
 		for i, r := range chunks[0] {
 			keys[i] = r.Key
 		}
-		return sortCountKeys(keys, &ar.keysTmp, minSup, dst, skips), CountSort
+		return xsort.SortCountKeys(keys, &ar.keysTmp, minSup, dst, skips), CountSort
 	}
 	starts := make([]int, W)
 	for i := 1; i < W; i++ {
@@ -645,9 +586,9 @@ func countRows(chunks [][]prow, cells int, minSup int64, ar *mineArena, dst pkCo
 			part[j] = r.Key
 		}
 		ar.wSkips[i] = 0
-		ar.wCounts[i] = sortCountKeys(part, &ar.wTmp[i], 1, pkCounts{
-			keys:   ar.wCounts[i].keys[:0],
-			counts: ar.wCounts[i].counts[:0],
+		ar.wCounts[i] = xsort.SortCountKeys(part, &ar.wTmp[i], 1, pkCounts{
+			Keys:   ar.wCounts[i].Keys[:0],
+			Counts: ar.wCounts[i].Counts[:0],
 		}, &ar.wSkips[i])
 	})
 	for _, n := range ar.wSkips[:W] {
@@ -687,18 +628,18 @@ func packedFilterBitmap(rPrime []prow, dir []rankWord, out []prow) []prow {
 // form. All pattern slices share one backing array: two allocations per
 // C_k regardless of pattern count.
 func decodePatterns(pk pkCounts, k int, dict *packDict) []ItemsetCount {
-	if len(pk.keys) == 0 {
+	if len(pk.Keys) == 0 {
 		return nil
 	}
-	out := make([]ItemsetCount, len(pk.keys))
-	backing := make([]Item, len(pk.keys)*k)
+	out := make([]ItemsetCount, len(pk.Keys))
+	backing := make([]Item, len(pk.Keys)*k)
 	mask := uint64(1)<<dict.bits - 1
-	for i, key := range pk.keys {
+	for i, key := range pk.Keys {
 		items := backing[i*k : (i+1)*k : (i+1)*k]
 		for c := 0; c < k; c++ {
 			items[c] = dict.items[(key>>(uint(k-1-c)*dict.bits))&mask]
 		}
-		out[i] = ItemsetCount{Items: items, Count: pk.counts[i]}
+		out[i] = ItemsetCount{Items: items, Count: pk.Counts[i]}
 	}
 	return out
 }
@@ -706,18 +647,18 @@ func decodePatterns(pk pkCounts, k int, dict *packDict) []ItemsetCount {
 // decodeRanked is decodePatterns for rank-coded counts: a key's pattern
 // is C_{k-1}[rank]'s items (prev, decoded) followed by its last item.
 func decodeRanked(pk pkCounts, prev []ItemsetCount, dict *packDict) []ItemsetCount {
-	if len(pk.keys) == 0 {
+	if len(pk.Keys) == 0 {
 		return nil
 	}
 	k := len(prev[0].Items) + 1
-	out := make([]ItemsetCount, len(pk.keys))
-	backing := make([]Item, len(pk.keys)*k)
+	out := make([]ItemsetCount, len(pk.Keys))
+	backing := make([]Item, len(pk.Keys)*k)
 	mask := uint64(1)<<dict.bits - 1
-	for i, key := range pk.keys {
+	for i, key := range pk.Keys {
 		items := backing[i*k : (i+1)*k : (i+1)*k]
 		copy(items, prev[key>>dict.bits].Items)
 		items[k-1] = dict.items[key&mask]
-		out[i] = ItemsetCount{Items: items, Count: pk.counts[i]}
+		out[i] = ItemsetCount{Items: items, Count: pk.Counts[i]}
 	}
 	return out
 }
@@ -732,7 +673,7 @@ func encodeLevel(ck, prev []ItemsetCount, k int, dict *packDict) (pkCounts, bool
 	if !dict.keyFits(k, len(prev)) {
 		return pkCounts{}, false
 	}
-	pk := pkCounts{keys: make([]uint64, len(ck)), counts: make([]int64, len(ck))}
+	pk := pkCounts{Keys: make([]uint64, len(ck)), Counts: make([]int64, len(ck))}
 	for i, c := range ck {
 		if len(c.Items) != k {
 			return pkCounts{}, false
@@ -753,7 +694,7 @@ func encodeLevel(ck, prev []ItemsetCount, k int, dict *packDict) (pkCounts, bool
 				return pkCounts{}, false
 			}
 		}
-		pk.keys[i], pk.counts[i] = uint64(prefix)<<dict.bits|uint64(last), c.Count
+		pk.Keys[i], pk.Counts[i] = uint64(prefix)<<dict.bits|uint64(last), c.Count
 	}
 	return pk, true
 }

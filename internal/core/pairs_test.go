@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"setm/internal/xsort"
 	"slices"
 	"testing"
 
@@ -99,8 +100,8 @@ func FuzzPairs(f *testing.F) {
 		ar := newMineArena()
 		defer ar.release()
 		for _, ms := range []int64{1, int64(minSupRaw%4) + 1} {
-			want := packedCountRuns(keys, ms, pkCounts{})
-			idx := buildKeyIndex(want.keys, dict.bitSpace(2), ar)
+			want := xsort.CountRuns(keys, ms, pkCounts{})
+			idx := buildKeyIndex(want.Keys, dict.bitSpace(2), ar)
 			if (idx.dir == nil) != (2*bits > maxFilterBitmapBits) {
 				t.Fatalf("%d-bit codes: bitmap %v", bits, idx.dir != nil)
 			}
@@ -113,8 +114,8 @@ func FuzzPairs(f *testing.F) {
 						tabs[i] = make([]uint32, len(wantTab))
 						pairsCount(sales, memo.starts, lo[i], lo[i+1], bits, tabs[i])
 					}
-					if got := emitCountTable(sumTables(tabs), ms, pkCounts{}); !samePkCounts(got, want) {
-						t.Fatalf("W=%d cuts %v minSup=%d: C_2 %v:%v, materialized %v:%v", W, lo, ms, got.keys, got.counts, want.keys, want.counts)
+					if got := xsort.EmitCountTable(sumTables(tabs), ms, pkCounts{}); !samePkCounts(got, want) {
+						t.Fatalf("W=%d cuts %v minSup=%d: C_2 %v:%v, materialized %v:%v", W, lo, ms, got.Keys, got.Counts, want.Keys, want.Counts)
 					}
 				}
 				var got []prow

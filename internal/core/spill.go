@@ -433,7 +433,7 @@ func (kc *keyCounter) flushRun() error {
 }
 
 func (kc *keyCounter) sortBuf() {
-	if keysSorted(kc.keys) {
+	if xsort.KeysSorted(kc.keys) {
 		kc.skips++
 		return
 	}
@@ -450,10 +450,10 @@ func (kc *keyCounter) sortBuf() {
 func (kc *keyCounter) finish(minSup int64, dst pkCounts) (pkCounts, string, error) {
 	if kc.tab != nil {
 		kc.skips++
-		return emitCountTable(kc.tab, minSup, dst), CountTable, nil
+		return xsort.EmitCountTable(kc.tab, minSup, dst), CountTable, nil
 	}
 	if len(kc.runs) == 0 {
-		return sortCountKeys(kc.keys, &kc.tmp, minSup, dst, &kc.skips), CountSort, nil
+		return xsort.SortCountKeys(kc.keys, &kc.tmp, minSup, dst, &kc.skips), CountSort, nil
 	}
 	if err := kc.flushRun(); err != nil {
 		kc.abort()
@@ -484,8 +484,8 @@ func countMergedRuns(ctx context.Context, pool *storage.Pool, runs []storage.Run
 	var sinceCheck int
 	flush := func() {
 		if n >= minSup {
-			dst.keys = append(dst.keys, cur)
-			dst.counts = append(dst.counts, n)
+			dst.Keys = append(dst.Keys, cur)
+			dst.Counts = append(dst.Counts, n)
 		}
 	}
 	err := xsort.MergeKeys(pool, runs, fanIn, func(k uint64) error {

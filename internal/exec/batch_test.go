@@ -205,8 +205,9 @@ func TestOperatorsMatchRowReference(t *testing.T) {
 
 // FuzzExecBatch mirrors FuzzPackedKernels for the executor: arbitrary
 // bytes become rows and operator parameters; the batched sort → merge-join
-// → group pipeline, and the join kernels on every key path, must match the
-// row-oriented reference oracles exactly.
+// → group pipeline, the packed count and semi-join, and the join kernels
+// on every key path, must match the row-oriented reference oracles
+// exactly.
 func FuzzExecBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1), uint8(0))
 	f.Add([]byte{0, 0, 0, 0}, uint8(0), uint8(1))
@@ -254,6 +255,27 @@ func FuzzExecBatch(f *testing.F) {
 		gotG := drainRows(t, NewSortGroup(NewMemScan(schema, sorted), []int{0, 1},
 			[]AggSpec{{Kind: AggCount, Name: "cnt"}}))
 		requireSameRows(t, "fuzz group", gotG, refGroupCount(sorted, []int{0, 1}))
+
+		// The packed count under exact and widened bounds, and the packed
+		// probe as a semi-join on unique build keys (r's distinct keys).
+		exact := exactRanges(rows, []int{0, 1})
+		for _, bound := range [][]tuple.Range{exact, widen(exact, int64(keyByte), int64(splitByte)<<20)} {
+			g := NewHashGroup(NewMemScan(schema, rows), []int{0, 1}, []AggSpec{{Kind: AggCount, Name: "cnt"}})
+			g.SetKeyRanges(bound)
+			g.SetSizeHint(int64(len(rows)))
+			requireSameRows(t, "fuzz packed group", drainRows(t, g), refGroupCount(sorted, []int{0, 1}))
+		}
+		distinct := refGroupCount(r, []int{0})
+		semi := NewHashJoin(NewMemScan(schema, l), NewMemScan(schema, distinct), []int{0}, []int{0})
+		semi.SetProbeOnly()
+		gotS := drainRows(t, semi)
+		for i := range gotS {
+			gotS[i] = gotS[i][:2]
+		}
+		inR := func(tp []int64) bool {
+			return slices.ContainsFunc(distinct, func(d []int64) bool { return d[0] == tp[0] })
+		}
+		requireSameRows(t, "fuzz semi-join", gotS, refFilter(l, inR))
 
 		// The join kernels, on one and two key columns, dense and selection-
 		// vectored, on (k1, k2, v) rows whose keys reach the int64 extremes.

@@ -21,8 +21,6 @@ package exec
 
 import (
 	"io"
-	"math"
-	"math/bits"
 	"slices"
 
 	hp "setm/internal/heap"
@@ -120,6 +118,7 @@ func (s *HeapScan) Close() error {
 type Rename struct {
 	child  Operator
 	schema *tuple.Schema
+	view   tuple.Batch
 
 	stats OpStats
 }
@@ -139,7 +138,7 @@ func (r *Rename) nextBatch() (*tuple.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b.WithSchema(r.schema), nil
+	return b.View(&r.view, r.schema, b.Cols), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -229,6 +228,7 @@ type Project struct {
 
 	cols []tuple.ColVec // the output view's columns, refilled every batch
 	bufs [][]int64      // each column's result buffer
+	view tuple.Batch
 
 	stats OpStats
 }
@@ -258,7 +258,7 @@ func (p *Project) nextBatch() (*tuple.Batch, error) {
 			return nil, err
 		}
 	}
-	return b.View(p.schema, p.cols), nil
+	return b.View(&p.view, p.schema, p.cols), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -290,13 +290,13 @@ type Sort struct {
 	pool     *storage.Pool
 	memLimit int
 
-	sizeHint int // expected input rows, pre-sizes the columnar buffer
-
-	// in-memory path state
-	store *tuple.Batch
-	perm  []int32
-	pos   int
-	buf   *tuple.Batch
+	// in-memory path state: the input as it arrived when it was already
+	// in key order, else one store and its sorted permutation
+	chunks []*tuple.Batch
+	store  *tuple.Batch
+	perm   []int32
+	pos    int
+	buf    *tuple.Batch
 
 	out *HeapScan // external path: scan of the sorted file, which Close frees
 
@@ -312,9 +312,6 @@ func NewSortKeys(child Operator, keys []SortKey, pool *storage.Pool, memLimit in
 
 func (s *Sort) Schema() *tuple.Schema { return s.child.Schema() }
 
-// SetSizeHint pre-sizes the columnar gather buffer for n input rows.
-func (s *Sort) SetSizeHint(n int) { s.sizeHint = n }
-
 func (s *Sort) Open() error {
 	s.stats.Reset()
 	// The child is drained here, so it is closed here — also when its Open
@@ -329,16 +326,15 @@ func (s *Sort) Open() error {
 	for i, k := range s.keys {
 		cols[i], desc[i] = k.Col, k.Desc
 	}
-	runRows := math.MaxInt
-	if s.pool != nil {
-		mem, width := s.memLimit, 8*schema.Len()
-		if mem <= 0 {
-			mem = DefaultSortMemory
-		}
-		runRows = (mem + width - 1) / width
+	if s.pool == nil {
+		return s.gather(cols, desc)
 	}
+	mem, width := s.memLimit, 8*schema.Len()
+	if mem <= 0 {
+		mem = DefaultSortMemory
+	}
+	runRows := (mem + width - 1) / width
 	store := tuple.NewBatch(schema)
-	store.Grow(min(s.sizeHint, runRows))
 	var runs []*hp.File
 	// spill sorts the store into a fresh run; on failure it frees them all.
 	spill := func() error {
@@ -374,13 +370,6 @@ func (s *Sort) Open() error {
 			}
 		}
 	}
-	if s.pool == nil {
-		s.store, s.perm, s.pos = store, sortPerm(store, cols, desc), 0
-		if s.buf == nil {
-			s.buf = tuple.NewBatch(schema)
-		}
-		return nil
-	}
 	// Every external sort writes at least one run, the last one included.
 	if store.Len() > 0 || len(runs) == 0 {
 		if err := spill(); err != nil {
@@ -395,10 +384,54 @@ func (s *Sort) Open() error {
 	return s.out.Open()
 }
 
+// gather drains the child for the in-memory sort. Each batch is kept as a
+// dense copy of its own, so the input is copied once and never re-grown.
+// Batches already in key order (R_k's ORDER BY: the filter join keeps
+// R'_k's order) are emitted as they came; otherwise they are concatenated
+// once, at their exact size, and the permutation is sorted.
+func (s *Sort) gather(cols []int, desc []bool) error {
+	s.chunks, s.store, s.perm, s.pos = nil, nil, nil, 0
+	var chunks []*tuple.Batch
+	total, inOrder := 0, !slices.Contains(desc, true)
+	for {
+		b, err := s.child.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if b.Len() == 0 {
+			continue
+		}
+		c := b.Clone()
+		if inOrder && len(chunks) > 0 {
+			prev := chunks[len(chunks)-1]
+			inOrder = prev.CompareRows(prev.Len()-1, c, 0, cols, cols, nil) <= 0
+		}
+		inOrder = inOrder && storeSortedAsc(c, cols)
+		chunks = append(chunks, c)
+		total += c.Len()
+	}
+	if inOrder {
+		s.chunks = chunks
+		return nil
+	}
+	store := tuple.NewBatch(s.child.Schema())
+	store.Grow(total)
+	for _, c := range chunks {
+		store.Append(c)
+	}
+	s.store, s.perm = store, sortPerm(store, cols, desc)
+	if s.buf == nil {
+		s.buf = tuple.NewBatch(store.Schema())
+	}
+	return nil
+}
+
 // sortPermRadix sorts perm by the ascending integer key columns of store
-// using the packed byte-wise radix kernel: each column is bias-encoded
-// against its minimum and the columns are packed left-to-right into one
-// word (first key most significant), so unsigned order equals
+// using the packed byte-wise radix kernel: the columns are packed into one
+// word by their exact bounds (keyPack), so unsigned order equals
 // lexicographic key order. The row index rides in the pair's minor word,
 // which both carries the permutation through the sort and breaks ties by
 // input position — the same total order the comparison paths produce.
@@ -409,40 +442,15 @@ func sortPermRadix(store *tuple.Batch, cols []int, perm []int32) bool {
 	if n < 2 {
 		return true
 	}
-	type colPack struct {
-		v    []int64
-		min  uint64
-		bits uint
-	}
-	packs := make([]colPack, len(cols))
-	var totalBits uint
-	for i, c := range cols {
-		v := store.Cols[c].I[:n]
-		mn, mx := v[0], v[0]
-		for _, x := range v[1:] {
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-		// Two's-complement subtraction yields the unsigned span for any
-		// signed range, so negative keys bias-encode correctly.
-		b := uint(bits.Len64(uint64(mx) - uint64(mn)))
-		packs[i] = colPack{v, uint64(mn), b}
-		totalBits += b
-	}
-	if totalBits > 64 {
+	p, ok := newKeyPack(columnRanges(store, cols, n))
+	if !ok {
 		return false
 	}
+	keys := make([]uint64, n)
+	p.pack(store, cols, keys, nil)
 	sorted := make([]storage.PackedRow, n)
-	for r := range sorted {
-		var key uint64
-		for _, p := range packs {
-			key = key<<p.bits | (uint64(p.v[r]) - p.min)
-		}
-		sorted[r] = storage.PackedRow{Tid: key, Key: uint64(uint32(r))}
+	for r, k := range keys {
+		sorted[r] = storage.PackedRow{Tid: k, Key: uint64(uint32(r))}
 	}
 	xsort.RadixSortRows(sorted, make([]storage.PackedRow, n))
 	for i := range sorted {
@@ -456,12 +464,9 @@ func sortPermRadix(store *tuple.Batch, cols []int, perm []int32) bool {
 // column slices; the common case (first key decides) touches one slice.
 func storeSortedAsc(store *tuple.Batch, cols []int) bool {
 	n := store.Len()
-	keys := make([][]int64, len(cols))
-	for i, c := range cols {
-		keys[i] = store.Cols[c].I[:n]
-	}
 	for r := 1; r < n; r++ {
-		for _, v := range keys {
+		for _, c := range cols {
+			v := store.Cols[c].I
 			if v[r-1] < v[r] {
 				break
 			}
@@ -560,17 +565,27 @@ func (s *Sort) nextBatch() (*tuple.Batch, error) {
 	if s.out != nil {
 		return s.out.NextBatch()
 	}
+	if s.chunks != nil {
+		if s.pos >= len(s.chunks) {
+			return nil, io.EOF
+		}
+		s.pos++
+		return s.chunks[s.pos-1], nil
+	}
 	if s.pos >= len(s.perm) {
 		return nil, io.EOF
 	}
 	s.buf.Reset()
-	end := s.pos + tuple.BatchSize
-	if end > len(s.perm) {
-		end = len(s.perm)
+	end := min(s.pos+tuple.BatchSize, len(s.perm))
+	for c := range s.buf.Cols {
+		dst, src := s.buf.Cols[c].I, s.store.Cols[c].I
+		for _, p := range s.perm[s.pos:end] {
+			dst = append(dst, src[p])
+		}
+		s.buf.Cols[c].I = dst
 	}
-	for ; s.pos < end; s.pos++ {
-		s.buf.AppendRow(s.store, int(s.perm[s.pos]))
-	}
+	s.buf.BumpRows(end - s.pos)
+	s.pos = end
 	return s.buf, nil
 }
 
@@ -578,7 +593,7 @@ func (s *Sort) nextBatch() (*tuple.Batch, error) {
 // sorted file: a re-opened Sort sorts again on its next Open, so a file
 // kept past Close would be a leak of its pages.
 func (s *Sort) Close() error {
-	s.store, s.perm = nil, nil
+	s.chunks, s.store, s.perm = nil, nil, nil
 	if s.out != nil {
 		s.out.Close()
 		s.out.file.Free()

@@ -1,17 +1,22 @@
-// HashGroup: hash aggregation with sorted output. Where SortGroup needs
-// its input pre-sorted on the group columns (and the planner pays a full
-// materializing sort for it), HashGroup aggregates unsorted input into a
-// hash table keyed by the group columns and sorts only the distinct groups
-// for emission. Output is identical to sort+SortGroup — groups ascending
-// on the group columns, same aggregate values — at
-// O(rows + groups·log groups) instead of O(rows·log rows).
+// HashGroup: aggregation of unsorted input with sorted output. Where
+// SortGroup needs its input pre-sorted on the group columns (and the
+// planner pays a full materializing sort for it), HashGroup aggregates
+// unsorted input and emits the groups ascending on the group columns —
+// the output of sort+SortGroup, same aggregate values. A COUNT over group
+// columns whose bounds pack into one word counts packed keys, on a
+// direct-address table or by a radix sort and a run count (the native
+// miner's two count kernels, shared through xsort); both emit keys in
+// order. Any other shape aggregates in a hash table on the group columns
+// and sorts the distinct groups for emission.
 package exec
 
 import (
+	"fmt"
 	"io"
 	"slices"
 
 	"setm/internal/tuple"
+	"setm/internal/xsort"
 )
 
 // groupTable is an open-addressing hash table from a group key to a slot
@@ -137,10 +142,19 @@ type HashGroup struct {
 	aggs      []AggSpec
 	schema    *tuple.Schema
 
+	ranges   []tuple.Range // bounds of the group columns (SetKeyRanges)
+	sizeHint int64         // expected input rows (SetSizeHint)
+	kernel   string        // the count kernel the last Open ran
+
+	// The generic path: the hash table and its emission order.
 	table *groupTable
 	perm  []int32
-	pos   int
-	out   *tuple.Batch
+	// The packed path: the key layout and the counted groups, ascending.
+	pack   keyPack
+	counts xsort.Counts
+
+	pos int
+	out *tuple.Batch
 
 	stats OpStats
 }
@@ -168,6 +182,44 @@ func NewHashGroup(child Operator, groupCols []int, aggs []AggSpec) *HashGroup {
 }
 
 func (g *HashGroup) Schema() *tuple.Schema { return g.schema }
+
+// SetKeyRanges gives bounds of the group columns, in groupCols order. With
+// them a COUNT-only aggregate whose group key packs into 64 bits counts on
+// packed keys (KernelFor).
+func (g *HashGroup) SetKeyRanges(ranges []tuple.Range) { g.ranges = ranges }
+
+// SetSizeHint gives the expected input rows. The count kernel is picked
+// for them (KernelFor): the table kernel counts straight off the input's
+// batches, and the sort kernel's key buffer is sized for them.
+func (g *HashGroup) SetSizeHint(n int64) { g.sizeHint = n }
+
+// packed returns the packed key layout, or false when the group runs on
+// the generic hash table: no bounds, a key wider than a word, or an
+// aggregate other than COUNT.
+func (g *HashGroup) packed() (keyPack, bool) {
+	if len(g.ranges) != len(g.groupCols) || len(g.groupCols) == 0 {
+		return keyPack{}, false
+	}
+	for _, a := range g.aggs {
+		if a.Kind != AggCount {
+			return keyPack{}, false
+		}
+	}
+	return newKeyPack(g.ranges)
+}
+
+// KernelFor names the count kernel Open runs over rows input rows:
+// CountTable or CountSort on packed keys, else CountHash.
+func (g *HashGroup) KernelFor(rows int64) string {
+	p, ok := g.packed()
+	if !ok {
+		return CountHash
+	}
+	return countKernel(p, rows)
+}
+
+// Kernel names the count kernel the last Open ran ("" before one).
+func (g *HashGroup) Kernel() string { return g.kernel }
 
 // build drains the (open) child into t.
 func (g *HashGroup) build(t *groupTable) error {
@@ -212,20 +264,70 @@ func (g *HashGroup) build(t *groupTable) error {
 	}
 }
 
+// buildPacked drains the (open) child and counts its packed keys with the
+// kernel picked for the size hint: on the table, a batch at a time, or
+// gathered, sorted and run-counted.
+func (g *HashGroup) buildPacked() error {
+	g.kernel = countKernel(g.pack, g.sizeHint)
+	var tab []uint32
+	var keys, tmp []uint64
+	if g.kernel == CountTable {
+		tab = make([]uint32, g.pack.space())
+	} else if g.sizeHint > 0 && g.sizeHint < 1<<31 {
+		keys = slices.Grow(keys, int(g.sizeHint))
+	}
+	for {
+		b, err := g.child.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		n := len(keys)
+		keys = slices.Grow(keys, b.Len())[:n+b.Len()]
+		if !g.pack.pack(b, g.groupCols, keys[n:], nil) {
+			return fmt.Errorf("exec: a group key lies outside the bounds planned for it")
+		}
+		if tab != nil {
+			for _, k := range keys {
+				tab[k]++
+			}
+			keys = keys[:0]
+		}
+	}
+	if tab != nil {
+		g.counts = xsort.EmitCountTable(tab, 1, xsort.Counts{})
+		return nil
+	}
+	var skips int64
+	g.counts = xsort.SortCountKeys(keys, &tmp, 1, xsort.Counts{}, &skips)
+	return nil
+}
+
 func (g *HashGroup) Open() error {
 	g.stats.Reset()
-	g.table, g.perm, g.pos = nil, nil, 0
+	g.table, g.perm, g.pos, g.counts = nil, nil, 0, xsort.Counts{}
+	if g.out == nil {
+		g.out = tuple.NewBatch(g.schema)
+	}
 	// The child is drained here, so it is closed here — also when its Open
 	// fails part-way.
-	t := newGroupTable(len(g.groupCols), len(g.aggs))
+	var t *groupTable
+	var packed bool
+	g.pack, packed = g.packed()
 	err := g.child.Open()
-	if err == nil {
+	if err == nil && packed {
+		err = g.buildPacked()
+	} else if err == nil {
+		g.kernel = CountHash
+		t = newGroupTable(len(g.groupCols), len(g.aggs))
 		err = g.build(t)
 	}
 	if cerr := g.child.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
+	if err != nil || packed {
 		return err
 	}
 	// Emission order: groups ascending on the group columns, which is what
@@ -247,14 +349,35 @@ func (g *HashGroup) Open() error {
 		}
 		return 0
 	})
-	if g.out == nil {
-		g.out = tuple.NewBatch(g.schema)
-	}
 	return nil
 }
 
+// nextPacked emits the next run of counted groups, unpacking each group
+// column from the keys.
+func (g *HashGroup) nextPacked() (*tuple.Batch, error) {
+	end := min(g.pos+tuple.BatchSize, len(g.counts.Keys))
+	if g.pos >= end {
+		return nil, io.EOF
+	}
+	g.out.Reset()
+	keys := g.counts.Keys[g.pos:end]
+	for i := range g.groupCols {
+		g.out.Cols[i].I = g.pack.unpack(keys, i, g.out.Cols[i].I)
+	}
+	for ai := range g.aggs {
+		c := &g.out.Cols[len(g.groupCols)+ai]
+		c.I = append(c.I, g.counts.Counts[g.pos:end]...)
+	}
+	g.out.BumpRows(end - g.pos)
+	g.pos = end
+	return g.out, nil
+}
+
 func (g *HashGroup) nextBatch() (*tuple.Batch, error) {
-	if g.table == nil || g.pos >= len(g.perm) {
+	if g.table == nil {
+		return g.nextPacked()
+	}
+	if g.pos >= len(g.perm) {
 		return nil, io.EOF
 	}
 	t := g.table
@@ -293,6 +416,6 @@ func (g *HashGroup) nextBatch() (*tuple.Batch, error) {
 }
 
 func (g *HashGroup) Close() error {
-	g.table, g.perm = nil, nil
+	g.table, g.perm, g.counts = nil, nil, xsort.Counts{}
 	return nil
 }

@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"setm/internal/storage"
 	"setm/internal/tuple"
@@ -51,6 +52,8 @@ type File struct {
 
 	pageIDs []storage.PageID
 	rows    int64
+	ranges  []tuple.Range // per column, a bound on every value appended
+	page    []byte        // AppendBatch's page buffer, kept across calls
 }
 
 // Create makes an empty heap file with the given all-INT schema. It takes
@@ -68,8 +71,23 @@ func Create(pool *storage.Pool, schema *tuple.Schema) (*File, error) {
 	if rowsCap == 0 {
 		return nil, fmt.Errorf("heap: a row of %d columns exceeds page capacity", schema.Len())
 	}
-	return &File{pool: pool, schema: schema, rowsCap: rowsCap}, nil
+	f := &File{pool: pool, schema: schema, rowsCap: rowsCap, ranges: make([]tuple.Range, schema.Len())}
+	f.resetRanges()
+	return f, nil
 }
+
+func (f *File) resetRanges() {
+	for c := range f.ranges {
+		f.ranges[c] = tuple.EmptyRange
+	}
+}
+
+// Ranges bounds each column over every row appended since the file was
+// created or freed: the least and greatest value AppendBatch encoded
+// (tuple.EmptyRange while the file is empty). A batch that failed
+// part-way may have widened them, so they are bounds, not exact extents.
+// The slice is the caller's.
+func (f *File) Ranges() []tuple.Range { return slices.Clone(f.ranges) }
 
 // Schema returns the schema of the file.
 func (f *File) Schema() *tuple.Schema { return f.schema }
@@ -91,7 +109,7 @@ func (f *File) slot(col, r int) int { return hdrSize + 8*(col*f.rowsCap+r) }
 // first used rows and sets the page's row count.
 func (f *File) encode(page []byte, b *tuple.Batch, from, used, k int) error {
 	binary.LittleEndian.PutUint16(page[hdrCount:], uint16(used+k))
-	return b.PutIntColumns(page[f.slot(0, used):], f.rowsCap, from, k)
+	return b.PutIntColumns(page[f.slot(0, used):], f.rowsCap, from, k, f.ranges)
 }
 
 // AppendBatch appends every logical row of b, in selection order. A
@@ -107,7 +125,10 @@ func (f *File) AppendBatch(b *tuple.Batch) error {
 	if len(b.Cols) != f.schema.Len() {
 		return fmt.Errorf("heap: batch arity %d does not match schema %d", len(b.Cols), f.schema.Len())
 	}
-	page := make([]byte, storage.PageSize)
+	if f.page == nil {
+		f.page = make([]byte, storage.PageSize)
+	}
+	page := f.page
 	i := 0
 	if used := int(f.rows % int64(f.rowsCap)); used > 0 {
 		last := f.pageIDs[len(f.pageIDs)-1:]
@@ -153,6 +174,7 @@ func (f *File) Free() {
 	f.pool.FreePages(f.pageIDs)
 	f.pageIDs = nil
 	f.rows = 0
+	f.resetRanges()
 }
 
 // FreeAll frees every file in files, as Free does.

@@ -234,3 +234,59 @@ func TestPagesMatchesFootprint(t *testing.T) {
 		t.Errorf("SizeBytes = %d", f.SizeBytes())
 	}
 }
+
+// TestColumnRanges: a file bounds each column by exactly what AppendBatch
+// encoded — through a selection vector, across a partial last page that
+// is read back and refilled — and Free empties the bounds.
+func TestColumnRanges(t *testing.T) {
+	f, err := Create(newPool(8), tuple.IntSchema("a", "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, want ...tuple.Range) {
+		t.Helper()
+		for c, w := range want {
+			if got := f.Ranges()[c]; got != w {
+				t.Fatalf("%s: column %d range %+v, want %+v", label, c, got, w)
+			}
+		}
+	}
+	check("empty", tuple.EmptyRange, tuple.EmptyRange)
+
+	// 300 rows: more than a 255-row page, so the last page is partial.
+	b := tuple.NewBatch(f.Schema())
+	for i := int64(0); i < 300; i++ {
+		b.Cols[0].I = append(b.Cols[0].I, i-100)
+		b.Cols[1].I = append(b.Cols[1].I, 7)
+		b.BumpRow()
+	}
+	if err := f.AppendBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	check("dense", tuple.Range{Lo: -100, Hi: 199}, tuple.Range{Lo: 7, Hi: 7})
+
+	// Under a selection only the selected rows widen the bounds; they fill
+	// the partial last page, then a new one.
+	s := tuple.NewBatch(f.Schema())
+	for i := int64(0); i < 400; i++ {
+		s.Cols[0].I = append(s.Cols[0].I, 1000+i)
+		s.Cols[1].I = append(s.Cols[1].I, -i)
+		s.BumpRow()
+	}
+	sel := []int32{5, 250, 260}
+	s.SetSel(sel)
+	if err := f.AppendBatch(s); err != nil {
+		t.Fatal(err)
+	}
+	check("selected", tuple.Range{Lo: -100, Hi: 1260}, tuple.Range{Lo: -260, Hi: 7})
+	if got := len(readAll(t, f, 1000)); got != 303 {
+		t.Fatalf("%d rows after the appends, want 303", got)
+	}
+
+	f.Free()
+	check("freed", tuple.EmptyRange, tuple.EmptyRange)
+	if err := appendRows(f, []int64{3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	check("refilled", tuple.Range{Lo: 3, Hi: 3}, tuple.Range{Lo: 4, Hi: 4})
+}

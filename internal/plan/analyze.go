@@ -12,7 +12,8 @@ import (
 
 // ExplainAnalyzed renders the plan like Explain but appends each
 // operator's actual output cardinality next to the planner's estimate.
-// Call it after the plan has been drained; operators that never produced a
+// The count and probe operators also name the kernel they ran. Call it
+// after the plan has been drained; operators that never produced a
 // batch report "never executed" (e.g. the inner build side of a join that
 // saw no probe rows).
 func (p *Plan) ExplainAnalyzed() string {
@@ -32,6 +33,9 @@ func (p *Plan) ExplainAnalyzed() string {
 			if est, ok := p.ests[op]; ok {
 				act += fmt.Sprintf(" (est %d)", est)
 			}
+		}
+		if k, ok := op.(interface{ Kernel() string }); ok && k.Kernel() != "" {
+			act += "; ran " + k.Kernel()
 		}
 		if note != "" {
 			return note + "; " + act

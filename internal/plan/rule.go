@@ -36,13 +36,14 @@ type Estimate struct {
 // Bytes returns the estimated relation footprint.
 func (e Estimate) Bytes() int64 { return e.Rows * e.RowBytes }
 
-// node is a partially built plan: an operator, its estimate, and the
-// column indexes (of the operator's output schema) the stream is known to
-// be ordered by.
+// node is a partially built plan: an operator, its estimate, the column
+// indexes (of the operator's output schema) the stream is known to be
+// ordered by, and a bound on each output column's values.
 type node struct {
 	op       exec.Operator
 	est      Estimate
 	ordering []int
+	ranges   []tuple.Range
 }
 
 // Plan is a compiled SELECT with its planning metadata.
@@ -172,9 +173,6 @@ func (c *Compiler) sortNode(n node, keys []exec.SortKey, why string) node {
 	// An external sort builds its runs in the working set the budget allows
 	// (never below one page); in memory the run size is unused.
 	op := exec.NewSortKeys(n.op, keys, pool, int(max(c.memBudget(), storage.PageSize)))
-	if !external && n.est.Rows > 0 && n.est.Rows < 1<<31 {
-		op.SetSizeHint(int(n.est.Rows))
-	}
 	kind := "in-memory columnar"
 	if external {
 		kind = fmt.Sprintf("external (est %d bytes > budget %d)", sortBytes, c.memBudget())
@@ -192,7 +190,7 @@ func (c *Compiler) sortNode(n node, keys []exec.SortKey, why string) node {
 		}
 		ordering = append(ordering, k.Col)
 	}
-	return node{op: op, est: n.est, ordering: ordering}
+	return node{op: op, est: n.est, ordering: ordering, ranges: n.ranges}
 }
 
 // gtConjunct is a WHERE conjunct of the form right[ri] > left[li] (SETM's
@@ -210,16 +208,19 @@ type gtConjunct struct {
 // that fired is attached to the join operator for EXPLAIN. gt, when
 // non-nil, is a pushable residual: the merge branch absorbs it (marking
 // the conjunct used); the hash branch leaves it for attachFilters.
-func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *gtConjunct) node {
+// probeOnly says the statement reads no column of the right input above
+// the join, so a hash join may run as a semi-join.
+func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *gtConjunct, probeOnly bool) node {
 	leftSorted := orderingHasPrefix(left.ordering, leftKeys)
 	rightSorted := orderingHasPrefix(right.ordering, rightKeys)
 
 	// Join cardinality: |L|·|R| / max(|L|,|R|) — the uniform-key estimate.
 	outRows := left.est.Rows * right.est.Rows
-	if m := max64(left.est.Rows, right.est.Rows); m > 0 {
+	if m := max(left.est.Rows, right.est.Rows); m > 0 {
 		outRows /= m
 	}
 	est := Estimate{Rows: outRows, RowBytes: schemaRowBytes(left.op.Schema(), right.op.Schema())}
+	ranges := append(append([]tuple.Range{}, left.ranges...), right.ranges...)
 
 	var noteTxt string
 	switch {
@@ -234,11 +235,15 @@ func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *g
 		if right.est.Rows > 0 && right.est.Rows < 1<<24 {
 			op.SetBuildSizeHint(int(right.est.Rows))
 		}
-		c.note(op, "hash: build %d rows fits budget; est %d rows", right.est.Rows, est.Rows)
+		if probeOnly {
+			op.SetProbeOnly()
+		}
+		c.note(op, "hash: build %d rows fits budget; est %d rows; probe: %s", right.est.Rows, est.Rows,
+			op.KernelFor(colRanges(right.ranges, rightKeys...), right.est.Rows))
 		c.setEst(op, est.Rows)
 		// Probing emits each left row's matches contiguously, so any
 		// ordering on left columns survives.
-		return node{op: op, est: est, ordering: append([]int{}, left.ordering...)}
+		return node{op: op, est: est, ordering: append([]int{}, left.ordering...), ranges: ranges}
 	default:
 		noteTxt = fmt.Sprintf("merge-scan: build %d bytes over budget %d", right.est.Bytes(), c.memBudget())
 	}
@@ -263,7 +268,7 @@ func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *g
 		// over materialized join rows.
 		op.SetVecResidualGT(gt.li, gt.ri)
 		gt.cj.used = true
-		est.Rows = max64(1, int64(float64(est.Rows)*costmodel.DefaultSelRange))
+		est.Rows = max(1, int64(float64(est.Rows)*costmodel.DefaultSelRange))
 		noteTxt += fmt.Sprintf("; residual R[%d]>L[%d] pushed down", gt.ri, gt.li)
 	}
 	c.note(op, "%s; est %d rows", noteTxt, est.Rows)
@@ -276,7 +281,20 @@ func (c *Compiler) joinChoice(left, right node, leftKeys, rightKeys []int, gt *g
 	// interleaving right values (group c=1,2 under two equal left rows
 	// emits 1,2,1,2). Without a uniqueness proof the planner stays
 	// conservative.
-	return node{op: op, est: est, ordering: append([]int{}, l.ordering...)}
+	return node{op: op, est: est, ordering: append([]int{}, l.ordering...), ranges: ranges}
+}
+
+// colRanges picks the bounds of columns idxs; a column without one (a
+// computed column, -1, or an aggregate past the end) is unbounded.
+func colRanges(ranges []tuple.Range, idxs ...int) []tuple.Range {
+	out := make([]tuple.Range, len(idxs))
+	for i, c := range idxs {
+		out[i] = tuple.FullRange
+		if c >= 0 && c < len(ranges) {
+			out[i] = ranges[c]
+		}
+	}
+	return out
 }
 
 func sortKeysFor(cols []int) []exec.SortKey {
@@ -285,11 +303,4 @@ func sortKeysFor(cols []int) []exec.SortKey {
 		keys[i] = exec.SortKey{Col: c}
 	}
 	return keys
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

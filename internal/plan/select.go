@@ -96,7 +96,7 @@ func (c *Compiler) scanRef(ref sqlparse.TableRef) (node, error) {
 	op := exec.NewRename(exec.NewHeapScan(tbl.File), tuple.NewSchema(cols...))
 	est := Estimate{Rows: tbl.File.Rows(), RowBytes: schemaRowBytes(base)}
 	c.setEst(op, est.Rows)
-	return node{op: op, est: est, ordering: append([]int{}, tbl.OrderedBy...)}, nil
+	return node{op: op, est: est, ordering: append([]int{}, tbl.OrderedBy...), ranges: tbl.File.Ranges()}, nil
 }
 
 // conjunct tracks one WHERE conjunct and whether a join step consumed it.
@@ -166,11 +166,11 @@ func (c *Compiler) attachFilters(n node, conjs []*conjunct, scope map[string]boo
 	}
 	op := exec.NewFilter(n.op, vecs)
 	est := n.est
-	est.Rows = max64(1, int64(float64(est.Rows)*sel))
+	est.Rows = max(1, int64(float64(est.Rows)*sel))
 	c.note(op, "selectivity≈%.2f, est %d rows (%d/%d conjuncts vectorized)",
 		sel, est.Rows, len(vecs), len(vecs))
 	c.setEst(op, est.Rows)
-	return node{op: op, est: est, ordering: n.ordering}, nil
+	return node{op: op, est: est, ordering: n.ordering, ranges: n.ranges}, nil
 }
 
 // compileFromWhere builds the join tree: left-deep in FROM order, with the
@@ -304,7 +304,7 @@ func (c *Compiler) compileFromWhere(sel *sqlparse.Select) (node, error) {
 			gt = &gtConjunct{cj: cj, li: li, ri: ri}
 		}
 
-		current = c.joinChoice(current, right, leftKeys, rightKeys, gt)
+		current = c.joinChoice(current, right, leftKeys, rightKeys, gt, !readsAny(sel, conjs, right.op.Schema()))
 		scope[rbind] = true
 		current, err = c.attachFilters(current, conjs, scope)
 		if err != nil {
@@ -314,6 +314,37 @@ func (c *Compiler) compileFromWhere(sel *sqlparse.Select) (node, error) {
 
 	// Anything left (e.g. constant predicates) applies at the top.
 	return c.attachFilters(current, conjs, nil)
+}
+
+// readsAny reports whether sel may read a column of schema (a join's right
+// input) outside the join conditions already consumed: a star, or any
+// column reference whose name could match one of schema's. It errs
+// towards true.
+func readsAny(sel *sqlparse.Select, conjs []*conjunct, schema *tuple.Schema) (found bool) {
+	exprs := append([]sqlparse.Expr{sel.Having}, sel.GroupBy...)
+	for _, it := range sel.Items {
+		if it.Star {
+			return true
+		}
+		exprs = append(exprs, it.Expr)
+	}
+	for _, o := range sel.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	for _, cj := range conjs {
+		if !cj.used {
+			exprs = append(exprs, cj.expr)
+		}
+	}
+	for _, e := range exprs {
+		sqlparse.WalkColumns(e, func(cr *sqlparse.ColumnRef) {
+			for _, col := range schema.Cols {
+				bind, name, _ := strings.Cut(col.Name, ".")
+				found = found || strings.EqualFold(cr.Name, name) && (cr.Qualifier == "" || strings.EqualFold(cr.Qualifier, bind))
+			}
+		})
+	}
+	return found
 }
 
 // compileGroup plans GROUP BY/aggregates: a sequential grouped scan (the
@@ -399,7 +430,7 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 		aggCols[ae.String()] = len(groupIdxs) + i
 	}
 
-	estGroups := max64(1, int64(float64(in.est.Rows)*costmodel.DefaultGroupFrac))
+	estGroups := max(1, int64(float64(in.est.Rows)*costmodel.DefaultGroupFrac))
 	groupBytes := estGroups * in.est.RowBytes
 	ordered := orderingHasPrefix(in.ordering, groupIdxs)
 	var gop exec.Operator
@@ -410,8 +441,11 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 		gop = grp
 		c.note(grp, "global aggregate over %d rows", in.est.Rows)
 	case !ordered && groupBytes <= c.memBudget():
-		gop = exec.NewHashGroup(in.op, groupIdxs, specs)
-		c.note(gop, "hash: est %d groups from %d rows fit budget", estGroups, in.est.Rows)
+		hg := exec.NewHashGroup(in.op, groupIdxs, specs)
+		hg.SetKeyRanges(colRanges(in.ranges, groupIdxs...))
+		hg.SetSizeHint(in.est.Rows)
+		gop = hg
+		c.note(gop, "hash: est %d groups from %d rows fit budget; count: %s", estGroups, in.est.Rows, hg.KernelFor(in.est.Rows))
 	default:
 		why := fmt.Sprintf("input ordered on %v", groupIdxs)
 		if !ordered {
@@ -430,7 +464,7 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 		ordering[i] = i
 	}
 	c.setEst(gop, est.Rows)
-	n := node{op: gop, est: est, ordering: ordering}
+	n := node{op: gop, est: est, ordering: ordering, ranges: colRanges(in.ranges, groupIdxs...)}
 
 	if sel.Having != nil {
 		rewritten := rewriteAggs(sel.Having, aggCols)
@@ -439,11 +473,11 @@ func (c *Compiler) compileGroup(sel *sqlparse.Select, in node) (node, map[string
 			return node{}, nil, err
 		}
 		est := n.est
-		est.Rows = max64(1, int64(float64(est.Rows)*conjSelectivity(rewritten)))
+		est.Rows = max(1, int64(float64(est.Rows)*conjSelectivity(rewritten)))
 		op := exec.NewFilter(n.op, []exec.VecPredicate{vp})
 		c.note(op, "HAVING (vectorized), est %d rows", est.Rows)
 		c.setEst(op, est.Rows)
-		n = node{op: op, est: est, ordering: n.ordering}
+		n = node{op: op, est: est, ordering: n.ordering, ranges: n.ranges}
 	}
 	return n, aggCols, nil
 }
@@ -482,7 +516,7 @@ func (c *Compiler) compileProjection(sel *sqlparse.Select, in node, aggCols map[
 	inSchema := in.op.Schema()
 	var exprs []exec.Expr
 	var cols []tuple.Column
-	colIdxs := make([]int, 0, len(sel.Items))
+	colIdxs := make([]int, 0, len(sel.Items)) // -1 for a computed column
 	pureCols := true
 	for _, it := range sel.Items {
 		if it.Star {
@@ -514,6 +548,7 @@ func (c *Compiler) compileProjection(sel *sqlparse.Select, in node, aggCols map[
 			return node{}, err
 		}
 		exprs = append(exprs, x)
+		colIdxs = append(colIdxs, -1)
 		cols = append(cols, tuple.Column{Name: outputName(it), Kind: tuple.KindInt})
 	}
 	schema := tuple.NewSchema(cols...)
@@ -522,9 +557,9 @@ func (c *Compiler) compileProjection(sel *sqlparse.Select, in node, aggCols map[
 	est.RowBytes = schemaRowBytes(schema)
 	c.setEst(op, est.Rows)
 	if pureCols {
-		return node{op: op, est: est, ordering: remapOrdering(in.ordering, colIdxs)}, nil
+		return node{op: op, est: est, ordering: remapOrdering(in.ordering, colIdxs), ranges: colRanges(in.ranges, colIdxs...)}, nil
 	}
-	return node{op: op, est: est}, nil
+	return node{op: op, est: est, ranges: colRanges(in.ranges, colIdxs...)}, nil
 }
 
 // compileOrderBy sorts the projected output, unless the planner can prove

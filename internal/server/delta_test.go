@@ -214,8 +214,8 @@ func TestAppendValidation(t *testing.T) {
 
 // TestDeltaFallbackIsNotPatched: a refresh whose delta promotes a pattern
 // past the parent's border re-mines base+delta inside MineDelta. The job
-// still answers exactly, but cache_patched counts only pure-path refreshes,
-// so it stays 0.
+// still answers exactly, but cache_patched and the job's "delta" flag
+// count only pure-path refreshes, so they read 0 and false.
 func TestDeltaFallbackIsNotPatched(t *testing.T) {
 	base := &core.Dataset{}
 	for tid := int64(1); tid <= 7; tid++ {
@@ -253,6 +253,24 @@ func TestDeltaFallbackIsNotPatched(t *testing.T) {
 	}
 	if v := metricValue(t, c, "cache_patched"); v != 0 {
 		t.Fatalf("cache_patched = %d, want 0: the refresh re-mined cold", v)
+	}
+	if st.Delta {
+		t.Fatal(`job status says "delta":true for a refresh that re-mined cold`)
+	}
+}
+
+// assertRoute checks that a refresh's "delta" flag names the route it took:
+// true exactly when pass 1 counted only the delta's SALES rows (the pure
+// path), false when it counted base+delta (a cold re-mine inside MineDelta).
+func assertRoute(t *testing.T, label string, st jobStatus, delta *core.Dataset) {
+	t.Helper()
+	if len(st.Iterations) == 0 {
+		t.Fatalf("%s: no passes in the job status", label)
+	}
+	pure := st.Iterations[0].RPrimeRows == int64(delta.NumSalesRows())
+	if st.Delta != pure {
+		t.Fatalf("%s: delta=%v but pass 1 counted %d rows (|Δ SALES| = %d)",
+			label, st.Delta, st.Iterations[0].RPrimeRows, delta.NumSalesRows())
 	}
 }
 
@@ -311,8 +329,8 @@ func TestDeleteParentGuard(t *testing.T) {
 }
 
 // TestChainedAppendsOverHTTP: appends stack (the derived version is a
-// parent in turn), and every refresh down the chain stays incremental
-// and exact.
+// parent in turn), every refresh down the chain runs MineDelta and is
+// exact, and its "delta" flag names the route it took.
 func TestChainedAppendsOverHTTP(t *testing.T) {
 	acc := testDataset(100, 600)
 	_, c := newTestServer(t, Config{})
@@ -330,9 +348,7 @@ func TestChainedAppendsOverHTTP(t *testing.T) {
 		if st.State != stateDone {
 			t.Fatalf("step %d mine: %s (%s)", step, st.State, st.Error)
 		}
-		if !st.Delta {
-			t.Fatalf("step %d fell off the incremental path", step)
-		}
+		assertRoute(t, fmt.Sprintf("step %d", step), st, delta)
 		acc.Transactions = append(acc.Transactions, delta.Transactions...)
 		want, err := core.MineAuto(acc, core.Options{MinSupportCount: 12})
 		if err != nil {
@@ -364,9 +380,10 @@ func TestDurableAppendReplay(t *testing.T) {
 		t.Fatalf("append: %d", code)
 	}
 	st := c1.mine(der.Version, 15)
-	if !st.Delta || st.State != stateDone {
-		t.Fatalf("first delta mine: delta=%v state=%s", st.Delta, st.State)
+	if st.State != stateDone {
+		t.Fatalf("first delta mine: state=%s", st.State)
 	}
+	assertRoute(t, "first delta mine", st, delta)
 	wantRes := c1.result(st.ID)
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	s1.Drain(drainCtx)
@@ -400,8 +417,9 @@ func TestDurableAppendReplay(t *testing.T) {
 	if st3.State != stateDone {
 		t.Fatalf("post-restart delta mine: %s (%s)", st3.State, st3.Error)
 	}
-	if !st3.Delta {
-		t.Fatal("post-restart mine fell off the incremental path")
+	assertRoute(t, "post-restart delta mine", st3, delta2)
+	if v := metricValue(t, c2, "delta_mines"); v != 1 {
+		t.Fatalf("delta_mines = %d after restart, want 1: the refresh did not run MineDelta", v)
 	}
 	assertNoTmpDebris(t, dir)
 }

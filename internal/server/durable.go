@@ -540,7 +540,6 @@ func (s *Server) resumeJob(j *job, rj *replayedJob) {
 	// plan when a verified checkpoint exists (the delta path's executor
 	// fallback checkpoints against the combined dataset).
 	plan := s.deltaPlanFor(ds, opts)
-	j.delta = plan != nil
 
 	grant, err := s.adm.tryAdmit(j.est)
 	if err != nil {

@@ -42,7 +42,7 @@ func TestDeleteDatasetDiscardsJobResults(t *testing.T) {
 				t.Fatalf("append: status %d: %s", code, raw)
 			}
 			jobs = append(jobs, c.mine(der.Version, 12))
-			if jobs[0].Cached || !jobs[1].Cached || !jobs[2].Delta {
+			if jobs[0].Cached || !jobs[1].Cached || jobs[2].Cached || metricValue(t, c, "delta_mines") != 1 {
 				t.Fatalf("want a cold, a cached and a delta job, got %+v", jobs)
 			}
 			for _, st := range jobs {
@@ -141,7 +141,7 @@ func TestCyclesHoldNoDeadData(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("cycle %d append: status %d: %s", cycle, code, raw)
 		}
-		if st := c.mine(der.Version, 20); st.State != stateDone || !st.Delta {
+		if st := c.mine(der.Version, 20); st.State != stateDone || st.Cached || metricValue(t, c, "delta_mines") != int64(cycle) {
 			t.Fatalf("cycle %d refresh job: %+v", cycle, st)
 		}
 		for _, v := range []string{der.Version, ds.Version} {

@@ -229,7 +229,7 @@ type job struct {
 	dataset string
 	est     int64
 	created time.Time
-	delta   bool // submitted with a deltaPlan: mined incrementally from the parent
+	delta   bool // mined incrementally: the refresh took MineDelta's pure path
 
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the job reaches a terminal state
@@ -676,7 +676,6 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	// datasets are pinned in the plan now, immune to cache eviction
 	// between submit and run.
 	plan := s.deltaPlanFor(ds, opts)
-	j.delta = plan != nil
 
 	// Cost-based admission: estimate the job's peak footprint and gate
 	// the sum of running estimates under the global budget.
@@ -810,6 +809,7 @@ func (s *Server) runJob(ctx context.Context, j *job, ds *dataset, opts core.Opti
 	}
 	var res *core.Result
 	var err error
+	patched := false
 	if plan != nil && cp == nil {
 		// Incremental path: count the delta against the parent's retained
 		// border and patch the parent's result. A snapshot the delta
@@ -827,6 +827,7 @@ func (s *Server) runJob(ctx context.Context, j *job, ds *dataset, opts core.Opti
 			// Only the pure path patches: a refresh that re-mined
 			// base+delta inside counts all their SALES rows on pass 1.
 			s.met.cachePatched.Add(1)
+			patched = true
 		}
 	} else {
 		res, err = core.MineAutoResumeMonitored(ctx, ds.d, opts, pool, onIter, cp)
@@ -846,6 +847,9 @@ func (s *Server) runJob(ctx context.Context, j *job, ds *dataset, opts core.Opti
 		s.cache.put(key, res, res.Border)
 		s.persistResult(key, res)
 	}
+	j.mu.Lock()
+	j.delta = patched
+	j.mu.Unlock()
 	s.finishJob(j, res, err)
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -125,36 +126,40 @@ func (b *Batch) AppendRange(src *Batch, from, to int) {
 		b.n += to - from
 		return
 	}
-	for _, phys := range src.sel[from:to] {
-		b.AppendRow(src, int(phys))
+	sel := src.sel[from:to]
+	for c := range b.Cols {
+		dst, v := slices.Grow(b.Cols[c].I, len(sel)), src.Cols[c].I
+		for _, phys := range sel {
+			dst = append(dst, v[phys])
+		}
+		b.Cols[c].I = dst
 	}
+	b.n += len(sel)
 }
 
-// WithSchema returns a shallow view of the batch under a different schema
-// of the same arity; storage is shared. Rename uses this to re-qualify
-// column names without copying data.
-func (b *Batch) WithSchema(s *Schema) *Batch {
-	v := *b
-	v.schema = s
-	return &v
+// View sets dst to a batch of the given columns under schema s that
+// shares b's row count and selection vector, and returns dst; nothing is
+// copied. An operator keeps dst across pulls, so a view costs no
+// allocation. Each column must hold one value per physical row of b.
+func (b *Batch) View(dst *Batch, s *Schema, cols []ColVec) *Batch {
+	*dst = Batch{schema: s, Cols: cols, n: b.n, sel: b.sel}
+	return dst
 }
 
-// View returns a batch of the given columns under schema s that shares b's
-// row count and selection vector; nothing is copied. Each column must hold
-// one value per physical row of b.
-func (b *Batch) View(s *Schema, cols []ColVec) *Batch {
-	return &Batch{schema: s, Cols: cols, n: b.n, sel: b.sel}
-}
-
-// Clone returns a dense deep copy of the batch's logical rows.
+// Clone returns a dense deep copy of the batch's logical rows, its
+// columns carved from one allocation.
 func (b *Batch) Clone() *Batch {
 	out := NewBatch(b.schema)
 	n := b.Len()
+	buf := make([]int64, n*len(b.Cols))
 	for c := range b.Cols {
-		col := b.Cols[c].I
-		oc := make([]int64, n)
-		for i := range oc {
-			oc[i] = col[b.RowIdx(i)]
+		col, oc := b.Cols[c].I, buf[c*n:(c+1)*n:(c+1)*n]
+		if b.sel == nil {
+			copy(oc, col[:n])
+		} else {
+			for i, phys := range b.sel {
+				oc[i] = col[phys]
+			}
 		}
 		out.Cols[c].I = oc
 	}
@@ -201,21 +206,30 @@ func (b *Batch) AppendIntColumns(src []byte, stride, n int) error {
 
 // PutIntColumns is the inverse of AppendIntColumns: it writes the logical
 // rows [from, from+n) into the column-major block dst, reading through the
-// selection vector when one is installed.
-func (b *Batch) PutIntColumns(dst []byte, stride, from, n int) error {
+// selection vector when one is installed. When rng is non-nil (one Range
+// per column), each column's range is widened to cover the values written,
+// in the same loop.
+func (b *Batch) PutIntColumns(dst []byte, stride, from, n int, rng []Range) error {
 	if err := b.checkIntColumns(len(dst), stride, n); err != nil {
 		return err
 	}
 	for c := range b.Cols {
 		col, out := b.Cols[c].I, dst[c*stride*8:]
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 		if b.sel == nil {
 			for i, v := range col[from : from+n] {
 				binary.LittleEndian.PutUint64(out[i*8:], uint64(v))
+				lo, hi = min(lo, v), max(hi, v)
 			}
-			continue
+		} else {
+			for i, phys := range b.sel[from : from+n] {
+				v := col[phys]
+				binary.LittleEndian.PutUint64(out[i*8:], uint64(v))
+				lo, hi = min(lo, v), max(hi, v)
+			}
 		}
-		for i, phys := range b.sel[from : from+n] {
-			binary.LittleEndian.PutUint64(out[i*8:], uint64(col[phys]))
+		if rng != nil && n > 0 {
+			rng[c] = Range{Lo: min(rng[c].Lo, lo), Hi: max(rng[c].Hi, hi)}
 		}
 	}
 	return nil

@@ -64,7 +64,7 @@ func TestBatchEncodedRoundTrip(t *testing.T) {
 	const stride = 8
 	block := make([]byte, 8*stride*2)
 	// Rows 1..2 of the selection land in slots 3..4.
-	if err := src.PutIntColumns(block[8*3:], stride, 1, 2); err != nil {
+	if err := src.PutIntColumns(block[8*3:], stride, 1, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	dst := NewBatch(src.Schema())
@@ -86,7 +86,7 @@ func TestBatchProjectAndWithSchema(t *testing.T) {
 		b.BumpRow()
 	}
 	b.SetSel([]int32{1, 3})
-	proj := b.View(IntSchema("c", "a"), []ColVec{b.Cols[2], b.Cols[0]})
+	proj := b.View(&Batch{}, IntSchema("c", "a"), []ColVec{b.Cols[2], b.Cols[0]})
 	if proj.Len() != 2 {
 		t.Fatalf("projected Len = %d", proj.Len())
 	}
@@ -97,9 +97,9 @@ func TestBatchProjectAndWithSchema(t *testing.T) {
 	if b.Len() != 2 {
 		t.Error("a view's selection reached the batch it views")
 	}
-	renamed := b.WithSchema(IntSchema("x", "y", "z"))
+	renamed := b.View(&Batch{}, IntSchema("x", "y", "z"), b.Cols)
 	if renamed.Schema().Cols[0].Name != "x" || renamed.Len() != 2 {
-		t.Errorf("WithSchema = %v len %d", renamed.Schema(), renamed.Len())
+		t.Errorf("renamed view = %v len %d", renamed.Schema(), renamed.Len())
 	}
 }
 

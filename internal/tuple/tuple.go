@@ -10,6 +10,8 @@ package tuple
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -27,6 +29,32 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
+
+// Range bounds the values of one INT column: Lo <= v <= Hi for every
+// row. A bound may be wider than the data, never narrower. The bound of no
+// rows has Lo > Hi (EmptyRange); FullRange bounds any column.
+type Range struct{ Lo, Hi int64 }
+
+var (
+	// EmptyRange bounds a column with no rows.
+	EmptyRange = Range{Lo: math.MaxInt64, Hi: math.MinInt64}
+	// FullRange bounds every column.
+	FullRange = Range{Lo: math.MinInt64, Hi: math.MaxInt64}
+)
+
+// Span is Hi - Lo as an unsigned count: the largest offset of a value
+// from Lo. Two's-complement subtraction gives it for any signed range.
+// An empty range has span 0.
+func (r Range) Span() uint64 {
+	if r.Lo > r.Hi {
+		return 0
+	}
+	return uint64(r.Hi) - uint64(r.Lo)
+}
+
+// Bits is the width of the offsets v - Lo: 0 when the range holds at most
+// one value, 64 for FullRange.
+func (r Range) Bits() uint { return uint(bits.Len64(r.Span())) }
 
 // Column describes one attribute of a relation.
 type Column struct {

@@ -105,7 +105,7 @@ func TestSchemaProjectConcat(t *testing.T) {
 func putGet(t *testing.T, b *Batch, stride int) *Batch {
 	t.Helper()
 	block := make([]byte, 8*stride*len(b.Cols))
-	if err := b.PutIntColumns(block, stride, 0, b.Len()); err != nil {
+	if err := b.PutIntColumns(block, stride, 0, b.Len(), nil); err != nil {
 		t.Fatal(err)
 	}
 	out := NewBatch(b.Schema())
@@ -139,7 +139,7 @@ func TestDecodeShortBuffer(t *testing.T) {
 		t.Errorf("a refused decode appended %d rows", b.Len())
 	}
 	b = ints([]int64{1, 2})
-	if err := b.PutIntColumns(make([]byte, 8*(4+1)-1), 4, 0, 1); err == nil {
+	if err := b.PutIntColumns(make([]byte, 8*(4+1)-1), 4, 0, 1, nil); err == nil {
 		t.Error("PutIntColumns accepted a short block")
 	}
 }
